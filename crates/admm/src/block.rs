@@ -374,22 +374,16 @@ pub fn build_block_problem(
     )
 }
 
-/// Speculative line-search width: when the first backtracking probe
-/// fails at a smoothed stage, the next [`SPEC_K`] step halvings are
-/// evaluated in one batched tape sweep instead of sequentially.
-const SPEC_K: usize = 4;
-
 /// Solve one block subproblem: projected gradient with Armijo
 /// backtracking on `smax(area_off + A_p, C_p) + (rho/2) sum (x_i -
 /// target_i)^2` over the box `[0, ln p]`, moving only the free
 /// variables. A pure function of `job` — no randomness, no
 /// time-dependence — so every backend produces the identical result.
 ///
-/// Smoothed stages speculate their backtracking through the batched
-/// tape kernels: the first probe stays scalar (it usually accepts), and
-/// on failure the next [`SPEC_K`] candidate steps are scored by one
-/// K-wide evaluation. The exact polish stage stays fully scalar so
-/// exact `max` tie-breaking is untouched.
+/// Every stage, smoothed and exact, runs on the scalar tape out of
+/// `bw.inner`: one gradient pair and a handful of sequential line-search
+/// probes per iteration is K ≤ 2 work, where the scalar tape is ~2× the
+/// lane kernels.
 pub fn solve_block_job(job: &BlockJob, bw: &mut BatchWorkspace) -> Result<BlockSolution, String> {
     let obj = MdgObjective::try_new(&job.graph, job.machine)?;
     let n = obj.num_vars();
@@ -479,9 +473,7 @@ pub fn solve_block_job(job: &BlockJob, bw: &mut BatchWorkspace) -> Result<BlockS
         for _ in 0..max_iters {
             iters += 1;
             let mut accepted = false;
-            if matches!(sharp, Sharpness::Smooth(_)) {
-                // First probe stays scalar: it accepts most of the time,
-                // so batching it would waste the other lanes.
+            for _ in 0..40 {
                 for j in 0..n {
                     trial[j] =
                         if is_free[j] { (x[j] - step * grad[j]).clamp(0.0, ub) } else { x[j] };
@@ -494,94 +486,11 @@ pub fn solve_block_job(job: &BlockJob, bw: &mut BatchWorkspace) -> Result<BlockS
                     .sum();
                 if f_new <= f_cur - 1e-4 * decrease && f_new.is_finite() {
                     accepted = true;
-                } else {
-                    // Speculate the next SPEC_K halvings through one
-                    // batched sweep per round, scanning lanes in
-                    // halving order so the accepted step is the first
-                    // one sequential backtracking would have taken.
-                    let mut probes = 1usize;
-                    'spec: while probes < 40 {
-                        let mut lane_steps = [0.0_f64; SPEC_K];
-                        let mut kk = 0usize;
-                        let mut s = step;
-                        for slot in lane_steps.iter_mut() {
-                            s *= 0.5;
-                            if s < 1e-14 {
-                                break;
-                            }
-                            *slot = s;
-                            kk += 1;
-                        }
-                        if kk == 0 {
-                            break;
-                        }
-                        bw.ensure_lanes(n, kk);
-                        let BatchWorkspace { scratch, trials, parts_new, .. } = &mut *bw;
-                        for (l, &sl) in lane_steps.iter().take(kk).enumerate() {
-                            for j in 0..n {
-                                trials[j * kk + l] = if is_free[j] {
-                                    (x[j] - sl * grad[j]).clamp(0.0, ub)
-                                } else {
-                                    x[j]
-                                };
-                            }
-                        }
-                        obj.eval_batch_with(trials, kk, sharp, scratch, &mut parts_new[..kk]);
-                        for l in 0..kk {
-                            probes += 1;
-                            let a = (job.area_off + parts_new[l].a_p).max(0.0);
-                            let (phi, _, _) = smax_pair_weights(a, parts_new[l].c_p, sharp);
-                            let mut f_new = phi;
-                            for c in &job.cons {
-                                let diff = trials[c.sub * kk + l] - c.target;
-                                f_new += 0.5 * job.rho * diff * diff;
-                            }
-                            let mut decrease = 0.0;
-                            for j in 0..n {
-                                decrease += grad[j] * (x[j] - trials[j * kk + l]);
-                            }
-                            if f_new <= f_cur - 1e-4 * decrease && f_new.is_finite() {
-                                step = lane_steps[l];
-                                for j in 0..n {
-                                    trial[j] = trials[j * kk + l];
-                                }
-                                accepted = true;
-                                break 'spec;
-                            }
-                            if probes >= 40 {
-                                break 'spec;
-                            }
-                        }
-                        step = lane_steps[kk - 1];
-                        if kk < SPEC_K {
-                            // Some lane fell below the step floor: the
-                            // sequential search would have given up here.
-                            break;
-                        }
-                    }
+                    break;
                 }
-            } else {
-                // Exact polish: fully sequential scalar backtracking so
-                // the exact-stage trajectory is untouched by batching.
-                for _ in 0..40 {
-                    for j in 0..n {
-                        trial[j] =
-                            if is_free[j] { (x[j] - step * grad[j]).clamp(0.0, ub) } else { x[j] };
-                    }
-                    let f_new = eval_val(&trial, sharp, &mut bw.inner);
-                    let decrease: f64 = grad
-                        .iter()
-                        .zip(x.iter().zip(trial.iter()))
-                        .map(|(g, (xi, ti))| g * (xi - ti))
-                        .sum();
-                    if f_new <= f_cur - 1e-4 * decrease && f_new.is_finite() {
-                        accepted = true;
-                        break;
-                    }
-                    step *= 0.5;
-                    if step < 1e-14 {
-                        break;
-                    }
+                step *= 0.5;
+                if step < 1e-14 {
+                    break;
                 }
             }
             if !accepted {

@@ -147,9 +147,9 @@ pub trait BlockBackend {
 /// Scoped-thread backend: splits jobs into contiguous chunks over at
 /// most `threads` OS threads (`0` = available parallelism), each thread
 /// reusing one pooled [`paradigm_solver::BatchWorkspace`] (block solves
-/// speculate their line searches through the batched tape kernels).
-/// Because each job is solved by a pure function, the thread count
-/// changes only where a job runs, never its result.
+/// run on its scalar `.inner`). Because each job is solved by a pure
+/// function, the thread count changes only where a job runs, never its
+/// result.
 #[derive(Debug, Clone, Default)]
 pub struct InProcessBackend {
     /// Worker thread cap; `0` picks `available_parallelism`.
@@ -169,7 +169,7 @@ impl BlockBackend for InProcessBackend {
         }
         .clamp(1, total);
         if workers == 1 {
-            let mut ws = workspace::acquire_batch();
+            let mut ws = workspace::acquire();
             return jobs.iter().map(|j| solve_block_job(j, &mut ws)).collect();
         }
         let chunk_len = total.div_ceil(workers);
@@ -178,7 +178,7 @@ impl BlockBackend for InProcessBackend {
                 .chunks(chunk_len)
                 .map(|chunk| {
                     scope.spawn(move || {
-                        let mut ws = workspace::acquire_batch();
+                        let mut ws = workspace::acquire();
                         chunk.iter().map(|job| solve_block_job(job, &mut ws)).collect::<Vec<_>>()
                     })
                 })
@@ -613,7 +613,7 @@ pub fn solve_admm<B: BlockBackend>(
         }
         let mut phi_round = if accel { phi_best } else { phi_round_last };
         if accel && gain < 3e-3 {
-            let ws = &mut *pws;
+            let ws = &mut pws.inner;
             let parts = obj.eval_grad_parts_with(
                 &x,
                 Sharpness::Exact,

@@ -2,7 +2,7 @@
 //! with a warm [`paradigm_solver::BatchWorkspace`], the heap-allocation
 //! count of [`paradigm_admm::solve_block_job`] is a per-call constant
 //! (objective compilation, local buffers) independent of how many
-//! gradient iterations or speculative line-search rounds run.
+//! gradient iterations or line-search probes run.
 //!
 //! This file deliberately contains a single `#[test]` — the counter is
 //! process-global, and a second test running on a sibling thread would
@@ -49,7 +49,7 @@ fn block_solve_allocations_do_not_scale_with_iterations() {
     let big_job = job_with(30, 15);
 
     let mut bw = BatchWorkspace::new();
-    // Warm-up sizes the batched speculation buffers and both scratches.
+    // Warm-up sizes the scalar sweep scratch the block solve runs on.
     let warm = solve_block_job(&big_job, &mut bw).expect("warm-up solve");
     assert!(warm.iters > 0);
 

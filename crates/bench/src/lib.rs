@@ -2,8 +2,8 @@
 //!
 //! Every `repro_*` bench target regenerates one table or figure of the
 //! paper; every `ablation_*` target probes one design choice called out
-//! in DESIGN.md; the `criterion_*` targets are conventional performance
-//! micro-benchmarks. Run them all with `cargo bench --workspace`.
+//! in DESIGN.md. Run them all with `cargo bench --workspace`. Timing
+//! lives in the repo benchmark (`benchmark/`), not here.
 
 /// Print the standard harness banner: what paper artifact this target
 /// reproduces and what to compare against.

@@ -295,7 +295,7 @@ pub fn dispatch(service: &Service, request: &Request) -> Json {
                 chaos.maybe_block_slow();
                 chaos.maybe_block_crash();
             }
-            let mut ws = paradigm_solver::workspace::acquire_batch();
+            let mut ws = paradigm_solver::workspace::acquire();
             match solve_block_job(job, &mut ws) {
                 Ok(sol) => {
                     service.record_block_solved();

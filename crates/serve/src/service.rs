@@ -786,6 +786,22 @@ mod tests {
     }
 
     #[test]
+    fn cold_solves_check_out_of_the_pool_the_stats_report() {
+        // One worker, so the second solve finds the workspace the first
+        // released. The counters are process-global and only grow, so
+        // sibling tests can add to the deltas but never shrink them.
+        let svc = Service::start(ServeConfig { workers: 1, ..small_cfg() });
+        let before = svc.stats();
+        for procs in [4, 8] {
+            let r = svc.submit(fig1(), SolveSpec::new(Machine::cm5(procs))).unwrap();
+            assert!(!r.cached, "distinct machine sizes are distinct cold solves");
+        }
+        let after = svc.stats();
+        assert!(after.ws_acquires >= before.ws_acquires + 2, "{before:?} -> {after:?}");
+        assert!(after.ws_reuses > before.ws_reuses, "{before:?} -> {after:?}");
+    }
+
+    #[test]
     fn structurally_equal_graphs_share_one_entry() {
         let svc = Service::start(small_cfg());
         let spec = SolveSpec::new(Machine::cm5(4));

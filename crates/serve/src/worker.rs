@@ -718,7 +718,7 @@ mod tests {
             ..ServeConfig::default()
         });
         for job in sample_jobs(&g, &machine, 3) {
-            let mut ws = paradigm_solver::workspace::acquire_batch();
+            let mut ws = paradigm_solver::workspace::acquire();
             let local = paradigm_admm::solve_block_job(&job, &mut ws).expect("local solve");
             let (resp, _) = handle_line(&svc, &block_job_request(&job).render());
             let sol = parse_block_solution(&parse(&resp).expect("json")).expect("remote solve");

@@ -1,20 +1,24 @@
 //! K-wide (batched) execution of compiled expression tapes.
 //!
-//! The solver replays the *same* compiled tape at many points: multistart
-//! descends K start points against one objective, and every ADMM block
-//! probes several line-search candidates per iteration. This module adds
-//! a structure-of-arrays execution mode for [`CompiledExpr`]: every tape
+//! Multistart descends K start points against one objective, replaying
+//! the *same* compiled tape at each. This module adds a
+//! structure-of-arrays execution mode for [`CompiledExpr`]: every tape
 //! slot becomes a lane-major block of `k` values (`slot * k + lane`), and
 //! the `Mono`/`Sum`/`Max` forward sweeps plus the reverse adjoint sweep
 //! run as elementwise lane kernels.
 //!
+//! It has one caller in the solver, the smooth stages of the multistart
+//! (`solve::descend_multi`, K = 4–8): per lane the kernels beat the
+//! scalar tape 1.3–1.5× at K = 4, 1.6–1.9× at K = 6 and 1.9–2.8× at
+//! K = 8, but at K = 1 they run at 0.4–0.6× of it, so every K ≤ 2 caller
+//! stays on the scalar tape in `compiled`/`objective`.
+//!
 //! The kernels are hand-rolled explicit-width chunks (`[f64; LANES]`)
-//! that the compiler auto-vectorizes — no external SIMD crates. Building
-//! with `--no-default-features` swaps every chunked kernel for a plain
-//! per-lane loop; both variants perform the identical per-lane IEEE
-//! operation sequence, so the two builds are **bit-compatible** (SIMD
-//! f64 lane arithmetic is IEEE-identical to scalar, and Rust never
-//! contracts `a * b + c` into an FMA).
+//! plus a per-element tail, which the compiler auto-vectorizes — no
+//! external SIMD crates. Chunk and tail perform the identical per-lane
+//! IEEE operation (SIMD f64 lane arithmetic is IEEE-identical to scalar,
+//! and Rust never contracts `a * b + c` into an FMA), so a lane's result
+//! does not depend on where in a row it sits.
 //!
 //! Numerical contract versus the scalar tape: each lane's trajectory
 //! depends only on its own slots (no cross-lane arithmetic), so results
@@ -34,29 +38,21 @@ use crate::expr::Sharpness;
 pub(crate) const LANES: usize = 8;
 
 // ---------------------------------------------------------------------
-// Lane kernels. Each has a chunked (`simd`) and a plain variant with the
-// identical per-lane operation, so the builds stay bit-compatible.
+// Lane kernels: `[f64; LANES]` chunks, then the tail element by element.
 // ---------------------------------------------------------------------
 
 /// `dst[l] *= src[l]`.
 #[inline]
 pub(crate) fn lanes_mul(dst: &mut [f64], src: &[f64]) {
     debug_assert_eq!(dst.len(), src.len());
-    #[cfg(feature = "simd")]
-    {
-        let (dc, dt) = dst.as_chunks_mut::<LANES>();
-        let (sc, st) = src.as_chunks::<LANES>();
-        for (d, s) in dc.iter_mut().zip(sc) {
-            for l in 0..LANES {
-                d[l] *= s[l];
-            }
-        }
-        for (d, s) in dt.iter_mut().zip(st) {
-            *d *= s;
+    let (dc, dt) = dst.as_chunks_mut::<LANES>();
+    let (sc, st) = src.as_chunks::<LANES>();
+    for (d, s) in dc.iter_mut().zip(sc) {
+        for l in 0..LANES {
+            d[l] *= s[l];
         }
     }
-    #[cfg(not(feature = "simd"))]
-    for (d, s) in dst.iter_mut().zip(src) {
+    for (d, s) in dt.iter_mut().zip(st) {
         *d *= s;
     }
 }
@@ -65,21 +61,14 @@ pub(crate) fn lanes_mul(dst: &mut [f64], src: &[f64]) {
 #[inline]
 pub(crate) fn lanes_add(dst: &mut [f64], src: &[f64]) {
     debug_assert_eq!(dst.len(), src.len());
-    #[cfg(feature = "simd")]
-    {
-        let (dc, dt) = dst.as_chunks_mut::<LANES>();
-        let (sc, st) = src.as_chunks::<LANES>();
-        for (d, s) in dc.iter_mut().zip(sc) {
-            for l in 0..LANES {
-                d[l] += s[l];
-            }
-        }
-        for (d, s) in dt.iter_mut().zip(st) {
-            *d += s;
+    let (dc, dt) = dst.as_chunks_mut::<LANES>();
+    let (sc, st) = src.as_chunks::<LANES>();
+    for (d, s) in dc.iter_mut().zip(sc) {
+        for l in 0..LANES {
+            d[l] += s[l];
         }
     }
-    #[cfg(not(feature = "simd"))]
-    for (d, s) in dst.iter_mut().zip(src) {
+    for (d, s) in dt.iter_mut().zip(st) {
         *d += s;
     }
 }
@@ -88,21 +77,14 @@ pub(crate) fn lanes_add(dst: &mut [f64], src: &[f64]) {
 #[inline]
 pub(crate) fn lanes_add_scaled(dst: &mut [f64], src: &[f64], c: f64) {
     debug_assert_eq!(dst.len(), src.len());
-    #[cfg(feature = "simd")]
-    {
-        let (dc, dt) = dst.as_chunks_mut::<LANES>();
-        let (sc, st) = src.as_chunks::<LANES>();
-        for (d, s) in dc.iter_mut().zip(sc) {
-            for l in 0..LANES {
-                d[l] += s[l] * c;
-            }
-        }
-        for (d, s) in dt.iter_mut().zip(st) {
-            *d += s * c;
+    let (dc, dt) = dst.as_chunks_mut::<LANES>();
+    let (sc, st) = src.as_chunks::<LANES>();
+    for (d, s) in dc.iter_mut().zip(sc) {
+        for l in 0..LANES {
+            d[l] += s[l] * c;
         }
     }
-    #[cfg(not(feature = "simd"))]
-    for (d, s) in dst.iter_mut().zip(src) {
+    for (d, s) in dt.iter_mut().zip(st) {
         *d += s * c;
     }
 }
@@ -111,22 +93,15 @@ pub(crate) fn lanes_add_scaled(dst: &mut [f64], src: &[f64], c: f64) {
 #[inline]
 pub(crate) fn lanes_set_mul(dst: &mut [f64], a: &[f64], b: &[f64]) {
     debug_assert!(dst.len() == a.len() && dst.len() == b.len());
-    #[cfg(feature = "simd")]
-    {
-        let (dc, dt) = dst.as_chunks_mut::<LANES>();
-        let (ac, at) = a.as_chunks::<LANES>();
-        let (bc, bt) = b.as_chunks::<LANES>();
-        for ((d, x), y) in dc.iter_mut().zip(ac).zip(bc) {
-            for l in 0..LANES {
-                d[l] = x[l] * y[l];
-            }
-        }
-        for ((d, x), y) in dt.iter_mut().zip(at).zip(bt) {
-            *d = x * y;
+    let (dc, dt) = dst.as_chunks_mut::<LANES>();
+    let (ac, at) = a.as_chunks::<LANES>();
+    let (bc, bt) = b.as_chunks::<LANES>();
+    for ((d, x), y) in dc.iter_mut().zip(ac).zip(bc) {
+        for l in 0..LANES {
+            d[l] = x[l] * y[l];
         }
     }
-    #[cfg(not(feature = "simd"))]
-    for ((d, x), y) in dst.iter_mut().zip(a).zip(b) {
+    for ((d, x), y) in dt.iter_mut().zip(at).zip(bt) {
         *d = x * y;
     }
 }
@@ -135,22 +110,15 @@ pub(crate) fn lanes_set_mul(dst: &mut [f64], a: &[f64], b: &[f64]) {
 #[inline]
 pub(crate) fn lanes_set_div(dst: &mut [f64], a: &[f64], b: &[f64]) {
     debug_assert!(dst.len() == a.len() && dst.len() == b.len());
-    #[cfg(feature = "simd")]
-    {
-        let (dc, dt) = dst.as_chunks_mut::<LANES>();
-        let (ac, at) = a.as_chunks::<LANES>();
-        let (bc, bt) = b.as_chunks::<LANES>();
-        for ((d, x), y) in dc.iter_mut().zip(ac).zip(bc) {
-            for l in 0..LANES {
-                d[l] = x[l] / y[l];
-            }
-        }
-        for ((d, x), y) in dt.iter_mut().zip(at).zip(bt) {
-            *d = x / y;
+    let (dc, dt) = dst.as_chunks_mut::<LANES>();
+    let (ac, at) = a.as_chunks::<LANES>();
+    let (bc, bt) = b.as_chunks::<LANES>();
+    for ((d, x), y) in dc.iter_mut().zip(ac).zip(bc) {
+        for l in 0..LANES {
+            d[l] = x[l] / y[l];
         }
     }
-    #[cfg(not(feature = "simd"))]
-    for ((d, x), y) in dst.iter_mut().zip(a).zip(b) {
+    for ((d, x), y) in dt.iter_mut().zip(at).zip(bt) {
         *d = x / y;
     }
 }
@@ -159,21 +127,14 @@ pub(crate) fn lanes_set_div(dst: &mut [f64], a: &[f64], b: &[f64]) {
 #[inline]
 pub(crate) fn lanes_max(dst: &mut [f64], src: &[f64]) {
     debug_assert_eq!(dst.len(), src.len());
-    #[cfg(feature = "simd")]
-    {
-        let (dc, dt) = dst.as_chunks_mut::<LANES>();
-        let (sc, st) = src.as_chunks::<LANES>();
-        for (d, s) in dc.iter_mut().zip(sc) {
-            for l in 0..LANES {
-                d[l] = d[l].max(s[l]);
-            }
-        }
-        for (d, s) in dt.iter_mut().zip(st) {
-            *d = d.max(*s);
+    let (dc, dt) = dst.as_chunks_mut::<LANES>();
+    let (sc, st) = src.as_chunks::<LANES>();
+    for (d, s) in dc.iter_mut().zip(sc) {
+        for l in 0..LANES {
+            d[l] = d[l].max(s[l]);
         }
     }
-    #[cfg(not(feature = "simd"))]
-    for (d, s) in dst.iter_mut().zip(src) {
+    for (d, s) in dt.iter_mut().zip(st) {
         *d = d.max(*s);
     }
 }
@@ -182,20 +143,13 @@ pub(crate) fn lanes_max(dst: &mut [f64], src: &[f64]) {
 /// power-of-two power/root kernels).
 #[inline]
 fn lanes_square(dst: &mut [f64]) {
-    #[cfg(feature = "simd")]
-    {
-        let (dc, dt) = dst.as_chunks_mut::<LANES>();
-        for d in dc.iter_mut() {
-            for v in d.iter_mut() {
-                *v = *v * *v;
-            }
-        }
-        for d in dt.iter_mut() {
-            *d = *d * *d;
+    let (dc, dt) = dst.as_chunks_mut::<LANES>();
+    for d in dc.iter_mut() {
+        for v in d.iter_mut() {
+            *v = *v * *v;
         }
     }
-    #[cfg(not(feature = "simd"))]
-    for d in dst.iter_mut() {
+    for d in dt.iter_mut() {
         *d = *d * *d;
     }
 }
@@ -203,70 +157,19 @@ fn lanes_square(dst: &mut [f64]) {
 /// `dst[l] = sqrt(dst[l])`.
 #[inline]
 fn lanes_sqrt(dst: &mut [f64]) {
-    #[cfg(feature = "simd")]
-    {
-        let (dc, dt) = dst.as_chunks_mut::<LANES>();
-        for d in dc.iter_mut() {
-            for v in d.iter_mut() {
-                *v = v.sqrt();
-            }
-        }
-        for d in dt.iter_mut() {
-            *d = d.sqrt();
+    let (dc, dt) = dst.as_chunks_mut::<LANES>();
+    for d in dc.iter_mut() {
+        for v in d.iter_mut() {
+            *v = v.sqrt();
         }
     }
-    #[cfg(not(feature = "simd"))]
-    for d in dst.iter_mut() {
+    for d in dt.iter_mut() {
         *d = d.sqrt();
     }
 }
 
-/// `dst[l] *= c`.
-#[inline]
-pub(crate) fn lanes_scale(dst: &mut [f64], c: f64) {
-    #[cfg(feature = "simd")]
-    {
-        let (dc, dt) = dst.as_chunks_mut::<LANES>();
-        for d in dc.iter_mut() {
-            for v in d.iter_mut() {
-                *v *= c;
-            }
-        }
-        for d in dt.iter_mut() {
-            *d *= c;
-        }
-    }
-    #[cfg(not(feature = "simd"))]
-    for d in dst.iter_mut() {
-        *d *= c;
-    }
-}
-
-/// `dst[l] = src[l] * c`.
-#[inline]
-pub(crate) fn lanes_set_scale(dst: &mut [f64], src: &[f64], c: f64) {
-    debug_assert_eq!(dst.len(), src.len());
-    #[cfg(feature = "simd")]
-    {
-        let (dc, dt) = dst.as_chunks_mut::<LANES>();
-        let (sc, st) = src.as_chunks::<LANES>();
-        for (d, s) in dc.iter_mut().zip(sc) {
-            for l in 0..LANES {
-                d[l] = s[l] * c;
-            }
-        }
-        for (d, s) in dt.iter_mut().zip(st) {
-            *d = s * c;
-        }
-    }
-    #[cfg(not(feature = "simd"))]
-    for (d, s) in dst.iter_mut().zip(src) {
-        *d = s * c;
-    }
-}
-
 /// `dst[l] *= base[l].powf(a)` — the exotic-exponent monomial fallback;
-/// `powf` is a libm call either way, so both builds share one loop.
+/// `powf` is a libm call, so there is nothing to chunk.
 #[inline]
 fn lanes_mul_powf(dst: &mut [f64], base: &[f64], a: f64) {
     for (d, b) in dst.iter_mut().zip(base) {
@@ -389,21 +292,14 @@ impl BatchVarCache {
 #[inline]
 fn lanes_set_recip(dst: &mut [f64], src: &[f64]) {
     debug_assert_eq!(dst.len(), src.len());
-    #[cfg(feature = "simd")]
-    {
-        let (dc, dt) = dst.as_chunks_mut::<LANES>();
-        let (sc, st) = src.as_chunks::<LANES>();
-        for (d, s) in dc.iter_mut().zip(sc) {
-            for l in 0..LANES {
-                d[l] = 1.0 / s[l];
-            }
-        }
-        for (d, s) in dt.iter_mut().zip(st) {
-            *d = 1.0 / s;
+    let (dc, dt) = dst.as_chunks_mut::<LANES>();
+    let (sc, st) = src.as_chunks::<LANES>();
+    for (d, s) in dc.iter_mut().zip(sc) {
+        for l in 0..LANES {
+            d[l] = 1.0 / s[l];
         }
     }
-    #[cfg(not(feature = "simd"))]
-    for (d, s) in dst.iter_mut().zip(src) {
+    for (d, s) in dt.iter_mut().zip(st) {
         *d = 1.0 / s;
     }
 }
@@ -714,73 +610,6 @@ impl CompiledExpr {
         }
         debug_assert_eq!(adj.len(), base);
     }
-
-    /// K seeds over one **scalar** tape: replays the tape recorded by a
-    /// scalar [`CompiledExpr::eval_tape`] once, pushing `k` adjoint
-    /// lanes through it, and accumulates into the lane-major `grad`
-    /// (`n_vars * k`). Each lane performs the exact per-step multiply
-    /// sequence of a scalar [`CompiledExpr::backprop`] call with that
-    /// lane's seed, so the result is **bit-identical** to `k` sequential
-    /// scalar backprops (the skip-if-zero guards it drops only ever
-    /// suppress `+0.0` accumulations).
-    pub(crate) fn backprop_multi(
-        &self,
-        k: usize,
-        seeds: &[f64],
-        vals: &[f64],
-        wts: &[f64],
-        grad: &mut [f64],
-        adj: &mut Vec<f64>,
-    ) {
-        debug_assert_eq!(seeds.len(), k);
-        debug_assert_eq!(vals.len(), self.ops.len());
-        if self.ops.is_empty() || seeds.iter().all(|&s| s == 0.0) {
-            return;
-        }
-        let base = adj.len();
-        adj.extend_from_slice(seeds);
-        for (i, op) in self.ops.iter().enumerate().rev() {
-            match *op {
-                Op::Mono { coeff: _, lo, hi } => {
-                    let b = adj.len() - k;
-                    lanes_scale(&mut adj[b..], vals[i]);
-                    let av = &adj[b..];
-                    for &(j, e) in &self.terms[lo as usize..hi as usize] {
-                        let j = j as usize * k;
-                        lanes_add_scaled(&mut grad[j..j + k], av, e);
-                    }
-                    adj.truncate(b);
-                }
-                Op::Sum { k: kk } => {
-                    let kk = kk as usize;
-                    let b = adj.len() - k;
-                    if kk == 0 {
-                        adj.truncate(b);
-                    } else {
-                        for _ in 1..kk {
-                            adj.extend_from_within(b..b + k);
-                        }
-                    }
-                }
-                Op::Max { k: kk, w0 } => {
-                    let kk = kk as usize;
-                    let w0 = w0 as usize;
-                    let b = adj.len() - k;
-                    if kk == 0 {
-                        adj.truncate(b);
-                    } else {
-                        adj.resize(b + kk * k, 0.0);
-                        let (a0, rest) = adj[b..].split_at_mut(k);
-                        for t in 1..kk {
-                            lanes_set_scale(&mut rest[(t - 1) * k..t * k], a0, wts[w0 + t]);
-                        }
-                        lanes_scale(a0, wts[w0]);
-                    }
-                }
-            }
-        }
-        debug_assert_eq!(adj.len(), base);
-    }
 }
 
 #[cfg(test)]
@@ -896,36 +725,6 @@ mod tests {
                         "k={k} lane={l} var={j}: scalar {} vs batched {}",
                         g[j],
                         grad[j * k + l]
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn backprop_multi_is_bitwise_identical_to_sequential_backprops() {
-        let e = sample_expr();
-        let c = CompiledExpr::compile(&e);
-        let x = [0.4, -0.2];
-        for sharp in [Sharpness::Exact, Sharpness::Smooth(64.0)] {
-            let mut vals = vec![0.0; c.vals_len()];
-            let mut wts = vec![0.0; c.wts_len()];
-            let mut stack = Vec::new();
-            let _ = c.eval_tape(&x, sharp, &mut stack, &mut vals, &mut wts, None);
-            let seeds = [0.0, 1.0, 1.7];
-            let k = seeds.len();
-            let mut gm = vec![0.0; 2 * k];
-            let mut adj = Vec::new();
-            c.backprop_multi(k, &seeds, &vals, &wts, &mut gm, &mut adj);
-            for (l, &seed) in seeds.iter().enumerate() {
-                let mut g = vec![0.0; 2];
-                let mut sadj = Vec::new();
-                c.backprop(seed, &vals, &wts, &mut g, &mut sadj);
-                for j in 0..2 {
-                    assert_eq!(
-                        g[j].to_bits(),
-                        gm[j * k + l].to_bits(),
-                        "{sharp:?} lane {l} var {j}: multi must be bit-identical"
                     );
                 }
             }

@@ -1,6 +1,6 @@
 //! Flat, tape-recording form of [`Expr`] for the solver's hot paths.
 //!
-//! The tree walk in [`Expr::eval_grad_ws`] is correct but pays twice on
+//! The tree walk in [`Expr::eval_grad`] is correct but pays twice on
 //! every gradient: pointer-chasing through boxed enum nodes, and — worse
 //! — *re-evaluating* each subexpression on the way back down to recover
 //! `max` weights and monomial values that the forward pass already knew.

@@ -234,65 +234,6 @@ impl Expr {
             Expr::Sum(v) | Expr::Max(v) => v.iter().map(Expr::term_count).sum(),
         }
     }
-
-    /// Allocation-free [`Expr::eval`]: `Max` candidates go through the
-    /// caller-provided value stack (pushed, reduced, truncated) instead
-    /// of a fresh `Vec` per node. `stack` may carry live entries from an
-    /// enclosing `Max`; everything above the entry length is restored.
-    pub fn eval_ws(&self, x: &[f64], sharp: Sharpness, stack: &mut Vec<f64>) -> f64 {
-        match self {
-            Expr::Mono(m) => m.eval(x),
-            Expr::Sum(v) => v.iter().map(|e| e.eval_ws(x, sharp, stack)).sum(),
-            Expr::Max(v) => {
-                let base = stack.len();
-                for e in v {
-                    let val = e.eval_ws(x, sharp, stack);
-                    stack.push(val);
-                }
-                let val = smax(&stack[base..], sharp);
-                stack.truncate(base);
-                val
-            }
-        }
-    }
-
-    /// Allocation-free [`Expr::eval_grad`]: like [`Expr::eval_ws`], but
-    /// also accumulating `scale * ∂value/∂x` into `grad`. `Max` weights
-    /// are computed in place on the stack slice, then read back by index
-    /// while recursing (the recursion may push deeper entries, but never
-    /// touches slots below its own base).
-    pub fn eval_grad_ws(
-        &self,
-        x: &[f64],
-        sharp: Sharpness,
-        scale: f64,
-        grad: &mut [f64],
-        stack: &mut Vec<f64>,
-    ) -> f64 {
-        match self {
-            Expr::Mono(m) => {
-                m.accumulate_grad(x, scale, grad);
-                m.eval(x)
-            }
-            Expr::Sum(v) => v.iter().map(|e| e.eval_grad_ws(x, sharp, scale, grad, stack)).sum(),
-            Expr::Max(v) => {
-                let base = stack.len();
-                for e in v {
-                    let val = e.eval_ws(x, sharp, stack);
-                    stack.push(val);
-                }
-                let val = smax_weights_in_place(&mut stack[base..], sharp);
-                for (i, e) in v.iter().enumerate() {
-                    let w = stack[base + i];
-                    if w != 0.0 {
-                        let _ = e.eval_grad_ws(x, sharp, scale * w, grad, stack);
-                    }
-                }
-                stack.truncate(base);
-                val
-            }
-        }
-    }
 }
 
 /// Smoothed maximum of non-negative values.
@@ -341,47 +282,32 @@ pub fn smax_weights(vals: &[f64], sharp: Sharpness) -> (f64, Vec<f64>) {
     }
 }
 
-/// Allocation-free [`smax_weights`]: returns the smoothed max and
-/// overwrites `vals` with the gradient weights. Produces bit-identical
-/// values and weights to `smax_weights` (same fold order, same first-
-/// argmax rule for the exact case).
-pub fn smax_weights_in_place(vals: &mut [f64], sharp: Sharpness) -> f64 {
-    let m = vals.iter().copied().fold(0.0_f64, f64::max);
+/// Two-argument [`smax_weights`] without the weight vector — used for
+/// the top-level `Phi = smax(A_p, C_p)` combination. Returns
+/// `(value, w_a, w_b)`, bit-identical to `smax_weights(&[a, b], sharp)`
+/// (same fold order, same first-argmax rule for the exact case).
+pub fn smax_pair_weights(a: f64, b: f64, sharp: Sharpness) -> (f64, f64, f64) {
+    let m = 0.0_f64.max(a).max(b);
     match sharp {
         Sharpness::Exact => {
-            let k = vals.iter().position(|&v| v == m);
-            for v in vals.iter_mut() {
-                *v = 0.0;
+            if a == m {
+                (m, 1.0, 0.0)
+            } else if b == m {
+                (m, 0.0, 1.0)
+            } else {
+                (m, 0.0, 0.0)
             }
-            if let Some(k) = k {
-                vals[k] = 1.0;
-            }
-            m
         }
         Sharpness::Smooth(s) => {
             if m == 0.0 {
-                for v in vals.iter_mut() {
-                    *v = 0.0;
-                }
-                return 0.0;
+                return (0.0, 0.0, 0.0);
             }
-            let sum: f64 = vals.iter().map(|&v| (v / m).powf(s)).sum();
+            let sum = (a / m).powf(s) + (b / m).powf(s);
             let val = m * sum.powf(1.0 / s);
-            for v in vals.iter_mut() {
-                *v = if *v == 0.0 { 0.0 } else { (*v / val).powf(s - 1.0) };
-            }
-            val
+            let w = |v: f64| if v == 0.0 { 0.0 } else { (v / val).powf(s - 1.0) };
+            (val, w(a), w(b))
         }
     }
-}
-
-/// Two-argument [`smax_weights`] without the weight vector — used for
-/// the top-level `Phi = smax(A_p, C_p)` combination. Returns
-/// `(value, w_a, w_b)` with the same semantics (exact: first argmax).
-pub fn smax_pair_weights(a: f64, b: f64, sharp: Sharpness) -> (f64, f64, f64) {
-    let mut vals = [a, b];
-    let val = smax_weights_in_place(&mut vals, sharp);
-    (val, vals[0], vals[1])
 }
 
 #[cfg(test)]
@@ -564,58 +490,15 @@ mod tests {
     }
 
     #[test]
-    fn ws_paths_match_allocating_paths_bitwise() {
-        // Nested max-in-sum-in-max exercises stack push/truncate depth.
-        let e = Expr::sum(vec![
-            Expr::max(vec![
-                Expr::Mono(Monomial::single(2.0, 0, 1.0)),
-                Expr::sum(vec![
-                    Expr::Mono(Monomial::single(1.0, 1, 1.0)),
-                    Expr::max(vec![
-                        Expr::Mono(Monomial::pair(0.5, 0, 1.0, 1, -1.0)),
-                        Expr::constant(0.25),
-                    ]),
-                ]),
-            ]),
-            Expr::Mono(Monomial::pair(1.0, 0, 1.0, 1, -1.0)),
-            Expr::constant(0.3),
-        ]);
-        let mut stack = Vec::new();
-        for sharp in [Sharpness::Exact, Sharpness::Smooth(8.0), Sharpness::Smooth(64.0)] {
-            for x in [[0.0, 0.0], [1.0, 2.0], [-0.5, 0.7], [2.0, -1.0]] {
-                let v0 = e.eval(&x, sharp);
-                let v1 = e.eval_ws(&x, sharp, &mut stack);
-                assert_eq!(v0.to_bits(), v1.to_bits(), "eval_ws diverged at {x:?} {sharp:?}");
-                assert!(stack.is_empty(), "stack must be fully truncated");
-
-                let mut g0 = vec![0.0; 2];
-                let f0 = e.eval_grad(&x, sharp, 1.0, &mut g0);
-                let mut g1 = vec![0.0; 2];
-                let f1 = e.eval_grad_ws(&x, sharp, 1.0, &mut g1, &mut stack);
-                assert_eq!(f0.to_bits(), f1.to_bits());
-                for j in 0..2 {
-                    assert_eq!(
-                        g0[j].to_bits(),
-                        g1[j].to_bits(),
-                        "eval_grad_ws diverged at {x:?} {sharp:?} var {j}"
-                    );
-                }
-                assert!(stack.is_empty());
-            }
-        }
-    }
-
-    #[test]
-    fn smax_weights_in_place_matches_smax_weights() {
+    fn smax_pair_weights_matches_smax_weights() {
         for sharp in [Sharpness::Exact, Sharpness::Smooth(4.0), Sharpness::Smooth(256.0)] {
-            for vals in [vec![1.0, 2.0, 3.0, 0.5], vec![2.0, 2.0], vec![0.0, 0.0], vec![7.0]] {
-                let (v0, w0) = smax_weights(&vals, sharp);
-                let mut buf = vals.clone();
-                let v1 = smax_weights_in_place(&mut buf, sharp);
+            for [a, b] in [[1.0, 2.0], [3.0, 0.5], [2.0, 2.0], [0.0, 0.0], [0.0, 7.0], [1e-9, 1e9]]
+            {
+                let (v0, w0) = smax_weights(&[a, b], sharp);
+                let (v1, wa, wb) = smax_pair_weights(a, b, sharp);
                 assert_eq!(v0.to_bits(), v1.to_bits());
-                for (a, b) in w0.iter().zip(&buf) {
-                    assert_eq!(a.to_bits(), b.to_bits());
-                }
+                assert_eq!(w0[0].to_bits(), wa.to_bits());
+                assert_eq!(w0[1].to_bits(), wb.to_bits());
             }
         }
     }

@@ -63,6 +63,5 @@ pub use solve::{
     optimality_residual, try_allocate, AllocationResult, SolverConfig,
 };
 pub use workspace::{
-    BatchEvalScratch, BatchWorkspace, EvalScratch, PooledBatchWorkspace, PooledWorkspace,
-    SolverWorkspace,
+    BatchEvalScratch, BatchWorkspace, EvalScratch, PooledBatchWorkspace, SolverWorkspace,
 };

@@ -244,7 +244,7 @@ impl<'g> MdgObjective<'g> {
     /// using a pooled workspace; hot loops should hold their own.
     pub fn eval(&self, x: &[f64], sharp: Sharpness) -> ObjectiveParts {
         let mut ws = workspace::acquire();
-        self.eval_with(x, sharp, &mut ws.scratch)
+        self.eval_with(x, sharp, &mut ws.inner.scratch)
     }
 
     /// Allocation-free [`MdgObjective::eval`]: the DAG recurrence's
@@ -297,7 +297,7 @@ impl<'g> MdgObjective<'g> {
     pub fn eval_grad(&self, x: &[f64], sharp: Sharpness) -> (ObjectiveParts, Vec<f64>) {
         let mut ws = workspace::acquire();
         let mut grad = Vec::new();
-        let parts = self.eval_grad_with(x, sharp, &mut ws.scratch, &mut grad);
+        let parts = self.eval_grad_with(x, sharp, &mut ws.inner.scratch, &mut grad);
         (parts, grad)
     }
 
@@ -336,7 +336,8 @@ impl<'g> MdgObjective<'g> {
         let mut ws = workspace::acquire();
         let mut grad_a = Vec::new();
         let mut grad_c = Vec::new();
-        let parts = self.eval_grad_parts_with(x, sharp, &mut ws.scratch, &mut grad_a, &mut grad_c);
+        let parts =
+            self.eval_grad_parts_with(x, sharp, &mut ws.inner.scratch, &mut grad_a, &mut grad_c);
         (parts, grad_a, grad_c)
     }
 
@@ -353,24 +354,12 @@ impl<'g> MdgObjective<'g> {
     ) -> ObjectiveParts {
         let (parts, _, _) = self.forward_sweep(x, sharp, scratch);
         let n = self.g.node_count();
-        // One 2-lane multi-seed sweep replaces the two sequential scalar
-        // sweeps: lane 0 carries the A_p seed, lane 1 the C_p seed. The
-        // multi-seed kernels replay the same scalar tape with the same
-        // per-lane arithmetic, so each lane is bit-identical to its
-        // scalar counterpart.
-        let mut mg = std::mem::take(&mut scratch.multi_grad);
-        mg.clear();
-        mg.resize(2 * n, 0.0);
-        self.backward_sweep_multi(2, &[0.0, 1.0], &[1.0, 0.0], scratch, &mut mg);
         grad_a.clear();
         grad_a.resize(n, 0.0);
+        self.backward_sweep(0.0, 1.0, scratch, grad_a);
         grad_c.clear();
         grad_c.resize(n, 0.0);
-        for j in 0..n {
-            grad_a[j] = mg[2 * j];
-            grad_c[j] = mg[2 * j + 1];
-        }
-        scratch.multi_grad = mg;
+        self.backward_sweep(1.0, 0.0, scratch, grad_c);
         parts
     }
 
@@ -647,91 +636,6 @@ impl<'g> MdgObjective<'g> {
                     stack,
                 );
                 lanes_add(&mut adjoint[m * k..(m + 1) * k], seed_tmp);
-            }
-        }
-    }
-
-    /// Multi-seed backward sweep over one **scalar** tape (recorded by
-    /// [`MdgObjective::forward_sweep`]): pushes `k` independent
-    /// `(c_seed, area_seed)` lane pairs through a single reverse walk,
-    /// accumulating into the lane-major `grads` (`n_vars * k`, zeroed
-    /// by the caller). Every per-lane operation is the exact arithmetic
-    /// of a scalar [`MdgObjective::backward_sweep`] call with that
-    /// lane's seeds, so lanes are bit-identical to sequential scalar
-    /// sweeps; the shared-tape `w == 0` edge skip is lane-uniform.
-    fn backward_sweep_multi(
-        &self,
-        k: usize,
-        c_seeds: &[f64],
-        area_seeds: &[f64],
-        scratch: &mut EvalScratch,
-        grads: &mut [f64],
-    ) {
-        let t = &self.tapes;
-        let n = self.g.node_count();
-        let EvalScratch {
-            tape_w,
-            stack,
-            t_val,
-            tape_vals,
-            tape_wts,
-            var_cache,
-            multi_adj,
-            multi_tmp,
-            ..
-        } = scratch;
-        multi_adj.clear();
-        multi_adj.resize(n * k, 0.0);
-        multi_tmp.clear();
-        multi_tmp.resize(3 * k, 0.0);
-        let (wa, rest) = multi_tmp.split_at_mut(k);
-        let (a_tmp, seed) = rest.split_at_mut(k);
-        let inv_p = 1.0 / self.machine.procs as f64;
-        for l in 0..k {
-            wa[l] = area_seeds[l] * inv_p;
-        }
-        let stop = self.g.stop().0;
-        multi_adj[stop * k..(stop + 1) * k].copy_from_slice(c_seeds);
-        for &v in self.g.topo_order().iter().rev() {
-            let vk = v.0 * k;
-            a_tmp.copy_from_slice(&multi_adj[vk..vk + k]);
-            let e_v = var_cache.e[v.0];
-            for l in 0..k {
-                grads[vk + l] += wa[l] * t_val[v.0] * e_v;
-                seed[l] = a_tmp[l] + wa[l] * e_v;
-            }
-            let (vo, wo) = t.node_off[v.0];
-            let c = &t.node[v.0];
-            c.backprop_multi(
-                k,
-                seed,
-                &tape_vals[vo..vo + c.vals_len()],
-                &tape_wts[wo..wo + c.wts_len()],
-                grads,
-                stack,
-            );
-            for &e in self.g.in_edges(v) {
-                let w = tape_w[e.0];
-                if w == 0.0 {
-                    continue;
-                }
-                for l in 0..k {
-                    seed[l] = a_tmp[l] * w;
-                }
-                let m = self.g.edge(e).src;
-                let (vo, wo) = t.edge_off[e.0];
-                let c = &t.edge[e.0];
-                c.backprop_multi(
-                    k,
-                    seed,
-                    &tape_vals[vo..vo + c.vals_len()],
-                    &tape_wts[wo..wo + c.wts_len()],
-                    grads,
-                    stack,
-                );
-                for l in 0..k {
-                    multi_adj[m * k + l] += seed[l];
-                }
             }
         }
     }

@@ -6,19 +6,16 @@
 //! into the scratch buffer around an explicit yield so any aliasing
 //! shows up as a clobbered value on some interleaving.
 
-use crate::workspace::{self, acquire, acquire_batch};
+use crate::workspace::{self, acquire};
 use paradigm_race::sync::Mutex;
 use paradigm_race::{explore, plock, Config, Report, Suite};
 
-/// Pool exclusivity: two threads each acquire a scalar *and* a batch
-/// workspace, resize, scribble, yield, and verify. On every interleaving
-/// the live workspaces must be distinct buffers — scalar handouts never
-/// alias each other, batch handouts never alias each other, and (because
-/// the scalar and batch pools are separate statics) a batch workspace's
-/// embedded scalar scratch never aliases a pooled scalar one. Afterwards
-/// each pool's counters must show exactly two acquires with at most one
-/// reuse (both threads can only reuse a pooled workspace if one finished
-/// before the other started).
+/// Pool exclusivity: two threads each acquire a workspace, resize its
+/// batched and its embedded scalar scratch, scribble, yield, and verify.
+/// On every interleaving the live workspaces must be distinct buffers.
+/// Afterwards the counters must show exactly two acquires with at most
+/// one reuse (both threads can only reuse a pooled workspace if one
+/// finished before the other started).
 fn run_pool(cfg: &Config) -> Report {
     explore("pool", cfg, || {
         workspace::reset_pool();
@@ -27,53 +24,38 @@ fn run_pool(cfg: &Config) -> Report {
             for t in 0..2usize {
                 let held = &held;
                 s.spawn(move || {
-                    let mut ws = acquire();
-                    ws.scratch.ensure(4, 4);
-                    let mut bw = acquire_batch();
+                    let mut bw = acquire();
                     bw.scratch.ensure(4, 4, 2);
                     bw.inner.scratch.ensure(4, 4);
-                    let id = ws.scratch.y.as_ptr() as usize;
                     let bid = bw.scratch.y.as_ptr() as usize;
                     let iid = bw.inner.scratch.y.as_ptr() as usize;
                     {
                         let mut h = plock(held);
-                        for p in [id, bid, iid] {
+                        for p in [bid, iid] {
                             assert!(!h.contains(&p), "one workspace handed to two threads");
                             h.push(p);
                         }
                     }
-                    ws.scratch.y[0] = (t + 1) as f64;
                     bw.scratch.y[0] = (t + 11) as f64;
                     bw.inner.scratch.y[0] = (t + 21) as f64;
                     paradigm_race::thread::yield_now();
                     assert_eq!(
-                        ws.scratch.y[0],
-                        (t + 1) as f64,
-                        "workspace scratch buffer shared across threads"
-                    );
-                    assert_eq!(
                         bw.scratch.y[0],
                         (t + 11) as f64,
-                        "batch workspace scratch buffer shared across threads"
+                        "workspace scratch buffer shared across threads"
                     );
                     assert_eq!(
                         bw.inner.scratch.y[0],
                         (t + 21) as f64,
-                        "batch workspace's scalar scratch shared across threads"
+                        "workspace's scalar scratch shared across threads"
                     );
-                    plock(held).retain(|&x| x != id && x != bid && x != iid);
+                    plock(held).retain(|&x| x != bid && x != iid);
                 });
             }
         });
         let (acquires, reuses) = workspace::pool_counters();
-        assert_eq!(acquires, 2, "every scalar acquire must be counted");
+        assert_eq!(acquires, 2, "every acquire must be counted");
         assert!(reuses <= 1, "two overlapping acquires cannot both reuse one pooled workspace");
-        let (bacquires, breuses) = workspace::batch_pool_counters();
-        assert_eq!(bacquires, 2, "every batch acquire must be counted");
-        assert!(
-            breuses <= 1,
-            "two overlapping acquires cannot both reuse one pooled batch workspace"
-        );
     })
 }
 
@@ -81,7 +63,7 @@ fn run_pool(cfg: &Config) -> Report {
 pub fn suites() -> Vec<Suite> {
     vec![Suite {
         name: "pool",
-        about: "workspace pools (scalar + batch): exclusive handout, consistent counters",
+        about: "workspace pool: exclusive handout, consistent counters",
         config: Config::with_bound(2),
         run: run_pool,
     }]

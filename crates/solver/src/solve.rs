@@ -5,8 +5,16 @@
 //! Armijo backtracking line search converges to the global minimum of the
 //! smoothed objective; annealing the max-sharpness upward then drives the
 //! smoothed optimum onto the exact one. Multi-start is kept as a
-//! safety net (it also randomizes tie-breaking on the max kinks) and runs
-//! the starts on scoped threads.
+//! safety net (it also randomizes tie-breaking on the max kinks).
+//!
+//! Two tape executors, picked by the call site's K: the smooth stages of
+//! the multistart (`descend_multi`, K = 6 starts by default, 4 under
+//! [`SolverConfig::fast`]) replay the lane tape of [`crate::batch`], in
+//! chunks of `BATCH_K` with scoped threads only across chunks; every
+//! K ≤ 2 caller — the per-start exact polish (`descend`), ADMM block
+//! solves, [`optimality_residual`], coordinate descent — runs the scalar
+//! tape, which is ~2× faster than the lane kernels at K = 1 (DESIGN.md
+//! §11 has the measured ratios).
 
 use crate::coordinate::{allocate_coordinate, CoordinateConfig};
 use crate::error::{FallbackTier, SolverError};
@@ -99,8 +107,9 @@ pub struct AllocationResult {
 /// Lane width of the batched multistart: starts are grouped into fixed
 /// consecutive chunks of this many lanes, each chunk descending through
 /// one shared-tape batched gradient per iteration. Eight lanes fill one
-/// AVX-512 register per kernel chunk (see [`crate::batch`]) and match
-/// the default start count (3 deterministic + 5 random rounds up to 8).
+/// AVX-512 register per kernel chunk (see [`crate::batch`]) and hold
+/// every config in the tree in one chunk: `SolverConfig::default()` runs
+/// 6 starts (3 deterministic + 3 random), `fast()` runs 4.
 const BATCH_K: usize = 8;
 
 /// Shared watchdog budget checked by every descent iteration.
@@ -224,10 +233,10 @@ pub fn try_allocate(
     // is lane-independent — so parallel multistart stays
     // bitwise-identical to serial.
     let run_chunk = |chunk: Vec<(usize, Vec<f64>)>| -> Vec<(usize, (Vec<f64>, usize))> {
-        // Pooled batch workspace: warm lane-major buffers across chunks
-        // and across solves (serve workers re-hit the same pool on
-        // every cache miss).
-        let mut bw = workspace::acquire_batch();
+        // Pooled workspace: warm lane-major buffers across chunks and
+        // across solves (serve workers re-hit the same pool on every
+        // cache miss).
+        let mut bw = workspace::acquire();
         let k = chunk.len();
         let mut stages = cfg.sharpness_schedule.clone();
         stages.sort_by(f64::total_cmp);
@@ -418,7 +427,7 @@ pub fn equal_split_allocation(g: &Mdg, machine: Machine) -> AllocationResult {
 pub fn optimality_residual(obj: &MdgObjective<'_>, x: &[f64], sharp: Sharpness) -> f64 {
     let ub = obj.x_upper();
     let mut ws = workspace::acquire();
-    let SolverWorkspace { scratch, grad: grad_c, grad_a, .. } = &mut *ws;
+    let SolverWorkspace { scratch, grad: grad_c, grad_a, .. } = &mut ws.inner;
     let parts = obj.eval_grad_parts_with(x, sharp, scratch, grad_a, grad_c);
     let (grad_a, grad_c) = (&*grad_a, &*grad_c);
     // Admissible multipliers: only active pieces may carry weight. A

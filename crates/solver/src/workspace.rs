@@ -13,13 +13,16 @@
 //! loop can hand `&mut scratch` to the objective while holding mutable
 //! borrows of its gradient buffers — disjoint fields, disjoint borrows.
 //!
-//! Workspaces are checked out of a small global pool
-//! ([`acquire`]/[`PooledWorkspace`]) so long-lived callers — the serving
-//! layer's worker threads, the multistart solver's scoped threads —
-//! reuse warm buffers across solves instead of re-growing them. The pool
-//! is deliberately simple: a mutex-guarded free list capped at
-//! [`POOL_CAP`] entries; contention is one lock per *solve start*, not
-//! per iteration, so it never shows up in profiles.
+//! Workspaces are checked out of one small global pool
+//! ([`acquire`]/[`PooledBatchWorkspace`]) so long-lived callers — the
+//! serving layer's worker threads, the multistart solver's chunk
+//! threads, ADMM block backends — reuse warm buffers across solves
+//! instead of re-growing them. The pool holds [`BatchWorkspace`]s;
+//! scalar callers use the embedded `.inner` [`SolverWorkspace`] (lane
+//! buffers they never size stay empty). The pool is deliberately simple:
+//! a mutex-guarded free list capped at [`POOL_CAP`] entries; contention
+//! is one lock per *solve start*, not per iteration, so it never shows
+//! up in profiles.
 
 use crate::batch::BatchVarCache;
 use crate::compiled::VarCache;
@@ -58,15 +61,6 @@ pub struct EvalScratch {
     /// Per-variable `exp(x_j)` caches filled once per smoothed
     /// objective call (see [`VarCache`]).
     pub(crate) var_cache: VarCache,
-    /// Adjoint stack of the multi-seed backward sweep (the `Φ` and
-    /// `A_p`/`C_p` seed lanes pushed through one scalar tape together).
-    pub(crate) multi_adj: Vec<f64>,
-    /// Lane-major gradient accumulator of the multi-seed backward
-    /// sweep (`n_vars * lanes`).
-    pub(crate) multi_grad: Vec<f64>,
-    /// Per-lane temporaries of the multi-seed backward sweep
-    /// (`3 * lanes`: area weights | adjoint row copy | seed row).
-    pub(crate) multi_tmp: Vec<f64>,
 }
 
 impl EvalScratch {
@@ -178,15 +172,16 @@ impl BatchEvalScratch {
 /// gradient, and line-search state, plus a scalar [`SolverWorkspace`]
 /// for the per-lane exact-polish stage and other scalar tail work.
 ///
-/// Acquire one from the batch pool with [`acquire_batch`]; pass it by
-/// `&mut` to the batched `MdgObjective` entry points and to
-/// `descend_multi_stage`.
+/// Construct one directly for a dedicated thread, or [`acquire`] a
+/// pooled one; pass it by `&mut` to the batched `MdgObjective` entry
+/// points and to `descend_multi_stage`, or hand `.inner` to the scalar
+/// ones.
 #[derive(Debug, Default)]
 pub struct BatchWorkspace {
     /// Batched objective sweep buffers.
     pub scratch: BatchEvalScratch,
-    /// Scalar workspace for per-lane scalar phases (exact polish,
-    /// residuals) without a second pool checkout.
+    /// Scalar workspace: per-lane scalar phases (exact polish,
+    /// residuals) and every scalar-only holder of a pooled workspace.
     pub inner: SolverWorkspace,
     /// Lane-major current iterates (`n_vars * k`).
     pub(crate) xs: Vec<f64>,
@@ -194,9 +189,8 @@ pub struct BatchWorkspace {
     pub(crate) grads: Vec<f64>,
     /// Lane-major gradients at the accepted trial iterates.
     pub(crate) grads_new: Vec<f64>,
-    /// Lane-major trial iterates. Public so callers batching their own
-    /// line searches (e.g. ADMM block solves) can stage candidates here.
-    pub trials: Vec<f64>,
+    /// Lane-major trial iterates.
+    pub(crate) trials: Vec<f64>,
     /// Per-lane objective values at the current iterates.
     pub(crate) phis: Vec<f64>,
     /// Per-lane line-search step sizes.
@@ -211,9 +205,8 @@ pub struct BatchWorkspace {
     pub(crate) lane_iters: Vec<usize>,
     /// Per-lane objective parts at the current iterates.
     pub(crate) parts: Vec<ObjectiveParts>,
-    /// Per-lane objective parts at the trial iterates. Public for the
-    /// same external line-search batching as `trials`.
-    pub parts_new: Vec<ObjectiveParts>,
+    /// Per-lane objective parts at the trial iterates.
+    pub(crate) parts_new: Vec<ObjectiveParts>,
 }
 
 impl BatchWorkspace {
@@ -227,7 +220,7 @@ impl BatchWorkspace {
     /// `xs` is resized but its contents are preserved, so callers may
     /// gather points first or re-enter for a new annealing stage without
     /// losing the iterates. Capacity is retained across calls.
-    pub fn ensure_lanes(&mut self, n: usize, k: usize) {
+    pub(crate) fn ensure_lanes(&mut self, n: usize, k: usize) {
         fn fit(v: &mut Vec<f64>, len: usize) {
             v.clear();
             v.resize(len, 0.0);
@@ -257,9 +250,10 @@ impl BatchWorkspace {
 /// Preallocated buffers for one solver thread: the objective's
 /// [`EvalScratch`] plus the descent loop's iterate and gradient buffers.
 ///
-/// Construct one directly for a dedicated thread, or [`acquire`] a
-/// pooled one; pass it by `&mut` to the `*_with` entry points on
-/// [`crate::MdgObjective`] and to [`crate::descend_stage`].
+/// Construct one directly for a dedicated thread, or use the `.inner`
+/// of a pooled [`BatchWorkspace`]; pass it by `&mut` to the `*_with`
+/// entry points on [`crate::MdgObjective`] and to
+/// [`crate::descend_stage`].
 #[derive(Debug, Default)]
 pub struct SolverWorkspace {
     /// Objective sweep buffers (public so callers holding their own
@@ -288,75 +282,11 @@ impl SolverWorkspace {
 /// few dozen workers, not for unbounded retention.
 const POOL_CAP: usize = 64;
 
-static POOL: Mutex<Vec<SolverWorkspace>> = Mutex::new(Vec::new());
+static POOL: Mutex<Vec<BatchWorkspace>> = Mutex::new(Vec::new());
 static ACQUIRES: AtomicU64 = AtomicU64::new(0);
 static REUSES: AtomicU64 = AtomicU64::new(0);
 
 /// A workspace checked out of the global pool; returned on drop.
-#[derive(Debug)]
-pub struct PooledWorkspace {
-    ws: Option<SolverWorkspace>,
-}
-
-impl Deref for PooledWorkspace {
-    type Target = SolverWorkspace;
-    fn deref(&self) -> &SolverWorkspace {
-        self.ws.as_ref().expect("workspace present until drop")
-    }
-}
-
-impl DerefMut for PooledWorkspace {
-    fn deref_mut(&mut self) -> &mut SolverWorkspace {
-        self.ws.as_mut().expect("workspace present until drop")
-    }
-}
-
-impl Drop for PooledWorkspace {
-    fn drop(&mut self) {
-        if let Some(ws) = self.ws.take() {
-            let mut pool = plock(&POOL);
-            if pool.len() < POOL_CAP {
-                pool.push(ws);
-            }
-        }
-    }
-}
-
-/// Check a workspace out of the global pool (creating a cold one when
-/// the pool is empty). The warm buffers inside survive across acquire /
-/// release cycles, which is what makes repeat solves — e.g. the serving
-/// layer's workers answering cache misses — allocation-free after the
-/// first request at a given graph size.
-pub fn acquire() -> PooledWorkspace {
-    ACQUIRES.fetch_add(1, Ordering::Relaxed);
-    let ws = {
-        let mut pool = plock(&POOL);
-        pool.pop()
-    };
-    let ws = match ws {
-        Some(w) => {
-            REUSES.fetch_add(1, Ordering::Relaxed);
-            w
-        }
-        None => SolverWorkspace::new(),
-    };
-    PooledWorkspace { ws: Some(ws) }
-}
-
-/// Lifetime counters of the global pool: `(acquires, reuses)`. A reuse
-/// is an acquire satisfied by a previously released (warm) workspace.
-/// Exposed so the serving layer can report how often its workers hit
-/// warm buffers.
-pub fn pool_counters() -> (u64, u64) {
-    (ACQUIRES.load(Ordering::Relaxed), REUSES.load(Ordering::Relaxed))
-}
-
-static BATCH_POOL: Mutex<Vec<BatchWorkspace>> = Mutex::new(Vec::new());
-static BATCH_ACQUIRES: AtomicU64 = AtomicU64::new(0);
-static BATCH_REUSES: AtomicU64 = AtomicU64::new(0);
-
-/// A batch workspace checked out of the global batch pool; returned on
-/// drop. Same discipline as [`PooledWorkspace`].
 #[derive(Debug)]
 pub struct PooledBatchWorkspace {
     ws: Option<BatchWorkspace>,
@@ -378,7 +308,7 @@ impl DerefMut for PooledBatchWorkspace {
 impl Drop for PooledBatchWorkspace {
     fn drop(&mut self) {
         if let Some(ws) = self.ws.take() {
-            let mut pool = plock(&BATCH_POOL);
+            let mut pool = plock(&POOL);
             if pool.len() < POOL_CAP {
                 pool.push(ws);
             }
@@ -386,20 +316,20 @@ impl Drop for PooledBatchWorkspace {
     }
 }
 
-/// Check a [`BatchWorkspace`] out of the global batch pool (creating a
-/// cold one when the pool is empty). Batch workspaces are pooled
-/// separately from scalar ones: their lane-major buffers are `k` times
-/// larger, so mixing the free lists would hand K-wide allocations to
-/// scalar callers that never need them.
-pub fn acquire_batch() -> PooledBatchWorkspace {
-    BATCH_ACQUIRES.fetch_add(1, Ordering::Relaxed);
+/// Check a workspace out of the global pool (creating a cold one when
+/// the pool is empty). The warm buffers inside survive across acquire /
+/// release cycles, which is what makes repeat solves — e.g. the serving
+/// layer's workers answering cache misses — allocation-free after the
+/// first request at a given graph size.
+pub fn acquire() -> PooledBatchWorkspace {
+    ACQUIRES.fetch_add(1, Ordering::Relaxed);
     let ws = {
-        let mut pool = plock(&BATCH_POOL);
+        let mut pool = plock(&POOL);
         pool.pop()
     };
     let ws = match ws {
         Some(w) => {
-            BATCH_REUSES.fetch_add(1, Ordering::Relaxed);
+            REUSES.fetch_add(1, Ordering::Relaxed);
             w
         }
         None => BatchWorkspace::new(),
@@ -407,9 +337,12 @@ pub fn acquire_batch() -> PooledBatchWorkspace {
     PooledBatchWorkspace { ws: Some(ws) }
 }
 
-/// Lifetime counters of the batch pool: `(acquires, reuses)`.
-pub fn batch_pool_counters() -> (u64, u64) {
-    (BATCH_ACQUIRES.load(Ordering::Relaxed), BATCH_REUSES.load(Ordering::Relaxed))
+/// Lifetime counters of the global pool: `(acquires, reuses)`. A reuse
+/// is an acquire satisfied by a previously released (warm) workspace.
+/// Exposed so the serving layer can report how often its workers hit
+/// warm buffers.
+pub fn pool_counters() -> (u64, u64) {
+    (ACQUIRES.load(Ordering::Relaxed), REUSES.load(Ordering::Relaxed))
 }
 
 /// Drop every pooled workspace and zero the counters. The pool is
@@ -422,9 +355,6 @@ pub fn reset_pool() {
     plock(&POOL).clear();
     ACQUIRES.store(0, Ordering::Relaxed);
     REUSES.store(0, Ordering::Relaxed);
-    plock(&BATCH_POOL).clear();
-    BATCH_ACQUIRES.store(0, Ordering::Relaxed);
-    BATCH_REUSES.store(0, Ordering::Relaxed);
 }
 
 #[cfg(test)]
@@ -436,23 +366,9 @@ mod tests {
         let (a0, _) = pool_counters();
         {
             let mut ws = acquire();
-            ws.scratch.ensure(8, 12);
-            assert_eq!(ws.scratch.y.len(), 8);
-            assert_eq!(ws.scratch.tape_w.len(), 12);
-        }
-        // The released workspace (or another thread's) comes back warm.
-        let ws = acquire();
-        let (a1, r1) = pool_counters();
-        assert!(a1 >= a0 + 2);
-        assert!(r1 >= 1, "second acquire should reuse a released workspace");
-        drop(ws);
-    }
-
-    #[test]
-    fn batch_pool_recycles_workspaces() {
-        let (a0, _) = batch_pool_counters();
-        {
-            let mut ws = acquire_batch();
+            ws.inner.scratch.ensure(8, 12);
+            assert_eq!(ws.inner.scratch.y.len(), 8);
+            assert_eq!(ws.inner.scratch.tape_w.len(), 12);
             ws.scratch.ensure(8, 12, 4);
             ws.ensure_lanes(8, 4);
             assert_eq!(ws.scratch.y.len(), 32);
@@ -460,10 +376,11 @@ mod tests {
             assert_eq!(ws.xs.len(), 32);
             assert!(ws.steps.iter().all(|&s| s == 0.25));
         }
-        let ws = acquire_batch();
-        let (a1, r1) = batch_pool_counters();
+        // The released workspace (or another thread's) comes back warm.
+        let ws = acquire();
+        let (a1, r1) = pool_counters();
         assert!(a1 >= a0 + 2);
-        assert!(r1 >= 1, "second acquire should reuse a released batch workspace");
+        assert!(r1 >= 1, "second acquire should reuse a released workspace");
         drop(ws);
     }
 

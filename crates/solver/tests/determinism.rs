@@ -30,10 +30,14 @@ fn assert_bitwise_equal(par: &AllocationResult, seq: &AllocationResult, label: &
 #[test]
 fn parallel_multistart_is_bitwise_identical_to_serial() {
     // No wall-clock budget: the watchdog is the only nondeterministic
-    // input, and these configs do not set one.
-    let cases: Vec<(&str, paradigm_mdg::Mdg, u32)> = vec![
-        ("fig1", example_fig1_mdg(), 4),
-        ("cmm-64", complex_matmul_mdg(64, &KernelCostTable::cm5()), 16),
+    // input, and these configs do not set one. Starts run in lane chunks
+    // of 8 with threads only across chunks, so the parallel path differs
+    // from the serial one only from 9 starts up: 13 random starts make
+    // 16 = two chunks, 5 make one.
+    let cases: Vec<(&str, paradigm_mdg::Mdg, u32, usize)> = vec![
+        ("fig1", example_fig1_mdg(), 4, 5),
+        ("cmm-64", complex_matmul_mdg(64, &KernelCostTable::cm5()), 16, 5),
+        ("cmm-64 two chunks", complex_matmul_mdg(64, &KernelCostTable::cm5()), 16, 13),
         (
             "random-5x4",
             random_layered_mdg(
@@ -46,15 +50,17 @@ fn parallel_multistart_is_bitwise_identical_to_serial() {
                 7,
             ),
             32,
+            13,
         ),
     ];
-    for (label, g, procs) in &cases {
-        let base = SolverConfig { random_starts: 5, ..SolverConfig::default() };
+    for (label, g, procs, random_starts) in &cases {
+        let base = SolverConfig { random_starts: *random_starts, ..SolverConfig::default() };
         let par =
             try_allocate(g, Machine::cm5(*procs), &SolverConfig { parallel: true, ..base.clone() })
                 .expect("parallel solve");
         let seq = try_allocate(g, Machine::cm5(*procs), &SolverConfig { parallel: false, ..base })
             .expect("serial solve");
+        assert_eq!(par.starts, 3 + random_starts, "{label}: start count");
         assert_bitwise_equal(&par, &seq, label);
     }
 }
