@@ -37,7 +37,7 @@
 use paradigm_cost::Machine;
 use paradigm_mdg::{AmdahlParams, Mdg, MdgBuilder, NodeId, TransferKind};
 use paradigm_solver::expr::{smax_pair_weights, Sharpness};
-use paradigm_solver::{BatchWorkspace, MdgObjective, SolverWorkspace};
+use paradigm_solver::{BatchWorkspace, EvalScratch, MdgObjective};
 
 use crate::partition::Partition;
 
@@ -383,17 +383,17 @@ pub fn build_block_problem(
 /// Every stage, smoothed and exact, runs on the scalar tape out of
 /// `bw.inner`: one gradient pair and a handful of sequential line-search
 /// probes per iteration is K ≤ 2 work, where the scalar tape is ~2× the
-/// lane kernels.
+/// lane kernels. Every probe is a recording sweep, so the `A_p`/`C_p`
+/// gradient pair at the accepted trial is two backward replays of the
+/// tape the last probe left behind, never a second sweep of the point.
+/// The loop's buffers are the workspace's; per call only the objective
+/// build and the returned iterate allocate.
 pub fn solve_block_job(job: &BlockJob, bw: &mut BatchWorkspace) -> Result<BlockSolution, String> {
     let obj = MdgObjective::try_new(&job.graph, job.machine)?;
     let n = obj.num_vars();
     let ub = obj.x_upper();
-    let mut is_free = vec![false; n];
-    for &i in &job.free {
-        if i >= n {
-            return Err(format!("free index {i} out of range for {n} sub variables"));
-        }
-        is_free[i] = true;
+    if let Some(&i) = job.free.iter().find(|&&i| i >= n) {
+        return Err(format!("free index {i} out of range for {n} sub variables"));
     }
     for c in &job.cons {
         if c.sub >= n {
@@ -410,82 +410,73 @@ pub fn solve_block_job(job: &BlockJob, bw: &mut BatchWorkspace) -> Result<BlockS
     if x.len() != n {
         return Err(format!("x0 length {} != {} sub variables", x.len(), n));
     }
-    for (i, xi) in x.iter_mut().enumerate() {
-        if is_free[i] {
-            *xi = xi.clamp(0.0, ub);
-        }
+    for &i in &job.free {
+        x[i] = x[i].clamp(0.0, ub);
     }
 
-    let mut grad_a = Vec::new();
-    let mut grad_c = Vec::new();
-    let mut grad = vec![0.0_f64; n];
-    let mut trial = vec![0.0_f64; n];
+    let (scratch, [grad, trial, grad_a, grad_c]) = bw.inner.split();
+    trial.clear();
+    trial.resize(n, 0.0);
     let mut iters = 0usize;
     let mut phi_model = f64::INFINITY;
 
-    // Penalized objective value + gradient at `x`.
-    let eval_grad = |x: &[f64],
-                     sharp: Sharpness,
-                     grad: &mut [f64],
-                     grad_a: &mut Vec<f64>,
-                     grad_c: &mut Vec<f64>,
-                     ws: &mut SolverWorkspace|
-     -> (f64, f64) {
-        let parts = obj.eval_grad_parts_with(x, sharp, &mut ws.scratch, grad_a, grad_c);
+    // One recording probe at `x`: the penalized objective value, the
+    // block-model `Phi`, and its `(A_p, C_p)` combination weights.
+    let probe = |x: &[f64], sharp: Sharpness, scratch: &mut EvalScratch| {
+        scratch.counts.probes += 1;
+        let parts = obj.forward_record(x, sharp, scratch);
         let a = (job.area_off + parts.a_p).max(0.0);
         let (phi, wa, wc) = smax_pair_weights(a, parts.c_p, sharp);
         let mut f = phi;
-        for j in 0..grad.len() {
-            grad[j] = if is_free[j] { wa * grad_a[j] + wc * grad_c[j] } else { 0.0 };
-        }
         for c in &job.cons {
             let diff = x[c.sub] - c.target;
             f += 0.5 * job.rho * diff * diff;
-            grad[c.sub] += job.rho * diff;
         }
-        (f, phi)
+        (f, phi, wa, wc)
     };
-    // Penalized objective value only (line-search probes).
-    let eval_val = |x: &[f64], sharp: Sharpness, ws: &mut SolverWorkspace| -> f64 {
-        let parts = obj.eval_with(x, sharp, &mut ws.scratch);
-        let a = (job.area_off + parts.a_p).max(0.0);
-        let (phi, _, _) = smax_pair_weights(a, parts.c_p, sharp);
-        let mut f = phi;
-        for c in &job.cons {
-            let diff = x[c.sub] - c.target;
-            f += 0.5 * job.rho * diff * diff;
+    // Penalized gradient at the point the last probe recorded (`x`),
+    // pinned variables held at zero.
+    let replay_grad = |x: &[f64],
+                       (wa, wc): (f64, f64),
+                       scratch: &mut EvalScratch,
+                       grad: &mut Vec<f64>,
+                       grad_a: &mut Vec<f64>,
+                       grad_c: &mut Vec<f64>| {
+        obj.backward_replay(0.0, 1.0, scratch, grad_a);
+        obj.backward_replay(1.0, 0.0, scratch, grad_c);
+        grad.clear();
+        grad.resize(n, 0.0);
+        for &j in &job.free {
+            grad[j] = wa * grad_a[j] + wc * grad_c[j];
         }
-        f
+        for c in &job.cons {
+            grad[c.sub] += job.rho * (x[c.sub] - c.target);
+        }
     };
 
-    let mut stages: Vec<(Sharpness, usize)> = job
-        .inner
-        .stages
-        .iter()
-        .map(|&s| (Sharpness::Smooth(s), job.inner.iters_per_stage))
-        .collect();
-    stages.push((Sharpness::Exact, job.inner.exact_iters));
-    for (sharp, max_iters) in stages {
+    let smooth =
+        job.inner.stages.iter().map(|&s| (Sharpness::Smooth(s), job.inner.iters_per_stage));
+    for (sharp, max_iters) in smooth.chain([(Sharpness::Exact, job.inner.exact_iters)]) {
         let mut step = 0.25_f64;
-        let (mut f_cur, phi_cur) =
-            eval_grad(&x, sharp, &mut grad, &mut grad_a, &mut grad_c, &mut bw.inner);
+        let (mut f_cur, phi_cur, wa, wc) = probe(&x, sharp, scratch);
+        replay_grad(&x, (wa, wc), scratch, grad, grad_a, grad_c);
         phi_model = phi_cur;
         for _ in 0..max_iters {
             iters += 1;
-            let mut accepted = false;
+            let mut accepted = None;
             for _ in 0..40 {
-                for j in 0..n {
-                    trial[j] =
-                        if is_free[j] { (x[j] - step * grad[j]).clamp(0.0, ub) } else { x[j] };
+                trial.copy_from_slice(&x);
+                for &j in &job.free {
+                    trial[j] = (x[j] - step * grad[j]).clamp(0.0, ub);
                 }
-                let f_new = eval_val(&trial, sharp, &mut bw.inner);
+                let (f_new, phi_new, wa, wc) = probe(trial, sharp, scratch);
                 let decrease: f64 = grad
                     .iter()
                     .zip(x.iter().zip(trial.iter()))
                     .map(|(g, (xi, ti))| g * (xi - ti))
                     .sum();
                 if f_new <= f_cur - 1e-4 * decrease && f_new.is_finite() {
-                    accepted = true;
+                    accepted = Some((f_new, phi_new, wa, wc));
                     break;
                 }
                 step *= 0.5;
@@ -493,14 +484,13 @@ pub fn solve_block_job(job: &BlockJob, bw: &mut BatchWorkspace) -> Result<BlockS
                     break;
                 }
             }
-            if !accepted {
+            let Some((f_new, phi_new, wa, wc)) = accepted else {
                 break;
-            }
+            };
             let moved: f64 =
                 x.iter().zip(trial.iter()).map(|(a, b)| (a - b).abs()).fold(0.0, f64::max);
-            x.copy_from_slice(&trial);
-            let (f_new, phi_new) =
-                eval_grad(&x, sharp, &mut grad, &mut grad_a, &mut grad_c, &mut bw.inner);
+            x.copy_from_slice(trial);
+            replay_grad(&x, (wa, wc), scratch, grad, grad_a, grad_c);
             let improve = f_cur - f_new;
             f_cur = f_new;
             phi_model = phi_new;

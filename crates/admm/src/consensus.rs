@@ -43,7 +43,8 @@
 use paradigm_cost::{Allocation, Machine, PhiBreakdown};
 use paradigm_mdg::{Mdg, NodeId};
 use paradigm_solver::expr::{smax_pair_weights, Sharpness};
-use paradigm_solver::{workspace, FallbackTier, MdgObjective, SolverError};
+use paradigm_solver::objective::ObjectiveParts;
+use paradigm_solver::{workspace, EvalScratch, FallbackTier, MdgObjective, SolverError};
 use std::collections::BTreeMap;
 
 use crate::block::{
@@ -423,6 +424,17 @@ pub fn solve_admm<B: BlockBackend>(
             is_compute[id.0] = true;
         }
     }
+    // Exact `Phi` and its gradient over the compute variables at the
+    // point `parts` was just recorded at on `scratch`.
+    let mut polish_grad = |parts: ObjectiveParts, scratch: &mut EvalScratch, out: &mut [f64]| {
+        obj.backward_replay(0.0, 1.0, scratch, &mut pol_grad_a);
+        obj.backward_replay(1.0, 0.0, scratch, &mut pol_grad_c);
+        let (f, wa, wc) = smax_pair_weights(parts.a_p, parts.c_p, Sharpness::Exact);
+        for j in 0..n {
+            out[j] = if is_compute[j] { wa * pol_grad_a[j] + wc * pol_grad_c[j] } else { 0.0 };
+        }
+        f
+    };
     let mut phi_pre_polish = f64::INFINITY;
     let mut phi_round_last = f64::INFINITY;
 
@@ -460,6 +472,7 @@ pub fn solve_admm<B: BlockBackend>(
     let mut stale_streak = vec![0usize; part.blocks];
     let mut blocks_stale = 0u64;
     let mut max_block_stale_rounds = 0usize;
+    let trace_rounds = std::env::var_os("PARADIGM_ADMM_TRACE").is_some();
 
     for _ in 0..cfg.max_outer {
         outer_iters += 1;
@@ -613,22 +626,15 @@ pub fn solve_admm<B: BlockBackend>(
         }
         let mut phi_round = if accel { phi_best } else { phi_round_last };
         if accel && gain < 3e-3 {
-            let ws = &mut pws.inner;
-            let parts = obj.eval_grad_parts_with(
-                &x,
-                Sharpness::Exact,
-                &mut ws.scratch,
-                &mut pol_grad_a,
-                &mut pol_grad_c,
-            );
-            let (mut f_cur, wa, wc) = smax_pair_weights(parts.a_p, parts.c_p, Sharpness::Exact);
-            for j in 0..n {
-                pol_grad[j] =
-                    if is_compute[j] { wa * pol_grad_a[j] + wc * pol_grad_c[j] } else { 0.0 };
-            }
+            let scratch = &mut pws.inner.scratch;
+            // Every polish probe records, so the gradient at an accepted
+            // probe is a replay of its tape, not a second sweep.
+            scratch.counts.probes += 1;
+            let parts = obj.forward_record(&x, Sharpness::Exact, scratch);
+            let mut f_cur = polish_grad(parts, scratch, &mut pol_grad);
             for _ in 0..6 {
                 polish_iters += 1;
-                let mut accepted = false;
+                let mut accepted = None;
                 for _ in 0..30 {
                     for j in 0..n {
                         x_probe[j] = if is_compute[j] {
@@ -637,7 +643,8 @@ pub fn solve_admm<B: BlockBackend>(
                             x[j]
                         };
                     }
-                    let probe = obj.eval_with(&x_probe, Sharpness::Exact, &mut ws.scratch);
+                    scratch.counts.probes += 1;
+                    let probe = obj.forward_record(&x_probe, Sharpness::Exact, scratch);
                     let f_new = probe.a_p.max(probe.c_p);
                     let decrease: f64 = pol_grad
                         .iter()
@@ -645,7 +652,7 @@ pub fn solve_admm<B: BlockBackend>(
                         .map(|(gd, (xi, ti))| gd * (xi - ti))
                         .sum();
                     if f_new.is_finite() && f_new <= f_cur - 1e-4 * decrease {
-                        accepted = true;
+                        accepted = Some(probe);
                         break;
                     }
                     pol_step *= 0.5;
@@ -653,25 +660,14 @@ pub fn solve_admm<B: BlockBackend>(
                         break;
                     }
                 }
-                if !accepted {
+                let Some(parts2) = accepted else {
                     // Keep a workable step for the next round even when
                     // this one dead-ends on the max kink.
                     pol_step = (pol_step * 4.0).max(1e-6);
                     break;
-                }
+                };
                 x.copy_from_slice(&x_probe);
-                let parts2 = obj.eval_grad_parts_with(
-                    &x,
-                    Sharpness::Exact,
-                    &mut ws.scratch,
-                    &mut pol_grad_a,
-                    &mut pol_grad_c,
-                );
-                let (f2, wa2, wc2) = smax_pair_weights(parts2.a_p, parts2.c_p, Sharpness::Exact);
-                for j in 0..n {
-                    pol_grad[j] =
-                        if is_compute[j] { wa2 * pol_grad_a[j] + wc2 * pol_grad_c[j] } else { 0.0 };
-                }
+                let f2 = polish_grad(parts2, scratch, &mut pol_grad);
                 let improve = f_cur - f2;
                 f_cur = f2;
                 pol_step = (pol_step * 1.8).min(4.0);
@@ -709,7 +705,7 @@ pub fn solve_admm<B: BlockBackend>(
             r = 0.0;
             s = 0.0;
         }
-        if std::env::var_os("PARADIGM_ADMM_TRACE").is_some() {
+        if trace_rounds {
             let bp = best.as_ref().map_or(f64::NAN, |(_, b)| b.phi);
             eprintln!("outer {outer_iters}: r={r:.3e} s={s:.3e} rho={rho:.3e} best_phi={bp:.6e}");
         }

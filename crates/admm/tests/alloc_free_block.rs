@@ -1,8 +1,9 @@
 //! Asserts that ADMM block solves do not allocate per inner iteration:
 //! with a warm [`paradigm_solver::BatchWorkspace`], the heap-allocation
 //! count of [`paradigm_admm::solve_block_job`] is a per-call constant
-//! (objective compilation, local buffers) independent of how many
-//! gradient iterations or line-search probes run.
+//! independent of how many gradient iterations or line-search probes
+//! run — and that the constant is the objective build plus the returned
+//! iterate, nothing else: every loop buffer is the workspace's.
 //!
 //! This file deliberately contains a single `#[test]` — the counter is
 //! process-global, and a second test running on a sibling thread would
@@ -76,5 +77,17 @@ fn block_solve_allocations_do_not_scale_with_iterations() {
         "block solve allocations scale with iterations: \
          {big_allocs} allocs over {} iters vs {small_allocs} allocs over {} iters",
         big.iters, small.iters
+    );
+
+    // The constant itself: building the block objective, plus one
+    // allocation for the iterate the solution carries out.
+    let before = allocation_count();
+    let built = MdgObjective::try_new(&big_job.graph, big_job.machine).expect("block objective");
+    let build_allocs = allocation_count() - before;
+    drop(built);
+    assert_eq!(
+        big_allocs,
+        build_allocs + 1,
+        "a warm block solve allocates beyond its objective build ({build_allocs}) and its result"
     );
 }

@@ -1,0 +1,28 @@
+//! Golden trajectory pin for the consensus-ADMM tier: round, inner
+//! iteration and polish counts plus the exact `Phi` bits of one fixed
+//! multi-block solve. The companion of the dense solver's
+//! `crates/solver/tests/golden.rs` (see there for why bits, and for the
+//! platform caveat): the block x-update and the coordinator polish are
+//! projected-gradient loops of their own, and a change to how they
+//! probe, record or replay must leave every accepted step where it was.
+//! Values captured at commit e4df3dc.
+
+use paradigm_admm::{solve_admm, AdmmConfig, InProcessBackend};
+use paradigm_cost::Machine;
+use paradigm_mdg::fork_join_mdg;
+
+#[test]
+fn fork_join_in_four_blocks_is_pinned_to_the_bit() {
+    let g = fork_join_mdg(6, 10, 5);
+    let cfg = AdmmConfig::with_blocks(&g, 4);
+    let mut backend = InProcessBackend { threads: 1 };
+    let r = solve_admm(&g, Machine::cm5(64), &cfg, &mut backend).expect("admm solve");
+    assert_eq!(r.blocks, 4);
+    assert_eq!(
+        (r.outer_iters, r.inner_iters, r.polish_iters, r.phi.phi.to_bits()),
+        (72, 13572, 66, 0x3ff3_a47e_f8cf_5b68),
+        "Phi = {} (0x{:016x})",
+        r.phi.phi,
+        r.phi.phi.to_bits()
+    );
+}

@@ -9,6 +9,11 @@
 //! * `wall_ms` — one end-to-end ADMM solve, including partitioning;
 //! * `blocks` / `cut_edges` — what the multilevel partitioner produced;
 //! * `outer_rounds`, `inner_iters`, `polish_iters` — coordinator effort;
+//! * `forward_sweeps_per_iter` / `probes_per_iter` — forward sweeps of
+//!   the objective and points the descent loops (block x-updates,
+//!   coordinator polish) evaluated, per inner + polish iteration; equal
+//!   when no point is swept twice, and the run fails (exit 1) if any case
+//!   sweeps more than it probes (see `bench-solve`);
 //! * `block_solves` / `block_solves_per_s` — fresh block x-updates
 //!   executed (`blocks * outer_rounds` minus stale-served slots) and
 //!   their end-to-end throughput, the number the batched inner-solver
@@ -53,8 +58,10 @@ use paradigm_serve::{
     parse_json, FaultPlan, FleetConfig, Json, MetricsSnapshot, ServeConfig, Server, ServerConfig,
     TcpBlockBackend,
 };
+use paradigm_solver::workspace::pool_sweep_counts;
 use paradigm_solver::{allocate, SolverConfig};
 
+use crate::bench_solve::check_sweeps;
 use crate::commands::{CliError, CmdOutput};
 
 /// Random-MDG seed; fixed so the benchmark graphs are reproducible.
@@ -118,6 +125,10 @@ struct CaseReport {
     outer_rounds: usize,
     inner_iters: usize,
     polish_iters: usize,
+    /// Forward sweeps per inner + polish iteration.
+    forward_sweeps_per_iter: f64,
+    /// Evaluated points (probes + stage starts) per the same.
+    probes_per_iter: f64,
     /// Fresh block x-updates executed: `blocks * outer_rounds` minus the
     /// round slots that were served a stale (reused) solution.
     block_solves: u64,
@@ -225,6 +236,14 @@ pub fn run_bench_admm(opts: &BenchAdmmOpts) -> Result<CmdOutput, CliError> {
     }
 
     let mut failed = false;
+    let sweeps = cases.iter().map(|c| (&*c.name, c.forward_sweeps_per_iter, c.probes_per_iter));
+    match check_sweeps(sweeps) {
+        Ok(line) => text.push_str(&line),
+        Err(line) => {
+            text.push_str(&line);
+            failed = true;
+        }
+    }
     if let Some(bpath) = &opts.baseline {
         match check_baseline(bpath, &cases) {
             Ok(line) => text.push_str(&line),
@@ -291,10 +310,16 @@ fn bench_case(
     cfg: &AdmmConfig,
     runner: &Runner<'_>,
 ) -> Result<CaseReport, CliError> {
+    // Block solves and the polish run out of pooled workspaces (local
+    // fleet workers share this process's pool), all idle again once the
+    // solve returns: the pool's counter delta is this solve's.
+    let swept = pool_sweep_counts();
     let t0 = Instant::now();
     let res = run_case(g, machine, cfg, runner)
         .map_err(|e| CliError::Config(format!("admm solve of {name} failed: {e}")))?;
     let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
+    let swept = pool_sweep_counts().since(swept);
+    let per_iter = |count: u64| count as f64 / (res.inner_iters + res.polish_iters).max(1) as f64;
     let phi_vs_dense = (g.compute_node_count() <= DENSE_LIMIT).then(|| {
         let dense = allocate(g, machine, &SolverConfig::fast());
         res.phi.phi / dense.phi.phi
@@ -311,6 +336,8 @@ fn bench_case(
         outer_rounds: res.outer_iters,
         inner_iters: res.inner_iters,
         polish_iters: res.polish_iters,
+        forward_sweeps_per_iter: per_iter(swept.forward_sweeps),
+        probes_per_iter: per_iter(swept.probes),
         block_solves,
         block_solves_per_s,
         wall_ms,
@@ -350,7 +377,7 @@ fn run_case(
 fn render_table(quick: bool, cases: &[CaseReport]) -> String {
     let mut out = format!("bench-admm ({})\n", if quick { "quick" } else { "full" });
     out.push_str(&format!(
-        "{:<14} {:>7} {:>7} {:>6} {:>6} {:>6} {:>7} {:>8} {:>9} {:>10} {:>10} {:>10} {:>5} {:>9}\n",
+        "{:<14} {:>7} {:>7} {:>6} {:>6} {:>6} {:>7} {:>8} {:>9} {:>8} {:>8} {:>10} {:>10} {:>10} {:>5} {:>9}\n",
         "case",
         "nodes",
         "edges",
@@ -360,6 +387,8 @@ fn render_table(quick: bool, cases: &[CaseReport]) -> String {
         "solves",
         "blk/s",
         "wall_ms",
+        "swp/iter",
+        "prb/iter",
         "phi",
         "r_primal",
         "r_dual",
@@ -368,7 +397,7 @@ fn render_table(quick: bool, cases: &[CaseReport]) -> String {
     ));
     for c in cases {
         out.push_str(&format!(
-            "{:<14} {:>7} {:>7} {:>6} {:>6} {:>6} {:>7} {:>8.1} {:>9.0} {:>10.4} {:>10.2e} {:>10.2e} {:>5} {:>9}\n",
+            "{:<14} {:>7} {:>7} {:>6} {:>6} {:>6} {:>7} {:>8.1} {:>9.0} {:>8.3} {:>8.3} {:>10.4} {:>10.2e} {:>10.2e} {:>5} {:>9}\n",
             c.name,
             c.compute_nodes,
             c.edges,
@@ -378,6 +407,8 @@ fn render_table(quick: bool, cases: &[CaseReport]) -> String {
             c.block_solves,
             c.block_solves_per_s,
             c.wall_ms,
+            c.forward_sweeps_per_iter,
+            c.probes_per_iter,
             c.phi,
             c.primal_residual,
             c.dual_residual,
@@ -403,13 +434,12 @@ fn render_table(quick: bool, cases: &[CaseReport]) -> String {
     out
 }
 
-/// The `BENCH_admm.json` document: version 3 (v2 plus the per-round
-/// block-solve throughput pair `block_solves` / `block_solves_per_s`),
-/// one case per line so diffs against the checked-in baseline stay
-/// readable.
+/// The `BENCH_admm.json` document: version 4 (v3 plus the
+/// `forward_sweeps_per_iter` / `probes_per_iter` pair), one case per
+/// line so diffs against the checked-in baseline stay readable.
 fn render_json(quick: bool, fleet: usize, cases: &[CaseReport]) -> String {
     let mut out = String::from("{\n");
-    out.push_str("  \"version\": 3,\n");
+    out.push_str("  \"version\": 4,\n");
     out.push_str(&format!("  \"quick\": {quick},\n"));
     out.push_str(&format!("  \"fleet\": {fleet},\n"));
     out.push_str("  \"cases\": [\n");
@@ -423,6 +453,8 @@ fn render_json(quick: bool, fleet: usize, cases: &[CaseReport]) -> String {
             ("outer_rounds".into(), Json::num(c.outer_rounds as f64)),
             ("inner_iters".into(), Json::num(c.inner_iters as f64)),
             ("polish_iters".into(), Json::num(c.polish_iters as f64)),
+            ("forward_sweeps_per_iter".into(), Json::num(round3(c.forward_sweeps_per_iter))),
+            ("probes_per_iter".into(), Json::num(round3(c.probes_per_iter))),
             ("block_solves".into(), Json::num(c.block_solves as f64)),
             ("block_solves_per_s".into(), Json::num(round3(c.block_solves_per_s))),
             ("wall_ms".into(), Json::num(round3(c.wall_ms))),
@@ -504,6 +536,8 @@ mod tests {
             outer_rounds: 40,
             inner_iters: 120_000,
             polish_iters: 60,
+            forward_sweeps_per_iter: 2.9,
+            probes_per_iter: 2.9,
             block_solves: 639,
             block_solves_per_s: 319.5,
             wall_ms: 2000.0,
@@ -524,7 +558,7 @@ mod tests {
     fn json_document_parses_and_round_trips_fields() {
         let json = render_json(true, 3, &[tiny_case()]);
         let doc = parse_json(&json).expect("valid JSON");
-        assert_eq!(doc.get("version").and_then(Json::as_u64), Some(3));
+        assert_eq!(doc.get("version").and_then(Json::as_u64), Some(4));
         assert_eq!(doc.get("quick").and_then(Json::as_bool), Some(true));
         assert_eq!(doc.get("fleet").and_then(Json::as_u64), Some(3));
         let cases = doc.get("cases").and_then(Json::as_arr).expect("cases array");
@@ -532,6 +566,8 @@ mod tests {
         assert_eq!(cases[0].get("name").and_then(Json::as_str), Some(GATE_CASE));
         assert_eq!(cases[0].get("wall_ms").and_then(Json::as_f64), Some(2000.0));
         assert_eq!(cases[0].get("block_solves").and_then(Json::as_u64), Some(639));
+        assert_eq!(cases[0].get("forward_sweeps_per_iter").and_then(Json::as_f64), Some(2.9));
+        assert_eq!(cases[0].get("probes_per_iter").and_then(Json::as_f64), Some(2.9));
         assert_eq!(cases[0].get("block_solves_per_s").and_then(Json::as_f64), Some(319.5));
         assert_eq!(cases[0].get("converged").and_then(Json::as_bool), Some(true));
         assert_eq!(cases[0].get("blocks_retried").and_then(Json::as_u64), Some(3));

@@ -7,8 +7,13 @@
 //!
 //! * `eval_us` — median wall time of one smoothed objective evaluation
 //!   through the reusable workspace (`eval_with`);
+//! * `record_us` — median wall time of one recording forward sweep
+//!   (`forward_record`): what a line-search probe costs, `eval_us` plus
+//!   the tape writes;
 //! * `eval_grad_us` — median wall time of one reverse-mode (adjoint)
-//!   gradient (`eval_grad_with`), the per-iteration cost of descent;
+//!   gradient (`eval_grad_with` = record + backward replay), the cost of
+//!   a stage start; `eval_grad_us - record_us` is what an accepted probe
+//!   pays for its gradient;
 //! * `grad_forward_us` — the retired forward-mode gradient on the same
 //!   point, kept as the speedup reference;
 //! * `eval_grad_batched_us` / `batch_grad_speedup` — per-gradient cost
@@ -19,6 +24,13 @@
 //!   scalar descents vs one shared-tape batched `descend_multi_stage`;
 //! * `allocate_us` / `allocate_iters` — one end-to-end `try_allocate`
 //!   with [`SolverConfig::fast`];
+//! * `forward_sweeps_per_iter` / `probes_per_iter` — over that solve,
+//!   points swept forward through the objective (recording or
+//!   value-only; a K-wide lane sweep counts K) and points its descent
+//!   loops evaluated (line-search probes plus each stage's start), both
+//!   per descent iteration. Equal when no point is swept twice; the run fails (exit
+//!   code 1) if any case sweeps more than it probes — a
+//!   machine-independent count, so it needs no baseline;
 //! * `allocs_per_iter` — heap allocations per descent iteration after
 //!   warm-up, observed through the counting global allocator the
 //!   `paradigm` binary installs (0 in-process unless installed).
@@ -36,6 +48,7 @@ use paradigm_mdg::{random_layered_mdg, Mdg, RandomMdgConfig};
 use paradigm_serve::{parse_json, Json};
 use paradigm_solver::expr::Sharpness;
 use paradigm_solver::objective::ObjectiveParts;
+use paradigm_solver::workspace::pool_sweep_counts;
 use paradigm_solver::{
     allocation_count, descend_multi_stage, descend_stage, try_allocate, BatchWorkspace,
     MdgObjective, SolverConfig, SolverWorkspace,
@@ -53,12 +66,19 @@ const REGRESSION_FACTOR: f64 = 3.0;
 /// The case name the `--baseline` gate keys on.
 const GATE_CASE: &str = "random-256";
 
+/// Slack of the sweep gate: `forward_sweeps_per_iter` may exceed
+/// `probes_per_iter` by this much before the run fails. The two are equal
+/// by construction; a loop that re-sweeps its accepted point is off by
+/// one whole sweep per iteration.
+const SWEEP_SLACK: f64 = 0.05;
+
 /// One benchmark case's measurements.
 struct CaseReport {
     name: String,
     compute_nodes: usize,
     edges: usize,
     eval_us: f64,
+    record_us: f64,
     eval_grad_us: f64,
     grad_forward_us: f64,
     grad_speedup: f64,
@@ -69,6 +89,8 @@ struct CaseReport {
     multistart_speedup: f64,
     allocate_us: f64,
     allocate_iters: usize,
+    forward_sweeps_per_iter: f64,
+    probes_per_iter: f64,
     allocs_per_iter: f64,
 }
 
@@ -113,6 +135,14 @@ pub fn run_bench_solve(
     }
 
     let mut failed = false;
+    let sweeps = cases.iter().map(|c| (&*c.name, c.forward_sweeps_per_iter, c.probes_per_iter));
+    match check_sweeps(sweeps) {
+        Ok(line) => text.push_str(&line),
+        Err(line) => {
+            text.push_str(&line);
+            failed = true;
+        }
+    }
     if let Some(bpath) = baseline {
         match check_baseline(bpath, &cases) {
             Ok(line) => text.push_str(&line),
@@ -142,6 +172,9 @@ fn bench_case(name: &str, g: &Mdg, reps: usize, batch_k: usize) -> CaseReport {
 
     let eval_us = median_us(reps, || {
         std::hint::black_box(obj.eval_with(&x, sharp, &mut ws.scratch).phi);
+    });
+    let record_us = median_us(reps, || {
+        std::hint::black_box(obj.forward_record(&x, sharp, &mut ws.scratch).phi);
     });
     let eval_grad_us = median_us(reps, || {
         let parts = obj.eval_grad_with(&x, sharp, &mut ws.scratch, &mut grad);
@@ -210,15 +243,21 @@ fn bench_case(name: &str, g: &Mdg, reps: usize, batch_k: usize) -> CaseReport {
     let allocs_per_iter =
         if measured_iters > 0 { delta as f64 / measured_iters as f64 } else { 0.0 };
 
+    // The solve runs out of pooled workspaces, all idle again once it
+    // returns: the pool's counter delta is this solve's.
+    let swept = pool_sweep_counts();
     let t0 = Instant::now();
     let res = try_allocate(g, Machine::cm5(64), &SolverConfig::fast()).expect("bench solve");
     let allocate_us = t0.elapsed().as_secs_f64() * 1e6;
+    let swept = pool_sweep_counts().since(swept);
+    let per_iter = |count: u64| count as f64 / res.iterations.max(1) as f64;
 
     CaseReport {
         name: name.to_string(),
         compute_nodes: g.compute_node_count(),
         edges: g.edge_count(),
         eval_us,
+        record_us,
         eval_grad_us,
         grad_forward_us,
         grad_speedup: if eval_grad_us > 0.0 { grad_forward_us / eval_grad_us } else { 0.0 },
@@ -237,8 +276,27 @@ fn bench_case(name: &str, g: &Mdg, reps: usize, batch_k: usize) -> CaseReport {
         },
         allocate_us,
         allocate_iters: res.iterations,
+        forward_sweeps_per_iter: per_iter(swept.forward_sweeps),
+        probes_per_iter: per_iter(swept.probes),
         allocs_per_iter,
     }
+}
+
+/// The sweep gate shared with `bench-admm`: every `(case,
+/// forward_sweeps_per_iter, probes_per_iter)` must sweep no more than it
+/// probes. `Ok` carries the pass line, `Err` the failure line.
+pub(crate) fn check_sweeps<'a>(
+    cases: impl IntoIterator<Item = (&'a str, f64, f64)>,
+) -> Result<String, String> {
+    for (name, sweeps, probes) in cases {
+        if sweeps > probes + SWEEP_SLACK {
+            return Err(format!(
+                "sweeps: REGRESSION — {name} runs {sweeps:.3} forward sweeps per iteration for \
+                 {probes:.3} probes: some loop sweeps a point twice\n"
+            ));
+        }
+    }
+    Ok(format!("sweeps: ok — no case sweeps more than it probes (+{SWEEP_SLACK})\n"))
 }
 
 /// Median wall time of `reps` runs of `f`, in microseconds. Each sample
@@ -279,11 +337,12 @@ fn render_table(quick: bool, reps: usize, cases: &[CaseReport]) -> String {
         if quick { "quick" } else { "full" }
     );
     out.push_str(&format!(
-        "{:<18} {:>6} {:>6} {:>10} {:>10} {:>10} {:>8} {:>10} {:>8} {:>12} {:>12} {:>8} {:>12} {:>7} {:>11}\n",
+        "{:<18} {:>6} {:>6} {:>10} {:>10} {:>10} {:>10} {:>8} {:>10} {:>8} {:>12} {:>12} {:>8} {:>12} {:>7} {:>8} {:>8} {:>11}\n",
         "case",
         "nodes",
         "edges",
         "eval_us",
+        "record_us",
         "grad_us",
         "fwd_us",
         "speedup",
@@ -294,15 +353,18 @@ fn render_table(quick: bool, reps: usize, cases: &[CaseReport]) -> String {
         "mspeed",
         "allocate_us",
         "iters",
+        "swp/iter",
+        "prb/iter",
         "allocs/iter"
     ));
     for c in cases {
         out.push_str(&format!(
-            "{:<18} {:>6} {:>6} {:>10.2} {:>10.2} {:>10.2} {:>7.1}x {:>10.2} {:>7.1}x {:>12.0} {:>12.0} {:>7.1}x {:>12.0} {:>7} {:>11.2}\n",
+            "{:<18} {:>6} {:>6} {:>10.2} {:>10.2} {:>10.2} {:>10.2} {:>7.1}x {:>10.2} {:>7.1}x {:>12.0} {:>12.0} {:>7.1}x {:>12.0} {:>7} {:>8.3} {:>8.3} {:>11.2}\n",
             c.name,
             c.compute_nodes,
             c.edges,
             c.eval_us,
+            c.record_us,
             c.eval_grad_us,
             c.grad_forward_us,
             c.grad_speedup,
@@ -313,19 +375,22 @@ fn render_table(quick: bool, reps: usize, cases: &[CaseReport]) -> String {
             c.multistart_speedup,
             c.allocate_us,
             c.allocate_iters,
+            c.forward_sweeps_per_iter,
+            c.probes_per_iter,
             c.allocs_per_iter
         ));
     }
     out
 }
 
-/// The `BENCH_solver.json` document: version 2 (adds the batched
-/// gradient and multistart columns plus the batch width), one object per
+/// The `BENCH_solver.json` document: version 3 (v2 plus `record_us` and
+/// the `forward_sweeps_per_iter` / `probes_per_iter` pair), one object per
 /// case, one case per line so diffs against the checked-in baseline stay
-/// readable.
+/// readable. The `--baseline` gate reads only `eval_grad_us`, so older
+/// baselines keep working.
 fn render_json(quick: bool, batch_k: usize, cases: &[CaseReport]) -> String {
     let mut out = String::from("{\n");
-    out.push_str("  \"version\": 2,\n");
+    out.push_str("  \"version\": 3,\n");
     out.push_str(&format!("  \"quick\": {quick},\n"));
     out.push_str(&format!("  \"batch_k\": {batch_k},\n"));
     out.push_str("  \"cases\": [\n");
@@ -335,6 +400,7 @@ fn render_json(quick: bool, batch_k: usize, cases: &[CaseReport]) -> String {
             ("compute_nodes".into(), Json::num(c.compute_nodes as f64)),
             ("edges".into(), Json::num(c.edges as f64)),
             ("eval_us".into(), Json::num(round3(c.eval_us))),
+            ("record_us".into(), Json::num(round3(c.record_us))),
             ("eval_grad_us".into(), Json::num(round3(c.eval_grad_us))),
             ("grad_forward_us".into(), Json::num(round3(c.grad_forward_us))),
             ("grad_speedup".into(), Json::num(round3(c.grad_speedup))),
@@ -345,6 +411,8 @@ fn render_json(quick: bool, batch_k: usize, cases: &[CaseReport]) -> String {
             ("multistart_speedup".into(), Json::num(round3(c.multistart_speedup))),
             ("allocate_us".into(), Json::num(round3(c.allocate_us))),
             ("allocate_iters".into(), Json::num(c.allocate_iters as f64)),
+            ("forward_sweeps_per_iter".into(), Json::num(round3(c.forward_sweeps_per_iter))),
+            ("probes_per_iter".into(), Json::num(round3(c.probes_per_iter))),
             ("allocs_per_iter".into(), Json::num(round3(c.allocs_per_iter))),
         ]);
         out.push_str("    ");
@@ -400,6 +468,7 @@ mod tests {
             compute_nodes: 4,
             edges: 5,
             eval_us: 1.0,
+            record_us: 1.2,
             eval_grad_us: 2.0,
             grad_forward_us: 12.0,
             grad_speedup: 6.0,
@@ -410,6 +479,8 @@ mod tests {
             multistart_speedup: 3.2,
             allocate_us: 100.0,
             allocate_iters: 10,
+            forward_sweeps_per_iter: 2.3,
+            probes_per_iter: 2.3,
             allocs_per_iter: 0.0,
         }
     }
@@ -418,7 +489,7 @@ mod tests {
     fn json_document_parses_and_round_trips_fields() {
         let json = render_json(true, 8, &[tiny_case()]);
         let doc = parse_json(&json).expect("valid JSON");
-        assert_eq!(doc.get("version").and_then(Json::as_u64), Some(2));
+        assert_eq!(doc.get("version").and_then(Json::as_u64), Some(3));
         assert_eq!(doc.get("quick").and_then(Json::as_bool), Some(true));
         assert_eq!(doc.get("batch_k").and_then(Json::as_u64), Some(8));
         let cases = doc.get("cases").and_then(Json::as_arr).expect("cases array");
@@ -429,6 +500,18 @@ mod tests {
         assert_eq!(cases[0].get("eval_grad_batched_us").and_then(Json::as_f64), Some(0.5));
         assert_eq!(cases[0].get("batch_grad_speedup").and_then(Json::as_f64), Some(4.0));
         assert_eq!(cases[0].get("multistart_speedup").and_then(Json::as_f64), Some(3.2));
+        assert_eq!(cases[0].get("forward_sweeps_per_iter").and_then(Json::as_f64), Some(2.3));
+        assert_eq!(cases[0].get("probes_per_iter").and_then(Json::as_f64), Some(2.3));
+    }
+
+    #[test]
+    fn sweep_gate_fails_a_case_that_sweeps_more_than_it_probes() {
+        let ok = check_sweeps([("a", 2.3, 2.3), ("b", 1.04, 1.0)]).expect("within slack");
+        assert!(ok.contains("sweeps: ok"), "{ok}");
+        // The shape of a loop that re-sweeps every accepted point: one
+        // extra forward sweep per iteration.
+        let err = check_sweeps([("a", 2.3, 2.3), ("b", 3.2, 2.2)]).expect_err("re-sweeps");
+        assert!(err.contains("REGRESSION") && err.contains(" b "), "{err}");
     }
 
     #[test]
@@ -461,12 +544,16 @@ mod tests {
         let g = paradigm_mdg::example_fig1_mdg();
         let c = bench_case("fig1", &g, 3, 4);
         assert_eq!(c.compute_nodes, 3);
-        assert!(c.eval_us > 0.0 && c.eval_grad_us > 0.0 && c.grad_forward_us > 0.0);
+        assert!(c.eval_us > 0.0 && c.record_us > 0.0);
+        assert!(c.eval_grad_us > 0.0 && c.grad_forward_us > 0.0);
         assert!(c.grad_speedup > 0.0);
         assert!(c.eval_grad_batched_us > 0.0 && c.batch_grad_speedup > 0.0);
         assert!(c.multistart_us > 0.0 && c.multistart_batched_us > 0.0);
         assert!(c.multistart_speedup > 0.0);
         assert!(c.allocate_iters > 0);
+        // (Sweep counts are read off the process-wide workspace pool,
+        // which sibling tests share: exact only in the single-threaded
+        // CLI run, pinned by the crates' `sweep_counts` tests.)
         // In-process the counting allocator is not installed, so the
         // counter never moves.
         assert_eq!(c.allocs_per_iter, 0.0);

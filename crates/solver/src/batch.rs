@@ -376,45 +376,6 @@ pub(crate) fn smax_batch(
     }
 }
 
-/// Value-only [`smax_batch`] (line-search probes record no weights).
-/// `scratch` must hold `4 * k` entries.
-pub(crate) fn smax_batch_val(
-    k: usize,
-    kk: usize,
-    sharp: Sharpness,
-    cands: &mut [f64],
-    scratch: &mut [f64],
-) {
-    debug_assert_eq!(cands.len(), kk * k);
-    debug_assert!(scratch.len() >= 4 * k);
-    debug_assert!(kk > 0);
-    let (m, rest) = scratch.split_at_mut(k);
-    let (md, rest) = rest.split_at_mut(k);
-    let (sum, tmp) = rest.split_at_mut(k);
-    let tmp = &mut tmp[..k];
-    m.fill(0.0);
-    for t in 0..kk {
-        lanes_max(m, &cands[t * k..(t + 1) * k]);
-    }
-    match sharp {
-        Sharpness::Exact => cands[..k].copy_from_slice(m),
-        Sharpness::Smooth(s) => {
-            sum.fill(0.0);
-            for l in 0..k {
-                md[l] = if m[l] == 0.0 { 1.0 } else { m[l] };
-            }
-            for t in 0..kk {
-                lanes_set_div(tmp, &cands[t * k..(t + 1) * k], md);
-                lanes_pow_sharp(tmp, s);
-                lanes_add(sum, tmp);
-            }
-            lanes_root_sharp(sum, s);
-            lanes_mul(m, sum);
-            cands[..k].copy_from_slice(m);
-        }
-    }
-}
-
 // ---------------------------------------------------------------------
 // Batched tape execution on CompiledExpr.
 // ---------------------------------------------------------------------
@@ -436,7 +397,7 @@ impl CompiledExpr {
         debug_assert_eq!(vals.len(), self.ops.len() * k);
         debug_assert_eq!(wts.len(), self.wts_len * k);
         for (i, op) in self.ops.iter().enumerate() {
-            self.exec_forward_batch(*op, k, sharp, stack, Some(&mut *wts), cache);
+            self.exec_forward_batch(*op, k, sharp, stack, wts, cache);
             let top = stack.len() - k;
             vals[i * k..(i + 1) * k].copy_from_slice(&stack[top..]);
         }
@@ -446,27 +407,8 @@ impl CompiledExpr {
         }
     }
 
-    /// K-wide value-only evaluation (no tape). The k-wide result slot is
-    /// left on top of `stack` for the caller.
-    pub(crate) fn eval_batch(
-        &self,
-        k: usize,
-        sharp: Sharpness,
-        stack: &mut Vec<f64>,
-        cache: &BatchVarCache,
-    ) {
-        for op in &self.ops {
-            self.exec_forward_batch(*op, k, sharp, stack, None, cache);
-        }
-        if self.ops.is_empty() {
-            let b = stack.len();
-            stack.resize(b + k, 0.0);
-        }
-    }
-
-    /// One op of the batched forward sweep. With `wts` the `Max` arm
-    /// records weights (tape mode); without, it runs the value-only
-    /// kernel.
+    /// One op of the batched forward sweep; the `Max` arm records its
+    /// weights into `wts`.
     #[inline]
     fn exec_forward_batch(
         &self,
@@ -474,7 +416,7 @@ impl CompiledExpr {
         k: usize,
         sharp: Sharpness,
         stack: &mut Vec<f64>,
-        wts: Option<&mut [f64]>,
+        wts: &mut [f64],
         cache: &BatchVarCache,
     ) {
         match op {
@@ -521,20 +463,10 @@ impl CompiledExpr {
                     stack.resize(b + k, 0.0);
                 } else {
                     let b = stack.len() - kk * k;
-                    match wts {
-                        Some(wts) => {
-                            let sl = stack.len();
-                            stack.resize(sl + 3 * k, 0.0);
-                            let (cands, scr) = stack[b..].split_at_mut(kk * k);
-                            smax_batch(k, kk, sharp, cands, &mut wts[w0 * k..(w0 + kk) * k], scr);
-                        }
-                        None => {
-                            let sl = stack.len();
-                            stack.resize(sl + 4 * k, 0.0);
-                            let (cands, scr) = stack[b..].split_at_mut(kk * k);
-                            smax_batch_val(k, kk, sharp, cands, scr);
-                        }
-                    }
+                    let sl = stack.len();
+                    stack.resize(sl + 3 * k, 0.0);
+                    let (cands, scr) = stack[b..].split_at_mut(kk * k);
+                    smax_batch(k, kk, sharp, cands, &mut wts[w0 * k..(w0 + kk) * k], scr);
                     stack.truncate(b + k);
                 }
             }
@@ -662,15 +594,7 @@ mod tests {
                 let top = stack.len() - k;
                 let batched: Vec<f64> = stack[top..].to_vec();
                 stack.truncate(top);
-                let mut stack_v = Vec::new();
-                c.eval_batch(k, sharp, &mut stack_v, &bc);
-                let vtop = stack_v.len() - k;
                 for l in 0..k {
-                    assert_eq!(
-                        batched[l].to_bits(),
-                        stack_v[vtop + l].to_bits(),
-                        "tape vs value-only batched eval must agree bitwise"
-                    );
                     let mut sstack = Vec::new();
                     cache.fill(&pts[l], true);
                     let v0 = c.eval(&pts[l], sharp, &mut sstack, Some(&cache));

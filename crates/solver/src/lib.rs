@@ -64,4 +64,5 @@ pub use solve::{
 };
 pub use workspace::{
     BatchEvalScratch, BatchWorkspace, EvalScratch, PooledBatchWorkspace, SolverWorkspace,
+    SweepCounts,
 };

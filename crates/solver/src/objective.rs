@@ -13,7 +13,7 @@
 //! final reported numbers because allocations are always re-scored with
 //! `paradigm-cost`'s exact evaluator.
 
-use crate::batch::{lanes_add, smax_batch, smax_batch_val};
+use crate::batch::{lanes_add, smax_batch};
 use crate::compiled::{smax_weights_fast, CompiledExpr};
 use crate::expr::{smax_pair_weights, smax_weights, Expr, Monomial, Sharpness};
 use crate::workspace::{self, BatchEvalScratch, EvalScratch};
@@ -55,7 +55,7 @@ pub struct MdgObjective<'g> {
 /// of both sweeps. The evaluation paths instead accumulate
 /// `A_p = (1/p) Σ T_i e^{x_i}` from the node values they already
 /// computed, and the backward pass folds the product rule into the node
-/// tape seeds (see [`MdgObjective::backward_sweep`]). The symbolic
+/// tape seeds (see [`MdgObjective::backward_replay`]). The symbolic
 /// `area` tree on [`MdgObjective`] is kept for inspection and
 /// certification.
 struct Tapes {
@@ -250,14 +250,18 @@ impl<'g> MdgObjective<'g> {
     /// Allocation-free [`MdgObjective::eval`]: the DAG recurrence's
     /// per-node candidate lists and every expression `max` run through
     /// the workspace's value stack, on the compiled expression forms.
-    /// Values agree bitwise with [`MdgObjective::eval_grad_with`]'s
-    /// forward sweep (same kernels, no tape writes).
+    /// Values agree bitwise with [`MdgObjective::forward_record`] (same
+    /// kernels, no tape writes). For gradient-free callers: it zeroes
+    /// part of the tape, so whatever `scratch` recorded stops being
+    /// replayable.
     pub fn eval_with(
         &self,
         x: &[f64],
         sharp: Sharpness,
         scratch: &mut EvalScratch,
     ) -> ObjectiveParts {
+        scratch.recorded = false;
+        scratch.counts.forward_sweeps += 1;
         scratch.ensure(self.g.node_count(), self.g.edge_count());
         let t = &self.tapes;
         let EvalScratch { y, stack, var_cache, .. } = scratch;
@@ -301,12 +305,13 @@ impl<'g> MdgObjective<'g> {
         (parts, grad)
     }
 
-    /// Reverse-mode `Phi` gradient: one forward sweep over
-    /// `topo_order()` recording per-node finish times and per-edge
-    /// `smax` weights (the tape), then one backward sweep pushing a
-    /// single dense adjoint of size `n` through the DAG — `O(E + Σ
-    /// posynomial terms)` time with `O(n + E)` scratch, versus the
-    /// forward-mode reference's `O(E·n)` with a dense vector per node.
+    /// Reverse-mode `Phi` gradient: one [`MdgObjective::forward_record`]
+    /// then one [`MdgObjective::backward_replay_phi`] pushing a single
+    /// dense adjoint of size `n` through the DAG — `O(E + Σ posynomial
+    /// terms)` time with `O(n + E)` scratch, versus the forward-mode
+    /// reference's `O(E·n)` with a dense vector per node. For stage
+    /// starts and outside callers; a descent loop whose line search
+    /// already recorded the accepted point replays instead.
     ///
     /// `grad` is resized to `n` and overwritten. Allocation-free after
     /// warm-up (given a warm `scratch` and an `n`-capacity `grad`).
@@ -317,10 +322,8 @@ impl<'g> MdgObjective<'g> {
         scratch: &mut EvalScratch,
         grad: &mut Vec<f64>,
     ) -> ObjectiveParts {
-        let (parts, w_a, w_c) = self.forward_sweep(x, sharp, scratch);
-        grad.clear();
-        grad.resize(self.g.node_count(), 0.0);
-        self.backward_sweep(w_c, w_a, scratch, grad);
+        let parts = self.forward_record(x, sharp, scratch);
+        self.backward_replay_phi(scratch, grad);
         parts
     }
 
@@ -341,9 +344,9 @@ impl<'g> MdgObjective<'g> {
         (parts, grad_a, grad_c)
     }
 
-    /// Allocation-free [`MdgObjective::eval_grad_parts`]: same reverse-
-    /// mode sweeps, with the `A_p` and `C_p` gradients kept separate
-    /// (both seeded with weight 1 instead of the `Phi` smax weights).
+    /// Allocation-free [`MdgObjective::eval_grad_parts`]: one recording
+    /// sweep, then one replay each for the `A_p` and `C_p` gradients
+    /// (seeded with weight 1 instead of the `Phi` smax weights).
     pub fn eval_grad_parts_with(
         &self,
         x: &[f64],
@@ -352,94 +355,20 @@ impl<'g> MdgObjective<'g> {
         grad_a: &mut Vec<f64>,
         grad_c: &mut Vec<f64>,
     ) -> ObjectiveParts {
-        let (parts, _, _) = self.forward_sweep(x, sharp, scratch);
-        let n = self.g.node_count();
-        grad_a.clear();
-        grad_a.resize(n, 0.0);
-        self.backward_sweep(0.0, 1.0, scratch, grad_a);
-        grad_c.clear();
-        grad_c.resize(n, 0.0);
-        self.backward_sweep(1.0, 0.0, scratch, grad_c);
+        let parts = self.forward_record(x, sharp, scratch);
+        self.backward_replay(0.0, 1.0, scratch, grad_a);
+        self.backward_replay(1.0, 0.0, scratch, grad_c);
         parts
     }
 
-    /// Batched [`MdgObjective::eval_with`]: evaluates `k` lane-major
-    /// points at once (`xs[j*k + l]` is variable `j` of lane `l`),
-    /// writing one [`ObjectiveParts`] per lane. At
-    /// [`Sharpness::Exact`] each lane is routed through the scalar
-    /// sweep (gather/scatter) so exact `max` tie-breaking stays
-    /// bit-identical to the scalar path.
-    pub fn eval_batch_with(
-        &self,
-        xs: &[f64],
-        k: usize,
-        sharp: Sharpness,
-        scratch: &mut BatchEvalScratch,
-        parts: &mut [ObjectiveParts],
-    ) {
-        let n = self.g.node_count();
-        debug_assert_eq!(xs.len(), n * k);
-        debug_assert_eq!(parts.len(), k);
-        if matches!(sharp, Sharpness::Exact) {
-            let BatchEvalScratch { scalar, x_tmp, .. } = scratch;
-            x_tmp.resize(n, 0.0);
-            for (l, p) in parts.iter_mut().enumerate() {
-                for j in 0..n {
-                    x_tmp[j] = xs[j * k + l];
-                }
-                *p = self.eval_with(x_tmp, sharp, scalar);
-            }
-            return;
-        }
-        scratch.ensure(n, self.g.edge_count(), k);
-        let t = &self.tapes;
-        let BatchEvalScratch { y, stack, var_cache, area, .. } = scratch;
-        var_cache.fill(xs, n, k, t.needs_halves);
-        let inv_p = 1.0 / self.machine.procs as f64;
-        for &v in self.g.topo_order() {
-            let vk = v.0 * k;
-            let in_edges = self.g.in_edges(v);
-            let base = stack.len();
-            for &e in in_edges {
-                let m = self.g.edge(e).src;
-                t.edge[e.0].eval_batch(k, sharp, stack, var_cache);
-                let top = stack.len() - k;
-                lanes_add(&mut stack[top..], &y[m * k..(m + 1) * k]);
-            }
-            let kk = in_edges.len();
-            if kk > 0 {
-                let sl = stack.len();
-                stack.resize(sl + 4 * k, 0.0);
-                let (cands, scr) = stack[base..].split_at_mut(kk * k);
-                smax_batch_val(k, kk, sharp, cands, scr);
-                y[vk..vk + k].copy_from_slice(&cands[..k]);
-            }
-            stack.truncate(base);
-            t.node[v.0].eval_batch(k, sharp, stack, var_cache);
-            let top = stack.len() - k;
-            let tv = &stack[top..];
-            for l in 0..k {
-                area[l] += tv[l] * var_cache.e[vk + l];
-            }
-            lanes_add(&mut y[vk..vk + k], &stack[top..]);
-            stack.truncate(base);
-        }
-        let stop = self.g.stop().0;
-        for (l, p) in parts.iter_mut().enumerate() {
-            let a_p = inv_p * area[l];
-            let c_p = y[stop * k + l];
-            let (phi, _, _) = smax_pair_weights(a_p, c_p, sharp);
-            *p = ObjectiveParts { phi, a_p, c_p };
-        }
-    }
-
-    /// Batched [`MdgObjective::eval_grad_with`]: one shared-tape
-    /// forward/backward sweep computes `k` objective values and their
-    /// gradients at once. `grads` is resized to `n_vars * k`
+    /// Batched [`MdgObjective::eval_grad_with`]: one lane-tape record +
+    /// replay computes `k` objective values (`xs[j*k + l]` is variable
+    /// `j` of lane `l`) and their gradients at once. `grads` is resized to `n_vars * k`
     /// (lane-major, `grads[j*k + l]`) and overwritten; allocation-free
     /// after warm-up given a warm `scratch`. At [`Sharpness::Exact`]
-    /// each lane runs the scalar reverse-mode path (see
-    /// [`MdgObjective::eval_batch_with`]).
+    /// each lane is routed through the scalar record + replay
+    /// (gather/scatter) so exact `max` tie-breaking stays bit-identical
+    /// to the scalar path; that leaves no lane tape to replay.
     pub fn eval_grad_batch_with(
         &self,
         xs: &[f64],
@@ -449,37 +378,40 @@ impl<'g> MdgObjective<'g> {
         grads: &mut Vec<f64>,
         parts: &mut [ObjectiveParts],
     ) {
+        if matches!(sharp, Sharpness::Smooth(_)) {
+            self.forward_record_batch(xs, k, sharp, scratch, parts);
+            self.backward_replay_batch(k, scratch, grads);
+            return;
+        }
         let n = self.g.node_count();
         debug_assert_eq!(xs.len(), n * k);
         debug_assert_eq!(parts.len(), k);
         grads.clear();
         grads.resize(n * k, 0.0);
-        if matches!(sharp, Sharpness::Exact) {
-            let BatchEvalScratch { scalar, x_tmp, grad_tmp, .. } = scratch;
-            x_tmp.resize(n, 0.0);
-            for (l, p) in parts.iter_mut().enumerate() {
-                for j in 0..n {
-                    x_tmp[j] = xs[j * k + l];
-                }
-                *p = self.eval_grad_with(x_tmp, sharp, scalar, grad_tmp);
-                for j in 0..n {
-                    grads[j * k + l] = grad_tmp[j];
-                }
+        scratch.recorded = false;
+        let BatchEvalScratch { scalar, x_tmp, grad_tmp, .. } = scratch;
+        x_tmp.resize(n, 0.0);
+        for (l, p) in parts.iter_mut().enumerate() {
+            for j in 0..n {
+                x_tmp[j] = xs[j * k + l];
             }
-            return;
+            *p = self.eval_grad_with(x_tmp, sharp, scalar, grad_tmp);
+            for j in 0..n {
+                grads[j * k + l] = grad_tmp[j];
+            }
         }
-        self.forward_sweep_batch(xs, k, sharp, scratch, parts);
-        self.backward_sweep_batch(k, scratch, grads);
     }
 
-    /// Batched forward sweep: lane-major counterpart of
-    /// [`MdgObjective::forward_sweep`]. Fills the K-wide finish times,
-    /// expression tapes, and DAG-level `smax` weights in `scratch`,
-    /// writes per-lane parts, and leaves the per-lane `Phi` combination
-    /// weights in `scratch.a_seed` / `scratch.c_seed` for the backward
-    /// sweep. Smooth sharpness only — exact mode bypasses at the entry
-    /// points.
-    fn forward_sweep_batch(
+    /// Recording forward sweep over `k` lane-major points: the lane
+    /// twin of [`MdgObjective::forward_record`]. Fills the K-wide finish
+    /// times, expression tapes, and DAG-level `smax` weights in
+    /// `scratch`, writes per-lane parts, and keeps the per-lane `Phi`
+    /// combination weights for [`MdgObjective::backward_replay_batch`].
+    ///
+    /// # Panics
+    /// At [`Sharpness::Exact`]: exact `max` tie-breaking is pinned to the
+    /// scalar tape, so exact points go through `forward_record`.
+    pub fn forward_record_batch(
         &self,
         xs: &[f64],
         k: usize,
@@ -487,8 +419,15 @@ impl<'g> MdgObjective<'g> {
         scratch: &mut BatchEvalScratch,
         parts: &mut [ObjectiveParts],
     ) {
-        debug_assert!(matches!(sharp, Sharpness::Smooth(_)));
+        assert!(
+            matches!(sharp, Sharpness::Smooth(_)),
+            "forward_record_batch: the lane tape is smooth-only; sweep exact points on the scalar tape"
+        );
         let n = self.g.node_count();
+        debug_assert_eq!(xs.len(), n * k);
+        debug_assert_eq!(parts.len(), k);
+        scratch.recorded = false;
+        scratch.counts.forward_sweeps += k as u64;
         scratch.ensure(n, self.g.edge_count(), k);
         let t = &self.tapes;
         scratch.ensure_tape(t.total_vals, t.total_wts, k);
@@ -569,16 +508,35 @@ impl<'g> MdgObjective<'g> {
             a_seed[l] = w_a;
             c_seed[l] = w_c;
         }
+        scratch.recorded = true;
     }
 
-    /// Batched backward sweep: pushes the per-lane `Phi` seeds recorded
-    /// by [`MdgObjective::forward_sweep_batch`] through the lane-major
-    /// tapes, accumulating into `grads` (`n_vars * k`, zeroed by the
-    /// caller). The scalar sweep's skip-if-zero guards become
+    /// Lane twin of [`MdgObjective::backward_replay_phi`]: pushes the
+    /// per-lane `Phi` seeds recorded by the last
+    /// [`MdgObjective::forward_record_batch`] on `scratch` through the
+    /// lane-major tapes. `grads` is resized to `n_vars * k` and
+    /// overwritten. The scalar sweep's skip-if-zero guards become
     /// all-lanes-zero guards; per lane this only ever adds exact `+0.0`
     /// terms (adjoints and tape values are nonnegative), so each lane
     /// matches its scalar counterpart.
-    fn backward_sweep_batch(&self, k: usize, scratch: &mut BatchEvalScratch, grads: &mut [f64]) {
+    ///
+    /// # Panics
+    /// If the lane tape on `scratch` is not that of a `k`-lane
+    /// `forward_record_batch` (see [`MdgObjective::backward_replay`]).
+    pub fn backward_replay_batch(
+        &self,
+        k: usize,
+        scratch: &mut BatchEvalScratch,
+        grads: &mut Vec<f64>,
+    ) {
+        assert!(
+            scratch.recorded && scratch.k == k,
+            "backward_replay_batch: the lane tape on this scratch is not the last thing \
+             forward_record_batch({k} lanes) swept on it"
+        );
+        scratch.counts.backward_sweeps += k as u64;
+        grads.clear();
+        grads.resize(self.g.node_count() * k, 0.0);
         let t = &self.tapes;
         let BatchEvalScratch {
             adjoint,
@@ -640,17 +598,27 @@ impl<'g> MdgObjective<'g> {
         }
     }
 
-    /// Forward sweep of the reverse-mode pass: fills `scratch.y` with
-    /// per-node finish times and `scratch.tape_w` with the `smax`
-    /// weight of every in-edge candidate (each edge is an in-edge of
-    /// exactly one node, so edge id indexes the tape collision-free).
-    /// Returns the objective parts and the `Phi` combination weights.
-    fn forward_sweep(
+    /// Recording forward sweep — the first half of the record/replay
+    /// pair every gradient is made of. Fills `scratch.y` with per-node
+    /// finish times, `scratch.tape_w` with the `smax` weight of every
+    /// in-edge candidate (each edge is an in-edge of exactly one node,
+    /// so edge id indexes the tape collision-free) and the expression
+    /// tapes, and keeps the `Phi` combination weights for
+    /// [`MdgObjective::backward_replay_phi`].
+    ///
+    /// The values are bit-identical to [`MdgObjective::eval_with`]'s, so
+    /// a line search can score its trial points with this sweep and, on
+    /// acceptance, take the gradient at the trial as a replay of the
+    /// tape the last probe left behind instead of sweeping the same
+    /// point again.
+    pub fn forward_record(
         &self,
         x: &[f64],
         sharp: Sharpness,
         scratch: &mut EvalScratch,
-    ) -> (ObjectiveParts, f64, f64) {
+    ) -> ObjectiveParts {
+        scratch.recorded = false;
+        scratch.counts.forward_sweeps += 1;
         scratch.ensure(self.g.node_count(), self.g.edge_count());
         let t = &self.tapes;
         scratch.ensure_tape(t.total_vals, t.total_wts);
@@ -705,15 +673,27 @@ impl<'g> MdgObjective<'g> {
         let a_p = inv_p * area_acc;
         let c_p = y[self.g.stop().0];
         let (phi, w_a, w_c) = smax_pair_weights(a_p, c_p, sharp);
-        (ObjectiveParts { phi, a_p, c_p }, w_a, w_c)
+        scratch.phi_seeds = (w_c, w_a);
+        scratch.recorded = true;
+        ObjectiveParts { phi, a_p, c_p }
     }
 
-    /// Backward sweep: seed the STOP node's adjoint with `c_seed`
-    /// (`∂Φ/∂C_p`, or 1 for a raw `C_p` gradient), walk the topological
-    /// order in reverse, and for each node with a non-zero adjoint `a_v`
-    /// accumulate `a_v·∇T_v` plus, per in-edge with tape weight `w_e`,
-    /// `a_v·w_e·∇d_e` into `grad` and `a_v·w_e` into the source's
-    /// adjoint.
+    /// [`MdgObjective::backward_replay`] seeded with the `Phi`
+    /// combination weights of the recorded point: the `Phi` gradient.
+    pub fn backward_replay_phi(&self, scratch: &mut EvalScratch, grad: &mut Vec<f64>) {
+        let (c_seed, area_seed) = scratch.phi_seeds;
+        self.backward_replay(c_seed, area_seed, scratch, grad);
+    }
+
+    /// Backward replay of the tape the last
+    /// [`MdgObjective::forward_record`] left on `scratch`: seed the STOP
+    /// node's adjoint with `c_seed` (`∂Φ/∂C_p`, or 1 for a raw `C_p`
+    /// gradient), walk the topological order in reverse, and for each
+    /// node with a non-zero adjoint `a_v` accumulate `a_v·∇T_v` plus,
+    /// per in-edge with tape weight `w_e`, `a_v·w_e·∇d_e` into `grad`
+    /// and `a_v·w_e` into the source's adjoint. `grad` is resized to `n`
+    /// and overwritten; the tape is left intact, so one recorded point
+    /// can be replayed under several seeds.
     ///
     /// The `A_p` gradient rides the same pass: with
     /// `A_p = (1/p) Σ T_v e^{x_v}`, each node tape gets the extra seed
@@ -722,13 +702,26 @@ impl<'g> MdgObjective<'g> {
     /// straight into `grad[v]`. Pure tape replay either way: every
     /// monomial value and `max` weight was recorded by the forward
     /// sweep, so this pass performs no `exp`/`powf` at all.
-    fn backward_sweep(
+    ///
+    /// # Panics
+    /// If the tape on `scratch` is not that of the last sweep run on it
+    /// — nothing was recorded yet, or a value-only
+    /// [`MdgObjective::eval_with`] has swept the scratch since.
+    pub fn backward_replay(
         &self,
         c_seed: f64,
         area_seed: f64,
         scratch: &mut EvalScratch,
-        grad: &mut [f64],
+        grad: &mut Vec<f64>,
     ) {
+        assert!(
+            scratch.recorded,
+            "backward_replay: the tape on this scratch is not the last thing forward_record \
+             swept on it (nothing recorded yet, or a value-only eval_with ran since)"
+        );
+        scratch.counts.backward_sweeps += 1;
+        grad.clear();
+        grad.resize(self.g.node_count(), 0.0);
         let t = &self.tapes;
         let EvalScratch { adjoint, tape_w, stack, tape_vals, tape_wts, var_cache, t_val, .. } =
             scratch;

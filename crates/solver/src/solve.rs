@@ -427,7 +427,7 @@ pub fn equal_split_allocation(g: &Mdg, machine: Machine) -> AllocationResult {
 pub fn optimality_residual(obj: &MdgObjective<'_>, x: &[f64], sharp: Sharpness) -> f64 {
     let ub = obj.x_upper();
     let mut ws = workspace::acquire();
-    let SolverWorkspace { scratch, grad: grad_c, grad_a, .. } = &mut ws.inner;
+    let SolverWorkspace { scratch, grad_a, grad_c, .. } = &mut ws.inner;
     let parts = obj.eval_grad_parts_with(x, sharp, scratch, grad_a, grad_c);
     let (grad_a, grad_c) = (&*grad_a, &*grad_c);
     // Admissible multipliers: only active pieces may carry weight. A
@@ -469,8 +469,12 @@ pub fn optimality_residual(obj: &MdgObjective<'_>, x: &[f64], sharp: Sharpness) 
 /// iteration count. `x` is updated in place and stays inside `[0, ub]^n`.
 /// Stops early (keeping the current iterate) once `budget` is exhausted.
 ///
-/// Every buffer the loop touches — gradients, the trial iterate, and the
-/// objective's sweep scratch — lives in `ws`, so after the first
+/// No point is swept twice: every Armijo probe is a recording sweep
+/// ([`MdgObjective::forward_record`]), so the gradient at the accepted
+/// trial is a backward replay of the tape the last probe left in `ws`.
+///
+/// Every buffer the loop touches — the gradient, the trial iterate, and
+/// the objective's sweep scratch — lives in `ws`, so after the first
 /// iteration at a given graph size the loop performs zero heap
 /// allocations (asserted by the `alloc_free` integration test).
 #[allow(clippy::too_many_arguments)]
@@ -489,10 +493,12 @@ fn descend(
     let mut iters = 0;
     // Disjoint borrows: the objective sweeps through `scratch` while the
     // loop holds the gradient and trial buffers.
-    let SolverWorkspace { scratch, grad, grad_new, trial, .. } = ws;
+    let SolverWorkspace { scratch, grad, trial, .. } = ws;
     trial.clear();
     trial.resize(n, 0.0);
-    let mut parts = obj.eval_grad_with(x, sharp, scratch, grad);
+    scratch.counts.probes += 1;
+    let mut parts = obj.forward_record(x, sharp, scratch);
+    obj.backward_replay_phi(scratch, grad);
     for _ in 0..max_iters {
         if budget.exhausted() {
             break;
@@ -500,12 +506,13 @@ fn descend(
         budget.used.fetch_add(1, Ordering::Relaxed);
         iters += 1;
         // Projected step with backtracking.
-        let mut accepted = false;
+        let mut accepted = None;
         for _ in 0..40 {
             for j in 0..n {
                 trial[j] = (x[j] - step * grad[j]).clamp(0.0, ub);
             }
-            let f_new = obj.eval_with(trial, sharp, scratch).phi;
+            scratch.counts.probes += 1;
+            let probe = obj.forward_record(trial, sharp, scratch);
             // Armijo on the projected step: require a decrease
             // proportional to g . (x - trial).
             let decrease: f64 = grad
@@ -513,8 +520,8 @@ fn descend(
                 .zip(x.iter().zip(trial.iter()))
                 .map(|(g, (xi, ti))| g * (xi - ti))
                 .sum();
-            if f_new <= parts.phi - 1e-4 * decrease && f_new.is_finite() {
-                accepted = true;
+            if probe.phi <= parts.phi - 1e-4 * decrease && probe.phi.is_finite() {
+                accepted = Some(probe);
                 break;
             }
             step *= 0.5;
@@ -522,15 +529,14 @@ fn descend(
                 break;
             }
         }
-        if !accepted {
+        let Some(new_parts) = accepted else {
             break;
-        }
+        };
         let moved: f64 = x.iter().zip(trial.iter()).map(|(a, b)| (a - b).abs()).fold(0.0, f64::max);
         x.copy_from_slice(trial);
-        let new_parts = obj.eval_grad_with(x, sharp, scratch, grad_new);
+        obj.backward_replay_phi(scratch, grad);
         let improve = parts.phi - new_parts.phi;
         parts = new_parts;
-        std::mem::swap(grad, grad_new);
         step = (step * 1.8).min(4.0);
         if improve <= rel_tol * parts.phi.abs() && moved < 1e-12 {
             break;
@@ -542,17 +548,17 @@ fn descend(
     iters
 }
 
-/// K-wide batched projected-gradient descent at fixed sharpness: every
-/// lane is one independent descent trajectory, and each iteration runs
-/// one batched `eval_grad` (shared tape, lane-major kernels) plus up to
-/// 40 batched line-search probes across all still-active lanes.
+/// K-wide batched projected-gradient descent at fixed smooth sharpness:
+/// every lane is one independent descent trajectory, and each iteration
+/// runs up to 40 batched recording line-search probes across all
+/// still-active lanes plus one batched backward replay.
 ///
 /// Per lane, the arithmetic is the scalar [`descend`] loop verbatim —
 /// same Armijo test, same step halving/growth, same stop conditions —
 /// and every lane's values depend only on its own slots, so a lane's
 /// trajectory is independent of which other starts share its batch.
 /// Converged ("finished") lanes are frozen: their iterates stop moving,
-/// and the batched sweeps simply recompute their (identical) gradients
+/// and the batched sweeps simply recompute their (identical) values
 /// alongside the active lanes.
 ///
 /// Expects `bw.xs` to hold the lane-major start points; leaves the
@@ -575,7 +581,6 @@ fn descend_multi(
         scratch,
         xs,
         grads,
-        grads_new,
         trials,
         phis,
         steps,
@@ -584,11 +589,12 @@ fn descend_multi(
         accepted,
         lane_iters,
         parts,
-        parts_new,
         ..
     } = bw;
     let mut iters_total = 0;
-    obj.eval_grad_batch_with(xs, k, sharp, scratch, grads, parts);
+    scratch.counts.probes += k as u64;
+    obj.forward_record_batch(xs, k, sharp, scratch, parts);
+    obj.backward_replay_batch(k, scratch, grads);
     for (p, f) in parts.iter().zip(phis.iter_mut()) {
         *f = p.phi;
     }
@@ -606,9 +612,9 @@ fn descend_multi(
         }
         // Batched backtracking line search: each probe round recomputes
         // the trial of every lane still searching, then one batched
-        // evaluation scores all of them. A lane stops probing once it
-        // accepts or its step underflows (same 1e-14 floor and 40-probe
-        // cap as the scalar loop).
+        // recording sweep scores all of them. A lane stops probing once
+        // it accepts or its step underflows (same 1e-14 floor and
+        // 40-probe cap as the scalar loop).
         accepted[..k].copy_from_slice(&finished[..k]);
         trials.copy_from_slice(xs);
         for _ in 0..40 {
@@ -626,12 +632,13 @@ fn descend_multi(
             if !any {
                 break;
             }
-            obj.eval_batch_with(trials, k, sharp, scratch, parts_new);
+            scratch.counts.probes += k as u64;
+            obj.forward_record_batch(trials, k, sharp, scratch, parts);
             for l in 0..k {
                 if accepted[l] || steps[l] < 1e-14 {
                     continue;
                 }
-                let f_new = parts_new[l].phi;
+                let f_new = parts[l].phi;
                 let mut decrease = 0.0;
                 for j in 0..n {
                     decrease += grads[j * k + l] * (xs[j * k + l] - trials[j * k + l]);
@@ -663,15 +670,16 @@ fn descend_multi(
         if finished.iter().all(|&f| f) {
             break;
         }
-        obj.eval_grad_batch_with(xs, k, sharp, scratch, grads_new, parts_new);
-        std::mem::swap(grads, grads_new);
+        // Every live lane accepted above and an accepted lane's trial is
+        // never rewritten, so the last round's tape is at each one's new
+        // iterate; frozen lanes never read their gradient again.
+        obj.backward_replay_batch(k, scratch, grads);
         for l in 0..k {
             if finished[l] {
                 continue;
             }
-            let improve = phis[l] - parts_new[l].phi;
-            phis[l] = parts_new[l].phi;
-            parts[l] = parts_new[l];
+            let improve = phis[l] - parts[l].phi;
+            phis[l] = parts[l].phi;
             steps[l] = (steps[l] * 1.8).min(4.0);
             if improve <= rel_tol * phis[l].abs()
                 && (moved[l] < 1e-12 || (improve >= 0.0 && moved[l] < 1e-9))
@@ -687,8 +695,10 @@ fn descend_multi(
 /// gathers `points` into lane-major layout, runs [`descend_multi`] at
 /// one fixed sharpness out of the caller's batch workspace, and
 /// scatters the final iterates back. Returns the summed iteration
-/// count. Used by the `bench-solve` batched cases and the batched
-/// allocation-free test; the solver proper goes through
+/// count. At [`Sharpness::Exact`] the lane tape does not apply and each
+/// point runs the scalar [`descend`] out of `bw.inner` (per lane the
+/// same arithmetic). Used by the `bench-solve` batched cases and the
+/// batched allocation-free test; the solver proper goes through
 /// [`try_allocate`].
 pub fn descend_multi_stage(
     obj: &MdgObjective<'_>,
@@ -704,6 +714,13 @@ pub fn descend_multi_stage(
         return 0;
     }
     let budget = Budget::new(None, None);
+    let ub = obj.x_upper();
+    if matches!(sharp, Sharpness::Exact) {
+        return points
+            .iter_mut()
+            .map(|p| descend(obj, p, sharp, max_iters, rel_tol, ub, &budget, &mut bw.inner))
+            .sum();
+    }
     bw.ensure_lanes(n, k);
     for (l, p) in points.iter().enumerate() {
         debug_assert_eq!(p.len(), n);
@@ -711,7 +728,7 @@ pub fn descend_multi_stage(
             bw.xs[j * k + l] = v;
         }
     }
-    let iters = descend_multi(obj, k, sharp, max_iters, rel_tol, obj.x_upper(), &budget, bw);
+    let iters = descend_multi(obj, k, sharp, max_iters, rel_tol, ub, &budget, bw);
     for (l, p) in points.iter_mut().enumerate() {
         for (j, v) in p.iter_mut().enumerate() {
             *v = bw.xs[j * k + l];

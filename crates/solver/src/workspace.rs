@@ -32,11 +32,45 @@ use paradigm_race::sync::atomic::{AtomicU64, Ordering};
 use paradigm_race::sync::Mutex;
 use std::ops::{Deref, DerefMut};
 
+/// Lifetime work counters of one sweep scratch: plain integers bumped
+/// in passing (a scratch has one owner at a time), free unless read.
+/// The benches gate on `forward_sweeps <= probes`: a loop that re-sweeps
+/// its accepted point reads `forward_sweeps = probes + iterations`.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+pub struct SweepCounts {
+    /// Points swept forward, recording or value-only (K per lane sweep).
+    pub forward_sweeps: u64,
+    /// Backward tape replays, counted the same way.
+    pub backward_sweeps: u64,
+    /// Points a descent loop evaluated through this scratch: every
+    /// line-search probe plus each stage's start (K per lane round).
+    pub probes: u64,
+}
+
+impl SweepCounts {
+    /// Counts accumulated since the `earlier` snapshot.
+    pub fn since(self, earlier: SweepCounts) -> SweepCounts {
+        SweepCounts {
+            forward_sweeps: self.forward_sweeps.saturating_sub(earlier.forward_sweeps),
+            backward_sweeps: self.backward_sweeps.saturating_sub(earlier.backward_sweeps),
+            probes: self.probes.saturating_sub(earlier.probes),
+        }
+    }
+}
+
 /// Sweep buffers for one objective evaluation (forward value sweep,
 /// smax-weight tape, backward adjoint sweep, and the shared value stack
 /// that replaces per-node candidate `Vec`s).
 #[derive(Debug, Default)]
 pub struct EvalScratch {
+    /// Sweep and probe counters.
+    pub counts: SweepCounts,
+    /// Replay validity: the tapes below belong to the last point swept
+    /// on this scratch. Set by `forward_record`, cleared by `eval_with`
+    /// (which zeroes `tape_w`/`t_val`), asserted by `backward_replay`.
+    pub(crate) recorded: bool,
+    /// `(c_seed, area_seed)` = `(∂Φ/∂C_p, ∂Φ/∂A_p)` at the recorded point.
+    pub(crate) phi_seeds: (f64, f64),
     /// Per-node finish times `y_v` of the forward `C_p` sweep.
     pub(crate) y: Vec<f64>,
     /// Per-node adjoints of the backward sweep (`∂Φ/∂y_v`).
@@ -99,6 +133,10 @@ impl EvalScratch {
 /// scalar sweep to keep exact `max` tie-breaking bit-identical.
 #[derive(Debug, Default)]
 pub struct BatchEvalScratch {
+    /// Counters of the lane sweeps (the exact bypass counts on `scalar`).
+    pub counts: SweepCounts,
+    /// Replay validity of the lane tapes, as [`EvalScratch`]'s.
+    pub(crate) recorded: bool,
     /// Current lane count (set by [`BatchEvalScratch::ensure`]).
     pub(crate) k: usize,
     /// Per-node, per-lane finish times of the forward `C_p` sweep.
@@ -187,8 +225,6 @@ pub struct BatchWorkspace {
     pub(crate) xs: Vec<f64>,
     /// Lane-major gradients at the current iterates.
     pub(crate) grads: Vec<f64>,
-    /// Lane-major gradients at the accepted trial iterates.
-    pub(crate) grads_new: Vec<f64>,
     /// Lane-major trial iterates.
     pub(crate) trials: Vec<f64>,
     /// Per-lane objective values at the current iterates.
@@ -203,10 +239,9 @@ pub struct BatchWorkspace {
     pub(crate) accepted: Vec<bool>,
     /// Per-lane iteration counts for the current stage.
     pub(crate) lane_iters: Vec<usize>,
-    /// Per-lane objective parts at the current iterates.
+    /// Per-lane objective parts at the last swept points (stage start,
+    /// then trial iterates).
     pub(crate) parts: Vec<ObjectiveParts>,
-    /// Per-lane objective parts at the trial iterates.
-    pub(crate) parts_new: Vec<ObjectiveParts>,
 }
 
 impl BatchWorkspace {
@@ -227,7 +262,6 @@ impl BatchWorkspace {
         }
         self.xs.resize(n * k, 0.0);
         fit(&mut self.grads, n * k);
-        fit(&mut self.grads_new, n * k);
         fit(&mut self.trials, n * k);
         fit(&mut self.phis, k);
         fit(&mut self.moved, k);
@@ -239,11 +273,8 @@ impl BatchWorkspace {
         self.accepted.resize(k, false);
         self.lane_iters.clear();
         self.lane_iters.resize(k, 0);
-        let zero = ObjectiveParts { phi: 0.0, a_p: 0.0, c_p: 0.0 };
         self.parts.clear();
-        self.parts.resize(k, zero);
-        self.parts_new.clear();
-        self.parts_new.resize(k, zero);
+        self.parts.resize(k, ObjectiveParts { phi: 0.0, a_p: 0.0, c_p: 0.0 });
     }
 }
 
@@ -261,12 +292,12 @@ pub struct SolverWorkspace {
     pub scratch: EvalScratch,
     /// Descent-loop gradient at the current iterate.
     pub(crate) grad: Vec<f64>,
-    /// Descent-loop gradient at the accepted trial iterate.
-    pub(crate) grad_new: Vec<f64>,
     /// Descent-loop trial iterate.
     pub(crate) trial: Vec<f64>,
-    /// Dense gradient of `A_p` for the stationarity residual.
+    /// Dense gradient of `A_p` (stationarity residual, ADMM block solves).
     pub(crate) grad_a: Vec<f64>,
+    /// Dense gradient of `C_p`, same callers.
+    pub(crate) grad_c: Vec<f64>,
 }
 
 impl SolverWorkspace {
@@ -274,6 +305,14 @@ impl SolverWorkspace {
     /// retained across calls.
     pub fn new() -> Self {
         SolverWorkspace::default()
+    }
+
+    /// Split borrow for descent loops outside this crate (ADMM block
+    /// solves): the sweep scratch plus the buffers `[grad, trial,
+    /// grad_a, grad_c]`, which keep their capacity across calls.
+    pub fn split(&mut self) -> (&mut EvalScratch, [&mut Vec<f64>; 4]) {
+        let SolverWorkspace { scratch, grad, trial, grad_a, grad_c } = self;
+        (scratch, [grad, trial, grad_a, grad_c])
     }
 }
 
@@ -335,6 +374,23 @@ pub fn acquire() -> PooledBatchWorkspace {
         None => BatchWorkspace::new(),
     };
     PooledBatchWorkspace { ws: Some(ws) }
+}
+
+/// Summed [`SweepCounts`] of the workspaces idle in the pool right now.
+/// With no solve in flight that is every pooled workspace, so the
+/// difference of two calls around a solve is that solve's count — how
+/// the benches read the loops' counters without the solver threading
+/// them through its results.
+pub fn pool_sweep_counts() -> SweepCounts {
+    let mut total = SweepCounts::default();
+    for ws in plock(&POOL).iter() {
+        for c in [ws.scratch.counts, ws.scratch.scalar.counts, ws.inner.scratch.counts] {
+            total.forward_sweeps += c.forward_sweeps;
+            total.backward_sweeps += c.backward_sweeps;
+            total.probes += c.probes;
+        }
+    }
+    total
 }
 
 /// Lifetime counters of the global pool: `(acquires, reuses)`. A reuse

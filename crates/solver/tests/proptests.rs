@@ -7,7 +7,10 @@ use paradigm_mdg::{random_layered_mdg, RandomMdgConfig};
 use paradigm_solver::convexity::{probe_midpoint_convexity, probe_points};
 use paradigm_solver::expr::Sharpness;
 use paradigm_solver::objective::ObjectiveParts;
-use paradigm_solver::{allocate, brute_force_pow2, BatchWorkspace, MdgObjective, SolverConfig};
+use paradigm_solver::{
+    allocate, brute_force_pow2, BatchWorkspace, EvalScratch, MdgObjective, SolverConfig,
+    SolverWorkspace,
+};
 use proptest::prelude::*;
 
 /// Deterministic K lane points for a batched sweep: lane `l` offsets a
@@ -228,9 +231,9 @@ proptest! {
     #[test]
     fn batched_gradient_matches_central_differences(cfg in arb_cfg(), seed in 0u64..2000) {
         // Independent ground truth for the batched path: central
-        // finite differences of the *batched value* evaluator, checked
-        // at a lane-populated batch so each derivative is taken in the
-        // same lane it perturbs.
+        // finite differences of the batched recording sweep's *values*,
+        // checked at a lane-populated batch so each derivative is taken
+        // in the same lane it perturbs.
         let g = random_layered_mdg(&cfg, seed);
         let obj = MdgObjective::new(&g, Machine::cm5(8));
         let n = g.node_count();
@@ -250,9 +253,9 @@ proptest! {
                 let mut xm = xs.clone();
                 xp[j * k + l] += h;
                 xm[j * k + l] -= h;
-                obj.eval_batch_with(&xp, k, sharp, &mut bw.scratch, &mut parts);
+                obj.forward_record_batch(&xp, k, sharp, &mut bw.scratch, &mut parts);
                 let fp = parts[l].phi;
-                obj.eval_batch_with(&xm, k, sharp, &mut bw.scratch, &mut parts);
+                obj.forward_record_batch(&xm, k, sharp, &mut bw.scratch, &mut parts);
                 let fm = parts[l].phi;
                 let fd = (fp - fm) / (2.0 * h);
                 prop_assert!(
@@ -260,6 +263,92 @@ proptest! {
                     "lane {l} var {j}: batched {} vs central diff {fd}",
                     grads[j * k + l]
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn record_replay_is_the_gradient_and_probes_leave_no_trace(cfg in arb_cfg(), seed in 0u64..2000) {
+        // The record/replay contract the descent loops rest on, in bits:
+        // (a) `forward_record` scores a point exactly like the
+        //     value-only `eval_with`, so an Armijo test cannot tell them
+        //     apart;
+        // (b) `eval_grad*_with` are record + replay and nothing else;
+        // (c) after a line search's probe sequence (reject, reject,
+        //     accept) on one warm scratch, replaying the last tape is the
+        //     gradient a cold scratch computes at the accepted point —
+        //     earlier probes leave nothing behind. For the lane tape the
+        //     sequence keeps lane 0's point fixed from the second probe
+        //     on, the way an already-accepted lane rides along.
+        let g = random_layered_mdg(&cfg, seed);
+        let obj = MdgObjective::new(&g, Machine::cm5(16));
+        let n = g.node_count();
+        let ub = obj.x_upper();
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+        let part_bits = |p: &ObjectiveParts| [p.phi.to_bits(), p.a_p.to_bits(), p.c_p.to_bits()];
+        for sharp in [Sharpness::Exact, Sharpness::Smooth(8.0), Sharpness::Smooth(256.0)] {
+            let probes = lane_points(n, 3, ub);
+            let mut ws = SolverWorkspace::new();
+            let (mut grad, mut ga, mut gc) = (Vec::new(), Vec::new(), Vec::new());
+            let mut last = None;
+            for x in &probes {
+                let rec = obj.forward_record(x, sharp, &mut ws.scratch);
+                let val = obj.eval_with(x, sharp, &mut EvalScratch::default());
+                prop_assert_eq!(part_bits(&rec), part_bits(&val), "{:?}: record vs eval_with", sharp);
+                last = Some(rec);
+            }
+            let last = last.expect("three probes ran");
+            obj.backward_replay_phi(&mut ws.scratch, &mut grad);
+            obj.backward_replay(0.0, 1.0, &mut ws.scratch, &mut ga);
+            obj.backward_replay(1.0, 0.0, &mut ws.scratch, &mut gc);
+            let x = &probes[2];
+            let (mut fresh, mut fa, mut fc) = (Vec::new(), Vec::new(), Vec::new());
+            let p1 = obj.eval_grad_with(x, sharp, &mut EvalScratch::default(), &mut fresh);
+            let p2 = obj.eval_grad_parts_with(x, sharp, &mut EvalScratch::default(), &mut fa, &mut fc);
+            prop_assert_eq!(part_bits(&last), part_bits(&p1));
+            prop_assert_eq!(part_bits(&last), part_bits(&p2));
+            prop_assert_eq!(bits(&grad), bits(&fresh), "{:?}: replayed Phi gradient", sharp);
+            prop_assert_eq!(bits(&ga), bits(&fa), "{:?}: replayed A_p gradient", sharp);
+            prop_assert_eq!(bits(&gc), bits(&fc), "{:?}: replayed C_p gradient", sharp);
+            prop_assert_eq!(ws.scratch.counts.forward_sweeps, 3);
+            prop_assert_eq!(ws.scratch.counts.backward_sweeps, 3);
+
+            // One warm lane scratch across every K: a width change must
+            // not leak lanes either.
+            let mut bw = BatchWorkspace::new();
+            for k in [1usize, 4, 6, 8] {
+                let zero = ObjectiveParts { phi: 0.0, a_p: 0.0, c_p: 0.0 };
+                let (mut parts, mut fresh_parts) = (vec![zero; k], vec![zero; k]);
+                let (mut grads, mut fresh_grads) = (Vec::new(), Vec::new());
+                let mut seq: Vec<Vec<Vec<f64>>> = (0..3)
+                    .map(|r| lane_points(n, k + r, ub).into_iter().skip(r).collect())
+                    .collect();
+                seq[2][0] = seq[1][0].clone();
+                let accepted = lane_major(&seq[2], n);
+                if matches!(sharp, Sharpness::Exact) {
+                    // No lane tape at Exact: the batched gradient is the
+                    // scalar record + replay, lane by lane.
+                    obj.eval_grad_batch_with(&accepted, k, sharp, &mut bw.scratch, &mut grads, &mut parts);
+                    for (l, x) in seq[2].iter().enumerate() {
+                        let p = obj.forward_record(x, sharp, &mut ws.scratch);
+                        obj.backward_replay_phi(&mut ws.scratch, &mut grad);
+                        prop_assert_eq!(part_bits(&parts[l]), part_bits(&p));
+                        let lane: Vec<f64> = (0..n).map(|j| grads[j * k + l]).collect();
+                        prop_assert_eq!(bits(&lane), bits(&grad), "k={} lane {}", k, l);
+                    }
+                    continue;
+                }
+                for points in &seq {
+                    obj.forward_record_batch(&lane_major(points, n), k, sharp, &mut bw.scratch, &mut parts);
+                }
+                obj.backward_replay_batch(k, &mut bw.scratch, &mut grads);
+                obj.eval_grad_batch_with(
+                    &accepted, k, sharp, &mut BatchWorkspace::new().scratch, &mut fresh_grads, &mut fresh_parts,
+                );
+                for l in 0..k {
+                    prop_assert_eq!(part_bits(&parts[l]), part_bits(&fresh_parts[l]), "k={} lane {}", k, l);
+                }
+                prop_assert_eq!(bits(&grads), bits(&fresh_grads), "{:?} k={}: replayed lane gradients", sharp, k);
             }
         }
     }
@@ -355,4 +444,43 @@ fn reverse_gradient_matches_forward_on_gallery_graphs() {
             }
         }
     }
+}
+
+/// Replaying a tape that a value-only sweep has since overwritten is a
+/// bug in the caller; the scratch's validity flag turns it into a panic
+/// that names the contract instead of a silently wrong gradient.
+#[test]
+#[should_panic(expected = "backward_replay: the tape on this scratch is not the last thing")]
+fn replay_after_a_value_only_sweep_panics() {
+    let g = paradigm_mdg::example_fig1_mdg();
+    let obj = MdgObjective::new(&g, Machine::cm5(4));
+    let x = vec![0.5; g.node_count()];
+    let mut scratch = EvalScratch::default();
+    let mut grad = Vec::new();
+    obj.forward_record(&x, Sharpness::Smooth(8.0), &mut scratch);
+    obj.backward_replay_phi(&mut scratch, &mut grad); // fine: the tape is current
+    obj.eval_with(&x, Sharpness::Smooth(8.0), &mut scratch);
+    obj.backward_replay_phi(&mut scratch, &mut grad);
+}
+
+/// Same contract on the lane tape: a replay at a width the last
+/// recording did not sweep is refused.
+#[test]
+#[should_panic(
+    expected = "backward_replay_batch: the lane tape on this scratch is not the last thing"
+)]
+fn lane_replay_at_another_width_panics() {
+    let g = paradigm_mdg::example_fig1_mdg();
+    let obj = MdgObjective::new(&g, Machine::cm5(4));
+    let n = g.node_count();
+    let mut bw = BatchWorkspace::new();
+    let mut parts = vec![ObjectiveParts { phi: 0.0, a_p: 0.0, c_p: 0.0 }; 2];
+    obj.forward_record_batch(
+        &vec![0.5; 2 * n],
+        2,
+        Sharpness::Smooth(8.0),
+        &mut bw.scratch,
+        &mut parts,
+    );
+    obj.backward_replay_batch(4, &mut bw.scratch, &mut Vec::new());
 }
