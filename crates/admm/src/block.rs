@@ -37,7 +37,10 @@
 use paradigm_cost::Machine;
 use paradigm_mdg::{AmdahlParams, Mdg, MdgBuilder, NodeId, TransferKind};
 use paradigm_solver::expr::{smax_pair_weights, Sharpness};
-use paradigm_solver::{BatchWorkspace, EvalScratch, MdgObjective};
+use paradigm_solver::{
+    check_annealing, descend, BatchWorkspace, DescentModel, EvalScratch, MdgObjective,
+    SolverWorkspace, Stage, SweepCounts,
+};
 
 use crate::partition::Partition;
 
@@ -374,21 +377,103 @@ pub fn build_block_problem(
     )
 }
 
-/// Solve one block subproblem: projected gradient with Armijo
-/// backtracking on `smax(area_off + A_p, C_p) + (rho/2) sum (x_i -
-/// target_i)^2` over the box `[0, ln p]`, moving only the free
-/// variables. A pure function of `job` — no randomness, no
-/// time-dependence — so every backend produces the identical result.
+/// The penalised block model `smax(area_off + A_p, C_p) + (rho/2) sum
+/// (x_i - target_i)^2` on the scalar tape, as a [`DescentModel`]: one
+/// gradient pair and a handful of sequential probes per iteration is
+/// K <= 2 work, where the scalar tape is ~2x the lane kernels. With
+/// `area_off = 0` and no consensus terms it is the global objective —
+/// what the coordinator polish descends.
+pub(crate) struct BlockModel<'a, 'g> {
+    obj: &'a MdgObjective<'g>,
+    /// Sharpness of the current stage.
+    pub(crate) sharp: Sharpness,
+    area_off: f64,
+    rho: f64,
+    cons: &'a [ConsensusTerm],
+    free: &'a [usize],
+    scratch: &'a mut EvalScratch,
+    grad_a: &'a mut Vec<f64>,
+    grad_c: &'a mut Vec<f64>,
+    /// `(Phi, w_a, w_c)` of the model at the last probed point.
+    probed: (f64, f64, f64),
+    /// Model `Phi` (without the penalty) at the last replayed point, i.e.
+    /// at the current iterate: a rejected probe never reaches it.
+    pub(crate) phi: f64,
+}
+
+impl<'a, 'g> BlockModel<'a, 'g> {
+    /// The model of `obj` shifted by `area_off` and penalised by `rho`
+    /// over `cons`, its gradient restricted to `free`; sweeps on `ws`.
+    pub(crate) fn new(
+        obj: &'a MdgObjective<'g>,
+        (area_off, rho, cons): (f64, f64, &'a [ConsensusTerm]),
+        free: &'a [usize],
+        ws: &'a mut SolverWorkspace,
+    ) -> Self {
+        let (scratch, [grad_a, grad_c]) = ws.split();
+        BlockModel {
+            obj,
+            sharp: Sharpness::Exact,
+            area_off,
+            rho,
+            cons,
+            free,
+            scratch,
+            grad_a,
+            grad_c,
+            probed: (f64::INFINITY, 0.0, 0.0),
+            phi: f64::INFINITY,
+        }
+    }
+}
+
+impl DescentModel for BlockModel<'_, '_> {
+    fn probe(&mut self, x: &[f64], _k: usize, f: &mut [f64]) {
+        let parts = self.obj.forward_record(x, self.sharp, self.scratch);
+        let a = (self.area_off + parts.a_p).max(0.0);
+        self.probed = smax_pair_weights(a, parts.c_p, self.sharp);
+        f[0] = self.probed.0;
+        for c in self.cons {
+            let diff = x[c.sub] - c.target;
+            f[0] += 0.5 * self.rho * diff * diff;
+        }
+    }
+
+    // The `A_p`/`C_p` gradient pair is two replays of the tape the last
+    // probe left behind, never a second sweep of the point.
+    fn replay(&mut self, x: &[f64], _k: usize, grad: &mut Vec<f64>) {
+        let (phi, wa, wc) = self.probed;
+        self.phi = phi;
+        self.obj.backward_replay(0.0, 1.0, self.scratch, self.grad_a);
+        self.obj.backward_replay(1.0, 0.0, self.scratch, self.grad_c);
+        grad.clear();
+        grad.resize(x.len(), 0.0);
+        for &j in self.free {
+            grad[j] = wa * self.grad_a[j] + wc * self.grad_c[j];
+        }
+        for c in self.cons {
+            grad[c.sub] += self.rho * (x[c.sub] - c.target);
+        }
+    }
+
+    fn counts(&mut self) -> &mut SweepCounts {
+        &mut self.scratch.counts
+    }
+}
+
+/// Solve one block subproblem: the shared projected-gradient stage
+/// ([`paradigm_solver::descent`]) on the [`BlockModel`] over the box
+/// `[0, ln p]`, moving only the free variables, one stage per smoothing
+/// level and a final exact one, each from step 0.25. A pure function of
+/// `job` — no randomness, no time-dependence — so every backend produces
+/// the identical result, and a job whose annealing parameters
+/// [`check_annealing`] refuses is an `Err` on every backend, before any
+/// sweep.
 ///
-/// Every stage, smoothed and exact, runs on the scalar tape out of
-/// `bw.inner`: one gradient pair and a handful of sequential line-search
-/// probes per iteration is K ≤ 2 work, where the scalar tape is ~2× the
-/// lane kernels. Every probe is a recording sweep, so the `A_p`/`C_p`
-/// gradient pair at the accepted trial is two backward replays of the
-/// tape the last probe left behind, never a second sweep of the point.
-/// The loop's buffers are the workspace's; per call only the objective
+/// The stage's buffers are the workspace's; per call only the objective
 /// build and the returned iterate allocate.
 pub fn solve_block_job(job: &BlockJob, bw: &mut BatchWorkspace) -> Result<BlockSolution, String> {
+    check_annealing(&job.inner.stages, job.inner.rel_tol)?;
     let obj = MdgObjective::try_new(&job.graph, job.machine)?;
     let n = obj.num_vars();
     let ub = obj.x_upper();
@@ -414,94 +499,55 @@ pub fn solve_block_job(job: &BlockJob, bw: &mut BatchWorkspace) -> Result<BlockS
         x[i] = x[i].clamp(0.0, ub);
     }
 
-    let (scratch, [grad, trial, grad_a, grad_c]) = bw.inner.split();
-    trial.clear();
-    trial.resize(n, 0.0);
+    let BatchWorkspace { inner, lanes, .. } = bw;
+    let mut model = BlockModel::new(&obj, (job.area_off, job.rho, &job.cons), &job.free, inner);
+    lanes.shape(n, 1);
+    lanes.load(0, &x);
+    let rel_tol = job.inner.rel_tol;
     let mut iters = 0usize;
-    let mut phi_model = f64::INFINITY;
-
-    // One recording probe at `x`: the penalized objective value, the
-    // block-model `Phi`, and its `(A_p, C_p)` combination weights.
-    let probe = |x: &[f64], sharp: Sharpness, scratch: &mut EvalScratch| {
-        scratch.counts.probes += 1;
-        let parts = obj.forward_record(x, sharp, scratch);
-        let a = (job.area_off + parts.a_p).max(0.0);
-        let (phi, wa, wc) = smax_pair_weights(a, parts.c_p, sharp);
-        let mut f = phi;
-        for c in &job.cons {
-            let diff = x[c.sub] - c.target;
-            f += 0.5 * job.rho * diff * diff;
-        }
-        (f, phi, wa, wc)
-    };
-    // Penalized gradient at the point the last probe recorded (`x`),
-    // pinned variables held at zero.
-    let replay_grad = |x: &[f64],
-                       (wa, wc): (f64, f64),
-                       scratch: &mut EvalScratch,
-                       grad: &mut Vec<f64>,
-                       grad_a: &mut Vec<f64>,
-                       grad_c: &mut Vec<f64>| {
-        obj.backward_replay(0.0, 1.0, scratch, grad_a);
-        obj.backward_replay(1.0, 0.0, scratch, grad_c);
-        grad.clear();
-        grad.resize(n, 0.0);
-        for &j in &job.free {
-            grad[j] = wa * grad_a[j] + wc * grad_c[j];
-        }
-        for c in &job.cons {
-            grad[c.sub] += job.rho * (x[c.sub] - c.target);
-        }
-    };
-
     let smooth =
         job.inner.stages.iter().map(|&s| (Sharpness::Smooth(s), job.inner.iters_per_stage));
     for (sharp, max_iters) in smooth.chain([(Sharpness::Exact, job.inner.exact_iters)]) {
-        let mut step = 0.25_f64;
-        let (mut f_cur, phi_cur, wa, wc) = probe(&x, sharp, scratch);
-        replay_grad(&x, (wa, wc), scratch, grad, grad_a, grad_c);
-        phi_model = phi_cur;
-        for _ in 0..max_iters {
-            iters += 1;
-            let mut accepted = None;
-            for _ in 0..40 {
-                trial.copy_from_slice(&x);
-                for &j in &job.free {
-                    trial[j] = (x[j] - step * grad[j]).clamp(0.0, ub);
-                }
-                let (f_new, phi_new, wa, wc) = probe(trial, sharp, scratch);
-                let decrease: f64 = grad
-                    .iter()
-                    .zip(x.iter().zip(trial.iter()))
-                    .map(|(g, (xi, ti))| g * (xi - ti))
-                    .sum();
-                if f_new <= f_cur - 1e-4 * decrease && f_new.is_finite() {
-                    accepted = Some((f_new, phi_new, wa, wc));
-                    break;
-                }
-                step *= 0.5;
-                if step < 1e-14 {
-                    break;
-                }
-            }
-            let Some((f_new, phi_new, wa, wc)) = accepted else {
-                break;
-            };
-            let moved: f64 =
-                x.iter().zip(trial.iter()).map(|(a, b)| (a - b).abs()).fold(0.0, f64::max);
-            x.copy_from_slice(trial);
-            replay_grad(&x, (wa, wc), scratch, grad, grad_a, grad_c);
-            let improve = f_cur - f_new;
-            f_cur = f_new;
-            phi_model = phi_new;
-            step = (step * 1.8).min(4.0);
-            if improve <= job.inner.rel_tol * f_cur.abs() && moved < 1e-10 {
-                break;
-            }
+        model.sharp = sharp;
+        lanes.reset();
+        let stage = Stage { free: Some(&job.free), ub, max_iters, max_probes: 40 };
+        let stop = |improve: f64, f: f64, moved: f64| improve <= rel_tol * f.abs() && moved < 1e-10;
+        iters += descend(&mut model, lanes, &stage, stop, |_| true);
+    }
+    lanes.store(0, &mut x);
+    if !model.phi.is_finite() {
+        return Err(format!("block solve produced non-finite model Phi {}", model.phi));
+    }
+    Ok(BlockSolution { x, iters, phi_model: model.phi })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::partition::{partition_mdg, PartitionOptions};
+    use paradigm_mdg::fork_join_mdg;
+
+    #[test]
+    fn bad_annealing_parameters_are_refused_before_any_sweep() {
+        let g = fork_join_mdg(2, 3, 2);
+        let machine = Machine::cm5(8);
+        let obj = MdgObjective::new(&g, machine);
+        let part = partition_mdg(&g, &PartitionOptions::with_blocks(&g, 2));
+        let x = vec![0.5_f64; g.node_count()];
+        let sw = global_sweeps(&obj, &x);
+        let dual = std::collections::BTreeMap::new();
+        let inner = InnerConfig::default();
+        let (job, _) = build_block_problem(&g, &machine, &part, 0, &sw, &x, &dual, 0.7, &inner);
+        let mut bw = BatchWorkspace::new();
+        for (stages, rel_tol) in
+            [(vec![8.0, 0.5], 1e-9), (vec![0.0], 1e-9), (vec![-4.0], 1e-9), (vec![8.0], -1.0)]
+        {
+            let bad =
+                BlockJob { inner: InnerConfig { stages, rel_tol, ..inner.clone() }, ..job.clone() };
+            let err = solve_block_job(&bad, &mut bw).expect_err("refused");
+            assert!(err.contains("must be finite and >="), "{err}");
         }
+        assert_eq!(bw.inner.scratch.counts, SweepCounts::default(), "nothing was swept");
+        assert!(solve_block_job(&job, &mut bw).is_ok());
     }
-    if !phi_model.is_finite() {
-        return Err(format!("block solve produced non-finite model Phi {phi_model}"));
-    }
-    Ok(BlockSolution { x, iters, phi_model })
 }

@@ -42,14 +42,14 @@
 
 use paradigm_cost::{Allocation, Machine, PhiBreakdown};
 use paradigm_mdg::{Mdg, NodeId};
-use paradigm_solver::expr::{smax_pair_weights, Sharpness};
-use paradigm_solver::objective::ObjectiveParts;
-use paradigm_solver::{workspace, EvalScratch, FallbackTier, MdgObjective, SolverError};
+use paradigm_solver::{
+    descend, workspace, BatchWorkspace, FallbackTier, MdgObjective, SolverError, Stage,
+};
 use std::collections::BTreeMap;
 
 use crate::block::{
-    build_block_problem, global_sweeps, solve_block_job, BlockJob, BlockMaps, BlockSolution,
-    InnerConfig,
+    build_block_problem, global_sweeps, solve_block_job, BlockJob, BlockMaps, BlockModel,
+    BlockSolution, InnerConfig,
 };
 use crate::partition::{partition_mdg, Partition, PartitionOptions};
 
@@ -413,28 +413,10 @@ pub fn solve_admm<B: BlockBackend>(
     // decomposition's duality-gap tail, which a frozen-context scheme
     // cannot shrink below the coupling error on its own.
     let mut pws = workspace::acquire();
-    let mut pol_grad_a: Vec<f64> = Vec::new();
-    let mut pol_grad_c: Vec<f64> = Vec::new();
-    let mut pol_grad = vec![0.0_f64; n];
     let mut pol_step = 0.25_f64;
     let mut polish_iters = 0usize;
-    let mut is_compute = vec![false; n];
-    for (id, node) in g.nodes() {
-        if !node.is_structural() {
-            is_compute[id.0] = true;
-        }
-    }
-    // Exact `Phi` and its gradient over the compute variables at the
-    // point `parts` was just recorded at on `scratch`.
-    let mut polish_grad = |parts: ObjectiveParts, scratch: &mut EvalScratch, out: &mut [f64]| {
-        obj.backward_replay(0.0, 1.0, scratch, &mut pol_grad_a);
-        obj.backward_replay(1.0, 0.0, scratch, &mut pol_grad_c);
-        let (f, wa, wc) = smax_pair_weights(parts.a_p, parts.c_p, Sharpness::Exact);
-        for j in 0..n {
-            out[j] = if is_compute[j] { wa * pol_grad_a[j] + wc * pol_grad_c[j] } else { 0.0 };
-        }
-        f
-    };
+    let compute: Vec<usize> =
+        g.nodes().filter(|(_, node)| !node.is_structural()).map(|(id, _)| id.0).collect();
     let mut phi_pre_polish = f64::INFINITY;
     let mut phi_round_last = f64::INFINITY;
 
@@ -626,56 +608,25 @@ pub fn solve_admm<B: BlockBackend>(
         }
         let mut phi_round = if accel { phi_best } else { phi_round_last };
         if accel && gain < 3e-3 {
-            let scratch = &mut pws.inner.scratch;
-            // Every polish probe records, so the gradient at an accepted
-            // probe is a replay of its tape, not a second sweep.
-            scratch.counts.probes += 1;
-            let parts = obj.forward_record(&x, Sharpness::Exact, scratch);
-            let mut f_cur = polish_grad(parts, scratch, &mut pol_grad);
-            for _ in 0..6 {
-                polish_iters += 1;
-                let mut accepted = None;
-                for _ in 0..30 {
-                    for j in 0..n {
-                        x_probe[j] = if is_compute[j] {
-                            (x[j] - pol_step * pol_grad[j]).clamp(0.0, ub)
-                        } else {
-                            x[j]
-                        };
-                    }
-                    scratch.counts.probes += 1;
-                    let probe = obj.forward_record(&x_probe, Sharpness::Exact, scratch);
-                    let f_new = probe.a_p.max(probe.c_p);
-                    let decrease: f64 = pol_grad
-                        .iter()
-                        .zip(x.iter().zip(x_probe.iter()))
-                        .map(|(gd, (xi, ti))| gd * (xi - ti))
-                        .sum();
-                    if f_new.is_finite() && f_new <= f_cur - 1e-4 * decrease {
-                        accepted = Some(probe);
-                        break;
-                    }
-                    pol_step *= 0.5;
-                    if pol_step < 1e-14 {
-                        break;
-                    }
-                }
-                let Some(parts2) = accepted else {
-                    // Keep a workable step for the next round even when
-                    // this one dead-ends on the max kink.
-                    pol_step = (pol_step * 4.0).max(1e-6);
-                    break;
-                };
-                x.copy_from_slice(&x_probe);
-                let f2 = polish_grad(parts2, scratch, &mut pol_grad);
-                let improve = f_cur - f2;
-                f_cur = f2;
-                pol_step = (pol_step * 1.8).min(4.0);
-                if improve <= 1e-9 * f_cur.abs() {
-                    break;
-                }
-            }
-            phi_round = f_cur;
+            // The shared stage on the block model with nothing frozen
+            // (no area offset, no consensus terms): the exact global
+            // `Phi` over the compute variables. The step carries across
+            // rounds.
+            let BatchWorkspace { inner, lanes, .. } = &mut *pws;
+            let mut model = BlockModel::new(&obj, (0.0, 0.0, &[]), &compute, inner);
+            lanes.shape(n, 1);
+            lanes.load(0, &x);
+            lanes.reset();
+            lanes.set_step(0, pol_step);
+            let stage = Stage { free: Some(&compute), ub, max_iters: 6, max_probes: 30 };
+            let stop = |improve: f64, f: f64, _moved: f64| improve <= 1e-9 * f.abs();
+            polish_iters += descend(&mut model, lanes, &stage, stop, |_| true);
+            lanes.store(0, &mut x);
+            // Keep a workable step for the next round even when this one
+            // dead-ends on the max kink.
+            pol_step =
+                if lanes.dead_end(0) { (lanes.step(0) * 4.0).max(1e-6) } else { lanes.step(0) };
+            phi_round = lanes.value(0);
             consider(&x, &mut best);
         }
 

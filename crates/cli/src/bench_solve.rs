@@ -51,7 +51,7 @@ use paradigm_solver::objective::ObjectiveParts;
 use paradigm_solver::workspace::pool_sweep_counts;
 use paradigm_solver::{
     allocation_count, descend_multi_stage, descend_stage, try_allocate, BatchWorkspace,
-    MdgObjective, SolverConfig, SolverWorkspace,
+    MdgObjective, SolverConfig,
 };
 
 use crate::commands::{CliError, CmdOutput};
@@ -165,7 +165,11 @@ fn bench_case(name: &str, g: &Mdg, reps: usize, batch_k: usize) -> CaseReport {
     let x: Vec<f64> = (0..n).map(|i| ub * (0.3 + 0.4 * ((i * 7 % 11) as f64) / 11.0)).collect();
     let sharp = Sharpness::Smooth(64.0);
 
-    let mut ws = SolverWorkspace::new();
+    // One workspace for every probe below: the scalar sweeps run on its
+    // `.inner`, the lane sweeps on its `.scratch`, both descents on its
+    // lane buffers.
+    let mut bw = BatchWorkspace::new();
+    let ws = &mut bw.inner;
     let mut grad = Vec::new();
     // Warm the workspace buffers so the timed region measures steady state.
     let _ = obj.eval_grad_with(&x, sharp, &mut ws.scratch, &mut grad);
@@ -188,7 +192,6 @@ fn bench_case(name: &str, g: &Mdg, reps: usize, batch_k: usize) -> CaseReport {
     // K-wide batched gradient: one shared-tape sweep over `batch_k`
     // lane points, reported per gradient (total / K).
     let k = batch_k.max(1);
-    let mut bw = BatchWorkspace::new();
     let mut xs = vec![0.0_f64; n * k];
     for l in 0..k {
         for j in 0..n {
@@ -212,13 +215,13 @@ fn bench_case(name: &str, g: &Mdg, reps: usize, batch_k: usize) -> CaseReport {
     // Warm the scalar path, then both measured paths restart from the
     // same fresh start points each sample.
     let mut warm = starts[0].clone();
-    let _ = descend_stage(&obj, &mut warm, sharp, MS_ITERS, 0.0, &mut ws);
+    let _ = descend_stage(&obj, &mut warm, sharp, MS_ITERS, 0.0, &mut bw);
     let ms_reps = reps.min(7);
     let multistart_us = median_us_once(ms_reps, || {
         let mut total = 0usize;
         for s in &starts {
             let mut p = s.clone();
-            total += descend_stage(&obj, &mut p, sharp, MS_ITERS, 0.0, &mut ws);
+            total += descend_stage(&obj, &mut p, sharp, MS_ITERS, 0.0, &mut bw);
             std::hint::black_box(p[0]);
         }
         std::hint::black_box(total);
@@ -235,10 +238,10 @@ fn bench_case(name: &str, g: &Mdg, reps: usize, batch_k: usize) -> CaseReport {
     // every buffer. Reads 0 unless the counting allocator is the global
     // allocator (it is in the `paradigm` binary).
     let mut xd = vec![ub / 2.0; n];
-    let _ = descend_stage(&obj, &mut xd, sharp, 10, 0.0, &mut ws);
+    let _ = descend_stage(&obj, &mut xd, sharp, 10, 0.0, &mut bw);
     let mut xd = vec![ub / 3.0; n];
     let before = allocation_count();
-    let measured_iters = descend_stage(&obj, &mut xd, sharp, 50, 0.0, &mut ws);
+    let measured_iters = descend_stage(&obj, &mut xd, sharp, 50, 0.0, &mut bw);
     let delta = allocation_count() - before;
     let allocs_per_iter =
         if measured_iters > 0 { delta as f64 / measured_iters as f64 } else { 0.0 };

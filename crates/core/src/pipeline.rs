@@ -268,14 +268,15 @@ pub fn routes_through_admm(g: &Mdg, spec: &SolveSpec) -> bool {
     spec.admm || g.compute_node_count() >= ADMM_NODE_THRESHOLD
 }
 
-/// Run the consensus-ADMM tier through an explicit block backend and
-/// package the allocation for the compile tail.
-fn admm_allocation_with<B: BlockBackend>(
+/// The ADMM arm of every pipeline entry point: consensus-ADMM allocation
+/// on `backend`, the compile tail on that allocation, diagnostics into
+/// `SolveOutput::admm`.
+fn admm_output<B: BlockBackend>(
     g: &Mdg,
     spec: &SolveSpec,
     cfg: &AdmmConfig,
     backend: &mut B,
-) -> Result<(AllocationResult, AdmmStats), SolverError> {
+) -> Result<SolveOutput, SolverError> {
     let res = solve_admm(g, spec.machine, cfg, backend)?;
     let stats = AdmmStats::from_result(&res);
     let solve = AllocationResult {
@@ -285,20 +286,15 @@ fn admm_allocation_with<B: BlockBackend>(
         starts: res.blocks,
         tier: FallbackTier::Admm,
     };
-    Ok((solve, stats))
-}
-
-/// Run the consensus-ADMM tier with the default in-process backend.
-fn admm_allocation(
-    g: &Mdg,
-    spec: &SolveSpec,
-) -> Result<(AllocationResult, AdmmStats), SolverError> {
-    admm_allocation_with(g, spec, &AdmmConfig::default(), &mut InProcessBackend::default())
+    let c = compile_with_solve(g, spec.machine, &compile_config(spec), solve);
+    let mut out = output_from_compiled(g, spec, &c);
+    out.admm = Some(stats);
+    Ok(out)
 }
 
 /// Run the full pipeline for one graph under one spec, walking the
 /// solver's degradation ladder on failure (the tier taken is recorded in
-/// `SolveOutput::degraded`).
+/// `SolveOutput::degraded`). The serving layer's workers call this.
 ///
 /// # Panics
 /// Panics if the spec is invalid (callers should [`SolveSpec::validate`]
@@ -307,10 +303,8 @@ pub fn solve_pipeline(g: &Mdg, spec: &SolveSpec) -> SolveOutput {
     if routes_through_admm(g, spec) {
         // The ADMM tier degrades to the dense resilient ladder on
         // failure rather than panicking, mirroring the ladder's spirit.
-        if let Ok((solve, stats)) = admm_allocation(g, spec) {
-            let c = compile_with_solve(g, spec.machine, &compile_config(spec), solve);
-            let mut out = output_from_compiled(g, spec, &c);
-            out.admm = Some(stats);
+        let mut backend = InProcessBackend::default();
+        if let Ok(out) = admm_output(g, spec, &AdmmConfig::default(), &mut backend) {
             return out;
         }
     }
@@ -320,19 +314,15 @@ pub fn solve_pipeline(g: &Mdg, spec: &SolveSpec) -> SolveOutput {
 
 /// Like [`solve_pipeline`], but validates the spec and surfaces solver
 /// failures as a typed [`PipelineError`] instead of degrading or
-/// panicking. The serving layer's primary path uses this so the circuit
-/// breaker can see *why* a solve failed.
+/// panicking: [`try_solve_pipeline_with_backend`] with the default
+/// [`AdmmConfig`] on the default in-process backend.
 pub fn try_solve_pipeline(g: &Mdg, spec: &SolveSpec) -> Result<SolveOutput, PipelineError> {
-    spec.validate().map_err(PipelineError::InvalidSpec)?;
-    if routes_through_admm(g, spec) {
-        let (solve, stats) = admm_allocation(g, spec)?;
-        let c = compile_with_solve(g, spec.machine, &compile_config(spec), solve);
-        let mut out = output_from_compiled(g, spec, &c);
-        out.admm = Some(stats);
-        return Ok(out);
-    }
-    let c = try_compile(g, spec.machine, &compile_config(spec))?;
-    Ok(output_from_compiled(g, spec, &c))
+    try_solve_pipeline_with_backend(
+        g,
+        spec,
+        &AdmmConfig::default(),
+        &mut InProcessBackend::default(),
+    )
 }
 
 /// Like [`try_solve_pipeline`], but the consensus-ADMM tier (when the
@@ -340,8 +330,7 @@ pub fn try_solve_pipeline(g: &Mdg, spec: &SolveSpec) -> Result<SolveOutput, Pipe
 /// [`AdmmConfig`] instead of the defaults. The serving layer uses this
 /// to drive a TCP worker fleet — wrapped in a failover backend — from
 /// the same pipeline the cache and auditor already understand. Requests
-/// that do not route through ADMM behave exactly like
-/// [`try_solve_pipeline`].
+/// that do not route through ADMM never touch either.
 pub fn try_solve_pipeline_with_backend<B: BlockBackend>(
     g: &Mdg,
     spec: &SolveSpec,
@@ -350,11 +339,7 @@ pub fn try_solve_pipeline_with_backend<B: BlockBackend>(
 ) -> Result<SolveOutput, PipelineError> {
     spec.validate().map_err(PipelineError::InvalidSpec)?;
     if routes_through_admm(g, spec) {
-        let (solve, stats) = admm_allocation_with(g, spec, admm_cfg, backend)?;
-        let c = compile_with_solve(g, spec.machine, &compile_config(spec), solve);
-        let mut out = output_from_compiled(g, spec, &c);
-        out.admm = Some(stats);
-        return Ok(out);
+        return Ok(admm_output(g, spec, admm_cfg, backend)?);
     }
     let c = try_compile(g, spec.machine, &compile_config(spec))?;
     Ok(output_from_compiled(g, spec, &c))

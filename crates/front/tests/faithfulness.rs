@@ -80,7 +80,7 @@ fn cmm_from_source_schedules_identically() {
     let compiled = compile_source(CMM_SOURCE, &table).expect("compiles");
     let hand = complex_matmul_mdg(64, &table);
     let m = Machine::cm5(16);
-    let cfg = SolverConfig { parallel: false, ..SolverConfig::fast() };
+    let cfg = SolverConfig::fast();
     let phi_src = allocate(&compiled, m, &cfg).phi.phi;
     let phi_hand = allocate(&hand, m, &cfg).phi.phi;
     assert!((phi_src - phi_hand).abs() < 1e-6 * phi_hand, "Phi differs: {phi_src} vs {phi_hand}");

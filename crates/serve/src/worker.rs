@@ -758,5 +758,32 @@ mod tests {
         ] {
             assert!(crate::protocol::parse_request(bad).is_err(), "{bad}");
         }
+        // Frames that decode but carry annealing parameters the solver
+        // refuses (a sharpness below 1 is no max; a negative one is a
+        // soft *min* and used to come back `"ok":true` with a wrong
+        // iterate): a typed `invalid`, by the rule `try_allocate` applies.
+        let g = fork_join_mdg(2, 3, 2);
+        let job = sample_jobs(&g, &Machine::cm5(8), 2).remove(0);
+        let svc =
+            Service::start(ServeConfig { workers: 1, worker: true, ..ServeConfig::default() });
+        let inner = |stages: &[f64], rel_tol: f64| InnerConfig {
+            stages: stages.to_vec(),
+            rel_tol,
+            ..job.inner.clone()
+        };
+        for inner in [
+            inner(&[8.0, 0.5], 1e-9),
+            inner(&[0.0], 1e-9),
+            inner(&[-4.0], 1e-9),
+            inner(&[8.0], -1.0),
+        ] {
+            let bad = BlockJob { inner, ..job.clone() };
+            let (resp, _) = handle_line(&svc, &block_job_request(&bad).render());
+            let doc = parse(&resp).unwrap();
+            assert_eq!(doc.get("ok").and_then(Json::as_bool), Some(false), "{resp}");
+            assert_eq!(doc.get("kind").and_then(Json::as_str), Some("invalid"), "{resp}");
+        }
+        assert_eq!(svc.stats().blocks_solved, 0);
+        svc.shutdown();
     }
 }

@@ -75,7 +75,9 @@ pub enum SolverError {
         /// Gradient iterations completed before giving up.
         iterations: usize,
     },
-    /// A solver start thread panicked.
+    /// A unit of solver work was lost: an ADMM block backend failed or
+    /// short-changed a round. (Named for the multistart's start threads,
+    /// which no longer exist.)
     StartPanicked(String),
     /// Brute-force enumeration would exceed the caller's limit.
     TooLarge {

@@ -25,8 +25,10 @@
 //!   backing the hot forward/backward sweeps (no re-evaluation on the
 //!   backward pass, integer-sharpness `smax` via repeated squaring);
 //! * [`objective`] — assembles `Phi` for an (MDG, machine) pair;
-//! * [`solve`] — projected gradient with Armijo line search, sharpness
-//!   annealing, and multi-start;
+//! * [`descent`] — the one projected-gradient stage (Armijo backtracking
+//!   over K lane-major points) every descent in the tree calls;
+//! * [`solve`] — sharpness annealing and multi-start over that stage,
+//!   the dense models of both tape executors;
 //! * [`bruteforce`] — exact power-of-two enumeration oracle for small
 //!   graphs (used to validate solver quality);
 //! * [`convexity`] — numeric convexity probes used by tests/ablations;
@@ -44,6 +46,7 @@ pub mod bruteforce;
 pub mod compiled;
 pub mod convexity;
 pub mod coordinate;
+pub mod descent;
 pub mod error;
 pub mod expr;
 pub mod objective;
@@ -55,12 +58,13 @@ pub use alloc_count::{allocation_count, CountingAllocator};
 pub use bruteforce::{brute_force_pow2, BruteForceResult};
 pub use compiled::CompiledExpr;
 pub use coordinate::{allocate_coordinate, CoordinateConfig, CoordinateResult};
+pub use descent::{descend, DescentLanes, DescentModel, Stage};
 pub use error::{FallbackTier, SolverError};
 pub use expr::{Expr, Monomial};
 pub use objective::MdgObjective;
 pub use solve::{
-    allocate, allocate_resilient, descend_multi_stage, descend_stage, equal_split_allocation,
-    optimality_residual, try_allocate, AllocationResult, SolverConfig,
+    allocate, allocate_resilient, check_annealing, descend_multi_stage, descend_stage,
+    equal_split_allocation, optimality_residual, try_allocate, AllocationResult, SolverConfig,
 };
 pub use workspace::{
     BatchEvalScratch, BatchWorkspace, EvalScratch, PooledBatchWorkspace, SolverWorkspace,

@@ -365,10 +365,10 @@ impl<'g> MdgObjective<'g> {
     /// replay computes `k` objective values (`xs[j*k + l]` is variable
     /// `j` of lane `l`) and their gradients at once. `grads` is resized to `n_vars * k`
     /// (lane-major, `grads[j*k + l]`) and overwritten; allocation-free
-    /// after warm-up given a warm `scratch`. At [`Sharpness::Exact`]
-    /// each lane is routed through the scalar record + replay
-    /// (gather/scatter) so exact `max` tie-breaking stays bit-identical
-    /// to the scalar path; that leaves no lane tape to replay.
+    /// after warm-up given a warm `scratch`.
+    ///
+    /// # Panics
+    /// At [`Sharpness::Exact`], as [`MdgObjective::forward_record_batch`].
     pub fn eval_grad_batch_with(
         &self,
         xs: &[f64],
@@ -378,28 +378,8 @@ impl<'g> MdgObjective<'g> {
         grads: &mut Vec<f64>,
         parts: &mut [ObjectiveParts],
     ) {
-        if matches!(sharp, Sharpness::Smooth(_)) {
-            self.forward_record_batch(xs, k, sharp, scratch, parts);
-            self.backward_replay_batch(k, scratch, grads);
-            return;
-        }
-        let n = self.g.node_count();
-        debug_assert_eq!(xs.len(), n * k);
-        debug_assert_eq!(parts.len(), k);
-        grads.clear();
-        grads.resize(n * k, 0.0);
-        scratch.recorded = false;
-        let BatchEvalScratch { scalar, x_tmp, grad_tmp, .. } = scratch;
-        x_tmp.resize(n, 0.0);
-        for (l, p) in parts.iter_mut().enumerate() {
-            for j in 0..n {
-                x_tmp[j] = xs[j * k + l];
-            }
-            *p = self.eval_grad_with(x_tmp, sharp, scalar, grad_tmp);
-            for j in 0..n {
-                grads[j * k + l] = grad_tmp[j];
-            }
-        }
+        self.forward_record_batch(xs, k, sharp, scratch, parts);
+        self.backward_replay_batch(k, scratch, grads);
     }
 
     /// Recording forward sweep over `k` lane-major points: the lane
@@ -421,7 +401,7 @@ impl<'g> MdgObjective<'g> {
     ) {
         assert!(
             matches!(sharp, Sharpness::Smooth(_)),
-            "forward_record_batch: the lane tape is smooth-only; sweep exact points on the scalar tape"
+            "the lane tape is smooth-only; sweep exact points on the scalar tape"
         );
         let n = self.g.node_count();
         debug_assert_eq!(xs.len(), n * k);

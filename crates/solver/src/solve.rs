@@ -7,26 +7,29 @@
 //! smoothed optimum onto the exact one. Multi-start is kept as a
 //! safety net (it also randomizes tie-breaking on the max kinks).
 //!
-//! Two tape executors, picked by the call site's K: the smooth stages of
-//! the multistart (`descend_multi`, K = 6 starts by default, 4 under
-//! [`SolverConfig::fast`]) replay the lane tape of [`crate::batch`], in
-//! chunks of `BATCH_K` with scoped threads only across chunks; every
-//! K ≤ 2 caller — the per-start exact polish (`descend`), ADMM block
-//! solves, [`optimality_residual`], coordinate descent — runs the scalar
-//! tape, which is ~2× faster than the lane kernels at K = 1 (DESIGN.md
-//! §11 has the measured ratios).
+//! Every stage is a call of [`crate::descent::descend`]; this module
+//! supplies its two dense models, one per tape executor, picked by the
+//! call site's K: the smooth stages of the multistart (K = 6 starts by
+//! default, 4 under [`SolverConfig::fast`]) replay the lane tape of
+//! [`crate::batch`], in serial chunks of `BATCH_K`; every K ≤ 2 caller —
+//! the per-start exact polish, ADMM block solves, [`optimality_residual`],
+//! coordinate descent — runs the scalar tape, which is ~2× faster than
+//! the lane kernels at K = 1 (DESIGN.md §11 has the measured ratios).
 
 use crate::coordinate::{allocate_coordinate, CoordinateConfig};
+use crate::descent::{descend, DescentLanes, DescentModel, Stage};
 use crate::error::{FallbackTier, SolverError};
 use crate::expr::Sharpness;
-use crate::objective::MdgObjective;
-use crate::workspace::{self, BatchWorkspace, SolverWorkspace};
+use crate::objective::{MdgObjective, ObjectiveParts};
+use crate::workspace::{
+    self, BatchEvalScratch, BatchWorkspace, EvalScratch, SolverWorkspace, SweepCounts,
+};
 use paradigm_cost::{Allocation, Machine, MdgWeights, PhiBreakdown};
 use paradigm_mdg::Mdg;
-use paradigm_race::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use paradigm_race::time::Instant;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
+use std::cell::Cell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Duration;
 
@@ -47,8 +50,6 @@ pub struct SolverConfig {
     pub random_starts: usize,
     /// RNG seed for the random starts.
     pub seed: u64,
-    /// Run starts on scoped threads.
-    pub parallel: bool,
     /// Watchdog wall-time budget across all starts; when it expires the
     /// solver returns its best iterate so far, or
     /// [`SolverError::BudgetExceeded`] if no iteration ever ran. `None`
@@ -67,7 +68,6 @@ impl Default for SolverConfig {
             rel_tol: 1e-10,
             random_starts: 3,
             seed: 0x5eed,
-            parallel: true,
             time_limit: None,
             max_total_iters: None,
         }
@@ -105,33 +105,35 @@ pub struct AllocationResult {
 }
 
 /// Lane width of the batched multistart: starts are grouped into fixed
-/// consecutive chunks of this many lanes, each chunk descending through
-/// one shared-tape batched gradient per iteration. Eight lanes fill one
-/// AVX-512 register per kernel chunk (see [`crate::batch`]) and hold
-/// every config in the tree in one chunk: `SolverConfig::default()` runs
-/// 6 starts (3 deterministic + 3 random), `fast()` runs 4.
+/// consecutive chunks of this many lanes, run one after the other, each
+/// chunk descending through one shared-tape batched gradient per
+/// iteration. Eight lanes fill one AVX-512 register per kernel chunk
+/// (see [`crate::batch`]) and hold every config in the tree in one
+/// chunk: `SolverConfig::default()` runs 6 starts (3 deterministic + 3
+/// random), `fast()` runs 4.
 const BATCH_K: usize = 8;
 
-/// Shared watchdog budget checked by every descent iteration.
+/// Watchdog budget of one solve (all its starts run on one thread),
+/// checked by every descent iteration.
 struct Budget {
     deadline: Option<Instant>,
     max_iters: Option<usize>,
-    used: AtomicUsize,
+    used: Cell<usize>,
     /// Latch set once the deadline has been observed expired, so later
     /// checks short-circuit without touching the clock again.
-    expired: AtomicBool,
+    expired: Cell<bool>,
 }
 
 impl Budget {
     fn new(deadline: Option<Instant>, max_iters: Option<usize>) -> Self {
-        Budget { deadline, max_iters, used: AtomicUsize::new(0), expired: AtomicBool::new(false) }
+        Budget { deadline, max_iters, used: Cell::new(0), expired: Cell::new(false) }
     }
 
     fn exhausted(&self) -> bool {
-        if self.expired.load(Ordering::Relaxed) {
+        if self.expired.get() {
             return true;
         }
-        let used = self.used.load(Ordering::Relaxed);
+        let used = self.used.get();
         if let Some(d) = self.deadline {
             // `Instant::now()` is a vDSO call but still dominates a cheap
             // descent iteration when taken every time; amortize the clock
@@ -139,7 +141,7 @@ impl Budget {
             // first check, at `used == 0`, always consults the clock, so
             // an already-expired deadline is caught before any work).
             if used & 63 == 0 && Instant::now() >= d {
-                self.expired.store(true, Ordering::Relaxed);
+                self.expired.set(true);
                 return true;
             }
         }
@@ -150,6 +152,31 @@ impl Budget {
         }
         false
     }
+
+    /// The dense stages' per-iteration tick: refuse once exhausted,
+    /// otherwise charge one iteration per live lane.
+    fn charge(&self, live: usize) -> bool {
+        if self.exhausted() {
+            return false;
+        }
+        self.used.set(self.used.get() + live);
+        true
+    }
+}
+
+/// The annealing parameters every descent caller takes from outside —
+/// [`try_allocate`]'s config, an ADMM block job off the wire — checked
+/// by one rule: each smoothing sharpness finite and ≥ 1 (below 1 the
+/// p-norm is no upper bound of the max; negative, it is a soft *min*),
+/// the relative tolerance finite and ≥ 0.
+pub fn check_annealing(stages: &[f64], rel_tol: f64) -> Result<(), String> {
+    if let Some(s) = stages.iter().find(|s| !s.is_finite() || **s < 1.0) {
+        return Err(format!("sharpness {s} must be finite and >= 1"));
+    }
+    if !rel_tol.is_finite() || rel_tol < 0.0 {
+        return Err(format!("relative tolerance {rel_tol} must be finite and >= 0"));
+    }
+    Ok(())
 }
 
 /// Solve the allocation problem for `g` on `machine`.
@@ -189,19 +216,7 @@ pub fn try_allocate(
     cfg: &SolverConfig,
 ) -> Result<AllocationResult, SolverError> {
     let started = Instant::now();
-    for &s in &cfg.sharpness_schedule {
-        if !s.is_finite() || s < 1.0 {
-            return Err(SolverError::InvalidConfig(format!(
-                "sharpness {s} must be finite and >= 1"
-            )));
-        }
-    }
-    if !cfg.rel_tol.is_finite() || cfg.rel_tol < 0.0 {
-        return Err(SolverError::InvalidConfig(format!(
-            "relative tolerance {} must be finite and >= 0",
-            cfg.rel_tol
-        )));
-    }
+    check_annealing(&cfg.sharpness_schedule, cfg.rel_tol).map_err(SolverError::InvalidConfig)?;
     let obj = MdgObjective::try_new(g, machine).map_err(SolverError::BadObjective)?;
     let n = obj.num_vars();
     let ub = obj.x_upper();
@@ -224,119 +239,54 @@ pub fn try_allocate(
         s[g.stop().0] = 0.0;
     }
 
-    // Starts run through the K-wide batched descent in fixed
-    // consecutive chunks of `BATCH_K`: all smooth annealing stages of a
-    // chunk share one batched tape sweep per iteration (lane l = start
-    // `chunk_base + l`, fixed), then each lane gets its scalar
-    // exact-max polish. The lane assignment and chunk boundaries are
-    // identical in the serial and parallel paths — and lane arithmetic
-    // is lane-independent — so parallel multistart stays
-    // bitwise-identical to serial.
-    let run_chunk = |chunk: Vec<(usize, Vec<f64>)>| -> Vec<(usize, (Vec<f64>, usize))> {
-        // Pooled workspace: warm lane-major buffers across chunks and
-        // across solves (serve workers re-hit the same pool on every
-        // cache miss).
-        let mut bw = workspace::acquire();
+    // Starts descend in fixed consecutive chunks of `BATCH_K`, one chunk
+    // after the other: the smooth annealing stages of a chunk share one
+    // lane-tape sweep per probe round (lane l = start `chunk_base + l`),
+    // then each start gets its exact polish on the scalar tape. A lane's
+    // arithmetic is independent of its batch-mates, so a start's result
+    // does not depend on the chunking. The pooled workspace keeps its
+    // buffers warm across chunks and across solves (serve workers re-hit
+    // the same pool on every cache miss).
+    let mut stages = cfg.sharpness_schedule.clone();
+    stages.sort_by(f64::total_cmp);
+    let dense = DenseStages {
+        obj: &obj,
+        max_iters: cfg.max_iters_per_stage,
+        rel_tol: cfg.rel_tol,
+        budget: &budget,
+    };
+    let mut bw = workspace::acquire();
+    let mut total_iters = 0;
+    for chunk in starts.chunks_mut(BATCH_K) {
         let k = chunk.len();
-        let mut stages = cfg.sharpness_schedule.clone();
-        stages.sort_by(f64::total_cmp);
-        bw.ensure_lanes(n, k);
-        for (l, (_, x0)) in chunk.iter().enumerate() {
-            for (j, &v) in x0.iter().enumerate() {
-                bw.xs[j * k + l] = v;
-            }
+        let BatchWorkspace { scratch, inner, lanes, parts } = &mut *bw;
+        lanes.shape(n, k);
+        for (l, x0) in chunk.iter().enumerate() {
+            lanes.load(l, x0);
         }
-        let mut lane_totals = vec![0usize; k];
-        for s in stages {
-            descend_multi(
-                &obj,
-                k,
-                Sharpness::Smooth(s),
-                cfg.max_iters_per_stage,
-                cfg.rel_tol,
-                ub,
-                &budget,
-                &mut bw,
-            );
-            for (tot, &it) in lane_totals.iter_mut().zip(&bw.lane_iters) {
-                *tot += it;
-            }
+        for &s in &stages {
+            let mut smooth = LaneTape { obj: &obj, sharp: Sharpness::Smooth(s), scratch, parts };
+            total_iters += dense.run(&mut smooth, lanes);
         }
-        let mut out = Vec::with_capacity(k);
-        for (l, (i, x0)) in chunk.into_iter().enumerate() {
-            let mut x = x0;
-            for (j, v) in x.iter_mut().enumerate() {
-                *v = bw.xs[j * k + l];
-            }
-            let it = descend(
-                &obj,
-                &mut x,
-                Sharpness::Exact,
-                cfg.max_iters_per_stage,
-                cfg.rel_tol,
-                ub,
-                &budget,
-                &mut bw.inner,
-            );
-            out.push((i, (x, lane_totals[l] + it)));
+        // Every lane's smooth result leaves the lane buffers before the
+        // first polish reuses them at K = 1.
+        for (l, x) in chunk.iter_mut().enumerate() {
+            lanes.store(l, x);
         }
-        out
-    };
-
-    let total = starts.len();
-    let mut chunks: Vec<Vec<(usize, Vec<f64>)>> = Vec::with_capacity(total.div_ceil(BATCH_K));
-    for (i, x0) in starts.into_iter().enumerate() {
-        if chunks.last().is_none_or(|c| c.len() == BATCH_K) {
-            chunks.push(Vec::with_capacity(BATCH_K));
+        lanes.shape(n, 1);
+        let mut exact =
+            ScalarTape { obj: &obj, sharp: Sharpness::Exact, scratch: &mut inner.scratch };
+        for x in chunk.iter_mut() {
+            lanes.load(0, x);
+            total_iters += dense.run(&mut exact, lanes);
+            lanes.store(0, x);
         }
-        chunks.last_mut().expect("chunk pushed above").push((i, x0));
     }
-    let results: Vec<(Vec<f64>, usize)> = if cfg.parallel && chunks.len() > 1 {
-        let joined = paradigm_race::thread::scope(|scope| {
-            let handles: Vec<_> = chunks
-                .into_iter()
-                .map(|chunk| {
-                    let run_chunk = &run_chunk;
-                    scope.spawn(move || run_chunk(chunk))
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join()).collect::<Vec<_>>()
-        });
-        let mut slots: Vec<Option<(Vec<f64>, usize)>> = Vec::with_capacity(total);
-        slots.resize_with(total, || None);
-        for r in joined {
-            match r {
-                Ok(pairs) => {
-                    for (i, v) in pairs {
-                        slots[i] = Some(v);
-                    }
-                }
-                Err(panic) => {
-                    let msg = panic
-                        .downcast_ref::<String>()
-                        .map(String::as_str)
-                        .or_else(|| panic.downcast_ref::<&str>().copied())
-                        .unwrap_or("unknown panic");
-                    return Err(SolverError::StartPanicked(msg.to_string()));
-                }
-            }
-        }
-        slots.into_iter().map(|s| s.expect("every start chunk reported")).collect()
-    } else {
-        let mut out: Vec<(usize, (Vec<f64>, usize))> = Vec::with_capacity(total);
-        for chunk in chunks {
-            out.extend(run_chunk(chunk));
-        }
-        out.sort_by_key(|&(i, _)| i);
-        out.into_iter().map(|(_, v)| v).collect()
-    };
+    drop(bw);
 
     let mut best: Option<(Allocation, PhiBreakdown)> = None;
-    let mut total_iters = 0;
-    let starts_n = results.len();
-    for (x, iters) in results {
-        total_iters += iters;
-        let alloc = obj.allocation_from_x(&x);
+    for x in &starts {
+        let alloc = obj.allocation_from_x(x);
         let phi = obj.exact_phi(&alloc);
         let better = match &best {
             None => true,
@@ -359,7 +309,7 @@ pub fn try_allocate(
         alloc,
         phi,
         iterations: total_iters,
-        starts: starts_n,
+        starts: starts.len(),
         tier: FallbackTier::Primary,
     })
 }
@@ -465,241 +415,91 @@ pub fn optimality_residual(obj: &MdgObjective<'_>, x: &[f64], sharp: Sharpness) 
     best / parts.phi.abs().max(f64::MIN_POSITIVE)
 }
 
-/// One projected-gradient descent stage at fixed sharpness. Returns the
-/// iteration count. `x` is updated in place and stays inside `[0, ub]^n`.
-/// Stops early (keeping the current iterate) once `budget` is exhausted.
-///
-/// No point is swept twice: every Armijo probe is a recording sweep
-/// ([`MdgObjective::forward_record`]), so the gradient at the accepted
-/// trial is a backward replay of the tape the last probe left in `ws`.
-///
-/// Every buffer the loop touches — the gradient, the trial iterate, and
-/// the objective's sweep scratch — lives in `ws`, so after the first
-/// iteration at a given graph size the loop performs zero heap
-/// allocations (asserted by the `alloc_free` integration test).
-#[allow(clippy::too_many_arguments)]
-fn descend(
-    obj: &MdgObjective<'_>,
-    x: &mut [f64],
+/// The dense objective on the lane tape: K points per sweep, smooth
+/// sharpness only (the multistart's annealing stages).
+struct LaneTape<'a, 'g> {
+    obj: &'a MdgObjective<'g>,
     sharp: Sharpness,
-    max_iters: usize,
-    rel_tol: f64,
-    ub: f64,
-    budget: &Budget,
-    ws: &mut SolverWorkspace,
-) -> usize {
-    let n = x.len();
-    let mut step = 0.25;
-    let mut iters = 0;
-    // Disjoint borrows: the objective sweeps through `scratch` while the
-    // loop holds the gradient and trial buffers.
-    let SolverWorkspace { scratch, grad, trial, .. } = ws;
-    trial.clear();
-    trial.resize(n, 0.0);
-    scratch.counts.probes += 1;
-    let mut parts = obj.forward_record(x, sharp, scratch);
-    obj.backward_replay_phi(scratch, grad);
-    for _ in 0..max_iters {
-        if budget.exhausted() {
-            break;
-        }
-        budget.used.fetch_add(1, Ordering::Relaxed);
-        iters += 1;
-        // Projected step with backtracking.
-        let mut accepted = None;
-        for _ in 0..40 {
-            for j in 0..n {
-                trial[j] = (x[j] - step * grad[j]).clamp(0.0, ub);
-            }
-            scratch.counts.probes += 1;
-            let probe = obj.forward_record(trial, sharp, scratch);
-            // Armijo on the projected step: require a decrease
-            // proportional to g . (x - trial).
-            let decrease: f64 = grad
-                .iter()
-                .zip(x.iter().zip(trial.iter()))
-                .map(|(g, (xi, ti))| g * (xi - ti))
-                .sum();
-            if probe.phi <= parts.phi - 1e-4 * decrease && probe.phi.is_finite() {
-                accepted = Some(probe);
-                break;
-            }
-            step *= 0.5;
-            if step < 1e-14 {
-                break;
-            }
-        }
-        let Some(new_parts) = accepted else {
-            break;
-        };
-        let moved: f64 = x.iter().zip(trial.iter()).map(|(a, b)| (a - b).abs()).fold(0.0, f64::max);
-        x.copy_from_slice(trial);
-        obj.backward_replay_phi(scratch, grad);
-        let improve = parts.phi - new_parts.phi;
-        parts = new_parts;
-        step = (step * 1.8).min(4.0);
-        if improve <= rel_tol * parts.phi.abs() && moved < 1e-12 {
-            break;
-        }
-        if improve <= rel_tol * parts.phi.abs() && improve >= 0.0 && moved < 1e-9 {
-            break;
-        }
-    }
-    iters
+    scratch: &'a mut BatchEvalScratch,
+    parts: &'a mut Vec<ObjectiveParts>,
 }
 
-/// K-wide batched projected-gradient descent at fixed smooth sharpness:
-/// every lane is one independent descent trajectory, and each iteration
-/// runs up to 40 batched recording line-search probes across all
-/// still-active lanes plus one batched backward replay.
-///
-/// Per lane, the arithmetic is the scalar [`descend`] loop verbatim —
-/// same Armijo test, same step halving/growth, same stop conditions —
-/// and every lane's values depend only on its own slots, so a lane's
-/// trajectory is independent of which other starts share its batch.
-/// Converged ("finished") lanes are frozen: their iterates stop moving,
-/// and the batched sweeps simply recompute their (identical) values
-/// alongside the active lanes.
-///
-/// Expects `bw.xs` to hold the lane-major start points; leaves the
-/// final iterates there. Per-lane iteration counts land in
-/// `bw.lane_iters`; the return value is their sum (== budget charge).
-#[allow(clippy::too_many_arguments)]
-fn descend_multi(
-    obj: &MdgObjective<'_>,
-    k: usize,
+impl DescentModel for LaneTape<'_, '_> {
+    fn probe(&mut self, xs: &[f64], k: usize, f: &mut [f64]) {
+        self.parts.resize(k, ObjectiveParts { phi: 0.0, a_p: 0.0, c_p: 0.0 });
+        self.obj.forward_record_batch(xs, k, self.sharp, self.scratch, self.parts);
+        for (f, p) in f.iter_mut().zip(self.parts.iter()) {
+            *f = p.phi;
+        }
+    }
+    fn replay(&mut self, _xs: &[f64], k: usize, grads: &mut Vec<f64>) {
+        self.obj.backward_replay_batch(k, self.scratch, grads);
+    }
+    fn counts(&mut self) -> &mut SweepCounts {
+        &mut self.scratch.counts
+    }
+}
+
+/// The dense objective on the scalar tape: one point, any sharpness (the
+/// per-start exact polish, [`descend_stage`]).
+struct ScalarTape<'a, 'g> {
+    obj: &'a MdgObjective<'g>,
     sharp: Sharpness,
+    scratch: &'a mut EvalScratch,
+}
+
+impl DescentModel for ScalarTape<'_, '_> {
+    fn probe(&mut self, x: &[f64], _k: usize, f: &mut [f64]) {
+        f[0] = self.obj.forward_record(x, self.sharp, self.scratch).phi;
+    }
+    fn replay(&mut self, _x: &[f64], _k: usize, grad: &mut Vec<f64>) {
+        self.obj.backward_replay_phi(self.scratch, grad);
+    }
+    fn counts(&mut self) -> &mut SweepCounts {
+        &mut self.scratch.counts
+    }
+}
+
+/// What every dense stage shares: all variables free in `[0, ln p]^n`,
+/// 40 probes per line search, the dense stop rule, the watchdog as the
+/// tick.
+struct DenseStages<'a, 'g> {
+    obj: &'a MdgObjective<'g>,
     max_iters: usize,
     rel_tol: f64,
-    ub: f64,
-    budget: &Budget,
-    bw: &mut BatchWorkspace,
-) -> usize {
-    let n = obj.num_vars();
-    bw.ensure_lanes(n, k);
-    let BatchWorkspace {
-        scratch,
-        xs,
-        grads,
-        trials,
-        phis,
-        steps,
-        moved,
-        finished,
-        accepted,
-        lane_iters,
-        parts,
-        ..
-    } = bw;
-    let mut iters_total = 0;
-    scratch.counts.probes += k as u64;
-    obj.forward_record_batch(xs, k, sharp, scratch, parts);
-    obj.backward_replay_batch(k, scratch, grads);
-    for (p, f) in parts.iter().zip(phis.iter_mut()) {
-        *f = p.phi;
+    budget: &'a Budget,
+}
+
+impl DenseStages<'_, '_> {
+    /// One stage of `model` on the points loaded in `lanes`, from step
+    /// 0.25. Returns the iterations summed over lanes (== budget charge).
+    fn run(&self, model: &mut impl DescentModel, lanes: &mut DescentLanes) -> usize {
+        lanes.reset();
+        let stage =
+            Stage { free: None, ub: self.obj.x_upper(), max_iters: self.max_iters, max_probes: 40 };
+        let rel_tol = self.rel_tol;
+        descend(
+            model,
+            lanes,
+            &stage,
+            |improve, f, moved| {
+                improve <= rel_tol * f.abs() && (moved < 1e-12 || (improve >= 0.0 && moved < 1e-9))
+            },
+            |live| self.budget.charge(live),
+        )
     }
-    for _ in 0..max_iters {
-        if finished.iter().all(|&f| f) || budget.exhausted() {
-            break;
-        }
-        let active = finished.iter().filter(|&&f| !f).count();
-        budget.used.fetch_add(active, Ordering::Relaxed);
-        iters_total += active;
-        for (it, &f) in lane_iters.iter_mut().zip(finished.iter()) {
-            if !f {
-                *it += 1;
-            }
-        }
-        // Batched backtracking line search: each probe round recomputes
-        // the trial of every lane still searching, then one batched
-        // recording sweep scores all of them. A lane stops probing once
-        // it accepts or its step underflows (same 1e-14 floor and
-        // 40-probe cap as the scalar loop).
-        accepted[..k].copy_from_slice(&finished[..k]);
-        trials.copy_from_slice(xs);
-        for _ in 0..40 {
-            let mut any = false;
-            for l in 0..k {
-                if accepted[l] || steps[l] < 1e-14 {
-                    continue;
-                }
-                any = true;
-                for j in 0..n {
-                    trials[j * k + l] =
-                        (xs[j * k + l] - steps[l] * grads[j * k + l]).clamp(0.0, ub);
-                }
-            }
-            if !any {
-                break;
-            }
-            scratch.counts.probes += k as u64;
-            obj.forward_record_batch(trials, k, sharp, scratch, parts);
-            for l in 0..k {
-                if accepted[l] || steps[l] < 1e-14 {
-                    continue;
-                }
-                let f_new = parts[l].phi;
-                let mut decrease = 0.0;
-                for j in 0..n {
-                    decrease += grads[j * k + l] * (xs[j * k + l] - trials[j * k + l]);
-                }
-                if f_new <= phis[l] - 1e-4 * decrease && f_new.is_finite() {
-                    accepted[l] = true;
-                } else {
-                    steps[l] *= 0.5;
-                }
-            }
-        }
-        for l in 0..k {
-            if finished[l] {
-                continue;
-            }
-            if !accepted[l] {
-                finished[l] = true;
-                continue;
-            }
-            let mut mv = 0.0_f64;
-            for j in 0..n {
-                mv = mv.max((xs[j * k + l] - trials[j * k + l]).abs());
-            }
-            moved[l] = mv;
-            for j in 0..n {
-                xs[j * k + l] = trials[j * k + l];
-            }
-        }
-        if finished.iter().all(|&f| f) {
-            break;
-        }
-        // Every live lane accepted above and an accepted lane's trial is
-        // never rewritten, so the last round's tape is at each one's new
-        // iterate; frozen lanes never read their gradient again.
-        obj.backward_replay_batch(k, scratch, grads);
-        for l in 0..k {
-            if finished[l] {
-                continue;
-            }
-            let improve = phis[l] - parts[l].phi;
-            phis[l] = parts[l].phi;
-            steps[l] = (steps[l] * 1.8).min(4.0);
-            if improve <= rel_tol * phis[l].abs()
-                && (moved[l] < 1e-12 || (improve >= 0.0 && moved[l] < 1e-9))
-            {
-                finished[l] = true;
-            }
-        }
-    }
-    iters_total
 }
 
 /// Public batched single-stage descent entry point with no watchdog:
-/// gathers `points` into lane-major layout, runs [`descend_multi`] at
-/// one fixed sharpness out of the caller's batch workspace, and
-/// scatters the final iterates back. Returns the summed iteration
-/// count. At [`Sharpness::Exact`] the lane tape does not apply and each
-/// point runs the scalar [`descend`] out of `bw.inner` (per lane the
-/// same arithmetic). Used by the `bench-solve` batched cases and the
-/// batched allocation-free test; the solver proper goes through
-/// [`try_allocate`].
+/// runs one smooth stage of the lane tape on `points` (K = their count)
+/// out of the caller's workspace and writes the final iterates back.
+/// Returns the summed iteration count. Used by the `bench-solve` batched
+/// cases and the batched allocation-free test; the solver proper goes
+/// through [`try_allocate`].
+///
+/// # Panics
+/// At [`Sharpness::Exact`]: the lane tape is smooth-only, exact stages
+/// run on the scalar tape ([`descend_stage`]).
 pub fn descend_multi_stage(
     obj: &MdgObjective<'_>,
     points: &mut [Vec<f64>],
@@ -708,50 +508,46 @@ pub fn descend_multi_stage(
     rel_tol: f64,
     bw: &mut BatchWorkspace,
 ) -> usize {
-    let n = obj.num_vars();
     let k = points.len();
     if k == 0 {
         return 0;
     }
-    let budget = Budget::new(None, None);
-    let ub = obj.x_upper();
-    if matches!(sharp, Sharpness::Exact) {
-        return points
-            .iter_mut()
-            .map(|p| descend(obj, p, sharp, max_iters, rel_tol, ub, &budget, &mut bw.inner))
-            .sum();
-    }
-    bw.ensure_lanes(n, k);
+    let BatchWorkspace { scratch, lanes, parts, .. } = bw;
+    lanes.shape(obj.num_vars(), k);
     for (l, p) in points.iter().enumerate() {
-        debug_assert_eq!(p.len(), n);
-        for (j, &v) in p.iter().enumerate() {
-            bw.xs[j * k + l] = v;
-        }
+        lanes.load(l, p);
     }
-    let iters = descend_multi(obj, k, sharp, max_iters, rel_tol, ub, &budget, bw);
+    let budget = Budget::new(None, None);
+    let mut model = LaneTape { obj, sharp, scratch, parts };
+    let iters = DenseStages { obj, max_iters, rel_tol, budget: &budget }.run(&mut model, lanes);
     for (l, p) in points.iter_mut().enumerate() {
-        for (j, v) in p.iter_mut().enumerate() {
-            *v = bw.xs[j * k + l];
-        }
+        lanes.store(l, p);
     }
     iters
 }
 
-/// Public single-stage descent entry point with no watchdog: runs
-/// [`descend`] at one fixed sharpness out of the caller's workspace.
-/// Used by the `bench-solve` harness (to time the inner loop and count
-/// allocations per iteration in isolation) and by the allocation-free
-/// integration test; the solver proper goes through [`try_allocate`].
+/// Public single-stage descent entry point with no watchdog: runs one
+/// stage of the scalar tape on `x` at one fixed sharpness out of the
+/// caller's workspace. Used by the `bench-solve` harness (to time the
+/// inner loop and count allocations per iteration in isolation) and by
+/// the allocation-free integration test; the solver proper goes through
+/// [`try_allocate`].
 pub fn descend_stage(
     obj: &MdgObjective<'_>,
     x: &mut [f64],
     sharp: Sharpness,
     max_iters: usize,
     rel_tol: f64,
-    ws: &mut SolverWorkspace,
+    bw: &mut BatchWorkspace,
 ) -> usize {
+    let BatchWorkspace { inner, lanes, .. } = bw;
+    lanes.shape(obj.num_vars(), 1);
+    lanes.load(0, x);
     let budget = Budget::new(None, None);
-    descend(obj, x, sharp, max_iters, rel_tol, obj.x_upper(), &budget, ws)
+    let mut model = ScalarTape { obj, sharp, scratch: &mut inner.scratch };
+    let iters = DenseStages { obj, max_iters, rel_tol, budget: &budget }.run(&mut model, lanes);
+    lanes.store(0, x);
+    iters
 }
 
 #[cfg(test)]
@@ -848,15 +644,6 @@ mod tests {
     }
 
     #[test]
-    fn sequential_and_parallel_starts_agree() {
-        let g = complex_matmul_mdg(64, &KernelCostTable::cm5());
-        let m = Machine::cm5(16);
-        let par = allocate(&g, m, &SolverConfig { parallel: true, ..SolverConfig::default() });
-        let seq = allocate(&g, m, &SolverConfig { parallel: false, ..SolverConfig::default() });
-        assert!((par.phi.phi - seq.phi.phi).abs() <= 1e-9 * par.phi.phi);
-    }
-
-    #[test]
     fn residual_separates_solution_from_bad_points() {
         // At the solver's solution the point typically sits on the
         // A_p = C_p kink, where the *smoothed* gradient does not vanish
@@ -893,18 +680,26 @@ mod tests {
         let cfg = SolverConfig { max_total_iters: Some(5), ..SolverConfig::fast() };
         let r = try_allocate(&g, Machine::cm5(4), &cfg).unwrap();
         assert!(r.phi.phi.is_finite() && r.phi.phi > 0.0);
-        // The shared counter may overshoot by at most one per concurrent
-        // start; the point is the watchdog cut the run short.
+        // The counter is checked once per iteration and charged one per
+        // live lane, so it may overshoot by at most one per start; the
+        // point is the watchdog cut the run short.
         assert!(r.iterations <= 5 + r.starts, "{} iterations", r.iterations);
         assert_eq!(r.tier, FallbackTier::Primary);
     }
 
     #[test]
-    fn invalid_sharpness_is_a_typed_error() {
+    fn invalid_annealing_is_a_typed_error() {
         let g = example_fig1_mdg();
-        let cfg = SolverConfig { sharpness_schedule: vec![f64::NAN], ..SolverConfig::fast() };
-        let err = try_allocate(&g, Machine::cm5(4), &cfg).unwrap_err();
-        assert!(matches!(err, SolverError::InvalidConfig(_)), "{err}");
+        let bad = [
+            SolverConfig { sharpness_schedule: vec![f64::NAN], ..SolverConfig::fast() },
+            SolverConfig { sharpness_schedule: vec![8.0, 0.5], ..SolverConfig::fast() },
+            SolverConfig { sharpness_schedule: vec![-4.0], ..SolverConfig::fast() },
+            SolverConfig { rel_tol: -1.0, ..SolverConfig::fast() },
+        ];
+        for cfg in bad {
+            let err = try_allocate(&g, Machine::cm5(4), &cfg).unwrap_err();
+            assert!(matches!(err, SolverError::InvalidConfig(_)), "{err}");
+        }
     }
 
     #[test]

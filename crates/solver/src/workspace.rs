@@ -8,10 +8,10 @@
 //! holds a workspace performs any heap allocation per iteration; the
 //! `alloc_free` integration test asserts this with a counting allocator.
 //!
-//! The workspace splits into [`EvalScratch`] (the objective's sweep
-//! buffers) and the descent loop's own iterate/gradient buffers, so the
-//! loop can hand `&mut scratch` to the objective while holding mutable
-//! borrows of its gradient buffers — disjoint fields, disjoint borrows.
+//! A [`BatchWorkspace`] is three borrowable groups — the lane sweep
+//! scratch, the scalar [`SolverWorkspace`] (`.inner`) and the descent
+//! stage's [`DescentLanes`] — so a descent model can borrow a scratch
+//! while the stage holds the iterates: disjoint fields, disjoint borrows.
 //!
 //! Workspaces are checked out of one small global pool
 //! ([`acquire`]/[`PooledBatchWorkspace`]) so long-lived callers — the
@@ -19,13 +19,14 @@
 //! threads, ADMM block backends — reuse warm buffers across solves
 //! instead of re-growing them. The pool holds [`BatchWorkspace`]s;
 //! scalar callers use the embedded `.inner` [`SolverWorkspace`] (lane
-//! buffers they never size stay empty). The pool is deliberately simple:
+//! sweep buffers they never size stay empty). The pool is deliberately simple:
 //! a mutex-guarded free list capped at [`POOL_CAP`] entries; contention
 //! is one lock per *solve start*, not per iteration, so it never shows
 //! up in profiles.
 
 use crate::batch::BatchVarCache;
 use crate::compiled::VarCache;
+use crate::descent::DescentLanes;
 use crate::objective::ObjectiveParts;
 use paradigm_race::plock;
 use paradigm_race::sync::atomic::{AtomicU64, Ordering};
@@ -127,13 +128,10 @@ impl EvalScratch {
 /// Every per-node / per-edge / per-op buffer holds `k` lanes per slot
 /// (`slot * k + lane`), so the batched forward and backward sweeps in
 /// `objective` run elementwise lane kernels over contiguous rows.
-///
-/// Also embeds a scalar [`EvalScratch`] plus gather/scatter temporaries
-/// for the exact-mode (`s = ∞`) bypass, which runs each lane through the
-/// scalar sweep to keep exact `max` tie-breaking bit-identical.
+/// Smooth-only: exact points are swept on the scalar tape.
 #[derive(Debug, Default)]
 pub struct BatchEvalScratch {
-    /// Counters of the lane sweeps (the exact bypass counts on `scalar`).
+    /// Counters of the lane sweeps.
     pub counts: SweepCounts,
     /// Replay validity of the lane tapes, as [`EvalScratch`]'s.
     pub(crate) recorded: bool,
@@ -167,12 +165,6 @@ pub struct BatchEvalScratch {
     pub(crate) c_seed: Vec<f64>,
     /// Per-lane `A_p` seed weights (`w_a`).
     pub(crate) a_seed: Vec<f64>,
-    /// Scalar sweep buffers for the exact-mode per-lane bypass.
-    pub(crate) scalar: EvalScratch,
-    /// Gather buffer (`n_vars`) for one lane's point in the bypass.
-    pub(crate) x_tmp: Vec<f64>,
-    /// Scatter buffer (`n_vars`) for one lane's gradient in the bypass.
-    pub(crate) grad_tmp: Vec<f64>,
 }
 
 impl BatchEvalScratch {
@@ -205,42 +197,24 @@ impl BatchEvalScratch {
     }
 }
 
-/// Preallocated buffers for one batched solver thread: the lane-major
-/// [`BatchEvalScratch`] plus the K-wide descent loop's per-lane iterate,
-/// gradient, and line-search state, plus a scalar [`SolverWorkspace`]
-/// for the per-lane exact-polish stage and other scalar tail work.
+/// Preallocated buffers for one solver thread: the lane-major
+/// [`BatchEvalScratch`], a scalar [`SolverWorkspace`] for every K = 1
+/// caller, and the descent stage's per-lane state.
 ///
 /// Construct one directly for a dedicated thread, or [`acquire`] a
-/// pooled one; pass it by `&mut` to the batched `MdgObjective` entry
-/// points and to `descend_multi_stage`, or hand `.inner` to the scalar
-/// ones.
+/// pooled one; pass it by `&mut` to `descend_stage` /
+/// `descend_multi_stage`, hand `.scratch` to the batched `MdgObjective`
+/// entry points and `.inner` to the scalar ones.
 #[derive(Debug, Default)]
 pub struct BatchWorkspace {
     /// Batched objective sweep buffers.
     pub scratch: BatchEvalScratch,
-    /// Scalar workspace: per-lane scalar phases (exact polish,
-    /// residuals) and every scalar-only holder of a pooled workspace.
+    /// Scalar workspace: every scalar-tape holder of a pooled workspace.
     pub inner: SolverWorkspace,
-    /// Lane-major current iterates (`n_vars * k`).
-    pub(crate) xs: Vec<f64>,
-    /// Lane-major gradients at the current iterates.
-    pub(crate) grads: Vec<f64>,
-    /// Lane-major trial iterates.
-    pub(crate) trials: Vec<f64>,
-    /// Per-lane objective values at the current iterates.
-    pub(crate) phis: Vec<f64>,
-    /// Per-lane line-search step sizes.
-    pub(crate) steps: Vec<f64>,
-    /// Per-lane last accepted move magnitude (∞-norm).
-    pub(crate) moved: Vec<f64>,
-    /// Per-lane convergence flags (a finished lane is frozen).
-    pub(crate) finished: Vec<bool>,
-    /// Per-lane line-search accept flags for the current iteration.
-    pub(crate) accepted: Vec<bool>,
-    /// Per-lane iteration counts for the current stage.
-    pub(crate) lane_iters: Vec<usize>,
-    /// Per-lane objective parts at the last swept points (stage start,
-    /// then trial iterates).
+    /// The descent stage's iterates, gradients, trials, steps and flags —
+    /// the only descent buffers, at every K.
+    pub lanes: DescentLanes,
+    /// Per-lane objective parts of the lane tape's last sweep.
     pub(crate) parts: Vec<ObjectiveParts>,
 }
 
@@ -249,52 +223,20 @@ impl BatchWorkspace {
     pub fn new() -> Self {
         BatchWorkspace::default()
     }
-
-    /// Size the K-wide descent state for `n` variables and `k` lanes and
-    /// reset the per-lane loop state (step 0.25, nothing finished).
-    /// `xs` is resized but its contents are preserved, so callers may
-    /// gather points first or re-enter for a new annealing stage without
-    /// losing the iterates. Capacity is retained across calls.
-    pub(crate) fn ensure_lanes(&mut self, n: usize, k: usize) {
-        fn fit(v: &mut Vec<f64>, len: usize) {
-            v.clear();
-            v.resize(len, 0.0);
-        }
-        self.xs.resize(n * k, 0.0);
-        fit(&mut self.grads, n * k);
-        fit(&mut self.trials, n * k);
-        fit(&mut self.phis, k);
-        fit(&mut self.moved, k);
-        self.steps.clear();
-        self.steps.resize(k, 0.25);
-        self.finished.clear();
-        self.finished.resize(k, false);
-        self.accepted.clear();
-        self.accepted.resize(k, false);
-        self.lane_iters.clear();
-        self.lane_iters.resize(k, 0);
-        self.parts.clear();
-        self.parts.resize(k, ObjectiveParts { phi: 0.0, a_p: 0.0, c_p: 0.0 });
-    }
 }
 
-/// Preallocated buffers for one solver thread: the objective's
-/// [`EvalScratch`] plus the descent loop's iterate and gradient buffers.
+/// Scalar-tape buffers: the objective's [`EvalScratch`] plus the dense
+/// `∇A_p` / `∇C_p` pair of the two-seed callers.
 ///
-/// Construct one directly for a dedicated thread, or use the `.inner`
-/// of a pooled [`BatchWorkspace`]; pass it by `&mut` to the `*_with`
-/// entry points on [`crate::MdgObjective`] and to
-/// [`crate::descend_stage`].
+/// Construct one directly, or use the `.inner` of a pooled
+/// [`BatchWorkspace`]; pass `.scratch` by `&mut` to the `*_with` entry
+/// points on [`crate::MdgObjective`].
 #[derive(Debug, Default)]
 pub struct SolverWorkspace {
     /// Objective sweep buffers (public so callers holding their own
     /// gradient vectors can use the `*_with` objective entry points).
     pub scratch: EvalScratch,
-    /// Descent-loop gradient at the current iterate.
-    pub(crate) grad: Vec<f64>,
-    /// Descent-loop trial iterate.
-    pub(crate) trial: Vec<f64>,
-    /// Dense gradient of `A_p` (stationarity residual, ADMM block solves).
+    /// Dense gradient of `A_p` (stationarity residual, ADMM block model).
     pub(crate) grad_a: Vec<f64>,
     /// Dense gradient of `C_p`, same callers.
     pub(crate) grad_c: Vec<f64>,
@@ -307,12 +249,12 @@ impl SolverWorkspace {
         SolverWorkspace::default()
     }
 
-    /// Split borrow for descent loops outside this crate (ADMM block
-    /// solves): the sweep scratch plus the buffers `[grad, trial,
-    /// grad_a, grad_c]`, which keep their capacity across calls.
-    pub fn split(&mut self) -> (&mut EvalScratch, [&mut Vec<f64>; 4]) {
-        let SolverWorkspace { scratch, grad, trial, grad_a, grad_c } = self;
-        (scratch, [grad, trial, grad_a, grad_c])
+    /// Split borrow for descent models outside this crate (the ADMM
+    /// block model): the sweep scratch plus the `[grad_a, grad_c]` pair,
+    /// which keep their capacity across calls.
+    pub fn split(&mut self) -> (&mut EvalScratch, [&mut Vec<f64>; 2]) {
+        let SolverWorkspace { scratch, grad_a, grad_c } = self;
+        (scratch, [grad_a, grad_c])
     }
 }
 
@@ -384,7 +326,7 @@ pub fn acquire() -> PooledBatchWorkspace {
 pub fn pool_sweep_counts() -> SweepCounts {
     let mut total = SweepCounts::default();
     for ws in plock(&POOL).iter() {
-        for c in [ws.scratch.counts, ws.scratch.scalar.counts, ws.inner.scratch.counts] {
+        for c in [ws.scratch.counts, ws.inner.scratch.counts] {
             total.forward_sweeps += c.forward_sweeps;
             total.backward_sweeps += c.backward_sweeps;
             total.probes += c.probes;
@@ -426,11 +368,8 @@ mod tests {
             assert_eq!(ws.inner.scratch.y.len(), 8);
             assert_eq!(ws.inner.scratch.tape_w.len(), 12);
             ws.scratch.ensure(8, 12, 4);
-            ws.ensure_lanes(8, 4);
             assert_eq!(ws.scratch.y.len(), 32);
             assert_eq!(ws.scratch.tape_w.len(), 48);
-            assert_eq!(ws.xs.len(), 32);
-            assert!(ws.steps.iter().all(|&s| s == 0.25));
         }
         // The released workspace (or another thread's) comes back warm.
         let ws = acquire();
@@ -438,19 +377,6 @@ mod tests {
         assert!(a1 >= a0 + 2);
         assert!(r1 >= 1, "second acquire should reuse a released workspace");
         drop(ws);
-    }
-
-    #[test]
-    fn ensure_lanes_preserves_iterates() {
-        let mut ws = BatchWorkspace::new();
-        ws.ensure_lanes(3, 2);
-        ws.xs[5] = 7.5;
-        ws.finished[1] = true;
-        ws.steps[0] = 1e-10;
-        ws.ensure_lanes(3, 2);
-        assert_eq!(ws.xs[5], 7.5, "iterates survive a stage re-entry");
-        assert!(!ws.finished[1], "loop state resets per stage");
-        assert_eq!(ws.steps[0], 0.25);
     }
 
     #[test]

@@ -187,20 +187,31 @@ proptest! {
         // scalar adjoint AND the independently derived forward-mode
         // reference to 1e-9 relative, for every batch width (including
         // widths that exercise the chunked-kernel scalar tail) and at
-        // every sharpness tier. At Exact the batched entry point routes
-        // through the scalar path, so agreement there is bitwise.
+        // every smooth sharpness tier. The lane tape is smooth-only: at
+        // Exact the same points go through the scalar entry point, so
+        // that row pins the scalar adjoint against the forward reference.
         let g = random_layered_mdg(&cfg, seed);
         let obj = MdgObjective::new(&g, Machine::cm5(16));
         let n = g.node_count();
         let ub = obj.x_upper();
         let mut bw = BatchWorkspace::new();
-        let mut grads = Vec::new();
+        let (mut grads, mut grad) = (Vec::new(), Vec::new());
         for k in [1usize, 2, 3, 4, 8, 17] {
             let points = lane_points(n, k, ub);
             let xs = lane_major(&points, n);
             let mut parts = vec![ObjectiveParts { phi: 0.0, a_p: 0.0, c_p: 0.0 }; k];
             for sharp in [Sharpness::Smooth(8.0), Sharpness::Smooth(256.0), Sharpness::Exact] {
-                obj.eval_grad_batch_with(&xs, k, sharp, &mut bw.scratch, &mut grads, &mut parts);
+                if matches!(sharp, Sharpness::Smooth(_)) {
+                    obj.eval_grad_batch_with(&xs, k, sharp, &mut bw.scratch, &mut grads, &mut parts);
+                } else {
+                    grads.resize(n * k, 0.0);
+                    for (l, x) in points.iter().enumerate() {
+                        parts[l] = obj.eval_grad_with(x, sharp, &mut bw.inner.scratch, &mut grad);
+                        for j in 0..n {
+                            grads[j * k + l] = grad[j];
+                        }
+                    }
+                }
                 for (l, x) in points.iter().enumerate() {
                     let (p_s, g_s) = obj.eval_grad(x, sharp);
                     let (p_f, g_f) = obj.eval_grad_forward(x, sharp);
@@ -314,7 +325,11 @@ proptest! {
             prop_assert_eq!(ws.scratch.counts.backward_sweeps, 3);
 
             // One warm lane scratch across every K: a width change must
-            // not leak lanes either.
+            // not leak lanes either. (Smooth only: exact points belong
+            // to the scalar tape, covered above.)
+            if matches!(sharp, Sharpness::Exact) {
+                continue;
+            }
             let mut bw = BatchWorkspace::new();
             for k in [1usize, 4, 6, 8] {
                 let zero = ObjectiveParts { phi: 0.0, a_p: 0.0, c_p: 0.0 };
@@ -325,19 +340,6 @@ proptest! {
                     .collect();
                 seq[2][0] = seq[1][0].clone();
                 let accepted = lane_major(&seq[2], n);
-                if matches!(sharp, Sharpness::Exact) {
-                    // No lane tape at Exact: the batched gradient is the
-                    // scalar record + replay, lane by lane.
-                    obj.eval_grad_batch_with(&accepted, k, sharp, &mut bw.scratch, &mut grads, &mut parts);
-                    for (l, x) in seq[2].iter().enumerate() {
-                        let p = obj.forward_record(x, sharp, &mut ws.scratch);
-                        obj.backward_replay_phi(&mut ws.scratch, &mut grad);
-                        prop_assert_eq!(part_bits(&parts[l]), part_bits(&p));
-                        let lane: Vec<f64> = (0..n).map(|j| grads[j * k + l]).collect();
-                        prop_assert_eq!(bits(&lane), bits(&grad), "k={} lane {}", k, l);
-                    }
-                    continue;
-                }
                 for points in &seq {
                     obj.forward_record_batch(&lane_major(points, n), k, sharp, &mut bw.scratch, &mut parts);
                 }
@@ -461,6 +463,24 @@ fn replay_after_a_value_only_sweep_panics() {
     obj.backward_replay_phi(&mut scratch, &mut grad); // fine: the tape is current
     obj.eval_with(&x, Sharpness::Smooth(8.0), &mut scratch);
     obj.backward_replay_phi(&mut scratch, &mut grad);
+}
+
+/// The lane tape is smooth-only: the batched entry points refuse an
+/// exact point, with one message, instead of sweeping it some other way.
+#[test]
+#[should_panic(expected = "the lane tape is smooth-only; sweep exact points on the scalar tape")]
+fn lane_tape_refuses_exact_points() {
+    let g = paradigm_mdg::example_fig1_mdg();
+    let obj = MdgObjective::new(&g, Machine::cm5(4));
+    let mut parts = vec![ObjectiveParts { phi: 0.0, a_p: 0.0, c_p: 0.0 }; 2];
+    obj.eval_grad_batch_with(
+        &vec![0.5; 2 * g.node_count()],
+        2,
+        Sharpness::Exact,
+        &mut BatchWorkspace::new().scratch,
+        &mut Vec::new(),
+        &mut parts,
+    );
 }
 
 /// Same contract on the lane tape: a replay at a width the last

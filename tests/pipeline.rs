@@ -138,3 +138,83 @@ fn fig1_example_full_pipeline_exact() {
     let (spmd, _) = spmd_schedule(&g, Machine::cm5(4));
     assert!((spmd.makespan - 15.6).abs() < 1e-9);
 }
+
+/// Golden pins of the whole pipeline, the tier-1 reach of
+/// `crates/{solver,admm}/tests/golden.rs` (which `cargo test -q` at the
+/// root does not run): `try_solve_pipeline` under the serving defaults on
+/// the three paper graphs, and on one `spec.admm` graph cut into two
+/// blocks so that consensus rounds, block solves and the coordinator
+/// polish all run. A descent stage that bends a trajectory moves a
+/// `Phi` bit, a `T_psa` bit or an iteration count here. Values captured
+/// at commit 0aac2f8 (x86-64 Linux, glibc libm); a platform whose
+/// `exp`/`ln` round differently may legitimately move the bits —
+/// re-capture there rather than loosening the comparison.
+#[test]
+fn pipeline_outputs_are_pinned_to_the_bit() {
+    use paradigm_core::{
+        try_compile, try_solve_pipeline, try_solve_pipeline_with_backend, SolveSpec,
+    };
+    let table = KernelCostTable::cm5();
+    // (label, graph, procs, Phi bits, T_psa bits, dense solver iterations).
+    let dense: [(&str, Mdg, u32, u64, u64, usize); 3] = [
+        ("fig1@4", example_fig1_mdg(), 4, 0x402c_7a91_0b4a_28a6, 0x402c_9999_9999_999a, 750),
+        (
+            "cmm@16",
+            complex_matmul_mdg(64, &table),
+            16,
+            0x3fc0_aeec_7496_b90f,
+            0x3fc1_177a_25e7_147f,
+            1245,
+        ),
+        (
+            "strassen@64",
+            strassen_mdg(128, &table),
+            64,
+            0x3fb9_c3b4_9337_7135,
+            0x3fbe_2e12_3c26_21ac,
+            1292,
+        ),
+    ];
+    for (label, g, procs, phi_bits, t_psa_bits, iterations) in &dense {
+        let machine = Machine::cm5(*procs);
+        let out = try_solve_pipeline(g, &SolveSpec::new(machine)).expect("paper graph solves");
+        // `SolveOutput` does not carry the iteration count; the compile
+        // entry point under the same (fast) solver settings does.
+        let c = try_compile(g, machine, &CompileConfig::fast()).expect("paper graph compiles");
+        assert_eq!(c.phi.phi.to_bits(), out.phi.to_bits(), "{label}: compile vs pipeline Phi");
+        assert_eq!(
+            (out.phi.to_bits(), out.t_psa.to_bits(), c.solve.iterations),
+            (*phi_bits, *t_psa_bits, *iterations),
+            "{label}: Phi = {} (0x{:016x}), T_psa = {} (0x{:016x}), {} iterations",
+            out.phi,
+            out.phi.to_bits(),
+            out.t_psa,
+            out.t_psa.to_bits(),
+            c.solve.iterations
+        );
+    }
+
+    // The graph is too small for the default partition to cut (one
+    // block, one round), so the block count is forced — through the entry
+    // point `try_solve_pipeline` is the default-argument form of.
+    let g = paradigm_mdg::fork_join_mdg(4, 8, 3);
+    let spec = SolveSpec { admm: true, ..SolveSpec::new(Machine::cm5(32)) };
+    let cfg = paradigm_admm::AdmmConfig::with_blocks(&g, 2);
+    let mut backend = paradigm_admm::InProcessBackend { threads: 1 };
+    let out = try_solve_pipeline_with_backend(&g, &spec, &cfg, &mut backend).expect("admm solves");
+    let a = out.admm.as_ref().expect("spec.admm routes through the ADMM tier");
+    assert_eq!(
+        (out.phi.to_bits(), out.t_psa.to_bits(), a.outer_iters, a.inner_iters, a.polish_iters),
+        (0x3fef_3b85_68b5_35cb, 0x3ff8_fa40_791c_2350, 75, 6774, 132),
+        "fork-join admm@32: Phi = {} (0x{:016x}), T_psa = {} (0x{:016x}), {} blocks, \
+         {} rounds / {} inner / {} polish",
+        out.phi,
+        out.phi.to_bits(),
+        out.t_psa,
+        out.t_psa.to_bits(),
+        a.blocks,
+        a.outer_iters,
+        a.inner_iters,
+        a.polish_iters
+    );
+}
