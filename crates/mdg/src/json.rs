@@ -19,7 +19,7 @@
 //! (last occurrence wins via [`Json::get`]'s first-match — callers in
 //! this workspace never emit duplicates).
 
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// A JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -113,14 +113,7 @@ impl Json {
             Json::Null => out.push_str("null"),
             Json::Bool(true) => out.push_str("true"),
             Json::Bool(false) => out.push_str("false"),
-            Json::Num(v) => {
-                if v.is_finite() {
-                    // `{}` on f64 prints the shortest round-trip form.
-                    out.push_str(&format!("{v}"));
-                } else {
-                    out.push_str("null");
-                }
-            }
+            Json::Num(v) => num_into(*v, out),
             Json::Str(s) => escape_into(s, out),
             Json::Arr(items) => {
                 out.push('[');
@@ -148,7 +141,19 @@ impl Json {
     }
 }
 
-fn escape_into(s: &str, out: &mut String) {
+/// Append `v` as the writer prints a [`Json::Num`], for callers that
+/// write a document straight into its buffer.
+pub fn num_into(v: f64, out: &mut String) {
+    if v.is_finite() {
+        // `{}` on f64 prints the shortest round-trip form.
+        let _ = write!(out, "{v}");
+    } else {
+        out.push_str("null");
+    }
+}
+
+/// Append `s` as a quoted JSON string, likewise.
+pub fn escape_into(s: &str, out: &mut String) {
     out.push('"');
     for c in s.chars() {
         match c {
@@ -185,28 +190,32 @@ impl std::error::Error for JsonError {}
 
 /// Parse one JSON document; trailing non-whitespace is an error.
 pub fn parse(text: &str) -> Result<Json, JsonError> {
-    let mut p = Parser { bytes: text.as_bytes(), pos: 0 };
+    let mut p = Parser { text, pos: 0 };
     p.skip_ws();
     let v = p.value()?;
     p.skip_ws();
-    if p.pos != p.bytes.len() {
+    if p.pos != p.text.len() {
         return Err(p.err("trailing characters after document"));
     }
     Ok(v)
 }
 
 struct Parser<'a> {
-    bytes: &'a [u8],
+    text: &'a str,
     pos: usize,
 }
 
 impl Parser<'_> {
+    fn bytes(&self) -> &[u8] {
+        self.text.as_bytes()
+    }
+
     fn err(&self, message: impl Into<String>) -> JsonError {
         JsonError { offset: self.pos, message: message.into() }
     }
 
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.bytes().get(self.pos).copied()
     }
 
     fn skip_ws(&mut self) {
@@ -225,7 +234,7 @@ impl Parser<'_> {
     }
 
     fn literal(&mut self, word: &str, value: Json) -> Result<Json, JsonError> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
+        if self.bytes()[self.pos..].starts_with(word.as_bytes()) {
             self.pos += word.len();
             Ok(value)
         } else {
@@ -302,50 +311,43 @@ impl Parser<'_> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
-            match self.peek() {
-                None => return Err(self.err("unterminated string")),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'b') => out.push('\u{08}'),
-                        Some(b'f') => out.push('\u{0c}'),
-                        Some(b'u') => {
-                            if self.pos + 5 > self.bytes.len() {
-                                return Err(self.err("truncated \\u escape"));
-                            }
-                            let hex = std::str::from_utf8(&self.bytes[self.pos + 1..self.pos + 5])
-                                .map_err(|_| self.err("non-ascii \\u escape"))?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| self.err("bad hex in \\u escape"))?;
-                            // Surrogates are not paired (the protocol is
-                            // ASCII-heavy); map them to the replacement char.
-                            out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                            self.pos += 4;
-                        }
-                        _ => return Err(self.err("bad escape sequence")),
-                    }
-                    self.pos += 1;
-                }
-                Some(_) => {
-                    // Consume one UTF-8 character (input is &str, so
-                    // boundaries are valid).
-                    let rest = &self.bytes[self.pos..];
-                    let s = unsafe { std::str::from_utf8_unchecked(rest) };
-                    let c = s.chars().next().expect("non-empty");
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
+            // Copy the run up to the next quote or backslash in one
+            // piece; both are ASCII, so the cut is a char boundary.
+            let rest = &self.text[self.pos..];
+            let Some(run) = rest.bytes().position(|b| b == b'"' || b == b'\\') else {
+                self.pos = self.text.len();
+                return Err(self.err("unterminated string"));
+            };
+            out.push_str(&rest[..run]);
+            self.pos += run + 1;
+            if rest.as_bytes()[run] == b'"' {
+                return Ok(out);
             }
+            match self.peek() {
+                Some(b'"') => out.push('"'),
+                Some(b'\\') => out.push('\\'),
+                Some(b'/') => out.push('/'),
+                Some(b'n') => out.push('\n'),
+                Some(b'r') => out.push('\r'),
+                Some(b't') => out.push('\t'),
+                Some(b'b') => out.push('\u{08}'),
+                Some(b'f') => out.push('\u{0c}'),
+                Some(b'u') => {
+                    if self.pos + 5 > self.text.len() {
+                        return Err(self.err("truncated \\u escape"));
+                    }
+                    let hex = std::str::from_utf8(&self.bytes()[self.pos + 1..self.pos + 5])
+                        .map_err(|_| self.err("non-ascii \\u escape"))?;
+                    let code = u32::from_str_radix(hex, 16)
+                        .map_err(|_| self.err("bad hex in \\u escape"))?;
+                    // Surrogates are not paired (the protocol is
+                    // ASCII-heavy); map them to the replacement char.
+                    out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
+                    self.pos += 4;
+                }
+                _ => return Err(self.err("bad escape sequence")),
+            }
+            self.pos += 1;
         }
     }
 
@@ -357,7 +359,7 @@ impl Parser<'_> {
         while matches!(self.peek(), Some(b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')) {
             self.pos += 1;
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii");
+        let text = std::str::from_utf8(&self.bytes()[start..self.pos]).expect("ascii");
         text.parse::<f64>()
             .map(Json::Num)
             .map_err(|_| JsonError { offset: start, message: format!("bad number `{text}`") })
@@ -367,6 +369,8 @@ impl Parser<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::{RngExt, SeedableRng};
 
     fn roundtrip(v: &Json) -> Json {
         parse(&v.render()).expect("rendered JSON must reparse")
@@ -451,6 +455,70 @@ mod tests {
         assert!(parse("01x").is_err());
         let e = parse("[tru]").unwrap_err();
         assert!(e.message.contains("true"), "{e}");
+    }
+
+    /// A char-at-a-time decoder of one string literal (opening quote
+    /// to closing quote), written apart from `Parser::string` to check
+    /// it; `None` where the literal is malformed or cut short.
+    fn decode_reference(literal: &str) -> Option<String> {
+        let mut chars = literal.strip_prefix('"')?.chars();
+        let mut out = String::new();
+        loop {
+            match chars.next()? {
+                '"' => return chars.next().is_none().then_some(out),
+                '\\' => out.push(match chars.next()? {
+                    '"' => '"',
+                    '\\' => '\\',
+                    '/' => '/',
+                    'n' => '\n',
+                    'r' => '\r',
+                    't' => '\t',
+                    'b' => '\u{08}',
+                    'f' => '\u{0c}',
+                    'u' => {
+                        let hex: String = chars.by_ref().take(4).collect();
+                        if hex.len() != 4 || !hex.bytes().all(|b| b.is_ascii_hexdigit()) {
+                            return None;
+                        }
+                        char::from_u32(u32::from_str_radix(&hex, 16).ok()?).unwrap_or('\u{fffd}')
+                    }
+                    _ => return None,
+                }),
+                c => out.push(c),
+            }
+        }
+    }
+
+    #[test]
+    fn string_decoding_matches_a_char_at_a_time_reference() {
+        // Every escape, `\uXXXX` (ASCII, BMP, a lone surrogate, upper-
+        // and lower-case hex), multi-byte runs, raw control characters,
+        // and bad escapes.
+        let pieces = [
+            "plain", "", " ", "Φλ→", "𝛼𝛽", "\t", "\\\"", "\\\\", "\\/", "\\n", "\\r", "\\t", "\\b",
+            "\\f", "\\u0041", "\\u03a6", "\\u03A6", "\\ud800", "\\u0000", "\\x", "\\u12",
+            "\\u12g4", "\\uΦ1", "\\Φ", "/", "#",
+        ];
+        let mut rng = StdRng::seed_from_u64(1994);
+        let mut checked = 0;
+        for len in 0..160 {
+            let body: String =
+                (0..len % 9).map(|_| pieces[rng.random_range(0..pieces.len())]).collect();
+            let literal = format!("\"{body}\"");
+            // The whole literal and every truncated tail of it.
+            for cut in (0..=literal.len()).filter(|&i| literal.is_char_boundary(i)) {
+                let text = &literal[..cut];
+                let want = decode_reference(text);
+                let got = parse(text).ok().and_then(|v| v.as_str().map(str::to_string));
+                assert_eq!(got, want, "{text:?}");
+                checked += 1;
+            }
+        }
+        assert!(checked > 2_000, "{checked}");
+        // The writer's output decodes to what went in.
+        for s in ["", "a\"b\\c/d", "\u{1}\u{8}\u{c}\n\r\t\u{1f}", "Φ \u{fffd} 𝛼", "tail\\"] {
+            assert_eq!(parse(&Json::str(s).render()).unwrap().as_str(), Some(s));
+        }
     }
 
     #[test]

@@ -15,9 +15,14 @@
 //! Node ids are dense 0-based *compute node* indices (START/STOP are
 //! implicit and re-created on load). `class` is optional; without it the
 //! node is synthetic.
+//!
+//! A `#` starts a comment unless it sits inside double quotes, where it
+//! is part of the name. Quoted strings have no escape syntax: a name
+//! holding `"` or a line break cannot be written in this format.
 
 use crate::graph::{Mdg, MdgBuilder, NodeId};
 use crate::node::{AmdahlParams, ArrayTransfer, LoopClass, LoopMeta, NodeKind, TransferKind};
+use std::borrow::Cow;
 use std::fmt::Write as _;
 
 /// A parse failure with its 1-based line number.
@@ -102,49 +107,46 @@ pub fn to_text(g: &Mdg) -> String {
 
 /// Parse the text format back into an MDG.
 pub fn from_text(text: &str) -> Result<Mdg, ParseError> {
-    let mut name: Option<String> = None;
     let mut builder: Option<MdgBuilder> = None;
     let mut nodes: Vec<NodeId> = Vec::new();
-    for (ln, raw) in text.lines().enumerate() {
+    // One token vector for the whole file; tokens borrow from `text`.
+    let mut tokens: Vec<Cow<'_, str>> = Vec::new();
+    for (ln, line) in text.lines().enumerate() {
         let lineno = ln + 1;
-        let line = raw.split('#').next().unwrap_or("").trim();
-        if line.is_empty() {
-            continue;
-        }
-        let mut tokens = tokenize(line, lineno)?;
-        let head = tokens.remove(0);
-        match head.as_str() {
+        tokenize(line, lineno, &mut tokens)?;
+        let Some((head, args)) = tokens.split_first() else {
+            continue; // blank or comment-only line
+        };
+        match head.as_ref() {
             "mdg" => {
-                if name.is_some() {
+                if builder.is_some() {
                     return Err(err(lineno, "duplicate `mdg` header"));
                 }
-                if tokens.len() != 1 {
+                let [name] = args else {
                     return Err(err(lineno, "usage: mdg <name>"));
-                }
-                name = Some(tokens.remove(0));
-                builder = Some(MdgBuilder::new(name.clone().expect("just set")));
+                };
+                builder = Some(MdgBuilder::new(name.to_string()));
             }
             "node" => {
                 let b = builder.as_mut().ok_or(err(lineno, "`node` before `mdg` header"))?;
-                if tokens.len() < 4 {
+                if args.len() < 4 {
                     return Err(err(lineno, "usage: node <id> <name> alpha=A tau=T [class=..]"));
                 }
-                let id: usize = tokens[0]
+                let id: usize = args[0]
                     .parse()
-                    .map_err(|_| err(lineno, format!("bad node id `{}`", tokens[0])))?;
+                    .map_err(|_| err(lineno, format!("bad node id `{}`", args[0])))?;
                 if id != nodes.len() {
                     return Err(err(
                         lineno,
                         format!("node ids must be dense; expected {}, got {id}", nodes.len()),
                     ));
                 }
-                let node_name = tokens[1].clone();
                 let mut alpha = None;
                 let mut tau = None;
                 let mut class: Option<LoopClass> = None;
                 let mut rows = 0usize;
                 let mut cols = 0usize;
-                for t in &tokens[2..] {
+                for t in &args[2..] {
                     let (k, v) = t
                         .split_once('=')
                         .ok_or(err(lineno, format!("expected key=value, got `{t}`")))?;
@@ -178,28 +180,28 @@ pub fn from_text(text: &str) -> Result<Mdg, ParseError> {
                     Some(c) => LoopMeta { class: c, rows, cols },
                     None => LoopMeta::synthetic(),
                 };
+                let node_name = args[1].to_string();
                 nodes.push(b.compute_with_meta(node_name, AmdahlParams::new(alpha, tau), meta));
             }
             "edge" => {
                 let b = builder.as_mut().ok_or(err(lineno, "`edge` before `mdg` header"))?;
-                if tokens.len() < 2 {
+                if args.len() < 2 {
                     return Err(err(lineno, "usage: edge <src> <dst> [xfer <bytes> 1d|2d]*"));
                 }
-                let src: usize =
-                    tokens[0].parse().map_err(|_| err(lineno, "bad edge source id"))?;
+                let src: usize = args[0].parse().map_err(|_| err(lineno, "bad edge source id"))?;
                 let dst: usize =
-                    tokens[1].parse().map_err(|_| err(lineno, "bad edge destination id"))?;
+                    args[1].parse().map_err(|_| err(lineno, "bad edge destination id"))?;
                 let su = *nodes.get(src).ok_or(err(lineno, format!("unknown node {src}")))?;
                 let sv = *nodes.get(dst).ok_or(err(lineno, format!("unknown node {dst}")))?;
                 let mut transfers = Vec::new();
-                let mut rest = &tokens[2..];
+                let mut rest = &args[2..];
                 while !rest.is_empty() {
                     if rest[0] != "xfer" || rest.len() < 3 {
                         return Err(err(lineno, "expected: xfer <bytes> 1d|2d"));
                     }
                     let bytes: u64 =
                         rest[1].parse().map_err(|_| err(lineno, "bad transfer size"))?;
-                    let kind = match rest[2].as_str() {
+                    let kind = match rest[2].as_ref() {
                         "1d" => TransferKind::OneD,
                         "2d" => TransferKind::TwoD,
                         other => return Err(err(lineno, format!("unknown kind `{other}`"))),
@@ -216,36 +218,43 @@ pub fn from_text(text: &str) -> Result<Mdg, ParseError> {
     b.finish().map_err(|e| err(0, format!("graph construction failed: {e}")))
 }
 
-/// Split on whitespace honouring double-quoted strings.
-fn tokenize(line: &str, lineno: usize) -> Result<Vec<String>, ParseError> {
-    let mut out = Vec::new();
-    let mut cur = String::new();
-    let mut in_quote = false;
-    for c in line.chars() {
-        match (c, in_quote) {
-            ('"', false) => in_quote = true,
-            ('"', true) => {
-                in_quote = false;
-                out.push(std::mem::take(&mut cur));
-            }
-            (c, false) if c.is_whitespace() => {
-                if !cur.is_empty() {
-                    out.push(std::mem::take(&mut cur));
-                }
-            }
-            (c, _) => cur.push(c),
+/// Split one line into `out` (cleared first) on whitespace, honouring
+/// double-quoted strings; an unquoted `#` starts a comment that runs to
+/// the end of the line, a `#` inside quotes is part of the token. There
+/// is no escape syntax, so a token can hold neither `"` nor a newline.
+///
+/// Tokens are slices of `line`. The one shape that is not a slice — a
+/// quote opening right after bare characters, `class="my loop"` — is
+/// joined into an owned `class=my loop`, as this format always read it.
+fn tokenize<'a>(
+    line: &'a str,
+    lineno: usize,
+    out: &mut Vec<Cow<'a, str>>,
+) -> Result<(), ParseError> {
+    out.clear();
+    let mut rest = line;
+    loop {
+        rest = rest.trim_start();
+        if rest.is_empty() || rest.starts_with('#') {
+            return Ok(());
         }
+        let bare_len =
+            rest.find(|c: char| c.is_whitespace() || c == '"' || c == '#').unwrap_or(rest.len());
+        let (bare, after) = rest.split_at(bare_len);
+        let Some(quoted) = after.strip_prefix('"') else {
+            out.push(Cow::Borrowed(bare));
+            rest = after;
+            continue;
+        };
+        let close = quoted.find('"').ok_or(err(lineno, "unterminated string"))?;
+        let body = &quoted[..close];
+        out.push(if bare.is_empty() {
+            Cow::Borrowed(body)
+        } else {
+            Cow::Owned([bare, body].concat())
+        });
+        rest = &quoted[close + 1..];
     }
-    if in_quote {
-        return Err(err(lineno, "unterminated string"));
-    }
-    if !cur.is_empty() {
-        out.push(cur);
-    }
-    if out.is_empty() {
-        return Err(err(lineno, "empty line after comment stripping"));
-    }
-    Ok(out)
 }
 
 #[cfg(test)]
@@ -254,6 +263,8 @@ mod tests {
     use crate::builders::{complex_matmul_mdg, strassen_mdg, KernelCostTable};
     use crate::random::{random_layered_mdg, RandomMdgConfig};
     use crate::validate::assert_invariants;
+    use rand::rngs::StdRng;
+    use rand::{RngExt, SeedableRng};
 
     fn roundtrip(g: &Mdg) -> Mdg {
         let text = to_text(g);
@@ -363,5 +374,128 @@ edge 0 1 xfer 32768 1d xfer 4096 2d
     fn unterminated_string_rejected() {
         let text = "mdg t\nnode 0 \"oops alpha=0 tau=1\n";
         assert!(from_text(text).is_err());
+    }
+
+    #[test]
+    fn hostile_node_names_roundtrip() {
+        // Everything a quoted token can hold: `"` and line breaks are the
+        // two things the format cannot represent (module docs).
+        let alphabet = ['#', '=', '\t', ' ', '\\', 'a', 'Φ', '→', '𝛼', '\u{a0}', '\'', '0'];
+        let mut names = vec![
+            "phase #2".to_string(),
+            "#".into(),
+            "a=b".into(),
+            " lead and trail ".into(),
+            String::new(),
+        ];
+        let mut rng = StdRng::seed_from_u64(1994);
+        for len in 1..=24 {
+            names.push((0..len).map(|_| alphabet[rng.random_range(0..alphabet.len())]).collect());
+        }
+        let mut b = MdgBuilder::new("hostile");
+        let ids: Vec<NodeId> =
+            names.iter().map(|n| b.compute(n.clone(), AmdahlParams::new(0.1, 1.0))).collect();
+        for w in ids.windows(2) {
+            b.edge(w[0], w[1], vec![ArrayTransfer::new(64, TransferKind::OneD)]);
+        }
+        let g = b.finish().unwrap();
+        let back = roundtrip(&g);
+        assert_same(&g, &back);
+        // A comment after the closing quote is still a comment.
+        let g = from_text("mdg t\nnode 0 \"a # b\" alpha=0 tau=1 # trailing \" quote\n").unwrap();
+        assert!(g.nodes().any(|(_, n)| n.name == "a # b"));
+    }
+
+    /// The tokenizer this module had before tokens borrowed from the
+    /// line, kept as the oracle for `tokenizer_matches_the_owned_reference`.
+    /// `from_text` cut the line at the first `#` before calling it.
+    fn tokenize_owned(raw: &str, lineno: usize) -> Result<Vec<String>, ParseError> {
+        let line = raw.split('#').next().unwrap_or("").trim();
+        let mut out = Vec::new();
+        let mut cur = String::new();
+        let mut in_quote = false;
+        for c in line.chars() {
+            match (c, in_quote) {
+                ('"', false) => in_quote = true,
+                ('"', true) => {
+                    in_quote = false;
+                    out.push(std::mem::take(&mut cur));
+                }
+                (c, false) if c.is_whitespace() => {
+                    if !cur.is_empty() {
+                        out.push(std::mem::take(&mut cur));
+                    }
+                }
+                (c, _) => cur.push(c),
+            }
+        }
+        if in_quote {
+            return Err(err(lineno, "unterminated string"));
+        }
+        if !cur.is_empty() {
+            out.push(cur);
+        }
+        Ok(out)
+    }
+
+    #[test]
+    fn tokenizer_matches_the_owned_reference() {
+        let t = KernelCostTable::cm5();
+        let gallery = [
+            crate::builders::example_fig1_mdg(),
+            complex_matmul_mdg(64, &t),
+            strassen_mdg(128, &t),
+            crate::gallery::fft_2d_mdg(64, 4, &t),
+            crate::gallery::block_lu_mdg(4, 32, &t),
+            crate::gallery::stencil_mdg(64, 2, 3, &t),
+            random_layered_mdg(&RandomMdgConfig::default(), 3),
+        ];
+        let mut corpus: Vec<String> = gallery.iter().map(to_text).collect();
+        // Truncation at every byte of the two paper graphs.
+        for text in [corpus[0].clone(), corpus[1].clone()] {
+            corpus.extend(
+                (0..text.len())
+                    .filter(|&i| text.is_char_boundary(i))
+                    .map(|i| text[..i].to_string()),
+            );
+        }
+        corpus.push(corpus[0].replace('\n', "\r\n"));
+        corpus.push(
+            [
+                "mdg m # header",
+                "a\"b c\"d",
+                "\"a\"\"b\"c \"\" x\"\"",
+                "node 0 \"n\" alpha= tau=",
+                "node 0 n alpha=\"0.5\" tau=1 class=\"my loop\" rows=1 cols=1",
+                "key= =value = \"=\"",
+                "edge 0 1 xfer 8 1d#glued comment",
+                "#",
+                "   # only a comment",
+                "trailing #",
+                "tab\tseparated\u{a0}nbsp\u{3000}wide",
+                "stray\" quote",
+                "\"",
+                "Φ\"λ μ\"ν",
+            ]
+            .join("\n"),
+        );
+        let mut tokens = Vec::new();
+        let mut lines = 0;
+        for text in &corpus {
+            for (ln, line) in text.lines().enumerate() {
+                // A `#` inside quotes is the one intended difference
+                // (`hostile_node_names_roundtrip`); none of these has one.
+                let new = tokenize(line, ln + 1, &mut tokens)
+                    .map(|()| tokens.iter().map(|t| t.to_string()).collect::<Vec<_>>());
+                assert_eq!(new, tokenize_owned(line, ln + 1), "line {line:?}");
+                lines += 1;
+            }
+            let _ = from_text(text); // any answer but a panic
+        }
+        assert!(lines > 10_000, "corpus shrank to {lines} lines");
+        // The joined token is the only owned one.
+        tokenize("class=\"my loop\" plain \"quoted\"", 1, &mut tokens).unwrap();
+        assert_eq!(tokens, ["class=my loop", "plain", "quoted"]);
+        assert!(matches!(tokens[..], [Cow::Owned(_), Cow::Borrowed(_), Cow::Borrowed(_)]));
     }
 }

@@ -59,10 +59,15 @@ pub fn quantile_us(buckets: &[u64; HIST_BUCKETS], q: f64) -> Option<u64> {
 /// shared by workers, submitters, and the stats endpoint.
 #[derive(Debug, Default)]
 pub struct Metrics {
-    /// Solve requests accepted into the queue.
+    /// Solve requests taken on: answered from the cache on the
+    /// submitter's thread, or accepted into the queue.
     pub requests: AtomicU64,
     /// Requests answered from a ready cache entry.
     pub cache_hits: AtomicU64,
+    /// The part of `cache_hits` answered on the submitter's thread,
+    /// without a hand-off to a worker; the rest are keys that became
+    /// ready while their request was queued.
+    pub inline_hits: AtomicU64,
     /// Requests that started a fresh solve.
     pub cache_misses: AtomicU64,
     /// Requests that piggybacked on another request's in-flight solve.
@@ -112,7 +117,8 @@ pub struct Metrics {
     pub backend_downgrades: AtomicU64,
     /// Jobs currently queued (gauge).
     pub queue_depth: AtomicU64,
-    /// End-to-end latency of completed requests (enqueue → response).
+    /// End-to-end latency of completed requests: submit entry →
+    /// response for an inline hit, enqueue → response for a queued job.
     pub latency: LatencyHistogram,
 }
 
@@ -123,6 +129,8 @@ pub struct MetricsSnapshot {
     pub requests: u64,
     /// See [`Metrics::cache_hits`].
     pub cache_hits: u64,
+    /// See [`Metrics::inline_hits`].
+    pub inline_hits: u64,
     /// See [`Metrics::cache_misses`].
     pub cache_misses: u64,
     /// See [`Metrics::dedup_waits`].
@@ -181,6 +189,7 @@ impl Metrics {
         MetricsSnapshot {
             requests: self.requests.load(Ordering::Relaxed),
             cache_hits: self.cache_hits.load(Ordering::Relaxed),
+            inline_hits: self.inline_hits.load(Ordering::Relaxed),
             cache_misses: self.cache_misses.load(Ordering::Relaxed),
             dedup_waits: self.dedup_waits.load(Ordering::Relaxed),
             solves: self.solves.load(Ordering::Relaxed),
@@ -235,6 +244,7 @@ impl MetricsSnapshot {
         Json::Obj(vec![
             ("requests".into(), Json::num(self.requests as f64)),
             ("cache_hits".into(), Json::num(self.cache_hits as f64)),
+            ("inline_hits".into(), Json::num(self.inline_hits as f64)),
             ("cache_misses".into(), Json::num(self.cache_misses as f64)),
             ("dedup_waits".into(), Json::num(self.dedup_waits as f64)),
             ("solves".into(), Json::num(self.solves as f64)),
@@ -273,8 +283,13 @@ impl MetricsSnapshot {
             self.requests, self.completed, self.errors, self.deadline_misses, self.shed
         ));
         out.push_str(&format!(
-            "  cache: hits {}  misses {}  dedup-waits {}  solves {}  evictions {}\n",
-            self.cache_hits, self.cache_misses, self.dedup_waits, self.solves, self.evictions
+            "  cache: hits {} (inline {})  misses {}  dedup-waits {}  solves {}  evictions {}\n",
+            self.cache_hits,
+            self.inline_hits,
+            self.cache_misses,
+            self.dedup_waits,
+            self.solves,
+            self.evictions
         ));
         out.push_str(&format!(
             "  resilience: degraded {}  breaker {} (opens {})  avg-solve {} us\n",
@@ -347,6 +362,7 @@ mod tests {
         let m = Metrics::default();
         m.requests.fetch_add(3, Ordering::Relaxed);
         m.cache_hits.fetch_add(2, Ordering::Relaxed);
+        m.inline_hits.fetch_add(1, Ordering::Relaxed);
         m.latency.record_us(7);
         let s = m.snapshot();
         assert_eq!(s.requests, 3);
@@ -354,10 +370,11 @@ mod tests {
         let j = s.to_json();
         assert_eq!(j.get("requests").and_then(Json::as_u64), Some(3));
         assert_eq!(j.get("cache_hits").and_then(Json::as_u64), Some(2));
+        assert_eq!(j.get("inline_hits").and_then(Json::as_u64), Some(1));
         assert_eq!(
             j.get("latency_log2_us").and_then(Json::as_arr).map(<[Json]>::len),
             Some(HIST_BUCKETS)
         );
-        assert!(s.render().contains("hits 2"));
+        assert!(s.render().contains("hits 2 (inline 1)"));
     }
 }

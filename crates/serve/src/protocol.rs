@@ -30,13 +30,14 @@
 //! `admm` object with the coordinator's iteration counts and final
 //! residuals.
 
-use crate::json::{parse, Json};
+use crate::json::{escape_into, num_into, parse, Json};
 use crate::service::{ServeError, Service, SolveResponse};
 use crate::worker::{block_solution_response, parse_block_job};
 use paradigm_admm::{solve_block_job, BlockJob};
 use paradigm_core::{gallery_graph, machine_from_spec, SolveSpec, GALLERY_NAMES, MACHINE_SPECS};
 use paradigm_mdg::{from_text, Mdg};
 use paradigm_sched::SchedPolicy;
+use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -258,11 +259,70 @@ pub fn solve_response(r: &SolveResponse) -> Json {
     Json::Obj(members)
 }
 
-/// Dispatch one already-parsed request against a service. `Shutdown`
-/// and `Ping` are acknowledged here; the *server* decides what shutdown
-/// means for its accept loop.
-pub fn dispatch(service: &Service, request: &Request) -> Json {
-    match request {
+/// [`solve_response`] rendered, written straight into one buffer: the
+/// same bytes as `solve_response(r).render()` without the tree of
+/// per-field `String`s behind them (the hit path's encode step).
+fn render_solve_response(r: &SolveResponse) -> String {
+    // Every number goes through `f64` as `Json::num` takes it, so the two
+    // encoders cannot drift apart on a wide integer.
+    fn num(out: &mut String, key: &str, v: f64) {
+        out.push_str(key);
+        num_into(v, out);
+    }
+    let o = &*r.output;
+    let names: usize = o.alloc.iter().map(|a| a.node.len()).sum();
+    let mut out = String::with_capacity(640 + r.graph.len() + names + 64 * o.alloc.len());
+    out.push_str(r#"{"ok":true,"graph":"#);
+    escape_into(&r.graph, &mut out);
+    num(&mut out, r#","compute_nodes":"#, o.compute_nodes as f64);
+    num(&mut out, r#","phi":"#, o.phi);
+    num(&mut out, r#","t_psa":"#, o.t_psa);
+    num(&mut out, r#","pb":"#, f64::from(o.pb));
+    num(&mut out, r#","deviation_percent":"#, o.deviation_percent);
+    num(&mut out, r#","utilization":"#, o.utilization);
+    out.push_str(r#","alloc":["#);
+    for (i, a) in o.alloc.iter().enumerate() {
+        out.push_str(if i == 0 { r#"{"node":"# } else { r#",{"node":"# });
+        escape_into(&a.node, &mut out);
+        num(&mut out, r#","continuous":"#, a.continuous);
+        num(&mut out, r#","procs":"#, f64::from(a.procs));
+        out.push('}');
+    }
+    let _ = write!(out, r#"],"cached":{},"deduplicated":{}"#, r.cached, r.deduplicated);
+    num(&mut out, r#","service_us":"#, r.service.as_micros() as f64);
+    if let Some(sim) = o.sim_makespan {
+        num(&mut out, r#","sim_makespan":"#, sim);
+    }
+    if o.degraded.is_degraded() {
+        out.push_str(r#","degraded":"#);
+        escape_into(o.degraded.as_str(), &mut out);
+    }
+    if let Some(s) = &o.admm {
+        num(&mut out, r#","admm":{"blocks":"#, s.blocks as f64);
+        num(&mut out, r#","cut_edges":"#, s.cut_edges as f64);
+        num(&mut out, r#","outer_iters":"#, s.outer_iters as f64);
+        num(&mut out, r#","inner_iters":"#, s.inner_iters as f64);
+        num(&mut out, r#","polish_iters":"#, s.polish_iters as f64);
+        num(&mut out, r#","primal_residual":"#, s.primal_residual);
+        num(&mut out, r#","dual_residual":"#, s.dual_residual);
+        let _ = write!(out, r#","converged":{}"#, s.converged);
+        num(&mut out, r#","blocks_retried":"#, s.blocks_retried as f64);
+        num(&mut out, r#","blocks_stolen":"#, s.blocks_stolen as f64);
+        num(&mut out, r#","blocks_stale":"#, s.blocks_stale as f64);
+        num(&mut out, r#","max_block_stale_rounds":"#, s.max_block_stale_rounds as f64);
+        num(&mut out, r#","workers_quarantined":"#, s.workers_quarantined as f64);
+        num(&mut out, r#","backend_downgrades":"#, s.backend_downgrades as f64);
+        out.push('}');
+    }
+    out.push('}');
+    out
+}
+
+/// Dispatch one already-parsed request against a service and render
+/// the response line. `Shutdown` and `Ping` are acknowledged here; the
+/// *server* decides what shutdown means for its accept loop.
+pub fn dispatch(service: &Service, request: &Request) -> String {
+    let doc = match request {
         Request::Ping => {
             Json::Obj(vec![("ok".into(), Json::Bool(true)), ("pong".into(), Json::Bool(true))])
         }
@@ -276,7 +336,7 @@ pub fn dispatch(service: &Service, request: &Request) -> Json {
         ]),
         Request::Solve { graph, spec, deadline } => {
             match service.submit_with_deadline(Arc::clone(graph), spec.clone(), *deadline) {
-                Ok(r) => solve_response(&r),
+                Ok(r) => return render_solve_response(&r),
                 Err(e) => serve_error_response(&e),
             }
         }
@@ -286,7 +346,8 @@ pub fn dispatch(service: &Service, request: &Request) -> Json {
                     "admm_block requires worker mode (start with `serve --worker`)",
                     "not-a-worker",
                     false,
-                );
+                )
+                .render();
             }
             // Block solves bypass the queue and cache: they are the
             // inner loop of a distributed solve, change every round,
@@ -304,7 +365,8 @@ pub fn dispatch(service: &Service, request: &Request) -> Json {
                 Err(e) => error_response_with(&e, "invalid", false),
             }
         }
-    }
+    };
+    doc.render()
 }
 
 /// Handle one raw request line end-to-end: parse, dispatch, encode.
@@ -314,7 +376,7 @@ pub fn handle_line(service: &Service, line: &str) -> (String, bool) {
         Err(msg) => (error_response(&msg).render(), false),
         Ok(req) => {
             let shutdown = matches!(req, Request::Shutdown);
-            (dispatch(service, &req).render(), shutdown)
+            (dispatch(service, &req), shutdown)
         }
     }
 }
@@ -472,6 +534,95 @@ mod tests {
         assert_eq!(doc.get("ok").and_then(Json::as_bool), Some(true));
         assert_eq!(doc.get("degraded").and_then(Json::as_str), Some("equal-split"));
         svc.shutdown();
+    }
+
+    /// `response` with the one field that differs between two answers to
+    /// the same request — the measured latency — blanked.
+    fn mask_service_us(response: &str) -> String {
+        let key = r#""service_us":"#;
+        let at = response.find(key).expect("solve responses carry service_us") + key.len();
+        let digits = response[at..].find([',', '}']).expect("a value ends");
+        format!("{}_{}", &response[..at], &response[at + digits..])
+    }
+
+    #[test]
+    fn direct_writer_matches_the_json_tree_byte_for_byte() {
+        // The oracle pair: `solve_response` builds the `Json` tree the
+        // protocol is defined by, `handle_line` writes the same bytes
+        // straight into a buffer. Gallery x {plain, simulate, admm} on a
+        // healthy service, gallery x degraded on one whose every primary
+        // solve panics, plus an inline graph whose name needs escaping.
+        let healthy = svc();
+        let panicking = Service::start(ServeConfig {
+            workers: 2,
+            chaos: Some(crate::chaos::FaultPlan {
+                seed: 1,
+                worker_panic: 1.0,
+                ..Default::default()
+            }),
+            ..ServeConfig::default()
+        });
+        let escaped = to_text(&gallery_graph("fig1").unwrap())
+            .replace("mdg fig1-example", "mdg \"tab\t back\\slash \u{1} Φ\"");
+        let inline = Json::Obj(vec![
+            ("op".into(), Json::str("solve")),
+            ("graph".into(), Json::str(escaped)),
+            ("procs".into(), Json::num(4.0)),
+        ])
+        .render();
+        let mut cases: Vec<(&Service, String)> = vec![(&healthy, inline)];
+        for name in GALLERY_NAMES {
+            let line =
+                |extra: &str| format!(r#"{{"op":"solve","gallery":"{name}","procs":8{extra}}}"#);
+            cases.push((&healthy, line("")));
+            // `simulate` is a second dense solve under its own key, and
+            // seconds each in a debug build on the two largest graphs.
+            if !matches!(name, "strassen-ml" | "random-layered") {
+                cases.push((&healthy, line(r#","simulate":true"#)));
+            }
+            cases.push((&healthy, line(r#","admm":true"#)));
+            cases.push((&panicking, line("")));
+        }
+        for (service, line) in &cases {
+            let Request::Solve { graph, spec, deadline } = parse_request(line).unwrap() else {
+                panic!("not solve: {line}")
+            };
+            // Cold, on one and the same response: no field to mask.
+            let cold =
+                service.submit_with_deadline(Arc::clone(&graph), spec.clone(), deadline).unwrap();
+            assert_eq!(render_solve_response(&cold), solve_response(&cold).render(), "{line}");
+            // Warm, through the front door.
+            let (bytes, _) = handle_line(service, line);
+            let again = service.submit_with_deadline(graph, spec, deadline).unwrap();
+            assert_eq!(
+                mask_service_us(&bytes),
+                mask_service_us(&solve_response(&again).render()),
+                "{line}"
+            );
+            let doc = parse(&bytes).unwrap();
+            assert_eq!(doc.get("cached").and_then(Json::as_bool), Some(true), "{line}");
+            assert_eq!(doc.get("degraded").is_some(), std::ptr::eq(*service, &panicking));
+            assert_eq!(doc.get("admm").is_some(), line.contains("admm"), "{line}");
+            assert_eq!(doc.get("sim_makespan").is_some(), line.contains("simulate"), "{line}");
+        }
+        assert!(handle_line(&healthy, &cases[0].1)
+            .0
+            .contains(r#""graph":"tab\t back\\slash \u0001 Φ""#));
+        // Non-finite numbers are `null` in both encoders.
+        let mut r = healthy
+            .submit(
+                Arc::new(gallery_graph("fig1").unwrap()),
+                SolveSpec::new(machine_from_spec("cm5", 4).unwrap()),
+            )
+            .unwrap();
+        let mut output = (*r.output).clone();
+        output.deviation_percent = f64::NAN;
+        output.utilization = f64::INFINITY;
+        r.output = Arc::new(output);
+        assert_eq!(render_solve_response(&r), solve_response(&r).render());
+        assert!(
+            render_solve_response(&r).contains(r#""deviation_percent":null,"utilization":null"#)
+        );
     }
 
     #[test]

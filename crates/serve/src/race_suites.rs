@@ -16,13 +16,14 @@
 //!   panicking leader surfaces an error to all waiters while leaving the
 //!   key retryable.
 //! - **service** — a full submit/solve/shutdown round trip under a
-//!   100%-panic fault plan always degrades (never errors) and always
-//!   drains to termination.
+//!   panicking solver always degrades (never errors), a submit of a
+//!   cached key racing `drain` ends `Ok` or `ShuttingDown`, and the
+//!   service always drains to termination.
 
 use crate::breaker::{BreakerConfig, BreakerState, CircuitBreaker};
 use crate::cache::ShardedCache;
 use crate::chaos::FaultPlan;
-use crate::service::{ServeConfig, Service};
+use crate::service::{ServeConfig, ServeError, Service};
 use crate::worker::{run_lane, AttemptError, FleetConfig, WorkQueue};
 use paradigm_core::{gallery_graph, SolveSpec};
 use paradigm_cost::Machine;
@@ -147,17 +148,29 @@ fn run_cache(cfg: &Config) -> Report {
     })
 }
 
-/// End-to-end: one worker, every primary solve panics (worker_panic =
-/// 1.0). On every schedule the submit must come back as a degraded
-/// answer — never an error — and shutdown must drain and join cleanly.
+/// End-to-end, one worker: the first primary solve succeeds and every
+/// later one panics (`panic_after: 1`). On every schedule the panicking
+/// submit must come back as a degraded answer — never an error; a submit
+/// of the cached key racing `drain` must end `Ok` (answered on its own
+/// thread) or `ShuttingDown`, never hang or error otherwise; the request
+/// and completion counters must balance; and shutdown must drain and
+/// join cleanly. The lock-order graph of the run shows the submitter
+/// never holds the queue lock and a cache shard lock together.
 fn run_service(cfg: &Config) -> Report {
     explore("service", cfg, || {
         paradigm_solver::workspace::reset_pool();
         let svc = Service::start(ServeConfig {
             workers: 1,
-            cache_capacity: 8,
+            // Eight entries a shard: the degraded entry must not evict
+            // the primary one the race below is about.
+            cache_capacity: 64,
             queue_capacity: 2,
-            chaos: Some(FaultPlan { seed: 1, worker_panic: 1.0, ..FaultPlan::default() }),
+            chaos: Some(FaultPlan {
+                seed: 1,
+                worker_panic: 1.0,
+                panic_after: 1,
+                ..FaultPlan::default()
+            }),
             breaker: BreakerConfig {
                 window: 4,
                 min_samples: 1,
@@ -167,15 +180,35 @@ fn run_service(cfg: &Config) -> Report {
             ..ServeConfig::default()
         });
         let graph = Arc::new(gallery_graph("fig1").expect("gallery graph"));
+        let cached_spec = SolveSpec::new(Machine::cm5(4));
+        let first = svc.submit(Arc::clone(&graph), cached_spec.clone()).expect("clean solve");
+        assert!(!first.cached && !first.output.degraded.is_degraded());
         let r = svc
-            .submit(graph, SolveSpec::new(Machine::cm5(4)))
+            .submit(Arc::clone(&graph), SolveSpec::new(Machine::cm5(8)))
             .expect("a panicking primary degrades, it never errors");
         assert!(
             r.output.degraded.is_degraded(),
             "chaos panic must fall back to the degraded pipeline"
         );
+        let raced = paradigm_race::thread::scope(|s| {
+            let submitter = s.spawn(|| svc.submit(Arc::clone(&graph), cached_spec.clone()));
+            svc.drain();
+            submitter.join().expect("submitter panicked")
+        });
+        let answered = match raced {
+            Ok(hit) => {
+                assert!(hit.cached && !hit.output.degraded.is_degraded());
+                1
+            }
+            Err(e) => {
+                assert_eq!(e, ServeError::ShuttingDown, "a cached key can only be refused");
+                0
+            }
+        };
         let stats = svc.shutdown();
-        assert_eq!(stats.completed, 1, "the one admitted job must complete");
+        assert_eq!(stats.completed, 2 + answered, "every admitted request completes");
+        assert_eq!(stats.requests, stats.completed, "requests and completions balance");
+        assert_eq!(stats.inline_hits, answered, "the hit never reached the worker");
         assert_eq!(stats.errors, 0, "degraded answers are not errors");
     })
 }
@@ -203,7 +236,7 @@ pub fn suites() -> Vec<Suite> {
         },
         Suite {
             name: "service",
-            about: "submit under 100% panic chaos degrades, drains, terminates",
+            about: "panicking solves degrade; a cached submit racing drain ends Ok or ShuttingDown",
             config: Config::with_bound(1),
             run: run_service,
         },

@@ -115,23 +115,25 @@ fn handle_connection(stream: TcpStream, service: &Service, shutdown: &AtomicBool
         match reader.read_until(b'\n', &mut frame) {
             Ok(0) => return, // client closed
             Ok(_) => {
-                // Remember whether this frame is a distributed-ADMM
-                // block job before the buffer is recycled: the chaos
-                // plan draws worker-level block faults from a separate
-                // stream than generic connection faults. The coordinator
-                // renders `op` first, so a prefix substring check is
-                // enough (no reparse).
-                let is_block_frame = std::str::from_utf8(&frame)
-                    .is_ok_and(|l| l.trim_start().starts_with(r#"{"op":"admm_block""#));
-                let (response, stop) = match std::str::from_utf8(&frame) {
+                // Whether this frame is a distributed-ADMM block job
+                // decides which chaos stream its connection faults are
+                // drawn from (worker-level block faults vs generic
+                // ones). The coordinator renders `op` first, so a prefix
+                // check is enough (no reparse).
+                let (mut response, stop, is_block_frame) = match std::str::from_utf8(&frame) {
                     Ok(line) if line.trim().is_empty() => {
                         frame.clear();
                         continue;
                     }
-                    Ok(line) => handle_line(service, line.trim()),
+                    Ok(line) => {
+                        let line = line.trim();
+                        let (response, stop) = handle_line(service, line);
+                        (response, stop, line.starts_with(r#"{"op":"admm_block""#))
+                    }
                     Err(_) => (
                         crate::protocol::error_response("request frame is not valid UTF-8")
                             .render(),
+                        false,
                         false,
                     ),
                 };
@@ -157,10 +159,10 @@ fn handle_connection(stream: TcpStream, service: &Service, shutdown: &AtomicBool
                         return;
                     }
                 }
-                if writer.write_all(response.as_bytes()).is_err()
-                    || writer.write_all(b"\n").is_err()
-                    || writer.flush().is_err()
-                {
+                // One write per reply: with `TCP_NODELAY` a separate
+                // newline would be a second segment and a second syscall.
+                response.push('\n');
+                if writer.write_all(response.as_bytes()).is_err() || writer.flush().is_err() {
                     return;
                 }
                 if stop {

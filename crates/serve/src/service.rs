@@ -1,19 +1,28 @@
-//! The in-process scheduling service: a worker thread pool draining a
-//! bounded job queue, fronted by the single-flight result cache.
+//! The in-process scheduling service: the single-flight result cache,
+//! and behind it a worker thread pool draining a bounded job queue.
 //!
 //! [`Service::submit`] is the synchronous request path used by the TCP
 //! connection handlers, the load generator, and tests:
 //!
-//! 1. the caller's graph + spec are fingerprinted
-//!    ([`paradigm_core::solve_fingerprint`]) and enqueued — blocking
-//!    while the queue is full (backpressure), failing fast once the
-//!    service is draining;
-//! 2. a worker pops the job; if its deadline already passed in the
-//!    queue it is rejected without solving, otherwise the worker goes
-//!    through [`ShardedCache::get_or_compute`] so identical concurrent
-//!    requests collapse into one pipeline solve;
-//! 3. the response is published on the job's slot, waking the
-//!    submitter.
+//! 1. **lookup** — on the caller's thread the spec is validated, the
+//!    graph and spec are fingerprinted
+//!    ([`paradigm_core::solve_fingerprint`]), a draining service
+//!    refuses, and a ready cache entry under that key is answered on
+//!    the spot (`inline_hits`): no queue slot, no worker wake-up;
+//! 2. **admission** — a miss is shed if the estimated queue wait
+//!    already exceeds its deadline, and otherwise blocks while the
+//!    queue is full (backpressure, bounded by `max_queue_wait`);
+//! 3. **queue** — the job waits for a worker; if its deadline passes
+//!    there it is rejected without solving;
+//! 4. **worker** — the worker goes through
+//!    [`ShardedCache::get_or_compute`], so identical concurrent
+//!    requests collapse into one pipeline solve (and a key that became
+//!    ready while the job was queued is a hit after all), then
+//!    publishes the response on the job's slot, waking the submitter.
+//!
+//! Deadlines, admission control and the `queue-stall` chaos site are
+//! about waiting for and running the solver, so they apply to steps
+//! 2–4 only; a hit does neither.
 //!
 //! [`Service::shutdown`] is a graceful drain: submissions are refused,
 //! workers finish every job already queued (no lost responses), and
@@ -209,7 +218,9 @@ pub struct SolveResponse {
     pub cached: bool,
     /// True if this request waited on another request's in-flight solve.
     pub deduplicated: bool,
-    /// End-to-end service latency (enqueue → response ready).
+    /// End-to-end service latency: submit entry → response ready for
+    /// a hit answered on the caller's thread, enqueue → response ready
+    /// for a queued job.
     pub service: Duration,
 }
 
@@ -323,24 +334,37 @@ impl Service {
     }
 
     /// [`Service::submit`] with an explicit queueing deadline (`None`
-    /// never expires).
+    /// never expires). The deadline bounds the wait for a worker, so it
+    /// cannot expire a request answered from the cache in step 1.
     pub fn submit_with_deadline(
         &self,
         graph: Arc<Mdg>,
         spec: SolveSpec,
         deadline: Option<Duration>,
     ) -> Result<SolveResponse, ServeError> {
+        let entered = Instant::now();
         if let Err(msg) = spec.validate() {
             self.inner.metrics.errors.fetch_add(1, Ordering::Relaxed);
             return Err(ServeError::Invalid(msg));
         }
         let key = solve_fingerprint(&graph, &spec);
+        if !plock(&self.inner.queue).accepting {
+            return Err(ServeError::ShuttingDown);
+        }
+        // A ready primary entry is answered here, on the caller's
+        // thread: it never waits and never runs the solver, so the
+        // deadline, admission control and the breaker have nothing to
+        // say about it. The queue lock is released first — the two
+        // locks are never held together.
+        if let Some(output) = self.inner.cache.get(key) {
+            self.inner.metrics.requests.fetch_add(1, Ordering::Relaxed);
+            self.inner.metrics.inline_hits.fetch_add(1, Ordering::Relaxed);
+            record_outcome(&self.inner, Outcome::Hit);
+            return Ok(finish(&self.inner, &graph, &spec, entered, output, Outcome::Hit));
+        }
         let slot = ResponseSlot::new();
         {
             let mut q = plock(&self.inner.queue);
-            if !q.accepting {
-                return Err(ServeError::ShuttingDown);
-            }
             // Admission control: rather than letting a doomed job block
             // a queue slot and expire anyway, reject it now if the
             // estimated wait (queue depth x average solve time over the
@@ -411,8 +435,11 @@ impl Service {
         self.inner.cfg.worker
     }
 
-    /// Current metrics.
+    /// Current metrics. The breaker gauge is refreshed here as well as
+    /// by every job a worker handles, so hit-only traffic (which never
+    /// consults the breaker) cannot leave it stale.
     pub fn stats(&self) -> MetricsSnapshot {
+        publish_breaker_state(&self.inner);
         self.inner.metrics.snapshot()
     }
 
@@ -458,7 +485,7 @@ impl Service {
         for w in self.workers.drain(..) {
             let _ = w.join();
         }
-        self.inner.metrics.snapshot()
+        self.stats()
     }
 
     fn begin_drain(&self) {
@@ -517,6 +544,8 @@ fn worker_loop(inner: &Inner) {
 /// answer, or degraded fallback — every admitted job gets a terminal
 /// response.
 fn solve_job(inner: &Inner, job: &Job) -> Result<SolveResponse, ServeError> {
+    let done =
+        |output, outcome| finish(inner, &job.graph, &job.spec, job.enqueued, output, outcome);
     let state = inner.breaker.state();
     let mut claimed_probe = false;
     let attempt_primary = match state {
@@ -527,7 +556,7 @@ fn solve_job(inner: &Inner, job: &Job) -> Result<SolveResponse, ServeError> {
             if let Some(output) = inner.cache.get(job.key) {
                 record_outcome(inner, Outcome::Hit);
                 publish_breaker_state(inner);
-                return Ok(finish(inner, job, output, Outcome::Hit));
+                return Ok(done(output, Outcome::Hit));
             }
             claimed_probe = inner.breaker.try_probe();
             claimed_probe
@@ -565,7 +594,7 @@ fn solve_job(inner: &Inner, job: &Job) -> Result<SolveResponse, ServeError> {
         }
         publish_breaker_state(inner);
         match result {
-            Ok(output) => return Ok(finish(inner, job, output, outcome)),
+            Ok(output) => return Ok(done(output, outcome)),
             Err(msg) => primary_failure = Some(msg),
         }
     } else {
@@ -573,7 +602,7 @@ fn solve_job(inner: &Inner, job: &Job) -> Result<SolveResponse, ServeError> {
         // Breaker open: cached answers are still free to serve.
         if let Some(output) = inner.cache.get(job.key) {
             record_outcome(inner, Outcome::Hit);
-            return Ok(finish(inner, job, output, Outcome::Hit));
+            return Ok(done(output, Outcome::Hit));
         }
     }
 
@@ -586,7 +615,7 @@ fn solve_job(inner: &Inner, job: &Job) -> Result<SolveResponse, ServeError> {
         .get_or_compute(job.key ^ DEGRADED_SALT, || solve_pipeline_degraded(&job.graph, &job.spec));
     record_outcome(inner, outcome);
     match result {
-        Ok(output) => Ok(finish(inner, job, output, outcome)),
+        Ok(output) => Ok(done(output, outcome)),
         Err(degraded_msg) => {
             inner.metrics.errors.fetch_add(1, Ordering::Relaxed);
             let msg = match primary_failure {
@@ -672,17 +701,26 @@ fn publish_breaker_state(inner: &Inner) {
     inner.metrics.breaker_opens.store(inner.breaker.opens(), Ordering::Relaxed);
 }
 
-fn finish(inner: &Inner, job: &Job, output: Arc<SolveOutput>, outcome: Outcome) -> SolveResponse {
+/// The bookkeeping every answered request goes through, wherever it
+/// was answered; `since` is when its latency clock started.
+fn finish(
+    inner: &Inner,
+    graph: &Mdg,
+    spec: &SolveSpec,
+    since: Instant,
+    output: Arc<SolveOutput>,
+    outcome: Outcome,
+) -> SolveResponse {
     if output.degraded.is_degraded() {
         inner.metrics.degraded.fetch_add(1, Ordering::Relaxed);
     }
-    maybe_audit(inner, job, &output);
+    maybe_audit(inner, graph, spec, &output);
     inner.metrics.completed.fetch_add(1, Ordering::Relaxed);
-    let service = job.enqueued.elapsed();
+    let service = since.elapsed();
     inner.metrics.latency.record_us(service.as_micros().min(u128::from(u64::MAX)) as u64);
     SolveResponse {
         output,
-        graph: job.graph.name().to_string(),
+        graph: graph.name().to_string(),
         cached: outcome == Outcome::Hit,
         deduplicated: outcome == Outcome::DedupWait,
         service,
@@ -696,7 +734,7 @@ fn finish(inner: &Inner, job: &Job, output: Arc<SolveOutput>, outcome: Outcome) 
 /// kept for [`Service::first_audit_failure`] — but the response is
 /// still returned: the auditor flags inconsistencies for operators, it
 /// does not invent a better answer to serve.
-fn maybe_audit(inner: &Inner, job: &Job, output: &SolveOutput) {
+fn maybe_audit(inner: &Inner, graph: &Mdg, spec: &SolveSpec, output: &SolveOutput) {
     let rate = inner.cfg.audit_rate;
     if rate == 0 {
         return;
@@ -705,13 +743,12 @@ fn maybe_audit(inner: &Inner, job: &Job, output: &SolveOutput) {
     if !n.is_multiple_of(rate) {
         return;
     }
-    let report = crate::audit::audit_solve_output(&job.graph, &job.spec, output);
+    let report = crate::audit::audit_solve_output(graph, spec, output);
     if report.is_clean() {
         inner.metrics.audit_pass.fetch_add(1, Ordering::Relaxed);
     } else {
         inner.metrics.audit_fail.fetch_add(1, Ordering::Relaxed);
-        let rendered =
-            format!("AUDIT FAILURE for graph '{}':\n{}", job.graph.name(), report.render());
+        let rendered = format!("AUDIT FAILURE for graph '{}':\n{}", graph.name(), report.render());
         eprintln!("{rendered}");
         {
             let mut slot = plock(&inner.audit_failure);
@@ -781,6 +818,7 @@ mod tests {
         assert_eq!(stats.requests, 2);
         assert_eq!(stats.solves, 1);
         assert_eq!(stats.cache_hits, 1);
+        assert_eq!(stats.inline_hits, 1, "the hit was answered without a hand-off");
         assert_eq!(stats.completed, 2);
         assert_eq!(stats.errors, 0);
     }
@@ -934,6 +972,7 @@ mod tests {
         let again = svc.submit(fig1(), good).unwrap();
         assert!(again.cached);
         assert_eq!(again.output.degraded, paradigm_core::FallbackTier::Primary);
+        assert_eq!(svc.stats().inline_hits, 1, "served in front of the queue and the breaker");
     }
 
     #[test]
@@ -978,6 +1017,7 @@ mod tests {
         assert_eq!(svc.breaker_state(), BreakerState::Open, "probe ran and failed");
         let stats = svc.shutdown();
         assert_eq!(stats.solves, 3, "seed solve + breaker trip + probe attempt");
+        assert_eq!(stats.inline_hits, 1, "the half-open hit never reached the breaker");
     }
 
     #[test]
