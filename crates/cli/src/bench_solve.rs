@@ -33,7 +33,20 @@
 //!   machine-independent count, so it needs no baseline;
 //! * `allocs_per_iter` — heap allocations per descent iteration after
 //!   warm-up, observed through the counting global allocator the
-//!   `paradigm` binary installs (0 in-process unless installed).
+//!   `paradigm` binary installs (0 in-process unless installed);
+//! * `tape_ops` / `tape_levels` / `tape_exp_vectors` — shape of the
+//!   objective's level program (`MdgObjective::tape_stats`): value slots
+//!   (one per monomial, sum and max), levels above the monomials, and
+//!   distinct exponent vectors; `record_ns_per_op` is `record_us` over
+//!   `tape_ops`;
+//! * `exact_exps_per_sweep` — `exp` calls one exact recording sweep
+//!   makes, read off the scratch's `SweepCounts`. The run fails (exit
+//!   code 1) if it exceeds `tape_exp_vectors + variables`: one `exp` per
+//!   distinct exponent vector plus the variable cache, a count that is
+//!   the same on every machine;
+//! * `sweeps` — `record_us` / `replay_us` of the scalar tape at `Exact`,
+//!   8, 64 and 256, and per lane of one `--batch-k`-wide lane sweep
+//!   (`record_batched_us` / `replay_batched_us`, smooth only).
 //!
 //! `--baseline <path>` compares against a checked-in snapshot and fails
 //! (exit code 1) when the reverse gradient on the `random-256` case
@@ -72,6 +85,23 @@ const GATE_CASE: &str = "random-256";
 /// one whole sweep per iteration.
 const SWEEP_SLACK: f64 = 0.05;
 
+/// The sharpness values of the per-sweep table.
+const SWEEP_SHARPS: [(&str, Sharpness); 4] = [
+    ("exact", Sharpness::Exact),
+    ("8", Sharpness::Smooth(8.0)),
+    ("64", Sharpness::Smooth(64.0)),
+    ("256", Sharpness::Smooth(256.0)),
+];
+
+/// One row of the per-sweep table: medians in microseconds, the lane
+/// tape's per lane (`None` at `Exact`, which it does not sweep).
+struct SweepTimes {
+    sharp: &'static str,
+    record_us: f64,
+    replay_us: f64,
+    batched: Option<(f64, f64)>,
+}
+
 /// One benchmark case's measurements.
 struct CaseReport {
     name: String,
@@ -92,6 +122,13 @@ struct CaseReport {
     forward_sweeps_per_iter: f64,
     probes_per_iter: f64,
     allocs_per_iter: f64,
+    variables: usize,
+    tape_ops: usize,
+    tape_levels: usize,
+    tape_exp_vectors: usize,
+    exact_exps_per_sweep: u64,
+    record_ns_per_op: f64,
+    sweeps: Vec<SweepTimes>,
 }
 
 /// Run the benchmark; `quick` trims samples and drops the largest graph.
@@ -126,6 +163,7 @@ pub fn run_bench_solve(
 
     let json = render_json(quick, batch_k, &cases);
     let mut text = render_table(quick, reps, &cases);
+    text.push_str(&render_sweep_table(batch_k, &cases));
     if let Some(path) = out_path {
         std::fs::write(path, &json).map_err(CliError::Io)?;
         text.push_str(&format!("\nwrote {path}\n"));
@@ -137,6 +175,13 @@ pub fn run_bench_solve(
     let mut failed = false;
     let sweeps = cases.iter().map(|c| (&*c.name, c.forward_sweeps_per_iter, c.probes_per_iter));
     match check_sweeps(sweeps) {
+        Ok(line) => text.push_str(&line),
+        Err(line) => {
+            text.push_str(&line);
+            failed = true;
+        }
+    }
+    match check_exps(&cases) {
         Ok(line) => text.push_str(&line),
         Err(line) => {
             text.push_str(&line);
@@ -205,6 +250,38 @@ fn bench_case(name: &str, g: &Mdg, reps: usize, batch_k: usize) -> CaseReport {
         obj.eval_grad_batch_with(&xs, k, sharp, &mut bw.scratch, &mut bgrads, &mut parts);
         std::hint::black_box(parts[0].phi);
     }) / k as f64;
+
+    // The per-sweep table: both halves of the adjoint on both tapes, at
+    // the sharpness values the solver anneals through and at Exact.
+    let sweeps: Vec<SweepTimes> = SWEEP_SHARPS
+        .iter()
+        .map(|&(label, sharp)| {
+            let scratch = &mut bw.inner.scratch;
+            let record_us = median_us(reps, || {
+                std::hint::black_box(obj.forward_record(&x, sharp, scratch).phi);
+            });
+            let replay_us = median_us(reps, || {
+                obj.backward_replay_phi(scratch, &mut grad);
+                std::hint::black_box(grad[0]);
+            });
+            let batched = matches!(sharp, Sharpness::Smooth(_)).then(|| {
+                let record = median_us(reps, || {
+                    obj.forward_record_batch(&xs, k, sharp, &mut bw.scratch, &mut parts);
+                    std::hint::black_box(parts[0].phi);
+                });
+                let replay = median_us(reps, || {
+                    obj.backward_replay_batch(k, &mut bw.scratch, &mut bgrads);
+                    std::hint::black_box(bgrads[0]);
+                });
+                (record / k as f64, replay / k as f64)
+            });
+            SweepTimes { sharp: label, record_us, replay_us, batched }
+        })
+        .collect();
+    let before = bw.inner.scratch.counts;
+    let _ = obj.forward_record(&x, Sharpness::Exact, &mut bw.inner.scratch);
+    let exact_exps_per_sweep = bw.inner.scratch.counts.since(before).exp_calls;
+    let stats = obj.tape_stats();
 
     // Fixed-iteration multistart stage over the same K start points:
     // K sequential scalar descents vs one batched `descend_multi_stage`.
@@ -282,7 +359,34 @@ fn bench_case(name: &str, g: &Mdg, reps: usize, batch_k: usize) -> CaseReport {
         forward_sweeps_per_iter: per_iter(swept.forward_sweeps),
         probes_per_iter: per_iter(swept.probes),
         allocs_per_iter,
+        variables: n,
+        tape_ops: stats.slots,
+        tape_levels: stats.levels,
+        tape_exp_vectors: stats.distinct_exponent_vectors,
+        exact_exps_per_sweep,
+        record_ns_per_op: 1e3 * record_us / stats.slots.max(1) as f64,
+        sweeps,
     }
+}
+
+/// The `exp` gate: an exact sweep may call `exp` once per distinct
+/// exponent vector of the program plus once per variable (the cache the
+/// fused `A_p` reads), no more. `Ok` carries the pass line, `Err` the
+/// failure line.
+fn check_exps(cases: &[CaseReport]) -> Result<String, String> {
+    for c in cases {
+        let limit = (c.tape_exp_vectors + c.variables) as u64;
+        if c.exact_exps_per_sweep > limit {
+            return Err(format!(
+                "exps: REGRESSION — an exact sweep of {} calls exp {} times for {} distinct \
+                 exponent vectors + {} variables\n",
+                c.name, c.exact_exps_per_sweep, c.tape_exp_vectors, c.variables
+            ));
+        }
+    }
+    Ok("exps: ok — no exact sweep calls exp more than once per distinct exponent vector and \
+        variable\n"
+        .to_string())
 }
 
 /// The sweep gate shared with `bench-admm`: every `(case,
@@ -386,14 +490,48 @@ fn render_table(quick: bool, reps: usize, cases: &[CaseReport]) -> String {
     out
 }
 
-/// The `BENCH_solver.json` document: version 3 (v2 plus `record_us` and
-/// the `forward_sweeps_per_iter` / `probes_per_iter` pair), one object per
-/// case, one case per line so diffs against the checked-in baseline stay
-/// readable. The `--baseline` gate reads only `eval_grad_us`, so older
-/// baselines keep working.
+/// The per-sweep table: tape shape, then record / replay microseconds of
+/// the scalar tape and (per lane) of the `batch_k`-wide lane tape.
+fn render_sweep_table(batch_k: usize, cases: &[CaseReport]) -> String {
+    let mut out = format!(
+        "\nsweeps (us: scalar record/replay | per lane at K = {batch_k})\n{:<18} {:>6} {:>3} {:>6} {:>6} {:>7}",
+        "case", "ops", "lv", "expvec", "exps", "ns/op"
+    );
+    for (label, _) in SWEEP_SHARPS {
+        out.push_str(&format!(" {:>27}", format!("s={label}")));
+    }
+    out.push('\n');
+    for c in cases {
+        out.push_str(&format!(
+            "{:<18} {:>6} {:>3} {:>6} {:>6} {:>7.2}",
+            c.name,
+            c.tape_ops,
+            c.tape_levels,
+            c.tape_exp_vectors,
+            c.exact_exps_per_sweep,
+            c.record_ns_per_op
+        ));
+        for s in &c.sweeps {
+            let lanes = match s.batched {
+                Some((rec, rep)) => format!("{rec:.1}/{rep:.1}"),
+                None => "-".to_string(),
+            };
+            let cell = format!("{:.1}/{:.1} | {lanes}", s.record_us, s.replay_us);
+            out.push_str(&format!(" {cell:>27}"));
+        }
+        out.push('\n');
+    }
+    out
+}
+
+/// The `BENCH_solver.json` document: version 4 (v3 plus the tape shape,
+/// `exact_exps_per_sweep`, `record_ns_per_op` and the per-sweep table),
+/// one object per case, one case per line so diffs against the checked-in
+/// baseline stay readable. The `--baseline` gate reads only
+/// `eval_grad_us`, so older baselines keep working.
 fn render_json(quick: bool, batch_k: usize, cases: &[CaseReport]) -> String {
     let mut out = String::from("{\n");
-    out.push_str("  \"version\": 3,\n");
+    out.push_str("  \"version\": 4,\n");
     out.push_str(&format!("  \"quick\": {quick},\n"));
     out.push_str(&format!("  \"batch_k\": {batch_k},\n"));
     out.push_str("  \"cases\": [\n");
@@ -417,6 +555,31 @@ fn render_json(quick: bool, batch_k: usize, cases: &[CaseReport]) -> String {
             ("forward_sweeps_per_iter".into(), Json::num(round3(c.forward_sweeps_per_iter))),
             ("probes_per_iter".into(), Json::num(round3(c.probes_per_iter))),
             ("allocs_per_iter".into(), Json::num(round3(c.allocs_per_iter))),
+            ("variables".into(), Json::num(c.variables as f64)),
+            ("tape_ops".into(), Json::num(c.tape_ops as f64)),
+            ("tape_levels".into(), Json::num(c.tape_levels as f64)),
+            ("tape_exp_vectors".into(), Json::num(c.tape_exp_vectors as f64)),
+            ("exact_exps_per_sweep".into(), Json::num(c.exact_exps_per_sweep as f64)),
+            ("record_ns_per_op".into(), Json::num(round3(c.record_ns_per_op))),
+            (
+                "sweeps".into(),
+                Json::Obj(
+                    c.sweeps
+                        .iter()
+                        .map(|s| {
+                            let mut row = vec![
+                                ("record_us".to_string(), Json::num(round3(s.record_us))),
+                                ("replay_us".to_string(), Json::num(round3(s.replay_us))),
+                            ];
+                            if let Some((rec, rep)) = s.batched {
+                                row.push(("record_batched_us".into(), Json::num(round3(rec))));
+                                row.push(("replay_batched_us".into(), Json::num(round3(rep))));
+                            }
+                            (s.sharp.to_string(), Json::Obj(row))
+                        })
+                        .collect(),
+                ),
+            ),
         ]);
         out.push_str("    ");
         out.push_str(&case.render());
@@ -485,6 +648,21 @@ mod tests {
             forward_sweeps_per_iter: 2.3,
             probes_per_iter: 2.3,
             allocs_per_iter: 0.0,
+            variables: 6,
+            tape_ops: 40,
+            tape_levels: 3,
+            tape_exp_vectors: 9,
+            exact_exps_per_sweep: 15,
+            record_ns_per_op: 30.0,
+            sweeps: vec![
+                SweepTimes { sharp: "exact", record_us: 1.0, replay_us: 0.5, batched: None },
+                SweepTimes {
+                    sharp: "8",
+                    record_us: 1.2,
+                    replay_us: 0.5,
+                    batched: Some((0.6, 0.2)),
+                },
+            ],
         }
     }
 
@@ -492,7 +670,7 @@ mod tests {
     fn json_document_parses_and_round_trips_fields() {
         let json = render_json(true, 8, &[tiny_case()]);
         let doc = parse_json(&json).expect("valid JSON");
-        assert_eq!(doc.get("version").and_then(Json::as_u64), Some(3));
+        assert_eq!(doc.get("version").and_then(Json::as_u64), Some(4));
         assert_eq!(doc.get("quick").and_then(Json::as_bool), Some(true));
         assert_eq!(doc.get("batch_k").and_then(Json::as_u64), Some(8));
         let cases = doc.get("cases").and_then(Json::as_arr).expect("cases array");
@@ -505,6 +683,24 @@ mod tests {
         assert_eq!(cases[0].get("multistart_speedup").and_then(Json::as_f64), Some(3.2));
         assert_eq!(cases[0].get("forward_sweeps_per_iter").and_then(Json::as_f64), Some(2.3));
         assert_eq!(cases[0].get("probes_per_iter").and_then(Json::as_f64), Some(2.3));
+        assert_eq!(cases[0].get("tape_ops").and_then(Json::as_u64), Some(40));
+        assert_eq!(cases[0].get("exact_exps_per_sweep").and_then(Json::as_u64), Some(15));
+        let sweeps = cases[0].get("sweeps").expect("sweep table");
+        let at =
+            |s: &str, field: &str| sweeps.get(s).and_then(|r| r.get(field)).and_then(Json::as_f64);
+        assert_eq!(at("exact", "record_us"), Some(1.0));
+        assert_eq!(at("exact", "record_batched_us"), None, "the lane tape is smooth-only");
+        assert_eq!(at("8", "replay_batched_us"), Some(0.2));
+    }
+
+    #[test]
+    fn exp_gate_fails_a_sweep_that_calls_exp_per_monomial() {
+        let ok = check_exps(&[tiny_case()]).expect("9 vectors + 6 variables = 15");
+        assert!(ok.contains("exps: ok"), "{ok}");
+        let mut undeduped = tiny_case();
+        undeduped.exact_exps_per_sweep = 31;
+        let err = check_exps(&[undeduped]).expect_err("one exp per monomial");
+        assert!(err.contains("REGRESSION") && err.contains("31"), "{err}");
     }
 
     #[test]
@@ -554,6 +750,12 @@ mod tests {
         assert!(c.multistart_us > 0.0 && c.multistart_batched_us > 0.0);
         assert!(c.multistart_speedup > 0.0);
         assert!(c.allocate_iters > 0);
+        let rows: Vec<&str> = c.sweeps.iter().map(|s| s.sharp).collect();
+        assert_eq!(rows, ["exact", "8", "64", "256"]);
+        assert!(c.sweeps.iter().all(|s| s.record_us > 0.0 && s.replay_us > 0.0));
+        assert!(c.sweeps[0].batched.is_none() && c.sweeps[1].batched.is_some());
+        assert!(c.tape_ops > 0 && c.tape_levels > 0 && c.record_ns_per_op > 0.0);
+        assert_eq!(c.exact_exps_per_sweep, (c.tape_exp_vectors + c.variables) as u64);
         // (Sweep counts are read off the process-wide workspace pool,
         // which sibling tests share: exact only in the single-threaded
         // CLI run, pinned by the crates' `sweep_counts` tests.)

@@ -1,58 +1,61 @@
-//! K-wide (batched) execution of compiled expression tapes.
+//! The lane executor: K-wide sweeps of the level program.
 //!
-//! Multistart descends K start points against one objective, replaying
-//! the *same* compiled tape at each. This module adds a
-//! structure-of-arrays execution mode for [`CompiledExpr`]: every tape
-//! slot becomes a lane-major block of `k` values (`slot * k + lane`), and
-//! the `Mono`/`Sum`/`Max` forward sweeps plus the reverse adjoint sweep
-//! run as elementwise lane kernels.
+//! Multistart descends K start points against one objective, sweeping
+//! the *same* [`LevelProgram`] at each. The lane sweeps
+//! (`LevelProgram::forward_lanes` here; `LevelProgram::push_adjoints`
+//! and `LevelProgram::accumulate` at `k > 1`, whose arithmetic is the
+//! scalar executor's) widen every tape slot to a lane-major row of `k`
+//! values (`slot * k + lane`) and run the program level by level, like
+//! the scalar forward sweep in [`crate::compiled`].
 //!
 //! It has one caller in the solver, the smooth stages of the multistart
-//! (`solve::descend_multi`, K = 4–8): per lane the kernels beat the
-//! scalar tape 1.3–1.5× at K = 4, 1.6–1.9× at K = 6 and 1.9–2.8× at
-//! K = 8, but at K = 1 they run at 0.4–0.6× of it, so every K ≤ 2 caller
-//! stays on the scalar tape in `compiled`/`objective`.
+//! (`solve.rs`, K = 4 under `fast()`, 6 under `default()`); every K ≤ 2
+//! caller and every exact sweep stays on the scalar executor (DESIGN.md
+//! §11 has the measured per-lane table).
 //!
-//! The kernels are hand-rolled explicit-width chunks (`[f64; LANES]`)
-//! plus a per-element tail, which the compiler auto-vectorizes — no
-//! external SIMD crates. Chunk and tail perform the identical per-lane
-//! IEEE operation (SIMD f64 lane arithmetic is IEEE-identical to scalar,
+//! What is vectorised, on a baseline x86-64 build (SSE2, two `f64` per
+//! register — not the "eight lanes fill one AVX-512 register" of earlier
+//! revisions, which never held at K = 4 or 6, where every row was
+//! shorter than a chunk): the level's arity-2 maxes, which are most of
+//! the arithmetic. Their operands are one contiguous `ops × k` block per
+//! level, so `smax2_rows` sweeps them in `[f64; 8]` blocks whatever
+//! `k` is — divides, squarings, square roots and the weight recovery as
+//! packed instructions with four independent chains in flight. The
+//! monomial level, the adjoint push and the gradient accumulation work
+//! on one row of `k` per op and take compile-time lane blocks of
+//! 8/4/2/1 (see `LevelProgram::smooth_monomials`). Sums, maxes of
+//! other arity and the DAG recurrence run the plain row loops below.
+//! Block, vector and scalar code perform the identical per-lane IEEE
+//! operation (SIMD `f64` lane arithmetic is IEEE-identical to scalar,
 //! and Rust never contracts `a * b + c` into an FMA), so a lane's result
-//! does not depend on where in a row it sits.
+//! does not depend on where in a row it sits. No external SIMD crates.
 //!
-//! Numerical contract versus the scalar tape: each lane's trajectory
-//! depends only on its own slots (no cross-lane arithmetic), so results
-//! are independent of batch composition and width. The batched smoothed
-//! power kernel uses exponentiation by squaring rather than `powi`, so a
-//! batched evaluation may differ from the scalar path in the last ulps;
-//! the gradient property tests pin agreement at 1e-9 relative. The
-//! exact-mode (`s = ∞`) paths at the objective level bypass these
-//! kernels entirely and gather/scatter through the scalar sweep, keeping
-//! exact `max` tie-breaking bit-identical to the tree walk.
+//! Numerical contract versus the scalar executor: each lane's arithmetic
+//! reads only its own slots (no cross-lane operation), so results are
+//! independent of batch composition and width. The lane power kernel
+//! takes exponentiation by squaring for an integer sharpness that is not
+//! a power of two, where the scalar one calls `powi`, and the lane
+//! backward sweep seeds `A_p` with `w · (1/p)` where the scalar one
+//! divides by `p`; a lane may therefore differ from the scalar sweep in
+//! the last ulps (the property tests pin agreement at 1e-9 relative), but
+//! it equals what it equalled before the level program
+//! (`tests/tape_bits.rs`). The lane executor is smooth-only: exact
+//! points, whose first-argmax tie-breaking is pinned to the tree walk,
+//! belong to the scalar one.
 
-use crate::compiled::{CompiledExpr, Op};
-use crate::expr::Sharpness;
-
-/// Chunk width of the explicit-width kernels. Wide enough to fill an
-/// AVX-512 register; narrower ISAs simply split each chunk.
-pub(crate) const LANES: usize = 8;
+use crate::compiled::{pow2_log, smax2_rows, LevelProgram};
+use crate::workspace::BatchEvalScratch;
 
 // ---------------------------------------------------------------------
-// Lane kernels: `[f64; LANES]` chunks, then the tail element by element.
+// Row kernels: one operation across a row of `k` lanes. Plain loops —
+// the rows they see are short (`k`), and the compiler vectorises them.
 // ---------------------------------------------------------------------
 
 /// `dst[l] *= src[l]`.
 #[inline]
-pub(crate) fn lanes_mul(dst: &mut [f64], src: &[f64]) {
+fn lanes_mul(dst: &mut [f64], src: &[f64]) {
     debug_assert_eq!(dst.len(), src.len());
-    let (dc, dt) = dst.as_chunks_mut::<LANES>();
-    let (sc, st) = src.as_chunks::<LANES>();
-    for (d, s) in dc.iter_mut().zip(sc) {
-        for l in 0..LANES {
-            d[l] *= s[l];
-        }
-    }
-    for (d, s) in dt.iter_mut().zip(st) {
+    for (d, s) in dst.iter_mut().zip(src) {
         *d *= s;
     }
 }
@@ -61,119 +64,8 @@ pub(crate) fn lanes_mul(dst: &mut [f64], src: &[f64]) {
 #[inline]
 pub(crate) fn lanes_add(dst: &mut [f64], src: &[f64]) {
     debug_assert_eq!(dst.len(), src.len());
-    let (dc, dt) = dst.as_chunks_mut::<LANES>();
-    let (sc, st) = src.as_chunks::<LANES>();
-    for (d, s) in dc.iter_mut().zip(sc) {
-        for l in 0..LANES {
-            d[l] += s[l];
-        }
-    }
-    for (d, s) in dt.iter_mut().zip(st) {
+    for (d, s) in dst.iter_mut().zip(src) {
         *d += s;
-    }
-}
-
-/// `dst[l] += src[l] * c` (multiply then add; never an FMA).
-#[inline]
-pub(crate) fn lanes_add_scaled(dst: &mut [f64], src: &[f64], c: f64) {
-    debug_assert_eq!(dst.len(), src.len());
-    let (dc, dt) = dst.as_chunks_mut::<LANES>();
-    let (sc, st) = src.as_chunks::<LANES>();
-    for (d, s) in dc.iter_mut().zip(sc) {
-        for l in 0..LANES {
-            d[l] += s[l] * c;
-        }
-    }
-    for (d, s) in dt.iter_mut().zip(st) {
-        *d += s * c;
-    }
-}
-
-/// `dst[l] = a[l] * b[l]`.
-#[inline]
-pub(crate) fn lanes_set_mul(dst: &mut [f64], a: &[f64], b: &[f64]) {
-    debug_assert!(dst.len() == a.len() && dst.len() == b.len());
-    let (dc, dt) = dst.as_chunks_mut::<LANES>();
-    let (ac, at) = a.as_chunks::<LANES>();
-    let (bc, bt) = b.as_chunks::<LANES>();
-    for ((d, x), y) in dc.iter_mut().zip(ac).zip(bc) {
-        for l in 0..LANES {
-            d[l] = x[l] * y[l];
-        }
-    }
-    for ((d, x), y) in dt.iter_mut().zip(at).zip(bt) {
-        *d = x * y;
-    }
-}
-
-/// `dst[l] = a[l] / b[l]`.
-#[inline]
-pub(crate) fn lanes_set_div(dst: &mut [f64], a: &[f64], b: &[f64]) {
-    debug_assert!(dst.len() == a.len() && dst.len() == b.len());
-    let (dc, dt) = dst.as_chunks_mut::<LANES>();
-    let (ac, at) = a.as_chunks::<LANES>();
-    let (bc, bt) = b.as_chunks::<LANES>();
-    for ((d, x), y) in dc.iter_mut().zip(ac).zip(bc) {
-        for l in 0..LANES {
-            d[l] = x[l] / y[l];
-        }
-    }
-    for ((d, x), y) in dt.iter_mut().zip(at).zip(bt) {
-        *d = x / y;
-    }
-}
-
-/// `dst[l] = max(dst[l], src[l])`.
-#[inline]
-pub(crate) fn lanes_max(dst: &mut [f64], src: &[f64]) {
-    debug_assert_eq!(dst.len(), src.len());
-    let (dc, dt) = dst.as_chunks_mut::<LANES>();
-    let (sc, st) = src.as_chunks::<LANES>();
-    for (d, s) in dc.iter_mut().zip(sc) {
-        for l in 0..LANES {
-            d[l] = d[l].max(s[l]);
-        }
-    }
-    for (d, s) in dt.iter_mut().zip(st) {
-        *d = d.max(*s);
-    }
-}
-
-/// `dst[l] *= dst[l]` (elementwise square, the inner step of the
-/// power-of-two power/root kernels).
-#[inline]
-fn lanes_square(dst: &mut [f64]) {
-    let (dc, dt) = dst.as_chunks_mut::<LANES>();
-    for d in dc.iter_mut() {
-        for v in d.iter_mut() {
-            *v = *v * *v;
-        }
-    }
-    for d in dt.iter_mut() {
-        *d = *d * *d;
-    }
-}
-
-/// `dst[l] = sqrt(dst[l])`.
-#[inline]
-fn lanes_sqrt(dst: &mut [f64]) {
-    let (dc, dt) = dst.as_chunks_mut::<LANES>();
-    for d in dc.iter_mut() {
-        for v in d.iter_mut() {
-            *v = v.sqrt();
-        }
-    }
-    for d in dt.iter_mut() {
-        *d = d.sqrt();
-    }
-}
-
-/// `dst[l] *= base[l].powf(a)` — the exotic-exponent monomial fallback;
-/// `powf` is a libm call, so there is nothing to chunk.
-#[inline]
-fn lanes_mul_powf(dst: &mut [f64], base: &[f64], a: f64) {
-    for (d, b) in dst.iter_mut().zip(base) {
-        *d *= b.powf(a);
     }
 }
 
@@ -196,111 +88,40 @@ fn pow_uint(mut b: f64, mut n: u32) -> f64 {
     r
 }
 
+/// The lane executor's power tiers below the squarings: an integer `s`
+/// that is not a power of two by square-and-multiply, anything else
+/// through `powf`.
+#[inline]
+fn lane_pow_other(b: f64, s: f64) -> f64 {
+    if s.fract() == 0.0 && (1.0..=512.0).contains(&s) {
+        pow_uint(b, s as u32)
+    } else {
+        b.powf(s)
+    }
+}
+
 /// In-place `out[l] = out[l]^s`, mirroring the scalar `pow_sharp` tiers:
 /// power-of-two integer sharpness (the whole annealing schedule) runs as
-/// repeated elementwise squaring, other small integers via
-/// exponentiation by squaring, and everything else through `powf`.
+/// repeated elementwise squaring, everything else through
+/// [`lane_pow_other`].
 #[inline]
-pub(crate) fn lanes_pow_sharp(out: &mut [f64], s: f64) {
-    if s.fract() == 0.0 && (1.0..=512.0).contains(&s) {
-        let n = s as u32;
-        if n.is_power_of_two() {
-            let mut m = n;
-            while m > 1 {
-                lanes_square(out);
-                m >>= 1;
-            }
-        } else {
-            for o in out.iter_mut() {
-                *o = pow_uint(*o, n);
-            }
-        }
-    } else {
-        for o in out.iter_mut() {
-            *o = o.powf(s);
-        }
+fn lanes_pow_sharp(out: &mut [f64], s: f64) {
+    match pow2_log(s, 1.0) {
+        Some(q) => (0..q).for_each(|_| out.iter_mut().for_each(|o| *o *= *o)),
+        None => out.iter_mut().for_each(|o| *o = lane_pow_other(*o, s)),
     }
 }
 
 /// In-place `out[l] = out[l]^(1/s)`: repeated hardware `sqrt` when `s`
 /// is a power of two, `powf` otherwise (same tiers as `root_sharp`).
 #[inline]
-pub(crate) fn lanes_root_sharp(out: &mut [f64], s: f64) {
-    if s.fract() == 0.0 && (2.0..=512.0).contains(&s) && (s as u32).is_power_of_two() {
-        let mut m = s as u32;
-        while m > 1 {
-            lanes_sqrt(out);
-            m >>= 1;
+fn lanes_root_sharp(out: &mut [f64], s: f64) {
+    match pow2_log(s, 2.0) {
+        Some(q) => (0..q).for_each(|_| out.iter_mut().for_each(|o| *o = o.sqrt())),
+        None => {
+            let inv = 1.0 / s;
+            out.iter_mut().for_each(|o| *o = o.powf(inv));
         }
-    } else {
-        let inv = 1.0 / s;
-        for o in out.iter_mut() {
-            *o = o.powf(inv);
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
-// Batched variable cache.
-// ---------------------------------------------------------------------
-
-/// Lane-major batched [`crate::compiled::VarCache`]: `e[j*k + l]` is
-/// `exp(x_j)` for lane `l`. Filled once per batched objective call; the
-/// reciprocal and square-root sweeps vectorize across `j*k` entries.
-#[derive(Debug, Default)]
-pub struct BatchVarCache {
-    /// Current lane count.
-    pub(crate) k: usize,
-    /// `exp(x_j)` per variable per lane.
-    pub(crate) e: Vec<f64>,
-    /// `1 / exp(x_j)`.
-    pub(crate) inv: Vec<f64>,
-    /// `sqrt(exp(x_j))`; filled only when `halves` is requested.
-    pub(crate) sq: Vec<f64>,
-    /// `1 / sqrt(exp(x_j))`.
-    pub(crate) isq: Vec<f64>,
-}
-
-impl BatchVarCache {
-    /// Fill for the lane-major point block `xs` (`n * k` entries,
-    /// `xs[j*k + l]`). Capacity is retained across calls.
-    pub(crate) fn fill(&mut self, xs: &[f64], n: usize, k: usize, halves: bool) {
-        debug_assert_eq!(xs.len(), n * k);
-        self.k = k;
-        let len = n * k;
-        self.e.clear();
-        self.e.resize(len, 0.0);
-        self.inv.clear();
-        self.inv.resize(len, 0.0);
-        for (ei, &x) in self.e.iter_mut().zip(xs) {
-            *ei = x.exp();
-        }
-        lanes_set_recip(&mut self.inv, &self.e);
-        if halves {
-            self.sq.clear();
-            self.sq.resize(len, 0.0);
-            self.isq.clear();
-            self.isq.resize(len, 0.0);
-            self.sq.copy_from_slice(&self.e);
-            lanes_sqrt(&mut self.sq);
-            lanes_set_recip(&mut self.isq, &self.sq);
-        }
-    }
-}
-
-/// `dst[l] = 1 / src[l]`.
-#[inline]
-fn lanes_set_recip(dst: &mut [f64], src: &[f64]) {
-    debug_assert_eq!(dst.len(), src.len());
-    let (dc, dt) = dst.as_chunks_mut::<LANES>();
-    let (sc, st) = src.as_chunks::<LANES>();
-    for (d, s) in dc.iter_mut().zip(sc) {
-        for l in 0..LANES {
-            d[l] = 1.0 / s[l];
-        }
-    }
-    for (d, s) in dt.iter_mut().zip(st) {
-        *d = 1.0 / s;
     }
 }
 
@@ -308,296 +129,184 @@ fn lanes_set_recip(dst: &mut [f64], src: &[f64]) {
 // Batched smoothed max.
 // ---------------------------------------------------------------------
 
-/// K-wide [`crate::compiled::smax_weights_fast`]: `cands` holds `kk`
-/// lane-major candidate slots; the per-lane smax value is written into
-/// `cands[..k]` and the weights into `wts` (`kk * k`). `scratch` must
-/// hold `3 * k` entries (contents ignored on entry).
+/// K-wide `crate::compiled::smax_weights_fast` at `Smooth(s)`: `cands`
+/// holds `kk` lane-major candidate rows; the per-lane smax value goes to
+/// `out` (`k`) and the weights to `wts` (`kk * k`). `scratch` must hold
+/// `2 * k` entries (contents ignored on entry).
 ///
 /// Candidates are nonnegative (posynomial values), so the only guard the
-/// smooth path needs is a unit divisor for all-zero lanes: those lanes
-/// flow through the normal sequence and come out with value `+0.0` and
-/// all-zero weights, exactly like the scalar kernel's early return.
+/// chain needs is a unit divisor for all-zero lanes: those lanes flow
+/// through the normal sequence and come out with value `+0.0` and
+/// all-zero weights, exactly like the scalar kernel's early return (as
+/// does a max of no candidates at all, `kk = 0`).
 pub(crate) fn smax_batch(
     k: usize,
     kk: usize,
-    sharp: Sharpness,
-    cands: &mut [f64],
+    s: f64,
+    cands: &[f64],
+    out: &mut [f64],
     wts: &mut [f64],
     scratch: &mut [f64],
 ) {
     debug_assert_eq!(cands.len(), kk * k);
     debug_assert_eq!(wts.len(), kk * k);
-    debug_assert!(scratch.len() >= 3 * k);
-    debug_assert!(kk > 0);
-    let (m, rest) = scratch.split_at_mut(k);
-    let (md, sum) = rest.split_at_mut(k);
+    debug_assert!(out.len() == k && scratch.len() >= 2 * k);
+    let m = out;
     m.fill(0.0);
-    for t in 0..kk {
-        lanes_max(m, &cands[t * k..(t + 1) * k]);
-    }
-    match sharp {
-        Sharpness::Exact => {
-            wts.fill(0.0);
-            for l in 0..k {
-                for t in 0..kk {
-                    if cands[t * k + l] == m[l] {
-                        wts[t * k + l] = 1.0;
-                        break;
-                    }
-                }
-            }
-            cands[..k].copy_from_slice(m);
+    for row in cands.chunks_exact(k) {
+        for (m, &c) in m.iter_mut().zip(row) {
+            *m = m.max(c);
         }
-        Sharpness::Smooth(s) => {
-            sum.fill(0.0);
-            for l in 0..k {
-                md[l] = if m[l] == 0.0 { 1.0 } else { m[l] };
-            }
-            for t in 0..kk {
-                let w = &mut wts[t * k..(t + 1) * k];
-                lanes_set_div(w, &cands[t * k..(t + 1) * k], md);
-                lanes_pow_sharp(w, s);
-                lanes_add(sum, w);
-            }
-            // val = m * sum^(1/s); root into md (no longer needed) so
-            // the raw power sum survives for the weight recovery.
-            md.copy_from_slice(sum);
-            lanes_root_sharp(md, s);
-            lanes_mul(m, md); // m now holds the smax value per lane
-            for t in 0..kk {
-                for l in 0..k {
-                    let w = wts[t * k + l];
-                    wts[t * k + l] =
-                        if w == 0.0 { 0.0 } else { (w / sum[l]) * (m[l] / cands[t * k + l]) };
-                }
-            }
-            cands[..k].copy_from_slice(m);
+    }
+    // One finite candidate per lane is its own smoothed max with weight
+    // 1 (0 on a zero lane): the chain below reduces to `c/c`, `1^s`,
+    // `1^(1/s)`, `c·1`, `(1/1)·(c/c)` — every node with a single
+    // in-edge.
+    if kk == 1 && m.iter().all(|v| v.is_finite()) {
+        for (w, &v) in wts.iter_mut().zip(&*m) {
+            *w = if v == 0.0 { 0.0 } else { 1.0 };
+        }
+        return;
+    }
+    let (md, sum) = scratch[..2 * k].split_at_mut(k);
+    sum.fill(0.0);
+    for l in 0..k {
+        md[l] = if m[l] == 0.0 { 1.0 } else { m[l] };
+    }
+    for (w, row) in wts.chunks_exact_mut(k).zip(cands.chunks_exact(k)) {
+        for ((w, &c), &d) in w.iter_mut().zip(row).zip(&*md) {
+            *w = c / d;
+        }
+        lanes_pow_sharp(w, s);
+        lanes_add(sum, w);
+    }
+    // val = m * sum^(1/s); root into md (no longer needed) so the raw
+    // power sum survives for the weight recovery.
+    md.copy_from_slice(sum);
+    lanes_root_sharp(md, s);
+    lanes_mul(m, md); // m now holds the smax value per lane
+    for t in 0..kk {
+        for l in 0..k {
+            let w = wts[t * k + l];
+            wts[t * k + l] = if w == 0.0 { 0.0 } else { (w / sum[l]) * (m[l] / cands[t * k + l]) };
         }
     }
 }
 
 // ---------------------------------------------------------------------
-// Batched tape execution on CompiledExpr.
+// Lane sweeps of the level program.
 // ---------------------------------------------------------------------
 
-impl CompiledExpr {
-    /// K-wide forward evaluation recording a lane-major tape. The k-wide
-    /// result slot is **left on top of `stack`** for the caller (the
-    /// objective's DAG recurrence adds the predecessor finish times into
-    /// it in place); the caller truncates.
-    pub(crate) fn eval_tape_batch(
+impl LevelProgram {
+    /// K-wide `LevelProgram::forward` at `Smooth(s)`: fills the
+    /// variable cache for the lane-major points `xs`, then records every
+    /// op's value row into `scratch.tape_vals` (root `r` at
+    /// `[r·k .. (r+1)·k]`) and every max's weight rows into
+    /// `scratch.tape_wts`, level by level. A level's arity-2 maxes are
+    /// one `ops × k` call of the elementwise kernel, so their rows are
+    /// long enough for its vector chunks at every `k`.
+    pub(crate) fn forward_lanes(
         &self,
+        xs: &[f64],
         k: usize,
-        sharp: Sharpness,
-        stack: &mut Vec<f64>,
-        vals: &mut [f64],
-        wts: &mut [f64],
-        cache: &BatchVarCache,
+        s: f64,
+        scratch: &mut BatchEvalScratch,
     ) {
-        debug_assert_eq!(vals.len(), self.ops.len() * k);
-        debug_assert_eq!(wts.len(), self.wts_len * k);
-        for (i, op) in self.ops.iter().enumerate() {
-            self.exec_forward_batch(*op, k, sharp, stack, wts, cache);
-            let top = stack.len() - k;
-            vals[i * k..(i + 1) * k].copy_from_slice(&stack[top..]);
-        }
-        if self.ops.is_empty() {
-            let b = stack.len();
-            stack.resize(b + k, 0.0);
-        }
-    }
-
-    /// One op of the batched forward sweep; the `Max` arm records its
-    /// weights into `wts`.
-    #[inline]
-    fn exec_forward_batch(
-        &self,
-        op: Op,
-        k: usize,
-        sharp: Sharpness,
-        stack: &mut Vec<f64>,
-        wts: &mut [f64],
-        cache: &BatchVarCache,
-    ) {
-        match op {
-            Op::Mono { coeff, lo, hi } => {
-                let b = stack.len();
-                stack.resize(b + k, coeff);
-                if coeff != 0.0 {
-                    let out = &mut stack[b..];
-                    for &(j, a) in &self.terms[lo as usize..hi as usize] {
-                        let j = j as usize * k;
-                        if a == 1.0 {
-                            lanes_mul(out, &cache.e[j..j + k]);
-                        } else if a == -1.0 {
-                            lanes_mul(out, &cache.inv[j..j + k]);
-                        } else if a == 0.5 {
-                            lanes_mul(out, &cache.sq[j..j + k]);
-                        } else if a == -0.5 {
-                            lanes_mul(out, &cache.isq[j..j + k]);
-                        } else {
-                            lanes_mul_powf(out, &cache.e[j..j + k], a);
-                        }
-                    }
+        debug_assert_eq!(xs.len(), self.n_vars * k);
+        scratch.ensure_tape(self, k);
+        scratch.var_cache.fill(xs, self.needs_halves);
+        scratch.counts.exp_calls += xs.len() as u64;
+        let BatchEvalScratch { tape_vals: vals, tape_wts: wts, var_cache, stack, .. } = scratch;
+        self.smooth_monomials(k, &var_cache.fac, vals);
+        for lv in &self.levels {
+            let base = lv.child_base as usize;
+            let (outs, kids) = vals.split_at_mut(base * k);
+            let n = lv.max2.len();
+            if n > 0 {
+                let (a, b) = kids[..2 * n * k].split_at(n * k);
+                let (wa, wb) = wts[lv.w0 as usize * k..][..2 * n * k].split_at_mut(n * k);
+                let staged = &mut stack[..n * k];
+                smax2_rows::<false>(s, |b| lane_pow_other(b, s), a, b, staged, wa, wb);
+                for (i, &o) in self.max2_out[lv.max2.clone()].iter().enumerate() {
+                    outs[o as usize * k..][..k].copy_from_slice(&staged[i * k..][..k]);
                 }
             }
-            Op::Sum { k: kk } => {
-                let kk = kk as usize;
-                if kk == 0 {
-                    let b = stack.len();
-                    stack.resize(b + k, 0.0);
+            for r in &self.reduces[lv.maxes.clone()] {
+                let (c0, arity) = (r.c0 as usize - base, r.arity as usize);
+                let out = &mut outs[r.out as usize * k..][..k];
+                let w = &mut wts[r.w0 as usize * k..][..arity * k];
+                smax_batch(k, arity, s, &kids[c0 * k..][..arity * k], out, w, stack);
+            }
+            for r in &self.reduces[lv.sums.clone()] {
+                let c0 = r.c0 as usize - base;
+                let out = &mut outs[r.out as usize * k..][..k];
+                if r.arity == 0 {
+                    out.fill(0.0);
                 } else {
-                    let b = stack.len() - kk * k;
-                    let (acc, rest) = stack[b..].split_at_mut(k);
-                    for t in 1..kk {
-                        lanes_add(acc, &rest[(t - 1) * k..t * k]);
-                    }
-                    stack.truncate(b + k);
-                }
-            }
-            Op::Max { k: kk, w0 } => {
-                let kk = kk as usize;
-                let w0 = w0 as usize;
-                if kk == 0 {
-                    let b = stack.len();
-                    stack.resize(b + k, 0.0);
-                } else {
-                    let b = stack.len() - kk * k;
-                    let sl = stack.len();
-                    stack.resize(sl + 3 * k, 0.0);
-                    let (cands, scr) = stack[b..].split_at_mut(kk * k);
-                    smax_batch(k, kk, sharp, cands, &mut wts[w0 * k..(w0 + kk) * k], scr);
-                    stack.truncate(b + k);
-                }
-            }
-        }
-    }
-
-    /// K-wide reverse sweep over a lane-major tape recorded by
-    /// [`CompiledExpr::eval_tape_batch`]: accumulates
-    /// `seeds[l] * ∂value_l/∂x` into the lane-major `grad`
-    /// (`n_vars * k`). `adj` is a k-wide-slot adjoint stack (restored to
-    /// its entry length). Lanes with a zero seed contribute exact zeros
-    /// everywhere (adjoints and values are nonnegative, so the
-    /// unconditional accumulates only ever add `+0.0` for them).
-    pub(crate) fn backprop_batch(
-        &self,
-        k: usize,
-        seeds: &[f64],
-        vals: &[f64],
-        wts: &[f64],
-        grad: &mut [f64],
-        adj: &mut Vec<f64>,
-    ) {
-        debug_assert_eq!(seeds.len(), k);
-        debug_assert_eq!(vals.len(), self.ops.len() * k);
-        if self.ops.is_empty() || seeds.iter().all(|&s| s == 0.0) {
-            return;
-        }
-        let base = adj.len();
-        adj.extend_from_slice(seeds);
-        for (i, op) in self.ops.iter().enumerate().rev() {
-            match *op {
-                Op::Mono { coeff: _, lo, hi } => {
-                    let b = adj.len() - k;
-                    lanes_mul(&mut adj[b..], &vals[i * k..(i + 1) * k]);
-                    let av = &adj[b..];
-                    for &(j, e) in &self.terms[lo as usize..hi as usize] {
-                        let j = j as usize * k;
-                        lanes_add_scaled(&mut grad[j..j + k], av, e);
-                    }
-                    adj.truncate(b);
-                }
-                Op::Sum { k: kk } => {
-                    let kk = kk as usize;
-                    let b = adj.len() - k;
-                    if kk == 0 {
-                        adj.truncate(b);
-                    } else {
-                        for _ in 1..kk {
-                            adj.extend_from_within(b..b + k);
-                        }
-                    }
-                }
-                Op::Max { k: kk, w0 } => {
-                    let kk = kk as usize;
-                    let w0 = w0 as usize;
-                    let b = adj.len() - k;
-                    if kk == 0 {
-                        adj.truncate(b);
-                    } else {
-                        adj.resize(b + kk * k, 0.0);
-                        let (a0, rest) = adj[b..].split_at_mut(k);
-                        for t in 1..kk {
-                            lanes_set_mul(
-                                &mut rest[(t - 1) * k..t * k],
-                                a0,
-                                &wts[(w0 + t) * k..(w0 + t + 1) * k],
-                            );
-                        }
-                        lanes_mul(a0, &wts[w0 * k..(w0 + 1) * k]);
+                    out.copy_from_slice(&kids[c0 * k..][..k]);
+                    for t in 1..r.arity as usize {
+                        lanes_add(out, &kids[(c0 + t) * k..][..k]);
                     }
                 }
             }
         }
-        debug_assert_eq!(adj.len(), base);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::compiled::{smax_weights_fast, VarCache};
-    use crate::expr::{Expr, Monomial};
-
-    fn sample_expr() -> Expr {
-        Expr::sum(vec![
-            Expr::max(vec![
-                Expr::Mono(Monomial::single(2.0, 0, 1.0)),
-                Expr::sum(vec![
-                    Expr::Mono(Monomial::single(1.0, 1, 1.0)),
-                    Expr::max(vec![
-                        Expr::Mono(Monomial::pair(0.5, 0, 1.0, 1, -1.0)),
-                        Expr::constant(0.25),
-                    ]),
-                ]),
-            ]),
-            Expr::Mono(Monomial::pair(1.0, 0, 1.0, 1, -1.0)),
-            Expr::constant(0.3),
-        ])
-    }
+    use crate::compiled::smax_weights_fast;
+    use crate::compiled::tests::{sample_expr, single, sweep};
+    use crate::expr::{Expr, Monomial, Sharpness};
+    use crate::workspace::EvalScratch;
+    use proptest::prelude::*;
 
     fn lane_points(k: usize) -> Vec<[f64; 2]> {
         (0..k).map(|l| [0.1 * l as f64 - 0.3, 0.7 - 0.2 * l as f64]).collect()
     }
 
+    fn lane_major<P: AsRef<[f64]>>(pts: &[P]) -> Vec<f64> {
+        let (k, n) = (pts.len(), pts[0].as_ref().len());
+        let mut xs = vec![0.0; n * k];
+        for (l, p) in pts.iter().enumerate() {
+            for (j, &v) in p.as_ref().iter().enumerate() {
+                xs[j * k + l] = v;
+            }
+        }
+        xs
+    }
+
+    /// Lane record + replay of a one-root program: per-lane values and
+    /// the lane-major `seeds[l] · ∇value_l`.
+    fn sweep_lanes(
+        prog: &LevelProgram,
+        xs: &[f64],
+        k: usize,
+        s: f64,
+        seeds: &[f64],
+        scratch: &mut BatchEvalScratch,
+    ) -> (Vec<f64>, Vec<f64>) {
+        prog.forward_lanes(xs, k, s, scratch);
+        scratch.slot_adj[..k].copy_from_slice(seeds);
+        prog.push_adjoints(k, &mut scratch.slot_adj, &scratch.tape_wts);
+        let mut grad = vec![0.0; xs.len()];
+        let all = prog.mono_range(0);
+        prog.accumulate(all, k, &scratch.tape_vals, &scratch.slot_adj, &mut grad);
+        (scratch.tape_vals[..k].to_vec(), grad)
+    }
+
     #[test]
     fn batched_eval_matches_scalar_per_lane() {
-        let e = sample_expr();
-        let c = CompiledExpr::compile(&e);
-        let mut cache = VarCache::default();
+        let prog = single(&sample_expr(), 2);
+        let (mut scalar, mut lanes) = (EvalScratch::default(), BatchEvalScratch::default());
         for &k in &[1usize, 2, 3, 4, 8, 17] {
             let pts = lane_points(k);
-            let mut xs = vec![0.0; 2 * k];
-            for (l, p) in pts.iter().enumerate() {
-                xs[l] = p[0];
-                xs[k + l] = p[1];
-            }
-            let mut bc = BatchVarCache::default();
-            bc.fill(&xs, 2, k, true);
+            let xs = lane_major(&pts);
             for s in [4.0, 64.0, 256.0, 3.0, 3.7] {
-                let sharp = Sharpness::Smooth(s);
-                let mut stack = Vec::new();
-                let mut vals = vec![0.0; c.vals_len() * k];
-                let mut wts = vec![0.0; c.wts_len() * k];
-                c.eval_tape_batch(k, sharp, &mut stack, &mut vals, &mut wts, &bc);
-                let top = stack.len() - k;
-                let batched: Vec<f64> = stack[top..].to_vec();
-                stack.truncate(top);
+                let (batched, _) = sweep_lanes(&prog, &xs, k, s, &vec![1.0; k], &mut lanes);
                 for l in 0..k {
-                    let mut sstack = Vec::new();
-                    cache.fill(&pts[l], true);
-                    let v0 = c.eval(&pts[l], sharp, &mut sstack, Some(&cache));
+                    let (v0, _) = sweep(&prog, &pts[l], Sharpness::Smooth(s), 1.0, &mut scalar);
                     assert!(
                         (v0 - batched[l]).abs() <= 1e-12 * v0.abs().max(1.0),
                         "k={k} lane={l} s={s}: scalar {v0} vs batched {}",
@@ -610,39 +319,15 @@ mod tests {
 
     #[test]
     fn batched_backprop_matches_scalar_per_lane() {
-        let e = sample_expr();
-        let c = CompiledExpr::compile(&e);
-        let mut cache = VarCache::default();
+        let prog = single(&sample_expr(), 2);
+        let (mut scalar, mut lanes) = (EvalScratch::default(), BatchEvalScratch::default());
         for &k in &[1usize, 2, 4, 8, 17] {
             let pts = lane_points(k);
-            let mut xs = vec![0.0; 2 * k];
-            for (l, p) in pts.iter().enumerate() {
-                xs[l] = p[0];
-                xs[k + l] = p[1];
-            }
-            let mut bc = BatchVarCache::default();
-            bc.fill(&xs, 2, k, true);
-            let sharp = Sharpness::Smooth(16.0);
-            let mut stack = Vec::new();
-            let mut vals = vec![0.0; c.vals_len() * k];
-            let mut wts = vec![0.0; c.wts_len() * k];
-            c.eval_tape_batch(k, sharp, &mut stack, &mut vals, &mut wts, &bc);
-            stack.truncate(stack.len() - k);
+            let xs = lane_major(&pts);
             let seeds: Vec<f64> = (0..k).map(|l| 1.0 + 0.25 * l as f64).collect();
-            let mut grad = vec![0.0; 2 * k];
-            let mut adj = Vec::new();
-            c.backprop_batch(k, &seeds, &vals, &wts, &mut grad, &mut adj);
-            assert!(adj.is_empty() && stack.is_empty());
+            let (_, grad) = sweep_lanes(&prog, &xs, k, 16.0, &seeds, &mut lanes);
             for l in 0..k {
-                let mut svals = vec![0.0; c.vals_len()];
-                let mut swts = vec![0.0; c.wts_len()];
-                let mut sstack = Vec::new();
-                cache.fill(&pts[l], true);
-                let _ =
-                    c.eval_tape(&pts[l], sharp, &mut sstack, &mut svals, &mut swts, Some(&cache));
-                let mut g = vec![0.0; 2];
-                let mut sadj = Vec::new();
-                c.backprop(seeds[l], &svals, &swts, &mut g, &mut sadj);
+                let (_, g) = sweep(&prog, &pts[l], Sharpness::Smooth(16.0), seeds[l], &mut scalar);
                 for j in 0..2 {
                     assert!(
                         (g[j] - grad[j * k + l]).abs() <= 1e-9 * (1.0 + g[j].abs()),
@@ -657,39 +342,72 @@ mod tests {
 
     #[test]
     fn batched_smax_matches_scalar_kernel() {
-        for sharp in [Sharpness::Exact, Sharpness::Smooth(4.0), Sharpness::Smooth(256.0)] {
-            let rows: Vec<Vec<f64>> = vec![
-                vec![1.0, 2.0, 3.0, 0.5],
-                vec![0.0, 0.0, 0.0, 0.0],
-                vec![2.0, 2.0, 1e-8, 100.0],
-            ];
-            let (k, kk) = (rows.len(), rows[0].len());
-            // lane-major candidates: lane l = row l.
-            let mut cands = vec![0.0; kk * k];
-            for (l, row) in rows.iter().enumerate() {
-                for (t, &v) in row.iter().enumerate() {
-                    cands[t * k + l] = v;
+        for s in [4.0, 256.0] {
+            for rows in [
+                vec![
+                    vec![1.0, 2.0, 3.0, 0.5],
+                    vec![0.0, 0.0, 0.0, 0.0],
+                    vec![2.0, 2.0, 1e-8, 100.0],
+                ],
+                vec![vec![7.0], vec![0.0], vec![1e-8]],
+            ] {
+                let (k, kk) = (rows.len(), rows[0].len());
+                // lane-major candidates: lane l = row l.
+                let mut cands = vec![0.0; kk * k];
+                for (l, row) in rows.iter().enumerate() {
+                    for (t, &v) in row.iter().enumerate() {
+                        cands[t * k + l] = v;
+                    }
+                }
+                let (mut out, mut wts) = (vec![0.0; k], vec![0.0; kk * k]);
+                smax_batch(k, kk, s, &cands, &mut out, &mut wts, &mut vec![0.0; 2 * k]);
+                for (l, row) in rows.iter().enumerate() {
+                    let mut sw = vec![0.0; kk];
+                    let v0 = smax_weights_fast(row, Sharpness::Smooth(s), &mut sw);
+                    assert!(
+                        (v0 - out[l]).abs() <= 1e-12 * v0.abs().max(1.0),
+                        "s={s} lane {l}: {v0} vs {}",
+                        out[l]
+                    );
+                    for t in 0..kk {
+                        assert!(
+                            (sw[t] - wts[t * k + l]).abs() <= 1e-9 * (1.0 + sw[t].abs()),
+                            "s={s} lane {l} cand {t}: {} vs {}",
+                            sw[t],
+                            wts[t * k + l]
+                        );
+                    }
                 }
             }
-            let mut wts = vec![0.0; kk * k];
-            let mut scratch = vec![0.0; 3 * k];
-            smax_batch(k, kk, sharp, &mut cands, &mut wts, &mut scratch);
-            for (l, row) in rows.iter().enumerate() {
-                let mut sw = vec![0.0; kk];
-                let v0 = smax_weights_fast(row, sharp, &mut sw);
-                let v1 = cands[l];
-                assert!(
-                    (v0 - v1).abs() <= 1e-12 * v0.abs().max(1.0),
-                    "{sharp:?} lane {l}: {v0} vs {v1}"
+        }
+    }
+
+    /// The lane kernel's single-candidate shortcut returns what its
+    /// chain computes on one candidate row, to the bit (the chain on a
+    /// lone row is the chain on that row beside an all-zero one, whose
+    /// powers add `+0.0` to every sum).
+    #[test]
+    fn single_candidate_row_is_the_chain_to_the_bit() {
+        let row = [0.0, 1e-300, 1.0, 1e300];
+        let k = row.len();
+        for s in [4.0, 64.0, 256.0, 3.7] {
+            let (mut out, mut w) = (vec![f64::NAN; k], vec![f64::NAN; k]);
+            smax_batch(k, 1, s, &row, &mut out, &mut w, &mut vec![0.0; 2 * k]);
+            let mut two = row.to_vec();
+            two.extend([0.0; 4]);
+            let (mut out2, mut w2) = (vec![f64::NAN; k], vec![f64::NAN; 2 * k]);
+            smax_batch(k, 2, s, &two, &mut out2, &mut w2, &mut vec![0.0; 2 * k]);
+            for l in 0..k {
+                assert_eq!(
+                    (out[l].to_bits(), w[l].to_bits()),
+                    (out2[l].to_bits(), w2[l].to_bits()),
+                    "s={s} v={:e}: ({}, {}) vs ({}, {})",
+                    row[l],
+                    out[l],
+                    w[l],
+                    out2[l],
+                    w2[l]
                 );
-                for t in 0..kk {
-                    assert!(
-                        (sw[t] - wts[t * k + l]).abs() <= 1e-9 * (1.0 + sw[t].abs()),
-                        "{sharp:?} lane {l} cand {t}: {} vs {}",
-                        sw[t],
-                        wts[t * k + l]
-                    );
-                }
             }
         }
     }
@@ -726,18 +444,112 @@ mod tests {
 
     #[test]
     fn zero_expression_batched_paths_are_safe() {
-        let c = CompiledExpr::compile(&Expr::zero());
+        let prog = single(&Expr::zero(), 0);
         let k = 4;
-        let bc = BatchVarCache::default();
-        let mut stack = Vec::new();
-        let mut vals = vec![0.0; c.vals_len() * k];
-        let mut wts = vec![0.0; c.wts_len() * k];
-        c.eval_tape_batch(k, Sharpness::Smooth(8.0), &mut stack, &mut vals, &mut wts, &bc);
-        let top = stack.len() - k;
-        assert!(stack[top..].iter().all(|&v| v == 0.0));
-        stack.truncate(top);
-        let mut grad: Vec<f64> = Vec::new();
-        let mut adj = Vec::new();
-        c.backprop_batch(k, &[1.0; 4], &vals, &wts, &mut grad, &mut adj);
+        let mut lanes = BatchEvalScratch::default();
+        let (vals, grad) = sweep_lanes(&prog, &[], k, 8.0, &[1.0; 4], &mut lanes);
+        assert!(vals.iter().all(|&v| v.to_bits() == 0));
+        assert!(grad.is_empty());
+    }
+
+    /// splitmix64 over a test-local state.
+    fn next(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    const TREE_VARS: usize = 4;
+
+    /// A random tree of the kind the objective never builds: depth up to
+    /// 5, `Sum` / `Max` of arity 1–5 constructed directly (so single
+    /// children and zero terms survive), exponent vectors drawn from a
+    /// small pool so they repeat, exotic exponents, zero coefficients.
+    fn random_tree(state: &mut u64, depth: usize) -> Expr {
+        let pick = next(state) % 10;
+        if depth == 0 || pick < 4 {
+            let coeff = match next(state) % 6 {
+                0 => 0.0,
+                c => 0.25 * c as f64,
+            };
+            let exps = [1.0, -1.0, 0.5, -0.5, 2.0, -0.3];
+            let draw = |state: &mut u64| {
+                ((next(state) % 2) as usize, exps[(next(state) % exps.len() as u64) as usize])
+            };
+            return Expr::Mono(match next(state) % 4 {
+                0 => Monomial::constant(coeff),
+                1 => {
+                    let (j, a) = draw(state);
+                    Monomial::single(coeff, j, a)
+                }
+                _ => {
+                    let ((i, a), (j, b)) = (draw(state), draw(state));
+                    Monomial::pair(coeff, i, a, 2 + j, b)
+                }
+            });
+        }
+        let arity = 1 + (next(state) % 5) as usize;
+        let kids = (0..arity).map(|_| random_tree(state, depth - 1)).collect();
+        if pick & 1 == 0 {
+            Expr::Sum(kids)
+        } else {
+            Expr::Max(kids)
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
+
+        /// Both executors against the tree walk on trees of arbitrary
+        /// shape: exact values bitwise equal to `Expr::eval`, smooth
+        /// values to 1e-12 and gradients to 1e-9 against
+        /// `Expr::eval_grad`, at K = 1 (scalar tape) and K = 5 (lane
+        /// tape: a 4-block and a 1-block).
+        #[test]
+        fn level_program_matches_tree_on_random_trees(seed in 0u64..1_000_000) {
+            let mut state = seed;
+            let e = random_tree(&mut state, 5);
+            let prog = single(&e, TREE_VARS);
+            let k = 5;
+            let pts: Vec<Vec<f64>> = (0..k)
+                .map(|_| {
+                    (0..TREE_VARS).map(|_| (next(&mut state) % 4001) as f64 / 1000.0 - 2.0).collect()
+                })
+                .collect();
+            let (mut scalar, mut lanes) = (EvalScratch::default(), BatchEvalScratch::default());
+            let close = |a: f64, b: f64, tol: f64| (a - b).abs() <= tol * (1.0 + b.abs());
+            for x in &pts {
+                let (v, _) = sweep(&prog, x, Sharpness::Exact, 1.0, &mut scalar);
+                prop_assert_eq!(v.to_bits(), e.eval(x, Sharpness::Exact).to_bits(), "exact at {:?}", x);
+            }
+            for s in [2.0, 8.0, 256.0, 3.0, 3.7] {
+                let sharp = Sharpness::Smooth(s);
+                let xs = lane_major(&pts);
+                let seeds: Vec<f64> = (0..k).map(|l| 0.5 + l as f64).collect();
+                let (lane_vals, lane_grads) = sweep_lanes(&prog, &xs, k, s, &seeds, &mut lanes);
+                for (l, x) in pts.iter().enumerate() {
+                    let mut g0 = vec![0.0; TREE_VARS];
+                    let v0 = e.eval_grad(x, sharp, seeds[l], &mut g0);
+                    let (v1, g1) = sweep(&prog, x, sharp, seeds[l], &mut scalar);
+                    prop_assert!(close(v1, v0, 1e-12), "s={} scalar value {} vs tree {}", s, v1, v0);
+                    prop_assert!(
+                        close(lane_vals[l], v0, 1e-12),
+                        "s={} lane {} value {} vs tree {}", s, l, lane_vals[l], v0
+                    );
+                    for j in 0..TREE_VARS {
+                        prop_assert!(
+                            close(g1[j], g0[j], 1e-9),
+                            "s={} scalar grad[{}] {} vs tree {}", s, j, g1[j], g0[j]
+                        );
+                        prop_assert!(
+                            close(lane_grads[j * k + l], g0[j], 1e-9),
+                            "s={} lane {} grad[{}] {} vs tree {}", s, l, j, lane_grads[j * k + l], g0[j]
+                        );
+                    }
+                }
+            }
+        }
     }
 }

@@ -1,329 +1,760 @@
-//! Flat, tape-recording form of [`Expr`] for the solver's hot paths.
+//! The level program: every [`Expr`] of one objective flattened into a
+//! single flat program that both tape executors sweep level by level.
 //!
 //! The tree walk in [`Expr::eval_grad`] is correct but pays twice on
-//! every gradient: pointer-chasing through boxed enum nodes, and — worse
-//! — *re-evaluating* each subexpression on the way back down to recover
-//! `max` weights and monomial values that the forward pass already knew.
-//! A [`CompiledExpr`] removes both costs:
+//! every gradient: pointer-chasing through boxed enum nodes, and
+//! *re-evaluating* each subexpression on the way back down to recover
+//! `max` weights and monomial values the forward pass already knew. A
+//! post-order tape per expression removes both costs but leaves a third:
+//! every smoothed `max` is a chain of dependent divides, squarings and
+//! square roots, and an interpreter that executes one op at a time runs
+//! those chains one after the other with the divider idle in between.
 //!
-//! * the expression is flattened once into a post-order array of ops over
-//!   one contiguous term table (cache-friendly, no recursion);
-//! * `eval_tape` records every op's value and every `max`'s weights into
-//!   caller-owned slices as it evaluates;
-//! * `backprop` then replays the ops **in reverse** using only the tape —
-//!   pure sparse multiply-adds, no `exp`, no `powf`, no re-evaluation.
+//! A [`LevelProgram`] is compiled once per objective from *all* of its
+//! expressions (the roots):
 //!
-//! Together with the smoothed-max kernel below (integer sharpness via
-//! repeated squaring instead of `powf`, weights recovered algebraically
-//! from the already-computed powers), this is what turns the reverse-mode
-//! sweep's `O(E + Σ posynomial terms)` bound into a wall-clock win.
+//! * **one value slot per op** — `vals[slot]` on the scalar tape,
+//!   `vals[slot·k + lane]` on the lane tape. Root `r` owns slot `r`; the
+//!   children of every op own one contiguous block of slots in child
+//!   order, allocated level by level from the top, so a parent's slot is
+//!   always below its children's and a level splits the tape into
+//!   "outputs below, operands above" with one `split_at_mut`;
+//! * **level 0** is every monomial (coefficient, term range, exponent
+//!   slot for the exact sweep), stored in the order the backward pass
+//!   accumulates them (below);
+//! * **level ℓ ≥ 1** is every `Sum`/`Max` whose deepest child sits at
+//!   ℓ − 1, as homogeneous lists: the arity-2 maxes of a level (every
+//!   `max` the objective builds) share one structure-of-arrays operand
+//!   block — all first candidates, then all second candidates — so one
+//!   elementwise kernel (`smax2_rows`) sweeps `ops × lanes` independent
+//!   chains at once; other arities go through `smax_weights_fast` /
+//!   `smax_batch` on their contiguous child block; sums add their block
+//!   in child order.
 //!
-//! Numerical contract: at [`Sharpness::Exact`] the compiled evaluation is
-//! **bit-identical** to the tree walk (same summation order, same
-//! first-argmax tie-breaking), so exact-max tie-breaking decisions never
-//! diverge between the two. At `Smooth(s)` the faster power kernel may
-//! differ from `powf` in the last ulps; the gradient property tests pin
-//! the agreement at 1e-9 relative.
+//! The forward sweep records every op's value and every `max`'s weights;
+//! the backward sweep pushes a per-slot adjoint top-down (copy through a
+//! sum, scale by the recorded weight through a max) and then accumulates
+//! `adjoint · value · exponent` of every monomial into the gradient —
+//! pure multiply-adds, no `exp`, no `powf`, no re-evaluation.
+//!
+//! This module holds the program and its compile, the scalar executor's
+//! forward sweep (`LevelProgram::forward`) and the three passes whose
+//! arithmetic both executors share, written once over `k` lane-major
+//! points with `k = 1` the scalar tape (`LevelProgram::smooth_monomials`,
+//! `LevelProgram::push_adjoints`, `LevelProgram::accumulate`); the
+//! lane executor's forward sweep is in [`crate::batch`].
+//!
+//! Numerical contract. Per op the sweeps perform exactly the IEEE
+//! operation sequence of the post-order tapes they replaced, and every
+//! accumulation keeps its order: a sum adds its children left to right,
+//! and the monomial table is laid out in the order the old adjoint stack
+//! reached the monomials (roots in the caller's replay order, each
+//! root's monomials right to left), so every `grad[j]` receives the same
+//! addends in the same order. What used to be skipped when an adjoint was
+//! zero is now an added `±0.0`, which cannot change a sum that started
+//! at `+0.0`. `crates/solver/tests/tape_bits.rs` pins the bits.
+//!
+//! At [`Sharpness::Exact`] the sweep is **bit-identical** to the tree
+//! walk (same summation order, same first-argmax tie-breaking): each
+//! monomial is `coeff · exp(Σ a_j x_j)` with the sum taken in term
+//! order, but `exp` runs once per *distinct* exponent vector of the
+//! program and constants take `coeff` as is (`exp(±0) = 1`). At
+//! `Smooth(s)` monomials are products of cached `e^{±x_j}`, `e^{±x_j/2}`
+//! factors and the power kernel is repeated squaring, so values may
+//! differ from the tree's `powf` in the last ulps; the property tests
+//! pin agreement at 1e-12 (values) and 1e-9 (gradients).
 
-use crate::expr::{Expr, Sharpness};
+use crate::expr::{Expr, Monomial, Sharpness};
+use crate::workspace::EvalScratch;
+use std::collections::HashMap;
+use std::hash::{Hash, Hasher};
+use std::ops::Range;
 
-/// Per-evaluation caches of `exp(x_j)` and friends, filled once per
-/// objective call and shared by every compiled expression in it.
+/// Per-sweep caches of `exp(x_j)` and friends for `k` lane-major points,
+/// filled once per objective call: four sections of `n·k` entries —
+/// `e^{x}`, `e^{-x}`, `e^{x/2}`, `e^{-x/2}` — so factor row `r` of lane
+/// `l` is `fac[r·k + l]` and a monomial term compiles to one row index.
 ///
-/// The objective's monomials only ever use exponents in
-/// `{±1, ±0.5}` (processor ratios and the 2D mesh's square-root terms),
-/// so with these caches a monomial value is a handful of multiplies
-/// instead of a dot product plus `exp` — the dominant cost of the
-/// smoothed forward sweep. The caches are *not* used at
-/// [`Sharpness::Exact`]: there the `exp(Σ a_j x_j)` path is kept so the
-/// compiled evaluation stays bit-identical to the tree walk and exact
-/// `max` tie-breaking never diverges.
+/// The objective's monomials only ever use exponents in `{±1, ±0.5}`
+/// (processor ratios and the 2D mesh's square-root terms), so a smoothed
+/// monomial is a handful of multiplies instead of a dot product plus
+/// `exp`. The factors are *not* used by the monomials of an exact sweep
+/// (see the module docs), but the `e^{x}` section is filled on every
+/// sweep: the objective's fused `A_p = (1/p) Σ T_i e^{x_i}` reads it.
 #[derive(Debug, Default)]
 pub struct VarCache {
-    /// `exp(x_j)` per variable. Filled on every objective call (even at
-    /// [`Sharpness::Exact`], where the monomials don't consume it): the
-    /// objective's fused `A_p = (1/p) Σ T_i e^{x_i}` accumulation reads
-    /// it directly.
-    pub(crate) e: Vec<f64>,
-    /// `1 / exp(x_j)`.
-    pub(crate) inv: Vec<f64>,
-    /// `sqrt(exp(x_j))`; filled only when `halves` is requested.
-    pub(crate) sq: Vec<f64>,
-    /// `1 / sqrt(exp(x_j))`; same lifecycle as `sq`.
-    pub(crate) isq: Vec<f64>,
+    pub(crate) fac: Vec<f64>,
+    len: usize,
 }
 
 impl VarCache {
-    /// Fill the caches for the point `x`. `halves` asks for the
-    /// square-root caches too (only needed when some monomial carries a
-    /// `±0.5` exponent). Capacity is retained across calls.
-    pub fn fill(&mut self, x: &[f64], halves: bool) {
-        let n = x.len();
-        self.e.resize(n, 0.0);
-        self.inv.resize(n, 0.0);
-        for (j, &xj) in x.iter().enumerate() {
-            let e = xj.exp();
-            self.e[j] = e;
-            self.inv[j] = 1.0 / e;
+    /// Fill for the lane-major point block `xs` (`n·k` entries,
+    /// `xs[j·k + l]`; a scalar point is `k = 1`). `halves` asks for the
+    /// square-root sections too (only needed when some monomial carries
+    /// a `±0.5` exponent). Capacity is retained across calls.
+    pub(crate) fn fill(&mut self, xs: &[f64], halves: bool) {
+        let len = xs.len();
+        self.len = len;
+        self.fac.resize(if halves { 4 * len } else { 2 * len }, 0.0);
+        let (e, rest) = self.fac.split_at_mut(len);
+        for (ei, &x) in e.iter_mut().zip(xs) {
+            *ei = x.exp();
+        }
+        let (inv, rest) = rest.split_at_mut(len);
+        for (i, &ei) in inv.iter_mut().zip(&*e) {
+            *i = 1.0 / ei;
         }
         if halves {
-            self.sq.resize(n, 0.0);
-            self.isq.resize(n, 0.0);
-            for j in 0..n {
-                let s = self.e[j].sqrt();
-                self.sq[j] = s;
-                self.isq[j] = 1.0 / s;
+            let (sq, isq) = rest.split_at_mut(len);
+            for ((s, i), &ei) in sq.iter_mut().zip(isq).zip(&*e) {
+                *s = ei.sqrt();
+                *i = 1.0 / *s;
             }
         }
     }
-}
 
-/// One monomial value: the cached-factor product when a [`VarCache`] is
-/// supplied, the reference `coeff · exp(Σ a_j x_j)` otherwise.
-#[inline]
-fn mono_val(terms: &[(u32, f64)], coeff: f64, x: &[f64], cache: Option<&VarCache>) -> f64 {
-    if coeff == 0.0 {
-        return 0.0;
-    }
-    match cache {
-        Some(c) => {
-            let mut v = coeff;
-            for &(j, a) in terms {
-                let j = j as usize;
-                v *= if a == 1.0 {
-                    c.e[j]
-                } else if a == -1.0 {
-                    c.inv[j]
-                } else if a == 0.5 {
-                    c.sq[j]
-                } else if a == -0.5 {
-                    c.isq[j]
-                } else {
-                    c.e[j].powf(a)
-                };
-            }
-            v
-        }
-        None => {
-            let e: f64 = terms.iter().map(|&(j, a)| a * x[j as usize]).sum();
-            coeff * e.exp()
-        }
+    /// The `exp(x_j)` section (lane-major).
+    pub(crate) fn e(&self) -> &[f64] {
+        &self.fac[..self.len]
     }
 }
 
-/// One post-order instruction. `Mono` pushes a value; `Sum`/`Max` pop
-/// their `k` children and push the reduction.
+/// Factor-row marker of a term whose exponent is none of `±1`, `±0.5`:
+/// the sweep falls back to `exp(x_j).powf(a)`.
+const POWF: u32 = u32::MAX;
+
+/// One level-0 op: `coeff · Π factors` over `terms[lo..hi]`.
 #[derive(Debug, Clone, Copy)]
-pub(crate) enum Op {
-    /// `coeff * exp(Σ a_j x_j)` over `terms[lo..hi]`.
-    Mono { coeff: f64, lo: u32, hi: u32 },
-    /// Sum of the top `k` stack values, in push order.
-    Sum { k: u32 },
-    /// Smoothed max of the top `k` stack values; weights are recorded at
-    /// `wts[w0 .. w0 + k]`.
-    Max { k: u32, w0: u32 },
+pub(crate) struct Mono {
+    pub(crate) coeff: f64,
+    pub(crate) lo: u32,
+    pub(crate) hi: u32,
+    pub(crate) slot: u32,
+    /// Index of this monomial's exponent vector among the program's
+    /// distinct ones; constants point at the trailing `1.0` entry.
+    exp: u32,
 }
 
-/// A compiled generalized posynomial: post-order ops over a flat term
-/// table. Build once per objective with [`CompiledExpr::compile`], then
-/// evaluate via [`CompiledExpr::eval_tape`] / [`CompiledExpr::backprop`]
-/// against caller-owned tape slices (see
-/// [`crate::workspace::EvalScratch`]).
+/// A `Sum` or a `Max` of arity ≠ 2: reduces the child slots
+/// `c0 .. c0 + arity` into `out`; a max records its weights at
+/// `w0 .. w0 + arity`.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Reduce {
+    pub(crate) out: u32,
+    pub(crate) c0: u32,
+    pub(crate) arity: u32,
+    pub(crate) w0: u32,
+}
+
+/// The ops of one level, as ranges into the program's flat op lists.
 #[derive(Debug, Clone)]
-pub struct CompiledExpr {
-    pub(crate) ops: Vec<Op>,
-    /// `(variable index, exponent)` pairs of every monomial, contiguous.
-    pub(crate) terms: Vec<(u32, f64)>,
-    /// Total `max` weight slots (Σ k over `Max` ops).
-    pub(crate) wts_len: usize,
+pub(crate) struct Level {
+    /// First child slot this level allocated: every output of the level
+    /// is below it, every operand at or above it.
+    pub(crate) child_base: u32,
+    /// Arity-2 maxes: op `i` (output slot `max2_out[max2][i]`) reads
+    /// `child_base + i` and `child_base + n + i` and records its weights
+    /// at `w0 + i` and `w0 + n + i`, `n` being the level's arity-2 count.
+    pub(crate) max2: Range<usize>,
+    pub(crate) w0: u32,
+    /// Maxes of any other arity (ranges into `reduces`).
+    pub(crate) maxes: Range<usize>,
+    /// Sums.
+    pub(crate) sums: Range<usize>,
 }
 
-impl CompiledExpr {
-    /// Flatten an expression tree. Child order is preserved, so at
-    /// [`Sharpness::Exact`] evaluation is bit-identical to [`Expr::eval`].
-    pub fn compile(e: &Expr) -> CompiledExpr {
-        let mut c = CompiledExpr { ops: Vec::new(), terms: Vec::new(), wts_len: 0 };
-        c.emit(e);
-        c
-    }
+/// Shape of a compiled program, for the benches and the docs.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct TapeStats {
+    /// Level-0 ops.
+    pub monomials: usize,
+    /// Distinct non-constant exponent vectors: `exp` calls of the
+    /// monomial level of one exact sweep.
+    pub distinct_exponent_vectors: usize,
+    /// `Sum` ops.
+    pub sums: usize,
+    /// `Max` ops as `(arity, count)`, ascending arity.
+    pub maxes_by_arity: Vec<(usize, usize)>,
+    /// Levels above the monomials.
+    pub levels: usize,
+    /// Value slots: one per op (monomials + sums + maxes).
+    pub slots: usize,
+    /// Weight slots (Σ arity over maxes).
+    pub weights: usize,
+}
 
-    fn emit(&mut self, e: &Expr) {
-        match e {
-            Expr::Mono(m) => {
-                let lo = self.terms.len() as u32;
-                self.terms.extend(m.exps.iter().map(|&(j, a)| (j as u32, a)));
-                let hi = self.terms.len() as u32;
-                self.ops.push(Op::Mono { coeff: m.coeff, lo, hi });
-            }
-            Expr::Sum(v) => {
-                for child in v {
-                    self.emit(child);
-                }
-                self.ops.push(Op::Sum { k: v.len() as u32 });
-            }
-            Expr::Max(v) => {
-                for child in v {
-                    self.emit(child);
-                }
-                let w0 = self.wts_len as u32;
-                self.wts_len += v.len();
-                self.ops.push(Op::Max { k: v.len() as u32, w0 });
-            }
-        }
-    }
-
-    /// Number of value-tape slots this expression needs (one per op).
-    pub fn vals_len(&self) -> usize {
-        self.ops.len()
-    }
-
-    /// Number of weight-tape slots this expression needs.
-    pub fn wts_len(&self) -> usize {
-        self.wts_len
-    }
-
+/// All expressions of one objective compiled into one level-by-level
+/// program (see the module docs). Build once with
+/// [`LevelProgram::compile`].
+#[derive(Debug, Clone)]
+pub struct LevelProgram {
+    pub(crate) n_vars: usize,
+    /// Monomials in backward-accumulation order.
+    pub(crate) monos: Vec<Mono>,
+    /// `(variable, exponent)` pairs of every monomial, contiguous.
+    pub(crate) terms: Vec<(u32, f64)>,
+    /// Factor row of each term in the `VarCache` (`POWF` for an exotic
+    /// exponent), parallel to `terms`.
+    rows: Vec<u32>,
+    /// Term range of each distinct exponent vector: the exact sweep's
+    /// `exp` table has one entry per vector plus the constants' `1.0`.
+    pub(crate) exp_keys: Vec<(u32, u32)>,
+    /// Levels bottom-up (level 1 first).
+    pub(crate) levels: Vec<Level>,
+    pub(crate) max2_out: Vec<u32>,
+    pub(crate) reduces: Vec<Reduce>,
+    /// Monomial-table range of each root.
+    mono_ranges: Vec<(u32, u32)>,
+    /// Value slots: one per op.
+    pub(crate) n_slots: usize,
+    /// Weight slots: Σ arity over maxes.
+    pub(crate) n_wts: usize,
+    /// Widest arity-2 list of any level (sizes the staging row).
+    pub(crate) max2_width: usize,
     /// Whether any monomial carries a `±0.5` exponent (the 2D mesh's
-    /// square-root network terms); tells the objective whether
-    /// [`VarCache::fill`] must populate the square-root caches.
-    pub fn has_half_exponents(&self) -> bool {
-        self.terms.iter().any(|&(_, a)| a == 0.5 || a == -0.5)
+    /// square-root network terms): whether `VarCache::fill` must
+    /// populate the square-root sections.
+    pub(crate) needs_halves: bool,
+}
+
+/// What one level holds, counted before any slot is handed out.
+#[derive(Default, Clone, Copy)]
+struct LevelCount {
+    max2: u32,
+    maxes: u32,
+    max_kids: u32,
+    sums: u32,
+    sum_kids: u32,
+}
+
+/// First pass of the compile: the level of `e`, counting every op of its
+/// tree into its level's tally (`counts[ℓ - 1]`) and its monomials and
+/// their terms into `leaves`.
+fn count(e: &Expr, counts: &mut Vec<LevelCount>, leaves: &mut (usize, usize)) -> usize {
+    let v = match e {
+        Expr::Mono(m) => {
+            leaves.0 += 1;
+            leaves.1 += if m.coeff == 0.0 { 0 } else { m.exps.len() };
+            return 0;
+        }
+        Expr::Sum(v) | Expr::Max(v) => v,
+    };
+    let level = 1 + v.iter().map(|c| count(c, counts, leaves)).max().unwrap_or(0);
+    if counts.len() < level {
+        counts.resize(level, LevelCount::default());
+    }
+    let (c, arity) = (&mut counts[level - 1], v.len() as u32);
+    match e {
+        Expr::Max(_) if arity == 2 => c.max2 += 1,
+        Expr::Max(_) => (c.maxes, c.max_kids) = (c.maxes + 1, c.max_kids + arity),
+        _ => (c.sums, c.sum_kids) = (c.sums + 1, c.sum_kids + arity),
+    }
+    level
+}
+
+/// Where the second pass put an op, so that its parent — which learns
+/// its own level, and with it its children's slots, only after visiting
+/// them — can fill in the op's output slot.
+#[derive(Clone, Copy)]
+enum Placed {
+    Mono(usize),
+    Max2(usize),
+    Reduce(usize),
+}
+
+/// Next free list position, child slot and weight slot of each kind
+/// within one level.
+struct Cursor {
+    max2: usize,
+    maxes: usize,
+    max_slot: u32,
+    max_w: u32,
+    sums: usize,
+    sum_slot: u32,
+}
+
+/// Second pass of the compile: fills the program's op lists, walking
+/// each tree once.
+struct Placer<'p> {
+    prog: &'p mut LevelProgram,
+    next: Vec<Cursor>,
+    /// Handles of visited children whose parent has not finished yet.
+    kids: Vec<Placed>,
+}
+
+impl Placer<'_> {
+    /// Place the tree `e`; returns its level and the handle through which
+    /// the caller sets its output slot. Children are visited right to
+    /// left, so the monomial table fills in the order a post-order
+    /// adjoint stack pops them.
+    fn place(&mut self, e: &Expr) -> (usize, Placed) {
+        let v = match e {
+            Expr::Mono(m) => return (0, Placed::Mono(self.push_mono(m))),
+            Expr::Sum(v) | Expr::Max(v) => v,
+        };
+        let first_kid = self.kids.len();
+        let mut level = 0;
+        for c in v.iter().rev() {
+            let (l, placed) = self.place(c);
+            level = level.max(l);
+            self.kids.push(placed);
+        }
+        let (lv, cur) = (&self.prog.levels[level], &mut self.next[level]);
+        level += 1;
+        let arity = v.len() as u32;
+        // Slot of child 0 and the slot stride from one child to the next.
+        let (placed, c0, stride) = match e {
+            Expr::Max(_) if arity == 2 => {
+                let i = cur.max2;
+                cur.max2 += 1;
+                let at = lv.child_base + (i - lv.max2.start) as u32;
+                (Placed::Max2(i), at, lv.max2.len() as u32)
+            }
+            Expr::Max(_) => {
+                let (i, c0, w0) = (cur.maxes, cur.max_slot, cur.max_w);
+                (cur.maxes, cur.max_slot, cur.max_w) = (i + 1, c0 + arity, w0 + arity);
+                self.prog.reduces[i] = Reduce { out: 0, c0, arity, w0 };
+                (Placed::Reduce(i), c0, 1)
+            }
+            _ => {
+                let (i, c0) = (cur.sums, cur.sum_slot);
+                (cur.sums, cur.sum_slot) = (i + 1, c0 + arity);
+                self.prog.reduces[i] = Reduce { out: 0, c0, arity, w0: 0 };
+                (Placed::Reduce(i), c0, 1)
+            }
+        };
+        // The handles were pushed last child first: child 0 pops first.
+        for t in 0..arity {
+            let kid = self.kids.pop().expect("one handle per child");
+            self.set_out(kid, c0 + t * stride);
+        }
+        debug_assert_eq!(self.kids.len(), first_kid);
+        (level, placed)
     }
 
-    /// Value-only evaluation (no tape): same arithmetic as
-    /// [`CompiledExpr::eval_tape`] given the same `cache` choice, so the
-    /// two return bit-identical values. Used by the descent loop's
-    /// line-search probes, which never take a gradient.
-    pub fn eval(
-        &self,
-        x: &[f64],
-        sharp: Sharpness,
-        stack: &mut Vec<f64>,
-        cache: Option<&VarCache>,
-    ) -> f64 {
-        let base = stack.len();
-        for op in &self.ops {
-            let v = match *op {
-                Op::Mono { coeff, lo, hi } => {
-                    mono_val(&self.terms[lo as usize..hi as usize], coeff, x, cache)
-                }
-                Op::Sum { k } => {
-                    let b = stack.len() - k as usize;
-                    let mut s = 0.0;
-                    for &c in &stack[b..] {
-                        s += c;
+    fn set_out(&mut self, placed: Placed, slot: u32) {
+        match placed {
+            Placed::Mono(i) => self.prog.monos[i].slot = slot,
+            Placed::Max2(i) => self.prog.max2_out[i] = slot,
+            Placed::Reduce(i) => self.prog.reduces[i].out = slot,
+        }
+    }
+
+    /// Append `m` to the monomial table. A zero coefficient compiles to
+    /// the constant `+0.0` with no terms: it evaluates to `0.0` whatever
+    /// the point and contributes nothing to any gradient, as
+    /// `Monomial::eval` has it.
+    fn push_mono(&mut self, m: &Monomial) -> usize {
+        let p = &mut *self.prog;
+        let lo = p.terms.len() as u32;
+        let n = p.n_vars as u32;
+        let coeff = if m.coeff == 0.0 {
+            0.0
+        } else {
+            for &(j, a) in &m.exps {
+                let j = j as u32;
+                p.terms.push((j, a));
+                p.rows.push(if a == 1.0 {
+                    j
+                } else if a == -1.0 {
+                    n + j
+                } else if a == 0.5 {
+                    2 * n + j
+                } else if a == -0.5 {
+                    3 * n + j
+                } else {
+                    POWF
+                });
+            }
+            m.coeff
+        };
+        p.monos.push(Mono { coeff, lo, hi: p.terms.len() as u32, slot: 0, exp: 0 });
+        p.monos.len() - 1
+    }
+}
+
+/// Borrowed exponent vector with bitwise equality: the build-time key of
+/// the exact sweep's `exp` deduplication.
+struct ExpKey<'a>(&'a [(u32, f64)]);
+
+impl Hash for ExpKey<'_> {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        for &(j, a) in self.0 {
+            state.write_u32(j);
+            state.write_u64(a.to_bits());
+        }
+    }
+}
+
+impl PartialEq for ExpKey<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        self.0.len() == other.0.len()
+            && self.0.iter().zip(other.0).all(|(a, b)| a.0 == b.0 && a.1.to_bits() == b.1.to_bits())
+    }
+}
+
+impl Eq for ExpKey<'_> {}
+
+/// Run `body` over `k` consecutive elements in blocks of compile-time
+/// width 8, 4, 2, 1 (`W`) starting at element `l0`. Two users: rows of
+/// `k` lanes — a monomial's row is a few multiplies, so at the widths the
+/// solver runs (1, 4, 6, 8) a loop over a runtime `k` costs more than the
+/// arithmetic — and the long rows of `smax2_rows`, where a block of 8
+/// is four 128-bit vectors on a baseline x86-64 build: enough independent
+/// divide / square-root chains in flight to hide their latency. An
+/// element's result does not depend on which block it lands in.
+macro_rules! for_lane_blocks {
+    ($k:expr, |$W:ident, $l0:ident| $body:expr) => {{
+        let k: usize = $k;
+        let mut $l0 = 0;
+        while $l0 < k {
+            let left = k - $l0;
+            if left >= 8 {
+                const $W: usize = 8;
+                $body;
+                $l0 += 8;
+            } else if left >= 4 {
+                const $W: usize = 4;
+                $body;
+                $l0 += 4;
+            } else if left >= 2 {
+                const $W: usize = 2;
+                $body;
+                $l0 += 2;
+            } else {
+                const $W: usize = 1;
+                $body;
+                $l0 += 1;
+            }
+        }
+    }};
+}
+
+impl LevelProgram {
+    /// Compile `roots` over `n_vars` variables into one program. Root `r`
+    /// gets slot `r`. `replay` is the order (a permutation of the root
+    /// indices) in which the backward pass accumulates the roots'
+    /// monomials; within a root they go right to left, the order a
+    /// post-order adjoint stack pops them in. Child order is preserved
+    /// everywhere, so an exact sweep is bit-identical to [`Expr::eval`].
+    pub fn compile(n_vars: usize, roots: &[&Expr], replay: &[usize]) -> LevelProgram {
+        // Pass 1: what each level holds. That fixes the whole layout:
+        // roots first, then one block of child slots per level from the
+        // top level down — within a block the first candidates of the
+        // level's arity-2 maxes, their second candidates, the child
+        // blocks of its other maxes, the child blocks of its sums.
+        let mut counts = Vec::new();
+        let mut leaves = (0, 0);
+        for e in roots {
+            count(e, &mut counts, &mut leaves);
+        }
+        let (n_monos, n_terms) = leaves;
+        let mut levels = Vec::with_capacity(counts.len());
+        let mut next = Vec::with_capacity(counts.len());
+        let (mut slot, mut w) = (roots.len() as u32, 0_u32);
+        let (mut max2_at, mut reduce_at, mut max2_width) = (0, 0, 0);
+        for c in counts.iter().rev() {
+            let maxes_at = reduce_at;
+            let sums_at = maxes_at + c.maxes as usize;
+            reduce_at = sums_at + c.sums as usize;
+            levels.push(Level {
+                child_base: slot,
+                max2: max2_at..max2_at + c.max2 as usize,
+                w0: w,
+                maxes: maxes_at..sums_at,
+                sums: sums_at..reduce_at,
+            });
+            next.push(Cursor {
+                max2: max2_at,
+                maxes: maxes_at,
+                max_slot: slot + 2 * c.max2,
+                max_w: w + 2 * c.max2,
+                sums: sums_at,
+                sum_slot: slot + 2 * c.max2 + c.max_kids,
+            });
+            max2_at += c.max2 as usize;
+            max2_width = max2_width.max(c.max2 as usize);
+            slot += 2 * c.max2 + c.max_kids + c.sum_kids;
+            w += 2 * c.max2 + c.max_kids;
+        }
+        // Built top level first; the sweeps and the placer index them
+        // bottom-up (`levels[ℓ - 1]`).
+        levels.reverse();
+        next.reverse();
+        let mut prog = LevelProgram {
+            n_vars,
+            monos: Vec::with_capacity(n_monos),
+            terms: Vec::with_capacity(n_terms),
+            rows: Vec::with_capacity(n_terms),
+            exp_keys: Vec::new(),
+            levels,
+            max2_out: vec![0; max2_at],
+            reduces: vec![Reduce { out: 0, c0: 0, arity: 0, w0: 0 }; reduce_at],
+            mono_ranges: vec![(0, 0); roots.len()],
+            n_slots: slot as usize,
+            n_wts: w as usize,
+            max2_width,
+            needs_halves: false,
+        };
+
+        // Pass 2: place every op, the roots in accumulation order.
+        let mut placer = Placer { prog: &mut prog, next, kids: Vec::new() };
+        for &r in replay {
+            let lo = placer.prog.monos.len() as u32;
+            let (_, placed) = placer.place(roots[r]);
+            placer.set_out(placed, r as u32);
+            placer.prog.mono_ranges[r] = (lo, placer.prog.monos.len() as u32);
+        }
+        assert_eq!(prog.monos.len(), n_monos, "`replay` must name every root exactly once");
+
+        // Pass 3: one exponent slot per distinct exponent vector; the
+        // map lives only here.
+        let LevelProgram { monos, terms, exp_keys, .. } = &mut prog;
+        let mut seen: HashMap<ExpKey<'_>, u32> = HashMap::new();
+        for m in monos.iter_mut() {
+            let (lo, hi) = (m.lo, m.hi);
+            if lo != hi {
+                m.exp =
+                    *seen.entry(ExpKey(&terms[lo as usize..hi as usize])).or_insert_with(|| {
+                        exp_keys.push((lo, hi));
+                        exp_keys.len() as u32 - 1
+                    });
+            }
+        }
+        drop(seen);
+        let constant = exp_keys.len() as u32;
+        for m in monos.iter_mut().filter(|m| m.lo == m.hi) {
+            m.exp = constant;
+        }
+        prog.needs_halves = prog.terms.iter().any(|&(_, a)| a == 0.5 || a == -0.5);
+        prog
+    }
+
+    /// Factor row of term `t` in the `VarCache`; `None` for an exotic
+    /// exponent (`exp(x_j).powf(a)`).
+    #[inline]
+    pub(crate) fn factor_row(&self, t: usize) -> Option<usize> {
+        let row = self.rows[t];
+        (row != POWF).then_some(row as usize)
+    }
+
+    /// Range of root `r`'s monomials in the accumulation order.
+    pub(crate) fn mono_range(&self, r: usize) -> Range<usize> {
+        let (lo, hi) = self.mono_ranges[r];
+        lo as usize..hi as usize
+    }
+
+    /// Shape of the program.
+    pub fn stats(&self) -> TapeStats {
+        let mut by_arity = std::collections::BTreeMap::new();
+        let mut sums = 0;
+        for lv in &self.levels {
+            if !lv.max2.is_empty() {
+                *by_arity.entry(2).or_insert(0) += lv.max2.len();
+            }
+            for r in &self.reduces[lv.maxes.clone()] {
+                *by_arity.entry(r.arity as usize).or_insert(0) += 1;
+            }
+            sums += lv.sums.len();
+        }
+        TapeStats {
+            monomials: self.monos.len(),
+            distinct_exponent_vectors: self.exp_keys.len(),
+            sums,
+            maxes_by_arity: by_arity.into_iter().collect(),
+            levels: self.levels.len(),
+            slots: self.n_slots,
+            weights: self.n_wts,
+        }
+    }
+
+    /// Scalar forward sweep at the log-space point `x`: fills the
+    /// variable cache, then records every op's value into
+    /// `scratch.tape_vals` (root `r` at `[r]`) and every max's weights
+    /// into `scratch.tape_wts`, level by level.
+    pub(crate) fn forward(&self, x: &[f64], sharp: Sharpness, scratch: &mut EvalScratch) {
+        debug_assert_eq!(x.len(), self.n_vars);
+        scratch.ensure_tape(self);
+        let smooth = matches!(sharp, Sharpness::Smooth(_));
+        scratch.var_cache.fill(x, smooth && self.needs_halves);
+        let exps_swept = if smooth { 0 } else { self.exp_keys.len() };
+        scratch.counts.exp_calls += (x.len() + exps_swept) as u64;
+        let EvalScratch { tape_vals: vals, tape_wts: wts, var_cache, exps, stack, .. } = scratch;
+        if smooth {
+            self.smooth_monomials(1, &var_cache.fac, vals);
+        } else {
+            // `coeff · exp(Σ a_j x_j)`, the sum in term order as the
+            // tree walk takes it, the `exp` once per distinct vector.
+            for (e, &(lo, hi)) in exps.iter_mut().zip(&self.exp_keys) {
+                let dot: f64 = self.terms[lo as usize..hi as usize]
+                    .iter()
+                    .map(|&(j, a)| a * x[j as usize])
+                    .sum();
+                *e = dot.exp();
+            }
+            exps[self.exp_keys.len()] = 1.0;
+            for m in &self.monos {
+                vals[m.slot as usize] = m.coeff * exps[m.exp as usize];
+            }
+        }
+        for lv in &self.levels {
+            let base = lv.child_base as usize;
+            let (outs, kids) = vals.split_at_mut(base);
+            let n = lv.max2.len();
+            if n > 0 {
+                let (a, b) = kids[..2 * n].split_at(n);
+                let (wa, wb) = wts[lv.w0 as usize..][..2 * n].split_at_mut(n);
+                let staged = &mut stack[..n];
+                match sharp {
+                    Sharpness::Exact => max2_exact_rows(a, b, staged, wa, wb),
+                    Sharpness::Smooth(s) => {
+                        smax2_rows::<true>(s, |b| pow_sharp(b, s), a, b, staged, wa, wb)
                     }
-                    stack.truncate(b);
-                    s
                 }
-                Op::Max { k, w0: _ } => {
-                    let b = stack.len() - k as usize;
-                    let v = smax_fast(&stack[b..], sharp);
-                    stack.truncate(b);
-                    v
+                for (&o, &v) in self.max2_out[lv.max2.clone()].iter().zip(&*staged) {
+                    outs[o as usize] = v;
                 }
-            };
-            stack.push(v);
+            }
+            for r in &self.reduces[lv.maxes.clone()] {
+                let (c0, arity) = (r.c0 as usize - base, r.arity as usize);
+                outs[r.out as usize] = smax_weights_fast(
+                    &kids[c0..c0 + arity],
+                    sharp,
+                    &mut wts[r.w0 as usize..r.w0 as usize + arity],
+                );
+            }
+            for r in &self.reduces[lv.sums.clone()] {
+                let c0 = r.c0 as usize - base;
+                let mut s = 0.0;
+                for &c in &kids[c0..c0 + r.arity as usize] {
+                    s += c;
+                }
+                outs[r.out as usize] = s;
+            }
         }
-        let out = stack.pop().unwrap_or(0.0);
-        debug_assert_eq!(stack.len(), base);
-        out
     }
 
-    /// Evaluate at log-space point `x`, recording each op's value into
-    /// `vals` and each `max`'s weights into `wts` (the tape). `stack` is
-    /// the shared value stack; it is restored to its entry length.
-    pub fn eval_tape(
-        &self,
-        x: &[f64],
-        sharp: Sharpness,
-        stack: &mut Vec<f64>,
-        vals: &mut [f64],
-        wts: &mut [f64],
-        cache: Option<&VarCache>,
-    ) -> f64 {
-        debug_assert_eq!(vals.len(), self.ops.len());
-        debug_assert_eq!(wts.len(), self.wts_len);
-        let base = stack.len();
-        for (i, op) in self.ops.iter().enumerate() {
-            let v = match *op {
-                Op::Mono { coeff, lo, hi } => {
-                    mono_val(&self.terms[lo as usize..hi as usize], coeff, x, cache)
-                }
-                Op::Sum { k } => {
-                    let b = stack.len() - k as usize;
-                    let mut s = 0.0;
-                    for &c in &stack[b..] {
-                        s += c;
+    /// The monomial level of a smoothed sweep over `k` lane-major points
+    /// (`k = 1`: the scalar tape): `coeff · Π factors`, multiplied in
+    /// term order, into every monomial's value row.
+    pub(crate) fn smooth_monomials(&self, k: usize, fac: &[f64], vals: &mut [f64]) {
+        for_lane_blocks!(k, |W, l0| self.monomial_cols::<W>(k, l0, fac, vals));
+    }
+
+    /// Lanes `l0 .. l0 + W` of `LevelProgram::smooth_monomials`.
+    fn monomial_cols<const W: usize>(&self, k: usize, l0: usize, fac: &[f64], vals: &mut [f64]) {
+        for m in &self.monos {
+            let mut out = [m.coeff; W];
+            for t in m.lo as usize..m.hi as usize {
+                match self.factor_row(t) {
+                    Some(row) => {
+                        let f = block::<W>(fac, row * k + l0);
+                        for l in 0..W {
+                            out[l] *= f[l];
+                        }
                     }
-                    stack.truncate(b);
-                    s
-                }
-                Op::Max { k, w0 } => {
-                    let b = stack.len() - k as usize;
-                    let v = smax_weights_fast(
-                        &stack[b..],
-                        sharp,
-                        &mut wts[w0 as usize..w0 as usize + k as usize],
-                    );
-                    stack.truncate(b);
-                    v
-                }
-            };
-            vals[i] = v;
-            stack.push(v);
-        }
-        let out = stack.pop().unwrap_or(0.0);
-        debug_assert_eq!(stack.len(), base);
-        out
-    }
-
-    /// Accumulate `seed * ∂value/∂x` into `grad` by replaying the tape
-    /// recorded by the matching [`CompiledExpr::eval_tape`] call in
-    /// reverse. No expression re-evaluation: monomial values come from
-    /// `vals`, `max` weights from `wts`. `adj` is a scratch adjoint
-    /// stack (restored to its entry length).
-    pub fn backprop(
-        &self,
-        seed: f64,
-        vals: &[f64],
-        wts: &[f64],
-        grad: &mut [f64],
-        adj: &mut Vec<f64>,
-    ) {
-        debug_assert_eq!(vals.len(), self.ops.len());
-        if seed == 0.0 || self.ops.is_empty() {
-            return;
-        }
-        let base = adj.len();
-        adj.push(seed);
-        for (i, op) in self.ops.iter().enumerate().rev() {
-            let a = adj.pop().expect("adjoint stack in sync with ops");
-            match *op {
-                Op::Mono { coeff: _, lo, hi } => {
-                    let av = a * vals[i];
-                    if av != 0.0 {
-                        for &(j, e) in &self.terms[lo as usize..hi as usize] {
-                            grad[j as usize] += av * e;
+                    None => {
+                        let (j, a) = self.terms[t];
+                        let e = block::<W>(fac, j as usize * k + l0);
+                        for l in 0..W {
+                            out[l] *= e[l].powf(a);
                         }
                     }
                 }
-                // Children were pushed left-to-right, so the reverse walk
-                // meets the *last* child's subtree first: push adjoints
-                // left-to-right and pops line up with child k-1, k-2, ...
-                Op::Sum { k } => {
-                    for _ in 0..k {
-                        adj.push(a);
-                    }
+            }
+            vals[m.slot as usize * k + l0..][..W].copy_from_slice(&out);
+        }
+    }
+
+    /// Push the root adjoints the caller wrote into `adj[r·k ..]` down
+    /// to every monomial's slot, over `k` lane-major points (`k = 1`:
+    /// the scalar tape): a sum copies its adjoint row to each child, a
+    /// max scales it by the recorded weight row — the same left-to-right
+    /// products a post-order adjoint stack forms.
+    pub(crate) fn push_adjoints(&self, k: usize, adj: &mut [f64], wts: &[f64]) {
+        for_lane_blocks!(k, |W, l0| self.push_adjoint_cols::<W>(k, l0, adj, wts));
+    }
+
+    /// Lanes `l0 .. l0 + W` of `LevelProgram::push_adjoints`.
+    fn push_adjoint_cols<const W: usize>(&self, k: usize, l0: usize, adj: &mut [f64], wts: &[f64]) {
+        // `kid[l] = a[l] · w[l]` over one block.
+        let scale = |kid: &mut [f64], a: &[f64; W], w: &[f64; W]| {
+            for l in 0..W {
+                kid[l] = a[l] * w[l];
+            }
+        };
+        for lv in self.levels.iter().rev() {
+            let base = lv.child_base as usize;
+            let (outs, kids) = adj.split_at_mut(base * k);
+            let (n, w0) = (lv.max2.len(), lv.w0 as usize);
+            for (i, &o) in self.max2_out[lv.max2.clone()].iter().enumerate() {
+                let a = block::<W>(outs, o as usize * k + l0);
+                scale(&mut kids[i * k + l0..][..W], a, block(wts, (w0 + i) * k + l0));
+                scale(&mut kids[(n + i) * k + l0..][..W], a, block(wts, (w0 + n + i) * k + l0));
+            }
+            for r in &self.reduces[lv.maxes.clone()] {
+                let a = block::<W>(outs, r.out as usize * k + l0);
+                for t in 0..r.arity as usize {
+                    let kid = &mut kids[(r.c0 as usize - base + t) * k + l0..][..W];
+                    scale(kid, a, block(wts, (r.w0 as usize + t) * k + l0));
                 }
-                Op::Max { k, w0 } => {
-                    for t in 0..k as usize {
-                        adj.push(a * wts[w0 as usize + t]);
-                    }
+            }
+            for r in &self.reduces[lv.sums.clone()] {
+                let a = block::<W>(outs, r.out as usize * k + l0);
+                for t in 0..r.arity as usize {
+                    kids[(r.c0 as usize - base + t) * k + l0..][..W].copy_from_slice(a);
                 }
             }
         }
-        debug_assert_eq!(adj.len(), base);
     }
+
+    /// Accumulate `adjoint · value · exponent` of the monomials in
+    /// `range` (accumulation order) into the lane-major `grad`
+    /// (`n_vars · k`; `k = 1`: the scalar tape), from the value and
+    /// adjoint tapes.
+    pub(crate) fn accumulate(
+        &self,
+        range: Range<usize>,
+        k: usize,
+        vals: &[f64],
+        adj: &[f64],
+        grad: &mut [f64],
+    ) {
+        let monos = &self.monos[range];
+        for_lane_blocks!(k, |W, l0| self.accumulate_cols::<W>(monos, k, l0, vals, adj, grad));
+    }
+
+    /// Lanes `l0 .. l0 + W` of `LevelProgram::accumulate`.
+    fn accumulate_cols<const W: usize>(
+        &self,
+        monos: &[Mono],
+        k: usize,
+        l0: usize,
+        vals: &[f64],
+        adj: &[f64],
+        grad: &mut [f64],
+    ) {
+        for m in monos {
+            let at = m.slot as usize * k + l0;
+            let (a, v) = (block::<W>(adj, at), block::<W>(vals, at));
+            let mut av = [0.0; W];
+            for l in 0..W {
+                av[l] = a[l] * v[l];
+            }
+            for &(j, e) in &self.terms[m.lo as usize..m.hi as usize] {
+                let g = &mut grad[j as usize * k + l0..][..W];
+                for l in 0..W {
+                    g[l] += av[l] * e;
+                }
+            }
+        }
+    }
+}
+
+/// `buf[at .. at + W]` as an array.
+#[inline(always)]
+fn block<const W: usize>(buf: &[f64], at: usize) -> &[f64; W] {
+    buf[at..at + W].try_into().expect("a slice of W entries")
 }
 
 /// Smoothed max with gradient weights written into `wts`, semantically
@@ -354,36 +785,34 @@ pub(crate) fn smax_weights_fast(vals: &[f64], sharp: Sharpness, wts: &mut [f64])
                 }
                 return 0.0;
             }
-            let mut sum = 0.0;
-            for (w, &v) in wts.iter_mut().zip(vals) {
-                let t = pow_sharp(v / m, s);
-                *w = t;
-                sum += t;
+            // One finite candidate is its own smoothed max with weight
+            // 1: the chain below reduces to `v/v = 1`, `1^s`, `1^(1/s)`,
+            // `v·1`, `(1/1)·(v/v)` — every node with a single in-edge.
+            if vals.len() == 1 && m < f64::INFINITY {
+                wts[0] = 1.0;
+                return m;
             }
-            let val = m * root_sharp(sum, s);
-            for (w, &v) in wts.iter_mut().zip(vals) {
-                // (v/val)^(s-1) = ((v/m)^s / Σt) · (val/v), since
-                // (val/m)^s = Σt. Underflowed powers stay exactly 0.
-                *w = if *w == 0.0 { 0.0 } else { (*w / sum) * (val / v) };
-            }
-            val
+            smax_chain(vals, m, s, wts)
         }
     }
 }
 
-/// Value-only [`smax_weights_fast`] for paths that need no tape.
-pub(crate) fn smax_fast(vals: &[f64], sharp: Sharpness) -> f64 {
-    let m = vals.iter().copied().fold(0.0_f64, f64::max);
-    match sharp {
-        Sharpness::Exact => m,
-        Sharpness::Smooth(s) => {
-            if m == 0.0 {
-                return 0.0;
-            }
-            let sum: f64 = vals.iter().map(|&v| pow_sharp(v / m, s)).sum();
-            m * root_sharp(sum, s)
-        }
+/// The general smooth path of `smax_weights_fast`, `m` being the
+/// (non-zero) plain max of `vals`.
+fn smax_chain(vals: &[f64], m: f64, s: f64, wts: &mut [f64]) -> f64 {
+    let mut sum = 0.0;
+    for (w, &v) in wts.iter_mut().zip(vals) {
+        let t = pow_sharp(v / m, s);
+        *w = t;
+        sum += t;
     }
+    let val = m * root_sharp(sum, s);
+    for (w, &v) in wts.iter_mut().zip(vals) {
+        // (v/val)^(s-1) = ((v/m)^s / Σt) · (val/v), since
+        // (val/m)^s = Σt. Underflowed powers stay exactly 0.
+        *w = if *w == 0.0 { 0.0 } else { (*w / sum) * (val / v) };
+    }
+    val
 }
 
 /// `b^s` for `b ∈ [0, 1]`: repeated squaring via `powi` when `s` is a
@@ -402,25 +831,145 @@ pub(crate) fn pow_sharp(b: f64, s: f64) -> f64 {
 /// annealing schedule's are), `powf` otherwise.
 #[inline]
 pub(crate) fn root_sharp(v: f64, s: f64) -> f64 {
-    if s.fract() == 0.0 && (2.0..=512.0).contains(&s) && (s as u32).is_power_of_two() {
-        let mut r = v;
-        let mut k = s as u32;
-        while k > 1 {
-            r = r.sqrt();
-            k >>= 1;
-        }
-        r
-    } else {
-        v.powf(1.0 / s)
+    match pow2_log(s, 2.0) {
+        Some(q) => (0..q).fold(v, |r, _| r.sqrt()),
+        None => v.powf(1.0 / s),
     }
 }
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::expr::{smax_weights, Monomial};
+/// `log₂ s` when `s` is an integer power of two in `lo..=512` — the tier
+/// of both executors' power (`lo = 1`) and root (`lo = 2`) kernels that
+/// runs as repeated squaring / repeated `sqrt`.
+#[inline]
+pub(crate) fn pow2_log(s: f64, lo: f64) -> Option<u32> {
+    let pow2 = s.fract() == 0.0 && (lo..=512.0).contains(&s) && (s as u32).is_power_of_two();
+    pow2.then(|| (s as u32).trailing_zeros())
+}
 
-    fn sample_expr() -> Expr {
+/// Exact arity-2 max over rows: `val = max(0, a, b)`, weight 1 on the
+/// first candidate that attains it.
+fn max2_exact_rows(a: &[f64], b: &[f64], val: &mut [f64], wa: &mut [f64], wb: &mut [f64]) {
+    for i in 0..a.len() {
+        let m = 0.0_f64.max(a[i]).max(b[i]);
+        val[i] = m;
+        wa[i] = if a[i] == m { 1.0 } else { 0.0 };
+        wb[i] = if a[i] != m && b[i] == m { 1.0 } else { 0.0 };
+    }
+}
+
+/// Smoothed arity-2 max over rows of independent elements — one level's
+/// arity-2 maxes × lanes: `val[i] = smax_s(a[i], b[i])` with the weights
+/// of the two candidates in `wa[i]`, `wb[i]`.
+///
+/// Per element this is exactly the operation sequence of
+/// `smax_weights_fast` / `smax_batch` on two candidates — max, divide,
+/// power, sum from `0.0`, root, product, weight recovery — but run
+/// eight elements at a time, so the dependent divide → squarings →
+/// square roots → divides of one element overlap with its neighbours'
+/// instead of waiting on each other. When `s` is a power of two (the
+/// whole annealing schedule) the power is `log₂ s` squarings and the
+/// root `log₂ s` hardware `sqrt`s, all of it vectorised; for any other
+/// sharpness the power is the caller's `pow_other` (each executor's own
+/// tier, so its bits stay its own) and the root `powf(1/s)`.
+///
+/// `ZERO_GUARD` selects the scalar kernel's early return for an all-zero
+/// element (value `+0.0`, weights `0.0` whatever the candidates hold);
+/// without it such an element flows through the sequence with a unit
+/// divisor, as in `smax_batch`. The two differ only on NaN candidates.
+#[inline]
+pub(crate) fn smax2_rows<const ZERO_GUARD: bool>(
+    s: f64,
+    pow_other: impl Fn(f64) -> f64 + Copy,
+    a: &[f64],
+    b: &[f64],
+    val: &mut [f64],
+    wa: &mut [f64],
+    wb: &mut [f64],
+) {
+    let n = a.len();
+    debug_assert!(b.len() == n && val.len() == n && wa.len() == n && wb.len() == n);
+    let tiers = (pow2_log(s, 1.0), pow2_log(s, 2.0));
+    for_lane_blocks!(n, |W, i| {
+        let (v, x, y) = smax2_block::<W, ZERO_GUARD>(s, tiers, pow_other, block(a, i), block(b, i));
+        val[i..i + W].copy_from_slice(&v);
+        wa[i..i + W].copy_from_slice(&x);
+        wb[i..i + W].copy_from_slice(&y);
+    });
+}
+
+/// `N` elements of `smax2_rows`, each loop one operation across the
+/// block.
+#[inline(always)]
+fn smax2_block<const N: usize, const ZERO_GUARD: bool>(
+    s: f64,
+    (squarings, sqrts): (Option<u32>, Option<u32>),
+    pow_other: impl Fn(f64) -> f64,
+    a: &[f64; N],
+    b: &[f64; N],
+) -> ([f64; N], [f64; N], [f64; N]) {
+    let (mut m, mut ta, mut tb) = ([0.0; N], [0.0; N], [0.0; N]);
+    for l in 0..N {
+        m[l] = 0.0_f64.max(a[l]).max(b[l]);
+        let md = if m[l] == 0.0 { 1.0 } else { m[l] };
+        ta[l] = a[l] / md;
+        tb[l] = b[l] / md;
+    }
+    match squarings {
+        Some(q) => {
+            for _ in 0..q {
+                for l in 0..N {
+                    ta[l] *= ta[l];
+                    tb[l] *= tb[l];
+                }
+            }
+        }
+        None => {
+            for l in 0..N {
+                ta[l] = pow_other(ta[l]);
+                tb[l] = pow_other(tb[l]);
+            }
+        }
+    }
+    let (mut sum, mut root) = ([0.0; N], [0.0; N]);
+    for l in 0..N {
+        let mut acc = 0.0;
+        acc += ta[l];
+        acc += tb[l];
+        sum[l] = acc;
+        root[l] = acc;
+    }
+    match sqrts {
+        Some(q) => {
+            for _ in 0..q {
+                for r in root.iter_mut() {
+                    *r = r.sqrt();
+                }
+            }
+        }
+        None => {
+            let inv = 1.0 / s;
+            for r in root.iter_mut() {
+                *r = r.powf(inv);
+            }
+        }
+    }
+    let (mut val, mut wa, mut wb) = ([0.0; N], [0.0; N], [0.0; N]);
+    for l in 0..N {
+        let v = m[l] * root[l];
+        let dead = ZERO_GUARD && m[l] == 0.0;
+        val[l] = if dead { 0.0 } else { v };
+        wa[l] = if ta[l] == 0.0 || dead { 0.0 } else { (ta[l] / sum[l]) * (v / a[l]) };
+        wb[l] = if tb[l] == 0.0 || dead { 0.0 } else { (tb[l] / sum[l]) * (v / b[l]) };
+    }
+    (val, wa, wb)
+}
+
+#[cfg(test)]
+pub(crate) mod tests {
+    use super::*;
+    use crate::expr::smax_weights;
+
+    pub(crate) fn sample_expr() -> Expr {
         // Nested max-in-sum-in-max, mirroring the shapes the objective
         // builds (1D transfer startup max inside a node-T sum).
         Expr::sum(vec![
@@ -439,76 +988,68 @@ mod tests {
         ])
     }
 
-    fn tape_for(c: &CompiledExpr) -> (Vec<f64>, Vec<f64>) {
-        (vec![0.0; c.vals_len()], vec![0.0; c.wts_len()])
+    /// One expression as a one-root program.
+    pub(crate) fn single(e: &Expr, n_vars: usize) -> LevelProgram {
+        LevelProgram::compile(n_vars, &[e], &[0])
+    }
+
+    /// Scalar record + replay of a one-root program: the value and
+    /// `seed · ∇value`.
+    pub(crate) fn sweep(
+        prog: &LevelProgram,
+        x: &[f64],
+        sharp: Sharpness,
+        seed: f64,
+        scratch: &mut EvalScratch,
+    ) -> (f64, Vec<f64>) {
+        prog.forward(x, sharp, scratch);
+        scratch.slot_adj[0] = seed;
+        prog.push_adjoints(1, &mut scratch.slot_adj, &scratch.tape_wts);
+        let mut grad = vec![0.0; x.len()];
+        let all = prog.mono_range(0);
+        prog.accumulate(all, 1, &scratch.tape_vals, &scratch.slot_adj, &mut grad);
+        (scratch.tape_vals[0], grad)
     }
 
     #[test]
-    fn compiled_eval_is_bitwise_identical_to_tree_at_exact() {
+    fn level_sweep_is_bitwise_identical_to_tree_at_exact() {
         let e = sample_expr();
-        let c = CompiledExpr::compile(&e);
-        let (mut vals, mut wts) = tape_for(&c);
-        let mut stack = Vec::new();
+        let prog = single(&e, 2);
+        let mut scratch = EvalScratch::default();
         for x in [[0.0, 0.0], [1.0, 2.0], [-0.5, 0.7], [2.0, -1.0]] {
             let v0 = e.eval(&x, Sharpness::Exact);
-            let v1 = c.eval_tape(&x, Sharpness::Exact, &mut stack, &mut vals, &mut wts, None);
+            let (v1, _) = sweep(&prog, &x, Sharpness::Exact, 1.0, &mut scratch);
             assert_eq!(v0.to_bits(), v1.to_bits(), "at {x:?}");
-            assert!(stack.is_empty());
         }
     }
 
     #[test]
-    fn compiled_eval_matches_tree_at_smooth_to_rounding() {
+    fn level_sweep_matches_tree_at_smooth_to_rounding() {
         let e = sample_expr();
-        let c = CompiledExpr::compile(&e);
-        let (mut vals, mut wts) = tape_for(&c);
-        let mut stack = Vec::new();
-        let mut cache = VarCache::default();
-        for s in [4.0, 64.0, 256.0, 3.7] {
+        let prog = single(&e, 2);
+        let mut scratch = EvalScratch::default();
+        for s in [4.0, 64.0, 256.0, 3.0, 3.7] {
             for x in [[0.0, 0.0], [1.0, 2.0], [-0.5, 0.7]] {
                 let v0 = e.eval(&x, Sharpness::Smooth(s));
-                let sharp = Sharpness::Smooth(s);
-                let v1 = c.eval_tape(&x, sharp, &mut stack, &mut vals, &mut wts, None);
+                let (v1, _) = sweep(&prog, &x, Sharpness::Smooth(s), 1.0, &mut scratch);
                 assert!(
                     (v0 - v1).abs() <= 1e-12 * v0.abs().max(1.0),
                     "s={s} x={x:?}: {v0} vs {v1}"
                 );
-                cache.fill(&x, c.has_half_exponents());
-                let v2 = c.eval_tape(&x, sharp, &mut stack, &mut vals, &mut wts, Some(&cache));
-                assert!(
-                    (v0 - v2).abs() <= 1e-12 * v0.abs().max(1.0),
-                    "cached s={s} x={x:?}: {v0} vs {v2}"
-                );
-                let v3 = c.eval(&x, sharp, &mut stack, Some(&cache));
-                assert_eq!(v2.to_bits(), v3.to_bits(), "eval vs eval_tape, same cache");
             }
         }
     }
 
     #[test]
-    fn backprop_matches_tree_gradient() {
+    fn adjoint_sweep_matches_tree_gradient() {
         let e = sample_expr();
-        let c = CompiledExpr::compile(&e);
-        let (mut vals, mut wts) = tape_for(&c);
-        let mut stack = Vec::new();
-        let mut adj = Vec::new();
-        let mut cache = VarCache::default();
+        let prog = single(&e, 2);
+        let mut scratch = EvalScratch::default();
         for sharp in [Sharpness::Exact, Sharpness::Smooth(8.0), Sharpness::Smooth(256.0)] {
             for x in [[0.0, 0.0], [1.0, 2.0], [-0.5, 0.7], [2.0, -1.0]] {
                 let mut g0 = vec![0.0; 2];
                 let _ = e.eval_grad(&x, sharp, 1.7, &mut g0);
-                // Smooth uses the cached-factor monomials, Exact the
-                // bit-identical exp path — mirroring the objective.
-                let vc = if matches!(sharp, Sharpness::Smooth(_)) {
-                    cache.fill(&x, c.has_half_exponents());
-                    Some(&cache)
-                } else {
-                    None
-                };
-                let _ = c.eval_tape(&x, sharp, &mut stack, &mut vals, &mut wts, vc);
-                let mut g1 = vec![0.0; 2];
-                c.backprop(1.7, &vals, &wts, &mut g1, &mut adj);
-                assert!(adj.is_empty() && stack.is_empty());
+                let (_, g1) = sweep(&prog, &x, sharp, 1.7, &mut scratch);
                 for j in 0..2 {
                     assert!(
                         (g0[j] - g1[j]).abs() <= 1e-9 * (1.0 + g0[j].abs()),
@@ -522,35 +1063,30 @@ mod tests {
     }
 
     #[test]
-    fn backprop_zero_seed_is_a_no_op() {
-        let e = sample_expr();
-        let c = CompiledExpr::compile(&e);
-        let (mut vals, mut wts) = tape_for(&c);
-        let mut stack = Vec::new();
-        let _ =
-            c.eval_tape(&[1.0, 1.0], Sharpness::Smooth(8.0), &mut stack, &mut vals, &mut wts, None);
-        let mut g = vec![0.0; 2];
-        let mut adj = Vec::new();
-        c.backprop(0.0, &vals, &wts, &mut g, &mut adj);
-        assert!(g.iter().all(|&v| v == 0.0));
+    fn zero_seed_is_a_no_op() {
+        let prog = single(&sample_expr(), 2);
+        let mut scratch = EvalScratch::default();
+        for sharp in [Sharpness::Exact, Sharpness::Smooth(8.0)] {
+            let (_, g) = sweep(&prog, &[1.0, 1.0], sharp, 0.0, &mut scratch);
+            assert!(g.iter().all(|&v| v.to_bits() == 0), "{sharp:?}: {g:?}");
+        }
     }
 
     #[test]
-    fn fast_smax_kernels_match_reference() {
+    fn fast_smax_kernel_matches_reference() {
         for sharp in [Sharpness::Exact, Sharpness::Smooth(4.0), Sharpness::Smooth(256.0)] {
             for vals in [
                 vec![1.0, 2.0, 3.0, 0.5],
                 vec![2.0, 2.0],
                 vec![0.0, 0.0],
                 vec![7.0],
+                vec![0.0],
                 vec![1e-8, 100.0, 0.0],
             ] {
                 let (v0, w0) = smax_weights(&vals, sharp);
                 let mut w1 = vec![0.0; vals.len()];
                 let v1 = smax_weights_fast(&vals, sharp, &mut w1);
-                let v2 = smax_fast(&vals, sharp);
                 assert!((v0 - v1).abs() <= 1e-12 * v0.abs().max(1.0), "{sharp:?} {vals:?}");
-                assert_eq!(v1.to_bits(), v2.to_bits(), "value-only kernel must agree");
                 for (a, b) in w0.iter().zip(&w1) {
                     assert!(
                         (a - b).abs() <= 1e-12 * (1.0 + a.abs()),
@@ -561,38 +1097,155 @@ mod tests {
         }
     }
 
+    /// The single-candidate shortcut returns what the divide / power /
+    /// root chain computes on one candidate, to the bit.
+    #[test]
+    fn single_candidate_smax_is_the_chain_to_the_bit() {
+        for v in [0.0, 1e-300, 1.0, 1e300] {
+            for sharp in [
+                Sharpness::Exact,
+                Sharpness::Smooth(4.0),
+                Sharpness::Smooth(64.0),
+                Sharpness::Smooth(256.0),
+                Sharpness::Smooth(3.7),
+            ] {
+                let mut w = [f64::NAN];
+                let val = smax_weights_fast(&[v], sharp, &mut w);
+                // The general path: at Exact the first-argmax rule, at
+                // Smooth the zero guard or the chain.
+                let (val0, w0) = match sharp {
+                    Sharpness::Exact => (v, 1.0),
+                    Sharpness::Smooth(_) if v == 0.0 => (0.0, 0.0),
+                    Sharpness::Smooth(s) => {
+                        let mut w0 = [f64::NAN];
+                        (smax_chain(&[v], v, s, &mut w0), w0[0])
+                    }
+                };
+                assert_eq!(
+                    (val.to_bits(), w[0].to_bits()),
+                    (val0.to_bits(), w0.to_bits()),
+                    "{sharp:?} v={v:e}: ({val}, {}) vs ({val0}, {w0})",
+                    w[0]
+                );
+            }
+        }
+    }
+
+    /// The elementwise arity-2 kernel is the general kernel on two
+    /// candidates, to the bit, in a chunk and in the tail, on every tier.
+    #[test]
+    fn arity2_rows_are_the_general_kernel_to_the_bit() {
+        let a = [1.0, 2.0, 0.0, 0.0, 3.5, 1e-300, 1e300, 0.25, 1.0, 7.0, 1e-9];
+        let b = [2.0, 2.0, 0.0, 5.0, 0.0, 1e-300, 1.0, 1e-12, 1e-200, 7.0, 1e9];
+        let n = a.len();
+        let sharps = [1.0, 2.0, 4.0, 64.0, 256.0, 3.0, 3.7, 600.0].map(Sharpness::Smooth);
+        for sharp in sharps.into_iter().chain([Sharpness::Exact]) {
+            let (mut val, mut wa, mut wb) = (vec![0.0; n], vec![0.0; n], vec![0.0; n]);
+            match sharp {
+                Sharpness::Exact => max2_exact_rows(&a, &b, &mut val, &mut wa, &mut wb),
+                Sharpness::Smooth(s) => {
+                    smax2_rows::<true>(s, |t| pow_sharp(t, s), &a, &b, &mut val, &mut wa, &mut wb)
+                }
+            }
+            for i in 0..n {
+                let mut w = [0.0; 2];
+                let v = smax_weights_fast(&[a[i], b[i]], sharp, &mut w);
+                assert_eq!(
+                    [val[i].to_bits(), wa[i].to_bits(), wb[i].to_bits()],
+                    [v.to_bits(), w[0].to_bits(), w[1].to_bits()],
+                    "{sharp:?} element {i}: ({}, {}, {}) vs ({v}, {}, {})",
+                    val[i],
+                    wa[i],
+                    wb[i],
+                    w[0],
+                    w[1]
+                );
+            }
+        }
+    }
+
     #[test]
     fn cached_monomials_match_exp_path_with_half_exponents() {
         // ±0.5 exponents (the 2D mesh network terms) exercise the
-        // square-root caches; an exotic exponent hits the powf fallback.
+        // square-root sections; an exotic exponent hits the powf
+        // fallback. The tree evaluates `coeff · exp(Σ a·x)`.
         let e = Expr::sum(vec![
             Expr::Mono(Monomial::pair(3.0, 0, 0.5, 1, -0.5)),
             Expr::Mono(Monomial::single(1.5, 1, -0.5)),
             Expr::Mono(Monomial::single(0.5, 0, 2.0)),
         ]);
-        let c = CompiledExpr::compile(&e);
-        assert!(c.has_half_exponents());
-        let (mut vals, mut wts) = tape_for(&c);
-        let mut stack = Vec::new();
-        let mut cache = VarCache::default();
+        let prog = single(&e, 2);
+        assert!(prog.needs_halves);
+        let mut scratch = EvalScratch::default();
         for x in [[0.0, 0.0], [1.3, -0.4], [2.0, 2.0]] {
             let sharp = Sharpness::Smooth(16.0);
-            let v0 = c.eval_tape(&x, sharp, &mut stack, &mut vals, &mut wts, None);
-            cache.fill(&x, true);
-            let v1 = c.eval_tape(&x, sharp, &mut stack, &mut vals, &mut wts, Some(&cache));
+            let v0 = e.eval(&x, sharp);
+            let (v1, g1) = sweep(&prog, &x, sharp, 1.0, &mut scratch);
             assert!((v0 - v1).abs() <= 1e-12 * v0.abs().max(1.0), "x={x:?}: {v0} vs {v1}");
+            let mut g0 = vec![0.0; 2];
+            let _ = e.eval_grad(&x, sharp, 1.0, &mut g0);
+            for j in 0..2 {
+                assert!((g0[j] - g1[j]).abs() <= 1e-9 * (1.0 + g0[j].abs()), "x={x:?} var {j}");
+            }
         }
     }
 
     #[test]
     fn zero_expression_compiles_and_evaluates() {
-        let c = CompiledExpr::compile(&Expr::zero());
-        let (mut vals, mut wts) = tape_for(&c);
-        let mut stack = Vec::new();
-        let v = c.eval_tape(&[], Sharpness::Smooth(8.0), &mut stack, &mut vals, &mut wts, None);
-        assert_eq!(v, 0.0);
-        let mut g: Vec<f64> = Vec::new();
-        let mut adj = Vec::new();
-        c.backprop(1.0, &vals, &wts, &mut g, &mut adj);
+        let prog = single(&Expr::zero(), 0);
+        let mut scratch = EvalScratch::default();
+        for sharp in [Sharpness::Exact, Sharpness::Smooth(8.0)] {
+            let (v, g) = sweep(&prog, &[], sharp, 1.0, &mut scratch);
+            assert_eq!(v.to_bits(), 0);
+            assert!(g.is_empty());
+        }
+    }
+
+    /// Several roots, a replay order that is not the root order, a
+    /// repeated exponent vector, a zero coefficient and empty `Sum` /
+    /// `Max` nodes: root `r`'s value lands in slot `r`, the monomial
+    /// table follows the replay order right to left, and an exact sweep
+    /// needs one `exp` per distinct exponent vector.
+    #[test]
+    fn roots_replay_order_and_exponent_dedup() {
+        let ratio = |c| Expr::Mono(Monomial::pair(c, 0, 1.0, 1, -1.0));
+        let roots = [
+            Expr::Sum(vec![ratio(2.0), Expr::constant(1.0), ratio(3.0)]),
+            Expr::Mono(Monomial::single(0.0, 1, 1.0)),
+            Expr::Max(vec![
+                ratio(0.5),
+                Expr::Mono(Monomial::single(4.0, 1, -1.0)),
+                Expr::Sum(vec![]),
+                Expr::Max(vec![]),
+            ]),
+        ];
+        let refs: Vec<&Expr> = roots.iter().collect();
+        let prog = LevelProgram::compile(2, &refs, &[2, 0, 1]);
+        let stats = prog.stats();
+        assert_eq!(stats.monomials, 6);
+        assert_eq!(stats.distinct_exponent_vectors, 2, "p0/p1 three times, 1/p1 once");
+        assert_eq!(stats.sums, 2);
+        assert_eq!(stats.maxes_by_arity, vec![(0, 1), (4, 1)]);
+        assert_eq!(stats.levels, 2);
+        assert_eq!(stats.slots, 6 + 2 + 2);
+        assert_eq!(stats.weights, 4);
+        assert_eq!(prog.mono_range(2), 0..2);
+        assert_eq!(prog.mono_range(0), 2..5);
+        assert_eq!(prog.mono_range(1), 5..6);
+        // Right to left within a root: root 0's table reads 3, 1, 2.
+        let coeffs: Vec<f64> = prog.monos[2..5].iter().map(|m| m.coeff).collect();
+        assert_eq!(coeffs, [3.0, 1.0, 2.0]);
+        let mut scratch = EvalScratch::default();
+        let x = [0.4, 1.1];
+        for sharp in [Sharpness::Exact, Sharpness::Smooth(8.0)] {
+            prog.forward(&x, sharp, &mut scratch);
+            for (r, e) in roots.iter().enumerate() {
+                let (v0, v1) = (e.eval(&x, sharp), scratch.tape_vals[r]);
+                assert!((v0 - v1).abs() <= 1e-12 * v0.abs().max(1.0), "{sharp:?} root {r}");
+                if matches!(sharp, Sharpness::Exact) {
+                    assert_eq!(v0.to_bits(), v1.to_bits(), "exact root {r}");
+                }
+            }
+        }
     }
 }

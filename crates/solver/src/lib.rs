@@ -21,9 +21,12 @@
 //! Module map:
 //! * [`expr`] — generalized posynomial expression trees with smoothed
 //!   evaluation and gradients in log-space;
-//! * [`compiled`] — flat, tape-recording compiled form of those trees
-//!   backing the hot forward/backward sweeps (no re-evaluation on the
-//!   backward pass, integer-sharpness `smax` via repeated squaring);
+//! * [`compiled`] — the level program: all expressions of an objective
+//!   flattened into one program that both tape executors sweep level by
+//!   level (no re-evaluation on the backward pass, a level's smoothed
+//!   maxes through one elementwise kernel), and the scalar executor;
+//! * [`batch`] — the lane executor: the same sweeps over K lane-major
+//!   points;
 //! * [`objective`] — assembles `Phi` for an (MDG, machine) pair;
 //! * [`descent`] — the one projected-gradient stage (Armijo backtracking
 //!   over K lane-major points) every descent in the tree calls;
@@ -56,7 +59,7 @@ pub mod workspace;
 
 pub use alloc_count::{allocation_count, CountingAllocator};
 pub use bruteforce::{brute_force_pow2, BruteForceResult};
-pub use compiled::CompiledExpr;
+pub use compiled::TapeStats;
 pub use coordinate::{allocate_coordinate, CoordinateConfig, CoordinateResult};
 pub use descent::{descend, DescentLanes, DescentModel, Stage};
 pub use error::{FallbackTier, SolverError};

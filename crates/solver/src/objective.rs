@@ -14,11 +14,12 @@
 //! `paradigm-cost`'s exact evaluator.
 
 use crate::batch::{lanes_add, smax_batch};
-use crate::compiled::{smax_weights_fast, CompiledExpr};
+use crate::compiled::{smax_weights_fast, LevelProgram, TapeStats};
 use crate::expr::{smax_pair_weights, smax_weights, Expr, Monomial, Sharpness};
 use crate::workspace::{self, BatchEvalScratch, EvalScratch};
 use paradigm_cost::{Allocation, Machine, MdgWeights, PhiBreakdown};
 use paradigm_mdg::{EdgeId, Mdg, NodeId, TransferKind};
+use std::sync::OnceLock;
 
 /// The evaluated objective components at one point.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -39,60 +40,57 @@ pub struct MdgObjective<'g> {
     node_t: Vec<Expr>,
     /// `t^D` per edge (zero when `t_n = 0`).
     edge_d: Vec<Expr>,
-    /// `A_p` as a single expression.
-    area: Expr,
-    /// Compiled (flat, tape-recording) forms of every expression above,
-    /// used by the hot evaluation/gradient paths.
+    /// `A_p` as a single expression, built on first use: it clones and
+    /// re-scales every node expression, and only inspection,
+    /// certification and the forward-mode reference read it.
+    area: OnceLock<Expr>,
+    /// The level program of every expression above, swept by the hot
+    /// evaluation/gradient paths.
     tapes: Tapes,
 }
 
-/// Compiled expressions plus their disjoint offsets into the workspace's
-/// shared value/weight tapes: node `T` expressions by node id, then edge
-/// `t^D` expressions by edge id.
+/// The objective's one compiled program — node `T` expressions by node
+/// id (root slot `v`), then edge `t^D` expressions by edge id (root slot
+/// `nodes + e`) — plus what ties it to the DAG.
 ///
 /// `A_p` is deliberately *not* compiled: as an expression it duplicates
 /// every node term (each `T_i` scaled by `p_i/p`), doubling the op count
 /// of both sweeps. The evaluation paths instead accumulate
 /// `A_p = (1/p) Σ T_i e^{x_i}` from the node values they already
 /// computed, and the backward pass folds the product rule into the node
-/// tape seeds (see [`MdgObjective::backward_replay`]). The symbolic
-/// `area` tree on [`MdgObjective`] is kept for inspection and
-/// certification.
+/// seeds (see [`MdgObjective::backward_replay`]).
 struct Tapes {
-    node: Vec<CompiledExpr>,
-    edge: Vec<CompiledExpr>,
-    /// `(value offset, weight offset)` per node expression.
-    node_off: Vec<(usize, usize)>,
-    /// `(value offset, weight offset)` per edge expression.
-    edge_off: Vec<(usize, usize)>,
-    /// Total tape sizes across all expressions.
-    total_vals: usize,
-    total_wts: usize,
-    /// Whether any monomial carries a `±0.5` exponent (decides whether
-    /// the smoothed-path [`VarCache`] needs its square-root caches).
-    needs_halves: bool,
+    prog: LevelProgram,
+    /// Per position of the reverse topological order, where the
+    /// monomials of that node's expression and of its in-edges'
+    /// expressions end in the program's accumulation order (they start
+    /// where the previous position's end).
+    replay_ends: Vec<usize>,
+    /// Largest in-degree (sizes the candidate staging of the DAG
+    /// recurrence).
+    max_in: usize,
 }
 
 impl Tapes {
-    fn build(node_t: &[Expr], edge_d: &[Expr]) -> Tapes {
-        let mut vo = 0;
-        let mut wo = 0;
-        let mut lay = |exprs: &[Expr]| {
-            let mut compiled = Vec::with_capacity(exprs.len());
-            let mut offs = Vec::with_capacity(exprs.len());
-            for e in exprs {
-                let c = CompiledExpr::compile(e);
-                offs.push((vo, wo));
-                vo += c.vals_len();
-                wo += c.wts_len();
-                compiled.push(c);
-            }
-            (compiled, offs)
-        };
-        let (node, node_off) = lay(node_t);
-        let (edge, edge_off) = lay(edge_d);
-        let needs_halves = node.iter().chain(&edge).any(CompiledExpr::has_half_exponents);
-        Tapes { node, edge, node_off, edge_off, total_vals: vo, total_wts: wo, needs_halves }
+    fn build(g: &Mdg, node_t: &[Expr], edge_d: &[Expr]) -> Tapes {
+        let n = node_t.len();
+        let roots: Vec<&Expr> = node_t.iter().chain(edge_d).collect();
+        // The order the backward sweep reaches the expressions in: per
+        // node in reverse topological order, its own, then its in-edges'.
+        let mut replay = Vec::with_capacity(roots.len());
+        let mut max_in = 0;
+        for &v in g.topo_order().iter().rev() {
+            let in_edges = g.in_edges(v);
+            max_in = max_in.max(in_edges.len());
+            replay.push(v.0);
+            replay.extend(in_edges.iter().map(|e| n + e.0));
+        }
+        let prog = LevelProgram::compile(n, &roots, &replay);
+        let ends = g.topo_order().iter().rev();
+        let replay_ends = ends
+            .map(|&v| prog.mono_range(g.in_edges(v).last().map_or(v.0, |e| n + e.0)).end)
+            .collect();
+        Tapes { prog, replay_ends, max_in }
     }
 }
 
@@ -188,19 +186,8 @@ impl<'g> MdgObjective<'g> {
         }
 
         let node_t: Vec<Expr> = node_terms.into_iter().map(Expr::sum).collect();
-
-        // A_p = (1/p) Σ T_i p_i.
-        let inv_p = 1.0 / machine.procs as f64;
-        let area = Expr::sum(
-            node_t
-                .iter()
-                .enumerate()
-                .map(|(i, t)| t.mul_mono(&Monomial::single(inv_p, i, 1.0)))
-                .collect(),
-        );
-
-        let tapes = Tapes::build(&node_t, &edge_d);
-        MdgObjective { g, machine, node_t, edge_d, area, tapes }
+        let tapes = Tapes::build(g, &node_t, &edge_d);
+        MdgObjective { g, machine, node_t, edge_d, area: OnceLock::new(), tapes }
     }
 
     /// The graph this objective was built for.
@@ -234,9 +221,26 @@ impl<'g> MdgObjective<'g> {
         &self.edge_d[id.0]
     }
 
-    /// The `A_p` expression (for inspection and symbolic certification).
+    /// The `A_p = (1/p) Σ T_i p_i` expression (for inspection and
+    /// symbolic certification), built on the first call.
     pub fn area_expr(&self) -> &Expr {
-        &self.area
+        self.area.get_or_init(|| {
+            let inv_p = 1.0 / self.machine.procs as f64;
+            Expr::sum(
+                self.node_t
+                    .iter()
+                    .enumerate()
+                    .map(|(i, t)| t.mul_mono(&Monomial::single(inv_p, i, 1.0)))
+                    .collect(),
+            )
+        })
+    }
+
+    /// Shape of the compiled level program: op counts by kind, levels,
+    /// slots, and the distinct exponent vectors an exact sweep calls
+    /// `exp` on.
+    pub fn tape_stats(&self) -> TapeStats {
+        self.tapes.prog.stats()
     }
 
     /// Evaluate `Phi` (and parts) at `x` with the given sharpness, without
@@ -247,52 +251,19 @@ impl<'g> MdgObjective<'g> {
         self.eval_with(x, sharp, &mut ws.inner.scratch)
     }
 
-    /// Allocation-free [`MdgObjective::eval`]: the DAG recurrence's
-    /// per-node candidate lists and every expression `max` run through
-    /// the workspace's value stack, on the compiled expression forms.
-    /// Values agree bitwise with [`MdgObjective::forward_record`] (same
-    /// kernels, no tape writes). For gradient-free callers: it zeroes
-    /// part of the tape, so whatever `scratch` recorded stops being
-    /// replayable.
+    /// Allocation-free [`MdgObjective::eval`] for gradient-free callers:
+    /// the sweep of [`MdgObjective::forward_record`] — one set of
+    /// kernels, so the values agree bitwise — that promises no tape:
+    /// whatever `scratch` recorded stops being replayable.
     pub fn eval_with(
         &self,
         x: &[f64],
         sharp: Sharpness,
         scratch: &mut EvalScratch,
     ) -> ObjectiveParts {
+        let parts = self.forward_record(x, sharp, scratch);
         scratch.recorded = false;
-        scratch.counts.forward_sweeps += 1;
-        scratch.ensure(self.g.node_count(), self.g.edge_count());
-        let t = &self.tapes;
-        let EvalScratch { y, stack, var_cache, .. } = scratch;
-        // The exp(x_j) cache is always filled: the fused A_p accumulation
-        // below reads it even at Exact, where the monomials themselves
-        // stay on the bit-identical exp(Σ a·x) path (`vc = None`).
-        let smooth = matches!(sharp, Sharpness::Smooth(_));
-        var_cache.fill(x, smooth && t.needs_halves);
-        let vc = if smooth { Some(&*var_cache) } else { None };
-        let inv_p = 1.0 / self.machine.procs as f64;
-        // DAG recurrence for C_p, accumulating A_p = (1/p) Σ T_v e^{x_v}
-        // from the same node values.
-        let mut area_acc = 0.0;
-        for &v in self.g.topo_order() {
-            let base = stack.len();
-            for &e in self.g.in_edges(v) {
-                let m = self.g.edge(e).src;
-                let de = t.edge[e.0].eval(x, sharp, stack, vc);
-                let cand = y[m] + de;
-                stack.push(cand);
-            }
-            let start = crate::compiled::smax_fast(&stack[base..], sharp);
-            stack.truncate(base);
-            let tv = t.node[v.0].eval(x, sharp, stack, vc);
-            area_acc += tv * var_cache.e[v.0];
-            y[v.0] = start + tv;
-        }
-        let a_p = inv_p * area_acc;
-        let c_p = y[self.g.stop().0];
-        let (phi, _, _) = smax_pair_weights(a_p, c_p, sharp);
-        ObjectiveParts { phi, a_p, c_p }
+        parts
     }
 
     /// Evaluate `Phi` and its gradient w.r.t. `x`. Convenience wrapper
@@ -399,85 +370,47 @@ impl<'g> MdgObjective<'g> {
         scratch: &mut BatchEvalScratch,
         parts: &mut [ObjectiveParts],
     ) {
-        assert!(
-            matches!(sharp, Sharpness::Smooth(_)),
-            "the lane tape is smooth-only; sweep exact points on the scalar tape"
-        );
+        let Sharpness::Smooth(s) = sharp else {
+            panic!("the lane tape is smooth-only; sweep exact points on the scalar tape");
+        };
         let n = self.g.node_count();
         debug_assert_eq!(xs.len(), n * k);
         debug_assert_eq!(parts.len(), k);
         scratch.recorded = false;
         scratch.counts.forward_sweeps += k as u64;
-        scratch.ensure(n, self.g.edge_count(), k);
         let t = &self.tapes;
-        scratch.ensure_tape(t.total_vals, t.total_wts, k);
+        scratch.ensure(n, self.g.edge_count(), t.max_in, k);
+        t.prog.forward_lanes(xs, k, s, scratch);
         let BatchEvalScratch {
-            y,
-            tape_w,
-            stack,
-            t_val,
-            tape_vals,
-            tape_wts,
-            var_cache,
-            area,
-            c_seed,
-            a_seed,
-            ..
+            y, tape_w, stack, tape_vals, var_cache, area, c_seed, a_seed, ..
         } = scratch;
-        var_cache.fill(xs, n, k, t.needs_halves);
+        let e_x = var_cache.e();
         let inv_p = 1.0 / self.machine.procs as f64;
         for &v in self.g.topo_order() {
             let vk = v.0 * k;
             let in_edges = self.g.in_edges(v);
-            let base = stack.len();
-            for &e in in_edges {
-                let m = self.g.edge(e).src;
-                let (vo, wo) = t.edge_off[e.0];
-                let c = &t.edge[e.0];
-                c.eval_tape_batch(
-                    k,
-                    sharp,
-                    stack,
-                    &mut tape_vals[vo * k..(vo + c.vals_len()) * k],
-                    &mut tape_wts[wo * k..(wo + c.wts_len()) * k],
-                    var_cache,
-                );
-                let top = stack.len() - k;
-                lanes_add(&mut stack[top..], &y[m * k..(m + 1) * k]);
-            }
-            // Candidate smax: weights land in a scratch region pushed
-            // above the candidates, then scatter to the edge tape rows.
+            // Candidate smax: `y_m + d_e` rows staged side by side, the
+            // weights beside them, then scattered to the edge tape rows.
             let kk = in_edges.len();
             if kk > 0 {
-                let sl = stack.len();
-                stack.resize(sl + kk * k + 3 * k, 0.0);
-                let (cands, rest) = stack[base..].split_at_mut(kk * k);
+                let (cands, rest) = stack.split_at_mut(kk * k);
                 let (wreg, scr) = rest.split_at_mut(kk * k);
-                smax_batch(k, kk, sharp, cands, wreg, scr);
+                for (i, &e) in in_edges.iter().enumerate() {
+                    let m = self.g.edge(e).src;
+                    let cand = &mut cands[i * k..(i + 1) * k];
+                    cand.copy_from_slice(&tape_vals[(n + e.0) * k..][..k]);
+                    lanes_add(cand, &y[m * k..(m + 1) * k]);
+                }
+                smax_batch(k, kk, s, cands, &mut y[vk..vk + k], wreg, scr);
                 for (i, &e) in in_edges.iter().enumerate() {
                     tape_w[e.0 * k..(e.0 + 1) * k].copy_from_slice(&wreg[i * k..(i + 1) * k]);
                 }
-                y[vk..vk + k].copy_from_slice(&cands[..k]);
             }
-            stack.truncate(base);
-            let (vo, wo) = t.node_off[v.0];
-            let c = &t.node[v.0];
-            c.eval_tape_batch(
-                k,
-                sharp,
-                stack,
-                &mut tape_vals[vo * k..(vo + c.vals_len()) * k],
-                &mut tape_wts[wo * k..(wo + c.wts_len()) * k],
-                var_cache,
-            );
-            let top = stack.len() - k;
-            let tv = &stack[top..];
-            t_val[vk..vk + k].copy_from_slice(tv);
+            let tv = &tape_vals[vk..vk + k];
             for l in 0..k {
-                area[l] += tv[l] * var_cache.e[vk + l];
+                area[l] += tv[l] * e_x[vk + l];
             }
-            lanes_add(&mut y[vk..vk + k], &stack[top..]);
-            stack.truncate(base);
+            lanes_add(&mut y[vk..vk + k], tv);
         }
         let stop = self.g.stop().0;
         for (l, p) in parts.iter_mut().enumerate() {
@@ -515,66 +448,52 @@ impl<'g> MdgObjective<'g> {
              forward_record_batch({k} lanes) swept on it"
         );
         scratch.counts.backward_sweeps += k as u64;
+        let n = self.g.node_count();
         grads.clear();
-        grads.resize(self.g.node_count() * k, 0.0);
+        grads.resize(n * k, 0.0);
         let t = &self.tapes;
+        let inv_p = 1.0 / self.machine.procs as f64;
         let BatchEvalScratch {
             adjoint,
             tape_w,
-            stack,
-            t_val,
             tape_vals,
             tape_wts,
+            slot_adj,
             var_cache,
-            a_tmp,
-            seed_tmp,
             c_seed,
             a_seed,
             ..
         } = scratch;
-        let inv_p = 1.0 / self.machine.procs as f64;
-        for a in adjoint.iter_mut() {
-            *a = 0.0;
-        }
+        let e_x = var_cache.e();
+        adjoint.fill(0.0);
         let stop = self.g.stop().0;
         adjoint[stop * k..(stop + 1) * k].copy_from_slice(c_seed);
+        // DAG pass: every expression's seed row into its root slot.
         for &v in self.g.topo_order().iter().rev() {
             let vk = v.0 * k;
-            a_tmp.copy_from_slice(&adjoint[vk..vk + k]);
             for l in 0..k {
                 let w_area = a_seed[l] * inv_p;
-                let e_v = var_cache.e[vk + l];
-                grads[vk + l] += w_area * t_val[vk + l] * e_v;
-                seed_tmp[l] = a_tmp[l] + w_area * e_v;
+                slot_adj[vk + l] = adjoint[vk + l] + w_area * e_x[vk + l];
             }
-            let (vo, wo) = t.node_off[v.0];
-            let c = &t.node[v.0];
-            c.backprop_batch(
-                k,
-                seed_tmp,
-                &tape_vals[vo * k..(vo + c.vals_len()) * k],
-                &tape_wts[wo * k..(wo + c.wts_len()) * k],
-                grads,
-                stack,
-            );
             for &e in self.g.in_edges(v) {
-                let ek = e.0 * k;
+                let (ek, mk, rk) = (e.0 * k, self.g.edge(e).src * k, (n + e.0) * k);
                 for l in 0..k {
-                    seed_tmp[l] = a_tmp[l] * tape_w[ek + l];
+                    let seed = adjoint[vk + l] * tape_w[ek + l];
+                    slot_adj[rk + l] = seed;
+                    adjoint[mk + l] += seed;
                 }
-                let m = self.g.edge(e).src;
-                let (vo, wo) = t.edge_off[e.0];
-                let c = &t.edge[e.0];
-                c.backprop_batch(
-                    k,
-                    seed_tmp,
-                    &tape_vals[vo * k..(vo + c.vals_len()) * k],
-                    &tape_wts[wo * k..(wo + c.wts_len()) * k],
-                    grads,
-                    stack,
-                );
-                lanes_add(&mut adjoint[m * k..(m + 1) * k], seed_tmp);
             }
+        }
+        t.prog.push_adjoints(k, slot_adj, tape_wts);
+        let mut lo = 0;
+        for (&v, &hi) in self.g.topo_order().iter().rev().zip(&t.replay_ends) {
+            let vk = v.0 * k;
+            for l in 0..k {
+                let w_area = a_seed[l] * inv_p;
+                grads[vk + l] += w_area * tape_vals[vk + l] * e_x[vk + l];
+            }
+            t.prog.accumulate(lo..hi, k, tape_vals, slot_adj, grads);
+            lo = hi;
         }
     }
 
@@ -599,55 +518,30 @@ impl<'g> MdgObjective<'g> {
     ) -> ObjectiveParts {
         scratch.recorded = false;
         scratch.counts.forward_sweeps += 1;
-        scratch.ensure(self.g.node_count(), self.g.edge_count());
+        let n = self.g.node_count();
         let t = &self.tapes;
-        scratch.ensure_tape(t.total_vals, t.total_wts);
-        let EvalScratch { y, tape_w, stack, tape_vals, tape_wts, var_cache, t_val, .. } = scratch;
-        let smooth = matches!(sharp, Sharpness::Smooth(_));
-        var_cache.fill(x, smooth && t.needs_halves);
-        let vc = if smooth { Some(&*var_cache) } else { None };
+        scratch.ensure(n, self.g.edge_count(), t.max_in);
+        t.prog.forward(x, sharp, scratch);
+        let EvalScratch { y, tape_w, stack, tape_vals, var_cache, .. } = scratch;
+        let e_x = var_cache.e();
         let inv_p = 1.0 / self.machine.procs as f64;
+        // DAG recurrence for C_p over the expression values the program
+        // left in the root slots, accumulating A_p = (1/p) Σ T_v e^{x_v}
+        // from the same node values.
         let mut area_acc = 0.0;
         for &v in self.g.topo_order() {
             let in_edges = self.g.in_edges(v);
-            let base = stack.len();
-            for &e in in_edges {
-                let m = self.g.edge(e).src;
-                let (vo, wo) = t.edge_off[e.0];
-                let c = &t.edge[e.0];
-                let de = c.eval_tape(
-                    x,
-                    sharp,
-                    stack,
-                    &mut tape_vals[vo..vo + c.vals_len()],
-                    &mut tape_wts[wo..wo + c.wts_len()],
-                    vc,
-                );
-                let cand = y[m] + de;
-                stack.push(cand);
-            }
-            // The candidate smax's weights land in scratch space pushed
-            // right above the candidates, then move to the edge tape.
             let k = in_edges.len();
-            stack.resize(base + 2 * k, 0.0);
-            let (cands, wts) = stack[base..].split_at_mut(k);
-            let start = smax_weights_fast(cands, sharp, wts);
-            for (i, &e) in in_edges.iter().enumerate() {
-                tape_w[e.0] = stack[base + k + i];
+            let (cands, wts) = stack[..2 * k].split_at_mut(k);
+            for (c, &e) in cands.iter_mut().zip(in_edges) {
+                *c = y[self.g.edge(e).src] + tape_vals[n + e.0];
             }
-            stack.truncate(base);
-            let (vo, wo) = t.node_off[v.0];
-            let c = &t.node[v.0];
-            let tv = c.eval_tape(
-                x,
-                sharp,
-                stack,
-                &mut tape_vals[vo..vo + c.vals_len()],
-                &mut tape_wts[wo..wo + c.wts_len()],
-                vc,
-            );
-            t_val[v.0] = tv;
-            area_acc += tv * var_cache.e[v.0];
+            let start = smax_weights_fast(cands, sharp, wts);
+            for (&w, &e) in wts.iter().zip(in_edges) {
+                tape_w[e.0] = w;
+            }
+            let tv = tape_vals[v.0];
+            area_acc += tv * e_x[v.0];
             y[v.0] = start + tv;
         }
         let a_p = inv_p * area_acc;
@@ -700,56 +594,38 @@ impl<'g> MdgObjective<'g> {
              swept on it (nothing recorded yet, or a value-only eval_with ran since)"
         );
         scratch.counts.backward_sweeps += 1;
+        let n = self.g.node_count();
         grad.clear();
-        grad.resize(self.g.node_count(), 0.0);
+        grad.resize(n, 0.0);
         let t = &self.tapes;
-        let EvalScratch { adjoint, tape_w, stack, tape_vals, tape_wts, var_cache, t_val, .. } =
-            scratch;
         let w_area = area_seed / self.machine.procs as f64;
-        for a in adjoint.iter_mut() {
-            *a = 0.0;
-        }
+        let EvalScratch { adjoint, tape_w, tape_vals, tape_wts, slot_adj, var_cache, .. } = scratch;
+        let e_x = var_cache.e();
+        adjoint.fill(0.0);
         adjoint[self.g.stop().0] = c_seed;
+        // DAG pass: every expression's seed into its root slot.
         for &v in self.g.topo_order().iter().rev() {
             let a_v = adjoint[v.0];
-            let seed_v = if w_area != 0.0 {
-                let e_v = var_cache.e[v.0];
-                grad[v.0] += w_area * t_val[v.0] * e_v;
-                a_v + w_area * e_v
-            } else {
-                a_v
-            };
-            if seed_v != 0.0 {
-                let (vo, wo) = t.node_off[v.0];
-                let c = &t.node[v.0];
-                c.backprop(
-                    seed_v,
-                    &tape_vals[vo..vo + c.vals_len()],
-                    &tape_wts[wo..wo + c.wts_len()],
-                    grad,
-                    stack,
-                );
-            }
-            if a_v == 0.0 {
-                continue;
-            }
+            slot_adj[v.0] = if w_area != 0.0 { a_v + w_area * e_x[v.0] } else { a_v };
             for &e in self.g.in_edges(v) {
-                let w = tape_w[e.0];
-                if w == 0.0 {
-                    continue;
-                }
-                let m = self.g.edge(e).src;
-                let (vo, wo) = t.edge_off[e.0];
-                let c = &t.edge[e.0];
-                c.backprop(
-                    a_v * w,
-                    &tape_vals[vo..vo + c.vals_len()],
-                    &tape_wts[wo..wo + c.wts_len()],
-                    grad,
-                    stack,
-                );
-                adjoint[m] += a_v * w;
+                let seed = a_v * tape_w[e.0];
+                slot_adj[n + e.0] = seed;
+                adjoint[self.g.edge(e).src] += seed;
             }
+        }
+        t.prog.push_adjoints(1, slot_adj, tape_wts);
+        let mut lo = 0;
+        for (&v, &hi) in self.g.topo_order().iter().rev().zip(&t.replay_ends) {
+            if w_area != 0.0 {
+                grad[v.0] += w_area * tape_vals[v.0] * e_x[v.0];
+            }
+            // A node off every seeded path (most of them under an exact
+            // max, whose weights are 0 or 1) seeds its own expression and
+            // its in-edges' with zero: every addend below would be ±0.0.
+            if slot_adj[v.0] != 0.0 || adjoint[v.0] != 0.0 {
+                t.prog.accumulate(lo..hi, 1, tape_vals, slot_adj, grad);
+            }
+            lo = hi;
         }
     }
 
@@ -760,7 +636,7 @@ impl<'g> MdgObjective<'g> {
     pub fn eval_grad_forward(&self, x: &[f64], sharp: Sharpness) -> (ObjectiveParts, Vec<f64>) {
         let n = self.g.node_count();
         let mut grad_a = vec![0.0; n];
-        let a_p = self.area.eval_grad(x, sharp, 1.0, &mut grad_a);
+        let a_p = self.area_expr().eval_grad(x, sharp, 1.0, &mut grad_a);
 
         // Forward pass where each node's finish time carries a dense
         // gradient vector.

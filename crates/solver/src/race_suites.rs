@@ -25,8 +25,8 @@ fn run_pool(cfg: &Config) -> Report {
                 let held = &held;
                 s.spawn(move || {
                     let mut bw = acquire();
-                    bw.scratch.ensure(4, 4, 2);
-                    bw.inner.scratch.ensure(4, 4);
+                    bw.scratch.ensure(4, 4, 1, 2);
+                    bw.inner.scratch.ensure(4, 4, 1);
                     let bid = bw.scratch.y.as_ptr() as usize;
                     let iid = bw.inner.scratch.y.as_ptr() as usize;
                     {

@@ -107,8 +107,7 @@ pub struct AllocationResult {
 /// Lane width of the batched multistart: starts are grouped into fixed
 /// consecutive chunks of this many lanes, run one after the other, each
 /// chunk descending through one shared-tape batched gradient per
-/// iteration. Eight lanes fill one AVX-512 register per kernel chunk
-/// (see [`crate::batch`]) and hold every config in the tree in one
+/// iteration. Eight lanes hold every config in the tree in one
 /// chunk: `SolverConfig::default()` runs 6 starts (3 deterministic + 3
 /// random), `fast()` runs 4.
 const BATCH_K: usize = 8;
@@ -119,6 +118,8 @@ struct Budget {
     deadline: Option<Instant>,
     max_iters: Option<usize>,
     used: Cell<usize>,
+    /// Value of `used` from which the clock is read again.
+    next_check: Cell<usize>,
     /// Latch set once the deadline has been observed expired, so later
     /// checks short-circuit without touching the clock again.
     expired: Cell<bool>,
@@ -126,7 +127,13 @@ struct Budget {
 
 impl Budget {
     fn new(deadline: Option<Instant>, max_iters: Option<usize>) -> Self {
-        Budget { deadline, max_iters, used: Cell::new(0), expired: Cell::new(false) }
+        Budget {
+            deadline,
+            max_iters,
+            used: Cell::new(0),
+            next_check: Cell::new(0),
+            expired: Cell::new(false),
+        }
     }
 
     fn exhausted(&self) -> bool {
@@ -137,12 +144,17 @@ impl Budget {
         if let Some(d) = self.deadline {
             // `Instant::now()` is a vDSO call but still dominates a cheap
             // descent iteration when taken every time; amortize the clock
-            // read to every 64th iteration of the shared counter (the
-            // first check, at `used == 0`, always consults the clock, so
-            // an already-expired deadline is caught before any work).
-            if used & 63 == 0 && Instant::now() >= d {
-                self.expired.set(true);
-                return true;
+            // read to once per 64 charged iterations. The counter advances
+            // by the live-lane count, so the test is "has it passed the
+            // next check point", not "is it a multiple of 64" (the first
+            // check, at `used == 0`, always consults the clock, so an
+            // already-expired deadline is caught before any work).
+            if used >= self.next_check.get() {
+                self.next_check.set(used + 64);
+                if Instant::now() >= d {
+                    self.expired.set(true);
+                    return true;
+                }
             }
         }
         if let Some(m) = self.max_iters {
@@ -672,6 +684,21 @@ mod tests {
         let cfg = SolverConfig { time_limit: Some(Duration::ZERO), ..SolverConfig::fast() };
         let err = try_allocate(&g, Machine::cm5(4), &cfg).unwrap_err();
         assert!(matches!(err, SolverError::BudgetExceeded { .. }), "{err}");
+    }
+
+    #[test]
+    fn deadline_is_seen_within_64_charged_iterations_at_any_lane_count() {
+        // A chunk that loses lanes charges 6, 5, 4, 4, …: the counter
+        // turns odd and never lands on a multiple of 64 again.
+        let budget = Budget::new(Some(Instant::now() + Duration::from_secs(3600)), None);
+        assert!(budget.charge(6) && budget.charge(5));
+        // The deadline passes mid-chunk.
+        let budget = Budget { deadline: Some(Instant::now()), ..budget };
+        let mut charged = 0;
+        while budget.charge(4) {
+            charged += 4;
+            assert!(charged <= 64, "an expired deadline went unseen for {charged} iterations");
+        }
     }
 
     #[test]

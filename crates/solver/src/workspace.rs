@@ -8,6 +8,17 @@
 //! holds a workspace performs any heap allocation per iteration; the
 //! `alloc_free` integration test asserts this with a counting allocator.
 //!
+//! What a sweep scratch holds follows the level program
+//! ([`crate::compiled`]): one value per slot, one weight per `max`
+//! candidate, one adjoint per slot (lane-major rows of `k` on the lane
+//! scratch), the exact sweep's per-vector `exp` table, the variable
+//! cache, and one staging row that serves the arity-2 kernel's outputs
+//! and the DAG recurrence's candidate lists in turn. These tapes only
+//! ever grow — each sweep overwrites every slot it later reads, so a
+//! pooled scratch that alternates between objectives (ADMM blocks) is
+//! sized once, by the largest, and never zeroed. The per-node and
+//! per-edge DAG buffers are fitted and zeroed per sweep.
+//!
 //! A [`BatchWorkspace`] is three borrowable groups — the lane sweep
 //! scratch, the scalar [`SolverWorkspace`] (`.inner`) and the descent
 //! stage's [`DescentLanes`] — so a descent model can borrow a scratch
@@ -24,8 +35,7 @@
 //! is one lock per *solve start*, not per iteration, so it never shows
 //! up in profiles.
 
-use crate::batch::BatchVarCache;
-use crate::compiled::VarCache;
+use crate::compiled::{LevelProgram, VarCache};
 use crate::descent::DescentLanes;
 use crate::objective::ObjectiveParts;
 use paradigm_race::plock;
@@ -46,6 +56,10 @@ pub struct SweepCounts {
     /// Points a descent loop evaluated through this scratch: every
     /// line-search probe plus each stage's start (K per lane round).
     pub probes: u64,
+    /// `exp` calls of the forward sweeps: one per variable per point for
+    /// the variable cache plus, on an exact sweep, one per distinct
+    /// exponent vector of the program.
+    pub exp_calls: u64,
 }
 
 impl SweepCounts {
@@ -55,6 +69,7 @@ impl SweepCounts {
             forward_sweeps: self.forward_sweeps.saturating_sub(earlier.forward_sweeps),
             backward_sweeps: self.backward_sweeps.saturating_sub(earlier.backward_sweeps),
             probes: self.probes.saturating_sub(earlier.probes),
+            exp_calls: self.exp_calls.saturating_sub(earlier.exp_calls),
         }
     }
 }
@@ -66,9 +81,9 @@ impl SweepCounts {
 pub struct EvalScratch {
     /// Sweep and probe counters.
     pub counts: SweepCounts,
-    /// Replay validity: the tapes below belong to the last point swept
-    /// on this scratch. Set by `forward_record`, cleared by `eval_with`
-    /// (which zeroes `tape_w`/`t_val`), asserted by `backward_replay`.
+    /// Replay validity: the tapes below belong to the last point
+    /// `forward_record` swept on this scratch. Cleared by `eval_with`,
+    /// asserted by `backward_replay`.
     pub(crate) recorded: bool,
     /// `(c_seed, area_seed)` = `(∂Φ/∂C_p, ∂Φ/∂A_p)` at the recorded point.
     pub(crate) phi_seeds: (f64, f64),
@@ -80,46 +95,60 @@ pub struct EvalScratch {
     /// each edge is an in-edge of exactly one node, so edge id is a
     /// collision-free index).
     pub(crate) tape_w: Vec<f64>,
-    /// Shared value stack for expression `max` nodes and the per-node
-    /// candidate lists of the DAG recurrence.
+    /// Staging row: the outputs of one level's arity-2 maxes before
+    /// they scatter to their slots, then the per-node candidate lists of
+    /// the DAG recurrence.
     pub(crate) stack: Vec<f64>,
-    /// Per-node `T_v` value of the forward sweep (finish time minus
-    /// start time), reused by the fused `A_p` backward pass.
-    pub(crate) t_val: Vec<f64>,
-    /// Per-op values of every compiled expression, recorded by the
-    /// forward sweep and replayed by `backprop` (offsets are owned by
-    /// the objective's tape layout).
+    /// Per-slot values of the objective's level program, recorded by the
+    /// forward sweep (root `r` at `[r]`) and read by the backward one.
     pub(crate) tape_vals: Vec<f64>,
-    /// Per-`max` gradient weights of every compiled expression; same
-    /// lifecycle as `tape_vals`.
+    /// Per-`max` gradient weights of the level program; same lifecycle
+    /// as `tape_vals`.
     pub(crate) tape_wts: Vec<f64>,
-    /// Per-variable `exp(x_j)` caches filled once per smoothed
-    /// objective call (see [`VarCache`]).
+    /// Per-slot adjoints of the backward sweep.
+    pub(crate) slot_adj: Vec<f64>,
+    /// `exp(Σ a_j x_j)` per distinct exponent vector of an exact sweep.
+    pub(crate) exps: Vec<f64>,
+    /// Per-variable `exp(x_j)` caches filled once per sweep (see
+    /// [`VarCache`]).
     pub(crate) var_cache: VarCache,
 }
 
+/// Resize `v` to `len` zeros, capacity retained.
+fn fit(v: &mut Vec<f64>, len: usize) {
+    v.clear();
+    v.resize(len, 0.0);
+}
+
+/// Grow `v` to at least `len` entries. The sweeps overwrite every slot
+/// they later read, so nothing is zeroed and a pooled scratch that
+/// alternates between objectives is sized once, by the largest.
+fn grow(v: &mut Vec<f64>, len: usize) {
+    if v.len() < len {
+        v.resize(len, 0.0);
+    }
+}
+
 impl EvalScratch {
-    /// Resize the sweep buffers for a graph with `nodes` nodes and
-    /// `edges` edges and zero them. Capacity is retained, so repeated
-    /// calls at the same (or smaller) size allocate nothing.
-    pub(crate) fn ensure(&mut self, nodes: usize, edges: usize) {
-        fn fit(v: &mut Vec<f64>, len: usize) {
-            v.clear();
-            v.resize(len, 0.0);
-        }
+    /// Resize the DAG buffers for a graph with `nodes` nodes and `edges`
+    /// edges and zero them, and make the staging row hold the candidates
+    /// and weights of a node with `max_in` in-edges. Capacity is
+    /// retained, so repeated calls at the same (or smaller) size
+    /// allocate nothing.
+    pub(crate) fn ensure(&mut self, nodes: usize, edges: usize, max_in: usize) {
         fit(&mut self.y, nodes);
         fit(&mut self.adjoint, nodes);
         fit(&mut self.tape_w, edges);
-        fit(&mut self.t_val, nodes);
-        // `stack` grows on demand and retains its high-water capacity.
+        grow(&mut self.stack, 2 * max_in);
     }
 
-    /// Resize the expression tapes to an objective's total compiled
-    /// sizes. No zeroing: the forward sweep overwrites every slot it
-    /// later reads. Capacity is retained across calls.
-    pub(crate) fn ensure_tape(&mut self, vals: usize, wts: usize) {
-        self.tape_vals.resize(vals, 0.0);
-        self.tape_wts.resize(wts, 0.0);
+    /// Size the tapes and the staging row for `prog`.
+    pub(crate) fn ensure_tape(&mut self, prog: &LevelProgram) {
+        grow(&mut self.tape_vals, prog.n_slots);
+        grow(&mut self.tape_wts, prog.n_wts);
+        grow(&mut self.slot_adj, prog.n_slots);
+        grow(&mut self.exps, prog.exp_keys.len() + 1);
+        grow(&mut self.stack, prog.max2_width);
     }
 }
 
@@ -143,24 +172,20 @@ pub struct BatchEvalScratch {
     pub(crate) adjoint: Vec<f64>,
     /// Per-edge, per-lane `smax` weights (the DAG-level tape).
     pub(crate) tape_w: Vec<f64>,
-    /// Shared k-wide-slot value stack (expression `max` candidates and
-    /// the per-node candidate rows of the DAG recurrence).
+    /// Staging rows: the outputs of one level's arity-2 maxes before
+    /// they scatter to their slots, the kernels' scratch rows, then the
+    /// per-node candidate rows of the DAG recurrence.
     pub(crate) stack: Vec<f64>,
-    /// Per-node, per-lane `T_v` values, reused by the fused `A_p` pass.
-    pub(crate) t_val: Vec<f64>,
-    /// Lane-major per-op values of every compiled expression.
+    /// Lane-major per-slot values of the objective's level program.
     pub(crate) tape_vals: Vec<f64>,
     /// Lane-major per-`max` gradient weights.
     pub(crate) tape_wts: Vec<f64>,
-    /// Batched per-variable `exp(x_j)` caches (see [`BatchVarCache`]).
-    pub(crate) var_cache: BatchVarCache,
+    /// Lane-major per-slot adjoints of the backward sweep.
+    pub(crate) slot_adj: Vec<f64>,
+    /// Lane-major per-variable `exp(x_j)` caches (see [`VarCache`]).
+    pub(crate) var_cache: VarCache,
     /// Per-lane `A_p` numerator accumulator of the forward sweep.
     pub(crate) area: Vec<f64>,
-    /// Per-lane adjoint-row copy of the backward sweep (breaks the
-    /// aliasing between a node's adjoint row and its predecessors').
-    pub(crate) a_tmp: Vec<f64>,
-    /// Per-lane node-seed row of the backward sweep.
-    pub(crate) seed_tmp: Vec<f64>,
     /// Per-lane `C_p` seed weights (`w_c` from the top-level smax).
     pub(crate) c_seed: Vec<f64>,
     /// Per-lane `A_p` seed weights (`w_a`).
@@ -168,32 +193,29 @@ pub struct BatchEvalScratch {
 }
 
 impl BatchEvalScratch {
-    /// Resize the lane-major sweep buffers for a graph with `nodes`
-    /// nodes and `edges` edges at lane count `k`, and zero them.
-    /// Capacity is retained across calls.
-    pub(crate) fn ensure(&mut self, nodes: usize, edges: usize, k: usize) {
-        fn fit(v: &mut Vec<f64>, len: usize) {
-            v.clear();
-            v.resize(len, 0.0);
-        }
+    /// Resize the lane-major DAG buffers for a graph with `nodes` nodes
+    /// and `edges` edges at lane count `k` and zero them, and make the
+    /// staging rows hold the candidate and weight rows of a node with
+    /// `max_in` in-edges plus the kernel's two scratch rows. Capacity is
+    /// retained across calls.
+    pub(crate) fn ensure(&mut self, nodes: usize, edges: usize, max_in: usize, k: usize) {
         self.k = k;
         fit(&mut self.y, nodes * k);
         fit(&mut self.adjoint, nodes * k);
         fit(&mut self.tape_w, edges * k);
-        fit(&mut self.t_val, nodes * k);
         fit(&mut self.area, k);
-        fit(&mut self.a_tmp, k);
-        fit(&mut self.seed_tmp, k);
         fit(&mut self.c_seed, k);
         fit(&mut self.a_seed, k);
+        grow(&mut self.stack, (2 * max_in + 2) * k);
     }
 
-    /// Resize the lane-major expression tapes to an objective's total
-    /// compiled sizes. No zeroing: the forward sweep overwrites every
-    /// slot it later reads.
-    pub(crate) fn ensure_tape(&mut self, vals: usize, wts: usize, k: usize) {
-        self.tape_vals.resize(vals * k, 0.0);
-        self.tape_wts.resize(wts * k, 0.0);
+    /// Size the lane-major tapes and the staging rows for `prog` at `k`
+    /// lanes.
+    pub(crate) fn ensure_tape(&mut self, prog: &LevelProgram, k: usize) {
+        grow(&mut self.tape_vals, prog.n_slots * k);
+        grow(&mut self.tape_wts, prog.n_wts * k);
+        grow(&mut self.slot_adj, prog.n_slots * k);
+        grow(&mut self.stack, (prog.max2_width + 2) * k);
     }
 }
 
@@ -330,6 +352,7 @@ pub fn pool_sweep_counts() -> SweepCounts {
             total.forward_sweeps += c.forward_sweeps;
             total.backward_sweeps += c.backward_sweeps;
             total.probes += c.probes;
+            total.exp_calls += c.exp_calls;
         }
     }
     total
@@ -364,10 +387,10 @@ mod tests {
         let (a0, _) = pool_counters();
         {
             let mut ws = acquire();
-            ws.inner.scratch.ensure(8, 12);
+            ws.inner.scratch.ensure(8, 12, 3);
             assert_eq!(ws.inner.scratch.y.len(), 8);
             assert_eq!(ws.inner.scratch.tape_w.len(), 12);
-            ws.scratch.ensure(8, 12, 4);
+            ws.scratch.ensure(8, 12, 3, 4);
             assert_eq!(ws.scratch.y.len(), 32);
             assert_eq!(ws.scratch.tape_w.len(), 48);
         }
@@ -382,11 +405,11 @@ mod tests {
     #[test]
     fn ensure_is_exact_and_idempotent() {
         let mut s = EvalScratch::default();
-        s.ensure(5, 7);
+        s.ensure(5, 7, 2);
         s.adjoint[3] = 1.0;
-        s.ensure(5, 7);
+        s.ensure(5, 7, 2);
         assert_eq!(s.adjoint[3], 0.0, "ensure re-zeroes sweep buffers");
-        s.ensure(2, 3);
+        s.ensure(2, 3, 2);
         assert_eq!(s.y.len(), 2);
         assert_eq!(s.tape_w.len(), 3);
     }
