@@ -380,7 +380,7 @@ pub fn build_block_problem(
 /// The penalised block model `smax(area_off + A_p, C_p) + (rho/2) sum
 /// (x_i - target_i)^2` on the scalar tape, as a [`DescentModel`]: one
 /// gradient pair and a handful of sequential probes per iteration is
-/// K <= 2 work, where the scalar tape is ~2x the lane kernels. With
+/// K <= 2 work, where the scalar tape is 1.4–1.7x the lane kernels. With
 /// `area_off = 0` and no consensus terms it is the global objective —
 /// what the coordinator polish descends.
 pub(crate) struct BlockModel<'a, 'g> {

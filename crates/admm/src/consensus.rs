@@ -18,7 +18,7 @@
 //! `r = rms(x - z)` (how far block copies disagree with the consensus)
 //! and dual `s = rms(z - z_old)` (how far the refreeze point moved this
 //! round); both below `eps` stops the loop. The penalty `rho` starts at
-//! `rho0 * Phi(x0)/m` (commensurate with the objective's per-variable
+//! `Phi(x0)/m` (commensurate with the objective's per-variable
 //! gradient) and adapts two ways: Boyd's residual-balancing rule while
 //! descent is active, and monotone stall-forcing doublings once neither
 //! the residuals nor the exact objective improve — which squeezes any
@@ -53,23 +53,25 @@ use crate::block::{
 };
 use crate::partition::{partition_mdg, Partition, PartitionOptions};
 
+/// Initial penalty weight `rho`, in units of the objective's per-variable
+/// gradient magnitude (see the scaling in [`solve_admm`]).
+const RHO0: f64 = 1.0;
+
+/// Over-relaxation factor `alpha` of the z- and u-updates (1.0 would
+/// disable it; Boyd et al. report 1.5–1.8 as typical).
+const RELAX: f64 = 1.6;
+
 /// Outer-loop configuration.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AdmmConfig {
-    /// Partitioning options (block size, balance, refinement).
+    /// Partitioning options (block size, single-block floor).
     pub partition: PartitionOptions,
-    /// Initial penalty weight `rho`.
-    pub rho0: f64,
-    /// Over-relaxation factor `alpha` (1.0 disables; 1.5–1.8 typical).
-    pub relax: f64,
     /// Residual tolerance: converged when both RMS residuals drop below.
     pub eps: f64,
     /// Outer iteration cap.
     pub max_outer: usize,
     /// Per-block inner solver configuration.
     pub inner: InnerConfig,
-    /// Enable residual-balancing rho adaptation.
-    pub adapt_rho: bool,
     /// Bounded-staleness consensus: when positive, a block whose fresh
     /// solution is lost this round (worker crash, deadline miss, every
     /// retry failed) is served its *last* solution for up to this many
@@ -83,12 +85,9 @@ impl Default for AdmmConfig {
     fn default() -> Self {
         AdmmConfig {
             partition: PartitionOptions::default(),
-            rho0: 1.0,
-            relax: 1.6,
             eps: 1e-4,
             max_outer: 400,
             inner: InnerConfig::default(),
-            adapt_rho: true,
             max_stale: 0,
         }
     }
@@ -312,15 +311,6 @@ pub fn solve_admm<B: BlockBackend>(
     cfg: &AdmmConfig,
     backend: &mut B,
 ) -> Result<AdmmResult, SolverError> {
-    if !(cfg.rho0.is_finite() && cfg.rho0 > 0.0) {
-        return Err(SolverError::InvalidConfig(format!("rho0 {} must be positive", cfg.rho0)));
-    }
-    if !(1.0..2.0).contains(&cfg.relax) {
-        return Err(SolverError::InvalidConfig(format!(
-            "over-relaxation {} must lie in [1, 2)",
-            cfg.relax
-        )));
-    }
     let obj = MdgObjective::try_new(g, machine).map_err(SolverError::BadObjective)?;
     let ub = obj.x_upper();
     let n = g.node_count();
@@ -371,14 +361,14 @@ pub fn solve_admm<B: BlockBackend>(
         }
     }
 
-    // `rho0` is a dimensionless knob: the actual penalty weight is
+    // `RHO0` is dimensionless: the actual penalty weight is
     // scaled by the objective's per-variable gradient magnitude
     // (`Phi / m` — each area term contributes about its own share of
     // `Phi` to its variable's gradient), so the consensus pull is
     // commensurate with the objective pull regardless of graph size or
     // cost units.
     let scale = (global_sweeps(&obj, &x).phi() / m).max(f64::MIN_POSITIVE);
-    let mut rho = cfg.rho0 * scale;
+    let mut rho = RHO0 * scale;
     let mut best: Option<(Allocation, PhiBreakdown)> = None;
     let consider = |x: &[f64], best: &mut Option<(Allocation, PhiBreakdown)>| {
         let alloc = obj.allocation_from_x(x);
@@ -536,14 +526,14 @@ pub fn solve_admm<B: BlockBackend>(
             let mut acc = 0.0_f64;
             for &b in blocks {
                 let xb = sols[b].x[maps[b].sub_of[v.0]];
-                let xh = cfg.relax * xb + (1.0 - cfg.relax) * z_old;
+                let xh = RELAX * xb + (1.0 - RELAX) * z_old;
                 let u = duals[b].get(&v).copied().unwrap_or(0.0);
                 acc += xh + u;
             }
             let z = acc / blocks.len() as f64;
             for &b in blocks {
                 let xb = sols[b].x[maps[b].sub_of[v.0]];
-                let xh = cfg.relax * xb + (1.0 - cfg.relax) * z_old;
+                let xh = RELAX * xb + (1.0 - RELAX) * z_old;
                 *duals[b].get_mut(&v).expect("dual slot exists") += xh - z;
                 let pr = xb - z;
                 r2 += pr * pr;
@@ -682,27 +672,25 @@ pub fn solve_admm<B: BlockBackend>(
 
         // Residual balancing (Boyd §3.4.1) plus stall escalation; duals
         // rescale to preserve the unscaled dual `rho * u`.
-        if cfg.adapt_rho {
-            let rel = rho / scale;
-            let stall_limit = if forcing { 2 } else { 4 };
-            if (r > 10.0 * s || stalled >= stall_limit) && rel < 1e9 {
-                // Once stall-forcing starts, escalation is monotone:
-                // letting the balancing rule halve `rho` again would undo
-                // the squeeze and reopen the limit cycle.
-                forcing = forcing || stalled >= stall_limit;
-                rho *= 2.0;
-                stalled = 0;
-                for d in &mut duals {
-                    for u in d.values_mut() {
-                        *u *= 0.5;
-                    }
+        let rel = rho / scale;
+        let stall_limit = if forcing { 2 } else { 4 };
+        if (r > 10.0 * s || stalled >= stall_limit) && rel < 1e9 {
+            // Once stall-forcing starts, escalation is monotone:
+            // letting the balancing rule halve `rho` again would undo
+            // the squeeze and reopen the limit cycle.
+            forcing = forcing || stalled >= stall_limit;
+            rho *= 2.0;
+            stalled = 0;
+            for d in &mut duals {
+                for u in d.values_mut() {
+                    *u *= 0.5;
                 }
-            } else if !forcing && s > 10.0 * r && rel > 1e-6 {
-                rho *= 0.5;
-                for d in &mut duals {
-                    for u in d.values_mut() {
-                        *u *= 2.0;
-                    }
+            }
+        } else if !forcing && s > 10.0 * r && rel > 1e-6 {
+            rho *= 0.5;
+            for d in &mut duals {
+                for u in d.values_mut() {
+                    *u *= 2.0;
                 }
             }
         }
@@ -863,16 +851,6 @@ mod tests {
         assert_eq!(a.phi.phi.to_bits(), b.phi.phi.to_bits());
         assert_eq!(a.alloc.as_slice(), b.alloc.as_slice());
         assert_eq!(a.primal_residual.to_bits(), b.primal_residual.to_bits());
-    }
-
-    #[test]
-    fn rejects_bad_config() {
-        let g = example_fig1_mdg();
-        let machine = Machine::cm5(8);
-        let bad_relax = AdmmConfig { relax: 2.5, ..AdmmConfig::default() };
-        assert!(solve_admm_in_process(&g, machine, &bad_relax, 1).is_err());
-        let bad_rho = AdmmConfig { rho0: 0.0, ..AdmmConfig::default() };
-        assert!(solve_admm_in_process(&g, machine, &bad_rho, 1).is_err());
     }
 
     fn splitmix64(mut z: u64) -> u64 {

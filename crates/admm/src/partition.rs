@@ -37,21 +37,18 @@ pub struct PartitionOptions {
     /// Graphs with fewer compute nodes than this stay in one block
     /// (tiny problems gain nothing from consensus overhead).
     pub min_partition_nodes: usize,
-    /// Allowed node-weight imbalance: every block must stay below
-    /// `(1 + imbalance) * total_weight / blocks`.
-    pub imbalance: f64,
-    /// Boundary-refinement passes per uncoarsening level.
-    pub refine_passes: usize,
 }
+
+/// Allowed node-weight imbalance: every block stays below
+/// `(1 + IMBALANCE) * total_weight / blocks`.
+const IMBALANCE: f64 = 0.2;
+
+/// Boundary-refinement passes per uncoarsening level.
+const REFINE_PASSES: usize = 4;
 
 impl Default for PartitionOptions {
     fn default() -> Self {
-        PartitionOptions {
-            target_block_nodes: 512,
-            min_partition_nodes: 128,
-            imbalance: 0.2,
-            refine_passes: 4,
-        }
+        PartitionOptions { target_block_nodes: 512, min_partition_nodes: 128 }
     }
 }
 
@@ -61,11 +58,7 @@ impl PartitionOptions {
     /// `blocks` chunks result and drops the single-block floor.
     pub fn with_blocks(g: &Mdg, blocks: usize) -> Self {
         let n = g.compute_node_count().max(1);
-        PartitionOptions {
-            target_block_nodes: n.div_ceil(blocks.max(1)),
-            min_partition_nodes: 0,
-            ..PartitionOptions::default()
-        }
+        PartitionOptions { target_block_nodes: n.div_ceil(blocks.max(1)), min_partition_nodes: 0 }
     }
 }
 
@@ -225,7 +218,7 @@ pub fn partition_mdg(g: &Mdg, opts: &PartitionOptions) -> Partition {
     }
 
     // Uncoarsen with boundary refinement at every level.
-    let cap = ((total as f64 / blocks as f64) * (1.0 + opts.imbalance)).ceil() as u64;
+    let cap = ((total as f64 / blocks as f64) * (1.0 + IMBALANCE)).ceil() as u64;
     for li in (0..levels.len()).rev() {
         if li + 1 < levels.len() {
             // Project the coarser assignment down one level.
@@ -239,7 +232,7 @@ pub fn partition_mdg(g: &Mdg, opts: &PartitionOptions) -> Partition {
             }
             assign = fine_assign;
         }
-        refine(&levels[li], &mut assign, blocks, cap, opts.refine_passes);
+        refine(&levels[li], &mut assign, blocks, cap, REFINE_PASSES);
     }
 
     finish_partition(g, &nodes, assign, blocks)
@@ -447,11 +440,7 @@ mod tests {
     #[test]
     fn blocks_are_balanced_and_cover_everything() {
         let g = medium();
-        let opts = PartitionOptions {
-            target_block_nodes: 100,
-            min_partition_nodes: 0,
-            ..PartitionOptions::default()
-        };
+        let opts = PartitionOptions { target_block_nodes: 100, min_partition_nodes: 0 };
         let p = partition_mdg(&g, &opts);
         assert!(p.blocks >= 4, "{} blocks", p.blocks);
         let covered: usize = p.members.iter().map(Vec::len).sum();
@@ -469,7 +458,7 @@ mod tests {
             .filter(|&i| p.block_of[i] != usize::MAX)
             .map(|i| super::node_weight(&g, NodeId(i)))
             .sum();
-        let cap = ((total as f64 / p.blocks as f64) * (1.0 + opts.imbalance)).ceil() as u64;
+        let cap = ((total as f64 / p.blocks as f64) * (1.0 + IMBALANCE)).ceil() as u64;
         for m in &p.members {
             let w: u64 = m.iter().map(|&v| super::node_weight(&g, v)).sum();
             assert!(w <= cap, "block weight {w} > cap {cap}");

@@ -1,4 +1,11 @@
-//! Hand-rolled argument parsing (std only, unit-testable).
+//! Hand-rolled argument parsing (std only, unit-testable): one table
+//! of sub-commands, each declaring its flags once, and one loop that
+//! parses them.
+
+use std::net::SocketAddr;
+
+use paradigm_core::MAX_PROCS;
+use paradigm_serve::FaultPlan;
 
 /// The selected subcommand with its options.
 #[derive(Debug, Clone, PartialEq)]
@@ -162,34 +169,15 @@ pub enum Command {
         /// record across restarts.
         audit_log: Option<String>,
     },
-    /// `bench-serve [--clients N] [--rounds N] [--workers N]
-    /// [--max-queue-wait ms]`: run the closed-loop load generator
-    /// against an in-process service.
-    BenchServe {
-        /// Closed-loop client threads in the hot phase.
-        clients: usize,
-        /// Sweeps over the working set per client.
-        rounds: usize,
-        /// Worker threads in the service under test.
-        workers: usize,
-        /// Queue-wait bound for the hot phase; shed requests are
-        /// retried with backoff and counted.
-        max_queue_wait_ms: Option<u64>,
-    },
-    /// `bench-solve [--quick] [--out <path>] [--baseline <path>]
-    /// [--batch-k <n>]`: run the solver micro/end-to-end benchmark over
-    /// the gallery and random MDGs and emit the `BENCH_solver.json`
-    /// report.
+    /// `bench-solve [--quick] [--out <path>] [--batch-k <n>]`: run the
+    /// solver micro/end-to-end benchmark over the gallery and random MDGs
+    /// and emit the `BENCH_solver.json` report.
     BenchSolve {
         /// Trim the case list (drop the largest random graph) and the
         /// repetition counts — the CI perf-smoke configuration.
         quick: bool,
         /// Write the JSON report here (in addition to stdout).
         out: Option<String>,
-        /// Compare against a baseline `BENCH_solver.json`; the run fails
-        /// (exit 1) if the n=256 random-MDG `eval_grad` median regresses
-        /// more than 3x.
-        baseline: Option<String>,
         /// Batch width for the batched-gradient and batched-multistart
         /// cases (default 8).
         batch_k: usize,
@@ -204,18 +192,14 @@ pub enum Command {
         /// Force a block count (default: the solver's size heuristic).
         blocks: Option<usize>,
     },
-    /// `bench-admm [--quick] [--out <path>] [--baseline <path>]`: run
-    /// the consensus-ADMM benchmark over seeded large MDGs and emit the
-    /// `BENCH_admm.json` report.
+    /// `bench-admm [--quick] [--out <path>] [--fleet <n> ...]`: run the
+    /// consensus-ADMM benchmark over seeded large MDGs, each beside its
+    /// dense solve, and emit the `BENCH_admm.json` report.
     BenchAdmm {
         /// Trim graph sizes and repetitions — the CI smoke configuration.
         quick: bool,
         /// Write the JSON report here (in addition to stdout).
         out: Option<String>,
-        /// Compare against a baseline `BENCH_admm.json`; the run fails
-        /// (exit 1) on a >3x wall-clock regression or any lost
-        /// convergence.
-        baseline: Option<String>,
         /// Spawn this many local TCP workers and run the gate case
         /// through the fleet backend (0 = in-process only).
         fleet: usize,
@@ -292,11 +276,9 @@ USAGE:
                  [--max-queue-wait <ms>] [--chaos <plan>] [--audit-rate <n>]
                  [--audit-log <path>] [--worker]
                  [--admm-workers <addr,addr,...>] [--admm-stale <n>] [--block-deadline-ms <ms>]
-  paradigm bench-serve [--clients <n>] [--rounds <n>] [--workers <n>] [--max-queue-wait <ms>]
-  paradigm bench-solve [--quick] [--out <path>] [--baseline <path>] [--batch-k <n>]
-  paradigm bench-admm [--quick] [--out <path>] [--baseline <path>]
-                      [--fleet <n>] [--chaos <plan>] [--kill-after-ms <ms>]
-                      [--admm-stale <n>] [--block-deadline-ms <ms>]
+  paradigm bench-solve [--quick] [--out <path>] [--batch-k <n>]
+  paradigm bench-admm [--quick] [--out <path>] [--fleet <n>] [--chaos <plan>]
+                      [--kill-after-ms <ms>] [--admm-stale <n>] [--block-deadline-ms <ms>]
   paradigm race [--bound <n>] [--suite <name|all>]
   paradigm help
 
@@ -324,369 +306,349 @@ Exit codes: 0 = clean, 1 = findings (lint/certificate/schedule/audit
 failures), 2 = usage or internal error.
 ";
 
-fn take_value<'a>(
-    flag: &str,
-    it: &mut impl Iterator<Item = &'a str>,
-) -> Result<&'a str, UsageError> {
-    it.next().ok_or_else(|| UsageError(format!("flag {flag} needs a value")))
+/// What a valued flag takes and how it is checked.
+#[derive(Clone, Copy)]
+enum Kind {
+    /// An integer in `min..=max`.
+    Int { min: u64, max: u64 },
+    /// One of [`paradigm_core::MACHINE_SPECS`].
+    Machine,
+    /// A comma-separated `host:port` list with at least one entry.
+    Addrs,
+    /// A [`FaultPlan`] spec.
+    Chaos,
+    /// Any text: a path, a suite name.
+    Text,
 }
 
-fn parse_procs(v: &str) -> Result<u32, UsageError> {
-    let p: u32 = v.parse().map_err(|_| UsageError(format!("bad processor count `{v}`")))?;
-    if p == 0 {
-        return Err(UsageError("processor count must be positive".into()));
-    }
-    Ok(p)
+/// A positive count, and one where 0 means "auto" or "off".
+const COUNT: Kind = Kind::Int { min: 1, max: usize::MAX as u64 };
+const COUNT0: Kind = Kind::Int { min: 0, max: usize::MAX as u64 };
+/// A machine size or processor bound, as `SolveSpec::validate` admits it.
+const PROCS: Kind = Kind::Int { min: 1, max: MAX_PROCS as u64 };
+
+fn parse_addrs(v: &str) -> Option<Vec<SocketAddr>> {
+    let addrs: Option<Vec<SocketAddr>> =
+        v.split(',').map(str::trim).filter(|s| !s.is_empty()).map(|s| s.parse().ok()).collect();
+    addrs.filter(|a| !a.is_empty())
 }
 
-fn parse_machine(v: &str) -> Result<String, UsageError> {
-    if paradigm_core::MACHINE_SPECS.contains(&v) {
-        Ok(v.to_string())
-    } else {
-        Err(UsageError(format!(
-            "unknown machine `{v}` (try {})",
-            paradigm_core::MACHINE_SPECS.join(", ")
-        )))
-    }
-}
-
-fn parse_mem_mb(v: &str) -> Result<u64, UsageError> {
-    let n: u64 = v.parse().map_err(|_| UsageError(format!("bad memory size `{v}`")))?;
-    if n == 0 {
-        return Err(UsageError("--mem-mb must be positive".into()));
-    }
-    Ok(n)
-}
-
-/// Parse a `usize` flag value; `zero_ok` allows 0 (e.g. `--workers 0` =
-/// auto).
-fn parse_count(flag: &str, v: &str, zero_ok: bool) -> Result<usize, UsageError> {
-    let n: usize = v.parse().map_err(|_| UsageError(format!("bad value `{v}` for {flag}")))?;
-    if n == 0 && !zero_ok {
-        return Err(UsageError(format!("{flag} must be positive")));
-    }
-    Ok(n)
-}
-
-/// Parse a comma-separated worker address list (`host:port,...`).
-fn parse_addr_list(v: &str) -> Result<Vec<std::net::SocketAddr>, UsageError> {
-    let addrs: Vec<std::net::SocketAddr> = v
-        .split(',')
-        .filter(|s| !s.trim().is_empty())
-        .map(|s| {
-            s.trim()
-                .parse()
-                .map_err(|_| UsageError(format!("bad worker address `{}` (want host:port)", s)))
-        })
-        .collect::<Result<_, _>>()?;
-    if addrs.is_empty() {
-        return Err(UsageError("--admm-workers needs at least one host:port address".into()));
-    }
-    Ok(addrs)
-}
-
-/// Parse `argv[1..]`.
-pub fn parse_args<S: AsRef<str>>(argv: &[S]) -> Result<ParsedArgs, UsageError> {
-    let toks: Vec<&str> = argv.iter().map(|s| s.as_ref()).collect();
-    let Some((&cmd, rest)) = toks.split_first() else {
-        return Ok(ParsedArgs { command: Command::Help });
-    };
-    let mut it = rest.iter().copied();
-    let command = match cmd {
-        "help" | "--help" | "-h" => Command::Help,
-        "info" => {
-            let file = it.next().ok_or(UsageError("info needs a file".into()))?.to_string();
-            Command::Info { file }
-        }
-        "transform" => {
-            let file = it.next().ok_or(UsageError("transform needs a file".into()))?.to_string();
-            let (mut fuse, mut reduce) = (false, false);
-            for flag in it.by_ref() {
-                match flag {
-                    "--fuse" => fuse = true,
-                    "--reduce" => reduce = true,
-                    other => return Err(UsageError(format!("unknown flag `{other}`"))),
-                }
+impl Kind {
+    /// Whether `v` is a value `flag` takes.
+    fn check(self, flag: &str, v: &str) -> Result<(), UsageError> {
+        let wants = match self {
+            Kind::Text => return Ok(()),
+            Kind::Chaos => {
+                let plan = FaultPlan::parse(v);
+                return plan.map(drop).map_err(|e| UsageError(format!("bad chaos plan: {e}")));
             }
-            if !fuse && !reduce {
-                return Err(UsageError("transform needs --fuse and/or --reduce".into()));
+            Kind::Int { min, max } if v.parse().is_ok_and(|n| (min..=max).contains(&n)) => {
+                return Ok(())
             }
-            Command::Transform { file, fuse, reduce }
+            Kind::Int { min, max: u64::MAX } => format!("an integer, at least {min}"),
+            Kind::Int { min, max } => format!("an integer in {min}..={max}"),
+            Kind::Machine if paradigm_core::MACHINE_SPECS.contains(&v) => return Ok(()),
+            Kind::Machine => format!("one of {}", paradigm_core::MACHINE_SPECS.join(", ")),
+            Kind::Addrs if parse_addrs(v).is_some() => return Ok(()),
+            Kind::Addrs => "at least one host:port, comma-separated".to_string(),
+        };
+        Err(UsageError(format!("{flag} wants {wants}, got `{v}`")))
+    }
+}
+
+/// A flag that takes a value: its spellings, `|`-separated ([`Parsed`] is
+/// asked by the first), the kind of value, and the value when the flag is
+/// not given, as it would be typed (`None` = 0 / absent).
+type Flag = (&'static str, Kind, Option<&'static str>);
+
+/// Flags several sub-commands share.
+const PROCS_16: Flag = ("--procs|-p", PROCS, Some("16"));
+const PROCS_REQUIRED: Flag = ("--procs|-p", PROCS, None);
+const MACHINE: Flag = ("--machine", Kind::Machine, Some("cm5"));
+const MEM_MB: Flag = ("--mem-mb", Kind::Int { min: 1, max: u64::MAX }, None);
+const OUT: Flag = ("--out", Kind::Text, None);
+const CHAOS: Flag = ("--chaos", Kind::Chaos, None);
+const ADMM_STALE: Flag = ("--admm-stale", COUNT0, None);
+const BLOCK_DEADLINE_MS: Flag = ("--block-deadline-ms", COUNT, None);
+
+/// What a sub-command's one positional argument is called.
+const FILE: Option<&str> = Some("a file");
+
+/// One sub-command: its name as typed (sub-word included), its one
+/// positional argument (`None` = it takes none), its switches (spellings
+/// `|`-separated) and its valued flags.
+type Spec = (&'static str, Option<&'static str>, &'static [&'static str], &'static [Flag]);
+
+/// Every sub-command, each flag declared once. [`build`] turns the parsed
+/// flags into a [`Command`].
+static SPECS: &[Spec] = &[
+    ("help", None, &[], &[]),
+    ("info", FILE, &[], &[]),
+    ("build", FILE, &[], &[]),
+    ("demo", Some("a name"), &[], &[]),
+    ("transform", FILE, &["--fuse", "--reduce"], &[]),
+    (
+        "compile",
+        FILE,
+        &["--hlf", "--gantt", "--csv", "--svg", "--refine", "--admm"],
+        &[PROCS_REQUIRED, ("--pb", PROCS, None)],
+    ),
+    ("simulate", FILE, &["--spmd", "--trace"], &[PROCS_REQUIRED]),
+    ("calibrate", None, &[], &[("--procs|-p", PROCS, Some("64"))]),
+    (
+        "analyze",
+        FILE,
+        &["--gallery", "--cert", "--cert-json", "--dot", "--fix", "--write", "--deny-warnings|-D"],
+        &[PROCS_16, MACHINE, MEM_MB],
+    ),
+    (
+        "analyze resources",
+        FILE,
+        &["--gallery", "--json", "--deny-warnings|-D"],
+        &[PROCS_16, MACHINE, MEM_MB],
+    ),
+    ("analyze check-cert", Some("a certificate file"), &[], &[]),
+    ("partition", FILE, &[], &[PROCS_16, ("--blocks", COUNT, None)]),
+    (
+        "serve",
+        None,
+        &["--worker"],
+        &[
+            ("--port", Kind::Int { min: 0, max: u16::MAX as u64 }, Some("7447")),
+            ("--workers", COUNT0, None),
+            ("--cache", COUNT, Some("1024")),
+            ("--queue", COUNT, Some("256")),
+            ("--max-queue-wait", COUNT0, None),
+            CHAOS,
+            ("--audit-rate", COUNT0, None),
+            ("--audit-log", Kind::Text, None),
+            ("--admm-workers", Kind::Addrs, None),
+            ADMM_STALE,
+            BLOCK_DEADLINE_MS,
+        ],
+    ),
+    (
+        "bench-solve",
+        None,
+        &["--quick"],
+        &[OUT, ("--batch-k", Kind::Int { min: 1, max: 64 }, Some("8"))],
+    ),
+    (
+        "bench-admm",
+        None,
+        &["--quick"],
+        &[
+            OUT,
+            ("--fleet", COUNT0, None),
+            CHAOS,
+            ("--kill-after-ms", COUNT0, None),
+            ADMM_STALE,
+            BLOCK_DEADLINE_MS,
+        ],
+    ),
+    ("race", None, &[], &[("--bound", COUNT0, None), ("--suite", Kind::Text, None)]),
+];
+
+/// Whether `tok` is one of the `|`-separated spellings in `names`.
+fn spells(names: &str, tok: &str) -> bool {
+    names.split('|').any(|n| n == tok)
+}
+
+/// One command line, checked against its [`Spec`].
+struct Parsed<'a> {
+    spec: &'static Spec,
+    /// The positional argument.
+    arg: Option<&'a str>,
+    /// `(spellings, checked value)` of every flag given, in command-line
+    /// order.
+    vals: Vec<(&'static str, &'a str)>,
+}
+
+impl<'a> Parsed<'a> {
+    fn new(spec: &'static Spec, toks: &[&'a str]) -> Result<Self, UsageError> {
+        let (command, takes, switches, flags) = *spec;
+        let mut parsed = Parsed { spec, arg: None, vals: Vec::new() };
+        let mut it = toks.iter().copied();
+        while let Some(tok) = it.next() {
+            if let Some(names) = switches.iter().find(|names| spells(names, tok)) {
+                parsed.vals.push((names, ""));
+            } else if let Some((names, kind, _)) = flags.iter().find(|f| spells(f.0, tok)) {
+                let v = it.next().ok_or_else(|| UsageError(format!("flag {tok} needs a value")))?;
+                kind.check(tok, v)?;
+                parsed.vals.push((names, v));
+            } else if tok.starts_with('-') || takes.is_none() {
+                return Err(UsageError(format!("unknown flag `{tok}`")));
+            } else if parsed.arg.replace(tok).is_some() {
+                return Err(UsageError(format!("{command} takes at most one argument")));
+            }
         }
-        "build" => {
-            let file = it.next().ok_or(UsageError("build needs a file".into()))?.to_string();
-            Command::Build { file }
+        Ok(parsed)
+    }
+
+    /// The last value given for the flag (`""` for a switch), else its
+    /// table default.
+    fn raw(&self, name: &str) -> Option<&str> {
+        let given = self.vals.iter().rev().find(|(names, _)| spells(names, name)).map(|&(_, v)| v);
+        given.or_else(|| self.spec.3.iter().find(|f| spells(f.0, name))?.2)
+    }
+
+    fn on(&self, name: &str) -> bool {
+        self.raw(name).is_some()
+    }
+
+    fn opt<T: std::str::FromStr>(&self, name: &str) -> Option<T> {
+        self.raw(name)?.parse().ok()
+    }
+
+    /// The value given, else the table default, else 0.
+    fn num<T: std::str::FromStr + Default>(&self, name: &str) -> T {
+        self.opt(name).unwrap_or_default()
+    }
+
+    fn chaos(&self) -> Option<FaultPlan> {
+        FaultPlan::parse(self.raw("--chaos")?).ok()
+    }
+
+    /// The positional argument of a command that cannot run without it.
+    fn arg(&self) -> Result<String, UsageError> {
+        let (command, takes, ..) = self.spec;
+        let what = takes.unwrap_or("an argument");
+        self.arg.map(str::to_string).ok_or_else(|| UsageError(format!("{command} needs {what}")))
+    }
+
+    /// `--procs` of a command that has no default machine size.
+    fn procs(&self) -> Result<u32, UsageError> {
+        self.opt("--procs").ok_or_else(|| UsageError(format!("{} needs -p <procs>", self.spec.0)))
+    }
+
+    /// `analyze [resources]`: a file, `--gallery`, or both.
+    fn file_or_gallery(&self) -> Result<Option<String>, UsageError> {
+        if self.arg.is_none() && !self.on("--gallery") {
+            return Err(UsageError(format!("{} needs a file or --gallery", self.spec.0)));
         }
+        Ok(self.arg.map(str::to_string))
+    }
+}
+
+/// The [`Command`] a checked command line asks for, cross-flag rules
+/// included.
+fn build(p: &Parsed) -> Result<Command, UsageError> {
+    let needs = |flags: &str, what: &str| Err(UsageError(format!("{flags} need {what}")));
+    Ok(match p.spec.0 {
+        "info" => Command::Info { file: p.arg()? },
+        "build" => Command::Build { file: p.arg()? },
+        "analyze check-cert" => Command::CheckCert { file: p.arg()? },
+        "calibrate" => Command::Calibrate { procs: p.num("--procs") },
+        "race" => Command::Race { bound: p.opt("--bound"), suite: p.opt("--suite") },
         "demo" => {
-            let which = it.next().ok_or(UsageError("demo needs a name".into()))?.to_string();
+            let which = p.arg()?;
             if !["fig1", "cmm", "strassen"].contains(&which.as_str()) {
                 return Err(UsageError(format!("unknown demo `{which}`")));
             }
             Command::Demo { which }
         }
-        "analyze" if rest.first() == Some(&"check-cert") => {
-            let mut it = rest[1..].iter().copied();
-            let file = it.next().ok_or(UsageError("check-cert needs a certificate file".into()))?;
-            if let Some(extra) = it.next() {
-                return Err(UsageError(format!("unexpected argument `{extra}`")));
+        "transform" => {
+            let (file, fuse, reduce) = (p.arg()?, p.on("--fuse"), p.on("--reduce"));
+            if !fuse && !reduce {
+                return needs("transform", "--fuse and/or --reduce");
             }
-            Command::CheckCert { file: file.to_string() }
+            Command::Transform { file, fuse, reduce }
         }
-        "analyze" if rest.first() == Some(&"resources") => {
-            let mut it = rest[1..].iter().copied();
-            let mut file = None;
-            let mut procs = 16u32;
-            let mut machine = "cm5".to_string();
-            let mut mem_mb = None;
-            let (mut gallery, mut json, mut strict) = (false, false, false);
-            while let Some(tok) = it.next() {
-                match tok {
-                    "-p" | "--procs" => procs = parse_procs(take_value(tok, &mut it)?)?,
-                    "--machine" => machine = parse_machine(take_value(tok, &mut it)?)?,
-                    "--mem-mb" => mem_mb = Some(parse_mem_mb(take_value(tok, &mut it)?)?),
-                    "--gallery" => gallery = true,
-                    "--json" => json = true,
-                    "-D" | "--deny-warnings" => strict = true,
-                    flag if flag.starts_with('-') => {
-                        return Err(UsageError(format!("unknown flag `{flag}`")))
-                    }
-                    path => {
-                        if file.replace(path.to_string()).is_some() {
-                            return Err(UsageError(
-                                "analyze resources takes at most one file".into(),
-                            ));
-                        }
-                    }
-                }
-            }
-            if file.is_none() && !gallery {
-                return Err(UsageError("analyze resources needs a file or --gallery".into()));
-            }
-            Command::AnalyzeResources { file, procs, machine, mem_mb, gallery, json, strict }
-        }
+        "compile" => Command::Compile {
+            file: p.arg()?,
+            procs: p.procs()?,
+            pb: p.opt("--pb"),
+            hlf: p.on("--hlf"),
+            gantt: p.on("--gantt"),
+            csv: p.on("--csv"),
+            svg: p.on("--svg"),
+            refine: p.on("--refine"),
+            admm: p.on("--admm"),
+        },
+        "simulate" => Command::Simulate {
+            file: p.arg()?,
+            procs: p.procs()?,
+            spmd: p.on("--spmd"),
+            trace: p.on("--trace"),
+        },
         "analyze" => {
-            let mut file = None;
-            let mut procs = 16u32;
-            let mut machine = "cm5".to_string();
-            let mut mem_mb = None;
-            let (mut gallery, mut cert, mut cert_json) = (false, false, false);
-            let (mut dot, mut fix, mut write, mut strict) = (false, false, false, false);
-            while let Some(tok) = it.next() {
-                match tok {
-                    "-p" | "--procs" => procs = parse_procs(take_value(tok, &mut it)?)?,
-                    "--machine" => machine = parse_machine(take_value(tok, &mut it)?)?,
-                    "--mem-mb" => mem_mb = Some(parse_mem_mb(take_value(tok, &mut it)?)?),
-                    "--gallery" => gallery = true,
-                    "--cert" => cert = true,
-                    "--cert-json" => cert_json = true,
-                    "--dot" => dot = true,
-                    "--fix" => fix = true,
-                    "--write" => write = true,
-                    "-D" | "--deny-warnings" => strict = true,
-                    flag if flag.starts_with('-') => {
-                        return Err(UsageError(format!("unknown flag `{flag}`")))
-                    }
-                    path => {
-                        if file.replace(path.to_string()).is_some() {
-                            return Err(UsageError("analyze takes at most one file".into()));
-                        }
-                    }
-                }
-            }
-            if file.is_none() && !gallery {
-                return Err(UsageError("analyze needs a file or --gallery".into()));
-            }
+            let (file, fix, write) = (p.file_or_gallery()?, p.on("--fix"), p.on("--write"));
             if write && !fix {
-                return Err(UsageError("--write requires --fix".into()));
+                return needs("--write", "--fix");
             }
             if write && file.is_none() {
-                return Err(UsageError("--write needs a file (not --gallery)".into()));
+                return needs("--write", "a file (not --gallery)");
             }
             Command::Analyze {
                 file,
-                procs,
-                machine,
-                gallery,
-                cert,
-                cert_json,
-                dot,
+                procs: p.num("--procs"),
+                machine: p.num("--machine"),
+                gallery: p.on("--gallery"),
+                cert: p.on("--cert"),
+                cert_json: p.on("--cert-json"),
+                dot: p.on("--dot"),
                 fix,
                 write,
-                strict,
-                mem_mb,
+                strict: p.on("--deny-warnings"),
+                mem_mb: p.opt("--mem-mb"),
             }
         }
+        "analyze resources" => Command::AnalyzeResources {
+            file: p.file_or_gallery()?,
+            procs: p.num("--procs"),
+            machine: p.num("--machine"),
+            mem_mb: p.opt("--mem-mb"),
+            gallery: p.on("--gallery"),
+            json: p.on("--json"),
+            strict: p.on("--deny-warnings"),
+        },
+        "partition" => {
+            let (file, procs) = (p.arg()?, p.num("--procs"));
+            Command::Partition { file, procs, blocks: p.opt("--blocks") }
+        }
         "serve" => {
-            let mut port = 7447u16;
-            let (mut workers, mut cache, mut queue) = (0usize, 1024usize, 256usize);
-            let mut max_queue_wait_ms = None;
-            let mut chaos = None;
-            let mut audit_rate = 0u64;
-            let mut worker = false;
-            let mut admm_workers = Vec::new();
-            let mut admm_stale = 0usize;
-            let mut block_deadline_ms = None;
-            let mut audit_log = None;
-            while let Some(flag) = it.next() {
-                match flag {
-                    "--port" => {
-                        let v = take_value(flag, &mut it)?;
-                        port = v.parse().map_err(|_| UsageError(format!("bad port `{v}`")))?;
-                    }
-                    "--workers" => workers = parse_count(flag, take_value(flag, &mut it)?, true)?,
-                    "--cache" => cache = parse_count(flag, take_value(flag, &mut it)?, false)?,
-                    "--queue" => queue = parse_count(flag, take_value(flag, &mut it)?, false)?,
-                    "--max-queue-wait" => {
-                        max_queue_wait_ms =
-                            Some(parse_count(flag, take_value(flag, &mut it)?, true)? as u64);
-                    }
-                    "--chaos" => {
-                        let v = take_value(flag, &mut it)?;
-                        chaos = Some(
-                            paradigm_serve::FaultPlan::parse(v)
-                                .map_err(|e| UsageError(format!("bad chaos plan: {e}")))?,
-                        );
-                    }
-                    "--audit-rate" => {
-                        audit_rate = parse_count(flag, take_value(flag, &mut it)?, true)? as u64;
-                    }
-                    "--audit-log" => audit_log = Some(take_value(flag, &mut it)?.to_string()),
-                    "--worker" => worker = true,
-                    "--admm-workers" => admm_workers = parse_addr_list(take_value(flag, &mut it)?)?,
-                    "--admm-stale" => {
-                        admm_stale = parse_count(flag, take_value(flag, &mut it)?, true)?;
-                    }
-                    "--block-deadline-ms" => {
-                        block_deadline_ms =
-                            Some(parse_count(flag, take_value(flag, &mut it)?, false)? as u64);
-                    }
-                    other => return Err(UsageError(format!("unknown flag `{other}`"))),
-                }
-            }
+            let admm_workers = p.raw("--admm-workers").and_then(parse_addrs).unwrap_or_default();
+            let (admm_stale, block_deadline_ms) =
+                (p.num("--admm-stale"), p.opt("--block-deadline-ms"));
             if admm_workers.is_empty() && (admm_stale != 0 || block_deadline_ms.is_some()) {
-                return Err(UsageError(
-                    "--admm-stale/--block-deadline-ms need --admm-workers".into(),
-                ));
+                return needs("--admm-stale/--block-deadline-ms", "--admm-workers");
             }
             Command::Serve {
-                port,
-                workers,
-                cache,
-                queue,
-                max_queue_wait_ms,
-                chaos,
-                audit_rate,
-                worker,
+                port: p.num("--port"),
+                workers: p.num("--workers"),
+                cache: p.num("--cache"),
+                queue: p.num("--queue"),
+                max_queue_wait_ms: p.opt("--max-queue-wait"),
+                chaos: p.chaos(),
+                audit_rate: p.num("--audit-rate"),
+                worker: p.on("--worker"),
                 admm_workers,
                 admm_stale,
                 block_deadline_ms,
-                audit_log,
+                audit_log: p.opt("--audit-log"),
             }
-        }
-        "bench-serve" => {
-            let (mut clients, mut rounds, mut workers) = (4usize, 25usize, 4usize);
-            let mut max_queue_wait_ms = None;
-            while let Some(flag) = it.next() {
-                match flag {
-                    "--clients" => clients = parse_count(flag, take_value(flag, &mut it)?, false)?,
-                    "--rounds" => rounds = parse_count(flag, take_value(flag, &mut it)?, false)?,
-                    "--workers" => workers = parse_count(flag, take_value(flag, &mut it)?, false)?,
-                    "--max-queue-wait" => {
-                        max_queue_wait_ms =
-                            Some(parse_count(flag, take_value(flag, &mut it)?, true)? as u64);
-                    }
-                    other => return Err(UsageError(format!("unknown flag `{other}`"))),
-                }
-            }
-            Command::BenchServe { clients, rounds, workers, max_queue_wait_ms }
         }
         "bench-solve" => {
-            let mut quick = false;
-            let mut out = None;
-            let mut baseline = None;
-            let mut batch_k = 8usize;
-            while let Some(flag) = it.next() {
-                match flag {
-                    "--quick" => quick = true,
-                    "--out" => out = Some(take_value(flag, &mut it)?.to_string()),
-                    "--baseline" => baseline = Some(take_value(flag, &mut it)?.to_string()),
-                    "--batch-k" => {
-                        let v = take_value(flag, &mut it)?;
-                        batch_k =
-                            v.parse::<usize>().ok().filter(|&k| (1..=64).contains(&k)).ok_or_else(
-                                || UsageError(format!("--batch-k must be in 1..=64, got `{v}`")),
-                            )?;
-                    }
-                    other => return Err(UsageError(format!("unknown flag `{other}`"))),
-                }
-            }
-            Command::BenchSolve { quick, out, baseline, batch_k }
-        }
-        "partition" => {
-            let file = it.next().ok_or(UsageError("partition needs a file".into()))?.to_string();
-            let mut procs = 16u32;
-            let mut blocks = None;
-            while let Some(flag) = it.next() {
-                match flag {
-                    "-p" | "--procs" => procs = parse_procs(take_value(flag, &mut it)?)?,
-                    "--blocks" => {
-                        blocks = Some(parse_count(flag, take_value(flag, &mut it)?, false)?);
-                    }
-                    other => return Err(UsageError(format!("unknown flag `{other}`"))),
-                }
-            }
-            Command::Partition { file, procs, blocks }
+            let (quick, out) = (p.on("--quick"), p.opt("--out"));
+            Command::BenchSolve { quick, out, batch_k: p.num("--batch-k") }
         }
         "bench-admm" => {
-            let mut quick = false;
-            let mut out = None;
-            let mut baseline = None;
-            let mut fleet = 0usize;
-            let mut chaos = None;
-            let mut kill_after_ms = None;
-            let mut admm_stale = 0usize;
-            let mut block_deadline_ms = None;
-            while let Some(flag) = it.next() {
-                match flag {
-                    "--quick" => quick = true,
-                    "--out" => out = Some(take_value(flag, &mut it)?.to_string()),
-                    "--baseline" => baseline = Some(take_value(flag, &mut it)?.to_string()),
-                    "--fleet" => fleet = parse_count(flag, take_value(flag, &mut it)?, true)?,
-                    "--chaos" => {
-                        let v = take_value(flag, &mut it)?;
-                        chaos = Some(
-                            paradigm_serve::FaultPlan::parse(v)
-                                .map_err(|e| UsageError(format!("bad chaos plan: {e}")))?,
-                        );
-                    }
-                    "--kill-after-ms" => {
-                        kill_after_ms =
-                            Some(parse_count(flag, take_value(flag, &mut it)?, true)? as u64);
-                    }
-                    "--admm-stale" => {
-                        admm_stale = parse_count(flag, take_value(flag, &mut it)?, true)?;
-                    }
-                    "--block-deadline-ms" => {
-                        block_deadline_ms =
-                            Some(parse_count(flag, take_value(flag, &mut it)?, false)? as u64);
-                    }
-                    other => return Err(UsageError(format!("unknown flag `{other}`"))),
-                }
-            }
-            if fleet == 0
-                && (chaos.is_some()
-                    || kill_after_ms.is_some()
-                    || admm_stale != 0
-                    || block_deadline_ms.is_some())
-            {
-                return Err(UsageError(
-                    "--chaos/--kill-after-ms/--admm-stale/--block-deadline-ms need --fleet".into(),
-                ));
+            let (fleet, chaos, admm_stale) = (p.num("--fleet"), p.chaos(), p.num("--admm-stale"));
+            let (kill_after_ms, block_deadline_ms) =
+                (p.opt("--kill-after-ms"), p.opt("--block-deadline-ms"));
+            let fleet_only = chaos.is_some()
+                || kill_after_ms.is_some()
+                || admm_stale != 0
+                || block_deadline_ms.is_some();
+            if fleet == 0 && fleet_only {
+                return needs(
+                    "--chaos/--kill-after-ms/--admm-stale/--block-deadline-ms",
+                    "--fleet",
+                );
             }
             Command::BenchAdmm {
-                quick,
-                out,
-                baseline,
+                quick: p.on("--quick"),
+                out: p.opt("--out"),
                 fleet,
                 chaos,
                 kill_after_ms,
@@ -694,70 +656,24 @@ pub fn parse_args<S: AsRef<str>>(argv: &[S]) -> Result<ParsedArgs, UsageError> {
                 block_deadline_ms,
             }
         }
-        "race" => {
-            let mut bound = None;
-            let mut suite = None;
-            while let Some(flag) = it.next() {
-                match flag {
-                    "--bound" => {
-                        bound = Some(parse_count(flag, take_value(flag, &mut it)?, true)?);
-                    }
-                    "--suite" => suite = Some(take_value(flag, &mut it)?.to_string()),
-                    other => return Err(UsageError(format!("unknown flag `{other}`"))),
-                }
-            }
-            Command::Race { bound, suite }
+        "help" => Command::Help,
+        other => return Err(UsageError(format!("`{other}` is in the table but has no arm here"))),
+    })
+}
+
+/// Parse `argv[1..]`.
+pub fn parse_args<S: AsRef<str>>(argv: &[S]) -> Result<ParsedArgs, UsageError> {
+    let toks: Vec<&str> = argv.iter().map(|s| s.as_ref()).collect();
+    let (command, rest) = match toks.as_slice() {
+        [] | ["--help" | "-h", ..] => ("help".to_string(), &toks[..0]),
+        ["analyze", sub @ ("resources" | "check-cert"), rest @ ..] => {
+            (format!("analyze {sub}"), rest)
         }
-        "calibrate" => {
-            let mut procs = 64u32;
-            while let Some(flag) = it.next() {
-                match flag {
-                    "-p" | "--procs" => procs = parse_procs(take_value(flag, &mut it)?)?,
-                    other => return Err(UsageError(format!("unknown flag `{other}`"))),
-                }
-            }
-            Command::Calibrate { procs }
-        }
-        "compile" => {
-            let file = it.next().ok_or(UsageError("compile needs a file".into()))?.to_string();
-            let mut procs = None;
-            let mut pb = None;
-            let (mut hlf, mut gantt, mut csv, mut svg, mut refine, mut admm) =
-                (false, false, false, false, false, false);
-            while let Some(flag) = it.next() {
-                match flag {
-                    "-p" | "--procs" => procs = Some(parse_procs(take_value(flag, &mut it)?)?),
-                    "--pb" => pb = Some(parse_procs(take_value(flag, &mut it)?)?),
-                    "--hlf" => hlf = true,
-                    "--gantt" => gantt = true,
-                    "--csv" => csv = true,
-                    "--svg" => svg = true,
-                    "--refine" => refine = true,
-                    "--admm" => admm = true,
-                    other => return Err(UsageError(format!("unknown flag `{other}`"))),
-                }
-            }
-            let procs = procs.ok_or(UsageError("compile needs -p <procs>".into()))?;
-            Command::Compile { file, procs, pb, hlf, gantt, csv, svg, refine, admm }
-        }
-        "simulate" => {
-            let file = it.next().ok_or(UsageError("simulate needs a file".into()))?.to_string();
-            let mut procs = None;
-            let (mut spmd, mut trace) = (false, false);
-            while let Some(flag) = it.next() {
-                match flag {
-                    "-p" | "--procs" => procs = Some(parse_procs(take_value(flag, &mut it)?)?),
-                    "--spmd" => spmd = true,
-                    "--trace" => trace = true,
-                    other => return Err(UsageError(format!("unknown flag `{other}`"))),
-                }
-            }
-            let procs = procs.ok_or(UsageError("simulate needs -p <procs>".into()))?;
-            Command::Simulate { file, procs, spmd, trace }
-        }
-        other => return Err(UsageError(format!("unknown command `{other}`"))),
+        [cmd, rest @ ..] => (cmd.to_string(), rest),
     };
-    Ok(ParsedArgs { command })
+    let unknown = || UsageError(format!("unknown command `{command}`"));
+    let spec = SPECS.iter().find(|s| s.0 == command).ok_or_else(unknown)?;
+    Ok(ParsedArgs { command: build(&Parsed::new(spec, rest)?)? })
 }
 
 #[cfg(test)]
@@ -994,57 +910,21 @@ mod tests {
     }
 
     #[test]
-    fn bench_serve_command_parses() {
-        let p = parse_args(&["bench-serve"]).unwrap();
-        assert_eq!(
-            p.command,
-            Command::BenchServe { clients: 4, rounds: 25, workers: 4, max_queue_wait_ms: None }
-        );
-        let p = parse_args(&["bench-serve", "--clients", "2", "--rounds", "3", "--workers", "1"])
-            .unwrap();
-        assert_eq!(
-            p.command,
-            Command::BenchServe { clients: 2, rounds: 3, workers: 1, max_queue_wait_ms: None }
-        );
-        let p = parse_args(&["bench-serve", "--max-queue-wait", "100"]).unwrap();
-        assert_eq!(
-            p.command,
-            Command::BenchServe {
-                clients: 4,
-                rounds: 25,
-                workers: 4,
-                max_queue_wait_ms: Some(100)
-            }
-        );
-        assert!(parse_args(&["bench-serve", "--clients", "0"]).is_err());
-    }
-
-    #[test]
     fn bench_solve_command_parses() {
         let p = parse_args(&["bench-solve"]).unwrap();
-        assert_eq!(
-            p.command,
-            Command::BenchSolve { quick: false, out: None, baseline: None, batch_k: 8 }
-        );
+        assert_eq!(p.command, Command::BenchSolve { quick: false, out: None, batch_k: 8 });
         let p = parse_args(&[
             "bench-solve",
             "--quick",
             "--out",
             "BENCH_solver.json",
-            "--baseline",
-            "ci/bench-solver-baseline.json",
             "--batch-k",
             "16",
         ])
         .unwrap();
         assert_eq!(
             p.command,
-            Command::BenchSolve {
-                quick: true,
-                out: Some("BENCH_solver.json".into()),
-                baseline: Some("ci/bench-solver-baseline.json".into()),
-                batch_k: 16,
-            }
+            Command::BenchSolve { quick: true, out: Some("BENCH_solver.json".into()), batch_k: 16 }
         );
         assert!(parse_args(&["bench-solve", "--out"]).is_err());
         assert!(parse_args(&["bench-solve", "--wat"]).is_err());
@@ -1127,7 +1007,7 @@ mod tests {
     }
 
     #[test]
-    fn compile_admm_flag_parses() {
+    fn compile_takes_the_admm_switch() {
         let p = parse_args(&["compile", "g.mdg", "-p", "64", "--admm"]).unwrap();
         let Command::Compile { admm, .. } = p.command else { panic!("not compile") };
         assert!(admm);
@@ -1163,7 +1043,6 @@ mod tests {
             Command::BenchAdmm {
                 quick: false,
                 out: None,
-                baseline: None,
                 fleet: 0,
                 chaos: None,
                 kill_after_ms: None,
@@ -1171,21 +1050,12 @@ mod tests {
                 block_deadline_ms: None,
             }
         );
-        let p = parse_args(&[
-            "bench-admm",
-            "--quick",
-            "--out",
-            "BENCH_admm.json",
-            "--baseline",
-            "ci/bench-admm-baseline.json",
-        ])
-        .unwrap();
+        let p = parse_args(&["bench-admm", "--quick", "--out", "BENCH_admm.json"]).unwrap();
         assert_eq!(
             p.command,
             Command::BenchAdmm {
                 quick: true,
                 out: Some("BENCH_admm.json".into()),
-                baseline: Some("ci/bench-admm-baseline.json".into()),
                 fleet: 0,
                 chaos: None,
                 kill_after_ms: None,
@@ -1259,6 +1129,64 @@ mod tests {
         assert!(parse_args(&["serve", "--admm-workers", "not-an-addr"]).is_err());
         assert!(parse_args(&["serve", "--admm-workers", ","]).is_err(), "empty list");
         assert!(parse_args(&["serve", "--admm-stale", "2"]).is_err(), "needs --admm-workers");
+    }
+
+    #[test]
+    fn every_flag_in_the_table_is_in_usage_under_its_command() {
+        // A synopsis entry is a `  paradigm …` line plus its deeper-indented
+        // continuation lines.
+        let mut entries: Vec<String> = Vec::new();
+        for line in USAGE.lines() {
+            if line.starts_with("  paradigm ") {
+                entries.push(line.trim().to_string());
+            } else if let Some(last) = entries.last_mut().filter(|_| line.starts_with("      ")) {
+                last.push_str(line);
+            }
+        }
+        for &(command, _, switches, flags) in SPECS {
+            // The entries of `analyze` are not those of `analyze resources`.
+            let longer = |e: &str| {
+                SPECS.iter().any(|s| {
+                    s.0.len() > command.len() && e.starts_with(&format!("paradigm {} ", s.0))
+                })
+            };
+            let own = |e: &&String| {
+                (e.as_str() == format!("paradigm {command}")
+                    || e.starts_with(&format!("paradigm {command} ")))
+                    && !longer(e)
+            };
+            let text: Vec<&String> = entries.iter().filter(own).collect();
+            assert!(!text.is_empty(), "`{command}` has no USAGE entry");
+            let words: Vec<&str> = text
+                .iter()
+                .flat_map(|e| e.split(|c: char| !(c.is_ascii_alphanumeric() || c == '-')))
+                .collect();
+            for names in switches.iter().chain(flags.iter().map(|f| &f.0)) {
+                assert!(
+                    names.split('|').any(|n| words.contains(&n)),
+                    "USAGE does not show `{names}` under `{command}`"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn every_command_in_the_table_builds_its_own_variant() {
+        for &(command, takes, ..) in SPECS {
+            let argv: Vec<&str> = command.split(' ').chain(takes.map(|_| "x")).collect();
+            let complaint = parse_args(&argv).err().map_or(String::new(), |e| e.0);
+            assert!(!complaint.contains("has no arm"), "{complaint}");
+        }
+    }
+
+    #[test]
+    fn procs_follow_the_pipeline_bound() {
+        let max = MAX_PROCS.to_string();
+        assert!(parse_args(&["compile", "g", "-p", &max]).is_ok());
+        let e = parse_args(&["compile", "g", "-p", "4000000000"]).unwrap_err();
+        assert!(e.0.contains(&format!("1..={max}")), "{e}");
+        assert!(parse_args(&["compile", "g", "-p", "8", "--pb", "4000000000"]).is_err());
+        assert!(parse_args(&["analyze", "resources", "g", "-p", "65537"]).is_err());
     }
 
     #[test]

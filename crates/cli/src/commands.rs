@@ -21,10 +21,9 @@ use paradigm_mdg::{
     complex_matmul_mdg, example_fig1_mdg, from_text, strassen_mdg, to_text, KernelCostTable, Mdg,
 };
 use paradigm_sched::{
-    gantt_svg, idle_profile, spmd_schedule, task_parallel_schedule, to_csv, PsaConfig, SchedPolicy,
-    Schedule,
+    gantt_svg, idle_profile, spmd_schedule, task_parallel_schedule, to_csv, SchedPolicy, Schedule,
 };
-use paradigm_serve::{run_bench, AdmmFleetSpec, BenchConfig, ServeConfig, Server, ServerConfig};
+use paradigm_serve::{AdmmFleetSpec, ServeConfig, Server, ServerConfig};
 use paradigm_sim::{compare_schedule_vs_sim, lower_spmd, render_trace, simulate, TrueMachine};
 use paradigm_solver::MdgObjective;
 
@@ -136,68 +135,66 @@ pub fn run(command: &Command) -> Result<CmdOutput, CliError> {
         }
         Command::Compile { file, procs, pb, hlf, gantt, csv, svg, refine, admm } => {
             let g = load(file)?;
-            let machine = Machine::cm5(*procs);
-            if *admm {
-                return Ok(compile_admm(&g, machine, *pb, *hlf, *gantt, *csv, *svg, *refine));
-            }
-            let cfg = CompileConfig {
-                psa: PsaConfig {
-                    pb: *pb,
-                    skip_rounding: false,
-                    policy: if *hlf {
-                        SchedPolicy::HighestLevelFirst
-                    } else {
-                        SchedPolicy::LowestEst
-                    },
-                },
+            let spec = SolveSpec {
+                policy: if *hlf { SchedPolicy::HighestLevelFirst } else { SchedPolicy::LowestEst },
+                pb: *pb,
                 refine: *refine,
-                ..CompileConfig::default()
+                fast_solver: false,
+                admm: *admm,
+                ..SolveSpec::new(Machine::cm5(*procs))
             };
-            let c = compile(&g, machine, &cfg);
-            let mut out = String::new();
-            out.push_str(&format!(
-                "compiled `{}` for {} processors (PB = {})\n",
+            let out = try_solve_pipeline(&g, &spec).map_err(|e| CliError::Config(e.to_string()))?;
+            let mut text = format!(
+                "compiled `{}` for {procs} processors{} (PB = {})\n",
                 g.name(),
-                procs,
-                c.psa.pb
-            ));
-            out.push_str(&format!(
+                if *admm { " via consensus ADMM" } else { "" },
+                out.pb
+            );
+            text.push_str(&format!(
                 "Phi = {:.6} s, T_psa = {:.6} s ({:+.2}% above Phi)\n",
-                c.phi.phi,
-                c.t_psa,
-                c.deviation_percent()
+                out.phi, out.t_psa, out.deviation_percent
             ));
-            out.push_str("\nallocation:\n");
-            for (id, n) in g.nodes() {
-                if !n.is_structural() {
-                    out.push_str(&format!(
-                        "  {:<24} {:>8.3} -> {}\n",
-                        n.name,
-                        c.solve.alloc.get(id),
-                        c.psa.bounded.as_u32(id)
-                    ));
-                }
+            if let Some(stats) = &out.admm {
+                text.push_str(&format!(
+                    "admm: {} blocks ({} cut edges), {} outer rounds, {} inner + {} polish iters\n",
+                    stats.blocks,
+                    stats.cut_edges,
+                    stats.outer_iters,
+                    stats.inner_iters,
+                    stats.polish_iters
+                ));
+                text.push_str(&format!(
+                    "admm: primal residual {:.3e}, dual residual {:.3e}{}\n",
+                    stats.primal_residual,
+                    stats.dual_residual,
+                    if stats.converged { "" } else { " (NOT converged; hit max rounds)" }
+                ));
             }
-            let prof = idle_profile(&c.psa.schedule, c.psa.pb);
-            out.push_str(&format!(
+            text.push_str("\nallocation:\n");
+            for a in &out.alloc {
+                text.push_str(&format!("  {:<24} {:>8.3} -> {}\n", a.node, a.continuous, a.procs));
+            }
+            let prof = idle_profile(&out.schedule, out.pb);
+            text.push_str(&format!(
                 "\nschedule utilization {:.1}% (idle {:.6} proc-s, idling-situation time {:.6} s)\n",
                 100.0 * prof.utilization(),
                 prof.idle_area,
                 prof.idling_situation_time
             ));
             if *gantt {
-                out.push('\n');
-                out.push_str(&c.psa.schedule.gantt(&g, 64));
+                text.push('\n');
+                text.push_str(&out.schedule.gantt(&g, 64));
             }
             if *csv {
-                out.push('\n');
-                out.push_str(&to_csv(&c.psa.schedule, &g));
+                text.push('\n');
+                text.push_str(&to_csv(&out.schedule, &g));
             }
             if *svg {
-                out.push('\n');
-                out.push_str(&gantt_svg(&c.psa.schedule, &g));
+                text.push('\n');
+                text.push_str(&gantt_svg(&out.schedule, &g));
             }
-            Ok(CmdOutput::clean(out))
+            // A consensus solve that stopped short is a finding, not a crash.
+            Ok(CmdOutput { text, failed: out.admm.is_some_and(|s| !s.converged) })
         }
         Command::Simulate { file, procs, spmd, trace } => {
             let g = load(file)?;
@@ -373,22 +370,8 @@ pub fn run(command: &Command) -> Result<CmdOutput, CliError> {
             let stats = server.run();
             Ok(CmdOutput::clean(stats.render()))
         }
-        Command::BenchSolve { quick, out, baseline, batch_k } => {
-            crate::bench_solve::run_bench_solve(
-                *quick,
-                out.as_deref(),
-                baseline.as_deref(),
-                *batch_k,
-            )
-        }
-        Command::BenchServe { clients, rounds, workers, max_queue_wait_ms } => {
-            let report = run_bench(&BenchConfig {
-                clients: *clients,
-                rounds: *rounds,
-                workers: *workers,
-                max_queue_wait: max_queue_wait_ms.map(std::time::Duration::from_millis),
-            });
-            Ok(CmdOutput::clean(report.render()))
+        Command::BenchSolve { quick, out, batch_k } => {
+            crate::bench_solve::run_bench_solve(*quick, out.as_deref(), *batch_k)
         }
         Command::Partition { file, procs, blocks } => {
             let g = load(file)?;
@@ -410,7 +393,6 @@ pub fn run(command: &Command) -> Result<CmdOutput, CliError> {
         Command::BenchAdmm {
             quick,
             out,
-            baseline,
             fleet,
             chaos,
             kill_after_ms,
@@ -419,7 +401,6 @@ pub fn run(command: &Command) -> Result<CmdOutput, CliError> {
         } => crate::bench_admm::run_bench_admm(&crate::bench_admm::BenchAdmmOpts {
             quick: *quick,
             out: out.clone(),
-            baseline: baseline.clone(),
             fleet: *fleet,
             chaos: chaos.clone(),
             kill_after_ms: *kill_after_ms,
@@ -513,76 +494,6 @@ fn run_race(bound: Option<usize>, which: Option<&str>) -> Result<CmdOutput, CliE
         let _ = writeln!(text, "all {} suite(s) passed; lock-order graphs acyclic", suites.len());
     }
     Ok(CmdOutput { text, failed })
-}
-
-/// `compile --admm`: route the solve through the distributed
-/// consensus-ADMM tier and render the pipeline's view of the result
-/// (same allocation table and schedule summary as the dense path, plus
-/// the coordinator's convergence diagnostics).
-#[allow(clippy::too_many_arguments)]
-fn compile_admm(
-    g: &Mdg,
-    machine: Machine,
-    pb: Option<u32>,
-    hlf: bool,
-    gantt: bool,
-    csv: bool,
-    svg: bool,
-    refine: bool,
-) -> CmdOutput {
-    let spec = SolveSpec {
-        machine,
-        policy: if hlf { SchedPolicy::HighestLevelFirst } else { SchedPolicy::LowestEst },
-        pb,
-        refine,
-        fast_solver: true,
-        simulate: false,
-        admm: true,
-    };
-    let out = match try_solve_pipeline(g, &spec) {
-        Ok(out) => out,
-        Err(e) => return CmdOutput { text: format!("admm solve failed: {e}\n"), failed: true },
-    };
-    let mut text = format!(
-        "compiled `{}` for {} processors via consensus ADMM (PB = {})\n",
-        g.name(),
-        machine.procs,
-        out.pb
-    );
-    text.push_str(&format!(
-        "Phi = {:.6} s, T_psa = {:.6} s ({:+.2}% above Phi)\n",
-        out.phi, out.t_psa, out.deviation_percent
-    ));
-    if let Some(stats) = &out.admm {
-        text.push_str(&format!(
-            "admm: {} blocks ({} cut edges), {} outer rounds, {} inner + {} polish iters\n",
-            stats.blocks, stats.cut_edges, stats.outer_iters, stats.inner_iters, stats.polish_iters
-        ));
-        text.push_str(&format!(
-            "admm: primal residual {:.3e}, dual residual {:.3e}{}\n",
-            stats.primal_residual,
-            stats.dual_residual,
-            if stats.converged { "" } else { " (NOT converged; fell back or hit max rounds)" }
-        ));
-    }
-    text.push_str("\nallocation:\n");
-    for a in &out.alloc {
-        text.push_str(&format!("  {:<24} {:>8.3} -> {}\n", a.node, a.continuous, a.procs));
-    }
-    text.push_str(&format!("\nschedule utilization {:.1}%\n", 100.0 * out.utilization));
-    if gantt {
-        text.push('\n');
-        text.push_str(&out.schedule.gantt(g, 64));
-    }
-    if csv {
-        text.push('\n');
-        text.push_str(&to_csv(&out.schedule, g));
-    }
-    if svg {
-        text.push('\n');
-        text.push_str(&gantt_svg(&out.schedule, g));
-    }
-    CmdOutput { text, failed: out.admm.as_ref().is_some_and(|s| !s.converged) }
 }
 
 /// The built-in graphs swept by `analyze --gallery` (the same set the
@@ -701,10 +612,14 @@ mod tests {
     use crate::args::parse_args;
     use paradigm_serve::Json;
 
+    /// A fresh copy of fig1 on disk: tests run in parallel and each removes
+    /// its file when done, so every call gets its own.
     fn tmp_mdg() -> String {
+        static CALLS: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+        let n = CALLS.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
         let g = example_fig1_mdg();
         let path =
-            std::env::temp_dir().join(format!("paradigm-cli-test-{}.mdg", std::process::id()));
+            std::env::temp_dir().join(format!("paradigm-cli-test-{}-{n}.mdg", std::process::id()));
         std::fs::write(&path, to_text(&g)).expect("write temp mdg");
         path.to_string_lossy().into_owned()
     }
@@ -742,6 +657,36 @@ mod tests {
         assert!(out.contains("Gantt"));
         assert!(out.contains("node,name,procs,start,finish"));
         assert!(out.contains("<svg "));
+        let _ = std::fs::remove_file(path);
+    }
+
+    #[test]
+    fn compile_rejects_a_spec_the_pipeline_cannot_run_with_exit_code_2() {
+        let path = tmp_mdg();
+        for pb in [["-p", "4", "--pb", "3"], ["-p", "4", "--pb", "8"]] {
+            for admm in [&[][..], &["--admm"][..]] {
+                let argv: Vec<&str> =
+                    ["compile", &path].into_iter().chain(pb).chain(admm.iter().copied()).collect();
+                let err = run(&parse_args(&argv).unwrap().command).expect_err("invalid spec");
+                assert!(matches!(err, CliError::Config(_)), "{argv:?}: {err:?}");
+                assert!(
+                    err.to_string().starts_with("invalid solve spec: processor bound"),
+                    "{err}"
+                );
+            }
+        }
+        let _ = std::fs::remove_file(path);
+    }
+
+    #[test]
+    fn compile_on_the_consensus_tier_prints_the_dense_report_plus_its_own_lines() {
+        let path = tmp_mdg();
+        let out = run(&parse_args(&["compile", &path, "-p", "4", "--admm"]).unwrap().command);
+        let out = out.expect("fig1 solves on the consensus tier");
+        assert!(!out.failed, "a converged consensus solve is clean:\n{}", out.text);
+        assert!(out.text.contains("via consensus ADMM (PB = "), "{}", out.text);
+        assert!(out.text.contains("admm: 1 blocks (0 cut edges)"), "{}", out.text);
+        assert!(out.text.contains("idling-situation time"), "the dense idle line: {}", out.text);
         let _ = std::fs::remove_file(path);
     }
 
@@ -1003,22 +948,6 @@ mod tests {
         let res = run(&parsed.command).unwrap();
         assert!(!res.failed, "{}", res.text);
         let _ = std::fs::remove_file(path);
-    }
-
-    #[test]
-    fn bench_serve_small_run_renders_report() {
-        let out = run(&Command::BenchServe {
-            clients: 2,
-            rounds: 1,
-            workers: 2,
-            max_queue_wait_ms: None,
-        })
-        .unwrap()
-        .text;
-        assert!(out.contains("bench-serve: 12 distinct keys"), "{out}");
-        assert!(out.contains("hot:"), "{out}");
-        assert!(out.contains("hot counters:"), "{out}");
-        assert!(out.contains("retries 0"), "{out}");
     }
 
     #[test]

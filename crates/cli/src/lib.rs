@@ -18,6 +18,7 @@ pub mod args;
 pub mod bench_admm;
 pub mod bench_solve;
 pub mod commands;
+pub mod harness;
 
 pub use args::{parse_args, Command, ParsedArgs, UsageError};
 pub use commands::run;

@@ -49,10 +49,9 @@ pub use experiments::{
     fig8_speedups, fig9_predicted_vs_actual, table3_deviation, Fig8Row, Fig9Row, Table3Row,
 };
 pub use pipeline::{
-    gallery_graph, machine_from_spec, routes_through_admm, solve_fingerprint, solve_pipeline,
-    solve_pipeline_degraded, try_solve_pipeline, try_solve_pipeline_with_backend, AdmmStats,
-    AllocEntry, PipelineError, SolveOutput, SolveSpec, ADMM_NODE_THRESHOLD, GALLERY_NAMES,
-    MACHINE_SPECS,
+    gallery_graph, machine_from_spec, solve_fingerprint, solve_pipeline, solve_pipeline_degraded,
+    try_solve_pipeline, try_solve_pipeline_with_backend, AdmmStats, AllocEntry, PipelineError,
+    SolveOutput, SolveSpec, GALLERY_NAMES, MACHINE_SPECS, MAX_PROCS,
 };
 pub use programs::TestProgram;
 

@@ -30,11 +30,12 @@ use paradigm_solver::{
 };
 use std::fmt;
 
-/// Compute-node count at which [`solve_pipeline`] routes the allocation
-/// through the distributed consensus-ADMM solver instead of the dense
-/// projected-gradient solver (a single dense tape past this size
-/// dominates solve time; the partitioned solve parallelizes it).
-pub const ADMM_NODE_THRESHOLD: usize = 4096;
+/// Largest machine a [`SolveSpec`] may name. The PSA keeps a free-time
+/// slot per processor and every scheduled task lists its processor ids,
+/// so memory is O(tasks × procs): an unchecked `procs` from a request is
+/// an allocation the process cannot survive, not a panic a worker can
+/// catch.
+pub const MAX_PROCS: u32 = 65_536;
 
 /// Everything (besides the graph) that a pipeline solve depends on.
 /// Two requests with equal specs and structurally equal graphs produce
@@ -54,9 +55,11 @@ pub struct SolveSpec {
     /// Also execute the MPMD lowering on the ground-truth simulator and
     /// report the measured makespan.
     pub simulate: bool,
-    /// Force the consensus-ADMM solver tier regardless of graph size
-    /// (graphs above [`ADMM_NODE_THRESHOLD`] compute nodes route through
-    /// it automatically).
+    /// Solve the allocation on the consensus-ADMM tier instead of the
+    /// dense solver. Never chosen by graph size: on one box the tier is
+    /// 5–9× slower than the dense solve at every size that partitions
+    /// (DESIGN.md §13); it buys distribution over a worker fleet's memory
+    /// and cores.
     pub admm: bool,
 }
 
@@ -75,17 +78,23 @@ impl SolveSpec {
         }
     }
 
-    /// Reject specs the pipeline would panic on.
+    /// Reject specs the pipeline would panic on (or not survive).
     pub fn validate(&self) -> Result<(), String> {
+        let procs = self.machine.procs;
+        if !(1..=MAX_PROCS).contains(&procs) {
+            return Err(format!("machine size {procs} must be in 1..={MAX_PROCS}"));
+        }
         if let Some(pb) = self.pb {
             if pb == 0 {
                 return Err("processor bound must be positive".into());
             }
-            if pb > self.machine.procs {
-                return Err(format!(
-                    "processor bound {pb} exceeds machine size {}",
-                    self.machine.procs
-                ));
+            // Corollary 1 chooses PB among powers of two, and the PSA's
+            // bounding step asserts it.
+            if !pb.is_power_of_two() {
+                return Err(format!("processor bound {pb} must be a power of two"));
+            }
+            if pb > procs {
+                return Err(format!("processor bound {pb} exceeds machine size {procs}"));
             }
         }
         self.machine.xfer.validate()
@@ -261,13 +270,6 @@ fn output_from_compiled(g: &Mdg, spec: &SolveSpec, c: &Compiled) -> SolveOutput 
     }
 }
 
-/// Whether this `(graph, spec)` pair routes through the consensus-ADMM
-/// solver tier: explicitly via `spec.admm`, or automatically when the
-/// graph outgrows the dense solver.
-pub fn routes_through_admm(g: &Mdg, spec: &SolveSpec) -> bool {
-    spec.admm || g.compute_node_count() >= ADMM_NODE_THRESHOLD
-}
-
 /// The ADMM arm of every pipeline entry point: consensus-ADMM allocation
 /// on `backend`, the compile tail on that allocation, diagnostics into
 /// `SolveOutput::admm`.
@@ -300,7 +302,7 @@ fn admm_output<B: BlockBackend>(
 /// Panics if the spec is invalid (callers should [`SolveSpec::validate`]
 /// first) or the graph triggers a pipeline assertion.
 pub fn solve_pipeline(g: &Mdg, spec: &SolveSpec) -> SolveOutput {
-    if routes_through_admm(g, spec) {
+    if spec.admm {
         // The ADMM tier degrades to the dense resilient ladder on
         // failure rather than panicking, mirroring the ladder's spirit.
         let mut backend = InProcessBackend::default();
@@ -325,12 +327,12 @@ pub fn try_solve_pipeline(g: &Mdg, spec: &SolveSpec) -> Result<SolveOutput, Pipe
     )
 }
 
-/// Like [`try_solve_pipeline`], but the consensus-ADMM tier (when the
-/// pair routes through it) runs on the caller's [`BlockBackend`] and
+/// Like [`try_solve_pipeline`], but the consensus-ADMM tier (when
+/// `spec.admm` asks for it) runs on the caller's [`BlockBackend`] and
 /// [`AdmmConfig`] instead of the defaults. The serving layer uses this
 /// to drive a TCP worker fleet — wrapped in a failover backend — from
-/// the same pipeline the cache and auditor already understand. Requests
-/// that do not route through ADMM never touch either.
+/// the same pipeline the cache and auditor already understand. Dense
+/// requests never touch either.
 pub fn try_solve_pipeline_with_backend<B: BlockBackend>(
     g: &Mdg,
     spec: &SolveSpec,
@@ -338,7 +340,7 @@ pub fn try_solve_pipeline_with_backend<B: BlockBackend>(
     backend: &mut B,
 ) -> Result<SolveOutput, PipelineError> {
     spec.validate().map_err(PipelineError::InvalidSpec)?;
-    if routes_through_admm(g, spec) {
+    if spec.admm {
         return Ok(admm_output(g, spec, admm_cfg, backend)?);
     }
     let c = try_compile(g, spec.machine, &compile_config(spec))?;
@@ -568,9 +570,6 @@ mod tests {
         assert_eq!(dense.degraded, FallbackTier::Primary);
         assert!(dense.admm.is_none());
         assert!(out.phi <= dense.phi * 1.01 + 1e-9, "admm {} dense {}", out.phi, dense.phi);
-        // Below the size threshold, nothing auto-routes.
-        assert!(!routes_through_admm(&g, &SolveSpec::new(machine)));
-        assert!(routes_through_admm(&g, &spec));
     }
 
     #[test]

@@ -27,8 +27,6 @@
 //!   (SIGINT-safe on unix) drain.
 //! * [`metrics`] — request/hit/miss/dedup counters and a log₂ latency
 //!   histogram, served live via the `stats` op and dumped on shutdown.
-//! * [`bench`] — a closed-loop load generator measuring cold-solve vs
-//!   repeated-workload throughput (the `paradigm bench-serve` command).
 //!
 //! The resilience layer (this crate's failure model is spelled out in
 //! DESIGN.md §9):
@@ -42,7 +40,6 @@
 //!   retryable failures (shed requests, transport faults).
 
 pub mod audit;
-pub mod bench;
 pub mod breaker;
 pub mod cache;
 pub mod chaos;
@@ -57,7 +54,6 @@ pub mod server;
 pub mod service;
 pub mod worker;
 
-pub use bench::{run_bench, BenchConfig, BenchReport};
 pub use breaker::{BreakerConfig, BreakerState, CircuitBreaker};
 pub use cache::{Outcome, ShardedCache, SHARDS};
 pub use chaos::{Chaos, FaultPlan};

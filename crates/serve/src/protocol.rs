@@ -34,7 +34,9 @@ use crate::json::{escape_into, num_into, parse, Json};
 use crate::service::{ServeError, Service, SolveResponse};
 use crate::worker::{block_solution_response, parse_block_job};
 use paradigm_admm::{solve_block_job, BlockJob};
-use paradigm_core::{gallery_graph, machine_from_spec, SolveSpec, GALLERY_NAMES, MACHINE_SPECS};
+use paradigm_core::{
+    gallery_graph, machine_from_spec, SolveSpec, GALLERY_NAMES, MACHINE_SPECS, MAX_PROCS,
+};
 use paradigm_mdg::{from_text, Mdg};
 use paradigm_sched::SchedPolicy;
 use std::fmt::Write as _;
@@ -130,7 +132,12 @@ fn parse_solve(doc: &Json, members: &[(String, Json)]) -> Result<Request, String
         None => 16,
         Some(v) => {
             let p = v.as_u64().ok_or("`procs` must be a non-negative integer")?;
-            u32::try_from(p).ok().filter(|&p| p >= 1).ok_or("`procs` must be in 1..=2^32-1")?
+            // What does not fit the type is a malformed request; what fits
+            // but exceeds the bound is `SolveSpec::validate`'s to refuse.
+            u32::try_from(p)
+                .ok()
+                .filter(|&p| p >= 1)
+                .ok_or_else(|| format!("`procs` must be in 1..={MAX_PROCS}"))?
         }
     };
     let machine_name = match doc.get("machine") {

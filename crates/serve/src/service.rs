@@ -35,8 +35,8 @@ use crate::metrics::{Metrics, MetricsSnapshot};
 use crate::worker::{FleetConfig, TcpBlockBackend};
 use paradigm_admm::{AdmmConfig, FailoverBackend, InProcessBackend};
 use paradigm_core::{
-    routes_through_admm, solve_fingerprint, solve_pipeline, solve_pipeline_degraded,
-    try_solve_pipeline_with_backend, SolveOutput, SolveSpec,
+    solve_fingerprint, solve_pipeline, solve_pipeline_degraded, try_solve_pipeline_with_backend,
+    SolveOutput, SolveSpec,
 };
 use paradigm_mdg::Mdg;
 use paradigm_race::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -630,13 +630,13 @@ fn solve_job(inner: &Inner, job: &Job) -> Result<SolveResponse, ServeError> {
 }
 
 /// The primary pipeline solve, routed through the configured ADMM fleet
-/// when one is set and the request takes the ADMM tier. Runs inside the
+/// when one is set and the request asks for the ADMM tier. Runs inside the
 /// cache's compute closure, so fleet fault counters fold into the
 /// metrics exactly once per fresh solve (hits and dedup-waits replay
 /// the cached answer without re-counting).
 fn solve_with_configured_backend(inner: &Inner, graph: &Mdg, spec: &SolveSpec) -> SolveOutput {
     if let Some(fleet) = &inner.cfg.fleet {
-        if routes_through_admm(graph, spec) {
+        if spec.admm {
             match solve_on_fleet(fleet, graph, spec) {
                 Ok(out) => {
                     if let Some(stats) = &out.admm {

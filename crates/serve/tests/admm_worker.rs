@@ -7,14 +7,15 @@
 //! run must converge below the residual tolerance and agree *bitwise*
 //! with the in-process backend (block solves are pure functions of the
 //! job, and the NDJSON frames round-trip every float exactly). The
-//! `#[ignore]`d tests are the CI `admm-smoke` job (10^4 compute nodes)
-//! and the 10^5-node acceptance run; both also push the solution
-//! through the full pipeline and the independent schedule auditor.
+//! `#[ignore]`d tests are the CI `admm-smoke` job (10^4 compute nodes,
+//! plus the two route pins at 4096) and the 10^5-node acceptance run;
+//! the 10^4 and 10^5 runs also push the solution through the full
+//! pipeline and the independent schedule auditor.
 
 use std::net::SocketAddr;
 
 use paradigm_admm::{solve_admm, solve_admm_in_process, AdmmConfig};
-use paradigm_core::{try_solve_pipeline, SolveSpec};
+use paradigm_core::{try_solve_pipeline, FallbackTier, SolveSpec};
 use paradigm_cost::Machine;
 use paradigm_mdg::{random_layered_mdg, Mdg, RandomMdgConfig};
 use paradigm_serve::audit::audit_solve_output;
@@ -117,6 +118,30 @@ fn admm_smoke_ten_thousand_nodes_over_tcp() {
     let machine = Machine::cm5(256);
     solve_both_ways(&g, machine, &AdmmConfig::default());
     pipeline_audits_clean(&g, machine);
+}
+
+/// The route at the size the pipeline used to switch tiers by itself
+/// (4096 compute nodes, to a tier 6x slower there on one box — DESIGN.md §13):
+/// graph size selects nothing, the default spec solves densely.
+#[test]
+#[ignore = "heavy: CI admm-smoke job runs this with --ignored in release"]
+fn admm_smoke_4096_nodes_solve_densely_by_default() {
+    let g = random_layered_mdg(&RandomMdgConfig::sized(4096), SEED);
+    assert!(g.compute_node_count() >= 4096);
+    let out = try_solve_pipeline(&g, &SolveSpec::new(Machine::cm5(256))).expect("dense pipeline");
+    assert_eq!(out.degraded, FallbackTier::Primary);
+    assert!(out.admm.is_none(), "no consensus diagnostics on a dense solve");
+}
+
+/// … and `admm: true` is what selects the consensus tier, at any size.
+#[test]
+#[ignore = "heavy: CI admm-smoke job runs this with --ignored in release"]
+fn admm_smoke_4096_nodes_take_the_consensus_tier_when_asked() {
+    let g = random_layered_mdg(&RandomMdgConfig::sized(4096), SEED);
+    let spec = SolveSpec { admm: true, ..SolveSpec::new(Machine::cm5(256)) };
+    let out = try_solve_pipeline(&g, &spec).expect("admm pipeline");
+    assert_eq!(out.degraded, FallbackTier::Admm);
+    assert!(out.admm.is_some_and(|stats| stats.converged));
 }
 
 /// The issue's acceptance run: a 10^5-node seeded random-layered MDG

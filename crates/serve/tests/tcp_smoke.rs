@@ -82,3 +82,56 @@ fn ephemeral_port_round_trip_stats_and_clean_exit() {
     assert_eq!(finals.completed, 3);
     assert_eq!(finals.solves, 2);
 }
+
+/// Two inputs that used to reach what sits behind validation: a `pb` that
+/// is not a power of two ran the full convex solve, panicked in the PSA's
+/// bounding step, panicked again on the degraded path and counted against
+/// the circuit breaker — fourteen of them opened it, and the next valid
+/// request got the equal-split schedule; a `procs` of four billion is a
+/// per-processor vector the process cannot allocate, and an allocation
+/// failure is an abort no worker can catch.
+#[test]
+fn specs_the_pipeline_cannot_run_never_reach_the_solver_or_the_breaker() {
+    let server = Server::bind(ServerConfig {
+        service: ServeConfig {
+            workers: 2,
+            cache_capacity: 64,
+            queue_capacity: 16,
+            ..ServeConfig::default()
+        },
+        port: 0,
+    })
+    .expect("bind ephemeral port");
+    let addr = server.local_addr().unwrap();
+    let run = std::thread::spawn(move || server.run());
+    let mut c = TcpStream::connect(addr).unwrap();
+    c.set_read_timeout(Some(Duration::from_secs(60))).unwrap();
+    let refused = |r: &Json| {
+        assert_eq!(r.get("ok").and_then(Json::as_bool), Some(false), "{r:?}");
+        assert_eq!(r.get("kind").and_then(Json::as_str), Some("invalid"), "{r:?}");
+        assert_eq!(r.get("retryable").and_then(Json::as_bool), Some(false), "{r:?}");
+    };
+
+    // Sixteen distinct keys, so neither the cache nor single-flight can
+    // be what keeps them away from the solver.
+    for procs in 4..20 {
+        let line = format!(r#"{{"op":"solve","gallery":"fig1","procs":{procs},"pb":3}}"#);
+        refused(&request(&mut c, &line));
+    }
+    refused(&request(&mut c, r#"{"op":"solve","gallery":"fig1","procs":4000000000}"#));
+
+    // The same connection is still served, by the primary path.
+    let r = request(&mut c, r#"{"op":"solve","gallery":"fig1","procs":4}"#);
+    assert_eq!(r.get("ok").and_then(Json::as_bool), Some(true), "{r:?}");
+    assert!(r.get("degraded").is_none(), "answered by the convex solver: {r:?}");
+    assert!((r.get("t_psa").and_then(Json::as_f64).unwrap() - 14.3).abs() < 1e-9, "{r:?}");
+
+    let stats = request(&mut c, r#"{"op":"stats"}"#);
+    let payload = stats.get("stats").expect("stats payload");
+    assert_eq!(payload.get("solves").and_then(Json::as_u64), Some(1), "{payload:?}");
+    assert_eq!(payload.get("errors").and_then(Json::as_u64), Some(17), "{payload:?}");
+    assert_eq!(payload.get("breaker_opens").and_then(Json::as_u64), Some(0), "{payload:?}");
+    assert_eq!(payload.get("breaker_state").and_then(Json::as_str), Some("closed"));
+    request(&mut c, r#"{"op":"shutdown"}"#);
+    run.join().expect("server thread");
+}

@@ -13,7 +13,7 @@
 //! default, 4 under [`SolverConfig::fast`]) replay the lane tape of
 //! [`crate::batch`], in serial chunks of `BATCH_K`; every K ≤ 2 caller —
 //! the per-start exact polish, ADMM block solves, [`optimality_residual`],
-//! coordinate descent — runs the scalar tape, which is ~2× faster than
+//! coordinate descent — runs the scalar tape, which is 1.4–1.7× faster than
 //! the lane kernels at K = 1 (DESIGN.md §11 has the measured ratios).
 
 use crate::coordinate::{allocate_coordinate, CoordinateConfig};
@@ -48,8 +48,6 @@ pub struct SolverConfig {
     /// Number of random interior starts (in addition to the three
     /// deterministic ones: all-1, all-p, geometric midpoint).
     pub random_starts: usize,
-    /// RNG seed for the random starts.
-    pub seed: u64,
     /// Watchdog wall-time budget across all starts; when it expires the
     /// solver returns its best iterate so far, or
     /// [`SolverError::BudgetExceeded`] if no iteration ever ran. `None`
@@ -67,7 +65,6 @@ impl Default for SolverConfig {
             max_iters_per_stage: 400,
             rel_tol: 1e-10,
             random_starts: 3,
-            seed: 0x5eed,
             time_limit: None,
             max_total_iters: None,
         }
@@ -85,6 +82,10 @@ impl SolverConfig {
         }
     }
 }
+
+/// RNG seed of the random starts: fixed, so a solve is a pure function of
+/// its graph, machine and config.
+const START_SEED: u64 = 0x5eed;
 
 /// The outcome of one allocation solve.
 #[derive(Debug, Clone)]
@@ -240,7 +241,7 @@ pub fn try_allocate(
 
     // Deterministic starts.
     let mut starts: Vec<Vec<f64>> = vec![vec![0.0; n], vec![ub; n], vec![ub / 2.0; n]];
-    let mut rng = StdRng::seed_from_u64(cfg.seed);
+    let mut rng = StdRng::seed_from_u64(START_SEED);
     for _ in 0..cfg.random_starts {
         starts.push((0..n).map(|_| rng.random_range(0.0..=ub)).collect());
     }

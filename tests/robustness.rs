@@ -165,3 +165,37 @@ fn transfer_of_one_byte_and_of_gigabytes() {
         }
     }
 }
+
+#[test]
+fn solve_spec_admits_only_what_the_pipeline_can_run() {
+    use paradigm_core::{try_solve_pipeline, PipelineError, SolveSpec, MAX_PROCS};
+    let g = example_fig1_mdg();
+    let rejected = |spec: &SolveSpec, why: &str| {
+        assert!(spec.validate().is_err(), "validate must reject {why}");
+        match try_solve_pipeline(&g, spec) {
+            Err(PipelineError::InvalidSpec(msg)) => msg,
+            other => panic!("{why}: expected InvalidSpec, got {other:?}"),
+        }
+    };
+    // Corollary 1 chooses PB among powers of two, and the PSA's bounding
+    // step asserts it: anything else used to panic after the full solve.
+    for pb in [3, 6, 12] {
+        let spec = SolveSpec { pb: Some(pb), ..SolveSpec::new(Machine::cm5(16)) };
+        let msg = rejected(&spec, "a processor bound that is not a power of two");
+        assert!(msg.contains("power of two"), "{msg}");
+    }
+    // The PSA's memory is O(tasks x procs): an unchecked machine size is
+    // an allocation failure that aborts the process, not an error.
+    for procs in [MAX_PROCS + 1, u32::MAX] {
+        let msg = rejected(&SolveSpec::new(Machine::cm5(procs)), "an oversized machine");
+        assert!(msg.contains(&MAX_PROCS.to_string()), "{msg}");
+    }
+    // What it has to keep accepting: PB 1, one processor, and a machine
+    // size that is not a power of two.
+    for (procs, pb) in [(1, None), (6, None), (16, Some(1)), (6, Some(4))] {
+        let spec = SolveSpec { pb, ..SolveSpec::new(Machine::cm5(procs)) };
+        assert_eq!(spec.validate(), Ok(()), "procs {procs}, pb {pb:?}");
+        let out = try_solve_pipeline(&g, &spec).expect("a valid spec solves");
+        assert!(out.t_psa.is_finite() && out.pb <= procs);
+    }
+}
