@@ -8,7 +8,7 @@
 #   - test modules: everything from the first `#[cfg(test)]` line down is
 #     skipped (tests never run under the model scheduler);
 #   - lines tagged `raw-sync: allow` for intentional exceptions (e.g. the
-#     global counting allocator, which must never hit a scheduling point).
+#     SIGINT flag, which is touched from a signal handler).
 # `std::sync::Arc` and `std::sync::PoisonError` are fine — they are not
 # scheduling points. The clippy `disallowed-types` lint (clippy.toml) covers
 # the same surface at the type level; this gate additionally catches atomics

@@ -378,11 +378,9 @@ pub fn build_block_problem(
 }
 
 /// The penalised block model `smax(area_off + A_p, C_p) + (rho/2) sum
-/// (x_i - target_i)^2` on the scalar tape, as a [`DescentModel`]: one
-/// gradient pair and a handful of sequential probes per iteration is
-/// K <= 2 work, where the scalar tape is 1.4–1.7x the lane kernels. With
+/// (x_i - target_i)^2` on the scalar tape, as a [`DescentModel`]. With
 /// `area_off = 0` and no consensus terms it is the global objective —
-/// what the coordinator polish descends.
+/// what the coordinator's polish and finishing stage descend.
 pub(crate) struct BlockModel<'a, 'g> {
     obj: &'a MdgObjective<'g>,
     /// Sharpness of the current stage.
@@ -428,20 +426,21 @@ impl<'a, 'g> BlockModel<'a, 'g> {
 }
 
 impl DescentModel for BlockModel<'_, '_> {
-    fn probe(&mut self, x: &[f64], _k: usize, f: &mut [f64]) {
+    fn probe(&mut self, x: &[f64]) -> f64 {
         let parts = self.obj.forward_record(x, self.sharp, self.scratch);
         let a = (self.area_off + parts.a_p).max(0.0);
         self.probed = smax_pair_weights(a, parts.c_p, self.sharp);
-        f[0] = self.probed.0;
+        let mut f = self.probed.0;
         for c in self.cons {
             let diff = x[c.sub] - c.target;
-            f[0] += 0.5 * self.rho * diff * diff;
+            f += 0.5 * self.rho * diff * diff;
         }
+        f
     }
 
     // The `A_p`/`C_p` gradient pair is two replays of the tape the last
     // probe left behind, never a second sweep of the point.
-    fn replay(&mut self, x: &[f64], _k: usize, grad: &mut Vec<f64>) {
+    fn replay(&mut self, x: &[f64], grad: &mut Vec<f64>) {
         let (phi, wa, wc) = self.probed;
         self.phi = phi;
         self.obj.backward_replay(0.0, 1.0, self.scratch, self.grad_a);
@@ -459,6 +458,13 @@ impl DescentModel for BlockModel<'_, '_> {
     fn counts(&mut self) -> &mut SweepCounts {
         &mut self.scratch.counts
     }
+}
+
+/// The stop rule of a block stage (and of the coordinator's finishing
+/// stage): the accepted step gained less than `rel_tol` of the value and
+/// moved no variable by 1e-10.
+pub(crate) fn stage_stop(rel_tol: f64) -> impl Fn(f64, f64, f64) -> bool {
+    move |improve, f, moved| improve <= rel_tol * f.abs() && moved < 1e-10
 }
 
 /// Solve one block subproblem: the shared projected-gradient stage
@@ -499,22 +505,22 @@ pub fn solve_block_job(job: &BlockJob, bw: &mut BatchWorkspace) -> Result<BlockS
         x[i] = x[i].clamp(0.0, ub);
     }
 
-    let BatchWorkspace { inner, lanes, .. } = bw;
+    let BatchWorkspace { inner, descent, .. } = bw;
     let mut model = BlockModel::new(&obj, (job.area_off, job.rho, &job.cons), &job.free, inner);
-    lanes.shape(n, 1);
-    lanes.load(0, &x);
-    let rel_tol = job.inner.rel_tol;
+    descent.load(&x);
     let mut iters = 0usize;
     let smooth =
         job.inner.stages.iter().map(|&s| (Sharpness::Smooth(s), job.inner.iters_per_stage));
     for (sharp, max_iters) in smooth.chain([(Sharpness::Exact, job.inner.exact_iters)]) {
         model.sharp = sharp;
-        lanes.reset();
-        let stage = Stage { free: Some(&job.free), ub, max_iters, max_probes: 40 };
-        let stop = |improve: f64, f: f64, moved: f64| improve <= rel_tol * f.abs() && moved < 1e-10;
-        iters += descend(&mut model, lanes, &stage, stop, |_| true);
+        descent.reset();
+        // Plain projected gradient: the round dynamics are tuned to these
+        // inexact x-updates (DESIGN.md §11).
+        let stage =
+            Stage { free: Some(&job.free), ub, max_iters, max_probes: 40, memory: 0, gtol: 0.0 };
+        iters += descend(&mut model, descent, &stage, stage_stop(job.inner.rel_tol), || true);
     }
-    lanes.store(0, &mut x);
+    x.copy_from_slice(descent.x());
     if !model.phi.is_finite() {
         return Err(format!("block solve produced non-finite model Phi {}", model.phi));
     }

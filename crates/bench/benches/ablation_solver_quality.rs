@@ -2,9 +2,9 @@
 //!
 //! 1. Against the brute-force power-of-two oracle on small random MDGs:
 //!    the continuous optimum must never be worse than the oracle's.
-//! 2. Sharpness-annealing and multi-start settings: cheaper schedules
-//!    should cost little solution quality (the problem is convex — the
-//!    safeguards are for the max-kinks only).
+//! 2. Sharpness-annealing settings: cheaper schedules should cost little
+//!    solution quality (the problem is convex and every solve runs one
+//!    start — the annealing is for the max-kinks only).
 //! 3. A numeric convexity probe of the objective, supporting the paper's
 //!    Section-2 convex-programming claim.
 
@@ -18,7 +18,7 @@ fn main() {
     banner(
         "ablation_solver_quality",
         "design choice: smoothed projected-gradient convex solver",
-        "solver <= pow2 oracle on every instance; annealing/multistart are safety nets",
+        "solver <= pow2 oracle on every instance from one start; annealing is a safety net",
     );
 
     let machine = Machine::cm5(8);
@@ -55,23 +55,15 @@ fn main() {
     let m32 = Machine::cm5(32);
     let reference = allocate(&g, m32, &SolverConfig::default()).phi.phi;
     let configs: [(&str, SolverConfig); 4] = [
-        ("default (4 stages, 3 rand starts)", SolverConfig::default()),
-        ("fast (2 stages, 1 rand start)", SolverConfig::fast()),
+        ("default (4 stages, cap 400)", SolverConfig::default()),
+        ("fast (2 stages, cap 150)", SolverConfig::fast()),
         (
-            "single stage s=64, no random starts",
-            SolverConfig {
-                sharpness_schedule: vec![64.0],
-                random_starts: 0,
-                ..SolverConfig::default()
-            },
+            "single stage s=64",
+            SolverConfig { sharpness_schedule: vec![64.0], ..SolverConfig::default() },
         ),
         (
             "no annealing, exact-only polish",
-            SolverConfig {
-                sharpness_schedule: vec![],
-                random_starts: 0,
-                ..SolverConfig::default()
-            },
+            SolverConfig { sharpness_schedule: vec![], ..SolverConfig::default() },
         ),
     ];
     println!("  configuration                        |    Phi (S) | vs default");

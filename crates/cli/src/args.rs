@@ -178,8 +178,7 @@ pub enum Command {
         quick: bool,
         /// Write the JSON report here (in addition to stdout).
         out: Option<String>,
-        /// Batch width for the batched-gradient and batched-multistart
-        /// cases (default 8).
+        /// Batch width for the batched-gradient cases (default 8).
         batch_k: usize,
     },
     /// `partition <file> [--blocks N] [-p N]`: run the multilevel MDG

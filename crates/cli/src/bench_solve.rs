@@ -6,9 +6,9 @@
 //! entry in [`TABLES`]; the report, the JSON document and the gates run
 //! on [`crate::harness`].
 //!
-//! The run fails (exit code 1) on four gates — [`SWEEPS`], [`EXPS`],
-//! [`ALLOCS`], [`LANES`] — all counts or same-process ratios: the same on
-//! every machine, so none needs a baseline.
+//! The run fails (exit code 1) on five gates — [`SWEEPS`], [`EXPS`],
+//! [`ALLOCS`], [`LANES`], [`SPREAD`] — all counts, same-process ratios or
+//! solution values: the same on every machine, so none needs a baseline.
 
 use paradigm_core::{gallery_graph, GALLERY_NAMES};
 use paradigm_cost::Machine;
@@ -18,8 +18,8 @@ use paradigm_solver::expr::Sharpness;
 use paradigm_solver::objective::ObjectiveParts;
 use paradigm_solver::workspace::pool_sweep_counts;
 use paradigm_solver::{
-    allocation_count, descend_multi_stage, descend_stage, try_allocate, BatchWorkspace,
-    MdgObjective, SolverConfig,
+    allocation_count, descend_stage, try_allocate, try_allocate_from, BatchWorkspace, MdgObjective,
+    SolverConfig,
 };
 
 use crate::commands::{CliError, CmdOutput};
@@ -37,9 +37,14 @@ const SEED: u64 = 1994;
 const SWEEP_SLACK: f64 = 0.05;
 
 /// Smallest `--batch-k` the `lanes` gate reads: below it the scalar tape
-/// is the faster executor (0.58–0.70× at K = 1), which is why K ≤ 2
-/// callers run it, not a regression.
+/// is the faster executor (0.58–0.70× at K = 1), which is why every
+/// descent runs it, not a regression.
 const LANES_MIN_K: f64 = 4.0;
+
+/// Ceiling of the `spread` gate: how far apart the three deterministic
+/// starts may land under `SolverConfig::fast` before "one start is
+/// enough" stops being true (measured worst: 3.3e-3, strassen at p = 64).
+const SPREAD_LIMIT: f64 = 5e-3;
 
 /// The sharpness values of the per-sweep table.
 const SWEEP_SHARPS: [(&str, Sharpness); 4] = [
@@ -80,22 +85,20 @@ const TABLES: &[Table] = &[
             // speedup over the scalar adjoint.
             ("eval_grad_batched_us", "bgrad_us", 10, Cell::Fixed(2)),
             ("batch_grad_speedup", "bspeed", 8, Cell::Times(1)),
-            // A fixed-iteration K-point multistart stage as K sequential
-            // scalar descents, as one shared-tape `descend_multi_stage`,
-            // and the ratio.
-            ("multistart_us", "multi_us", 12, Cell::Fixed(0)),
-            ("multistart_batched_us", "bmulti_us", 12, Cell::Fixed(0)),
-            ("multistart_speedup", "mspeed", 8, Cell::Times(1)),
-            // One end-to-end `try_allocate` under `SolverConfig::fast`.
+            // One end-to-end `try_allocate` under `SolverConfig::fast`: wall
+            // time, descent iterations, forward sweeps.
             ("allocate_us", "allocate_us", 12, Cell::Fixed(0)),
             ("allocate_iters", "iters", 7, Cell::Int),
+            ("allocate_sweeps", "sweeps", 7, Cell::Int),
             // Over that solve, per descent iteration: points swept forward
-            // through the objective (recording or value-only; a K-wide lane
-            // sweep counts K) and points its descent loops evaluated
-            // (line-search probes plus each stage's start). Equal when no
-            // point is swept twice.
+            // through the objective (recording or value-only) and points
+            // its descent loops evaluated (line-search probes plus each
+            // stage's start). Equal when no point is swept twice.
             ("forward_sweeps_per_iter", "swp/iter", 8, Cell::Fixed(3)),
             ("probes_per_iter", "prb/iter", 8, Cell::Fixed(3)),
+            // The same solve from `x = 0`, `ub/2` and `ub`: largest
+            // Phi / Phi_min − 1. What a second start could still buy.
+            ("start_spread", "spread", 9, Cell::Sci(1)),
             // Heap allocations per descent iteration after warm-up, seen
             // through the counting global allocator the `paradigm` binary
             // installs (0 in-process unless installed).
@@ -160,7 +163,7 @@ pub fn run_bench_solve(
             if quick { "quick" } else { "full" }
         ),
         header: vec![
-            ("version", Json::num(4.0)),
+            ("version", Json::num(5.0)),
             ("quick", Json::Bool(quick)),
             ("batch_k", Json::num(batch_k as f64)),
         ],
@@ -168,7 +171,7 @@ pub fn run_bench_solve(
         rows,
         footer: String::new(),
     };
-    finish(&report, &[SWEEPS, EXPS, ALLOCS, LANES], out_path)
+    finish(&report, &[SWEEPS, EXPS, ALLOCS, LANES, SPREAD], out_path)
 }
 
 /// Measure one graph.
@@ -185,8 +188,8 @@ fn bench_case(name: &str, g: &Mdg, reps: usize, batch_k: usize) -> Row {
     let sharp = Sharpness::Smooth(64.0);
 
     // One workspace for every probe below: the scalar sweeps run on its
-    // `.inner`, the lane sweeps on its `.scratch`, both descents on its
-    // lane buffers.
+    // `.inner`, the lane sweeps on its `.scratch`, the descent on its
+    // `.descent`.
     let mut bw = BatchWorkspace::new();
     let ws = &mut bw.inner;
     let mut grad = Vec::new();
@@ -271,37 +274,6 @@ fn bench_case(name: &str, g: &Mdg, reps: usize, batch_k: usize) -> Row {
     row.set("tape_exp_vectors", stats.distinct_exponent_vectors as f64);
     row.set("record_ns_per_op", 1e3 * record / stats.slots.max(1) as f64);
 
-    // Fixed-iteration multistart stage over the same K start points:
-    // K sequential scalar descents vs one batched `descend_multi_stage`.
-    // rel_tol 0 keeps every lane running the full iteration budget so
-    // the two paths do the same number of gradient steps.
-    const MS_ITERS: usize = 20;
-    let starts: Vec<Vec<f64>> = (0..k).map(|l| (0..n).map(|j| xs[j * k + l]).collect()).collect();
-    // Warm the scalar path, then both measured paths restart from the
-    // same fresh start points each sample.
-    let mut warm = starts[0].clone();
-    let _ = descend_stage(&obj, &mut warm, sharp, MS_ITERS, 0.0, &mut bw);
-    let ms_reps = reps.min(7);
-    let scalar_multi = median_us(ms_reps, 1, || {
-        let mut total = 0usize;
-        for s in &starts {
-            let mut p = s.clone();
-            total += descend_stage(&obj, &mut p, sharp, MS_ITERS, 0.0, &mut bw);
-            std::hint::black_box(p[0]);
-        }
-        std::hint::black_box(total);
-    });
-    let mut points = starts.clone();
-    let _ = descend_multi_stage(&obj, &mut points, sharp, MS_ITERS, 0.0, &mut bw);
-    let lane_multi = median_us(ms_reps, 1, || {
-        let mut points = starts.clone();
-        let iters = descend_multi_stage(&obj, &mut points, sharp, MS_ITERS, 0.0, &mut bw);
-        std::hint::black_box((iters, points[0][0]));
-    });
-    row.set("multistart_us", scalar_multi);
-    row.set("multistart_batched_us", lane_multi);
-    row.set("multistart_speedup", ratio(scalar_multi, lane_multi));
-
     // Allocations per descent iteration, after a warm-up stage has sized
     // every buffer. Reads 0 unless the counting allocator is the global
     // allocator (it is in the `paradigm` binary).
@@ -322,8 +294,18 @@ fn bench_case(name: &str, g: &Mdg, reps: usize, batch_k: usize) -> Row {
     let per_iter = |count: u64| count as f64 / res.iterations.max(1) as f64;
     row.set("allocate_us", wall.as_secs_f64() * 1e6);
     row.set("allocate_iters", res.iterations as f64);
+    row.set("allocate_sweeps", swept.forward_sweeps as f64);
     row.set("forward_sweeps_per_iter", per_iter(swept.forward_sweeps));
     row.set("probes_per_iter", per_iter(swept.probes));
+
+    let phis = [0.0, ub / 2.0, ub].map(|x0| {
+        try_allocate_from(g, Machine::cm5(64), &SolverConfig::fast(), &vec![x0; n])
+            .expect("bench solve")
+            .phi
+            .phi
+    });
+    let best = phis.iter().copied().fold(f64::INFINITY, f64::min);
+    row.set("start_spread", phis.iter().map(|phi| phi / best - 1.0).fold(0.0, f64::max));
     row
 }
 
@@ -407,9 +389,9 @@ const ALLOCS: Gate = Gate {
 };
 
 /// The lane gate: from K = [`LANES_MIN_K`] up, one K-wide lane sweep must
-/// beat K scalar sweeps and one lane descent K scalar descents — as
-/// geometric means over the cases, since a single small graph can sit
-/// near parity. Both ratios are taken inside one process.
+/// beat K scalar sweeps — as a geometric mean over the cases, since a
+/// single small graph can sit near parity. The ratio is taken inside one
+/// process.
 const LANES: Gate = Gate {
     name: "lanes",
     check: |report| {
@@ -417,26 +399,33 @@ const LANES: Gate = Gate {
         if k < LANES_MIN_K {
             return Ok(format!("skipped at K = {k} (the scalar tape serves K < {LANES_MIN_K})"));
         }
-        let geomean = |key: &str| {
-            let logs: f64 = report.rows.iter().map(|row| row.num(key).ln()).sum();
-            (logs / report.rows.len().max(1) as f64).exp()
-        };
-        let (grad, multi) = (geomean("batch_grad_speedup"), geomean("multistart_speedup"));
-        if grad < 1.0 || multi < 1.0 {
-            let slowest = report
-                .rows
-                .iter()
-                .min_by(|a, b| a.num("batch_grad_speedup").total_cmp(&b.num("batch_grad_speedup")));
+        let speedup = |row: &Row| row.num("batch_grad_speedup");
+        let logs: f64 = report.rows.iter().map(|row| speedup(row).ln()).sum();
+        let grad = (logs / report.rows.len().max(1) as f64).exp();
+        if grad < 1.0 {
+            let slowest = report.rows.iter().min_by(|a, b| speedup(a).total_cmp(&speedup(b)));
             return Err(format!(
-                "at K = {k} the lane tape runs at {grad:.2}x (gradient) / {multi:.2}x (multistart) \
-                 of the scalar tape over all cases; slowest gradient: {}",
+                "at K = {k} the lane tape's gradient runs at {grad:.2}x of the scalar tape's over \
+                 all cases; slowest: {}",
                 slowest.map_or("?", Row::name)
             ));
         }
-        Ok(format!(
-            "at K = {k} the lane tape is {grad:.2}x (gradient) / {multi:.2}x (multistart) the \
-             scalar tape"
-        ))
+        Ok(format!("at K = {k} the lane tape's gradient is {grad:.2}x the scalar tape's"))
+    },
+};
+
+/// The start gate: the solver runs one start because a start converges —
+/// the three deterministic ones must land within [`SPREAD_LIMIT`] of the
+/// best on every case. Same libm, same number on every machine.
+const SPREAD: Gate = Gate {
+    name: "spread",
+    check: |report| {
+        let ok = format!("every case's three starts land within {SPREAD_LIMIT:e} of the best");
+        every_case(report, &ok, |row| {
+            let spread = row.num("start_spread");
+            (spread.is_nan() || spread > SPREAD_LIMIT)
+                .then(|| format!("lands {spread:.1e} apart from its three starts"))
+        })
     },
 };
 
@@ -452,7 +441,7 @@ mod tests {
             ("grad_speedup", 6.0),
             ("eval_grad_batched_us", 0.5),
             ("batch_grad_speedup", 4.0),
-            ("multistart_speedup", 3.2),
+            ("start_spread", 1.5e-4),
             ("forward_sweeps_per_iter", 2.3),
             ("probes_per_iter", 2.3),
             ("allocs_per_iter", 0.0),
@@ -491,7 +480,7 @@ mod tests {
         Report {
             title: "bench-solve (test)".into(),
             header: vec![
-                ("version", Json::num(4.0)),
+                ("version", Json::num(5.0)),
                 ("quick", Json::Bool(true)),
                 ("batch_k", Json::num(k as f64)),
             ],
@@ -506,7 +495,7 @@ mod tests {
         let rep = report(8, vec![tiny_case()]);
         let json = rep.render_json().expect("every key is listed");
         let doc = paradigm_serve::parse_json(&json).expect("valid JSON");
-        assert_eq!(doc.get("version").and_then(Json::as_u64), Some(4));
+        assert_eq!(doc.get("version").and_then(Json::as_u64), Some(5));
         assert_eq!(doc.get("quick").and_then(Json::as_bool), Some(true));
         assert_eq!(doc.get("batch_k").and_then(Json::as_u64), Some(8));
         let cases = doc.get("cases").and_then(Json::as_arr).expect("cases array");
@@ -516,7 +505,7 @@ mod tests {
         assert_eq!(cases[0].get("grad_speedup").and_then(Json::as_f64), Some(6.0));
         assert_eq!(cases[0].get("eval_grad_batched_us").and_then(Json::as_f64), Some(0.5));
         assert_eq!(cases[0].get("batch_grad_speedup").and_then(Json::as_f64), Some(4.0));
-        assert_eq!(cases[0].get("multistart_speedup").and_then(Json::as_f64), Some(3.2));
+        assert_eq!(cases[0].get("start_spread").and_then(Json::as_f64), Some(1.5e-4));
         assert_eq!(cases[0].get("forward_sweeps_per_iter").and_then(Json::as_f64), Some(2.3));
         assert_eq!(cases[0].get("probes_per_iter").and_then(Json::as_f64), Some(2.3));
         assert_eq!(cases[0].get("tape_ops").and_then(Json::as_u64), Some(40));
@@ -578,6 +567,18 @@ mod tests {
     }
 
     #[test]
+    fn spread_gate_fails_a_case_whose_starts_disagree() {
+        let ok = (SPREAD.check)(&report(8, vec![tiny_case()])).expect("1.5e-4 apart");
+        assert!(ok.contains("within 5e-3"), "{ok}");
+        // The parent's strassen-ml at p = 64: best of four capped starts.
+        let capped = tiny_with("capped", "start_spread", 0.22);
+        let err = (SPREAD.check)(&report(8, vec![tiny_case(), capped])).expect_err("22 % apart");
+        assert!(err.starts_with("capped lands 2.2e-1 apart"), "{err}");
+        let nan = tiny_with("nan", "start_spread", f64::NAN);
+        assert!((SPREAD.check)(&report(8, vec![nan])).is_err());
+    }
+
+    #[test]
     fn bench_case_on_fig1_produces_sane_numbers() {
         let g = paradigm_mdg::example_fig1_mdg();
         let c = bench_case("fig1", &g, 3, 4);
@@ -586,9 +587,8 @@ mod tests {
         assert!(c.num("eval_grad_us") > 0.0 && c.num("grad_forward_us") > 0.0);
         assert!(c.num("grad_speedup") > 0.0);
         assert!(c.num("eval_grad_batched_us") > 0.0 && c.num("batch_grad_speedup") > 0.0);
-        assert!(c.num("multistart_us") > 0.0 && c.num("multistart_batched_us") > 0.0);
-        assert!(c.num("multistart_speedup") > 0.0);
         assert!(c.num("allocate_iters") > 0.0);
+        assert!((0.0..=SPREAD_LIMIT).contains(&c.num("start_spread")), "{}", c.num("start_spread"));
         let Some(Json::Obj(sweeps)) = c.get("sweeps") else { panic!("no sweep table") };
         let rows: Vec<&str> = sweeps.iter().map(|(sharp, _)| sharp.as_str()).collect();
         assert_eq!(rows, ["exact", "8", "64", "256"]);

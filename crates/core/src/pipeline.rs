@@ -57,7 +57,7 @@ pub struct SolveSpec {
     pub simulate: bool,
     /// Solve the allocation on the consensus-ADMM tier instead of the
     /// dense solver. Never chosen by graph size: on one box the tier is
-    /// 5–9× slower than the dense solve at every size that partitions
+    /// 20–35× slower than the dense solve at every size that partitions
     /// (DESIGN.md §13); it buys distribution over a worker fleet's memory
     /// and cores.
     pub admm: bool,

@@ -1,7 +1,7 @@
 //! A counting global allocator for allocation-accounting tests and the
 //! `bench-solve` allocs-per-iteration metric.
 //!
-//! Wraps the system allocator and bumps a relaxed atomic on every
+//! Wraps the system allocator and bumps a thread-local counter on every
 //! `alloc` / `alloc_zeroed` / `realloc`. Install it with
 //!
 //! ```ignore
@@ -10,18 +10,26 @@
 //! ```
 //!
 //! and read deltas of [`allocation_count`] around the region of
-//! interest. Counts are process-global, so measurements are only
-//! meaningful while no other thread allocates — the `alloc_free` test
-//! and the benchmark take their deltas on a single thread.
+//! interest. Counts are per thread: a delta is the measuring thread's own
+//! allocations, whatever libtest's main thread or a sibling test does
+//! meanwhile (a process-global counter made `alloc_free` fail one run in
+//! twelve).
 
 use std::alloc::{GlobalAlloc, Layout, System};
-// The global allocator must never hit a model scheduling point: a shim
-// atomic inside `alloc()` would re-enter the scheduler from every
-// allocation the scheduler itself performs. Raw std stays correct here —
-// the counter is diagnostic, not synchronization. (raw-sync: allow)
-use std::sync::atomic::{AtomicU64, Ordering}; // raw-sync: allow
+use std::cell::Cell;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    // `const` initialiser, no destructor: no lazy initialisation that
+    // could allocate from inside the allocator, nothing to run at thread
+    // exit.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Count one allocation event on the calling thread. `try_with`: a
+/// thread past the teardown of its locals still allocates.
+fn count() {
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
 
 /// System allocator wrapper that counts allocation events (frees are not
 /// counted: the metric of interest is "how often does the hot loop ask
@@ -34,7 +42,7 @@ pub struct CountingAllocator;
 // the returned memory.
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count();
         unsafe { System.alloc(layout) }
     }
 
@@ -43,18 +51,18 @@ unsafe impl GlobalAlloc for CountingAllocator {
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count();
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
 
-/// Number of allocation events since process start (0 unless
+/// Number of allocation events the calling thread has made (0 unless
 /// [`CountingAllocator`] is installed as the global allocator).
 pub fn allocation_count() -> u64 {
-    ALLOCATIONS.load(Ordering::Relaxed)
+    ALLOCATIONS.try_with(Cell::get).unwrap_or(0)
 }

@@ -1,17 +1,19 @@
 //! The lane executor: K-wide sweeps of the level program.
 //!
-//! Multistart descends K start points against one objective, sweeping
-//! the *same* [`LevelProgram`] at each. The lane sweeps
+//! K points of one objective sweep the *same* [`LevelProgram`]. The lane
+//! sweeps
 //! (`LevelProgram::forward_lanes` here; `LevelProgram::push_adjoints`
 //! and `LevelProgram::accumulate` at `k > 1`, whose arithmetic is the
 //! scalar executor's) widen every tape slot to a lane-major row of `k`
 //! values (`slot * k + lane`) and run the program level by level, like
 //! the scalar forward sweep in [`crate::compiled`].
 //!
-//! It has one caller in the solver, the smooth stages of the multistart
-//! (`solve.rs`, K = 4 under `fast()`, 6 under `default()`); every K ≤ 2
-//! caller and every exact sweep stays on the scalar executor (DESIGN.md
-//! §11 has the measured per-lane table).
+//! No descent runs on it any more: since the dense solve became one
+//! start (PR 20) every descent, and every exact sweep, is on the scalar
+//! executor. It stays for its outside callers — the repo benchmark's
+//! `solver.eval_grad_batch8_us` probe and `bench-solve`'s lane columns —
+//! until a `benchmark` PR lets it go (ROADMAP; DESIGN.md §11 has the
+//! measured per-lane table).
 //!
 //! What is vectorised, on a baseline x86-64 build (SSE2, two `f64` per
 //! register — not the "eight lanes fill one AVX-512 register" of earlier

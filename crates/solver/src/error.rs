@@ -6,7 +6,7 @@
 //! instead of a dead worker. [`FallbackTier`] records which rung of the
 //! ladder produced an [`crate::AllocationResult`]:
 //!
-//! 1. `Primary` — projected gradient converged normally;
+//! 1. `Primary` — the projected descent solve succeeded;
 //! 2. `Coordinate` — the gradient solver failed, the gradient-free
 //!    coordinate-descent cross-check produced the allocation;
 //! 3. `EqualSplit` — both solvers failed; the analytic `p/m`-per-node
@@ -56,15 +56,16 @@ impl std::fmt::Display for FallbackTier {
 /// A solver failure the caller can act on (retry, degrade, reject).
 #[derive(Debug, Clone, PartialEq)]
 pub enum SolverError {
-    /// The [`crate::SolverConfig`] itself is unusable (non-finite
-    /// sharpness, sharpness below 1, bad tolerance).
+    /// The [`crate::SolverConfig`] or the caller's start point is unusable
+    /// (non-finite sharpness, sharpness below 1, bad tolerance; a start of
+    /// the wrong length or outside the box).
     InvalidConfig(String),
     /// The (graph, machine) pair cannot form a valid objective
     /// (non-finite node costs, invalid transfer constants).
     BadObjective(String),
-    /// Every start converged to a non-finite objective value.
+    /// The solve ended on a non-finite objective value.
     NonFinite {
-        /// The best (still non-finite) `Phi` observed.
+        /// The (non-finite) `Phi` it ended on.
         phi: f64,
     },
     /// The time/iteration budget was exhausted before any descent

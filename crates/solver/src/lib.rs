@@ -15,8 +15,8 @@
 //! (Section 2's claim; the one exception, the 1D network term when
 //! `t_n > 0`, is replaced by a monomial upper bound; see
 //! [`objective`]). A convex function over a box has no spurious local
-//! minima, so a projected-gradient method with a smoothed `max` finds the
-//! global optimum.
+//! minima, so a projected descent method with a smoothed `max` finds the
+//! global optimum from one start.
 //!
 //! Module map:
 //! * [`expr`] — generalized posynomial expression trees with smoothed
@@ -26,12 +26,13 @@
 //!   level (no re-evaluation on the backward pass, a level's smoothed
 //!   maxes through one elementwise kernel), and the scalar executor;
 //! * [`batch`] — the lane executor: the same sweeps over K lane-major
-//!   points;
+//!   points (no descent runs on it; the repo benchmark probes it);
 //! * [`objective`] — assembles `Phi` for an (MDG, machine) pair;
-//! * [`descent`] — the one projected-gradient stage (Armijo backtracking
-//!   over K lane-major points) every descent in the tree calls;
-//! * [`solve`] — sharpness annealing and multi-start over that stage,
-//!   the dense models of both tape executors;
+//! * [`descent`] — the one projected descent stage (Armijo backtracking
+//!   along a limited-memory quasi-Newton or gradient direction, ended by
+//!   a stationarity test) every descent in the tree calls;
+//! * [`solve`] — sharpness annealing over that stage from one start,
+//!   then the exact polish;
 //! * [`bruteforce`] — exact power-of-two enumeration oracle for small
 //!   graphs (used to validate solver quality);
 //! * [`convexity`] — numeric convexity probes used by tests/ablations;
@@ -61,13 +62,14 @@ pub use alloc_count::{allocation_count, CountingAllocator};
 pub use bruteforce::{brute_force_pow2, BruteForceResult};
 pub use compiled::TapeStats;
 pub use coordinate::{allocate_coordinate, CoordinateConfig, CoordinateResult};
-pub use descent::{descend, DescentLanes, DescentModel, Stage};
+pub use descent::{descend, DescentModel, DescentState, Stage};
 pub use error::{FallbackTier, SolverError};
 pub use expr::{Expr, Monomial};
 pub use objective::MdgObjective;
 pub use solve::{
-    allocate, allocate_resilient, check_annealing, descend_multi_stage, descend_stage,
-    equal_split_allocation, optimality_residual, try_allocate, AllocationResult, SolverConfig,
+    allocate, allocate_resilient, check_annealing, descend_stage, equal_split_allocation,
+    optimality_residual, try_allocate, try_allocate_from, AllocationResult, SolverConfig,
+    QN_MEMORY, STATIONARITY_TOL,
 };
 pub use workspace::{
     BatchEvalScratch, BatchWorkspace, EvalScratch, PooledBatchWorkspace, SolverWorkspace,

@@ -1,34 +1,28 @@
-//! Projected-gradient solver for the allocation convex program.
+//! Projected descent solver for the allocation convex program.
 //!
 //! The objective is convex in `x = ln p` over the box `[0, ln p]^n`
-//! (see [`crate::objective`]), so projected gradient descent with an
+//! (see [`crate::objective`]), so a projected descent method with an
 //! Armijo backtracking line search converges to the global minimum of the
-//! smoothed objective; annealing the max-sharpness upward then drives the
-//! smoothed optimum onto the exact one. Multi-start is kept as a
-//! safety net (it also randomizes tie-breaking on the max kinks).
+//! smoothed objective from any start; annealing the max-sharpness upward
+//! then drives the smoothed optimum onto the exact one. One start — the
+//! midpoint of the box — is therefore all a solve runs: each smooth stage
+//! descends along a limited-memory quasi-Newton direction until its
+//! projected gradient is stationary ([`QN_MEMORY`], [`STATIONARITY_TOL`]),
+//! and an exact-max projected-subgradient polish ends the solve.
 //!
-//! Every stage is a call of [`crate::descent::descend`]; this module
-//! supplies its two dense models, one per tape executor, picked by the
-//! call site's K: the smooth stages of the multistart (K = 6 starts by
-//! default, 4 under [`SolverConfig::fast`]) replay the lane tape of
-//! [`crate::batch`], in serial chunks of `BATCH_K`; every K ≤ 2 caller —
-//! the per-start exact polish, ADMM block solves, [`optimality_residual`],
-//! coordinate descent — runs the scalar tape, which is 1.4–1.7× faster than
-//! the lane kernels at K = 1 (DESIGN.md §11 has the measured ratios).
+//! Every stage is a call of [`crate::descent::descend`] on the scalar
+//! tape, which is 1.4–1.7× faster than the lane kernels at one point
+//! (DESIGN.md §11 has the measured ratios and the convergence table).
 
 use crate::coordinate::{allocate_coordinate, CoordinateConfig};
-use crate::descent::{descend, DescentLanes, DescentModel, Stage};
+use crate::descent::{descend, DescentModel, DescentState, Stage};
 use crate::error::{FallbackTier, SolverError};
 use crate::expr::Sharpness;
-use crate::objective::{MdgObjective, ObjectiveParts};
-use crate::workspace::{
-    self, BatchEvalScratch, BatchWorkspace, EvalScratch, SolverWorkspace, SweepCounts,
-};
+use crate::objective::MdgObjective;
+use crate::workspace::{self, BatchWorkspace, EvalScratch, SolverWorkspace, SweepCounts};
 use paradigm_cost::{Allocation, Machine, MdgWeights, PhiBreakdown};
 use paradigm_mdg::Mdg;
 use paradigm_race::time::Instant;
-use rand::rngs::StdRng;
-use rand::{RngExt, SeedableRng};
 use std::cell::Cell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Duration;
@@ -40,21 +34,18 @@ pub struct SolverConfig {
     /// Increasing p-norm sharpness stages; a final exact-max polish stage
     /// is always appended.
     pub sharpness_schedule: Vec<f64>,
-    /// Gradient iterations per stage.
+    /// Iteration cap of each stage.
     pub max_iters_per_stage: usize,
-    /// Stop a stage when the projected-gradient step improves `Phi` by
-    /// less than this relative amount.
+    /// Stop a stage when an accepted step improves `Phi` by less than
+    /// this relative amount.
     pub rel_tol: f64,
-    /// Number of random interior starts (in addition to the three
-    /// deterministic ones: all-1, all-p, geometric midpoint).
-    pub random_starts: usize,
-    /// Watchdog wall-time budget across all starts; when it expires the
-    /// solver returns its best iterate so far, or
+    /// Watchdog wall-time budget of the solve; when it expires the
+    /// solver returns its iterate so far, or
     /// [`SolverError::BudgetExceeded`] if no iteration ever ran. `None`
     /// never expires.
     pub time_limit: Option<Duration>,
-    /// Watchdog budget on total gradient iterations summed over all
-    /// starts and stages; same semantics as `time_limit`.
+    /// Watchdog budget on total descent iterations summed over all
+    /// stages; same semantics as `time_limit`.
     pub max_total_iters: Option<usize>,
 }
 
@@ -64,7 +55,6 @@ impl Default for SolverConfig {
             sharpness_schedule: vec![4.0, 16.0, 64.0, 256.0],
             max_iters_per_stage: 400,
             rel_tol: 1e-10,
-            random_starts: 3,
             time_limit: None,
             max_total_iters: None,
         }
@@ -77,27 +67,22 @@ impl SolverConfig {
         SolverConfig {
             sharpness_schedule: vec![8.0, 64.0],
             max_iters_per_stage: 150,
-            random_starts: 1,
             ..SolverConfig::default()
         }
     }
 }
 
-/// RNG seed of the random starts: fixed, so a solve is a pure function of
-/// its graph, machine and config.
-const START_SEED: u64 = 0x5eed;
-
 /// The outcome of one allocation solve.
 #[derive(Debug, Clone)]
 pub struct AllocationResult {
-    /// The best continuous allocation found.
+    /// The continuous allocation found.
     pub alloc: Allocation,
     /// Exact (true-max) objective breakdown at `alloc`; `phi.phi` is the
     /// paper's `Phi` — the optimum finish time lower bound.
     pub phi: PhiBreakdown,
-    /// Total gradient iterations across all starts and stages.
+    /// Total descent iterations across all stages.
     pub iterations: usize,
-    /// Number of starts evaluated.
+    /// Number of starts descended: 1 (0 for the analytic equal split).
     pub starts: usize,
     /// Which rung of the degradation ladder produced this result
     /// ([`FallbackTier::Primary`] unless a resilient entry point fell
@@ -105,16 +90,7 @@ pub struct AllocationResult {
     pub tier: FallbackTier,
 }
 
-/// Lane width of the batched multistart: starts are grouped into fixed
-/// consecutive chunks of this many lanes, run one after the other, each
-/// chunk descending through one shared-tape batched gradient per
-/// iteration. Eight lanes hold every config in the tree in one
-/// chunk: `SolverConfig::default()` runs 6 starts (3 deterministic + 3
-/// random), `fast()` runs 4.
-const BATCH_K: usize = 8;
-
-/// Watchdog budget of one solve (all its starts run on one thread),
-/// checked by every descent iteration.
+/// Watchdog budget of one solve, checked by every descent iteration.
 struct Budget {
     deadline: Option<Instant>,
     max_iters: Option<usize>,
@@ -145,10 +121,8 @@ impl Budget {
         if let Some(d) = self.deadline {
             // `Instant::now()` is a vDSO call but still dominates a cheap
             // descent iteration when taken every time; amortize the clock
-            // read to once per 64 charged iterations. The counter advances
-            // by the live-lane count, so the test is "has it passed the
-            // next check point", not "is it a multiple of 64" (the first
-            // check, at `used == 0`, always consults the clock, so an
+            // read to once per 64 charged iterations (the first check, at
+            // `used == 0`, always consults the clock, so an
             // already-expired deadline is caught before any work).
             if used >= self.next_check.get() {
                 self.next_check.set(used + 64);
@@ -167,12 +141,12 @@ impl Budget {
     }
 
     /// The dense stages' per-iteration tick: refuse once exhausted,
-    /// otherwise charge one iteration per live lane.
-    fn charge(&self, live: usize) -> bool {
+    /// otherwise charge one iteration.
+    fn charge(&self) -> bool {
         if self.exhausted() {
             return false;
         }
-        self.used.set(self.used.get() + live);
+        self.used.set(self.used.get() + 1);
         true
     }
 }
@@ -216,10 +190,12 @@ pub fn allocate(g: &Mdg, machine: Machine, cfg: &SolverConfig) -> AllocationResu
 
 /// Fallible [`allocate`]: validates the configuration and the objective,
 /// enforces the watchdog budget, and returns a typed [`SolverError`]
-/// instead of panicking.
+/// instead of panicking. The solve is [`try_allocate_from`] the midpoint
+/// of the box — not a corner: from `x = 0` every `max(p_i, p_j)` of the
+/// transfer costs ties, and an exact-only schedule stalls on the tie.
 ///
-/// Budget semantics: if the budget expires *mid-run*, the best iterate
-/// found so far is returned (`Ok`); if it was already exhausted before
+/// Budget semantics: if the budget expires *mid-run*, the iterate
+/// reached so far is returned (`Ok`); if it was already exhausted before
 /// any descent iteration ran (e.g. `time_limit` of zero), the solver has
 /// nothing useful to return and fails with
 /// [`SolverError::BudgetExceeded`].
@@ -228,38 +204,43 @@ pub fn try_allocate(
     machine: Machine,
     cfg: &SolverConfig,
 ) -> Result<AllocationResult, SolverError> {
+    let midpoint = (machine.procs.max(1) as f64).ln() / 2.0;
+    try_allocate_from(g, machine, cfg, &vec![midpoint; g.node_count()])
+}
+
+/// [`try_allocate`] from the caller's start `x0` (`x = ln p` per node,
+/// inside the box `[0, ln p]^n`; the START and STOP entries are pinned to
+/// 0 whatever they hold): every stage of the sharpness ladder, then the
+/// exact polish, out of one pooled workspace. The program is convex, so
+/// the start moves the answer only by what the stages leave unconverged —
+/// the start-independence test and `bench-solve`'s `start_spread` measure
+/// exactly that through this entry point.
+pub fn try_allocate_from(
+    g: &Mdg,
+    machine: Machine,
+    cfg: &SolverConfig,
+    x0: &[f64],
+) -> Result<AllocationResult, SolverError> {
     let started = Instant::now();
     check_annealing(&cfg.sharpness_schedule, cfg.rel_tol).map_err(SolverError::InvalidConfig)?;
     let obj = MdgObjective::try_new(g, machine).map_err(SolverError::BadObjective)?;
-    let n = obj.num_vars();
     let ub = obj.x_upper();
+    if x0.len() != obj.num_vars() {
+        return Err(SolverError::InvalidConfig(format!(
+            "start has {} entries for {} variables",
+            x0.len(),
+            obj.num_vars()
+        )));
+    }
+    if let Some(v) = x0.iter().find(|v| !(0.0..=ub).contains(*v)) {
+        return Err(SolverError::InvalidConfig(format!("start entry {v} is outside [0, {ub}]")));
+    }
 
     let budget = Budget::new(cfg.time_limit.map(|d| started + d), cfg.max_total_iters);
     if budget.exhausted() {
         return Err(SolverError::BudgetExceeded { elapsed: started.elapsed(), iterations: 0 });
     }
 
-    // Deterministic starts.
-    let mut starts: Vec<Vec<f64>> = vec![vec![0.0; n], vec![ub; n], vec![ub / 2.0; n]];
-    let mut rng = StdRng::seed_from_u64(START_SEED);
-    for _ in 0..cfg.random_starts {
-        starts.push((0..n).map(|_| rng.random_range(0.0..=ub)).collect());
-    }
-    // Structural variables pinned to ln 1 = 0 (they never appear in the
-    // objective, but a clean value keeps reports readable).
-    for s in &mut starts {
-        s[g.start().0] = 0.0;
-        s[g.stop().0] = 0.0;
-    }
-
-    // Starts descend in fixed consecutive chunks of `BATCH_K`, one chunk
-    // after the other: the smooth annealing stages of a chunk share one
-    // lane-tape sweep per probe round (lane l = start `chunk_base + l`),
-    // then each start gets its exact polish on the scalar tape. A lane's
-    // arithmetic is independent of its batch-mates, so a start's result
-    // does not depend on the chunking. The pooled workspace keeps its
-    // buffers warm across chunks and across solves (serve workers re-hit
-    // the same pool on every cache miss).
     let mut stages = cfg.sharpness_schedule.clone();
     stages.sort_by(f64::total_cmp);
     let dense = DenseStages {
@@ -268,63 +249,33 @@ pub fn try_allocate(
         rel_tol: cfg.rel_tol,
         budget: &budget,
     };
+    // The pooled workspace keeps its buffers warm across solves (serve
+    // workers re-hit the same pool on every cache miss).
     let mut bw = workspace::acquire();
-    let mut total_iters = 0;
-    for chunk in starts.chunks_mut(BATCH_K) {
-        let k = chunk.len();
-        let BatchWorkspace { scratch, inner, lanes, parts } = &mut *bw;
-        lanes.shape(n, k);
-        for (l, x0) in chunk.iter().enumerate() {
-            lanes.load(l, x0);
-        }
-        for &s in &stages {
-            let mut smooth = LaneTape { obj: &obj, sharp: Sharpness::Smooth(s), scratch, parts };
-            total_iters += dense.run(&mut smooth, lanes);
-        }
-        // Every lane's smooth result leaves the lane buffers before the
-        // first polish reuses them at K = 1.
-        for (l, x) in chunk.iter_mut().enumerate() {
-            lanes.store(l, x);
-        }
-        lanes.shape(n, 1);
-        let mut exact =
-            ScalarTape { obj: &obj, sharp: Sharpness::Exact, scratch: &mut inner.scratch };
-        for x in chunk.iter_mut() {
-            lanes.load(0, x);
-            total_iters += dense.run(&mut exact, lanes);
-            lanes.store(0, x);
-        }
+    let BatchWorkspace { inner, descent, .. } = &mut *bw;
+    // Structural variables pinned to ln 1 = 0 (they never appear in the
+    // objective, but a clean value keeps reports readable).
+    let mut x = x0.to_vec();
+    x[g.start().0] = 0.0;
+    x[g.stop().0] = 0.0;
+    descent.load(&x);
+    let mut iterations = 0;
+    let sharps = stages.iter().map(|&s| Sharpness::Smooth(s)).chain([Sharpness::Exact]);
+    for sharp in sharps {
+        let mut model = ScalarTape { obj: &obj, sharp, scratch: &mut inner.scratch };
+        iterations += dense.run(&mut model, descent);
     }
+    let alloc = obj.allocation_from_x(descent.x());
     drop(bw);
 
-    let mut best: Option<(Allocation, PhiBreakdown)> = None;
-    for x in &starts {
-        let alloc = obj.allocation_from_x(x);
-        let phi = obj.exact_phi(&alloc);
-        let better = match &best {
-            None => true,
-            Some((_, b)) => phi.phi < b.phi,
-        };
-        if better {
-            best = Some((alloc, phi));
-        }
-    }
-    let Some((alloc, phi)) = best else {
-        return Err(SolverError::NonFinite { phi: f64::NAN });
-    };
-    if total_iters == 0 && budget.exhausted() {
+    let phi = obj.exact_phi(&alloc);
+    if iterations == 0 && budget.exhausted() {
         return Err(SolverError::BudgetExceeded { elapsed: started.elapsed(), iterations: 0 });
     }
     if !phi.phi.is_finite() {
         return Err(SolverError::NonFinite { phi: phi.phi });
     }
-    Ok(AllocationResult {
-        alloc,
-        phi,
-        iterations: total_iters,
-        starts: starts.len(),
-        tier: FallbackTier::Primary,
-    })
+    Ok(AllocationResult { alloc, phi, iterations, starts: 1, tier: FallbackTier::Primary })
 }
 
 /// The degradation ladder: [`try_allocate`], then gradient-free
@@ -428,33 +379,7 @@ pub fn optimality_residual(obj: &MdgObjective<'_>, x: &[f64], sharp: Sharpness) 
     best / parts.phi.abs().max(f64::MIN_POSITIVE)
 }
 
-/// The dense objective on the lane tape: K points per sweep, smooth
-/// sharpness only (the multistart's annealing stages).
-struct LaneTape<'a, 'g> {
-    obj: &'a MdgObjective<'g>,
-    sharp: Sharpness,
-    scratch: &'a mut BatchEvalScratch,
-    parts: &'a mut Vec<ObjectiveParts>,
-}
-
-impl DescentModel for LaneTape<'_, '_> {
-    fn probe(&mut self, xs: &[f64], k: usize, f: &mut [f64]) {
-        self.parts.resize(k, ObjectiveParts { phi: 0.0, a_p: 0.0, c_p: 0.0 });
-        self.obj.forward_record_batch(xs, k, self.sharp, self.scratch, self.parts);
-        for (f, p) in f.iter_mut().zip(self.parts.iter()) {
-            *f = p.phi;
-        }
-    }
-    fn replay(&mut self, _xs: &[f64], k: usize, grads: &mut Vec<f64>) {
-        self.obj.backward_replay_batch(k, self.scratch, grads);
-    }
-    fn counts(&mut self) -> &mut SweepCounts {
-        &mut self.scratch.counts
-    }
-}
-
-/// The dense objective on the scalar tape: one point, any sharpness (the
-/// per-start exact polish, [`descend_stage`]).
+/// The dense objective on the scalar tape.
 struct ScalarTape<'a, 'g> {
     obj: &'a MdgObjective<'g>,
     sharp: Sharpness,
@@ -462,16 +387,25 @@ struct ScalarTape<'a, 'g> {
 }
 
 impl DescentModel for ScalarTape<'_, '_> {
-    fn probe(&mut self, x: &[f64], _k: usize, f: &mut [f64]) {
-        f[0] = self.obj.forward_record(x, self.sharp, self.scratch).phi;
+    fn probe(&mut self, x: &[f64]) -> f64 {
+        self.obj.forward_record(x, self.sharp, self.scratch).phi
     }
-    fn replay(&mut self, _x: &[f64], _k: usize, grad: &mut Vec<f64>) {
+    fn replay(&mut self, _x: &[f64], grad: &mut Vec<f64>) {
         self.obj.backward_replay_phi(self.scratch, grad);
     }
     fn counts(&mut self) -> &mut SweepCounts {
         &mut self.scratch.counts
     }
 }
+
+/// Pairs a smooth dense stage builds its quasi-Newton direction from, and
+/// the relative projected-gradient norm it stops on. Constants, not
+/// knobs: 4 / 8 / 16 pairs and tolerances from 1e-5 to 1e-8 move the
+/// benchmark's solve times by ≤ 20 % and its Φ geomeans by < 1e-4
+/// (DESIGN.md §11).
+pub const QN_MEMORY: usize = 8;
+/// See [`QN_MEMORY`].
+pub const STATIONARITY_TOL: f64 = 1e-6;
 
 /// What every dense stage shares: all variables free in `[0, ln p]^n`,
 /// 40 probes per line search, the dense stop rule, the watchdog as the
@@ -484,59 +418,35 @@ struct DenseStages<'a, 'g> {
 }
 
 impl DenseStages<'_, '_> {
-    /// One stage of `model` on the points loaded in `lanes`, from step
-    /// 0.25. Returns the iterations summed over lanes (== budget charge).
-    fn run(&self, model: &mut impl DescentModel, lanes: &mut DescentLanes) -> usize {
-        lanes.reset();
-        let stage =
-            Stage { free: None, ub: self.obj.x_upper(), max_iters: self.max_iters, max_probes: 40 };
+    /// One stage of `model` from the point loaded in `descent`, from
+    /// step 0.25: quasi-Newton to stationarity at a smooth sharpness,
+    /// projected subgradient at the exact max, which has no curvature to
+    /// learn. Returns the iterations (== budget charge).
+    fn run(&self, model: &mut ScalarTape<'_, '_>, descent: &mut DescentState) -> usize {
+        descent.reset();
+        let (memory, gtol) = match model.sharp {
+            Sharpness::Smooth(_) => (QN_MEMORY, STATIONARITY_TOL),
+            Sharpness::Exact => (0, 0.0),
+        };
+        let stage = Stage {
+            free: None,
+            ub: self.obj.x_upper(),
+            max_iters: self.max_iters,
+            max_probes: 40,
+            memory,
+            gtol,
+        };
         let rel_tol = self.rel_tol;
         descend(
             model,
-            lanes,
+            descent,
             &stage,
             |improve, f, moved| {
                 improve <= rel_tol * f.abs() && (moved < 1e-12 || (improve >= 0.0 && moved < 1e-9))
             },
-            |live| self.budget.charge(live),
+            || self.budget.charge(),
         )
     }
-}
-
-/// Public batched single-stage descent entry point with no watchdog:
-/// runs one smooth stage of the lane tape on `points` (K = their count)
-/// out of the caller's workspace and writes the final iterates back.
-/// Returns the summed iteration count. Used by the `bench-solve` batched
-/// cases and the batched allocation-free test; the solver proper goes
-/// through [`try_allocate`].
-///
-/// # Panics
-/// At [`Sharpness::Exact`]: the lane tape is smooth-only, exact stages
-/// run on the scalar tape ([`descend_stage`]).
-pub fn descend_multi_stage(
-    obj: &MdgObjective<'_>,
-    points: &mut [Vec<f64>],
-    sharp: Sharpness,
-    max_iters: usize,
-    rel_tol: f64,
-    bw: &mut BatchWorkspace,
-) -> usize {
-    let k = points.len();
-    if k == 0 {
-        return 0;
-    }
-    let BatchWorkspace { scratch, lanes, parts, .. } = bw;
-    lanes.shape(obj.num_vars(), k);
-    for (l, p) in points.iter().enumerate() {
-        lanes.load(l, p);
-    }
-    let budget = Budget::new(None, None);
-    let mut model = LaneTape { obj, sharp, scratch, parts };
-    let iters = DenseStages { obj, max_iters, rel_tol, budget: &budget }.run(&mut model, lanes);
-    for (l, p) in points.iter_mut().enumerate() {
-        lanes.store(l, p);
-    }
-    iters
 }
 
 /// Public single-stage descent entry point with no watchdog: runs one
@@ -553,13 +463,12 @@ pub fn descend_stage(
     rel_tol: f64,
     bw: &mut BatchWorkspace,
 ) -> usize {
-    let BatchWorkspace { inner, lanes, .. } = bw;
-    lanes.shape(obj.num_vars(), 1);
-    lanes.load(0, x);
+    let BatchWorkspace { inner, descent, .. } = bw;
+    descent.load(x);
     let budget = Budget::new(None, None);
     let mut model = ScalarTape { obj, sharp, scratch: &mut inner.scratch };
-    let iters = DenseStages { obj, max_iters, rel_tol, budget: &budget }.run(&mut model, lanes);
-    lanes.store(0, x);
+    let iters = DenseStages { obj, max_iters, rel_tol, budget: &budget }.run(&mut model, descent);
+    x.copy_from_slice(descent.x());
     iters
 }
 
@@ -688,16 +597,14 @@ mod tests {
     }
 
     #[test]
-    fn deadline_is_seen_within_64_charged_iterations_at_any_lane_count() {
-        // A chunk that loses lanes charges 6, 5, 4, 4, …: the counter
-        // turns odd and never lands on a multiple of 64 again.
+    fn deadline_is_seen_within_64_charged_iterations() {
         let budget = Budget::new(Some(Instant::now() + Duration::from_secs(3600)), None);
-        assert!(budget.charge(6) && budget.charge(5));
-        // The deadline passes mid-chunk.
+        assert!(budget.charge() && budget.charge());
+        // The deadline passes mid-solve.
         let budget = Budget { deadline: Some(Instant::now()), ..budget };
         let mut charged = 0;
-        while budget.charge(4) {
-            charged += 4;
+        while budget.charge() {
+            charged += 1;
             assert!(charged <= 64, "an expired deadline went unseen for {charged} iterations");
         }
     }
@@ -708,10 +615,7 @@ mod tests {
         let cfg = SolverConfig { max_total_iters: Some(5), ..SolverConfig::fast() };
         let r = try_allocate(&g, Machine::cm5(4), &cfg).unwrap();
         assert!(r.phi.phi.is_finite() && r.phi.phi > 0.0);
-        // The counter is checked once per iteration and charged one per
-        // live lane, so it may overshoot by at most one per start; the
-        // point is the watchdog cut the run short.
-        assert!(r.iterations <= 5 + r.starts, "{} iterations", r.iterations);
+        assert!(r.iterations <= 5, "{} iterations", r.iterations);
         assert_eq!(r.tier, FallbackTier::Primary);
     }
 

@@ -21,13 +21,13 @@
 //!
 //! A [`BatchWorkspace`] is three borrowable groups — the lane sweep
 //! scratch, the scalar [`SolverWorkspace`] (`.inner`) and the descent
-//! stage's [`DescentLanes`] — so a descent model can borrow a scratch
-//! while the stage holds the iterates: disjoint fields, disjoint borrows.
+//! stage's [`DescentState`] — so a descent model can borrow a scratch
+//! while the stage holds the iterate: disjoint fields, disjoint borrows.
 //!
 //! Workspaces are checked out of one small global pool
 //! ([`acquire`]/[`PooledBatchWorkspace`]) so long-lived callers — the
-//! serving layer's worker threads, the multistart solver's chunk
-//! threads, ADMM block backends — reuse warm buffers across solves
+//! serving layer's worker threads, ADMM block backends — reuse warm
+//! buffers across solves
 //! instead of re-growing them. The pool holds [`BatchWorkspace`]s;
 //! scalar callers use the embedded `.inner` [`SolverWorkspace`] (lane
 //! sweep buffers they never size stay empty). The pool is deliberately simple:
@@ -36,8 +36,7 @@
 //! up in profiles.
 
 use crate::compiled::{LevelProgram, VarCache};
-use crate::descent::DescentLanes;
-use crate::objective::ObjectiveParts;
+use crate::descent::DescentState;
 use paradigm_race::plock;
 use paradigm_race::sync::atomic::{AtomicU64, Ordering};
 use paradigm_race::sync::Mutex;
@@ -54,7 +53,7 @@ pub struct SweepCounts {
     /// Backward tape replays, counted the same way.
     pub backward_sweeps: u64,
     /// Points a descent loop evaluated through this scratch: every
-    /// line-search probe plus each stage's start (K per lane round).
+    /// line-search probe plus each stage's start.
     pub probes: u64,
     /// `exp` calls of the forward sweeps: one per variable per point for
     /// the variable cache plus, on an exact sweep, one per distinct
@@ -220,24 +219,22 @@ impl BatchEvalScratch {
 }
 
 /// Preallocated buffers for one solver thread: the lane-major
-/// [`BatchEvalScratch`], a scalar [`SolverWorkspace`] for every K = 1
-/// caller, and the descent stage's per-lane state.
+/// [`BatchEvalScratch`], a scalar [`SolverWorkspace`] for every descent,
+/// and the descent stage's state.
 ///
 /// Construct one directly for a dedicated thread, or [`acquire`] a
-/// pooled one; pass it by `&mut` to `descend_stage` /
-/// `descend_multi_stage`, hand `.scratch` to the batched `MdgObjective`
-/// entry points and `.inner` to the scalar ones.
+/// pooled one; pass it by `&mut` to `descend_stage`, hand `.scratch` to
+/// the batched `MdgObjective` entry points and `.inner` to the scalar
+/// ones.
 #[derive(Debug, Default)]
 pub struct BatchWorkspace {
     /// Batched objective sweep buffers.
     pub scratch: BatchEvalScratch,
     /// Scalar workspace: every scalar-tape holder of a pooled workspace.
     pub inner: SolverWorkspace,
-    /// The descent stage's iterates, gradients, trials, steps and flags —
-    /// the only descent buffers, at every K.
-    pub lanes: DescentLanes,
-    /// Per-lane objective parts of the lane tape's last sweep.
-    pub(crate) parts: Vec<ObjectiveParts>,
+    /// The descent stage's iterate, gradient, trial, step, flag and
+    /// quasi-Newton pairs — the only descent buffers.
+    pub descent: DescentState,
 }
 
 impl BatchWorkspace {

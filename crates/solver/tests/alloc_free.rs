@@ -1,9 +1,7 @@
 //! Asserts the descent loop's zero-allocation guarantee with a counting
-//! global allocator.
-//!
-//! This file deliberately contains a single `#[test]` — the counter is
-//! process-global, and a second test running on a sibling thread would
-//! pollute the delta.
+//! global allocator — quasi-Newton smooth stages (their pairs live in the
+//! workspace) and the exact stage alike. The counter is per thread, so
+//! the test measures its own allocations only.
 
 use paradigm_cost::Machine;
 use paradigm_mdg::{random_layered_mdg, RandomMdgConfig};
