@@ -367,11 +367,12 @@ pub fn check_schedule_memory(g: &Mdg, machine: &Machine, s: &Schedule) -> Memory
         }
     };
 
+    let by_node = s.by_node();
     for (id, node) in g.nodes() {
         if node.is_structural() {
             continue;
         }
-        let Some(task) = s.task_for(id) else { continue };
+        let Some(task) = by_node.get(id) else { continue };
         let fp = node_footprint(g, id);
         charge(&task.procs, task.start, task.finish, fp.self_bytes() as f64);
     }
@@ -380,7 +381,7 @@ pub fn check_schedule_memory(g: &Mdg, machine: &Machine, s: &Schedule) -> Memory
         if bytes == 0 {
             continue;
         }
-        let (Some(prod), Some(cons)) = (s.task_for(NodeId(e.src)), s.task_for(NodeId(e.dst)))
+        let (Some(prod), Some(cons)) = (by_node.get(NodeId(e.src)), by_node.get(NodeId(e.dst)))
         else {
             continue;
         };

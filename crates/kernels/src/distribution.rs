@@ -44,21 +44,20 @@ pub struct RedistMessage {
     pub bytes: u64,
 }
 
-/// Balanced block partition of `total` items over `parts` owners:
-/// the first `total % parts` owners get one extra item. Returns
-/// `(start, len)` per owner (len may be 0 when `parts > total`).
-pub fn block_ranges(total: usize, parts: usize) -> Vec<(usize, usize)> {
+/// Owner `k`'s `(start, len)` in the balanced block partition of `total`
+/// items over `parts` owners: the first `total % parts` owners get one
+/// extra item (len may be 0 when `parts > total`).
+pub fn block_range(total: usize, parts: usize, k: usize) -> (usize, usize) {
     assert!(parts >= 1, "need at least one part");
     let base = total / parts;
     let extra = total % parts;
-    let mut out = Vec::with_capacity(parts);
-    let mut start = 0;
-    for k in 0..parts {
-        let len = base + usize::from(k < extra);
-        out.push((start, len));
-        start += len;
-    }
-    out
+    (k * base + k.min(extra), base + usize::from(k < extra))
+}
+
+/// Every owner's [`block_range`], in owner order.
+pub fn block_ranges(total: usize, parts: usize) -> Vec<(usize, usize)> {
+    assert!(parts >= 1, "need at least one part");
+    (0..parts).map(|k| block_range(total, parts, k)).collect()
 }
 
 /// Split a matrix into per-processor local pieces under a distribution.

@@ -27,7 +27,7 @@ pub mod strassen;
 
 pub use complexmat::ComplexMatrix;
 pub use distribution::{
-    block_ranges, gather, redistribution_plan, scatter, BlockDist, RedistMessage,
+    block_range, block_ranges, gather, redistribution_plan, scatter, BlockDist, RedistMessage,
 };
 pub use grid::{grid_redistribution_plan, grid_transfer_cost, GridDist};
 pub use matrix::Matrix;

@@ -32,4 +32,4 @@ pub use bounds::{optimal_pb, theorem1_factor, theorem2_factor, theorem3_factor};
 pub use psa::{psa_schedule, PsaConfig, PsaResult, SchedPolicy};
 pub use refine::{refine_allocation, RefineConfig, RefineResult};
 pub use rounding::{bound_allocation, round_allocation, round_pow2};
-pub use schedule::{Schedule, Task};
+pub use schedule::{Schedule, Task, TasksByNode};

@@ -41,10 +41,39 @@ pub struct Schedule {
     pub makespan: f64,
 }
 
+/// Node → task table of one [`Schedule`], built by
+/// [`Schedule::by_node`] for callers that resolve many nodes.
+#[derive(Debug, Clone)]
+pub struct TasksByNode<'a> {
+    tasks: &'a [Task],
+    /// Position in `tasks` per node id; `usize::MAX` where unscheduled.
+    pos: Vec<usize>,
+}
+
+impl<'a> TasksByNode<'a> {
+    /// The task for a node — what [`Schedule::task_for`] returns.
+    pub fn get(&self, node: NodeId) -> Option<&'a Task> {
+        self.tasks.get(*self.pos.get(node.0)?)
+    }
+}
+
 impl Schedule {
-    /// Find the task for a node.
+    /// Find the task for a node: a scan, for one-off lookups (a loop over
+    /// nodes or edges takes [`Schedule::by_node`]).
     pub fn task_for(&self, node: NodeId) -> Option<&Task> {
         self.tasks.iter().find(|t| t.node == node)
+    }
+
+    /// Index the tasks by node in one pass. Built on request rather than
+    /// kept: the fields are public and schedules are edited in place.
+    pub fn by_node(&self) -> TasksByNode<'_> {
+        let nodes = self.tasks.iter().map(|t| t.node.0 + 1).max().unwrap_or(0);
+        let mut pos = vec![usize::MAX; nodes];
+        // In reverse, so a node scheduled twice resolves to its first task.
+        for (i, t) in self.tasks.iter().enumerate().rev() {
+            pos[t.node.0] = i;
+        }
+        TasksByNode { tasks: &self.tasks, pos }
     }
 
     /// Fraction of the `p * makespan` processor-time rectangle that is
@@ -107,9 +136,10 @@ impl Schedule {
             }
         }
         // Precedence with network delays.
+        let by_node = self.by_node();
         for (eid, e) in g.edges() {
-            let tm = self.task_for(NodeId(e.src)).ok_or("missing src task")?;
-            let tj = self.task_for(NodeId(e.dst)).ok_or("missing dst task")?;
+            let tm = by_node.get(NodeId(e.src)).ok_or("missing src task")?;
+            let tj = by_node.get(NodeId(e.dst)).ok_or("missing dst task")?;
             let delay = w.edge_weight(eid);
             if tj.start + 1e-9 < tm.finish + delay {
                 return Err(format!(
@@ -140,7 +170,7 @@ impl Schedule {
             }
         }
         // Makespan.
-        let stop = self.task_for(g.stop()).ok_or("missing STOP task")?;
+        let stop = by_node.get(g.stop()).ok_or("missing STOP task")?;
         if (stop.finish - self.makespan).abs() > 1e-9 * self.makespan.max(1.0) {
             return Err(format!("makespan {} != STOP finish {}", self.makespan, stop.finish));
         }

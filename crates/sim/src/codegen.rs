@@ -17,9 +17,53 @@
 //! synchronization).
 
 use crate::program::{ComputeSpec, SimMessage, SimTask, TaskProgram};
-use paradigm_kernels::block_ranges;
-use paradigm_mdg::{LoopClass, Mdg, NodeId, NodeKind, TransferKind};
-use paradigm_sched::Schedule;
+use paradigm_kernels::block_range;
+use paradigm_mdg::{Edge, LoopClass, Mdg, NodeId, NodeKind, TransferKind};
+use paradigm_sched::{Schedule, Task};
+
+/// Hand `emit` the group-local messages `(src_rank, dst_rank, bytes)` of
+/// one array transfer, ordered by source rank, then destination rank.
+fn for_each_transfer_message(
+    bytes: u64,
+    kind: TransferKind,
+    src_procs: usize,
+    dst_procs: usize,
+    mut emit: impl FnMut(u32, u32, u64),
+) {
+    let total = bytes as usize;
+    match kind {
+        TransferKind::OneD => {
+            // Both block lists ascend over `0..total`, so one cursor in
+            // each meets every overlap in (source, destination) order.
+            let (mut i, mut j) = (0, 0);
+            while i < src_procs && j < dst_procs {
+                let (s0, sl) = block_range(total, src_procs, i);
+                let (d0, dl) = block_range(total, dst_procs, j);
+                let lo = s0.max(d0);
+                let hi = (s0 + sl).min(d0 + dl);
+                if hi > lo {
+                    emit(i as u32, j as u32, (hi - lo) as u64);
+                }
+                if s0 + sl <= d0 + dl {
+                    i += 1;
+                } else {
+                    j += 1;
+                }
+            }
+        }
+        TransferKind::TwoD => {
+            for i in 0..src_procs {
+                let (_, sl) = block_range(total, src_procs, i);
+                for j in 0..dst_procs {
+                    let (_, dl) = block_range(sl, dst_procs, j);
+                    if dl > 0 {
+                        emit(i as u32, j as u32, dl as u64);
+                    }
+                }
+            }
+        }
+    }
+}
 
 /// Synthesize the group-local message set of one array transfer.
 /// Returns `(src_rank, dst_rank, bytes)` triples; bytes sum to `bytes`.
@@ -29,39 +73,8 @@ pub fn synthesize_transfer_messages(
     src_procs: usize,
     dst_procs: usize,
 ) -> Vec<(u32, u32, u64)> {
-    let total = bytes as usize;
     let mut out = Vec::new();
-    match kind {
-        TransferKind::OneD => {
-            let src_ranges = block_ranges(total, src_procs);
-            let dst_ranges = block_ranges(total, dst_procs);
-            for (i, &(s0, sl)) in src_ranges.iter().enumerate() {
-                if sl == 0 {
-                    continue;
-                }
-                for (j, &(d0, dl)) in dst_ranges.iter().enumerate() {
-                    let lo = s0.max(d0);
-                    let hi = (s0 + sl).min(d0 + dl);
-                    if hi > lo {
-                        out.push((i as u32, j as u32, (hi - lo) as u64));
-                    }
-                }
-            }
-        }
-        TransferKind::TwoD => {
-            let src_ranges = block_ranges(total, src_procs);
-            for (i, &(_, sl)) in src_ranges.iter().enumerate() {
-                if sl == 0 {
-                    continue;
-                }
-                for (j, &(_, dl)) in block_ranges(sl, dst_procs).iter().enumerate() {
-                    if dl > 0 {
-                        out.push((i as u32, j as u32, dl as u64));
-                    }
-                }
-            }
-        }
-    }
+    for_each_transfer_message(bytes, kind, src_procs, dst_procs, |i, j, b| out.push((i, j, b)));
     out
 }
 
@@ -90,24 +103,18 @@ fn compute_spec(g: &Mdg, id: NodeId) -> ComputeSpec {
     }
 }
 
-/// Shared lowering core: tasks in the given per-node processor
-/// assignment and program order.
-fn lower(
+/// Shared lowering core: one task per `(node, processors)` entry of
+/// `placed`, in that program order.
+fn lower<'a>(
     g: &Mdg,
     procs: u32,
-    assignment: impl Fn(NodeId) -> Vec<u32>,
-    order: &[NodeId],
+    placed: impl ExactSizeIterator<Item = (NodeId, &'a [u32])>,
 ) -> TaskProgram {
-    let n = g.node_count();
-    let mut order_of = vec![usize::MAX; n];
-    for (pos, &v) in order.iter().enumerate() {
-        order_of[v.0] = pos;
-    }
-    let mut tasks = Vec::with_capacity(n);
-    let mut task_of_node = vec![usize::MAX; n];
-    for (idx, &v) in order.iter().enumerate() {
+    let mut tasks = Vec::with_capacity(placed.len());
+    let mut task_of_node = vec![usize::MAX; g.node_count()];
+    for (idx, (v, on)) in placed.enumerate() {
         task_of_node[v.0] = idx;
-        let mut ps = assignment(v);
+        let mut ps = on.to_vec();
         ps.sort_unstable();
         tasks.push(SimTask {
             node: v,
@@ -118,20 +125,36 @@ fn lower(
         });
     }
 
-    let mut messages = Vec::new();
+    // `None` for an edge with a structural endpoint: schedule-order only.
+    let endpoints = |e: &Edge| {
+        let (src_task, dst_task) = (task_of_node[e.src], task_of_node[e.dst]);
+        let (src_procs, dst_procs) = (&tasks[src_task].procs, &tasks[dst_task].procs);
+        (!src_procs.is_empty() && !dst_procs.is_empty())
+            .then_some((src_task, dst_task, src_procs, dst_procs))
+    };
+    // An upper bound on the message count, so `messages` is sized once.
+    let bound: usize = g
+        .edges()
+        .map(|(_, e)| match endpoints(e) {
+            None => 0,
+            Some((_, _, src_procs, dst_procs)) => {
+                let (qs, qd) = (src_procs.len(), dst_procs.len());
+                let per_transfer = e.transfers.iter().map(|t| match t.kind {
+                    TransferKind::OneD => qs + qd - 1,
+                    TransferKind::TwoD => qs * qd,
+                });
+                per_transfer.sum::<usize>().max(1) // the token of a data-less edge
+            }
+        })
+        .sum();
+    let mut messages = Vec::with_capacity(bound);
     for (_, e) in g.edges() {
-        let src_task = task_of_node[e.src];
-        let dst_task = task_of_node[e.dst];
-        let src_procs = &tasks[src_task].procs;
-        let dst_procs = &tasks[dst_task].procs;
-        if src_procs.is_empty() || dst_procs.is_empty() {
-            continue; // structural endpoint: schedule-order only
-        }
+        let Some((from_task, to_task, src_procs, dst_procs)) = endpoints(e) else { continue };
         if e.transfers.is_empty() {
             // Token message to enforce the precedence at runtime.
             messages.push(SimMessage {
-                from_task: src_task,
-                to_task: dst_task,
+                from_task,
+                to_task,
                 src_proc: src_procs[0],
                 dst_proc: dst_procs[0],
                 bytes: 1,
@@ -139,17 +162,21 @@ fn lower(
             continue;
         }
         for t in &e.transfers {
-            for (sr, dr, bytes) in
-                synthesize_transfer_messages(t.bytes, t.kind, src_procs.len(), dst_procs.len())
-            {
-                messages.push(SimMessage {
-                    from_task: src_task,
-                    to_task: dst_task,
-                    src_proc: src_procs[sr as usize],
-                    dst_proc: dst_procs[dr as usize],
-                    bytes,
-                });
-            }
+            for_each_transfer_message(
+                t.bytes,
+                t.kind,
+                src_procs.len(),
+                dst_procs.len(),
+                |sr, dr, bytes| {
+                    messages.push(SimMessage {
+                        from_task,
+                        to_task,
+                        src_proc: src_procs[sr as usize],
+                        dst_proc: dst_procs[dr as usize],
+                        bytes,
+                    });
+                },
+            );
         }
     }
     TaskProgram { procs, tasks, messages }
@@ -159,33 +186,24 @@ fn lower(
 /// keeps its scheduled processor set; per-processor program order is the
 /// schedule's start-time order.
 pub fn lower_mpmd(g: &Mdg, schedule: &Schedule) -> TaskProgram {
-    let mut order: Vec<NodeId> = schedule.tasks.iter().map(|t| t.node).collect();
+    let mut order: Vec<&Task> = schedule.tasks.iter().collect();
     // Stabilize: by (start, node id). Schedule order already satisfies
     // this for the PSA, but be robust to hand-built schedules.
-    order.sort_by(|&a, &b| {
-        let ta = schedule.task_for(a).expect("every node scheduled");
-        let tb = schedule.task_for(b).expect("every node scheduled");
-        ta.start.partial_cmp(&tb.start).expect("finite start times").then(a.cmp(&b))
+    order.sort_by(|a, b| {
+        a.start.partial_cmp(&b.start).expect("finite start times").then(a.node.cmp(&b.node))
     });
-    lower(
-        g,
-        schedule.machine_procs,
-        |v| schedule.task_for(v).expect("every node scheduled").procs.clone(),
-        &order,
-    )
+    lower(g, schedule.machine_procs, order.iter().map(|t| (t.node, &t.procs[..])))
 }
 
 /// Lower the SPMD execution: every compute node on all `procs`
 /// processors, topological program order.
 pub fn lower_spmd(g: &Mdg, procs: u32) -> TaskProgram {
     let all: Vec<u32> = (0..procs).collect();
-    let order: Vec<NodeId> = g.topo_order().to_vec();
-    lower(
-        g,
-        procs,
-        |v| if g.node(v).kind == NodeKind::Compute { all.clone() } else { Vec::new() },
-        &order,
-    )
+    let placed = g
+        .topo_order()
+        .iter()
+        .map(|&v| (v, if g.node(v).kind == NodeKind::Compute { &all[..] } else { &[] }));
+    lower(g, procs, placed)
 }
 
 #[cfg(test)]
@@ -257,9 +275,10 @@ mod tests {
         let m = Machine::cm5(16);
         let res = psa_schedule(&g, m, &Allocation::uniform(&g, 4.0), &PsaConfig::default());
         let prog = lower_mpmd(&g, &res.schedule);
+        let by_node = res.schedule.by_node();
         for w in prog.tasks.windows(2) {
-            let sa = res.schedule.task_for(w[0].node).unwrap().start;
-            let sb = res.schedule.task_for(w[1].node).unwrap().start;
+            let sa = by_node.get(w[0].node).unwrap().start;
+            let sb = by_node.get(w[1].node).unwrap().start;
             assert!(sa <= sb);
         }
     }

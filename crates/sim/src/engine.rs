@@ -18,9 +18,22 @@
 //!    ground-truth kernel time;
 //! 3. **send** — every processor injects its outgoing messages
 //!    (startup + per-byte each) and records their completion times.
+//!
+//! The sweep walks two flat message indices built by stable counting
+//! passes, so a run costs O(M log q) in the M messages (the log is the
+//! availability sort within one processor's receives) and allocates a
+//! fixed number of buffers plus one window list a task.
+//!
+//! [`SimResult`] holds the times an engine observed and nothing derived
+//! from them. What is *resident* between those times — the per-processor
+//! memory peaks the static analyzer's bound must dominate — is defined
+//! once, in [`SimResult::proc_peak_bytes`], for this engine and for
+//! [`crate::engine_event`] alike, and computed only for a caller that
+//! asks.
 
 use crate::program::{ComputeSpec, TaskProgram};
 use crate::truth::TrueMachine;
+use std::ops::Range;
 
 /// Result of simulating a task program.
 #[derive(Debug, Clone)]
@@ -41,13 +54,14 @@ pub struct SimResult {
     /// Per-task processor-time spent in the three phases
     /// `(receive, compute, send)`, summed over the task's processors.
     pub task_phase_times: Vec<(f64, f64, f64)>,
-    /// Peak resident bytes observed on each processor: the even share of
-    /// the active task's kernel array, plus every message payload held
-    /// (outbound from compute start until the message leaves, inbound
-    /// from arrival until the consuming task finishes). This is the
-    /// concrete measurement the static analyzer's per-processor upper
-    /// bound must dominate.
-    pub proc_peak_bytes: Vec<f64>,
+    /// Per task, per rank (position in [`crate::SimTask::procs`]): the
+    /// processor's involvement window, from the start of its receives to
+    /// the end of its own sends.
+    pub involvement: Vec<Vec<(f64, f64)>>,
+    /// Per message: the instant it became available to its receiver (the
+    /// end of its send plus the network delay; the end of the producer's
+    /// compute phase for a local copy).
+    pub msg_avail: Vec<f64>,
 }
 
 impl SimResult {
@@ -60,13 +74,114 @@ impl SimResult {
         busy / (self.proc_busy.len() as f64 * self.makespan)
     }
 
-    /// Largest resident set any processor held at any instant.
-    pub fn peak_resident_bytes(&self) -> f64 {
-        self.proc_peak_bytes.iter().copied().fold(0.0, f64::max)
+    /// Peak resident bytes of each processor over the run of `prog` this
+    /// result came from: the even share of the active task's kernel array
+    /// over the rank's involvement window, plus every message payload held
+    /// — on its source from the producer's compute start until the message
+    /// has left, on its destination from arrival until the consuming task
+    /// finishes. This is the concrete measurement the static analyzer's
+    /// per-processor upper bound must dominate, and the one definition of
+    /// residency for both engines: they record the times, this function
+    /// owns what is resident between them. Computed on request (it sorts
+    /// four events a message), so a caller after the makespan pays nothing.
+    ///
+    /// # Panics
+    /// Panics if `prog` is not the program that was simulated.
+    pub fn proc_peak_bytes(&self, prog: &TaskProgram) -> Vec<f64> {
+        assert!(
+            self.involvement.len() == prog.tasks.len()
+                && self.msg_avail.len() == prog.messages.len()
+                && self.proc_busy.len() == prog.procs as usize,
+            "result and program differ in shape"
+        );
+        let mut residency = Vec::with_capacity(4 * prog.messages.len());
+        for (task, windows) in prog.tasks.iter().zip(&self.involvement) {
+            let ComputeSpec::Kernel { rows, cols, .. } = &task.compute else { continue };
+            let local_share = (*rows as f64) * (*cols as f64) * 8.0 / task.procs.len() as f64;
+            for (&pid, &(from, to)) in task.procs.iter().zip(windows) {
+                if local_share > 0.0 && to > from {
+                    residency.push((pid as usize, from, local_share));
+                    residency.push((pid as usize, to, -local_share));
+                }
+            }
+        }
+        for (m, &avail) in prog.messages.iter().zip(&self.msg_avail) {
+            let bytes = m.bytes as f64;
+            let start = self.task_start[m.from_task];
+            if avail > start {
+                residency.push((m.src_proc as usize, start, bytes));
+                residency.push((m.src_proc as usize, avail, -bytes));
+            }
+            let finish = self.task_finish[m.to_task];
+            if finish > avail {
+                residency.push((m.dst_proc as usize, avail, bytes));
+                residency.push((m.dst_proc as usize, finish, -bytes));
+            }
+        }
+        sweep_residency(prog.procs as usize, residency)
+    }
+
+    /// Largest resident set any processor held at any instant of the run
+    /// of `prog`: the maximum of [`SimResult::proc_peak_bytes`].
+    pub fn peak_resident_bytes(&self, prog: &TaskProgram) -> f64 {
+        self.proc_peak_bytes(prog).into_iter().fold(0.0, f64::max)
     }
 }
 
-/// Execute `prog` on the ground-truth machine.
+/// Per-processor resident-set sweep over `(proc, time, ±bytes)` events;
+/// releases sort before acquisitions at equal times so back-to-back
+/// intervals do not double-count.
+fn sweep_residency(np: usize, mut events: Vec<(usize, f64, f64)>) -> Vec<f64> {
+    events
+        .sort_unstable_by(|a, b| a.0.cmp(&b.0).then(a.1.total_cmp(&b.1)).then(a.2.total_cmp(&b.2)));
+    let mut peaks = vec![0.0_f64; np];
+    let (mut on, mut resident) = (usize::MAX, 0.0_f64);
+    for (p, _, d) in events {
+        if p != on {
+            (on, resident) = (p, 0.0);
+        }
+        resident += d;
+        peaks[p] = peaks[p].max(resident);
+    }
+    peaks
+}
+
+/// One stable counting pass: writes the items of `src` to `dst` ordered
+/// by `key` (each below `buckets`), equal keys in `src` order. Returns the
+/// bucket offsets: bucket `b` is `dst[off[b]..off[b + 1]]`.
+fn counting_pass(
+    src: impl Iterator<Item = usize> + Clone,
+    dst: &mut [usize],
+    buckets: usize,
+    key: impl Fn(usize) -> usize,
+) -> Vec<usize> {
+    // Counted two slots up and scattered through the slot in between, so
+    // the cursors end as the offsets.
+    let mut off = vec![0usize; buckets + 2];
+    for k in src.clone() {
+        off[key(k) + 2] += 1;
+    }
+    for b in 2..buckets + 2 {
+        off[b] += off[b - 1];
+    }
+    for k in src {
+        let slot = &mut off[key(k) + 1];
+        dst[*slot] = k;
+        *slot += 1;
+    }
+    off.truncate(buckets + 1);
+    off
+}
+
+/// The run of `proc`'s messages in a slice ordered by `proc_of`.
+fn run_of(ordered: &[usize], proc: u32, proc_of: impl Fn(usize) -> u32) -> Range<usize> {
+    let lo = ordered.partition_point(|&k| proc_of(k) < proc);
+    lo..lo + ordered[lo..].partition_point(|&k| proc_of(k) == proc)
+}
+
+/// Execute `prog` on the ground-truth machine: O(M log q) in the
+/// messages, and a fixed number of allocations plus one window list a
+/// task.
 ///
 /// ```
 /// use paradigm_mdg::{complex_matmul_mdg, KernelCostTable};
@@ -85,35 +200,45 @@ pub fn simulate(prog: &TaskProgram, truth: &TrueMachine) -> SimResult {
     prog.validate().unwrap_or_else(|e| panic!("invalid task program: {e}"));
     let nt = prog.tasks.len();
     let np = prog.procs as usize;
+    let msgs = &prog.messages;
 
     // Visit order: program order (producers always precede consumers).
     let mut order: Vec<usize> = (0..nt).collect();
     order.sort_by_key(|&t| prog.tasks[t].program_order);
+    // Dense ranks of the program order: tasks that tie share one.
+    let mut order_rank = vec![0usize; nt];
+    let mut ranks = 0;
+    for (i, &t) in order.iter().enumerate() {
+        if i > 0 && prog.tasks[t].program_order != prog.tasks[order[i - 1]].program_order {
+            ranks += 1;
+        }
+        order_rank[t] = ranks;
+    }
 
-    // Pre-index messages by consumer and producer.
-    let mut inbound: Vec<Vec<usize>> = vec![Vec::new(); nt];
-    let mut outbound: Vec<Vec<usize>> = vec![Vec::new(); nt];
-    for (k, m) in prog.messages.iter().enumerate() {
-        inbound[m.to_task].push(k);
-        outbound[m.from_task].push(k);
-    }
-    // Senders emit in consumer program order (the order codegen laid the
-    // sends out in the per-processor program).
-    for outs in outbound.iter_mut() {
-        outs.sort_by_key(|&k| (prog.tasks[prog.messages[k].to_task].program_order, k));
-    }
+    // Two flat message indices with per-task offsets, each built by
+    // stable counting passes from the least significant key up. Inbound:
+    // by (consumer, destination processor, message). Outbound: by
+    // (producer, source processor, consumer's program order, message) —
+    // senders emit in consumer program order, the order codegen laid the
+    // sends out in the per-processor program.
+    let mut inbound = vec![0usize; msgs.len()];
+    let mut outbound = vec![0usize; msgs.len()];
+    let mut pass = vec![0usize; msgs.len()];
+    counting_pass(0..msgs.len(), &mut pass, np, |k| msgs[k].dst_proc as usize);
+    let in_off = counting_pass(pass.iter().copied(), &mut inbound, nt, |k| msgs[k].to_task);
+    counting_pass(0..msgs.len(), &mut outbound, ranks + 1, |k| order_rank[msgs[k].to_task]);
+    counting_pass(outbound.iter().copied(), &mut pass, np, |k| msgs[k].src_proc as usize);
+    let out_off = counting_pass(pass.iter().copied(), &mut outbound, nt, |k| msgs[k].from_task);
 
     let mut clock = vec![0.0_f64; np];
     let mut busy = vec![0.0_f64; np];
-    let mut avail = vec![f64::NAN; prog.messages.len()];
+    let mut avail = vec![f64::NAN; msgs.len()];
     let mut task_start = vec![0.0_f64; nt];
     let mut task_finish = vec![0.0_f64; nt];
     let mut messages_sent = 0usize;
     let mut local_copies = 0usize;
     let mut task_phase_times = vec![(0.0_f64, 0.0_f64, 0.0_f64); nt];
-    // Residency events `(proc, time, ±bytes)` for the per-processor
-    // resident-set sweep at the end.
-    let mut residency: Vec<(usize, f64, f64)> = Vec::new();
+    let mut involvement: Vec<Vec<(f64, f64)>> = vec![Vec::new(); nt];
 
     for &t in &order {
         let task = &prog.tasks[t];
@@ -121,21 +246,22 @@ pub fn simulate(prog: &TaskProgram, truth: &TrueMachine) -> SimResult {
             // Structural: nothing to execute.
             continue;
         }
-        // Phase 1: receive, per processor, in availability order.
-        let mut recv_done = Vec::with_capacity(task.procs.len());
-        // Each processor's involvement begins here; the task's share of
-        // its kernel array is resident from now until its own sends end.
-        let involvement_start: Vec<f64> =
-            task.procs.iter().map(|&pid| clock[pid as usize]).collect();
+        let received = &mut inbound[in_off[t]..in_off[t + 1]];
+        let sent = &outbound[out_off[t]..out_off[t + 1]];
+        let mut windows = Vec::with_capacity(task.procs.len());
+        // Phase 1: receive, per processor, in availability order; the
+        // barrier opens when the last processor is done.
+        let mut start = 0.0_f64;
         for &pid in &task.procs {
-            let mut msgs: Vec<usize> =
-                inbound[t].iter().copied().filter(|&k| prog.messages[k].dst_proc == pid).collect();
-            msgs.sort_by(|&a, &b| {
+            let run = run_of(received, pid, |k| msgs[k].dst_proc);
+            let mine = &mut received[run];
+            mine.sort_unstable_by(|&a, &b| {
                 avail[a].partial_cmp(&avail[b]).expect("finite availability").then(a.cmp(&b))
             });
             let mut now = clock[pid as usize];
-            for k in msgs {
-                let m = &prog.messages[k];
+            windows.push((now, now));
+            for &k in mine.iter() {
+                let m = &msgs[k];
                 debug_assert!(avail[k].is_finite(), "message consumed before production");
                 let cost = if m.is_local() {
                     local_copies += 1;
@@ -148,10 +274,9 @@ pub fn simulate(prog: &TaskProgram, truth: &TrueMachine) -> SimResult {
                 busy[pid as usize] += cost;
                 task_phase_times[t].0 += cost;
             }
-            recv_done.push(now);
+            start = start.max(now);
         }
         // Phase 2: barrier + compute.
-        let start = recv_done.iter().copied().fold(0.0_f64, f64::max);
         let q = task.procs.len() as u32;
         let comp = match &task.compute {
             ComputeSpec::Kernel { class, rows, cols } => {
@@ -167,22 +292,11 @@ pub fn simulate(prog: &TaskProgram, truth: &TrueMachine) -> SimResult {
             task_phase_times[t].1 += comp;
         }
         // Phase 3: send, per processor, in program order of consumers.
-        // Every payload is resident on its source processor from compute
-        // start until the message has left (its availability instant).
-        let local_share = match &task.compute {
-            ComputeSpec::Kernel { rows, cols, .. } => {
-                (*rows as f64) * (*cols as f64) * 8.0 / q as f64
-            }
-            _ => 0.0,
-        };
         let mut finish = end_compute;
-        for (i, &pid) in task.procs.iter().enumerate() {
+        for (&pid, window) in task.procs.iter().zip(&mut windows) {
             let mut now = end_compute;
-            for &k in &outbound[t] {
-                let m = &prog.messages[k];
-                if m.src_proc != pid {
-                    continue;
-                }
+            for &k in &sent[run_of(sent, pid, |k| msgs[k].src_proc)] {
+                let m = &msgs[k];
                 if m.is_local() {
                     // Local copy: paid on the receive side; available as
                     // soon as the data exists.
@@ -194,66 +308,26 @@ pub fn simulate(prog: &TaskProgram, truth: &TrueMachine) -> SimResult {
                     task_phase_times[t].2 += cost;
                     avail[k] = now + truth.net_delay(m.bytes);
                 }
-                if avail[k] > start {
-                    residency.push((pid as usize, start, m.bytes as f64));
-                    residency.push((pid as usize, avail[k], -(m.bytes as f64)));
-                }
             }
             clock[pid as usize] = now;
             finish = finish.max(now);
-            if local_share > 0.0 && now > involvement_start[i] {
-                residency.push((pid as usize, involvement_start[i], local_share));
-                residency.push((pid as usize, now, -local_share));
-            }
+            window.1 = now;
         }
         task_finish[t] = finish;
-        // Inbound payloads stay resident on their destination processor
-        // from arrival until the consuming task is done with them.
-        for &k in &inbound[t] {
-            let m = &prog.messages[k];
-            if finish > avail[k] {
-                residency.push((m.dst_proc as usize, avail[k], m.bytes as f64));
-                residency.push((m.dst_proc as usize, finish, -(m.bytes as f64)));
-            }
-        }
+        involvement[t] = windows;
     }
 
-    let makespan = clock.iter().copied().fold(0.0_f64, f64::max);
-    let proc_peak_bytes = sweep_residency(np, residency);
-
     SimResult {
-        makespan,
+        makespan: clock.iter().copied().fold(0.0_f64, f64::max),
         task_start,
         task_finish,
         proc_busy: busy,
         messages_sent,
         local_copies,
         task_phase_times,
-        proc_peak_bytes,
+        involvement,
+        msg_avail: avail,
     }
-}
-
-/// Per-processor resident-set sweep over `(proc, time, ±bytes)` events;
-/// releases sort before acquisitions at equal times so back-to-back
-/// intervals do not double-count. Shared by both engines so their peak
-/// accounting agrees to the bit.
-pub(crate) fn sweep_residency(np: usize, events: Vec<(usize, f64, f64)>) -> Vec<f64> {
-    let mut per_proc: Vec<Vec<(f64, f64)>> = vec![Vec::new(); np];
-    for (p, t, d) in events {
-        per_proc[p].push((t, d));
-    }
-    let mut peaks = vec![0.0_f64; np];
-    for (p, evs) in per_proc.iter_mut().enumerate() {
-        evs.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.total_cmp(&b.1)));
-        let mut resident = 0.0_f64;
-        for &(_, d) in evs.iter() {
-            resident += d;
-            if resident > peaks[p] {
-                peaks[p] = resident;
-            }
-        }
-    }
-    peaks
 }
 
 #[cfg(test)]
@@ -428,22 +502,24 @@ mod tests {
         let g = complex_matmul_mdg(64, &KernelCostTable::cm5());
         let m = Machine::cm5(16);
         let res = psa_schedule(&g, m, &Allocation::uniform(&g, 4.0), &PsaConfig::default());
-        let r = simulate(&lower_mpmd(&g, &res.schedule), &TrueMachine::cm5(16));
-        assert_eq!(r.proc_peak_bytes.len(), 16);
+        let prog = lower_mpmd(&g, &res.schedule);
+        let r = simulate(&prog, &TrueMachine::cm5(16));
+        assert_eq!(r.proc_peak_bytes(&prog).len(), 16);
+        let peak = r.peak_resident_bytes(&prog);
         // Every 64x64 kernel task holds at least its share of one 32 KiB
         // array on each of its 4 processors.
-        assert!(r.peak_resident_bytes() >= 32768.0 / 4.0, "{}", r.peak_resident_bytes());
+        assert!(peak >= 32768.0 / 4.0, "{peak}");
         // And nothing can exceed all arrays + all payloads at once.
         let all_bytes: u64 = paradigm_mdg::total_comm_bytes(&g)
             + g.nodes().map(|(_, n)| n.meta.rows as u64 * n.meta.cols as u64 * 8).sum::<u64>();
-        assert!(r.peak_resident_bytes() <= all_bytes as f64);
+        assert!(peak <= all_bytes as f64);
     }
 
     #[test]
     fn empty_program_has_zero_resident_peak() {
         let prog = TaskProgram { procs: 2, tasks: vec![], messages: vec![] };
         let r = simulate(&prog, &TrueMachine::ideal(2));
-        assert_eq!(r.peak_resident_bytes(), 0.0);
+        assert_eq!(r.peak_resident_bytes(&prog), 0.0);
     }
 
     #[test]

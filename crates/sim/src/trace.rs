@@ -50,12 +50,13 @@ pub fn compare_schedule_vs_sim(
     sim: &SimResult,
 ) -> Vec<TaskDiff> {
     let mut out = Vec::new();
+    let by_node = schedule.by_node();
     for (ti, task) in prog.tasks.iter().enumerate() {
         if g.node(task.node).kind != NodeKind::Compute {
             continue;
         }
-        let pred = schedule
-            .task_for(task.node)
+        let pred = by_node
+            .get(task.node)
             .unwrap_or_else(|| panic!("node {} missing from schedule", task.node));
         out.push(TaskDiff {
             node: task.node,

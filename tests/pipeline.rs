@@ -220,3 +220,62 @@ fn pipeline_outputs_are_pinned_to_the_bit() {
         a.polish_iters
     );
 }
+
+/// The simulated run of the pipeline's own MPMD programs, to the bit,
+/// with the message counts and the message *order* (message indices seed
+/// the truth machine's noise, so a reordering would move every simulated
+/// number). Captured at the parent of the PR that made the compile tail
+/// O(M log q): `lower_mpmd`, `TaskProgram::validate` and `simulate` may
+/// get cheaper, never different.
+#[test]
+fn simulated_makespans_and_message_order_are_pinned_to_the_bit() {
+    use paradigm_core::{gallery_graph, try_solve_pipeline, SolveSpec};
+    use paradigm_sim::lower_mpmd;
+    // (gallery graph, procs, sim makespan bits, messages, sent, local copies)
+    let pins: [(&str, u32, u64, usize, usize, usize); 9] = [
+        ("strassen-ml", 16, 0x3fe0_4b8d_ec7d_a64c, 558, 503, 55),
+        ("strassen-ml", 64, 0x3fc8_a1de_df5f_5e56, 2252, 2129, 123),
+        ("random-layered", 16, 0x402f_1d22_4490_3886, 3879, 3520, 359),
+        ("random-layered", 64, 0x401b_c3d0_c44a_874d, 40_069, 38_877, 1192),
+        ("fork-join", 64, 0x3fff_9aa1_cff4_4154, 2751, 2608, 143),
+        ("cmm", 16, 0x3fc0_e565_21b7_9db5, 48, 44, 4),
+        ("cmm", 64, 0x3fb0_95f4_402d_1785, 192, 176, 16),
+        ("strassen", 16, 0x3fd2_6704_5e55_cdf8, 176, 157, 19),
+        ("strassen", 64, 0x3fbd_4232_7740_297f, 672, 609, 63),
+    ];
+    for (name, procs, makespan_bits, messages, sent, local) in pins {
+        let g = gallery_graph(name).unwrap_or_else(|| panic!("gallery graph {name}"));
+        let spec = SolveSpec { simulate: true, ..SolveSpec::new(Machine::cm5(procs)) };
+        let out = try_solve_pipeline(&g, &spec).expect("gallery graph solves");
+        let makespan = out.sim_makespan.expect("spec.simulate was set");
+        // The same program again, for the counts `SolveOutput` does not carry.
+        let prog = lower_mpmd(&g, &out.schedule);
+        let sim = simulate(&prog, &TrueMachine::cm5(procs));
+        assert_eq!(
+            sim.makespan.to_bits(),
+            makespan.to_bits(),
+            "{name}@{procs}: pipeline vs direct"
+        );
+        assert_eq!(
+            (makespan.to_bits(), prog.messages.len(), sim.messages_sent, sim.local_copies),
+            (makespan_bits, messages, sent, local),
+            "{name}@{procs}: makespan = {makespan} (0x{:016x})",
+            makespan.to_bits()
+        );
+        if (name, procs) == ("random-layered", 64) {
+            let m = |k: usize| {
+                let m = prog.messages[k];
+                (m.from_task, m.to_task, m.src_proc, m.dst_proc, m.bytes)
+            };
+            let first: Vec<_> = (0..8).map(m).collect();
+            let last: Vec<_> = (messages - 8..messages).map(m).collect();
+            let expect_first: Vec<_> = (0..8).map(|i| (4, 10, 20 + i, 44 + i, 29_339)).collect();
+            assert_eq!(first, expect_first, "first 8 messages");
+            let expect_last: Vec<_> = [4, 7, 8, 14, 20, 21, 22, 55]
+                .into_iter()
+                .map(|dst| (183, 193, 63, dst, if dst == 55 { 366 } else { 367 }))
+                .collect();
+            assert_eq!(last, expect_last, "last 8 messages");
+        }
+    }
+}

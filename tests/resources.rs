@@ -9,7 +9,7 @@ use paradigm_analyze::{analyze_resources, check_schedule_memory};
 use paradigm_core::prelude::*;
 use paradigm_core::{gallery_graph, machine_from_spec, GALLERY_NAMES, MACHINE_SPECS};
 use paradigm_mdg::{random_layered_mdg, RandomMdgConfig};
-use paradigm_sim::{lower_mpmd, lower_spmd};
+use paradigm_sim::{lower_mpmd, lower_spmd, TaskProgram};
 use proptest::prelude::*;
 
 /// Slack for the float conversion of exact byte counts: relative 1e-9
@@ -32,8 +32,7 @@ fn static_bound_dominates_simulated_peak_on_gallery() {
             let c = compile(&g, machine, &CompileConfig::fast());
             let truth = TrueMachine::cm5(p);
             for prog in [lower_mpmd(&g, &c.psa.schedule), lower_spmd(&g, p)] {
-                let sim = simulate(&prog, &truth);
-                let peak = sim.peak_resident_bytes();
+                let peak = simulate(&prog, &truth).peak_resident_bytes(&prog);
                 assert!(
                     dominates(ub, peak),
                     "{name}/{spec}: simulated peak {peak} exceeds static bound {ub}"
@@ -132,9 +131,10 @@ proptest! {
         let ub = ra.peak_interval.1;
         let c = compile(&g, machine, &CompileConfig::fast());
         let truth = TrueMachine::cm5(p);
-        let mpmd = simulate(&lower_mpmd(&g, &c.psa.schedule), &truth).peak_resident_bytes();
+        let peak = |prog: TaskProgram| simulate(&prog, &truth).peak_resident_bytes(&prog);
+        let mpmd = peak(lower_mpmd(&g, &c.psa.schedule));
         prop_assert!(dominates(ub, mpmd), "seed {seed} p={p}: mpmd peak {mpmd} > bound {ub}");
-        let spmd = simulate(&lower_spmd(&g, p), &truth).peak_resident_bytes();
+        let spmd = peak(lower_spmd(&g, p));
         prop_assert!(dominates(ub, spmd), "seed {seed} p={p}: spmd peak {spmd} > bound {ub}");
         let sweep = check_schedule_memory(&g, &machine, &c.psa.schedule);
         prop_assert!(
