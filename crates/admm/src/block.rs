@@ -36,10 +36,12 @@
 
 use paradigm_cost::Machine;
 use paradigm_mdg::{AmdahlParams, Mdg, MdgBuilder, NodeId, TransferKind};
+use paradigm_race::plock;
+use paradigm_race::sync::Mutex;
 use paradigm_solver::expr::{smax_pair_weights, Sharpness};
 use paradigm_solver::{
-    check_annealing, descend, BatchWorkspace, DescentModel, EvalScratch, MdgObjective,
-    SolverWorkspace, Stage, SweepCounts,
+    check_annealing, descend, BatchWorkspace, DescentModel, DetachedObjective, EvalScratch,
+    MdgObjective, SolverWorkspace, Stage, SweepCounts,
 };
 
 use crate::partition::Partition;
@@ -127,6 +129,30 @@ pub struct ConsensusTerm {
     pub target: f64,
 }
 
+/// Where a block's compiled objective waits between two solves of the
+/// block: [`solve_block_job`] takes what it finds here, re-attaches it to
+/// the job's graph if it was compiled for that shape (else it compiles),
+/// and puts the objective back when it is done; the consensus loop moves
+/// the slot from a round's job into the next round's. One slot per job,
+/// checked on every use, and an empty or unfitting one costs a build —
+/// nothing to size or evict. It is no part of the job's value: a clone
+/// starts empty, the wire format does not carry it, and the solution is
+/// the same bit for bit whatever it holds.
+#[derive(Default)]
+pub struct TapeSlot(Mutex<Option<DetachedObjective>>);
+
+impl Clone for TapeSlot {
+    fn clone(&self) -> Self {
+        TapeSlot::default()
+    }
+}
+
+impl std::fmt::Debug for TapeSlot {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(if plock(&self.0).is_some() { "TapeSlot(filled)" } else { "TapeSlot(empty)" })
+    }
+}
+
 /// A self-contained block subproblem. Everything a worker needs — local
 /// or remote — to run the x-update; solving it is a pure function of
 /// this value, which is what makes in-process and TCP workers agree
@@ -152,6 +178,8 @@ pub struct BlockJob {
     pub cons: Vec<ConsensusTerm>,
     /// Inner solver configuration.
     pub inner: InnerConfig,
+    /// The block's compiled objective from its previous solve, if any.
+    pub tape: TapeSlot,
 }
 
 /// Result of one block x-update.
@@ -372,6 +400,7 @@ pub fn build_block_problem(
             free,
             cons,
             inner: inner.clone(),
+            tape: TapeSlot::default(),
         },
         BlockMaps { sub_of, cons_global },
     )
@@ -473,16 +502,18 @@ pub(crate) fn stage_stop(rel_tol: f64) -> impl Fn(f64, f64, f64) -> bool {
 /// level and a final exact one, each from step 0.25. A pure function of
 /// `job` — no randomness, no time-dependence — so every backend produces
 /// the identical result, and a job whose annealing parameters
-/// [`check_annealing`] refuses is an `Err` on every backend, before any
-/// sweep.
+/// [`check_annealing`] refuses, or whose indices, targets, penalty or
+/// start do not fit its graph, is an `Err` on every backend, before
+/// anything is compiled or swept.
 ///
-/// The stage's buffers are the workspace's; per call only the objective
-/// build and the returned iterate allocate.
+/// The objective is the one in the job's [`TapeSlot`] when that fits
+/// (counted in [`SweepCounts::tape_builds`] when it has to be compiled
+/// instead) and goes back into the slot afterwards. The stage's buffers
+/// are the workspace's; per call only a build and the returned iterate
+/// allocate.
 pub fn solve_block_job(job: &BlockJob, bw: &mut BatchWorkspace) -> Result<BlockSolution, String> {
     check_annealing(&job.inner.stages, job.inner.rel_tol)?;
-    let obj = MdgObjective::try_new(&job.graph, job.machine)?;
-    let n = obj.num_vars();
-    let ub = obj.x_upper();
+    let n = job.graph.node_count();
     if let Some(&i) = job.free.iter().find(|&&i| i >= n) {
         return Err(format!("free index {i} out of range for {n} sub variables"));
     }
@@ -497,15 +528,25 @@ pub fn solve_block_job(job: &BlockJob, bw: &mut BatchWorkspace) -> Result<BlockS
     if !(job.rho.is_finite() && job.rho >= 0.0) {
         return Err(format!("invalid rho {}", job.rho));
     }
-    let mut x: Vec<f64> = job.x0.clone();
-    if x.len() != n {
-        return Err(format!("x0 length {} != {} sub variables", x.len(), n));
-    }
-    for &i in &job.free {
-        x[i] = x[i].clamp(0.0, ub);
+    if job.x0.len() != n {
+        return Err(format!("x0 length {} != {} sub variables", job.x0.len(), n));
     }
 
     let BatchWorkspace { inner, descent, .. } = bw;
+    let carried = plock(&job.tape.0).take();
+    let obj = match carried.and_then(|tape| tape.attach(&job.graph, job.machine)) {
+        Some(obj) => obj,
+        None => {
+            let built = MdgObjective::try_new(&job.graph, job.machine)?;
+            inner.scratch.counts.tape_builds += 1;
+            built
+        }
+    };
+    let ub = obj.x_upper();
+    let mut x: Vec<f64> = job.x0.clone();
+    for &i in &job.free {
+        x[i] = x[i].clamp(0.0, ub);
+    }
     let mut model = BlockModel::new(&obj, (job.area_off, job.rho, &job.cons), &job.free, inner);
     descent.load(&x);
     let mut iters = 0usize;
@@ -521,10 +562,12 @@ pub fn solve_block_job(job: &BlockJob, bw: &mut BatchWorkspace) -> Result<BlockS
         iters += descend(&mut model, descent, &stage, stage_stop(job.inner.rel_tol), || true);
     }
     x.copy_from_slice(descent.x());
-    if !model.phi.is_finite() {
-        return Err(format!("block solve produced non-finite model Phi {}", model.phi));
+    let phi_model = model.phi;
+    *plock(&job.tape.0) = Some(obj.detach());
+    if !phi_model.is_finite() {
+        return Err(format!("block solve produced non-finite model Phi {phi_model}"));
     }
-    Ok(BlockSolution { x, iters, phi_model: model.phi })
+    Ok(BlockSolution { x, iters, phi_model })
 }
 
 #[cfg(test)]
@@ -533,8 +576,8 @@ mod tests {
     use crate::partition::{partition_mdg, PartitionOptions};
     use paradigm_mdg::fork_join_mdg;
 
-    #[test]
-    fn bad_annealing_parameters_are_refused_before_any_sweep() {
+    /// The two block jobs of a small fork-join frozen at `x = 0.5`.
+    fn two_jobs() -> Vec<BlockJob> {
         let g = fork_join_mdg(2, 3, 2);
         let machine = Machine::cm5(8);
         let obj = MdgObjective::new(&g, machine);
@@ -543,7 +586,15 @@ mod tests {
         let sw = global_sweeps(&obj, &x);
         let dual = std::collections::BTreeMap::new();
         let inner = InnerConfig::default();
-        let (job, _) = build_block_problem(&g, &machine, &part, 0, &sw, &x, &dual, 0.7, &inner);
+        let job = |b| build_block_problem(&g, &machine, &part, b, &sw, &x, &dual, 0.7, &inner).0;
+        vec![job(0), job(1)]
+    }
+
+    #[test]
+    fn bad_annealing_parameters_are_refused_before_any_sweep() {
+        let job = two_jobs().remove(0);
+        let n = job.graph.node_count();
+        let inner = &job.inner;
         let mut bw = BatchWorkspace::new();
         for (stages, rel_tol) in
             [(vec![8.0, 0.5], 1e-9), (vec![0.0], 1e-9), (vec![-4.0], 1e-9), (vec![8.0], -1.0)]
@@ -553,7 +604,62 @@ mod tests {
             let err = solve_block_job(&bad, &mut bw).expect_err("refused");
             assert!(err.contains("must be finite and >="), "{err}");
         }
-        assert_eq!(bw.inner.scratch.counts, SweepCounts::default(), "nothing was swept");
+        let target = |target: f64| vec![ConsensusTerm { sub: job.free[0], target }];
+        for (bad, complaint) in [
+            (BlockJob { free: vec![job.free[0], n], ..job.clone() }, "free index"),
+            (
+                BlockJob { cons: vec![ConsensusTerm { sub: n, target: 0.0 }], ..job.clone() },
+                "consensus index",
+            ),
+            (BlockJob { cons: target(f64::NAN), ..job.clone() }, "non-finite consensus target"),
+            (
+                BlockJob { cons: target(f64::INFINITY), ..job.clone() },
+                "non-finite consensus target",
+            ),
+            (BlockJob { rho: -1.0, ..job.clone() }, "invalid rho"),
+            (BlockJob { rho: f64::NAN, ..job.clone() }, "invalid rho"),
+            (BlockJob { x0: vec![0.0; n + 1], ..job.clone() }, "x0 length"),
+        ] {
+            let err = solve_block_job(&bad, &mut bw).expect_err("refused");
+            assert!(err.contains(complaint), "{complaint}: {err}");
+        }
+        assert_eq!(bw.inner.scratch.counts, SweepCounts::default(), "nothing built, nothing swept");
         assert!(solve_block_job(&job, &mut bw).is_ok());
+        assert_eq!(bw.inner.scratch.counts.tape_builds, 1);
+    }
+
+    /// The slot is no part of the job's value: empty, filled by the
+    /// block's own previous solve, or filled with another block's tape —
+    /// which `attach` refuses, so the solve builds — the solution is the
+    /// same, and the slot ends up holding this block's tape.
+    #[test]
+    fn the_solution_does_not_depend_on_what_the_slot_holds() {
+        let mut jobs = two_jobs();
+        let mut bw = BatchWorkspace::new();
+        let builds = |bw: &BatchWorkspace| bw.inner.scratch.counts.tape_builds;
+        assert_eq!(format!("{:?}", jobs[0].tape), "TapeSlot(empty)");
+        let cold = solve_block_job(&jobs[0], &mut bw).expect("empty slot");
+        assert_eq!(format!("{:?}", jobs[0].tape), "TapeSlot(filled)");
+        assert_eq!(
+            format!("{:?}", jobs[0].clone().tape),
+            "TapeSlot(empty)",
+            "a clone starts empty"
+        );
+        assert_eq!(builds(&bw), 1);
+        let carried = solve_block_job(&jobs[0], &mut bw).expect("own tape");
+        assert_eq!(builds(&bw), 1, "the block's own tape is attached, not rebuilt");
+        solve_block_job(&jobs[1], &mut bw).expect("other block");
+        assert_eq!(builds(&bw), 2);
+        jobs[0].tape = std::mem::take(&mut jobs[1].tape);
+        let foreign = solve_block_job(&jobs[0], &mut bw).expect("another block's tape");
+        assert_eq!(builds(&bw), 3, "a tape of another shape is refused and costs a build");
+        let again = solve_block_job(&jobs[0], &mut bw).expect("own tape again");
+        assert_eq!(builds(&bw), 3);
+        for other in [&carried, &foreign, &again] {
+            assert_eq!(other.iters, cold.iters);
+            assert_eq!(other.phi_model.to_bits(), cold.phi_model.to_bits());
+            let bits = |s: &BlockSolution| s.x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(other), bits(&cold));
+        }
     }
 }

@@ -58,7 +58,7 @@ use std::collections::BTreeMap;
 
 use crate::block::{
     build_block_problem, global_sweeps, solve_block_job, stage_stop, BlockJob, BlockMaps,
-    BlockModel, BlockSolution, InnerConfig,
+    BlockModel, BlockSolution, InnerConfig, TapeSlot,
 };
 use crate::partition::{partition_mdg, Partition, PartitionOptions};
 
@@ -456,6 +456,15 @@ pub fn solve_admm<B: BlockBackend>(
     let mut max_block_stale_rounds = 0usize;
     let trace_rounds = std::env::var_os("PARADIGM_ADMM_TRACE").is_some();
 
+    // Each block's compiled objective, between rounds: a block's sub-MDG
+    // keeps its shape from round to round (only the frozen costs of its
+    // ghost and virtual nodes move), so what the first round compiled
+    // rides in the block's job slot for the rest of the solve. A slot a
+    // backend hands back empty — every TCP round, a lost block — costs
+    // that block one build.
+    let mut tapes: Vec<TapeSlot> = Vec::new();
+    tapes.resize_with(part.blocks, TapeSlot::default);
+
     for _ in 0..cfg.max_outer {
         outer_iters += 1;
         let sw = global_sweeps(&obj, &x);
@@ -466,7 +475,9 @@ pub fn solve_admm<B: BlockBackend>(
         let mut jobs = Vec::with_capacity(part.blocks);
         let mut maps: Vec<BlockMaps> = Vec::with_capacity(part.blocks);
         for (b, dual) in duals.iter().enumerate() {
-            let (job, map) = build_block_problem(g, &machine, &part, b, &sw, &x, dual, rho, inner);
+            let (mut job, map) =
+                build_block_problem(g, &machine, &part, b, &sw, &x, dual, rho, inner);
+            job.tape = std::mem::take(&mut tapes[b]);
             jobs.push(job);
             maps.push(map);
         }
@@ -519,6 +530,9 @@ pub fn solve_admm<B: BlockBackend>(
             )));
         }
         inner_iters += sols.iter().map(|s| s.iters).sum::<usize>();
+        for (slot, job) in tapes.iter_mut().zip(&mut jobs) {
+            *slot = std::mem::take(&mut job.tape);
+        }
 
         // Interior home variables: adopt the owning block's iterate.
         for b in 0..part.blocks {

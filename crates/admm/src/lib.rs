@@ -31,7 +31,7 @@ pub mod race_suites;
 
 pub use block::{
     build_block_problem, global_sweeps, solve_block_job, BlockJob, BlockMaps, BlockSolution,
-    ConsensusTerm, GlobalSweeps, InnerConfig,
+    ConsensusTerm, GlobalSweeps, InnerConfig, TapeSlot,
 };
 pub use consensus::{
     solve_admm, solve_admm_in_process, AdmmConfig, AdmmResult, BackendFaultStats, BlockBackend,

@@ -31,7 +31,7 @@ use crate::breaker::{BreakerConfig, BreakerState, CircuitBreaker};
 use crate::client::{Client, ClientError, RetryPolicy};
 use crate::json::Json;
 use paradigm_admm::{
-    BackendFaultStats, BlockBackend, BlockJob, BlockSolution, ConsensusTerm, InnerConfig,
+    BackendFaultStats, BlockBackend, BlockJob, BlockSolution, ConsensusTerm, InnerConfig, TapeSlot,
 };
 use paradigm_cost::{Machine, TransferParams};
 use paradigm_mdg::{from_text, to_text};
@@ -213,7 +213,9 @@ pub fn parse_block_job(doc: &Json, members: &[(String, Json)]) -> Result<BlockJo
     if rho <= 0.0 {
         return Err("`rho` must be positive".into());
     }
-    Ok(BlockJob { graph, machine, area_off: finite(doc, "area_off")?, rho, x0, free, cons, inner })
+    let area_off = finite(doc, "area_off")?;
+    // A frame carries the job's value; the worker compiles it.
+    Ok(BlockJob { graph, machine, area_off, rho, x0, free, cons, inner, tape: TapeSlot::default() })
 }
 
 /// Encode a finished block solve as the `admm_block` success response.

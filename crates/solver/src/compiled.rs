@@ -205,6 +205,14 @@ pub struct LevelProgram {
     pub(crate) reduces: Vec<Reduce>,
     /// Monomial-table range of each root.
     mono_ranges: Vec<(u32, u32)>,
+    /// Table indices of the monomials that are direct children of a root
+    /// (the root itself when it is one monomial), in child order, as the
+    /// placer met them: root `r`'s are `direct_monos[lo..hi]` with
+    /// `(lo, hi) = direct_ranges[r]`. What lets a caller rewrite a
+    /// coefficient ([`LevelProgram::set_coeff`]) without inferring its
+    /// position from the accumulation order.
+    direct_monos: Vec<u32>,
+    direct_ranges: Vec<(u32, u32)>,
     /// Value slots: one per op.
     pub(crate) n_slots: usize,
     /// Weight slots: Σ arity over maxes.
@@ -280,6 +288,8 @@ struct Placer<'p> {
     next: Vec<Cursor>,
     /// Handles of visited children whose parent has not finished yet.
     kids: Vec<Placed>,
+    /// Ops open above the one being placed: 0 at a root.
+    depth: usize,
 }
 
 impl Placer<'_> {
@@ -294,11 +304,13 @@ impl Placer<'_> {
         };
         let first_kid = self.kids.len();
         let mut level = 0;
+        self.depth += 1;
         for c in v.iter().rev() {
             let (l, placed) = self.place(c);
             level = level.max(l);
             self.kids.push(placed);
         }
+        self.depth -= 1;
         let (lv, cur) = (&self.prog.levels[level], &mut self.next[level]);
         level += 1;
         let arity = v.len() as u32;
@@ -326,6 +338,9 @@ impl Placer<'_> {
         // The handles were pushed last child first: child 0 pops first.
         for t in 0..arity {
             let kid = self.kids.pop().expect("one handle per child");
+            if let (0, Placed::Mono(i)) = (self.depth, kid) {
+                self.prog.direct_monos.push(i as u32);
+            }
             self.set_out(kid, c0 + t * stride);
         }
         debug_assert_eq!(self.kids.len(), first_kid);
@@ -491,6 +506,8 @@ impl LevelProgram {
             max2_out: vec![0; max2_at],
             reduces: vec![Reduce { out: 0, c0: 0, arity: 0, w0: 0 }; reduce_at],
             mono_ranges: vec![(0, 0); roots.len()],
+            direct_monos: Vec::new(),
+            direct_ranges: vec![(0, 0); roots.len()],
             n_slots: slot as usize,
             n_wts: w as usize,
             max2_width,
@@ -498,12 +515,17 @@ impl LevelProgram {
         };
 
         // Pass 2: place every op, the roots in accumulation order.
-        let mut placer = Placer { prog: &mut prog, next, kids: Vec::new() };
+        let mut placer = Placer { prog: &mut prog, next, kids: Vec::new(), depth: 0 };
         for &r in replay {
             let lo = placer.prog.monos.len() as u32;
+            let direct_lo = placer.prog.direct_monos.len() as u32;
             let (_, placed) = placer.place(roots[r]);
+            if let Placed::Mono(i) = placed {
+                placer.prog.direct_monos.push(i as u32);
+            }
             placer.set_out(placed, r as u32);
             placer.prog.mono_ranges[r] = (lo, placer.prog.monos.len() as u32);
+            placer.prog.direct_ranges[r] = (direct_lo, placer.prog.direct_monos.len() as u32);
         }
         assert_eq!(prog.monos.len(), n_monos, "`replay` must name every root exactly once");
 
@@ -542,6 +564,23 @@ impl LevelProgram {
     pub(crate) fn mono_range(&self, r: usize) -> Range<usize> {
         let (lo, hi) = self.mono_ranges[r];
         lo as usize..hi as usize
+    }
+
+    /// Table indices of root `r`'s direct monomial children, in child
+    /// order (the root itself when it is one monomial).
+    pub(crate) fn direct_monos(&self, r: usize) -> &[u32] {
+        let (lo, hi) = self.direct_ranges[r];
+        &self.direct_monos[lo as usize..hi as usize]
+    }
+
+    /// Overwrite the coefficient of table entry `i`, one non-zero value
+    /// for another: a zero coefficient compiles to a constant without
+    /// terms (`Placer::push_mono`), so whether it is zero is part of the
+    /// program's shape and not a value to write.
+    pub(crate) fn set_coeff(&mut self, i: u32, coeff: f64) {
+        let m = &mut self.monos[i as usize];
+        debug_assert!(m.coeff != 0.0 && coeff != 0.0, "a zero coefficient is shape");
+        m.coeff = coeff;
     }
 
     /// Shape of the program.
@@ -1015,6 +1054,9 @@ pub(crate) mod tests {
     fn level_sweep_is_bitwise_identical_to_tree_at_exact() {
         let e = sample_expr();
         let prog = single(&e, 2);
+        // Placed right to left: the root's constant and ratio come first;
+        // the four monomials under its `max` are not its direct children.
+        assert_eq!((prog.direct_monos(0), prog.monos.len()), (&[1, 0][..], 6));
         let mut scratch = EvalScratch::default();
         for x in [[0.0, 0.0], [1.0, 2.0], [-0.5, 0.7], [2.0, -1.0]] {
             let v0 = e.eval(&x, Sharpness::Exact);
@@ -1235,6 +1277,11 @@ pub(crate) mod tests {
         // Right to left within a root: root 0's table reads 3, 1, 2.
         let coeffs: Vec<f64> = prog.monos[2..5].iter().map(|m| m.coeff).collect();
         assert_eq!(coeffs, [3.0, 1.0, 2.0]);
+        // A root's direct monomials, in child order; the nested empty
+        // `Sum` / `Max` of root 2 hold none.
+        assert_eq!(prog.direct_monos(0), [4, 3, 2]);
+        assert_eq!(prog.direct_monos(1), [5]);
+        assert_eq!(prog.direct_monos(2), [1, 0]);
         let mut scratch = EvalScratch::default();
         let x = [0.4, 1.1];
         for sharp in [Sharpness::Exact, Sharpness::Smooth(8.0)] {

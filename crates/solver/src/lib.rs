@@ -65,7 +65,7 @@ pub use coordinate::{allocate_coordinate, CoordinateConfig, CoordinateResult};
 pub use descent::{descend, DescentModel, DescentState, Stage};
 pub use error::{FallbackTier, SolverError};
 pub use expr::{Expr, Monomial};
-pub use objective::MdgObjective;
+pub use objective::{DetachedObjective, MdgObjective};
 pub use solve::{
     allocate, allocate_resilient, check_annealing, descend_stage, equal_split_allocation,
     optimality_residual, try_allocate, try_allocate_from, AllocationResult, SolverConfig,

@@ -12,13 +12,30 @@
 //! every paper experiment is unaffected. Exactness is restored in the
 //! final reported numbers because allocations are always re-scored with
 //! `paradigm-cost`'s exact evaluator.
+//!
+//! What a compiled objective is valid for. Everything the build derives
+//! from its inputs — expression trees, level program, replay order —
+//! depends on the machine's constants, on the DAG (edge endpoints and
+//! transfers; adjacency and the topological order follow from the edge
+//! list) and on *which* of each node's two processing-cost coefficients
+//! `α·τ`, `(1−α)·τ` are zero (`Expr::sum` drops a zero term, so the zero
+//! pattern is structure). The coefficients' *values* are the only thing
+//! that is data. A caller that solves one graph again and again under
+//! moving costs — the consensus tier re-freezes every block's boundary
+//! into its ghost and virtual nodes each round — therefore builds once:
+//! [`MdgObjective::detach`] gives up the graph borrow,
+//! [`DetachedObjective::attach`] checks a graph against the shape the
+//! build recorded and rewrites the two coefficients per node where the
+//! build recorded them, or refuses, and then the caller builds. An
+//! attached objective is the built one to the bit
+//! (`tests/tape_carry.rs`).
 
 use crate::batch::{lanes_add, smax_batch};
 use crate::compiled::{smax_weights_fast, LevelProgram, TapeStats};
 use crate::expr::{smax_pair_weights, smax_weights, Expr, Monomial, Sharpness};
 use crate::workspace::{self, BatchEvalScratch, EvalScratch};
 use paradigm_cost::{Allocation, Machine, MdgWeights, PhiBreakdown};
-use paradigm_mdg::{EdgeId, Mdg, NodeId, TransferKind};
+use paradigm_mdg::{AmdahlParams, ArrayTransfer, EdgeId, Mdg, NodeId, TransferKind};
 use std::sync::OnceLock;
 
 /// The evaluated objective components at one point.
@@ -47,6 +64,104 @@ pub struct MdgObjective<'g> {
     /// The level program of every expression above, swept by the hot
     /// evaluation/gradient paths.
     tapes: Tapes,
+    /// What the fields above were built for, besides `machine`.
+    shape: Shape,
+}
+
+/// A compiled objective without its graph borrow: what
+/// [`MdgObjective::detach`] leaves and [`DetachedObjective::attach`]
+/// turns back into an objective for any graph of the same shape (module
+/// docs). `A_p`'s expression is not carried: it is rebuilt from the
+/// rewritten node expressions on first use.
+#[derive(Debug)]
+pub struct DetachedObjective {
+    machine: Machine,
+    node_t: Vec<Expr>,
+    edge_d: Vec<Expr>,
+    tapes: Tapes,
+    shape: Shape,
+}
+
+/// Cost site of a coefficient that is zero: `Expr::sum` dropped the
+/// term, the monomial table has no entry for it.
+const NO_SITE: u32 = u32::MAX;
+
+/// The structure an objective was built for, recorded by the build.
+#[derive(Debug)]
+struct Shape {
+    topo: Vec<NodeId>,
+    /// Per edge: source, destination, and where its transfers end in
+    /// `xfers` (they start where the previous edge's end).
+    edges: Vec<(usize, usize, usize)>,
+    xfers: Vec<ArrayTransfer>,
+    /// Per node, the monomial-table entries of its `α·τ` and `(1−α)·τ`
+    /// terms ([`NO_SITE`] where the coefficient is zero).
+    cost_sites: Vec<[u32; 2]>,
+}
+
+impl Shape {
+    fn of(g: &Mdg, prog: &LevelProgram) -> Shape {
+        let mut xfers = Vec::new();
+        let edges = g.edges().map(|(_, e)| {
+            xfers.extend_from_slice(&e.transfers);
+            (e.src, e.dst, xfers.len())
+        });
+        let edges = edges.collect();
+        let cost_sites = g.nodes().map(|(id, node)| {
+            // The cost terms are the first terms of a node's sum.
+            let mut direct = prog.direct_monos(id.0).iter();
+            cost_coeffs(&node.cost).map(|c| {
+                if c == 0.0 {
+                    return NO_SITE;
+                }
+                *direct.next().expect("a cost term is a direct monomial of its node")
+            })
+        });
+        Shape { topo: g.topo_order().to_vec(), edges, xfers, cost_sites: cost_sites.collect() }
+    }
+
+    /// Whether `g` has the DAG this shape was recorded from. (The zero
+    /// pattern of the costs is checked as they are rewritten.)
+    fn fits(&self, g: &Mdg) -> bool {
+        let mut lo = 0;
+        g.topo_order() == self.topo
+            && g.edge_count() == self.edges.len()
+            && g.edges().zip(&self.edges).all(|((_, e), &(src, dst, hi))| {
+                let same = e.src == src && e.dst == dst && e.transfers == self.xfers[lo..hi];
+                lo = hi;
+                same
+            })
+    }
+}
+
+/// The two processing-cost coefficients of `t^C = α·τ + (1−α)·τ / p`.
+fn cost_coeffs(cost: &AmdahlParams) -> [f64; 2] {
+    if cost.tau > 0.0 {
+        [cost.alpha * cost.tau, (1.0 - cost.alpha) * cost.tau]
+    } else {
+        [0.0, 0.0]
+    }
+}
+
+/// What no objective is built for or attached to: a machine without
+/// processors or with invalid transfer constants, a node cost outside
+/// `α ∈ [0, 1]`, `0 ≤ τ < ∞`.
+fn check_inputs(g: &Mdg, machine: &Machine) -> Result<(), String> {
+    if machine.procs == 0 {
+        return Err("machine has zero processors".into());
+    }
+    machine.xfer.validate()?;
+    for (_, node) in g.nodes() {
+        let a = node.cost.alpha;
+        let tau = node.cost.tau;
+        if !a.is_finite() || !(0.0..=1.0).contains(&a) || !tau.is_finite() || tau < 0.0 {
+            return Err(format!(
+                "node `{}` has invalid cost (alpha = {a}, tau = {tau})",
+                node.name
+            ));
+        }
+    }
+    Ok(())
 }
 
 /// The objective's one compiled program — node `T` expressions by node
@@ -59,6 +174,7 @@ pub struct MdgObjective<'g> {
 /// `A_p = (1/p) Σ T_i e^{x_i}` from the node values they already
 /// computed, and the backward pass folds the product rule into the node
 /// seeds (see [`MdgObjective::backward_replay`]).
+#[derive(Debug)]
 struct Tapes {
     prog: LevelProgram,
     /// Per position of the reverse topological order, where the
@@ -100,20 +216,7 @@ impl<'g> MdgObjective<'g> {
     /// (non-finite `tau`, out-of-range `alpha`, bad transfer constants)
     /// become an `Err` instead of a constructor panic.
     pub fn try_new(g: &'g Mdg, machine: Machine) -> Result<Self, String> {
-        if machine.procs == 0 {
-            return Err("machine has zero processors".into());
-        }
-        machine.xfer.validate()?;
-        for (_, node) in g.nodes() {
-            let a = node.cost.alpha;
-            let tau = node.cost.tau;
-            if !a.is_finite() || !(0.0..=1.0).contains(&a) || !tau.is_finite() || tau < 0.0 {
-                return Err(format!(
-                    "node `{}` has invalid cost (alpha = {a}, tau = {tau})",
-                    node.name
-                ));
-            }
-        }
+        check_inputs(g, &machine)?;
         Ok(Self::new(g, machine))
     }
 
@@ -124,12 +227,15 @@ impl<'g> MdgObjective<'g> {
         let mut node_terms: Vec<Vec<Expr>> = vec![Vec::new(); n];
 
         // Processing costs: t^C_i = alpha*tau + (1-alpha)*tau / p_i.
+        // First in each node's sum, which is where `Shape::of` and
+        // `DetachedObjective::attach` look for them.
         for (id, node) in g.nodes() {
-            let a = node.cost.alpha;
-            let tau = node.cost.tau;
-            if tau > 0.0 {
-                node_terms[id.0].push(Expr::Mono(Monomial::constant(a * tau)));
-                node_terms[id.0].push(Expr::Mono(Monomial::single((1.0 - a) * tau, id.0, -1.0)));
+            let [serial, parallel] = cost_coeffs(&node.cost);
+            if serial != 0.0 {
+                node_terms[id.0].push(Expr::Mono(Monomial::constant(serial)));
+            }
+            if parallel != 0.0 {
+                node_terms[id.0].push(Expr::Mono(Monomial::single(parallel, id.0, -1.0)));
             }
         }
 
@@ -187,7 +293,14 @@ impl<'g> MdgObjective<'g> {
 
         let node_t: Vec<Expr> = node_terms.into_iter().map(Expr::sum).collect();
         let tapes = Tapes::build(g, &node_t, &edge_d);
-        MdgObjective { g, machine, node_t, edge_d, area: OnceLock::new(), tapes }
+        let shape = Shape::of(g, &tapes.prog);
+        MdgObjective { g, machine, node_t, edge_d, area: OnceLock::new(), tapes, shape }
+    }
+
+    /// Give up the graph borrow and keep everything that was compiled.
+    pub fn detach(self) -> DetachedObjective {
+        let MdgObjective { machine, node_t, edge_d, tapes, shape, .. } = self;
+        DetachedObjective { machine, node_t, edge_d, tapes, shape }
     }
 
     /// The graph this objective was built for.
@@ -689,6 +802,48 @@ impl<'g> MdgObjective<'g> {
     /// via `paradigm-cost`'s ground-truth evaluator.
     pub fn exact_phi(&self, alloc: &Allocation) -> PhiBreakdown {
         MdgWeights::compute(self.g, &self.machine, alloc).phi(self.g)
+    }
+}
+
+impl DetachedObjective {
+    /// The objective of `(g, machine)`, to the bit what
+    /// [`MdgObjective::try_new`] builds, for the price of one pass over
+    /// the graph: `None` — the caller builds — unless the inputs are
+    /// valid, the machine's processor count and transfer constants are
+    /// the build's, `g` has the build's DAG and every node cost has the
+    /// build's zero pattern. Then the two cost coefficients of every node
+    /// are rewritten in the level program and in the node's expression.
+    pub fn attach(mut self, g: &Mdg, machine: Machine) -> Option<MdgObjective<'_>> {
+        let constants = |m: &Machine| {
+            let x = &m.xfer;
+            (m.procs, [x.t_ss, x.t_ps, x.t_sr, x.t_pr, x.t_n].map(f64::to_bits))
+        };
+        if check_inputs(g, &machine).is_err()
+            || constants(&machine) != constants(&self.machine)
+            || !self.shape.fits(g)
+        {
+            return None;
+        }
+        for (id, node) in g.nodes() {
+            let mut terms = match &mut self.node_t[id.0] {
+                Expr::Sum(terms) => terms.iter_mut(),
+                term => std::slice::from_mut(term).iter_mut(),
+            };
+            for (c, site) in cost_coeffs(&node.cost).into_iter().zip(self.shape.cost_sites[id.0]) {
+                if (c != 0.0) != (site != NO_SITE) {
+                    return None;
+                }
+                if c != 0.0 {
+                    self.tapes.prog.set_coeff(site, c);
+                    let Some(Expr::Mono(m)) = terms.next() else {
+                        unreachable!("a node's sum opens with its cost terms")
+                    };
+                    m.coeff = c;
+                }
+            }
+        }
+        let DetachedObjective { node_t, edge_d, tapes, shape, .. } = self;
+        Some(MdgObjective { g, machine, node_t, edge_d, area: OnceLock::new(), tapes, shape })
     }
 }
 

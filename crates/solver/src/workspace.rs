@@ -59,6 +59,10 @@ pub struct SweepCounts {
     /// the variable cache plus, on an exact sweep, one per distinct
     /// exponent vector of the program.
     pub exp_calls: u64,
+    /// Objectives a caller that carries them compiled for this scratch:
+    /// the ADMM block solves that were handed no tape, or one of another
+    /// shape. (One-shot builds — a dense solve's — are not counted.)
+    pub tape_builds: u64,
 }
 
 impl SweepCounts {
@@ -69,6 +73,7 @@ impl SweepCounts {
             backward_sweeps: self.backward_sweeps.saturating_sub(earlier.backward_sweeps),
             probes: self.probes.saturating_sub(earlier.probes),
             exp_calls: self.exp_calls.saturating_sub(earlier.exp_calls),
+            tape_builds: self.tape_builds.saturating_sub(earlier.tape_builds),
         }
     }
 }
@@ -129,6 +134,14 @@ fn grow(v: &mut Vec<f64>, len: usize) {
 }
 
 impl EvalScratch {
+    /// The value of every op of the level program the last recording
+    /// sweep ran here (root `r` at `[r]`; a pooled scratch may hold a
+    /// larger program's tail beyond them). For tests that hold two
+    /// sweeps equal slot by slot.
+    pub fn tape_values(&self) -> &[f64] {
+        &self.tape_vals
+    }
+
     /// Resize the DAG buffers for a graph with `nodes` nodes and `edges`
     /// edges and zero them, and make the staging row hold the candidates
     /// and weights of a node with `max_in` in-edges. Capacity is
@@ -350,6 +363,7 @@ pub fn pool_sweep_counts() -> SweepCounts {
             total.backward_sweeps += c.backward_sweeps;
             total.probes += c.probes;
             total.exp_calls += c.exp_calls;
+            total.tape_builds += c.tape_builds;
         }
     }
     total
