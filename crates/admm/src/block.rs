@@ -33,6 +33,20 @@
 //! bit-for-nearly-bit (`block_model_is_exact_at_consensus` pins this),
 //! which is what makes the ADMM outer loop honest: blocks descend a local
 //! model that is a faithful restriction of the true objective.
+//!
+//! What a round pays for a block. Only the *costs* of a block's ghost and
+//! virtual nodes move from round to round; its nodes, edges and transfers
+//! do not. So the sub-MDG is compiled into an objective once per solve:
+//! the compiled form rides in the job's [`TapeSlot`], and
+//! [`solve_block_job`] re-attaches it to each round's sub-MDG (a shape
+//! check and two coefficient writes per node —
+//! `paradigm_solver::DetachedObjective::attach`) or, when the slot is
+//! empty or holds another shape, compiles. And the model's gradient
+//! `w_a·∇A_p + w_c·∇C_p` is *one* backward replay of the tape the
+//! accepted probe recorded, seeded with both weights (`area_off` shifts
+//! `A_p` before the top-level smax, which changes the weights and nothing
+//! else) — not two replays recombined, which is the same gradient at
+//! twice the price, rounded differently.
 
 use paradigm_cost::Machine;
 use paradigm_mdg::{AmdahlParams, Mdg, MdgBuilder, NodeId, TransferKind};
@@ -419,8 +433,9 @@ pub(crate) struct BlockModel<'a, 'g> {
     cons: &'a [ConsensusTerm],
     free: &'a [usize],
     scratch: &'a mut EvalScratch,
-    grad_a: &'a mut Vec<f64>,
-    grad_c: &'a mut Vec<f64>,
+    /// The objective's gradient over every sub variable, of which the
+    /// stage sees the free entries.
+    grad_all: &'a mut Vec<f64>,
     /// `(Phi, w_a, w_c)` of the model at the last probed point.
     probed: (f64, f64, f64),
     /// Model `Phi` (without the penalty) at the last replayed point, i.e.
@@ -437,7 +452,7 @@ impl<'a, 'g> BlockModel<'a, 'g> {
         free: &'a [usize],
         ws: &'a mut SolverWorkspace,
     ) -> Self {
-        let (scratch, [grad_a, grad_c]) = ws.split();
+        let (scratch, grad_all) = ws.split();
         BlockModel {
             obj,
             sharp: Sharpness::Exact,
@@ -446,8 +461,7 @@ impl<'a, 'g> BlockModel<'a, 'g> {
             cons,
             free,
             scratch,
-            grad_a,
-            grad_c,
+            grad_all,
             probed: (f64::INFINITY, 0.0, 0.0),
             phi: f64::INFINITY,
         }
@@ -467,17 +481,17 @@ impl DescentModel for BlockModel<'_, '_> {
         f
     }
 
-    // The `A_p`/`C_p` gradient pair is two replays of the tape the last
-    // probe left behind, never a second sweep of the point.
+    // One replay of the tape the last probe left behind — never a second
+    // sweep of the point — seeded with the weights the probe's `smax` put
+    // on `A_p` and `C_p`: `w_a·∇A_p + w_c·∇C_p` in a single pass.
     fn replay(&mut self, x: &[f64], grad: &mut Vec<f64>) {
         let (phi, wa, wc) = self.probed;
         self.phi = phi;
-        self.obj.backward_replay(0.0, 1.0, self.scratch, self.grad_a);
-        self.obj.backward_replay(1.0, 0.0, self.scratch, self.grad_c);
+        self.obj.backward_replay(wc, wa, self.scratch, self.grad_all);
         grad.clear();
         grad.resize(x.len(), 0.0);
         for &j in self.free {
-            grad[j] = wa * self.grad_a[j] + wc * self.grad_c[j];
+            grad[j] = self.grad_all[j];
         }
         for c in self.cons {
             grad[c.sub] += self.rho * (x[c.sub] - c.target);

@@ -8,7 +8,11 @@
 //!
 //! 1. **x-update** — every block minimizes its frozen-context model (see
 //!    [`crate::block`]) plus `(rho/2) ||x - z + u||^2`, in parallel,
-//!    through a [`BlockBackend`];
+//!    through a [`BlockBackend`]; the block's objective is compiled in
+//!    its first round and carried in its job's slot from then on — the
+//!    loop moves the slot from each round's job into the next one's, and
+//!    a backend that hands it back empty (a TCP round, a lost block)
+//!    costs that block a build, never a different answer;
 //! 2. **z-update** — per boundary node, average the over-relaxed copies
 //!    `alpha x + (1 - alpha) z_old` plus their duals;
 //! 3. **u-update** — `u += x_relaxed - z`.

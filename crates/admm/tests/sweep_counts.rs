@@ -1,6 +1,7 @@
 //! The ADMM tier's half of `crates/solver/tests/sweep_counts.rs`: over a
 //! whole consensus solve, block x-updates and the coordinator polish
-//! sweep each point they evaluate exactly once, and every block's
+//! sweep each point they evaluate exactly once and replay each point
+//! whose gradient they take exactly once, and every block's
 //! objective is compiled once — then carried from round to round in the
 //! block's job slot. A backend that hands every slot back empty (what a
 //! TCP round does) makes the solve compile once per block *solve* and
@@ -45,8 +46,11 @@ fn a_consensus_solve_sweeps_no_point_twice_and_compiles_each_block_once() {
     );
     assert!(c.probes > (r.inner_iters + r.polish_iters) as u64, "{c:?}");
     assert_eq!(c.forward_sweeps, c.probes, "a point was swept twice: {c:?}");
-    // Block solves and the polish replay a gradient *pair* per point.
-    assert_eq!(c.backward_sweeps % 2, 0, "{c:?}");
+    // One replay per point whose gradient was taken — a stage's start or
+    // an accepted step — for block solves, polish and finishing stage
+    // alike; an iteration whose line search dead-ends replays nothing.
+    assert_eq!(c.backward_sweeps, c.gradients, "a point was replayed twice: {c:?}");
+    assert!(c.gradients <= c.forward_sweeps && c.gradients > r.blocks as u64, "{c:?}");
     assert_eq!(c.tape_builds, r.blocks as u64, "a block was compiled more than once: {c:?}");
 
     let (dropped, cd) = counted(&mut DropsEveryTape(InProcessBackend { threads: 2 }));

@@ -20,10 +20,12 @@
 //! down mid-way through the largest quick case — the run must still
 //! complete, converge, and report nonzero retry/steal counts.
 //!
-//! The run fails (exit code 1) on two gates, both the same on every
+//! The run fails (exit code 1) on four gates, all the same on every
 //! machine: `sweeps` (see `bench-solve`) over the block x-updates and the
-//! coordinator polish, and `converged` — every case reaches the residual
-//! tolerance.
+//! coordinator polish; `replays` — no case replays a tape more than once
+//! per gradient taken; `builds` — an in-process run compiles each block's
+//! objective once per solve, not once per round; and `converged` — every
+//! case reaches the residual tolerance.
 
 use std::net::SocketAddr;
 use std::sync::Arc;
@@ -76,6 +78,15 @@ const TABLES: &[Table] = &[(
         // polish iteration; equal when no point is swept twice.
         ("forward_sweeps_per_iter", "swp/iter", 8, Cell::Fixed(3)),
         ("probes_per_iter", "prb/iter", 8, Cell::Fixed(3)),
+        // Backward tape replays per probe (a line search takes about two
+        // probes per gradient), and per point whose gradient a descent
+        // loop took: exactly 1 when every gradient is one replay.
+        ("backward_sweeps_per_probe", "bwd/prb", 8, Cell::Fixed(3)),
+        json_only("backward_sweeps_per_gradient"),
+        // Block objectives compiled in this process: `blocks` when every
+        // block's tape is carried from round to round; one per block
+        // solve through a fleet, whose workers compile per frame.
+        ("tape_builds", "builds", 7, Cell::Int),
         // Fresh block x-updates executed (`blocks * outer_rounds` minus
         // the round slots served a stale solution) and their end-to-end
         // throughput.
@@ -214,7 +225,7 @@ pub fn run_bench_admm(opts: &BenchAdmmOpts) -> Result<CmdOutput, CliError> {
     let report = Report {
         title,
         header: vec![
-            ("version", Json::num(5.0)),
+            ("version", Json::num(6.0)),
             ("quick", Json::Bool(opts.quick)),
             ("fleet", Json::num(opts.fleet as f64)),
             ("crossover_nodes", crossover_nodes(&rows)),
@@ -223,7 +234,7 @@ pub fn run_bench_admm(opts: &BenchAdmmOpts) -> Result<CmdOutput, CliError> {
         rows,
         footer,
     };
-    finish(&report, &[SWEEPS, CONVERGED], opts.out.as_deref())
+    finish(&report, &[SWEEPS, REPLAYS, BUILDS, CONVERGED], opts.out.as_deref())
 }
 
 /// The size a `>= n` routing threshold could use: the smallest case from
@@ -247,6 +258,34 @@ const CONVERGED: Gate = Gate {
             let (r, s) = (row.num("primal_residual"), row.num("dual_residual"));
             (row.get("converged") != Some(&Json::Bool(true)))
                 .then(|| format!("stopped at primal residual {r:.2e}, dual residual {s:.2e}"))
+        })
+    },
+};
+
+/// The replay gate: every gradient a descent loop took cost one backward
+/// replay of the tape its probe recorded.
+const REPLAYS: Gate = Gate {
+    name: "replays",
+    check: |report| {
+        every_case(report, "no case replays more than once per gradient", |row| {
+            let replays = row.num("backward_sweeps_per_gradient");
+            (replays > 1.0).then(|| format!("runs {replays:.3} backward replays per gradient"))
+        })
+    },
+};
+
+/// The build gate of an in-process run: each block's objective is
+/// compiled once and carried through the rounds. (Fleet workers share
+/// this process's counters and compile per frame: not gated.)
+const BUILDS: Gate = Gate {
+    name: "builds",
+    check: |report| {
+        if report.header_num("fleet") > 0.0 {
+            return Ok("not gated through a fleet, whose workers compile per frame".into());
+        }
+        every_case(report, "every block's objective was compiled once per solve", |row| {
+            let (builds, blocks) = (row.num("tape_builds"), row.num("blocks"));
+            (builds != blocks).then(|| format!("compiled {builds} objectives for {blocks} blocks"))
         })
     },
 };
@@ -329,6 +368,10 @@ fn bench_case(
     row.set("polish_iters", res.polish_iters as f64);
     row.set("forward_sweeps_per_iter", per_iter(swept.forward_sweeps));
     row.set("probes_per_iter", per_iter(swept.probes));
+    let replays_per = |count: u64| swept.backward_sweeps as f64 / count.max(1) as f64;
+    row.set("backward_sweeps_per_probe", replays_per(swept.probes));
+    row.set("backward_sweeps_per_gradient", replays_per(swept.gradients));
+    row.set("tape_builds", swept.tape_builds as f64);
     row.set("block_solves", block_solves as f64);
     row.set("block_solves_per_s", block_solves as f64 / wall.as_secs_f64().max(f64::MIN_POSITIVE));
     row.set("wall_ms", wall_ms);
@@ -379,7 +422,11 @@ mod tests {
     fn report(rows: Vec<Row>) -> Report {
         Report {
             title: "bench-admm (test)".into(),
-            header: vec![("version", Json::num(5.0)), ("crossover_nodes", Json::Null)],
+            header: vec![
+                ("version", Json::num(6.0)),
+                ("fleet", Json::num(0.0)),
+                ("crossover_nodes", Json::Null),
+            ],
             tables: TABLES,
             rows,
             footer: String::new(),
@@ -419,12 +466,35 @@ mod tests {
         let rep = report(vec![c]);
         let json = rep.render_json().expect("every key is listed");
         let doc = paradigm_serve::parse_json(&json).expect("valid JSON");
-        assert_eq!(doc.get("version").and_then(Json::as_u64), Some(5));
+        assert_eq!(doc.get("version").and_then(Json::as_u64), Some(6));
         assert_eq!(doc.get("crossover_nodes"), Some(&Json::Null), "key present even when null");
         let case = &doc.get("cases").and_then(Json::as_arr).expect("cases array")[0];
         assert_eq!(case.get("name").and_then(Json::as_str), Some("smoke"));
         assert!(case.get("dense_ms").is_some() && case.get("phi_vs_dense").is_some());
         assert!((SWEEPS.check)(&rep).is_ok() && (CONVERGED.check)(&rep).is_ok());
+        // (`replays` and `builds` read pool-wide counts that sibling
+        // tests' solves share: held on hand-made rows below, by
+        // `crates/admm/tests/sweep_counts.rs` and by the real run.)
+    }
+
+    #[test]
+    fn replay_and_build_gates_name_the_case_that_pays_twice() {
+        let case = |name: &str, replays: f64, builds: f64| {
+            let mut row = Row::new(name);
+            row.set("backward_sweeps_per_gradient", replays);
+            row.set("tape_builds", builds);
+            row.set("blocks", 5.0);
+            row
+        };
+        let rep = report(vec![case("fine", 1.0, 5.0), case("twice", 2.0, 740.0)]);
+        let err = (REPLAYS.check)(&rep).expect_err("two replays per gradient");
+        assert!(err.starts_with("twice runs 2.000 backward replays"), "{err}");
+        let err = (BUILDS.check)(&rep).expect_err("a build per block solve");
+        assert_eq!(err, "twice compiled 740 objectives for 5 blocks");
+        // Fleet workers compile per frame in this process: not gated.
+        let mut fleet = report(vec![case("twice", 1.0, 740.0)]);
+        fleet.header[1] = ("fleet", Json::num(3.0));
+        assert!((BUILDS.check)(&fleet).is_ok() && (REPLAYS.check)(&fleet).is_ok());
     }
 
     #[test]

@@ -47,12 +47,13 @@
 //!   for the caller to read back.
 //!
 //! With `memory = 0` the stage is plain projected gradient descent. The
-//! stage counts its own probes — stage start included — on the model's
-//! [`SweepCounts`], next to the sweeps the model's executor counts there,
-//! so `forward_sweeps == probes` over a solve says no model swept a probe
-//! twice. The pairs live in the state's pooled buffers (`2·memory·n`
-//! doubles, sized at stage start): after warm-up the stage performs no
-//! heap allocation.
+//! stage counts its own probes — stage start included — and the points
+//! it asks a gradient at on the model's [`SweepCounts`], next to the
+//! sweeps the model's executor counts there, so `forward_sweeps ==
+//! probes` over a solve says no model swept a probe twice and
+//! `backward_sweeps == gradients` that none replayed one twice. The
+//! pairs live in the state's pooled buffers (`2·memory·n` doubles, sized
+//! at stage start): after warm-up the stage performs no heap allocation.
 
 use crate::workspace::SweepCounts;
 
@@ -244,6 +245,7 @@ pub fn descend<M: DescentModel>(
     let (mut stored, mut head) = (0, 0);
     model.counts().probes += 1;
     st.f = model.probe(&st.x);
+    model.counts().gradients += 1;
     model.replay(&st.x, &mut st.grad);
     let mut iters = 0;
     while iters < stage.max_iters {
@@ -316,6 +318,7 @@ pub fn descend<M: DescentModel>(
             st.trial[j] = s;
         }
         std::mem::swap(&mut st.grad, &mut st.grad_prev);
+        model.counts().gradients += 1;
         model.replay(&st.x, &mut st.grad);
         if memory > 0 {
             for &j in &st.free {

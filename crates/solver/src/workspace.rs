@@ -55,6 +55,10 @@ pub struct SweepCounts {
     /// Points a descent loop evaluated through this scratch: every
     /// line-search probe plus each stage's start.
     pub probes: u64,
+    /// Points a descent loop took the gradient at: each stage's start
+    /// and every accepted step. `backward_sweeps == gradients` over a
+    /// solve says no model replayed a point twice.
+    pub gradients: u64,
     /// `exp` calls of the forward sweeps: one per variable per point for
     /// the variable cache plus, on an exact sweep, one per distinct
     /// exponent vector of the program.
@@ -72,6 +76,7 @@ impl SweepCounts {
             forward_sweeps: self.forward_sweeps.saturating_sub(earlier.forward_sweeps),
             backward_sweeps: self.backward_sweeps.saturating_sub(earlier.backward_sweeps),
             probes: self.probes.saturating_sub(earlier.probes),
+            gradients: self.gradients.saturating_sub(earlier.gradients),
             exp_calls: self.exp_calls.saturating_sub(earlier.exp_calls),
             tape_builds: self.tape_builds.saturating_sub(earlier.tape_builds),
         }
@@ -258,7 +263,9 @@ impl BatchWorkspace {
 }
 
 /// Scalar-tape buffers: the objective's [`EvalScratch`] plus the dense
-/// `∇A_p` / `∇C_p` pair of the two-seed callers.
+/// `∇A_p` / `∇C_p` pair of the two-seed caller (the stationarity
+/// residual); the ADMM block model borrows the first of the pair for its
+/// one full-length gradient.
 ///
 /// Construct one directly, or use the `.inner` of a pooled
 /// [`BatchWorkspace`]; pass `.scratch` by `&mut` to the `*_with` entry
@@ -268,9 +275,10 @@ pub struct SolverWorkspace {
     /// Objective sweep buffers (public so callers holding their own
     /// gradient vectors can use the `*_with` objective entry points).
     pub scratch: EvalScratch,
-    /// Dense gradient of `A_p` (stationarity residual, ADMM block model).
+    /// Dense gradient of `A_p` (stationarity residual); the ADMM block
+    /// model's gradient over all of a block's variables.
     pub(crate) grad_a: Vec<f64>,
-    /// Dense gradient of `C_p`, same callers.
+    /// Dense gradient of `C_p` (stationarity residual).
     pub(crate) grad_c: Vec<f64>,
 }
 
@@ -282,11 +290,10 @@ impl SolverWorkspace {
     }
 
     /// Split borrow for descent models outside this crate (the ADMM
-    /// block model): the sweep scratch plus the `[grad_a, grad_c]` pair,
-    /// which keep their capacity across calls.
-    pub fn split(&mut self) -> (&mut EvalScratch, [&mut Vec<f64>; 2]) {
-        let SolverWorkspace { scratch, grad_a, grad_c } = self;
-        (scratch, [grad_a, grad_c])
+    /// block model): the sweep scratch plus one gradient buffer, which
+    /// keeps its capacity across calls.
+    pub fn split(&mut self) -> (&mut EvalScratch, &mut Vec<f64>) {
+        (&mut self.scratch, &mut self.grad_a)
     }
 }
 
@@ -362,6 +369,7 @@ pub fn pool_sweep_counts() -> SweepCounts {
             total.forward_sweeps += c.forward_sweeps;
             total.backward_sweeps += c.backward_sweeps;
             total.probes += c.probes;
+            total.gradients += c.gradients;
             total.exp_calls += c.exp_calls;
             total.tape_builds += c.tape_builds;
         }
