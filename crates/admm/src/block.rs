@@ -54,8 +54,8 @@ use paradigm_race::plock;
 use paradigm_race::sync::Mutex;
 use paradigm_solver::expr::{smax_pair_weights, Sharpness};
 use paradigm_solver::{
-    check_annealing, descend, BatchWorkspace, DescentModel, DetachedObjective, EvalScratch,
-    MdgObjective, SolverWorkspace, Stage, SweepCounts,
+    check_annealing, descend, DescentModel, DetachedObjective, EvalScratch, MdgObjective,
+    SolverWorkspace, Stage, SweepCounts,
 };
 
 use crate::partition::Partition;
@@ -445,14 +445,15 @@ pub(crate) struct BlockModel<'a, 'g> {
 
 impl<'a, 'g> BlockModel<'a, 'g> {
     /// The model of `obj` shifted by `area_off` and penalised by `rho`
-    /// over `cons`, its gradient restricted to `free`; sweeps on `ws`.
+    /// over `cons`, its gradient restricted to `free`; sweeps on the
+    /// scratch and gradient buffer of a [`SolverWorkspace::split`].
     pub(crate) fn new(
         obj: &'a MdgObjective<'g>,
         (area_off, rho, cons): (f64, f64, &'a [ConsensusTerm]),
         free: &'a [usize],
-        ws: &'a mut SolverWorkspace,
+        scratch: &'a mut EvalScratch,
+        grad_all: &'a mut Vec<f64>,
     ) -> Self {
-        let (scratch, grad_all) = ws.split();
         BlockModel {
             obj,
             sharp: Sharpness::Exact,
@@ -525,7 +526,7 @@ pub(crate) fn stage_stop(rel_tol: f64) -> impl Fn(f64, f64, f64) -> bool {
 /// instead) and goes back into the slot afterwards. The stage's buffers
 /// are the workspace's; per call only a build and the returned iterate
 /// allocate.
-pub fn solve_block_job(job: &BlockJob, bw: &mut BatchWorkspace) -> Result<BlockSolution, String> {
+pub fn solve_block_job(job: &BlockJob, ws: &mut SolverWorkspace) -> Result<BlockSolution, String> {
     check_annealing(&job.inner.stages, job.inner.rel_tol)?;
     let n = job.graph.node_count();
     if let Some(&i) = job.free.iter().find(|&&i| i >= n) {
@@ -546,13 +547,13 @@ pub fn solve_block_job(job: &BlockJob, bw: &mut BatchWorkspace) -> Result<BlockS
         return Err(format!("x0 length {} != {} sub variables", job.x0.len(), n));
     }
 
-    let BatchWorkspace { inner, descent, .. } = bw;
+    let (scratch, grad_all, descent) = ws.split();
     let carried = plock(&job.tape.0).take();
     let obj = match carried.and_then(|tape| tape.attach(&job.graph, job.machine)) {
         Some(obj) => obj,
         None => {
             let built = MdgObjective::try_new(&job.graph, job.machine)?;
-            inner.scratch.counts.tape_builds += 1;
+            scratch.counts.tape_builds += 1;
             built
         }
     };
@@ -561,7 +562,8 @@ pub fn solve_block_job(job: &BlockJob, bw: &mut BatchWorkspace) -> Result<BlockS
     for &i in &job.free {
         x[i] = x[i].clamp(0.0, ub);
     }
-    let mut model = BlockModel::new(&obj, (job.area_off, job.rho, &job.cons), &job.free, inner);
+    let mut model =
+        BlockModel::new(&obj, (job.area_off, job.rho, &job.cons), &job.free, scratch, grad_all);
     descent.load(&x);
     let mut iters = 0usize;
     let smooth =
@@ -609,7 +611,7 @@ mod tests {
         let job = two_jobs().remove(0);
         let n = job.graph.node_count();
         let inner = &job.inner;
-        let mut bw = BatchWorkspace::new();
+        let mut bw = SolverWorkspace::new();
         for (stages, rel_tol) in
             [(vec![8.0, 0.5], 1e-9), (vec![0.0], 1e-9), (vec![-4.0], 1e-9), (vec![8.0], -1.0)]
         {
@@ -637,9 +639,9 @@ mod tests {
             let err = solve_block_job(&bad, &mut bw).expect_err("refused");
             assert!(err.contains(complaint), "{complaint}: {err}");
         }
-        assert_eq!(bw.inner.scratch.counts, SweepCounts::default(), "nothing built, nothing swept");
+        assert_eq!(bw.scratch.counts, SweepCounts::default(), "nothing built, nothing swept");
         assert!(solve_block_job(&job, &mut bw).is_ok());
-        assert_eq!(bw.inner.scratch.counts.tape_builds, 1);
+        assert_eq!(bw.scratch.counts.tape_builds, 1);
     }
 
     /// The slot is no part of the job's value: empty, filled by the
@@ -649,8 +651,8 @@ mod tests {
     #[test]
     fn the_solution_does_not_depend_on_what_the_slot_holds() {
         let mut jobs = two_jobs();
-        let mut bw = BatchWorkspace::new();
-        let builds = |bw: &BatchWorkspace| bw.inner.scratch.counts.tape_builds;
+        let mut bw = SolverWorkspace::new();
+        let builds = |bw: &SolverWorkspace| bw.scratch.counts.tape_builds;
         assert_eq!(format!("{:?}", jobs[0].tape), "TapeSlot(empty)");
         let cold = solve_block_job(&jobs[0], &mut bw).expect("empty slot");
         assert_eq!(format!("{:?}", jobs[0].tape), "TapeSlot(filled)");

@@ -55,8 +55,7 @@ use paradigm_cost::{Allocation, Machine, PhiBreakdown};
 use paradigm_mdg::{Mdg, NodeId};
 use paradigm_solver::expr::Sharpness;
 use paradigm_solver::{
-    descend, workspace, BatchWorkspace, FallbackTier, MdgObjective, SolverError, Stage, QN_MEMORY,
-    STATIONARITY_TOL,
+    descend, workspace, FallbackTier, MdgObjective, SolverError, Stage, QN_MEMORY, STATIONARITY_TOL,
 };
 use std::collections::BTreeMap;
 
@@ -159,10 +158,9 @@ pub trait BlockBackend {
 
 /// Scoped-thread backend: splits jobs into contiguous chunks over at
 /// most `threads` OS threads (`0` = available parallelism), each thread
-/// reusing one pooled [`paradigm_solver::BatchWorkspace`] (block solves
-/// run on its scalar `.inner`). Because each job is solved by a pure
-/// function, the thread count changes only where a job runs, never its
-/// result.
+/// reusing one pooled [`paradigm_solver::SolverWorkspace`]. Because each
+/// job is solved by a pure function, the thread count changes only where
+/// a job runs, never its result.
 #[derive(Debug, Clone, Default)]
 pub struct InProcessBackend {
     /// Worker thread cap; `0` picks `available_parallelism`.
@@ -630,8 +628,8 @@ pub fn solve_admm<B: BlockBackend>(
             // (no area offset, no consensus terms): the exact global
             // `Phi` over the compute variables. The step carries across
             // rounds.
-            let BatchWorkspace { inner, descent, .. } = &mut *pws;
-            let mut model = BlockModel::new(&obj, (0.0, 0.0, &[]), &compute, inner);
+            let (scratch, grad_all, descent) = pws.split();
+            let mut model = BlockModel::new(&obj, (0.0, 0.0, &[]), &compute, scratch, grad_all);
             descent.load(&x);
             descent.reset();
             descent.set_step(pol_step);
@@ -741,8 +739,8 @@ pub fn solve_admm<B: BlockBackend>(
     let (alloc, _) = best.as_ref().expect("at least one iterate was scored");
     x.clear();
     x.extend(alloc.as_slice().iter().map(|p| p.ln().clamp(0.0, ub)));
-    let BatchWorkspace { inner, descent, .. } = &mut *pws;
-    let mut model = BlockModel::new(&obj, (0.0, 0.0, &[]), &compute, inner);
+    let (scratch, grad_all, descent) = pws.split();
+    let mut model = BlockModel::new(&obj, (0.0, 0.0, &[]), &compute, scratch, grad_all);
     descent.load(&x);
     let top = cfg.inner.stages.last();
     let top = top.map(|&s| (Sharpness::Smooth(s), 60, QN_MEMORY, STATIONARITY_TOL));

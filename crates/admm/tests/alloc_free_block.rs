@@ -1,5 +1,5 @@
 //! Asserts what an ADMM block solve allocates. With a warm
-//! [`paradigm_solver::BatchWorkspace`] the heap-allocation count of
+//! [`paradigm_solver::SolverWorkspace`] the heap-allocation count of
 //! [`paradigm_admm::solve_block_job`] is a per-call constant:
 //!
 //! * handed the block's compiled objective (the job's
@@ -21,7 +21,7 @@ use paradigm_admm::{
 };
 use paradigm_cost::Machine;
 use paradigm_mdg::{fork_join_mdg, Mdg};
-use paradigm_solver::{allocation_count, BatchWorkspace, CountingAllocator, MdgObjective};
+use paradigm_solver::{allocation_count, CountingAllocator, MdgObjective, SolverWorkspace};
 use std::collections::BTreeMap;
 
 #[global_allocator]
@@ -51,7 +51,7 @@ fn job_with(g: &Mdg, machine: Machine, iters: usize, exact: usize) -> BlockJob {
 }
 
 /// Allocations and inner iterations of one solve of `job`.
-fn solve_counted(job: &BlockJob, bw: &mut BatchWorkspace) -> (u64, usize) {
+fn solve_counted(job: &BlockJob, bw: &mut SolverWorkspace) -> (u64, usize) {
     let before = allocation_count();
     let sol = solve_block_job(job, bw).expect("block solve");
     (allocation_count() - before, sol.iters)
@@ -60,7 +60,7 @@ fn solve_counted(job: &BlockJob, bw: &mut BatchWorkspace) -> (u64, usize) {
 #[test]
 fn block_solve_allocations_do_not_scale_with_iterations_or_block_size() {
     let machine = Machine::cm5(32);
-    let mut bw = BatchWorkspace::new();
+    let mut bw = SolverWorkspace::new();
     let mut warm_constants = Vec::new();
     for g in [fork_join_mdg(4, 8, 4), fork_join_mdg(6, 10, 5)] {
         let mut small_job = job_with(&g, machine, 2, 1);

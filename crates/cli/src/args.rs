@@ -7,6 +7,8 @@ use std::net::SocketAddr;
 use paradigm_core::MAX_PROCS;
 use paradigm_serve::FaultPlan;
 
+use crate::bench_admm::BenchAdmmOpts;
+
 /// The selected subcommand with its options.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Command {
@@ -169,8 +171,8 @@ pub enum Command {
         /// record across restarts.
         audit_log: Option<String>,
     },
-    /// `bench-solve [--quick] [--out <path>] [--batch-k <n>]`: run the
-    /// solver micro/end-to-end benchmark over the gallery and random MDGs
+    /// `bench-solve [--quick] [--out <path>]`: run the solver
+    /// micro/end-to-end benchmark over the gallery and random MDGs
     /// and emit the `BENCH_solver.json` report.
     BenchSolve {
         /// Trim the case list (drop the largest random graph) and the
@@ -178,8 +180,6 @@ pub enum Command {
         quick: bool,
         /// Write the JSON report here (in addition to stdout).
         out: Option<String>,
-        /// Batch width for the batched-gradient cases (default 8).
-        batch_k: usize,
     },
     /// `partition <file> [--blocks N] [-p N]`: run the multilevel MDG
     /// partitioner and print the block map, cut summary, and balance.
@@ -194,26 +194,7 @@ pub enum Command {
     /// `bench-admm [--quick] [--out <path>] [--fleet <n> ...]`: run the
     /// consensus-ADMM benchmark over seeded large MDGs, each beside its
     /// dense solve, and emit the `BENCH_admm.json` report.
-    BenchAdmm {
-        /// Trim graph sizes and repetitions — the CI smoke configuration.
-        quick: bool,
-        /// Write the JSON report here (in addition to stdout).
-        out: Option<String>,
-        /// Spawn this many local TCP workers and run the gate case
-        /// through the fleet backend (0 = in-process only).
-        fleet: usize,
-        /// Fault-injection plan applied to one fleet worker (chaos
-        /// drill; requires `--fleet`).
-        chaos: Option<paradigm_serve::FaultPlan>,
-        /// Kill one fleet worker this many milliseconds into the fleet
-        /// solve (requires `--fleet`).
-        kill_after_ms: Option<u64>,
-        /// Bounded-staleness budget for the fleet solve (0 = strict).
-        admm_stale: usize,
-        /// Per-block-job deadline in milliseconds (None = fleet
-        /// default).
-        block_deadline_ms: Option<u64>,
-    },
+    BenchAdmm(BenchAdmmOpts),
     /// `race [--bound <n>] [--suite <name|all>]`: run the concurrency
     /// model-check suites over the serving/consensus/solver core. In a
     /// normal build each suite is a single native smoke run; in a
@@ -275,7 +256,7 @@ USAGE:
                  [--max-queue-wait <ms>] [--chaos <plan>] [--audit-rate <n>]
                  [--audit-log <path>] [--worker]
                  [--admm-workers <addr,addr,...>] [--admm-stale <n>] [--block-deadline-ms <ms>]
-  paradigm bench-solve [--quick] [--out <path>] [--batch-k <n>]
+  paradigm bench-solve [--quick] [--out <path>]
   paradigm bench-admm [--quick] [--out <path>] [--fleet <n>] [--chaos <plan>]
                       [--kill-after-ms <ms>] [--admm-stale <n>] [--block-deadline-ms <ms>]
   paradigm race [--bound <n>] [--suite <name|all>]
@@ -426,12 +407,7 @@ static SPECS: &[Spec] = &[
             BLOCK_DEADLINE_MS,
         ],
     ),
-    (
-        "bench-solve",
-        None,
-        &["--quick"],
-        &[OUT, ("--batch-k", Kind::Int { min: 1, max: 64 }, Some("8"))],
-    ),
+    ("bench-solve", None, &["--quick"], &[OUT]),
     (
         "bench-admm",
         None,
@@ -627,10 +603,7 @@ fn build(p: &Parsed) -> Result<Command, UsageError> {
                 audit_log: p.opt("--audit-log"),
             }
         }
-        "bench-solve" => {
-            let (quick, out) = (p.on("--quick"), p.opt("--out"));
-            Command::BenchSolve { quick, out, batch_k: p.num("--batch-k") }
-        }
+        "bench-solve" => Command::BenchSolve { quick: p.on("--quick"), out: p.opt("--out") },
         "bench-admm" => {
             let (fleet, chaos, admm_stale) = (p.num("--fleet"), p.chaos(), p.num("--admm-stale"));
             let (kill_after_ms, block_deadline_ms) =
@@ -645,7 +618,7 @@ fn build(p: &Parsed) -> Result<Command, UsageError> {
                     "--fleet",
                 );
             }
-            Command::BenchAdmm {
+            Command::BenchAdmm(BenchAdmmOpts {
                 quick: p.on("--quick"),
                 out: p.opt("--out"),
                 fleet,
@@ -653,7 +626,7 @@ fn build(p: &Parsed) -> Result<Command, UsageError> {
                 kill_after_ms,
                 admm_stale,
                 block_deadline_ms,
-            }
+            })
         }
         "help" => Command::Help,
         other => return Err(UsageError(format!("`{other}` is in the table but has no arm here"))),
@@ -911,25 +884,14 @@ mod tests {
     #[test]
     fn bench_solve_command_parses() {
         let p = parse_args(&["bench-solve"]).unwrap();
-        assert_eq!(p.command, Command::BenchSolve { quick: false, out: None, batch_k: 8 });
-        let p = parse_args(&[
-            "bench-solve",
-            "--quick",
-            "--out",
-            "BENCH_solver.json",
-            "--batch-k",
-            "16",
-        ])
-        .unwrap();
+        assert_eq!(p.command, Command::BenchSolve { quick: false, out: None });
+        let p = parse_args(&["bench-solve", "--quick", "--out", "BENCH_solver.json"]).unwrap();
         assert_eq!(
             p.command,
-            Command::BenchSolve { quick: true, out: Some("BENCH_solver.json".into()), batch_k: 16 }
+            Command::BenchSolve { quick: true, out: Some("BENCH_solver.json".into()) }
         );
         assert!(parse_args(&["bench-solve", "--out"]).is_err());
         assert!(parse_args(&["bench-solve", "--wat"]).is_err());
-        assert!(parse_args(&["bench-solve", "--batch-k", "0"]).is_err());
-        assert!(parse_args(&["bench-solve", "--batch-k", "65"]).is_err());
-        assert!(parse_args(&["bench-solve", "--batch-k", "x"]).is_err());
     }
 
     #[test]
@@ -1037,31 +999,14 @@ mod tests {
     #[test]
     fn bench_admm_command_parses() {
         let p = parse_args(&["bench-admm"]).unwrap();
+        let in_process = BenchAdmmOpts::default();
         assert_eq!(
             p.command,
-            Command::BenchAdmm {
-                quick: false,
-                out: None,
-                fleet: 0,
-                chaos: None,
-                kill_after_ms: None,
-                admm_stale: 0,
-                block_deadline_ms: None,
-            }
+            Command::BenchAdmm(BenchAdmmOpts { quick: false, ..in_process.clone() })
         );
         let p = parse_args(&["bench-admm", "--quick", "--out", "BENCH_admm.json"]).unwrap();
-        assert_eq!(
-            p.command,
-            Command::BenchAdmm {
-                quick: true,
-                out: Some("BENCH_admm.json".into()),
-                fleet: 0,
-                chaos: None,
-                kill_after_ms: None,
-                admm_stale: 0,
-                block_deadline_ms: None,
-            }
-        );
+        let out = Some("BENCH_admm.json".into());
+        assert_eq!(p.command, Command::BenchAdmm(BenchAdmmOpts { out, ..in_process }));
         assert!(parse_args(&["bench-admm", "--wat"]).is_err());
     }
 
@@ -1082,9 +1027,14 @@ mod tests {
             "500",
         ])
         .unwrap();
-        let Command::BenchAdmm {
-            fleet, chaos, kill_after_ms, admm_stale, block_deadline_ms, ..
-        } = p.command
+        let Command::BenchAdmm(BenchAdmmOpts {
+            fleet,
+            chaos,
+            kill_after_ms,
+            admm_stale,
+            block_deadline_ms,
+            ..
+        }) = p.command
         else {
             panic!("not bench-admm")
         };

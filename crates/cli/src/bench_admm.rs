@@ -118,7 +118,9 @@ const TABLES: &[Table] = &[(
     ],
 )];
 
-/// Everything `bench-admm` can be asked to do (mirrors the CLI flags).
+/// Everything `bench-admm` can be asked to do: what
+/// [`crate::args::Command::BenchAdmm`] carries, one field per CLI flag.
+#[derive(Debug, Clone, PartialEq)]
 pub struct BenchAdmmOpts {
     /// Drop the largest graphs (CI smoke).
     pub quick: bool,

@@ -6,20 +6,19 @@
 //! entry in [`TABLES`]; the report, the JSON document and the gates run
 //! on [`crate::harness`].
 //!
-//! The run fails (exit code 1) on five gates — [`SWEEPS`], [`EXPS`],
-//! [`ALLOCS`], [`LANES`], [`SPREAD`] — all counts, same-process ratios or
-//! solution values: the same on every machine, so none needs a baseline.
+//! The run fails (exit code 1) on four gates — [`SWEEPS`], [`EXPS`],
+//! [`ALLOCS`], [`SPREAD`] — all counts or solution values: the same on
+//! every machine, so none needs a baseline.
 
 use paradigm_core::{gallery_graph, GALLERY_NAMES};
 use paradigm_cost::Machine;
 use paradigm_mdg::{random_layered_mdg, Mdg, RandomMdgConfig};
 use paradigm_serve::Json;
 use paradigm_solver::expr::Sharpness;
-use paradigm_solver::objective::ObjectiveParts;
 use paradigm_solver::workspace::pool_sweep_counts;
 use paradigm_solver::{
-    allocation_count, descend_stage, try_allocate, try_allocate_from, BatchWorkspace, MdgObjective,
-    SolverConfig,
+    allocation_count, descend_stage, try_allocate, try_allocate_from, MdgObjective, SolverConfig,
+    SolverWorkspace,
 };
 
 use crate::commands::{CliError, CmdOutput};
@@ -35,11 +34,6 @@ const SEED: u64 = 1994;
 /// by construction; a loop that re-sweeps its accepted point is off by
 /// one whole sweep per iteration.
 const SWEEP_SLACK: f64 = 0.05;
-
-/// Smallest `--batch-k` the `lanes` gate reads: below it the scalar tape
-/// is the faster executor (0.58–0.70× at K = 1), which is why every
-/// descent runs it, not a regression.
-const LANES_MIN_K: f64 = 4.0;
 
 /// Ceiling of the `spread` gate: how far apart the three deterministic
 /// starts may land under `SolverConfig::fast` before "one start is
@@ -76,15 +70,6 @@ const TABLES: &[Table] = &[
             // `record_us` it is what an accepted probe pays for its
             // gradient.
             ("eval_grad_us", "grad_us", 10, Cell::Fixed(2)),
-            // The retired forward-mode gradient on the same point, kept as
-            // the speedup reference.
-            ("grad_forward_us", "fwd_us", 10, Cell::Fixed(2)),
-            ("grad_speedup", "speedup", 8, Cell::Times(1)),
-            // Per-gradient cost of one K-wide lane sweep
-            // (`eval_grad_batch_with` over K lanes, divided by K) and its
-            // speedup over the scalar adjoint.
-            ("eval_grad_batched_us", "bgrad_us", 10, Cell::Fixed(2)),
-            ("batch_grad_speedup", "bspeed", 8, Cell::Times(1)),
             // One end-to-end `try_allocate` under `SolverConfig::fast`: wall
             // time, descent iterations, forward sweeps.
             ("allocate_us", "allocate_us", 12, Cell::Fixed(0)),
@@ -106,7 +91,7 @@ const TABLES: &[Table] = &[
         ],
     ),
     (
-        "sweeps (us: scalar record/replay | record/replay per lane of one K-wide sweep)",
+        "sweeps (us: record/replay)",
         &[
             json_only("variables"),
             // Shape of the objective's level program
@@ -121,25 +106,19 @@ const TABLES: &[Table] = &[
             ("exact_exps_per_sweep", "exps", 6, Cell::Int),
             // `record_us` over `tape_ops`.
             ("record_ns_per_op", "ns/op", 7, Cell::Fixed(2)),
-            // Per sharpness: `record_us` / `replay_us` of the scalar tape
-            // and, smooth only, `record_batched_us` / `replay_batched_us`
-            // per lane of the lane tape.
-            ("sweeps", "the same at s = exact, 8, 64, 256", 111, Cell::With(sweep_cells)),
+            // Per sharpness: `record_us` / `replay_us`.
+            ("sweeps", "the same at s = exact, 8, 64, 256", 47, Cell::With(sweep_cells)),
         ],
     ),
 ];
 
 /// Run the benchmark; `quick` trims samples and drops the largest graph.
-pub fn run_bench_solve(
-    quick: bool,
-    out_path: Option<&str>,
-    batch_k: usize,
-) -> Result<CmdOutput, CliError> {
+pub fn run_bench_solve(quick: bool, out_path: Option<&str>) -> Result<CmdOutput, CliError> {
     let reps = if quick { 9 } else { 25 };
     let mut rows = Vec::new();
     for name in GALLERY_NAMES {
         let g = gallery_graph(name).unwrap_or_else(|| unreachable!("gallery name {name}"));
-        rows.push(bench_case(name, &g, reps, batch_k));
+        rows.push(bench_case(name, &g, reps));
     }
     let mut sizes = vec![64usize, 128, 256];
     if !quick {
@@ -155,27 +134,23 @@ pub fn run_bench_solve(
             },
             SEED,
         );
-        rows.push(bench_case(&format!("random-{n}"), &g, reps, batch_k));
+        rows.push(bench_case(&format!("random-{n}"), &g, reps));
     }
     let report = Report {
         title: format!(
-            "bench-solve ({}; medians over {reps} samples; K = {batch_k})",
+            "bench-solve ({}; medians over {reps} samples)",
             if quick { "quick" } else { "full" }
         ),
-        header: vec![
-            ("version", Json::num(5.0)),
-            ("quick", Json::Bool(quick)),
-            ("batch_k", Json::num(batch_k as f64)),
-        ],
+        header: vec![("version", Json::num(6.0)), ("quick", Json::Bool(quick))],
         tables: TABLES,
         rows,
         footer: String::new(),
     };
-    finish(&report, &[SWEEPS, EXPS, ALLOCS, LANES, SPREAD], out_path)
+    finish(&report, &[SWEEPS, EXPS, ALLOCS, SPREAD], out_path)
 }
 
 /// Measure one graph.
-fn bench_case(name: &str, g: &Mdg, reps: usize, batch_k: usize) -> Row {
+fn bench_case(name: &str, g: &Mdg, reps: usize) -> Row {
     let mut row = Row::new(name);
     row.set("compute_nodes", g.compute_node_count() as f64);
     row.set("edges", g.edge_count() as f64);
@@ -187,59 +162,31 @@ fn bench_case(name: &str, g: &Mdg, reps: usize, batch_k: usize) -> Row {
     let x: Vec<f64> = (0..n).map(|i| ub * (0.3 + 0.4 * ((i * 7 % 11) as f64) / 11.0)).collect();
     let sharp = Sharpness::Smooth(64.0);
 
-    // One workspace for every probe below: the scalar sweeps run on its
-    // `.inner`, the lane sweeps on its `.scratch`, the descent on its
-    // `.descent`.
-    let mut bw = BatchWorkspace::new();
-    let ws = &mut bw.inner;
+    // One workspace for every probe below: the sweeps run on its
+    // `.scratch`, the descent on its `.descent`.
+    let mut ws = SolverWorkspace::new();
+    let scratch = &mut ws.scratch;
     let mut grad = Vec::new();
     // Warm the workspace buffers so the timed region measures steady state.
-    let _ = obj.eval_grad_with(&x, sharp, &mut ws.scratch, &mut grad);
+    let _ = obj.eval_grad_with(&x, sharp, scratch, &mut grad);
 
     let eval = median_us(reps, INNER, || {
-        std::hint::black_box(obj.eval_with(&x, sharp, &mut ws.scratch).phi);
+        std::hint::black_box(obj.eval_with(&x, sharp, scratch).phi);
     });
     let record = median_us(reps, INNER, || {
-        std::hint::black_box(obj.forward_record(&x, sharp, &mut ws.scratch).phi);
+        std::hint::black_box(obj.forward_record(&x, sharp, scratch).phi);
     });
-    let scalar_grad = median_us(reps, INNER, || {
-        let parts = obj.eval_grad_with(&x, sharp, &mut ws.scratch, &mut grad);
+    let eval_grad = median_us(reps, INNER, || {
+        let parts = obj.eval_grad_with(&x, sharp, scratch, &mut grad);
         std::hint::black_box(parts.phi);
-    });
-    let forward_grad = median_us(reps, INNER, || {
-        let (parts, grad) = obj.eval_grad_forward(&x, sharp);
-        std::hint::black_box((parts.phi, grad.len()));
     });
     row.set("eval_us", eval);
     row.set("record_us", record);
-    row.set("eval_grad_us", scalar_grad);
-    row.set("grad_forward_us", forward_grad);
-    row.set("grad_speedup", ratio(forward_grad, scalar_grad));
+    row.set("eval_grad_us", eval_grad);
 
-    // K-wide batched gradient: one shared-tape sweep over `batch_k`
-    // lane points, reported per gradient (total / K).
-    let k = batch_k.max(1);
-    let mut xs = vec![0.0_f64; n * k];
-    for l in 0..k {
-        for j in 0..n {
-            xs[j * k + l] = (x[j] + 0.015 * (l as f64)).min(ub);
-        }
-    }
-    let mut bgrads = Vec::new();
-    let mut parts = vec![ObjectiveParts { phi: 0.0, a_p: 0.0, c_p: 0.0 }; k];
-    obj.eval_grad_batch_with(&xs, k, sharp, &mut bw.scratch, &mut bgrads, &mut parts);
-    let lane_grad = median_us(reps, INNER, || {
-        obj.eval_grad_batch_with(&xs, k, sharp, &mut bw.scratch, &mut bgrads, &mut parts);
-        std::hint::black_box(parts[0].phi);
-    }) / k as f64;
-    row.set("eval_grad_batched_us", lane_grad);
-    row.set("batch_grad_speedup", ratio(scalar_grad, lane_grad));
-
-    // The per-sweep table: both halves of the adjoint on both tapes, at
-    // the sharpness values the solver anneals through and at Exact (which
-    // the lane tape does not sweep).
+    // The per-sweep table: both halves of the adjoint at the sharpness
+    // values the solver anneals through and at Exact.
     let sweeps = SWEEP_SHARPS.iter().map(|&(label, sharp)| {
-        let scratch = &mut bw.inner.scratch;
         let record = median_us(reps, INNER, || {
             std::hint::black_box(obj.forward_record(&x, sharp, scratch).phi);
         });
@@ -247,26 +194,14 @@ fn bench_case(name: &str, g: &Mdg, reps: usize, batch_k: usize) -> Row {
             obj.backward_replay_phi(scratch, &mut grad);
             std::hint::black_box(grad[0]);
         });
-        let mut cell = vec![("record_us", record), ("replay_us", replay)];
-        if matches!(sharp, Sharpness::Smooth(_)) {
-            let record = median_us(reps, INNER, || {
-                obj.forward_record_batch(&xs, k, sharp, &mut bw.scratch, &mut parts);
-                std::hint::black_box(parts[0].phi);
-            });
-            let replay = median_us(reps, INNER, || {
-                obj.backward_replay_batch(k, &mut bw.scratch, &mut bgrads);
-                std::hint::black_box(bgrads[0]);
-            });
-            cell.push(("record_batched_us", record / k as f64));
-            cell.push(("replay_batched_us", replay / k as f64));
-        }
+        let cell = [("record_us", record), ("replay_us", replay)];
         let cell = cell.into_iter().map(|(key, us)| (key.to_string(), Json::num(us)));
         (label.to_string(), Json::Obj(cell.collect()))
     });
     row.set_json("sweeps", Json::Obj(sweeps.collect()));
-    let before = bw.inner.scratch.counts;
-    let _ = obj.forward_record(&x, Sharpness::Exact, &mut bw.inner.scratch);
-    row.set("exact_exps_per_sweep", bw.inner.scratch.counts.since(before).exp_calls as f64);
+    let before = scratch.counts;
+    let _ = obj.forward_record(&x, Sharpness::Exact, scratch);
+    row.set("exact_exps_per_sweep", scratch.counts.since(before).exp_calls as f64);
     let stats = obj.tape_stats();
     row.set("variables", n as f64);
     row.set("tape_ops", stats.slots as f64);
@@ -278,10 +213,10 @@ fn bench_case(name: &str, g: &Mdg, reps: usize, batch_k: usize) -> Row {
     // every buffer. Reads 0 unless the counting allocator is the global
     // allocator (it is in the `paradigm` binary).
     let mut xd = vec![ub / 2.0; n];
-    let _ = descend_stage(&obj, &mut xd, sharp, 10, 0.0, &mut bw);
+    let _ = descend_stage(&obj, &mut xd, sharp, 10, 0.0, &mut ws);
     let mut xd = vec![ub / 3.0; n];
     let before = allocation_count();
-    let measured_iters = descend_stage(&obj, &mut xd, sharp, 50, 0.0, &mut bw);
+    let measured_iters = descend_stage(&obj, &mut xd, sharp, 50, 0.0, &mut ws);
     let allocs = allocation_count() - before;
     row.set("allocs_per_iter", allocs as f64 / measured_iters.max(1) as f64);
 
@@ -309,30 +244,16 @@ fn bench_case(name: &str, g: &Mdg, reps: usize, batch_k: usize) -> Row {
     row
 }
 
-/// `a / b`, 0 when `b` is.
-fn ratio(a: f64, b: f64) -> f64 {
-    if b > 0.0 {
-        a / b
-    } else {
-        0.0
-    }
-}
-
 /// The four sub-cells of the `sweeps` column.
 fn sweep_cells(sweeps: &Json) -> String {
     let Json::Obj(by_sharp) = sweeps else { return "?".into() };
     let cells = by_sharp.iter().map(|(_, cell)| {
         let us = |key: &str| cell.get(key).and_then(Json::as_f64);
-        let pair = |rec: &str, rep: &str| match (us(rec), us(rep)) {
+        let pair = match (us("record_us"), us("replay_us")) {
             (Some(rec), Some(rep)) => format!("{rec:.1}/{rep:.1}"),
             _ => "-".to_string(),
         };
-        let both = format!(
-            "{} | {}",
-            pair("record_us", "replay_us"),
-            pair("record_batched_us", "replay_batched_us")
-        );
-        format!("{both:>27}")
+        format!("{pair:>11}")
     });
     cells.collect::<Vec<_>>().join(" ")
 }
@@ -388,32 +309,6 @@ const ALLOCS: Gate = Gate {
     },
 };
 
-/// The lane gate: from K = [`LANES_MIN_K`] up, one K-wide lane sweep must
-/// beat K scalar sweeps — as a geometric mean over the cases, since a
-/// single small graph can sit near parity. The ratio is taken inside one
-/// process.
-const LANES: Gate = Gate {
-    name: "lanes",
-    check: |report| {
-        let k = report.header_num("batch_k");
-        if k < LANES_MIN_K {
-            return Ok(format!("skipped at K = {k} (the scalar tape serves K < {LANES_MIN_K})"));
-        }
-        let speedup = |row: &Row| row.num("batch_grad_speedup");
-        let logs: f64 = report.rows.iter().map(|row| speedup(row).ln()).sum();
-        let grad = (logs / report.rows.len().max(1) as f64).exp();
-        if grad < 1.0 {
-            let slowest = report.rows.iter().min_by(|a, b| speedup(a).total_cmp(&speedup(b)));
-            return Err(format!(
-                "at K = {k} the lane tape's gradient runs at {grad:.2}x of the scalar tape's over \
-                 all cases; slowest: {}",
-                slowest.map_or("?", Row::name)
-            ));
-        }
-        Ok(format!("at K = {k} the lane tape's gradient is {grad:.2}x the scalar tape's"))
-    },
-};
-
 /// The start gate: the solver runs one start because a start converges —
 /// the three deterministic ones must land within [`SPREAD_LIMIT`] of the
 /// best on every case. Same libm, same number on every machine.
@@ -438,9 +333,6 @@ mod tests {
         let read = [
             ("compute_nodes", 4.0),
             ("eval_grad_us", 2.0),
-            ("grad_speedup", 6.0),
-            ("eval_grad_batched_us", 0.5),
-            ("batch_grad_speedup", 4.0),
             ("start_spread", 1.5e-4),
             ("forward_sweeps_per_iter", 2.3),
             ("probes_per_iter", 2.3),
@@ -456,8 +348,7 @@ mod tests {
             row.set(key, read.iter().find(|(k, _)| *k == key).map_or(1.0, |&(_, v)| v));
         }
         let sweeps = paradigm_serve::parse_json(
-            r#"{"exact":{"record_us":1.0,"replay_us":0.5},
-                "8":{"record_us":1.2,"replay_us":0.5,"record_batched_us":0.6,"replay_batched_us":0.2}}"#,
+            r#"{"exact":{"record_us":1.0,"replay_us":0.5},"8":{"record_us":1.2,"replay_us":0.4}}"#,
         );
         row.set_json("sweeps", sweeps.expect("valid JSON"));
         row
@@ -476,14 +367,10 @@ mod tests {
         row
     }
 
-    fn report(k: usize, rows: Vec<Row>) -> Report {
+    fn report(rows: Vec<Row>) -> Report {
         Report {
             title: "bench-solve (test)".into(),
-            header: vec![
-                ("version", Json::num(5.0)),
-                ("quick", Json::Bool(true)),
-                ("batch_k", Json::num(k as f64)),
-            ],
+            header: vec![("version", Json::num(6.0)), ("quick", Json::Bool(true))],
             tables: TABLES,
             rows,
             footer: String::new(),
@@ -492,19 +379,15 @@ mod tests {
 
     #[test]
     fn json_document_parses_and_round_trips_fields() {
-        let rep = report(8, vec![tiny_case()]);
+        let rep = report(vec![tiny_case()]);
         let json = rep.render_json().expect("every key is listed");
         let doc = paradigm_serve::parse_json(&json).expect("valid JSON");
-        assert_eq!(doc.get("version").and_then(Json::as_u64), Some(5));
+        assert_eq!(doc.get("version").and_then(Json::as_u64), Some(6));
         assert_eq!(doc.get("quick").and_then(Json::as_bool), Some(true));
-        assert_eq!(doc.get("batch_k").and_then(Json::as_u64), Some(8));
         let cases = doc.get("cases").and_then(Json::as_arr).expect("cases array");
         assert_eq!(cases.len(), 1);
         assert_eq!(cases[0].get("name").and_then(Json::as_str), Some("random-256"));
         assert_eq!(cases[0].get("eval_grad_us").and_then(Json::as_f64), Some(2.0));
-        assert_eq!(cases[0].get("grad_speedup").and_then(Json::as_f64), Some(6.0));
-        assert_eq!(cases[0].get("eval_grad_batched_us").and_then(Json::as_f64), Some(0.5));
-        assert_eq!(cases[0].get("batch_grad_speedup").and_then(Json::as_f64), Some(4.0));
         assert_eq!(cases[0].get("start_spread").and_then(Json::as_f64), Some(1.5e-4));
         assert_eq!(cases[0].get("forward_sweeps_per_iter").and_then(Json::as_f64), Some(2.3));
         assert_eq!(cases[0].get("probes_per_iter").and_then(Json::as_f64), Some(2.3));
@@ -514,79 +397,60 @@ mod tests {
         let at =
             |s: &str, field: &str| sweeps.get(s).and_then(|r| r.get(field)).and_then(Json::as_f64);
         assert_eq!(at("exact", "record_us"), Some(1.0));
-        assert_eq!(at("exact", "record_batched_us"), None, "the lane tape is smooth-only");
-        assert_eq!(at("8", "replay_batched_us"), Some(0.2));
+        assert_eq!(at("8", "replay_us"), Some(0.4));
         // The second table shows the nested sweeps under the tape shape.
         let text = rep.render_tables().expect("every key is listed");
-        assert!(text.contains("1.0/0.5 | -"), "{text}");
-        assert!(text.contains("1.2/0.5 | 0.6/0.2"), "{text}");
+        assert!(text.contains("1.0/0.5") && text.contains("1.2/0.4"), "{text}");
     }
 
     #[test]
     fn exp_gate_fails_a_sweep_that_calls_exp_per_monomial() {
-        let ok = (EXPS.check)(&report(8, vec![tiny_case()])).expect("9 vectors + 6 variables = 15");
+        let ok = (EXPS.check)(&report(vec![tiny_case()])).expect("9 vectors + 6 variables = 15");
         assert!(ok.contains("no exact sweep"), "{ok}");
         let undeduped = tiny_with("undeduped", "exact_exps_per_sweep", 31.0);
-        let err = (EXPS.check)(&report(8, vec![tiny_case(), undeduped])).expect_err("per monomial");
+        let err = (EXPS.check)(&report(vec![tiny_case(), undeduped])).expect_err("per monomial");
         assert!(err.contains("undeduped") && err.contains("31"), "{err}");
     }
 
     #[test]
     fn sweep_gate_fails_a_case_that_sweeps_more_than_it_probes() {
         let near = tiny_with("b", "forward_sweeps_per_iter", 2.34);
-        let ok = (SWEEPS.check)(&report(8, vec![tiny_case(), near])).expect("within slack");
+        let ok = (SWEEPS.check)(&report(vec![tiny_case(), near])).expect("within slack");
         assert!(ok.contains("no case sweeps more"), "{ok}");
         // The shape of a loop that re-sweeps every accepted point: one
         // extra forward sweep per iteration.
         let twice = tiny_with("b", "forward_sweeps_per_iter", 3.3);
-        let err = (SWEEPS.check)(&report(8, vec![tiny_case(), twice])).expect_err("re-sweeps");
+        let err = (SWEEPS.check)(&report(vec![tiny_case(), twice])).expect_err("re-sweeps");
         assert!(err.starts_with("b runs 3.300"), "{err}");
     }
 
     #[test]
     fn alloc_gate_fails_a_case_that_allocates_per_iteration() {
-        assert!((ALLOCS.check)(&report(8, vec![tiny_case()])).is_ok());
+        assert!((ALLOCS.check)(&report(vec![tiny_case()])).is_ok());
         let leaky = tiny_with("leaky", "allocs_per_iter", 0.5);
-        let err = (ALLOCS.check)(&report(8, vec![tiny_case(), leaky])).expect_err("allocates");
+        let err = (ALLOCS.check)(&report(vec![tiny_case(), leaky])).expect_err("allocates");
         assert!(err.starts_with("leaky allocates 0.50"), "{err}");
     }
 
     #[test]
-    fn lane_gate_reads_geomeans_from_k_4_up_and_is_skipped_below() {
-        // One case below parity is fine while the geometric mean holds …
-        let slow = tiny_with("slow", "batch_grad_speedup", 0.9);
-        let ok = (LANES.check)(&report(4, vec![tiny_case(), slow])).expect("geomean 1.9");
-        assert!(ok.contains("K = 4"), "{ok}");
-        // … a lane tape slower than the scalar one over all cases is not,
-        let slow = || tiny_with("slow", "batch_grad_speedup", 0.2);
-        let err = (LANES.check)(&report(4, vec![tiny_case(), slow()])).expect_err("geomean 0.89");
-        assert!(err.contains("0.89x") && err.contains("slow"), "{err}");
-        // … except below K = 4, where the scalar tape is meant to win.
-        let ok = (LANES.check)(&report(2, vec![tiny_case(), slow()])).expect("not read at K = 2");
-        assert!(ok.contains("skipped at K = 2"), "{ok}");
-    }
-
-    #[test]
     fn spread_gate_fails_a_case_whose_starts_disagree() {
-        let ok = (SPREAD.check)(&report(8, vec![tiny_case()])).expect("1.5e-4 apart");
+        let ok = (SPREAD.check)(&report(vec![tiny_case()])).expect("1.5e-4 apart");
         assert!(ok.contains("within 5e-3"), "{ok}");
         // The parent's strassen-ml at p = 64: best of four capped starts.
         let capped = tiny_with("capped", "start_spread", 0.22);
-        let err = (SPREAD.check)(&report(8, vec![tiny_case(), capped])).expect_err("22 % apart");
+        let err = (SPREAD.check)(&report(vec![tiny_case(), capped])).expect_err("22 % apart");
         assert!(err.starts_with("capped lands 2.2e-1 apart"), "{err}");
         let nan = tiny_with("nan", "start_spread", f64::NAN);
-        assert!((SPREAD.check)(&report(8, vec![nan])).is_err());
+        assert!((SPREAD.check)(&report(vec![nan])).is_err());
     }
 
     #[test]
     fn bench_case_on_fig1_produces_sane_numbers() {
         let g = paradigm_mdg::example_fig1_mdg();
-        let c = bench_case("fig1", &g, 3, 4);
+        let c = bench_case("fig1", &g, 3);
         assert_eq!(c.num("compute_nodes"), 3.0);
         assert!(c.num("eval_us") > 0.0 && c.num("record_us") > 0.0);
-        assert!(c.num("eval_grad_us") > 0.0 && c.num("grad_forward_us") > 0.0);
-        assert!(c.num("grad_speedup") > 0.0);
-        assert!(c.num("eval_grad_batched_us") > 0.0 && c.num("batch_grad_speedup") > 0.0);
+        assert!(c.num("eval_grad_us") > 0.0);
         assert!(c.num("allocate_iters") > 0.0);
         assert!((0.0..=SPREAD_LIMIT).contains(&c.num("start_spread")), "{}", c.num("start_spread"));
         let Some(Json::Obj(sweeps)) = c.get("sweeps") else { panic!("no sweep table") };
@@ -596,8 +460,6 @@ mod tests {
         for (_, cell) in sweeps {
             assert!(us(cell, "record_us") > Some(0.0) && us(cell, "replay_us") > Some(0.0));
         }
-        assert!(us(&sweeps[0].1, "record_batched_us").is_none());
-        assert!(us(&sweeps[1].1, "record_batched_us").is_some());
         assert!(c.num("tape_ops") > 0.0 && c.num("tape_levels") > 0.0);
         assert!(c.num("record_ns_per_op") > 0.0);
         assert_eq!(c.num("exact_exps_per_sweep"), c.num("tape_exp_vectors") + c.num("variables"));
@@ -608,7 +470,7 @@ mod tests {
         // counter never moves.
         assert_eq!(c.num("allocs_per_iter"), 0.0);
         // The row sets exactly the listed keys: it renders.
-        let rep = report(4, vec![c]);
+        let rep = report(vec![c]);
         assert!(rep.render_json().is_ok() && rep.render_tables().is_ok());
     }
 }

@@ -370,8 +370,8 @@ pub fn run(command: &Command) -> Result<CmdOutput, CliError> {
             let stats = server.run();
             Ok(CmdOutput::clean(stats.render()))
         }
-        Command::BenchSolve { quick, out, batch_k } => {
-            crate::bench_solve::run_bench_solve(*quick, out.as_deref(), *batch_k)
+        Command::BenchSolve { quick, out } => {
+            crate::bench_solve::run_bench_solve(*quick, out.as_deref())
         }
         Command::Partition { file, procs, blocks } => {
             let g = load(file)?;
@@ -390,23 +390,7 @@ pub fn run(command: &Command) -> Result<CmdOutput, CliError> {
             Ok(CmdOutput::clean(out))
         }
         Command::Race { bound, suite } => run_race(*bound, suite.as_deref()),
-        Command::BenchAdmm {
-            quick,
-            out,
-            fleet,
-            chaos,
-            kill_after_ms,
-            admm_stale,
-            block_deadline_ms,
-        } => crate::bench_admm::run_bench_admm(&crate::bench_admm::BenchAdmmOpts {
-            quick: *quick,
-            out: out.clone(),
-            fleet: *fleet,
-            chaos: chaos.clone(),
-            kill_after_ms: *kill_after_ms,
-            admm_stale: *admm_stale,
-            block_deadline_ms: *block_deadline_ms,
-        }),
+        Command::BenchAdmm(opts) => crate::bench_admm::run_bench_admm(opts),
     }
 }
 

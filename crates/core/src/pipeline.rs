@@ -298,6 +298,11 @@ fn admm_output<B: BlockBackend>(
 /// solver's degradation ladder on failure (the tier taken is recorded in
 /// `SolveOutput::degraded`). The serving layer's workers call this.
 ///
+/// A request for the consensus-ADMM tier (`spec.admm`) whose tier fails
+/// is answered by the dense ladder: the output then carries `admm: None`
+/// and a dense `degraded` tier — on an `admm` request that combination
+/// means the tier failed — and the `SolverError` goes to stderr.
+///
 /// # Panics
 /// Panics if the spec is invalid (callers should [`SolveSpec::validate`]
 /// first) or the graph triggers a pipeline assertion.
@@ -306,8 +311,12 @@ pub fn solve_pipeline(g: &Mdg, spec: &SolveSpec) -> SolveOutput {
         // The ADMM tier degrades to the dense resilient ladder on
         // failure rather than panicking, mirroring the ladder's spirit.
         let mut backend = InProcessBackend::default();
-        if let Ok(out) = admm_output(g, spec, &AdmmConfig::default(), &mut backend) {
-            return out;
+        match admm_output(g, spec, &AdmmConfig::default(), &mut backend) {
+            Ok(out) => return out,
+            Err(e) => eprintln!(
+                "admm: consensus tier failed on `{}` ({e}); falling back to the dense ladder",
+                g.name()
+            ),
         }
     }
     let c = compile_resilient(g, spec.machine, &compile_config(spec));
@@ -570,6 +579,20 @@ mod tests {
         assert_eq!(dense.degraded, FallbackTier::Primary);
         assert!(dense.admm.is_none());
         assert!(out.phi <= dense.phi * 1.01 + 1e-9, "admm {} dense {}", out.phi, dense.phi);
+    }
+
+    /// An `admm` request whose tier fails (here: a transfer constant no
+    /// objective can be built for) is answered by the dense ladder, and
+    /// says so by carrying no ADMM stats under a dense tier.
+    #[test]
+    fn a_failed_admm_tier_is_answered_by_the_dense_ladder_without_stats() {
+        let g = gallery_graph("fig1").unwrap();
+        let mut machine = Machine::cm5(4);
+        machine.xfer.t_ss = f64::NAN;
+        let spec = SolveSpec { admm: true, ..SolveSpec::new(machine) };
+        let out = solve_pipeline(&g, &spec);
+        assert_ne!(out.degraded, FallbackTier::Admm);
+        assert!(out.admm.is_none());
     }
 
     #[test]

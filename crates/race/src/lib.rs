@@ -14,7 +14,7 @@
 //!    a scheduling point routed through a cooperative scheduler; under normal
 //!    builds they are zero-cost re-exports of `std` (no wrapper, no branch —
 //!    the *same types*).
-//! 2. **Explorer** ([`explore`]): runs a closure-under-test across all
+//! 2. **Explorer** ([`explore()`]): runs a closure-under-test across all
 //!    interleavings up to a configurable preemption bound using DFS with
 //!    sleep-set partial-order reduction. Failing schedules are replayed
 //!    deterministically and printed as a numbered event trace

@@ -1,7 +1,7 @@
 //! Model-check suites for the serving layer's concurrent state machines.
 //!
 //! Each suite hands an invariant-asserting closure to
-//! [`paradigm_race::explore`]: under `--cfg paradigm_race` every
+//! [`paradigm_race::explore()`]: under `--cfg paradigm_race` every
 //! interleaving up to the suite's preemption bound is executed; in a
 //! normal build the closure runs once as a native smoke test. The suites
 //! pin exactly the properties the chaos drills could only sample:

@@ -1,5 +1,5 @@
 //! The level program: every [`Expr`] of one objective flattened into a
-//! single flat program that both tape executors sweep level by level.
+//! single flat program that the tape executor sweeps level by level.
 //!
 //! The tree walk in [`Expr::eval_grad`] is correct but pays twice on
 //! every gradient: pointer-chasing through boxed enum nodes, and
@@ -13,9 +13,8 @@
 //! A [`LevelProgram`] is compiled once per objective from *all* of its
 //! expressions (the roots):
 //!
-//! * **one value slot per op** — `vals[slot]` on the scalar tape,
-//!   `vals[slot·k + lane]` on the lane tape. Root `r` owns slot `r`; the
-//!   children of every op own one contiguous block of slots in child
+//! * **one value slot per op** — `vals[slot]`. Root `r` owns slot `r`;
+//!   the children of every op own one contiguous block of slots in child
 //!   order, allocated level by level from the top, so a parent's slot is
 //!   always below its children's and a level splits the tape into
 //!   "outputs below, operands above" with one `split_at_mut`;
@@ -26,10 +25,9 @@
 //!   ℓ − 1, as homogeneous lists: the arity-2 maxes of a level (every
 //!   `max` the objective builds) share one structure-of-arrays operand
 //!   block — all first candidates, then all second candidates — so one
-//!   elementwise kernel (`smax2_rows`) sweeps `ops × lanes` independent
-//!   chains at once; other arities go through `smax_weights_fast` /
-//!   `smax_batch` on their contiguous child block; sums add their block
-//!   in child order.
+//!   elementwise kernel (`smax2_rows`) sweeps the level's independent
+//!   chains at once; other arities go through `smax_weights_fast` on
+//!   their contiguous child block; sums add their block in child order.
 //!
 //! The forward sweep records every op's value and every `max`'s weights;
 //! the backward sweep pushes a per-slot adjoint top-down (copy through a
@@ -37,12 +35,10 @@
 //! `adjoint · value · exponent` of every monomial into the gradient —
 //! pure multiply-adds, no `exp`, no `powf`, no re-evaluation.
 //!
-//! This module holds the program and its compile, the scalar executor's
-//! forward sweep (`LevelProgram::forward`) and the three passes whose
-//! arithmetic both executors share, written once over `k` lane-major
-//! points with `k = 1` the scalar tape (`LevelProgram::smooth_monomials`,
-//! `LevelProgram::push_adjoints`, `LevelProgram::accumulate`); the
-//! lane executor's forward sweep is in [`crate::batch`].
+//! This module holds the program, its compile and its executor: the
+//! forward sweep (`LevelProgram::forward`, whose smooth monomial level is
+//! `LevelProgram::smooth_monomials`) and the two backward passes
+//! (`LevelProgram::push_adjoints`, `LevelProgram::accumulate`).
 //!
 //! Numerical contract. Per op the sweeps perform exactly the IEEE
 //! operation sequence of the post-order tapes they replaced, and every
@@ -70,10 +66,10 @@ use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::ops::Range;
 
-/// Per-sweep caches of `exp(x_j)` and friends for `k` lane-major points,
-/// filled once per objective call: four sections of `n·k` entries —
-/// `e^{x}`, `e^{-x}`, `e^{x/2}`, `e^{-x/2}` — so factor row `r` of lane
-/// `l` is `fac[r·k + l]` and a monomial term compiles to one row index.
+/// Per-sweep caches of `exp(x_j)` and friends at one point, filled once
+/// per objective call: four sections of `n` entries — `e^{x}`, `e^{-x}`,
+/// `e^{x/2}`, `e^{-x/2}` — so a monomial term compiles to one index into
+/// `fac`.
 ///
 /// The objective's monomials only ever use exponents in `{±1, ±0.5}`
 /// (processor ratios and the 2D mesh's square-root terms), so a smoothed
@@ -88,10 +84,9 @@ pub struct VarCache {
 }
 
 impl VarCache {
-    /// Fill for the lane-major point block `xs` (`n·k` entries,
-    /// `xs[j·k + l]`; a scalar point is `k = 1`). `halves` asks for the
-    /// square-root sections too (only needed when some monomial carries
-    /// a `±0.5` exponent). Capacity is retained across calls.
+    /// Fill for the point `xs`. `halves` asks for the square-root
+    /// sections too (only needed when some monomial carries a `±0.5`
+    /// exponent). Capacity is retained across calls.
     pub(crate) fn fill(&mut self, xs: &[f64], halves: bool) {
         let len = xs.len();
         self.len = len;
@@ -113,7 +108,7 @@ impl VarCache {
         }
     }
 
-    /// The `exp(x_j)` section (lane-major).
+    /// The `exp(x_j)` section.
     pub(crate) fn e(&self) -> &[f64] {
         &self.fac[..self.len]
     }
@@ -410,41 +405,6 @@ impl PartialEq for ExpKey<'_> {
 
 impl Eq for ExpKey<'_> {}
 
-/// Run `body` over `k` consecutive elements in blocks of compile-time
-/// width 8, 4, 2, 1 (`W`) starting at element `l0`. Two users: rows of
-/// `k` lanes — a monomial's row is a few multiplies, so at the widths the
-/// solver runs (1, 4, 6, 8) a loop over a runtime `k` costs more than the
-/// arithmetic — and the long rows of `smax2_rows`, where a block of 8
-/// is four 128-bit vectors on a baseline x86-64 build: enough independent
-/// divide / square-root chains in flight to hide their latency. An
-/// element's result does not depend on which block it lands in.
-macro_rules! for_lane_blocks {
-    ($k:expr, |$W:ident, $l0:ident| $body:expr) => {{
-        let k: usize = $k;
-        let mut $l0 = 0;
-        while $l0 < k {
-            let left = k - $l0;
-            if left >= 8 {
-                const $W: usize = 8;
-                $body;
-                $l0 += 8;
-            } else if left >= 4 {
-                const $W: usize = 4;
-                $body;
-                $l0 += 4;
-            } else if left >= 2 {
-                const $W: usize = 2;
-                $body;
-                $l0 += 2;
-            } else {
-                const $W: usize = 1;
-                $body;
-                $l0 += 1;
-            }
-        }
-    }};
-}
-
 impl LevelProgram {
     /// Compile `roots` over `n_vars` variables into one program. Root `r`
     /// gets slot `r`. `replay` is the order (a permutation of the root
@@ -620,7 +580,7 @@ impl LevelProgram {
         scratch.counts.exp_calls += (x.len() + exps_swept) as u64;
         let EvalScratch { tape_vals: vals, tape_wts: wts, var_cache, exps, stack, .. } = scratch;
         if smooth {
-            self.smooth_monomials(1, &var_cache.fac, vals);
+            self.smooth_monomials(&var_cache.fac, vals);
         } else {
             // `coeff · exp(Σ a_j x_j)`, the sum in term order as the
             // tree walk takes it, the `exp` once per distinct vector.
@@ -646,9 +606,7 @@ impl LevelProgram {
                 let staged = &mut stack[..n];
                 match sharp {
                     Sharpness::Exact => max2_exact_rows(a, b, staged, wa, wb),
-                    Sharpness::Smooth(s) => {
-                        smax2_rows::<true>(s, |b| pow_sharp(b, s), a, b, staged, wa, wb)
-                    }
+                    Sharpness::Smooth(s) => smax2_rows(s, a, b, staged, wa, wb),
                 }
                 for (&o, &v) in self.max2_out[lv.max2.clone()].iter().zip(&*staged) {
                     outs[o as usize] = v;
@@ -673,127 +631,68 @@ impl LevelProgram {
         }
     }
 
-    /// The monomial level of a smoothed sweep over `k` lane-major points
-    /// (`k = 1`: the scalar tape): `coeff · Π factors`, multiplied in
-    /// term order, into every monomial's value row.
-    pub(crate) fn smooth_monomials(&self, k: usize, fac: &[f64], vals: &mut [f64]) {
-        for_lane_blocks!(k, |W, l0| self.monomial_cols::<W>(k, l0, fac, vals));
-    }
-
-    /// Lanes `l0 .. l0 + W` of `LevelProgram::smooth_monomials`.
-    fn monomial_cols<const W: usize>(&self, k: usize, l0: usize, fac: &[f64], vals: &mut [f64]) {
+    /// The monomial level of a smoothed sweep: `coeff · Π factors`,
+    /// multiplied in term order, into every monomial's value slot.
+    fn smooth_monomials(&self, fac: &[f64], vals: &mut [f64]) {
         for m in &self.monos {
-            let mut out = [m.coeff; W];
+            let mut out = m.coeff;
             for t in m.lo as usize..m.hi as usize {
-                match self.factor_row(t) {
-                    Some(row) => {
-                        let f = block::<W>(fac, row * k + l0);
-                        for l in 0..W {
-                            out[l] *= f[l];
-                        }
-                    }
+                out *= match self.factor_row(t) {
+                    Some(row) => fac[row],
                     None => {
                         let (j, a) = self.terms[t];
-                        let e = block::<W>(fac, j as usize * k + l0);
-                        for l in 0..W {
-                            out[l] *= e[l].powf(a);
-                        }
+                        fac[j as usize].powf(a)
                     }
-                }
+                };
             }
-            vals[m.slot as usize * k + l0..][..W].copy_from_slice(&out);
+            vals[m.slot as usize] = out;
         }
     }
 
-    /// Push the root adjoints the caller wrote into `adj[r·k ..]` down
-    /// to every monomial's slot, over `k` lane-major points (`k = 1`:
-    /// the scalar tape): a sum copies its adjoint row to each child, a
-    /// max scales it by the recorded weight row — the same left-to-right
+    /// Push the root adjoints the caller wrote into `adj[r]` down to
+    /// every monomial's slot: a sum copies its adjoint to each child, a
+    /// max scales it by the recorded weight — the same left-to-right
     /// products a post-order adjoint stack forms.
-    pub(crate) fn push_adjoints(&self, k: usize, adj: &mut [f64], wts: &[f64]) {
-        for_lane_blocks!(k, |W, l0| self.push_adjoint_cols::<W>(k, l0, adj, wts));
-    }
-
-    /// Lanes `l0 .. l0 + W` of `LevelProgram::push_adjoints`.
-    fn push_adjoint_cols<const W: usize>(&self, k: usize, l0: usize, adj: &mut [f64], wts: &[f64]) {
-        // `kid[l] = a[l] · w[l]` over one block.
-        let scale = |kid: &mut [f64], a: &[f64; W], w: &[f64; W]| {
-            for l in 0..W {
-                kid[l] = a[l] * w[l];
-            }
-        };
+    pub(crate) fn push_adjoints(&self, adj: &mut [f64], wts: &[f64]) {
         for lv in self.levels.iter().rev() {
             let base = lv.child_base as usize;
-            let (outs, kids) = adj.split_at_mut(base * k);
+            let (outs, kids) = adj.split_at_mut(base);
             let (n, w0) = (lv.max2.len(), lv.w0 as usize);
             for (i, &o) in self.max2_out[lv.max2.clone()].iter().enumerate() {
-                let a = block::<W>(outs, o as usize * k + l0);
-                scale(&mut kids[i * k + l0..][..W], a, block(wts, (w0 + i) * k + l0));
-                scale(&mut kids[(n + i) * k + l0..][..W], a, block(wts, (w0 + n + i) * k + l0));
+                let a = outs[o as usize];
+                kids[i] = a * wts[w0 + i];
+                kids[n + i] = a * wts[w0 + n + i];
             }
             for r in &self.reduces[lv.maxes.clone()] {
-                let a = block::<W>(outs, r.out as usize * k + l0);
+                let a = outs[r.out as usize];
                 for t in 0..r.arity as usize {
-                    let kid = &mut kids[(r.c0 as usize - base + t) * k + l0..][..W];
-                    scale(kid, a, block(wts, (r.w0 as usize + t) * k + l0));
+                    kids[r.c0 as usize - base + t] = a * wts[r.w0 as usize + t];
                 }
             }
             for r in &self.reduces[lv.sums.clone()] {
-                let a = block::<W>(outs, r.out as usize * k + l0);
-                for t in 0..r.arity as usize {
-                    kids[(r.c0 as usize - base + t) * k + l0..][..W].copy_from_slice(a);
-                }
+                let a = outs[r.out as usize];
+                kids[r.c0 as usize - base..][..r.arity as usize].fill(a);
             }
         }
     }
 
     /// Accumulate `adjoint · value · exponent` of the monomials in
-    /// `range` (accumulation order) into the lane-major `grad`
-    /// (`n_vars · k`; `k = 1`: the scalar tape), from the value and
+    /// `range` (accumulation order) into `grad`, from the value and
     /// adjoint tapes.
     pub(crate) fn accumulate(
         &self,
         range: Range<usize>,
-        k: usize,
         vals: &[f64],
         adj: &[f64],
         grad: &mut [f64],
     ) {
-        let monos = &self.monos[range];
-        for_lane_blocks!(k, |W, l0| self.accumulate_cols::<W>(monos, k, l0, vals, adj, grad));
-    }
-
-    /// Lanes `l0 .. l0 + W` of `LevelProgram::accumulate`.
-    fn accumulate_cols<const W: usize>(
-        &self,
-        monos: &[Mono],
-        k: usize,
-        l0: usize,
-        vals: &[f64],
-        adj: &[f64],
-        grad: &mut [f64],
-    ) {
-        for m in monos {
-            let at = m.slot as usize * k + l0;
-            let (a, v) = (block::<W>(adj, at), block::<W>(vals, at));
-            let mut av = [0.0; W];
-            for l in 0..W {
-                av[l] = a[l] * v[l];
-            }
+        for m in &self.monos[range] {
+            let av = adj[m.slot as usize] * vals[m.slot as usize];
             for &(j, e) in &self.terms[m.lo as usize..m.hi as usize] {
-                let g = &mut grad[j as usize * k + l0..][..W];
-                for l in 0..W {
-                    g[l] += av[l] * e;
-                }
+                grad[j as usize] += av * e;
             }
         }
     }
-}
-
-/// `buf[at .. at + W]` as an array.
-#[inline(always)]
-fn block<const W: usize>(buf: &[f64], at: usize) -> &[f64; W] {
-    buf[at..at + W].try_into().expect("a slice of W entries")
 }
 
 /// Smoothed max with gradient weights written into `wts`, semantically
@@ -858,7 +757,7 @@ fn smax_chain(vals: &[f64], m: f64, s: f64, wts: &mut [f64]) -> f64 {
 /// small positive integer (the annealing schedule's 4/16/64/256 all
 /// are), `powf` otherwise.
 #[inline]
-pub(crate) fn pow_sharp(b: f64, s: f64) -> f64 {
+fn pow_sharp(b: f64, s: f64) -> f64 {
     if s.fract() == 0.0 && (1.0..=512.0).contains(&s) {
         b.powi(s as i32)
     } else {
@@ -869,7 +768,7 @@ pub(crate) fn pow_sharp(b: f64, s: f64) -> f64 {
 /// `v^{1/s}`: repeated hardware `sqrt` when `s` is a power of two (the
 /// annealing schedule's are), `powf` otherwise.
 #[inline]
-pub(crate) fn root_sharp(v: f64, s: f64) -> f64 {
+fn root_sharp(v: f64, s: f64) -> f64 {
     match pow2_log(s, 2.0) {
         Some(q) => (0..q).fold(v, |r, _| r.sqrt()),
         None => v.powf(1.0 / s),
@@ -877,10 +776,10 @@ pub(crate) fn root_sharp(v: f64, s: f64) -> f64 {
 }
 
 /// `log₂ s` when `s` is an integer power of two in `lo..=512` — the tier
-/// of both executors' power (`lo = 1`) and root (`lo = 2`) kernels that
-/// runs as repeated squaring / repeated `sqrt`.
+/// of the power (`lo = 1`) and root (`lo = 2`) kernels that runs as
+/// repeated squaring / repeated `sqrt`.
 #[inline]
-pub(crate) fn pow2_log(s: f64, lo: f64) -> Option<u32> {
+fn pow2_log(s: f64, lo: f64) -> Option<u32> {
     let pow2 = s.fract() == 0.0 && (lo..=512.0).contains(&s) && (s as u32).is_power_of_two();
     pow2.then(|| (s as u32).trailing_zeros())
 }
@@ -897,55 +796,53 @@ fn max2_exact_rows(a: &[f64], b: &[f64], val: &mut [f64], wa: &mut [f64], wb: &m
 }
 
 /// Smoothed arity-2 max over rows of independent elements — one level's
-/// arity-2 maxes × lanes: `val[i] = smax_s(a[i], b[i])` with the weights
-/// of the two candidates in `wa[i]`, `wb[i]`.
+/// arity-2 maxes: `val[i] = smax_s(a[i], b[i])` with the weights of the
+/// two candidates in `wa[i]`, `wb[i]`.
 ///
 /// Per element this is exactly the operation sequence of
-/// `smax_weights_fast` / `smax_batch` on two candidates — max, divide,
-/// power, sum from `0.0`, root, product, weight recovery — but run
-/// eight elements at a time, so the dependent divide → squarings →
+/// `smax_weights_fast` on two candidates — max, divide, power, sum from
+/// `0.0`, root, product, weight recovery, the same early return for an
+/// all-zero element (value `+0.0`, weights `0.0`) — but run in blocks of
+/// compile-time width 8, 4, 2, 1, so the dependent divide → squarings →
 /// square roots → divides of one element overlap with its neighbours'
-/// instead of waiting on each other. When `s` is a power of two (the
+/// instead of waiting on each other (a block of 8 is four 128-bit
+/// vectors on a baseline x86-64 build). When `s` is a power of two (the
 /// whole annealing schedule) the power is `log₂ s` squarings and the
 /// root `log₂ s` hardware `sqrt`s, all of it vectorised; for any other
-/// sharpness the power is the caller's `pow_other` (each executor's own
-/// tier, so its bits stay its own) and the root `powf(1/s)`.
-///
-/// `ZERO_GUARD` selects the scalar kernel's early return for an all-zero
-/// element (value `+0.0`, weights `0.0` whatever the candidates hold);
-/// without it such an element flows through the sequence with a unit
-/// divisor, as in `smax_batch`. The two differ only on NaN candidates.
+/// sharpness they are `pow_sharp` and `powf(1/s)`. An element's result
+/// does not depend on which block it lands in.
 #[inline]
-pub(crate) fn smax2_rows<const ZERO_GUARD: bool>(
+fn smax2_rows(s: f64, a: &[f64], b: &[f64], val: &mut [f64], wa: &mut [f64], wb: &mut [f64]) {
+    let n = a.len();
+    debug_assert!(b.len() == n && val.len() == n && wa.len() == n && wb.len() == n);
+    let tiers = (pow2_log(s, 1.0), pow2_log(s, 2.0));
+    let mut i = 0;
+    while i < n {
+        let (a, b) = (&a[i..], &b[i..]);
+        let (val, wa, wb) = (&mut val[i..], &mut wa[i..], &mut wb[i..]);
+        i += match n - i {
+            8.. => smax2_block::<8>(s, tiers, a, b, val, wa, wb),
+            4.. => smax2_block::<4>(s, tiers, a, b, val, wa, wb),
+            2.. => smax2_block::<2>(s, tiers, a, b, val, wa, wb),
+            _ => smax2_block::<1>(s, tiers, a, b, val, wa, wb),
+        };
+    }
+}
+
+/// The first `N` elements of `smax2_rows`' rows, each loop one operation
+/// across the block; returns `N`.
+#[inline(always)]
+fn smax2_block<const N: usize>(
     s: f64,
-    pow_other: impl Fn(f64) -> f64 + Copy,
+    (squarings, sqrts): (Option<u32>, Option<u32>),
     a: &[f64],
     b: &[f64],
     val: &mut [f64],
     wa: &mut [f64],
     wb: &mut [f64],
-) {
-    let n = a.len();
-    debug_assert!(b.len() == n && val.len() == n && wa.len() == n && wb.len() == n);
-    let tiers = (pow2_log(s, 1.0), pow2_log(s, 2.0));
-    for_lane_blocks!(n, |W, i| {
-        let (v, x, y) = smax2_block::<W, ZERO_GUARD>(s, tiers, pow_other, block(a, i), block(b, i));
-        val[i..i + W].copy_from_slice(&v);
-        wa[i..i + W].copy_from_slice(&x);
-        wb[i..i + W].copy_from_slice(&y);
-    });
-}
-
-/// `N` elements of `smax2_rows`, each loop one operation across the
-/// block.
-#[inline(always)]
-fn smax2_block<const N: usize, const ZERO_GUARD: bool>(
-    s: f64,
-    (squarings, sqrts): (Option<u32>, Option<u32>),
-    pow_other: impl Fn(f64) -> f64,
-    a: &[f64; N],
-    b: &[f64; N],
-) -> ([f64; N], [f64; N], [f64; N]) {
+) -> usize {
+    let a: &[f64; N] = a[..N].try_into().expect("a slice of N entries");
+    let b: &[f64; N] = b[..N].try_into().expect("a slice of N entries");
     let (mut m, mut ta, mut tb) = ([0.0; N], [0.0; N], [0.0; N]);
     for l in 0..N {
         m[l] = 0.0_f64.max(a[l]).max(b[l]);
@@ -964,8 +861,8 @@ fn smax2_block<const N: usize, const ZERO_GUARD: bool>(
         }
         None => {
             for l in 0..N {
-                ta[l] = pow_other(ta[l]);
-                tb[l] = pow_other(tb[l]);
+                ta[l] = pow_sharp(ta[l], s);
+                tb[l] = pow_sharp(tb[l], s);
             }
         }
     }
@@ -992,23 +889,23 @@ fn smax2_block<const N: usize, const ZERO_GUARD: bool>(
             }
         }
     }
-    let (mut val, mut wa, mut wb) = ([0.0; N], [0.0; N], [0.0; N]);
     for l in 0..N {
         let v = m[l] * root[l];
-        let dead = ZERO_GUARD && m[l] == 0.0;
+        let dead = m[l] == 0.0;
         val[l] = if dead { 0.0 } else { v };
         wa[l] = if ta[l] == 0.0 || dead { 0.0 } else { (ta[l] / sum[l]) * (v / a[l]) };
         wb[l] = if tb[l] == 0.0 || dead { 0.0 } else { (tb[l] / sum[l]) * (v / b[l]) };
     }
-    (val, wa, wb)
+    N
 }
 
 #[cfg(test)]
-pub(crate) mod tests {
+mod tests {
     use super::*;
     use crate::expr::smax_weights;
+    use proptest::prelude::*;
 
-    pub(crate) fn sample_expr() -> Expr {
+    fn sample_expr() -> Expr {
         // Nested max-in-sum-in-max, mirroring the shapes the objective
         // builds (1D transfer startup max inside a node-T sum).
         Expr::sum(vec![
@@ -1028,13 +925,13 @@ pub(crate) mod tests {
     }
 
     /// One expression as a one-root program.
-    pub(crate) fn single(e: &Expr, n_vars: usize) -> LevelProgram {
+    fn single(e: &Expr, n_vars: usize) -> LevelProgram {
         LevelProgram::compile(n_vars, &[e], &[0])
     }
 
     /// Scalar record + replay of a one-root program: the value and
     /// `seed · ∇value`.
-    pub(crate) fn sweep(
+    fn sweep(
         prog: &LevelProgram,
         x: &[f64],
         sharp: Sharpness,
@@ -1043,10 +940,10 @@ pub(crate) mod tests {
     ) -> (f64, Vec<f64>) {
         prog.forward(x, sharp, scratch);
         scratch.slot_adj[0] = seed;
-        prog.push_adjoints(1, &mut scratch.slot_adj, &scratch.tape_wts);
+        prog.push_adjoints(&mut scratch.slot_adj, &scratch.tape_wts);
         let mut grad = vec![0.0; x.len()];
         let all = prog.mono_range(0);
-        prog.accumulate(all, 1, &scratch.tape_vals, &scratch.slot_adj, &mut grad);
+        prog.accumulate(all, &scratch.tape_vals, &scratch.slot_adj, &mut grad);
         (scratch.tape_vals[0], grad)
     }
 
@@ -1185,9 +1082,7 @@ pub(crate) mod tests {
             let (mut val, mut wa, mut wb) = (vec![0.0; n], vec![0.0; n], vec![0.0; n]);
             match sharp {
                 Sharpness::Exact => max2_exact_rows(&a, &b, &mut val, &mut wa, &mut wb),
-                Sharpness::Smooth(s) => {
-                    smax2_rows::<true>(s, |t| pow_sharp(t, s), &a, &b, &mut val, &mut wa, &mut wb)
-                }
+                Sharpness::Smooth(s) => smax2_rows(s, &a, &b, &mut val, &mut wa, &mut wb),
             }
             for i in 0..n {
                 let mut w = [0.0; 2];
@@ -1291,6 +1186,95 @@ pub(crate) mod tests {
                 assert!((v0 - v1).abs() <= 1e-12 * v0.abs().max(1.0), "{sharp:?} root {r}");
                 if matches!(sharp, Sharpness::Exact) {
                     assert_eq!(v0.to_bits(), v1.to_bits(), "exact root {r}");
+                }
+            }
+        }
+    }
+
+    /// splitmix64 over a test-local state.
+    fn next(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    const TREE_VARS: usize = 4;
+
+    /// A random tree of the kind the objective never builds: depth up to
+    /// 5, `Sum` / `Max` of arity 1–5 constructed directly (so single
+    /// children and zero terms survive), exponent vectors drawn from a
+    /// small pool so they repeat, exotic exponents, zero coefficients.
+    fn random_tree(state: &mut u64, depth: usize) -> Expr {
+        let pick = next(state) % 10;
+        if depth == 0 || pick < 4 {
+            let coeff = match next(state) % 6 {
+                0 => 0.0,
+                c => 0.25 * c as f64,
+            };
+            let exps = [1.0, -1.0, 0.5, -0.5, 2.0, -0.3];
+            let draw = |state: &mut u64| {
+                ((next(state) % 2) as usize, exps[(next(state) % exps.len() as u64) as usize])
+            };
+            return Expr::Mono(match next(state) % 4 {
+                0 => Monomial::constant(coeff),
+                1 => {
+                    let (j, a) = draw(state);
+                    Monomial::single(coeff, j, a)
+                }
+                _ => {
+                    let ((i, a), (j, b)) = (draw(state), draw(state));
+                    Monomial::pair(coeff, i, a, 2 + j, b)
+                }
+            });
+        }
+        let arity = 1 + (next(state) % 5) as usize;
+        let kids = (0..arity).map(|_| random_tree(state, depth - 1)).collect();
+        if pick & 1 == 0 {
+            Expr::Sum(kids)
+        } else {
+            Expr::Max(kids)
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
+
+        /// The executor against the tree walk on trees of arbitrary
+        /// shape, at five points each: exact values bitwise equal to
+        /// `Expr::eval`, smooth values to 1e-12 and gradients to 1e-9
+        /// against `Expr::eval_grad`.
+        #[test]
+        fn level_program_matches_tree_on_random_trees(seed in 0u64..1_000_000) {
+            let mut state = seed;
+            let e = random_tree(&mut state, 5);
+            let prog = single(&e, TREE_VARS);
+            let pts: Vec<Vec<f64>> = (0..5)
+                .map(|_| {
+                    (0..TREE_VARS).map(|_| (next(&mut state) % 4001) as f64 / 1000.0 - 2.0).collect()
+                })
+                .collect();
+            let mut scratch = EvalScratch::default();
+            let close = |a: f64, b: f64, tol: f64| (a - b).abs() <= tol * (1.0 + b.abs());
+            for x in &pts {
+                let (v, _) = sweep(&prog, x, Sharpness::Exact, 1.0, &mut scratch);
+                prop_assert_eq!(v.to_bits(), e.eval(x, Sharpness::Exact).to_bits(), "exact at {:?}", x);
+            }
+            for s in [2.0, 8.0, 256.0, 3.0, 3.7] {
+                let sharp = Sharpness::Smooth(s);
+                for (l, x) in pts.iter().enumerate() {
+                    let w = 0.5 + l as f64;
+                    let mut g0 = vec![0.0; TREE_VARS];
+                    let v0 = e.eval_grad(x, sharp, w, &mut g0);
+                    let (v1, g1) = sweep(&prog, x, sharp, w, &mut scratch);
+                    prop_assert!(close(v1, v0, 1e-12), "s={} value {} vs tree {}", s, v1, v0);
+                    for j in 0..TREE_VARS {
+                        prop_assert!(
+                            close(g1[j], g0[j], 1e-9),
+                            "s={} grad[{}] {} vs tree {}", s, j, g1[j], g0[j]
+                        );
+                    }
                 }
             }
         }

@@ -79,7 +79,7 @@ pub fn allocate_coordinate(g: &Mdg, machine: Machine, cfg: &CoordinateConfig) ->
     // the same sweep scratch.
     let mut ws = workspace::acquire();
     for sharp in stages {
-        let mut best = obj.eval_with(&x, sharp, &mut ws.inner.scratch).phi;
+        let mut best = obj.eval_with(&x, sharp, &mut ws.scratch).phi;
         for _ in 0..cfg.max_sweeps {
             sweeps += 1;
             let before = best;
@@ -94,7 +94,7 @@ pub fn allocate_coordinate(g: &Mdg, machine: Machine, cfg: &CoordinateConfig) ->
                 let mut f_at = |xj: f64, x: &mut Vec<f64>| {
                     let old = x[j];
                     x[j] = xj;
-                    let v = obj.eval_with(x, sharp, &mut ws.inner.scratch).phi;
+                    let v = obj.eval_with(x, sharp, &mut ws.scratch).phi;
                     x[j] = old;
                     v
                 };

@@ -22,11 +22,9 @@
 //! * [`expr`] — generalized posynomial expression trees with smoothed
 //!   evaluation and gradients in log-space;
 //! * [`compiled`] — the level program: all expressions of an objective
-//!   flattened into one program that both tape executors sweep level by
-//!   level (no re-evaluation on the backward pass, a level's smoothed
-//!   maxes through one elementwise kernel), and the scalar executor;
-//! * [`batch`] — the lane executor: the same sweeps over K lane-major
-//!   points (no descent runs on it; the repo benchmark probes it);
+//!   flattened into one program swept level by level (no re-evaluation
+//!   on the backward pass, a level's smoothed maxes through one
+//!   elementwise kernel), and its executor;
 //! * [`objective`] — assembles `Phi` for an (MDG, machine) pair;
 //! * [`descent`] — the one projected descent stage (Armijo backtracking
 //!   along a limited-memory quasi-Newton or gradient direction, ended by
@@ -45,7 +43,6 @@
 //!   zero-allocation test and the `bench-solve` allocs/iter metric.
 
 pub mod alloc_count;
-pub mod batch;
 pub mod bruteforce;
 pub mod compiled;
 pub mod convexity;
@@ -71,7 +68,6 @@ pub use solve::{
     optimality_residual, try_allocate, try_allocate_from, AllocationResult, SolverConfig,
     QN_MEMORY, STATIONARITY_TOL,
 };
-pub use workspace::{
-    BatchEvalScratch, BatchWorkspace, EvalScratch, PooledBatchWorkspace, SolverWorkspace,
-    SweepCounts,
-};
+#[doc(hidden)]
+pub use workspace::BatchWorkspace;
+pub use workspace::{EvalScratch, PooledWorkspace, SolverWorkspace, SweepCounts};

@@ -30,10 +30,9 @@
 //! attached objective is the built one to the bit
 //! (`tests/tape_carry.rs`).
 
-use crate::batch::{lanes_add, smax_batch};
 use crate::compiled::{smax_weights_fast, LevelProgram, TapeStats};
 use crate::expr::{smax_pair_weights, smax_weights, Expr, Monomial, Sharpness};
-use crate::workspace::{self, BatchEvalScratch, EvalScratch};
+use crate::workspace::{self, EvalScratch};
 use paradigm_cost::{Allocation, Machine, MdgWeights, PhiBreakdown};
 use paradigm_mdg::{AmdahlParams, ArrayTransfer, EdgeId, Mdg, NodeId, TransferKind};
 use std::sync::OnceLock;
@@ -361,7 +360,7 @@ impl<'g> MdgObjective<'g> {
     /// using a pooled workspace; hot loops should hold their own.
     pub fn eval(&self, x: &[f64], sharp: Sharpness) -> ObjectiveParts {
         let mut ws = workspace::acquire();
-        self.eval_with(x, sharp, &mut ws.inner.scratch)
+        self.eval_with(x, sharp, &mut ws.scratch)
     }
 
     /// Allocation-free [`MdgObjective::eval`] for gradient-free callers:
@@ -385,7 +384,7 @@ impl<'g> MdgObjective<'g> {
     pub fn eval_grad(&self, x: &[f64], sharp: Sharpness) -> (ObjectiveParts, Vec<f64>) {
         let mut ws = workspace::acquire();
         let mut grad = Vec::new();
-        let parts = self.eval_grad_with(x, sharp, &mut ws.inner.scratch, &mut grad);
+        let parts = self.eval_grad_with(x, sharp, &mut ws.scratch, &mut grad);
         (parts, grad)
     }
 
@@ -423,8 +422,7 @@ impl<'g> MdgObjective<'g> {
         let mut ws = workspace::acquire();
         let mut grad_a = Vec::new();
         let mut grad_c = Vec::new();
-        let parts =
-            self.eval_grad_parts_with(x, sharp, &mut ws.inner.scratch, &mut grad_a, &mut grad_c);
+        let parts = self.eval_grad_parts_with(x, sharp, &mut ws.scratch, &mut grad_a, &mut grad_c);
         (parts, grad_a, grad_c)
     }
 
@@ -445,168 +443,34 @@ impl<'g> MdgObjective<'g> {
         parts
     }
 
-    /// Batched [`MdgObjective::eval_grad_with`]: one lane-tape record +
-    /// replay computes `k` objective values (`xs[j*k + l]` is variable
-    /// `j` of lane `l`) and their gradients at once. `grads` is resized to `n_vars * k`
-    /// (lane-major, `grads[j*k + l]`) and overwritten; allocation-free
-    /// after warm-up given a warm `scratch`.
-    ///
-    /// # Panics
-    /// At [`Sharpness::Exact`], as [`MdgObjective::forward_record_batch`].
+    /// The repo benchmark's `solver.eval_grad_batch8_us` probe
+    /// (`benchmark/src/layers.rs`) and nobody else's: what is left of the
+    /// lane executor's entry point until a `benchmark`-only PR drops the
+    /// probe. The `k` lane-major points (`xs[j*k + l]` is variable `j` of
+    /// point `l`) go one after another through
+    /// [`MdgObjective::eval_grad_with`]; `grads` comes back lane-major.
+    #[doc(hidden)]
     pub fn eval_grad_batch_with(
         &self,
         xs: &[f64],
         k: usize,
         sharp: Sharpness,
-        scratch: &mut BatchEvalScratch,
+        scratch: &mut EvalScratch,
         grads: &mut Vec<f64>,
         parts: &mut [ObjectiveParts],
     ) {
-        self.forward_record_batch(xs, k, sharp, scratch, parts);
-        self.backward_replay_batch(k, scratch, grads);
-    }
-
-    /// Recording forward sweep over `k` lane-major points: the lane
-    /// twin of [`MdgObjective::forward_record`]. Fills the K-wide finish
-    /// times, expression tapes, and DAG-level `smax` weights in
-    /// `scratch`, writes per-lane parts, and keeps the per-lane `Phi`
-    /// combination weights for [`MdgObjective::backward_replay_batch`].
-    ///
-    /// # Panics
-    /// At [`Sharpness::Exact`]: exact `max` tie-breaking is pinned to the
-    /// scalar tape, so exact points go through `forward_record`.
-    pub fn forward_record_batch(
-        &self,
-        xs: &[f64],
-        k: usize,
-        sharp: Sharpness,
-        scratch: &mut BatchEvalScratch,
-        parts: &mut [ObjectiveParts],
-    ) {
-        let Sharpness::Smooth(s) = sharp else {
-            panic!("the lane tape is smooth-only; sweep exact points on the scalar tape");
-        };
-        let n = self.g.node_count();
-        debug_assert_eq!(xs.len(), n * k);
-        debug_assert_eq!(parts.len(), k);
-        scratch.recorded = false;
-        scratch.counts.forward_sweeps += k as u64;
-        let t = &self.tapes;
-        scratch.ensure(n, self.g.edge_count(), t.max_in, k);
-        t.prog.forward_lanes(xs, k, s, scratch);
-        let BatchEvalScratch {
-            y, tape_w, stack, tape_vals, var_cache, area, c_seed, a_seed, ..
-        } = scratch;
-        let e_x = var_cache.e();
-        let inv_p = 1.0 / self.machine.procs as f64;
-        for &v in self.g.topo_order() {
-            let vk = v.0 * k;
-            let in_edges = self.g.in_edges(v);
-            // Candidate smax: `y_m + d_e` rows staged side by side, the
-            // weights beside them, then scattered to the edge tape rows.
-            let kk = in_edges.len();
-            if kk > 0 {
-                let (cands, rest) = stack.split_at_mut(kk * k);
-                let (wreg, scr) = rest.split_at_mut(kk * k);
-                for (i, &e) in in_edges.iter().enumerate() {
-                    let m = self.g.edge(e).src;
-                    let cand = &mut cands[i * k..(i + 1) * k];
-                    cand.copy_from_slice(&tape_vals[(n + e.0) * k..][..k]);
-                    lanes_add(cand, &y[m * k..(m + 1) * k]);
-                }
-                smax_batch(k, kk, s, cands, &mut y[vk..vk + k], wreg, scr);
-                for (i, &e) in in_edges.iter().enumerate() {
-                    tape_w[e.0 * k..(e.0 + 1) * k].copy_from_slice(&wreg[i * k..(i + 1) * k]);
-                }
-            }
-            let tv = &tape_vals[vk..vk + k];
-            for l in 0..k {
-                area[l] += tv[l] * e_x[vk + l];
-            }
-            lanes_add(&mut y[vk..vk + k], tv);
-        }
-        let stop = self.g.stop().0;
-        for (l, p) in parts.iter_mut().enumerate() {
-            let a_p = inv_p * area[l];
-            let c_p = y[stop * k + l];
-            let (phi, w_a, w_c) = smax_pair_weights(a_p, c_p, sharp);
-            *p = ObjectiveParts { phi, a_p, c_p };
-            a_seed[l] = w_a;
-            c_seed[l] = w_c;
-        }
-        scratch.recorded = true;
-    }
-
-    /// Lane twin of [`MdgObjective::backward_replay_phi`]: pushes the
-    /// per-lane `Phi` seeds recorded by the last
-    /// [`MdgObjective::forward_record_batch`] on `scratch` through the
-    /// lane-major tapes. `grads` is resized to `n_vars * k` and
-    /// overwritten. The scalar sweep's skip-if-zero guards become
-    /// all-lanes-zero guards; per lane this only ever adds exact `+0.0`
-    /// terms (adjoints and tape values are nonnegative), so each lane
-    /// matches its scalar counterpart.
-    ///
-    /// # Panics
-    /// If the lane tape on `scratch` is not that of a `k`-lane
-    /// `forward_record_batch` (see [`MdgObjective::backward_replay`]).
-    pub fn backward_replay_batch(
-        &self,
-        k: usize,
-        scratch: &mut BatchEvalScratch,
-        grads: &mut Vec<f64>,
-    ) {
-        assert!(
-            scratch.recorded && scratch.k == k,
-            "backward_replay_batch: the lane tape on this scratch is not the last thing \
-             forward_record_batch({k} lanes) swept on it"
-        );
-        scratch.counts.backward_sweeps += k as u64;
-        let n = self.g.node_count();
+        let n = self.num_vars();
         grads.clear();
         grads.resize(n * k, 0.0);
-        let t = &self.tapes;
-        let inv_p = 1.0 / self.machine.procs as f64;
-        let BatchEvalScratch {
-            adjoint,
-            tape_w,
-            tape_vals,
-            tape_wts,
-            slot_adj,
-            var_cache,
-            c_seed,
-            a_seed,
-            ..
-        } = scratch;
-        let e_x = var_cache.e();
-        adjoint.fill(0.0);
-        let stop = self.g.stop().0;
-        adjoint[stop * k..(stop + 1) * k].copy_from_slice(c_seed);
-        // DAG pass: every expression's seed row into its root slot.
-        for &v in self.g.topo_order().iter().rev() {
-            let vk = v.0 * k;
-            for l in 0..k {
-                let w_area = a_seed[l] * inv_p;
-                slot_adj[vk + l] = adjoint[vk + l] + w_area * e_x[vk + l];
+        let (mut x, mut grad) = (vec![0.0; n], Vec::new());
+        for (l, part) in parts.iter_mut().enumerate().take(k) {
+            for (j, xj) in x.iter_mut().enumerate() {
+                *xj = xs[j * k + l];
             }
-            for &e in self.g.in_edges(v) {
-                let (ek, mk, rk) = (e.0 * k, self.g.edge(e).src * k, (n + e.0) * k);
-                for l in 0..k {
-                    let seed = adjoint[vk + l] * tape_w[ek + l];
-                    slot_adj[rk + l] = seed;
-                    adjoint[mk + l] += seed;
-                }
+            *part = self.eval_grad_with(&x, sharp, scratch, &mut grad);
+            for (j, &gj) in grad.iter().enumerate() {
+                grads[j * k + l] = gj;
             }
-        }
-        t.prog.push_adjoints(k, slot_adj, tape_wts);
-        let mut lo = 0;
-        for (&v, &hi) in self.g.topo_order().iter().rev().zip(&t.replay_ends) {
-            let vk = v.0 * k;
-            for l in 0..k {
-                let w_area = a_seed[l] * inv_p;
-                grads[vk + l] += w_area * tape_vals[vk + l] * e_x[vk + l];
-            }
-            t.prog.accumulate(lo..hi, k, tape_vals, slot_adj, grads);
-            lo = hi;
         }
     }
 
@@ -726,7 +590,7 @@ impl<'g> MdgObjective<'g> {
                 adjoint[self.g.edge(e).src] += seed;
             }
         }
-        t.prog.push_adjoints(1, slot_adj, tape_wts);
+        t.prog.push_adjoints(slot_adj, tape_wts);
         let mut lo = 0;
         for (&v, &hi) in self.g.topo_order().iter().rev().zip(&t.replay_ends) {
             if w_area != 0.0 {
@@ -736,16 +600,17 @@ impl<'g> MdgObjective<'g> {
             // max, whose weights are 0 or 1) seeds its own expression and
             // its in-edges' with zero: every addend below would be ±0.0.
             if slot_adj[v.0] != 0.0 || adjoint[v.0] != 0.0 {
-                t.prog.accumulate(lo..hi, 1, tape_vals, slot_adj, grad);
+                t.prog.accumulate(lo..hi, tape_vals, slot_adj, grad);
             }
             lo = hi;
         }
     }
 
     /// The pre-adjoint forward-mode gradient (dense `O(n)` vector per
-    /// node, `O(E·n)` time). Kept as an independently-derived reference
-    /// implementation for the gradient property tests and the
-    /// `bench-solve` speedup measurement; not used by the solver.
+    /// node, `O(E·n)` time): the independently derived oracle of the
+    /// gradient property tests. Nothing else calls it and nothing times
+    /// it.
+    #[doc(hidden)]
     pub fn eval_grad_forward(&self, x: &[f64], sharp: Sharpness) -> (ObjectiveParts, Vec<f64>) {
         let n = self.g.node_count();
         let mut grad_a = vec![0.0; n];

@@ -11,11 +11,11 @@ use paradigm_race::sync::Mutex;
 use paradigm_race::{explore, plock, Config, Report, Suite};
 
 /// Pool exclusivity: two threads each acquire a workspace, resize its
-/// batched and its embedded scalar scratch, scribble, yield, and verify.
-/// On every interleaving the live workspaces must be distinct buffers.
-/// Afterwards the counters must show exactly two acquires with at most
-/// one reuse (both threads can only reuse a pooled workspace if one
-/// finished before the other started).
+/// scratch, scribble, yield, and verify. On every interleaving the live
+/// workspaces must be distinct buffers. Afterwards the counters must
+/// show exactly two acquires with at most one reuse (both threads can
+/// only reuse a pooled workspace if one finished before the other
+/// started).
 fn run_pool(cfg: &Config) -> Report {
     explore("pool", cfg, || {
         workspace::reset_pool();
@@ -24,32 +24,22 @@ fn run_pool(cfg: &Config) -> Report {
             for t in 0..2usize {
                 let held = &held;
                 s.spawn(move || {
-                    let mut bw = acquire();
-                    bw.scratch.ensure(4, 4, 1, 2);
-                    bw.inner.scratch.ensure(4, 4, 1);
-                    let bid = bw.scratch.y.as_ptr() as usize;
-                    let iid = bw.inner.scratch.y.as_ptr() as usize;
+                    let mut ws = acquire();
+                    ws.scratch.ensure(4, 4, 1);
+                    let id = ws.scratch.y.as_ptr() as usize;
                     {
                         let mut h = plock(held);
-                        for p in [bid, iid] {
-                            assert!(!h.contains(&p), "one workspace handed to two threads");
-                            h.push(p);
-                        }
+                        assert!(!h.contains(&id), "one workspace handed to two threads");
+                        h.push(id);
                     }
-                    bw.scratch.y[0] = (t + 11) as f64;
-                    bw.inner.scratch.y[0] = (t + 21) as f64;
+                    ws.scratch.y[0] = (t + 11) as f64;
                     paradigm_race::thread::yield_now();
                     assert_eq!(
-                        bw.scratch.y[0],
+                        ws.scratch.y[0],
                         (t + 11) as f64,
                         "workspace scratch buffer shared across threads"
                     );
-                    assert_eq!(
-                        bw.inner.scratch.y[0],
-                        (t + 21) as f64,
-                        "workspace's scalar scratch shared across threads"
-                    );
-                    plock(held).retain(|&x| x != bid && x != iid);
+                    plock(held).retain(|&x| x != id);
                 });
             }
         });

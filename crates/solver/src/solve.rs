@@ -10,16 +10,15 @@
 //! projected gradient is stationary ([`QN_MEMORY`], [`STATIONARITY_TOL`]),
 //! and an exact-max projected-subgradient polish ends the solve.
 //!
-//! Every stage is a call of [`crate::descent::descend`] on the scalar
-//! tape, which is 1.4–1.7× faster than the lane kernels at one point
-//! (DESIGN.md §11 has the measured ratios and the convergence table).
+//! Every stage is a call of [`crate::descent::descend`] (DESIGN.md §11
+//! has the convergence table).
 
 use crate::coordinate::{allocate_coordinate, CoordinateConfig};
 use crate::descent::{descend, DescentModel, DescentState, Stage};
 use crate::error::{FallbackTier, SolverError};
 use crate::expr::Sharpness;
 use crate::objective::MdgObjective;
-use crate::workspace::{self, BatchWorkspace, EvalScratch, SolverWorkspace, SweepCounts};
+use crate::workspace::{self, EvalScratch, SolverWorkspace, SweepCounts};
 use paradigm_cost::{Allocation, Machine, MdgWeights, PhiBreakdown};
 use paradigm_mdg::Mdg;
 use paradigm_race::time::Instant;
@@ -251,8 +250,8 @@ pub fn try_allocate_from(
     };
     // The pooled workspace keeps its buffers warm across solves (serve
     // workers re-hit the same pool on every cache miss).
-    let mut bw = workspace::acquire();
-    let BatchWorkspace { inner, descent, .. } = &mut *bw;
+    let mut ws = workspace::acquire();
+    let SolverWorkspace { scratch, descent, .. } = &mut *ws;
     // Structural variables pinned to ln 1 = 0 (they never appear in the
     // objective, but a clean value keeps reports readable).
     let mut x = x0.to_vec();
@@ -262,11 +261,11 @@ pub fn try_allocate_from(
     let mut iterations = 0;
     let sharps = stages.iter().map(|&s| Sharpness::Smooth(s)).chain([Sharpness::Exact]);
     for sharp in sharps {
-        let mut model = ScalarTape { obj: &obj, sharp, scratch: &mut inner.scratch };
+        let mut model = ScalarTape { obj: &obj, sharp, scratch: &mut *scratch };
         iterations += dense.run(&mut model, descent);
     }
     let alloc = obj.allocation_from_x(descent.x());
-    drop(bw);
+    drop(ws);
 
     let phi = obj.exact_phi(&alloc);
     if iterations == 0 && budget.exhausted() {
@@ -341,7 +340,7 @@ pub fn equal_split_allocation(g: &Mdg, machine: Machine) -> AllocationResult {
 pub fn optimality_residual(obj: &MdgObjective<'_>, x: &[f64], sharp: Sharpness) -> f64 {
     let ub = obj.x_upper();
     let mut ws = workspace::acquire();
-    let SolverWorkspace { scratch, grad_a, grad_c, .. } = &mut ws.inner;
+    let SolverWorkspace { scratch, grad_a, grad_c, .. } = &mut *ws;
     let parts = obj.eval_grad_parts_with(x, sharp, scratch, grad_a, grad_c);
     let (grad_a, grad_c) = (&*grad_a, &*grad_c);
     // Admissible multipliers: only active pieces may carry weight. A
@@ -461,12 +460,12 @@ pub fn descend_stage(
     sharp: Sharpness,
     max_iters: usize,
     rel_tol: f64,
-    bw: &mut BatchWorkspace,
+    ws: &mut SolverWorkspace,
 ) -> usize {
-    let BatchWorkspace { inner, descent, .. } = bw;
+    let SolverWorkspace { scratch, descent, .. } = ws;
     descent.load(x);
     let budget = Budget::new(None, None);
-    let mut model = ScalarTape { obj, sharp, scratch: &mut inner.scratch };
+    let mut model = ScalarTape { obj, sharp, scratch };
     let iters = DenseStages { obj, max_iters, rel_tol, budget: &budget }.run(&mut model, descent);
     x.copy_from_slice(descent.x());
     iters

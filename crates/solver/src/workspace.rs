@@ -10,30 +10,27 @@
 //!
 //! What a sweep scratch holds follows the level program
 //! ([`crate::compiled`]): one value per slot, one weight per `max`
-//! candidate, one adjoint per slot (lane-major rows of `k` on the lane
-//! scratch), the exact sweep's per-vector `exp` table, the variable
-//! cache, and one staging row that serves the arity-2 kernel's outputs
-//! and the DAG recurrence's candidate lists in turn. These tapes only
-//! ever grow — each sweep overwrites every slot it later reads, so a
-//! pooled scratch that alternates between objectives (ADMM blocks) is
-//! sized once, by the largest, and never zeroed. The per-node and
-//! per-edge DAG buffers are fitted and zeroed per sweep.
+//! candidate, one adjoint per slot, the exact sweep's per-vector `exp`
+//! table, the variable cache, and one staging row that serves the
+//! arity-2 kernel's outputs and the DAG recurrence's candidate lists in
+//! turn. These tapes only ever grow — each sweep overwrites every slot
+//! it later reads, so a pooled scratch that alternates between
+//! objectives (ADMM blocks) is sized once, by the largest, and never
+//! zeroed. The per-node and per-edge DAG buffers are fitted and zeroed
+//! per sweep.
 //!
-//! A [`BatchWorkspace`] is three borrowable groups — the lane sweep
-//! scratch, the scalar [`SolverWorkspace`] (`.inner`) and the descent
-//! stage's [`DescentState`] — so a descent model can borrow a scratch
-//! while the stage holds the iterate: disjoint fields, disjoint borrows.
+//! Beside the sweep scratch a workspace owns a dense gradient pair and
+//! the descent stage's [`DescentState`], as disjoint fields: a descent
+//! model borrows the scratch and a gradient buffer while the stage holds
+//! the iterate ([`SolverWorkspace::split`]).
 //!
 //! Workspaces are checked out of one small global pool
-//! ([`acquire`]/[`PooledBatchWorkspace`]) so long-lived callers — the
-//! serving layer's worker threads, ADMM block backends — reuse warm
-//! buffers across solves
-//! instead of re-growing them. The pool holds [`BatchWorkspace`]s;
-//! scalar callers use the embedded `.inner` [`SolverWorkspace`] (lane
-//! sweep buffers they never size stay empty). The pool is deliberately simple:
-//! a mutex-guarded free list capped at [`POOL_CAP`] entries; contention
-//! is one lock per *solve start*, not per iteration, so it never shows
-//! up in profiles.
+//! ([`acquire`]/[`PooledWorkspace`]) so long-lived callers — the serving
+//! layer's worker threads, ADMM block backends — reuse warm buffers
+//! across solves instead of re-growing them. The pool is deliberately
+//! simple: a mutex-guarded free list capped at [`POOL_CAP`] entries;
+//! contention is one lock per *solve start*, not per iteration, so it
+//! never shows up in profiles.
 
 use crate::compiled::{LevelProgram, VarCache};
 use crate::descent::DescentState;
@@ -48,7 +45,7 @@ use std::ops::{Deref, DerefMut};
 /// its accepted point reads `forward_sweeps = probes + iterations`.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct SweepCounts {
-    /// Points swept forward, recording or value-only (K per lane sweep).
+    /// Points swept forward, recording or value-only.
     pub forward_sweeps: u64,
     /// Backward tape replays, counted the same way.
     pub backward_sweeps: u64,
@@ -169,107 +166,15 @@ impl EvalScratch {
     }
 }
 
-/// Lane-major sweep buffers for one K-wide batched objective
-/// evaluation: the structure-of-arrays counterpart of [`EvalScratch`].
-/// Every per-node / per-edge / per-op buffer holds `k` lanes per slot
-/// (`slot * k + lane`), so the batched forward and backward sweeps in
-/// `objective` run elementwise lane kernels over contiguous rows.
-/// Smooth-only: exact points are swept on the scalar tape.
-#[derive(Debug, Default)]
-pub struct BatchEvalScratch {
-    /// Counters of the lane sweeps.
-    pub counts: SweepCounts,
-    /// Replay validity of the lane tapes, as [`EvalScratch`]'s.
-    pub(crate) recorded: bool,
-    /// Current lane count (set by [`BatchEvalScratch::ensure`]).
-    pub(crate) k: usize,
-    /// Per-node, per-lane finish times of the forward `C_p` sweep.
-    pub(crate) y: Vec<f64>,
-    /// Per-node, per-lane adjoints of the backward sweep.
-    pub(crate) adjoint: Vec<f64>,
-    /// Per-edge, per-lane `smax` weights (the DAG-level tape).
-    pub(crate) tape_w: Vec<f64>,
-    /// Staging rows: the outputs of one level's arity-2 maxes before
-    /// they scatter to their slots, the kernels' scratch rows, then the
-    /// per-node candidate rows of the DAG recurrence.
-    pub(crate) stack: Vec<f64>,
-    /// Lane-major per-slot values of the objective's level program.
-    pub(crate) tape_vals: Vec<f64>,
-    /// Lane-major per-`max` gradient weights.
-    pub(crate) tape_wts: Vec<f64>,
-    /// Lane-major per-slot adjoints of the backward sweep.
-    pub(crate) slot_adj: Vec<f64>,
-    /// Lane-major per-variable `exp(x_j)` caches (see [`VarCache`]).
-    pub(crate) var_cache: VarCache,
-    /// Per-lane `A_p` numerator accumulator of the forward sweep.
-    pub(crate) area: Vec<f64>,
-    /// Per-lane `C_p` seed weights (`w_c` from the top-level smax).
-    pub(crate) c_seed: Vec<f64>,
-    /// Per-lane `A_p` seed weights (`w_a`).
-    pub(crate) a_seed: Vec<f64>,
-}
-
-impl BatchEvalScratch {
-    /// Resize the lane-major DAG buffers for a graph with `nodes` nodes
-    /// and `edges` edges at lane count `k` and zero them, and make the
-    /// staging rows hold the candidate and weight rows of a node with
-    /// `max_in` in-edges plus the kernel's two scratch rows. Capacity is
-    /// retained across calls.
-    pub(crate) fn ensure(&mut self, nodes: usize, edges: usize, max_in: usize, k: usize) {
-        self.k = k;
-        fit(&mut self.y, nodes * k);
-        fit(&mut self.adjoint, nodes * k);
-        fit(&mut self.tape_w, edges * k);
-        fit(&mut self.area, k);
-        fit(&mut self.c_seed, k);
-        fit(&mut self.a_seed, k);
-        grow(&mut self.stack, (2 * max_in + 2) * k);
-    }
-
-    /// Size the lane-major tapes and the staging rows for `prog` at `k`
-    /// lanes.
-    pub(crate) fn ensure_tape(&mut self, prog: &LevelProgram, k: usize) {
-        grow(&mut self.tape_vals, prog.n_slots * k);
-        grow(&mut self.tape_wts, prog.n_wts * k);
-        grow(&mut self.slot_adj, prog.n_slots * k);
-        grow(&mut self.stack, (prog.max2_width + 2) * k);
-    }
-}
-
-/// Preallocated buffers for one solver thread: the lane-major
-/// [`BatchEvalScratch`], a scalar [`SolverWorkspace`] for every descent,
-/// and the descent stage's state.
+/// Preallocated buffers for one solver thread: the objective's
+/// [`EvalScratch`], the dense `∇A_p` / `∇C_p` pair of the two-seed caller
+/// (the stationarity residual; the ADMM block model borrows the first of
+/// the pair for its one full-length gradient), and the descent stage's
+/// state.
 ///
 /// Construct one directly for a dedicated thread, or [`acquire`] a
-/// pooled one; pass it by `&mut` to `descend_stage`, hand `.scratch` to
-/// the batched `MdgObjective` entry points and `.inner` to the scalar
-/// ones.
-#[derive(Debug, Default)]
-pub struct BatchWorkspace {
-    /// Batched objective sweep buffers.
-    pub scratch: BatchEvalScratch,
-    /// Scalar workspace: every scalar-tape holder of a pooled workspace.
-    pub inner: SolverWorkspace,
-    /// The descent stage's iterate, gradient, trial, step, flag and
-    /// quasi-Newton pairs — the only descent buffers.
-    pub descent: DescentState,
-}
-
-impl BatchWorkspace {
-    /// An empty batch workspace; buffers grow on first use.
-    pub fn new() -> Self {
-        BatchWorkspace::default()
-    }
-}
-
-/// Scalar-tape buffers: the objective's [`EvalScratch`] plus the dense
-/// `∇A_p` / `∇C_p` pair of the two-seed caller (the stationarity
-/// residual); the ADMM block model borrows the first of the pair for its
-/// one full-length gradient.
-///
-/// Construct one directly, or use the `.inner` of a pooled
-/// [`BatchWorkspace`]; pass `.scratch` by `&mut` to the `*_with` entry
-/// points on [`crate::MdgObjective`].
+/// pooled one; pass it by `&mut` to `descend_stage`, or `.scratch` to the
+/// `*_with` entry points on [`crate::MdgObjective`].
 #[derive(Debug, Default)]
 pub struct SolverWorkspace {
     /// Objective sweep buffers (public so callers holding their own
@@ -280,7 +185,16 @@ pub struct SolverWorkspace {
     pub(crate) grad_a: Vec<f64>,
     /// Dense gradient of `C_p` (stationarity residual).
     pub(crate) grad_c: Vec<f64>,
+    /// The descent stage's iterate, gradient, trial, step, flag and
+    /// quasi-Newton pairs — the only descent buffers.
+    pub descent: DescentState,
 }
+
+/// The name the repo benchmark's lane probe (`benchmark/src/layers.rs`,
+/// `solver.eval_grad_batch8_us`) constructs its workspace under; nobody
+/// else's. Goes with that probe in the next `benchmark`-only PR.
+#[doc(hidden)]
+pub type BatchWorkspace = SolverWorkspace;
 
 impl SolverWorkspace {
     /// An empty workspace; buffers grow on first use and are then
@@ -289,11 +203,11 @@ impl SolverWorkspace {
         SolverWorkspace::default()
     }
 
-    /// Split borrow for descent models outside this crate (the ADMM
-    /// block model): the sweep scratch plus one gradient buffer, which
-    /// keeps its capacity across calls.
-    pub fn split(&mut self) -> (&mut EvalScratch, &mut Vec<f64>) {
-        (&mut self.scratch, &mut self.grad_a)
+    /// Split borrow for a descent: the sweep scratch and one gradient
+    /// buffer (which keeps its capacity across calls) for the model, the
+    /// descent state for the stage.
+    pub fn split(&mut self) -> (&mut EvalScratch, &mut Vec<f64>, &mut DescentState) {
+        (&mut self.scratch, &mut self.grad_a, &mut self.descent)
     }
 }
 
@@ -302,30 +216,30 @@ impl SolverWorkspace {
 /// few dozen workers, not for unbounded retention.
 const POOL_CAP: usize = 64;
 
-static POOL: Mutex<Vec<BatchWorkspace>> = Mutex::new(Vec::new());
+static POOL: Mutex<Vec<SolverWorkspace>> = Mutex::new(Vec::new());
 static ACQUIRES: AtomicU64 = AtomicU64::new(0);
 static REUSES: AtomicU64 = AtomicU64::new(0);
 
 /// A workspace checked out of the global pool; returned on drop.
 #[derive(Debug)]
-pub struct PooledBatchWorkspace {
-    ws: Option<BatchWorkspace>,
+pub struct PooledWorkspace {
+    ws: Option<SolverWorkspace>,
 }
 
-impl Deref for PooledBatchWorkspace {
-    type Target = BatchWorkspace;
-    fn deref(&self) -> &BatchWorkspace {
+impl Deref for PooledWorkspace {
+    type Target = SolverWorkspace;
+    fn deref(&self) -> &SolverWorkspace {
         self.ws.as_ref().expect("workspace present until drop")
     }
 }
 
-impl DerefMut for PooledBatchWorkspace {
-    fn deref_mut(&mut self) -> &mut BatchWorkspace {
+impl DerefMut for PooledWorkspace {
+    fn deref_mut(&mut self) -> &mut SolverWorkspace {
         self.ws.as_mut().expect("workspace present until drop")
     }
 }
 
-impl Drop for PooledBatchWorkspace {
+impl Drop for PooledWorkspace {
     fn drop(&mut self) {
         if let Some(ws) = self.ws.take() {
             let mut pool = plock(&POOL);
@@ -341,7 +255,7 @@ impl Drop for PooledBatchWorkspace {
 /// release cycles, which is what makes repeat solves — e.g. the serving
 /// layer's workers answering cache misses — allocation-free after the
 /// first request at a given graph size.
-pub fn acquire() -> PooledBatchWorkspace {
+pub fn acquire() -> PooledWorkspace {
     ACQUIRES.fetch_add(1, Ordering::Relaxed);
     let ws = {
         let mut pool = plock(&POOL);
@@ -352,9 +266,9 @@ pub fn acquire() -> PooledBatchWorkspace {
             REUSES.fetch_add(1, Ordering::Relaxed);
             w
         }
-        None => BatchWorkspace::new(),
+        None => SolverWorkspace::new(),
     };
-    PooledBatchWorkspace { ws: Some(ws) }
+    PooledWorkspace { ws: Some(ws) }
 }
 
 /// Summed [`SweepCounts`] of the workspaces idle in the pool right now.
@@ -365,14 +279,13 @@ pub fn acquire() -> PooledBatchWorkspace {
 pub fn pool_sweep_counts() -> SweepCounts {
     let mut total = SweepCounts::default();
     for ws in plock(&POOL).iter() {
-        for c in [ws.scratch.counts, ws.inner.scratch.counts] {
-            total.forward_sweeps += c.forward_sweeps;
-            total.backward_sweeps += c.backward_sweeps;
-            total.probes += c.probes;
-            total.gradients += c.gradients;
-            total.exp_calls += c.exp_calls;
-            total.tape_builds += c.tape_builds;
-        }
+        let c = ws.scratch.counts;
+        total.forward_sweeps += c.forward_sweeps;
+        total.backward_sweeps += c.backward_sweeps;
+        total.probes += c.probes;
+        total.gradients += c.gradients;
+        total.exp_calls += c.exp_calls;
+        total.tape_builds += c.tape_builds;
     }
     total
 }
@@ -406,12 +319,9 @@ mod tests {
         let (a0, _) = pool_counters();
         {
             let mut ws = acquire();
-            ws.inner.scratch.ensure(8, 12, 3);
-            assert_eq!(ws.inner.scratch.y.len(), 8);
-            assert_eq!(ws.inner.scratch.tape_w.len(), 12);
-            ws.scratch.ensure(8, 12, 3, 4);
-            assert_eq!(ws.scratch.y.len(), 32);
-            assert_eq!(ws.scratch.tape_w.len(), 48);
+            ws.scratch.ensure(8, 12, 3);
+            assert_eq!(ws.scratch.y.len(), 8);
+            assert_eq!(ws.scratch.tape_w.len(), 12);
         }
         // The released workspace (or another thread's) comes back warm.
         let ws = acquire();

@@ -19,7 +19,7 @@ fn descent_iterations_are_allocation_free_after_warmup() {
     let obj = MdgObjective::new(&g, Machine::cm5(64));
     let n = obj.num_vars();
     let ub = obj.x_upper();
-    let mut ws = paradigm_solver::BatchWorkspace::new();
+    let mut ws = paradigm_solver::SolverWorkspace::new();
 
     // Warm-up: first iterations size every buffer in the workspace.
     let mut x = vec![ub / 2.0; n];

@@ -8,14 +8,13 @@ use paradigm_solver::convexity::{probe_midpoint_convexity, probe_points};
 use paradigm_solver::expr::Sharpness;
 use paradigm_solver::objective::ObjectiveParts;
 use paradigm_solver::{
-    allocate, brute_force_pow2, BatchWorkspace, EvalScratch, MdgObjective, SolverConfig,
-    SolverWorkspace,
+    allocate, brute_force_pow2, EvalScratch, MdgObjective, SolverConfig, SolverWorkspace,
 };
 use proptest::prelude::*;
 
-/// Deterministic K lane points for a batched sweep: lane `l` offsets a
-/// base interior point so every lane sits somewhere different in the box.
-fn lane_points(n: usize, k: usize, ub: f64) -> Vec<Vec<f64>> {
+/// `k` deterministic points: point `l` offsets a base interior point so
+/// every one sits somewhere different in the box.
+fn probe_points_in_box(n: usize, k: usize, ub: f64) -> Vec<Vec<f64>> {
     (0..k)
         .map(|l| {
             (0..n)
@@ -28,19 +27,6 @@ fn lane_points(n: usize, k: usize, ub: f64) -> Vec<Vec<f64>> {
                 .collect()
         })
         .collect()
-}
-
-/// Gather per-lane points into the lane-major layout the batched entry
-/// points expect (`xs[j * k + l]` = variable `j` of lane `l`).
-fn lane_major(points: &[Vec<f64>], n: usize) -> Vec<f64> {
-    let k = points.len();
-    let mut xs = vec![0.0; n * k];
-    for (l, p) in points.iter().enumerate() {
-        for j in 0..n {
-            xs[j * k + l] = p[j];
-        }
-    }
-    xs
 }
 
 fn arb_cfg() -> impl Strategy<Value = RandomMdgConfig> {
@@ -182,103 +168,6 @@ proptest! {
     }
 
     #[test]
-    fn batched_gradient_matches_scalar_forward_and_exact(cfg in arb_cfg(), seed in 0u64..2000) {
-        // The K-wide batched evaluator must agree per lane with the
-        // scalar adjoint AND the independently derived forward-mode
-        // reference to 1e-9 relative, for every batch width (including
-        // widths that exercise the chunked-kernel scalar tail) and at
-        // every smooth sharpness tier. The lane tape is smooth-only: at
-        // Exact the same points go through the scalar entry point, so
-        // that row pins the scalar adjoint against the forward reference.
-        let g = random_layered_mdg(&cfg, seed);
-        let obj = MdgObjective::new(&g, Machine::cm5(16));
-        let n = g.node_count();
-        let ub = obj.x_upper();
-        let mut bw = BatchWorkspace::new();
-        let (mut grads, mut grad) = (Vec::new(), Vec::new());
-        for k in [1usize, 2, 3, 4, 8, 17] {
-            let points = lane_points(n, k, ub);
-            let xs = lane_major(&points, n);
-            let mut parts = vec![ObjectiveParts { phi: 0.0, a_p: 0.0, c_p: 0.0 }; k];
-            for sharp in [Sharpness::Smooth(8.0), Sharpness::Smooth(256.0), Sharpness::Exact] {
-                if matches!(sharp, Sharpness::Smooth(_)) {
-                    obj.eval_grad_batch_with(&xs, k, sharp, &mut bw.scratch, &mut grads, &mut parts);
-                } else {
-                    grads.resize(n * k, 0.0);
-                    for (l, x) in points.iter().enumerate() {
-                        parts[l] = obj.eval_grad_with(x, sharp, &mut bw.inner.scratch, &mut grad);
-                        for j in 0..n {
-                            grads[j * k + l] = grad[j];
-                        }
-                    }
-                }
-                for (l, x) in points.iter().enumerate() {
-                    let (p_s, g_s) = obj.eval_grad(x, sharp);
-                    let (p_f, g_f) = obj.eval_grad_forward(x, sharp);
-                    prop_assert!(
-                        (parts[l].phi - p_s.phi).abs() <= 1e-9 * p_s.phi.abs().max(1.0),
-                        "k={k} lane {l} {sharp:?}: batched phi {} vs scalar {}",
-                        parts[l].phi, p_s.phi
-                    );
-                    for j in 0..n {
-                        let b = grads[j * k + l];
-                        prop_assert!(
-                            (b - g_s[j]).abs() <= 1e-9 * (1.0 + g_s[j].abs()),
-                            "k={k} lane {l} {sharp:?} var {j}: batched {b} vs scalar {}",
-                            g_s[j]
-                        );
-                        prop_assert!(
-                            (b - g_f[j]).abs() <= 1e-9 * (1.0 + g_f[j].abs()),
-                            "k={k} lane {l} {sharp:?} var {j}: batched {b} vs forward {}",
-                            g_f[j]
-                        );
-                    }
-                    prop_assert!((parts[l].phi - p_f.phi).abs() <= 1e-9 * p_f.phi.abs().max(1.0));
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn batched_gradient_matches_central_differences(cfg in arb_cfg(), seed in 0u64..2000) {
-        // Independent ground truth for the batched path: central
-        // finite differences of the batched recording sweep's *values*,
-        // checked at a lane-populated batch so each derivative is taken
-        // in the same lane it perturbs.
-        let g = random_layered_mdg(&cfg, seed);
-        let obj = MdgObjective::new(&g, Machine::cm5(8));
-        let n = g.node_count();
-        let ub = obj.x_upper();
-        let k = 3usize;
-        let sharp = Sharpness::Smooth(64.0);
-        let points = lane_points(n, k, ub);
-        let xs = lane_major(&points, n);
-        let mut bw = BatchWorkspace::new();
-        let mut grads = Vec::new();
-        let mut parts = vec![ObjectiveParts { phi: 0.0, a_p: 0.0, c_p: 0.0 }; k];
-        obj.eval_grad_batch_with(&xs, k, sharp, &mut bw.scratch, &mut grads, &mut parts);
-        let h = 1e-6;
-        for l in 0..k {
-            for j in 0..n {
-                let mut xp = xs.clone();
-                let mut xm = xs.clone();
-                xp[j * k + l] += h;
-                xm[j * k + l] -= h;
-                obj.forward_record_batch(&xp, k, sharp, &mut bw.scratch, &mut parts);
-                let fp = parts[l].phi;
-                obj.forward_record_batch(&xm, k, sharp, &mut bw.scratch, &mut parts);
-                let fm = parts[l].phi;
-                let fd = (fp - fm) / (2.0 * h);
-                prop_assert!(
-                    (grads[j * k + l] - fd).abs() < 1e-4 * (1.0 + fd.abs()),
-                    "lane {l} var {j}: batched {} vs central diff {fd}",
-                    grads[j * k + l]
-                );
-            }
-        }
-    }
-
-    #[test]
     fn record_replay_is_the_gradient_and_probes_leave_no_trace(cfg in arb_cfg(), seed in 0u64..2000) {
         // The record/replay contract the descent loops rest on, in bits:
         // (a) `forward_record` scores a point exactly like the
@@ -288,9 +177,7 @@ proptest! {
         // (c) after a line search's probe sequence (reject, reject,
         //     accept) on one warm scratch, replaying the last tape is the
         //     gradient a cold scratch computes at the accepted point —
-        //     earlier probes leave nothing behind. For the lane tape the
-        //     sequence keeps lane 0's point fixed from the second probe
-        //     on, the way an already-accepted lane rides along.
+        //     earlier probes leave nothing behind.
         let g = random_layered_mdg(&cfg, seed);
         let obj = MdgObjective::new(&g, Machine::cm5(16));
         let n = g.node_count();
@@ -298,7 +185,7 @@ proptest! {
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
         let part_bits = |p: &ObjectiveParts| [p.phi.to_bits(), p.a_p.to_bits(), p.c_p.to_bits()];
         for sharp in [Sharpness::Exact, Sharpness::Smooth(8.0), Sharpness::Smooth(256.0)] {
-            let probes = lane_points(n, 3, ub);
+            let probes = probe_points_in_box(n, 3, ub);
             let mut ws = SolverWorkspace::new();
             let (mut grad, mut ga, mut gc) = (Vec::new(), Vec::new(), Vec::new());
             let mut last = None;
@@ -323,35 +210,6 @@ proptest! {
             prop_assert_eq!(bits(&gc), bits(&fc), "{:?}: replayed C_p gradient", sharp);
             prop_assert_eq!(ws.scratch.counts.forward_sweeps, 3);
             prop_assert_eq!(ws.scratch.counts.backward_sweeps, 3);
-
-            // One warm lane scratch across every K: a width change must
-            // not leak lanes either. (Smooth only: exact points belong
-            // to the scalar tape, covered above.)
-            if matches!(sharp, Sharpness::Exact) {
-                continue;
-            }
-            let mut bw = BatchWorkspace::new();
-            for k in [1usize, 4, 6, 8] {
-                let zero = ObjectiveParts { phi: 0.0, a_p: 0.0, c_p: 0.0 };
-                let (mut parts, mut fresh_parts) = (vec![zero; k], vec![zero; k]);
-                let (mut grads, mut fresh_grads) = (Vec::new(), Vec::new());
-                let mut seq: Vec<Vec<Vec<f64>>> = (0..3)
-                    .map(|r| lane_points(n, k + r, ub).into_iter().skip(r).collect())
-                    .collect();
-                seq[2][0] = seq[1][0].clone();
-                let accepted = lane_major(&seq[2], n);
-                for points in &seq {
-                    obj.forward_record_batch(&lane_major(points, n), k, sharp, &mut bw.scratch, &mut parts);
-                }
-                obj.backward_replay_batch(k, &mut bw.scratch, &mut grads);
-                obj.eval_grad_batch_with(
-                    &accepted, k, sharp, &mut BatchWorkspace::new().scratch, &mut fresh_grads, &mut fresh_parts,
-                );
-                for l in 0..k {
-                    prop_assert_eq!(part_bits(&parts[l]), part_bits(&fresh_parts[l]), "k={} lane {}", k, l);
-                }
-                prop_assert_eq!(bits(&grads), bits(&fresh_grads), "{:?} k={}: replayed lane gradients", sharp, k);
-            }
         }
     }
 
@@ -463,44 +321,4 @@ fn replay_after_a_value_only_sweep_panics() {
     obj.backward_replay_phi(&mut scratch, &mut grad); // fine: the tape is current
     obj.eval_with(&x, Sharpness::Smooth(8.0), &mut scratch);
     obj.backward_replay_phi(&mut scratch, &mut grad);
-}
-
-/// The lane tape is smooth-only: the batched entry points refuse an
-/// exact point, with one message, instead of sweeping it some other way.
-#[test]
-#[should_panic(expected = "the lane tape is smooth-only; sweep exact points on the scalar tape")]
-fn lane_tape_refuses_exact_points() {
-    let g = paradigm_mdg::example_fig1_mdg();
-    let obj = MdgObjective::new(&g, Machine::cm5(4));
-    let mut parts = vec![ObjectiveParts { phi: 0.0, a_p: 0.0, c_p: 0.0 }; 2];
-    obj.eval_grad_batch_with(
-        &vec![0.5; 2 * g.node_count()],
-        2,
-        Sharpness::Exact,
-        &mut BatchWorkspace::new().scratch,
-        &mut Vec::new(),
-        &mut parts,
-    );
-}
-
-/// Same contract on the lane tape: a replay at a width the last
-/// recording did not sweep is refused.
-#[test]
-#[should_panic(
-    expected = "backward_replay_batch: the lane tape on this scratch is not the last thing"
-)]
-fn lane_replay_at_another_width_panics() {
-    let g = paradigm_mdg::example_fig1_mdg();
-    let obj = MdgObjective::new(&g, Machine::cm5(4));
-    let n = g.node_count();
-    let mut bw = BatchWorkspace::new();
-    let mut parts = vec![ObjectiveParts { phi: 0.0, a_p: 0.0, c_p: 0.0 }; 2];
-    obj.forward_record_batch(
-        &vec![0.5; 2 * n],
-        2,
-        Sharpness::Smooth(8.0),
-        &mut bw.scratch,
-        &mut parts,
-    );
-    obj.backward_replay_batch(4, &mut bw.scratch, &mut Vec::new());
 }

@@ -1,6 +1,6 @@
 //! Sweep-level bit pins: an FNV-1a hash over `to_bits` of everything one
 //! forward/backward sweep pair produces — `Phi`, `A_p`, `C_p`, `∇Phi`,
-//! `∇A_p`, `∇C_p` — on both tape executors.
+//! `∇A_p`, `∇C_p`.
 //!
 //! The solve-level goldens (`golden.rs`, the ADMM golden, the root
 //! `pipeline.rs`) pin whole trajectories, but only on power-of-two
@@ -9,8 +9,7 @@
 //! `1/p` is inexact; a mesh with `t_n > 0`, which gives the edge
 //! expressions their `±0.5`-exponent monomials) × seven sharpness values
 //! (`Exact`, the power-of-two tier, an odd integer, a non-integer) ×
-//! K ∈ {1, 4, 6, 8} (the lane tape is smooth-only) × twelve points
-//! (box corners, all-equal points, seeded interior points).
+//! twelve points (box corners, all-equal points, seeded interior points).
 //!
 //! Constants captured at commit 25fb91b (the parent of the level-program
 //! rewrite; x86-64 Linux, glibc libm) and unchanged by it. A platform
@@ -25,7 +24,7 @@ use paradigm_mdg::{
 };
 use paradigm_solver::expr::Sharpness;
 use paradigm_solver::objective::ObjectiveParts;
-use paradigm_solver::{BatchWorkspace, MdgObjective};
+use paradigm_solver::{EvalScratch, MdgObjective};
 
 struct Fnv(u64);
 
@@ -84,12 +83,11 @@ const SHARPS: [Sharpness; 7] = [
     Sharpness::Smooth(3.7),
 ];
 
-/// Scalar tape: record, replay under the three seeds, and the value-only
-/// sweep, at every point and sharpness.
-fn scalar_hash(obj: &MdgObjective<'_>, pts: &[Vec<f64>]) -> u64 {
+/// Record, replay under the three seeds, and the value-only sweep, at
+/// every point and sharpness.
+fn sweep_hash(obj: &MdgObjective<'_>, pts: &[Vec<f64>]) -> u64 {
     let mut h = Fnv::new();
-    let mut bw = BatchWorkspace::new();
-    let scratch = &mut bw.inner.scratch;
+    let scratch = &mut EvalScratch::default();
     let mut grad = Vec::new();
     for sharp in SHARPS {
         for x in pts {
@@ -102,38 +100,6 @@ fn scalar_hash(obj: &MdgObjective<'_>, pts: &[Vec<f64>]) -> u64 {
             obj.backward_replay(1.0, 0.0, scratch, &mut grad);
             h.f64s(&grad);
             h.parts(&obj.eval_with(x, sharp, scratch));
-        }
-    }
-    h.0
-}
-
-/// Lane tape at K ∈ {4, 6, 8}: two windows of the point list per K, on
-/// one warm scratch across every width.
-fn lane_hash(obj: &MdgObjective<'_>, pts: &[Vec<f64>]) -> u64 {
-    let mut h = Fnv::new();
-    let n = obj.num_vars();
-    let mut bw = BatchWorkspace::new();
-    let mut grads = Vec::new();
-    for sharp in SHARPS {
-        if matches!(sharp, Sharpness::Exact) {
-            continue;
-        }
-        for k in [4usize, 6, 8] {
-            for first in [0, pts.len() - k] {
-                let mut xs = vec![0.0; n * k];
-                for (l, x) in pts[first..first + k].iter().enumerate() {
-                    for (j, &v) in x.iter().enumerate() {
-                        xs[j * k + l] = v;
-                    }
-                }
-                let mut parts = vec![ObjectiveParts { phi: 0.0, a_p: 0.0, c_p: 0.0 }; k];
-                obj.forward_record_batch(&xs, k, sharp, &mut bw.scratch, &mut parts);
-                for p in &parts {
-                    h.parts(p);
-                }
-                obj.backward_replay_batch(k, &mut bw.scratch, &mut grads);
-                h.f64s(&grads);
-            }
         }
     }
     h.0
@@ -160,31 +126,29 @@ fn sweep_outputs_are_pinned_to_the_bit() {
         for (mname, m) in &machines {
             let obj = MdgObjective::new(g, *m);
             let pts = points(obj.num_vars(), obj.x_upper());
-            got.push((*gname, *mname, scalar_hash(&obj, &pts), lane_hash(&obj, &pts)));
+            got.push((*gname, *mname, sweep_hash(&obj, &pts)));
         }
     }
-    let table: String = got
-        .iter()
-        .map(|(g, m, s, l)| format!("    (\"{g}\", \"{m}\", 0x{s:016x}, 0x{l:016x}),\n"))
-        .collect();
+    let table: String =
+        got.iter().map(|(g, m, s)| format!("    (\"{g}\", \"{m}\", 0x{s:016x}),\n")).collect();
     assert!(got == PINS, "sweep bits moved; this run computes\n{table}");
 }
 
-/// (graph, machine, scalar-tape hash, lane-tape hash).
-const PINS: [(&str, &str, u64, u64); 15] = [
-    ("fig1", "cm5(16)", 0x0512ed5f51aeeecb, 0x11496502fcaeee69),
-    ("fig1", "cm5(6)", 0xbcde599ec4db521e, 0xc807c2d9e6e69ae6),
-    ("fig1", "mesh(12)", 0x6069fc2a287a3adc, 0x2cd5061aeb07b402),
-    ("cmm", "cm5(16)", 0x15fd5239ee7a7926, 0x907f57a409bf2f55),
-    ("cmm", "cm5(6)", 0xece3c70317935de8, 0x78f338af812e2fa4),
-    ("cmm", "mesh(12)", 0x39f13d3d4ea26b4a, 0x3bb69f918a2a2cd7),
-    ("strassen", "cm5(16)", 0x66478d286a8f1408, 0x13b7abfc4efd42e3),
-    ("strassen", "cm5(6)", 0x8dd5914e1b9cacfc, 0x2e7a9fdff57ec4fc),
-    ("strassen", "mesh(12)", 0x18ea1559d96ad2f0, 0x88c6fdd78901934c),
-    ("fork-join", "cm5(16)", 0x3cb1726d5dfc2901, 0xf5ae7452e6747832),
-    ("fork-join", "cm5(6)", 0x791f78418bfeeee0, 0x21e69a96bf86d77f),
-    ("fork-join", "mesh(12)", 0xb5505c1327da477c, 0x579e18e22e16ccce),
-    ("strassen-ml", "cm5(16)", 0xb3beff2ffa425160, 0x2c5a13899750056c),
-    ("strassen-ml", "cm5(6)", 0xb420ad1ec773d5b7, 0xac82341015fbccdf),
-    ("strassen-ml", "mesh(12)", 0xc89728497b4cc7de, 0xc134ed1cf899a16c),
+/// (graph, machine, sweep hash).
+const PINS: [(&str, &str, u64); 15] = [
+    ("fig1", "cm5(16)", 0x0512ed5f51aeeecb),
+    ("fig1", "cm5(6)", 0xbcde599ec4db521e),
+    ("fig1", "mesh(12)", 0x6069fc2a287a3adc),
+    ("cmm", "cm5(16)", 0x15fd5239ee7a7926),
+    ("cmm", "cm5(6)", 0xece3c70317935de8),
+    ("cmm", "mesh(12)", 0x39f13d3d4ea26b4a),
+    ("strassen", "cm5(16)", 0x66478d286a8f1408),
+    ("strassen", "cm5(6)", 0x8dd5914e1b9cacfc),
+    ("strassen", "mesh(12)", 0x18ea1559d96ad2f0),
+    ("fork-join", "cm5(16)", 0x3cb1726d5dfc2901),
+    ("fork-join", "cm5(6)", 0x791f78418bfeeee0),
+    ("fork-join", "mesh(12)", 0xb5505c1327da477c),
+    ("strassen-ml", "cm5(16)", 0xb3beff2ffa425160),
+    ("strassen-ml", "cm5(6)", 0xb420ad1ec773d5b7),
+    ("strassen-ml", "mesh(12)", 0xc89728497b4cc7de),
 ];
