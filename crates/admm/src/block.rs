@@ -575,7 +575,7 @@ pub fn solve_block_job(job: &BlockJob, ws: &mut SolverWorkspace) -> Result<Block
         // inexact x-updates (DESIGN.md §11).
         let stage =
             Stage { free: Some(&job.free), ub, max_iters, max_probes: 40, memory: 0, gtol: 0.0 };
-        iters += descend(&mut model, descent, &stage, stage_stop(job.inner.rel_tol), || true);
+        iters += descend(&mut model, descent, &stage, stage_stop(job.inner.rel_tol));
     }
     x.copy_from_slice(descent.x());
     let phi_model = model.phi;

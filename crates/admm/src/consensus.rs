@@ -63,7 +63,7 @@ use crate::block::{
     build_block_problem, global_sweeps, solve_block_job, stage_stop, BlockJob, BlockMaps,
     BlockModel, BlockSolution, InnerConfig, TapeSlot,
 };
-use crate::partition::{partition_mdg, Partition, PartitionOptions};
+use crate::partition::{partition_mdg, PartitionOptions};
 
 /// Initial penalty weight `rho`, in units of the objective's per-variable
 /// gradient magnitude (see the scaling in [`solve_admm`]).
@@ -212,9 +212,9 @@ impl BlockBackend for InProcessBackend {
 /// Graceful-degradation wrapper: run block rounds through `primary`
 /// until it fails outright (e.g. the whole TCP worker fleet is
 /// quarantined or unreachable), then demote — permanently, for this
-/// solve — to the in-process backend. This is the distributed tier's
-/// rung on the fallback ladder: TCP fleet → in-process → (in the
-/// pipeline) dense tiers. Downgrades are counted in
+/// solve — to the in-process backend: TCP fleet → in-process, and no
+/// further — if the in-process rounds fail too, the solve fails.
+/// Downgrades are counted in
 /// [`BackendFaultStats::backend_downgrades`] and surface in
 /// [`AdmmResult`].
 pub struct FailoverBackend<P: BlockBackend> {
@@ -486,12 +486,11 @@ pub fn solve_admm<B: BlockBackend>(
         let sols: Vec<BlockSolution> = if cfg.max_stale == 0 {
             // Strict synchronous barrier: any lost block aborts, and the
             // round is bitwise identical across backends.
-            backend.solve_blocks(&jobs).map_err(SolverError::StartPanicked)?
+            backend.solve_blocks(&jobs).map_err(SolverError::BlockLost)?
         } else {
-            let partial =
-                backend.solve_blocks_partial(&jobs).map_err(SolverError::StartPanicked)?;
+            let partial = backend.solve_blocks_partial(&jobs).map_err(SolverError::BlockLost)?;
             if partial.len() != part.blocks {
-                return Err(SolverError::StartPanicked(format!(
+                return Err(SolverError::BlockLost(format!(
                     "backend returned {} solutions for {} blocks",
                     partial.len(),
                     part.blocks
@@ -514,7 +513,7 @@ pub fn solve_admm<B: BlockBackend>(
                         filled.push(BlockSolution { iters: 0, ..prev });
                     }
                     None => {
-                        return Err(SolverError::StartPanicked(format!(
+                        return Err(SolverError::BlockLost(format!(
                             "block {b} lost with stale budget exhausted \
                              (max_stale {}, streak {}, round {outer_iters})",
                             cfg.max_stale, stale_streak[b]
@@ -525,7 +524,7 @@ pub fn solve_admm<B: BlockBackend>(
             filled
         };
         if sols.len() != part.blocks {
-            return Err(SolverError::StartPanicked(format!(
+            return Err(SolverError::BlockLost(format!(
                 "backend returned {} solutions for {} blocks",
                 sols.len(),
                 part.blocks
@@ -642,7 +641,7 @@ pub fn solve_admm<B: BlockBackend>(
                 gtol: 0.0,
             };
             let stop = |improve: f64, f: f64, _moved: f64| improve <= 1e-9 * f.abs();
-            polish_iters += descend(&mut model, descent, &stage, stop, || true);
+            polish_iters += descend(&mut model, descent, &stage, stop);
             x.copy_from_slice(descent.x());
             // Keep a workable step for the next round even when this one
             // dead-ends on the max kink.
@@ -750,7 +749,7 @@ pub fn solve_admm<B: BlockBackend>(
         descent.reset();
         let stage = Stage { free: Some(&compute), ub, max_iters, max_probes: 40, memory, gtol };
         let stop = stage_stop(cfg.inner.rel_tol);
-        polish_iters += descend(&mut model, descent, &stage, stop, || true);
+        polish_iters += descend(&mut model, descent, &stage, stop);
     }
     consider(descent.x(), &mut best);
 
@@ -786,11 +785,6 @@ pub fn solve_admm_in_process(
 ) -> Result<AdmmResult, SolverError> {
     let mut backend = InProcessBackend { threads };
     solve_admm(g, machine, cfg, &mut backend)
-}
-
-/// Re-export used by integration layers that only need the partition.
-pub fn partition_for(g: &Mdg, cfg: &AdmmConfig) -> Partition {
-    partition_mdg(g, &cfg.partition)
 }
 
 #[cfg(test)]

@@ -325,10 +325,7 @@ impl fmt::Display for CertDefect {
             }
             CertDefect::Memory(m) => write!(f, "memory section inconsistent: {m}"),
             CertDefect::UnknownTier(t) => {
-                write!(
-                    f,
-                    "unknown solver tier \"{t}\" (expected none, admm, coordinate, or equal-split)"
-                )
+                write!(f, "unknown solver tier \"{t}\" (expected none, admm, or equal-split)")
             }
         }
     }
@@ -695,7 +692,7 @@ pub fn check_certificate(doc: &Json) -> Result<CertSummary, CertFailure> {
             let t = v.as_str().ok_or_else(|| {
                 CertFailure::document("\"solver_tier\" must be a string when present")
             })?;
-            if !["none", "admm", "coordinate", "equal-split"].contains(&t) {
+            if !["none", "admm", "equal-split"].contains(&t) {
                 return Err(CertFailure {
                     part: None,
                     path: Vec::new(),
@@ -952,7 +949,7 @@ mod tests {
         assert!(summary.to_string().contains("solved via admm tier"), "{summary}");
 
         // Every tier this build can produce is accepted.
-        for tier in [FallbackTier::Primary, FallbackTier::Coordinate, FallbackTier::EqualSplit] {
+        for tier in [FallbackTier::Primary, FallbackTier::EqualSplit] {
             let doc = certificate_json_with_tier(&obj, &oc, tier);
             let summary = check_certificate(&doc).unwrap_or_else(|e| panic!("{tier:?}: {e}"));
             assert_eq!(summary.solver_tier.as_deref(), Some(tier.as_str()));
@@ -972,6 +969,20 @@ mod tests {
         set_tier(&mut doc, Json::num(3.0));
         let err = check_certificate(&doc).unwrap_err();
         assert!(matches!(err.defect, CertDefect::Document(_)), "{err}");
+    }
+
+    #[test]
+    fn coordinate_descent_is_not_a_solver_tier() {
+        // Coordinate descent is the gradient solver's test oracle; no
+        // served answer comes from it, so no certificate may claim it.
+        let g = example_fig1_mdg();
+        let obj = MdgObjective::new(&g, Machine::cm5(4));
+        let oc = certify_objective(&obj).expect("fig1 certifies");
+        let mut doc = certificate_json_with_tier(&obj, &oc, FallbackTier::Primary);
+        let Json::Obj(members) = &mut doc else { unreachable!() };
+        members.iter_mut().find(|(k, _)| k == "solver_tier").unwrap().1 = Json::str("coordinate");
+        let err = check_certificate(&doc).unwrap_err();
+        assert!(matches!(err.defect, CertDefect::UnknownTier(ref t) if t == "coordinate"), "{err}");
     }
 
     #[test]

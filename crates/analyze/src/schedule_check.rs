@@ -634,7 +634,7 @@ impl ScheduleAuditor {
             // Primary and ADMM results both claim a (near-)optimal Phi,
             // so `Phi <= T_psa` must hold up to convergence slack; ADMM
             // gets extra headroom for its residual-based stopping rule.
-            // Degraded tiers (coordinate / equal-split) make no
+            // The degraded tier (equal-split) makes no
             // optimality claim, so the bound does not apply to them.
             let slack = match claims.tier {
                 FallbackTier::Admm => self.phi_slack + self.admm_phi_slack,
@@ -804,7 +804,7 @@ mod tests {
         let (g, _, s) = fig1_psa();
         let alloc = fig1_alloc(&g);
         let m = Machine::cm5(4);
-        for tier in [FallbackTier::Primary, FallbackTier::Coordinate, FallbackTier::EqualSplit] {
+        for tier in [FallbackTier::Primary, FallbackTier::EqualSplit] {
             let rep = ScheduleAuditor::new().audit(&g, &m, &alloc, &s, &fig1_claims(&s, tier));
             assert!(rep.is_clean(), "{}", rep.render());
             assert!(rep.render().contains("audit: capacity and Phi claims consistent"));
@@ -867,7 +867,7 @@ mod tests {
         bad.tasks[i1].finish = s2 + d1;
         bad.tasks[i2].start = s1;
         bad.tasks[i2].finish = s1 + d2;
-        for tier in [FallbackTier::Primary, FallbackTier::Coordinate, FallbackTier::EqualSplit] {
+        for tier in [FallbackTier::Primary, FallbackTier::EqualSplit] {
             let rep = ScheduleAuditor::new().audit(&g, &m, &alloc, &bad, &fig1_claims(&s, tier));
             assert!(!rep.is_clean(), "corruption must be caught under {tier:?}");
             assert!(

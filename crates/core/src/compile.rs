@@ -5,9 +5,7 @@ use paradigm_cost::{Machine, PhiBreakdown};
 use paradigm_mdg::Mdg;
 use paradigm_sched::{psa_schedule, refine_allocation, PsaConfig, PsaResult, RefineConfig};
 use paradigm_sim::{lower_mpmd, lower_spmd, simulate, SimResult, TaskProgram, TrueMachine};
-use paradigm_solver::{
-    allocate, allocate_resilient, try_allocate, AllocationResult, SolverConfig, SolverError,
-};
+use paradigm_solver::{allocate, try_allocate, AllocationResult, SolverConfig, SolverError};
 
 /// Compilation settings: solver and PSA knobs.
 #[derive(Debug, Clone, Default)]
@@ -55,15 +53,15 @@ impl Compiled {
 
 /// Compile `g` for `machine`: allocation, scheduling, MPMD lowering.
 ///
-/// Panics if the solver fails; prefer [`try_compile`] or
-/// [`compile_resilient`] on user-reachable paths.
+/// Panics if the solver fails; prefer [`try_compile`] on user-reachable
+/// paths.
 pub fn compile(g: &Mdg, machine: Machine, cfg: &CompileConfig) -> Compiled {
     compile_with_solve(g, machine, cfg, allocate(g, machine, &cfg.solver))
 }
 
 /// Like [`compile`], but solver failures (bad machine parameters,
-/// exhausted budget, non-finite objective) come back as a typed
-/// [`SolverError`] instead of a panic.
+/// non-finite objective) come back as a typed [`SolverError`] instead of
+/// a panic.
 pub fn try_compile(
     g: &Mdg,
     machine: Machine,
@@ -73,18 +71,10 @@ pub fn try_compile(
     Ok(compile_with_solve(g, machine, cfg, solve))
 }
 
-/// Like [`compile`], but walks the solver's degradation ladder instead of
-/// failing: projected gradient, then coordinate descent, then the
-/// analytic equal split. The tier that produced the allocation is
-/// recorded in `Compiled::solve.tier`.
-pub fn compile_resilient(g: &Mdg, machine: Machine, cfg: &CompileConfig) -> Compiled {
-    compile_with_solve(g, machine, cfg, allocate_resilient(g, machine, &cfg.solver))
-}
-
 /// Schedule and lower a pre-computed allocation (Steps 4–5 only). This is
-/// the shared tail of [`compile`]/[`try_compile`]/[`compile_resilient`],
-/// and lets callers supply an allocation from any source — e.g. the
-/// serving layer's degraded path feeds `equal_split_allocation` here.
+/// the shared tail of [`compile`]/[`try_compile`], and lets callers
+/// supply an allocation from any source — e.g. the serving layer's
+/// degraded path feeds `equal_split_allocation` here.
 pub fn compile_with_solve(
     g: &Mdg,
     machine: Machine,

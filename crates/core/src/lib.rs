@@ -42,14 +42,13 @@ pub mod report;
 
 pub use calibrate::{calibrate, Calibration};
 pub use compile::{
-    compile, compile_resilient, compile_with_solve, run_mpmd, run_spmd, try_compile, CompileConfig,
-    Compiled,
+    compile, compile_with_solve, run_mpmd, run_spmd, try_compile, CompileConfig, Compiled,
 };
 pub use experiments::{
     fig8_speedups, fig9_predicted_vs_actual, table3_deviation, Fig8Row, Fig9Row, Table3Row,
 };
 pub use pipeline::{
-    gallery_graph, machine_from_spec, solve_fingerprint, solve_pipeline, solve_pipeline_degraded,
+    gallery_graph, machine_from_spec, solve_fingerprint, solve_pipeline_degraded,
     try_solve_pipeline, try_solve_pipeline_with_backend, AdmmStats, AllocEntry, PipelineError,
     SolveOutput, SolveSpec, GALLERY_NAMES, MACHINE_SPECS, MAX_PROCS,
 };

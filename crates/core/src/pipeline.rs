@@ -2,8 +2,8 @@
 //! plus canonical cache keying — the pure function the serving layer
 //! (`paradigm-serve`) memoizes.
 //!
-//! [`solve_pipeline`] runs allocation → PSA → (optional refinement) →
-//! (optional simulation) for one `(MDG, SolveSpec)` pair and returns a
+//! [`try_solve_pipeline`] runs allocation → PSA → (optional refinement)
+//! → (optional simulation) for one `(MDG, SolveSpec)` pair and returns a
 //! plain-data [`SolveOutput`]: everything is owned values, no borrowed
 //! graph state, so results can live in a cache and be shared across
 //! threads. [`solve_fingerprint`] produces the content-addressed key:
@@ -12,9 +12,7 @@
 //! identical outputs (the pipeline is deterministic), which is exactly
 //! the property single-flight caching needs.
 
-use crate::compile::{
-    compile_resilient, compile_with_solve, run_mpmd, try_compile, CompileConfig, Compiled,
-};
+use crate::compile::{compile_with_solve, run_mpmd, try_compile, CompileConfig, Compiled};
 use paradigm_admm::{solve_admm, AdmmConfig, AdmmResult, BlockBackend, InProcessBackend};
 use paradigm_cost::Machine;
 use paradigm_mdg::hash::Fnv128;
@@ -191,8 +189,8 @@ pub struct SolveOutput {
     pub alloc: Vec<AllocEntry>,
     /// Measured makespan on the ground-truth simulator, if requested.
     pub sim_makespan: Option<f64>,
-    /// Which rung of the solver's degradation ladder produced the
-    /// allocation (`FallbackTier::Primary` on the normal path).
+    /// Which tier produced the allocation: `Primary` or `Admm` from a
+    /// solve, `EqualSplit` from [`solve_pipeline_degraded`].
     pub degraded: FallbackTier,
     /// The PSA schedule itself, so downstream consumers (e.g. the serve
     /// layer's sampled audits) can re-verify the result independently.
@@ -294,39 +292,12 @@ fn admm_output<B: BlockBackend>(
     Ok(out)
 }
 
-/// Run the full pipeline for one graph under one spec, walking the
-/// solver's degradation ladder on failure (the tier taken is recorded in
-/// `SolveOutput::degraded`). The serving layer's workers call this.
-///
-/// A request for the consensus-ADMM tier (`spec.admm`) whose tier fails
-/// is answered by the dense ladder: the output then carries `admm: None`
-/// and a dense `degraded` tier — on an `admm` request that combination
-/// means the tier failed — and the `SolverError` goes to stderr.
-///
-/// # Panics
-/// Panics if the spec is invalid (callers should [`SolveSpec::validate`]
-/// first) or the graph triggers a pipeline assertion.
-pub fn solve_pipeline(g: &Mdg, spec: &SolveSpec) -> SolveOutput {
-    if spec.admm {
-        // The ADMM tier degrades to the dense resilient ladder on
-        // failure rather than panicking, mirroring the ladder's spirit.
-        let mut backend = InProcessBackend::default();
-        match admm_output(g, spec, &AdmmConfig::default(), &mut backend) {
-            Ok(out) => return out,
-            Err(e) => eprintln!(
-                "admm: consensus tier failed on `{}` ({e}); falling back to the dense ladder",
-                g.name()
-            ),
-        }
-    }
-    let c = compile_resilient(g, spec.machine, &compile_config(spec));
-    output_from_compiled(g, spec, &c)
-}
-
-/// Like [`solve_pipeline`], but validates the spec and surfaces solver
-/// failures as a typed [`PipelineError`] instead of degrading or
-/// panicking: [`try_solve_pipeline_with_backend`] with the default
-/// [`AdmmConfig`] on the default in-process backend.
+/// Run the full pipeline for one graph under one spec: validate the
+/// spec, solve on the tier it names, schedule, and optionally simulate.
+/// A failed solve is a typed [`PipelineError`] — on either tier; nothing
+/// here degrades, so an ADMM failure is not answered densely. This is
+/// [`try_solve_pipeline_with_backend`] with the default [`AdmmConfig`]
+/// on the default in-process backend.
 pub fn try_solve_pipeline(g: &Mdg, spec: &SolveSpec) -> Result<SolveOutput, PipelineError> {
     try_solve_pipeline_with_backend(
         g,
@@ -450,12 +421,13 @@ pub fn gallery_graph(name: &str) -> Option<Mdg> {
 mod tests {
     use super::*;
     use crate::compile::compile;
+    use paradigm_mdg::{AmdahlParams, ArrayTransfer, MdgBuilder, TransferKind};
 
     #[test]
     fn solve_matches_direct_compile() {
         let g = example_fig1_mdg();
         let spec = SolveSpec { fast_solver: false, ..SolveSpec::new(Machine::cm5(4)) };
-        let out = solve_pipeline(&g, &spec);
+        let out = try_solve_pipeline(&g, &spec).unwrap();
         let direct = compile(&g, Machine::cm5(4), &CompileConfig::default());
         assert_eq!(out.phi, direct.phi.phi);
         assert_eq!(out.t_psa, direct.t_psa);
@@ -469,7 +441,7 @@ mod tests {
     fn simulate_flag_reports_a_makespan() {
         let g = example_fig1_mdg();
         let spec = SolveSpec { simulate: true, ..SolveSpec::new(Machine::cm5(4)) };
-        let out = solve_pipeline(&g, &spec);
+        let out = try_solve_pipeline(&g, &spec).unwrap();
         let sim = out.sim_makespan.expect("simulate requested");
         assert!(sim > 0.0);
         // The simulator tracks the schedule prediction loosely.
@@ -521,11 +493,8 @@ mod tests {
     #[test]
     fn pipeline_reports_primary_tier_on_healthy_solves() {
         let g = example_fig1_mdg();
-        let out = solve_pipeline(&g, &SolveSpec::new(Machine::cm5(4)));
+        let out = try_solve_pipeline(&g, &SolveSpec::new(Machine::cm5(4))).unwrap();
         assert_eq!(out.degraded, FallbackTier::Primary);
-        let out2 = try_solve_pipeline(&g, &SolveSpec::new(Machine::cm5(4))).unwrap();
-        assert_eq!(out2.degraded, FallbackTier::Primary);
-        assert_eq!(out.phi, out2.phi);
     }
 
     #[test]
@@ -560,7 +529,7 @@ mod tests {
         // Degraded answers skip simulation even when the spec asks.
         assert!(out.sim_makespan.is_none());
         // Equal split is a real schedule, just a worse one.
-        let best = solve_pipeline(&g, &SolveSpec::new(Machine::cm5(16)));
+        let best = try_solve_pipeline(&g, &SolveSpec::new(Machine::cm5(16))).unwrap();
         assert!(out.t_psa >= best.t_psa * 0.99, "{} vs {}", out.t_psa, best.t_psa);
     }
 
@@ -575,24 +544,40 @@ mod tests {
         assert!(stats.converged, "r={} s={}", stats.primal_residual, stats.dual_residual);
         assert!(stats.blocks >= 1 && stats.outer_iters >= 1);
         // The distributed tier lands near the dense tier on the same graph.
-        let dense = solve_pipeline(&g, &SolveSpec::new(machine));
+        let dense = try_solve_pipeline(&g, &SolveSpec::new(machine)).unwrap();
         assert_eq!(dense.degraded, FallbackTier::Primary);
         assert!(dense.admm.is_none());
         assert!(out.phi <= dense.phi * 1.01 + 1e-9, "admm {} dense {}", out.phi, dense.phi);
     }
 
-    /// An `admm` request whose tier fails (here: a transfer constant no
-    /// objective can be built for) is answered by the dense ladder, and
-    /// says so by carrying no ADMM stats under a dense tier.
+    /// A two-node chain whose costs pass every check and overflow `Phi`.
+    fn overflow_chain() -> Mdg {
+        let mut b = MdgBuilder::new("overflow");
+        let a = b.compute("a", AmdahlParams::new(0.5, 1e308));
+        let c = b.compute("c", AmdahlParams::new(0.5, 1e308));
+        b.edge(a, c, vec![ArrayTransfer::new(1024, TransferKind::OneD)]);
+        b.finish().unwrap()
+    }
+
+    /// A valid spec whose solve fails is a typed error on either tier:
+    /// nothing in the pipeline degrades, and an `admm` request is never
+    /// answered by the dense solver.
     #[test]
-    fn a_failed_admm_tier_is_answered_by_the_dense_ladder_without_stats() {
-        let g = gallery_graph("fig1").unwrap();
-        let mut machine = Machine::cm5(4);
-        machine.xfer.t_ss = f64::NAN;
-        let spec = SolveSpec { admm: true, ..SolveSpec::new(machine) };
-        let out = solve_pipeline(&g, &spec);
-        assert_ne!(out.degraded, FallbackTier::Admm);
-        assert!(out.admm.is_none());
+    fn a_failed_solve_is_a_typed_error_on_both_tiers() {
+        let g = overflow_chain();
+        let spec = SolveSpec::new(Machine::cm5(4));
+        assert!(spec.validate().is_ok());
+        match try_solve_pipeline(&g, &spec) {
+            Err(PipelineError::Solver(SolverError::NonFinite { phi })) => {
+                assert!(phi.is_infinite())
+            }
+            other => panic!("expected a non-finite solve, got {other:?}"),
+        }
+        let admm = SolveSpec { admm: true, ..spec };
+        match try_solve_pipeline(&g, &admm) {
+            Err(PipelineError::Solver(_)) => {}
+            other => panic!("expected a typed ADMM failure, got {other:?}"),
+        }
     }
 
     #[test]

@@ -89,6 +89,7 @@ impl Schedule {
     /// Validate the schedule against the graph and the node/edge weights
     /// it was built from. Checks:
     ///
+    /// * every task names a node of the graph, at finite times;
     /// * every node scheduled exactly once;
     /// * task durations match the node weights `T_i`;
     /// * precedence: `start_j >= finish_m + t^D_mj` for every edge;
@@ -105,6 +106,15 @@ impl Schedule {
         }
         let mut seen = vec![false; g.node_count()];
         for t in &self.tasks {
+            if t.node.0 >= seen.len() {
+                return Err(format!("task names node {} outside the graph", t.node));
+            }
+            if !(t.start.is_finite() && t.finish.is_finite()) {
+                return Err(format!(
+                    "node {} at non-finite times [{}, {})",
+                    t.node, t.start, t.finish
+                ));
+            }
             if seen[t.node.0] {
                 return Err(format!("node {} scheduled twice", t.node));
             }
@@ -315,6 +325,24 @@ mod tests {
         s.tasks[1].procs = vec![7];
         let err = s.validate(&g, &w).unwrap_err();
         assert!(err.contains("invalid processor"), "{err}");
+    }
+
+    #[test]
+    fn a_node_outside_the_graph_is_an_error() {
+        let (g, w) = tiny();
+        let mut s = valid_schedule(&g, &w);
+        s.tasks[1].node = NodeId(g.node_count());
+        let err = s.validate(&g, &w).unwrap_err();
+        assert!(err.contains("outside the graph"), "{err}");
+    }
+
+    #[test]
+    fn a_nan_start_is_an_error() {
+        let (g, w) = tiny();
+        let mut s = valid_schedule(&g, &w);
+        s.tasks[2].start = f64::NAN;
+        let err = s.validate(&g, &w).unwrap_err();
+        assert!(err.contains("non-finite"), "{err}");
     }
 
     #[test]

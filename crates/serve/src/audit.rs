@@ -1,6 +1,6 @@
 //! Sampled re-verification of served solve results.
 //!
-//! The serving layer answers from a cache and a degradation ladder, so a
+//! The serving layer answers from a cache and a degraded fallback, so a
 //! single bad entry — a stale schedule, a corrupted fallback, a solver
 //! regression — can be replayed to many clients. [`audit_solve_output`]
 //! re-checks one [`SolveOutput`] from first principles using
@@ -40,14 +40,14 @@ pub fn audit_solve_output(g: &Mdg, spec: &SolveSpec, out: &SolveOutput) -> Audit
 #[cfg(test)]
 mod tests {
     use super::*;
-    use paradigm_core::{gallery_graph, solve_pipeline, solve_pipeline_degraded};
+    use paradigm_core::{gallery_graph, solve_pipeline_degraded, try_solve_pipeline};
     use paradigm_cost::Machine;
 
     #[test]
     fn primary_pipeline_output_audits_clean() {
         let g = gallery_graph("fig1").unwrap();
         let spec = SolveSpec::new(Machine::cm5(4));
-        let out = solve_pipeline(&g, &spec);
+        let out = try_solve_pipeline(&g, &spec).unwrap();
         let rep = audit_solve_output(&g, &spec, &out);
         assert!(rep.is_clean(), "{}", rep.render());
     }
@@ -65,7 +65,7 @@ mod tests {
     fn corrupted_output_fails_the_audit() {
         let g = gallery_graph("fig1").unwrap();
         let spec = SolveSpec::new(Machine::cm5(4));
-        let mut out = solve_pipeline(&g, &spec);
+        let mut out = try_solve_pipeline(&g, &spec).unwrap();
         out.t_psa *= 2.0; // claim no longer matches the schedule
         let rep = audit_solve_output(&g, &spec, &out);
         assert!(!rep.is_clean());

@@ -84,8 +84,8 @@ pub struct Metrics {
     /// estimated queue wait already exceeded their deadline, or the
     /// queue stayed full past the configured wait bound).
     pub shed: AtomicU64,
-    /// Requests answered from a degradation-ladder fallback rather than
-    /// the primary convex solver.
+    /// Requests answered by the equal-split fallback rather than the
+    /// primary convex solver.
     pub degraded: AtomicU64,
     /// Times the circuit breaker has opened.
     pub breaker_opens: AtomicU64,

@@ -35,8 +35,8 @@ use crate::metrics::{Metrics, MetricsSnapshot};
 use crate::worker::{FleetConfig, TcpBlockBackend};
 use paradigm_admm::{AdmmConfig, FailoverBackend, InProcessBackend};
 use paradigm_core::{
-    solve_fingerprint, solve_pipeline, solve_pipeline_degraded, try_solve_pipeline_with_backend,
-    SolveOutput, SolveSpec,
+    solve_fingerprint, solve_pipeline_degraded, try_solve_pipeline,
+    try_solve_pipeline_with_backend, SolveOutput, SolveSpec,
 };
 use paradigm_mdg::Mdg;
 use paradigm_race::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -449,11 +449,6 @@ impl Service {
         plock(&self.inner.audit_failure).clone()
     }
 
-    /// Ready entries currently cached.
-    pub fn cache_len(&self) -> usize {
-        self.inner.cache.len()
-    }
-
     /// The fault-injection stream, if a chaos plan is active. The TCP
     /// server consults this for connection-level faults.
     pub fn chaos(&self) -> Option<&Arc<Chaos>> {
@@ -573,7 +568,7 @@ fn solve_job(inner: &Inner, job: &Job) -> Result<SolveResponse, ServeError> {
                 chaos.maybe_slow();
                 chaos.maybe_panic();
             }
-            solve_with_configured_backend(inner, &job.graph, &job.spec)
+            solve_primary(inner, &job.graph, &job.spec)
         });
         record_outcome(inner, outcome);
         if outcome == Outcome::Miss {
@@ -629,54 +624,40 @@ fn solve_job(inner: &Inner, job: &Job) -> Result<SolveResponse, ServeError> {
     }
 }
 
-/// The primary pipeline solve, routed through the configured ADMM fleet
-/// when one is set and the request asks for the ADMM tier. Runs inside the
-/// cache's compute closure, so fleet fault counters fold into the
-/// metrics exactly once per fresh solve (hits and dedup-waits replay
-/// the cached answer without re-counting).
-fn solve_with_configured_backend(inner: &Inner, graph: &Mdg, spec: &SolveSpec) -> SolveOutput {
-    if let Some(fleet) = &inner.cfg.fleet {
-        if spec.admm {
-            match solve_on_fleet(fleet, graph, spec) {
-                Ok(out) => {
-                    if let Some(stats) = &out.admm {
-                        let m = &inner.metrics;
-                        m.blocks_retried.fetch_add(stats.blocks_retried, Ordering::Relaxed);
-                        m.blocks_stolen.fetch_add(stats.blocks_stolen, Ordering::Relaxed);
-                        m.blocks_stale.fetch_add(stats.blocks_stale, Ordering::Relaxed);
-                        m.workers_quarantined
-                            .fetch_add(stats.workers_quarantined, Ordering::Relaxed);
-                        m.backend_downgrades.fetch_add(stats.backend_downgrades, Ordering::Relaxed);
-                    }
-                    return out;
-                }
-                // Fleet path failed outright (even past the in-process
-                // failover): fall through to the local pipeline, which
-                // walks the dense degradation ladder.
-                Err(e) => {
-                    inner.metrics.backend_downgrades.fetch_add(1, Ordering::Relaxed);
-                    eprintln!("serve: fleet admm solve failed ({e}); using local pipeline");
-                }
-            }
+/// The primary pipeline solve: an ADMM-tier request on the configured
+/// fleet (TCP, failing over to in-process block solves), everything
+/// else in-process. Runs inside the cache's compute closure, so fleet
+/// fault counters fold into the metrics exactly once per fresh solve
+/// (hits and dedup-waits replay the cached answer without re-counting).
+///
+/// # Panics
+/// A failed solve panics with the [`paradigm_core::PipelineError`]'s
+/// text: the cache's one failure channel, which keeps it uncached, counts
+/// it on the breaker and answers the request with the degraded fallback.
+fn solve_primary(inner: &Inner, graph: &Mdg, spec: &SolveSpec) -> SolveOutput {
+    let solved = match &inner.cfg.fleet {
+        Some(fleet) if spec.admm => {
+            let tcp = TcpBlockBackend::with_config(
+                &fleet.workers,
+                FleetConfig { block_deadline: fleet.block_deadline, ..FleetConfig::default() },
+            )
+            .unwrap_or_else(|e| panic!("{e}"));
+            let admm_cfg = AdmmConfig { max_stale: fleet.max_stale, ..AdmmConfig::default() };
+            let mut backend = FailoverBackend::new(tcp, InProcessBackend::default());
+            try_solve_pipeline_with_backend(graph, spec, &admm_cfg, &mut backend)
         }
+        _ => try_solve_pipeline(graph, spec),
+    };
+    let out = solved.unwrap_or_else(|e| panic!("{e}"));
+    if let Some(stats) = &out.admm {
+        let m = &inner.metrics;
+        m.blocks_retried.fetch_add(stats.blocks_retried, Ordering::Relaxed);
+        m.blocks_stolen.fetch_add(stats.blocks_stolen, Ordering::Relaxed);
+        m.blocks_stale.fetch_add(stats.blocks_stale, Ordering::Relaxed);
+        m.workers_quarantined.fetch_add(stats.workers_quarantined, Ordering::Relaxed);
+        m.backend_downgrades.fetch_add(stats.backend_downgrades, Ordering::Relaxed);
     }
-    solve_pipeline(graph, spec)
-}
-
-/// One ADMM-tier solve over the TCP fleet, failover included.
-fn solve_on_fleet(
-    fleet: &AdmmFleetSpec,
-    graph: &Mdg,
-    spec: &SolveSpec,
-) -> Result<SolveOutput, String> {
-    let tcp = TcpBlockBackend::with_config(
-        &fleet.workers,
-        FleetConfig { block_deadline: fleet.block_deadline, ..FleetConfig::default() },
-    )
-    .map_err(|e| e.to_string())?;
-    let mut backend = FailoverBackend::new(tcp, InProcessBackend::default());
-    let admm_cfg = AdmmConfig { max_stale: fleet.max_stale, ..AdmmConfig::default() };
-    try_solve_pipeline_with_backend(graph, spec, &admm_cfg, &mut backend).map_err(|e| e.to_string())
+    out
 }
 
 /// Estimated wait a job joining behind `depth` queued jobs would face:

@@ -5,7 +5,7 @@
 //! degraded-tier ones, must survive independent re-verification.
 
 use paradigm_core::{
-    gallery_graph, solve_pipeline, solve_pipeline_degraded, FallbackTier, SolveSpec,
+    gallery_graph, solve_pipeline_degraded, try_solve_pipeline, FallbackTier, SolveSpec,
 };
 use paradigm_cost::Machine;
 use paradigm_serve::audit::audit_solve_output;
@@ -34,17 +34,13 @@ fn corrupted_schedule_is_caught_under_every_tier() {
     let g = gallery_graph("fig1").unwrap();
     let spec = SolveSpec::new(Machine::cm5(4));
 
-    // Primary and EqualSplit come from the real pipeline paths; the
-    // Coordinate tier shares the degraded schedule shape, so the tier
-    // label is overridden to prove the audit holds on that rung too.
-    let primary = solve_pipeline(&g, &spec);
+    // Primary and EqualSplit, both from the real pipeline paths.
+    let primary = try_solve_pipeline(&g, &spec).unwrap();
     assert_eq!(primary.degraded, FallbackTier::Primary);
     let equal_split = solve_pipeline_degraded(&g, &spec);
     assert_eq!(equal_split.degraded, FallbackTier::EqualSplit);
-    let mut coordinate = equal_split.clone();
-    coordinate.degraded = FallbackTier::Coordinate;
 
-    for out in [primary, coordinate, equal_split] {
+    for out in [primary, equal_split] {
         let tier = out.degraded;
         let clean = audit_solve_output(&g, &spec, &out);
         assert!(clean.is_clean(), "uncorrupted {tier:?} must pass:\n{}", clean.render());

@@ -11,9 +11,8 @@
 //! coordinator's finishing stage (memory 8) in `paradigm-admm`. A caller
 //! supplies a [`DescentModel`] (which owns the tape executor — the stage
 //! never looks at it), a [`Stage`] (free set, box, caps, memory,
-//! tolerance), a stop rule and a per-iteration tick; the iterate, step
-//! and flags live in [`DescentState`], which the caller loads before and
-//! reads after.
+//! tolerance) and a stop rule; the iterate, step and flags live in
+//! [`DescentState`], which the caller loads before and reads after.
 //!
 //! Contract:
 //!
@@ -220,15 +219,13 @@ fn quasi_newton_direction(
 
 /// Run one stage from the point loaded in `st` (see the module docs for
 /// the contract). `stop(improve, f, moved)` is asked after every accepted
-/// step, with the decrease, the new value and the ∞-norm of the move;
-/// `tick()` is asked before every iteration and ends the stage by
-/// returning `false`. Returns the iterations made.
+/// step, with the decrease, the new value and the ∞-norm of the move.
+/// Returns the iterations made.
 pub fn descend<M: DescentModel>(
     model: &mut M,
     st: &mut DescentState,
     stage: &Stage<'_>,
     mut stop: impl FnMut(f64, f64, f64) -> bool,
-    mut tick: impl FnMut() -> bool,
 ) -> usize {
     let (n, ub, memory) = (st.x.len(), stage.ub, stage.memory);
     st.free.clear();
@@ -265,9 +262,6 @@ pub fn descend<M: DescentModel>(
             }
         }
         if stage.gtol > 0.0 && stationarity <= stage.gtol * st.f.abs() {
-            break;
-        }
-        if !tick() {
             break;
         }
         iters += 1;
@@ -419,13 +413,13 @@ mod tests {
     }
 
     fn run(model: &mut Quadratic, st: &mut DescentState, stage: &Stage<'_>) -> usize {
-        descend(model, st, stage, |improve, f, _| improve <= 1e-12 * f.abs(), || true)
+        descend(model, st, stage, |improve, f, _| improve <= 1e-12 * f.abs())
     }
 
     /// [`run`] with no stop rule: only the stationarity test, a dead end
     /// or the cap ends the stage.
     fn run_to_the_end(model: &mut Quadratic, st: &mut DescentState, stage: &Stage<'_>) -> usize {
-        descend(model, st, stage, |_, _, _| false, || true)
+        descend(model, st, stage, |_, _, _| false)
     }
 
     fn bits(x: &[f64]) -> Vec<u64> {
@@ -618,7 +612,7 @@ mod tests {
         let mut st = loaded(&STARTS[2]);
         let mut model = Quadratic { uphill_from: 0, ..Quadratic::new(N) };
         let stage = Stage { max_iters: 50, max_probes: 7, ..stage(None, 8, 1e-8) };
-        let iters = descend(&mut model, &mut st, &stage, |_, _, _| false, || true);
+        let iters = descend(&mut model, &mut st, &stage, |_, _, _| false);
         assert_eq!(iters, 1, "the failed line search is the stage's only iteration");
         assert!(st.dead_end());
         assert_eq!(st.x(), STARTS[2], "iterate untouched");
@@ -633,7 +627,7 @@ mod tests {
         // over the first pair) leave the reference iterate.
         let mut st = loaded(&STARTS[2]);
         let two = Stage { max_iters: 2, ..stage };
-        descend(&mut Quadratic::new(N), &mut st, &two, |_, _, _| false, || true);
+        descend(&mut Quadratic::new(N), &mut st, &two, |_, _, _| false);
         let (reference, step) = (bits(st.x()), st.step());
 
         // The gradient at that iterate — the stage's third replay —
@@ -641,7 +635,7 @@ mod tests {
         // the gradient search that follows does not either.
         let mut model = Quadratic { uphill_from: 3, ..Quadratic::new(N) };
         let mut st = loaded(&STARTS[2]);
-        let iters = descend(&mut model, &mut st, &stage, |_, _, _| false, || true);
+        let iters = descend(&mut model, &mut st, &stage, |_, _, _| false);
         assert_eq!(iters, 4, "two accepted steps, the dropped search, the dead end");
         assert!(st.dead_end());
         assert_eq!(bits(st.x()), reference, "iterate untouched by both failed searches");
@@ -673,7 +667,7 @@ mod tests {
         for seed in [0.5, 0.03125] {
             let mut st = loaded(&[1.0]);
             st.set_step(seed);
-            descend(&mut model, &mut st, &stage, |_, _, _| false, || true);
+            descend(&mut model, &mut st, &stage, |_, _, _| false);
             assert_eq!(st.x()[0], 1.0 - seed * 0.8, "trial = x - step·g");
             assert_eq!(st.step(), seed * 1.8, "accepted step grows 1.8×");
             assert!(!st.dead_end());

@@ -1,20 +1,17 @@
-//! Typed solver failures and the degradation-ladder tier labels.
+//! Typed solver failures and the tier labels.
 //!
 //! [`SolverError`] replaces the panics the solver used to raise on bad
-//! configurations, non-finite objectives, and exhausted budgets, so the
-//! serving layer can turn solver misbehavior into a *degraded* answer
-//! instead of a dead worker. [`FallbackTier`] records which rung of the
-//! ladder produced an [`crate::AllocationResult`]:
+//! configurations and non-finite objectives, so a caller decides what a
+//! failed solve becomes: the serving layer counts it on its circuit
+//! breaker and answers with the analytic equal split. [`FallbackTier`]
+//! records which tier produced an [`crate::AllocationResult`]:
 //!
-//! 1. `Primary` — the projected descent solve succeeded;
-//! 2. `Coordinate` — the gradient solver failed, the gradient-free
-//!    coordinate-descent cross-check produced the allocation;
-//! 3. `EqualSplit` — both solvers failed; the analytic `p/m`-per-node
-//!    split is always finite and feasible.
+//! 1. `Primary` — the projected descent solve;
+//! 2. `Admm` — the consensus-ADMM solve, a peer of `Primary`;
+//! 3. `EqualSplit` — the analytic `p/m`-per-node split, always finite and
+//!    feasible, served in place of a failed solve.
 
-use std::time::Duration;
-
-/// Which rung of the degradation ladder produced an allocation.
+/// Which tier produced an allocation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FallbackTier {
     /// The projected-gradient solver succeeded (no degradation).
@@ -23,8 +20,6 @@ pub enum FallbackTier {
     /// (a peer of `Primary` for graphs too large for one dense solve,
     /// not a degradation rung).
     Admm,
-    /// Fell back to gradient-free coordinate descent.
-    Coordinate,
     /// Fell back to the analytic equal-split allocation.
     EqualSplit,
 }
@@ -35,15 +30,14 @@ impl FallbackTier {
         match self {
             FallbackTier::Primary => "none",
             FallbackTier::Admm => "admm",
-            FallbackTier::Coordinate => "coordinate",
             FallbackTier::EqualSplit => "equal-split",
         }
     }
 
-    /// True for any tier below the primary solver. The ADMM tier is an
-    /// alternative full-quality path, not a degradation.
+    /// True for the equal split. The ADMM tier is an alternative
+    /// full-quality path, not a degradation.
     pub fn is_degraded(self) -> bool {
-        !matches!(self, FallbackTier::Primary | FallbackTier::Admm)
+        self == FallbackTier::EqualSplit
     }
 }
 
@@ -68,18 +62,9 @@ pub enum SolverError {
         /// The (non-finite) `Phi` it ended on.
         phi: f64,
     },
-    /// The time/iteration budget was exhausted before any descent
-    /// progress was made.
-    BudgetExceeded {
-        /// Wall time spent before giving up.
-        elapsed: Duration,
-        /// Gradient iterations completed before giving up.
-        iterations: usize,
-    },
-    /// A unit of solver work was lost: an ADMM block backend failed or
-    /// short-changed a round. (Named for the multistart's start threads,
-    /// which no longer exist.)
-    StartPanicked(String),
+    /// An ADMM block was lost: the block backend failed or short-changed
+    /// a round.
+    BlockLost(String),
     /// Brute-force enumeration would exceed the caller's limit.
     TooLarge {
         /// The number of combinations that would have to be evaluated.
@@ -95,12 +80,7 @@ impl std::fmt::Display for SolverError {
             SolverError::NonFinite { phi } => {
                 write!(f, "solver produced a non-finite objective (Phi = {phi})")
             }
-            SolverError::BudgetExceeded { elapsed, iterations } => write!(
-                f,
-                "solver budget exhausted after {} ms / {iterations} iterations",
-                elapsed.as_millis()
-            ),
-            SolverError::StartPanicked(msg) => write!(f, "solver start panicked: {msg}"),
+            SolverError::BlockLost(msg) => write!(f, "ADMM block lost: {msg}"),
             SolverError::TooLarge { combinations } => {
                 write!(f, "brute force would evaluate {combinations} allocations")
             }
@@ -118,19 +98,16 @@ mod tests {
     fn tier_labels_are_stable() {
         assert_eq!(FallbackTier::Primary.as_str(), "none");
         assert_eq!(FallbackTier::Admm.as_str(), "admm");
-        assert_eq!(FallbackTier::Coordinate.as_str(), "coordinate");
         assert_eq!(FallbackTier::EqualSplit.as_str(), "equal-split");
         assert!(!FallbackTier::Primary.is_degraded());
         assert!(!FallbackTier::Admm.is_degraded());
-        assert!(FallbackTier::Coordinate.is_degraded());
         assert!(FallbackTier::EqualSplit.is_degraded());
     }
 
     #[test]
     fn errors_render_their_facts() {
-        let e = SolverError::BudgetExceeded { elapsed: Duration::from_millis(7), iterations: 3 };
-        let s = e.to_string();
-        assert!(s.contains("7 ms") && s.contains("3 iterations"), "{s}");
+        let e = SolverError::BlockLost("block 3: worker crashed".into()).to_string();
+        assert_eq!(e, "ADMM block lost: block 3: worker crashed");
         let t = SolverError::TooLarge { combinations: 27 }.to_string();
         assert!(t.contains("27"), "{t}");
     }

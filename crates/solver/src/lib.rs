@@ -34,9 +34,10 @@
 //! * [`bruteforce`] — exact power-of-two enumeration oracle for small
 //!   graphs (used to validate solver quality);
 //! * [`convexity`] — numeric convexity probes used by tests/ablations;
-//! * [`error`] — typed solver failures ([`SolverError`]) and the
-//!   degradation-ladder tiers ([`FallbackTier`]) recorded by
-//!   [`allocate_resilient`];
+//! * [`error`] — typed solver failures ([`SolverError`]) and the tier
+//!   labels ([`FallbackTier`]) an [`AllocationResult`] carries;
+//! * [`coordinate`] — gradient-free coordinate descent, the differential
+//!   oracle the gradient solver is tested against;
 //! * [`workspace`] — reusable, pooled scratch buffers that make the
 //!   descent loop allocation-free after warm-up;
 //! * [`alloc_count`] — an optional counting global allocator backing the
@@ -64,9 +65,8 @@ pub use error::{FallbackTier, SolverError};
 pub use expr::{Expr, Monomial};
 pub use objective::{DetachedObjective, MdgObjective};
 pub use solve::{
-    allocate, allocate_resilient, check_annealing, descend_stage, equal_split_allocation,
-    optimality_residual, try_allocate, try_allocate_from, AllocationResult, SolverConfig,
-    QN_MEMORY, STATIONARITY_TOL,
+    allocate, check_annealing, descend_stage, equal_split_allocation, optimality_residual,
+    try_allocate, try_allocate_from, AllocationResult, SolverConfig, QN_MEMORY, STATIONARITY_TOL,
 };
 #[doc(hidden)]
 pub use workspace::BatchWorkspace;

@@ -13,7 +13,6 @@
 //! Every stage is a call of [`crate::descent::descend`] (DESIGN.md §11
 //! has the convergence table).
 
-use crate::coordinate::{allocate_coordinate, CoordinateConfig};
 use crate::descent::{descend, DescentModel, DescentState, Stage};
 use crate::error::{FallbackTier, SolverError};
 use crate::expr::Sharpness;
@@ -21,13 +20,12 @@ use crate::objective::MdgObjective;
 use crate::workspace::{self, EvalScratch, SolverWorkspace, SweepCounts};
 use paradigm_cost::{Allocation, Machine, MdgWeights, PhiBreakdown};
 use paradigm_mdg::Mdg;
-use paradigm_race::time::Instant;
-use std::cell::Cell;
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::time::Duration;
 
 /// Solver tuning knobs. The defaults solve every workload in this
-/// repository to well under 1 % of the brute-force oracle.
+/// repository to well under 1 % of the brute-force oracle. A solve has no
+/// watchdog: it is bounded by its stage caps — one stage per sharpness
+/// plus the exact polish, each at most `max_iters_per_stage` iterations
+/// of at most 40 probes.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SolverConfig {
     /// Increasing p-norm sharpness stages; a final exact-max polish stage
@@ -38,14 +36,6 @@ pub struct SolverConfig {
     /// Stop a stage when an accepted step improves `Phi` by less than
     /// this relative amount.
     pub rel_tol: f64,
-    /// Watchdog wall-time budget of the solve; when it expires the
-    /// solver returns its iterate so far, or
-    /// [`SolverError::BudgetExceeded`] if no iteration ever ran. `None`
-    /// never expires.
-    pub time_limit: Option<Duration>,
-    /// Watchdog budget on total descent iterations summed over all
-    /// stages; same semantics as `time_limit`.
-    pub max_total_iters: Option<usize>,
 }
 
 impl Default for SolverConfig {
@@ -54,8 +44,6 @@ impl Default for SolverConfig {
             sharpness_schedule: vec![4.0, 16.0, 64.0, 256.0],
             max_iters_per_stage: 400,
             rel_tol: 1e-10,
-            time_limit: None,
-            max_total_iters: None,
         }
     }
 }
@@ -83,71 +71,10 @@ pub struct AllocationResult {
     pub iterations: usize,
     /// Number of starts descended: 1 (0 for the analytic equal split).
     pub starts: usize,
-    /// Which rung of the degradation ladder produced this result
-    /// ([`FallbackTier::Primary`] unless a resilient entry point fell
-    /// back).
+    /// Which tier produced this result: [`FallbackTier::Primary`] from
+    /// [`try_allocate`], [`FallbackTier::EqualSplit`] from
+    /// [`equal_split_allocation`].
     pub tier: FallbackTier,
-}
-
-/// Watchdog budget of one solve, checked by every descent iteration.
-struct Budget {
-    deadline: Option<Instant>,
-    max_iters: Option<usize>,
-    used: Cell<usize>,
-    /// Value of `used` from which the clock is read again.
-    next_check: Cell<usize>,
-    /// Latch set once the deadline has been observed expired, so later
-    /// checks short-circuit without touching the clock again.
-    expired: Cell<bool>,
-}
-
-impl Budget {
-    fn new(deadline: Option<Instant>, max_iters: Option<usize>) -> Self {
-        Budget {
-            deadline,
-            max_iters,
-            used: Cell::new(0),
-            next_check: Cell::new(0),
-            expired: Cell::new(false),
-        }
-    }
-
-    fn exhausted(&self) -> bool {
-        if self.expired.get() {
-            return true;
-        }
-        let used = self.used.get();
-        if let Some(d) = self.deadline {
-            // `Instant::now()` is a vDSO call but still dominates a cheap
-            // descent iteration when taken every time; amortize the clock
-            // read to once per 64 charged iterations (the first check, at
-            // `used == 0`, always consults the clock, so an
-            // already-expired deadline is caught before any work).
-            if used >= self.next_check.get() {
-                self.next_check.set(used + 64);
-                if Instant::now() >= d {
-                    self.expired.set(true);
-                    return true;
-                }
-            }
-        }
-        if let Some(m) = self.max_iters {
-            if used >= m {
-                return true;
-            }
-        }
-        false
-    }
-
-    /// The dense stages' per-iteration tick: refuse once exhausted,
-    /// otherwise charge one iteration.
-    fn charge(&self) -> bool {
-        if self.exhausted() {
-            return false;
-        }
-        self.used.set(self.used.get() + 1);
-        true
-    }
 }
 
 /// The annealing parameters every descent caller takes from outside —
@@ -181,23 +108,17 @@ pub fn check_annealing(stages: &[f64], rel_tol: f64) -> Result<(), String> {
 ///
 /// # Panics
 /// Panics if [`try_allocate`] would return an error; callers that need
-/// to survive bad inputs or budgets should use [`try_allocate`] or
-/// [`allocate_resilient`] instead.
+/// to survive bad inputs should use [`try_allocate`] instead.
 pub fn allocate(g: &Mdg, machine: Machine, cfg: &SolverConfig) -> AllocationResult {
     try_allocate(g, machine, cfg).unwrap_or_else(|e| panic!("allocation solve failed: {e}"))
 }
 
 /// Fallible [`allocate`]: validates the configuration and the objective,
-/// enforces the watchdog budget, and returns a typed [`SolverError`]
-/// instead of panicking. The solve is [`try_allocate_from`] the midpoint
-/// of the box — not a corner: from `x = 0` every `max(p_i, p_j)` of the
-/// transfer costs ties, and an exact-only schedule stalls on the tie.
-///
-/// Budget semantics: if the budget expires *mid-run*, the iterate
-/// reached so far is returned (`Ok`); if it was already exhausted before
-/// any descent iteration ran (e.g. `time_limit` of zero), the solver has
-/// nothing useful to return and fails with
-/// [`SolverError::BudgetExceeded`].
+/// and returns a typed [`SolverError`] instead of panicking — including
+/// [`SolverError::NonFinite`] when the solve ends on a non-finite `Phi`.
+/// The solve is [`try_allocate_from`] the midpoint of the box — not a
+/// corner: from `x = 0` every `max(p_i, p_j)` of the transfer costs ties,
+/// and an exact-only schedule stalls on the tie.
 pub fn try_allocate(
     g: &Mdg,
     machine: Machine,
@@ -220,7 +141,6 @@ pub fn try_allocate_from(
     cfg: &SolverConfig,
     x0: &[f64],
 ) -> Result<AllocationResult, SolverError> {
-    let started = Instant::now();
     check_annealing(&cfg.sharpness_schedule, cfg.rel_tol).map_err(SolverError::InvalidConfig)?;
     let obj = MdgObjective::try_new(g, machine).map_err(SolverError::BadObjective)?;
     let ub = obj.x_upper();
@@ -235,19 +155,9 @@ pub fn try_allocate_from(
         return Err(SolverError::InvalidConfig(format!("start entry {v} is outside [0, {ub}]")));
     }
 
-    let budget = Budget::new(cfg.time_limit.map(|d| started + d), cfg.max_total_iters);
-    if budget.exhausted() {
-        return Err(SolverError::BudgetExceeded { elapsed: started.elapsed(), iterations: 0 });
-    }
-
     let mut stages = cfg.sharpness_schedule.clone();
     stages.sort_by(f64::total_cmp);
-    let dense = DenseStages {
-        obj: &obj,
-        max_iters: cfg.max_iters_per_stage,
-        rel_tol: cfg.rel_tol,
-        budget: &budget,
-    };
+    let dense = DenseStages { obj: &obj, max_iters: cfg.max_iters_per_stage, rel_tol: cfg.rel_tol };
     // The pooled workspace keeps its buffers warm across solves (serve
     // workers re-hit the same pool on every cache miss).
     let mut ws = workspace::acquire();
@@ -268,51 +178,15 @@ pub fn try_allocate_from(
     drop(ws);
 
     let phi = obj.exact_phi(&alloc);
-    if iterations == 0 && budget.exhausted() {
-        return Err(SolverError::BudgetExceeded { elapsed: started.elapsed(), iterations: 0 });
-    }
     if !phi.phi.is_finite() {
         return Err(SolverError::NonFinite { phi: phi.phi });
     }
     Ok(AllocationResult { alloc, phi, iterations, starts: 1, tier: FallbackTier::Primary })
 }
 
-/// The degradation ladder: [`try_allocate`], then gradient-free
-/// coordinate descent, then the analytic equal split. Always returns a
-/// finite, feasible allocation and records which rung produced it —
-/// this is the entry point the serving pipeline uses so a misbehaving
-/// solve yields a *degraded* answer instead of a dead worker.
-pub fn allocate_resilient(g: &Mdg, machine: Machine, cfg: &SolverConfig) -> AllocationResult {
-    if let Ok(Ok(r)) = catch_unwind(AssertUnwindSafe(|| try_allocate(g, machine, cfg))) {
-        return r;
-    }
-    // Rung 2: the gradient-free cross-check solver, trimmed for fallback
-    // duty (one smoothing stage, few sweeps — a valid allocation fast,
-    // not the last fraction of a percent).
-    let cd_cfg = CoordinateConfig {
-        max_sweeps: 8,
-        line_iters: 24,
-        sharpness_schedule: vec![16.0],
-        ..CoordinateConfig::default()
-    };
-    if let Ok(r) = catch_unwind(AssertUnwindSafe(|| allocate_coordinate(g, machine, &cd_cfg))) {
-        if r.phi.phi.is_finite() {
-            return AllocationResult {
-                alloc: r.alloc,
-                phi: r.phi,
-                iterations: r.sweeps,
-                starts: 1,
-                tier: FallbackTier::Coordinate,
-            };
-        }
-    }
-    equal_split_allocation(g, machine)
-}
-
-/// Rung 3 of the ladder: the analytic allocation that gives each of the
-/// `m` compute nodes `clamp(p/m, 1, p)` processors. Needs no
-/// optimization at all, so it cannot fail — the service's answer of
-/// last resort.
+/// The analytic allocation that gives each of the `m` compute nodes
+/// `clamp(p/m, 1, p)` processors. Needs no optimization at all, so it
+/// cannot fail — the service's answer of last resort.
 pub fn equal_split_allocation(g: &Mdg, machine: Machine) -> AllocationResult {
     let p = (machine.procs.max(1)) as f64;
     let m = g.compute_node_count().max(1) as f64;
@@ -407,20 +281,18 @@ pub const QN_MEMORY: usize = 8;
 pub const STATIONARITY_TOL: f64 = 1e-6;
 
 /// What every dense stage shares: all variables free in `[0, ln p]^n`,
-/// 40 probes per line search, the dense stop rule, the watchdog as the
-/// tick.
+/// 40 probes per line search, the dense stop rule.
 struct DenseStages<'a, 'g> {
     obj: &'a MdgObjective<'g>,
     max_iters: usize,
     rel_tol: f64,
-    budget: &'a Budget,
 }
 
 impl DenseStages<'_, '_> {
     /// One stage of `model` from the point loaded in `descent`, from
     /// step 0.25: quasi-Newton to stationarity at a smooth sharpness,
     /// projected subgradient at the exact max, which has no curvature to
-    /// learn. Returns the iterations (== budget charge).
+    /// learn. Returns the iterations.
     fn run(&self, model: &mut ScalarTape<'_, '_>, descent: &mut DescentState) -> usize {
         descent.reset();
         let (memory, gtol) = match model.sharp {
@@ -436,21 +308,14 @@ impl DenseStages<'_, '_> {
             gtol,
         };
         let rel_tol = self.rel_tol;
-        descend(
-            model,
-            descent,
-            &stage,
-            |improve, f, moved| {
-                improve <= rel_tol * f.abs() && (moved < 1e-12 || (improve >= 0.0 && moved < 1e-9))
-            },
-            || self.budget.charge(),
-        )
+        descend(model, descent, &stage, |improve, f, moved| {
+            improve <= rel_tol * f.abs() && (moved < 1e-12 || (improve >= 0.0 && moved < 1e-9))
+        })
     }
 }
 
-/// Public single-stage descent entry point with no watchdog: runs one
-/// stage of the scalar tape on `x` at one fixed sharpness out of the
-/// caller's workspace. Used by the `bench-solve` harness (to time the
+/// Public single-stage descent entry point: runs one stage of the scalar
+/// tape on `x` at one fixed sharpness out of the caller's workspace. Used by the `bench-solve` harness (to time the
 /// inner loop and count allocations per iteration in isolation) and by
 /// the allocation-free integration test; the solver proper goes through
 /// [`try_allocate`].
@@ -464,9 +329,8 @@ pub fn descend_stage(
 ) -> usize {
     let SolverWorkspace { scratch, descent, .. } = ws;
     descent.load(x);
-    let budget = Budget::new(None, None);
     let mut model = ScalarTape { obj, sharp, scratch };
-    let iters = DenseStages { obj, max_iters, rel_tol, budget: &budget }.run(&mut model, descent);
+    let iters = DenseStages { obj, max_iters, rel_tol }.run(&mut model, descent);
     x.copy_from_slice(descent.x());
     iters
 }
@@ -588,37 +452,6 @@ mod tests {
     }
 
     #[test]
-    fn zero_time_budget_is_a_typed_error() {
-        let g = example_fig1_mdg();
-        let cfg = SolverConfig { time_limit: Some(Duration::ZERO), ..SolverConfig::fast() };
-        let err = try_allocate(&g, Machine::cm5(4), &cfg).unwrap_err();
-        assert!(matches!(err, SolverError::BudgetExceeded { .. }), "{err}");
-    }
-
-    #[test]
-    fn deadline_is_seen_within_64_charged_iterations() {
-        let budget = Budget::new(Some(Instant::now() + Duration::from_secs(3600)), None);
-        assert!(budget.charge() && budget.charge());
-        // The deadline passes mid-solve.
-        let budget = Budget { deadline: Some(Instant::now()), ..budget };
-        let mut charged = 0;
-        while budget.charge() {
-            charged += 1;
-            assert!(charged <= 64, "an expired deadline went unseen for {charged} iterations");
-        }
-    }
-
-    #[test]
-    fn mid_run_iteration_budget_returns_best_so_far() {
-        let g = example_fig1_mdg();
-        let cfg = SolverConfig { max_total_iters: Some(5), ..SolverConfig::fast() };
-        let r = try_allocate(&g, Machine::cm5(4), &cfg).unwrap();
-        assert!(r.phi.phi.is_finite() && r.phi.phi > 0.0);
-        assert!(r.iterations <= 5, "{} iterations", r.iterations);
-        assert_eq!(r.tier, FallbackTier::Primary);
-    }
-
-    #[test]
     fn invalid_annealing_is_a_typed_error() {
         let g = example_fig1_mdg();
         let bad = [
@@ -640,34 +473,6 @@ mod tests {
         m.xfer.t_ss = f64::NAN;
         let err = try_allocate(&g, m, &SolverConfig::fast()).unwrap_err();
         assert!(matches!(err, SolverError::BadObjective(_)), "{err}");
-    }
-
-    #[test]
-    fn resilient_degrades_to_coordinate_on_exhausted_budget() {
-        let g = example_fig1_mdg();
-        let cfg = SolverConfig { time_limit: Some(Duration::ZERO), ..SolverConfig::fast() };
-        let r = allocate_resilient(&g, Machine::cm5(4), &cfg);
-        assert_eq!(r.tier, FallbackTier::Coordinate);
-        assert!(r.phi.phi.is_finite() && r.phi.phi > 0.0);
-        for (id, _) in g.nodes() {
-            assert!((1.0..=4.0 + 1e-9).contains(&r.alloc.get(id)));
-        }
-    }
-
-    #[test]
-    fn resilient_bottoms_out_at_equal_split() {
-        // A NaN transfer constant on a graph with real data transfers
-        // kills both real solvers (typed error from the gradient solver,
-        // caught panic from coordinate descent's objective builder); the
-        // analytic split must still produce an allocation.
-        let g = complex_matmul_mdg(64, &KernelCostTable::cm5());
-        let mut m = Machine::cm5(4);
-        m.xfer.t_ss = f64::NAN;
-        let r = allocate_resilient(&g, m, &SolverConfig::fast());
-        assert_eq!(r.tier, FallbackTier::EqualSplit);
-        for (id, _) in g.nodes() {
-            assert!((1.0..=4.0 + 1e-9).contains(&r.alloc.get(id)));
-        }
     }
 
     #[test]

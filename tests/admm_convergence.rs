@@ -54,7 +54,7 @@ fn admm_phi_within_one_percent_of_dense_on_gallery() {
 fn partitioning_is_bitwise_deterministic_on_every_gallery_graph() {
     for name in GALLERY_NAMES {
         let g = gallery_graph(name).expect("gallery graph");
-        // Both the default options (what `solve_pipeline` uses) and a
+        // Both the default options (what `try_solve_pipeline` uses) and a
         // forced multi-way split (what the tests and CLI use).
         let option_sets = [PartitionOptions::default(), PartitionOptions::with_blocks(&g, 4)];
         for opts in option_sets {

@@ -9,13 +9,12 @@
 //! smooth stage runs to a stationary point along a quasi-Newton
 //! direction and `try_allocate` descends from the midpoint alone; this
 //! file holds it to that on every gallery graph, then pins the stage's
-//! behaviour where the box, the machine or the budget is unusual.
+//! behaviour where the box or the machine is unusual.
 
 use paradigm_core::{gallery_graph, GALLERY_NAMES};
 use paradigm_cost::Machine;
 use paradigm_mdg::{complex_matmul_mdg, example_fig1_mdg, strassen_mdg, KernelCostTable, Mdg};
 use paradigm_solver::{try_allocate, try_allocate_from, SolverConfig, SolverError};
-use std::time::Duration;
 
 /// `max Phi / min Phi − 1` over the solves from `x = 0`, `ub/2`, `ub`.
 fn start_spread(g: &Mdg, machine: Machine, cfg: &SolverConfig) -> f64 {
@@ -137,16 +136,4 @@ fn without_a_ladder_the_exact_polish_alone_runs_from_the_midpoint() {
     let polished = try_allocate(&g, machine, &exact_only).expect("solves");
     assert!(polished.phi.phi <= 1.03 * full.phi.phi, "{} vs {}", polished.phi.phi, full.phi.phi);
     assert!(polished.iterations <= exact_only.max_iters_per_stage);
-}
-
-#[test]
-fn the_watchdog_cuts_the_one_start_short() {
-    let g = strassen_mdg(128, &KernelCostTable::cm5());
-    let machine = Machine::cm5(32);
-    let capped = SolverConfig { max_total_iters: Some(5), ..SolverConfig::fast() };
-    let r = try_allocate(&g, machine, &capped).expect("the iterate reached so far");
-    assert!(r.iterations <= 5 && r.phi.phi.is_finite() && r.phi.phi > 0.0, "{r:?}");
-    let expired = SolverConfig { time_limit: Some(Duration::ZERO), ..SolverConfig::fast() };
-    let err = try_allocate(&g, machine, &expired).unwrap_err();
-    assert!(matches!(err, SolverError::BudgetExceeded { iterations: 0, .. }), "{err}");
 }
