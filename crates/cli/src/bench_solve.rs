@@ -6,9 +6,9 @@
 //! entry in [`TABLES`]; the report, the JSON document and the gates run
 //! on [`crate::harness`].
 //!
-//! The run fails (exit code 1) on four gates — [`SWEEPS`], [`EXPS`],
-//! [`ALLOCS`], [`SPREAD`] — all counts or solution values: the same on
-//! every machine, so none needs a baseline.
+//! The run fails (exit code 1) on five gates — [`SWEEPS`], [`EXPS`],
+//! [`ALLOCS`], [`SPREAD`], [`WARM`] — all counts or solution values: the
+//! same on every machine, so none needs a baseline.
 
 use paradigm_core::{gallery_graph, GALLERY_NAMES};
 use paradigm_cost::Machine;
@@ -39,6 +39,11 @@ const SWEEP_SLACK: f64 = 0.05;
 /// starts may land under `SolverConfig::fast` before "one start is
 /// enough" stops being true (measured worst: 3.3e-3, strassen at p = 64).
 const SPREAD_LIMIT: f64 = 5e-3;
+
+/// Ceiling of the `warm` gate: how far the solve, whose rungs below the
+/// ladder's top stop at `WARM_TOL`, may land from the all-1e-6 ladder
+/// (measured worst: 4.6e-5, strassen-ml).
+const LADDER_GAP_LIMIT: f64 = 1e-3;
 
 /// The sharpness values of the per-sweep table.
 const SWEEP_SHARPS: [(&str, Sharpness); 4] = [
@@ -75,6 +80,11 @@ const TABLES: &[Table] = &[
             ("allocate_us", "allocate_us", 12, Cell::Fixed(0)),
             ("allocate_iters", "iters", 7, Cell::Int),
             ("allocate_sweeps", "sweeps", 7, Cell::Int),
+            // Its exact Phi, and that over the Phi of the same ladder with
+            // every rung at `STATIONARITY_TOL` (rebuilt through
+            // `descend_stage`), minus 1.
+            ("allocate_phi", "phi", 11, Cell::Sci(4)),
+            ("ladder_gap", "lad_gap", 9, Cell::Sci(1)),
             // Over that solve, per descent iteration: points swept forward
             // through the objective (recording or value-only) and points
             // its descent loops evaluated (line-search probes plus each
@@ -141,12 +151,12 @@ pub fn run_bench_solve(quick: bool, out_path: Option<&str>) -> Result<CmdOutput,
             "bench-solve ({}; medians over {reps} samples)",
             if quick { "quick" } else { "full" }
         ),
-        header: vec![("version", Json::num(6.0)), ("quick", Json::Bool(quick))],
+        header: vec![("version", Json::num(7.0)), ("quick", Json::Bool(quick))],
         tables: TABLES,
         rows,
         footer: String::new(),
     };
-    finish(&report, &[SWEEPS, EXPS, ALLOCS, SPREAD], out_path)
+    finish(&report, &[SWEEPS, EXPS, ALLOCS, SPREAD, WARM], out_path)
 }
 
 /// Measure one graph.
@@ -232,6 +242,9 @@ fn bench_case(name: &str, g: &Mdg, reps: usize) -> Row {
     row.set("allocate_sweeps", swept.forward_sweeps as f64);
     row.set("forward_sweeps_per_iter", per_iter(swept.forward_sweeps));
     row.set("probes_per_iter", per_iter(swept.probes));
+    row.set("allocate_phi", res.phi.phi);
+    let tight = tight_ladder_phi(g, &obj, &SolverConfig::fast(), &mut ws);
+    row.set("ladder_gap", res.phi.phi / tight - 1.0);
 
     let phis = [0.0, ub / 2.0, ub].map(|x0| {
         try_allocate_from(g, Machine::cm5(64), &SolverConfig::fast(), &vec![x0; n])
@@ -242,6 +255,25 @@ fn bench_case(name: &str, g: &Mdg, reps: usize) -> Row {
     let best = phis.iter().copied().fold(f64::INFINITY, f64::min);
     row.set("start_spread", phis.iter().map(|phi| phi / best - 1.0).fold(0.0, f64::max));
     row
+}
+
+/// Exact Phi of the midpoint solve with every rung of `cfg`'s ladder run
+/// to `STATIONARITY_TOL`: one `descend_stage` per rung, then the polish.
+fn tight_ladder_phi(
+    g: &Mdg,
+    obj: &MdgObjective,
+    cfg: &SolverConfig,
+    ws: &mut SolverWorkspace,
+) -> f64 {
+    let mut x = vec![obj.x_upper() / 2.0; obj.num_vars()];
+    x[g.start().0] = 0.0;
+    x[g.stop().0] = 0.0;
+    let mut stages = cfg.sharpness_schedule.clone();
+    stages.sort_by(f64::total_cmp);
+    for sharp in stages.iter().map(|&s| Sharpness::Smooth(s)).chain([Sharpness::Exact]) {
+        descend_stage(obj, &mut x, sharp, cfg.max_iters_per_stage, cfg.rel_tol, ws);
+    }
+    obj.exact_phi(&obj.allocation_from_x(&x)).phi
 }
 
 /// The four sub-cells of the `sweeps` column.
@@ -324,6 +356,20 @@ const SPREAD: Gate = Gate {
     },
 };
 
+/// The warm-rung gate: stopping the rungs below the ladder's top at
+/// `WARM_TOL` moves no case's Phi by more than [`LADDER_GAP_LIMIT`].
+const WARM: Gate = Gate {
+    name: "warm",
+    check: |report| {
+        let ok = format!("every case lands within {LADDER_GAP_LIMIT:e} of the all-1e-6 ladder");
+        every_case(report, &ok, |row| {
+            let gap = row.num("ladder_gap");
+            (gap.is_nan() || gap.abs() > LADDER_GAP_LIMIT)
+                .then(|| format!("lands {gap:+.1e} from the all-1e-6 ladder"))
+        })
+    },
+};
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -334,6 +380,7 @@ mod tests {
             ("compute_nodes", 4.0),
             ("eval_grad_us", 2.0),
             ("start_spread", 1.5e-4),
+            ("ladder_gap", -2.7e-6),
             ("forward_sweeps_per_iter", 2.3),
             ("probes_per_iter", 2.3),
             ("allocs_per_iter", 0.0),
@@ -370,7 +417,7 @@ mod tests {
     fn report(rows: Vec<Row>) -> Report {
         Report {
             title: "bench-solve (test)".into(),
-            header: vec![("version", Json::num(6.0)), ("quick", Json::Bool(true))],
+            header: vec![("version", Json::num(7.0)), ("quick", Json::Bool(true))],
             tables: TABLES,
             rows,
             footer: String::new(),
@@ -382,13 +429,14 @@ mod tests {
         let rep = report(vec![tiny_case()]);
         let json = rep.render_json().expect("every key is listed");
         let doc = paradigm_serve::parse_json(&json).expect("valid JSON");
-        assert_eq!(doc.get("version").and_then(Json::as_u64), Some(6));
+        assert_eq!(doc.get("version").and_then(Json::as_u64), Some(7));
         assert_eq!(doc.get("quick").and_then(Json::as_bool), Some(true));
         let cases = doc.get("cases").and_then(Json::as_arr).expect("cases array");
         assert_eq!(cases.len(), 1);
         assert_eq!(cases[0].get("name").and_then(Json::as_str), Some("random-256"));
         assert_eq!(cases[0].get("eval_grad_us").and_then(Json::as_f64), Some(2.0));
         assert_eq!(cases[0].get("start_spread").and_then(Json::as_f64), Some(1.5e-4));
+        assert_eq!(cases[0].get("ladder_gap").and_then(Json::as_f64), Some(-2.7e-6));
         assert_eq!(cases[0].get("forward_sweeps_per_iter").and_then(Json::as_f64), Some(2.3));
         assert_eq!(cases[0].get("probes_per_iter").and_then(Json::as_f64), Some(2.3));
         assert_eq!(cases[0].get("tape_ops").and_then(Json::as_u64), Some(40));
@@ -445,6 +493,21 @@ mod tests {
     }
 
     #[test]
+    fn warm_gate_fails_a_case_that_lands_off_the_tight_ladder() {
+        let ok = (WARM.check)(&report(vec![tiny_case()])).expect("2.7e-6 off");
+        assert!(ok.contains("within 1e-3"), "{ok}");
+        // strassen at p = 64 under `fast()` with every rung below the top
+        // stopped at 1e-2.
+        let loose = tiny_with("loose", "ladder_gap", 2.8e-3);
+        let err = (WARM.check)(&report(vec![tiny_case(), loose])).expect_err("0.28 % off");
+        assert!(err.starts_with("loose lands +2.8e-3"), "{err}");
+        let below = tiny_with("below", "ladder_gap", -1.5e-3);
+        assert!((WARM.check)(&report(vec![below])).is_err(), "a gap either way fails");
+        let nan = tiny_with("nan", "ladder_gap", f64::NAN);
+        assert!((WARM.check)(&report(vec![nan])).is_err());
+    }
+
+    #[test]
     fn bench_case_on_fig1_produces_sane_numbers() {
         let g = paradigm_mdg::example_fig1_mdg();
         let c = bench_case("fig1", &g, 3);
@@ -453,6 +516,8 @@ mod tests {
         assert!(c.num("eval_grad_us") > 0.0);
         assert!(c.num("allocate_iters") > 0.0);
         assert!((0.0..=SPREAD_LIMIT).contains(&c.num("start_spread")), "{}", c.num("start_spread"));
+        assert!(c.num("allocate_phi") > 0.0);
+        assert!(c.num("ladder_gap").abs() <= LADDER_GAP_LIMIT, "{}", c.num("ladder_gap"));
         let Some(Json::Obj(sweeps)) = c.get("sweeps") else { panic!("no sweep table") };
         let rows: Vec<&str> = sweeps.iter().map(|(sharp, _)| sharp.as_str()).collect();
         assert_eq!(rows, ["exact", "8", "64", "256"]);

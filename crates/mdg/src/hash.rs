@@ -41,7 +41,7 @@
 //! cache keying the failure odds are negligible and the cost is one
 //! `O((V + E) log E)` pass.
 
-use crate::graph::{Mdg, NodeId};
+use crate::graph::Mdg;
 use crate::node::{Edge, LoopClass, Node, NodeKind};
 
 /// 128-bit FNV-1a offset basis.
@@ -215,51 +215,6 @@ pub fn structural_hash(g: &Mdg) -> u128 {
     h.finish()
 }
 
-/// Per-node canonical signatures (same refinement as
-/// [`structural_hash`]), exposed for diagnostics: two nodes with equal
-/// signatures are structurally indistinguishable to the hash.
-pub fn node_signatures(g: &Mdg) -> Vec<(NodeId, u128)> {
-    let n = g.node_count();
-    let payload: Vec<u128> = g.nodes().map(|(_, node)| node_payload_hash(node)).collect();
-    let edge_payload: Vec<u128> = g.edges().map(|(_, e)| edge_payload_hash(e)).collect();
-    let mut fwd = vec![0u128; n];
-    for &v in g.topo_order() {
-        let contribs: Vec<u128> = g
-            .in_edges(v)
-            .iter()
-            .map(|&eid| {
-                let mut h = Fnv128::new();
-                h.write_u128(fwd[g.edge(eid).src]);
-                h.write_u128(edge_payload[eid.index()]);
-                h.finish()
-            })
-            .collect();
-        fwd[v.index()] = combine(payload[v.index()], contribs);
-    }
-    let mut bwd = vec![0u128; n];
-    for &v in g.topo_order().iter().rev() {
-        let contribs: Vec<u128> = g
-            .out_edges(v)
-            .iter()
-            .map(|&eid| {
-                let mut h = Fnv128::new();
-                h.write_u128(bwd[g.edge(eid).dst]);
-                h.write_u128(edge_payload[eid.index()]);
-                h.finish()
-            })
-            .collect();
-        bwd[v.index()] = combine(payload[v.index()], contribs);
-    }
-    (0..n)
-        .map(|i| {
-            let mut h = Fnv128::new();
-            h.write_u128(fwd[i]);
-            h.write_u128(bwd[i]);
-            (NodeId(i), h.finish())
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -355,21 +310,6 @@ mod tests {
     fn hash_is_deterministic_across_calls() {
         let g = tiny(false, 2.0);
         assert_eq!(structural_hash(&g), structural_hash(&g));
-    }
-
-    #[test]
-    fn node_signatures_distinguish_asymmetric_nodes() {
-        let g = tiny(false, 2.0);
-        let sigs = node_signatures(&g);
-        assert_eq!(sigs.len(), g.node_count());
-        // b and c carry different payloads, so their signatures differ.
-        let by_name = |name: &str| {
-            sigs.iter()
-                .find(|(id, _)| g.node(*id).name == name)
-                .map(|&(_, s)| s)
-                .expect("node present")
-        };
-        assert_ne!(by_name("b"), by_name("c"));
     }
 
     #[test]

@@ -67,6 +67,7 @@ pub use objective::{DetachedObjective, MdgObjective};
 pub use solve::{
     allocate, check_annealing, descend_stage, equal_split_allocation, optimality_residual,
     try_allocate, try_allocate_from, AllocationResult, SolverConfig, QN_MEMORY, STATIONARITY_TOL,
+    WARM_TOL,
 };
 #[doc(hidden)]
 pub use workspace::BatchWorkspace;

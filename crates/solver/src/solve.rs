@@ -7,8 +7,9 @@
 //! then drives the smoothed optimum onto the exact one. One start — the
 //! midpoint of the box — is therefore all a solve runs: each smooth stage
 //! descends along a limited-memory quasi-Newton direction until its
-//! projected gradient is stationary ([`QN_MEMORY`], [`STATIONARITY_TOL`]),
-//! and an exact-max projected-subgradient polish ends the solve.
+//! projected gradient is stationary ([`QN_MEMORY`]; [`STATIONARITY_TOL`]
+//! at the top of the ladder, [`WARM_TOL`] on the rungs that only seed the
+//! next), and an exact-max projected-subgradient polish ends the solve.
 //!
 //! Every stage is a call of [`crate::descent::descend`] (DESIGN.md §11
 //! has the convergence table).
@@ -170,9 +171,11 @@ pub fn try_allocate_from(
     descent.load(&x);
     let mut iterations = 0;
     let sharps = stages.iter().map(|&s| Sharpness::Smooth(s)).chain([Sharpness::Exact]);
-    for sharp in sharps {
+    for (rung, sharp) in sharps.enumerate() {
+        // A rung below the top only seeds the next one: it stops early.
+        let gtol = if rung + 1 < stages.len() { WARM_TOL } else { STATIONARITY_TOL };
         let mut model = ScalarTape { obj: &obj, sharp, scratch: &mut *scratch };
-        iterations += dense.run(&mut model, descent);
+        iterations += dense.run(&mut model, descent, gtol);
     }
     let alloc = obj.allocation_from_x(descent.x());
     drop(ws);
@@ -272,13 +275,19 @@ impl DescentModel for ScalarTape<'_, '_> {
 }
 
 /// Pairs a smooth dense stage builds its quasi-Newton direction from, and
-/// the relative projected-gradient norm it stops on. Constants, not
-/// knobs: 4 / 8 / 16 pairs and tolerances from 1e-5 to 1e-8 move the
-/// benchmark's solve times by ≤ 20 % and its Φ geomeans by < 1e-4
-/// (DESIGN.md §11).
+/// the relative projected-gradient norm the ladder's top rung stops on.
+/// Constants, not knobs: 4 / 8 / 16 pairs and tolerances from 1e-5 to
+/// 1e-8 move the benchmark's solve times by ≤ 20 % and its Φ geomeans by
+/// < 1e-4 (DESIGN.md §11).
 pub const QN_MEMORY: usize = 8;
 /// See [`QN_MEMORY`].
 pub const STATIONARITY_TOL: f64 = 1e-6;
+/// The relative projected-gradient norm a smooth rung below the top of
+/// the ladder stops on. Such a rung only seeds the next one, whose
+/// optimum lies a smoothing error (≈ ln k / s) away, so converging it
+/// further buys nothing the next rung keeps. 1e-4 saves less; 1e-2 gives
+/// strassen at p = 64 +0.28 % Φ under `fast()` (DESIGN.md §11).
+pub const WARM_TOL: f64 = 1e-3;
 
 /// What every dense stage shares: all variables free in `[0, ln p]^n`,
 /// 40 probes per line search, the dense stop rule.
@@ -290,13 +299,13 @@ struct DenseStages<'a, 'g> {
 
 impl DenseStages<'_, '_> {
     /// One stage of `model` from the point loaded in `descent`, from
-    /// step 0.25: quasi-Newton to stationarity at a smooth sharpness,
-    /// projected subgradient at the exact max, which has no curvature to
-    /// learn. Returns the iterations.
-    fn run(&self, model: &mut ScalarTape<'_, '_>, descent: &mut DescentState) -> usize {
+    /// step 0.25: quasi-Newton to the relative stationarity `gtol` at a
+    /// smooth sharpness, projected subgradient at the exact max, which has
+    /// no curvature to learn (and ignores `gtol`). Returns the iterations.
+    fn run(&self, model: &mut ScalarTape<'_, '_>, descent: &mut DescentState, gtol: f64) -> usize {
         descent.reset();
         let (memory, gtol) = match model.sharp {
-            Sharpness::Smooth(_) => (QN_MEMORY, STATIONARITY_TOL),
+            Sharpness::Smooth(_) => (QN_MEMORY, gtol),
             Sharpness::Exact => (0, 0.0),
         };
         let stage = Stage {
@@ -314,11 +323,14 @@ impl DenseStages<'_, '_> {
     }
 }
 
-/// Public single-stage descent entry point: runs one stage of the scalar
-/// tape on `x` at one fixed sharpness out of the caller's workspace. Used by the `bench-solve` harness (to time the
-/// inner loop and count allocations per iteration in isolation) and by
-/// the allocation-free integration test; the solver proper goes through
-/// [`try_allocate`].
+/// One dense stage of the scalar tape on `x`, at one fixed sharpness, out
+/// of the caller's workspace.
+///
+/// A smooth stage runs at the top rung's tolerance, [`STATIONARITY_TOL`],
+/// so a ladder of these calls is the all-1e-6 solve that [`WARM_TOL`]
+/// loosened. Used by the `bench-solve` harness (to time the inner loop,
+/// count allocations per iteration and rebuild that ladder) and by the
+/// integration tests; the solver proper goes through [`try_allocate`].
 pub fn descend_stage(
     obj: &MdgObjective<'_>,
     x: &mut [f64],
@@ -330,7 +342,7 @@ pub fn descend_stage(
     let SolverWorkspace { scratch, descent, .. } = ws;
     descent.load(x);
     let mut model = ScalarTape { obj, sharp, scratch };
-    let iters = DenseStages { obj, max_iters, rel_tol }.run(&mut model, descent);
+    let iters = DenseStages { obj, max_iters, rel_tol }.run(&mut model, descent, STATIONARITY_TOL);
     x.copy_from_slice(descent.x());
     iters
 }

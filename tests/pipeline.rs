@@ -149,9 +149,13 @@ fn fig1_example_full_pipeline_exact() {
 /// re-captured at PR 20 (one quasi-Newton start) and, the ADMM row only,
 /// at PR 23 (one backward replay per gradient rounds `w_a·∇A_p +
 /// w_c·∇C_p` differently: 75 rounds / 6774 inner / 211 polish → 69 / 6277
-/// / 180, `Phi` −5.6e-4, `T_psa` −8.3e-3 relative) on x86-64 Linux, glibc
-/// libm; a platform whose `exp`/`ln` round differently may legitimately
-/// move the bits — re-capture there rather than loosening the comparison.
+/// / 180, `Phi` −5.6e-4, `T_psa` −8.3e-3 relative). The dense rows were
+/// re-captured again when the rungs below the ladder's top began stopping
+/// at `WARM_TOL` = 1e-3 (iterations 35 → 33, 40 → 32, 196 → 189; `Phi`
+/// +4.3e-11, +3.3e-9, −2.7e-6 relative; every `T_psa` bit unchanged).
+/// Captured on x86-64 Linux, glibc libm; a platform whose `exp`/`ln`
+/// round differently may legitimately move the bits — re-capture there
+/// rather than loosening the comparison.
 #[test]
 fn pipeline_outputs_are_pinned_to_the_bit() {
     use paradigm_core::{
@@ -160,22 +164,22 @@ fn pipeline_outputs_are_pinned_to_the_bit() {
     let table = KernelCostTable::cm5();
     // (label, graph, procs, Phi bits, T_psa bits, dense solver iterations).
     let dense: [(&str, Mdg, u32, u64, u64, usize); 3] = [
-        ("fig1@4", example_fig1_mdg(), 4, 0x402c_7a91_27db_8767, 0x402c_9999_9999_999a, 35),
+        ("fig1@4", example_fig1_mdg(), 4, 0x402c_7a91_27e0_cca0, 0x402c_9999_9999_999a, 33),
         (
             "cmm@16",
             complex_matmul_mdg(64, &table),
             16,
-            0x3fc0_aef7_80ad_1340,
+            0x3fc0_aef7_8198_d974,
             0x3fc1_177a_25e7_147f,
-            40,
+            32,
         ),
         (
             "strassen@64",
             strassen_mdg(128, &table),
             64,
-            0x3fb9_b7cc_87a0_2e48,
+            0x3fb9_b7c8_0d0a_a263,
             0x3fbe_6b19_a984_d636,
-            196,
+            189,
         ),
     ];
     for (label, g, procs, phi_bits, t_psa_bits, iterations) in &dense {
