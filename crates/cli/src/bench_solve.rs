@@ -41,8 +41,9 @@ const SWEEP_SLACK: f64 = 0.05;
 const SPREAD_LIMIT: f64 = 5e-3;
 
 /// Ceiling of the `warm` gate: how far the solve, whose rungs below the
-/// ladder's top stop at `WARM_TOL`, may land from the all-1e-6 ladder
-/// (measured worst: 4.6e-5, strassen-ml).
+/// ladder's top stop at `WARM_TOL`, may land above the all-1e-6 ladder.
+/// One-sided: landing below it is no loss (strassen at p = 64 reads
+/// −2.8e-3, where the reference misses the exact polish's kink escape).
 const LADDER_GAP_LIMIT: f64 = 1e-3;
 
 /// The sharpness values of the per-sweep table.
@@ -82,7 +83,8 @@ const TABLES: &[Table] = &[
             ("allocate_sweeps", "sweeps", 7, Cell::Int),
             // Its exact Phi, and that over the Phi of the same ladder with
             // every rung at `STATIONARITY_TOL` (rebuilt through
-            // `descend_stage`), minus 1.
+            // `descend_stage`), minus 1: negative where the solve lands
+            // lower.
             ("allocate_phi", "phi", 11, Cell::Sci(4)),
             ("ladder_gap", "lad_gap", 9, Cell::Sci(1)),
             // Over that solve, per descent iteration: points swept forward
@@ -357,15 +359,15 @@ const SPREAD: Gate = Gate {
 };
 
 /// The warm-rung gate: stopping the rungs below the ladder's top at
-/// `WARM_TOL` moves no case's Phi by more than [`LADDER_GAP_LIMIT`].
+/// `WARM_TOL` raises no case's Phi by more than [`LADDER_GAP_LIMIT`].
 const WARM: Gate = Gate {
     name: "warm",
     check: |report| {
-        let ok = format!("every case lands within {LADDER_GAP_LIMIT:e} of the all-1e-6 ladder");
+        let ok = format!("every case lands at most {LADDER_GAP_LIMIT:e} above the all-1e-6 ladder");
         every_case(report, &ok, |row| {
             let gap = row.num("ladder_gap");
-            (gap.is_nan() || gap.abs() > LADDER_GAP_LIMIT)
-                .then(|| format!("lands {gap:+.1e} from the all-1e-6 ladder"))
+            (gap.is_nan() || gap > LADDER_GAP_LIMIT)
+                .then(|| format!("lands {gap:+.1e} above the all-1e-6 ladder"))
         })
     },
 };
@@ -493,16 +495,18 @@ mod tests {
     }
 
     #[test]
-    fn warm_gate_fails_a_case_that_lands_off_the_tight_ladder() {
-        let ok = (WARM.check)(&report(vec![tiny_case()])).expect("2.7e-6 off");
-        assert!(ok.contains("within 1e-3"), "{ok}");
+    fn warm_gate_fails_a_case_that_lands_above_the_tight_ladder() {
+        let ok = (WARM.check)(&report(vec![tiny_case()])).expect("2.7e-6 below");
+        assert!(ok.contains("at most 1e-3 above"), "{ok}");
         // strassen at p = 64 under `fast()` with every rung below the top
         // stopped at 1e-2.
         let loose = tiny_with("loose", "ladder_gap", 2.8e-3);
-        let err = (WARM.check)(&report(vec![tiny_case(), loose])).expect_err("0.28 % off");
-        assert!(err.starts_with("loose lands +2.8e-3"), "{err}");
-        let below = tiny_with("below", "ladder_gap", -1.5e-3);
-        assert!((WARM.check)(&report(vec![below])).is_err(), "a gap either way fails");
+        let err = (WARM.check)(&report(vec![tiny_case(), loose])).expect_err("0.28 % above");
+        assert!(err.starts_with("loose lands +2.8e-3 above"), "{err}");
+        // The same case now: the solve keeps the polish's kink escape and
+        // the reference does not.
+        let below = tiny_with("below", "ladder_gap", -2.8e-3);
+        assert!((WARM.check)(&report(vec![below])).is_ok(), "landing lower is no failure");
         let nan = tiny_with("nan", "ladder_gap", f64::NAN);
         assert!((WARM.check)(&report(vec![nan])).is_err());
     }
@@ -517,7 +521,7 @@ mod tests {
         assert!(c.num("allocate_iters") > 0.0);
         assert!((0.0..=SPREAD_LIMIT).contains(&c.num("start_spread")), "{}", c.num("start_spread"));
         assert!(c.num("allocate_phi") > 0.0);
-        assert!(c.num("ladder_gap").abs() <= LADDER_GAP_LIMIT, "{}", c.num("ladder_gap"));
+        assert!(c.num("ladder_gap") <= LADDER_GAP_LIMIT, "{}", c.num("ladder_gap"));
         let Some(Json::Obj(sweeps)) = c.get("sweeps") else { panic!("no sweep table") };
         let rows: Vec<&str> = sweeps.iter().map(|(sharp, _)| sharp.as_str()).collect();
         assert_eq!(rows, ["exact", "8", "64", "256"]);

@@ -14,9 +14,15 @@
 //! below the ladder's top began stopping at `WARM_TOL` = 1e-3 instead of
 //! 1e-6 (default / fast iterations: fig1 43 → 39 / 35 → 33, cmm 75 → 54 /
 //! 40 → 32, strassen 484 → 367 / 196 → 189; Φ moved −1.1e-9 / +4.3e-11,
-//! −1.5e-8 / +3.3e-9, −4.3e-5 / −2.7e-6), on x86-64 Linux, glibc libm; a
-//! platform whose `exp`/`ln` round differently may legitimately move the
-//! bits — re-capture there rather than loosening the comparison.
+//! −1.5e-8 / +3.3e-9, −4.3e-5 / −2.7e-6), and again when the quasi-Newton
+//! direction took a per-variable initial matrix instead of `γ·I`
+//! (iterations: fig1 39 → 35 / 33 → 37, cmm 54 → 54 / 32 → 32, strassen
+//! 367 → 133 / 189 → 127; Φ moved +1.1e-9 / −6.1e-10, −3.7e-8 / −6.7e-8,
+//! +5.2e-4 / −3.4e-6 — the top rung of the +5.2e-4 case lands within
+//! 4e-8 of where it did, and the exact polish from there dead-ends after
+//! 5 iterations instead of 51, DESIGN.md §11), on x86-64 Linux, glibc
+//! libm; a platform whose `exp`/`ln` round differently may legitimately
+//! move the bits — re-capture there rather than loosening the comparison.
 
 use paradigm_cost::Machine;
 use paradigm_mdg::{complex_matmul_mdg, example_fig1_mdg, strassen_mdg, KernelCostTable, Mdg};
@@ -32,19 +38,19 @@ fn try_allocate_trajectories_are_pinned_to_the_bit() {
             "fig1@4",
             example_fig1_mdg(),
             4,
-            [(0x402c_7a52_e315_aa28, 39), (0x402c_7a91_27e0_cca0, 33)],
+            [(0x402c_7a52_e39b_f966, 35), (0x402c_7a91_2796_8e05, 37)],
         ),
         (
             "cmm@16",
             complex_matmul_mdg(64, &table),
             16,
-            [(0x3fc0_aaba_13c8_3e1c, 54), (0x3fc0_aef7_8198_d974, 32)],
+            [(0x3fc0_aaba_0968_0a4c, 54), (0x3fc0_aef7_6ef8_652c, 32)],
         ),
         (
             "strassen@64",
             strassen_mdg(128, &table),
             64,
-            [(0x3fb9_ae0a_4bcb_6322, 367), (0x3fb9_b7c8_0d0a_a263, 189)],
+            [(0x3fb9_b172_25a3_2f2e, 133), (0x3fb9_b7c2_435f_e211, 127)],
         ),
     ];
     for (label, g, procs, pins) in &cases {

@@ -4,13 +4,20 @@
 //!
 //! The reference is the solve with every rung at 1e-6, rebuilt from the
 //! public API: `descend_stage` per rung from the midpoint, then the exact
-//! polish. It is first held to the golden pins the solver carried before
-//! the lower rungs were loosened — so it *is* that solve — and the
-//! loosened solve is then held to it: the same Φ within 1e-3 on every
-//! gallery graph, in at most 85 % of its iterations, and to the bit where
-//! the ladder has no rung below the top. Measured on x86-64 Linux, glibc
-//! libm: worst Φ gap +4.6e-5 (strassen-ml at p = 64, `fast()`), 4715 of
-//! 6682 iterations (−29 %) over the 46 gallery solves.
+//! polish. Its Φ bits and iterations are pinned on the three paper graphs.
+//! When the rungs were loosened these pins were the solver's previous
+//! goldens, which proved the reference to be that solve; they were
+//! re-captured when the quasi-Newton direction took a per-variable initial
+//! matrix (e.g. fig1@4 `default()` 43 → 45 iterations, strassen@64
+//! `default()` 484 → 189). The loosened solve is then held to it: Φ at
+//! most 1e-3 above it on every gallery graph, in at most 85 % of its
+//! iterations, and to the bit where the ladder has no rung below the top.
+//! The check is one-sided because landing lower is no failure: on
+//! strassen at p = 64 under `fast()` the reference misses the exact
+//! polish's escape from a kink (DESIGN.md §11) and reads 2.8e-3 *above*
+//! the solve. Measured on x86-64 Linux, glibc libm: worst Φ +7.9e-6
+//! (strassen-ml at p = 64, `default()`), 3 401 of 4 204 iterations (−19 %)
+//! over the 46 gallery solves.
 
 use paradigm_core::{gallery_graph, GALLERY_NAMES};
 use paradigm_cost::Machine;
@@ -47,8 +54,7 @@ fn configs() -> [(&'static str, SolverConfig); 2] {
 
 #[test]
 fn the_reference_is_the_all_tight_solve_to_the_bit() {
-    // `crates/solver/tests/golden.rs` before `WARM_TOL`: (default, fast)
-    // as (Φ bits, iterations).
+    // (default, fast) as (Φ bits, iterations).
     let table = KernelCostTable::cm5();
     type Pin = (u64, usize);
     let pins: [(&str, Mdg, u32, [Pin; 2]); 3] = [
@@ -56,19 +62,19 @@ fn the_reference_is_the_all_tight_solve_to_the_bit() {
             "fig1@4",
             example_fig1_mdg(),
             4,
-            [(0x402c_7a52_e397_9dc0, 43), (0x402c_7a91_27db_8767, 35)],
+            [(0x402c_7a52_dd9c_32e4, 45), (0x402c_7a91_27e1_4152, 37)],
         ),
         (
             "cmm@16",
             complex_matmul_mdg(64, &table),
             16,
-            [(0x3fc0_aaba_17e0_f5d2, 75), (0x3fc0_aef7_80ad_1340, 40)],
+            [(0x3fc0_aaba_1c3f_ee36, 68), (0x3fc0_aef7_7ca9_0888, 37)],
         ),
         (
             "strassen@64",
             strassen_mdg(128, &table),
             64,
-            [(0x3fb9_ae52_c401_e3b8, 484), (0x3fb9_b7cc_87a0_2e48, 196)],
+            [(0x3fb9_b172_4d5b_5b20, 189), (0x3fb9_ca47_1340_aa1d, 77)],
         ),
     ];
     for (label, g, procs, pins) in &pins {
@@ -93,7 +99,7 @@ fn warm_rungs_keep_phi_within_1e_3_in_at_most_85_percent_of_the_iterations() {
                 let (phi, n) = solve(&g, machine, &cfg);
                 let (phi_ref, n_ref) = tight_ladder(&g, machine, &cfg);
                 let gap = phi / phi_ref - 1.0;
-                assert!(gap.abs() <= 1e-3, "{name}@p{p} {cfg_name}: Phi {gap:+.2e} off");
+                assert!(gap <= 1e-3, "{name}@p{p} {cfg_name}: Phi {gap:+.2e} above");
                 iters += n;
                 ref_iters += n_ref;
             }
