@@ -39,7 +39,7 @@
 //! do not. So the sub-MDG is compiled into an objective once per solve:
 //! the compiled form rides in the job's [`TapeSlot`], and
 //! [`solve_block_job`] re-attaches it to each round's sub-MDG (a shape
-//! check and two coefficient writes per node —
+//! check and two coefficient writes per node into its program —
 //! `paradigm_solver::DetachedObjective::attach`) or, when the slot is
 //! empty or holds another shape, compiles. And the model's gradient
 //! `w_a·∇A_p + w_c·∇C_p` is *one* backward replay of the tape the
@@ -86,13 +86,16 @@ impl GlobalSweeps {
     }
 }
 
-/// Run the exact forward/backward sweeps of `obj` at `x`.
+/// Run the exact forward/backward sweeps of `obj` at `x`, reading `T_v`
+/// and `t^D_e` from the root slots of one exact sweep of its program, on
+/// a scratch of its own (no pooled workspace counts it).
 pub fn global_sweeps(obj: &MdgObjective<'_>, x: &[f64]) -> GlobalSweeps {
     let g = obj.graph();
-    let t: Vec<f64> =
-        g.nodes().map(|(id, _)| obj.node_expr(id).eval(x, Sharpness::Exact)).collect();
-    let d: Vec<f64> =
-        g.edges().map(|(id, _)| obj.edge_expr(id).eval(x, Sharpness::Exact)).collect();
+    let n = g.node_count();
+    let mut scratch = EvalScratch::default();
+    obj.forward_record(x, Sharpness::Exact, &mut scratch);
+    let (t, d) = scratch.tape_values()[..n + g.edge_count()].split_at(n);
+    let (t, d) = (t.to_vec(), d.to_vec());
     let y = g.finish_times_with(|v| t[v.0], |e| d[e.0]);
     let mut down = vec![0.0_f64; g.node_count()];
     for &v in g.topo_order().iter().rev() {
@@ -218,10 +221,11 @@ pub struct BlockMaps {
 }
 
 /// Frozen transfer cost a single excluded edge contributes to one
-/// endpoint's `T`, replicating the objective's per-edge terms (see
-/// `MdgObjective::new`) at fixed processor counts. `sender` picks the
-/// `t^S` (source) or `t^R` (destination) side; `p_self` / `p_other` are
-/// the endpoint processor counts at the consensus point.
+/// endpoint's `T`, replicating the objective's send/receive terms
+/// (`transfer_cost` in the solver's `objective.rs`) at fixed processor
+/// counts. `sender` picks the `t^S` (source) or `t^R` (destination)
+/// side; `p_self` / `p_other` are the endpoint processor counts at the
+/// consensus point.
 fn frozen_edge_cost(
     machine: &Machine,
     transfers: &[paradigm_mdg::ArrayTransfer],

@@ -154,12 +154,12 @@ pub fn certificate_json(obj: &MdgObjective<'_>, oc: &ObjectiveCertificate) -> Js
     let nodes = g
         .nodes()
         .zip(&oc.nodes)
-        .map(|((id, _), c)| tree_json(obj.node_expr(id), c, procs).0)
+        .map(|((id, _), c)| tree_json(&obj.node_expr(id), c, procs).0)
         .collect();
     let edges = g
         .edges()
         .zip(&oc.edges)
-        .map(|((id, _), c)| tree_json(obj.edge_expr(id), c, procs).0)
+        .map(|((id, _), c)| tree_json(&obj.edge_expr(id), c, procs).0)
         .collect();
     Json::Obj(vec![
         ("version".into(), Json::num(CERT_VERSION as f64)),
@@ -168,7 +168,7 @@ pub fn certificate_json(obj: &MdgObjective<'_>, oc: &ObjectiveCertificate) -> Js
         ("num_vars".into(), Json::num(obj.num_vars() as f64)),
         ("phi_class".into(), Json::str(oc.phi_class().to_string())),
         ("monomials".into(), Json::num(oc.monomial_count() as f64)),
-        ("area".into(), tree_json(obj.area_expr(), &oc.area, procs).0),
+        ("area".into(), tree_json(&obj.area_expr(), &oc.area, procs).0),
         ("nodes".into(), Json::Arr(nodes)),
         ("edges".into(), Json::Arr(edges)),
         ("memory".into(), memory_json(&analyze_resources(g, obj.machine()))),

@@ -369,17 +369,17 @@ pub fn certify_objective(
 ) -> Result<ObjectiveCertificate, ObjectiveCounterexample> {
     let n = obj.num_vars();
     let g = obj.graph();
-    let area = certify_in(obj.area_expr(), n)
+    let area = certify_in(&obj.area_expr(), n)
         .map_err(|inner| ObjectiveCounterexample { part: ObjectivePart::Area, inner })?;
     let mut nodes = Vec::with_capacity(g.node_count());
     for (id, _) in g.nodes() {
-        let c = certify_in(obj.node_expr(id), n)
+        let c = certify_in(&obj.node_expr(id), n)
             .map_err(|inner| ObjectiveCounterexample { part: ObjectivePart::Node(id), inner })?;
         nodes.push(c);
     }
     let mut edges = Vec::with_capacity(g.edge_count());
     for (eid, _) in g.edges() {
-        let c = certify_in(obj.edge_expr(eid), n)
+        let c = certify_in(&obj.edge_expr(eid), n)
             .map_err(|inner| ObjectiveCounterexample { part: ObjectivePart::Edge(eid), inner })?;
         edges.push(c);
     }

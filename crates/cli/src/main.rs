@@ -4,8 +4,8 @@
 //! failures), 2 = usage or internal error.
 
 /// The counting allocator backs `bench-solve`'s allocs-per-iteration
-/// metric; outside the benchmark its cost is one relaxed atomic add per
-/// allocation.
+/// metric; outside the benchmark its cost is a few thread-local adds per
+/// allocation and free.
 #[global_allocator]
 static ALLOC: paradigm_solver::CountingAllocator = paradigm_solver::CountingAllocator;
 

@@ -10,8 +10,10 @@
 //! square roots, and an interpreter that executes one op at a time runs
 //! those chains one after the other with the divider idle in between.
 //!
-//! A [`LevelProgram`] is compiled once per objective from *all* of its
-//! expressions (the roots):
+//! A [`LevelProgram`] is compiled once per objective from its
+//! expressions (the roots), handed over one at a time and dropped once
+//! placed. Placement is level-local; one relocation pass at the end, when
+//! every level's size is known, fixes where each level's slots start:
 //!
 //! * **one value slot per op** — `vals[slot]`. Root `r` owns slot `r`;
 //!   the children of every op own one contiguous block of slots in child
@@ -62,6 +64,7 @@
 
 use crate::expr::{Expr, Monomial, Sharpness};
 use crate::workspace::EvalScratch;
+use std::borrow::Borrow;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::ops::Range;
@@ -126,7 +129,8 @@ pub(crate) struct Mono {
     pub(crate) hi: u32,
     pub(crate) slot: u32,
     /// Index of this monomial's exponent vector among the program's
-    /// distinct ones; constants point at the trailing `1.0` entry.
+    /// distinct ones; constants point at the trailing `1.0` entry. (While
+    /// the compile places ops, the section tag of `slot`.)
     exp: u32,
 }
 
@@ -141,21 +145,21 @@ pub(crate) struct Reduce {
     pub(crate) w0: u32,
 }
 
-/// The ops of one level, as ranges into the program's flat op lists.
+/// The ops of one level.
 #[derive(Debug, Clone)]
 pub(crate) struct Level {
     /// First child slot this level allocated: every output of the level
     /// is below it, every operand at or above it.
     pub(crate) child_base: u32,
-    /// Arity-2 maxes: op `i` (output slot `max2_out[max2][i]`) reads
+    /// Arity-2 maxes: op `i` (output slot `max2_out[i]`) reads
     /// `child_base + i` and `child_base + n + i` and records its weights
     /// at `w0 + i` and `w0 + n + i`, `n` being the level's arity-2 count.
-    pub(crate) max2: Range<usize>,
+    pub(crate) max2_out: Vec<u32>,
     pub(crate) w0: u32,
-    /// Maxes of any other arity (ranges into `reduces`).
-    pub(crate) maxes: Range<usize>,
+    /// Maxes of any other arity.
+    pub(crate) maxes: Vec<Reduce>,
     /// Sums.
-    pub(crate) sums: Range<usize>,
+    pub(crate) sums: Vec<Reduce>,
 }
 
 /// Shape of a compiled program, for the benches and the docs.
@@ -179,7 +183,7 @@ pub struct TapeStats {
 }
 
 /// All expressions of one objective compiled into one level-by-level
-/// program (see the module docs). Build once with
+/// program (see the module docs). Build once, root by root, with
 /// [`LevelProgram::compile`].
 #[derive(Debug, Clone)]
 pub struct LevelProgram {
@@ -196,18 +200,8 @@ pub struct LevelProgram {
     pub(crate) exp_keys: Vec<(u32, u32)>,
     /// Levels bottom-up (level 1 first).
     pub(crate) levels: Vec<Level>,
-    pub(crate) max2_out: Vec<u32>,
-    pub(crate) reduces: Vec<Reduce>,
     /// Monomial-table range of each root.
     mono_ranges: Vec<(u32, u32)>,
-    /// Table indices of the monomials that are direct children of a root
-    /// (the root itself when it is one monomial), in child order, as the
-    /// placer met them: root `r`'s are `direct_monos[lo..hi]` with
-    /// `(lo, hi) = direct_ranges[r]`. What lets a caller rewrite a
-    /// coefficient ([`LevelProgram::set_coeff`]) without inferring its
-    /// position from the accumulation order.
-    direct_monos: Vec<u32>,
-    direct_ranges: Vec<(u32, u32)>,
     /// Value slots: one per op.
     pub(crate) n_slots: usize,
     /// Weight slots: Σ arity over maxes.
@@ -220,74 +214,55 @@ pub struct LevelProgram {
     pub(crate) needs_halves: bool,
 }
 
-/// What one level holds, counted before any slot is handed out.
-#[derive(Default, Clone, Copy)]
-struct LevelCount {
-    max2: u32,
-    maxes: u32,
+/// The four sections of a level's block of child slots, in slot order:
+/// the first candidates of its arity-2 maxes, their second candidates,
+/// the child blocks of its other maxes, the child blocks of its sums.
+const FIRST: u32 = 0;
+const MAX_KIDS: u32 = 2;
+const SUM_KIDS: u32 = 3;
+
+/// Section tag of an output slot that is final as placed: a root's.
+const ROOT: u32 = u32::MAX;
+
+/// Section tag of section `section` of level `level`'s child block.
+fn tag(level: usize, section: u32) -> u32 {
+    4 * (level as u32 - 1) + section
+}
+
+/// One level while the compile fills it: its ops, each beside the
+/// section tag of its output slot, and the child slots its maxes and sums
+/// have taken. Until the relocation at the end every slot reference
+/// counts from the start of its section: a child block's `c0` / `w0`
+/// from its own level's, an output slot from the section its tag names.
+#[derive(Default)]
+struct OpenLevel {
+    max2_out: Vec<(u32, u32)>,
+    maxes: Vec<(Reduce, u32)>,
+    sums: Vec<(Reduce, u32)>,
     max_kids: u32,
-    sums: u32,
     sum_kids: u32,
 }
 
-/// First pass of the compile: the level of `e`, counting every op of its
-/// tree into its level's tally (`counts[ℓ - 1]`) and its monomials and
-/// their terms into `leaves`.
-fn count(e: &Expr, counts: &mut Vec<LevelCount>, leaves: &mut (usize, usize)) -> usize {
-    let v = match e {
-        Expr::Mono(m) => {
-            leaves.0 += 1;
-            leaves.1 += if m.coeff == 0.0 { 0 } else { m.exps.len() };
-            return 0;
-        }
-        Expr::Sum(v) | Expr::Max(v) => v,
-    };
-    let level = 1 + v.iter().map(|c| count(c, counts, leaves)).max().unwrap_or(0);
-    if counts.len() < level {
-        counts.resize(level, LevelCount::default());
-    }
-    let (c, arity) = (&mut counts[level - 1], v.len() as u32);
-    match e {
-        Expr::Max(_) if arity == 2 => c.max2 += 1,
-        Expr::Max(_) => (c.maxes, c.max_kids) = (c.maxes + 1, c.max_kids + arity),
-        _ => (c.sums, c.sum_kids) = (c.sums + 1, c.sum_kids + arity),
-    }
-    level
-}
-
-/// Where the second pass put an op, so that its parent — which learns
-/// its own level, and with it its children's slots, only after visiting
-/// them — can fill in the op's output slot.
+/// Where the placer put an op, so that its parent — which learns its
+/// own level, and with it its children's slots, only after visiting
+/// them — can fill in the op's output slot. (Level index, position.)
 #[derive(Clone, Copy)]
 enum Placed {
     Mono(usize),
-    Max2(usize),
-    Reduce(usize),
+    Max2(usize, usize),
+    Max(usize, usize),
+    Sum(usize, usize),
 }
 
-/// Next free list position, child slot and weight slot of each kind
-/// within one level.
-struct Cursor {
-    max2: usize,
-    maxes: usize,
-    max_slot: u32,
-    max_w: u32,
-    sums: usize,
-    sum_slot: u32,
-}
-
-/// Second pass of the compile: fills the program's op lists, walking
-/// each tree once.
-struct Placer<'p> {
-    prog: &'p mut LevelProgram,
-    next: Vec<Cursor>,
+/// The compile's state between two roots.
+struct Placer {
+    prog: LevelProgram,
+    open: Vec<OpenLevel>,
     /// Handles of visited children whose parent has not finished yet.
     kids: Vec<Placed>,
-    /// Ops open above the one being placed: 0 at a root.
-    depth: usize,
 }
 
-impl Placer<'_> {
+impl Placer {
     /// Place the tree `e`; returns its level and the handle through which
     /// the caller sets its output slot. Children are visited right to
     /// left, so the monomial table fills in the order a post-order
@@ -299,55 +274,70 @@ impl Placer<'_> {
         };
         let first_kid = self.kids.len();
         let mut level = 0;
-        self.depth += 1;
         for c in v.iter().rev() {
             let (l, placed) = self.place(c);
             level = level.max(l);
             self.kids.push(placed);
         }
-        self.depth -= 1;
-        let (lv, cur) = (&self.prog.levels[level], &mut self.next[level]);
         level += 1;
+        if self.open.len() < level {
+            self.open.resize_with(level, OpenLevel::default);
+        }
+        let lv = &mut self.open[level - 1];
         let arity = v.len() as u32;
-        // Slot of child 0 and the slot stride from one child to the next.
-        let (placed, c0, stride) = match e {
+        // The op's handle and the section and local slot of child 0. The
+        // children of an arity-2 max sit at one position of two sections,
+        // those of any other op in consecutive slots of one.
+        let (placed, section, c0, two_sections) = match e {
             Expr::Max(_) if arity == 2 => {
-                let i = cur.max2;
-                cur.max2 += 1;
-                let at = lv.child_base + (i - lv.max2.start) as u32;
-                (Placed::Max2(i), at, lv.max2.len() as u32)
+                let i = lv.max2_out.len();
+                lv.max2_out.push((0, ROOT));
+                (Placed::Max2(level, i), FIRST, i as u32, true)
             }
             Expr::Max(_) => {
-                let (i, c0, w0) = (cur.maxes, cur.max_slot, cur.max_w);
-                (cur.maxes, cur.max_slot, cur.max_w) = (i + 1, c0 + arity, w0 + arity);
-                self.prog.reduces[i] = Reduce { out: 0, c0, arity, w0 };
-                (Placed::Reduce(i), c0, 1)
+                let c0 = lv.max_kids;
+                lv.max_kids += arity;
+                lv.maxes.push((Reduce { out: 0, c0, arity, w0: c0 }, ROOT));
+                (Placed::Max(level, lv.maxes.len() - 1), MAX_KIDS, c0, false)
             }
             _ => {
-                let (i, c0) = (cur.sums, cur.sum_slot);
-                (cur.sums, cur.sum_slot) = (i + 1, c0 + arity);
-                self.prog.reduces[i] = Reduce { out: 0, c0, arity, w0: 0 };
-                (Placed::Reduce(i), c0, 1)
+                let c0 = lv.sum_kids;
+                lv.sum_kids += arity;
+                lv.sums.push((Reduce { out: 0, c0, arity, w0: 0 }, ROOT));
+                (Placed::Sum(level, lv.sums.len() - 1), SUM_KIDS, c0, false)
             }
         };
         // The handles were pushed last child first: child 0 pops first.
         for t in 0..arity {
             let kid = self.kids.pop().expect("one handle per child");
-            if let (0, Placed::Mono(i)) = (self.depth, kid) {
-                self.prog.direct_monos.push(i as u32);
-            }
-            self.set_out(kid, c0 + t * stride);
+            let (section, local) = if two_sections { (section + t, c0) } else { (section, c0 + t) };
+            self.set_out(kid, tag(level, section), local);
         }
         debug_assert_eq!(self.kids.len(), first_kid);
         (level, placed)
     }
 
-    fn set_out(&mut self, placed: Placed, slot: u32) {
-        match placed {
-            Placed::Mono(i) => self.prog.monos[i].slot = slot,
-            Placed::Max2(i) => self.prog.max2_out[i] = slot,
-            Placed::Reduce(i) => self.prog.reduces[i].out = slot,
-        }
+    /// Point `placed`'s output at slot `local` of section `tag`.
+    fn set_out(&mut self, placed: Placed, tag: u32, local: u32) {
+        let (out, tag_of) = match placed {
+            Placed::Mono(i) => {
+                let m = &mut self.prog.monos[i];
+                (&mut m.slot, &mut m.exp)
+            }
+            Placed::Max2(l, i) => {
+                let (out, tag_of) = &mut self.open[l - 1].max2_out[i];
+                (out, tag_of)
+            }
+            Placed::Max(l, i) => {
+                let (r, tag_of) = &mut self.open[l - 1].maxes[i];
+                (&mut r.out, tag_of)
+            }
+            Placed::Sum(l, i) => {
+                let (r, tag_of) = &mut self.open[l - 1].sums[i];
+                (&mut r.out, tag_of)
+            }
+        };
+        (*out, *tag_of) = (local, tag);
     }
 
     /// Append `m` to the monomial table. A zero coefficient compiles to
@@ -355,7 +345,7 @@ impl Placer<'_> {
     /// the point and contributes nothing to any gradient, as
     /// `Monomial::eval` has it.
     fn push_mono(&mut self, m: &Monomial) -> usize {
-        let p = &mut *self.prog;
+        let p = &mut self.prog;
         let lo = p.terms.len() as u32;
         let n = p.n_vars as u32;
         let coeff = if m.coeff == 0.0 {
@@ -378,7 +368,7 @@ impl Placer<'_> {
             }
             m.coeff
         };
-        p.monos.push(Mono { coeff, lo, hi: p.terms.len() as u32, slot: 0, exp: 0 });
+        p.monos.push(Mono { coeff, lo, hi: p.terms.len() as u32, slot: 0, exp: ROOT });
         p.monos.len() - 1
     }
 }
@@ -406,108 +396,107 @@ impl PartialEq for ExpKey<'_> {
 impl Eq for ExpKey<'_> {}
 
 impl LevelProgram {
-    /// Compile `roots` over `n_vars` variables into one program. Root `r`
-    /// gets slot `r`. `replay` is the order (a permutation of the root
-    /// indices) in which the backward pass accumulates the roots'
-    /// monomials; within a root they go right to left, the order a
-    /// post-order adjoint stack pops them in. Child order is preserved
-    /// everywhere, so an exact sweep is bit-identical to [`Expr::eval`].
-    pub fn compile(n_vars: usize, roots: &[&Expr], replay: &[usize]) -> LevelProgram {
-        // Pass 1: what each level holds. That fixes the whole layout:
-        // roots first, then one block of child slots per level from the
-        // top level down — within a block the first candidates of the
-        // level's arity-2 maxes, their second candidates, the child
-        // blocks of its other maxes, the child blocks of its sums.
-        let mut counts = Vec::new();
-        let mut leaves = (0, 0);
-        for e in roots {
-            count(e, &mut counts, &mut leaves);
-        }
-        let (n_monos, n_terms) = leaves;
-        let mut levels = Vec::with_capacity(counts.len());
-        let mut next = Vec::with_capacity(counts.len());
-        let (mut slot, mut w) = (roots.len() as u32, 0_u32);
-        let (mut max2_at, mut reduce_at, mut max2_width) = (0, 0, 0);
-        for c in counts.iter().rev() {
-            let maxes_at = reduce_at;
-            let sums_at = maxes_at + c.maxes as usize;
-            reduce_at = sums_at + c.sums as usize;
-            levels.push(Level {
-                child_base: slot,
-                max2: max2_at..max2_at + c.max2 as usize,
-                w0: w,
-                maxes: maxes_at..sums_at,
-                sums: sums_at..reduce_at,
-            });
-            next.push(Cursor {
-                max2: max2_at,
-                maxes: maxes_at,
-                max_slot: slot + 2 * c.max2,
-                max_w: w + 2 * c.max2,
-                sums: sums_at,
-                sum_slot: slot + 2 * c.max2 + c.max_kids,
-            });
-            max2_at += c.max2 as usize;
-            max2_width = max2_width.max(c.max2 as usize);
-            slot += 2 * c.max2 + c.max_kids + c.sum_kids;
-            w += 2 * c.max2 + c.max_kids;
-        }
-        // Built top level first; the sweeps and the placer index them
-        // bottom-up (`levels[ℓ - 1]`).
-        levels.reverse();
-        next.reverse();
-        let mut prog = LevelProgram {
+    /// Compile `n_roots` roots over `n_vars` variables into one program.
+    /// `roots` yields `(r, tree)` in the order the backward pass
+    /// accumulates the roots' monomials, naming every `r < n_roots` once;
+    /// each tree is placed (and, handed over by value, dropped) before the
+    /// next is asked for. Root `r` gets slot `r`; within a root the
+    /// monomials go right to left, the order a post-order adjoint stack
+    /// pops them in. Child order is preserved everywhere, so an exact
+    /// sweep is bit-identical to [`Expr::eval`].
+    ///
+    /// # Panics
+    /// If `roots` names a root out of range, twice, or not at all.
+    pub fn compile<E: Borrow<Expr>>(
+        n_vars: usize,
+        n_roots: usize,
+        roots: impl IntoIterator<Item = (usize, E)>,
+    ) -> LevelProgram {
+        const UNPLACED: (u32, u32) = (u32::MAX, u32::MAX);
+        let prog = LevelProgram {
             n_vars,
-            monos: Vec::with_capacity(n_monos),
-            terms: Vec::with_capacity(n_terms),
-            rows: Vec::with_capacity(n_terms),
+            monos: Vec::new(),
+            terms: Vec::new(),
+            rows: Vec::new(),
             exp_keys: Vec::new(),
-            levels,
-            max2_out: vec![0; max2_at],
-            reduces: vec![Reduce { out: 0, c0: 0, arity: 0, w0: 0 }; reduce_at],
-            mono_ranges: vec![(0, 0); roots.len()],
-            direct_monos: Vec::new(),
-            direct_ranges: vec![(0, 0); roots.len()],
-            n_slots: slot as usize,
-            n_wts: w as usize,
-            max2_width,
+            levels: Vec::new(),
+            mono_ranges: vec![UNPLACED; n_roots],
+            n_slots: 0,
+            n_wts: 0,
+            max2_width: 0,
             needs_halves: false,
         };
+        let mut placer = Placer { prog, open: Vec::new(), kids: Vec::new() };
 
-        // Pass 2: place every op, the roots in accumulation order.
-        let mut placer = Placer { prog: &mut prog, next, kids: Vec::new(), depth: 0 };
-        for &r in replay {
+        // Place every op, level-locally, the roots in accumulation order.
+        for (r, e) in roots {
             let lo = placer.prog.monos.len() as u32;
-            let direct_lo = placer.prog.direct_monos.len() as u32;
-            let (_, placed) = placer.place(roots[r]);
-            if let Placed::Mono(i) = placed {
-                placer.prog.direct_monos.push(i as u32);
-            }
-            placer.set_out(placed, r as u32);
+            assert!(
+                placer.prog.mono_ranges.get(r) == Some(&UNPLACED),
+                "root {r} out of range or twice"
+            );
+            let (_, placed) = placer.place(e.borrow());
+            placer.set_out(placed, ROOT, r as u32);
             placer.prog.mono_ranges[r] = (lo, placer.prog.monos.len() as u32);
-            placer.prog.direct_ranges[r] = (direct_lo, placer.prog.direct_monos.len() as u32);
         }
-        assert_eq!(prog.monos.len(), n_monos, "`replay` must name every root exactly once");
+        assert!(!placer.prog.mono_ranges.contains(&UNPLACED), "every root must be named");
 
-        // Pass 3: one exponent slot per distinct exponent vector; the
-        // map lives only here.
+        // Relocation, top level first: the roots' slots, then one block
+        // of child slots per level from the top down, each block its four
+        // sections in order, `base[tag]` the first slot of section `tag`.
+        // A level's outputs lie in the blocks above it.
+        let Placer { mut prog, open, .. } = placer;
+        let (mut slot, mut w) = (n_roots as u32, 0_u32);
+        let mut base = vec![0_u32; 4 * open.len()];
+        let at =
+            |base: &[u32], tag, local| if tag == ROOT { local } else { base[tag as usize] + local };
+        for (l, lv) in open.into_iter().enumerate().rev() {
+            let n2 = lv.max2_out.len() as u32;
+            let sections = [slot, slot + n2, slot + 2 * n2, slot + 2 * n2 + lv.max_kids];
+            base[4 * l..4 * l + 4].copy_from_slice(&sections);
+            let max2_out = lv.max2_out.iter().map(|&(o, t)| at(&base, t, o)).collect();
+            let relocate = |ops: &[(Reduce, u32)], c0: u32, w0: u32| {
+                let op = |&(r, t): &(Reduce, u32)| Reduce {
+                    out: at(&base, t, r.out),
+                    c0: r.c0 + c0,
+                    w0: r.w0 + w0,
+                    ..r
+                };
+                ops.iter().map(op).collect()
+            };
+            let maxes = relocate(&lv.maxes, sections[2], w + 2 * n2);
+            let sums = relocate(&lv.sums, sections[3], 0);
+            prog.levels.push(Level { child_base: slot, max2_out, w0: w, maxes, sums });
+            prog.max2_width = prog.max2_width.max(n2 as usize);
+            slot += 2 * n2 + lv.max_kids + lv.sum_kids;
+            w += 2 * n2 + lv.max_kids;
+        }
+        prog.levels.reverse();
+        (prog.n_slots, prog.n_wts) = (slot as usize, w as usize);
+        for m in &mut prog.monos {
+            m.slot = at(&base, m.exp, m.slot);
+        }
+        prog.monos.shrink_to_fit();
+        prog.terms.shrink_to_fit();
+        prog.rows.shrink_to_fit();
+
+        // One exponent slot per distinct exponent vector, numbered in
+        // order of first use; the map lives only here.
         let LevelProgram { monos, terms, exp_keys, .. } = &mut prog;
         let mut seen: HashMap<ExpKey<'_>, u32> = HashMap::new();
-        for m in monos.iter_mut() {
+        for m in monos.iter_mut().filter(|m| m.lo != m.hi) {
             let (lo, hi) = (m.lo, m.hi);
-            if lo != hi {
-                m.exp =
-                    *seen.entry(ExpKey(&terms[lo as usize..hi as usize])).or_insert_with(|| {
-                        exp_keys.push((lo, hi));
-                        exp_keys.len() as u32 - 1
-                    });
-            }
+            m.exp = *seen.entry(ExpKey(&terms[lo as usize..hi as usize])).or_insert_with(|| {
+                exp_keys.push((lo, hi));
+                exp_keys.len() as u32 - 1
+            });
         }
         drop(seen);
         let constant = exp_keys.len() as u32;
         for m in monos.iter_mut().filter(|m| m.lo == m.hi) {
             m.exp = constant;
         }
+        exp_keys.shrink_to_fit();
         prog.needs_halves = prog.terms.iter().any(|&(_, a)| a == 0.5 || a == -0.5);
         prog
     }
@@ -526,13 +515,6 @@ impl LevelProgram {
         lo as usize..hi as usize
     }
 
-    /// Table indices of root `r`'s direct monomial children, in child
-    /// order (the root itself when it is one monomial).
-    pub(crate) fn direct_monos(&self, r: usize) -> &[u32] {
-        let (lo, hi) = self.direct_ranges[r];
-        &self.direct_monos[lo as usize..hi as usize]
-    }
-
     /// Overwrite the coefficient of table entry `i`, one non-zero value
     /// for another: a zero coefficient compiles to a constant without
     /// terms (`Placer::push_mono`), so whether it is zero is part of the
@@ -548,10 +530,10 @@ impl LevelProgram {
         let mut by_arity = std::collections::BTreeMap::new();
         let mut sums = 0;
         for lv in &self.levels {
-            if !lv.max2.is_empty() {
-                *by_arity.entry(2).or_insert(0) += lv.max2.len();
+            if !lv.max2_out.is_empty() {
+                *by_arity.entry(2).or_insert(0) += lv.max2_out.len();
             }
-            for r in &self.reduces[lv.maxes.clone()] {
+            for r in &lv.maxes {
                 *by_arity.entry(r.arity as usize).or_insert(0) += 1;
             }
             sums += lv.sums.len();
@@ -599,7 +581,7 @@ impl LevelProgram {
         for lv in &self.levels {
             let base = lv.child_base as usize;
             let (outs, kids) = vals.split_at_mut(base);
-            let n = lv.max2.len();
+            let n = lv.max2_out.len();
             if n > 0 {
                 let (a, b) = kids[..2 * n].split_at(n);
                 let (wa, wb) = wts[lv.w0 as usize..][..2 * n].split_at_mut(n);
@@ -608,11 +590,11 @@ impl LevelProgram {
                     Sharpness::Exact => max2_exact_rows(a, b, staged, wa, wb),
                     Sharpness::Smooth(s) => smax2_rows(s, a, b, staged, wa, wb),
                 }
-                for (&o, &v) in self.max2_out[lv.max2.clone()].iter().zip(&*staged) {
+                for (&o, &v) in lv.max2_out.iter().zip(&*staged) {
                     outs[o as usize] = v;
                 }
             }
-            for r in &self.reduces[lv.maxes.clone()] {
+            for r in &lv.maxes {
                 let (c0, arity) = (r.c0 as usize - base, r.arity as usize);
                 outs[r.out as usize] = smax_weights_fast(
                     &kids[c0..c0 + arity],
@@ -620,7 +602,7 @@ impl LevelProgram {
                     &mut wts[r.w0 as usize..r.w0 as usize + arity],
                 );
             }
-            for r in &self.reduces[lv.sums.clone()] {
+            for r in &lv.sums {
                 let c0 = r.c0 as usize - base;
                 let mut s = 0.0;
                 for &c in &kids[c0..c0 + r.arity as usize] {
@@ -657,19 +639,19 @@ impl LevelProgram {
         for lv in self.levels.iter().rev() {
             let base = lv.child_base as usize;
             let (outs, kids) = adj.split_at_mut(base);
-            let (n, w0) = (lv.max2.len(), lv.w0 as usize);
-            for (i, &o) in self.max2_out[lv.max2.clone()].iter().enumerate() {
+            let (n, w0) = (lv.max2_out.len(), lv.w0 as usize);
+            for (i, &o) in lv.max2_out.iter().enumerate() {
                 let a = outs[o as usize];
                 kids[i] = a * wts[w0 + i];
                 kids[n + i] = a * wts[w0 + n + i];
             }
-            for r in &self.reduces[lv.maxes.clone()] {
+            for r in &lv.maxes {
                 let a = outs[r.out as usize];
                 for t in 0..r.arity as usize {
                     kids[r.c0 as usize - base + t] = a * wts[r.w0 as usize + t];
                 }
             }
-            for r in &self.reduces[lv.sums.clone()] {
+            for r in &lv.sums {
                 let a = outs[r.out as usize];
                 kids[r.c0 as usize - base..][..r.arity as usize].fill(a);
             }
@@ -926,7 +908,7 @@ mod tests {
 
     /// One expression as a one-root program.
     fn single(e: &Expr, n_vars: usize) -> LevelProgram {
-        LevelProgram::compile(n_vars, &[e], &[0])
+        LevelProgram::compile(n_vars, 1, [(0, e)])
     }
 
     /// Scalar record + replay of a one-root program: the value and
@@ -951,9 +933,10 @@ mod tests {
     fn level_sweep_is_bitwise_identical_to_tree_at_exact() {
         let e = sample_expr();
         let prog = single(&e, 2);
-        // Placed right to left: the root's constant and ratio come first;
-        // the four monomials under its `max` are not its direct children.
-        assert_eq!((prog.direct_monos(0), prog.monos.len()), (&[1, 0][..], 6));
+        // Placed right to left: the root's last two children, a constant
+        // and a ratio, come first, the four monomials under its `max` last.
+        let coeffs: Vec<f64> = prog.monos.iter().map(|m| m.coeff).collect();
+        assert_eq!(coeffs, [0.3, 1.0, 0.25, 0.5, 1.0, 2.0]);
         let mut scratch = EvalScratch::default();
         for x in [[0.0, 0.0], [1.0, 2.0], [-0.5, 0.7], [2.0, -1.0]] {
             let v0 = e.eval(&x, Sharpness::Exact);
@@ -1156,8 +1139,7 @@ mod tests {
                 Expr::Max(vec![]),
             ]),
         ];
-        let refs: Vec<&Expr> = roots.iter().collect();
-        let prog = LevelProgram::compile(2, &refs, &[2, 0, 1]);
+        let prog = LevelProgram::compile(2, 3, [2, 0, 1].map(|r| (r, &roots[r])));
         let stats = prog.stats();
         assert_eq!(stats.monomials, 6);
         assert_eq!(stats.distinct_exponent_vectors, 2, "p0/p1 three times, 1/p1 once");
@@ -1172,11 +1154,13 @@ mod tests {
         // Right to left within a root: root 0's table reads 3, 1, 2.
         let coeffs: Vec<f64> = prog.monos[2..5].iter().map(|m| m.coeff).collect();
         assert_eq!(coeffs, [3.0, 1.0, 2.0]);
-        // A root's direct monomials, in child order; the nested empty
-        // `Sum` / `Max` of root 2 hold none.
-        assert_eq!(prog.direct_monos(0), [4, 3, 2]);
-        assert_eq!(prog.direct_monos(1), [5]);
-        assert_eq!(prog.direct_monos(2), [1, 0]);
+        // So a root's k-th monomial child is the k-th entry from the end of
+        // its range (where the objective finds a node's cost terms); the
+        // nested empty `Sum` / `Max` of root 2 place nothing.
+        let from_end = |r: usize, k: usize| prog.monos[prog.mono_range(r).end - 1 - k].coeff;
+        assert_eq!([from_end(0, 0), from_end(0, 1), from_end(0, 2)], [2.0, 1.0, 3.0]);
+        assert_eq!(from_end(1, 0), 0.0);
+        assert_eq!([from_end(2, 0), from_end(2, 1)], [0.5, 4.0]);
         let mut scratch = EvalScratch::default();
         let x = [0.4, 1.1];
         for sharp in [Sharpness::Exact, Sharpness::Smooth(8.0)] {

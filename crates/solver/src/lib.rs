@@ -41,7 +41,8 @@
 //! * [`workspace`] — reusable, pooled scratch buffers that make the
 //!   descent loop allocation-free after warm-up;
 //! * [`alloc_count`] — an optional counting global allocator backing the
-//!   zero-allocation test and the `bench-solve` allocs/iter metric.
+//!   zero-allocation test, the `bench-solve` allocs/iter metric and the
+//!   objective's byte guard (per-thread live bytes and high-water mark).
 
 pub mod alloc_count;
 pub mod bruteforce;
@@ -56,7 +57,9 @@ pub mod race_suites;
 pub mod solve;
 pub mod workspace;
 
-pub use alloc_count::{allocation_count, CountingAllocator};
+pub use alloc_count::{
+    allocation_count, live_bytes, peak_bytes, reset_peak_bytes, CountingAllocator,
+};
 pub use bruteforce::{brute_force_pow2, BruteForceResult};
 pub use compiled::TapeStats;
 pub use coordinate::{allocate_coordinate, CoordinateConfig, CoordinateResult};

@@ -4,6 +4,12 @@
 //! START/STOP variables never appear in any term because structural edges
 //! carry no data).
 //!
+//! The objective holds these expressions only as its level program
+//! ([`crate::compiled`]), one root per node and per edge: the compile
+//! asks for one tree at a time and drops it once placed. The trees
+//! ([`MdgObjective::node_expr`] and the like) are built on request, for
+//! the certifier, the cert JSON and the forward-mode oracle.
+//!
 //! The network edge weight needs one care point: for 1D transfers the
 //! exact cost is `L t_n / max(p_i, p_j)`, which is a *min* of monomials
 //! and not log-convex. The objective substitutes the monomial upper bound
@@ -14,8 +20,8 @@
 //! `paradigm-cost`'s exact evaluator.
 //!
 //! What a compiled objective is valid for. Everything the build derives
-//! from its inputs — expression trees, level program, replay order —
-//! depends on the machine's constants, on the DAG (edge endpoints and
+//! from its inputs — the level program and its replay order — depends
+//! on the machine's constants, on the DAG (edge endpoints and
 //! transfers; adjacency and the topological order follow from the edge
 //! list) and on *which* of each node's two processing-cost coefficients
 //! `α·τ`, `(1−α)·τ` are zero (`Expr::sum` drops a zero term, so the zero
@@ -25,17 +31,16 @@
 //! into its ghost and virtual nodes each round — therefore builds once:
 //! [`MdgObjective::detach`] gives up the graph borrow,
 //! [`DetachedObjective::attach`] checks a graph against the shape the
-//! build recorded and rewrites the two coefficients per node where the
-//! build recorded them, or refuses, and then the caller builds. An
-//! attached objective is the built one to the bit
+//! build recorded and rewrites the two coefficients per node in the
+//! program where the build recorded them, or refuses, and then the
+//! caller builds. An attached objective is the built one to the bit
 //! (`tests/tape_carry.rs`).
 
 use crate::compiled::{smax_weights_fast, LevelProgram, TapeStats};
 use crate::expr::{smax_pair_weights, smax_weights, Expr, Monomial, Sharpness};
 use crate::workspace::{self, EvalScratch};
-use paradigm_cost::{Allocation, Machine, MdgWeights, PhiBreakdown};
-use paradigm_mdg::{AmdahlParams, ArrayTransfer, EdgeId, Mdg, NodeId, TransferKind};
-use std::sync::OnceLock;
+use paradigm_cost::{Allocation, Machine, MdgWeights, PhiBreakdown, TransferParams};
+use paradigm_mdg::{AmdahlParams, ArrayTransfer, Edge, EdgeId, Mdg, NodeId, TransferKind};
 
 /// The evaluated objective components at one point.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -48,35 +53,24 @@ pub struct ObjectiveParts {
     pub c_p: f64,
 }
 
-/// The symbolic objective for one (MDG, machine) pair.
+/// The objective for one (MDG, machine) pair.
 pub struct MdgObjective<'g> {
     g: &'g Mdg,
     machine: Machine,
-    /// `T_i` per node, as an expression over `x`.
-    node_t: Vec<Expr>,
-    /// `t^D` per edge (zero when `t_n = 0`).
-    edge_d: Vec<Expr>,
-    /// `A_p` as a single expression, built on first use: it clones and
-    /// re-scales every node expression, and only inspection,
-    /// certification and the forward-mode reference read it.
-    area: OnceLock<Expr>,
-    /// The level program of every expression above, swept by the hot
-    /// evaluation/gradient paths.
+    /// The level program of every node's `T` and every edge's `t^D`,
+    /// swept by every evaluation.
     tapes: Tapes,
-    /// What the fields above were built for, besides `machine`.
+    /// What the program was built for, besides `machine`.
     shape: Shape,
 }
 
 /// A compiled objective without its graph borrow: what
 /// [`MdgObjective::detach`] leaves and [`DetachedObjective::attach`]
 /// turns back into an objective for any graph of the same shape (module
-/// docs). `A_p`'s expression is not carried: it is rebuilt from the
-/// rewritten node expressions on first use.
+/// docs).
 #[derive(Debug)]
 pub struct DetachedObjective {
     machine: Machine,
-    node_t: Vec<Expr>,
-    edge_d: Vec<Expr>,
     tapes: Tapes,
     shape: Shape,
 }
@@ -107,13 +101,16 @@ impl Shape {
         });
         let edges = edges.collect();
         let cost_sites = g.nodes().map(|(id, node)| {
-            // The cost terms are the first terms of a node's sum.
-            let mut direct = prog.direct_monos(id.0).iter();
+            // The cost terms open a node's sum, and the compile places a
+            // root's monomials right to left: the k-th non-zero one is the
+            // k-th from the end of the node's range.
+            let mut end = prog.mono_range(id.0).end as u32;
             cost_coeffs(&node.cost).map(|c| {
                 if c == 0.0 {
                     return NO_SITE;
                 }
-                *direct.next().expect("a cost term is a direct monomial of its node")
+                end -= 1;
+                end
             })
         });
         Shape { topo: g.topo_order().to_vec(), edges, xfers, cost_sites: cost_sites.collect() }
@@ -140,6 +137,68 @@ fn cost_coeffs(cost: &AmdahlParams) -> [f64; 2] {
     } else {
         [0.0, 0.0]
     }
+}
+
+/// `T_v` of node `v` as an expression over `x`: its processing cost
+/// terms first — where `Shape::of` looks for them — then the send or
+/// receive cost of every transfer on its edges, in edge-id order.
+/// (`in_edges` and `out_edges` are each ascending by edge id, and no
+/// edge is in both.)
+fn node_tree(g: &Mdg, xfer: &TransferParams, v: NodeId) -> Expr {
+    let [serial, parallel] = cost_coeffs(&g.node(v).cost);
+    let mut terms = Vec::new();
+    if serial != 0.0 {
+        terms.push(Expr::Mono(Monomial::constant(serial)));
+    }
+    if parallel != 0.0 {
+        terms.push(Expr::Mono(Monomial::single(parallel, v.0, -1.0)));
+    }
+    let (mut ins, mut outs) = (g.in_edges(v).iter().peekable(), g.out_edges(v).iter().peekable());
+    loop {
+        let sender = match (ins.peek(), outs.peek()) {
+            (None, None) => break,
+            (Some(i), Some(o)) => o < i,
+            (_, out) => out.is_some(),
+        };
+        let e = if sender { outs.next() } else { ins.next() };
+        let edge = g.edge(*e.expect("peeked"));
+        terms.extend(edge.transfers.iter().map(|t| transfer_cost(xfer, edge, t, sender)));
+    }
+    Expr::sum(terms)
+}
+
+/// What one transfer of `edge` adds to the `T` of its source (`sender`,
+/// `t^S`) or destination (`t^R`), `me` being that endpoint and `other`
+/// the opposite one: `max(p_i, p_j)/p_me · t_s + L/p_me · t_p` for a 1D
+/// transfer, `p_other · t_s + L/p_me · t_p` for a 2D one.
+fn transfer_cost(x: &TransferParams, edge: &Edge, t: &ArrayTransfer, sender: bool) -> Expr {
+    let (me, other, t_s, t_p) = if sender {
+        (edge.src, edge.dst, x.t_ss, x.t_ps)
+    } else {
+        (edge.dst, edge.src, x.t_sr, x.t_pr)
+    };
+    let startup = match t.kind {
+        TransferKind::OneD => Expr::max(vec![
+            Expr::Mono(Monomial::constant(t_s)),
+            Expr::Mono(Monomial::pair(t_s, other, 1.0, me, -1.0)),
+        ]),
+        TransferKind::TwoD => Expr::Mono(Monomial::single(t_s, other, 1.0)),
+    };
+    Expr::sum(vec![startup, Expr::Mono(Monomial::single(t.bytes as f64 * t_p, me, -1.0))])
+}
+
+/// `t^D` of `edge`: zero when the machine's `t_n` is zero, else per
+/// transfer `L t_n / (p_i p_j)` for 2D and, for 1D, the monomial upper
+/// bound `L t_n / sqrt(p_i p_j)` of `L t_n / max(p_i, p_j)` (module docs).
+fn edge_tree(x: &TransferParams, edge: &Edge) -> Expr {
+    let terms = edge.transfers.iter().filter(|_| x.t_n > 0.0).map(|t| {
+        let a = match t.kind {
+            TransferKind::OneD => -0.5,
+            TransferKind::TwoD => -1.0,
+        };
+        Expr::Mono(Monomial::pair(t.bytes as f64 * x.t_n, edge.src, a, edge.dst, a))
+    });
+    Expr::sum(terms.collect())
 }
 
 /// What no objective is built for or attached to: a machine without
@@ -187,20 +246,17 @@ struct Tapes {
 }
 
 impl Tapes {
-    fn build(g: &Mdg, node_t: &[Expr], edge_d: &[Expr]) -> Tapes {
-        let n = node_t.len();
-        let roots: Vec<&Expr> = node_t.iter().chain(edge_d).collect();
-        // The order the backward sweep reaches the expressions in: per
-        // node in reverse topological order, its own, then its in-edges'.
-        let mut replay = Vec::with_capacity(roots.len());
-        let mut max_in = 0;
-        for &v in g.topo_order().iter().rev() {
-            let in_edges = g.in_edges(v);
-            max_in = max_in.max(in_edges.len());
-            replay.push(v.0);
-            replay.extend(in_edges.iter().map(|e| n + e.0));
-        }
-        let prog = LevelProgram::compile(n, &roots, &replay);
+    fn build(g: &Mdg, machine: &Machine) -> Tapes {
+        let (n, x) = (g.node_count(), &machine.xfer);
+        // The expressions in the order the backward sweep reaches them —
+        // per node in reverse topological order, its own, then its
+        // in-edges' — each built as the compile asks for it.
+        let roots = g.topo_order().iter().rev().flat_map(|&v| {
+            let edges = g.in_edges(v).iter().map(move |&e| (n + e.0, edge_tree(x, g.edge(e))));
+            std::iter::once((v.0, node_tree(g, x, v))).chain(edges)
+        });
+        let prog = LevelProgram::compile(n, n + g.edge_count(), roots);
+        let max_in = g.topo_order().iter().map(|&v| g.in_edges(v).len()).max().unwrap_or(0);
         let ends = g.topo_order().iter().rev();
         let replay_ends = ends
             .map(|&v| prog.mono_range(g.in_edges(v).last().map_or(v.0, |e| n + e.0)).end)
@@ -219,87 +275,18 @@ impl<'g> MdgObjective<'g> {
         Ok(Self::new(g, machine))
     }
 
-    /// Build the expressions. `O(nodes + edges)` monomials.
+    /// Compile the objective: `O(nodes + edges)` monomials, one
+    /// expression tree alive at a time.
     pub fn new(g: &'g Mdg, machine: Machine) -> Self {
-        let x = &machine.xfer;
-        let n = g.node_count();
-        let mut node_terms: Vec<Vec<Expr>> = vec![Vec::new(); n];
-
-        // Processing costs: t^C_i = alpha*tau + (1-alpha)*tau / p_i.
-        // First in each node's sum, which is where `Shape::of` and
-        // `DetachedObjective::attach` look for them.
-        for (id, node) in g.nodes() {
-            let [serial, parallel] = cost_coeffs(&node.cost);
-            if serial != 0.0 {
-                node_terms[id.0].push(Expr::Mono(Monomial::constant(serial)));
-            }
-            if parallel != 0.0 {
-                node_terms[id.0].push(Expr::Mono(Monomial::single(parallel, id.0, -1.0)));
-            }
-        }
-
-        // Transfer costs: send into the source's T, receive into the
-        // destination's T, network onto the edge.
-        let mut edge_d = Vec::with_capacity(g.edge_count());
-        for (_, e) in g.edges() {
-            let (i, j) = (e.src, e.dst); // sender i, receiver j
-            let mut d_terms: Vec<Expr> = Vec::new();
-            for t in &e.transfers {
-                let l = t.bytes as f64;
-                match t.kind {
-                    TransferKind::OneD => {
-                        // t^S = max(p_i,p_j)/p_i * t_ss + L/p_i * t_ps
-                        node_terms[i].push(Expr::sum(vec![
-                            Expr::max(vec![
-                                Expr::Mono(Monomial::constant(x.t_ss)),
-                                Expr::Mono(Monomial::pair(x.t_ss, j, 1.0, i, -1.0)),
-                            ]),
-                            Expr::Mono(Monomial::single(l * x.t_ps, i, -1.0)),
-                        ]));
-                        // t^R = max(p_i,p_j)/p_j * t_sr + L/p_j * t_pr
-                        node_terms[j].push(Expr::sum(vec![
-                            Expr::max(vec![
-                                Expr::Mono(Monomial::constant(x.t_sr)),
-                                Expr::Mono(Monomial::pair(x.t_sr, i, 1.0, j, -1.0)),
-                            ]),
-                            Expr::Mono(Monomial::single(l * x.t_pr, j, -1.0)),
-                        ]));
-                        // t^D = L t_n / max(p_i,p_j) ~ L t_n / sqrt(p_i p_j)
-                        if x.t_n > 0.0 {
-                            d_terms.push(Expr::Mono(Monomial::pair(l * x.t_n, i, -0.5, j, -0.5)));
-                        }
-                    }
-                    TransferKind::TwoD => {
-                        // t^S = p_j * t_ss + L/p_i * t_ps
-                        node_terms[i].push(Expr::sum(vec![
-                            Expr::Mono(Monomial::single(x.t_ss, j, 1.0)),
-                            Expr::Mono(Monomial::single(l * x.t_ps, i, -1.0)),
-                        ]));
-                        // t^R = p_i * t_sr + L/p_j * t_pr
-                        node_terms[j].push(Expr::sum(vec![
-                            Expr::Mono(Monomial::single(x.t_sr, i, 1.0)),
-                            Expr::Mono(Monomial::single(l * x.t_pr, j, -1.0)),
-                        ]));
-                        // t^D = L t_n / (p_i p_j) — already a monomial.
-                        if x.t_n > 0.0 {
-                            d_terms.push(Expr::Mono(Monomial::pair(l * x.t_n, i, -1.0, j, -1.0)));
-                        }
-                    }
-                }
-            }
-            edge_d.push(Expr::sum(d_terms));
-        }
-
-        let node_t: Vec<Expr> = node_terms.into_iter().map(Expr::sum).collect();
-        let tapes = Tapes::build(g, &node_t, &edge_d);
+        let tapes = Tapes::build(g, &machine);
         let shape = Shape::of(g, &tapes.prog);
-        MdgObjective { g, machine, node_t, edge_d, area: OnceLock::new(), tapes, shape }
+        MdgObjective { g, machine, tapes, shape }
     }
 
     /// Give up the graph borrow and keep everything that was compiled.
     pub fn detach(self) -> DetachedObjective {
-        let MdgObjective { machine, node_t, edge_d, tapes, shape, .. } = self;
-        DetachedObjective { machine, node_t, edge_d, tapes, shape }
+        let MdgObjective { machine, tapes, shape, .. } = self;
+        DetachedObjective { machine, tapes, shape }
     }
 
     /// The graph this objective was built for.
@@ -322,30 +309,31 @@ impl<'g> MdgObjective<'g> {
         (self.machine.procs as f64).ln()
     }
 
-    /// The `T_i` expression of a node (for inspection/tests).
-    pub fn node_expr(&self, id: NodeId) -> &Expr {
-        &self.node_t[id.0]
+    /// The `T_i` expression of a node, built on each call from the graph
+    /// and machine — the tree the program's root `id` was compiled from
+    /// (for certification, the cert JSON and the forward-mode oracle).
+    pub fn node_expr(&self, id: NodeId) -> Expr {
+        node_tree(self.g, &self.machine.xfer, id)
     }
 
     /// The `t^D` expression of an edge (zero when the machine's `t_n` is
-    /// zero or the edge carries no data).
-    pub fn edge_expr(&self, id: EdgeId) -> &Expr {
-        &self.edge_d[id.0]
+    /// zero or the edge carries no data), built on each call like
+    /// [`MdgObjective::node_expr`]; root `nodes + id` of the program.
+    pub fn edge_expr(&self, id: EdgeId) -> Expr {
+        edge_tree(&self.machine.xfer, self.g.edge(id))
     }
 
-    /// The `A_p = (1/p) Σ T_i p_i` expression (for inspection and
-    /// symbolic certification), built on the first call.
-    pub fn area_expr(&self) -> &Expr {
-        self.area.get_or_init(|| {
-            let inv_p = 1.0 / self.machine.procs as f64;
-            Expr::sum(
-                self.node_t
-                    .iter()
-                    .enumerate()
-                    .map(|(i, t)| t.mul_mono(&Monomial::single(inv_p, i, 1.0)))
-                    .collect(),
-            )
-        })
+    /// The `A_p = (1/p) Σ T_i p_i` expression (for symbolic
+    /// certification and the forward-mode oracle), built on each call.
+    /// The program does not compile it: the sweeps accumulate `A_p` from
+    /// the node roots.
+    pub fn area_expr(&self) -> Expr {
+        let inv_p = 1.0 / self.machine.procs as f64;
+        let scaled = self
+            .g
+            .nodes()
+            .map(|(id, _)| self.node_expr(id).mul_mono(&Monomial::single(inv_p, id.0, 1.0)));
+        Expr::sum(scaled.collect())
     }
 
     /// Shape of the compiled level program: op counts by kind, levels,
@@ -627,7 +615,7 @@ impl<'g> MdgObjective<'g> {
             for &e in in_edges {
                 let m = self.g.edge(e).src;
                 let mut ge = vec![0.0; n];
-                let de = self.edge_d[e.0].eval_grad(x, sharp, 1.0, &mut ge);
+                let de = self.edge_expr(e).eval_grad(x, sharp, 1.0, &mut ge);
                 for (gi, &gm) in ge.iter_mut().zip(&y_grad[m]) {
                     *gi += gm;
                 }
@@ -643,7 +631,7 @@ impl<'g> MdgObjective<'g> {
                     }
                 }
             }
-            let t_val = self.node_t[v.0].eval_grad(x, sharp, 1.0, &mut g_here);
+            let t_val = self.node_expr(v).eval_grad(x, sharp, 1.0, &mut g_here);
             y_val[v.0] = start + t_val;
             y_grad[v.0] = g_here;
         }
@@ -677,7 +665,7 @@ impl DetachedObjective {
     /// valid, the machine's processor count and transfer constants are
     /// the build's, `g` has the build's DAG and every node cost has the
     /// build's zero pattern. Then the two cost coefficients of every node
-    /// are rewritten in the level program and in the node's expression.
+    /// are rewritten in the level program.
     pub fn attach(mut self, g: &Mdg, machine: Machine) -> Option<MdgObjective<'_>> {
         let constants = |m: &Machine| {
             let x = &m.xfer;
@@ -690,25 +678,17 @@ impl DetachedObjective {
             return None;
         }
         for (id, node) in g.nodes() {
-            let mut terms = match &mut self.node_t[id.0] {
-                Expr::Sum(terms) => terms.iter_mut(),
-                term => std::slice::from_mut(term).iter_mut(),
-            };
             for (c, site) in cost_coeffs(&node.cost).into_iter().zip(self.shape.cost_sites[id.0]) {
                 if (c != 0.0) != (site != NO_SITE) {
                     return None;
                 }
                 if c != 0.0 {
                     self.tapes.prog.set_coeff(site, c);
-                    let Some(Expr::Mono(m)) = terms.next() else {
-                        unreachable!("a node's sum opens with its cost terms")
-                    };
-                    m.coeff = c;
                 }
             }
         }
-        let DetachedObjective { node_t, edge_d, tapes, shape, .. } = self;
-        Some(MdgObjective { g, machine, node_t, edge_d, area: OnceLock::new(), tapes, shape })
+        let DetachedObjective { tapes, shape, .. } = self;
+        Some(MdgObjective { g, machine, tapes, shape })
     }
 }
 
@@ -862,8 +842,55 @@ mod tests {
             }
         }
         for (id, _) in g.nodes() {
-            assert!(!has_max(obj.node_expr(id)), "2D transfer produced a Max node");
+            assert!(!has_max(&obj.node_expr(id)), "2D transfer produced a Max node");
         }
+    }
+
+    /// `Shape::of`'s rule: a node's non-zero cost terms are the last
+    /// entries of its root's monomial range, `α·τ` (a constant) at
+    /// `end − 1` and then `(1−α)·τ` (`p_v^{-1}`), whatever the zero pattern
+    /// and however many transfer terms follow them in the tree.
+    #[test]
+    fn cost_sites_are_the_last_entries_of_a_nodes_range() {
+        let mut b = MdgBuilder::new("sites");
+        let both = b.compute("both", AmdahlParams::new(0.25, 2.0));
+        let serial = b.compute("serial", AmdahlParams::new(1.0, 3.0));
+        let parallel = b.compute("parallel", AmdahlParams::new(0.0, 5.0));
+        let idle = b.compute("idle", AmdahlParams::new(0.5, 0.0));
+        b.edge(both, serial, vec![ArrayTransfer::matrix_1d(8, 8)]);
+        b.edge(both, parallel, vec![ArrayTransfer::matrix_2d(8, 8)]);
+        b.edge(serial, idle, vec![ArrayTransfer::matrix_1d(4, 4)]);
+        b.edge(parallel, idle, vec![ArrayTransfer::matrix_1d(4, 4)]);
+        let g = b.finish().unwrap();
+        let obj = MdgObjective::new(&g, Machine::cm5(8));
+        let prog = &obj.tapes.prog;
+        for (id, node) in g.nodes() {
+            let end = prog.mono_range(id.0).end as u32;
+            let mut expect = end;
+            for (k, (c, site)) in
+                cost_coeffs(&node.cost).into_iter().zip(obj.shape.cost_sites[id.0]).enumerate()
+            {
+                if c == 0.0 {
+                    assert_eq!(site, NO_SITE, "node {}: zero term {k}", node.name);
+                    continue;
+                }
+                expect -= 1;
+                assert_eq!(site, expect, "node {}: term {k}", node.name);
+                let m = &prog.monos[site as usize];
+                assert_eq!(m.coeff.to_bits(), c.to_bits(), "node {}: term {k}", node.name);
+                let terms = &prog.terms[m.lo as usize..m.hi as usize];
+                let want: &[(u32, f64)] = if k == 0 { &[] } else { &[(id.0 as u32, -1.0)] };
+                assert_eq!(terms, want, "node {}: term {k}", node.name);
+            }
+        }
+        let sites = |name: &str| {
+            let (id, _) = g.nodes().find(|(_, node)| node.name == name).unwrap();
+            obj.shape.cost_sites[id.0].map(|s| s != NO_SITE)
+        };
+        assert_eq!(sites("both"), [true, true]);
+        assert_eq!(sites("serial"), [true, false]);
+        assert_eq!(sites("parallel"), [false, true]);
+        assert_eq!(sites("idle"), [false, false]);
     }
 
     #[test]

@@ -136,10 +136,12 @@ fn grow(v: &mut Vec<f64>, len: usize) {
 }
 
 impl EvalScratch {
-    /// The value of every op of the level program the last recording
-    /// sweep ran here (root `r` at `[r]`; a pooled scratch may hold a
-    /// larger program's tail beyond them). For tests that hold two
-    /// sweeps equal slot by slot.
+    /// The value of every op of the level program the last sweep ran
+    /// here (root `r` at `[r]`: node `v`'s `T` at `[v]`, edge `e`'s `t^D`
+    /// at `[nodes + e]`; a pooled scratch may hold a larger program's
+    /// tail beyond them). The ADMM coordinator's global sweep reads its
+    /// per-node and per-edge values here, and tests hold two sweeps
+    /// equal slot by slot.
     pub fn tape_values(&self) -> &[f64] {
         &self.tape_vals
     }
