@@ -1,7 +1,8 @@
 //! Model-check suite for the in-process consensus rounds.
 //!
-//! [`InProcessBackend`] fans a round's block solves out over scoped
-//! threads that share the process-wide workspace pool. This suite
+//! [`InProcessBackend`](crate::consensus::InProcessBackend) fans a
+//! round's block solves out over scoped threads that share the
+//! process-wide workspace pool. This suite
 //! explores every interleaving of two solver threads and holds the solve
 //! to the one-thread run, bit for bit: where a block runs never changes
 //! what it returns.

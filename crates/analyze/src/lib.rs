@@ -1,6 +1,6 @@
 //! # paradigm-analyze — static analysis for the PARADIGM pipeline
 //!
-//! Three independent passes that check, rather than compute, the
+//! Four independent passes that check, rather than compute, the
 //! pipeline's load-bearing claims:
 //!
 //! * [`posynomial`] — **symbolic convexity certification**. Walks the
@@ -10,11 +10,12 @@
 //!   extends this compositionally to the full `Phi = max(A_p, C_p)`
 //!   objective through the completion recurrence, which is the paper's
 //!   Section 2 convexity claim made machine-checkable.
-//! * [`schedule_check`] — **schedule race/precedence analysis**. A
-//!   structured, report-everything validator for [`paradigm_sched`]
-//!   schedules: sweep-line race detection per processor, precedence with
-//!   network delays, allocation/duration consistency, and a cross-check
-//!   of the reported makespan against the re-derived `y_i` recurrence.
+//! * [`schedule_check`] — **schedule audits**. [`ScheduleAuditor`]
+//!   re-derives a solve result's weights from the graph, machine and
+//!   rounded allocation, runs [`paradigm_sched::analyze_schedule`] (races,
+//!   precedence, the `y_i` recurrence bound) against them, and adds
+//!   machine-wide capacity, per-processor memory and the reported
+//!   `Phi`/`T_psa` claims.
 //! * [`lint`] — **MDG lints**. Pluggable diagnostics over graph cost
 //!   metadata (degenerate Amdahl fractions, NaN weights, shape
 //!   mismatches, ...) with compiler-style rendering.
@@ -26,9 +27,8 @@
 //!   `missing-footprint`).
 //!
 //! The passes are pure functions over the existing data structures; they
-//! are wired into `paradigm front` lowering, `paradigm-core`'s compile
-//! pipeline (under `debug_assertions`), and the `paradigm analyze` CLI
-//! subcommand.
+//! are wired into `paradigm front` lowering, `paradigm serve`'s sampled
+//! audits, and the `paradigm analyze` CLI subcommand.
 
 pub mod cert;
 pub mod diff;
@@ -44,8 +44,8 @@ pub use cert::{
 };
 pub use diff::unified_diff;
 pub use lint::{
-    apply_fixes, find_cycle, has_errors, lint_mdg, render_diagnostics, Diagnostic, Fix, Lint,
-    LintLocation, LintSet, Severity,
+    apply_fixes, has_errors, lint_mdg, render_diagnostics, Diagnostic, Fix, Lint, LintLocation,
+    LintSet, Severity,
 };
 pub use posynomial::{
     certify, certify_in, certify_objective, Certificate, Defect, ExprClass, NonPosynomial,
@@ -56,7 +56,4 @@ pub use resources::{
     MemoryViolation, MissingFootprint, NodeResidency, OversubscribedFootprint, ResourceAnalysis,
     MEM_RTOL,
 };
-pub use schedule_check::{
-    analyze_schedule, AuditClaims, AuditReport, AuditViolation, ScheduleAuditor, ScheduleReport,
-    ScheduleViolation,
-};
+pub use schedule_check::{AuditClaims, AuditReport, AuditViolation, ScheduleAuditor};

@@ -2,8 +2,10 @@
 //!
 //! MDGs reach the pipeline from several producers — the hand-written
 //! builders, the `.mdg` text parser, the mini-language front end, graph
-//! transforms — and the structural invariants `MdgBuilder::finish`
-//! enforces (acyclicity, START/STOP wiring) say nothing about the *cost
+//! transforms — and every one of them goes through `MdgBuilder::finish`,
+//! which owns the graph's shape: it rejects cycles, self-loops, dangling
+//! and duplicate edges and wires START/STOP with transfer-free edges, so
+//! no lint re-checks any of that. The shape says nothing about the *cost
 //! metadata* riding on nodes and edges. A graph with `alpha = 1.7` or a
 //! NaN `tau` sails through construction and silently poisons the convex
 //! program. Each [`Lint`] inspects one such property and emits
@@ -15,8 +17,8 @@
 //!
 //! Some diagnostics carry a machine-applicable [`Fix`];
 //! [`apply_fixes`] rebuilds the graph with every attached fix applied
-//! (clamped Amdahl parameters, stripped structural transfers, ...),
-//! which backs the CLI's `analyze --fix` mode.
+//! (clamped Amdahl parameters, dropped zero-byte transfers, derived loop
+//! dims), which backs the CLI's `analyze --fix` mode.
 
 use paradigm_mdg::graph::builder_id_to_mdg;
 use paradigm_mdg::{EdgeId, Mdg, MdgBuilder, NodeId, NodeKind, TransferKind};
@@ -71,11 +73,6 @@ pub enum Fix {
         /// The clamped value.
         to: f64,
     },
-    /// Remove every array transfer from a structural (START/STOP) edge.
-    StripStructuralTransfers {
-        /// The edge to strip.
-        edge: EdgeId,
-    },
     /// Remove zero-byte array transfers from an edge.
     DropEmptyTransfers {
         /// The edge to clean.
@@ -98,9 +95,6 @@ impl fmt::Display for Fix {
         match self {
             Fix::ClampAlpha { node, to } => write!(f, "clamp alpha of node {node} to {to}"),
             Fix::ClampTau { node, to } => write!(f, "clamp tau of node {node} to {to}"),
-            Fix::StripStructuralTransfers { edge } => {
-                write!(f, "strip transfers from structural edge e{}", edge.0)
-            }
             Fix::DropEmptyTransfers { edge } => {
                 write!(f, "drop zero-byte transfers from edge e{}", edge.0)
             }
@@ -147,12 +141,9 @@ impl LintSet {
     pub fn default_set() -> Self {
         LintSet {
             lints: vec![
-                Box::new(UnreachableNode),
-                Box::new(CyclicDependency),
                 Box::new(NonFiniteWeight),
                 Box::new(DegenerateAmdahl),
                 Box::new(AmdahlMonotonicity),
-                Box::new(StructuralTransfer),
                 Box::new(RedistributionMismatch),
                 Box::new(LoopMetadata),
                 Box::new(TransferShape),
@@ -237,38 +228,6 @@ pub fn render_diagnostics(g: &Mdg, diags: &[Diagnostic]) -> String {
     out
 }
 
-/// Compute node not reachable from START or not reaching STOP. The
-/// builder wires both directions, so a hit means the graph bypassed it.
-pub struct UnreachableNode;
-
-impl Lint for UnreachableNode {
-    fn name(&self) -> &'static str {
-        "unreachable-node"
-    }
-
-    fn check(&self, g: &Mdg, out: &mut Vec<Diagnostic>) {
-        for (id, node) in g.nodes() {
-            if node.is_structural() {
-                continue;
-            }
-            let from_start = g.reaches(g.start(), id);
-            let to_stop = g.reaches(id, g.stop());
-            if !from_start || !to_stop {
-                let dir =
-                    if !from_start { "is unreachable from START" } else { "never reaches STOP" };
-                out.push(Diagnostic {
-                    lint: self.name(),
-                    severity: Severity::Error,
-                    location: LintLocation::Node(id),
-                    message: format!("compute node {dir}"),
-                    hint: Some("rebuild the graph through MdgBuilder::finish".to_string()),
-                    fix: None,
-                });
-            }
-        }
-    }
-}
-
 /// NaN/infinite `alpha` or `tau`, or negative `tau`: every downstream
 /// cost is garbage.
 pub struct NonFiniteWeight;
@@ -328,33 +287,6 @@ impl Lint for DegenerateAmdahl {
                             .to_string(),
                     ),
                     fix: Some(Fix::ClampAlpha { node: id, to: a.clamp(0.0, 1.0) }),
-                });
-            }
-        }
-    }
-}
-
-/// Data transfers on a START/STOP edge: the objective assumes structural
-/// edges carry none (their variables must not appear in any cost term).
-pub struct StructuralTransfer;
-
-impl Lint for StructuralTransfer {
-    fn name(&self) -> &'static str {
-        "structural-transfer"
-    }
-
-    fn check(&self, g: &Mdg, out: &mut Vec<Diagnostic>) {
-        for (eid, e) in g.edges() {
-            let touches_structural =
-                g.node(NodeId(e.src)).is_structural() || g.node(NodeId(e.dst)).is_structural();
-            if touches_structural && !e.transfers.is_empty() {
-                out.push(Diagnostic {
-                    lint: self.name(),
-                    severity: Severity::Error,
-                    location: LintLocation::Edge(eid),
-                    message: "START/STOP edge carries array transfers".to_string(),
-                    hint: Some("move the transfer onto a compute-to-compute edge".to_string()),
-                    fix: Some(Fix::StripStructuralTransfers { edge: eid }),
                 });
             }
         }
@@ -456,88 +388,6 @@ impl Lint for IsolatedNode {
                     fix: None,
                 });
             }
-        }
-    }
-}
-
-/// A directed cycle among compute nodes. `MdgBuilder::finish` rejects
-/// cyclic graphs, so on graphs built through it this lint is a no-op;
-/// it guards MDGs arriving from other producers (deserializers, future
-/// transforms) where the invariant is asserted rather than enforced.
-pub struct CyclicDependency;
-
-/// Find a directed cycle in a graph given as raw edges over node
-/// indices `0..n`. Returns the cycle as a node sequence
-/// `v0 -> v1 -> ... -> v0` (first node repeated at the end) — the
-/// witness path — or `None` when the graph is acyclic.
-pub fn find_cycle(n: usize, edges: &[(usize, usize)]) -> Option<Vec<usize>> {
-    let mut succs = vec![Vec::new(); n];
-    for &(src, dst) in edges {
-        succs[src].push(dst);
-    }
-    // Iterative colored DFS: 0 = unvisited, 1 = on stack, 2 = done.
-    let mut color = vec![0u8; n];
-    let mut parent = vec![usize::MAX; n];
-    for root in 0..n {
-        if color[root] != 0 {
-            continue;
-        }
-        // Stack of (node, next-successor-index) frames.
-        let mut stack = vec![(root, 0usize)];
-        color[root] = 1;
-        while let Some(&mut (v, ref mut next)) = stack.last_mut() {
-            if *next < succs[v].len() {
-                let w = succs[v][*next];
-                *next += 1;
-                match color[w] {
-                    0 => {
-                        color[w] = 1;
-                        parent[w] = v;
-                        stack.push((w, 0));
-                    }
-                    1 => {
-                        // Back edge v -> w: walk parents from v to w.
-                        let mut path = Vec::new();
-                        let mut cur = v;
-                        loop {
-                            path.push(cur);
-                            if cur == w {
-                                break;
-                            }
-                            cur = parent[cur];
-                        }
-                        path.reverse(); // w -> ... -> v
-                        path.push(w); // close the cycle
-                        return Some(path);
-                    }
-                    _ => {}
-                }
-            } else {
-                color[v] = 2;
-                stack.pop();
-            }
-        }
-    }
-    None
-}
-
-impl Lint for CyclicDependency {
-    fn name(&self) -> &'static str {
-        "cyclic-dependency"
-    }
-
-    fn check(&self, g: &Mdg, out: &mut Vec<Diagnostic>) {
-        let edges: Vec<(usize, usize)> = g.edges().map(|(_, e)| (e.src, e.dst)).collect();
-        if let Some(cycle) = find_cycle(g.node_count(), &edges) {
-            let witness = cycle.iter().map(|v| format!("n{v}")).collect::<Vec<_>>().join(" -> ");
-            out.push(Diagnostic {
-                lint: self.name(),
-                severity: Severity::Error,
-                location: LintLocation::Node(NodeId(cycle[0])),
-                message: format!("dependency cycle: {witness}"),
-                hint: Some("a macro dataflow graph must be a DAG; break the cycle".to_string()),
-                fix: None,
-            });
         }
     }
 }
@@ -815,10 +665,7 @@ pub fn apply_fixes(g: &Mdg, diags: &[Diagnostic]) -> (Mdg, Vec<Fix>) {
         let src = NodeId(e.src);
         let dst = NodeId(e.dst);
         if g.node(src).is_structural() || g.node(dst).is_structural() {
-            // finish() re-wires START/STOP; transfers on structural
-            // edges only survive when no strip fix asked otherwise,
-            // and the builder cannot express them anyway — the lint
-            // guarantees a strip fix accompanies any such edge.
+            // finish() re-wires START/STOP.
             continue;
         }
         let drop_empty =
@@ -952,22 +799,6 @@ mod tests {
         b.compute("x", AmdahlParams::new(0.1, 1.0));
         let g = b.finish().unwrap();
         assert!(set.run(&g).iter().any(|d| d.lint == "graph-name"));
-    }
-
-    #[test]
-    fn find_cycle_returns_a_witness_path() {
-        // 0 -> 1 -> 2 -> 0 plus an acyclic tail 2 -> 3.
-        let cycle = find_cycle(4, &[(0, 1), (1, 2), (2, 0), (2, 3)]).expect("cycle exists");
-        assert_eq!(cycle.first(), cycle.last());
-        assert!(cycle.len() == 4, "{cycle:?}"); // 3 nodes + repeated head
-        assert!(find_cycle(4, &[(0, 1), (1, 2), (2, 3)]).is_none());
-        assert!(find_cycle(1, &[]).is_none());
-    }
-
-    #[test]
-    fn builder_graphs_have_no_cycles() {
-        let g = complex_matmul_mdg(64, &KernelCostTable::cm5());
-        assert!(lint_mdg(&g).iter().all(|d| d.lint != "cyclic-dependency"));
     }
 
     #[test]

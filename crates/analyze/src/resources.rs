@@ -19,15 +19,12 @@
 //!   instant `i` runs, valid for *every* allocation and *every* schedule.
 //!
 //! `demand_i > P * mem` therefore proves "no allocation of this MDG on
-//! this machine can fit" — statically. Graphs whose edge relation turns
-//! out to be cyclic (a rogue producer bypassing `MdgBuilder::finish`)
-//! cannot be propagated over; their intervals are **widened** to
-//! `[lo, +inf)` instead of looping, keeping the pass total and sound.
+//! this machine can fit" — statically.
 //!
 //! The **post-schedule** pass ([`check_schedule_memory`]) replaces the
 //! allocation box with the schedule's concrete groups and runs a
-//! sweep-line per processor (the same event discipline as
-//! `schedule_check`'s capacity sweep): node `i` charges
+//! sweep-line per processor (releases before acquisitions at equal
+//! times): node `i` charges
 //! `(local_i + out_i) / q_i` on each of its processors over
 //! `[start_i, finish_i)`, and each data edge `(m, j)` charges
 //! `payload / q_j` on `j`'s processors over `[finish_m, finish_j)` —
@@ -61,8 +58,7 @@ pub struct NodeResidency {
     /// Its footprint decomposition.
     pub footprint: NodeFootprint,
     /// Guaranteed per-processor resident-byte interval `[lo, hi]` over
-    /// every allocation in `[1, P]` and every valid schedule. `hi` is
-    /// `+inf` when the pass had to widen (cyclic edge relation).
+    /// every allocation in `[1, P]` and every valid schedule.
     pub interval: (f64, f64),
     /// Smallest group size whose per-processor share of the footprint
     /// fits in memory; `None` when even all `P` processors cannot hold it.
@@ -91,8 +87,6 @@ pub struct ResourceAnalysis {
     pub peak_interval: (f64, f64),
     /// Total communication volume (sum of all edge payloads).
     pub total_comm_bytes: u64,
-    /// True when interval propagation hit a cycle and widened to `+inf`.
-    pub widened: bool,
     /// False when some node proves no allocation can fit
     /// (`demand_i > P * mem`).
     pub feasible: bool,
@@ -124,9 +118,6 @@ impl ResourceAnalysis {
             fmt_bytes_f(self.peak_interval.0),
             fmt_bytes_f(self.peak_interval.1)
         );
-        if self.widened {
-            let _ = writeln!(out, "  ! edge relation is cyclic; intervals widened to +inf");
-        }
         for n in &self.nodes {
             let group = match n.min_group {
                 Some(1) => "fits on 1 proc".to_string(),
@@ -196,12 +187,9 @@ fn fmt_bytes_f(b: f64) -> String {
 pub fn analyze_resources(g: &Mdg, machine: &Machine) -> ResourceAnalysis {
     let procs = machine.procs;
     let p = procs as f64;
-    let edge_list: Vec<(usize, usize)> = g.edges().map(|(_, e)| (e.src, e.dst)).collect();
-    let widened = crate::lint::find_cycle(g.node_count(), &edge_list).is_some();
-
     // Precompute reachability once: reach[a][b] = path a -> b. Graphs
     // are small (tens of nodes); dense Vec<bool> rows are fine.
-    let reach = if widened { Vec::new() } else { reachability(g) };
+    let reach = reachability(g);
 
     let mut nodes = Vec::new();
     let mut peak_lo = 0.0_f64;
@@ -221,20 +209,18 @@ pub fn analyze_resources(g: &Mdg, machine: &Machine) -> ResourceAnalysis {
         // strictly crossing i are live while i executes; i's own
         // footprint already counts its in/out edges.
         let mut demand = total;
-        if !widened {
-            for (eid, e) in g.edges() {
-                if e.src == id.0 || e.dst == id.0 {
-                    continue;
-                }
-                let crosses = reach[e.src][id.0] && reach[id.0][e.dst];
-                if crosses {
-                    demand += edge_payload_bytes(g, eid);
-                }
+        for (eid, e) in g.edges() {
+            if e.src == id.0 || e.dst == id.0 {
+                continue;
+            }
+            let crosses = reach[e.src][id.0] && reach[id.0][e.dst];
+            if crosses {
+                demand += edge_payload_bytes(g, eid);
             }
         }
 
         let lo = total as f64 / p;
-        let hi = if widened { f64::INFINITY } else { total as f64 };
+        let hi = total as f64;
         // Smallest q in 1..=P with ceil-division fp/q <= mem; exact.
         let min_group = {
             let k = total.div_ceil(machine.mem_bytes).max(1);
@@ -244,7 +230,7 @@ pub fn analyze_resources(g: &Mdg, machine: &Machine) -> ResourceAnalysis {
                 None
             }
         };
-        if demand > cap || widened {
+        if demand > cap {
             feasible = false;
         }
         peak_lo = peak_lo.max(demand as f64 / p);
@@ -258,7 +244,7 @@ pub fn analyze_resources(g: &Mdg, machine: &Machine) -> ResourceAnalysis {
     }
 
     let comm = total_comm_bytes(g);
-    let peak_hi = if widened { f64::INFINITY } else { max_self as f64 + comm as f64 };
+    let peak_hi = max_self as f64 + comm as f64;
     debug_assert_eq!(nodes.len(), g.compute_node_count());
     ResourceAnalysis {
         graph: g.name().to_string(),
@@ -267,7 +253,6 @@ pub fn analyze_resources(g: &Mdg, machine: &Machine) -> ResourceAnalysis {
         nodes,
         peak_interval: (peak_lo, peak_hi),
         total_comm_bytes: comm,
-        widened,
         feasible,
     }
 }
@@ -465,16 +450,6 @@ impl Lint for MemoryInfeasible {
                 fix: None,
             });
         }
-        if ra.widened && ra.infeasible_nodes().next().is_none() {
-            out.push(Diagnostic {
-                lint: self.name(),
-                severity: Severity::Error,
-                location: LintLocation::Graph,
-                message: "edge relation is cyclic; residency intervals widened to +inf".to_string(),
-                hint: Some("fix the cycle (see cyclic-dependency) and re-run".to_string()),
-                fix: None,
-            });
-        }
     }
 }
 
@@ -612,7 +587,6 @@ mod tests {
         let m = Machine::cm5(16);
         let ra = analyze_resources(&g, &m);
         assert!(ra.feasible, "{}", ra.render());
-        assert!(!ra.widened);
         assert!(ra.peak_interval.0 <= ra.peak_interval.1);
         assert!(ra.total_comm_bytes > 0);
         for n in &ra.nodes {

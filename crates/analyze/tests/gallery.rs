@@ -3,14 +3,15 @@
 //! on both machine models, and the schedule analyzer must pass every
 //! PSA / rounding / refinement / baseline schedule of those graphs.
 
-use paradigm_analyze::{analyze_schedule, certify_objective, has_errors, lint_mdg, ExprClass};
+use paradigm_analyze::{certify_objective, has_errors, lint_mdg, ExprClass};
 use paradigm_cost::{Allocation, Machine};
 use paradigm_mdg::{
     block_lu_mdg, complex_matmul_mdg, example_fig1_mdg, fft_2d_mdg, stencil_mdg, strassen_mdg,
     strassen_mdg_multilevel, KernelCostTable, Mdg,
 };
 use paradigm_sched::{
-    psa_schedule, refine_allocation, spmd_schedule, task_parallel_schedule, PsaConfig, RefineConfig,
+    analyze_schedule, psa_schedule, refine_allocation, spmd_schedule, task_parallel_schedule,
+    PsaConfig, RefineConfig,
 };
 use paradigm_solver::MdgObjective;
 

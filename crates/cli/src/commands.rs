@@ -5,9 +5,9 @@
 use crate::args::{Command, USAGE};
 use paradigm_admm::{partition_mdg, PartitionOptions};
 use paradigm_analyze::{
-    analyze_resources, analyze_schedule, apply_fixes, certificate_dot, certificate_json,
-    certify_objective, check_certificate_text, has_errors, lint_mdg, memory_json, memory_lint_set,
-    render_diagnostics, unified_diff,
+    analyze_resources, apply_fixes, certificate_dot, certificate_json, certify_objective,
+    check_certificate_text, has_errors, lint_mdg, memory_json, memory_lint_set, render_diagnostics,
+    unified_diff,
 };
 use paradigm_core::calibrate::{calibrate, CalibrationConfig};
 use paradigm_core::report::render_calibration;
@@ -21,7 +21,8 @@ use paradigm_mdg::{
     complex_matmul_mdg, example_fig1_mdg, from_text, strassen_mdg, to_text, KernelCostTable, Mdg,
 };
 use paradigm_sched::{
-    gantt_svg, idle_profile, spmd_schedule, task_parallel_schedule, to_csv, SchedPolicy, Schedule,
+    analyze_schedule, gantt_svg, idle_profile, spmd_schedule, task_parallel_schedule, to_csv,
+    SchedPolicy, Schedule,
 };
 use paradigm_serve::{ServeConfig, Server, ServerConfig};
 use paradigm_sim::{compare_schedule_vs_sim, lower_spmd, render_trace, simulate, TrueMachine};

@@ -86,11 +86,10 @@ pub fn compile_with_solve(
         psa = refine_allocation(g, machine, &psa, &RefineConfig::default()).best;
     }
     // In debug builds, every schedule the pipeline emits goes through the
-    // full static analyzer (races, precedence, recurrence lower bound) —
-    // far stricter than `Schedule::validate`'s first-error check.
+    // schedule checker (races, precedence, recurrence lower bound).
     #[cfg(debug_assertions)]
     {
-        let report = paradigm_analyze::analyze_schedule(g, &psa.weights, &psa.schedule);
+        let report = paradigm_sched::analyze_schedule(g, &psa.weights, &psa.schedule);
         assert!(
             report.is_clean(),
             "pipeline produced an invalid schedule for `{}`:\n{}",

@@ -4,9 +4,9 @@
 //!
 //! 1. *MDG construction* — `paradigm-mdg` (builders for the paper's test
 //!    programs, or your own via [`paradigm_mdg::MdgBuilder`]);
-//! 2. *weight determination* — [`calibrate()`]: run training-set
-//!    measurements on the (simulated) machine and fit the cost-model
-//!    parameters by regression;
+//! 2. *weight determination* — [`calibrate()`](calibrate::calibrate):
+//!    run training-set measurements on the (simulated) machine and fit
+//!    the cost-model parameters by regression;
 //! 3. *allocation & scheduling* — [`compile()`]: convex-programming
 //!    allocation followed by the PSA;
 //! 4. *code generation* — MPMD/SPMD lowering to task programs;
@@ -40,19 +40,12 @@ pub mod pipeline;
 pub mod programs;
 pub mod report;
 
-pub use calibrate::{calibrate, Calibration};
-pub use compile::{
-    compile, compile_with_solve, run_mpmd, run_spmd, try_compile, CompileConfig, Compiled,
-};
-pub use experiments::{
-    fig8_speedups, fig9_predicted_vs_actual, table3_deviation, Fig8Row, Fig9Row, Table3Row,
-};
+pub use compile::{compile, try_compile, CompileConfig};
 pub use pipeline::{
     gallery_graph, machine_from_spec, solve_fingerprint, solve_pipeline_degraded,
     try_solve_pipeline, try_solve_pipeline_with_backend, AdmmStats, AllocEntry, PipelineError,
     SolveOutput, SolveSpec, GALLERY_NAMES, MACHINE_SPECS, MAX_PROCS,
 };
-pub use programs::TestProgram;
 
 // Re-exported so downstream crates (e.g. `paradigm-serve`) can name the
 // solver's failure types without depending on `paradigm-solver` directly.

@@ -73,8 +73,9 @@ impl std::error::Error for MdgError {}
 
 /// A finished, validated Macro Dataflow Graph.
 ///
-/// Invariants (established by [`MdgBuilder::finish`] and checked by
-/// [`crate::validate::check_invariants`]):
+/// Invariants, established by [`MdgBuilder::finish`] — the only way to
+/// make an `Mdg` — and re-checked in tests by
+/// [`crate::validate::check_invariants`]:
 ///
 /// * node 0 is START, node `n-1` is STOP, both zero-cost;
 /// * the edge relation is acyclic with no self-loops or duplicates;
@@ -169,24 +170,12 @@ impl Mdg {
     /// Longest path length from START to STOP where each node contributes
     /// `node_w(id)` and each edge `edge_w(eid)`. This is the generic
     /// critical-path primitive used for `C_p` style computations.
-    pub fn critical_path_with<NW, EW>(&self, mut node_w: NW, mut edge_w: EW) -> f64
+    pub fn critical_path_with<NW, EW>(&self, node_w: NW, edge_w: EW) -> f64
     where
         NW: FnMut(NodeId) -> f64,
         EW: FnMut(EdgeId) -> f64,
     {
-        let mut finish = vec![0.0_f64; self.nodes.len()];
-        for &v in &self.topo {
-            let mut start = 0.0_f64;
-            for &e in &self.preds[v.0] {
-                let m = self.edges[e.0].src;
-                let cand = finish[m] + edge_w(e);
-                if cand > start {
-                    start = cand;
-                }
-            }
-            finish[v.0] = start + node_w(v);
-        }
-        finish[self.stop().0]
+        self.finish_times_with(node_w, edge_w)[self.stop().0]
     }
 
     /// Per-node earliest finish times under the same weight model as

@@ -55,9 +55,7 @@ pub mod validate;
 pub use builders::{
     complex_matmul_mdg, example_fig1_mdg, strassen_mdg, strassen_mdg_multilevel, KernelCostTable,
 };
-pub use footprint::{
-    edge_payload_bytes, node_footprint, node_local_bytes, total_comm_bytes, NodeFootprint,
-};
+pub use footprint::{edge_payload_bytes, node_footprint, total_comm_bytes, NodeFootprint};
 pub use gallery::{block_lu_mdg, fft_2d_mdg, stencil_mdg};
 pub use graph::{EdgeId, Mdg, MdgBuilder, MdgError, NodeId};
 pub use hash::{structural_hash, Fnv128};

@@ -1,9 +1,10 @@
 //! Invariant checking for finished MDGs.
 //!
 //! [`MdgBuilder::finish`](crate::MdgBuilder::finish) establishes the
-//! invariants; this module re-verifies them on demand. The checks are used
-//! by the property-based tests and by downstream crates that receive MDGs
-//! from untrusted builders (e.g. random workload generators).
+//! invariants, and it is the only way to make an [`Mdg`], so every graph
+//! passes these checks by construction. They are the builder's test
+//! oracle: the property tests run them over random, transformed and
+//! front-end graphs to show that `finish` keeps its promise.
 
 use crate::graph::{Mdg, NodeId};
 use crate::node::NodeKind;

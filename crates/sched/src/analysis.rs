@@ -26,6 +26,9 @@ pub struct IdleProfile {
     pub idling_situation_time: f64,
     /// Maximum number of simultaneously busy processors.
     pub peak_busy: usize,
+    /// The first instant at which `peak_busy` processors are busy (0 when
+    /// no task occupies a processor).
+    pub peak_at: f64,
 }
 
 impl IdleProfile {
@@ -45,20 +48,22 @@ pub fn idle_profile(schedule: &Schedule, pb: u32) -> IdleProfile {
     let total_area = schedule.makespan * p as f64;
     let busy_area: f64 = schedule.tasks.iter().map(|t| t.duration() * t.procs.len() as f64).sum();
 
-    // Sweep: busy-processor count over time via start/finish events.
+    // Sweep: busy-processor count over time via start/finish events. A
+    // task with a non-finite start or finish occupies no interval.
     let mut events: Vec<(f64, i64)> = Vec::new();
     for t in &schedule.tasks {
-        if !t.procs.is_empty() && t.duration() > 0.0 {
+        let finite = t.start.is_finite() && t.finish.is_finite();
+        if finite && !t.procs.is_empty() && t.duration() > 0.0 {
             events.push((t.start, t.procs.len() as i64));
             events.push((t.finish, -(t.procs.len() as i64)));
         }
     }
-    events.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite times"));
+    events.sort_by(|a, b| a.0.total_cmp(&b.0));
     let threshold = (schedule.machine_procs.saturating_sub(pb) + 1) as i64;
     let mut busy = 0i64;
     let mut prev_t = 0.0_f64;
     let mut idling_situation_time = 0.0;
-    let mut peak_busy = 0i64;
+    let (mut peak_busy, mut peak_at) = (0i64, 0.0_f64);
     let mut i = 0usize;
     while i < events.len() {
         let t = events[i].0;
@@ -70,7 +75,10 @@ pub fn idle_profile(schedule: &Schedule, pb: u32) -> IdleProfile {
             busy += events[i].1;
             i += 1;
         }
-        peak_busy = peak_busy.max(busy);
+        if busy > peak_busy {
+            peak_busy = busy;
+            peak_at = t;
+        }
         prev_t = t;
     }
     if schedule.makespan > prev_t && busy < threshold {
@@ -82,6 +90,7 @@ pub fn idle_profile(schedule: &Schedule, pb: u32) -> IdleProfile {
         idle_area: total_area - busy_area,
         idling_situation_time,
         peak_busy: peak_busy.max(0) as usize,
+        peak_at,
     }
 }
 
@@ -194,7 +203,7 @@ mod tests {
         // N1 on all 4, then N2||N3 on 2+2: the machine is never idle.
         assert!(prof.idle_area < 1e-9, "idle {}", prof.idle_area);
         assert!((prof.utilization() - 1.0).abs() < 1e-9);
-        assert_eq!(prof.peak_busy, 4);
+        assert_eq!((prof.peak_busy, prof.peak_at), (4, 0.0));
         assert!(prof.idling_situation_time < 1e-9);
     }
 

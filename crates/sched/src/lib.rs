@@ -17,6 +17,11 @@
 //! task-parallel comparison schedules used for the paper's Figure 8, and
 //! [`bounds`] the Theorem 1–3 worst-case factors that the test-suite
 //! asserts against every produced schedule.
+//!
+//! [`schedule_check`] is the one schedule checker: precedence with
+//! network delays, processor exclusivity, durations, allocations and the
+//! `y_i` recurrence bound, every violation reported together;
+//! [`Schedule::validate`] is its `Result` view.
 
 pub mod analysis;
 pub mod baselines;
@@ -25,6 +30,7 @@ pub mod psa;
 pub mod refine;
 pub mod rounding;
 pub mod schedule;
+pub mod schedule_check;
 
 pub use analysis::{gantt_svg, idle_profile, to_csv, IdleProfile};
 pub use baselines::{serial_schedule, spmd_schedule, task_parallel_schedule};
@@ -33,3 +39,4 @@ pub use psa::{psa_schedule, PsaConfig, PsaResult, SchedPolicy};
 pub use refine::{refine_allocation, RefineConfig, RefineResult};
 pub use rounding::{bound_allocation, round_allocation, round_pow2};
 pub use schedule::{Schedule, Task, TasksByNode};
+pub use schedule_check::{analyze_schedule, ScheduleReport, ScheduleViolation};

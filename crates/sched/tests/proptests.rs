@@ -149,7 +149,7 @@ proptest! {
         pk in 1u32..=6,
         q in 1.0f64..32.0,
     ) {
-        use paradigm_analyze::analyze_schedule;
+        use paradigm_sched::analyze_schedule;
         let g = random_layered_mdg(&cfg, seed);
         let p = 1u32 << pk;
         let m = Machine::cm5(p);

@@ -140,7 +140,8 @@ pub struct Chaos {
 
 /// splitmix64: a tiny, high-quality bijective mixer — plenty for
 /// turning (seed, site, counter) into an independent-looking stream.
-fn splitmix64(mut z: u64) -> u64 {
+/// The client's retry jitter draws from it too.
+pub(crate) fn splitmix64(mut z: u64) -> u64 {
     z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);

@@ -16,6 +16,7 @@
 //! (seeded splitmix64), so load tests stay reproducible while still
 //! spreading retry storms.
 
+use crate::chaos::splitmix64;
 use crate::json::{parse, Json};
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -79,13 +80,6 @@ impl From<std::io::Error> for ClientError {
     fn from(e: std::io::Error) -> Self {
         ClientError::Io(e)
     }
-}
-
-fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
 }
 
 /// One connection to a serve instance, plus the retry machinery.

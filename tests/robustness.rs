@@ -112,13 +112,62 @@ fn corrupted_mdg_text_never_panics() {
 
 #[test]
 fn builder_rejects_malformed_graphs_with_typed_errors() {
-    // Cycle
-    let mut b = MdgBuilder::new("cyc");
-    let x = b.compute("x", AmdahlParams::new(0.0, 1.0));
-    let y = b.compute("y", AmdahlParams::new(0.0, 1.0));
-    b.edge(x, y, vec![]);
-    b.edge(y, x, vec![]);
-    assert!(matches!(b.finish(), Err(MdgError::Cycle(_))));
+    // `MdgBuilder::finish` is the only way to make an `Mdg` and the one
+    // place these shapes are refused: no lint, resource analysis or
+    // scheduler re-checks them.
+    let two_nodes = |edges: &[(usize, usize)]| {
+        let mut b = MdgBuilder::new("bad");
+        b.compute("x", AmdahlParams::new(0.0, 1.0));
+        b.compute("y", AmdahlParams::new(0.0, 1.0));
+        for &(src, dst) in edges {
+            b.edge(NodeId(src), NodeId(dst), vec![]);
+        }
+        b.finish()
+    };
+    assert_eq!(MdgBuilder::new("empty").finish().unwrap_err(), MdgError::Empty);
+    assert_eq!(two_nodes(&[(0, 5)]).unwrap_err(), MdgError::DanglingEdge { src: 0, dst: 5 });
+    assert_eq!(two_nodes(&[(1, 1)]).unwrap_err(), MdgError::SelfLoop(1));
+    assert_eq!(
+        two_nodes(&[(0, 1), (0, 1)]).unwrap_err(),
+        MdgError::DuplicateEdge { src: 0, dst: 1 }
+    );
+    assert!(matches!(two_nodes(&[(0, 1), (1, 0)]), Err(MdgError::Cycle(_))));
+    assert!(two_nodes(&[(0, 1)]).is_ok());
+}
+
+#[test]
+fn a_corrupted_schedule_is_audited_violation_by_violation() {
+    use paradigm_analyze::{AuditClaims, ScheduleAuditor};
+    // A PSA schedule of the complex multiply with three corruptions: init
+    // Ar never finishes, the addition Cr has a NaN start, and init Ai
+    // moves onto init Br's processors while both run. A task with a
+    // non-finite interval takes part in neither the race sweep nor the
+    // machine-wide capacity count, so the only capacity verdict is none.
+    let g = complex_matmul_mdg(64, &KernelCostTable::cm5());
+    let m = Machine::cm5(16);
+    let psa = psa_schedule(&g, m, &Allocation::uniform(&g, 4.0), &PsaConfig::default());
+    let mut s = psa.schedule.clone();
+    let at = |s: &Schedule, v: usize| s.tasks.iter().position(|t| t.node == NodeId(v)).unwrap();
+    let (ar, ai, br, cr) = (at(&s, 1), at(&s, 2), at(&s, 3), at(&s, 9));
+    s.tasks[ar].finish = f64::INFINITY;
+    s.tasks[cr].start = f64::NAN;
+    s.tasks[ai].procs = s.tasks[br].procs.clone();
+    let claims =
+        AuditClaims { phi: 0.9 * psa.t_psa, t_psa: psa.t_psa, tier: FallbackTier::Primary };
+    let rep = ScheduleAuditor::new().audit(&g, &m, &psa.bounded, &s, &claims);
+    assert_eq!(
+        rep.render(),
+        concat!(
+            "6 schedule violation(s):\n",
+            "  - node n1 has malformed interval [0, inf)\n",
+            "  - node n9 has malformed interval [NaN, 0.13352896548)\n",
+            "  - processor 8: n2 and n3 overlap on [0, 0.01010880032)\n",
+            "  - processor 9: n2 and n3 overlap on [0, 0.01010880032)\n",
+            "  - processor 10: n2 and n3 overlap on [0, 0.01010880032)\n",
+            "  - processor 11: n2 and n3 overlap on [0, 0.01010880032)\n",
+            "audit: capacity and Phi claims consistent\n",
+        )
+    );
 }
 
 #[test]
