@@ -156,14 +156,20 @@ mod tests {
 
     #[test]
     fn mdg_text_round_trip_diff_is_plausible() {
-        use paradigm_mdg::{to_text, AmdahlParams, MdgBuilder};
-        let mut b1 = MdgBuilder::new("g");
-        b1.compute("n", AmdahlParams { alpha: 1.5, tau: 1.0 });
-        let g1 = b1.finish().unwrap();
-        let mut b2 = MdgBuilder::new("g");
-        b2.compute("n", AmdahlParams::new(1.0, 1.0));
-        let g2 = b2.finish().unwrap();
-        let d = unified_diff("g.mdg", &to_text(&g1), "g.mdg (fixed)", &to_text(&g2));
-        assert!(d.contains("alpha=1.5") && d.contains("alpha=1"), "{d}");
+        use paradigm_mdg::{to_text, AmdahlParams, ArrayTransfer, MdgBuilder, TransferKind};
+        // The `DropEmptyTransfers` repair: one edge loses its zero-byte array.
+        let graph = |bytes: &[u64]| {
+            let mut b = MdgBuilder::new("g");
+            let u = b.compute("u", AmdahlParams::new(0.5, 1.0));
+            let v = b.compute("v", AmdahlParams::new(0.5, 1.0));
+            b.edge(
+                u,
+                v,
+                bytes.iter().map(|&n| ArrayTransfer::new(n, TransferKind::OneD)).collect(),
+            );
+            to_text(&b.finish().unwrap())
+        };
+        let d = unified_diff("g.mdg", &graph(&[0, 64]), "g.mdg (fixed)", &graph(&[64]));
+        assert!(d.contains("-edge 0 1 xfer 0 1d xfer 64 1d\n+edge 0 1 xfer 64 1d\n"), "{d}");
     }
 }

@@ -16,9 +16,10 @@
 //!   precedence, the `y_i` recurrence bound) against them, and adds
 //!   machine-wide capacity, per-processor memory and the reported
 //!   `Phi`/`T_psa` claims.
-//! * [`lint`] — **MDG lints**. Pluggable diagnostics over graph cost
-//!   metadata (degenerate Amdahl fractions, NaN weights, shape
-//!   mismatches, ...) with compiler-style rendering.
+//! * [`lint`] — **MDG lints**. Pluggable diagnostics over suspicious
+//!   metadata of a valid graph (zero-cost nodes, transfers that disagree
+//!   with their producer's dims, placeholder loop dims, ...) with
+//!   compiler-style rendering and mechanical fixes.
 //! * [`resources`] — **static resource analysis**. Sound interval bounds
 //!   on per-processor peak resident memory and total communication
 //!   volume, pre-schedule (over every allocation) and post-schedule
@@ -27,8 +28,8 @@
 //!   `missing-footprint`).
 //!
 //! The passes are pure functions over the existing data structures; they
-//! are wired into `paradigm front` lowering, `paradigm serve`'s sampled
-//! audits, and the `paradigm analyze` CLI subcommand.
+//! are wired into `paradigm serve`'s sampled audits and the `paradigm
+//! analyze` CLI subcommand.
 
 pub mod cert;
 pub mod diff;
@@ -52,8 +53,7 @@ pub use posynomial::{
     ObjectiveCertificate, ObjectiveCounterexample, ObjectivePart, Rule,
 };
 pub use resources::{
-    analyze_resources, check_schedule_memory, memory_lint_set, MemoryInfeasible, MemorySweep,
-    MemoryViolation, MissingFootprint, NodeResidency, OversubscribedFootprint, ResourceAnalysis,
-    MEM_RTOL,
+    analyze_resources, check_schedule_memory, memory_lint_set, MemorySweep, MemoryViolation,
+    NodeResidency, ResourceAnalysis, MEM_RTOL,
 };
 pub use schedule_check::{AuditClaims, AuditReport, AuditViolation, ScheduleAuditor};

@@ -413,9 +413,9 @@ pub fn check_schedule_memory(g: &Mdg, machine: &Machine, s: &Schedule) -> Memory
 
 /// Error: some node's live-range demand exceeds the whole machine's
 /// memory — no allocation of this MDG on this machine can fit.
-pub struct MemoryInfeasible {
+struct MemoryInfeasible {
     /// Machine analyzed against.
-    pub machine: Machine,
+    machine: Machine,
 }
 
 impl Lint for MemoryInfeasible {
@@ -455,9 +455,9 @@ impl Lint for MemoryInfeasible {
 
 /// Warning: a node does not fit on a single processor — only group
 /// sizes at or above a floor are feasible for it.
-pub struct OversubscribedFootprint {
+struct OversubscribedFootprint {
     /// Machine analyzed against.
-    pub machine: Machine,
+    machine: Machine,
 }
 
 impl Lint for OversubscribedFootprint {
@@ -501,7 +501,7 @@ impl Lint for OversubscribedFootprint {
 /// so the memory analysis under-counts it. Mirrors `loop-metadata`'s
 /// exemption for fully synthetic graphs and carries the same
 /// [`Fix::DeriveLoopDims`] when the dims are mechanically derivable.
-pub struct MissingFootprint;
+struct MissingFootprint;
 
 impl Lint for MissingFootprint {
     fn name(&self) -> &'static str {

@@ -33,7 +33,7 @@ fn main() {
     let mut ratios = Vec::new();
     for seed in 0..10u64 {
         let g = random_layered_mdg(&cfg, seed);
-        let (fused, merges) = fuse_serial_chains(&g);
+        let (fused, merges) = fuse_serial_chains(&g).expect("random costs fuse in range");
         let run = |graph: &Mdg| {
             let sol = allocate(graph, machine, &SolverConfig::fast());
             psa_schedule(graph, machine, &sol.alloc, &PsaConfig::default()).t_psa

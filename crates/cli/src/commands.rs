@@ -10,10 +10,11 @@ use paradigm_analyze::{
     unified_diff,
 };
 use paradigm_core::calibrate::{calibrate, CalibrationConfig};
+use paradigm_core::compile::Compiled;
 use paradigm_core::report::render_calibration;
 use paradigm_core::{
-    compile, gallery_graph, machine_from_spec, try_solve_pipeline, CompileConfig, SolveSpec,
-    GALLERY_NAMES,
+    gallery_graph, machine_from_spec, try_compile, try_solve_pipeline, CompileConfig,
+    PipelineError, SolveSpec, GALLERY_NAMES,
 };
 use paradigm_cost::{Machine, MdgWeights};
 use paradigm_mdg::stats::MdgStats;
@@ -37,6 +38,8 @@ pub enum CliError {
     Parse(paradigm_mdg::textfmt::ParseError),
     /// Mini-language front-end problem.
     Front(paradigm_front::FrontError),
+    /// A transform produced a graph `MdgBuilder::finish` refuses.
+    Graph(paradigm_mdg::MdgError),
     /// Bad runtime configuration or an internal failure that is not a
     /// findings verdict (exit code 2, like usage errors).
     Config(String),
@@ -48,6 +51,7 @@ impl std::fmt::Display for CliError {
             CliError::Io(e) => write!(f, "io error: {e}"),
             CliError::Parse(e) => write!(f, "parse error: {e}"),
             CliError::Front(e) => write!(f, "front-end error: {e}"),
+            CliError::Graph(e) => write!(f, "graph construction failed: {e}"),
             CliError::Config(msg) => write!(f, "{msg}"),
         }
     }
@@ -102,7 +106,7 @@ pub fn run(command: &Command) -> Result<CmdOutput, CliError> {
             let mut g = load(file)?;
             let mut notes = Vec::new();
             if *fuse {
-                let (f, merges) = paradigm_mdg::fuse_serial_chains(&g);
+                let (f, merges) = paradigm_mdg::fuse_serial_chains(&g).map_err(CliError::Graph)?;
                 notes.push(format!("# fuse_serial_chains: {merges} merges"));
                 g = f;
             }
@@ -201,7 +205,7 @@ pub fn run(command: &Command) -> Result<CmdOutput, CliError> {
             let g = load(file)?;
             let machine = Machine::cm5(*procs);
             let truth = TrueMachine::cm5(*procs);
-            let c = compile(&g, machine, &CompileConfig::default());
+            let c = compile_or_error(&g, machine)?;
             let mut out = String::new();
             if *spmd {
                 let prog = lower_spmd(&g, *procs);
@@ -477,7 +481,8 @@ struct AnalyzeOpts {
 /// Append the three analysis passes (lints, convexity certification,
 /// schedule checks) for one graph to `out`. Returns true when findings
 /// should fail the run (lint errors — or any diagnostic under
-/// `strict` — a refuted objective, or schedule violations).
+/// `strict` — a refuted objective, or schedule violations), and the
+/// solver's error when the graph cannot be compiled.
 fn analyze_graph(
     g: &Mdg,
     machine: Machine,
@@ -533,14 +538,7 @@ fn analyze_graph(
             failed = true;
         }
     }
-    if has_errors(&diags) {
-        // Weights derived from a graph with error-level lints (NaN
-        // costs, degenerate Amdahl fractions) would make the schedule
-        // verdicts meaningless.
-        out.push_str("schedules: skipped (graph has lint errors)\n\n");
-        return Ok(failed);
-    }
-    let c = compile(g, machine, &CompileConfig::default());
+    let c = compile_or_error(g, machine)?;
     failed |= report_schedule("psa", g, &c.psa.weights, &c.psa.schedule, out);
     let (s, w) = spmd_schedule(g, machine);
     failed |= report_schedule("spmd", g, &w, &s, out);
@@ -548,6 +546,13 @@ fn analyze_graph(
     failed |= report_schedule("task-parallel", g, &tp.weights, &tp.schedule, out);
     out.push('\n');
     Ok(failed)
+}
+
+/// [`try_compile`] under the default config, a failure reported the way
+/// the `compile` command reports one (`solver failed: ...`, exit 2).
+fn compile_or_error(g: &Mdg, machine: Machine) -> Result<Compiled, CliError> {
+    try_compile(g, machine, &CompileConfig::default())
+        .map_err(|e| CliError::Config(PipelineError::Solver(e).to_string()))
 }
 
 /// Append one schedule's analyzer verdict to `out`; true on violations.
@@ -693,6 +698,28 @@ mod tests {
         let body: String =
             out.lines().filter(|l| !l.starts_with('#')).collect::<Vec<_>>().join("\n");
         assert!(from_text(&body).is_ok(), "{body}");
+        let _ = std::fs::remove_file(path);
+    }
+
+    /// Two valid nodes whose fused `tau` and whose `Phi` overflow to
+    /// infinity: every command on it ends in a typed error (exit 2).
+    #[test]
+    fn an_overflowing_graph_is_a_typed_error_not_a_panic() {
+        let big = "mdg big\nnode 0 \"a\" alpha=0.5 tau=1e308\nnode 1 \"b\" alpha=0.5 tau=1e308\nedge 0 1\n";
+        let path =
+            std::env::temp_dir().join(format!("paradigm-cli-big-{}.mdg", std::process::id()));
+        std::fs::write(&path, big).unwrap();
+        let p = path.to_string_lossy().into_owned();
+        let run_argv = |argv: &[&str]| run(&parse_args(argv).unwrap().command);
+        let err = run_argv(&["transform", &p, "--fuse"]).expect_err("fused tau is inf");
+        let tau =
+            paradigm_mdg::MdgError::InvalidCost { node: 0, param: paradigm_mdg::CostParam::Tau };
+        assert!(matches!(&err, CliError::Graph(e) if *e == tau), "{err:?}");
+        for argv in [&["analyze", &p, "-p", "4"][..], &["simulate", &p, "-p", "4"]] {
+            let err = run_argv(argv).expect_err("Phi is inf");
+            assert!(matches!(err, CliError::Config(_)), "{argv:?}: {err:?}");
+            assert!(err.to_string().starts_with("solver failed: "), "{argv:?}: {err}");
+        }
         let _ = std::fs::remove_file(path);
     }
 

@@ -56,42 +56,5 @@ pub fn compile_source(
     costs: &paradigm_mdg::KernelCostTable,
 ) -> Result<paradigm_mdg::Mdg, FrontError> {
     let program = parse(source)?;
-    let g = lower(&program, costs).map_err(FrontError::from)?;
-    // Lowering a parsed program must never fabricate a graph the solver
-    // would choke on (NaN costs, degenerate Amdahl fractions, ...): the
-    // kernel cost table validates its parameters and def-use lowering
-    // wires every node between START and STOP.
-    #[cfg(debug_assertions)]
-    debug_assert!(
-        !paradigm_analyze::has_errors(&paradigm_analyze::lint_mdg(&g)),
-        "front-end lowering produced a graph with lint errors:\n{}",
-        paradigm_analyze::render_diagnostics(&g, &paradigm_analyze::lint_mdg(&g))
-    );
-    Ok(g)
-}
-
-/// Like [`compile_source`], but also run the [`paradigm_analyze`] MDG
-/// lints over the lowered graph.
-///
-/// Error-level findings are promoted to a [`FrontError`] (a front end
-/// must not hand the pipeline a graph the convex solver will misbehave
-/// on); the surviving diagnostics — warnings and notes — are returned
-/// alongside the graph for the caller to surface.
-pub fn compile_source_checked(
-    source: &str,
-    costs: &paradigm_mdg::KernelCostTable,
-) -> Result<(paradigm_mdg::Mdg, Vec<paradigm_analyze::Diagnostic>), FrontError> {
-    let program = parse(source)?;
-    let g = lower(&program, costs).map_err(FrontError::from)?;
-    let diags = paradigm_analyze::lint_mdg(&g);
-    if paradigm_analyze::has_errors(&diags) {
-        return Err(FrontError {
-            line: 0,
-            message: format!(
-                "lowered graph fails lints:\n{}",
-                paradigm_analyze::render_diagnostics(&g, &diags)
-            ),
-        });
-    }
-    Ok((g, diags))
+    lower(&program, costs).map_err(FrontError::from)
 }

@@ -126,16 +126,3 @@ fn front_end_error_paths_are_user_grade() {
         assert!(e.line > 0);
     }
 }
-
-#[test]
-fn checked_compilation_lints_the_lowered_graph() {
-    let table = KernelCostTable::cm5();
-    let (g, diags) = paradigm_front::compile_source_checked(CMM_SOURCE, &table)
-        .expect("the paper's CMM program lowers to a lint-clean graph");
-    assert_eq!(MdgStats::of(&g).compute_nodes, 10);
-    // The CMM graph is fully connected compute-to-compute and uses
-    // measured costs, so no diagnostic of any severity should fire.
-    assert!(diags.is_empty(), "{diags:?}");
-    // Parse errors still surface as FrontError, not as lints.
-    assert!(paradigm_front::compile_source_checked("nope\n", &table).is_err());
-}

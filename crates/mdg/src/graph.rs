@@ -51,11 +51,29 @@ pub enum MdgError {
     DuplicateEdge { src: usize, dst: usize },
     /// The graph has no compute nodes at all.
     Empty,
+    /// A compute node's Amdahl parameters (paper Eq. 1) leave the range
+    /// in which `t^C` is a posynomial; `node` is the builder id.
+    InvalidCost { node: usize, param: CostParam },
+}
+
+/// Which Amdahl parameter of a node is out of range.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum CostParam {
+    /// The serial fraction `alpha` lies outside `[0, 1]` (or is NaN).
+    Alpha,
+    /// The sequential time `tau` is negative or not finite.
+    Tau,
 }
 
 impl fmt::Display for MdgError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
+            MdgError::InvalidCost { node, param: CostParam::Alpha } => {
+                write!(f, "compute node {node}: serial fraction alpha must lie in [0, 1]")
+            }
+            MdgError::InvalidCost { node, param: CostParam::Tau } => {
+                write!(f, "compute node {node}: sequential time tau must be finite and >= 0")
+            }
             MdgError::Cycle(v) => write!(f, "MDG contains a cycle through node {v}"),
             MdgError::DanglingEdge { src, dst } => {
                 write!(f, "edge ({src} -> {dst}) references a missing node")
@@ -78,6 +96,7 @@ impl std::error::Error for MdgError {}
 /// [`crate::validate::check_invariants`]:
 ///
 /// * node 0 is START, node `n-1` is STOP, both zero-cost;
+/// * every compute node has `alpha` in `[0, 1]` and a finite `tau >= 0`;
 /// * the edge relation is acyclic with no self-loops or duplicates;
 /// * every compute node is reachable from START and reaches STOP.
 #[derive(Debug, Clone)]
@@ -249,8 +268,8 @@ impl Mdg {
 }
 
 /// Incremental MDG construction. Compute nodes and edges are added freely;
-/// [`MdgBuilder::finish`] validates acyclicity, splices in START/STOP, and
-/// produces the immutable [`Mdg`].
+/// [`MdgBuilder::finish`] validates node costs and acyclicity, splices in
+/// START/STOP, and produces the immutable [`Mdg`].
 #[derive(Debug, Clone)]
 pub struct MdgBuilder {
     name: String,
@@ -295,9 +314,22 @@ impl MdgBuilder {
     /// Validate and seal the graph. START/STOP are appended and wired to
     /// all sources/sinks; node ids handed out by [`MdgBuilder::compute`]
     /// are shifted by +1 to make room for START at index 0.
+    ///
+    /// This is the one place node costs are checked: `tau` first, so a
+    /// `tau` that overflowed to infinity is reported as such rather than
+    /// through the NaN `alpha` derived from it.
     pub fn finish(self) -> Result<Mdg, MdgError> {
         if self.nodes.is_empty() {
             return Err(MdgError::Empty);
+        }
+        for (node, n) in self.nodes.iter().enumerate() {
+            let AmdahlParams { alpha, tau } = n.cost;
+            if !(tau.is_finite() && tau >= 0.0) {
+                return Err(MdgError::InvalidCost { node, param: CostParam::Tau });
+            }
+            if !(0.0..=1.0).contains(&alpha) {
+                return Err(MdgError::InvalidCost { node, param: CostParam::Alpha });
+            }
         }
         let user_n = self.nodes.len();
         // Validate user edges before renumbering.
@@ -490,6 +522,20 @@ mod tests {
     fn empty_graph_is_rejected() {
         let b = MdgBuilder::new("empty");
         assert!(matches!(b.finish(), Err(MdgError::Empty)));
+    }
+
+    #[test]
+    fn out_of_range_costs_are_rejected() {
+        let one = |alpha, tau| {
+            let mut b = MdgBuilder::new("cost");
+            b.compute("ok", AmdahlParams::new(0.5, 1.0));
+            b.compute("x", AmdahlParams::new(alpha, tau));
+            b.finish()
+        };
+        let bad = |param| Err(MdgError::InvalidCost { node: 1, param });
+        assert_eq!(one(1.5, 1.0).map(|_| ()), bad(CostParam::Alpha));
+        assert_eq!(one(0.5, -1.0).map(|_| ()), bad(CostParam::Tau));
+        assert!(one(1.0, 0.0).is_ok() && one(0.0, 1e308).is_ok());
     }
 
     #[test]

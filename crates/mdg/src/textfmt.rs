@@ -20,7 +20,7 @@
 //! is part of the name. Quoted strings have no escape syntax: a name
 //! holding `"` or a line break cannot be written in this format.
 
-use crate::graph::{Mdg, MdgBuilder, NodeId};
+use crate::graph::{Mdg, MdgBuilder, MdgError, NodeId};
 use crate::node::{AmdahlParams, ArrayTransfer, LoopClass, LoopMeta, NodeKind, TransferKind};
 use std::borrow::Cow;
 use std::fmt::Write as _;
@@ -108,7 +108,9 @@ pub fn to_text(g: &Mdg) -> String {
 /// Parse the text format back into an MDG.
 pub fn from_text(text: &str) -> Result<Mdg, ParseError> {
     let mut builder: Option<MdgBuilder> = None;
-    let mut nodes: Vec<NodeId> = Vec::new();
+    // The line that declared each node: `finish` names a node whose cost
+    // it refuses, and the error points at its declaration.
+    let mut node_lines: Vec<usize> = Vec::new();
     // One token vector for the whole file; tokens borrow from `text`.
     let mut tokens: Vec<Cow<'_, str>> = Vec::new();
     for (ln, line) in text.lines().enumerate() {
@@ -135,10 +137,10 @@ pub fn from_text(text: &str) -> Result<Mdg, ParseError> {
                 let id: usize = args[0]
                     .parse()
                     .map_err(|_| err(lineno, format!("bad node id `{}`", args[0])))?;
-                if id != nodes.len() {
+                if id != node_lines.len() {
                     return Err(err(
                         lineno,
-                        format!("node ids must be dense; expected {}, got {id}", nodes.len()),
+                        format!("node ids must be dense; expected {}, got {id}", node_lines.len()),
                     ));
                 }
                 let mut alpha = None;
@@ -170,18 +172,13 @@ pub fn from_text(text: &str) -> Result<Mdg, ParseError> {
                 }
                 let alpha = alpha.ok_or(err(lineno, "missing alpha="))?;
                 let tau = tau.ok_or(err(lineno, "missing tau="))?;
-                if !(0.0..=1.0).contains(&alpha) {
-                    return Err(err(lineno, format!("alpha {alpha} outside [0,1]")));
-                }
-                if !tau.is_finite() || tau < 0.0 {
-                    return Err(err(lineno, format!("tau {tau} invalid")));
-                }
                 let meta = match class {
                     Some(c) => LoopMeta { class: c, rows, cols },
                     None => LoopMeta::synthetic(),
                 };
                 let node_name = args[1].to_string();
-                nodes.push(b.compute_with_meta(node_name, AmdahlParams::new(alpha, tau), meta));
+                b.compute_with_meta(node_name, AmdahlParams::new(alpha, tau), meta);
+                node_lines.push(lineno);
             }
             "edge" => {
                 let b = builder.as_mut().ok_or(err(lineno, "`edge` before `mdg` header"))?;
@@ -191,8 +188,11 @@ pub fn from_text(text: &str) -> Result<Mdg, ParseError> {
                 let src: usize = args[0].parse().map_err(|_| err(lineno, "bad edge source id"))?;
                 let dst: usize =
                     args[1].parse().map_err(|_| err(lineno, "bad edge destination id"))?;
-                let su = *nodes.get(src).ok_or(err(lineno, format!("unknown node {src}")))?;
-                let sv = *nodes.get(dst).ok_or(err(lineno, format!("unknown node {dst}")))?;
+                for v in [src, dst] {
+                    if v >= node_lines.len() {
+                        return Err(err(lineno, format!("unknown node {v}")));
+                    }
+                }
                 let mut transfers = Vec::new();
                 let mut rest = &args[2..];
                 while !rest.is_empty() {
@@ -209,13 +209,16 @@ pub fn from_text(text: &str) -> Result<Mdg, ParseError> {
                     transfers.push(ArrayTransfer::new(bytes, kind));
                     rest = &rest[3..];
                 }
-                b.edge(su, sv, transfers);
+                b.edge(NodeId(src), NodeId(dst), transfers);
             }
             other => return Err(err(lineno, format!("unknown directive `{other}`"))),
         }
     }
     let b = builder.ok_or(err(0, "missing `mdg` header"))?;
-    b.finish().map_err(|e| err(0, format!("graph construction failed: {e}")))
+    b.finish().map_err(|e| match e {
+        MdgError::InvalidCost { node, .. } => err(node_lines[node], e.to_string()),
+        _ => err(0, format!("graph construction failed: {e}")),
+    })
 }
 
 /// Split one line into `out` (cleared first) on whitespace, honouring
@@ -343,6 +346,12 @@ edge 0 1 xfer 32768 1d xfer 4096 2d
         let e = from_text(bad).unwrap_err();
         assert_eq!(e.line, 2);
         assert!(e.message.contains("alpha"));
+        // `finish` refuses the cost after the whole file is read; the
+        // error still names the line that declared the node.
+        let late =
+            "mdg x\nnode 0 \"a\" alpha=0.1 tau=1\n\nnode 1 \"b\" alpha=0.1 tau=-1\nedge 0 1\n";
+        let e = from_text(late).unwrap_err();
+        assert_eq!((e.line, e.message.contains("tau")), (4, true), "{e}");
 
         let bad2 = "mdg x\nnode 1 \"a\" alpha=0.1 tau=1.0\n";
         let e2 = from_text(bad2).unwrap_err();

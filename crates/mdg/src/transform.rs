@@ -13,7 +13,7 @@
 //! every data-carrying edge: deleting those would delete real
 //! communication).
 
-use crate::graph::{Mdg, MdgBuilder, NodeId};
+use crate::graph::{Mdg, MdgBuilder, MdgError, NodeId};
 use crate::node::{AmdahlParams, NodeKind};
 
 /// Fuse maximal serial chains: whenever `u -> v` is the *only* out-edge
@@ -29,8 +29,9 @@ use crate::node::{AmdahlParams, NodeKind};
 /// Kernel metadata degenerates to synthetic (a fused node is no longer a
 /// single loop), so fused graphs are for scheduling studies, not
 /// simulator value-checks. Returns the fused graph and the number of
-/// merges performed.
-pub fn fuse_serial_chains(g: &Mdg) -> (Mdg, usize) {
+/// merges performed, or `finish`'s error when a fused cost leaves the
+/// valid range (a `tau` sum that overflows to infinity).
+pub fn fuse_serial_chains(g: &Mdg) -> Result<(Mdg, usize), MdgError> {
     let n = g.node_count();
     // Union of chains: next[u] = v when (u, v) is fusible.
     let mut next: Vec<Option<usize>> = vec![None; n];
@@ -109,7 +110,7 @@ pub fn fuse_serial_chains(g: &Mdg) -> (Mdg, usize) {
         let v = new_id[cv].expect("chain exists");
         b.edge(u, v, transfers);
     }
-    (b.finish().expect("fusion preserves acyclicity"), merges)
+    Ok((b.finish()?, merges))
 }
 
 /// Remove every data-less precedence edge that is implied transitively
@@ -200,7 +201,7 @@ mod tests {
     #[test]
     fn chain_fuses_to_single_node() {
         let g = chain(&[1.0, 2.0, 3.0]);
-        let (f, merges) = fuse_serial_chains(&g);
+        let (f, merges) = fuse_serial_chains(&g).unwrap();
         assert_eq!(merges, 2);
         assert_eq!(f.compute_node_count(), 1);
         assert_invariants(&f);
@@ -215,7 +216,7 @@ mod tests {
         let cfg = RandomMdgConfig::default();
         for seed in 0..10 {
             let g = random_layered_mdg(&cfg, seed);
-            let (f, _) = fuse_serial_chains(&g);
+            let (f, _) = fuse_serial_chains(&g).unwrap();
             assert_invariants(&f);
             let a = MdgStats::of(&g).serial_time;
             let b = MdgStats::of(&f).serial_time;
@@ -231,7 +232,7 @@ mod tests {
         let v = b.compute("v", AmdahlParams::new(0.3, 3.0));
         b.edge(u, v, vec![]);
         let g = b.finish().unwrap();
-        let (f, merges) = fuse_serial_chains(&g);
+        let (f, merges) = fuse_serial_chains(&g).unwrap();
         assert_eq!(merges, 1);
         let node = f.nodes().find(|(_, n)| n.kind == NodeKind::Compute).unwrap().1;
         assert!((node.cost.alpha - 0.225).abs() < 1e-12);
@@ -240,7 +241,7 @@ mod tests {
     #[test]
     fn fork_join_does_not_fuse_across_branches() {
         let g = example_fig1_mdg(); // N1 -> {N2, N3}: nothing fusible
-        let (f, merges) = fuse_serial_chains(&g);
+        let (f, merges) = fuse_serial_chains(&g).unwrap();
         assert_eq!(merges, 0);
         assert_eq!(f.compute_node_count(), 3);
     }

@@ -21,8 +21,8 @@ impl std::fmt::Display for InvariantViolation {
 
 impl std::error::Error for InvariantViolation {}
 
-/// Check every structural invariant of a finished MDG. Returns the first
-/// violation found, or `Ok(())`.
+/// Check every structural and cost invariant of a finished MDG. Returns
+/// the first violation found, or `Ok(())`.
 pub fn check_invariants(g: &Mdg) -> Result<(), InvariantViolation> {
     let n = g.node_count();
     if n < 2 {
@@ -40,6 +40,14 @@ pub fn check_invariants(g: &Mdg) -> Result<(), InvariantViolation> {
         }
         if id != g.start() && id != g.stop() && node.kind != NodeKind::Compute {
             return Err(InvariantViolation(format!("interior node {id} is not Compute")));
+        }
+        let c = node.cost;
+        if !((0.0..=1.0).contains(&c.alpha) && c.tau.is_finite() && c.tau >= 0.0) {
+            return Err(InvariantViolation(format!(
+                "node {id} has an Amdahl cost outside alpha in [0, 1], 0 <= tau < inf \
+                 (alpha = {}, tau = {})",
+                c.alpha, c.tau
+            )));
         }
     }
     // Topological order sanity.

@@ -54,8 +54,8 @@ pub enum SolverError {
     /// (non-finite sharpness, sharpness below 1, bad tolerance; a start of
     /// the wrong length or outside the box).
     InvalidConfig(String),
-    /// The (graph, machine) pair cannot form a valid objective
-    /// (non-finite node costs, invalid transfer constants).
+    /// The machine cannot form a valid objective (no processors, invalid
+    /// transfer constants).
     BadObjective(String),
     /// The solve ended on a non-finite objective value.
     NonFinite {

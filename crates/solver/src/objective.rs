@@ -201,25 +201,14 @@ fn edge_tree(x: &TransferParams, edge: &Edge) -> Expr {
     Expr::sum(terms.collect())
 }
 
-/// What no objective is built for or attached to: a machine without
-/// processors or with invalid transfer constants, a node cost outside
-/// `α ∈ [0, 1]`, `0 ≤ τ < ∞`.
-fn check_inputs(g: &Mdg, machine: &Machine) -> Result<(), String> {
+/// What no objective is built for: a machine without processors or with
+/// invalid transfer constants. Node costs need no check here:
+/// `MdgBuilder::finish` refuses a graph with one out of range.
+fn check_machine(machine: &Machine) -> Result<(), String> {
     if machine.procs == 0 {
         return Err("machine has zero processors".into());
     }
-    machine.xfer.validate()?;
-    for (_, node) in g.nodes() {
-        let a = node.cost.alpha;
-        let tau = node.cost.tau;
-        if !a.is_finite() || !(0.0..=1.0).contains(&a) || !tau.is_finite() || tau < 0.0 {
-            return Err(format!(
-                "node `{}` has invalid cost (alpha = {a}, tau = {tau})",
-                node.name
-            ));
-        }
-    }
-    Ok(())
+    machine.xfer.validate()
 }
 
 /// The objective's one compiled program — node `T` expressions by node
@@ -266,12 +255,11 @@ impl Tapes {
 }
 
 impl<'g> MdgObjective<'g> {
-    /// Fallible [`MdgObjective::new`]: validates the machine and every
-    /// node cost *before* building monomials, so degenerate inputs
-    /// (non-finite `tau`, out-of-range `alpha`, bad transfer constants)
-    /// become an `Err` instead of a constructor panic.
+    /// Fallible [`MdgObjective::new`]: validates the machine *before*
+    /// building monomials, so a machine without processors or with bad
+    /// transfer constants becomes an `Err` instead of a constructor panic.
     pub fn try_new(g: &'g Mdg, machine: Machine) -> Result<Self, String> {
-        check_inputs(g, &machine)?;
+        check_machine(&machine)?;
         Ok(Self::new(g, machine))
     }
 
@@ -661,20 +649,17 @@ impl<'g> MdgObjective<'g> {
 impl DetachedObjective {
     /// The objective of `(g, machine)`, to the bit what
     /// [`MdgObjective::try_new`] builds, for the price of one pass over
-    /// the graph: `None` — the caller builds — unless the inputs are
-    /// valid, the machine's processor count and transfer constants are
-    /// the build's, `g` has the build's DAG and every node cost has the
-    /// build's zero pattern. Then the two cost coefficients of every node
-    /// are rewritten in the level program.
+    /// the graph: `None` — the caller builds — unless the machine's
+    /// processor count and transfer constants are the build's to the bit
+    /// (so the machine is as valid as the build's), `g` has the build's DAG
+    /// and every node cost has the build's zero pattern. Then the two cost
+    /// coefficients of every node are rewritten in the level program.
     pub fn attach(mut self, g: &Mdg, machine: Machine) -> Option<MdgObjective<'_>> {
         let constants = |m: &Machine| {
             let x = &m.xfer;
             (m.procs, [x.t_ss, x.t_ps, x.t_sr, x.t_pr, x.t_n].map(f64::to_bits))
         };
-        if check_inputs(g, &machine).is_err()
-            || constants(&machine) != constants(&self.machine)
-            || !self.shape.fits(g)
-        {
+        if constants(&machine) != constants(&self.machine) || !self.shape.fits(g) {
             return None;
         }
         for (id, node) in g.nodes() {

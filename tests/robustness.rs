@@ -4,7 +4,7 @@
 //! never NaNs, hangs, or silent nonsense.
 
 use paradigm_core::prelude::*;
-use paradigm_mdg::{from_text, to_text, MdgError};
+use paradigm_mdg::{from_text, to_text, CostParam, MdgError};
 
 #[test]
 fn extreme_cost_magnitudes_solve_cleanly() {
@@ -133,6 +133,24 @@ fn builder_rejects_malformed_graphs_with_typed_errors() {
     );
     assert!(matches!(two_nodes(&[(0, 1), (1, 0)]), Err(MdgError::Cycle(_))));
     assert!(two_nodes(&[(0, 1)]).is_ok());
+
+    // Node costs too: Eq. (1) is a posynomial only for alpha in [0, 1]
+    // and a finite tau >= 0, and no solver, lint or analysis re-checks it.
+    let second_costs = |alpha: f64, tau: f64| {
+        let mut b = MdgBuilder::new("cost");
+        b.compute("x", AmdahlParams::new(0.0, 1.0));
+        b.compute("y", AmdahlParams::new(alpha, tau));
+        b.finish().map(|_| ())
+    };
+    for tau in [f64::NAN, -1.0, f64::INFINITY] {
+        let bad = MdgError::InvalidCost { node: 1, param: CostParam::Tau };
+        assert_eq!(second_costs(0.5, tau), Err(bad), "tau = {tau}");
+    }
+    for alpha in [1.7, -0.5, f64::NAN] {
+        let bad = MdgError::InvalidCost { node: 1, param: CostParam::Alpha };
+        assert_eq!(second_costs(alpha, 1.0), Err(bad), "alpha = {alpha}");
+    }
+    assert_eq!(second_costs(1.0, 0.0), Ok(()));
 }
 
 #[test]
