@@ -26,7 +26,9 @@ use paradigm_sched::{
     SchedPolicy, Schedule,
 };
 use paradigm_serve::{ServeConfig, Server, ServerConfig};
-use paradigm_sim::{compare_schedule_vs_sim, lower_spmd, render_trace, simulate, TrueMachine};
+use paradigm_sim::{
+    compare_schedule_vs_sim, lower_mpmd, lower_spmd, render_trace, simulate, TrueMachine,
+};
 use paradigm_solver::MdgObjective;
 
 /// Any failure a command can produce.
@@ -218,7 +220,8 @@ pub fn run(command: &Command) -> Result<CmdOutput, CliError> {
                     100.0 * sim.utilization()
                 ));
             } else {
-                let sim = simulate(&c.mpmd, &truth);
+                let prog = lower_mpmd(&g, &c.psa.schedule);
+                let sim = simulate(&prog, &truth);
                 out.push_str(&format!(
                     "MPMD execution of `{}` on {} processors: {:.6} s (predicted {:.6} s, {:+.2}%)\n",
                     g.name(),
@@ -228,7 +231,7 @@ pub fn run(command: &Command) -> Result<CmdOutput, CliError> {
                     100.0 * (c.t_psa - sim.makespan) / sim.makespan
                 ));
                 if *trace {
-                    let diffs = compare_schedule_vs_sim(&g, &c.psa.schedule, &c.mpmd, &sim);
+                    let diffs = compare_schedule_vs_sim(&g, &c.psa.schedule, &prog, &sim);
                     out.push('\n');
                     out.push_str(&render_trace(&diffs));
                 }

@@ -253,7 +253,7 @@ pub fn every_case(
     complaint: impl Fn(&Row) -> Option<String>,
 ) -> Result<String, String> {
     let first = |row: &Row| Some(format!("{} {}", row.name(), complaint(row)?));
-    report.rows.iter().find_map(first).map_or(Ok(ok.to_string()), Err)
+    report.rows.iter().find_map(first).map_or_else(|| Ok(ok.to_string()), Err)
 }
 
 /// Render `report` (tables, then the JSON document — to `out` when given,

@@ -1,10 +1,10 @@
 //! Steps 3–5 of the pipeline: allocate (convex program), schedule (PSA),
-//! and lower to executable task programs.
+//! and, when a run is simulated, lower to executable task programs.
 
 use paradigm_cost::{Machine, PhiBreakdown};
 use paradigm_mdg::Mdg;
 use paradigm_sched::{psa_schedule, refine_allocation, PsaConfig, PsaResult, RefineConfig};
-use paradigm_sim::{lower_mpmd, lower_spmd, simulate, SimResult, TaskProgram, TrueMachine};
+use paradigm_sim::{lower_mpmd, lower_spmd, simulate, SimResult, TrueMachine};
 use paradigm_solver::{allocate, try_allocate, AllocationResult, SolverConfig, SolverError};
 
 /// Compilation settings: solver and PSA knobs.
@@ -39,8 +39,6 @@ pub struct Compiled {
     pub t_psa: f64,
     /// `Phi` breakdown at the continuous optimum.
     pub phi: PhiBreakdown,
-    /// The MPMD task program (paper Step 5).
-    pub mpmd: TaskProgram,
 }
 
 impl Compiled {
@@ -51,7 +49,8 @@ impl Compiled {
     }
 }
 
-/// Compile `g` for `machine`: allocation, scheduling, MPMD lowering.
+/// Compile `g` for `machine`: allocation and scheduling. [`run_mpmd`]
+/// lowers the schedule when it is simulated.
 ///
 /// Panics if the solver fails; prefer [`try_compile`] on user-reachable
 /// paths.
@@ -71,7 +70,7 @@ pub fn try_compile(
     Ok(compile_with_solve(g, machine, cfg, solve))
 }
 
-/// Schedule and lower a pre-computed allocation (Steps 4–5 only). This is
+/// Schedule a pre-computed allocation (Step 4 only). This is
 /// the shared tail of [`compile`]/[`try_compile`], and lets callers
 /// supply an allocation from any source — e.g. the serving layer's
 /// degraded path feeds `equal_split_allocation` here.
@@ -97,17 +96,17 @@ pub fn compile_with_solve(
             report.render()
         );
     }
-    let mpmd = lower_mpmd(g, &psa.schedule);
-    Compiled { machine, phi: solve.phi.clone(), t_psa: psa.t_psa, solve, psa, mpmd }
+    Compiled { machine, phi: solve.phi.clone(), t_psa: psa.t_psa, solve, psa }
 }
 
-/// Execute the compiled MPMD program on the ground-truth machine.
-pub fn run_mpmd(_g: &Mdg, compiled: &Compiled, truth: &TrueMachine) -> SimResult {
+/// Lower the compiled schedule to its MPMD program (paper Step 5) and
+/// execute it on the ground-truth machine.
+pub fn run_mpmd(g: &Mdg, compiled: &Compiled, truth: &TrueMachine) -> SimResult {
     assert_eq!(
         truth.machine.procs, compiled.machine.procs,
         "truth and compile target sizes differ"
     );
-    simulate(&compiled.mpmd, truth)
+    simulate(&lower_mpmd(g, &compiled.psa.schedule), truth)
 }
 
 /// Execute the SPMD version (every node on all processors) on the

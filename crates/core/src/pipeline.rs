@@ -15,7 +15,7 @@
 use crate::compile::{compile_with_solve, run_mpmd, try_compile, CompileConfig, Compiled};
 use paradigm_admm::{solve_admm, AdmmConfig, AdmmResult, BlockBackend, InProcessBackend};
 use paradigm_cost::Machine;
-use paradigm_mdg::hash::Fnv128;
+use paradigm_mdg::hash::Mix128;
 use paradigm_mdg::{
     block_lu_mdg, complex_matmul_mdg, example_fig1_mdg, fft_2d_mdg, fork_join_mdg,
     random_layered_mdg, stencil_mdg, strassen_mdg, strassen_mdg_multilevel, structural_hash,
@@ -340,7 +340,7 @@ pub fn solve_pipeline_degraded(g: &Mdg, spec: &SolveSpec) -> SolveOutput {
 /// Content-addressed cache key: the graph's canonical structural hash
 /// extended with every [`SolveSpec`] field the output depends on.
 pub fn solve_fingerprint(g: &Mdg, spec: &SolveSpec) -> u128 {
-    let mut h = Fnv128::new();
+    let mut h = Mix128::new();
     h.write_u128(structural_hash(g));
     h.write_u64(u64::from(spec.machine.procs));
     h.write_f64(spec.machine.xfer.t_ss);

@@ -332,16 +332,24 @@ impl MdgBuilder {
             }
         }
         let user_n = self.nodes.len();
-        // Validate user edges before renumbering.
-        let mut seen_pairs = std::collections::HashSet::new();
-        for e in &self.edges {
+        // The first edge that repeats an earlier `(src, dst)` pair: sort
+        // the pairs with their insertion index, and a run of equal pairs
+        // repeats at its second index.
+        let mut pairs: Vec<(usize, usize, usize)> =
+            self.edges.iter().enumerate().map(|(i, e)| (e.src, e.dst, i)).collect();
+        pairs.sort_unstable();
+        let first_repeat =
+            pairs.windows(2).filter(|w| (w[0].0, w[0].1) == (w[1].0, w[1].1)).map(|w| w[1].2).min();
+        // Validate user edges before renumbering, reporting the first bad
+        // one in insertion order.
+        for (i, e) in self.edges.iter().enumerate() {
             if e.src >= user_n || e.dst >= user_n {
                 return Err(MdgError::DanglingEdge { src: e.src, dst: e.dst });
             }
             if e.src == e.dst {
                 return Err(MdgError::SelfLoop(e.src));
             }
-            if !seen_pairs.insert((e.src, e.dst)) {
+            if first_repeat == Some(i) {
                 return Err(MdgError::DuplicateEdge { src: e.src, dst: e.dst });
             }
         }

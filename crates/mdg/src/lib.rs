@@ -58,7 +58,7 @@ pub use builders::{
 pub use footprint::{edge_payload_bytes, node_footprint, total_comm_bytes, NodeFootprint};
 pub use gallery::{block_lu_mdg, fft_2d_mdg, stencil_mdg};
 pub use graph::{CostParam, EdgeId, Mdg, MdgBuilder, MdgError, NodeId};
-pub use hash::{structural_hash, Fnv128};
+pub use hash::{structural_hash, Mix128};
 pub use json::{parse as parse_json, Json, JsonError};
 pub use node::{
     AmdahlParams, ArrayTransfer, Edge, LoopClass, LoopMeta, Node, NodeKind, TransferKind,

@@ -130,7 +130,8 @@ pub fn from_text(text: &str) -> Result<Mdg, ParseError> {
                 builder = Some(MdgBuilder::new(name.to_string()));
             }
             "node" => {
-                let b = builder.as_mut().ok_or(err(lineno, "`node` before `mdg` header"))?;
+                let b =
+                    builder.as_mut().ok_or_else(|| err(lineno, "`node` before `mdg` header"))?;
                 if args.len() < 4 {
                     return Err(err(lineno, "usage: node <id> <name> alpha=A tau=T [class=..]"));
                 }
@@ -151,7 +152,7 @@ pub fn from_text(text: &str) -> Result<Mdg, ParseError> {
                 for t in &args[2..] {
                     let (k, v) = t
                         .split_once('=')
-                        .ok_or(err(lineno, format!("expected key=value, got `{t}`")))?;
+                        .ok_or_else(|| err(lineno, format!("expected key=value, got `{t}`")))?;
                     match k {
                         "alpha" => {
                             alpha = Some(v.parse::<f64>().map_err(|_| err(lineno, "bad alpha"))?)
@@ -170,8 +171,8 @@ pub fn from_text(text: &str) -> Result<Mdg, ParseError> {
                         other => return Err(err(lineno, format!("unknown key `{other}`"))),
                     }
                 }
-                let alpha = alpha.ok_or(err(lineno, "missing alpha="))?;
-                let tau = tau.ok_or(err(lineno, "missing tau="))?;
+                let alpha = alpha.ok_or_else(|| err(lineno, "missing alpha="))?;
+                let tau = tau.ok_or_else(|| err(lineno, "missing tau="))?;
                 let meta = match class {
                     Some(c) => LoopMeta { class: c, rows, cols },
                     None => LoopMeta::synthetic(),
@@ -181,7 +182,8 @@ pub fn from_text(text: &str) -> Result<Mdg, ParseError> {
                 node_lines.push(lineno);
             }
             "edge" => {
-                let b = builder.as_mut().ok_or(err(lineno, "`edge` before `mdg` header"))?;
+                let b =
+                    builder.as_mut().ok_or_else(|| err(lineno, "`edge` before `mdg` header"))?;
                 if args.len() < 2 {
                     return Err(err(lineno, "usage: edge <src> <dst> [xfer <bytes> 1d|2d]*"));
                 }
@@ -193,7 +195,7 @@ pub fn from_text(text: &str) -> Result<Mdg, ParseError> {
                         return Err(err(lineno, format!("unknown node {v}")));
                     }
                 }
-                let mut transfers = Vec::new();
+                let mut transfers = Vec::with_capacity((args.len() - 2) / 3);
                 let mut rest = &args[2..];
                 while !rest.is_empty() {
                     if rest[0] != "xfer" || rest.len() < 3 {
@@ -214,7 +216,7 @@ pub fn from_text(text: &str) -> Result<Mdg, ParseError> {
             other => return Err(err(lineno, format!("unknown directive `{other}`"))),
         }
     }
-    let b = builder.ok_or(err(0, "missing `mdg` header"))?;
+    let b = builder.ok_or_else(|| err(0, "missing `mdg` header"))?;
     b.finish().map_err(|e| match e {
         MdgError::InvalidCost { node, .. } => err(node_lines[node], e.to_string()),
         _ => err(0, format!("graph construction failed: {e}")),
@@ -229,34 +231,63 @@ pub fn from_text(text: &str) -> Result<Mdg, ParseError> {
 /// Tokens are slices of `line`. The one shape that is not a slice — a
 /// quote opening right after bare characters, `class="my loop"` — is
 /// joined into an owned `class=my loop`, as this format always read it.
+///
+/// The scan walks bytes: an ASCII byte is classified on its own, and
+/// only a non-ASCII one decodes its character to ask
+/// [`char::is_whitespace`].
 fn tokenize<'a>(
     line: &'a str,
     lineno: usize,
     out: &mut Vec<Cow<'a, str>>,
 ) -> Result<(), ParseError> {
     out.clear();
-    let mut rest = line;
+    let bytes = line.as_bytes();
+    let mut i = 0;
     loop {
-        rest = rest.trim_start();
-        if rest.is_empty() || rest.starts_with('#') {
+        while i < bytes.len() {
+            match space_len(line, i) {
+                0 => break,
+                n => i += n,
+            }
+        }
+        if i == bytes.len() || bytes[i] == b'#' {
             return Ok(());
         }
-        let bare_len =
-            rest.find(|c: char| c.is_whitespace() || c == '"' || c == '#').unwrap_or(rest.len());
-        let (bare, after) = rest.split_at(bare_len);
-        let Some(quoted) = after.strip_prefix('"') else {
+        let start = i;
+        while i < bytes.len() && !matches!(bytes[i], b'"' | b'#') && space_len(line, i) == 0 {
+            i += 1;
+        }
+        let bare = &line[start..i];
+        if bytes.get(i) != Some(&b'"') {
             out.push(Cow::Borrowed(bare));
-            rest = after;
             continue;
-        };
-        let close = quoted.find('"').ok_or(err(lineno, "unterminated string"))?;
-        let body = &quoted[..close];
+        }
+        let close = bytes[i + 1..]
+            .iter()
+            .position(|&b| b == b'"')
+            .ok_or_else(|| err(lineno, "unterminated string"))?;
+        let body = &line[i + 1..i + 1 + close];
         out.push(if bare.is_empty() {
             Cow::Borrowed(body)
         } else {
             Cow::Owned([bare, body].concat())
         });
-        rest = &quoted[close + 1..];
+        i += close + 2;
+    }
+}
+
+/// Length in bytes of the whitespace character that starts at byte `i`
+/// of `line`, or 0 if there is none (a non-whitespace character, or a
+/// byte inside a multi-byte character).
+fn space_len(line: &str, i: usize) -> usize {
+    match line.as_bytes()[i] {
+        b' ' | b'\t'..=b'\r' => 1,
+        b if b.is_ascii() => 0,
+        _ => line
+            .get(i..)
+            .and_then(|rest| rest.chars().next())
+            .filter(|c| c.is_whitespace())
+            .map_or(0, char::len_utf8),
     }
 }
 
@@ -274,49 +305,139 @@ mod tests {
         from_text(&text).unwrap_or_else(|e| panic!("reparse of {}: {e}\n{text}", g.name()))
     }
 
+    /// The nine gallery graphs at their standard sizes (the list behind
+    /// `paradigm_core::gallery_graph`).
+    fn gallery() -> Vec<Mdg> {
+        let t = KernelCostTable::cm5();
+        vec![
+            crate::builders::example_fig1_mdg(),
+            complex_matmul_mdg(64, &t),
+            strassen_mdg(128, &t),
+            crate::builders::strassen_mdg_multilevel(128, 2, &t),
+            crate::gallery::fft_2d_mdg(64, 4, &t),
+            crate::gallery::block_lu_mdg(4, 32, &t),
+            crate::gallery::stencil_mdg(64, 2, 3, &t),
+            random_layered_mdg(&RandomMdgConfig::sized(192), 11),
+            crate::random::fork_join_mdg(6, 12, 5),
+        ]
+    }
+
+    /// `b` is `a` exactly: name, every node's name, kind, cost bits and
+    /// loop metadata, every edge in index order with its transfers'
+    /// bytes, kinds and order, and the topological order.
     fn assert_same(a: &Mdg, b: &Mdg) {
         assert_eq!(a.name(), b.name());
-        assert_eq!(a.node_count(), b.node_count());
-        assert_eq!(a.edge_count(), b.edge_count());
-        for (id, na) in a.nodes() {
-            let nb = b.node(id);
-            assert_eq!(na.name, nb.name);
-            assert_eq!(na.kind, nb.kind);
-            assert!((na.cost.alpha - nb.cost.alpha).abs() < 1e-15);
-            assert!((na.cost.tau - nb.cost.tau).abs() < 1e-15);
+        assert_eq!(a.node_count(), b.node_count(), "{}", a.name());
+        assert_eq!(a.edge_count(), b.edge_count(), "{}", a.name());
+        for ((id, na), (_, nb)) in a.nodes().zip(b.nodes()) {
+            let at = format!("{} node {id}", a.name());
+            assert_eq!(na.name, nb.name, "{at}");
+            assert_eq!(na.kind, nb.kind, "{at}");
+            assert_eq!(na.cost.alpha.to_bits(), nb.cost.alpha.to_bits(), "{at}");
+            assert_eq!(na.cost.tau.to_bits(), nb.cost.tau.to_bits(), "{at}");
+            assert_eq!(na.meta, nb.meta, "{at}");
         }
-        let mut ea: Vec<_> = a.edges().map(|(_, e)| (e.src, e.dst, e.transfers.clone())).collect();
-        let mut eb: Vec<_> = b.edges().map(|(_, e)| (e.src, e.dst, e.transfers.clone())).collect();
-        let key = |t: &(usize, usize, Vec<ArrayTransfer>)| (t.0, t.1);
-        ea.sort_by_key(key);
-        eb.sort_by_key(key);
-        for (x, y) in ea.iter().zip(&eb) {
-            assert_eq!((x.0, x.1), (y.0, y.1));
-            assert_eq!(x.2.len(), y.2.len());
+        for ((id, ea), (_, eb)) in a.edges().zip(b.edges()) {
+            let at = format!("{} edge {}", a.name(), id.index());
+            assert_eq!((ea.src, ea.dst), (eb.src, eb.dst), "{at}");
+            assert_eq!(ea.transfers, eb.transfers, "{at}");
         }
+        assert_eq!(a.topo_order(), b.topo_order(), "{}", a.name());
     }
 
     #[test]
-    fn paper_graphs_roundtrip() {
-        let t = KernelCostTable::cm5();
-        for g in [complex_matmul_mdg(64, &t), strassen_mdg(128, &t)] {
+    fn gallery_graphs_roundtrip_exactly() {
+        for g in gallery() {
             let back = roundtrip(&g);
             assert_invariants(&back);
             assert_same(&g, &back);
-            // Kernel metadata survives.
-            for (id, n) in g.nodes() {
-                assert_eq!(n.meta.class, back.node(id).meta.class);
-                assert_eq!(n.meta.rows, back.node(id).meta.rows);
-            }
         }
     }
 
     #[test]
     fn random_graphs_roundtrip() {
-        for seed in 0..8 {
+        for seed in 0..32 {
             let g = random_layered_mdg(&RandomMdgConfig::default(), seed);
             let back = roundtrip(&g);
             assert_same(&g, &back);
+        }
+    }
+
+    /// Every error path of `from_text`, pinned to its `(line, message)`.
+    #[test]
+    fn every_error_reads_its_pinned_line_and_message() {
+        let node = "node 0 \"a\" alpha=0.1 tau=1";
+        let table: &[(String, usize, &str)] = &[
+            ("mdg x\nmdg y".into(), 2, "duplicate `mdg` header"),
+            ("mdg".into(), 1, "usage: mdg <name>"),
+            ("mdg a b".into(), 1, "usage: mdg <name>"),
+            (node.into(), 1, "`node` before `mdg` header"),
+            (
+                "mdg x\nnode 0 \"a\" alpha=0.1".into(),
+                2,
+                "usage: node <id> <name> alpha=A tau=T [class=..]",
+            ),
+            ("mdg x\nnode z \"a\" alpha=0.1 tau=1".into(), 2, "bad node id `z`"),
+            (
+                "mdg x\nnode 1 \"a\" alpha=0.1 tau=1".into(),
+                2,
+                "node ids must be dense; expected 0, got 1",
+            ),
+            (
+                "mdg x\nnode 0 \"a\" alpha=0.1 tau=1 rows".into(),
+                2,
+                "expected key=value, got `rows`",
+            ),
+            ("mdg x\nnode 0 \"a\" alpha=x tau=1".into(), 2, "bad alpha"),
+            ("mdg x\nnode 0 \"a\" alpha=0.1 tau=".into(), 2, "bad tau"),
+            ("mdg x\nnode 0 \"a\" alpha=0.1 tau=1 rows=-1".into(), 2, "bad rows"),
+            ("mdg x\nnode 0 \"a\" alpha=0.1 tau=1 cols=1.5".into(), 2, "bad cols"),
+            ("mdg x\nnode 0 \"a\" alpha=0.1 tau=1 size=3".into(), 2, "unknown key `size`"),
+            ("mdg x\nnode 0 \"a\" tau=1 rows=1".into(), 2, "missing alpha="),
+            ("mdg x\nnode 0 \"a\" alpha=0.1 rows=1".into(), 2, "missing tau="),
+            ("edge 0 1".into(), 1, "`edge` before `mdg` header"),
+            (format!("mdg x\n{node}\nedge 0"), 3, "usage: edge <src> <dst> [xfer <bytes> 1d|2d]*"),
+            (format!("mdg x\n{node}\nedge a 0"), 3, "bad edge source id"),
+            (format!("mdg x\n{node}\nedge 0 -1"), 3, "bad edge destination id"),
+            (format!("mdg x\n{node}\nedge 0 5"), 3, "unknown node 5"),
+            (format!("mdg x\n{node}\nedge 7 0"), 3, "unknown node 7"),
+            (format!("mdg x\n{node}\nedge 0 0 xfer 8"), 3, "expected: xfer <bytes> 1d|2d"),
+            (format!("mdg x\n{node}\nedge 0 0 move 8 1d"), 3, "expected: xfer <bytes> 1d|2d"),
+            (format!("mdg x\n{node}\nedge 0 0 xfer 8.5 1d"), 3, "bad transfer size"),
+            (format!("mdg x\n{node}\nedge 0 0 xfer 8 3d"), 3, "unknown kind `3d`"),
+            ("mdg x\nvertex 0".into(), 2, "unknown directive `vertex`"),
+            ("# nothing\n\n".into(), 0, "missing `mdg` header"),
+            ("mdg x\nnode 0 \"a alpha=0.1 tau=1".into(), 2, "unterminated string"),
+            (
+                format!("mdg x\n{node}\n\nnode 1 \"b\" alpha=1.5 tau=1"),
+                4,
+                "compute node 1: serial fraction alpha must lie in [0, 1]",
+            ),
+            (
+                format!("mdg x\n# c\n{node}\nnode 1 \"b\" alpha=0.1 tau=-1"),
+                4,
+                "compute node 1: sequential time tau must be finite and >= 0",
+            ),
+            ("mdg x".into(), 0, "graph construction failed: MDG has no compute nodes"),
+            (
+                format!("mdg x\n{node}\nedge 0 0"),
+                0,
+                "graph construction failed: self-loop on node 0",
+            ),
+            (
+                format!("mdg x\n{node}\nnode 1 \"b\" alpha=0 tau=1\nedge 0 1\nedge 0 1 xfer 8 1d"),
+                0,
+                "graph construction failed: duplicate edge (0 -> 1)",
+            ),
+            (
+                format!("mdg x\n{node}\nnode 1 \"b\" alpha=0 tau=1\nedge 0 1\nedge 1 0"),
+                0,
+                "graph construction failed: MDG contains a cycle through node 0",
+            ),
+        ];
+        for (text, line, message) in table {
+            let e = from_text(text).expect_err(text);
+            assert_eq!((e.line, e.message.as_str()), (*line, *message), "{text:?}");
         }
     }
 
@@ -449,17 +570,7 @@ edge 0 1 xfer 32768 1d xfer 4096 2d
 
     #[test]
     fn tokenizer_matches_the_owned_reference() {
-        let t = KernelCostTable::cm5();
-        let gallery = [
-            crate::builders::example_fig1_mdg(),
-            complex_matmul_mdg(64, &t),
-            strassen_mdg(128, &t),
-            crate::gallery::fft_2d_mdg(64, 4, &t),
-            crate::gallery::block_lu_mdg(4, 32, &t),
-            crate::gallery::stencil_mdg(64, 2, 3, &t),
-            random_layered_mdg(&RandomMdgConfig::default(), 3),
-        ];
-        let mut corpus: Vec<String> = gallery.iter().map(to_text).collect();
+        let mut corpus: Vec<String> = gallery().iter().map(to_text).collect();
         // Truncation at every byte of the two paper graphs.
         for text in [corpus[0].clone(), corpus[1].clone()] {
             corpus.extend(

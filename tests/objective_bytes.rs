@@ -82,7 +82,8 @@ fn dense_solve_at_scale() {
         let t0 = Instant::now();
         let res = try_allocate(&g, Machine::cm5(256), &SolverConfig::fast()).expect("solved");
         let secs = t0.elapsed().as_secs_f64();
-        let hwm = vm_hwm().map_or("n/a".to_string(), |b| format!("{:.1} MiB", b as f64 / MIB));
+        let hwm =
+            vm_hwm().map_or_else(|| "n/a".to_string(), |b| format!("{:.1} MiB", b as f64 / MIB));
         println!(
             "{} nodes: {secs:.2} s, {} iterations, Phi {:.4}, heap high-water {:.1} MiB, \
              VmHWM {hwm}",
