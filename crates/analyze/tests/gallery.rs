@@ -11,7 +11,7 @@ use paradigm_mdg::{
 };
 use paradigm_sched::{
     analyze_schedule, psa_schedule, refine_allocation, spmd_schedule, task_parallel_schedule,
-    PsaConfig, RefineConfig,
+    PsaConfig,
 };
 use paradigm_solver::MdgObjective;
 
@@ -69,7 +69,7 @@ fn analyzer_passes_psa_refinement_and_baselines_on_gallery() {
             let rep = analyze_schedule(&g, &res.weights, &res.schedule);
             assert!(rep.is_clean(), "`{}` PSA: {}", g.name(), rep.render());
             // Refinement output must stay clean too.
-            let refined = refine_allocation(&g, m, &res, &RefineConfig::default()).best;
+            let refined = refine_allocation(&g, m, &res).best;
             let rep = analyze_schedule(&g, &refined.weights, &refined.schedule);
             assert!(rep.is_clean(), "`{}` refined: {}", g.name(), rep.render());
         }

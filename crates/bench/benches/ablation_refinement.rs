@@ -4,7 +4,7 @@
 
 use paradigm_bench::{banner, PAPER_SIZES};
 use paradigm_core::prelude::*;
-use paradigm_sched::{refine_allocation, RefineConfig};
+use paradigm_sched::refine_allocation;
 
 fn main() {
     banner(
@@ -28,7 +28,7 @@ fn main() {
             let m = Machine::cm5(p);
             let sol = allocate(&g, m, &SolverConfig::default());
             let start = psa_schedule(&g, m, &sol.alloc, &PsaConfig::default());
-            let r = refine_allocation(&g, m, &start, &RefineConfig::default());
+            let r = refine_allocation(&g, m, &start);
             r.best.schedule.validate(&g, &r.best.weights).expect("refined schedule valid");
             let gap_before = 100.0 * (start.t_psa - sol.phi.phi) / sol.phi.phi;
             let gap_after = 100.0 * (r.best.t_psa - sol.phi.phi) / sol.phi.phi;

@@ -3,7 +3,7 @@
 
 use paradigm_cost::{Machine, PhiBreakdown};
 use paradigm_mdg::Mdg;
-use paradigm_sched::{psa_schedule, refine_allocation, PsaConfig, PsaResult, RefineConfig};
+use paradigm_sched::{psa_schedule, refine_allocation, PsaConfig, PsaResult};
 use paradigm_sim::{lower_mpmd, lower_spmd, simulate, SimResult, TrueMachine};
 use paradigm_solver::{allocate, try_allocate, AllocationResult, SolverConfig, SolverError};
 
@@ -82,7 +82,7 @@ pub fn compile_with_solve(
 ) -> Compiled {
     let mut psa = psa_schedule(g, machine, &solve.alloc, &cfg.psa);
     if cfg.refine {
-        psa = refine_allocation(g, machine, &psa, &RefineConfig::default()).best;
+        psa = refine_allocation(g, machine, &psa).best;
     }
     // In debug builds, every schedule the pipeline emits goes through the
     // schedule checker (races, precedence, recurrence lower bound).

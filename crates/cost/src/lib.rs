@@ -12,8 +12,7 @@
 //!   truth the convex solver and the scheduler both consume;
 //! * [`regression`] — the *training sets* style parameter fitting
 //!   (Balasundaram et al.) used to recover Table 1/Table 2 parameters
-//!   from measurements;
-//! * [`linalg`] — the small dense least-squares kernel behind it.
+//!   from measurements, on a small private least-squares kernel.
 //!
 //! All cost components here are (generalized) posynomials in the
 //! processor counts, which is what makes the allocation problem of
@@ -21,15 +20,13 @@
 //! property-based tests in this crate verify posynomial behaviour
 //! numerically (log-log midpoint convexity).
 
-pub mod estimate;
-pub mod linalg;
+mod linalg;
 pub mod machine;
 pub mod processing;
 pub mod regression;
 pub mod transfer;
 pub mod weights;
 
-pub use estimate::StaticMachineModel;
 pub use machine::{Machine, TransferParams, DEFAULT_MEM_BYTES};
 pub use processing::{processing_area, processing_cost};
 pub use transfer::{network_cost, recv_cost, send_cost, transfer_components, TransferCost};

@@ -20,13 +20,6 @@ pub fn emit(program: &Program) -> String {
     out
 }
 
-/// Parse → emit → parse must be the identity on the AST (modulo line
-/// numbers). Exposed as a helper so tests and tools can normalize
-/// source text.
-pub fn normalize(source: &str) -> Result<String, crate::parser::FrontError> {
-    Ok(emit(&crate::parser::parse(source)?))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -62,8 +55,8 @@ C = C - C
 
     #[test]
     fn normalize_is_idempotent() {
-        let once = normalize(SRC).unwrap();
-        let twice = normalize(&once).unwrap();
+        let once = emit(&parse(SRC).unwrap());
+        let twice = emit(&parse(&once).unwrap());
         assert_eq!(once, twice);
     }
 

@@ -44,7 +44,7 @@ pub mod lower;
 pub mod parser;
 
 pub use ast::{BinOp, Expr, MatrixDecl, Operand, Program, Stmt};
-pub use emit::{emit, normalize};
+pub use emit::emit;
 pub use interp::{interpret, interpret_distributed};
 pub use lexer::{tokenize, Token, TokenKind};
 pub use lower::{lower, LowerError};

@@ -27,7 +27,7 @@ pub enum BlockDist {
 impl BlockDist {
     /// True if moving from `self` to `other` is a 1D (same-dimension)
     /// redistribution; false means the 2D all-pairs pattern.
-    pub fn is_one_d_to(self, other: BlockDist) -> bool {
+    fn is_one_d_to(self, other: BlockDist) -> bool {
         self == other
     }
 }

@@ -6,8 +6,8 @@
 //!
 //! * complex matrix multiplication in the 4-multiply/2-addition real form
 //!   ([`complexmat`]);
-//! * Strassen's algorithm, both the paper's single recursion level and a
-//!   fully recursive variant ([`strassen`]).
+//! * Strassen's algorithm at the paper's single recursion level
+//!   ([`strassen`]).
 //!
 //! [`distribution`] models the block row/column distributions the cost
 //! model assumes and produces exact *redistribution plans* — the
@@ -21,7 +21,6 @@
 
 pub mod complexmat;
 pub mod distribution;
-pub mod grid;
 pub mod matrix;
 pub mod strassen;
 
@@ -29,6 +28,5 @@ pub use complexmat::ComplexMatrix;
 pub use distribution::{
     block_range, block_ranges, gather, redistribution_plan, scatter, BlockDist, RedistMessage,
 };
-pub use grid::{grid_redistribution_plan, grid_transfer_cost, GridDist};
 pub use matrix::Matrix;
-pub use strassen::{strassen_multiply, strassen_one_level};
+pub use strassen::strassen_one_level;

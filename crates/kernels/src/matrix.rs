@@ -1,6 +1,6 @@
 //! Dense row-major `f64` matrices with the loop kernels the paper's test
 //! programs are built from: initialization, addition/subtraction, and
-//! multiplication (naive and cache-blocked).
+//! multiplication.
 
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -95,32 +95,6 @@ impl Matrix {
         out
     }
 
-    /// Cache-blocked multiplication with square tiles of `block` elements.
-    pub fn mul_blocked(&self, other: &Matrix, block: usize) -> Matrix {
-        assert_eq!(self.cols, other.rows, "inner dimension mismatch");
-        assert!(block >= 1, "block size must be positive");
-        let (m, k, n) = (self.rows, self.cols, other.cols);
-        let mut out = Matrix::zeros(m, n);
-        for i0 in (0..m).step_by(block) {
-            for k0 in (0..k).step_by(block) {
-                for j0 in (0..n).step_by(block) {
-                    let i1 = (i0 + block).min(m);
-                    let k1 = (k0 + block).min(k);
-                    let j1 = (j0 + block).min(n);
-                    for i in i0..i1 {
-                        for kk in k0..k1 {
-                            let a = self.data[i * k + kk];
-                            for j in j0..j1 {
-                                out.data[i * n + j] += a * other.data[kk * n + j];
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        out
-    }
-
     /// Transposed copy.
     pub fn transpose(&self) -> Matrix {
         Matrix::from_fn(self.cols, self.rows, |i, j| self[(j, i)])
@@ -151,11 +125,6 @@ impl Matrix {
                 self[(r0 + i, c0 + j)] = src[(i, j)];
             }
         }
-    }
-
-    /// Total payload size in bytes (the `L` of the transfer cost model).
-    pub fn byte_len(&self) -> u64 {
-        (self.rows * self.cols * std::mem::size_of::<f64>()) as u64
     }
 }
 
@@ -196,16 +165,6 @@ mod tests {
     }
 
     #[test]
-    fn blocked_matches_naive() {
-        let a = Matrix::random(17, 23, 2);
-        let b = Matrix::random(23, 11, 3);
-        let naive = a.mul(&b);
-        for blk in [1, 4, 8, 32] {
-            assert!(a.mul_blocked(&b, blk).approx_eq(&naive, 1e-10), "block {blk}");
-        }
-    }
-
-    #[test]
     fn add_sub_roundtrip() {
         let a = Matrix::random(6, 6, 4);
         let b = Matrix::random(6, 6, 5);
@@ -240,11 +199,6 @@ mod tests {
         b.set_block(2, 4, &blk);
         assert_eq!(b[(4, 7)], a[(4, 7)]);
         assert_eq!(b[(0, 0)], 0.0);
-    }
-
-    #[test]
-    fn byte_len_matches_f64_size() {
-        assert_eq!(Matrix::zeros(64, 64).byte_len(), 32 * 1024);
     }
 
     #[test]

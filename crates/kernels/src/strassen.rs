@@ -3,17 +3,16 @@
 //! [`strassen_one_level`] performs exactly one recursion level (seven
 //! half-size multiplications, eighteen quadrant additions/subtractions),
 //! matching the MDG of `paradigm_mdg::strassen_mdg` node for node.
-//! [`strassen_multiply`] recurses fully down to a cutoff.
 
 use crate::matrix::Matrix;
 
-/// The seven Strassen products and the quadrant recombination for one
-/// recursion level. Inner multiplications use the supplied `mul` closure
-/// (the naive kernel for one level; recursion for the full algorithm).
+/// One recursion level of Strassen — the seven products (via the naive
+/// kernel) and the quadrant recombination — exactly the computation of
+/// the paper's Strassen MDG.
 ///
 /// # Panics
 /// Panics unless both matrices are square with even dimension.
-fn strassen_level(a: &Matrix, b: &Matrix, mul: &dyn Fn(&Matrix, &Matrix) -> Matrix) -> Matrix {
+pub fn strassen_one_level(a: &Matrix, b: &Matrix) -> Matrix {
     assert_eq!(a.rows(), a.cols(), "Strassen needs square matrices");
     assert_eq!(b.rows(), b.cols(), "Strassen needs square matrices");
     assert_eq!(a.rows(), b.rows(), "dimension mismatch");
@@ -42,13 +41,13 @@ fn strassen_level(a: &Matrix, b: &Matrix, mul: &dyn Fn(&Matrix, &Matrix) -> Matr
     let s10 = b21.add(&b22);
 
     // The seven products.
-    let m1 = mul(&s1, &s2);
-    let m2 = mul(&s3, &b11);
-    let m3 = mul(&a11, &s4);
-    let m4 = mul(&a22, &s5);
-    let m5 = mul(&s6, &b22);
-    let m6 = mul(&s7, &s8);
-    let m7 = mul(&s9, &s10);
+    let m1 = s1.mul(&s2);
+    let m2 = s3.mul(&b11);
+    let m3 = a11.mul(&s4);
+    let m4 = a22.mul(&s5);
+    let m5 = s6.mul(&b22);
+    let m6 = s7.mul(&s8);
+    let m7 = s9.mul(&s10);
 
     // Quadrant recombination (binary-add decomposition as in the MDG).
     let t1 = m1.add(&m4);
@@ -69,22 +68,6 @@ fn strassen_level(a: &Matrix, b: &Matrix, mul: &dyn Fn(&Matrix, &Matrix) -> Matr
     c
 }
 
-/// One recursion level of Strassen (inner products via the naive kernel)
-/// — exactly the computation of the paper's Strassen MDG.
-pub fn strassen_one_level(a: &Matrix, b: &Matrix) -> Matrix {
-    strassen_level(a, b, &|x, y| x.mul(y))
-}
-
-/// Fully recursive Strassen, falling back to the naive kernel at or below
-/// `cutoff` (or on odd dimensions).
-pub fn strassen_multiply(a: &Matrix, b: &Matrix, cutoff: usize) -> Matrix {
-    assert!(cutoff >= 1);
-    if a.rows() <= cutoff || !a.rows().is_multiple_of(2) {
-        return a.mul(b);
-    }
-    strassen_level(a, b, &|x, y| strassen_multiply(x, y, cutoff))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -102,24 +85,6 @@ mod tests {
                 got.max_abs_diff(&expect)
             );
         }
-    }
-
-    #[test]
-    fn recursive_matches_naive() {
-        let a = Matrix::random(64, 64, 7);
-        let b = Matrix::random(64, 64, 8);
-        let expect = a.mul(&b);
-        for cutoff in [1usize, 4, 16, 32] {
-            let got = strassen_multiply(&a, &b, cutoff);
-            assert!(got.approx_eq(&expect, 1e-8), "cutoff {cutoff}");
-        }
-    }
-
-    #[test]
-    fn odd_dimension_falls_back() {
-        let a = Matrix::random(31, 31, 9);
-        let b = Matrix::random(31, 31, 10);
-        assert!(strassen_multiply(&a, &b, 4).approx_eq(&a.mul(&b), 1e-9));
     }
 
     #[test]

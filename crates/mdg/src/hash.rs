@@ -338,7 +338,8 @@ mod tests {
     #[test]
     fn sequences_that_differ_in_one_word_never_collide() {
         let words: Vec<u64> = (0..8u64).map(|i| i.wrapping_mul(0x9e37_79b9_7f4a_7c15)).collect();
-        let digest = |ws: &[u64]| ws.iter().fold(Mix128::new(), |mut h, &w| *h.write_u64(w)).finish();
+        let digest =
+            |ws: &[u64]| ws.iter().fold(Mix128::new(), |mut h, &w| *h.write_u64(w)).finish();
         let base = digest(&words);
         for at in 0..words.len() {
             for flip in [1u64, 1 << 63, u64::MAX, words[at] ^ 0x5555] {

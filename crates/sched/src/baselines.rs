@@ -50,7 +50,7 @@ pub fn spmd_schedule(g: &Mdg, machine: Machine) -> (Schedule, MdgWeights) {
 }
 
 /// The SPMD allocation: `p` everywhere (1 on structural nodes).
-pub fn spmd_allocation(g: &Mdg, procs: u32) -> Allocation {
+pub(crate) fn spmd_allocation(g: &Mdg, procs: u32) -> Allocation {
     let mut a = Allocation::uniform(g, 1.0);
     for (id, n) in g.nodes() {
         if n.kind == NodeKind::Compute {

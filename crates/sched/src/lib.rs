@@ -36,7 +36,7 @@ pub use analysis::{gantt_svg, idle_profile, to_csv, IdleProfile};
 pub use baselines::{serial_schedule, spmd_schedule, task_parallel_schedule};
 pub use bounds::{optimal_pb, theorem1_factor, theorem2_factor, theorem3_factor};
 pub use psa::{psa_schedule, PsaConfig, PsaResult, SchedPolicy};
-pub use refine::{refine_allocation, RefineConfig, RefineResult};
+pub use refine::{refine_allocation, RefineResult};
 pub use rounding::{bound_allocation, round_allocation, round_pow2};
 pub use schedule::{Schedule, Task, TasksByNode};
 pub use schedule_check::{analyze_schedule, ScheduleReport, ScheduleViolation};

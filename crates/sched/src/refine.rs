@@ -18,20 +18,10 @@ use crate::schedule::Schedule;
 use paradigm_cost::Machine;
 use paradigm_mdg::{Mdg, NodeKind};
 
-/// Refinement settings.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RefineConfig {
-    /// Maximum hill-climb rounds.
-    pub max_rounds: usize,
-    /// Keep a move only if it improves `T_psa` by at least this factor.
-    pub min_improvement: f64,
-}
-
-impl Default for RefineConfig {
-    fn default() -> Self {
-        RefineConfig { max_rounds: 12, min_improvement: 1e-6 }
-    }
-}
+/// Maximum hill-climb rounds.
+const MAX_ROUNDS: usize = 12;
+/// Keep a move only if it improves `T_psa` by at least this factor.
+const MIN_IMPROVEMENT: f64 = 1e-6;
 
 /// Outcome of a refinement run.
 #[derive(Debug, Clone)]
@@ -55,19 +45,14 @@ impl RefineResult {
 
 /// Refine a PSA result by greedy reallocation of critical-path nodes.
 /// The returned schedule always respects the same `PB` bound.
-pub fn refine_allocation(
-    g: &Mdg,
-    machine: Machine,
-    start: &PsaResult,
-    cfg: &RefineConfig,
-) -> RefineResult {
+pub fn refine_allocation(g: &Mdg, machine: Machine, start: &PsaResult) -> RefineResult {
     let pb = start.pb;
     let psa_cfg = PsaConfig { pb: Some(pb), skip_rounding: true, ..PsaConfig::default() };
     let mut best = start.clone();
     let mut moves = Vec::new();
     let mut trials = 0usize;
 
-    for _ in 0..cfg.max_rounds {
+    for _ in 0..MAX_ROUNDS {
         // Candidates: compute nodes on the weighted critical path of the
         // current allocation (they bound the makespan from below), plus
         // the last-finishing task (which bounds it from above).
@@ -111,7 +96,7 @@ pub fn refine_allocation(
                     < round_best
                         .as_ref()
                         .map(|(r, _, _, _)| r.t_psa)
-                        .unwrap_or(best.t_psa * (1.0 - cfg.min_improvement));
+                        .unwrap_or(best.t_psa * (1.0 - MIN_IMPROVEMENT));
                 if improves {
                     round_best = Some((res, node, cur, q));
                 }
@@ -156,7 +141,7 @@ mod tests {
         for p in [16u32, 64] {
             let g = strassen_mdg(128, &KernelCostTable::cm5());
             let (m, start) = pipeline(&g, p);
-            let r = refine_allocation(&g, m, &start, &RefineConfig::default());
+            let r = refine_allocation(&g, m, &start);
             assert!(r.best.t_psa <= start.t_psa + 1e-12, "p={p}");
             r.best.schedule.validate(&g, &r.best.weights).unwrap();
             assert!(r.best.bounded.max() <= r.best.pb as f64);
@@ -169,7 +154,7 @@ mod tests {
         // the hill-climb should recover a measurable slice of it.
         let g = strassen_mdg(128, &KernelCostTable::cm5());
         let (m, start) = pipeline(&g, 64);
-        let r = refine_allocation(&g, m, &start, &RefineConfig::default());
+        let r = refine_allocation(&g, m, &start);
         assert!(
             r.improvement() > 0.01,
             "expected >1% improvement on Strassen, got {:.3}% ({} trials)",
@@ -186,7 +171,7 @@ mod tests {
         let g = paradigm_mdg::example_fig1_mdg();
         let (m, start) = pipeline(&g, 4);
         assert!((start.t_psa - 14.3).abs() < 1e-9);
-        let r = refine_allocation(&g, m, &start, &RefineConfig::default());
+        let r = refine_allocation(&g, m, &start);
         assert!((r.best.t_psa - 14.3).abs() < 1e-9);
         assert!(r.moves.is_empty());
     }
@@ -195,7 +180,7 @@ mod tests {
     fn moves_are_recorded_consistently() {
         let g = complex_matmul_mdg(64, &KernelCostTable::cm5());
         let (m, start) = pipeline(&g, 32);
-        let r = refine_allocation(&g, m, &start, &RefineConfig::default());
+        let r = refine_allocation(&g, m, &start);
         for &(node, old, new) in &r.moves {
             assert!(old != new);
             assert!(new.is_power_of_two());

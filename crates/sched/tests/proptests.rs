@@ -7,7 +7,6 @@ use paradigm_mdg::{random_layered_mdg, RandomMdgConfig};
 use paradigm_sched::{
     bound_allocation, optimal_pb, psa_schedule, refine_allocation, round_allocation, round_pow2,
     serial_schedule, spmd_schedule, task_parallel_schedule, theorem1_factor, PsaConfig,
-    RefineConfig,
 };
 use proptest::prelude::*;
 
@@ -167,7 +166,7 @@ proptest! {
             );
             let rep = analyze_schedule(&g, &res.weights, &res.schedule);
             prop_assert!(rep.is_clean(), "PSA (skip_rounding={skip_rounding}): {}", rep.render());
-            let refined = refine_allocation(&g, m, &res, &RefineConfig::default()).best;
+            let refined = refine_allocation(&g, m, &res).best;
             let rep = analyze_schedule(&g, &refined.weights, &refined.schedule);
             prop_assert!(rep.is_clean(), "refined: {}", rep.render());
         }

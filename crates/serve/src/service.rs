@@ -60,8 +60,6 @@ pub struct ServeConfig {
     pub cache_capacity: usize,
     /// Maximum queued (not yet running) jobs before submitters block.
     pub queue_capacity: usize,
-    /// Deadline applied to requests that do not carry their own.
-    pub default_deadline: Option<Duration>,
     /// How long a submitter may block on a full queue before the
     /// request is shed (`None` = block indefinitely, the pre-admission
     /// behaviour).
@@ -90,7 +88,6 @@ impl Default for ServeConfig {
             workers,
             cache_capacity: 1024,
             queue_capacity: 256,
-            default_deadline: None,
             max_queue_wait: None,
             chaos: None,
             breaker: BreakerConfig::default(),
@@ -287,10 +284,10 @@ impl Service {
         Service { inner, workers }
     }
 
-    /// Solve one request, blocking until the response is ready. See the
-    /// module docs for the path taken.
+    /// Solve one request with no queueing deadline, blocking until the
+    /// response is ready. See the module docs for the path taken.
     pub fn submit(&self, graph: Arc<Mdg>, spec: SolveSpec) -> Result<SolveResponse, ServeError> {
-        self.submit_with_deadline(graph, spec, self.inner.cfg.default_deadline)
+        self.submit_with_deadline(graph, spec, None)
     }
 
     /// [`Service::submit`] with an explicit queueing deadline (`None`

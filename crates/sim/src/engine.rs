@@ -51,9 +51,6 @@ pub struct SimResult {
     pub messages_sent: usize,
     /// Number of local copies executed.
     pub local_copies: usize,
-    /// Per-task processor-time spent in the three phases
-    /// `(receive, compute, send)`, summed over the task's processors.
-    pub task_phase_times: Vec<(f64, f64, f64)>,
     /// Per task, per rank (position in [`crate::SimTask::procs`]): the
     /// processor's involvement window, from the start of its receives to
     /// the end of its own sends.
@@ -237,7 +234,6 @@ pub fn simulate(prog: &TaskProgram, truth: &TrueMachine) -> SimResult {
     let mut task_finish = vec![0.0_f64; nt];
     let mut messages_sent = 0usize;
     let mut local_copies = 0usize;
-    let mut task_phase_times = vec![(0.0_f64, 0.0_f64, 0.0_f64); nt];
     let mut involvement: Vec<Vec<(f64, f64)>> = vec![Vec::new(); nt];
 
     for &t in &order {
@@ -272,7 +268,6 @@ pub fn simulate(prog: &TaskProgram, truth: &TrueMachine) -> SimResult {
                 };
                 now = now.max(avail[k]) + cost;
                 busy[pid as usize] += cost;
-                task_phase_times[t].0 += cost;
             }
             start = start.max(now);
         }
@@ -289,7 +284,6 @@ pub fn simulate(prog: &TaskProgram, truth: &TrueMachine) -> SimResult {
         task_start[t] = start;
         for &pid in &task.procs {
             busy[pid as usize] += comp;
-            task_phase_times[t].1 += comp;
         }
         // Phase 3: send, per processor, in program order of consumers.
         let mut finish = end_compute;
@@ -305,7 +299,6 @@ pub fn simulate(prog: &TaskProgram, truth: &TrueMachine) -> SimResult {
                     let cost = truth.send_time(m.bytes, k as u64);
                     now += cost;
                     busy[pid as usize] += cost;
-                    task_phase_times[t].2 += cost;
                     avail[k] = now + truth.net_delay(m.bytes);
                 }
             }
@@ -324,7 +317,6 @@ pub fn simulate(prog: &TaskProgram, truth: &TrueMachine) -> SimResult {
         proc_busy: busy,
         messages_sent,
         local_copies,
-        task_phase_times,
         involvement,
         msg_avail: avail,
     }

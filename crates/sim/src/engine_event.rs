@@ -7,7 +7,7 @@
 //! its tasks) and an event loop advances whichever processor is ready
 //! next. Both engines implement the same semantics, so they must agree
 //! **to the bit** on every time in [`SimResult`] — makespan, task starts
-//! and finishes, busy and phase seconds, message availabilities,
+//! and finishes, busy seconds, message availabilities,
 //! involvement windows. The test-suite and the property tests enforce
 //! that, up to the pipeline's own 40 069-message program, which protects
 //! the timing bookkeeping of both implementations (the same trick as the
@@ -99,7 +99,6 @@ pub fn simulate_event_driven(prog: &TaskProgram, truth: &TrueMachine) -> SimResu
     let mut task_finish = vec![0.0_f64; nt];
     let mut messages_sent = 0usize;
     let mut local_copies = 0usize;
-    let mut task_phase_times = vec![(0.0_f64, 0.0_f64, 0.0_f64); nt];
     // Per task, per rank: [involvement start, involvement end], what
     // `SimResult::involvement` reports.
     let mut involvement: Vec<Vec<(f64, f64)>> =
@@ -170,7 +169,6 @@ pub fn simulate_event_driven(prog: &TaskProgram, truth: &TrueMachine) -> SimResu
                     // The barrier is resolved: join the compute phase.
                     let (start, comp) = compute_phase[t].expect("resolved above");
                     busy[pid] += comp;
-                    task_phase_times[t].1 += comp;
                     clock[pid] = start + comp;
                 }
                 Op::Send => {
@@ -199,28 +197,6 @@ pub fn simulate_event_driven(prog: &TaskProgram, truth: &TrueMachine) -> SimResu
         assert!(progressed, "event-driven engine deadlocked — invalid program?");
     }
 
-    // Receive and send seconds per task. The event loop meets the ranks
-    // of a task in whatever order they become ready, and a float sum
-    // depends on its order: so these two are summed here, rank by rank and
-    // within a rank in the order its messages were handled, which is the
-    // order the sweep engine's running sums have.
-    for (t, phases) in task_phase_times.iter_mut().enumerate() {
-        for &k in recv_msgs[t].iter().flatten() {
-            let m = &prog.messages[k];
-            phases.0 += if m.is_local() {
-                truth.local_copy_time(m.bytes, k as u64)
-            } else {
-                truth.recv_time(m.bytes, k as u64)
-            };
-        }
-        for &k in send_msgs[t].iter().flatten() {
-            let m = &prog.messages[k];
-            if !m.is_local() {
-                phases.2 += truth.send_time(m.bytes, k as u64);
-            }
-        }
-    }
-
     SimResult {
         makespan: clock.iter().copied().fold(0.0_f64, f64::max),
         task_start,
@@ -228,7 +204,6 @@ pub fn simulate_event_driven(prog: &TaskProgram, truth: &TrueMachine) -> SimResu
         proc_busy: busy,
         messages_sent,
         local_copies,
-        task_phase_times,
         involvement,
         msg_avail: avail.into_iter().map(|a| a.expect("every message was sent")).collect(),
     }
@@ -255,10 +230,6 @@ mod tests {
             ("task_start", bits(r.task_start.clone())),
             ("task_finish", bits(r.task_finish.clone())),
             ("proc_busy", bits(r.proc_busy.clone())),
-            (
-                "task_phase_times",
-                bits(r.task_phase_times.iter().flat_map(|&(a, b, c)| [a, b, c]).collect()),
-            ),
             ("msg_avail", bits(r.msg_avail.clone())),
             (
                 "involvement",

@@ -23,6 +23,9 @@
 //!   to a task program, with exact per-pair message synthesis;
 //! * [`engine`] — the deterministic program-order sweep that executes a
 //!   task program and reports times and per-processor utilization;
+//! * [`engine_event`] — an event-driven reference engine that must agree
+//!   with the sweep to the bit;
+//! * [`trace`] — per-task comparison of a schedule against its run;
 //! * [`measure`] — measurement campaigns that drive the regression fits.
 
 pub mod codegen;
@@ -30,7 +33,6 @@ pub mod engine;
 pub mod engine_event;
 pub mod measure;
 pub mod program;
-pub mod report;
 pub mod trace;
 pub mod truth;
 
@@ -38,6 +40,5 @@ pub use codegen::{lower_mpmd, lower_spmd};
 pub use engine::{simulate, SimResult};
 pub use engine_event::simulate_event_driven;
 pub use program::{ComputeSpec, SimMessage, SimTask, TaskProgram};
-pub use report::{render_breakdown, time_breakdown, TimeBreakdown};
 pub use trace::{compare_schedule_vs_sim, render_trace, TaskDiff};
 pub use truth::TrueMachine;

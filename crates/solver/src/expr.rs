@@ -39,49 +39,32 @@ pub struct Monomial {
 }
 
 impl Monomial {
-    /// Checked coefficient validation shared by all constructors.
-    fn check_coeff(c: f64) -> Result<(), String> {
-        if c >= 0.0 && c.is_finite() {
-            Ok(())
-        } else {
-            Err(format!("monomial coefficient must be >= 0, got {c}"))
-        }
-    }
-
-    /// Fallible [`Monomial::constant`].
-    pub fn try_constant(c: f64) -> Result<Self, String> {
-        Self::check_coeff(c)?;
-        Ok(Monomial { coeff: c, exps: Vec::new() })
-    }
-
-    /// Fallible [`Monomial::single`].
-    pub fn try_single(c: f64, var: usize, exp: f64) -> Result<Self, String> {
-        Self::check_coeff(c)?;
-        if exp == 0.0 {
-            Self::try_constant(c)
-        } else {
-            Ok(Monomial { coeff: c, exps: vec![(var, exp)] })
-        }
+    /// Coefficient validation shared by all constructors.
+    ///
+    /// # Panics
+    /// Panics unless `c` is finite and `>= 0`.
+    fn check_coeff(c: f64) {
+        assert!(c >= 0.0 && c.is_finite(), "monomial coefficient must be >= 0, got {c}");
     }
 
     /// A constant monomial.
     pub fn constant(c: f64) -> Self {
-        Self::try_constant(c).unwrap_or_else(|e| panic!("{e}"))
+        Self::check_coeff(c);
+        Monomial { coeff: c, exps: Vec::new() }
     }
 
     /// `c * p_var^exp`.
     pub fn single(c: f64, var: usize, exp: f64) -> Self {
-        Self::try_single(c, var, exp).unwrap_or_else(|e| panic!("{e}"))
+        if exp == 0.0 {
+            return Self::constant(c);
+        }
+        Self::check_coeff(c);
+        Monomial { coeff: c, exps: vec![(var, exp)] }
     }
 
     /// `c * p_a^ea * p_b^eb` (merging if `a == b`).
     pub fn pair(c: f64, a: usize, ea: f64, b: usize, eb: f64) -> Self {
-        Self::try_pair(c, a, ea, b, eb).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible [`Monomial::pair`].
-    pub fn try_pair(c: f64, a: usize, ea: f64, b: usize, eb: f64) -> Result<Self, String> {
-        Self::check_coeff(c)?;
+        Self::check_coeff(c);
         let mut exps = Vec::new();
         if a == b {
             if ea + eb != 0.0 {
@@ -95,7 +78,7 @@ impl Monomial {
                 exps.push((b, eb));
             }
         }
-        Ok(Monomial { coeff: c, exps })
+        Monomial { coeff: c, exps }
     }
 
     /// Value at `x` (log-space point): `c * exp(Σ a_j x_j)`.
