@@ -108,11 +108,9 @@ const TABLES: &[Table] = &[
             json_only("variables"),
             // Shape of the objective's level program
             // (`MdgObjective::tape_stats`): value slots (one per monomial,
-            // sum and max), levels above the monomials, distinct exponent
-            // vectors.
+            // sum and max), levels above the monomials.
             ("tape_ops", "ops", 6, Cell::Int),
             ("tape_levels", "lv", 3, Cell::Int),
-            ("tape_exp_vectors", "expvec", 6, Cell::Int),
             // `exp` calls of one exact recording sweep, read off the
             // scratch's `SweepCounts`.
             ("exact_exps_per_sweep", "exps", 6, Cell::Int),
@@ -153,7 +151,7 @@ pub fn run_bench_solve(quick: bool, out_path: Option<&str>) -> Result<CmdOutput,
             "bench-solve ({}; medians over {reps} samples)",
             if quick { "quick" } else { "full" }
         ),
-        header: vec![("version", Json::num(7.0)), ("quick", Json::Bool(quick))],
+        header: vec![("version", Json::num(8.0)), ("quick", Json::Bool(quick))],
         tables: TABLES,
         rows,
     };
@@ -217,7 +215,6 @@ fn bench_case(name: &str, g: &Mdg, reps: usize) -> Row {
     row.set("variables", n as f64);
     row.set("tape_ops", stats.slots as f64);
     row.set("tape_levels", stats.levels as f64);
-    row.set("tape_exp_vectors", stats.distinct_exponent_vectors as f64);
     row.set("record_ns_per_op", 1e3 * record / stats.slots.max(1) as f64);
 
     // Allocations per descent iteration, after a warm-up stage has sized
@@ -309,22 +306,17 @@ pub(crate) const SWEEPS: Gate = Gate {
     },
 };
 
-/// The `exp` gate: an exact sweep may call `exp` once per distinct
-/// exponent vector of the program plus once per variable (the cache the
-/// fused `A_p` reads), no more.
+/// The `exp` gate: a sweep, exact or smooth, calls `exp` exactly once
+/// per variable — the variable cache every monomial factor and the fused
+/// `A_p` read — and never per monomial.
 const EXPS: Gate = Gate {
     name: "exps",
     check: |report| {
-        let ok =
-            "no exact sweep calls exp more than once per distinct exponent vector and variable";
+        let ok = "every exact sweep calls exp exactly once per variable";
         every_case(report, ok, |row| {
-            let (exps, vectors) = (row.num("exact_exps_per_sweep"), row.num("tape_exp_vectors"));
-            let variables = row.num("variables");
-            (exps > vectors + variables).then(|| {
-                format!(
-                    "calls exp {exps} times per exact sweep for {vectors} distinct exponent \
-                     vectors + {variables} variables"
-                )
+            let (exps, variables) = (row.num("exact_exps_per_sweep"), row.num("variables"));
+            (exps != variables).then(|| {
+                format!("calls exp {exps} times per exact sweep for {variables} variables")
             })
         })
     },
@@ -387,8 +379,7 @@ mod tests {
             ("allocs_per_iter", 0.0),
             ("variables", 6.0),
             ("tape_ops", 40.0),
-            ("tape_exp_vectors", 9.0),
-            ("exact_exps_per_sweep", 15.0),
+            ("exact_exps_per_sweep", 6.0),
         ];
         let mut row = Row::new("random-256");
         let numbers = TABLES.iter().flat_map(|(_, cols)| cols.iter()).map(|col| col.0);
@@ -418,7 +409,7 @@ mod tests {
     fn report(rows: Vec<Row>) -> Report {
         Report {
             title: "bench-solve (test)".into(),
-            header: vec![("version", Json::num(7.0)), ("quick", Json::Bool(true))],
+            header: vec![("version", Json::num(8.0)), ("quick", Json::Bool(true))],
             tables: TABLES,
             rows,
         }
@@ -429,7 +420,7 @@ mod tests {
         let rep = report(vec![tiny_case()]);
         let json = rep.render_json().expect("every key is listed");
         let doc = paradigm_serve::parse_json(&json).expect("valid JSON");
-        assert_eq!(doc.get("version").and_then(Json::as_u64), Some(7));
+        assert_eq!(doc.get("version").and_then(Json::as_u64), Some(8));
         assert_eq!(doc.get("quick").and_then(Json::as_bool), Some(true));
         let cases = doc.get("cases").and_then(Json::as_arr).expect("cases array");
         assert_eq!(cases.len(), 1);
@@ -440,7 +431,7 @@ mod tests {
         assert_eq!(cases[0].get("forward_sweeps_per_iter").and_then(Json::as_f64), Some(2.3));
         assert_eq!(cases[0].get("probes_per_iter").and_then(Json::as_f64), Some(2.3));
         assert_eq!(cases[0].get("tape_ops").and_then(Json::as_u64), Some(40));
-        assert_eq!(cases[0].get("exact_exps_per_sweep").and_then(Json::as_u64), Some(15));
+        assert_eq!(cases[0].get("exact_exps_per_sweep").and_then(Json::as_u64), Some(6));
         let sweeps = cases[0].get("sweeps").expect("sweep table");
         let at =
             |s: &str, field: &str| sweeps.get(s).and_then(|r| r.get(field)).and_then(Json::as_f64);
@@ -452,12 +443,16 @@ mod tests {
     }
 
     #[test]
-    fn exp_gate_fails_a_sweep_that_calls_exp_per_monomial() {
-        let ok = (EXPS.check)(&report(vec![tiny_case()])).expect("9 vectors + 6 variables = 15");
-        assert!(ok.contains("no exact sweep"), "{ok}");
-        let undeduped = tiny_with("undeduped", "exact_exps_per_sweep", 31.0);
-        let err = (EXPS.check)(&report(vec![tiny_case(), undeduped])).expect_err("per monomial");
-        assert!(err.contains("undeduped") && err.contains("31"), "{err}");
+    fn exp_gate_fails_a_sweep_that_calls_exp_per_exponent_vector() {
+        let ok = (EXPS.check)(&report(vec![tiny_case()])).expect("6 variables, 6 calls");
+        assert!(ok.contains("exactly once per variable"), "{ok}");
+        // An exact sweep that also calls `exp` once per each of 9
+        // distinct exponent vectors.
+        let per_vector = tiny_with("per-vector", "exact_exps_per_sweep", 15.0);
+        let err = (EXPS.check)(&report(vec![tiny_case(), per_vector])).expect_err("per vector");
+        assert!(err.starts_with("per-vector calls exp 15 times"), "{err}");
+        let none = tiny_with("none", "exact_exps_per_sweep", 0.0);
+        assert!((EXPS.check)(&report(vec![none])).is_err(), "a sweep that skips the cache");
     }
 
     #[test]
@@ -529,7 +524,7 @@ mod tests {
         }
         assert!(c.num("tape_ops") > 0.0 && c.num("tape_levels") > 0.0);
         assert!(c.num("record_ns_per_op") > 0.0);
-        assert_eq!(c.num("exact_exps_per_sweep"), c.num("tape_exp_vectors") + c.num("variables"));
+        assert_eq!(c.num("exact_exps_per_sweep"), c.num("variables"));
         // (Sweep counts are read off the process-wide workspace pool,
         // which sibling tests share: exact only in the single-threaded
         // CLI run, pinned by the crates' `sweep_counts` tests.)

@@ -20,16 +20,22 @@
 //!   order, allocated level by level from the top, so a parent's slot is
 //!   always below its children's and a level splits the tape into
 //!   "outputs below, operands above" with one `split_at_mut`;
-//! * **level 0** is every monomial (coefficient, term range, exponent
-//!   slot for the exact sweep), stored in the order the backward pass
-//!   accumulates them (below);
+//! * **level 0** is every monomial as one fixed-width row — coefficient,
+//!   value slot and two factor rows into the [`VarCache`], a monomial of
+//!   fewer terms padded with the cache's `1.0` row (every objective
+//!   monomial has at most two) — stored in the order the backward pass
+//!   accumulates them (below). A factor row also names its gradient
+//!   term: row `4j + s` is variable `j` at the exponent
+//!   `ROW_EXPONENTS[s]`;
 //! * **level ℓ ≥ 1** is every `Sum`/`Max` whose deepest child sits at
 //!   ℓ − 1, as homogeneous lists: the arity-2 maxes of a level (every
 //!   `max` the objective builds) share one structure-of-arrays operand
 //!   block — all first candidates, then all second candidates — so one
 //!   elementwise kernel (`smax2_rows`) sweeps the level's independent
-//!   chains at once; other arities go through `smax_weights_fast` on
-//!   their contiguous child block; sums add their block in child order.
+//!   chains at once; the arity-2 sums (every transfer's startup plus
+//!   volume term) get a block of the same shape and a plain elementwise
+//!   add; other arities go through `smax_weights_fast` on their
+//!   contiguous child block, sums add their block in child order.
 //!
 //! The forward sweep records every op's value and every `max`'s weights;
 //! the backward sweep pushes a per-slot adjoint top-down (copy through a
@@ -38,100 +44,87 @@
 //! pure multiply-adds, no `exp`, no `powf`, no re-evaluation.
 //!
 //! This module holds the program, its compile and its executor: the
-//! forward sweep (`LevelProgram::forward`, whose smooth monomial level is
-//! `LevelProgram::smooth_monomials`) and the two backward passes
+//! forward sweep (`LevelProgram::forward`) and the two backward passes
 //! (`LevelProgram::push_adjoints`, `LevelProgram::accumulate`).
 //!
-//! Numerical contract. Per op the sweeps perform exactly the IEEE
-//! operation sequence of the post-order tapes they replaced, and every
-//! accumulation keeps its order: a sum adds its children left to right,
-//! and the monomial table is laid out in the order the old adjoint stack
-//! reached the monomials (roots in the caller's replay order, each
+//! Numerical contract. Every monomial, at every sharpness, is
+//! `coeff · f_0 · f_1`, its factors `factor(exp(x_j), a_j)` read from
+//! the variable cache and multiplied in term order (a padded factor is
+//! the exact `1.0`) — the product [`Monomial::eval`] forms — so a sweep
+//! calls `exp` once per variable and never per monomial. A sum adds its
+//! children left to right; every accumulation keeps its order: the
+//! monomial table is laid out in the order a post-order adjoint stack
+//! reaches the monomials (roots in the caller's replay order, each
 //! root's monomials right to left), so every `grad[j]` receives the same
-//! addends in the same order. What used to be skipped when an adjoint was
-//! zero is now an added `±0.0`, which cannot change a sum that started
-//! at `+0.0`. `crates/solver/tests/tape_bits.rs` pins the bits.
+//! addends in the same order (a padded term adds nothing); a zero adjoint
+//! adds `±0.0`, which cannot change a sum that started at `+0.0`.
+//! `crates/solver/tests/tape_bits.rs` pins the bits.
 //!
 //! At [`Sharpness::Exact`] the sweep is **bit-identical** to the tree
-//! walk (same summation order, same first-argmax tie-breaking): each
-//! monomial is `coeff · exp(Σ a_j x_j)` with the sum taken in term
-//! order, but `exp` runs once per *distinct* exponent vector of the
-//! program and constants take `coeff` as is (`exp(±0) = 1`). At
-//! `Smooth(s)` monomials are products of cached `e^{±x_j}`, `e^{±x_j/2}`
-//! factors and the power kernel is repeated squaring, so values may
-//! differ from the tree's `powf` in the last ulps; the property tests
-//! pin agreement at 1e-12 (values) and 1e-9 (gradients).
+//! walk (same monomial product, same summation order, same first-argmax
+//! tie-breaking), and so is a sweep at any sharpness of a tree without a
+//! `max`. At `Smooth(s)` the power kernel of a `max` is repeated
+//! squaring, so its values may differ from the tree's `powf` in the last
+//! ulps; the property tests pin agreement at 1e-12 (values) and 1e-9
+//! (gradients).
 
-use crate::expr::{Expr, Monomial, Sharpness};
+use crate::expr::{factor, Expr, Monomial, Sharpness};
 use crate::workspace::EvalScratch;
 use std::borrow::Borrow;
-use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
 use std::ops::Range;
 
-/// Per-sweep caches of `exp(x_j)` and friends at one point, filled once
-/// per objective call: four sections of `n` entries — `e^{x}`, `e^{-x}`,
-/// `e^{x/2}`, `e^{-x/2}` — so a monomial term compiles to one index into
-/// `fac`.
-///
-/// The objective's monomials only ever use exponents in `{±1, ±0.5}`
-/// (processor ratios and the 2D mesh's square-root terms), so a smoothed
-/// monomial is a handful of multiplies instead of a dot product plus
-/// `exp`. The factors are *not* used by the monomials of an exact sweep
-/// (see the module docs), but the `e^{x}` section is filled on every
-/// sweep: the objective's fused `A_p = (1/p) Σ T_i e^{x_i}` reads it.
+/// Per-sweep factors of every monomial at one point, filled once per
+/// objective call: four entries per variable `j` — `fac[4j + s]` is
+/// `e^{a·x_j}` for the exponent `a = ROW_EXPONENTS[s]` — then the padding
+/// factor `1.0` at `4n`, then one `e^{a·x_j}` per term whose exponent is
+/// none of those four (the objective builds none), so every monomial
+/// term compiles to one row of `fac`. Every entry is `expr::factor` of
+/// `fac[4j] = e^{x_j}`, which the objective's fused
+/// `A_p = (1/p) Σ T_i e^{x_i}` also reads.
 #[derive(Debug, Default)]
 pub struct VarCache {
     pub(crate) fac: Vec<f64>,
-    len: usize,
 }
+
+/// The exponent of row `4j + s` of the [`VarCache`], by `s`.
+const ROW_EXPONENTS: [f64; 4] = [1.0, -1.0, 0.5, -0.5];
 
 impl VarCache {
-    /// Fill for the point `xs`. `halves` asks for the square-root
-    /// sections too (only needed when some monomial carries a `±0.5`
-    /// exponent). Capacity is retained across calls.
-    pub(crate) fn fill(&mut self, xs: &[f64], halves: bool) {
+    /// Fill for the point `xs` of `prog`: `exp` once per variable, the
+    /// square roots only when some monomial carries a `±0.5` exponent.
+    /// Capacity is retained across calls.
+    pub(crate) fn fill(&mut self, xs: &[f64], prog: &LevelProgram) {
         let len = xs.len();
-        self.len = len;
-        self.fac.resize(if halves { 4 * len } else { 2 * len }, 0.0);
-        let (e, rest) = self.fac.split_at_mut(len);
-        for (ei, &x) in e.iter_mut().zip(xs) {
-            *ei = x.exp();
-        }
-        let (inv, rest) = rest.split_at_mut(len);
-        for (i, &ei) in inv.iter_mut().zip(&*e) {
-            *i = 1.0 / ei;
-        }
-        if halves {
-            let (sq, isq) = rest.split_at_mut(len);
-            for ((s, i), &ei) in sq.iter_mut().zip(isq).zip(&*e) {
-                *s = ei.sqrt();
-                *i = 1.0 / *s;
+        self.fac.resize(4 * len + 1 + prog.powf.len(), 0.0);
+        let (vars, rest) = self.fac.split_at_mut(4 * len);
+        for (f, &x) in vars.chunks_exact_mut(4).zip(xs) {
+            let e = x.exp();
+            (f[0], f[1]) = (e, factor(e, -1.0));
+            if prog.needs_halves {
+                (f[2], f[3]) = (factor(e, 0.5), factor(e, -0.5));
             }
+        }
+        rest[0] = 1.0;
+        for (f, &(j, a)) in rest[1..].iter_mut().zip(&prog.powf) {
+            *f = factor(vars[4 * j as usize], a);
         }
     }
 
-    /// The `exp(x_j)` section.
-    pub(crate) fn e(&self) -> &[f64] {
-        &self.fac[..self.len]
+    /// `e^{x_j}`.
+    #[inline]
+    pub(crate) fn e(&self, j: usize) -> f64 {
+        self.fac[4 * j]
     }
 }
 
-/// Factor-row marker of a term whose exponent is none of `±1`, `±0.5`:
-/// the sweep falls back to `exp(x_j).powf(a)`.
-const POWF: u32 = u32::MAX;
-
-/// One level-0 op: `coeff · Π factors` over `terms[lo..hi]`.
+/// One level-0 op: `coeff · fac[rows[0]] · fac[rows[1]]` into `slot`. A
+/// monomial of fewer than two terms is padded with the `1.0` row; a row
+/// names its gradient term (`LevelProgram::accumulate`).
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Mono {
     pub(crate) coeff: f64,
-    pub(crate) lo: u32,
-    pub(crate) hi: u32,
     pub(crate) slot: u32,
-    /// Index of this monomial's exponent vector among the program's
-    /// distinct ones; constants point at the trailing `1.0` entry. (While
-    /// the compile places ops, the section tag of `slot`.)
-    exp: u32,
+    rows: [u32; 2],
 }
 
 /// A `Sum` or a `Max` of arity ≠ 2: reduces the child slots
@@ -156,9 +149,12 @@ pub(crate) struct Level {
     /// at `w0 + i` and `w0 + n + i`, `n` being the level's arity-2 count.
     pub(crate) max2_out: Vec<u32>,
     pub(crate) w0: u32,
+    /// Arity-2 sums: op `i` reads `b + i` and `b + m + i`, where
+    /// `b = child_base + 2n` and `m` is the level's arity-2 sum count.
+    pub(crate) sum2_out: Vec<u32>,
     /// Maxes of any other arity.
     pub(crate) maxes: Vec<Reduce>,
-    /// Sums.
+    /// Sums of any other arity.
     pub(crate) sums: Vec<Reduce>,
 }
 
@@ -167,9 +163,6 @@ pub(crate) struct Level {
 pub struct TapeStats {
     /// Level-0 ops.
     pub monomials: usize,
-    /// Distinct non-constant exponent vectors: `exp` calls of the
-    /// monomial level of one exact sweep.
-    pub distinct_exponent_vectors: usize,
     /// `Sum` ops.
     pub sums: usize,
     /// `Max` ops as `(arity, count)`, ascending arity.
@@ -190,14 +183,9 @@ pub struct LevelProgram {
     pub(crate) n_vars: usize,
     /// Monomials in backward-accumulation order.
     pub(crate) monos: Vec<Mono>,
-    /// `(variable, exponent)` pairs of every monomial, contiguous.
-    pub(crate) terms: Vec<(u32, f64)>,
-    /// Factor row of each term in the `VarCache` (`POWF` for an exotic
-    /// exponent), parallel to `terms`.
-    rows: Vec<u32>,
-    /// Term range of each distinct exponent vector: the exact sweep's
-    /// `exp` table has one entry per vector plus the constants' `1.0`.
-    pub(crate) exp_keys: Vec<(u32, u32)>,
+    /// `(variable, exponent)` of every term whose exponent is none of
+    /// `±1`, `±0.5`: the `VarCache` entries past its `1.0`.
+    powf: Vec<(u32, f64)>,
     /// Levels bottom-up (level 1 first).
     pub(crate) levels: Vec<Level>,
     /// Monomial-table range of each root.
@@ -206,37 +194,40 @@ pub struct LevelProgram {
     pub(crate) n_slots: usize,
     /// Weight slots: Σ arity over maxes.
     pub(crate) n_wts: usize,
-    /// Widest arity-2 list of any level (sizes the staging row).
+    /// Widest arity-2 max list of any level (sizes the staging row).
     pub(crate) max2_width: usize,
     /// Whether any monomial carries a `±0.5` exponent (the 2D mesh's
     /// square-root network terms): whether `VarCache::fill` must
-    /// populate the square-root sections.
-    pub(crate) needs_halves: bool,
+    /// fill the square roots.
+    needs_halves: bool,
 }
 
-/// The four sections of a level's block of child slots, in slot order:
+/// The six sections of a level's block of child slots, in slot order:
 /// the first candidates of its arity-2 maxes, their second candidates,
-/// the child blocks of its other maxes, the child blocks of its sums.
-const FIRST: u32 = 0;
-const MAX_KIDS: u32 = 2;
-const SUM_KIDS: u32 = 3;
+/// the first and the second children of its arity-2 sums, the child
+/// blocks of its other maxes, the child blocks of its other sums.
+const MAX_KIDS: u32 = 4;
+const SUM_KIDS: u32 = 5;
+const SECTIONS: u32 = 6;
 
 /// Section tag of an output slot that is final as placed: a root's.
 const ROOT: u32 = u32::MAX;
 
 /// Section tag of section `section` of level `level`'s child block.
 fn tag(level: usize, section: u32) -> u32 {
-    4 * (level as u32 - 1) + section
+    SECTIONS * (level as u32 - 1) + section
 }
 
 /// One level while the compile fills it: its ops, each beside the
 /// section tag of its output slot, and the child slots its maxes and sums
-/// have taken. Until the relocation at the end every slot reference
-/// counts from the start of its section: a child block's `c0` / `w0`
-/// from its own level's, an output slot from the section its tag names.
+/// of other arities have taken. Until the relocation at the end every
+/// slot reference counts from the start of its section: a child block's
+/// `c0` / `w0` from its own level's, an output slot from the section its
+/// tag names.
 #[derive(Default)]
 struct OpenLevel {
-    max2_out: Vec<(u32, u32)>,
+    /// Output slots of the arity-2 maxes (`[0]`) and sums (`[1]`).
+    pairs: [Vec<(u32, u32)>; 2],
     maxes: Vec<(Reduce, u32)>,
     sums: Vec<(Reduce, u32)>,
     max_kids: u32,
@@ -249,7 +240,8 @@ struct OpenLevel {
 #[derive(Clone, Copy)]
 enum Placed {
     Mono(usize),
-    Max2(usize, usize),
+    /// An arity-2 max (`0`) or sum (`1`).
+    Pair(usize, usize, usize),
     Max(usize, usize),
     Sum(usize, usize),
 }
@@ -258,6 +250,8 @@ enum Placed {
 struct Placer {
     prog: LevelProgram,
     open: Vec<OpenLevel>,
+    /// Section tag of each monomial's `slot` until the relocation.
+    mono_tags: Vec<u32>,
     /// Handles of visited children whose parent has not finished yet.
     kids: Vec<Placed>,
 }
@@ -286,13 +280,14 @@ impl Placer {
         let lv = &mut self.open[level - 1];
         let arity = v.len() as u32;
         // The op's handle and the section and local slot of child 0. The
-        // children of an arity-2 max sit at one position of two sections,
+        // children of an arity-2 op sit at one position of two sections,
         // those of any other op in consecutive slots of one.
         let (placed, section, c0, two_sections) = match e {
-            Expr::Max(_) if arity == 2 => {
-                let i = lv.max2_out.len();
-                lv.max2_out.push((0, ROOT));
-                (Placed::Max2(level, i), FIRST, i as u32, true)
+            _ if arity == 2 => {
+                let k = matches!(e, Expr::Sum(_)) as usize;
+                let i = lv.pairs[k].len();
+                lv.pairs[k].push((0, ROOT));
+                (Placed::Pair(k, level, i), 2 * k as u32, i as u32, true)
             }
             Expr::Max(_) => {
                 let c0 = lv.max_kids;
@@ -320,12 +315,9 @@ impl Placer {
     /// Point `placed`'s output at slot `local` of section `tag`.
     fn set_out(&mut self, placed: Placed, tag: u32, local: u32) {
         let (out, tag_of) = match placed {
-            Placed::Mono(i) => {
-                let m = &mut self.prog.monos[i];
-                (&mut m.slot, &mut m.exp)
-            }
-            Placed::Max2(l, i) => {
-                let (out, tag_of) = &mut self.open[l - 1].max2_out[i];
+            Placed::Mono(i) => (&mut self.prog.monos[i].slot, &mut self.mono_tags[i]),
+            Placed::Pair(k, l, i) => {
+                let (out, tag_of) = &mut self.open[l - 1].pairs[k][i];
                 (out, tag_of)
             }
             Placed::Max(l, i) => {
@@ -344,56 +336,33 @@ impl Placer {
     /// the constant `+0.0` with no terms: it evaluates to `0.0` whatever
     /// the point and contributes nothing to any gradient, as
     /// `Monomial::eval` has it.
+    ///
+    /// # Panics
+    /// If `m` has more than two terms.
     fn push_mono(&mut self, m: &Monomial) -> usize {
         let p = &mut self.prog;
-        let lo = p.terms.len() as u32;
         let n = p.n_vars as u32;
-        let coeff = if m.coeff == 0.0 {
-            0.0
-        } else {
-            for &(j, a) in &m.exps {
-                let j = j as u32;
-                p.terms.push((j, a));
-                p.rows.push(if a == 1.0 {
-                    j
-                } else if a == -1.0 {
-                    n + j
-                } else if a == 0.5 {
-                    2 * n + j
-                } else if a == -0.5 {
-                    3 * n + j
-                } else {
-                    POWF
-                });
-            }
-            m.coeff
-        };
-        p.monos.push(Mono { coeff, lo, hi: p.terms.len() as u32, slot: 0, exp: ROOT });
+        let terms: &[(usize, f64)] = if m.coeff == 0.0 { &[] } else { &m.exps };
+        assert!(terms.len() <= 2, "a monomial of at most two terms, got {}", terms.len());
+        let coeff = if m.coeff == 0.0 { 0.0 } else { m.coeff };
+        let mut mono = Mono { coeff, slot: 0, rows: [4 * n; 2] };
+        for (k, &(j, a)) in terms.iter().enumerate() {
+            let j = j as u32;
+            // The `VarCache` row of `factor(e_j, a)`.
+            mono.rows[k] = match ROW_EXPONENTS.iter().position(|&b| b == a) {
+                Some(s) => 4 * j + s as u32,
+                None => {
+                    p.powf.push((j, a));
+                    4 * n + p.powf.len() as u32
+                }
+            };
+            p.needs_halves |= a == 0.5 || a == -0.5;
+        }
+        p.monos.push(mono);
+        self.mono_tags.push(ROOT);
         p.monos.len() - 1
     }
 }
-
-/// Borrowed exponent vector with bitwise equality: the build-time key of
-/// the exact sweep's `exp` deduplication.
-struct ExpKey<'a>(&'a [(u32, f64)]);
-
-impl Hash for ExpKey<'_> {
-    fn hash<H: Hasher>(&self, state: &mut H) {
-        for &(j, a) in self.0 {
-            state.write_u32(j);
-            state.write_u64(a.to_bits());
-        }
-    }
-}
-
-impl PartialEq for ExpKey<'_> {
-    fn eq(&self, other: &Self) -> bool {
-        self.0.len() == other.0.len()
-            && self.0.iter().zip(other.0).all(|(a, b)| a.0 == b.0 && a.1.to_bits() == b.1.to_bits())
-    }
-}
-
-impl Eq for ExpKey<'_> {}
 
 impl LevelProgram {
     /// Compile `n_roots` roots over `n_vars` variables into one program.
@@ -406,7 +375,8 @@ impl LevelProgram {
     /// sweep is bit-identical to [`Expr::eval`].
     ///
     /// # Panics
-    /// If `roots` names a root out of range, twice, or not at all.
+    /// If `roots` names a root out of range, twice, or not at all, or a
+    /// monomial has more than two terms.
     pub fn compile<E: Borrow<Expr>>(
         n_vars: usize,
         n_roots: usize,
@@ -416,9 +386,7 @@ impl LevelProgram {
         let prog = LevelProgram {
             n_vars,
             monos: Vec::new(),
-            terms: Vec::new(),
-            rows: Vec::new(),
-            exp_keys: Vec::new(),
+            powf: Vec::new(),
             levels: Vec::new(),
             mono_ranges: vec![UNPLACED; n_roots],
             n_slots: 0,
@@ -426,7 +394,7 @@ impl LevelProgram {
             max2_width: 0,
             needs_halves: false,
         };
-        let mut placer = Placer { prog, open: Vec::new(), kids: Vec::new() };
+        let mut placer = Placer { prog, open: Vec::new(), mono_tags: Vec::new(), kids: Vec::new() };
 
         // Place every op, level-locally, the roots in accumulation order.
         for (r, e) in roots {
@@ -442,19 +410,22 @@ impl LevelProgram {
         assert!(!placer.prog.mono_ranges.contains(&UNPLACED), "every root must be named");
 
         // Relocation, top level first: the roots' slots, then one block
-        // of child slots per level from the top down, each block its four
+        // of child slots per level from the top down, each block its six
         // sections in order, `base[tag]` the first slot of section `tag`.
         // A level's outputs lie in the blocks above it.
-        let Placer { mut prog, open, .. } = placer;
+        let Placer { mut prog, open, mono_tags, .. } = placer;
         let (mut slot, mut w) = (n_roots as u32, 0_u32);
-        let mut base = vec![0_u32; 4 * open.len()];
+        let mut base = vec![0_u32; SECTIONS as usize * open.len()];
         let at =
             |base: &[u32], tag, local| if tag == ROOT { local } else { base[tag as usize] + local };
         for (l, lv) in open.into_iter().enumerate().rev() {
-            let n2 = lv.max2_out.len() as u32;
-            let sections = [slot, slot + n2, slot + 2 * n2, slot + 2 * n2 + lv.max_kids];
-            base[4 * l..4 * l + 4].copy_from_slice(&sections);
-            let max2_out = lv.max2_out.iter().map(|&(o, t)| at(&base, t, o)).collect();
+            let (n2, m2) = (lv.pairs[0].len() as u32, lv.pairs[1].len() as u32);
+            let kids = slot + 2 * n2 + 2 * m2;
+            let sections =
+                [slot, slot + n2, slot + 2 * n2, slot + 2 * n2 + m2, kids, kids + lv.max_kids];
+            base[SECTIONS as usize * l..][..SECTIONS as usize].copy_from_slice(&sections);
+            let outs = |ops: &[(u32, u32)]| ops.iter().map(|&(o, t)| at(&base, t, o)).collect();
+            let (max2_out, sum2_out) = (outs(&lv.pairs[0]), outs(&lv.pairs[1]));
             let relocate = |ops: &[(Reduce, u32)], c0: u32, w0: u32| {
                 let op = |&(r, t): &(Reduce, u32)| Reduce {
                     out: at(&base, t, r.out),
@@ -464,55 +435,42 @@ impl LevelProgram {
                 };
                 ops.iter().map(op).collect()
             };
-            let maxes = relocate(&lv.maxes, sections[2], w + 2 * n2);
-            let sums = relocate(&lv.sums, sections[3], 0);
-            prog.levels.push(Level { child_base: slot, max2_out, w0: w, maxes, sums });
+            let maxes = relocate(&lv.maxes, sections[MAX_KIDS as usize], w + 2 * n2);
+            let sums = relocate(&lv.sums, sections[SUM_KIDS as usize], 0);
+            prog.levels.push(Level { child_base: slot, max2_out, w0: w, sum2_out, maxes, sums });
             prog.max2_width = prog.max2_width.max(n2 as usize);
-            slot += 2 * n2 + lv.max_kids + lv.sum_kids;
+            slot = kids + lv.max_kids + lv.sum_kids;
             w += 2 * n2 + lv.max_kids;
         }
         prog.levels.reverse();
         (prog.n_slots, prog.n_wts) = (slot as usize, w as usize);
-        for m in &mut prog.monos {
-            m.slot = at(&base, m.exp, m.slot);
+        for (m, &t) in prog.monos.iter_mut().zip(&mono_tags) {
+            m.slot = at(&base, t, m.slot);
         }
         prog.monos.shrink_to_fit();
-        prog.terms.shrink_to_fit();
-        prog.rows.shrink_to_fit();
-
-        // One exponent slot per distinct exponent vector, numbered in
-        // order of first use; the map lives only here.
-        let LevelProgram { monos, terms, exp_keys, .. } = &mut prog;
-        let mut seen: HashMap<ExpKey<'_>, u32> = HashMap::new();
-        for m in monos.iter_mut().filter(|m| m.lo != m.hi) {
-            let (lo, hi) = (m.lo, m.hi);
-            m.exp = *seen.entry(ExpKey(&terms[lo as usize..hi as usize])).or_insert_with(|| {
-                exp_keys.push((lo, hi));
-                exp_keys.len() as u32 - 1
-            });
-        }
-        drop(seen);
-        let constant = exp_keys.len() as u32;
-        for m in monos.iter_mut().filter(|m| m.lo == m.hi) {
-            m.exp = constant;
-        }
-        exp_keys.shrink_to_fit();
-        prog.needs_halves = prog.terms.iter().any(|&(_, a)| a == 0.5 || a == -0.5);
+        prog.powf.shrink_to_fit();
         prog
-    }
-
-    /// Factor row of term `t` in the `VarCache`; `None` for an exotic
-    /// exponent (`exp(x_j).powf(a)`).
-    #[inline]
-    pub(crate) fn factor_row(&self, t: usize) -> Option<usize> {
-        let row = self.rows[t];
-        (row != POWF).then_some(row as usize)
     }
 
     /// Range of root `r`'s monomials in the accumulation order.
     pub(crate) fn mono_range(&self, r: usize) -> Range<usize> {
         let (lo, hi) = self.mono_ranges[r];
         lo as usize..hi as usize
+    }
+
+    /// The `(variable, exponent)` terms of table entry `i`, padding
+    /// dropped, read off its rows as `accumulate` reads them.
+    #[cfg(test)]
+    pub(crate) fn terms(&self, i: usize) -> Vec<(u32, f64)> {
+        let one = 4 * self.n_vars as u32;
+        let term = |r| {
+            if r < one {
+                (r / 4, ROW_EXPONENTS[r as usize % 4])
+            } else {
+                self.powf[(r - one - 1) as usize]
+            }
+        };
+        self.monos[i].rows.into_iter().filter(|&r| r != one).map(term).collect()
     }
 
     /// Overwrite the coefficient of table entry `i`, one non-zero value
@@ -536,11 +494,10 @@ impl LevelProgram {
             for r in &lv.maxes {
                 *by_arity.entry(r.arity as usize).or_insert(0) += 1;
             }
-            sums += lv.sums.len();
+            sums += lv.sum2_out.len() + lv.sums.len();
         }
         TapeStats {
             monomials: self.monos.len(),
-            distinct_exponent_vectors: self.exp_keys.len(),
             sums,
             maxes_by_arity: by_arity.into_iter().collect(),
             levels: self.levels.len(),
@@ -549,39 +506,25 @@ impl LevelProgram {
         }
     }
 
-    /// Scalar forward sweep at the log-space point `x`: fills the
-    /// variable cache, then records every op's value into
-    /// `scratch.tape_vals` (root `r` at `[r]`) and every max's weights
-    /// into `scratch.tape_wts`, level by level.
+    /// Forward sweep at the log-space point `x`: fills the variable
+    /// cache, then records every op's value into `scratch.tape_vals`
+    /// (root `r` at `[r]`) and every max's weights into
+    /// `scratch.tape_wts`, level by level. The monomial level is the same
+    /// at every sharpness; only the maxes read `sharp`.
     pub(crate) fn forward(&self, x: &[f64], sharp: Sharpness, scratch: &mut EvalScratch) {
         debug_assert_eq!(x.len(), self.n_vars);
         scratch.ensure_tape(self);
-        let smooth = matches!(sharp, Sharpness::Smooth(_));
-        scratch.var_cache.fill(x, smooth && self.needs_halves);
-        let exps_swept = if smooth { 0 } else { self.exp_keys.len() };
-        scratch.counts.exp_calls += (x.len() + exps_swept) as u64;
-        let EvalScratch { tape_vals: vals, tape_wts: wts, var_cache, exps, stack, .. } = scratch;
-        if smooth {
-            self.smooth_monomials(&var_cache.fac, vals);
-        } else {
-            // `coeff · exp(Σ a_j x_j)`, the sum in term order as the
-            // tree walk takes it, the `exp` once per distinct vector.
-            for (e, &(lo, hi)) in exps.iter_mut().zip(&self.exp_keys) {
-                let dot: f64 = self.terms[lo as usize..hi as usize]
-                    .iter()
-                    .map(|&(j, a)| a * x[j as usize])
-                    .sum();
-                *e = dot.exp();
-            }
-            exps[self.exp_keys.len()] = 1.0;
-            for m in &self.monos {
-                vals[m.slot as usize] = m.coeff * exps[m.exp as usize];
-            }
+        scratch.var_cache.fill(x, self);
+        scratch.counts.exp_calls += x.len() as u64;
+        let EvalScratch { tape_vals: vals, tape_wts: wts, var_cache, stack, .. } = scratch;
+        let fac = &var_cache.fac;
+        for m in &self.monos {
+            vals[m.slot as usize] = m.coeff * fac[m.rows[0] as usize] * fac[m.rows[1] as usize];
         }
         for lv in &self.levels {
             let base = lv.child_base as usize;
             let (outs, kids) = vals.split_at_mut(base);
-            let n = lv.max2_out.len();
+            let (n, m) = (lv.max2_out.len(), lv.sum2_out.len());
             if n > 0 {
                 let (a, b) = kids[..2 * n].split_at(n);
                 let (wa, wb) = wts[lv.w0 as usize..][..2 * n].split_at_mut(n);
@@ -593,6 +536,10 @@ impl LevelProgram {
                 for (&o, &v) in lv.max2_out.iter().zip(&*staged) {
                     outs[o as usize] = v;
                 }
+            }
+            let (a, b) = kids[2 * n..][..2 * m].split_at(m);
+            for ((&o, &a), &b) in lv.sum2_out.iter().zip(a).zip(b) {
+                outs[o as usize] = 0.0 + a + b;
             }
             for r in &lv.maxes {
                 let (c0, arity) = (r.c0 as usize - base, r.arity as usize);
@@ -613,24 +560,6 @@ impl LevelProgram {
         }
     }
 
-    /// The monomial level of a smoothed sweep: `coeff · Π factors`,
-    /// multiplied in term order, into every monomial's value slot.
-    fn smooth_monomials(&self, fac: &[f64], vals: &mut [f64]) {
-        for m in &self.monos {
-            let mut out = m.coeff;
-            for t in m.lo as usize..m.hi as usize {
-                out *= match self.factor_row(t) {
-                    Some(row) => fac[row],
-                    None => {
-                        let (j, a) = self.terms[t];
-                        fac[j as usize].powf(a)
-                    }
-                };
-            }
-            vals[m.slot as usize] = out;
-        }
-    }
-
     /// Push the root adjoints the caller wrote into `adj[r]` down to
     /// every monomial's slot: a sum copies its adjoint to each child, a
     /// max scales it by the recorded weight — the same left-to-right
@@ -639,11 +568,15 @@ impl LevelProgram {
         for lv in self.levels.iter().rev() {
             let base = lv.child_base as usize;
             let (outs, kids) = adj.split_at_mut(base);
-            let (n, w0) = (lv.max2_out.len(), lv.w0 as usize);
+            let (n, m, w0) = (lv.max2_out.len(), lv.sum2_out.len(), lv.w0 as usize);
             for (i, &o) in lv.max2_out.iter().enumerate() {
                 let a = outs[o as usize];
                 kids[i] = a * wts[w0 + i];
                 kids[n + i] = a * wts[w0 + n + i];
+            }
+            for (i, &o) in lv.sum2_out.iter().enumerate() {
+                let a = outs[o as usize];
+                (kids[2 * n + i], kids[2 * n + m + i]) = (a, a);
             }
             for r in &lv.maxes {
                 let a = outs[r.out as usize];
@@ -660,7 +593,10 @@ impl LevelProgram {
 
     /// Accumulate `adjoint · value · exponent` of the monomials in
     /// `range` (accumulation order) into `grad`, from the value and
-    /// adjoint tapes.
+    /// adjoint tapes. A padded term is skipped: adding its `±0.0` to one
+    /// shared entry would queue every padded term of the replay on that
+    /// one address, a chain of dependent stores that made the replay of
+    /// the `compile-large` graphs about 40 % slower.
     pub(crate) fn accumulate(
         &self,
         range: Range<usize>,
@@ -668,10 +604,18 @@ impl LevelProgram {
         adj: &[f64],
         grad: &mut [f64],
     ) {
+        let one = 4 * self.n_vars as u32;
         for m in &self.monos[range] {
             let av = adj[m.slot as usize] * vals[m.slot as usize];
-            for &(j, e) in &self.terms[m.lo as usize..m.hi as usize] {
-                grad[j as usize] += av * e;
+            // Row `4j + s` is the term `(j, ROW_EXPONENTS[s])`, the rows
+            // past the padding row `one` the exotic terms in `powf`.
+            for r in m.rows {
+                if r < one {
+                    grad[(r / 4) as usize] += av * ROW_EXPONENTS[(r % 4) as usize];
+                } else if r > one {
+                    let (j, a) = self.powf[(r - one - 1) as usize];
+                    grad[j as usize] += av * a;
+                }
             }
         }
     }
@@ -929,8 +873,10 @@ mod tests {
         (scratch.tape_vals[0], grad)
     }
 
+    /// The sample tree: exact values bitwise equal to the tree walk's,
+    /// smooth ones to 1e-12.
     #[test]
-    fn level_sweep_is_bitwise_identical_to_tree_at_exact() {
+    fn level_sweep_matches_the_tree_walk() {
         let e = sample_expr();
         let prog = single(&e, 2);
         // Placed right to left: the root's last two children, a constant
@@ -938,26 +884,13 @@ mod tests {
         let coeffs: Vec<f64> = prog.monos.iter().map(|m| m.coeff).collect();
         assert_eq!(coeffs, [0.3, 1.0, 0.25, 0.5, 1.0, 2.0]);
         let mut scratch = EvalScratch::default();
-        for x in [[0.0, 0.0], [1.0, 2.0], [-0.5, 0.7], [2.0, -1.0]] {
-            let v0 = e.eval(&x, Sharpness::Exact);
-            let (v1, _) = sweep(&prog, &x, Sharpness::Exact, 1.0, &mut scratch);
-            assert_eq!(v0.to_bits(), v1.to_bits(), "at {x:?}");
-        }
-    }
-
-    #[test]
-    fn level_sweep_matches_tree_at_smooth_to_rounding() {
-        let e = sample_expr();
-        let prog = single(&e, 2);
-        let mut scratch = EvalScratch::default();
-        for s in [4.0, 64.0, 256.0, 3.0, 3.7] {
-            for x in [[0.0, 0.0], [1.0, 2.0], [-0.5, 0.7]] {
-                let v0 = e.eval(&x, Sharpness::Smooth(s));
-                let (v1, _) = sweep(&prog, &x, Sharpness::Smooth(s), 1.0, &mut scratch);
-                assert!(
-                    (v0 - v1).abs() <= 1e-12 * v0.abs().max(1.0),
-                    "s={s} x={x:?}: {v0} vs {v1}"
-                );
+        let sharps = [4.0, 64.0, 256.0, 3.0, 3.7].map(Sharpness::Smooth);
+        for sharp in sharps.into_iter().chain([Sharpness::Exact]) {
+            for x in [[0.0, 0.0], [1.0, 2.0], [-0.5, 0.7], [2.0, -1.0]] {
+                let v0 = e.eval(&x, sharp);
+                let (v1, _) = sweep(&prog, &x, sharp, 1.0, &mut scratch);
+                let tol = if sharp == Sharpness::Exact { 0.0 } else { 1e-12 };
+                assert!((v0 - v1).abs() <= tol * v0.abs().max(1.0), "{sharp:?} {x:?}: {v0} {v1}");
             }
         }
     }
@@ -1084,30 +1017,35 @@ mod tests {
         }
     }
 
+    /// Why `try_allocate` starts at the midpoint and not at `x = 0`: there
+    /// every factor is `exp(0) = 1` exactly, so both candidates of every
+    /// 1D transfer's startup `max(t_s, t_s · p_other / p_me)` are `t_s`
+    /// to the bit, and the exact sweep's first-argmax rule puts weight 1
+    /// on the constant one — a subgradient that moves no variable.
     #[test]
-    fn cached_monomials_match_exp_path_with_half_exponents() {
-        // ±0.5 exponents (the 2D mesh network terms) exercise the
-        // square-root sections; an exotic exponent hits the powf
-        // fallback. The tree evaluates `coeff · exp(Σ a·x)`.
-        let e = Expr::sum(vec![
-            Expr::Mono(Monomial::pair(3.0, 0, 0.5, 1, -0.5)),
-            Expr::Mono(Monomial::single(1.5, 1, -0.5)),
-            Expr::Mono(Monomial::single(0.5, 0, 2.0)),
-        ]);
-        let prog = single(&e, 2);
-        assert!(prog.needs_halves);
+    fn at_zero_every_1d_startup_max_ties_on_its_constant() {
+        use paradigm_cost::Machine;
+        use paradigm_mdg::{complex_matmul_mdg, KernelCostTable};
+        let g = complex_matmul_mdg(64, &KernelCostTable::cm5());
+        let obj = crate::MdgObjective::new(&g, Machine::cm5(16));
+        let n = g.node_count();
+        let roots = (0..n).map(|v| (v, obj.node_expr(paradigm_mdg::NodeId(v))));
+        let edges = g.edges().map(|(e, _)| (n + e.0, obj.edge_expr(e)));
+        let prog = LevelProgram::compile(n, n + g.edge_count(), roots.chain(edges));
         let mut scratch = EvalScratch::default();
-        for x in [[0.0, 0.0], [1.3, -0.4], [2.0, 2.0]] {
-            let sharp = Sharpness::Smooth(16.0);
-            let v0 = e.eval(&x, sharp);
-            let (v1, g1) = sweep(&prog, &x, sharp, 1.0, &mut scratch);
-            assert!((v0 - v1).abs() <= 1e-12 * v0.abs().max(1.0), "x={x:?}: {v0} vs {v1}");
-            let mut g0 = vec![0.0; 2];
-            let _ = e.eval_grad(&x, sharp, 1.0, &mut g0);
-            for j in 0..2 {
-                assert!((g0[j] - g1[j]).abs() <= 1e-9 * (1.0 + g0[j].abs()), "x={x:?} var {j}");
+        prog.forward(&vec![0.0; n], Sharpness::Exact, &mut scratch);
+        let mut ties = 0;
+        for lv in &prog.levels {
+            let (k, w) = (lv.max2_out.len(), lv.w0 as usize);
+            let cands = &scratch.tape_vals[lv.child_base as usize..][..2 * k];
+            let wts = &scratch.tape_wts[w..w + 2 * k];
+            for i in 0..k {
+                assert_eq!(cands[i].to_bits(), cands[k + i].to_bits(), "max {i}");
+                assert_eq!((wts[i], wts[k + i]), (1.0, 0.0), "max {i}");
+                ties += 1;
             }
         }
+        assert!(ties > 0, "cmm has 1D transfers");
     }
 
     #[test]
@@ -1121,13 +1059,13 @@ mod tests {
         }
     }
 
-    /// Several roots, a replay order that is not the root order, a
-    /// repeated exponent vector, a zero coefficient and empty `Sum` /
-    /// `Max` nodes: root `r`'s value lands in slot `r`, the monomial
-    /// table follows the replay order right to left, and an exact sweep
-    /// needs one `exp` per distinct exponent vector.
+    /// Several roots, a replay order that is not the root order, a zero
+    /// coefficient and empty `Sum` / `Max` nodes: root `r`'s value lands
+    /// in slot `r`, the monomial table follows the replay order right to
+    /// left with every row padded to two terms, and a sweep, exact or
+    /// smooth, calls `exp` once per variable.
     #[test]
-    fn roots_replay_order_and_exponent_dedup() {
+    fn roots_replay_order_and_padding() {
         let ratio = |c| Expr::Mono(Monomial::pair(c, 0, 1.0, 1, -1.0));
         let roots = [
             Expr::Sum(vec![ratio(2.0), Expr::constant(1.0), ratio(3.0)]),
@@ -1142,7 +1080,6 @@ mod tests {
         let prog = LevelProgram::compile(2, 3, [2, 0, 1].map(|r| (r, &roots[r])));
         let stats = prog.stats();
         assert_eq!(stats.monomials, 6);
-        assert_eq!(stats.distinct_exponent_vectors, 2, "p0/p1 three times, 1/p1 once");
         assert_eq!(stats.sums, 2);
         assert_eq!(stats.maxes_by_arity, vec![(0, 1), (4, 1)]);
         assert_eq!(stats.levels, 2);
@@ -1161,10 +1098,21 @@ mod tests {
         assert_eq!([from_end(0, 0), from_end(0, 1), from_end(0, 2)], [2.0, 1.0, 3.0]);
         assert_eq!(from_end(1, 0), 0.0);
         assert_eq!([from_end(2, 0), from_end(2, 1)], [0.5, 4.0]);
+        // Two terms, one, none (a constant, and the zero coefficient that
+        // drops its term): every row pads to two factors on the `1.0` row,
+        // `4n`; variable `j`'s factor at exponent −1 is row `4j + 1`.
+        assert_eq!(prog.terms(2), [(0, 1.0), (1, -1.0)]);
+        assert_eq!(prog.terms(0), [(1, -1.0)]);
+        assert!(prog.terms(3).is_empty() && prog.terms(5).is_empty());
+        let one = 4 * 2;
+        assert_eq!(prog.monos[0].rows, [4 + 1, one]);
+        assert_eq!(prog.monos[5].rows, [one; 2]);
         let mut scratch = EvalScratch::default();
         let x = [0.4, 1.1];
         for sharp in [Sharpness::Exact, Sharpness::Smooth(8.0)] {
+            let before = scratch.counts;
             prog.forward(&x, sharp, &mut scratch);
+            assert_eq!(scratch.counts.since(before).exp_calls, 2, "{sharp:?}");
             for (r, e) in roots.iter().enumerate() {
                 let (v0, v1) = (e.eval(&x, sharp), scratch.tape_vals[r]);
                 assert!((v0 - v1).abs() <= 1e-12 * v0.abs().max(1.0), "{sharp:?} root {r}");
@@ -1190,7 +1138,8 @@ mod tests {
     /// 5, `Sum` / `Max` of arity 1–5 constructed directly (so single
     /// children and zero terms survive), exponent vectors drawn from a
     /// small pool so they repeat, exotic exponents, zero coefficients.
-    fn random_tree(state: &mut u64, depth: usize) -> Expr {
+    /// Without `maxes` every inner node is a `Sum`.
+    fn random_tree(state: &mut u64, depth: usize, maxes: bool) -> Expr {
         let pick = next(state) % 10;
         if depth == 0 || pick < 4 {
             let coeff = match next(state) % 6 {
@@ -1214,8 +1163,8 @@ mod tests {
             });
         }
         let arity = 1 + (next(state) % 5) as usize;
-        let kids = (0..arity).map(|_| random_tree(state, depth - 1)).collect();
-        if pick & 1 == 0 {
+        let kids = (0..arity).map(|_| random_tree(state, depth - 1, maxes)).collect();
+        if pick & 1 == 0 || !maxes {
             Expr::Sum(kids)
         } else {
             Expr::Max(kids)
@@ -1228,11 +1177,13 @@ mod tests {
         /// The executor against the tree walk on trees of arbitrary
         /// shape, at five points each: exact values bitwise equal to
         /// `Expr::eval`, smooth values to 1e-12 and gradients to 1e-9
-        /// against `Expr::eval_grad`.
+        /// against `Expr::eval_grad`. Then a second tree without a `max`
+        /// (no `powf` kernel on either side): its values bitwise equal to
+        /// `Expr::eval` at every sharpness, one monomial formula on both.
         #[test]
         fn level_program_matches_tree_on_random_trees(seed in 0u64..1_000_000) {
             let mut state = seed;
-            let e = random_tree(&mut state, 5);
+            let e = random_tree(&mut state, 5, true);
             let prog = single(&e, TREE_VARS);
             let pts: Vec<Vec<f64>> = (0..5)
                 .map(|_| {
@@ -1259,6 +1210,15 @@ mod tests {
                             "s={} grad[{}] {} vs tree {}", s, j, g1[j], g0[j]
                         );
                     }
+                }
+            }
+            let e = random_tree(&mut state, 5, false);
+            let prog = single(&e, TREE_VARS);
+            let sharps = [2.0, 8.0, 256.0, 3.0, 3.7].map(Sharpness::Smooth);
+            for sharp in sharps.into_iter().chain([Sharpness::Exact]) {
+                for x in &pts {
+                    let (v, v0) = (sweep(&prog, x, sharp, 1.0, &mut scratch).0, e.eval(x, sharp));
+                    prop_assert_eq!(v.to_bits(), v0.to_bits(), "max-free {:?} at {:?}", sharp, x);
                 }
             }
         }

@@ -81,13 +81,13 @@ impl Monomial {
         Monomial { coeff: c, exps }
     }
 
-    /// Value at `x` (log-space point): `c * exp(Σ a_j x_j)`.
+    /// Value at `x` (log-space point): `c · Π factor(exp(x_j), a_j)` in
+    /// term order, the level program's monomial formula to the bit.
     pub fn eval(&self, x: &[f64]) -> f64 {
         if self.coeff == 0.0 {
             return 0.0;
         }
-        let e: f64 = self.exps.iter().map(|&(j, a)| a * x[j]).sum();
-        self.coeff * e.exp()
+        self.exps.iter().fold(self.coeff, |v, &(j, a)| v * factor(x[j].exp(), a))
     }
 
     /// Accumulate `scale * ∂value/∂x_j` into `grad`.
@@ -113,6 +113,20 @@ impl Monomial {
         }
         exps.retain(|&(_, a)| a != 0.0);
         Monomial { coeff: self.coeff * other.coeff, exps }
+    }
+}
+
+/// `p^a`: `p`, `1/p`, `√p`, `1/√p` for the exponents the objective
+/// builds (`±0.5` for the 2D mesh's square-root network terms), `powf`
+/// for any other. The one factor formula of the tree walk and the sweeps.
+#[inline]
+pub(crate) fn factor(p: f64, a: f64) -> f64 {
+    match a {
+        1.0 => p,
+        -1.0 => 1.0 / p,
+        0.5 => p.sqrt(),
+        -0.5 => 1.0 / p.sqrt(),
+        _ => p.powf(a),
     }
 }
 

@@ -325,8 +325,7 @@ impl<'g> MdgObjective<'g> {
     }
 
     /// Shape of the compiled level program: op counts by kind, levels,
-    /// slots, and the distinct exponent vectors an exact sweep calls
-    /// `exp` on.
+    /// slots and weights.
     pub fn tape_stats(&self) -> TapeStats {
         self.tapes.prog.stats()
     }
@@ -476,7 +475,6 @@ impl<'g> MdgObjective<'g> {
         scratch.ensure(n, self.g.edge_count(), t.max_in);
         t.prog.forward(x, sharp, scratch);
         let EvalScratch { y, tape_w, stack, tape_vals, var_cache, .. } = scratch;
-        let e_x = var_cache.e();
         let inv_p = 1.0 / self.machine.procs as f64;
         // DAG recurrence for C_p over the expression values the program
         // left in the root slots, accumulating A_p = (1/p) Σ T_v e^{x_v}
@@ -494,7 +492,7 @@ impl<'g> MdgObjective<'g> {
                 tape_w[e.0] = w;
             }
             let tv = tape_vals[v.0];
-            area_acc += tv * e_x[v.0];
+            area_acc += tv * var_cache.e(v.0);
             y[v.0] = start + tv;
         }
         let a_p = inv_p * area_acc;
@@ -553,13 +551,12 @@ impl<'g> MdgObjective<'g> {
         let t = &self.tapes;
         let w_area = area_seed / self.machine.procs as f64;
         let EvalScratch { adjoint, tape_w, tape_vals, tape_wts, slot_adj, var_cache, .. } = scratch;
-        let e_x = var_cache.e();
-        adjoint.fill(0.0);
+        adjoint[..n].fill(0.0);
         adjoint[self.g.stop().0] = c_seed;
         // DAG pass: every expression's seed into its root slot.
         for &v in self.g.topo_order().iter().rev() {
             let a_v = adjoint[v.0];
-            slot_adj[v.0] = if w_area != 0.0 { a_v + w_area * e_x[v.0] } else { a_v };
+            slot_adj[v.0] = if w_area != 0.0 { a_v + w_area * var_cache.e(v.0) } else { a_v };
             for &e in self.g.in_edges(v) {
                 let seed = a_v * tape_w[e.0];
                 slot_adj[n + e.0] = seed;
@@ -570,7 +567,7 @@ impl<'g> MdgObjective<'g> {
         let mut lo = 0;
         for (&v, &hi) in self.g.topo_order().iter().rev().zip(&t.replay_ends) {
             if w_area != 0.0 {
-                grad[v.0] += w_area * tape_vals[v.0] * e_x[v.0];
+                grad[v.0] += w_area * tape_vals[v.0] * var_cache.e(v.0);
             }
             // A node off every seeded path (most of them under an exact
             // max, whose weights are 0 or 1) seeds its own expression and
@@ -863,9 +860,8 @@ mod tests {
                 assert_eq!(site, expect, "node {}: term {k}", node.name);
                 let m = &prog.monos[site as usize];
                 assert_eq!(m.coeff.to_bits(), c.to_bits(), "node {}: term {k}", node.name);
-                let terms = &prog.terms[m.lo as usize..m.hi as usize];
                 let want: &[(u32, f64)] = if k == 0 { &[] } else { &[(id.0 as u32, -1.0)] };
-                assert_eq!(terms, want, "node {}: term {k}", node.name);
+                assert_eq!(prog.terms(site as usize), want, "node {}: term {k}", node.name);
             }
         }
         let sites = |name: &str| {

@@ -10,14 +10,13 @@
 //!
 //! What a sweep scratch holds follows the level program
 //! ([`crate::compiled`]): one value per slot, one weight per `max`
-//! candidate, one adjoint per slot, the exact sweep's per-vector `exp`
-//! table, the variable cache, and one staging row that serves the
-//! arity-2 kernel's outputs and the DAG recurrence's candidate lists in
-//! turn. These tapes only ever grow — each sweep overwrites every slot
-//! it later reads, so a pooled scratch that alternates between
-//! objectives (ADMM blocks) is sized once, by the largest, and never
-//! zeroed. The per-node and per-edge DAG buffers are fitted and zeroed
-//! per sweep.
+//! candidate, one adjoint per slot, the variable cache, and one staging
+//! row that serves the arity-2 kernel's outputs and the DAG recurrence's
+//! candidate lists in turn. These tapes and the per-node and per-edge
+//! DAG buffers only ever grow — each sweep overwrites every entry it
+//! later reads (the backward replay zeroes its own node adjoints), so a
+//! pooled scratch that alternates between objectives (ADMM blocks) is
+//! sized once, by the largest, and never zeroed.
 //!
 //! Beside the sweep scratch a workspace owns a dense gradient pair and
 //! the descent stage's [`DescentState`], as disjoint fields: a descent
@@ -56,9 +55,8 @@ pub struct SweepCounts {
     /// and every accepted step. `backward_sweeps == gradients` over a
     /// solve says no model replayed a point twice.
     pub gradients: u64,
-    /// `exp` calls of the forward sweeps: one per variable per point for
-    /// the variable cache plus, on an exact sweep, one per distinct
-    /// exponent vector of the program.
+    /// `exp` calls of the forward sweeps: one per variable per point,
+    /// the variable cache, exact or smooth.
     pub exp_calls: u64,
     /// Objectives a caller that carries them compiled for this scratch:
     /// the ADMM block solves that were handed no tape, or one of another
@@ -113,17 +111,9 @@ pub struct EvalScratch {
     pub(crate) tape_wts: Vec<f64>,
     /// Per-slot adjoints of the backward sweep.
     pub(crate) slot_adj: Vec<f64>,
-    /// `exp(Σ a_j x_j)` per distinct exponent vector of an exact sweep.
-    pub(crate) exps: Vec<f64>,
     /// Per-variable `exp(x_j)` caches filled once per sweep (see
     /// [`VarCache`]).
     pub(crate) var_cache: VarCache,
-}
-
-/// Resize `v` to `len` zeros, capacity retained.
-fn fit(v: &mut Vec<f64>, len: usize) {
-    v.clear();
-    v.resize(len, 0.0);
 }
 
 /// Grow `v` to at least `len` entries. The sweeps overwrite every slot
@@ -146,15 +136,15 @@ impl EvalScratch {
         &self.tape_vals
     }
 
-    /// Resize the DAG buffers for a graph with `nodes` nodes and `edges`
-    /// edges and zero them, and make the staging row hold the candidates
-    /// and weights of a node with `max_in` in-edges. Capacity is
-    /// retained, so repeated calls at the same (or smaller) size
-    /// allocate nothing.
+    /// Grow the DAG buffers to a graph with `nodes` nodes and `edges`
+    /// edges, and the staging row to the candidates and weights of a node
+    /// with `max_in` in-edges. Nothing is zeroed: the forward sweep
+    /// writes every `y[v]` and `tape_w[e]` before it reads them, and
+    /// the backward replay zeroes the adjoints it reads.
     pub(crate) fn ensure(&mut self, nodes: usize, edges: usize, max_in: usize) {
-        fit(&mut self.y, nodes);
-        fit(&mut self.adjoint, nodes);
-        fit(&mut self.tape_w, edges);
+        grow(&mut self.y, nodes);
+        grow(&mut self.adjoint, nodes);
+        grow(&mut self.tape_w, edges);
         grow(&mut self.stack, 2 * max_in);
     }
 
@@ -163,7 +153,6 @@ impl EvalScratch {
         grow(&mut self.tape_vals, prog.n_slots);
         grow(&mut self.tape_wts, prog.n_wts);
         grow(&mut self.slot_adj, prog.n_slots);
-        grow(&mut self.exps, prog.exp_keys.len() + 1);
         grow(&mut self.stack, prog.max2_width);
     }
 }
@@ -322,8 +311,8 @@ mod tests {
         {
             let mut ws = acquire();
             ws.scratch.ensure(8, 12, 3);
-            assert_eq!(ws.scratch.y.len(), 8);
-            assert_eq!(ws.scratch.tape_w.len(), 12);
+            assert!(ws.scratch.y.len() >= 8);
+            assert!(ws.scratch.tape_w.len() >= 12);
         }
         // The released workspace (or another thread's) comes back warm.
         let ws = acquire();
@@ -334,14 +323,15 @@ mod tests {
     }
 
     #[test]
-    fn ensure_is_exact_and_idempotent() {
+    fn ensure_only_grows() {
         let mut s = EvalScratch::default();
         s.ensure(5, 7, 2);
+        assert_eq!((s.y.len(), s.adjoint.len(), s.tape_w.len(), s.stack.len()), (5, 5, 7, 4));
         s.adjoint[3] = 1.0;
-        s.ensure(5, 7, 2);
-        assert_eq!(s.adjoint[3], 0.0, "ensure re-zeroes sweep buffers");
-        s.ensure(2, 3, 2);
-        assert_eq!(s.y.len(), 2);
-        assert_eq!(s.tape_w.len(), 3);
+        s.ensure(2, 3, 1);
+        assert_eq!(s.adjoint[3], 1.0, "ensure leaves what the sweeps overwrite");
+        assert_eq!((s.y.len(), s.tape_w.len()), (5, 7));
+        s.ensure(9, 3, 1);
+        assert_eq!((s.y.len(), s.adjoint.len()), (9, 9));
     }
 }

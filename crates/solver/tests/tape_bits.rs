@@ -11,8 +11,16 @@
 //! (`Exact`, the power-of-two tier, an odd integer, a non-integer) ×
 //! twelve points (box corners, all-equal points, seeded interior points).
 //!
-//! Constants captured at commit 25fb91b (the parent of the level-program
-//! rewrite; x86-64 Linux, glibc libm) and unchanged by it. A platform
+//! Each case hashes twice: the sweeps at `Exact`, and at the six smooth
+//! values. One hash per case, captured at commit 25fb91b (x86-64 Linux,
+//! glibc libm), held until the exact sweep took the smooth sweep's
+//! monomial formula (`coeff · Π` cached factors, not `coeff · exp(Σ a·x)`);
+//! split then, both columns captured at that change's parent, every
+//! smooth hash held and every `Exact` one moved. In table order they read
+//! 0x97ca496bd7968e42 0xe5e7e0b65dc0bd6f 0xf24394b68d02c5fc 0xfc8221e91d56a694
+//! 0x30c8994d0e9d562c 0x753a59f3b7bab92a 0x653f1246a26eae51 0x1e42f5ed845733fc
+//! 0x9fdada6b53d36e14 0x090fa6f9f415f3ec 0x2431480f0ccbe681 0x7153cde5149a3035
+//! 0x3559fe0ffb18304b 0x23a1de0a5b0ca9f5 0x868f8334b2e49390 before. A platform
 //! whose `exp`/`powf` round differently may legitimately move them —
 //! re-capture there (the failure message prints the table) rather than
 //! loosening the comparison.
@@ -84,12 +92,12 @@ const SHARPS: [Sharpness; 7] = [
 ];
 
 /// Record, replay under the three seeds, and the value-only sweep, at
-/// every point and sharpness.
-fn sweep_hash(obj: &MdgObjective<'_>, pts: &[Vec<f64>]) -> u64 {
+/// every point and at the sharpness values `sharps`.
+fn sweep_hash(obj: &MdgObjective<'_>, pts: &[Vec<f64>], sharps: &[Sharpness]) -> u64 {
     let mut h = Fnv::new();
     let scratch = &mut EvalScratch::default();
     let mut grad = Vec::new();
-    for sharp in SHARPS {
+    for &sharp in sharps {
         for x in pts {
             let parts = obj.forward_record(x, sharp, scratch);
             h.parts(&parts);
@@ -126,29 +134,33 @@ fn sweep_outputs_are_pinned_to_the_bit() {
         for (mname, m) in &machines {
             let obj = MdgObjective::new(g, *m);
             let pts = points(obj.num_vars(), obj.x_upper());
-            got.push((*gname, *mname, sweep_hash(&obj, &pts)));
+            let [e, s] = [&SHARPS[..1], &SHARPS[1..]].map(|sharps| sweep_hash(&obj, &pts, sharps));
+            got.push((*gname, *mname, e, s));
         }
     }
-    let table: String =
-        got.iter().map(|(g, m, s)| format!("    (\"{g}\", \"{m}\", 0x{s:016x}),\n")).collect();
+    let table: String = got
+        .iter()
+        .map(|(g, m, e, s)| format!("    (\"{g}\", \"{m}\", 0x{e:016x}, 0x{s:016x}),\n"))
+        .collect();
     assert!(got == PINS, "sweep bits moved; this run computes\n{table}");
 }
 
-/// (graph, machine, sweep hash).
-const PINS: [(&str, &str, u64); 15] = [
-    ("fig1", "cm5(16)", 0x0512ed5f51aeeecb),
-    ("fig1", "cm5(6)", 0xbcde599ec4db521e),
-    ("fig1", "mesh(12)", 0x6069fc2a287a3adc),
-    ("cmm", "cm5(16)", 0x15fd5239ee7a7926),
-    ("cmm", "cm5(6)", 0xece3c70317935de8),
-    ("cmm", "mesh(12)", 0x39f13d3d4ea26b4a),
-    ("strassen", "cm5(16)", 0x66478d286a8f1408),
-    ("strassen", "cm5(6)", 0x8dd5914e1b9cacfc),
-    ("strassen", "mesh(12)", 0x18ea1559d96ad2f0),
-    ("fork-join", "cm5(16)", 0x3cb1726d5dfc2901),
-    ("fork-join", "cm5(6)", 0x791f78418bfeeee0),
-    ("fork-join", "mesh(12)", 0xb5505c1327da477c),
-    ("strassen-ml", "cm5(16)", 0xb3beff2ffa425160),
-    ("strassen-ml", "cm5(6)", 0xb420ad1ec773d5b7),
-    ("strassen-ml", "mesh(12)", 0xc89728497b4cc7de),
+/// (graph, machine, sweep hash at `Exact`, sweep hash at the six smooth
+/// sharpness values).
+const PINS: [(&str, &str, u64, u64); 15] = [
+    ("fig1", "cm5(16)", 0xac6ec88c9169ca91, 0x046d37417df54364),
+    ("fig1", "cm5(6)", 0x911422dcdf21957e, 0x9eac02a01f2e584c),
+    ("fig1", "mesh(12)", 0x7e5c41c44553e170, 0xffa370d229e544c9),
+    ("cmm", "cm5(16)", 0x8ecad73e4f9247d0, 0x44605749dd61e5b7),
+    ("cmm", "cm5(6)", 0xbc65a084762d29c4, 0x68df19c0d6eba015),
+    ("cmm", "mesh(12)", 0x94c607da41a08a97, 0xf2199634b6ee7c31),
+    ("strassen", "cm5(16)", 0xc94c5ea2c0ec67b3, 0xa6283375ef2893d4),
+    ("strassen", "cm5(6)", 0xf20fbb0df4618b2b, 0x323ef951045dc339),
+    ("strassen", "mesh(12)", 0x6bada09005c7e767, 0x6181632401e5c7fd),
+    ("fork-join", "cm5(16)", 0xcca9dd3d47b4c6be, 0xabff8ec6ebac3894),
+    ("fork-join", "cm5(6)", 0x740e0432f6268f25, 0x291741c1cd3807cc),
+    ("fork-join", "mesh(12)", 0xd5c12c589d9a6748, 0x50bd49ac33151a2c),
+    ("strassen-ml", "cm5(16)", 0xb15c12fac6816a89, 0x8bc1a2718ad9bea6),
+    ("strassen-ml", "cm5(6)", 0xce0d1b1025453233, 0xf88b820ac971b7a7),
+    ("strassen-ml", "mesh(12)", 0xfca5f67aad67a8ba, 0x2575e55cd5949a03),
 ];

@@ -9,7 +9,10 @@
 //! goldens, which proved the reference to be that solve; they were
 //! re-captured when the quasi-Newton direction took a per-variable initial
 //! matrix (e.g. fig1@4 `default()` 43 → 45 iterations, strassen@64
-//! `default()` 484 → 189). The loosened solve is then held to it: Φ at
+//! `default()` 484 → 189), and once more when the exact polish took the
+//! smooth sweep's monomial formula (only cmm@16 `default()` moved, by one
+//! ulp: 0x3fc0_aaba_1c3f_ee36 → 0x3fc0_aaba_1c3f_ee35, 68 iterations
+//! both). The loosened solve is then held to it: Φ at
 //! most 1e-3 above it on every gallery graph, in at most 85 % of its
 //! iterations, and to the bit where the ladder has no rung below the top.
 //! The check is one-sided because landing lower is no failure: on
@@ -68,7 +71,7 @@ fn the_reference_is_the_all_tight_solve_to_the_bit() {
             "cmm@16",
             complex_matmul_mdg(64, &table),
             16,
-            [(0x3fc0_aaba_1c3f_ee36, 68), (0x3fc0_aef7_7ca9_0888, 37)],
+            [(0x3fc0_aaba_1c3f_ee35, 68), (0x3fc0_aef7_7ca9_0888, 37)],
         ),
         (
             "strassen@64",
