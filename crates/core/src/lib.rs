@@ -12,9 +12,10 @@
 //! 4. *code generation* — MPMD/SPMD lowering to task programs;
 //! 5. *execution* — the message-level simulator stands in for the CM-5.
 //!
-//! [`experiments`] packages the paper's evaluation (Figures 8/9,
-//! Table 3) as reusable drivers; the `paradigm-bench` harnesses and the
-//! integration tests both consume them.
+//! [`experiments`] is the reproduction driver: one function per table,
+//! figure and ablation of the paper's evaluation, each returning its
+//! printed block; `tests/repro.rs` checks every block against
+//! `EXPERIMENTS.md`.
 //!
 //! ## Quickstart
 //!
@@ -55,7 +56,6 @@ pub use paradigm_solver::{FallbackTier, SolverError};
 pub mod prelude {
     pub use crate::calibrate::{calibrate, Calibration};
     pub use crate::compile::{compile, run_mpmd, run_spmd, CompileConfig, Compiled};
-    pub use crate::experiments::*;
     pub use crate::programs::TestProgram;
     pub use paradigm_cost::{Allocation, Machine, MdgWeights, TransferParams};
     pub use paradigm_mdg::{

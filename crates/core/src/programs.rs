@@ -1,4 +1,4 @@
-//! The paper's test programs as a small registry, so examples, benches,
+//! The paper's test programs as a small registry, so examples, the reproduction driver
 //! and tests all agree on the exact workloads being reproduced.
 
 use paradigm_kernels::{strassen_one_level, ComplexMatrix, Matrix};

@@ -1,63 +1,8 @@
-//! Plain-text rendering of experiment rows, shared by the bench
-//! harnesses and the examples. The renderings deliberately mimic the
-//! layout of the paper's tables so a side-by-side comparison is easy.
+//! Plain-text rendering of a calibration (`paradigm calibrate`), laid
+//! out like the paper's Tables 1 and 2 so a side-by-side comparison is
+//! easy.
 
 use crate::calibrate::Calibration;
-use crate::experiments::{Fig8Row, Fig9Row, Table3Row};
-
-/// Render Figure-8 rows for one program.
-pub fn render_fig8(program_name: &str, rows: &[Fig8Row]) -> String {
-    let mut s = String::new();
-    s.push_str(&format!("{program_name}: SPMD vs MPMD (simulated CM-5)\n"));
-    s.push_str("  procs |  SPMD time |  MPMD time | SPMD spd | MPMD spd | SPMD eff | MPMD eff\n");
-    s.push_str("  ------+------------+------------+----------+----------+----------+---------\n");
-    for r in rows {
-        s.push_str(&format!(
-            "  {:>5} | {:>9.4}s | {:>9.4}s | {:>8.2} | {:>8.2} | {:>7.1}% | {:>7.1}%\n",
-            r.procs,
-            r.spmd_time,
-            r.mpmd_time,
-            r.spmd_speedup,
-            r.mpmd_speedup,
-            100.0 * r.spmd_efficiency,
-            100.0 * r.mpmd_efficiency,
-        ));
-    }
-    s
-}
-
-/// Render Figure-9 rows for one program.
-pub fn render_fig9(program_name: &str, rows: &[Fig9Row]) -> String {
-    let mut s = String::new();
-    s.push_str(&format!(
-        "{program_name}: predicted vs actual execution times (normalized to actual)\n"
-    ));
-    s.push_str("  procs |  predicted |     actual | predicted/actual\n");
-    s.push_str("  ------+------------+------------+-----------------\n");
-    for r in rows {
-        s.push_str(&format!(
-            "  {:>5} | {:>9.4}s | {:>9.4}s | {:>16.3}\n",
-            r.procs, r.predicted, r.actual, r.ratio
-        ));
-    }
-    s
-}
-
-/// Render Table-3 rows for one program (paper layout: Phi, T_psa,
-/// percent change).
-pub fn render_table3(program_name: &str, rows: &[Table3Row]) -> String {
-    let mut s = String::new();
-    s.push_str(&format!("{program_name}: deviation of T_psa from Phi (paper Table 3)\n"));
-    s.push_str("  System Size |   Phi (S) | T_psa (S) | Percent Change\n");
-    s.push_str("  ------------+-----------+-----------+---------------\n");
-    for r in rows {
-        s.push_str(&format!(
-            "  {:>11} | {:>9.4} | {:>9.4} | {:>+13.1}%\n",
-            r.procs, r.phi, r.t_psa, r.percent_change
-        ));
-    }
-    s
-}
 
 /// Render a calibration summary (Tables 1 and 2 reproduction).
 pub fn render_calibration(cal: &Calibration) -> String {
@@ -93,42 +38,4 @@ pub fn render_calibration(cal: &Calibration) -> String {
         cal.transfer_fit.r2_send, cal.transfer_fit.r2_recv
     ));
     s
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn fig8_render_contains_rows() {
-        let rows = vec![Fig8Row {
-            procs: 16,
-            spmd_time: 0.2,
-            mpmd_time: 0.15,
-            serial_time: 1.2,
-            spmd_speedup: 6.0,
-            mpmd_speedup: 8.0,
-            spmd_efficiency: 0.375,
-            mpmd_efficiency: 0.5,
-        }];
-        let s = render_fig8("CMM", &rows);
-        assert!(s.contains("16"));
-        assert!(s.contains("8.00"));
-        assert!(s.contains("50.0%"));
-    }
-
-    #[test]
-    fn table3_render_signs() {
-        let rows = vec![Table3Row { procs: 64, phi: 0.077, t_psa: 0.085, percent_change: 10.4 }];
-        let s = render_table3("Strassen", &rows);
-        assert!(s.contains("+10.4%"));
-        assert!(s.contains("0.0770"));
-    }
-
-    #[test]
-    fn fig9_render_ratio() {
-        let rows = vec![Fig9Row { procs: 32, predicted: 0.074, actual: 0.0804, ratio: 0.92 }];
-        let s = render_fig9("CMM", &rows);
-        assert!(s.contains("0.920"));
-    }
 }

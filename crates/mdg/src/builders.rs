@@ -236,7 +236,7 @@ pub fn strassen_mdg(n: usize, costs: &KernelCostTable) -> Mdg {
 /// This generalizes the paper's single-level test program to a workload
 /// whose node count grows geometrically — `N(L) = 19 + 7 N(L-1)` compute
 /// nodes per recursion plus two top-level initializations — which is the
-/// stress workload for the solver/scheduler scalability benches.
+/// stress workload of the scalability ablation.
 ///
 /// Structural differences from [`strassen_mdg`] (which mirrors the
 /// paper's hand-drawn Figure 6 exactly): the inputs are two whole-matrix

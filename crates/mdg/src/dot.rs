@@ -1,7 +1,7 @@
 //! Graphviz DOT export and an ASCII adjacency rendering of MDGs.
 //!
-//! Used by the Figure-6 reproduction harness (`repro_fig6_mdgs`) so that
-//! the two test-program graphs can be inspected visually.
+//! Used by the Figure-6 reproduction driver (`paradigm_core::experiments::fig6_mdgs`)
+//! so that the two test-program graphs can be inspected visually.
 
 use crate::graph::Mdg;
 use crate::node::NodeKind;

@@ -1,5 +1,5 @@
 //! Random layered MDG generation for stress tests, property tests, and
-//! the ablation benches (the paper's earlier results were obtained on
+//! the ablation drivers (the paper's earlier results were obtained on
 //! synthetic benchmarks of this style; see its Section 1.3).
 
 use crate::graph::{Mdg, MdgBuilder};

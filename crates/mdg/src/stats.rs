@@ -1,5 +1,5 @@
 //! Summary statistics over an MDG — used by reports, the Figure-6
-//! reproduction, and the random-workload benches.
+//! reproduction, and the random-workload ablations.
 
 use crate::graph::Mdg;
 use crate::node::{LoopClass, NodeKind};

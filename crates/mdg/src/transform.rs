@@ -6,7 +6,7 @@
 //! [`fuse_serial_chains`] implements the canonical bottom-up move —
 //! merging a node with its only successor when that successor has no
 //! other predecessor — which removes internal transfer overhead at the
-//! price of lost intra-chain flexibility. The ablation benches use it to
+//! price of lost intra-chain flexibility. The chain-fusion ablation uses it to
 //! quantify that trade on random workloads.
 //!
 //! [`transitive_reduction`] removes redundant precedence edges (keeping

@@ -6,7 +6,7 @@
 //! * [`task_parallel_schedule`] — pure functional parallelism: every
 //!   node runs on exactly one processor; concurrency comes only from the
 //!   DAG. (Not in the paper's evaluation, but the natural other extreme;
-//!   used by the ablation benches.)
+//!   used by the ablation drivers.)
 //! * [`serial_schedule`] — the 1-processor reference time `Σ tau_i`
 //!   (no message passing on a single processor), which both the paper's
 //!   speedups and ours normalize against.
