@@ -17,8 +17,8 @@ use paradigm_serve::Json;
 use paradigm_solver::expr::Sharpness;
 use paradigm_solver::workspace::pool_sweep_counts;
 use paradigm_solver::{
-    allocation_count, descend_stage, try_allocate, try_allocate_from, MdgObjective, SolverConfig,
-    SolverWorkspace,
+    allocation_count, descend_stage, try_allocate_counted, try_allocate_from, MdgObjective,
+    SolverConfig, SolverWorkspace,
 };
 
 use crate::commands::{CliError, CmdOutput};
@@ -37,7 +37,7 @@ const SWEEP_SLACK: f64 = 0.05;
 
 /// Ceiling of the `spread` gate: how far apart the three deterministic
 /// starts may land under `SolverConfig::fast` before "one start is
-/// enough" stops being true (measured worst: 3.3e-3, strassen at p = 64).
+/// enough" stops being true (measured worst: 2.8e-3, strassen at p = 64).
 const SPREAD_LIMIT: f64 = 5e-3;
 
 /// Ceiling of the `warm` gate: how far the solve, whose rungs below the
@@ -81,6 +81,10 @@ const TABLES: &[Table] = &[
             ("allocate_us", "allocate_us", 12, Cell::Fixed(0)),
             ("allocate_iters", "iters", 7, Cell::Int),
             ("allocate_sweeps", "sweeps", 7, Cell::Int),
+            // Of those, the exact polish's iterations and the points it
+            // evaluated (its start plus every line-search probe).
+            ("polish_iters", "pol_it", 6, Cell::Int),
+            ("polish_probes", "pol_prb", 7, Cell::Int),
             // Its exact Phi, and that over the Phi of the same ladder with
             // every rung at `STATIONARITY_TOL` (rebuilt through
             // `descend_stage`), minus 1: negative where the solve lands
@@ -151,7 +155,7 @@ pub fn run_bench_solve(quick: bool, out_path: Option<&str>) -> Result<CmdOutput,
             "bench-solve ({}; medians over {reps} samples)",
             if quick { "quick" } else { "full" }
         ),
-        header: vec![("version", Json::num(8.0)), ("quick", Json::Bool(quick))],
+        header: vec![("version", Json::num(9.0)), ("quick", Json::Bool(quick))],
         tables: TABLES,
         rows,
     };
@@ -228,16 +232,21 @@ fn bench_case(name: &str, g: &Mdg, reps: usize) -> Row {
     let allocs = allocation_count() - before;
     row.set("allocs_per_iter", allocs as f64 / measured_iters.max(1) as f64);
 
-    // The solve runs out of pooled workspaces, all idle again once it
-    // returns: the pool's counter delta is this solve's.
+    // `try_allocate`, from the midpoint. The solve runs out of pooled
+    // workspaces, all idle again once it returns: the pool's counter delta
+    // is this solve's.
     let swept = pool_sweep_counts();
-    let (res, wall) = timed(|| try_allocate(g, Machine::cm5(64), &SolverConfig::fast()));
-    let res = res.expect("bench solve");
+    let midpoint = vec![ub / 2.0; n];
+    let (res, wall) =
+        timed(|| try_allocate_counted(g, Machine::cm5(64), &SolverConfig::fast(), &midpoint));
+    let (res, polish) = res.expect("bench solve");
     let swept = pool_sweep_counts().since(swept);
     let per_iter = |count: u64| count as f64 / res.iterations.max(1) as f64;
     row.set("allocate_us", wall.as_secs_f64() * 1e6);
     row.set("allocate_iters", res.iterations as f64);
     row.set("allocate_sweeps", swept.forward_sweeps as f64);
+    row.set("polish_iters", polish.iters as f64);
+    row.set("polish_probes", polish.probes as f64);
     row.set("forward_sweeps_per_iter", per_iter(swept.forward_sweeps));
     row.set("probes_per_iter", per_iter(swept.probes));
     row.set("allocate_phi", res.phi.phi);
@@ -409,7 +418,7 @@ mod tests {
     fn report(rows: Vec<Row>) -> Report {
         Report {
             title: "bench-solve (test)".into(),
-            header: vec![("version", Json::num(8.0)), ("quick", Json::Bool(true))],
+            header: vec![("version", Json::num(9.0)), ("quick", Json::Bool(true))],
             tables: TABLES,
             rows,
         }
@@ -420,7 +429,7 @@ mod tests {
         let rep = report(vec![tiny_case()]);
         let json = rep.render_json().expect("every key is listed");
         let doc = paradigm_serve::parse_json(&json).expect("valid JSON");
-        assert_eq!(doc.get("version").and_then(Json::as_u64), Some(8));
+        assert_eq!(doc.get("version").and_then(Json::as_u64), Some(9));
         assert_eq!(doc.get("quick").and_then(Json::as_bool), Some(true));
         let cases = doc.get("cases").and_then(Json::as_arr).expect("cases array");
         assert_eq!(cases.len(), 1);
@@ -512,6 +521,10 @@ mod tests {
         assert!(c.num("eval_us") > 0.0 && c.num("record_us") > 0.0);
         assert!(c.num("eval_grad_us") > 0.0);
         assert!(c.num("allocate_iters") > 0.0);
+        // The polish is one stage of the solve, and probes at least its
+        // start and one point per iteration.
+        assert!(c.num("polish_iters") > 0.0 && c.num("polish_iters") <= c.num("allocate_iters"));
+        assert!(c.num("polish_probes") > c.num("polish_iters"));
         assert!((0.0..=SPREAD_LIMIT).contains(&c.num("start_spread")), "{}", c.num("start_spread"));
         assert!(c.num("allocate_phi") > 0.0);
         assert!(c.num("ladder_gap") <= LADDER_GAP_LIMIT, "{}", c.num("ladder_gap"));

@@ -69,8 +69,8 @@ pub use expr::{Expr, Monomial};
 pub use objective::{DetachedObjective, MdgObjective};
 pub use solve::{
     allocate, check_annealing, descend_stage, equal_split_allocation, optimality_residual,
-    try_allocate, try_allocate_from, AllocationResult, SolverConfig, QN_MEMORY, STATIONARITY_TOL,
-    WARM_TOL,
+    try_allocate, try_allocate_counted, try_allocate_from, AllocationResult, PolishCounts,
+    SolverConfig, QN_MEMORY, STATIONARITY_TOL, WARM_TOL,
 };
 #[doc(hidden)]
 pub use workspace::BatchWorkspace;

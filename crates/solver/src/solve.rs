@@ -9,7 +9,8 @@
 //! descends along a limited-memory quasi-Newton direction until its
 //! projected gradient is stationary ([`QN_MEMORY`]; [`STATIONARITY_TOL`]
 //! at the top of the ladder, [`WARM_TOL`] on the rungs that only seed the
-//! next), and an exact-max projected-subgradient polish ends the solve.
+//! next), and an exact-max projected-subgradient polish ends the solve
+//! once it stalls (`Stall`).
 //!
 //! Every stage is a call of [`crate::descent::descend`] (DESIGN.md §11
 //! has the convergence table).
@@ -142,6 +143,26 @@ pub fn try_allocate_from(
     cfg: &SolverConfig,
     x0: &[f64],
 ) -> Result<AllocationResult, SolverError> {
+    try_allocate_counted(g, machine, cfg, x0).map(|(res, _)| res)
+}
+
+/// What the exact polish of one solve cost.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct PolishCounts {
+    /// Its descent iterations.
+    pub iters: usize,
+    /// The points it evaluated: its start and every line-search probe.
+    pub probes: u64,
+}
+
+/// [`try_allocate_from`], plus what its exact polish cost (`bench-solve`
+/// reports it per case).
+pub fn try_allocate_counted(
+    g: &Mdg,
+    machine: Machine,
+    cfg: &SolverConfig,
+    x0: &[f64],
+) -> Result<(AllocationResult, PolishCounts), SolverError> {
     check_annealing(&cfg.sharpness_schedule, cfg.rel_tol).map_err(SolverError::InvalidConfig)?;
     let obj = MdgObjective::try_new(g, machine).map_err(SolverError::BadObjective)?;
     let ub = obj.x_upper();
@@ -170,12 +191,18 @@ pub fn try_allocate_from(
     x[g.stop().0] = 0.0;
     descent.load(&x);
     let mut iterations = 0;
+    let mut polish = PolishCounts::default();
     let sharps = stages.iter().map(|&s| Sharpness::Smooth(s)).chain([Sharpness::Exact]);
     for (rung, sharp) in sharps.enumerate() {
         // A rung below the top only seeds the next one: it stops early.
         let gtol = if rung + 1 < stages.len() { WARM_TOL } else { STATIONARITY_TOL };
+        let probes = scratch.counts.probes;
         let mut model = ScalarTape { obj: &obj, sharp, scratch: &mut *scratch };
-        iterations += dense.run(&mut model, descent, gtol);
+        let iters = dense.run(&mut model, descent, gtol);
+        iterations += iters;
+        if sharp == Sharpness::Exact {
+            polish = PolishCounts { iters, probes: scratch.counts.probes - probes };
+        }
     }
     let alloc = obj.allocation_from_x(descent.x());
     drop(ws);
@@ -184,7 +211,8 @@ pub fn try_allocate_from(
     if !phi.phi.is_finite() {
         return Err(SolverError::NonFinite { phi: phi.phi });
     }
-    Ok(AllocationResult { alloc, phi, iterations, starts: 1, tier: FallbackTier::Primary })
+    let res = AllocationResult { alloc, phi, iterations, starts: 1, tier: FallbackTier::Primary };
+    Ok((res, polish))
 }
 
 /// The analytic allocation that gives each of the `m` compute nodes
@@ -289,6 +317,46 @@ pub const STATIONARITY_TOL: f64 = 1e-6;
 /// strassen at p = 64 +0.28 % Φ under `fast()` (DESIGN.md §11).
 pub const WARM_TOL: f64 = 1e-3;
 
+/// Accepted steps the exact polish's stall window spans: the stage ends
+/// once the last this many together gained less than [`STALL_TOL`] of Φ
+/// while the step no longer grows ([`Stall`]). 3 / 5 / 8 steps and 1e-7 …
+/// 1e-5 were swept (DESIGN.md §11).
+const STALL_STEPS: usize = 5;
+/// See [`STALL_STEPS`].
+const STALL_TOL: f64 = 1e-6;
+
+/// The exact polish's stall stop, asked after every accepted step. A
+/// projected subgradient on a kink creeps on in tiny steps long after it
+/// has stopped paying; a step that grows, though, is a kink escape under
+/// way (strassen at p = 64 grows it ×1.8 for 25 iterations to unlock
+/// 0.28 % of Φ), so the window never ends a stage whose latest move is
+/// longer than the one before. A fixed ring: the stage still allocates
+/// nothing.
+#[derive(Debug, Default)]
+struct Stall {
+    /// Φ after each of the last [`STALL_STEPS`] accepted steps; the slot
+    /// `accepted % STALL_STEPS` holds the oldest.
+    f: [f64; STALL_STEPS],
+    accepted: usize,
+    /// ∞-norm of the previous accepted step.
+    moved: f64,
+}
+
+impl Stall {
+    /// Enter an accepted step — the new value `f` and the ∞-norm of the
+    /// move — and say whether the stage has stalled:
+    /// `f ≥ f_{STALL_STEPS steps ago}·(1 − STALL_TOL)` and the move no
+    /// longer than the previous one.
+    fn stalled(&mut self, f: f64, moved: f64) -> bool {
+        let slot = self.accepted % STALL_STEPS;
+        let (oldest, growing) = (self.f[slot], moved > self.moved);
+        self.f[slot] = f;
+        self.moved = moved;
+        self.accepted += 1;
+        self.accepted > STALL_STEPS && !growing && f >= oldest * (1.0 - STALL_TOL)
+    }
+}
+
 /// What every dense stage shares: all variables free in `[0, ln p]^n`,
 /// 40 probes per line search, the dense stop rule.
 struct DenseStages<'a, 'g> {
@@ -300,8 +368,11 @@ struct DenseStages<'a, 'g> {
 impl DenseStages<'_, '_> {
     /// One stage of `model` from the point loaded in `descent`, from
     /// step 0.25: quasi-Newton to the relative stationarity `gtol` at a
-    /// smooth sharpness, projected subgradient at the exact max, which has
-    /// no curvature to learn (and ignores `gtol`). Returns the iterations.
+    /// smooth sharpness; projected subgradient at the exact max, which has
+    /// no curvature to learn (and ignores `gtol`), until it stalls
+    /// ([`Stall`]). Any stage also ends on a step that improves by at most
+    /// `rel_tol` while barely moving, a dead end or the cap. Returns the
+    /// iterations.
     fn run(&self, model: &mut ScalarTape<'_, '_>, descent: &mut DescentState, gtol: f64) -> usize {
         descent.reset();
         let (memory, gtol) = match model.sharp {
@@ -317,8 +388,12 @@ impl DenseStages<'_, '_> {
             gtol,
         };
         let rel_tol = self.rel_tol;
+        let mut stall = matches!(model.sharp, Sharpness::Exact).then(Stall::default);
         descend(model, descent, &stage, |improve, f, moved| {
-            improve <= rel_tol * f.abs() && (moved < 1e-12 || (improve >= 0.0 && moved < 1e-9))
+            let stalled = stall.as_mut().is_some_and(|stall| stall.stalled(f, moved));
+            let spent =
+                improve <= rel_tol * f.abs() && (moved < 1e-12 || (improve >= 0.0 && moved < 1e-9));
+            stalled || spent
         })
     }
 }
@@ -328,7 +403,8 @@ impl DenseStages<'_, '_> {
 ///
 /// A smooth stage runs at the top rung's tolerance, [`STATIONARITY_TOL`],
 /// so a ladder of these calls is the all-1e-6 solve that [`WARM_TOL`]
-/// loosened. Used by the `bench-solve` harness (to time the inner loop,
+/// loosened; an exact stage is the solve's polish, stall stop included.
+/// Used by the `bench-solve` harness (to time the inner loop,
 /// count allocations per iteration and rebuild that ladder) and by the
 /// integration tests; the solver proper goes through [`try_allocate`].
 pub fn descend_stage(
@@ -356,6 +432,53 @@ mod tests {
         complex_matmul_mdg, example_fig1_mdg, random_layered_mdg, strassen_mdg, KernelCostTable,
         NodeId, RandomMdgConfig,
     };
+
+    /// `Stall::stalled` over `(f, moved)` pairs, one verdict per step.
+    fn stall_verdicts(steps: impl IntoIterator<Item = (f64, f64)>) -> Vec<bool> {
+        let mut stall = Stall::default();
+        steps.into_iter().map(|(f, moved)| stall.stalled(f, moved)).collect()
+    }
+
+    #[test]
+    fn the_stall_window_never_fires_before_it_is_full() {
+        // Not one bit of gain and a shrinking step: stalled on every count
+        // but the window's, which needs STALL_STEPS steps behind the
+        // latest.
+        let flat = (0..STALL_STEPS + 1).map(|k| (1.0, 1e-3 / (k + 1) as f64));
+        let verdicts = stall_verdicts(flat);
+        assert_eq!(verdicts[..STALL_STEPS], [false; STALL_STEPS]);
+        assert!(verdicts[STALL_STEPS], "the first full window");
+    }
+
+    #[test]
+    fn the_stall_window_fires_on_a_small_gain_and_a_step_that_stopped_growing() {
+        // Each step gains a fixed share of Φ at an unchanged move: 1e-7 per
+        // step is 5e-7 over the window, 3e-7 is 1.5e-6.
+        let creep = |gain: f64| (0..3 * STALL_STEPS).map(move |k| (1.0 - gain * k as f64, 1e-4));
+        let slow = stall_verdicts(creep(1e-7));
+        assert_eq!(slow.iter().position(|&v| v), Some(STALL_STEPS), "{slow:?}");
+        assert!(stall_verdicts(creep(3e-7)).iter().all(|&v| !v), "1.5e-6 per window pays");
+        // A shrinking step stalls as well as a constant one.
+        let shrinking =
+            (0..3 * STALL_STEPS).map(|k| (1.0 - 1e-7 * k as f64, 0.5_f64.powi(k as i32)));
+        assert_eq!(stall_verdicts(shrinking).iter().position(|&v| v), Some(STALL_STEPS));
+    }
+
+    #[test]
+    fn the_stall_window_never_fires_while_the_step_grows() {
+        // The kink escape of strassen at p = 64 under `fast()`: the polish
+        // has backtracked to t = 1.07e-7 and then grows the step ×1.8 on
+        // every accepted step for 25 iterations (1.07e-7, 1.93e-7,
+        // 3.48e-7, …), gaining almost nothing per window until the escape
+        // unlocks 0.28 % of Φ.
+        let t = |k: usize| 1.074e-7 * 1.8_f64.powi(k as i32);
+        let escape = (0..25).map(|k| (0.1007 * (1.0 - 1e-9 * k as f64), t(k)));
+        let verdicts = stall_verdicts(escape.clone());
+        assert!(verdicts.iter().all(|&v| !v), "{verdicts:?}");
+        // The same values, with the step held where it got to, stall.
+        let held = escape.chain((25..30).map(|k| (0.1007 * (1.0 - 1e-9 * k as f64), t(24))));
+        assert_eq!(stall_verdicts(held).iter().position(|&v| v), Some(25));
+    }
 
     #[test]
     fn fig1_solver_matches_paper_optimum() {

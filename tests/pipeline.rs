@@ -191,6 +191,11 @@ fn fig1_example_full_pipeline_exact() {
 /// polish → 79 / 7138 / 195, `Phi` 0x3fef_21a0_afd3_ceb0 →
 /// 0x3fef_2611_3655_a628 (+5.6e-4 relative), `T_psa`
 /// 0x3ff8_fa40_791c_2350 → 0x3ff9_2ff8_d119_64f4 (+8.4e-3).
+/// When the exact polish gained its stall stop, two dense rows moved
+/// (fig1 37 → 33 iterations, `Phi` 0x402c_7a91_2796_8e05 →
+/// 0x402c_7a91_28bf_d01a, +2.4e-9; strassen 127 → 118,
+/// 0x3fb9_b7c2_435f_e211 → 0x3fb9_b7c2_5ea0_a008, +6.3e-8); every `T_psa`
+/// bit and the ADMM row, which runs no dense polish, kept their bits.
 /// Captured on x86-64 Linux, glibc libm; a platform whose `exp`/`ln`
 /// round differently may legitimately move the bits — re-capture there
 /// rather than loosening the comparison.
@@ -202,7 +207,7 @@ fn pipeline_outputs_are_pinned_to_the_bit() {
     let table = KernelCostTable::cm5();
     // (label, graph, procs, Phi bits, T_psa bits, dense solver iterations).
     let dense: [(&str, Mdg, u32, u64, u64, usize); 3] = [
-        ("fig1@4", example_fig1_mdg(), 4, 0x402c_7a91_2796_8e05, 0x402c_9999_9999_999a, 37),
+        ("fig1@4", example_fig1_mdg(), 4, 0x402c_7a91_28bf_d01a, 0x402c_9999_9999_999a, 33),
         (
             "cmm@16",
             complex_matmul_mdg(64, &table),
@@ -215,9 +220,9 @@ fn pipeline_outputs_are_pinned_to_the_bit() {
             "strassen@64",
             strassen_mdg(128, &table),
             64,
-            0x3fb9_b7c2_435f_e211,
+            0x3fb9_b7c2_5ea0_a008,
             0x3fbe_6b19_a984_d636,
-            127,
+            118,
         ),
     ];
     for (label, g, procs, phi_bits, t_psa_bits, iterations) in &dense {
