@@ -575,7 +575,7 @@ pub fn solve_block_job(job: &BlockJob, ws: &mut SolverWorkspace) -> Result<Block
         model.sharp = sharp;
         descent.reset();
         // Plain projected gradient: the round dynamics are tuned to these
-        // inexact x-updates (DESIGN.md §11).
+        // inexact x-updates (DESIGN.md §13).
         let stage =
             Stage { free: Some(&job.free), ub, max_iters, max_probes: 40, memory: 0, gtol: 0.0 };
         iters += descend(&mut model, descent, &stage, stage_stop(job.inner.rel_tol));

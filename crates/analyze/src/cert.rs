@@ -22,7 +22,7 @@
 //! failing sub-tree*: a tampered leaf coefficient is caught at that
 //! leaf, a tampered interior interval at that interior node.
 //!
-//! Version 2 documents additionally carry a `"memory"` section: the
+//! Every document also carries a `"memory"` section: the
 //! static resource analysis' per-node footprints, residency intervals,
 //! group-size floors, and the machine-level feasibility verdict
 //! ([`crate::resources`]). The checker re-validates the section with
@@ -33,9 +33,8 @@
 //! the graph, the solver, or a simulation.
 //!
 //! The document format is versioned (`"version": 2`); the checker
-//! accepts version 1 (which carries no memory claims) and rejects
-//! unknown versions with a typed error instead of failing on a shape
-//! mismatch deeper in.
+//! accepts only the version this build emits and rejects any other with
+//! a typed error instead of failing on a shape mismatch deeper in.
 
 use std::fmt;
 
@@ -47,8 +46,8 @@ use paradigm_solver::{FallbackTier, MdgObjective};
 use crate::posynomial::{check_monomial, Certificate, ExprClass, ObjectiveCertificate, Rule};
 use crate::resources::{analyze_resources, ResourceAnalysis};
 
-/// The certificate document version this build emits. The checker
-/// accepts `1..=CERT_VERSION`.
+/// The certificate document version this build emits, and the only one
+/// the checker accepts.
 pub const CERT_VERSION: u64 = 2;
 
 /// Relative tolerance for comparing a claimed interval endpoint with
@@ -305,10 +304,7 @@ impl fmt::Display for CertDefect {
         match self {
             CertDefect::Document(m) => write!(f, "unusable document: {m}"),
             CertDefect::UnsupportedVersion(v) => {
-                write!(
-                    f,
-                    "unsupported certificate version {v} (this checker knows 1..={CERT_VERSION})"
-                )
+                write!(f, "unsupported certificate version {v} (this checker knows {CERT_VERSION})")
             }
             CertDefect::Shape(m) => write!(f, "malformed tree node: {m}"),
             CertDefect::Monomial(d) => write!(f, "monomial condition violated: {d}"),
@@ -402,9 +398,8 @@ pub struct CertSummary {
     pub edge_trees: u64,
     /// Total monomial leaves across all trees.
     pub monomials: u64,
-    /// Number of re-validated memory residency claims; `None` for a
-    /// version-1 document (which carries no memory section).
-    pub memory_nodes: Option<u64>,
+    /// Number of re-validated memory residency claims.
+    pub memory_nodes: u64,
     /// Which solver tier the document records as having produced the
     /// accompanying allocation (`"admm"` for the distributed consensus
     /// solver); `None` when the optional `"solver_tier"` field is
@@ -420,10 +415,7 @@ impl fmt::Display for CertSummary {
              {} monomial leaves, every class and interval re-derived",
             self.graph, self.procs, self.num_vars, self.edge_trees, self.monomials
         )?;
-        match self.memory_nodes {
-            Some(n) => write!(f, "; {n} memory residency claims re-validated"),
-            None => write!(f, "; v1 document, no memory claims"),
-        }?;
+        write!(f, "; {} memory residency claims re-validated", self.memory_nodes)?;
         if let Some(tier) = &self.solver_tier {
             write!(f, "; solved via {tier} tier")?;
         }
@@ -581,21 +573,17 @@ pub fn check_certificate(doc: &Json) -> Result<CertSummary, CertFailure> {
     if !matches!(doc, Json::Obj(_)) {
         return Err(CertFailure::document("certificate is not a JSON object"));
     }
-    let version = match doc.get("version") {
-        None => return Err(CertFailure::document("missing \"version\" field")),
-        Some(v) => match v.as_u64() {
-            Some(n) if (1..=CERT_VERSION).contains(&n) => n,
-            _ => {
-                let shown = v.as_f64().unwrap_or(f64::NAN);
-                return Err(CertFailure {
-                    part: None,
-                    path: Vec::new(),
-                    defect: CertDefect::UnsupportedVersion(shown),
-                    subtree: None,
-                });
-            }
-        },
+    let Some(version) = doc.get("version") else {
+        return Err(CertFailure::document("missing \"version\" field"));
     };
+    if version.as_u64() != Some(CERT_VERSION) {
+        return Err(CertFailure {
+            part: None,
+            path: Vec::new(),
+            defect: CertDefect::UnsupportedVersion(version.as_f64().unwrap_or(f64::NAN)),
+            subtree: None,
+        });
+    }
     let graph = doc
         .get("graph")
         .and_then(Json::as_str)
@@ -671,17 +659,9 @@ pub fn check_certificate(doc: &Json) -> Result<CertSummary, CertFailure> {
         });
     }
 
-    // Version 2 adds the memory section; version 1 predates it (any
-    // stray "memory" member in a v1 document has no defined semantics
-    // and is ignored, like any other unknown member).
-    let memory_nodes = if version >= 2 {
-        let mem = doc
-            .get("memory")
-            .ok_or_else(|| CertFailure::document("missing \"memory\" section (version >= 2)"))?;
-        Some(check_memory(mem, procs)?)
-    } else {
-        None
-    };
+    let mem =
+        doc.get("memory").ok_or_else(|| CertFailure::document("missing \"memory\" section"))?;
+    let memory_nodes = check_memory(mem, procs)?;
 
     // The optional solver-tier record. Any version may carry it; when
     // present it must name a tier this build knows, so a certificate
@@ -929,7 +909,7 @@ mod tests {
         assert!(summary.monomials > 0);
         // num_vars counts all 5 nodes (START/STOP included); residency
         // claims cover only the 3 compute nodes.
-        assert_eq!(summary.memory_nodes, Some(3), "one residency claim per compute node");
+        assert_eq!(summary.memory_nodes, 3, "one residency claim per compute node");
     }
 
     #[test]
@@ -986,14 +966,13 @@ mod tests {
     }
 
     #[test]
-    fn v1_document_without_memory_is_still_accepted() {
+    fn v1_document_is_refused() {
         let mut doc = fig1_cert_json();
         let Json::Obj(members) = &mut doc else { unreachable!() };
         members.retain(|(k, _)| k != "memory");
         members.iter_mut().find(|(k, _)| k == "version").unwrap().1 = Json::num(1.0);
-        let summary = check_certificate(&doc).expect("v1 documents carry no memory claims");
-        assert_eq!(summary.memory_nodes, None);
-        assert!(summary.to_string().contains("v1 document"));
+        let err = check_certificate(&doc).unwrap_err();
+        assert!(matches!(err.defect, CertDefect::UnsupportedVersion(v) if v == 1.0), "{err}");
     }
 
     #[test]
@@ -1067,7 +1046,7 @@ mod tests {
         let a = check_certificate(&doc).expect("original verifies");
         let b = check_certificate(&reparsed).expect("reparsed verifies");
         assert_eq!(a, b);
-        assert!(a.memory_nodes.is_some());
+        assert!(a.memory_nodes > 0);
     }
 
     #[test]

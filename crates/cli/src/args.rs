@@ -253,7 +253,7 @@ Model checking: `race` runs the concurrency suites (breaker, cache,
 service, consensus, pool). A normal build gives one native smoke run per
 suite; rebuild with RUSTFLAGS=\"--cfg paradigm_race\" to
 exhaustively explore every interleaving up to the preemption bound and
-get replayable numbered traces for failures (see DESIGN.md section 15).
+get replayable numbered traces for failures (see DESIGN.md section 12).
 
 Graph inputs may be .mdg files (graph text format) or .mini files
 (matrix-program language, compiled on the fly).

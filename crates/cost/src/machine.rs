@@ -162,17 +162,6 @@ impl Machine {
         )
         .with_mem_bytes(64 * 1024 * 1024)
     }
-
-    /// Largest power of two that is `<= procs`. The rounding step of the
-    /// PSA only ever uses power-of-two group sizes, so this is the
-    /// effective maximum group size on this machine.
-    pub fn max_pow2_procs(&self) -> u32 {
-        let mut v = 1u32;
-        while v * 2 <= self.procs {
-            v *= 2;
-        }
-        v
-    }
 }
 
 #[cfg(test)]
@@ -188,14 +177,6 @@ mod tests {
         assert!((m.xfer.t_sr - 465.58e-6).abs() < 1e-15);
         assert!((m.xfer.t_pr - 426.25e-9).abs() < 1e-18);
         assert_eq!(m.xfer.t_n, 0.0);
-    }
-
-    #[test]
-    fn max_pow2() {
-        assert_eq!(Machine::cm5(64).max_pow2_procs(), 64);
-        assert_eq!(Machine::cm5(63).max_pow2_procs(), 32);
-        assert_eq!(Machine::cm5(1).max_pow2_procs(), 1);
-        assert_eq!(Machine::cm5(3).max_pow2_procs(), 2);
     }
 
     #[test]

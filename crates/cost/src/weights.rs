@@ -74,11 +74,6 @@ impl Allocation {
         &self.procs
     }
 
-    /// True if every entry is an integer.
-    pub fn is_integral(&self) -> bool {
-        self.procs.iter().all(|&q| q.fract() == 0.0)
-    }
-
     /// True if every entry is a power of two (implies integral).
     pub fn is_power_of_two(&self) -> bool {
         self.procs.iter().all(|&q| q.fract() == 0.0 && (q as u64).is_power_of_two())
@@ -205,17 +200,6 @@ pub struct PhiBreakdown {
     pub finishes: Vec<f64>,
 }
 
-impl PhiBreakdown {
-    /// Which of the two lower bounds is binding at this allocation.
-    pub fn binding(&self) -> &'static str {
-        if self.a_p >= self.c_p {
-            "average (A_p)"
-        } else {
-            "critical-path (C_p)"
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -275,7 +259,6 @@ mod tests {
         let w = MdgWeights::compute(&g, &m, &Allocation::uniform(&g, 1.0));
         let phi = w.phi(&g);
         assert!(phi.c_p > phi.a_p);
-        assert_eq!(phi.binding(), "critical-path (C_p)");
     }
 
     #[test]
@@ -292,7 +275,6 @@ mod tests {
         // Area = 16 node-seconds over 2 procs = 8 s; CP = 1 s.
         assert!((phi.a_p - 8.0).abs() < 1e-12);
         assert!((phi.c_p - 1.0).abs() < 1e-12);
-        assert_eq!(phi.binding(), "average (A_p)");
     }
 
     #[test]
@@ -330,14 +312,11 @@ mod tests {
     #[test]
     fn allocation_predicates() {
         let a = Allocation::new(vec![1.0, 2.0, 4.0, 8.0]);
-        assert!(a.is_integral());
         assert!(a.is_power_of_two());
         assert_eq!(a.max(), 8.0);
         let b = Allocation::new(vec![1.0, 3.0]);
-        assert!(b.is_integral());
         assert!(!b.is_power_of_two());
         let c = Allocation::new(vec![1.5]);
-        assert!(!c.is_integral());
         assert!(!c.is_power_of_two());
     }
 }

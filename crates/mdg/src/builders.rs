@@ -25,7 +25,7 @@ use crate::node::{AmdahlParams, ArrayTransfer, LoopClass, LoopMeta};
 /// (Matrix Addition 64×64: alpha = 6.7 %, tau = 3.73 ms; Matrix Multiply
 /// 64×64: alpha = 12.1 %, tau = 298.47 ms). The initialization loop is not
 /// parameterized in the paper; we use a small add-like cost and document
-/// the choice here (DESIGN.md §6).
+/// the choice here (DESIGN.md §15).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct KernelCostTable {
     /// Reference square-matrix dimension the `tau` values refer to.
@@ -43,7 +43,7 @@ impl KernelCostTable {
     pub fn cm5() -> Self {
         KernelCostTable {
             ref_n: 64,
-            // Not in the paper; small, add-like. See DESIGN.md §6.
+            // Not in the paper; small, add-like. See DESIGN.md §15.
             init: AmdahlParams::new(0.05, 2.0e-3),
             add: AmdahlParams::new(0.067, 3.73e-3),
             mul: AmdahlParams::new(0.121, 298.47e-3),

@@ -25,7 +25,7 @@
 //!    deadlock.
 //!
 //! What "verified" means here — and does not — is written up in DESIGN.md
-//! §15. In short: exhaustive up to the preemption/depth bound under a
+//! §12. In short: exhaustive up to the preemption/depth bound under a
 //! sequentially consistent memory model with patient timers; not a proof for
 //! unbounded threads or weak-memory reorderings.
 

@@ -9,7 +9,7 @@
 //! Atomics are modeled as sequentially consistent: each operation is one
 //! indivisible scheduling point. The `Ordering` argument is accepted and
 //! recorded in traces (`SeqCst`/`AcqRel`/`Acquire`/`Release`/`Relaxed`) but
-//! weak-memory reordering is *not* simulated — see DESIGN.md §15.
+//! weak-memory reordering is *not* simulated — see DESIGN.md §12.
 
 #[cfg(not(paradigm_race))]
 pub use std::sync::{

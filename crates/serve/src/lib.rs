@@ -24,7 +24,7 @@
 //!   histogram, served live via the `stats` op and dumped on shutdown.
 //!
 //! The resilience layer (this crate's failure model is spelled out in
-//! DESIGN.md §9):
+//! DESIGN.md §10):
 //!
 //! * [`chaos`] — seeded, deterministic fault injection ([`FaultPlan`]):
 //!   worker panics, slow solves, queue stalls, dropped connections,

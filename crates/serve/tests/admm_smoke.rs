@@ -36,7 +36,8 @@ fn admm_smoke_ten_thousand_nodes() {
 }
 
 /// The route at the size the pipeline used to switch tiers by itself
-/// (4096 compute nodes, to a tier 6x slower there on one box — DESIGN.md §13):
+/// (4096 compute nodes, to a tier many times slower than the dense solve at
+/// every size that partitions — DESIGN.md §13):
 /// graph size selects nothing, the default spec solves densely.
 #[test]
 #[ignore = "heavy: CI admm-smoke job runs this with --ignored in release"]

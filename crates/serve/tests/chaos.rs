@@ -1,7 +1,7 @@
 //! Chaos integration test: a TCP server under a seeded fault plan
 //! (worker panics, slow solves, queue stalls, dropped connections,
 //! truncated frames) driven by retrying clients. The invariant under
-//! test is the resilience contract from DESIGN.md §9: **every accepted
+//! test is the resilience contract from DESIGN.md §10: **every accepted
 //! request gets a terminal answer** — a primary result, a cached one,
 //! or a degraded equal-split schedule — and the process never aborts.
 //!

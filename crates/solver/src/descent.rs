@@ -172,7 +172,7 @@ fn dot(set: &[usize], a: &[f64], b: &[f64]) -> f64 {
 /// pair's `γ`: `h_j ∈ [γ / H0_CLAMP, γ·H0_CLAMP]`. The initial matrix's
 /// other constant is the square root in [`quasi_newton_direction`], which
 /// makes `h_j` the geometric mean of `γ` and the variable's own curvature
-/// ratio. DESIGN.md §11 has the sweep that chose both.
+/// ratio. DESIGN.md §7 has the sweep that chose both.
 const H0_CLAMP: f64 = 10.0;
 
 /// `d = −H·g` on `active` by the two-loop recursion over the `stored`

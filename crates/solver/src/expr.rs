@@ -223,14 +223,6 @@ impl Expr {
             }
         }
     }
-
-    /// Number of monomial leaves (diagnostic).
-    pub fn term_count(&self) -> usize {
-        match self {
-            Expr::Mono(_) => 1,
-            Expr::Sum(v) | Expr::Max(v) => v.iter().map(Expr::term_count).sum(),
-        }
-    }
 }
 
 /// Smoothed maximum of non-negative values.
@@ -469,15 +461,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn term_count() {
-        let e = Expr::sum(vec![
-            Expr::max(vec![Expr::constant(1.0), Expr::constant(2.0)]),
-            Expr::constant(3.0),
-        ]);
-        assert_eq!(e.term_count(), 3);
     }
 
     #[test]

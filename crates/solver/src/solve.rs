@@ -12,8 +12,8 @@
 //! next), and an exact-max projected-subgradient polish ends the solve
 //! once it stalls (`Stall`).
 //!
-//! Every stage is a call of [`crate::descent::descend`] (DESIGN.md §11
-//! has the convergence table).
+//! Every stage is a call of [`crate::descent::descend`] (DESIGN.md §7
+//! has what each caller passes and the measurements behind one start).
 
 use crate::descent::{descend, DescentModel, DescentState, Stage};
 use crate::error::{FallbackTier, SolverError};
@@ -306,7 +306,7 @@ impl DescentModel for ScalarTape<'_, '_> {
 /// the relative projected-gradient norm the ladder's top rung stops on.
 /// Constants, not knobs: 4 / 8 / 16 pairs and tolerances from 1e-5 to
 /// 1e-8 move the benchmark's solve times by ≤ 20 % and its Φ geomeans by
-/// < 1e-4 (DESIGN.md §11).
+/// < 1e-4 (DESIGN.md §7).
 pub const QN_MEMORY: usize = 8;
 /// See [`QN_MEMORY`].
 pub const STATIONARITY_TOL: f64 = 1e-6;
@@ -314,13 +314,13 @@ pub const STATIONARITY_TOL: f64 = 1e-6;
 /// the ladder stops on. Such a rung only seeds the next one, whose
 /// optimum lies a smoothing error (≈ ln k / s) away, so converging it
 /// further buys nothing the next rung keeps. 1e-4 saves less; 1e-2 gives
-/// strassen at p = 64 +0.28 % Φ under `fast()` (DESIGN.md §11).
+/// strassen at p = 64 +0.28 % Φ under `fast()` (DESIGN.md §7).
 pub const WARM_TOL: f64 = 1e-3;
 
 /// Accepted steps the exact polish's stall window spans: the stage ends
 /// once the last this many together gained less than [`STALL_TOL`] of Φ
 /// while the step no longer grows ([`Stall`]). 3 / 5 / 8 steps and 1e-7 …
-/// 1e-5 were swept (DESIGN.md §11).
+/// 1e-5 were swept (DESIGN.md §7).
 const STALL_STEPS: usize = 5;
 /// See [`STALL_STEPS`].
 const STALL_TOL: f64 = 1e-6;

@@ -20,7 +20,7 @@
 //! 367 → 133 / 189 → 127; Φ moved +1.1e-9 / −6.1e-10, −3.7e-8 / −6.7e-8,
 //! +5.2e-4 / −3.4e-6 — the top rung of the +5.2e-4 case lands within
 //! 4e-8 of where it did, and the exact polish from there dead-ends after
-//! 5 iterations instead of 51, DESIGN.md §11), and again when the exact
+//! 5 iterations instead of 51, DESIGN.md §7), and again when the exact
 //! polish gained its stall stop (five accepted steps under 1e-6 of Φ while
 //! the step no longer grows; only two `fast()` polishes ran into it:
 //! fig1 37 → 33 iterations, Φ +2.4e-9, strassen 127 → 118, Φ +6.3e-8;

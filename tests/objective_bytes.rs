@@ -14,10 +14,10 @@
 //! high-water mark**. The guard asks for at most 0.6 and 0.8 of those:
 //! the trees gone, and the program compiled root by root into tight
 //! capacities, with no second copy of it alive at the peak. Without the
-//! trees it reads 3 943 808 and 5 432 720 (0.43 and 0.55).
+//! trees it reads 2 449 640 and 4 212 136 (0.27 and 0.43).
 //!
 //! The ignored test is the dense tier at scale, the one command behind
-//! DESIGN.md §13's memory table:
+//! DESIGN.md §7's numbers at scale:
 //!
 //! ```text
 //! cargo test --release --test objective_bytes -- --ignored --nocapture

@@ -21,7 +21,7 @@
 //! iterations, and to the bit where the ladder has no rung below the top.
 //! The check is one-sided because landing lower is no failure: on
 //! strassen at p = 64 under `fast()` the reference misses the exact
-//! polish's escape from a kink (DESIGN.md §11) and reads 2.8e-3 *above*
+//! polish's escape from a kink (DESIGN.md §7) and reads 2.8e-3 *above*
 //! the solve. Measured on x86-64 Linux, glibc libm: worst Φ +8.2e-6
 //! (strassen-ml at p = 64, `default()`), 3 168 of 4 003 iterations (−21 %)
 //! over the 46 gallery solves.
