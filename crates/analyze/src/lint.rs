@@ -13,8 +13,8 @@
 //! [`Diagnostic`]s with a severity, a node/edge location, and a fix
 //! hint; [`render_diagnostics`] prints them compiler-style.
 //!
-//! [`LintSet::default_set`] bundles the built-in lints; callers can add
-//! their own by implementing [`Lint`] and pushing it onto the set.
+//! [`lint_mdg`] runs the built-in lints; callers can add their own by
+//! implementing [`Lint`] and pushing it onto a [`LintSet`].
 //!
 //! Some diagnostics carry a machine-applicable [`Fix`];
 //! [`apply_fixes`] rebuilds the graph with every attached fix applied
@@ -123,7 +123,7 @@ pub struct LintSet {
 
 impl LintSet {
     /// The built-in lints, in severity-descending order of importance.
-    pub fn default_set() -> Self {
+    fn default_set() -> Self {
         LintSet {
             lints: vec![
                 Box::new(RedistributionMismatch),

@@ -95,7 +95,7 @@ pub struct ResourceAnalysis {
 impl ResourceAnalysis {
     /// Nodes that prove infeasibility (machine-wide demand exceeds the
     /// whole machine's memory).
-    pub fn infeasible_nodes(&self) -> impl Iterator<Item = &NodeResidency> {
+    fn infeasible_nodes(&self) -> impl Iterator<Item = &NodeResidency> {
         let cap = total_capacity(self.procs, self.mem_bytes);
         self.nodes.iter().filter(move |n| n.demand_bytes > cap)
     }

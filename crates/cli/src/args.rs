@@ -2,7 +2,7 @@
 //! of sub-commands, each declaring its flags once, and one loop that
 //! parses them.
 
-use paradigm_core::MAX_PROCS;
+use paradigm_core::{GALLERY_NAMES, MAX_PROCS};
 use paradigm_serve::FaultPlan;
 
 use crate::bench_admm::BenchAdmmOpts;
@@ -31,8 +31,6 @@ pub enum Command {
         csv: bool,
         /// Print the schedule as an SVG Gantt chart.
         svg: bool,
-        /// Run the post-PSA reallocation refinement.
-        refine: bool,
         /// Force the consensus-ADMM distributed solver tier.
         admm: bool,
     },
@@ -224,13 +222,13 @@ paradigm — convex-programming allocation & PSA scheduling for MDGs
 
 USAGE:
   paradigm info <file.mdg>
-  paradigm compile <file.mdg> -p <procs> [--pb <n>] [--hlf] [--refine] [--admm]
+  paradigm compile <file.mdg> -p <procs> [--pb <n>] [--hlf] [--admm]
                               [--gantt] [--csv] [--svg]
   paradigm simulate <file.mdg> -p <procs> [--spmd] [--trace]
   paradigm calibrate [-p <procs>]
   paradigm build <file.mini>
   paradigm transform <file> [--fuse] [--reduce]
-  paradigm demo <fig1|cmm|strassen>
+  paradigm demo <fig1|cmm|strassen|strassen-ml|fft2d|block-lu|stencil|random-layered|fork-join>
   paradigm analyze <file.mdg> [-p <procs>] [--machine <cm5|mesh|paragon|sp1>] [--mem-mb <n>]
                               [--cert] [--cert-json] [--dot] [--fix [--write]] [-D]
   paradigm analyze --gallery [-p <procs>] [--machine <spec>]
@@ -333,7 +331,7 @@ static SPECS: &[Spec] = &[
     (
         "compile",
         FILE,
-        &["--hlf", "--gantt", "--csv", "--svg", "--refine", "--admm"],
+        &["--hlf", "--gantt", "--csv", "--svg", "--admm"],
         &[PROCS_REQUIRED, ("--pb", PROCS, None)],
     ),
     ("simulate", FILE, &["--spmd", "--trace"], &[PROCS_REQUIRED]),
@@ -465,7 +463,7 @@ fn build(p: &Parsed) -> Result<Command, UsageError> {
         "race" => Command::Race { bound: p.opt("--bound"), suite: p.opt("--suite") },
         "demo" => {
             let which = p.arg()?;
-            if !["fig1", "cmm", "strassen"].contains(&which.as_str()) {
+            if !GALLERY_NAMES.contains(&which.as_str()) {
                 return Err(UsageError(format!("unknown demo `{which}`")));
             }
             Command::Demo { which }
@@ -485,7 +483,6 @@ fn build(p: &Parsed) -> Result<Command, UsageError> {
             gantt: p.on("--gantt"),
             csv: p.on("--csv"),
             svg: p.on("--svg"),
-            refine: p.on("--refine"),
             admm: p.on("--admm"),
         },
         "simulate" => Command::Simulate {
@@ -606,7 +603,6 @@ mod tests {
                 gantt: true,
                 csv: false,
                 svg: false,
-                refine: false,
                 admm: false,
             }
         );
@@ -642,8 +638,11 @@ mod tests {
 
     #[test]
     fn demo_names_validated() {
-        assert!(parse_args(&["demo", "cmm"]).is_ok());
+        for name in GALLERY_NAMES {
+            assert!(parse_args(&["demo", name]).is_ok(), "{name}");
+        }
         assert!(parse_args(&["demo", "nope"]).is_err());
+        assert!(USAGE.contains(&format!("paradigm demo <{}>\n", GALLERY_NAMES.join("|"))));
     }
 
     #[test]

@@ -13,14 +13,11 @@ use paradigm_core::calibrate::{calibrate, CalibrationConfig};
 use paradigm_core::compile::Compiled;
 use paradigm_core::report::render_calibration;
 use paradigm_core::{
-    gallery_graph, machine_from_spec, try_compile, try_solve_pipeline, CompileConfig,
-    PipelineError, SolveSpec, GALLERY_NAMES,
+    compile, gallery_graph, machine_from_spec, try_solve_pipeline, SolveSpec, GALLERY_NAMES,
 };
 use paradigm_cost::{Machine, MdgWeights};
 use paradigm_mdg::stats::MdgStats;
-use paradigm_mdg::{
-    complex_matmul_mdg, example_fig1_mdg, from_text, strassen_mdg, to_text, KernelCostTable, Mdg,
-};
+use paradigm_mdg::{from_text, to_text, KernelCostTable, Mdg};
 use paradigm_sched::{
     analyze_schedule, gantt_svg, idle_profile, spmd_schedule, task_parallel_schedule, to_csv,
     SchedPolicy, Schedule,
@@ -95,13 +92,8 @@ pub fn run(command: &Command) -> Result<CmdOutput, CliError> {
     match command {
         Command::Help => Ok(CmdOutput::clean(USAGE)),
         Command::Demo { which } => {
-            let table = KernelCostTable::cm5();
-            let g = match which.as_str() {
-                "fig1" => example_fig1_mdg(),
-                "cmm" => complex_matmul_mdg(64, &table),
-                "strassen" => strassen_mdg(128, &table),
-                other => unreachable!("validated by the parser: {other}"),
-            };
+            let g = gallery_graph(which)
+                .unwrap_or_else(|| unreachable!("validated by the parser: {which}"));
             Ok(CmdOutput::clean(to_text(&g)))
         }
         Command::Transform { file, fuse, reduce } => {
@@ -140,12 +132,11 @@ pub fn run(command: &Command) -> Result<CmdOutput, CliError> {
             let cal = calibrate(&truth, &CalibrationConfig::default());
             Ok(CmdOutput::clean(render_calibration(&cal)))
         }
-        Command::Compile { file, procs, pb, hlf, gantt, csv, svg, refine, admm } => {
+        Command::Compile { file, procs, pb, hlf, gantt, csv, svg, admm } => {
             let g = load(file)?;
             let spec = SolveSpec {
                 policy: if *hlf { SchedPolicy::HighestLevelFirst } else { SchedPolicy::LowestEst },
                 pb: *pb,
-                refine: *refine,
                 fast_solver: false,
                 admm: *admm,
                 ..SolveSpec::new(Machine::cm5(*procs))
@@ -207,7 +198,6 @@ pub fn run(command: &Command) -> Result<CmdOutput, CliError> {
             let g = load(file)?;
             let machine = Machine::cm5(*procs);
             let truth = TrueMachine::cm5(*procs);
-            let c = compile_or_error(&g, machine)?;
             let mut out = String::new();
             if *spmd {
                 let prog = lower_spmd(&g, *procs);
@@ -220,6 +210,7 @@ pub fn run(command: &Command) -> Result<CmdOutput, CliError> {
                     100.0 * sim.utilization()
                 ));
             } else {
+                let c = compile_or_error(&g, machine)?;
                 let prog = lower_mpmd(&g, &c.psa.schedule);
                 let sim = simulate(&prog, &truth);
                 out.push_str(&format!(
@@ -551,11 +542,11 @@ fn analyze_graph(
     Ok(failed)
 }
 
-/// [`try_compile`] under the default config, a failure reported the way
-/// the `compile` command reports one (`solver failed: ...`, exit 2).
+/// [`compile`] on the full solver ladder, a failure reported the way the
+/// `compile` command reports one (`solver failed: ...`, exit 2).
 fn compile_or_error(g: &Mdg, machine: Machine) -> Result<Compiled, CliError> {
-    try_compile(g, machine, &CompileConfig::default())
-        .map_err(|e| CliError::Config(PipelineError::Solver(e).to_string()))
+    let spec = SolveSpec { fast_solver: false, ..SolveSpec::new(machine) };
+    compile(g, &spec).map_err(|e| CliError::Config(e.to_string()))
 }
 
 /// Append one schedule's analyzer verdict to `out`; true on violations.
@@ -585,7 +576,7 @@ mod tests {
     fn tmp_mdg() -> String {
         static CALLS: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
         let n = CALLS.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        let g = example_fig1_mdg();
+        let g = paradigm_mdg::example_fig1_mdg();
         let path =
             std::env::temp_dir().join(format!("paradigm-cli-test-{}-{n}.mdg", std::process::id()));
         std::fs::write(&path, to_text(&g)).expect("write temp mdg");
@@ -600,9 +591,10 @@ mod tests {
 
     #[test]
     fn demo_emits_parsable_graph() {
-        for which in ["fig1", "cmm", "strassen"] {
+        for which in GALLERY_NAMES {
             let out = run(&Command::Demo { which: which.into() }).unwrap().text;
             let g = from_text(&out).expect("demo output must parse");
+            assert_eq!(to_text(&g), out, "{which} round-trips through the text format");
             assert!(g.compute_node_count() >= 3);
         }
     }
@@ -723,6 +715,9 @@ mod tests {
             assert!(matches!(err, CliError::Config(_)), "{argv:?}: {err:?}");
             assert!(err.to_string().starts_with("solver failed: "), "{argv:?}: {err}");
         }
+        // The SPMD lowering needs no allocation, so `--spmd` runs no solve.
+        let spmd = run_argv(&["simulate", &p, "-p", "4", "--spmd"]).expect("no solve, no error");
+        assert!(spmd.text.starts_with("SPMD execution of `big`"), "{}", spmd.text);
         let _ = std::fs::remove_file(path);
     }
 

@@ -8,7 +8,7 @@
 //! paradigm compile <file.mdg> -p N [options]   allocate + schedule
 //! paradigm simulate <file.mdg> -p N [options]  compile, lower, execute
 //! paradigm calibrate [-p N]                    fit Tables 1-2 on the sim
-//! paradigm demo <fig1|cmm|strassen>            emit a built-in graph
+//! paradigm demo <gallery name>                emit a built-in graph
 //! ```
 //!
 //! The argument parser and command implementations live here in the

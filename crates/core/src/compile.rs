@@ -3,26 +3,105 @@
 
 use paradigm_cost::{Machine, PhiBreakdown};
 use paradigm_mdg::Mdg;
-use paradigm_sched::{psa_schedule, refine_allocation, PsaConfig, PsaResult};
+use paradigm_sched::{psa_schedule, PsaConfig, PsaResult, SchedPolicy};
 use paradigm_sim::{lower_mpmd, lower_spmd, simulate, SimResult, TrueMachine};
-use paradigm_solver::{allocate, try_allocate, AllocationResult, SolverConfig, SolverError};
+use paradigm_solver::{try_allocate, AllocationResult, SolverConfig, SolverError};
+use std::fmt;
 
-/// Compilation settings: solver and PSA knobs.
-#[derive(Debug, Clone, Default)]
-pub struct CompileConfig {
-    /// Convex solver settings.
-    pub solver: SolverConfig,
-    /// PSA settings (PB etc.).
-    pub psa: PsaConfig,
-    /// Run the greedy reallocation refinement after the PSA (off by
-    /// default — the paper's pipeline stops at the PSA).
-    pub refine: bool,
+/// Largest machine a [`SolveSpec`] may name. The PSA keeps a free-time
+/// slot per processor and every scheduled task lists its processor ids,
+/// so memory is O(tasks × procs): an unchecked `procs` from a request is
+/// an allocation the process cannot survive, not a panic a worker can
+/// catch.
+pub const MAX_PROCS: u32 = 65_536;
+
+/// Everything (besides the graph) that a pipeline solve depends on: the
+/// pipeline's one configuration. Two requests with equal specs and
+/// structurally equal graphs produce identical outputs.
+#[derive(Debug, Clone, PartialEq)]
+pub struct SolveSpec {
+    /// Target machine (processor count + transfer constants).
+    pub machine: Machine,
+    /// PSA ready-queue priority.
+    pub policy: SchedPolicy,
+    /// Explicit processor bound; `None` = Corollary 1's optimum.
+    pub pb: Option<u32>,
+    /// Use the cheaper solver settings (`SolverConfig::fast()`) instead
+    /// of the full ladder (`SolverConfig::default()`).
+    pub fast_solver: bool,
+    /// Also execute the MPMD lowering on the ground-truth simulator and
+    /// report the measured makespan (read by
+    /// [`try_solve_pipeline`](crate::try_solve_pipeline) only).
+    pub simulate: bool,
+    /// Solve the allocation on the consensus-ADMM tier instead of the
+    /// dense solver (read by [`try_solve_pipeline`](crate::try_solve_pipeline)
+    /// only; [`compile`] is the dense solve). Never chosen by graph size:
+    /// the tier is 21–26× slower than the dense solve at every size that
+    /// partitions, and the dense solve fits 10^5 nodes in 0.4 GB
+    /// (DESIGN.md §13).
+    pub admm: bool,
 }
 
-impl CompileConfig {
-    /// Cheaper solver settings for tests and large sweeps.
-    pub fn fast() -> Self {
-        CompileConfig { solver: SolverConfig::fast(), psa: PsaConfig::default(), refine: false }
+impl SolveSpec {
+    /// A spec with the serving layer's defaults: fast solver, paper's
+    /// PSA policy, automatic PB, no simulation, dense tier.
+    pub fn new(machine: Machine) -> Self {
+        SolveSpec {
+            machine,
+            policy: SchedPolicy::LowestEst,
+            pb: None,
+            fast_solver: true,
+            simulate: false,
+            admm: false,
+        }
+    }
+
+    /// Reject specs the pipeline would panic on (or not survive).
+    pub fn validate(&self) -> Result<(), String> {
+        let procs = self.machine.procs;
+        if !(1..=MAX_PROCS).contains(&procs) {
+            return Err(format!("machine size {procs} must be in 1..={MAX_PROCS}"));
+        }
+        if let Some(pb) = self.pb {
+            if pb == 0 {
+                return Err("processor bound must be positive".into());
+            }
+            // Corollary 1 chooses PB among powers of two, and the PSA's
+            // bounding step asserts it.
+            if !pb.is_power_of_two() {
+                return Err(format!("processor bound {pb} must be a power of two"));
+            }
+            if pb > procs {
+                return Err(format!("processor bound {pb} exceeds machine size {procs}"));
+            }
+        }
+        self.machine.xfer.validate()
+    }
+}
+
+/// Why a pipeline solve could not run.
+#[derive(Debug, Clone, PartialEq)]
+pub enum PipelineError {
+    /// The spec failed [`SolveSpec::validate`].
+    InvalidSpec(String),
+    /// The convex solver reported a typed failure.
+    Solver(SolverError),
+}
+
+impl fmt::Display for PipelineError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            PipelineError::InvalidSpec(msg) => write!(f, "invalid solve spec: {msg}"),
+            PipelineError::Solver(e) => write!(f, "solver failed: {e}"),
+        }
+    }
+}
+
+impl std::error::Error for PipelineError {}
+
+impl From<SolverError> for PipelineError {
+    fn from(e: SolverError) -> Self {
+        PipelineError::Solver(e)
     }
 }
 
@@ -49,41 +128,26 @@ impl Compiled {
     }
 }
 
-/// Compile `g` for `machine`: allocation and scheduling. [`run_mpmd`]
-/// lowers the schedule when it is simulated.
-///
-/// Panics if the solver fails; prefer [`try_compile`] on user-reachable
-/// paths.
-pub fn compile(g: &Mdg, machine: Machine, cfg: &CompileConfig) -> Compiled {
-    compile_with_solve(g, machine, cfg, allocate(g, machine, &cfg.solver))
+/// Compile `g` under `spec`: validate the spec, solve the allocation
+/// densely (the fast or the full solver ladder, by `spec.fast_solver`)
+/// and schedule it with the PSA at `spec.pb` / `spec.policy`. A bad spec
+/// is [`PipelineError::InvalidSpec`], a failed solve (non-finite
+/// objective) [`PipelineError::Solver`]. [`run_mpmd`] lowers the
+/// schedule when it is simulated.
+pub fn compile(g: &Mdg, spec: &SolveSpec) -> Result<Compiled, PipelineError> {
+    spec.validate().map_err(PipelineError::InvalidSpec)?;
+    let solver = if spec.fast_solver { SolverConfig::fast() } else { SolverConfig::default() };
+    let solve = try_allocate(g, spec.machine, &solver)?;
+    Ok(compile_with_solve(g, spec, solve))
 }
 
-/// Like [`compile`], but solver failures (bad machine parameters,
-/// non-finite objective) come back as a typed [`SolverError`] instead of
-/// a panic.
-pub fn try_compile(
-    g: &Mdg,
-    machine: Machine,
-    cfg: &CompileConfig,
-) -> Result<Compiled, SolverError> {
-    let solve = try_allocate(g, machine, &cfg.solver)?;
-    Ok(compile_with_solve(g, machine, cfg, solve))
-}
-
-/// Schedule a pre-computed allocation (Step 4 only). This is
-/// the shared tail of [`compile`]/[`try_compile`], and lets callers
-/// supply an allocation from any source — e.g. the serving layer's
-/// degraded path feeds `equal_split_allocation` here.
-pub fn compile_with_solve(
-    g: &Mdg,
-    machine: Machine,
-    cfg: &CompileConfig,
-    solve: AllocationResult,
-) -> Compiled {
-    let mut psa = psa_schedule(g, machine, &solve.alloc, &cfg.psa);
-    if cfg.refine {
-        psa = refine_allocation(g, machine, &psa).best;
-    }
+/// Schedule a pre-computed allocation (Step 4 only) under `spec`'s PSA
+/// settings; the spec is not validated again. This is the shared tail of
+/// [`compile`] and of the pipeline's consensus-ADMM and equal-split
+/// allocations.
+pub fn compile_with_solve(g: &Mdg, spec: &SolveSpec, solve: AllocationResult) -> Compiled {
+    let cfg = PsaConfig { pb: spec.pb, skip_rounding: false, policy: spec.policy };
+    let psa = psa_schedule(g, spec.machine, &solve.alloc, &cfg);
     // In debug builds, every schedule the pipeline emits goes through the
     // schedule checker (races, precedence, recurrence lower bound).
     #[cfg(debug_assertions)]
@@ -96,7 +160,7 @@ pub fn compile_with_solve(
             report.render()
         );
     }
-    Compiled { machine, phi: solve.phi.clone(), t_psa: psa.t_psa, solve, psa }
+    Compiled { machine: spec.machine, phi: solve.phi.clone(), t_psa: psa.t_psa, solve, psa }
 }
 
 /// Lower the compiled schedule to its MPMD program (paper Step 5) and
@@ -124,7 +188,8 @@ mod tests {
     #[test]
     fn compile_fig1_reproduces_paper_numbers() {
         let g = example_fig1_mdg();
-        let c = compile(&g, Machine::cm5(4), &CompileConfig::default());
+        let spec = SolveSpec { fast_solver: false, ..SolveSpec::new(Machine::cm5(4)) };
+        let c = compile(&g, &spec).unwrap();
         // Phi (continuous optimum) <= 14.3; T_psa == 14.3 exactly (the
         // rounded allocation is the paper's mixed schedule).
         assert!(c.phi.phi <= 14.3 + 1e-9);
@@ -141,7 +206,7 @@ mod tests {
         // (the paper's own Table 3 shows -2.6% from the same effect).
         let g = complex_matmul_mdg(64, &KernelCostTable::cm5());
         for p in [16u32, 32, 64] {
-            let c = compile(&g, Machine::cm5(p), &CompileConfig::fast());
+            let c = compile(&g, &SolveSpec::new(Machine::cm5(p))).unwrap();
             assert!(
                 c.t_psa >= c.phi.phi * (1.0 - 1e-2),
                 "p={p}: T_psa {} < Phi {}",
@@ -151,20 +216,25 @@ mod tests {
         }
     }
 
+    /// A spec the PSA would assert on is a typed error before any solve.
     #[test]
-    fn refine_flag_improves_or_matches() {
-        let g = complex_matmul_mdg(64, &KernelCostTable::cm5());
-        let base = compile(&g, Machine::cm5(64), &CompileConfig::fast());
-        let refined =
-            compile(&g, Machine::cm5(64), &CompileConfig { refine: true, ..CompileConfig::fast() });
-        assert!(refined.t_psa <= base.t_psa + 1e-12);
-        refined.psa.schedule.validate(&g, &refined.psa.weights).unwrap();
+    fn a_non_power_of_two_pb_is_an_invalid_spec() {
+        let g = example_fig1_mdg();
+        for fast_solver in [true, false] {
+            let spec = SolveSpec { pb: Some(3), fast_solver, ..SolveSpec::new(Machine::cm5(4)) };
+            match compile(&g, &spec) {
+                Err(PipelineError::InvalidSpec(msg)) => {
+                    assert_eq!(msg, "processor bound 3 must be a power of two")
+                }
+                other => panic!("expected InvalidSpec, got {other:?}"),
+            }
+        }
     }
 
     #[test]
     fn mpmd_run_close_to_prediction() {
         let g = complex_matmul_mdg(64, &KernelCostTable::cm5());
-        let c = compile(&g, Machine::cm5(16), &CompileConfig::fast());
+        let c = compile(&g, &SolveSpec::new(Machine::cm5(16))).unwrap();
         let r = run_mpmd(&g, &c, &TrueMachine::cm5(16));
         let rel = (r.makespan - c.t_psa).abs() / c.t_psa;
         assert!(rel < 0.25, "simulated {} vs predicted {} (rel {rel})", r.makespan, c.t_psa);
@@ -174,7 +244,7 @@ mod tests {
     #[should_panic(expected = "sizes differ")]
     fn size_mismatch_rejected() {
         let g = example_fig1_mdg();
-        let c = compile(&g, Machine::cm5(4), &CompileConfig::fast());
+        let c = compile(&g, &SolveSpec::new(Machine::cm5(4))).unwrap();
         let _ = run_mpmd(&g, &c, &TrueMachine::cm5(8));
     }
 }

@@ -12,7 +12,7 @@
 
 use std::fmt::Write;
 
-use crate::compile::{compile, run_mpmd, run_spmd, CompileConfig};
+use crate::compile::{compile, run_mpmd, run_spmd, Compiled, SolveSpec};
 use crate::programs::TestProgram;
 use paradigm_cost::regression::{fit_amdahl, fit_transfer};
 use paradigm_cost::transfer::transfer_components;
@@ -35,6 +35,13 @@ use paradigm_solver::{allocate, brute_force_pow2, MdgObjective, SolverConfig};
 
 /// The paper's evaluated system sizes.
 const PAPER_SIZES: [u32; 3] = [16, 32, 64];
+
+/// The paper's compile: the full solver ladder, then the PSA at
+/// Corollary 1's PB.
+fn compile_paper(g: &Mdg, machine: Machine) -> Compiled {
+    let spec = SolveSpec { fast_solver: false, ..SolveSpec::new(machine) };
+    compile(g, &spec).expect("the paper's graphs compile")
+}
 
 /// `writeln!` into a `String` (which cannot fail).
 macro_rules! out {
@@ -103,7 +110,7 @@ pub fn fig1_example() -> String {
     out!(s, "{}", spmd.gantt(&g, 52));
     out!(s, "  finish time: {:.1} s (paper: 15.6 s)", spmd.makespan);
 
-    let compiled = compile(&g, machine, &CompileConfig::default());
+    let compiled = compile_paper(&g, machine);
     compiled.psa.schedule.validate(&g, &compiled.psa.weights).expect("valid PSA schedule");
     out!(s, "\nScheme 2 — functional + data parallelism (convex + PSA):");
     out!(s, "{}", compiled.psa.schedule.gantt(&g, 52));
@@ -392,7 +399,7 @@ pub fn fig7_schedule() -> String {
     let mut s = String::new();
     let g = complex_matmul_mdg(64, &KernelCostTable::cm5());
     let machine = Machine::cm5(4);
-    let compiled = compile(&g, machine, &CompileConfig::default());
+    let compiled = compile_paper(&g, machine);
 
     out!(s, "continuous allocation (convex program) and rounded/bounded values:");
     out!(s, "  node | name            | continuous | rounded | bounded");
@@ -440,7 +447,6 @@ pub fn fig7_schedule() -> String {
 pub fn fig8_speedup() -> String {
     let mut s = String::new();
     let table = KernelCostTable::cm5();
-    let cfg = CompileConfig::default();
     for prog in TestProgram::paper_suite() {
         let g = prog.build(&table);
         let serial = serial_schedule(&g);
@@ -450,7 +456,7 @@ pub fn fig8_speedup() -> String {
         let mut gains = Vec::new();
         for p in PAPER_SIZES {
             let truth = TrueMachine::cm5(p);
-            let compiled = compile(&g, Machine::cm5(p), &cfg);
+            let compiled = compile_paper(&g, Machine::cm5(p));
             let mpmd = run_mpmd(&g, &compiled, &truth).makespan;
             let spmd = run_spmd(&g, &truth).makespan;
             let (spmd_speedup, mpmd_speedup) = (serial / spmd, serial / mpmd);
@@ -495,14 +501,13 @@ pub fn fig8_speedup() -> String {
 pub fn fig9_predicted_vs_actual() -> String {
     let mut s = String::new();
     let table = KernelCostTable::cm5();
-    let cfg = CompileConfig::default();
     for prog in TestProgram::paper_suite() {
         let g = prog.build(&table);
         out!(s, "\n{}: predicted vs actual execution times (normalized to actual)", prog.name());
         out!(s, "  procs |  predicted |     actual | predicted/actual");
         out!(s, "  ------+------------+------------+-----------------");
         for p in PAPER_SIZES {
-            let compiled = compile(&g, Machine::cm5(p), &cfg);
+            let compiled = compile_paper(&g, Machine::cm5(p));
             let actual = run_mpmd(&g, &compiled, &TrueMachine::cm5(p)).makespan;
             let ratio = compiled.t_psa / actual;
             out!(s, "  {:>5} | {:>9.4}s | {:>9.4}s | {:>16.3}", p, compiled.t_psa, actual, ratio);
@@ -528,7 +533,6 @@ pub fn fig9_predicted_vs_actual() -> String {
 pub fn table3_phi_deviation() -> String {
     let mut s = String::new();
     let table = KernelCostTable::cm5();
-    let cfg = CompileConfig::default();
     // The paper's (Phi, T_psa, percent change) per system size.
     let paper = [
         [(0.117, 0.114, -2.6), (0.075, 0.074, -1.3), (0.054, 0.055, -1.9)],
@@ -541,7 +545,7 @@ pub fn table3_phi_deviation() -> String {
         out!(s, "  System Size |   Phi (S) | T_psa (S) | Percent Change | paper Phi / T_psa (%)");
         out!(s, "  ------------+-----------+-----------+----------------+----------------------");
         for (i, p) in PAPER_SIZES.into_iter().enumerate() {
-            let compiled = compile(&g, Machine::cm5(p), &cfg);
+            let compiled = compile_paper(&g, Machine::cm5(p));
             let pct = compiled.deviation_percent();
             let (paper_phi, paper_t, paper_pct) = paper[k][i];
             out!(
@@ -566,14 +570,13 @@ pub fn table3_phi_deviation() -> String {
 pub fn ablation_rounding() -> String {
     let mut s = String::new();
     let table = KernelCostTable::cm5();
-    let cfg = CompileConfig::default();
     out!(s, "  program   |  p | PB |   Phi (S) | rounded (S) | bounded (S) | blowup | Thm2 bound");
     out!(s, "  ----------+----+----+-----------+-------------+-------------+--------+-----------");
     for prog in TestProgram::paper_suite() {
         let g = prog.build(&table);
         for p in PAPER_SIZES {
             let machine = Machine::cm5(p);
-            let c = compile(&g, machine, &cfg);
+            let c = compile_paper(&g, machine);
             let phi_rounded = MdgWeights::compute(&g, &machine, &c.psa.rounded).phi(&g).phi;
             let phi_bounded = MdgWeights::compute(&g, &machine, &c.psa.bounded).phi(&g).phi;
             let blowup = phi_bounded / c.phi.phi;

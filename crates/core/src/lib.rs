@@ -7,8 +7,8 @@
 //! 2. *weight determination* — [`calibrate()`](calibrate::calibrate):
 //!    run training-set measurements on the (simulated) machine and fit
 //!    the cost-model parameters by regression;
-//! 3. *allocation & scheduling* — [`compile()`]: convex-programming
-//!    allocation followed by the PSA;
+//! 3. *allocation & scheduling* — [`compile()`] under a [`SolveSpec`]:
+//!    convex-programming allocation followed by the PSA;
 //! 4. *code generation* — MPMD/SPMD lowering to task programs;
 //! 5. *execution* — the message-level simulator stands in for the CM-5.
 //!
@@ -24,8 +24,8 @@
 //!
 //! // The paper's first test program on a 16-node CM-5.
 //! let g = complex_matmul_mdg(64, &KernelCostTable::cm5());
-//! let machine = Machine::cm5(16);
-//! let compiled = compile(&g, machine, &CompileConfig::fast());
+//! let spec = SolveSpec::new(Machine::cm5(16));
+//! let compiled = compile(&g, &spec).expect("a valid spec and a finite Phi");
 //! assert!(compiled.t_psa >= compiled.phi.phi * 0.99);
 //!
 //! // Execute the MPMD program on the simulated machine.
@@ -41,11 +41,11 @@ pub mod pipeline;
 pub mod programs;
 pub mod report;
 
-pub use compile::{compile, try_compile, CompileConfig};
+pub use compile::{compile, PipelineError, SolveSpec, MAX_PROCS};
 pub use pipeline::{
     gallery_graph, machine_from_spec, solve_fingerprint, solve_pipeline_degraded,
-    try_solve_pipeline, try_solve_pipeline_with_backend, AdmmStats, AllocEntry, PipelineError,
-    SolveOutput, SolveSpec, GALLERY_NAMES, MACHINE_SPECS, MAX_PROCS,
+    try_solve_pipeline, try_solve_pipeline_with_backend, AdmmStats, AllocEntry, SolveOutput,
+    GALLERY_NAMES, MACHINE_SPECS,
 };
 
 // Re-exported so downstream crates (e.g. `paradigm-serve`) can name the
@@ -55,7 +55,7 @@ pub use paradigm_solver::{FallbackTier, SolverError};
 /// One-stop imports for examples and downstream users.
 pub mod prelude {
     pub use crate::calibrate::{calibrate, Calibration};
-    pub use crate::compile::{compile, run_mpmd, run_spmd, CompileConfig, Compiled};
+    pub use crate::compile::{compile, run_mpmd, run_spmd, Compiled, PipelineError, SolveSpec};
     pub use crate::programs::TestProgram;
     pub use paradigm_cost::{Allocation, Machine, MdgWeights, TransferParams};
     pub use paradigm_mdg::{

@@ -2,17 +2,16 @@
 //! plus canonical cache keying — the pure function the serving layer
 //! (`paradigm-serve`) memoizes.
 //!
-//! [`try_solve_pipeline`] runs allocation → PSA → (optional refinement)
-//! → (optional simulation) for one `(MDG, SolveSpec)` pair and returns a
-//! plain-data [`SolveOutput`]: everything is owned values, no borrowed
-//! graph state, so results can live in a cache and be shared across
-//! threads. [`solve_fingerprint`] produces the content-addressed key:
+//! [`try_solve_pipeline`] runs allocation → PSA → (optional simulation)
+//! for one `(MDG, SolveSpec)` pair and returns a plain-data
+//! [`SolveOutput`]: everything is owned values, no borrowed graph state,
+//! so results can live in a cache and be shared across threads. [`solve_fingerprint`] produces the content-addressed key:
 //! the MDG's [`paradigm_mdg::structural_hash`] extended with every spec
 //! field the output depends on. Identical fingerprints therefore mean
 //! identical outputs (the pipeline is deterministic), which is exactly
 //! the property single-flight caching needs.
 
-use crate::compile::{compile_with_solve, run_mpmd, try_compile, CompileConfig, Compiled};
+use crate::compile::{compile, compile_with_solve, run_mpmd, Compiled, PipelineError, SolveSpec};
 use paradigm_admm::{solve_admm, AdmmConfig, AdmmResult, BlockBackend, InProcessBackend};
 use paradigm_cost::Machine;
 use paradigm_mdg::hash::Mix128;
@@ -23,80 +22,7 @@ use paradigm_mdg::{
 };
 use paradigm_sched::{idle_profile, SchedPolicy};
 use paradigm_sim::TrueMachine;
-use paradigm_solver::{
-    equal_split_allocation, AllocationResult, FallbackTier, SolverConfig, SolverError,
-};
-use std::fmt;
-
-/// Largest machine a [`SolveSpec`] may name. The PSA keeps a free-time
-/// slot per processor and every scheduled task lists its processor ids,
-/// so memory is O(tasks × procs): an unchecked `procs` from a request is
-/// an allocation the process cannot survive, not a panic a worker can
-/// catch.
-pub const MAX_PROCS: u32 = 65_536;
-
-/// Everything (besides the graph) that a pipeline solve depends on.
-/// Two requests with equal specs and structurally equal graphs produce
-/// identical outputs.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SolveSpec {
-    /// Target machine (processor count + transfer constants).
-    pub machine: Machine,
-    /// PSA ready-queue priority.
-    pub policy: SchedPolicy,
-    /// Explicit processor bound; `None` = Corollary 1's optimum.
-    pub pb: Option<u32>,
-    /// Run the post-PSA reallocation refinement.
-    pub refine: bool,
-    /// Use the cheaper solver settings (`SolverConfig::fast()`).
-    pub fast_solver: bool,
-    /// Also execute the MPMD lowering on the ground-truth simulator and
-    /// report the measured makespan.
-    pub simulate: bool,
-    /// Solve the allocation on the consensus-ADMM tier instead of the
-    /// dense solver. Never chosen by graph size: the tier is 21–26×
-    /// slower than the dense solve at every size that partitions, and the
-    /// dense solve fits 10^5 nodes in 0.4 GB (DESIGN.md §13).
-    pub admm: bool,
-}
-
-impl SolveSpec {
-    /// A spec with the serving layer's defaults: fast solver, paper's
-    /// PSA policy, automatic PB, no refinement, no simulation.
-    pub fn new(machine: Machine) -> Self {
-        SolveSpec {
-            machine,
-            policy: SchedPolicy::LowestEst,
-            pb: None,
-            refine: false,
-            fast_solver: true,
-            simulate: false,
-            admm: false,
-        }
-    }
-
-    /// Reject specs the pipeline would panic on (or not survive).
-    pub fn validate(&self) -> Result<(), String> {
-        let procs = self.machine.procs;
-        if !(1..=MAX_PROCS).contains(&procs) {
-            return Err(format!("machine size {procs} must be in 1..={MAX_PROCS}"));
-        }
-        if let Some(pb) = self.pb {
-            if pb == 0 {
-                return Err("processor bound must be positive".into());
-            }
-            // Corollary 1 chooses PB among powers of two, and the PSA's
-            // bounding step asserts it.
-            if !pb.is_power_of_two() {
-                return Err(format!("processor bound {pb} must be a power of two"));
-            }
-            if pb > procs {
-                return Err(format!("processor bound {pb} exceeds machine size {procs}"));
-            }
-        }
-        self.machine.xfer.validate()
-    }
-}
+use paradigm_solver::{equal_split_allocation, AllocationResult, FallbackTier};
 
 /// One node's solved placement.
 #[derive(Debug, Clone, PartialEq)]
@@ -198,40 +124,6 @@ pub struct SolveOutput {
     pub admm: Option<AdmmStats>,
 }
 
-/// Why a pipeline solve could not run.
-#[derive(Debug, Clone, PartialEq)]
-pub enum PipelineError {
-    /// The spec failed [`SolveSpec::validate`].
-    InvalidSpec(String),
-    /// The convex solver reported a typed failure.
-    Solver(SolverError),
-}
-
-impl fmt::Display for PipelineError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            PipelineError::InvalidSpec(msg) => write!(f, "invalid solve spec: {msg}"),
-            PipelineError::Solver(e) => write!(f, "solver failed: {e}"),
-        }
-    }
-}
-
-impl std::error::Error for PipelineError {}
-
-impl From<SolverError> for PipelineError {
-    fn from(e: SolverError) -> Self {
-        PipelineError::Solver(e)
-    }
-}
-
-fn compile_config(spec: &SolveSpec) -> CompileConfig {
-    CompileConfig {
-        solver: if spec.fast_solver { SolverConfig::fast() } else { SolverConfig::default() },
-        psa: paradigm_sched::PsaConfig { pb: spec.pb, skip_rounding: false, policy: spec.policy },
-        refine: spec.refine,
-    }
-}
-
 fn output_from_compiled(g: &Mdg, spec: &SolveSpec, c: &Compiled) -> SolveOutput {
     let prof = idle_profile(&c.psa.schedule, c.psa.pb);
     let alloc = g
@@ -267,15 +159,16 @@ fn output_from_compiled(g: &Mdg, spec: &SolveSpec, c: &Compiled) -> SolveOutput 
     }
 }
 
-/// The ADMM arm of every pipeline entry point: consensus-ADMM allocation
-/// on `backend`, the compile tail on that allocation, diagnostics into
-/// `SolveOutput::admm`.
+/// The ADMM arm of every pipeline entry point: the spec's validation,
+/// consensus-ADMM allocation on `backend`, the compile tail on that
+/// allocation, diagnostics into `SolveOutput::admm`.
 fn admm_output<B: BlockBackend>(
     g: &Mdg,
     spec: &SolveSpec,
     cfg: &AdmmConfig,
     backend: &mut B,
-) -> Result<SolveOutput, SolverError> {
+) -> Result<SolveOutput, PipelineError> {
+    spec.validate().map_err(PipelineError::InvalidSpec)?;
     let res = solve_admm(g, spec.machine, cfg, backend)?;
     let stats = AdmmStats::from_result(&res);
     let solve = AllocationResult {
@@ -285,7 +178,7 @@ fn admm_output<B: BlockBackend>(
         starts: res.blocks,
         tier: FallbackTier::Admm,
     };
-    let c = compile_with_solve(g, spec.machine, &compile_config(spec), solve);
+    let c = compile_with_solve(g, spec, solve);
     let mut out = output_from_compiled(g, spec, &c);
     out.admm = Some(stats);
     Ok(out)
@@ -317,12 +210,10 @@ pub fn try_solve_pipeline_with_backend<B: BlockBackend>(
     admm_cfg: &AdmmConfig,
     backend: &mut B,
 ) -> Result<SolveOutput, PipelineError> {
-    spec.validate().map_err(PipelineError::InvalidSpec)?;
     if spec.admm {
-        return Ok(admm_output(g, spec, admm_cfg, backend)?);
+        return admm_output(g, spec, admm_cfg, backend);
     }
-    let c = try_compile(g, spec.machine, &compile_config(spec))?;
-    Ok(output_from_compiled(g, spec, &c))
+    Ok(output_from_compiled(g, spec, &compile(g, spec)?))
 }
 
 /// Run the pipeline with the analytic equal-split allocation instead of
@@ -333,7 +224,7 @@ pub fn try_solve_pipeline_with_backend<B: BlockBackend>(
 pub fn solve_pipeline_degraded(g: &Mdg, spec: &SolveSpec) -> SolveOutput {
     let spec = SolveSpec { simulate: false, ..spec.clone() };
     let solve = equal_split_allocation(g, spec.machine);
-    let c = compile_with_solve(g, spec.machine, &compile_config(&spec), solve);
+    let c = compile_with_solve(g, &spec, solve);
     output_from_compiled(g, &spec, &c)
 }
 
@@ -354,7 +245,6 @@ pub fn solve_fingerprint(g: &Mdg, spec: &SolveSpec) -> u128 {
         SchedPolicy::HighestLevelFirst => 2,
     });
     h.write_u64(spec.pb.map_or(0, |pb| u64::from(pb) + 1));
-    h.write_u64(u64::from(spec.refine));
     h.write_u64(u64::from(spec.fast_solver));
     h.write_u64(u64::from(spec.simulate));
     h.write_u64(u64::from(spec.admm));
@@ -418,21 +308,37 @@ pub fn gallery_graph(name: &str) -> Option<Mdg> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::compile::compile;
     use paradigm_mdg::{AmdahlParams, ArrayTransfer, MdgBuilder, TransferKind};
+    use paradigm_solver::SolverError;
 
+    /// The pipeline's dense arm is `compile` plus bookkeeping: over every
+    /// solver, policy and PB choice, the two agree on Φ, `T_psa`, PB and
+    /// every node's allocation to the bit.
     #[test]
     fn solve_matches_direct_compile() {
-        let g = example_fig1_mdg();
-        let spec = SolveSpec { fast_solver: false, ..SolveSpec::new(Machine::cm5(4)) };
-        let out = try_solve_pipeline(&g, &spec).unwrap();
-        let direct = compile(&g, Machine::cm5(4), &CompileConfig::default());
-        assert_eq!(out.phi, direct.phi.phi);
-        assert_eq!(out.t_psa, direct.t_psa);
-        assert_eq!(out.pb, direct.psa.pb);
-        assert_eq!(out.alloc.len(), g.compute_node_count());
-        assert!(out.sim_makespan.is_none());
-        assert!(out.utilization > 0.0 && out.utilization <= 1.0);
+        let g = gallery_graph("cmm").unwrap();
+        for fast_solver in [true, false] {
+            for policy in [SchedPolicy::LowestEst, SchedPolicy::HighestLevelFirst] {
+                for pb in [None, Some(4)] {
+                    let spec =
+                        SolveSpec { fast_solver, policy, pb, ..SolveSpec::new(Machine::cm5(16)) };
+                    let out = try_solve_pipeline(&g, &spec).unwrap();
+                    let direct = compile(&g, &spec).unwrap();
+                    assert_eq!(out.phi.to_bits(), direct.phi.phi.to_bits(), "{spec:?}");
+                    assert_eq!(out.t_psa.to_bits(), direct.t_psa.to_bits(), "{spec:?}");
+                    assert_eq!(out.pb, direct.psa.pb, "{spec:?}");
+                    assert_eq!(out.alloc.len(), g.compute_node_count());
+                    let nodes = g.nodes().filter(|(_, n)| !n.is_structural());
+                    for (a, (id, n)) in out.alloc.iter().zip(nodes) {
+                        assert_eq!(a.node, n.name);
+                        assert_eq!(a.continuous.to_bits(), direct.solve.alloc.get(id).to_bits());
+                        assert_eq!(a.procs, direct.psa.bounded.as_u32(id), "{spec:?}");
+                    }
+                    assert!(out.sim_makespan.is_none());
+                    assert!(out.utilization > 0.0 && out.utilization <= 1.0);
+                }
+            }
+        }
     }
 
     #[test]
@@ -457,7 +363,6 @@ mod tests {
             SolveSpec::new(Machine::synthetic_mesh(16)),
             SolveSpec { policy: SchedPolicy::HighestLevelFirst, ..base.clone() },
             SolveSpec { pb: Some(4), ..base.clone() },
-            SolveSpec { refine: true, ..base.clone() },
             SolveSpec { fast_solver: false, ..base.clone() },
             SolveSpec { simulate: true, ..base.clone() },
             SolveSpec { admm: true, ..base.clone() },

@@ -6,20 +6,12 @@
 
 /// Error raised when a matrix is not (numerically) positive definite.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct NotSpd;
-
-impl std::fmt::Display for NotSpd {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "matrix is not positive definite")
-    }
-}
-
-impl std::error::Error for NotSpd {}
+struct NotSpd;
 
 /// Cholesky factorization of a symmetric positive-definite `n x n` matrix
 /// given in row-major order. Returns the lower factor `L` (row-major) with
 /// `A = L L^T`.
-pub fn cholesky(a: &[f64], n: usize) -> Result<Vec<f64>, NotSpd> {
+fn cholesky(a: &[f64], n: usize) -> Result<Vec<f64>, NotSpd> {
     assert_eq!(a.len(), n * n, "matrix size mismatch");
     let mut l = vec![0.0; n * n];
     for i in 0..n {
@@ -42,7 +34,7 @@ pub fn cholesky(a: &[f64], n: usize) -> Result<Vec<f64>, NotSpd> {
 }
 
 /// Solve `A x = b` for SPD `A` via Cholesky.
-pub fn solve_spd(a: &[f64], b: &[f64], n: usize) -> Result<Vec<f64>, NotSpd> {
+fn solve_spd(a: &[f64], b: &[f64], n: usize) -> Result<Vec<f64>, NotSpd> {
     let l = cholesky(a, n)?;
     // Forward substitution: L y = b.
     let mut y = vec![0.0; n];

@@ -19,12 +19,6 @@ pub fn processing_area(params: AmdahlParams, q: f64) -> f64 {
     params.area(q)
 }
 
-/// Derivative `d t^C / d q = -(1 - alpha) * tau / q^2` — used by tests and
-/// available for solvers working directly in `q`-space.
-pub fn processing_cost_dq(params: AmdahlParams, q: f64) -> f64 {
-    -(1.0 - params.alpha) * params.tau / (q * q)
-}
-
 /// Speedup `t^C(1) / t^C(q)`.
 pub fn speedup(params: AmdahlParams, q: f64) -> f64 {
     if params.tau == 0.0 {
@@ -52,17 +46,6 @@ mod tests {
         for q in [1.0, 2.0, 3.5, 8.0, 64.0] {
             let expect = (0.121 + 0.879 / q) * 298.47e-3;
             assert!((processing_cost(p, q) - expect).abs() < 1e-15);
-        }
-    }
-
-    #[test]
-    fn derivative_matches_finite_difference() {
-        let p = matmul();
-        for q in [1.5, 4.0, 16.0, 50.0] {
-            let h = 1e-6 * q;
-            let fd = (processing_cost(p, q + h) - processing_cost(p, q - h)) / (2.0 * h);
-            let an = processing_cost_dq(p, q);
-            assert!((fd - an).abs() <= 1e-6 * an.abs().max(1e-12), "q={q}: fd={fd}, analytic={an}");
         }
     }
 

@@ -7,7 +7,7 @@
 //! footprint of node i" means:
 //!
 //! * a compute node's **local** array is the `rows x cols` matrix of
-//!   `f64` its loop nest touches ([`node_local_bytes`]); synthetic nodes
+//!   `f64` its loop nest touches (`node_local_bytes`); synthetic nodes
 //!   (zero extent) own no modeled array;
 //! * a data edge's **payload** is the total bytes of its array
 //!   transfers, floored at one byte between compute endpoints because
@@ -52,7 +52,7 @@ impl NodeFootprint {
 
 /// Bytes of the node's own array: `rows * cols * size_of::<f64>()`.
 /// Synthetic nodes (`rows == 0 || cols == 0`) own no modeled array.
-pub fn node_local_bytes(node: &Node) -> u64 {
+fn node_local_bytes(node: &Node) -> u64 {
     (node.meta.rows as u64) * (node.meta.cols as u64) * (std::mem::size_of::<f64>() as u64)
 }
 

@@ -39,7 +39,7 @@ impl LatencyHistogram {
 
 /// Upper-bound estimate of the `q`-quantile (0 < q < 1) from bucket
 /// counts: the upper edge of the bucket holding the quantile rank.
-pub fn quantile_us(buckets: &[u64; HIST_BUCKETS], q: f64) -> Option<u64> {
+fn quantile_us(buckets: &[u64; HIST_BUCKETS], q: f64) -> Option<u64> {
     let total: u64 = buckets.iter().sum();
     if total == 0 {
         return None;
@@ -187,7 +187,7 @@ impl Metrics {
 
 impl MetricsSnapshot {
     /// Breaker state gauge as its stable label.
-    pub fn breaker_state_str(&self) -> &'static str {
+    fn breaker_state_str(&self) -> &'static str {
         match self.breaker_state {
             1 => "open",
             2 => "half-open",
@@ -196,12 +196,12 @@ impl MetricsSnapshot {
     }
 
     /// Upper-bound p50 latency in µs, if any request completed.
-    pub fn p50_us(&self) -> Option<u64> {
+    fn p50_us(&self) -> Option<u64> {
         quantile_us(&self.latency_buckets, 0.50)
     }
 
     /// Upper-bound p99 latency in µs, if any request completed.
-    pub fn p99_us(&self) -> Option<u64> {
+    fn p99_us(&self) -> Option<u64> {
         quantile_us(&self.latency_buckets, 0.99)
     }
 

@@ -6,9 +6,8 @@
 //! ```text
 //! request   = solve | stats | ping | shutdown
 //! solve     = { "op":"solve", graph-src, "procs":int?, "machine":str?,
-//!               "policy":("est"|"hlf")?, "pb":int?, "refine":bool?,
-//!               "full_solver":bool?, "simulate":bool?, "admm":bool?,
-//!               "deadline_ms":int? }
+//!               "policy":("est"|"hlf")?, "pb":int?, "full_solver":bool?,
+//!               "simulate":bool?, "admm":bool?, "deadline_ms":int? }
 //! graph-src = "gallery": name            ; built-in workload, or
 //!           | "graph": mdg-text          ; inline MDG text format
 //! stats     = { "op":"stats" }
@@ -19,7 +18,7 @@
 //! ```
 //!
 //! Defaults: `procs` 16, `machine` `"cm5"`, `policy` `"est"`, `pb`
-//! automatic (Corollary 1), `refine`/`simulate`/`admm` false, fast
+//! automatic (Corollary 1), `simulate`/`admm` false, fast
 //! solver. A solve response carries `phi`, `t_psa`, `pb`,
 //! `deviation_percent`, `utilization`, the allocation table,
 //! `cached`/`deduplicated` flags, and the service latency in
@@ -80,7 +79,7 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
     }
 }
 
-const SOLVE_FIELDS: [&str; 11] = [
+const SOLVE_FIELDS: [&str; 10] = [
     "op",
     "gallery",
     "graph",
@@ -88,7 +87,6 @@ const SOLVE_FIELDS: [&str; 11] = [
     "machine",
     "policy",
     "pb",
-    "refine",
     "full_solver",
     "simulate",
     "admm",
@@ -163,7 +161,6 @@ fn parse_solve(doc: &Json, members: &[(String, Json)]) -> Result<Request, String
         machine,
         policy,
         pb,
-        refine: flag("refine")?,
         fast_solver: !flag("full_solver")?,
         simulate: flag("simulate")?,
         admm: flag("admm")?,
@@ -358,7 +355,7 @@ mod tests {
         assert_eq!(graph.name(), "fig1-example");
         assert_eq!(spec.machine.procs, 16);
         assert_eq!(spec.policy, SchedPolicy::LowestEst);
-        assert!(spec.fast_solver && !spec.refine && !spec.simulate);
+        assert!(spec.fast_solver && !spec.simulate && !spec.admm);
         assert!(spec.pb.is_none() && deadline.is_none());
     }
 
@@ -366,7 +363,7 @@ mod tests {
     fn solve_request_full_options() {
         let req = parse_request(
             r#"{"op":"solve","gallery":"cmm","procs":32,"machine":"mesh","policy":"hlf",
-                "pb":8,"refine":true,"full_solver":true,"simulate":true,"deadline_ms":250}"#,
+                "pb":8,"full_solver":true,"simulate":true,"deadline_ms":250}"#,
         )
         .unwrap();
         let Request::Solve { spec, deadline, .. } = req else { panic!("not solve") };
@@ -374,8 +371,17 @@ mod tests {
         assert!(spec.machine.xfer.t_n > 0.0, "mesh has a network term");
         assert_eq!(spec.policy, SchedPolicy::HighestLevelFirst);
         assert_eq!(spec.pb, Some(8));
-        assert!(spec.refine && spec.simulate && !spec.fast_solver);
+        assert!(spec.simulate && !spec.fast_solver);
         assert_eq!(deadline, Some(Duration::from_millis(250)));
+
+        // `refine` is not a spec field: it is refused like any typo.
+        let svc = svc();
+        let (resp, _) = handle_line(&svc, r#"{"op":"solve","gallery":"cmm","refine":true}"#);
+        let doc = parse(&resp).unwrap();
+        assert_eq!(doc.get("kind").and_then(Json::as_str), Some("bad-request"));
+        let error = doc.get("error").and_then(Json::as_str);
+        assert_eq!(error, Some("unknown field `refine` in solve request"));
+        svc.shutdown();
     }
 
     #[test]

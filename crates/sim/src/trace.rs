@@ -30,7 +30,7 @@ pub struct TaskDiff {
 
 impl TaskDiff {
     /// Relative finish-time error `(predicted - actual) / actual`.
-    pub fn finish_error(&self) -> f64 {
+    fn finish_error(&self) -> f64 {
         if self.actual_finish == 0.0 {
             0.0
         } else {

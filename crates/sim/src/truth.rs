@@ -93,7 +93,7 @@ impl TrueMachine {
 
     /// Deterministic noise factor in `[1 - noise, 1 + noise]` for a cost
     /// site identified by `key`.
-    pub fn noise_factor(&self, key: u64) -> f64 {
+    fn noise_factor(&self, key: u64) -> f64 {
         if self.noise == 0.0 {
             return 1.0;
         }

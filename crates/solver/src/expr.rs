@@ -91,7 +91,7 @@ impl Monomial {
     }
 
     /// Accumulate `scale * ∂value/∂x_j` into `grad`.
-    pub fn accumulate_grad(&self, x: &[f64], scale: f64, grad: &mut [f64]) {
+    fn accumulate_grad(&self, x: &[f64], scale: f64, grad: &mut [f64]) {
         if self.coeff == 0.0 || scale == 0.0 {
             return;
         }

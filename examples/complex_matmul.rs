@@ -11,7 +11,7 @@ use paradigm_core::prelude::*;
 use paradigm_core::report::render_calibration;
 use paradigm_kernels::ComplexMatrix;
 
-fn main() {
+fn main() -> Result<(), PipelineError> {
     let n = 64;
     let sizes = [16u32, 32, 64];
 
@@ -39,7 +39,7 @@ fn main() {
     println!("  ------+------------+------------+--------------+--------------+----------");
     for &p in &sizes {
         let machine = Machine::new(p, cal.machine.xfer);
-        let compiled = paradigm_core::compile(&g, machine, &CompileConfig::default());
+        let compiled = compile(&g, &SolveSpec { fast_solver: false, ..SolveSpec::new(machine) })?;
         let truth = TrueMachine::cm5(p);
         let mpmd = run_mpmd(&g, &compiled, &truth);
         let spmd = run_spmd(&g, &truth);
@@ -54,4 +54,5 @@ fn main() {
         );
     }
     println!("\n(the MPMD gain column is the paper's Figure-8 claim in one number)");
+    Ok(())
 }

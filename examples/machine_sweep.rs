@@ -9,7 +9,7 @@ use paradigm_core::prelude::*;
 use paradigm_cost::Machine as M;
 use paradigm_sched::{serial_schedule, spmd_schedule};
 
-fn sweep(name: &str, make: impl Fn(u32) -> M) {
+fn sweep(name: &str, make: impl Fn(u32) -> M) -> Result<(), PipelineError> {
     let g = complex_matmul_mdg(64, &KernelCostTable::cm5());
     let serial = serial_schedule(&g);
     println!("\n{name}: Complex Matrix Multiply 64x64 (serial time {serial:.4} s)");
@@ -19,7 +19,7 @@ fn sweep(name: &str, make: impl Fn(u32) -> M) {
     for k in 0..8 {
         let p = 1u32 << k;
         let machine = make(p);
-        let compiled = compile(&g, machine, &CompileConfig::fast());
+        let compiled = compile(&g, &SolveSpec::new(machine))?;
         let (spmd, _) = spmd_schedule(&g, machine);
         println!(
             "  {:>5} | {:>10.4} | {:>10.4} | {:>10.4} | {:>13.2} | {:>12.2}",
@@ -36,16 +36,18 @@ fn sweep(name: &str, make: impl Fn(u32) -> M) {
         }
         prev_gain = gain;
     }
+    Ok(())
 }
 
-fn main() {
-    sweep("CM-5 constants (t_n = 0)", M::cm5);
-    sweep("synthetic mesh (t_n > 0: network delays on edges)", M::synthetic_mesh);
-    sweep("Intel Paragon-class constants (illustrative)", M::intel_paragon);
-    sweep("IBM SP-1-class constants (illustrative)", M::ibm_sp1);
+fn main() -> Result<(), PipelineError> {
+    sweep("CM-5 constants (t_n = 0)", M::cm5)?;
+    sweep("synthetic mesh (t_n > 0: network delays on edges)", M::synthetic_mesh)?;
+    sweep("Intel Paragon-class constants (illustrative)", M::intel_paragon)?;
+    sweep("IBM SP-1-class constants (illustrative)", M::ibm_sp1)?;
     println!(
         "\nReading: at small p the machine is the bottleneck and SPMD ~ MPMD; once the\n\
          machine outgrows a single loop's scalability, the schedule runs independent\n\
          loops side by side and T_psa pulls ahead — the paper's central claim."
     );
+    Ok(())
 }

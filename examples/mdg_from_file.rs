@@ -22,7 +22,7 @@ edge 1 3 xfer 131072 1d
 edge 2 3 xfer 131072 2d     # the south sweep hands back transposed data
 "#;
 
-fn main() {
+fn main() -> Result<(), PipelineError> {
     let g = from_text(PROGRAM).expect("the embedded program must parse");
     println!(
         "loaded `{}`: {} compute nodes, {} edges",
@@ -35,7 +35,7 @@ fn main() {
     println!("\ncanonical form:\n{}", to_text(&g));
 
     let machine = Machine::cm5(16);
-    let compiled = compile(&g, machine, &CompileConfig::default());
+    let compiled = compile(&g, &SolveSpec { fast_solver: false, ..SolveSpec::new(machine) })?;
     println!("{}", compiled.psa.schedule.gantt(&g, 60));
     println!(
         "Phi = {:.3} s, T_psa = {:.3} s; the two sweeps run {}",
@@ -61,4 +61,5 @@ fn main() {
         spmd.makespan,
         spmd.makespan / run.makespan
     );
+    Ok(())
 }

@@ -26,7 +26,7 @@ X  = S1 + S2
 X  = X - P         # damping update, redefines X
 ";
 
-fn main() {
+fn main() -> Result<(), PipelineError> {
     let table = KernelCostTable::cm5();
     let g = compile_source(SOURCE, &table).expect("the embedded program compiles");
     println!(
@@ -43,7 +43,8 @@ fn main() {
     println!("transfers needing a distribution flip (2D): {two_d}\n");
 
     let p = 32u32;
-    let compiled = compile(&g, Machine::cm5(p), &CompileConfig::default());
+    let compiled =
+        compile(&g, &SolveSpec { fast_solver: false, ..SolveSpec::new(Machine::cm5(p)) })?;
     println!("{}", compiled.psa.schedule.gantt(&g, 64));
     println!(
         "Phi = {:.4} s, T_psa = {:.4} s ({:+.1}%)",
@@ -61,4 +62,5 @@ fn main() {
         spmd.makespan,
         spmd.makespan / mpmd.makespan
     );
+    Ok(())
 }

@@ -6,7 +6,7 @@
 
 use paradigm_core::prelude::*;
 
-fn main() {
+fn main() -> Result<(), PipelineError> {
     // 1. Describe the program as an MDG: nodes are loop nests with
     //    Amdahl-law costs, edges are precedence constraints carrying the
     //    arrays that must be redistributed.
@@ -23,9 +23,10 @@ fn main() {
     let g = b.finish().expect("valid DAG");
 
     // 2. Pick a machine (CM-5 cost constants at 16 processors) and
-    //    compile: convex-programming allocation, then PSA scheduling.
-    let machine = Machine::cm5(16);
-    let compiled = paradigm_core::compile(&g, machine, &CompileConfig::default());
+    //    compile on the full solver ladder: convex-programming
+    //    allocation, then PSA scheduling.
+    let spec = SolveSpec { fast_solver: false, ..SolveSpec::new(Machine::cm5(16)) };
+    let compiled = compile(&g, &spec)?;
 
     println!("allocation (processors per node):");
     for (id, node) in g.nodes() {
@@ -64,4 +65,5 @@ fn main() {
         spmd.makespan,
         spmd.makespan / run.makespan
     );
+    Ok(())
 }

@@ -9,9 +9,9 @@ use paradigm_core::prelude::*;
 use paradigm_mdg::stats::MdgStats;
 use paradigm_mdg::{random_layered_mdg, RandomMdgConfig};
 
-fn main() {
+fn main() -> Result<(), PipelineError> {
     let p = 64u32;
-    let machine = Machine::cm5(p);
+    let spec = SolveSpec::new(Machine::cm5(p));
     let truth = TrueMachine::cm5(p);
 
     println!("random layered MDGs on a {p}-processor simulated CM-5\n");
@@ -34,7 +34,7 @@ fn main() {
             let stats = MdgStats::of(&g);
             nodes = g.compute_node_count();
             par = stats.inherent_parallelism();
-            let compiled = compile(&g, machine, &CompileConfig::fast());
+            let compiled = compile(&g, &spec)?;
             let mpmd = run_mpmd(&g, &compiled, &truth);
             let spmd = run_spmd(&g, &truth);
             gains.push((mpmd.makespan, spmd.makespan));
@@ -56,4 +56,5 @@ fn main() {
          the mixed-parallelism schedule gains over SPMD — with a narrow chain there is\n\
          nothing to exploit and the two coincide."
     );
+    Ok(())
 }

@@ -8,7 +8,7 @@
 use paradigm_core::prelude::*;
 use paradigm_kernels::{strassen_one_level, Matrix};
 
-fn main() {
+fn main() -> Result<(), PipelineError> {
     let n = 128;
 
     // Numeric check: the one-level Strassen decomposition (exactly the
@@ -32,8 +32,8 @@ fn main() {
     );
 
     for &p in &[16u32, 32, 64] {
-        let machine = Machine::cm5(p);
-        let compiled = compile(&g, machine, &CompileConfig::default());
+        let spec = SolveSpec { fast_solver: false, ..SolveSpec::new(Machine::cm5(p)) };
+        let compiled = compile(&g, &spec)?;
         println!("\n=== {p} processors (PB = {}) ===", compiled.psa.pb);
         // How are the seven multiplies placed?
         let mut mul_rows: Vec<String> = Vec::new();
@@ -65,4 +65,5 @@ fn main() {
             spmd.makespan / mpmd.makespan
         );
     }
+    Ok(())
 }

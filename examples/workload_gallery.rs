@@ -10,9 +10,9 @@ use paradigm_mdg::stats::MdgStats;
 use paradigm_mdg::{block_lu_mdg, fft_2d_mdg, stencil_mdg};
 use paradigm_sim::lower_mpmd;
 
-fn main() {
+fn main() -> Result<(), PipelineError> {
     let p = 64u32;
-    let machine = Machine::cm5(p);
+    let spec = SolveSpec::new(Machine::cm5(p));
     let truth = TrueMachine::cm5(p);
     let table = KernelCostTable::cm5();
 
@@ -28,7 +28,7 @@ fn main() {
     println!("  -----------------------+-------+---------+----------+-----------+----------+----------+------");
     for (name, g) in &workloads {
         let stats = MdgStats::of(g);
-        let compiled = compile(g, machine, &CompileConfig::fast());
+        let compiled = compile(g, &spec)?;
         let mpmd = simulate(&lower_mpmd(g, &compiled.psa.schedule), &truth);
         let spmd = run_spmd(g, &truth);
         println!(
@@ -50,4 +50,5 @@ fn main() {
          but each sweep's work is tiny relative to the per-message startup costs, so\n\
          SPMD is already close to the communication floor and the gain is small."
     );
+    Ok(())
 }

@@ -13,7 +13,7 @@ fn fitted_model_predicts_execution_within_band() {
     // compiler does with its training-set measurements.
     let g = complex_matmul_mdg(64, &cal.kernel_table);
     let machine = Machine::new(64, cal.machine.xfer);
-    let compiled = compile(&g, machine, &CompileConfig::fast());
+    let compiled = compile(&g, &SolveSpec::new(machine)).unwrap();
     let run = run_mpmd(&g, &compiled, &truth);
     let ratio = compiled.t_psa / run.makespan;
     assert!(
@@ -28,8 +28,8 @@ fn fitted_and_nominal_models_agree_on_allocation_shape() {
     let cal = calibrate(&truth, &CalibrationConfig::default());
     let g_fit = complex_matmul_mdg(64, &cal.kernel_table);
     let g_nom = complex_matmul_mdg(64, &KernelCostTable::cm5());
-    let c_fit = compile(&g_fit, Machine::new(64, cal.machine.xfer), &CompileConfig::fast());
-    let c_nom = compile(&g_nom, Machine::cm5(64), &CompileConfig::fast());
+    let c_fit = compile(&g_fit, &SolveSpec::new(Machine::new(64, cal.machine.xfer))).unwrap();
+    let c_nom = compile(&g_nom, &SolveSpec::new(Machine::cm5(64))).unwrap();
     // The bounded power-of-two allocations should agree on most nodes —
     // the fits are within a few percent of nominal.
     let mut agree = 0;

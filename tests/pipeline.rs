@@ -14,7 +14,7 @@ fn paper_graphs() -> Vec<Mdg> {
 fn compiled_schedules_validate_everywhere() {
     for g in paper_graphs() {
         for &p in &SIZES {
-            let c = compile(&g, Machine::cm5(p), &CompileConfig::fast());
+            let c = compile(&g, &SolveSpec::new(Machine::cm5(p))).unwrap();
             c.psa
                 .schedule
                 .validate(&g, &c.psa.weights)
@@ -27,7 +27,7 @@ fn compiled_schedules_validate_everywhere() {
 fn t_psa_is_bounded_below_by_phi_and_above_by_theorem3() {
     for g in paper_graphs() {
         for &p in &SIZES {
-            let c = compile(&g, Machine::cm5(p), &CompileConfig::fast());
+            let c = compile(&g, &SolveSpec::new(Machine::cm5(p))).unwrap();
             // 1% slack: the fast solver config's Phi can sit slightly
             // above the true optimum (cf. the paper's negative Table-3
             // CMM entries).
@@ -61,7 +61,7 @@ fn t_psa_is_bounded_below_by_phi_and_above_by_theorem3() {
 fn simulated_mpmd_close_to_prediction() {
     for g in paper_graphs() {
         for &p in &SIZES {
-            let c = compile(&g, Machine::cm5(p), &CompileConfig::fast());
+            let c = compile(&g, &SolveSpec::new(Machine::cm5(p))).unwrap();
             let r = run_mpmd(&g, &c, &TrueMachine::cm5(p));
             let ratio = c.t_psa / r.makespan;
             assert!(
@@ -78,7 +78,7 @@ fn mpmd_beats_spmd_at_scale() {
     for g in paper_graphs() {
         let serial = paradigm_sched::serial_schedule(&g);
         for &p in &SIZES {
-            let c = compile(&g, Machine::cm5(p), &CompileConfig::fast());
+            let c = compile(&g, &SolveSpec::new(Machine::cm5(p))).unwrap();
             let truth = TrueMachine::cm5(p);
             let mpmd = run_mpmd(&g, &c, &truth);
             let spmd = run_spmd(&g, &truth);
@@ -119,7 +119,7 @@ fn mpmd_efficiency_beats_spmd_efficiency_at_64() {
     // each loop — so we measure efficiency against the true serial work.)
     let g = complex_matmul_mdg(64, &KernelCostTable::cm5());
     let p = 64;
-    let c = compile(&g, Machine::cm5(p), &CompileConfig::fast());
+    let c = compile(&g, &SolveSpec::new(Machine::cm5(p))).unwrap();
     let truth = TrueMachine::cm5(p);
     let mpmd = run_mpmd(&g, &c, &truth);
     let spmd = run_spmd(&g, &truth);
@@ -138,7 +138,7 @@ fn phi_and_t_psa_decrease_with_machine_size() {
     for g in paper_graphs() {
         let mut prev_phi = f64::INFINITY;
         for &p in &SIZES {
-            let c = compile(&g, Machine::cm5(p), &CompileConfig::fast());
+            let c = compile(&g, &SolveSpec::new(Machine::cm5(p))).unwrap();
             assert!(
                 c.phi.phi <= prev_phi * 1.01,
                 "{} p={p}: Phi should not grow with machine size",
@@ -152,7 +152,7 @@ fn phi_and_t_psa_decrease_with_machine_size() {
 #[test]
 fn deviation_percent_matches_manual_computation() {
     let g = complex_matmul_mdg(64, &KernelCostTable::cm5());
-    let c = compile(&g, Machine::cm5(16), &CompileConfig::fast());
+    let c = compile(&g, &SolveSpec::new(Machine::cm5(16))).unwrap();
     let manual = 100.0 * (c.t_psa - c.phi.phi) / c.phi.phi;
     assert!((c.deviation_percent() - manual).abs() < 1e-12);
 }
@@ -160,7 +160,8 @@ fn deviation_percent_matches_manual_computation() {
 #[test]
 fn fig1_example_full_pipeline_exact() {
     let g = example_fig1_mdg();
-    let c = compile(&g, Machine::cm5(4), &CompileConfig::default());
+    let c =
+        compile(&g, &SolveSpec { fast_solver: false, ..SolveSpec::new(Machine::cm5(4)) }).unwrap();
     assert!((c.t_psa - 14.3).abs() < 1e-9);
     let (spmd, _) = spmd_schedule(&g, Machine::cm5(4));
     assert!((spmd.makespan - 15.6).abs() < 1e-9);
@@ -201,9 +202,7 @@ fn fig1_example_full_pipeline_exact() {
 /// rather than loosening the comparison.
 #[test]
 fn pipeline_outputs_are_pinned_to_the_bit() {
-    use paradigm_core::{
-        try_compile, try_solve_pipeline, try_solve_pipeline_with_backend, SolveSpec,
-    };
+    use paradigm_core::{try_solve_pipeline, try_solve_pipeline_with_backend};
     let table = KernelCostTable::cm5();
     // (label, graph, procs, Phi bits, T_psa bits, dense solver iterations).
     let dense: [(&str, Mdg, u32, u64, u64, usize); 3] = [
@@ -230,7 +229,7 @@ fn pipeline_outputs_are_pinned_to_the_bit() {
         let out = try_solve_pipeline(g, &SolveSpec::new(machine)).expect("paper graph solves");
         // `SolveOutput` does not carry the iteration count; the compile
         // entry point under the same (fast) solver settings does.
-        let c = try_compile(g, machine, &CompileConfig::fast()).expect("paper graph compiles");
+        let c = compile(g, &SolveSpec::new(machine)).expect("paper graph compiles");
         assert_eq!(c.phi.phi.to_bits(), out.phi.to_bits(), "{label}: compile vs pipeline Phi");
         assert_eq!(
             (out.phi.to_bits(), out.t_psa.to_bits(), c.solve.iterations),

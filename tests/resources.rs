@@ -29,7 +29,7 @@ fn static_bound_dominates_simulated_peak_on_gallery() {
             let ra = analyze_resources(&g, &machine);
             assert!(ra.feasible, "{name} must fit the default {spec} memory");
             let ub = ra.peak_interval.1;
-            let c = compile(&g, machine, &CompileConfig::fast());
+            let c = compile(&g, &SolveSpec::new(machine)).unwrap();
             let truth = TrueMachine::cm5(p);
             for prog in [lower_mpmd(&g, &c.psa.schedule), lower_spmd(&g, p)] {
                 let peak = simulate(&prog, &truth).peak_resident_bytes(&prog);
@@ -129,7 +129,7 @@ proptest! {
         let machine = Machine::cm5(p);
         let ra = analyze_resources(&g, &machine);
         let ub = ra.peak_interval.1;
-        let c = compile(&g, machine, &CompileConfig::fast());
+        let c = compile(&g, &SolveSpec::new(machine)).unwrap();
         let truth = TrueMachine::cm5(p);
         let peak = |prog: TaskProgram| simulate(&prog, &truth).peak_resident_bytes(&prog);
         let mpmd = peak(lower_mpmd(&g, &c.psa.schedule));

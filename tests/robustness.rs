@@ -16,7 +16,7 @@ fn extreme_cost_magnitudes_solve_cleanly() {
     b.edge(tiny, mid, vec![ArrayTransfer::new(8, TransferKind::OneD)]);
     b.edge(huge, mid, vec![ArrayTransfer::new(1 << 30, TransferKind::TwoD)]);
     let g = b.finish().unwrap();
-    let c = compile(&g, Machine::cm5(64), &CompileConfig::fast());
+    let c = compile(&g, &SolveSpec::new(Machine::cm5(64))).unwrap();
     assert!(c.phi.phi.is_finite() && c.phi.phi > 0.0);
     assert!(c.t_psa.is_finite());
     c.psa.schedule.validate(&g, &c.psa.weights).unwrap();
@@ -34,7 +34,7 @@ fn zero_cost_compute_nodes_schedule() {
     b.edge(a, z, vec![]);
     b.edge(z, c, vec![]);
     let g = b.finish().unwrap();
-    let res = compile(&g, Machine::cm5(8), &CompileConfig::fast());
+    let res = compile(&g, &SolveSpec::new(Machine::cm5(8))).unwrap();
     assert!(res.t_psa.is_finite());
     res.psa.schedule.validate(&g, &res.psa.weights).unwrap();
 }
@@ -45,7 +45,7 @@ fn single_node_graph_full_pipeline() {
     b.compute("solo", AmdahlParams::new(0.2, 5.0));
     let g = b.finish().unwrap();
     for p in [1u32, 2, 64] {
-        let c = compile(&g, Machine::cm5(p), &CompileConfig::fast());
+        let c = compile(&g, &SolveSpec::new(Machine::cm5(p))).unwrap();
         let run = run_mpmd(&g, &c, &TrueMachine::cm5(p));
         assert!(run.makespan > 0.0);
         // Amdahl floor: at least alpha * tau.
@@ -203,7 +203,7 @@ fn solver_handles_machine_of_one_processor() {
 #[test]
 fn noise_amplitude_sweep_keeps_simulation_sane() {
     let g = complex_matmul_mdg(64, &KernelCostTable::cm5());
-    let c = compile(&g, Machine::cm5(16), &CompileConfig::fast());
+    let c = compile(&g, &SolveSpec::new(Machine::cm5(16))).unwrap();
     let base = run_mpmd(&g, &c, &TrueMachine::ideal(16)).makespan;
     for noise in [0.0, 0.05, 0.2, 0.5] {
         let truth = paradigm_sim::TrueMachine::custom(

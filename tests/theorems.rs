@@ -125,7 +125,7 @@ fn pipeline_uses_corollary1_pb() {
     }
     // And the PSA actually uses it.
     let g = complex_matmul_mdg(64, &KernelCostTable::cm5());
-    let c = compile(&g, Machine::cm5(64), &CompileConfig::fast());
+    let c = compile(&g, &SolveSpec::new(Machine::cm5(64))).unwrap();
     assert_eq!(c.psa.pb, optimal_pb(64));
 }
 

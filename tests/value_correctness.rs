@@ -25,7 +25,7 @@ R  = G - B
 fn solver_groups(p: u32) -> Vec<usize> {
     let table = KernelCostTable::cm5();
     let g = compile_source(SOURCE, &table).expect("compiles");
-    let compiled = compile(&g, Machine::cm5(p), &CompileConfig::fast());
+    let compiled = compile(&g, &SolveSpec::new(Machine::cm5(p))).unwrap();
     g.nodes()
         .filter(|(_, n)| n.kind == NodeKind::Compute)
         .map(|(id, _)| compiled.psa.bounded.as_u32(id) as usize)
