@@ -24,7 +24,8 @@ use paradigm_sched::{
 };
 use paradigm_serve::{ServeConfig, Server, ServerConfig};
 use paradigm_sim::{
-    compare_schedule_vs_sim, lower_mpmd, lower_spmd, render_trace, simulate, TrueMachine,
+    compare_schedule_vs_sim, lower_mpmd, lower_spmd, render_trace, simulate, SimResult,
+    TaskProgram, TrueMachine,
 };
 use paradigm_solver::MdgObjective;
 
@@ -209,6 +210,7 @@ pub fn run(command: &Command) -> Result<CmdOutput, CliError> {
                     sim.makespan,
                     100.0 * sim.utilization()
                 ));
+                out.push_str(&program_line(&prog, &sim));
             } else {
                 let c = compile_or_error(&g, machine)?;
                 let prog = lower_mpmd(&g, &c.psa.schedule);
@@ -221,6 +223,7 @@ pub fn run(command: &Command) -> Result<CmdOutput, CliError> {
                     c.t_psa,
                     100.0 * (c.t_psa - sim.makespan) / sim.makespan
                 ));
+                out.push_str(&program_line(&prog, &sim));
                 if *trace {
                     let diffs = compare_schedule_vs_sim(&g, &c.psa.schedule, &prog, &sim);
                     out.push('\n');
@@ -544,6 +547,20 @@ fn analyze_graph(
 
 /// [`compile`] on the full solver ladder, a failure reported the way the
 /// `compile` command reports one (`solver failed: ...`, exit 2).
+/// The simulated program's size: tasks, the transfers the lowering
+/// emitted, and the messages they expand to, split as the run executed
+/// them.
+fn program_line(prog: &TaskProgram, sim: &SimResult) -> String {
+    format!(
+        "{} tasks, {} transfers, {} messages ({} sent, {} local copies)\n",
+        prog.tasks.len(),
+        prog.transfers.len(),
+        prog.message_count(),
+        sim.messages_sent,
+        sim.local_copies
+    )
+}
+
 fn compile_or_error(g: &Mdg, machine: Machine) -> Result<Compiled, CliError> {
     let spec = SolveSpec { fast_solver: false, ..SolveSpec::new(machine) };
     compile(g, &spec).map_err(|e| CliError::Config(e.to_string()))
@@ -719,6 +736,22 @@ mod tests {
         let spmd = run_argv(&["simulate", &p, "-p", "4", "--spmd"]).expect("no solve, no error");
         assert!(spmd.text.starts_with("SPMD execution of `big`"), "{}", spmd.text);
         let _ = std::fs::remove_file(path);
+    }
+
+    /// `simulate` reports the program it ran: strassen at p = 64 lowers to
+    /// 50 transfers that expand to 672 messages, 620 of them sent and 52
+    /// local copies under the CLI's full-solver schedule.
+    #[test]
+    fn simulate_prints_the_programs_tasks_transfers_and_messages() {
+        let g = paradigm_mdg::strassen_mdg(128, &KernelCostTable::cm5());
+        let path =
+            std::env::temp_dir().join(format!("paradigm-cli-strassen-{}.mdg", std::process::id()));
+        std::fs::write(&path, to_text(&g)).unwrap();
+        let p = path.to_string_lossy().into_owned();
+        let out = run(&parse_args(&["simulate", &p, "-p", "64"]).unwrap().command).unwrap().text;
+        let _ = std::fs::remove_file(path);
+        let line = "35 tasks, 50 transfers, 672 messages (620 sent, 52 local copies)";
+        assert_eq!(out.lines().nth(1), Some(line), "{out}");
     }
 
     #[test]

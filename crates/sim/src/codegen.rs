@@ -2,81 +2,21 @@
 //! Step 5 ("create an executable program for each processor"; MPMD from
 //! the PSA schedule, SPMD with every node on all processors).
 //!
-//! Message synthesis follows the redistribution model exactly:
-//!
-//! * **1D** transfers block-partition the payload over the source group
-//!   and over the destination group and send each overlap — at most
-//!   `p_i + p_j − 1` messages; each source processor issues
-//!   `≈ max(p_i, p_j)/p_i` of them, matching Eq. 2's premise;
-//! * **2D** transfers send one message per `(src, dst)` pair — the
-//!   all-pairs pattern of Eq. 3.
+//! Lowering is O(tasks + transfers): one task per scheduled node, one
+//! [`SimTransfer`] per array an edge carries, in edge order. The messages
+//! are not synthesised here; they are the transfers' expansion into the
+//! redistribution model of Eq. 2/3
+//! ([`crate::program::for_each_transfer_message`]), numbered in transfer
+//! order.
 //!
 //! Data-less precedence edges between compute nodes get a 1-byte token
-//! message so that the simulated program enforces the same ordering the
+//! transfer so that the simulated program enforces the same ordering the
 //! schedule promised (a compiled MPMD program would use an equivalent
 //! synchronization).
 
-use crate::program::{ComputeSpec, SimMessage, SimTask, TaskProgram};
-use paradigm_kernels::block_range;
-use paradigm_mdg::{Edge, LoopClass, Mdg, NodeId, NodeKind, TransferKind};
+use crate::program::{ComputeSpec, SimTask, SimTransfer, TaskProgram};
+use paradigm_mdg::{LoopClass, Mdg, NodeId, NodeKind, TransferKind};
 use paradigm_sched::{Schedule, Task};
-
-/// Hand `emit` the group-local messages `(src_rank, dst_rank, bytes)` of
-/// one array transfer, ordered by source rank, then destination rank.
-fn for_each_transfer_message(
-    bytes: u64,
-    kind: TransferKind,
-    src_procs: usize,
-    dst_procs: usize,
-    mut emit: impl FnMut(u32, u32, u64),
-) {
-    let total = bytes as usize;
-    match kind {
-        TransferKind::OneD => {
-            // Both block lists ascend over `0..total`, so one cursor in
-            // each meets every overlap in (source, destination) order.
-            let (mut i, mut j) = (0, 0);
-            while i < src_procs && j < dst_procs {
-                let (s0, sl) = block_range(total, src_procs, i);
-                let (d0, dl) = block_range(total, dst_procs, j);
-                let lo = s0.max(d0);
-                let hi = (s0 + sl).min(d0 + dl);
-                if hi > lo {
-                    emit(i as u32, j as u32, (hi - lo) as u64);
-                }
-                if s0 + sl <= d0 + dl {
-                    i += 1;
-                } else {
-                    j += 1;
-                }
-            }
-        }
-        TransferKind::TwoD => {
-            for i in 0..src_procs {
-                let (_, sl) = block_range(total, src_procs, i);
-                for j in 0..dst_procs {
-                    let (_, dl) = block_range(sl, dst_procs, j);
-                    if dl > 0 {
-                        emit(i as u32, j as u32, dl as u64);
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// Synthesize the group-local message set of one array transfer.
-/// Returns `(src_rank, dst_rank, bytes)` triples; bytes sum to `bytes`.
-pub fn synthesize_transfer_messages(
-    bytes: u64,
-    kind: TransferKind,
-    src_procs: usize,
-    dst_procs: usize,
-) -> Vec<(u32, u32, u64)> {
-    let mut out = Vec::new();
-    for_each_transfer_message(bytes, kind, src_procs, dst_procs, |i, j, b| out.push((i, j, b)));
-    out
-}
 
 /// Compute spec for an MDG node: real kernels keep their class and
 /// extent; synthetic nodes (zero extent) carry their Amdahl parameters.
@@ -125,61 +65,23 @@ fn lower<'a>(
         });
     }
 
-    // `None` for an edge with a structural endpoint: schedule-order only.
-    let endpoints = |e: &Edge| {
-        let (src_task, dst_task) = (task_of_node[e.src], task_of_node[e.dst]);
-        let (src_procs, dst_procs) = (&tasks[src_task].procs, &tasks[dst_task].procs);
-        (!src_procs.is_empty() && !dst_procs.is_empty())
-            .then_some((src_task, dst_task, src_procs, dst_procs))
-    };
-    // An upper bound on the message count, so `messages` is sized once.
-    let bound: usize = g
-        .edges()
-        .map(|(_, e)| match endpoints(e) {
-            None => 0,
-            Some((_, _, src_procs, dst_procs)) => {
-                let (qs, qd) = (src_procs.len(), dst_procs.len());
-                let per_transfer = e.transfers.iter().map(|t| match t.kind {
-                    TransferKind::OneD => qs + qd - 1,
-                    TransferKind::TwoD => qs * qd,
-                });
-                per_transfer.sum::<usize>().max(1) // the token of a data-less edge
-            }
-        })
-        .sum();
-    let mut messages = Vec::with_capacity(bound);
+    // Edges with a structural endpoint are schedule-order only. A
+    // zero-byte array has no message, so it has no transfer either.
+    let mut transfers = Vec::with_capacity(g.edges().map(|(_, e)| e.transfers.len().max(1)).sum());
     for (_, e) in g.edges() {
-        let Some((from_task, to_task, src_procs, dst_procs)) = endpoints(e) else { continue };
-        if e.transfers.is_empty() {
-            // Token message to enforce the precedence at runtime.
-            messages.push(SimMessage {
-                from_task,
-                to_task,
-                src_proc: src_procs[0],
-                dst_proc: dst_procs[0],
-                bytes: 1,
-            });
+        let (from_task, to_task) = (task_of_node[e.src], task_of_node[e.dst]);
+        if tasks[from_task].procs.is_empty() || tasks[to_task].procs.is_empty() {
             continue;
         }
-        for t in &e.transfers {
-            for_each_transfer_message(
-                t.bytes,
-                t.kind,
-                src_procs.len(),
-                dst_procs.len(),
-                |sr, dr, bytes| {
-                    messages.push(SimMessage {
-                        from_task,
-                        to_task,
-                        src_proc: src_procs[sr as usize],
-                        dst_proc: dst_procs[dr as usize],
-                        bytes,
-                    });
-                },
-            );
+        let transfer = |kind, bytes| SimTransfer { from_task, to_task, kind, bytes };
+        if e.transfers.is_empty() {
+            // Token to enforce the precedence at runtime.
+            transfers.push(transfer(TransferKind::OneD, 1));
         }
+        let arrays = e.transfers.iter().filter(|t| t.bytes > 0);
+        transfers.extend(arrays.map(|t| transfer(t.kind, t.bytes)));
     }
-    TaskProgram { procs, tasks, messages }
+    TaskProgram { procs, tasks, transfers }
 }
 
 /// Lower a PSA (or any valid) schedule to an MPMD task program: each node
@@ -214,32 +116,6 @@ mod tests {
     use paradigm_sched::{psa_schedule, PsaConfig};
 
     #[test]
-    fn one_d_message_synthesis_matches_model_counts() {
-        // p_i = 2 -> p_j = 8: 8 messages, each src proc sends 4.
-        let msgs = synthesize_transfer_messages(32768, TransferKind::OneD, 2, 8);
-        assert_eq!(msgs.len(), 8);
-        let from0 = msgs.iter().filter(|m| m.0 == 0).count();
-        assert_eq!(from0, 4);
-        let total: u64 = msgs.iter().map(|m| m.2).sum();
-        assert_eq!(total, 32768);
-    }
-
-    #[test]
-    fn one_d_equal_groups_is_rank_to_rank() {
-        let msgs = synthesize_transfer_messages(32768, TransferKind::OneD, 4, 4);
-        assert_eq!(msgs.len(), 4);
-        assert!(msgs.iter().all(|m| m.0 == m.1));
-    }
-
-    #[test]
-    fn two_d_all_pairs() {
-        let msgs = synthesize_transfer_messages(32768, TransferKind::TwoD, 3, 5);
-        assert_eq!(msgs.len(), 15);
-        let total: u64 = msgs.iter().map(|m| m.2).sum();
-        assert_eq!(total, 32768);
-    }
-
-    #[test]
     fn mpmd_lowering_is_valid() {
         let g = complex_matmul_mdg(64, &KernelCostTable::cm5());
         let m = Machine::cm5(16);
@@ -247,7 +123,7 @@ mod tests {
         let prog = lower_mpmd(&g, &res.schedule);
         prog.validate().unwrap();
         assert_eq!(prog.tasks.len(), g.node_count());
-        assert!(prog.messages.len() >= 12, "every data edge produces messages");
+        assert!(prog.message_count() >= 12, "every data edge produces messages");
     }
 
     #[test]
@@ -256,7 +132,7 @@ mod tests {
         let prog = lower_spmd(&g, 16);
         prog.validate().unwrap();
         // Same group, same (1D) distribution: every message is local.
-        assert!(prog.messages.iter().all(|m| m.is_local()));
+        assert!(prog.messages().all(|m| m.is_local()));
     }
 
     #[test]
@@ -264,9 +140,11 @@ mod tests {
         let g = example_fig1_mdg(); // edges carry no transfers
         let prog = lower_spmd(&g, 4);
         prog.validate().unwrap();
-        // Two compute-compute edges -> two token messages.
-        assert_eq!(prog.messages.len(), 2);
-        assert!(prog.messages.iter().all(|m| m.bytes == 1));
+        // Two compute-compute edges -> two token transfers, each one
+        // message from the first processor to the first processor.
+        assert_eq!(prog.transfers.len(), 2);
+        let tokens: Vec<_> = prog.messages().map(|m| (m.src_proc, m.dst_proc, m.bytes)).collect();
+        assert_eq!(tokens, [(0, 0, 1), (0, 0, 1)]);
     }
 
     #[test]

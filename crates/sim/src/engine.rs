@@ -19,10 +19,15 @@
 //! 3. **send** — every processor injects its outgoing messages
 //!    (startup + per-byte each) and records their completion times.
 //!
-//! The sweep walks two flat message indices built by stable counting
-//! passes, so a run costs O(M log q) in the M messages (the log is the
-//! availability sort within one processor's receives) and allocates a
-//! fixed number of buffers plus one window list a task.
+//! The sweep never holds a message list. Each task expands its
+//! in-transfers into one flat buffer, run by run per receiving rank, and
+//! sorts each run by (availability, message index); its sends walk its
+//! out-transfers in (consumer program order, transfer index) order, which
+//! is each processor's (consumer program order, message index) order. A
+//! run costs O(T log T + M log q) in the T transfers and M messages (the
+//! log q is the availability sort within one processor's receives) and
+//! allocates a fixed number of buffers plus one window list a task; the
+//! only per-message storage is [`SimResult::msg_avail`].
 //!
 //! [`SimResult`] holds the times an engine observed and nothing derived
 //! from them. What is *resident* between those times — the per-processor
@@ -31,9 +36,8 @@
 //! [`crate::engine_event`] alike, and computed only for a caller that
 //! asks.
 
-use crate::program::{ComputeSpec, TaskProgram};
+use crate::program::{ComputeSpec, SimTransfer, TaskProgram};
 use crate::truth::TrueMachine;
-use std::ops::Range;
 
 /// Result of simulating a task program.
 #[derive(Debug, Clone)]
@@ -87,11 +91,11 @@ impl SimResult {
     pub fn proc_peak_bytes(&self, prog: &TaskProgram) -> Vec<f64> {
         assert!(
             self.involvement.len() == prog.tasks.len()
-                && self.msg_avail.len() == prog.messages.len()
+                && self.msg_avail.len() == prog.message_count()
                 && self.proc_busy.len() == prog.procs as usize,
             "result and program differ in shape"
         );
-        let mut residency = Vec::with_capacity(4 * prog.messages.len());
+        let mut residency = Vec::with_capacity(4 * self.msg_avail.len());
         for (task, windows) in prog.tasks.iter().zip(&self.involvement) {
             let ComputeSpec::Kernel { rows, cols, .. } = &task.compute else { continue };
             let local_share = (*rows as f64) * (*cols as f64) * 8.0 / task.procs.len() as f64;
@@ -102,7 +106,7 @@ impl SimResult {
                 }
             }
         }
-        for (m, &avail) in prog.messages.iter().zip(&self.msg_avail) {
+        for (m, &avail) in prog.messages().zip(&self.msg_avail) {
             let bytes = m.bytes as f64;
             let start = self.task_start[m.from_task];
             if avail > start {
@@ -143,42 +147,47 @@ fn sweep_residency(np: usize, mut events: Vec<(usize, f64, f64)>) -> Vec<f64> {
     peaks
 }
 
-/// One stable counting pass: writes the items of `src` to `dst` ordered
-/// by `key` (each below `buckets`), equal keys in `src` order. Returns the
-/// bucket offsets: bucket `b` is `dst[off[b]..off[b + 1]]`.
-fn counting_pass(
-    src: impl Iterator<Item = usize> + Clone,
-    dst: &mut [usize],
-    buckets: usize,
-    key: impl Fn(usize) -> usize,
-) -> Vec<usize> {
-    // Counted two slots up and scattered through the slot in between, so
-    // the cursors end as the offsets.
-    let mut off = vec![0usize; buckets + 2];
-    for k in src.clone() {
-        off[key(k) + 2] += 1;
+/// One received message, as a task's receive phase groups, sorts and
+/// charges it.
+#[derive(Debug, Clone, Copy)]
+struct Receipt {
+    avail: f64,
+    k: usize,
+    bytes: u64,
+    /// The receiving rank.
+    rank: u32,
+    local: bool,
+}
+
+/// Transfer indices bucketed by the task `of` names, in index order
+/// within a task, and the bucket offsets: task `t`'s are
+/// `idx[off[t]..off[t + 1]]`. Counted two slots up and scattered through
+/// the slot in between, so the cursors end as the offsets.
+fn by_task(
+    transfers: &[SimTransfer],
+    tasks: usize,
+    of: impl Fn(&SimTransfer) -> usize,
+) -> (Vec<usize>, Vec<usize>) {
+    let mut off = vec![0usize; tasks + 2];
+    for tr in transfers {
+        off[of(tr) + 2] += 1;
     }
-    for b in 2..buckets + 2 {
-        off[b] += off[b - 1];
+    for t in 2..tasks + 2 {
+        off[t] += off[t - 1];
     }
-    for k in src {
-        let slot = &mut off[key(k) + 1];
-        dst[*slot] = k;
+    let mut idx = vec![0usize; transfers.len()];
+    for (i, tr) in transfers.iter().enumerate() {
+        let slot = &mut off[of(tr) + 1];
+        idx[*slot] = i;
         *slot += 1;
     }
-    off.truncate(buckets + 1);
-    off
+    off.truncate(tasks + 1);
+    (idx, off)
 }
 
-/// The run of `proc`'s messages in a slice ordered by `proc_of`.
-fn run_of(ordered: &[usize], proc: u32, proc_of: impl Fn(usize) -> u32) -> Range<usize> {
-    let lo = ordered.partition_point(|&k| proc_of(k) < proc);
-    lo..lo + ordered[lo..].partition_point(|&k| proc_of(k) == proc)
-}
-
-/// Execute `prog` on the ground-truth machine: O(M log q) in the
-/// messages, and a fixed number of allocations plus one window list a
-/// task.
+/// Execute `prog` on the ground-truth machine: O(T log T + M log q) in
+/// the transfers and messages, and a fixed number of allocations plus one
+/// window list a task.
 ///
 /// ```
 /// use paradigm_mdg::{complex_matmul_mdg, KernelCostTable};
@@ -197,87 +206,126 @@ pub fn simulate(prog: &TaskProgram, truth: &TrueMachine) -> SimResult {
     prog.validate().unwrap_or_else(|e| panic!("invalid task program: {e}"));
     let nt = prog.tasks.len();
     let np = prog.procs as usize;
-    let msgs = &prog.messages;
+    let tasks = &prog.tasks;
+    let transfers = &prog.transfers;
 
     // Visit order: program order (producers always precede consumers).
     let mut order: Vec<usize> = (0..nt).collect();
-    order.sort_by_key(|&t| prog.tasks[t].program_order);
-    // Dense ranks of the program order: tasks that tie share one.
-    let mut order_rank = vec![0usize; nt];
-    let mut ranks = 0;
-    for (i, &t) in order.iter().enumerate() {
-        if i > 0 && prog.tasks[t].program_order != prog.tasks[order[i - 1]].program_order {
-            ranks += 1;
-        }
-        order_rank[t] = ranks;
-    }
+    order.sort_by_key(|&t| tasks[t].program_order);
 
-    // Two flat message indices with per-task offsets, each built by
-    // stable counting passes from the least significant key up. Inbound:
-    // by (consumer, destination processor, message). Outbound: by
-    // (producer, source processor, consumer's program order, message) —
-    // senders emit in consumer program order, the order codegen laid the
-    // sends out in the per-processor program.
-    let mut inbound = vec![0usize; msgs.len()];
-    let mut outbound = vec![0usize; msgs.len()];
-    let mut pass = vec![0usize; msgs.len()];
-    counting_pass(0..msgs.len(), &mut pass, np, |k| msgs[k].dst_proc as usize);
-    let in_off = counting_pass(pass.iter().copied(), &mut inbound, nt, |k| msgs[k].to_task);
-    counting_pass(0..msgs.len(), &mut outbound, ranks + 1, |k| order_rank[msgs[k].to_task]);
-    counting_pass(outbound.iter().copied(), &mut pass, np, |k| msgs[k].src_proc as usize);
-    let out_off = counting_pass(pass.iter().copied(), &mut outbound, nt, |k| msgs[k].from_task);
+    // Each transfer's first message index, and the most messages one task
+    // receives (the receive buffers' size).
+    let mut first = Vec::with_capacity(transfers.len() + 1);
+    first.push(0usize);
+    let mut received = vec![0usize; nt];
+    for tr in transfers {
+        let n = prog.transfer_message_count(tr);
+        first.push(first[first.len() - 1] + n);
+        received[tr.to_task] += n;
+    }
+    let most_received = received.into_iter().max().unwrap_or(0);
+    let most_procs = tasks.iter().map(|t| t.procs.len()).max().unwrap_or(0);
+    // In-transfers per consumer; out-transfers per producer in consumer
+    // program order, the order codegen laid the sends out in the
+    // per-processor program.
+    let (inbound, in_off) = by_task(transfers, nt, |tr| tr.to_task);
+    let (mut outbound, out_off) = by_task(transfers, nt, |tr| tr.from_task);
+    for t in 0..nt {
+        let outs = &mut outbound[out_off[t]..out_off[t + 1]];
+        if outs.len() > 1 {
+            outs.sort_unstable_by_key(|&i| (tasks[transfers[i].to_task].program_order, i));
+        }
+    }
 
     let mut clock = vec![0.0_f64; np];
     let mut busy = vec![0.0_f64; np];
-    let mut avail = vec![f64::NAN; msgs.len()];
+    let mut avail = vec![f64::NAN; first[transfers.len()]];
     let mut task_start = vec![0.0_f64; nt];
     let mut task_finish = vec![0.0_f64; nt];
     let mut messages_sent = 0usize;
     let mut local_copies = 0usize;
     let mut involvement: Vec<Vec<(f64, f64)>> = vec![Vec::new(); nt];
+    // Per task: its receipts as the transfers yield them, the same grouped
+    // run by run per rank, and the rank offsets; then each rank's send
+    // clock.
+    let mut receipts: Vec<Receipt> = Vec::with_capacity(most_received);
+    let mut grouped: Vec<Receipt> = Vec::with_capacity(most_received);
+    let mut runs = vec![0usize; most_procs + 2];
+    let mut send_clocks = vec![0.0_f64; most_procs];
 
     for &t in &order {
-        let task = &prog.tasks[t];
+        let task = &tasks[t];
         if task.procs.is_empty() {
             // Structural: nothing to execute.
             continue;
         }
-        let received = &mut inbound[in_off[t]..in_off[t + 1]];
-        let sent = &outbound[out_off[t]..out_off[t + 1]];
-        let mut windows = Vec::with_capacity(task.procs.len());
+        let q = task.procs.len();
+        let ins = &inbound[in_off[t]..in_off[t + 1]];
         // Phase 1: receive, per processor, in availability order; the
-        // barrier opens when the last processor is done.
+        // barrier opens when the last processor is done. The receipts are
+        // counted per rank two slots up and, with more than one rank,
+        // scattered through the slot in between, so the cursors end as
+        // the run offsets.
+        let run = &mut runs[..q + 2];
+        run.fill(0);
+        receipts.clear();
+        for &tr in ins {
+            let from = &tasks[transfers[tr].from_task].procs;
+            let mut k = first[tr];
+            prog.for_each_message(&transfers[tr], |sr, rank, bytes| {
+                debug_assert!(avail[k].is_finite(), "message consumed before production");
+                let local = from[sr as usize] == task.procs[rank as usize];
+                run[rank as usize + 2] += 1;
+                receipts.push(Receipt { avail: avail[k], k, bytes, rank, local });
+                k += 1;
+            });
+        }
+        for r in 2..q + 2 {
+            run[r] += run[r - 1];
+        }
+        if q == 1 {
+            // One rank: the receipts are its run as they stand.
+            run[1] = receipts.len();
+        } else if let Some(&fill) = receipts.first() {
+            grouped.clear();
+            grouped.resize(receipts.len(), fill);
+            for m in receipts.iter() {
+                let slot = &mut run[m.rank as usize + 1];
+                grouped[*slot] = *m;
+                *slot += 1;
+            }
+            std::mem::swap(&mut receipts, &mut grouped);
+        }
+        let mut windows = Vec::with_capacity(q);
         let mut start = 0.0_f64;
-        for &pid in &task.procs {
-            let run = run_of(received, pid, |k| msgs[k].dst_proc);
-            let mine = &mut received[run];
-            mine.sort_unstable_by(|&a, &b| {
-                avail[a].partial_cmp(&avail[b]).expect("finite availability").then(a.cmp(&b))
+        for (r, &pid) in task.procs.iter().enumerate() {
+            let mine = &mut receipts[run[r]..run[r + 1]];
+            mine.sort_unstable_by(|a, b| {
+                a.avail.partial_cmp(&b.avail).expect("finite availability").then(a.k.cmp(&b.k))
             });
             let mut now = clock[pid as usize];
             windows.push((now, now));
-            for &k in mine.iter() {
-                let m = &msgs[k];
-                debug_assert!(avail[k].is_finite(), "message consumed before production");
-                let cost = if m.is_local() {
+            for m in mine.iter() {
+                let cost = if m.local {
                     local_copies += 1;
-                    truth.local_copy_time(m.bytes, k as u64)
+                    truth.local_copy_time(m.bytes, m.k as u64)
                 } else {
                     messages_sent += 1;
-                    truth.recv_time(m.bytes, k as u64)
+                    truth.recv_time(m.bytes, m.k as u64)
                 };
-                now = now.max(avail[k]) + cost;
+                now = now.max(m.avail) + cost;
                 busy[pid as usize] += cost;
             }
             start = start.max(now);
         }
         // Phase 2: barrier + compute.
-        let q = task.procs.len() as u32;
         let comp = match &task.compute {
             ComputeSpec::Kernel { class, rows, cols } => {
-                truth.kernel_time(class, *rows, *cols, q, t as u64)
+                truth.kernel_time(class, *rows, *cols, q as u32, t as u64)
             }
-            ComputeSpec::Explicit { params } => truth.explicit_time(*params, q, 0.0, t as u64),
+            ComputeSpec::Explicit { params } => {
+                truth.explicit_time(*params, q as u32, 0.0, t as u64)
+            }
             ComputeSpec::None => 0.0,
         };
         let end_compute = start + comp;
@@ -285,23 +333,32 @@ pub fn simulate(prog: &TaskProgram, truth: &TrueMachine) -> SimResult {
         for &pid in &task.procs {
             busy[pid as usize] += comp;
         }
-        // Phase 3: send, per processor, in program order of consumers.
-        let mut finish = end_compute;
-        for (&pid, window) in task.procs.iter().zip(&mut windows) {
-            let mut now = end_compute;
-            for &k in &sent[run_of(sent, pid, |k| msgs[k].src_proc)] {
-                let m = &msgs[k];
-                if m.is_local() {
+        // Phase 3: send. Each processor's clock runs through its messages
+        // in consumer program order; processors do not interact here, so
+        // the transfers are walked once for all of them.
+        let rank_clock = &mut send_clocks[..q];
+        rank_clock.fill(end_compute);
+        for &tr in &outbound[out_off[t]..out_off[t + 1]] {
+            let to = &tasks[transfers[tr].to_task].procs;
+            let mut k = first[tr];
+            prog.for_each_message(&transfers[tr], |sr, dr, bytes| {
+                let pid = task.procs[sr as usize];
+                if pid == to[dr as usize] {
                     // Local copy: paid on the receive side; available as
                     // soon as the data exists.
                     avail[k] = end_compute;
                 } else {
-                    let cost = truth.send_time(m.bytes, k as u64);
-                    now += cost;
+                    let cost = truth.send_time(bytes, k as u64);
+                    let now = &mut rank_clock[sr as usize];
+                    *now += cost;
                     busy[pid as usize] += cost;
-                    avail[k] = now + truth.net_delay(m.bytes);
+                    avail[k] = *now + truth.net_delay(bytes);
                 }
-            }
+                k += 1;
+            });
+        }
+        let mut finish = end_compute;
+        for ((&pid, window), &now) in task.procs.iter().zip(&mut windows).zip(rank_clock.iter()) {
             clock[pid as usize] = now;
             finish = finish.max(now);
             window.1 = now;
@@ -326,16 +383,16 @@ pub fn simulate(prog: &TaskProgram, truth: &TrueMachine) -> SimResult {
 mod tests {
     use super::*;
     use crate::codegen::{lower_mpmd, lower_spmd};
-    use crate::program::{SimMessage, SimTask};
+    use crate::program::SimTask;
     use paradigm_cost::{Allocation, Machine};
     use paradigm_mdg::{
-        complex_matmul_mdg, example_fig1_mdg, AmdahlParams, KernelCostTable, NodeId,
+        complex_matmul_mdg, example_fig1_mdg, AmdahlParams, KernelCostTable, NodeId, TransferKind,
     };
     use paradigm_sched::{psa_schedule, spmd_schedule, PsaConfig};
 
     #[test]
     fn empty_program_has_zero_makespan() {
-        let prog = TaskProgram { procs: 4, tasks: vec![], messages: vec![] };
+        let prog = TaskProgram { procs: 4, tasks: vec![], transfers: vec![] };
         let r = simulate(&prog, &TrueMachine::ideal(4));
         assert_eq!(r.makespan, 0.0);
         assert_eq!(r.utilization(), 0.0);
@@ -353,7 +410,7 @@ mod tests {
                 compute: ComputeSpec::Explicit { params },
                 program_order: 0,
             }],
-            messages: vec![],
+            transfers: vec![],
         };
         let truth = TrueMachine::ideal(4);
         let r = simulate(&prog, &truth);
@@ -374,11 +431,10 @@ mod tests {
         let prog = TaskProgram {
             procs: 2,
             tasks: vec![task(1, vec![0], 0), task(2, vec![1], 1)],
-            messages: vec![SimMessage {
+            transfers: vec![SimTransfer {
                 from_task: 0,
                 to_task: 1,
-                src_proc: 0,
-                dst_proc: 1,
+                kind: TransferKind::OneD,
                 bytes: 32768,
             }],
         };
@@ -404,11 +460,10 @@ mod tests {
         let prog = TaskProgram {
             procs: 1,
             tasks: vec![task(1, 0), task(2, 1)],
-            messages: vec![SimMessage {
+            transfers: vec![SimTransfer {
                 from_task: 0,
                 to_task: 1,
-                src_proc: 0,
-                dst_proc: 0,
+                kind: TransferKind::OneD,
                 bytes: 32768,
             }],
         };
@@ -432,7 +487,7 @@ mod tests {
         let prog = TaskProgram {
             procs: 2,
             tasks: vec![task(1, vec![0], 0), task(2, vec![1], 1)],
-            messages: vec![],
+            transfers: vec![],
         };
         let r = simulate(&prog, &TrueMachine::ideal(2));
         // Independent tasks on different processors: both finish at 1s.
@@ -509,7 +564,7 @@ mod tests {
 
     #[test]
     fn empty_program_has_zero_resident_peak() {
-        let prog = TaskProgram { procs: 2, tasks: vec![], messages: vec![] };
+        let prog = TaskProgram { procs: 2, tasks: vec![], transfers: vec![] };
         let r = simulate(&prog, &TrueMachine::ideal(2));
         assert_eq!(r.peak_resident_bytes(&prog), 0.0);
     }

@@ -13,13 +13,15 @@
 //! the timing bookkeeping of both implementations (the same trick as the
 //! coordinate-descent cross-check in the solver).
 //!
-//! It shares no index with the sweep engine: it compiles its streams by
-//! filtering each task's message lists, O(M q), which is what an oracle
-//! may cost. Neither engine defines memory residency; that is
-//! [`SimResult::proc_peak_bytes`], over the times either one recorded.
+//! It shares no index with the sweep engine: it expands the program's
+//! transfers into the full message list ([`TaskProgram::messages`]) and
+//! compiles its streams by filtering each task's message lists, O(M q),
+//! which is what an oracle may cost. Neither engine defines memory
+//! residency; that is [`SimResult::proc_peak_bytes`], over the times
+//! either one recorded.
 
 use crate::engine::SimResult;
-use crate::program::{ComputeSpec, TaskProgram};
+use crate::program::{ComputeSpec, SimMessage, TaskProgram};
 use crate::truth::TrueMachine;
 
 /// What an instruction does.
@@ -53,6 +55,7 @@ pub fn simulate_event_driven(prog: &TaskProgram, truth: &TrueMachine) -> SimResu
     prog.validate().unwrap_or_else(|e| panic!("invalid task program: {e}"));
     let np = prog.procs as usize;
     let nt = prog.tasks.len();
+    let messages: Vec<SimMessage> = prog.messages().collect();
 
     // Compile per-processor instruction streams in program order, and
     // per task and rank the global indices of the messages its receive
@@ -61,12 +64,12 @@ pub fn simulate_event_driven(prog: &TaskProgram, truth: &TrueMachine) -> SimResu
     order.sort_by_key(|&t| prog.tasks[t].program_order);
     let mut outbound: Vec<Vec<usize>> = vec![Vec::new(); nt];
     let mut inbound: Vec<Vec<usize>> = vec![Vec::new(); nt];
-    for (k, m) in prog.messages.iter().enumerate() {
+    for (k, m) in messages.iter().enumerate() {
         outbound[m.from_task].push(k);
         inbound[m.to_task].push(k);
     }
     for outs in outbound.iter_mut() {
-        outs.sort_by_key(|&k| (prog.tasks[prog.messages[k].to_task].program_order, k));
+        outs.sort_by_key(|&k| (prog.tasks[messages[k].to_task].program_order, k));
     }
 
     let mut streams: Vec<Vec<Instr>> = vec![Vec::new(); np];
@@ -74,7 +77,7 @@ pub fn simulate_event_driven(prog: &TaskProgram, truth: &TrueMachine) -> SimResu
     let mut send_msgs: Vec<Vec<Vec<usize>>> = vec![Vec::new(); nt];
     for &t in &order {
         for (rank, &pid) in prog.tasks[t].procs.iter().enumerate() {
-            let msgs = &prog.messages;
+            let msgs = &messages;
             recv_msgs[t]
                 .push(inbound[t].iter().copied().filter(|&k| msgs[k].dst_proc == pid).collect());
             send_msgs[t]
@@ -89,7 +92,7 @@ pub fn simulate_event_driven(prog: &TaskProgram, truth: &TrueMachine) -> SimResu
     let mut pc = vec![0usize; np];
     let mut clock = vec![0.0_f64; np];
     let mut busy = vec![0.0_f64; np];
-    let mut avail: Vec<Option<f64>> = vec![None; prog.messages.len()];
+    let mut avail: Vec<Option<f64>> = vec![None; messages.len()];
     // Barrier bookkeeping: per task, per-rank arrival times and the
     // resolved compute phase `(start, duration)` once everyone arrived.
     let mut arrived: Vec<Vec<Option<f64>>> =
@@ -126,7 +129,7 @@ pub fn simulate_event_driven(prog: &TaskProgram, truth: &TrueMachine) -> SimResu
                     });
                     let mut now = clock[pid];
                     for &k in msgs.iter() {
-                        let m = &prog.messages[k];
+                        let m = &messages[k];
                         let cost = if m.is_local() {
                             local_copies += 1;
                             truth.local_copy_time(m.bytes, k as u64)
@@ -175,7 +178,7 @@ pub fn simulate_event_driven(prog: &TaskProgram, truth: &TrueMachine) -> SimResu
                     let end_compute = clock[pid];
                     let mut now = end_compute;
                     for &k in &send_msgs[t][rank] {
-                        let m = &prog.messages[k];
+                        let m = &messages[k];
                         if m.is_local() {
                             avail[k] = Some(end_compute);
                         } else {
@@ -214,11 +217,11 @@ mod tests {
     use super::*;
     use crate::codegen::{lower_mpmd, lower_spmd};
     use crate::engine::simulate;
-    use crate::program::{SimMessage, SimTask};
+    use crate::program::{SimTask, SimTransfer};
     use paradigm_cost::{Allocation, Machine};
     use paradigm_mdg::{
         complex_matmul_mdg, example_fig1_mdg, random_layered_mdg, strassen_mdg,
-        strassen_mdg_multilevel, KernelCostTable, LoopClass, NodeId, RandomMdgConfig,
+        strassen_mdg_multilevel, KernelCostTable, LoopClass, NodeId, RandomMdgConfig, TransferKind,
     };
     use paradigm_sched::{psa_schedule, PsaConfig};
 
@@ -329,7 +332,7 @@ mod tests {
             let sol = paradigm_solver::allocate(&g, m, &paradigm_solver::SolverConfig::fast());
             let res = psa_schedule(&g, m, &sol.alloc, &PsaConfig::default());
             let prog = lower_mpmd(&g, &res.schedule);
-            assert_eq!(prog.messages.len(), messages, "{}", g.name());
+            assert_eq!(prog.message_count(), messages, "{}", g.name());
             assert_engines_agree(&prog, &TrueMachine::cm5(64));
             assert!(TrueMachine::mesh(64).net_delay(1024) > 0.0);
             assert_engines_agree(&prog, &TrueMachine::mesh(64));
@@ -340,6 +343,10 @@ mod tests {
     /// it: a hand-built program that lists them out of order runs the same
     /// on both engines, and its memory peaks — one function over what
     /// either engine recorded — follow each rank to its own processor.
+    /// Rank `r` of a transfer's side is its task's `procs[r]`, so the 2D
+    /// transfer sends from processor 2 to 3, 1 and 0, and copies locally
+    /// from 0 to 0 and from 3 to 3; the 1D transfer from processor 1 to 3,
+    /// 1 (a local copy) and 0.
     #[test]
     fn engines_and_peaks_agree_on_unsorted_processor_lists() {
         let task = |node: usize, procs: &[u32], order: usize| SimTask {
@@ -349,26 +356,21 @@ mod tests {
             compute: ComputeSpec::Kernel { class: LoopClass::MatrixAdd, rows: 64, cols: 64 },
             program_order: order,
         };
-        let msg = |from_task, to_task, src_proc, dst_proc, bytes| SimMessage {
-            from_task,
-            to_task,
-            src_proc,
-            dst_proc,
-            bytes,
-        };
+        let transfer =
+            |from_task, to_task, kind, bytes| SimTransfer { from_task, to_task, kind, bytes };
         let prog = TaskProgram {
             procs: 4,
             tasks: vec![task(1, &[2, 0, 3], 0), task(2, &[1], 0), task(3, &[3, 1, 0], 5)],
-            messages: vec![
-                msg(0, 2, 3, 0, 4096),
-                msg(1, 2, 1, 3, 512),
-                msg(0, 2, 0, 0, 2048),
-                msg(0, 2, 2, 1, 4096),
-                msg(1, 2, 1, 1, 512),
-                msg(0, 2, 3, 3, 1024),
+            transfers: vec![
+                transfer(0, 2, TransferKind::TwoD, 3 * 4096),
+                transfer(1, 2, TransferKind::OneD, 3 * 512),
             ],
         };
         prog.validate().unwrap();
+        let pairs: Vec<_> = prog.messages().map(|m| (m.src_proc, m.dst_proc)).collect();
+        let expect = [(2, 3), (2, 1), (2, 0), (0, 3), (0, 1), (0, 0), (3, 3), (3, 1), (3, 0)];
+        assert_eq!(pairs[..9], expect);
+        assert_eq!(pairs[9..], [(1, 3), (1, 1), (1, 0)]);
         for truth in [TrueMachine::cm5(4), TrueMachine::mesh(4)] {
             assert_engines_agree(&prog, &truth);
             let bits = |r: SimResult| -> Vec<u64> {
@@ -376,7 +378,7 @@ mod tests {
             };
             assert_eq!(bits(simulate(&prog, &truth)), bits(simulate_event_driven(&prog, &truth)));
             // Processor 2 only ever runs rank 0 of the first task: a third
-            // of its array plus the one payload it sends.
+            // of its array plus the 4096 bytes of its one source block.
             let peaks = simulate(&prog, &truth).proc_peak_bytes(&prog);
             assert_eq!(peaks[2], 64.0 * 64.0 * 8.0 / 3.0 + 4096.0);
         }
@@ -384,7 +386,7 @@ mod tests {
 
     #[test]
     fn empty_program() {
-        let prog = TaskProgram { procs: 2, tasks: vec![], messages: vec![] };
+        let prog = TaskProgram { procs: 2, tasks: vec![], transfers: vec![] };
         let r = simulate_event_driven(&prog, &TrueMachine::ideal(2));
         assert_eq!(r.makespan, 0.0);
     }

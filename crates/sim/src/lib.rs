@@ -18,9 +18,10 @@
 //!
 //! Module map:
 //! * [`truth`] — the ground-truth machine (what "really" happens);
-//! * [`program`] — task program representation (tasks, messages);
+//! * [`program`] — task program representation (tasks and transfers;
+//!   the per-pair messages derived from the transfers in a fixed order);
 //! * [`codegen`] — lowering a PSA schedule (MPMD) or an SPMD execution
-//!   to a task program, with exact per-pair message synthesis;
+//!   to a task program;
 //! * [`engine`] — the deterministic program-order sweep that executes a
 //!   task program and reports times and per-processor utilization;
 //! * [`engine_event`] — an event-driven reference engine that must agree
@@ -39,6 +40,8 @@ pub mod truth;
 pub use codegen::{lower_mpmd, lower_spmd};
 pub use engine::{simulate, SimResult};
 pub use engine_event::simulate_event_driven;
-pub use program::{ComputeSpec, SimMessage, SimTask, TaskProgram};
+pub use program::{
+    for_each_transfer_message, ComputeSpec, SimMessage, SimTask, SimTransfer, TaskProgram,
+};
 pub use trace::{compare_schedule_vs_sim, render_trace, TaskDiff};
 pub use truth::TrueMachine;

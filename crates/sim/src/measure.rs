@@ -8,7 +8,7 @@
 //!   between disjoint processor groups and records the per-component
 //!   times (feeds `fit_transfer` — Table 2 / Figure 5).
 
-use crate::codegen::synthesize_transfer_messages;
+use crate::program::for_each_transfer_message;
 use crate::truth::TrueMachine;
 use paradigm_cost::regression::{ProcessingSample, TransferSample};
 use paradigm_mdg::{LoopClass, TransferKind};
@@ -46,16 +46,17 @@ pub fn measure_one_transfer(
     pj: usize,
     site: u64,
 ) -> TransferSample {
-    let msgs = synthesize_transfer_messages(bytes, kind, pi, pj);
     let mut send_per = vec![0.0_f64; pi];
     let mut recv_per = vec![0.0_f64; pj];
     let mut net_max = 0.0_f64;
-    for (k, &(sr, dr, b)) in msgs.iter().enumerate() {
-        let key = site.wrapping_mul(6364136223846793005).wrapping_add(k as u64);
+    let mut k = 0u64;
+    for_each_transfer_message(bytes, kind, pi, pj, |sr, dr, b| {
+        let key = site.wrapping_mul(6364136223846793005).wrapping_add(k);
         send_per[sr as usize] += truth.send_time(b, key);
         recv_per[dr as usize] += truth.recv_time(b, key);
         net_max = net_max.max(truth.net_delay(b));
-    }
+        k += 1;
+    });
     TransferSample {
         kind,
         bytes,

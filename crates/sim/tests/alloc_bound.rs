@@ -1,16 +1,28 @@
-//! The compile tail allocates per task, never per message. A count, not a
-//! time, so the gate reads the same on every machine: `validate` on a
-//! valid program is a fixed handful of allocations, `simulate` and
-//! `lower_mpmd` a constant plus two a task — on the pipeline's own
-//! 40 069-message program (198 tasks: 3, 216 and 399) as on a 48-message
-//! one (12 tasks: 3, 30 and 27). Before the tail was indexed the large
-//! program cost 80 345, 91 404 and 7 396.
+//! The compile tail allocates per task, never per message, and holds per
+//! transfer, never per message. Counts, not times, so the gates read the
+//! same on every machine.
+//!
+//! Allocations: `validate` on a valid program is a fixed handful,
+//! `simulate` and `lower_mpmd` a constant plus two a task — on the
+//! pipeline's own 40 069-message program (198 tasks: 2, 215 and 398) as on
+//! a 48-message one (12 tasks: 2, 29 and 26). Before the tail was indexed
+//! the large program cost 80 345, 91 404 and 7 396.
+//!
+//! Bytes: the lowered program holds its tasks and its 773 transfers
+//! (56 033 B), and `simulate`'s high-water mark is the one per-message
+//! array it returns ([`paradigm_sim::SimResult::msg_avail`], 8 B a
+//! message) plus buffers sized by the largest task (442 584 B). While the
+//! program held a message list, the same program held 1 434 465 B and
+//! `simulate` peaked at 1 333 616 B.
 
 use paradigm_cost::Machine;
 use paradigm_mdg::{complex_matmul_mdg, random_layered_mdg, KernelCostTable, RandomMdgConfig};
 use paradigm_sched::{psa_schedule, PsaConfig};
 use paradigm_sim::{lower_mpmd, simulate, TrueMachine};
-use paradigm_solver::{allocate, allocation_count, CountingAllocator, SolverConfig};
+use paradigm_solver::{
+    allocate, allocation_count, live_bytes, peak_bytes, reset_peak_bytes, CountingAllocator,
+    SolverConfig,
+};
 
 #[global_allocator]
 static ALLOC: CountingAllocator = CountingAllocator;
@@ -35,7 +47,7 @@ fn the_compile_tail_allocates_per_task_not_per_message() {
         let tasks = schedule.tasks.len() as u64;
 
         let (lowering, prog) = counted(|| lower_mpmd(&g, &schedule));
-        assert_eq!(prog.messages.len(), messages, "{}", g.name());
+        assert_eq!(prog.message_count(), messages, "{}", g.name());
         let (validating, valid) = counted(|| prog.validate());
         valid.expect("the lowering is a valid program");
         let (simulating, sim) = counted(|| simulate(&prog, &truth));
@@ -47,11 +59,35 @@ fn the_compile_tail_allocates_per_task_not_per_message() {
             "{}: simulate made {simulating} allocations for {tasks} tasks",
             g.name()
         );
-        // `messages` is sized once, from a bound on the message count.
+        // `transfers` is sized once, from a bound on the transfer count.
         assert!(
             lowering <= 16 + 2 * tasks,
             "{}: lower_mpmd made {lowering} allocations for {tasks} tasks",
             g.name()
         );
     }
+}
+
+#[test]
+fn the_program_holds_transfers_and_simulate_one_array_a_message() {
+    let g = random_layered_mdg(&RandomMdgConfig::sized(192), 11);
+    let m = Machine::cm5(64);
+    let sol = allocate(&g, m, &SolverConfig::fast());
+    let schedule = psa_schedule(&g, m, &sol.alloc, &PsaConfig::default()).schedule;
+    let truth = TrueMachine::cm5(64);
+
+    let before = live_bytes();
+    let prog = lower_mpmd(&g, &schedule);
+    let held = live_bytes() - before;
+    assert_eq!((prog.message_count(), prog.transfers.len()), (40_069, 773));
+
+    reset_peak_bytes();
+    let base = live_bytes();
+    let sim = simulate(&prog, &truth);
+    let peak = peak_bytes() - base;
+    assert!(sim.makespan > 0.0);
+
+    assert!(held <= 96 << 10, "the lowered program holds {held} B");
+    let messages = 40_069;
+    assert!(peak <= 8 * messages + (192 << 10), "simulate peaked at {peak} B");
 }

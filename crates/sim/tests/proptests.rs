@@ -5,9 +5,26 @@
 use paradigm_cost::{Allocation, Machine};
 use paradigm_mdg::{random_layered_mdg, RandomMdgConfig};
 use paradigm_sched::{psa_schedule, PsaConfig};
-use paradigm_sim::codegen::synthesize_transfer_messages;
-use paradigm_sim::{lower_mpmd, lower_spmd, simulate, TrueMachine};
+use paradigm_sim::{
+    for_each_transfer_message, lower_mpmd, lower_spmd, simulate, SimResult, TrueMachine,
+};
 use proptest::prelude::*;
+
+/// Every time a run recorded, by field, as bits; the involvement windows
+/// keep their per-task shape.
+fn time_bits(r: &SimResult) -> Vec<(&'static str, Vec<u64>)> {
+    let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+    let windows = |w: &[(f64, f64)]| w.iter().flat_map(|&(s, e)| [s, e]).collect::<Vec<f64>>();
+    let mut out = vec![
+        ("makespan", bits(&[r.makespan])),
+        ("task_start", bits(&r.task_start)),
+        ("task_finish", bits(&r.task_finish)),
+        ("proc_busy", bits(&r.proc_busy)),
+        ("msg_avail", bits(&r.msg_avail)),
+    ];
+    out.extend(r.involvement.iter().map(|w| ("involvement", bits(&windows(w)))));
+    out
+}
 
 fn arb_cfg() -> impl Strategy<Value = RandomMdgConfig> {
     (1usize..=4, 1usize..=4, 0.0f64..0.8, 0.0f64..1.0).prop_map(
@@ -37,7 +54,8 @@ proptest! {
         } else {
             paradigm_mdg::TransferKind::OneD
         };
-        let msgs = synthesize_transfer_messages(bytes, kind, pi, pj);
+        let mut msgs = Vec::new();
+        for_each_transfer_message(bytes, kind, pi, pj, |s, d, b| msgs.push((s, d, b)));
         let total: u64 = msgs.iter().map(|m| m.2).sum();
         prop_assert_eq!(total, bytes);
         for &(s, d, b) in &msgs {
@@ -100,31 +118,40 @@ proptest! {
         let res = psa_schedule(&g, Machine::cm5(p), &Allocation::uniform(&g, 2.0), &PsaConfig::default());
         let prog = lower_mpmd(&g, &res.schedule);
         let sim = simulate(&prog, &TrueMachine::cm5(p));
-        for msg in &prog.messages {
+        for tr in &prog.transfers {
             // A consumer's compute start can never precede its producer's
-            // compute start (transitively enforced by the message).
+            // compute start (transitively enforced by the transfer).
             prop_assert!(
-                sim.task_start[msg.to_task] >= sim.task_start[msg.from_task] - 1e-12
+                sim.task_start[tr.to_task] >= sim.task_start[tr.from_task] - 1e-12
             );
         }
     }
 
+    /// Every recorded time, as bits, and both counts: MPMD and SPMD
+    /// lowerings, on the CM-5 and on a mesh with network delays.
     #[test]
-    fn sweep_and_event_engines_agree_bit_exactly(cfg in arb_cfg(), seed in 0u64..3000, pk in 0u32..=5) {
+    fn sweep_and_event_engines_agree_bit_exactly(
+        cfg in arb_cfg(),
+        seed in 0u64..3000,
+        pk in 0u32..=5,
+        spmd in any::<bool>(),
+        mesh in any::<bool>(),
+    ) {
         let g = random_layered_mdg(&cfg, seed);
         let p = 1u32 << pk;
-        let m = Machine::cm5(p);
-        let res = psa_schedule(&g, m, &Allocation::uniform(&g, (p as f64 / 2.0).max(1.0)), &PsaConfig::default());
-        let prog = lower_mpmd(&g, &res.schedule);
-        let truth = TrueMachine::cm5(p);
+        let prog = if spmd {
+            lower_spmd(&g, p)
+        } else {
+            let m = Machine::cm5(p);
+            let alloc = Allocation::uniform(&g, (p as f64 / 2.0).max(1.0));
+            lower_mpmd(&g, &psa_schedule(&g, m, &alloc, &PsaConfig::default()).schedule)
+        };
+        let truth = if mesh { TrueMachine::mesh(p) } else { TrueMachine::cm5(p) };
         let a = simulate(&prog, &truth);
         let b = paradigm_sim::simulate_event_driven(&prog, &truth);
-        prop_assert_eq!(a.makespan.to_bits(), b.makespan.to_bits());
         prop_assert_eq!(a.messages_sent, b.messages_sent);
         prop_assert_eq!(a.local_copies, b.local_copies);
-        for (x, y) in a.task_finish.iter().zip(&b.task_finish) {
-            prop_assert!((x - y).abs() < 1e-12);
-        }
+        prop_assert_eq!(time_bits(&a), time_bits(&b));
     }
 
     #[test]

@@ -268,33 +268,54 @@ fn pipeline_outputs_are_pinned_to_the_bit() {
     );
 }
 
+/// FNV-1a over every message `(from_task, to_task, src_proc, dst_proc,
+/// bytes)` of `prog`, in index order, each field as 8 little-endian bytes.
+fn message_digest(prog: &paradigm_sim::TaskProgram) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325_u64;
+    for m in prog.messages() {
+        for field in
+            [m.from_task as u64, m.to_task as u64, m.src_proc.into(), m.dst_proc.into(), m.bytes]
+        {
+            for b in field.to_le_bytes() {
+                h = (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+            }
+        }
+    }
+    h
+}
+
 /// The simulated run of the pipeline's own MPMD programs, to the bit,
 /// with the message counts and the message *order* (message indices seed
 /// the truth machine's noise, so a reordering would move every simulated
-/// number). Captured at the parent of the PR that made the compile tail
-/// O(M log q): `lower_mpmd`, `TaskProgram::validate` and `simulate` may
-/// get cheaper, never different. The solve feeds them, so a solver change
-/// may move a row: the quasi-Newton direction's per-variable initial
-/// matrix moved strassen-ml@64's allocation, and its simulated makespan
-/// by +1.5 % (0x3fc8_a1de_df5f_5e56) and its message split from 2129 sent
-/// / 123 local to 2132 / 120.
+/// number): a digest of every message in index order, and the first and
+/// last eight of the largest program spelled out. Captured at the parent
+/// of the PR that made the compile tail O(M log q): `lower_mpmd`,
+/// `TaskProgram::validate` and `simulate` may get cheaper, never
+/// different. The solve feeds them, so a solver change may move a row:
+/// the quasi-Newton direction's per-variable initial matrix moved
+/// strassen-ml@64's allocation, and its simulated makespan by +1.5 %
+/// (0x3fc8_a1de_df5f_5e56) and its message split from 2129 sent / 123
+/// local to 2132 / 120. The digests and the SPMD row (`lower_spmd`, whose
+/// 2D transfers are all-pairs over 64 processors) were captured before
+/// the program held transfers instead of a message list.
 #[test]
 fn simulated_makespans_and_message_order_are_pinned_to_the_bit() {
     use paradigm_core::{gallery_graph, try_solve_pipeline, SolveSpec};
-    use paradigm_sim::lower_mpmd;
-    // (gallery graph, procs, sim makespan bits, messages, sent, local copies)
-    let pins: [(&str, u32, u64, usize, usize, usize); 9] = [
-        ("strassen-ml", 16, 0x3fe0_4b8d_ec7d_a64c, 558, 503, 55),
-        ("strassen-ml", 64, 0x3fc9_02df_a136_3cba, 2252, 2132, 120),
-        ("random-layered", 16, 0x402f_1d22_4490_3886, 3879, 3520, 359),
-        ("random-layered", 64, 0x401b_c3d0_c44a_874d, 40_069, 38_877, 1192),
-        ("fork-join", 64, 0x3fff_9aa1_cff4_4154, 2751, 2608, 143),
-        ("cmm", 16, 0x3fc0_e565_21b7_9db5, 48, 44, 4),
-        ("cmm", 64, 0x3fb0_95f4_402d_1785, 192, 176, 16),
-        ("strassen", 16, 0x3fd2_6704_5e55_cdf8, 176, 157, 19),
-        ("strassen", 64, 0x3fbd_4232_7740_297f, 672, 609, 63),
+    use paradigm_sim::{lower_mpmd, lower_spmd};
+    // (gallery graph, procs, sim makespan bits, messages, sent, local
+    // copies, message digest)
+    let pins: [(&str, u32, u64, usize, usize, usize, u64); 9] = [
+        ("strassen-ml", 16, 0x3fe0_4b8d_ec7d_a64c, 558, 503, 55, 0x71bb_4178_0b9a_11c4),
+        ("strassen-ml", 64, 0x3fc9_02df_a136_3cba, 2252, 2132, 120, 0xfbf7_ec45_a9da_a83f),
+        ("random-layered", 16, 0x402f_1d22_4490_3886, 3879, 3520, 359, 0x9df8_60d6_db2d_3347),
+        ("random-layered", 64, 0x401b_c3d0_c44a_874d, 40_069, 38_877, 1192, 0x3a14_b349_56bc_868c),
+        ("fork-join", 64, 0x3fff_9aa1_cff4_4154, 2751, 2608, 143, 0xc93f_778c_5dfe_74b7),
+        ("cmm", 16, 0x3fc0_e565_21b7_9db5, 48, 44, 4, 0xbb8e_ea78_203c_3d25),
+        ("cmm", 64, 0x3fb0_95f4_402d_1785, 192, 176, 16, 0x3dde_82ab_caf5_3925),
+        ("strassen", 16, 0x3fd2_6704_5e55_cdf8, 176, 157, 19, 0x7a5d_2edc_a131_82e5),
+        ("strassen", 64, 0x3fbd_4232_7740_297f, 672, 609, 63, 0xe142_d97e_5d3f_4365),
     ];
-    for (name, procs, makespan_bits, messages, sent, local) in pins {
+    for (name, procs, makespan_bits, messages, sent, local, digest) in pins {
         let g = gallery_graph(name).unwrap_or_else(|| panic!("gallery graph {name}"));
         let spec = SolveSpec { simulate: true, ..SolveSpec::new(Machine::cm5(procs)) };
         let out = try_solve_pipeline(&g, &spec).expect("gallery graph solves");
@@ -308,25 +329,35 @@ fn simulated_makespans_and_message_order_are_pinned_to_the_bit() {
             "{name}@{procs}: pipeline vs direct"
         );
         assert_eq!(
-            (makespan.to_bits(), prog.messages.len(), sim.messages_sent, sim.local_copies),
+            (makespan.to_bits(), prog.message_count(), sim.messages_sent, sim.local_copies),
             (makespan_bits, messages, sent, local),
             "{name}@{procs}: makespan = {makespan} (0x{:016x})",
             makespan.to_bits()
         );
+        assert_eq!(message_digest(&prog), digest, "{name}@{procs}: message digest");
         if (name, procs) == ("random-layered", 64) {
-            let m = |k: usize| {
-                let m = prog.messages[k];
-                (m.from_task, m.to_task, m.src_proc, m.dst_proc, m.bytes)
-            };
-            let first: Vec<_> = (0..8).map(m).collect();
-            let last: Vec<_> = (messages - 8..messages).map(m).collect();
+            let all: Vec<_> = prog
+                .messages()
+                .map(|m| (m.from_task, m.to_task, m.src_proc, m.dst_proc, m.bytes))
+                .collect();
             let expect_first: Vec<_> = (0..8).map(|i| (4, 10, 20 + i, 44 + i, 29_339)).collect();
-            assert_eq!(first, expect_first, "first 8 messages");
+            assert_eq!(all[..8], expect_first, "first 8 messages");
             let expect_last: Vec<_> = [4, 7, 8, 14, 20, 21, 22, 55]
                 .into_iter()
                 .map(|dst| (183, 193, 63, dst, if dst == 55 { 366 } else { 367 }))
                 .collect();
-            assert_eq!(last, expect_last, "last 8 messages");
+            assert_eq!(all[messages - 8..], expect_last, "last 8 messages");
         }
     }
+    // The SPMD lowering: every compute node on all 64 processors, so each
+    // 2D transfer is the all-pairs pattern.
+    let g = gallery_graph("random-layered").expect("gallery graph");
+    let prog = lower_spmd(&g, 64);
+    let sim = simulate(&prog, &TrueMachine::cm5(64));
+    assert_eq!(
+        (sim.makespan.to_bits(), prog.message_count(), message_digest(&prog)),
+        (0x4040_2584_d9b4_acb6, 973_039, 0xe440_7c12_edb7_c744),
+        "random-layered spmd@64: makespan = {}",
+        sim.makespan
+    );
 }
