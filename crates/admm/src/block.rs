@@ -221,7 +221,7 @@ pub struct BlockMaps {
 
 /// Frozen transfer cost a single excluded edge contributes to one
 /// endpoint's `T`, replicating the objective's send/receive terms
-/// (`transfer_cost` in the solver's `objective.rs`) at fixed processor
+/// (`node_tree` in the solver's `objective.rs`) at fixed processor
 /// counts. `sender` picks the `t^S` (source) or `t^R` (destination)
 /// side; `p_self` / `p_other` are the endpoint processor counts at the
 /// consensus point.

@@ -32,10 +32,9 @@
 //!   `max` the objective builds) share one structure-of-arrays operand
 //!   block — all first candidates, then all second candidates — so one
 //!   elementwise kernel (`smax2_rows`) sweeps the level's independent
-//!   chains at once; the arity-2 sums (every transfer's startup plus
-//!   volume term) get a block of the same shape and a plain elementwise
-//!   add; other arities go through `smax_weights_fast` on their
-//!   contiguous child block, sums add their block in child order.
+//!   chains at once; maxes of other arities go through
+//!   `smax_weights_fast` on their contiguous child block, and every sum
+//!   adds its block in child order.
 //!
 //! The forward sweep records every op's value and every `max`'s weights;
 //! the backward sweep pushes a per-slot adjoint top-down (copy through a
@@ -149,12 +148,9 @@ pub(crate) struct Level {
     /// at `w0 + i` and `w0 + n + i`, `n` being the level's arity-2 count.
     pub(crate) max2_out: Vec<u32>,
     pub(crate) w0: u32,
-    /// Arity-2 sums: op `i` reads `b + i` and `b + m + i`, where
-    /// `b = child_base + 2n` and `m` is the level's arity-2 sum count.
-    pub(crate) sum2_out: Vec<u32>,
     /// Maxes of any other arity.
     pub(crate) maxes: Vec<Reduce>,
-    /// Sums of any other arity.
+    /// Sums.
     pub(crate) sums: Vec<Reduce>,
 }
 
@@ -202,13 +198,12 @@ pub struct LevelProgram {
     needs_halves: bool,
 }
 
-/// The six sections of a level's block of child slots, in slot order:
+/// The four sections of a level's block of child slots, in slot order:
 /// the first candidates of its arity-2 maxes, their second candidates,
-/// the first and the second children of its arity-2 sums, the child
-/// blocks of its other maxes, the child blocks of its other sums.
-const MAX_KIDS: u32 = 4;
-const SUM_KIDS: u32 = 5;
-const SECTIONS: u32 = 6;
+/// the child blocks of its other maxes, the child blocks of its sums.
+const MAX_KIDS: u32 = 2;
+const SUM_KIDS: u32 = 3;
+const SECTIONS: u32 = 4;
 
 /// Section tag of an output slot that is final as placed: a root's.
 const ROOT: u32 = u32::MAX;
@@ -219,15 +214,15 @@ fn tag(level: usize, section: u32) -> u32 {
 }
 
 /// One level while the compile fills it: its ops, each beside the
-/// section tag of its output slot, and the child slots its maxes and sums
-/// of other arities have taken. Until the relocation at the end every
+/// section tag of its output slot, and the child slots its sums and its
+/// maxes of other arities have taken. Until the relocation at the end every
 /// slot reference counts from the start of its section: a child block's
 /// `c0` / `w0` from its own level's, an output slot from the section its
 /// tag names.
 #[derive(Default)]
 struct OpenLevel {
-    /// Output slots of the arity-2 maxes (`[0]`) and sums (`[1]`).
-    pairs: [Vec<(u32, u32)>; 2],
+    /// Output slots of the arity-2 maxes.
+    max2: Vec<(u32, u32)>,
     maxes: Vec<(Reduce, u32)>,
     sums: Vec<(Reduce, u32)>,
     max_kids: u32,
@@ -240,8 +235,7 @@ struct OpenLevel {
 #[derive(Clone, Copy)]
 enum Placed {
     Mono(usize),
-    /// An arity-2 max (`0`) or sum (`1`).
-    Pair(usize, usize, usize),
+    Max2(usize, usize),
     Max(usize, usize),
     Sum(usize, usize),
 }
@@ -280,14 +274,13 @@ impl Placer {
         let lv = &mut self.open[level - 1];
         let arity = v.len() as u32;
         // The op's handle and the section and local slot of child 0. The
-        // children of an arity-2 op sit at one position of two sections,
+        // children of an arity-2 max sit at one position of two sections,
         // those of any other op in consecutive slots of one.
         let (placed, section, c0, two_sections) = match e {
-            _ if arity == 2 => {
-                let k = matches!(e, Expr::Sum(_)) as usize;
-                let i = lv.pairs[k].len();
-                lv.pairs[k].push((0, ROOT));
-                (Placed::Pair(k, level, i), 2 * k as u32, i as u32, true)
+            Expr::Max(_) if arity == 2 => {
+                let i = lv.max2.len();
+                lv.max2.push((0, ROOT));
+                (Placed::Max2(level, i), 0, i as u32, true)
             }
             Expr::Max(_) => {
                 let c0 = lv.max_kids;
@@ -316,8 +309,8 @@ impl Placer {
     fn set_out(&mut self, placed: Placed, tag: u32, local: u32) {
         let (out, tag_of) = match placed {
             Placed::Mono(i) => (&mut self.prog.monos[i].slot, &mut self.mono_tags[i]),
-            Placed::Pair(k, l, i) => {
-                let (out, tag_of) = &mut self.open[l - 1].pairs[k][i];
+            Placed::Max2(l, i) => {
+                let (out, tag_of) = &mut self.open[l - 1].max2[i];
                 (out, tag_of)
             }
             Placed::Max(l, i) => {
@@ -410,7 +403,7 @@ impl LevelProgram {
         assert!(!placer.prog.mono_ranges.contains(&UNPLACED), "every root must be named");
 
         // Relocation, top level first: the roots' slots, then one block
-        // of child slots per level from the top down, each block its six
+        // of child slots per level from the top down, each block its four
         // sections in order, `base[tag]` the first slot of section `tag`.
         // A level's outputs lie in the blocks above it.
         let Placer { mut prog, open, mono_tags, .. } = placer;
@@ -419,13 +412,11 @@ impl LevelProgram {
         let at =
             |base: &[u32], tag, local| if tag == ROOT { local } else { base[tag as usize] + local };
         for (l, lv) in open.into_iter().enumerate().rev() {
-            let (n2, m2) = (lv.pairs[0].len() as u32, lv.pairs[1].len() as u32);
-            let kids = slot + 2 * n2 + 2 * m2;
-            let sections =
-                [slot, slot + n2, slot + 2 * n2, slot + 2 * n2 + m2, kids, kids + lv.max_kids];
+            let n2 = lv.max2.len() as u32;
+            let kids = slot + 2 * n2;
+            let sections = [slot, slot + n2, kids, kids + lv.max_kids];
             base[SECTIONS as usize * l..][..SECTIONS as usize].copy_from_slice(&sections);
-            let outs = |ops: &[(u32, u32)]| ops.iter().map(|&(o, t)| at(&base, t, o)).collect();
-            let (max2_out, sum2_out) = (outs(&lv.pairs[0]), outs(&lv.pairs[1]));
+            let max2_out = lv.max2.iter().map(|&(o, t)| at(&base, t, o)).collect();
             let relocate = |ops: &[(Reduce, u32)], c0: u32, w0: u32| {
                 let op = |&(r, t): &(Reduce, u32)| Reduce {
                     out: at(&base, t, r.out),
@@ -437,7 +428,7 @@ impl LevelProgram {
             };
             let maxes = relocate(&lv.maxes, sections[MAX_KIDS as usize], w + 2 * n2);
             let sums = relocate(&lv.sums, sections[SUM_KIDS as usize], 0);
-            prog.levels.push(Level { child_base: slot, max2_out, w0: w, sum2_out, maxes, sums });
+            prog.levels.push(Level { child_base: slot, max2_out, w0: w, maxes, sums });
             prog.max2_width = prog.max2_width.max(n2 as usize);
             slot = kids + lv.max_kids + lv.sum_kids;
             w += 2 * n2 + lv.max_kids;
@@ -494,7 +485,7 @@ impl LevelProgram {
             for r in &lv.maxes {
                 *by_arity.entry(r.arity as usize).or_insert(0) += 1;
             }
-            sums += lv.sum2_out.len() + lv.sums.len();
+            sums += lv.sums.len();
         }
         TapeStats {
             monomials: self.monos.len(),
@@ -524,7 +515,7 @@ impl LevelProgram {
         for lv in &self.levels {
             let base = lv.child_base as usize;
             let (outs, kids) = vals.split_at_mut(base);
-            let (n, m) = (lv.max2_out.len(), lv.sum2_out.len());
+            let n = lv.max2_out.len();
             if n > 0 {
                 let (a, b) = kids[..2 * n].split_at(n);
                 let (wa, wb) = wts[lv.w0 as usize..][..2 * n].split_at_mut(n);
@@ -536,10 +527,6 @@ impl LevelProgram {
                 for (&o, &v) in lv.max2_out.iter().zip(&*staged) {
                     outs[o as usize] = v;
                 }
-            }
-            let (a, b) = kids[2 * n..][..2 * m].split_at(m);
-            for ((&o, &a), &b) in lv.sum2_out.iter().zip(a).zip(b) {
-                outs[o as usize] = 0.0 + a + b;
             }
             for r in &lv.maxes {
                 let (c0, arity) = (r.c0 as usize - base, r.arity as usize);
@@ -568,15 +555,11 @@ impl LevelProgram {
         for lv in self.levels.iter().rev() {
             let base = lv.child_base as usize;
             let (outs, kids) = adj.split_at_mut(base);
-            let (n, m, w0) = (lv.max2_out.len(), lv.sum2_out.len(), lv.w0 as usize);
+            let (n, w0) = (lv.max2_out.len(), lv.w0 as usize);
             for (i, &o) in lv.max2_out.iter().enumerate() {
                 let a = outs[o as usize];
                 kids[i] = a * wts[w0 + i];
                 kids[n + i] = a * wts[w0 + n + i];
-            }
-            for (i, &o) in lv.sum2_out.iter().enumerate() {
-                let a = outs[o as usize];
-                (kids[2 * n + i], kids[2 * n + m + i]) = (a, a);
             }
             for r in &lv.maxes {
                 let a = outs[r.out as usize];

@@ -20,27 +20,28 @@
 //! `paradigm-cost`'s exact evaluator.
 //!
 //! What a compiled objective is valid for. Everything the build derives
-//! from its inputs — the level program and its replay order — depends
-//! on the machine's constants, on the DAG (edge endpoints and
-//! transfers; adjacency and the topological order follow from the edge
-//! list) and on *which* of each node's two processing-cost coefficients
-//! `α·τ`, `(1−α)·τ` are zero (`Expr::sum` drops a zero term, so the zero
-//! pattern is structure). The coefficients' *values* are the only thing
-//! that is data. A caller that solves one graph again and again under
-//! moving costs — the consensus tier re-freezes every block's boundary
-//! into its ghost and virtual nodes each round — therefore builds once:
-//! [`MdgObjective::detach`] gives up the graph borrow,
-//! [`DetachedObjective::attach`] checks a graph against the shape the
-//! build recorded and rewrites the two coefficients per node in the
-//! program where the build recorded them, or refuses, and then the
-//! caller builds. An attached objective is the built one to the bit
+//! from its inputs — the level program and its replay order — depends on
+//! the machine's constants, on the DAG (edge endpoints and transfers;
+//! adjacency and the topological order follow from the edge list) and on
+//! *which* of each node's two coefficients — the constant `α·τ` and `c_v`
+//! of its one `p_v^{-1}` term, the parallel work plus the per-byte cost
+//! of every transfer on its edges — are zero (`Expr::sum` drops a zero
+//! term, so the zero pattern is structure). The coefficients' *values*
+//! are the only thing that is data. A caller that solves one graph again
+//! and again under moving costs — the consensus tier re-freezes every
+//! block's boundary into its ghost and virtual nodes each round —
+//! therefore builds once: [`MdgObjective::detach`] gives up the graph
+//! borrow, [`DetachedObjective::attach`] checks a graph against the shape
+//! the build recorded and rewrites the two coefficients per node in the
+//! program where the build recorded them, or refuses, and then the caller
+//! builds. An attached objective is the built one to the bit
 //! (`tests/tape_carry.rs`).
 
 use crate::compiled::{smax_weights_fast, LevelProgram, TapeStats};
 use crate::expr::{smax_pair_weights, smax_weights, Expr, Monomial, Sharpness};
 use crate::workspace::{self, EvalScratch};
 use paradigm_cost::{Allocation, Machine, MdgWeights, PhiBreakdown, TransferParams};
-use paradigm_mdg::{AmdahlParams, ArrayTransfer, Edge, EdgeId, Mdg, NodeId, TransferKind};
+use paradigm_mdg::{ArrayTransfer, Edge, EdgeId, Mdg, NodeId, TransferKind};
 
 /// The evaluated objective components at one point.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -87,25 +88,25 @@ struct Shape {
     /// `xfers` (they start where the previous edge's end).
     edges: Vec<(usize, usize, usize)>,
     xfers: Vec<ArrayTransfer>,
-    /// Per node, the monomial-table entries of its `α·τ` and `(1−α)·τ`
-    /// terms ([`NO_SITE`] where the coefficient is zero).
+    /// Per node, the monomial-table entries of its `α·τ` and `c_v·p_v^{-1}`
+    /// terms ([`node_coeffs`]; [`NO_SITE`] where the coefficient is zero).
     cost_sites: Vec<[u32; 2]>,
 }
 
 impl Shape {
-    fn of(g: &Mdg, prog: &LevelProgram) -> Shape {
+    fn of(g: &Mdg, x: &TransferParams, prog: &LevelProgram) -> Shape {
         let mut xfers = Vec::new();
         let edges = g.edges().map(|(_, e)| {
             xfers.extend_from_slice(&e.transfers);
             (e.src, e.dst, xfers.len())
         });
         let edges = edges.collect();
-        let cost_sites = g.nodes().map(|(id, node)| {
-            // The cost terms open a node's sum, and the compile places a
-            // root's monomials right to left: the k-th non-zero one is the
-            // k-th from the end of the node's range.
+        let cost_sites = g.nodes().map(|(id, _)| {
+            // The two coefficients open a node's sum, and the compile
+            // places a root's monomials right to left: the k-th non-zero
+            // one is the k-th from the end of the node's range.
             let mut end = prog.mono_range(id.0).end as u32;
-            cost_coeffs(&node.cost).map(|c| {
+            node_coeffs(g, x, id).map(|c| {
                 if c == 0.0 {
                     return NO_SITE;
                 }
@@ -130,75 +131,91 @@ impl Shape {
     }
 }
 
-/// The two processing-cost coefficients of `t^C = α·τ + (1−α)·τ / p`.
-fn cost_coeffs(cost: &AmdahlParams) -> [f64; 2] {
-    if cost.tau > 0.0 {
-        [cost.alpha * cost.tau, (1.0 - cost.alpha) * cost.tau]
-    } else {
-        [0.0, 0.0]
-    }
-}
-
-/// `T_v` of node `v` as an expression over `x`: its processing cost
-/// terms first — where `Shape::of` looks for them — then the send or
-/// receive cost of every transfer on its edges, in edge-id order.
-/// (`in_edges` and `out_edges` are each ascending by edge id, and no
-/// edge is in both.)
-fn node_tree(g: &Mdg, xfer: &TransferParams, v: NodeId) -> Expr {
-    let [serial, parallel] = cost_coeffs(&g.node(v).cost);
-    let mut terms = Vec::new();
-    if serial != 0.0 {
-        terms.push(Expr::Mono(Monomial::constant(serial)));
-    }
-    if parallel != 0.0 {
-        terms.push(Expr::Mono(Monomial::single(parallel, v.0, -1.0)));
-    }
+/// The edges of `v` in edge-id order, each with whether `v` is its
+/// source. (`in_edges` and `out_edges` are each ascending by edge id, and
+/// no edge is in both.)
+fn adjacent(g: &Mdg, v: NodeId) -> impl Iterator<Item = (&Edge, bool)> {
     let (mut ins, mut outs) = (g.in_edges(v).iter().peekable(), g.out_edges(v).iter().peekable());
-    loop {
+    std::iter::from_fn(move || {
         let sender = match (ins.peek(), outs.peek()) {
-            (None, None) => break,
+            (None, None) => return None,
             (Some(i), Some(o)) => o < i,
             (_, out) => out.is_some(),
         };
         let e = if sender { outs.next() } else { ins.next() };
-        let edge = g.edge(*e.expect("peeked"));
-        terms.extend(edge.transfers.iter().map(|t| transfer_cost(xfer, edge, t, sender)));
+        Some((g.edge(*e.expect("peeked")), sender))
+    })
+}
+
+/// Per transfer kind, `[1D, 2D]`: how many transfers `edge` carries and
+/// their bytes.
+fn by_kind(edge: &Edge) -> [(u32, f64); 2] {
+    let mut kinds = [(0, 0.0); 2];
+    for t in &edge.transfers {
+        let k = &mut kinds[matches!(t.kind, TransferKind::TwoD) as usize];
+        (k.0, k.1) = (k.0 + 1, k.1 + t.bytes as f64);
+    }
+    kinds
+}
+
+/// The two coefficients of `T_v` that are data rather than structure:
+/// the constant `α·τ`, and `c_v` of the one `p_v^{-1}` monomial — the
+/// parallel work `(1−α)·τ` plus the per-byte cost `L·t_ps` (sent) or
+/// `L·t_pr` (received) of every transfer on `v`'s edges, in edge-id order.
+fn node_coeffs(g: &Mdg, x: &TransferParams, v: NodeId) -> [f64; 2] {
+    let cost = &g.node(v).cost;
+    let [serial, mut inv_p] = if cost.tau > 0.0 {
+        [cost.alpha * cost.tau, (1.0 - cost.alpha) * cost.tau]
+    } else {
+        [0.0, 0.0]
+    };
+    for (edge, sender) in adjacent(g, v) {
+        let t_p = if sender { x.t_ps } else { x.t_pr };
+        for t in &edge.transfers {
+            inv_p += t.bytes as f64 * t_p;
+        }
+    }
+    [serial, inv_p]
+}
+
+/// `T_v = Σ_pred t^R + t^C_v + Σ_succ t^S` of node `v` as an expression
+/// over `x`, like terms collected: `α·τ` and `c_v·p_v^{-1}`
+/// ([`node_coeffs`]) first — where `Shape::of` looks for them — then per
+/// edge, in edge-id order, the startup terms of its transfers, `me` being
+/// `v` and `other` the opposite endpoint: `max(k₁·t_s, k₁·t_s·p_other/p_me)`
+/// for its `k₁` 1D transfers and `k₂·t_s·p_other` for its `k₂` 2D ones
+/// (`t_ss` on the source, `t_sr` on the destination). A smoothed max is
+/// positively homogeneous, so `k₁` equal maxes are one max scaled by `k₁`
+/// at every sharpness. A zero term is dropped.
+fn node_tree(g: &Mdg, x: &TransferParams, v: NodeId) -> Expr {
+    let [serial, inv_p] = node_coeffs(g, x, v);
+    let mut terms = vec![Expr::constant(serial), Expr::Mono(Monomial::single(inv_p, v.0, -1.0))];
+    for (edge, sender) in adjacent(g, v) {
+        let (me, other, t_s) =
+            if sender { (edge.src, edge.dst, x.t_ss) } else { (edge.dst, edge.src, x.t_sr) };
+        let [(one_d, _), (two_d, _)] = by_kind(edge);
+        if one_d > 0 {
+            let c = one_d as f64 * t_s;
+            terms.push(Expr::max(vec![
+                Expr::constant(c),
+                Expr::Mono(Monomial::pair(c, other, 1.0, me, -1.0)),
+            ]));
+        }
+        if two_d > 0 {
+            terms.push(Expr::Mono(Monomial::single(two_d as f64 * t_s, other, 1.0)));
+        }
     }
     Expr::sum(terms)
 }
 
-/// What one transfer of `edge` adds to the `T` of its source (`sender`,
-/// `t^S`) or destination (`t^R`), `me` being that endpoint and `other`
-/// the opposite one: `max(p_i, p_j)/p_me · t_s + L/p_me · t_p` for a 1D
-/// transfer, `p_other · t_s + L/p_me · t_p` for a 2D one.
-fn transfer_cost(x: &TransferParams, edge: &Edge, t: &ArrayTransfer, sender: bool) -> Expr {
-    let (me, other, t_s, t_p) = if sender {
-        (edge.src, edge.dst, x.t_ss, x.t_ps)
-    } else {
-        (edge.dst, edge.src, x.t_sr, x.t_pr)
-    };
-    let startup = match t.kind {
-        TransferKind::OneD => Expr::max(vec![
-            Expr::Mono(Monomial::constant(t_s)),
-            Expr::Mono(Monomial::pair(t_s, other, 1.0, me, -1.0)),
-        ]),
-        TransferKind::TwoD => Expr::Mono(Monomial::single(t_s, other, 1.0)),
-    };
-    Expr::sum(vec![startup, Expr::Mono(Monomial::single(t.bytes as f64 * t_p, me, -1.0))])
-}
-
-/// `t^D` of `edge`: zero when the machine's `t_n` is zero, else per
-/// transfer `L t_n / (p_i p_j)` for 2D and, for 1D, the monomial upper
-/// bound `L t_n / sqrt(p_i p_j)` of `L t_n / max(p_i, p_j)` (module docs).
+/// `t^D` of `edge`: zero when the machine's `t_n` is zero, else
+/// `L₂ t_n / (p_i p_j)` over the bytes `L₂` of its 2D transfers plus, over
+/// the bytes `L₁` of its 1D ones, the monomial upper bound
+/// `L₁ t_n / sqrt(p_i p_j)` of `L₁ t_n / max(p_i, p_j)` (module docs).
 fn edge_tree(x: &TransferParams, edge: &Edge) -> Expr {
-    let terms = edge.transfers.iter().filter(|_| x.t_n > 0.0).map(|t| {
-        let a = match t.kind {
-            TransferKind::OneD => -0.5,
-            TransferKind::TwoD => -1.0,
-        };
-        Expr::Mono(Monomial::pair(t.bytes as f64 * x.t_n, edge.src, a, edge.dst, a))
-    });
-    Expr::sum(terms.collect())
+    let [(_, one_d), (_, two_d)] = by_kind(edge);
+    let term = |bytes: f64, a| Expr::Mono(Monomial::pair(bytes * x.t_n, edge.src, a, edge.dst, a));
+    Expr::sum(vec![term(one_d, -0.5), term(two_d, -1.0)])
 }
 
 /// What no objective is built for: a machine without processors or with
@@ -267,7 +284,7 @@ impl<'g> MdgObjective<'g> {
     /// expression tree alive at a time.
     pub fn new(g: &'g Mdg, machine: Machine) -> Self {
         let tapes = Tapes::build(g, &machine);
-        let shape = Shape::of(g, &tapes.prog);
+        let shape = Shape::of(g, &machine.xfer, &tapes.prog);
         MdgObjective { g, machine, tapes, shape }
     }
 
@@ -649,8 +666,8 @@ impl DetachedObjective {
     /// the graph: `None` — the caller builds — unless the machine's
     /// processor count and transfer constants are the build's to the bit
     /// (so the machine is as valid as the build's), `g` has the build's DAG
-    /// and every node cost has the build's zero pattern. Then the two cost
-    /// coefficients of every node are rewritten in the level program.
+    /// and every node's two coefficients ([`node_coeffs`]) have the build's
+    /// zero pattern. Then they are rewritten in the level program.
     pub fn attach(mut self, g: &Mdg, machine: Machine) -> Option<MdgObjective<'_>> {
         let constants = |m: &Machine| {
             let x = &m.xfer;
@@ -659,8 +676,9 @@ impl DetachedObjective {
         if constants(&machine) != constants(&self.machine) || !self.shape.fits(g) {
             return None;
         }
-        for (id, node) in g.nodes() {
-            for (c, site) in cost_coeffs(&node.cost).into_iter().zip(self.shape.cost_sites[id.0]) {
+        for (id, _) in g.nodes() {
+            let coeffs = node_coeffs(g, &machine.xfer, id);
+            for (c, site) in coeffs.into_iter().zip(self.shape.cost_sites[id.0]) {
                 if (c != 0.0) != (site != NO_SITE) {
                     return None;
                 }
@@ -684,27 +702,6 @@ mod tests {
 
     fn fig1() -> Mdg {
         example_fig1_mdg()
-    }
-
-    #[test]
-    fn exact_eval_matches_cost_crate() {
-        let g = complex_matmul_mdg(64, &KernelCostTable::cm5());
-        let m = Machine::cm5(16);
-        let obj = MdgObjective::new(&g, m);
-        for q in [1.0f64, 2.0, 4.0, 8.0, 16.0] {
-            let x = vec![q.ln(); g.node_count()];
-            let parts = obj.eval(&x, Sharpness::Exact);
-            let alloc = Allocation::uniform(&g, q);
-            let exact = obj.exact_phi(&alloc);
-            assert!(
-                (parts.phi - exact.phi).abs() < 1e-12 * exact.phi.max(1.0),
-                "q={q}: {} vs {}",
-                parts.phi,
-                exact.phi
-            );
-            assert!((parts.a_p - exact.a_p).abs() < 1e-12 * exact.a_p.max(1.0));
-            assert!((parts.c_p - exact.c_p).abs() < 1e-12 * exact.c_p.max(1.0));
-        }
     }
 
     #[test]
@@ -828,10 +825,12 @@ mod tests {
         }
     }
 
-    /// `Shape::of`'s rule: a node's non-zero cost terms are the last
+    /// `Shape::of`'s rule: a node's non-zero coefficients are the last
     /// entries of its root's monomial range, `α·τ` (a constant) at
-    /// `end − 1` and then `(1−α)·τ` (`p_v^{-1}`), whatever the zero pattern
-    /// and however many transfer terms follow them in the tree.
+    /// `end − 1` and then `c_v·p_v^{-1}`, whatever the zero pattern and
+    /// however many startup terms follow them in the tree. `c_v` is the
+    /// parallel work plus every transfer's per-byte cost, so a node with
+    /// transfers has its `p_v^{-1}` term whatever its `α`.
     #[test]
     fn cost_sites_are_the_last_entries_of_a_nodes_range() {
         let mut b = MdgBuilder::new("sites");
@@ -839,19 +838,39 @@ mod tests {
         let serial = b.compute("serial", AmdahlParams::new(1.0, 3.0));
         let parallel = b.compute("parallel", AmdahlParams::new(0.0, 5.0));
         let idle = b.compute("idle", AmdahlParams::new(0.5, 0.0));
+        let lone = b.compute("lone", AmdahlParams::new(1.0, 4.0));
+        let void = b.compute("void", AmdahlParams::new(0.5, 0.0));
         b.edge(both, serial, vec![ArrayTransfer::matrix_1d(8, 8)]);
         b.edge(both, parallel, vec![ArrayTransfer::matrix_2d(8, 8)]);
         b.edge(serial, idle, vec![ArrayTransfer::matrix_1d(4, 4)]);
-        b.edge(parallel, idle, vec![ArrayTransfer::matrix_1d(4, 4)]);
+        b.edge(
+            parallel,
+            idle,
+            vec![ArrayTransfer::matrix_1d(4, 4), ArrayTransfer::matrix_2d(4, 4)],
+        );
+        b.edge(both, lone, Vec::new());
+        b.edge(lone, void, Vec::new());
         let g = b.finish().unwrap();
-        let obj = MdgObjective::new(&g, Machine::cm5(8));
+        let m = Machine::cm5(8);
+        let obj = MdgObjective::new(&g, m);
         let prog = &obj.tapes.prog;
+        // The per-byte cost of every transfer on a node's edges, by hand.
+        let bytes = |id: NodeId, dir: bool| -> f64 {
+            let edges = if dir { g.out_edges(id) } else { g.in_edges(id) };
+            let xfers = edges.iter().flat_map(|&e| &g.edge(e).transfers);
+            xfers.map(|t| t.bytes as f64).sum()
+        };
         for (id, node) in g.nodes() {
             let end = prog.mono_range(id.0).end as u32;
             let mut expect = end;
-            for (k, (c, site)) in
-                cost_coeffs(&node.cost).into_iter().zip(obj.shape.cost_sites[id.0]).enumerate()
-            {
+            let coeffs = node_coeffs(&g, &m.xfer, id);
+            let c = node.cost;
+            let (serial, parallel) =
+                if c.tau > 0.0 { (c.alpha * c.tau, (1.0 - c.alpha) * c.tau) } else { (0.0, 0.0) };
+            let by_hand = parallel + bytes(id, true) * m.xfer.t_ps + bytes(id, false) * m.xfer.t_pr;
+            assert_eq!(coeffs[0].to_bits(), serial.to_bits(), "node {}", node.name);
+            assert!((coeffs[1] - by_hand).abs() <= 1e-15 * by_hand, "node {}", node.name);
+            for (k, (c, site)) in coeffs.into_iter().zip(obj.shape.cost_sites[id.0]).enumerate() {
                 if c == 0.0 {
                     assert_eq!(site, NO_SITE, "node {}: zero term {k}", node.name);
                     continue;
@@ -869,9 +888,11 @@ mod tests {
             obj.shape.cost_sites[id.0].map(|s| s != NO_SITE)
         };
         assert_eq!(sites("both"), [true, true]);
-        assert_eq!(sites("serial"), [true, false]);
+        assert_eq!(sites("serial"), [true, true]);
         assert_eq!(sites("parallel"), [false, true]);
-        assert_eq!(sites("idle"), [false, false]);
+        assert_eq!(sites("idle"), [false, true]);
+        assert_eq!(sites("lone"), [true, false]);
+        assert_eq!(sites("void"), [false, false]);
     }
 
     #[test]

@@ -69,7 +69,8 @@ fn moved_cost(i: usize, c: AmdahlParams) -> AmdahlParams {
 }
 
 /// Serial-only, parallel-only and free nodes, an edge without data, 1D
-/// and 2D transfers, two transfers on one edge, independent siblings.
+/// and 2D transfers, two transfers on one edge, independent siblings, and
+/// a serial-only node without transfers.
 fn edge_cases() -> Mdg {
     let mut b = MdgBuilder::new("edge-cases");
     let a = b.compute("a", AmdahlParams::new(0.2, 3.0));
@@ -77,12 +78,14 @@ fn edge_cases() -> Mdg {
     let parallel = b.compute("parallel", AmdahlParams::new(0.0, 5.0));
     let free = b.compute("free", AmdahlParams::new(0.4, 0.0));
     let z = b.compute("z", AmdahlParams::new(0.05, 7.0));
+    let lone = b.compute("lone", AmdahlParams::new(1.0, 4.0));
     b.edge(a, serial, vec![ArrayTransfer::matrix_1d(64, 64)]);
     b.edge(a, parallel, vec![ArrayTransfer::matrix_2d(32, 32), ArrayTransfer::matrix_1d(8, 8)]);
     b.edge(a, free, Vec::new());
     b.edge(serial, z, vec![ArrayTransfer::matrix_2d(64, 64)]);
     b.edge(parallel, z, vec![ArrayTransfer::matrix_1d(128, 16)]);
     b.edge(free, z, vec![ArrayTransfer::matrix_1d(16, 16)]);
+    b.edge(z, lone, Vec::new());
     b.finish().expect("edge-case graph")
 }
 
@@ -198,6 +201,17 @@ fn a_different_shape_is_refused() {
     // The same graph, and one whose costs moved, attach.
     assert!(tape().attach(&g, machine).is_some());
     assert!(tape().attach(&with_cost("a", 0.9, 0.1), machine).is_some());
+    // `serial` has transfers, so its one `p^{-1}` term (parallel work plus
+    // per-byte transfer cost) is there whatever its `α`: a parallel part
+    // appearing is a value, not shape.
+    let parallel_part = with_cost("serial", 0.7, 2.0);
+    let attached = tape().attach(&parallel_part, machine).expect("alpha 1 -> 0.7 attaches");
+    let built = MdgObjective::new(&parallel_part, machine);
+    let x: Vec<f64> = (0..g.node_count()).map(|i| 0.3 * (i % 5) as f64).collect();
+    for sharp in SHARPS {
+        assert_eq!(sweep_bits(&attached, &x, sharp), sweep_bits(&built, &x, sharp), "{sharp:?}");
+    }
+    assert_eq!(format!("{:?}", attached.detach()), format!("{:?}", built.detach()));
     // Memory per processor is not in the objective.
     let roomy = machine.with_mem_bytes(1 << 40);
     let attached = tape().attach(&g, roomy).expect("same constants");
@@ -222,7 +236,7 @@ fn a_different_shape_is_refused() {
             machine,
         ),
         ("alpha 0 -> 0.3", with_cost("parallel", 0.3, 5.0), machine),
-        ("alpha 1 -> 0.7", with_cost("serial", 0.7, 2.0), machine),
+        ("alpha 1 -> 0.7 without transfers", with_cost("lone", 0.7, 4.0), machine),
         ("tau 0 -> 1", with_cost("free", 0.4, 1.0), machine),
         ("tau 3 -> 0", with_cost("a", 0.2, 0.0), machine),
         ("more processors", g.clone(), Machine::cm5(32)),

@@ -14,7 +14,10 @@
 //! high-water mark**. The guard asks for at most 0.6 and 0.8 of those:
 //! the trees gone, and the program compiled root by root into tight
 //! capacities, with no second copy of it alive at the peak. Without the
-//! trees it reads 2 449 640 and 4 212 136 (0.27 and 0.43).
+//! trees it read 2 449 640 and 4 212 136 (0.27 and 0.43); with each
+//! node's like terms collected (one `p^{-1}` monomial, one startup term per
+//! transfer kind per edge side) it reads 1 893 240 and 2 180 032 (0.21
+//! and 0.22).
 //!
 //! The ignored test is the dense tier at scale, the one command behind
 //! DESIGN.md §7's numbers at scale:
