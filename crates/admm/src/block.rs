@@ -87,15 +87,16 @@ impl GlobalSweeps {
 }
 
 /// Run the exact forward/backward sweeps of `obj` at `x`, reading `T_v`
-/// and `t^D_e` from the root slots of one exact sweep of its program, on
-/// a scratch of its own (no pooled workspace counts it).
+/// and `t^D_e` off one exact sweep of its program (the root slots, and
+/// `MdgObjective::swept_edge_delay`), on a scratch of its own (no pooled
+/// workspace counts it).
 pub fn global_sweeps(obj: &MdgObjective<'_>, x: &[f64]) -> GlobalSweeps {
     let g = obj.graph();
     let n = g.node_count();
     let mut scratch = EvalScratch::default();
     obj.forward_record(x, Sharpness::Exact, &mut scratch);
-    let (t, d) = scratch.tape_values()[..n + g.edge_count()].split_at(n);
-    let (t, d) = (t.to_vec(), d.to_vec());
+    let t = scratch.tape_values()[..n].to_vec();
+    let d: Vec<f64> = g.edges().map(|(e, _)| obj.swept_edge_delay(&scratch, e)).collect();
     let y = g.finish_times_with(|v| t[v.0], |e| d[e.0]);
     let mut down = vec![0.0_f64; g.node_count()];
     for &v in g.topo_order().iter().rev() {

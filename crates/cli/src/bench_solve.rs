@@ -115,6 +115,11 @@ const TABLES: &[Table] = &[
             // sum and max), levels above the monomials.
             ("tape_ops", "ops", 6, Cell::Int),
             ("tape_levels", "lv", 3, Cell::Int),
+            // Shape of the `C_p` recurrence's schedule
+            // (`MdgObjective::dag_shape`): DAG depths, each one batched
+            // step of the sweep, and the most nodes at one depth.
+            ("dag_levels", "dlv", 4, Cell::Int),
+            ("dag_width", "dw", 4, Cell::Int),
             // `exp` calls of one exact recording sweep, read off the
             // scratch's `SweepCounts`.
             ("exact_exps_per_sweep", "exps", 6, Cell::Int),
@@ -155,7 +160,7 @@ pub fn run_bench_solve(quick: bool, out_path: Option<&str>) -> Result<CmdOutput,
             "bench-solve ({}; medians over {reps} samples)",
             if quick { "quick" } else { "full" }
         ),
-        header: vec![("version", Json::num(9.0)), ("quick", Json::Bool(quick))],
+        header: vec![("version", Json::num(10.0)), ("quick", Json::Bool(quick))],
         tables: TABLES,
         rows,
     };
@@ -219,6 +224,9 @@ fn bench_case(name: &str, g: &Mdg, reps: usize) -> Row {
     row.set("variables", n as f64);
     row.set("tape_ops", stats.slots as f64);
     row.set("tape_levels", stats.levels as f64);
+    let (dag_levels, dag_width) = obj.dag_shape();
+    row.set("dag_levels", dag_levels as f64);
+    row.set("dag_width", dag_width as f64);
     row.set("record_ns_per_op", 1e3 * record / stats.slots.max(1) as f64);
 
     // Allocations per descent iteration, after a warm-up stage has sized
@@ -388,6 +396,7 @@ mod tests {
             ("allocs_per_iter", 0.0),
             ("variables", 6.0),
             ("tape_ops", 40.0),
+            ("dag_width", 3.0),
             ("exact_exps_per_sweep", 6.0),
         ];
         let mut row = Row::new("random-256");
@@ -418,7 +427,7 @@ mod tests {
     fn report(rows: Vec<Row>) -> Report {
         Report {
             title: "bench-solve (test)".into(),
-            header: vec![("version", Json::num(9.0)), ("quick", Json::Bool(true))],
+            header: vec![("version", Json::num(10.0)), ("quick", Json::Bool(true))],
             tables: TABLES,
             rows,
         }
@@ -429,7 +438,7 @@ mod tests {
         let rep = report(vec![tiny_case()]);
         let json = rep.render_json().expect("every key is listed");
         let doc = paradigm_serve::parse_json(&json).expect("valid JSON");
-        assert_eq!(doc.get("version").and_then(Json::as_u64), Some(9));
+        assert_eq!(doc.get("version").and_then(Json::as_u64), Some(10));
         assert_eq!(doc.get("quick").and_then(Json::as_bool), Some(true));
         let cases = doc.get("cases").and_then(Json::as_arr).expect("cases array");
         assert_eq!(cases.len(), 1);
@@ -440,6 +449,7 @@ mod tests {
         assert_eq!(cases[0].get("forward_sweeps_per_iter").and_then(Json::as_f64), Some(2.3));
         assert_eq!(cases[0].get("probes_per_iter").and_then(Json::as_f64), Some(2.3));
         assert_eq!(cases[0].get("tape_ops").and_then(Json::as_u64), Some(40));
+        assert_eq!(cases[0].get("dag_width").and_then(Json::as_u64), Some(3));
         assert_eq!(cases[0].get("exact_exps_per_sweep").and_then(Json::as_u64), Some(6));
         let sweeps = cases[0].get("sweeps").expect("sweep table");
         let at =
@@ -536,6 +546,8 @@ mod tests {
             assert!(us(cell, "record_us") > Some(0.0) && us(cell, "replay_us") > Some(0.0));
         }
         assert!(c.num("tape_ops") > 0.0 && c.num("tape_levels") > 0.0);
+        // fig1: START, N1, then N2 and N3 side by side, STOP.
+        assert_eq!((c.num("dag_levels"), c.num("dag_width")), (4.0, 2.0));
         assert!(c.num("record_ns_per_op") > 0.0);
         assert_eq!(c.num("exact_exps_per_sweep"), c.num("variables"));
         // (Sweep counts are read off the process-wide workspace pool,

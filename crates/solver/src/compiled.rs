@@ -26,7 +26,11 @@
 //!   monomial has at most two) — stored in the order the backward pass
 //!   accumulates them (below). A factor row also names its gradient
 //!   term: row `4j + s` is variable `j` at the exponent
-//!   `ROW_EXPONENTS[s]`;
+//!   `ROW_EXPONENTS[s]`. A monomial without terms (every `α·τ`, the
+//!   constant candidate of every 1D startup max, a zero coefficient) is
+//!   no row: it sits in a table of `(coefficient, slot)` pairs that the
+//!   forward sweep stores and the backward pass never visits — on every
+//!   `cm5` objective more than half of level 0;
 //! * **level ℓ ≥ 1** is every `Sum`/`Max` whose deepest child sits at
 //!   ℓ − 1, as homogeneous lists: the arity-2 maxes of a level (every
 //!   `max` the objective builds) share one structure-of-arrays operand
@@ -44,12 +48,16 @@
 //!
 //! This module holds the program, its compile and its executor: the
 //! forward sweep (`LevelProgram::forward`) and the two backward passes
-//! (`LevelProgram::push_adjoints`, `LevelProgram::accumulate`).
+//! (`LevelProgram::push_adjoints`, `LevelProgram::accumulate`). Beside
+//! them sit the smoothed-max kernels, those of the levels and the one
+//! the objective's `C_p` recurrence sweeps each DAG depth with
+//! (`smax_columns`), every one of them `smax_weights_fast` to the bit.
 //!
 //! Numerical contract. Every monomial, at every sharpness, is
 //! `coeff · f_0 · f_1`, its factors `factor(exp(x_j), a_j)` read from
 //! the variable cache and multiplied in term order (a padded factor is
-//! the exact `1.0`) — the product [`Monomial::eval`] forms — so a sweep
+//! the exact `1.0`, so a constant is its coefficient to the bit) — the
+//! product [`Monomial::eval`] forms — so a sweep
 //! calls `exp` once per variable and never per monomial. A sum adds its
 //! children left to right; every accumulation keeps its order: the
 //! monomial table is laid out in the order a post-order adjoint stack
@@ -117,13 +125,23 @@ impl VarCache {
 }
 
 /// One level-0 op: `coeff · fac[rows[0]] · fac[rows[1]]` into `slot`. A
-/// monomial of fewer than two terms is padded with the `1.0` row; a row
-/// names its gradient term (`LevelProgram::accumulate`).
+/// monomial of one term is padded with the `1.0` row; a row names its
+/// gradient term (`LevelProgram::accumulate`).
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Mono {
     pub(crate) coeff: f64,
     pub(crate) slot: u32,
     rows: [u32; 2],
+}
+
+/// A level-0 op without terms — an `α·τ`, the constant candidate of a 1D
+/// startup max, a zero coefficient: `coeff` into `slot` at every point.
+/// The forward sweep stores it (it is `coeff · 1.0 · 1.0` to the bit) and
+/// the replay never reads it: it has no gradient term.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Const {
+    pub(crate) coeff: f64,
+    pub(crate) slot: u32,
 }
 
 /// A `Sum` or a `Max` of arity ≠ 2: reduces the child slots
@@ -157,8 +175,10 @@ pub(crate) struct Level {
 /// Shape of a compiled program, for the benches and the docs.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TapeStats {
-    /// Level-0 ops.
+    /// Level-0 ops, constants included.
     pub monomials: usize,
+    /// Of those, the constants: the level-0 ops without terms.
+    pub constants: usize,
     /// `Sum` ops.
     pub sums: usize,
     /// `Max` ops as `(arity, count)`, ascending arity.
@@ -177,8 +197,10 @@ pub struct TapeStats {
 #[derive(Debug, Clone)]
 pub struct LevelProgram {
     pub(crate) n_vars: usize,
-    /// Monomials in backward-accumulation order.
+    /// Monomials with at least one term, in backward-accumulation order.
     pub(crate) monos: Vec<Mono>,
+    /// Level-0 ops without terms, in placement order.
+    pub(crate) consts: Vec<Const>,
     /// `(variable, exponent)` of every term whose exponent is none of
     /// `±1`, `±0.5`: the `VarCache` entries past its `1.0`.
     powf: Vec<(u32, f64)>,
@@ -186,6 +208,9 @@ pub struct LevelProgram {
     pub(crate) levels: Vec<Level>,
     /// Monomial-table range of each root.
     mono_ranges: Vec<(u32, u32)>,
+    /// Where each root's constants end in `consts` (they start where the
+    /// previously placed root's end).
+    const_ends: Vec<u32>,
     /// Value slots: one per op.
     pub(crate) n_slots: usize,
     /// Weight slots: Σ arity over maxes.
@@ -235,6 +260,7 @@ struct OpenLevel {
 #[derive(Clone, Copy)]
 enum Placed {
     Mono(usize),
+    Const(usize),
     Max2(usize, usize),
     Max(usize, usize),
     Sum(usize, usize),
@@ -244,8 +270,10 @@ enum Placed {
 struct Placer {
     prog: LevelProgram,
     open: Vec<OpenLevel>,
-    /// Section tag of each monomial's `slot` until the relocation.
+    /// Section tag of each monomial's and each constant's `slot` until
+    /// the relocation.
     mono_tags: Vec<u32>,
+    const_tags: Vec<u32>,
     /// Handles of visited children whose parent has not finished yet.
     kids: Vec<Placed>,
 }
@@ -257,7 +285,7 @@ impl Placer {
     /// adjoint stack pops them.
     fn place(&mut self, e: &Expr) -> (usize, Placed) {
         let v = match e {
-            Expr::Mono(m) => return (0, Placed::Mono(self.push_mono(m))),
+            Expr::Mono(m) => return (0, self.push_mono(m)),
             Expr::Sum(v) | Expr::Max(v) => v,
         };
         let first_kid = self.kids.len();
@@ -309,6 +337,7 @@ impl Placer {
     fn set_out(&mut self, placed: Placed, tag: u32, local: u32) {
         let (out, tag_of) = match placed {
             Placed::Mono(i) => (&mut self.prog.monos[i].slot, &mut self.mono_tags[i]),
+            Placed::Const(i) => (&mut self.prog.consts[i].slot, &mut self.const_tags[i]),
             Placed::Max2(l, i) => {
                 let (out, tag_of) = &mut self.open[l - 1].max2[i];
                 (out, tag_of)
@@ -325,21 +354,25 @@ impl Placer {
         (*out, *tag_of) = (local, tag);
     }
 
-    /// Append `m` to the monomial table. A zero coefficient compiles to
-    /// the constant `+0.0` with no terms: it evaluates to `0.0` whatever
-    /// the point and contributes nothing to any gradient, as
-    /// `Monomial::eval` has it.
+    /// Append `m` to the monomial table, or to the constants when it has
+    /// no terms. A zero coefficient compiles to the constant `+0.0`: it
+    /// evaluates to `0.0` whatever the point and contributes nothing to
+    /// any gradient, as `Monomial::eval` has it.
     ///
     /// # Panics
     /// If `m` has more than two terms.
-    fn push_mono(&mut self, m: &Monomial) -> usize {
+    fn push_mono(&mut self, m: &Monomial) -> Placed {
         let p = &mut self.prog;
+        if m.coeff == 0.0 || m.exps.is_empty() {
+            let coeff = if m.coeff == 0.0 { 0.0 } else { m.coeff };
+            p.consts.push(Const { coeff, slot: 0 });
+            self.const_tags.push(ROOT);
+            return Placed::Const(p.consts.len() - 1);
+        }
         let n = p.n_vars as u32;
-        let terms: &[(usize, f64)] = if m.coeff == 0.0 { &[] } else { &m.exps };
-        assert!(terms.len() <= 2, "a monomial of at most two terms, got {}", terms.len());
-        let coeff = if m.coeff == 0.0 { 0.0 } else { m.coeff };
-        let mut mono = Mono { coeff, slot: 0, rows: [4 * n; 2] };
-        for (k, &(j, a)) in terms.iter().enumerate() {
+        assert!(m.exps.len() <= 2, "a monomial of at most two terms, got {}", m.exps.len());
+        let mut mono = Mono { coeff: m.coeff, slot: 0, rows: [4 * n; 2] };
+        for (k, &(j, a)) in m.exps.iter().enumerate() {
             let j = j as u32;
             // The `VarCache` row of `factor(e_j, a)`.
             mono.rows[k] = match ROW_EXPONENTS.iter().position(|&b| b == a) {
@@ -353,7 +386,7 @@ impl Placer {
         }
         p.monos.push(mono);
         self.mono_tags.push(ROOT);
-        p.monos.len() - 1
+        Placed::Mono(p.monos.len() - 1)
     }
 }
 
@@ -379,15 +412,23 @@ impl LevelProgram {
         let prog = LevelProgram {
             n_vars,
             monos: Vec::new(),
+            consts: Vec::new(),
             powf: Vec::new(),
             levels: Vec::new(),
             mono_ranges: vec![UNPLACED; n_roots],
+            const_ends: vec![0; n_roots],
             n_slots: 0,
             n_wts: 0,
             max2_width: 0,
             needs_halves: false,
         };
-        let mut placer = Placer { prog, open: Vec::new(), mono_tags: Vec::new(), kids: Vec::new() };
+        let mut placer = Placer {
+            prog,
+            open: Vec::new(),
+            mono_tags: Vec::new(),
+            const_tags: Vec::new(),
+            kids: Vec::new(),
+        };
 
         // Place every op, level-locally, the roots in accumulation order.
         for (r, e) in roots {
@@ -399,6 +440,7 @@ impl LevelProgram {
             let (_, placed) = placer.place(e.borrow());
             placer.set_out(placed, ROOT, r as u32);
             placer.prog.mono_ranges[r] = (lo, placer.prog.monos.len() as u32);
+            placer.prog.const_ends[r] = placer.prog.consts.len() as u32;
         }
         assert!(!placer.prog.mono_ranges.contains(&UNPLACED), "every root must be named");
 
@@ -406,7 +448,7 @@ impl LevelProgram {
         // of child slots per level from the top down, each block its four
         // sections in order, `base[tag]` the first slot of section `tag`.
         // A level's outputs lie in the blocks above it.
-        let Placer { mut prog, open, mono_tags, .. } = placer;
+        let Placer { mut prog, open, mono_tags, const_tags, .. } = placer;
         let (mut slot, mut w) = (n_roots as u32, 0_u32);
         let mut base = vec![0_u32; SECTIONS as usize * open.len()];
         let at =
@@ -438,7 +480,11 @@ impl LevelProgram {
         for (m, &t) in prog.monos.iter_mut().zip(&mono_tags) {
             m.slot = at(&base, t, m.slot);
         }
+        for (c, &t) in prog.consts.iter_mut().zip(&const_tags) {
+            c.slot = at(&base, t, c.slot);
+        }
         prog.monos.shrink_to_fit();
+        prog.consts.shrink_to_fit();
         prog.powf.shrink_to_fit();
         prog
     }
@@ -447,6 +493,13 @@ impl LevelProgram {
     pub(crate) fn mono_range(&self, r: usize) -> Range<usize> {
         let (lo, hi) = self.mono_ranges[r];
         lo as usize..hi as usize
+    }
+
+    /// Where root `r`'s constants end in the constant table: its last
+    /// placed (its first child's, the compile going right to left) is at
+    /// `const_end(r) - 1`.
+    pub(crate) fn const_end(&self, r: usize) -> usize {
+        self.const_ends[r] as usize
     }
 
     /// The `(variable, exponent)` terms of table entry `i`, padding
@@ -464,14 +517,21 @@ impl LevelProgram {
         self.monos[i].rows.into_iter().filter(|&r| r != one).map(term).collect()
     }
 
-    /// Overwrite the coefficient of table entry `i`, one non-zero value
-    /// for another: a zero coefficient compiles to a constant without
-    /// terms (`Placer::push_mono`), so whether it is zero is part of the
-    /// program's shape and not a value to write.
+    /// Overwrite the coefficient of monomial-table entry `i`, one
+    /// non-zero value for another: a zero coefficient compiles to a
+    /// constant without terms (`Placer::push_mono`), so whether it is zero
+    /// is part of the program's shape and not a value to write.
     pub(crate) fn set_coeff(&mut self, i: u32, coeff: f64) {
         let m = &mut self.monos[i as usize];
         debug_assert!(m.coeff != 0.0 && coeff != 0.0, "a zero coefficient is shape");
         m.coeff = coeff;
+    }
+
+    /// [`LevelProgram::set_coeff`] for constant `i`.
+    pub(crate) fn set_const(&mut self, i: u32, coeff: f64) {
+        let c = &mut self.consts[i as usize];
+        debug_assert!(c.coeff != 0.0 && coeff != 0.0, "a zero coefficient is shape");
+        c.coeff = coeff;
     }
 
     /// Shape of the program.
@@ -488,7 +548,8 @@ impl LevelProgram {
             sums += lv.sums.len();
         }
         TapeStats {
-            monomials: self.monos.len(),
+            monomials: self.monos.len() + self.consts.len(),
+            constants: self.consts.len(),
             sums,
             maxes_by_arity: by_arity.into_iter().collect(),
             levels: self.levels.len(),
@@ -509,6 +570,9 @@ impl LevelProgram {
         scratch.counts.exp_calls += x.len() as u64;
         let EvalScratch { tape_vals: vals, tape_wts: wts, var_cache, stack, .. } = scratch;
         let fac = &var_cache.fac;
+        for c in &self.consts {
+            vals[c.slot as usize] = c.coeff;
+        }
         for m in &self.monos {
             vals[m.slot as usize] = m.coeff * fac[m.rows[0] as usize] * fac[m.rows[1] as usize];
         }
@@ -808,6 +872,152 @@ fn smax2_block<const N: usize>(
     N
 }
 
+/// The smoothed max of every node of one DAG depth over its in-edge
+/// candidates, with each candidate's weight: per node exactly
+/// `smax_weights_fast` on its candidates in in-edge order, to the bit.
+///
+/// Layout: the depth's nodes sorted by in-degree, descending, and their
+/// candidates column by column — column `k` holds the `k`-th candidate of
+/// the first `heights[k]` nodes, so `heights` is non-increasing,
+/// `heights[0]` is the node count and `cands` holds `Σ heights` entries.
+/// `wts` gets the weights in the same layout, `start[i]` node `i`'s max.
+/// `work` is staging of `3 · heights[0]` entries.
+///
+/// A node of one candidate (the tail of column 0) goes through
+/// `smax_weights_fast` itself, and nodes of two candidates each through
+/// the level program's arity-2 rows. Otherwise the nodes of two or more
+/// run that function's chain one operation at a time across the depth —
+/// max from `0.0`, divide, power (squaring when `s` is a power of two),
+/// sum from `0.0` in candidate order, root, weight recovery, the
+/// all-zero guard as `smax2_block` has it — so their dependent divides
+/// and square roots overlap instead of waiting on each other. At `Exact`
+/// every node takes the first candidate that attains its max.
+pub(crate) fn smax_columns(
+    sharp: Sharpness,
+    heights: &[u32],
+    cands: &[f64],
+    start: &mut [f64],
+    wts: &mut [f64],
+    work: &mut [f64],
+) {
+    let w = heights.first().map_or(0, |&h| h as usize);
+    // Nodes `0 .. n2` have two candidates or more, `n2 .. w` one.
+    let n2 = heights.get(1).map_or(0, |&h| h as usize);
+    for i in n2..w {
+        start[i] = smax_weights_fast(&cands[i..i + 1], sharp, &mut wts[i..i + 1]);
+    }
+    if n2 == 0 {
+        return;
+    }
+    // Every node left has exactly two candidates: the level program's
+    // arity-2 kernels, on the first `n2` entries of both columns.
+    if heights.len() == 2 {
+        let (a, b) = (&cands[..n2], &cands[w..w + n2]);
+        let (wa, wb) = wts.split_at_mut(w);
+        let (wa, wb, val) = (&mut wa[..n2], &mut wb[..n2], &mut start[..n2]);
+        match sharp {
+            Sharpness::Exact => max2_exact_rows(a, b, val, wa, wb),
+            Sharpness::Smooth(s) => smax2_rows(s, a, b, val, wa, wb),
+        }
+        return;
+    }
+    let (m, rest) = work[..3 * n2].split_at_mut(n2);
+    let (sum, root) = rest.split_at_mut(n2);
+    // Column `k` as the range of `cands` it occupies, cut to its first
+    // `n2` nodes.
+    let columns = || {
+        heights.iter().scan(0, move |off, &h| {
+            let lo = *off;
+            *off += h as usize;
+            Some(lo..lo + (h as usize).min(n2))
+        })
+    };
+    m.fill(0.0);
+    for col in columns() {
+        for (m, &c) in m.iter_mut().zip(&cands[col]) {
+            *m = m.max(c);
+        }
+    }
+    let s = match sharp {
+        Sharpness::Exact => {
+            // `sum` flags the nodes whose argmax is taken.
+            sum.fill(0.0);
+            for col in columns() {
+                for (i, (w, &c)) in wts[col.clone()].iter_mut().zip(&cands[col]).enumerate() {
+                    let first = sum[i] == 0.0 && c == m[i];
+                    *w = if first { 1.0 } else { 0.0 };
+                    if first {
+                        sum[i] = 1.0;
+                    }
+                }
+            }
+            start[..n2].copy_from_slice(m);
+            return;
+        }
+        Sharpness::Smooth(s) => s,
+    };
+    // `root` holds the divisor, then the root, then the value.
+    for (d, &m) in root.iter_mut().zip(&*m) {
+        *d = if m == 0.0 { 1.0 } else { m };
+    }
+    for col in columns() {
+        for ((t, &c), &d) in wts[col.clone()].iter_mut().zip(&cands[col]).zip(&*root) {
+            *t = c / d;
+        }
+    }
+    let (squarings, sqrts) = (pow2_log(s, 1.0), pow2_log(s, 2.0));
+    for col in columns() {
+        let t = &mut wts[col];
+        match squarings {
+            Some(q) => {
+                for _ in 0..q {
+                    for t in t.iter_mut() {
+                        *t *= *t;
+                    }
+                }
+            }
+            None => {
+                for t in t.iter_mut() {
+                    *t = pow_sharp(*t, s);
+                }
+            }
+        }
+    }
+    sum.fill(0.0);
+    for col in columns() {
+        for (acc, &t) in sum.iter_mut().zip(&wts[col]) {
+            *acc += t;
+        }
+    }
+    root.copy_from_slice(sum);
+    match sqrts {
+        Some(q) => {
+            for _ in 0..q {
+                for r in root.iter_mut() {
+                    *r = r.sqrt();
+                }
+            }
+        }
+        None => {
+            let inv = 1.0 / s;
+            for r in root.iter_mut() {
+                *r = r.powf(inv);
+            }
+        }
+    }
+    for ((r, &m), out) in root.iter_mut().zip(&*m).zip(&mut start[..n2]) {
+        *r *= m;
+        *out = if m == 0.0 { 0.0 } else { *r };
+    }
+    for col in columns() {
+        let (t, c) = (&mut wts[col.clone()], &cands[col]);
+        for (i, (t, &c)) in t.iter_mut().zip(c).enumerate() {
+            let dead = m[i] == 0.0;
+            *t = if *t == 0.0 || dead { 0.0 } else { (*t / sum[i]) * (root[i] / c) };
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -863,9 +1073,12 @@ mod tests {
         let e = sample_expr();
         let prog = single(&e, 2);
         // Placed right to left: the root's last two children, a constant
-        // and a ratio, come first, the four monomials under its `max` last.
+        // and a ratio, come first, the four monomials under its `max` last;
+        // the two constants go to their own table.
         let coeffs: Vec<f64> = prog.monos.iter().map(|m| m.coeff).collect();
-        assert_eq!(coeffs, [0.3, 1.0, 0.25, 0.5, 1.0, 2.0]);
+        assert_eq!(coeffs, [1.0, 0.5, 1.0, 2.0]);
+        let consts: Vec<f64> = prog.consts.iter().map(|c| c.coeff).collect();
+        assert_eq!(consts, [0.3, 0.25]);
         let mut scratch = EvalScratch::default();
         let sharps = [4.0, 64.0, 256.0, 3.0, 3.7].map(Sharpness::Smooth);
         for sharp in sharps.into_iter().chain([Sharpness::Exact]) {
@@ -1000,6 +1213,74 @@ mod tests {
         }
     }
 
+    /// The depth kernel is the general kernel on each node's candidates
+    /// in order, to the bit: value and every weight, on depths of every
+    /// arity from 0 to 13 (0 being a node past `heights[0]`, whose start
+    /// the caller sets to `0.0`), at every power and root tier and at
+    /// `Exact`, over candidates that are zero, tied, `1e±300` or `+∞`.
+    #[test]
+    fn depth_columns_are_the_general_kernel_to_the_bit() {
+        const POOL: [f64; 10] = [0.0, 1.0, 2.0, 2.0, 1e-300, 1e300, f64::INFINITY, 0.5, 3.7, 1e-9];
+        let sharps = [1.0, 2.0, 3.0, 3.7, 8.0, 64.0, 256.0, 600.0].map(Sharpness::Smooth);
+        let mut state = 42;
+        // Every arity; one candidate; two (the arity-2 rows, with and
+        // without a tail of one-candidate nodes); none.
+        let mut depths: Vec<Vec<usize>> =
+            vec![(0..=13).rev().collect(), vec![1], vec![2; 9], vec![2, 2, 1], vec![]];
+        for _ in 0..40 {
+            let width = 1 + (next(&mut state) % 9) as usize;
+            let mut arities: Vec<usize> =
+                (0..width).map(|_| (next(&mut state) % 14) as usize).collect();
+            arities.sort_unstable_by(|a, b| b.cmp(a));
+            depths.push(arities);
+        }
+        for arities in &depths {
+            // Per node its candidates: all zero, all tied, or drawn from
+            // the pool (one in four pool values is a zero, a tie or `+∞`).
+            let lists: Vec<Vec<f64>> = arities
+                .iter()
+                .map(|&k| match next(&mut state) % 4 {
+                    0 => vec![0.0; k],
+                    1 => vec![2.5; k],
+                    _ => (0..k).map(|_| POOL[(next(&mut state) % 10) as usize]).collect(),
+                })
+                .collect();
+            let k_max = arities.first().copied().unwrap_or(0);
+            let heights: Vec<u32> =
+                (0..k_max).map(|k| arities.iter().filter(|&&a| a > k).count() as u32).collect();
+            let cands: Vec<f64> = (0..k_max)
+                .flat_map(|k| lists.iter().filter(move |l| l.len() > k).map(move |l| l[k]))
+                .collect();
+            let w = arities.len();
+            for sharp in sharps.into_iter().chain([Sharpness::Exact]) {
+                let mut start = vec![0.0; w];
+                let mut wts = vec![f64::NAN; cands.len()];
+                let mut work = vec![f64::NAN; 3 * w];
+                smax_columns(sharp, &heights, &cands, &mut start, &mut wts, &mut work);
+                let col_off: Vec<usize> = heights
+                    .iter()
+                    .scan(0, |off, &h| {
+                        let lo = *off;
+                        *off += h as usize;
+                        Some(lo)
+                    })
+                    .collect();
+                for (i, list) in lists.iter().enumerate() {
+                    let mut want = vec![0.0; list.len()];
+                    let v = smax_weights_fast(list, sharp, &mut want);
+                    let got: Vec<u64> =
+                        (0..list.len()).map(|k| wts[col_off[k] + i].to_bits()).collect();
+                    assert_eq!(
+                        (start[i].to_bits(), got),
+                        (v.to_bits(), want.iter().map(|w| w.to_bits()).collect()),
+                        "{sharp:?} arities {arities:?}, node {i} {list:?}: {} vs {v}",
+                        start[i]
+                    );
+                }
+            }
+        }
+    }
+
     /// Why `try_allocate` starts at the midpoint and not at `x = 0`: there
     /// every factor is `exp(0) = 1` exactly, so both candidates of every
     /// 1D transfer's startup `max(t_s, t_s · p_other / p_me)` are `t_s`
@@ -1045,8 +1326,9 @@ mod tests {
     /// Several roots, a replay order that is not the root order, a zero
     /// coefficient and empty `Sum` / `Max` nodes: root `r`'s value lands
     /// in slot `r`, the monomial table follows the replay order right to
-    /// left with every row padded to two terms, and a sweep, exact or
-    /// smooth, calls `exp` once per variable.
+    /// left with every row padded to two terms, the constants (the zero
+    /// coefficient among them) sit in their own table in placement order,
+    /// and a sweep, exact or smooth, calls `exp` once per variable.
     #[test]
     fn roots_replay_order_and_padding() {
         let ratio = |c| Expr::Mono(Monomial::pair(c, 0, 1.0, 1, -1.0));
@@ -1062,34 +1344,34 @@ mod tests {
         ];
         let prog = LevelProgram::compile(2, 3, [2, 0, 1].map(|r| (r, &roots[r])));
         let stats = prog.stats();
-        assert_eq!(stats.monomials, 6);
+        assert_eq!((stats.monomials, stats.constants), (6, 2));
         assert_eq!(stats.sums, 2);
         assert_eq!(stats.maxes_by_arity, vec![(0, 1), (4, 1)]);
         assert_eq!(stats.levels, 2);
         assert_eq!(stats.slots, 6 + 2 + 2);
         assert_eq!(stats.weights, 4);
         assert_eq!(prog.mono_range(2), 0..2);
-        assert_eq!(prog.mono_range(0), 2..5);
-        assert_eq!(prog.mono_range(1), 5..6);
-        // Right to left within a root: root 0's table reads 3, 1, 2.
-        let coeffs: Vec<f64> = prog.monos[2..5].iter().map(|m| m.coeff).collect();
-        assert_eq!(coeffs, [3.0, 1.0, 2.0]);
+        assert_eq!(prog.mono_range(0), 2..4);
+        assert_eq!(prog.mono_range(1), 4..4);
+        assert_eq!([prog.const_end(2), prog.const_end(0), prog.const_end(1)], [0, 1, 2]);
+        // Right to left within a root: root 0's table reads 3, 2, and its
+        // constant 1 is the constant table's first entry.
+        let coeffs: Vec<f64> = prog.monos[2..4].iter().map(|m| m.coeff).collect();
+        assert_eq!(coeffs, [3.0, 2.0]);
+        let consts: Vec<f64> = prog.consts.iter().map(|c| c.coeff).collect();
+        assert_eq!(consts, [1.0, 0.0]);
         // So a root's k-th monomial child is the k-th entry from the end of
         // its range (where the objective finds a node's cost terms); the
         // nested empty `Sum` / `Max` of root 2 place nothing.
         let from_end = |r: usize, k: usize| prog.monos[prog.mono_range(r).end - 1 - k].coeff;
-        assert_eq!([from_end(0, 0), from_end(0, 1), from_end(0, 2)], [2.0, 1.0, 3.0]);
-        assert_eq!(from_end(1, 0), 0.0);
+        assert_eq!([from_end(0, 0), from_end(0, 1)], [2.0, 3.0]);
         assert_eq!([from_end(2, 0), from_end(2, 1)], [0.5, 4.0]);
-        // Two terms, one, none (a constant, and the zero coefficient that
-        // drops its term): every row pads to two factors on the `1.0` row,
-        // `4n`; variable `j`'s factor at exponent −1 is row `4j + 1`.
+        // Two terms or one: every row pads to two factors on the `1.0`
+        // row, `4n`; variable `j`'s factor at exponent −1 is row `4j + 1`.
         assert_eq!(prog.terms(2), [(0, 1.0), (1, -1.0)]);
         assert_eq!(prog.terms(0), [(1, -1.0)]);
-        assert!(prog.terms(3).is_empty() && prog.terms(5).is_empty());
         let one = 4 * 2;
         assert_eq!(prog.monos[0].rows, [4 + 1, one]);
-        assert_eq!(prog.monos[5].rows, [one; 2]);
         let mut scratch = EvalScratch::default();
         let x = [0.4, 1.1];
         for sharp in [Sharpness::Exact, Sharpness::Smooth(8.0)] {

@@ -5,8 +5,10 @@
 //! carry no data).
 //!
 //! The objective holds these expressions only as its level program
-//! ([`crate::compiled`]), one root per node and per edge: the compile
-//! asks for one tree at a time and drops it once placed. The trees
+//! ([`crate::compiled`]), one root per node and, on a machine with
+//! `t_n > 0`, per edge: the compile asks for one tree at a time and drops
+//! it once placed. A sweep runs the program, then the `C_p` recurrence
+//! one DAG depth at a time (`DepthPlan`). The trees
 //! ([`MdgObjective::node_expr`] and the like) are built on request, for
 //! the certifier, the cert JSON and the forward-mode oracle.
 //!
@@ -37,7 +39,7 @@
 //! builds. An attached objective is the built one to the bit
 //! (`tests/tape_carry.rs`).
 
-use crate::compiled::{smax_weights_fast, LevelProgram, TapeStats};
+use crate::compiled::{smax_columns, smax_weights_fast, LevelProgram, TapeStats};
 use crate::expr::{smax_pair_weights, smax_weights, Expr, Monomial, Sharpness};
 use crate::workspace::{self, EvalScratch};
 use paradigm_cost::{Allocation, Machine, MdgWeights, PhiBreakdown, TransferParams};
@@ -59,7 +61,7 @@ pub struct MdgObjective<'g> {
     g: &'g Mdg,
     machine: Machine,
     /// The level program of every node's `T` and every edge's `t^D`,
-    /// swept by every evaluation.
+    /// and the recurrence's schedule, swept by every evaluation.
     tapes: Tapes,
     /// What the program was built for, besides `machine`.
     shape: Shape,
@@ -77,7 +79,7 @@ pub struct DetachedObjective {
 }
 
 /// Cost site of a coefficient that is zero: `Expr::sum` dropped the
-/// term, the monomial table has no entry for it.
+/// term, the program has no entry for it.
 const NO_SITE: u32 = u32::MAX;
 
 /// The structure an objective was built for, recorded by the build.
@@ -88,8 +90,9 @@ struct Shape {
     /// `xfers` (they start where the previous edge's end).
     edges: Vec<(usize, usize, usize)>,
     xfers: Vec<ArrayTransfer>,
-    /// Per node, the monomial-table entries of its `α·τ` and `c_v·p_v^{-1}`
-    /// terms ([`node_coeffs`]; [`NO_SITE`] where the coefficient is zero).
+    /// Per node, the constant-table entry of its `α·τ` and the
+    /// monomial-table entry of its `c_v·p_v^{-1}` ([`node_coeffs`];
+    /// [`NO_SITE`] where the coefficient is zero).
     cost_sites: Vec<[u32; 2]>,
 }
 
@@ -103,16 +106,11 @@ impl Shape {
         let edges = edges.collect();
         let cost_sites = g.nodes().map(|(id, _)| {
             // The two coefficients open a node's sum, and the compile
-            // places a root's monomials right to left: the k-th non-zero
-            // one is the k-th from the end of the node's range.
-            let mut end = prog.mono_range(id.0).end as u32;
-            node_coeffs(g, x, id).map(|c| {
-                if c == 0.0 {
-                    return NO_SITE;
-                }
-                end -= 1;
-                end
-            })
+            // places a root's children right to left: `α·τ` is the node's
+            // last constant, `c_v·p_v^{-1}` its last monomial.
+            let site = |c: f64, end: usize| if c == 0.0 { NO_SITE } else { end as u32 - 1 };
+            let [serial, inv_p] = node_coeffs(g, x, id);
+            [site(serial, prog.const_end(id.0)), site(inv_p, prog.mono_range(id.0).end)]
         });
         Shape { topo: g.topo_order().to_vec(), edges, xfers, cost_sites: cost_sites.collect() }
     }
@@ -229,8 +227,9 @@ fn check_machine(machine: &Machine) -> Result<(), String> {
 }
 
 /// The objective's one compiled program — node `T` expressions by node
-/// id (root slot `v`), then edge `t^D` expressions by edge id (root slot
-/// `nodes + e`) — plus what ties it to the DAG.
+/// id (root slot `v`), then, on a machine with `t_n > 0`, edge `t^D`
+/// expressions by edge id (root slot `nodes + e`; with `t_n = 0` every
+/// one is zero and none is compiled) — plus what ties it to the DAG.
 ///
 /// `A_p` is deliberately *not* compiled: as an expression it duplicates
 /// every node term (each `T_i` scaled by `p_i/p`), doubling the op count
@@ -241,33 +240,105 @@ fn check_machine(machine: &Machine) -> Result<(), String> {
 #[derive(Debug)]
 struct Tapes {
     prog: LevelProgram,
+    /// Whether the program has the edge roots (`t_n > 0`).
+    edge_roots: bool,
     /// Per position of the reverse topological order, where the
     /// monomials of that node's expression and of its in-edges'
     /// expressions end in the program's accumulation order (they start
     /// where the previous position's end).
     replay_ends: Vec<usize>,
-    /// Largest in-degree (sizes the candidate staging of the DAG
-    /// recurrence).
-    max_in: usize,
+    /// The `C_p` recurrence's schedule.
+    plan: DepthPlan,
 }
 
 impl Tapes {
     fn build(g: &Mdg, machine: &Machine) -> Tapes {
         let (n, x) = (g.node_count(), &machine.xfer);
+        let edge_roots = x.t_n > 0.0;
+        // The in-edges whose `t^D` is a root.
+        let in_edges = |v: NodeId| if edge_roots { g.in_edges(v) } else { &[] };
         // The expressions in the order the backward sweep reaches them —
         // per node in reverse topological order, its own, then its
         // in-edges' — each built as the compile asks for it.
         let roots = g.topo_order().iter().rev().flat_map(|&v| {
-            let edges = g.in_edges(v).iter().map(move |&e| (n + e.0, edge_tree(x, g.edge(e))));
+            let edges = in_edges(v).iter().map(move |&e| (n + e.0, edge_tree(x, g.edge(e))));
             std::iter::once((v.0, node_tree(g, x, v))).chain(edges)
         });
-        let prog = LevelProgram::compile(n, n + g.edge_count(), roots);
-        let max_in = g.topo_order().iter().map(|&v| g.in_edges(v).len()).max().unwrap_or(0);
+        let n_roots = if edge_roots { n + g.edge_count() } else { n };
+        let prog = LevelProgram::compile(n, n_roots, roots);
         let ends = g.topo_order().iter().rev();
         let replay_ends = ends
-            .map(|&v| prog.mono_range(g.in_edges(v).last().map_or(v.0, |e| n + e.0)).end)
+            .map(|&v| prog.mono_range(in_edges(v).last().map_or(v.0, |e| n + e.0)).end)
             .collect();
-        Tapes { prog, replay_ends, max_in }
+        Tapes { prog, edge_roots, replay_ends, plan: DepthPlan::of(g) }
+    }
+}
+
+/// The schedule of the `C_p` recurrence `y_v = max_e (y_src + t^D_e) + T_v`
+/// (paper §2): the nodes grouped by DAG depth — a node's depth is one
+/// more than its deepest predecessor's, 0 without one — so that every
+/// node of a depth reads only `y` of shallower ones and one
+/// [`smax_columns`] call sweeps the whole depth. Within a depth the
+/// nodes are sorted by in-degree, descending (then by id), and their
+/// in-edges laid out column by column: column `k` is the `k`-th in-edge
+/// of every node with more than `k`, a prefix of the depth's nodes.
+#[derive(Debug)]
+struct DepthPlan {
+    /// Nodes, by depth, each depth in the order above.
+    nodes: Vec<u32>,
+    /// Per depth, where its nodes end in `nodes`, its columns in
+    /// `heights` and its candidates in `edges` (each starts where the
+    /// previous depth's ends).
+    depths: Vec<[u32; 3]>,
+    /// Per column, how many nodes it holds.
+    heights: Vec<u32>,
+    /// Per candidate, in column order, depth by depth: the in-edge and
+    /// its source.
+    edges: Vec<(u32, u32)>,
+    /// Staging the widest depth needs: its candidates and their weights,
+    /// its starts and [`smax_columns`]' work rows.
+    staging: usize,
+}
+
+impl DepthPlan {
+    fn of(g: &Mdg) -> DepthPlan {
+        let n = g.node_count();
+        let indeg = |v: u32| g.in_edges(NodeId(v as usize)).len();
+        let mut depth = vec![0_u32; n];
+        for &v in g.topo_order() {
+            let preds = g.in_edges(v).iter().map(|&e| depth[g.edge(e).src] + 1);
+            depth[v.0] = preds.max().unwrap_or(0);
+        }
+        let mut nodes: Vec<u32> = (0..n as u32).collect();
+        nodes.sort_unstable_by_key(|&v| (depth[v as usize], std::cmp::Reverse(indeg(v)), v));
+        let edges = Vec::with_capacity(g.edge_count());
+        let mut plan =
+            DepthPlan { nodes, depths: Vec::new(), heights: Vec::new(), edges, staging: 0 };
+        let mut lo = 0;
+        while lo < n {
+            let d = depth[plan.nodes[lo] as usize];
+            let len = plan.nodes[lo..].iter().take_while(|&&v| depth[v as usize] == d).count();
+            let at = &plan.nodes[lo..lo + len];
+            // Column `k` holds the nodes of in-degree above `k`: with the
+            // nodes in descending in-degree, a prefix.
+            let k_max = at.first().map_or(0, |&v| indeg(v));
+            for k in 0..k_max {
+                let height = at.iter().take_while(|&&v| indeg(v) > k).count();
+                plan.heights.push(height as u32);
+                for &v in &at[..height] {
+                    let e = g.in_edges(NodeId(v as usize))[k];
+                    plan.edges.push((e.0 as u32, g.edge(e).src as u32));
+                }
+            }
+            let cands = at.iter().map(|&v| indeg(v)).sum::<usize>();
+            plan.staging = plan.staging.max(2 * cands + 4 * len);
+            lo += len;
+            let ends = [lo, plan.heights.len(), plan.edges.len()];
+            plan.depths.push(ends.map(|end| end as u32));
+        }
+        plan.depths.shrink_to_fit();
+        plan.heights.shrink_to_fit();
+        plan
     }
 }
 
@@ -323,7 +394,8 @@ impl<'g> MdgObjective<'g> {
 
     /// The `t^D` expression of an edge (zero when the machine's `t_n` is
     /// zero or the edge carries no data), built on each call like
-    /// [`MdgObjective::node_expr`]; root `nodes + id` of the program.
+    /// [`MdgObjective::node_expr`]; root `nodes + id` of the program when
+    /// `t_n > 0` (with `t_n = 0` the program has no edge roots).
     pub fn edge_expr(&self, id: EdgeId) -> Expr {
         edge_tree(&self.machine.xfer, self.g.edge(id))
     }
@@ -345,6 +417,31 @@ impl<'g> MdgObjective<'g> {
     /// slots and weights.
     pub fn tape_stats(&self) -> TapeStats {
         self.tapes.prog.stats()
+    }
+
+    /// Shape of the `C_p` recurrence's schedule: `(depths, width)`, the
+    /// number of DAG depths and the most nodes at one depth — how many
+    /// batched steps a sweep takes and how many nodes the widest batches.
+    pub fn dag_shape(&self) -> (usize, usize) {
+        let plan = &self.tapes.plan;
+        let widths = plan.depths.iter().scan(0, |lo, &[hi, ..]| {
+            let w = hi - *lo;
+            *lo = hi;
+            Some(w as usize)
+        });
+        (plan.depths.len(), widths.max().unwrap_or(0))
+    }
+
+    /// `t^D` of edge `e` at the point the last sweep on `scratch` ran
+    /// (exact or smoothed as that sweep was): its root slot, `0.0` on a
+    /// machine with `t_n = 0`, where every `t^D` is zero and the program
+    /// compiles no edge roots.
+    pub fn swept_edge_delay(&self, scratch: &EvalScratch, e: EdgeId) -> f64 {
+        if self.tapes.edge_roots {
+            scratch.tape_vals[self.g.node_count() + e.0]
+        } else {
+            0.0
+        }
     }
 
     /// Evaluate `Phi` (and parts) at `x` with the given sharpness, without
@@ -467,7 +564,8 @@ impl<'g> MdgObjective<'g> {
     }
 
     /// Recording forward sweep — the first half of the record/replay
-    /// pair every gradient is made of. Fills `scratch.y` with per-node
+    /// pair every gradient is made of: the level program, then the `C_p`
+    /// recurrence one DAG depth at a time. Fills `scratch.y` with per-node
     /// finish times, `scratch.tape_w` with the `smax` weight of every
     /// in-edge candidate (each edge is an in-edge of exactly one node,
     /// so edge id indexes the tape collision-free) and the expression
@@ -489,28 +587,51 @@ impl<'g> MdgObjective<'g> {
         scratch.counts.forward_sweeps += 1;
         let n = self.g.node_count();
         let t = &self.tapes;
-        scratch.ensure(n, self.g.edge_count(), t.max_in);
+        let plan = &t.plan;
+        scratch.ensure(n, self.g.edge_count(), plan.staging);
         t.prog.forward(x, sharp, scratch);
         let EvalScratch { y, tape_w, stack, tape_vals, var_cache, .. } = scratch;
+        // The DAG recurrence for C_p over the expression values the
+        // program left in the root slots, one depth at a time.
+        let mut lo = [0; 3];
+        for &hi in &plan.depths {
+            let [nodes, heights, edges] = [0, 1, 2].map(|i| lo[i] as usize..hi[i] as usize);
+            let (nodes, heights, edges) =
+                (&plan.nodes[nodes], &plan.heights[heights], &plan.edges[edges]);
+            lo = hi;
+            let k = edges.len();
+            let (cands, rest) = stack.split_at_mut(k);
+            let (wts, rest) = rest.split_at_mut(k);
+            let (starts, work) = rest.split_at_mut(nodes.len());
+            if t.edge_roots {
+                for (c, &(e, src)) in cands.iter_mut().zip(edges) {
+                    *c = y[src as usize] + tape_vals[n + e as usize];
+                }
+            } else {
+                for (c, &(_, src)) in cands.iter_mut().zip(edges) {
+                    *c = y[src as usize];
+                }
+            }
+            match nodes.len() {
+                // One node's columns are its candidates in in-edge order.
+                1 => starts[0] = smax_weights_fast(cands, sharp, wts),
+                // The sources (no candidate) start at 0.
+                _ if k == 0 => starts.fill(0.0),
+                _ => smax_columns(sharp, heights, cands, starts, wts, work),
+            }
+            for (&w, &(e, _)) in wts.iter().zip(edges) {
+                tape_w[e as usize] = w;
+            }
+            for (&v, &start) in nodes.iter().zip(&*starts) {
+                y[v as usize] = start + tape_vals[v as usize];
+            }
+        }
+        // A_p = (1/p) Σ T_v e^{x_v} from the same node values, in
+        // topological order.
         let inv_p = 1.0 / self.machine.procs as f64;
-        // DAG recurrence for C_p over the expression values the program
-        // left in the root slots, accumulating A_p = (1/p) Σ T_v e^{x_v}
-        // from the same node values.
         let mut area_acc = 0.0;
         for &v in self.g.topo_order() {
-            let in_edges = self.g.in_edges(v);
-            let k = in_edges.len();
-            let (cands, wts) = stack[..2 * k].split_at_mut(k);
-            for (c, &e) in cands.iter_mut().zip(in_edges) {
-                *c = y[self.g.edge(e).src] + tape_vals[n + e.0];
-            }
-            let start = smax_weights_fast(cands, sharp, wts);
-            for (&w, &e) in wts.iter().zip(in_edges) {
-                tape_w[e.0] = w;
-            }
-            let tv = tape_vals[v.0];
-            area_acc += tv * var_cache.e(v.0);
-            y[v.0] = start + tv;
+            area_acc += tape_vals[v.0] * var_cache.e(v.0);
         }
         let a_p = inv_p * area_acc;
         let c_p = y[self.g.stop().0];
@@ -576,7 +697,9 @@ impl<'g> MdgObjective<'g> {
             slot_adj[v.0] = if w_area != 0.0 { a_v + w_area * var_cache.e(v.0) } else { a_v };
             for &e in self.g.in_edges(v) {
                 let seed = a_v * tape_w[e.0];
-                slot_adj[n + e.0] = seed;
+                if t.edge_roots {
+                    slot_adj[n + e.0] = seed;
+                }
                 adjoint[self.g.edge(e).src] += seed;
             }
         }
@@ -678,13 +801,17 @@ impl DetachedObjective {
         }
         for (id, _) in g.nodes() {
             let coeffs = node_coeffs(g, &machine.xfer, id);
-            for (c, site) in coeffs.into_iter().zip(self.shape.cost_sites[id.0]) {
-                if (c != 0.0) != (site != NO_SITE) {
-                    return None;
-                }
-                if c != 0.0 {
-                    self.tapes.prog.set_coeff(site, c);
-                }
+            let sites = self.shape.cost_sites[id.0];
+            if coeffs.iter().zip(sites).any(|(&c, site)| (c != 0.0) != (site != NO_SITE)) {
+                return None;
+            }
+            let prog = &mut self.tapes.prog;
+            let [serial, inv_p] = coeffs;
+            if serial != 0.0 {
+                prog.set_const(sites[0], serial);
+            }
+            if inv_p != 0.0 {
+                prog.set_coeff(sites[1], inv_p);
             }
         }
         let DetachedObjective { tapes, shape, .. } = self;
@@ -825,10 +952,10 @@ mod tests {
         }
     }
 
-    /// `Shape::of`'s rule: a node's non-zero coefficients are the last
-    /// entries of its root's monomial range, `α·τ` (a constant) at
-    /// `end − 1` and then `c_v·p_v^{-1}`, whatever the zero pattern and
-    /// however many startup terms follow them in the tree. `c_v` is the
+    /// `Shape::of`'s rule: a node's non-zero `α·τ` is the last entry of
+    /// its root's constants and its non-zero `c_v·p_v^{-1}` the last of its
+    /// root's monomials, whatever the zero pattern and however many
+    /// startup terms follow them in the tree. `c_v` is the
     /// parallel work plus every transfer's per-byte cost, so a node with
     /// transfers has its `p_v^{-1}` term whatever its `α`.
     #[test]
@@ -861,8 +988,6 @@ mod tests {
             xfers.map(|t| t.bytes as f64).sum()
         };
         for (id, node) in g.nodes() {
-            let end = prog.mono_range(id.0).end as u32;
-            let mut expect = end;
             let coeffs = node_coeffs(&g, &m.xfer, id);
             let c = node.cost;
             let (serial, parallel) =
@@ -870,17 +995,25 @@ mod tests {
             let by_hand = parallel + bytes(id, true) * m.xfer.t_ps + bytes(id, false) * m.xfer.t_pr;
             assert_eq!(coeffs[0].to_bits(), serial.to_bits(), "node {}", node.name);
             assert!((coeffs[1] - by_hand).abs() <= 1e-15 * by_hand, "node {}", node.name);
-            for (k, (c, site)) in coeffs.into_iter().zip(obj.shape.cost_sites[id.0]).enumerate() {
-                if c == 0.0 {
-                    assert_eq!(site, NO_SITE, "node {}: zero term {k}", node.name);
-                    continue;
-                }
-                expect -= 1;
-                assert_eq!(site, expect, "node {}: term {k}", node.name);
-                let m = &prog.monos[site as usize];
-                assert_eq!(m.coeff.to_bits(), c.to_bits(), "node {}: term {k}", node.name);
-                let want: &[(u32, f64)] = if k == 0 { &[] } else { &[(id.0 as u32, -1.0)] };
-                assert_eq!(prog.terms(site as usize), want, "node {}: term {k}", node.name);
+            let [serial_site, inv_p_site] = obj.shape.cost_sites[id.0];
+            // `α·τ`: the last entry of the node's constants.
+            if coeffs[0] == 0.0 {
+                assert_eq!(serial_site, NO_SITE, "node {}: zero α·τ", node.name);
+            } else {
+                assert_eq!(serial_site as usize, prog.const_end(id.0) - 1, "node {}", node.name);
+                let k = &prog.consts[serial_site as usize];
+                assert_eq!(k.coeff.to_bits(), coeffs[0].to_bits(), "node {}: α·τ", node.name);
+            }
+            // `c_v·p_v^{-1}`: the last entry of the node's monomials.
+            if coeffs[1] == 0.0 {
+                assert_eq!(inv_p_site, NO_SITE, "node {}: zero c_v", node.name);
+            } else {
+                let end = prog.mono_range(id.0).end;
+                assert_eq!(inv_p_site as usize, end - 1, "node {}", node.name);
+                let k = &prog.monos[inv_p_site as usize];
+                assert_eq!(k.coeff.to_bits(), coeffs[1].to_bits(), "node {}: c_v", node.name);
+                let want = [(id.0 as u32, -1.0)];
+                assert_eq!(prog.terms(inv_p_site as usize), want, "node {}: c_v", node.name);
             }
         }
         let sites = |name: &str| {
@@ -893,6 +1026,92 @@ mod tests {
         assert_eq!(sites("idle"), [false, true]);
         assert_eq!(sites("lone"), [true, false]);
         assert_eq!(sites("void"), [false, false]);
+    }
+
+    /// The depth plan schedules every node once and every in-edge once,
+    /// in its node's column in in-edge order, and puts every edge's
+    /// source at a smaller depth than its destination: on the gallery,
+    /// seeded random graphs, a single compute node, a join of in-degree
+    /// 12 and an edge without data.
+    #[test]
+    fn the_depth_plan_covers_the_dag_once_in_depth_order() {
+        let t = KernelCostTable::cm5();
+        let mut graphs = vec![
+            fig1(),
+            complex_matmul_mdg(64, &t),
+            paradigm_mdg::strassen_mdg(128, &t),
+            paradigm_mdg::strassen_mdg_multilevel(128, 2, &t),
+            paradigm_mdg::fft_2d_mdg(64, 4, &t),
+            paradigm_mdg::block_lu_mdg(4, 32, &t),
+            paradigm_mdg::stencil_mdg(64, 2, 3, &t),
+            paradigm_mdg::fork_join_mdg(6, 12, 5),
+        ];
+        for seed in [1, 11, 1994] {
+            graphs.push(paradigm_mdg::random_layered_mdg(
+                &paradigm_mdg::RandomMdgConfig::sized(96),
+                seed,
+            ));
+        }
+        let mut b = MdgBuilder::new("single");
+        b.compute("only", AmdahlParams::new(0.5, 1.0));
+        graphs.push(b.finish().unwrap());
+        let mut b = MdgBuilder::new("join");
+        let sink = b.compute("sink", AmdahlParams::new(0.1, 1.0));
+        for i in 0..12 {
+            let v = b.compute(format!("in{i}"), AmdahlParams::new(0.1, 1.0 + i as f64));
+            b.edge(v, sink, vec![ArrayTransfer::matrix_1d(8, 8)]);
+        }
+        graphs.push(b.finish().unwrap());
+        let mut b = MdgBuilder::new("dataless");
+        let x = b.compute("x", AmdahlParams::new(0.1, 1.0));
+        let y = b.compute("y", AmdahlParams::new(0.1, 1.0));
+        b.edge(x, y, Vec::new());
+        graphs.push(b.finish().unwrap());
+
+        for g in &graphs {
+            let obj = MdgObjective::new(g, Machine::cm5(8));
+            let plan = &obj.tapes.plan;
+            let n = g.node_count();
+            let name = g.name();
+            // Each node once; its depth is its position's.
+            let mut depth_of = vec![usize::MAX; n];
+            // Per node, its in-edges as the columns lay them out.
+            let mut laid: Vec<Vec<(u32, u32)>> = vec![Vec::new(); n];
+            let (mut lo, mut cols, mut cand) = (0, 0, 0);
+            for (d, &[hi, col_hi, cand_hi]) in plan.depths.iter().enumerate() {
+                let nodes = &plan.nodes[lo..hi as usize];
+                assert!(!nodes.is_empty(), "{name}: depth {d} is empty");
+                for &v in nodes {
+                    assert_eq!(depth_of[v as usize], usize::MAX, "{name}: node {v} twice");
+                    depth_of[v as usize] = d;
+                }
+                let indeg = |&v: &u32| g.in_edges(NodeId(v as usize)).len();
+                assert!(nodes.windows(2).all(|p| indeg(&p[0]) >= indeg(&p[1])), "{name}: {d}");
+                let heights = &plan.heights[cols..col_hi as usize];
+                assert_eq!(heights.len(), nodes.iter().map(indeg).max().unwrap_or(0), "{name}");
+                for &h in heights {
+                    for (i, &e) in plan.edges[cand..cand + h as usize].iter().enumerate() {
+                        laid[nodes[i] as usize].push(e);
+                    }
+                    cand += h as usize;
+                }
+                assert_eq!(cand, cand_hi as usize, "{name}: depth {d}'s candidates");
+                (lo, cols) = (hi as usize, col_hi as usize);
+            }
+            assert_eq!((lo, cols, cand), (n, plan.heights.len(), g.edge_count()), "{name}");
+            assert!(depth_of.iter().all(|&d| d != usize::MAX), "{name}: a node is missing");
+            for (v, _) in g.nodes() {
+                let want: Vec<(u32, u32)> =
+                    g.in_edges(v).iter().map(|&e| (e.0 as u32, g.edge(e).src as u32)).collect();
+                assert_eq!(laid[v.0], want, "{name}: node {} in-edges", v.0);
+            }
+            for (_, e) in g.edges() {
+                assert!(depth_of[e.src] < depth_of[e.dst], "{name}: {} -> {}", e.src, e.dst);
+            }
+            let (depths, width) = obj.dag_shape();
+            assert_eq!(depths, plan.depths.len(), "{name}");
+            assert!(width >= 1 && depths * width >= n, "{name}: {depths} x {width}");
+        }
     }
 
     #[test]

@@ -8,15 +8,23 @@
 //! holds a workspace performs any heap allocation per iteration; the
 //! `alloc_free` integration test asserts this with a counting allocator.
 //!
-//! What a sweep scratch holds follows the level program
-//! ([`crate::compiled`]): one value per slot, one weight per `max`
-//! candidate, one adjoint per slot, the variable cache, and one staging
-//! row that serves the arity-2 kernel's outputs and the DAG recurrence's
-//! candidate lists in turn. These tapes and the per-node and per-edge
-//! DAG buffers only ever grow — each sweep overwrites every entry it
-//! later reads (the backward replay zeroes its own node adjoints), so a
-//! pooled scratch that alternates between objectives (ADMM blocks) is
-//! sized once, by the largest, and never zeroed.
+//! A forward sweep is two passes. The level program ([`crate::compiled`])
+//! evaluates every node's `T_v` and, on a machine with `t_n > 0`, every
+//! edge's `t^D_e` (with `t_n = 0` each is zero and none is compiled).
+//! Then the `C_p` recurrence runs one DAG depth at a time: each depth's
+//! in-edge candidates are gathered column by column and one batched
+//! smoothed-max kernel sweeps them all, since no node of a depth reads
+//! another's finish time. `A_p` is summed in topological order beside it.
+//!
+//! What a sweep scratch holds follows those passes: one value per slot,
+//! one weight per `max` candidate, one adjoint per slot, the variable
+//! cache, and one staging row that serves the arity-2 kernel's outputs
+//! and one depth's candidates, weights and kernel rows in turn. These
+//! tapes and the per-node and per-edge DAG buffers only ever grow — each
+//! sweep overwrites every entry it later reads (the backward replay
+//! zeroes its own node adjoints), so a pooled scratch that alternates
+//! between objectives (ADMM blocks) is sized once, by the largest, and
+//! never zeroed.
 //!
 //! Beside the sweep scratch a workspace owns a dense gradient pair and
 //! the descent stage's [`DescentState`], as disjoint fields: a descent
@@ -100,8 +108,8 @@ pub struct EvalScratch {
     /// collision-free index).
     pub(crate) tape_w: Vec<f64>,
     /// Staging row: the outputs of one level's arity-2 maxes before
-    /// they scatter to their slots, then the per-node candidate lists of
-    /// the DAG recurrence.
+    /// they scatter to their slots, then one DAG depth's candidates,
+    /// weights, starts and kernel rows.
     pub(crate) stack: Vec<f64>,
     /// Per-slot values of the objective's level program, recorded by the
     /// forward sweep (root `r` at `[r]`) and read by the backward one.
@@ -127,25 +135,26 @@ fn grow(v: &mut Vec<f64>, len: usize) {
 
 impl EvalScratch {
     /// The value of every op of the level program the last sweep ran
-    /// here (root `r` at `[r]`: node `v`'s `T` at `[v]`, edge `e`'s `t^D`
-    /// at `[nodes + e]`; a pooled scratch may hold a larger program's
-    /// tail beyond them). The ADMM coordinator's global sweep reads its
-    /// per-node and per-edge values here, and tests hold two sweeps
-    /// equal slot by slot.
+    /// here (root `r` at `[r]`: node `v`'s `T` at `[v]`; a pooled scratch
+    /// may hold a larger program's tail beyond the program's slots). Edge
+    /// roots exist only on a machine with `t_n > 0`: read a swept edge's
+    /// `t^D` through `MdgObjective::swept_edge_delay`. The ADMM
+    /// coordinator's global sweep reads its per-node values here, and
+    /// tests hold two sweeps equal slot by slot.
     pub fn tape_values(&self) -> &[f64] {
         &self.tape_vals
     }
 
     /// Grow the DAG buffers to a graph with `nodes` nodes and `edges`
-    /// edges, and the staging row to the candidates and weights of a node
-    /// with `max_in` in-edges. Nothing is zeroed: the forward sweep
-    /// writes every `y[v]` and `tape_w[e]` before it reads them, and
-    /// the backward replay zeroes the adjoints it reads.
-    pub(crate) fn ensure(&mut self, nodes: usize, edges: usize, max_in: usize) {
+    /// edges, and the staging row to `staging` entries (what the widest
+    /// DAG depth needs). Nothing is zeroed: the forward sweep writes
+    /// every `y[v]` and `tape_w[e]` before it reads them, and the
+    /// backward replay zeroes the adjoints it reads.
+    pub(crate) fn ensure(&mut self, nodes: usize, edges: usize, staging: usize) {
         grow(&mut self.y, nodes);
         grow(&mut self.adjoint, nodes);
         grow(&mut self.tape_w, edges);
-        grow(&mut self.stack, 2 * max_in);
+        grow(&mut self.stack, staging);
     }
 
     /// Size the tapes and the staging row for `prog`.
@@ -325,7 +334,7 @@ mod tests {
     #[test]
     fn ensure_only_grows() {
         let mut s = EvalScratch::default();
-        s.ensure(5, 7, 2);
+        s.ensure(5, 7, 4);
         assert_eq!((s.y.len(), s.adjoint.len(), s.tape_w.len(), s.stack.len()), (5, 5, 7, 4));
         s.adjoint[3] = 1.0;
         s.ensure(2, 3, 1);

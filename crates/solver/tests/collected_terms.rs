@@ -11,8 +11,10 @@
 //!   `Phi`, `A_p` and `C_p` are the cost crate's on the `t_n = 0` machine
 //!   (the mesh's `t^D` is the monomial bound of DESIGN.md §5, not the
 //!   exact max);
-//! - a count gate on the compiled program's monomials, so a rewrite that
-//!   emits the per-transfer form again fails here, not in a timing.
+//! - a count gate on the compiled program's monomials and, of them, its
+//!   constants, so a rewrite that emits the per-transfer form again, or
+//!   compiles the all-zero `t^D` of a `t_n = 0` machine, fails here, not
+//!   in a timing.
 
 use paradigm_cost::{Machine, MdgWeights};
 use paradigm_mdg::{
@@ -115,8 +117,11 @@ fn node_expressions_are_the_cost_crates_node_weights() {
 /// non-zero coefficients (`α·τ`; `c_v`, non-zero where the node has
 /// parallel work or transfers with bytes) and per edge side
 /// `2·[has 1D] + [has 2D]` (a startup max of two monomials, a 2D startup
-/// monomial); per edge its `t^D`, one monomial per transfer kind when
-/// `t_n > 0`. A root without any term compiles to one zero monomial.
+/// monomial); per edge, only when `t_n > 0`, its `t^D`, one monomial per
+/// transfer kind (with `t_n = 0` every `t^D` is zero and no edge root is
+/// compiled). A root without any term compiles to one zero monomial.
+/// Of them, the constants: per node `α·τ` and the constant candidate of
+/// each 1D startup max, and every root without a term.
 #[test]
 fn the_program_has_one_monomial_per_collected_term() {
     // `[has 1D, has 2D]` of an edge.
@@ -126,24 +131,27 @@ fn the_program_has_one_monomial_per_collected_term() {
     };
     for g in graphs() {
         for machine in [Machine::cm5(16), Machine::cm5(6), Machine::synthetic_mesh(12)] {
+            // Per root, `(monomials, constants)`.
             let node_terms = g.nodes().map(|(v, node)| {
                 let c = node.cost;
                 let adjacent = g.in_edges(v).iter().chain(g.out_edges(v)).map(|&e| g.edge(e));
                 let bytes: u64 = adjacent.clone().flat_map(|e| &e.transfers).map(|t| t.bytes).sum();
-                let coeffs = (c.tau > 0.0 && c.alpha > 0.0) as usize
-                    + (c.tau > 0.0 && c.alpha < 1.0 || bytes > 0) as usize;
-                let startups: usize = adjacent.map(kinds).map(|[k1, k2]| 2 * k1 + k2).sum();
-                (coeffs + startups).max(1)
+                let serial = (c.tau > 0.0 && c.alpha > 0.0) as usize;
+                let coeffs = serial + (c.tau > 0.0 && c.alpha < 1.0 || bytes > 0) as usize;
+                let [one_d, two_d] =
+                    adjacent.map(kinds).fold([0, 0], |[a, b], [k1, k2]| [a + k1, b + k2]);
+                let terms = coeffs + 2 * one_d + two_d;
+                (terms.max(1), serial + one_d + (terms == 0) as usize)
             });
-            let network = g.edges().map(|(_, e)| match machine.xfer.t_n > 0.0 {
-                true => kinds(e).iter().sum::<usize>().max(1),
-                false => 1,
+            let network = g.edges().filter(|_| machine.xfer.t_n > 0.0).map(|(_, e)| {
+                let terms = kinds(e).iter().sum::<usize>();
+                (terms.max(1), (terms == 0) as usize)
             });
-            let want = node_terms.sum::<usize>() + network.sum::<usize>();
+            let want = node_terms.chain(network).fold((0, 0), |(m, k), (dm, dk)| (m + dm, k + dk));
             let stats = MdgObjective::new(&g, machine).tape_stats();
             let tag =
                 format!("{} on {} procs, t_n = {}", g.name(), machine.procs, machine.xfer.t_n);
-            assert_eq!(stats.monomials, want, "{tag}: {stats:?}");
+            assert_eq!((stats.monomials, stats.constants), want, "{tag}: {stats:?}");
         }
     }
 }

@@ -16,8 +16,10 @@
 //! capacities, with no second copy of it alive at the peak. Without the
 //! trees it read 2 449 640 and 4 212 136 (0.27 and 0.43); with each
 //! node's like terms collected (one `p^{-1}` monomial, one startup term per
-//! transfer kind per edge side) it reads 1 893 240 and 2 180 032 (0.21
-//! and 0.22).
+//! transfer kind per edge side) it read 1 893 240 and 2 180 032 (0.21
+//! and 0.22); with the constants out of the monomial rows, no `t^D` roots
+//! on this `t_n = 0` machine and the `C_p` recurrence's depth plan held
+//! beside the program it reads 1 545 560 and 1 545 560 (0.17 and 0.16).
 //!
 //! The ignored test is the dense tier at scale, the one command behind
 //! DESIGN.md §7's numbers at scale:
