@@ -878,20 +878,25 @@ fn smax2_block<const N: usize>(
 ///
 /// Layout: the depth's nodes sorted by in-degree, descending, and their
 /// candidates column by column — column `k` holds the `k`-th candidate of
-/// the first `heights[k]` nodes, so `heights` is non-increasing,
-/// `heights[0]` is the node count and `cands` holds `Σ heights` entries.
-/// `wts` gets the weights in the same layout, `start[i]` node `i`'s max.
-/// `work` is staging of `3 · heights[0]` entries.
+/// the first `heights[k]` nodes, so `heights` is non-increasing and
+/// `cands` holds `Σ heights` entries. `start[i]` gets node `i`'s max
+/// (`0.0` for a node without candidates, past `heights[0]`), `wts` the
+/// weights in the candidates' layout. `work` is staging of
+/// `3 · start.len()` entries.
 ///
-/// A node of one candidate (the tail of column 0) goes through
-/// `smax_weights_fast` itself, and nodes of two candidates each through
-/// the level program's arity-2 rows. Otherwise the nodes of two or more
-/// run that function's chain one operation at a time across the depth —
-/// max from `0.0`, divide, power (squaring when `s` is a power of two),
-/// sum from `0.0` in candidate order, root, weight recovery, the
-/// all-zero guard as `smax2_block` has it — so their dependent divides
-/// and square roots overlap instead of waiting on each other. At `Exact`
-/// every node takes the first candidate that attains its max.
+/// The one node of a depth, whose columns are its candidates in order,
+/// goes through `smax_weights_fast` itself, and a depth whose every node
+/// has two candidates through the level program's arity-2 rows. The
+/// nodes of any other depth run that function's chain one operation at a
+/// time across the depth — max from `0.0`, divide, power (squaring when
+/// `s` is a power of two), sum from `0.0` in candidate order, root,
+/// weight recovery, the all-zero guard as `smax2_block` has it — so
+/// their dependent divides and square roots overlap instead of waiting
+/// on each other. A lone finite candidate comes out of the chain as its
+/// own value with weight 1, as out of `smax_weights_fast`'s shortcut:
+/// `c/c = 1`, and every power and root of `1` is `1`. At `Exact` every
+/// node takes the first candidate that attains its max. (Each shortcut
+/// was measured against the chain alone: DESIGN.md §6.)
 pub(crate) fn smax_columns(
     sharp: Sharpness,
     heights: &[u32],
@@ -900,36 +905,28 @@ pub(crate) fn smax_columns(
     wts: &mut [f64],
     work: &mut [f64],
 ) {
-    let w = heights.first().map_or(0, |&h| h as usize);
-    // Nodes `0 .. n2` have two candidates or more, `n2 .. w` one.
-    let n2 = heights.get(1).map_or(0, |&h| h as usize);
-    for i in n2..w {
-        start[i] = smax_weights_fast(&cands[i..i + 1], sharp, &mut wts[i..i + 1]);
-    }
-    if n2 == 0 {
+    if let [start] = start {
+        *start = smax_weights_fast(cands, sharp, wts);
         return;
     }
-    // Every node left has exactly two candidates: the level program's
-    // arity-2 kernels, on the first `n2` entries of both columns.
-    if heights.len() == 2 {
-        let (a, b) = (&cands[..n2], &cands[w..w + n2]);
+    let w = start.len();
+    if heights == [w as u32; 2] {
+        let (a, b) = cands.split_at(w);
         let (wa, wb) = wts.split_at_mut(w);
-        let (wa, wb, val) = (&mut wa[..n2], &mut wb[..n2], &mut start[..n2]);
         match sharp {
-            Sharpness::Exact => max2_exact_rows(a, b, val, wa, wb),
-            Sharpness::Smooth(s) => smax2_rows(s, a, b, val, wa, wb),
+            Sharpness::Exact => max2_exact_rows(a, b, start, wa, wb),
+            Sharpness::Smooth(s) => smax2_rows(s, a, b, start, wa, wb),
         }
         return;
     }
-    let (m, rest) = work[..3 * n2].split_at_mut(n2);
-    let (sum, root) = rest.split_at_mut(n2);
-    // Column `k` as the range of `cands` it occupies, cut to its first
-    // `n2` nodes.
+    let (m, rest) = work[..3 * w].split_at_mut(w);
+    let (sum, root) = rest.split_at_mut(w);
+    // Column `k` as the range of `cands` it occupies.
     let columns = || {
-        heights.iter().scan(0, move |off, &h| {
+        heights.iter().scan(0, |off, &h| {
             let lo = *off;
             *off += h as usize;
-            Some(lo..lo + (h as usize).min(n2))
+            Some(lo..*off)
         })
     };
     m.fill(0.0);
@@ -951,7 +948,7 @@ pub(crate) fn smax_columns(
                     }
                 }
             }
-            start[..n2].copy_from_slice(m);
+            start.copy_from_slice(m);
             return;
         }
         Sharpness::Smooth(s) => s,
@@ -1005,7 +1002,7 @@ pub(crate) fn smax_columns(
             }
         }
     }
-    for ((r, &m), out) in root.iter_mut().zip(&*m).zip(&mut start[..n2]) {
+    for ((r, &m), out) in root.iter_mut().zip(&*m).zip(start) {
         *r *= m;
         *out = if m == 0.0 { 0.0 } else { *r };
     }
@@ -1215,18 +1212,18 @@ mod tests {
 
     /// The depth kernel is the general kernel on each node's candidates
     /// in order, to the bit: value and every weight, on depths of every
-    /// arity from 0 to 13 (0 being a node past `heights[0]`, whose start
-    /// the caller sets to `0.0`), at every power and root tier and at
+    /// arity from 0 to 13 (0 being a node past `heights[0]`, or every node
+    /// of a depth of sources), at every power and root tier and at
     /// `Exact`, over candidates that are zero, tied, `1e±300` or `+∞`.
     #[test]
     fn depth_columns_are_the_general_kernel_to_the_bit() {
         const POOL: [f64; 10] = [0.0, 1.0, 2.0, 2.0, 1e-300, 1e300, f64::INFINITY, 0.5, 3.7, 1e-9];
         let sharps = [1.0, 2.0, 3.0, 3.7, 8.0, 64.0, 256.0, 600.0].map(Sharpness::Smooth);
         let mut state = 42;
-        // Every arity; one candidate; two (the arity-2 rows, with and
-        // without a tail of one-candidate nodes); none.
+        // Every arity; one node of one candidate; nodes of two, with and
+        // without a tail of one candidate; sources only; no node.
         let mut depths: Vec<Vec<usize>> =
-            vec![(0..=13).rev().collect(), vec![1], vec![2; 9], vec![2, 2, 1], vec![]];
+            vec![(0..=13).rev().collect(), vec![1], vec![2; 9], vec![2, 2, 1], vec![0; 3], vec![]];
         for _ in 0..40 {
             let width = 1 + (next(&mut state) % 9) as usize;
             let mut arities: Vec<usize> =
@@ -1253,7 +1250,7 @@ mod tests {
                 .collect();
             let w = arities.len();
             for sharp in sharps.into_iter().chain([Sharpness::Exact]) {
-                let mut start = vec![0.0; w];
+                let mut start = vec![f64::NAN; w];
                 let mut wts = vec![f64::NAN; cands.len()];
                 let mut work = vec![f64::NAN; 3 * w];
                 smax_columns(sharp, &heights, &cands, &mut start, &mut wts, &mut work);

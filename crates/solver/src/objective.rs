@@ -39,7 +39,7 @@
 //! builds. An attached objective is the built one to the bit
 //! (`tests/tape_carry.rs`).
 
-use crate::compiled::{smax_columns, smax_weights_fast, LevelProgram, TapeStats};
+use crate::compiled::{smax_columns, LevelProgram, TapeStats};
 use crate::expr::{smax_pair_weights, smax_weights, Expr, Monomial, Sharpness};
 use crate::workspace::{self, EvalScratch};
 use paradigm_cost::{Allocation, Machine, MdgWeights, PhiBreakdown, TransferParams};
@@ -612,13 +612,7 @@ impl<'g> MdgObjective<'g> {
                     *c = y[src as usize];
                 }
             }
-            match nodes.len() {
-                // One node's columns are its candidates in in-edge order.
-                1 => starts[0] = smax_weights_fast(cands, sharp, wts),
-                // The sources (no candidate) start at 0.
-                _ if k == 0 => starts.fill(0.0),
-                _ => smax_columns(sharp, heights, cands, starts, wts, work),
-            }
+            smax_columns(sharp, heights, cands, starts, wts, work);
             for (&w, &(e, _)) in wts.iter().zip(edges) {
                 tape_w[e as usize] = w;
             }
