@@ -107,10 +107,12 @@ pub fn to_text(g: &Mdg) -> String {
 
 /// Parse the text format back into an MDG.
 pub fn from_text(text: &str) -> Result<Mdg, ParseError> {
+    // A token takes at least two bytes with the blank or line break that
+    // ends it, and a line that adds a node holds five tokens and one that
+    // adds an edge three: sized from the text's length, the builder's
+    // lists never grow while it is read.
+    let (max_nodes, max_edges) = (text.len() / 10 + 1, text.len() / 6 + 1);
     let mut builder: Option<MdgBuilder> = None;
-    // The line that declared each node: `finish` names a node whose cost
-    // it refuses, and the error points at its declaration.
-    let mut node_lines: Vec<usize> = Vec::new();
     // One token vector for the whole file; tokens borrow from `text`.
     let mut tokens: Vec<Cow<'_, str>> = Vec::new();
     for (ln, line) in text.lines().enumerate() {
@@ -127,7 +129,7 @@ pub fn from_text(text: &str) -> Result<Mdg, ParseError> {
                 let [name] = args else {
                     return Err(err(lineno, "usage: mdg <name>"));
                 };
-                builder = Some(MdgBuilder::new(name.to_string()));
+                builder = Some(MdgBuilder::with_capacity(name.to_string(), max_nodes, max_edges));
             }
             "node" => {
                 let b =
@@ -138,21 +140,32 @@ pub fn from_text(text: &str) -> Result<Mdg, ParseError> {
                 let id: usize = args[0]
                     .parse()
                     .map_err(|_| err(lineno, format!("bad node id `{}`", args[0])))?;
-                if id != node_lines.len() {
+                if id != b.node_count() {
                     return Err(err(
                         lineno,
-                        format!("node ids must be dense; expected {}, got {id}", node_lines.len()),
+                        format!("node ids must be dense; expected {}, got {id}", b.node_count()),
                     ));
                 }
                 let mut alpha = None;
                 let mut tau = None;
                 let mut class: Option<LoopClass> = None;
-                let mut rows = 0usize;
-                let mut cols = 0usize;
+                let mut rows = None;
+                let mut cols = None;
                 for t in &args[2..] {
                     let (k, v) = t
                         .split_once('=')
                         .ok_or_else(|| err(lineno, format!("expected key=value, got `{t}`")))?;
+                    let seen = match k {
+                        "alpha" => alpha.is_some(),
+                        "tau" => tau.is_some(),
+                        "class" => class.is_some(),
+                        "rows" => rows.is_some(),
+                        "cols" => cols.is_some(),
+                        _ => false,
+                    };
+                    if seen {
+                        return Err(err(lineno, format!("duplicate key `{k}`")));
+                    }
                     match k {
                         "alpha" => {
                             alpha = Some(v.parse::<f64>().map_err(|_| err(lineno, "bad alpha"))?)
@@ -166,20 +179,21 @@ pub fn from_text(text: &str) -> Result<Mdg, ParseError> {
                                 other => LoopClass::Custom(other.to_string()),
                             })
                         }
-                        "rows" => rows = v.parse().map_err(|_| err(lineno, "bad rows"))?,
-                        "cols" => cols = v.parse().map_err(|_| err(lineno, "bad cols"))?,
+                        "rows" => rows = Some(v.parse().map_err(|_| err(lineno, "bad rows"))?),
+                        "cols" => cols = Some(v.parse().map_err(|_| err(lineno, "bad cols"))?),
                         other => return Err(err(lineno, format!("unknown key `{other}`"))),
                     }
                 }
                 let alpha = alpha.ok_or_else(|| err(lineno, "missing alpha="))?;
                 let tau = tau.ok_or_else(|| err(lineno, "missing tau="))?;
                 let meta = match class {
-                    Some(c) => LoopMeta { class: c, rows, cols },
+                    Some(c) => {
+                        LoopMeta { class: c, rows: rows.unwrap_or(0), cols: cols.unwrap_or(0) }
+                    }
                     None => LoopMeta::synthetic(),
                 };
                 let node_name = args[1].to_string();
                 b.compute_with_meta(node_name, AmdahlParams::new(alpha, tau), meta);
-                node_lines.push(lineno);
             }
             "edge" => {
                 let b =
@@ -191,7 +205,7 @@ pub fn from_text(text: &str) -> Result<Mdg, ParseError> {
                 let dst: usize =
                     args[1].parse().map_err(|_| err(lineno, "bad edge destination id"))?;
                 for v in [src, dst] {
-                    if v >= node_lines.len() {
+                    if v >= b.node_count() {
                         return Err(err(lineno, format!("unknown node {v}")));
                     }
                 }
@@ -217,11 +231,57 @@ pub fn from_text(text: &str) -> Result<Mdg, ParseError> {
         }
     }
     let b = builder.ok_or_else(|| err(0, "missing `mdg` header"))?;
-    b.finish().map_err(|e| match e {
-        MdgError::InvalidCost { node, .. } => err(node_lines[node], e.to_string()),
+    // `finish` refuses a node's cost, a self-loop or a repeated edge after
+    // the whole file is read; the error points at the line that declared
+    // the node or the edge (for a repeat, its second occurrence). A cycle
+    // has no one line.
+    b.finish_indexed().map_err(|(e, edge)| match (&e, edge) {
+        (MdgError::InvalidCost { node, .. }, _) => {
+            err(directive_line(text, "node", *node), e.to_string())
+        }
+        (_, Some(i)) => {
+            err(directive_line(text, "edge", i), format!("graph construction failed: {e}"))
+        }
         _ => err(0, format!("graph construction failed: {e}")),
     })
 }
+
+/// The 1-based line of the `k`-th (0-based) `head` directive of `text`,
+/// which has been read without a parse error.
+fn directive_line(text: &str, head: &str, k: usize) -> usize {
+    let mut tokens = Vec::new();
+    let mut heads = text.lines().enumerate().filter(|&(ln, line)| {
+        tokenize(line, ln + 1, &mut tokens).is_ok() && tokens.first().is_some_and(|t| t == head)
+    });
+    heads.nth(k).map_or(0, |(ln, _)| ln + 1)
+}
+
+/// The classes of byte `tokenize` tells apart; one table lookup per byte.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Class {
+    /// ASCII whitespace: `b' '` and `b'\t'..=b'\r'`.
+    Space,
+    /// `"` or `#`: ends a bare token.
+    Stop,
+    /// Any other ASCII byte: part of a token.
+    Plain,
+    /// A byte of a multi-byte character, which may be Unicode whitespace.
+    Wide,
+}
+
+static CLASSES: [Class; 256] = {
+    let mut table = [Class::Wide; 256];
+    let mut b = 0;
+    while b < 128 {
+        table[b] = match b as u8 {
+            b' ' | b'\t'..=b'\r' => Class::Space,
+            b'"' | b'#' => Class::Stop,
+            _ => Class::Plain,
+        };
+        b += 1;
+    }
+    table
+};
 
 /// Split one line into `out` (cleared first) on whitespace, honouring
 /// double-quoted strings; an unquoted `#` starts a comment that runs to
@@ -232,9 +292,8 @@ pub fn from_text(text: &str) -> Result<Mdg, ParseError> {
 /// quote opening right after bare characters, `class="my loop"` — is
 /// joined into an owned `class=my loop`, as this format always read it.
 ///
-/// The scan walks bytes: an ASCII byte is classified on its own, and
-/// only a non-ASCII one decodes its character to ask
-/// [`char::is_whitespace`].
+/// The scan classifies each byte through [`CLASSES`]; only a non-ASCII
+/// byte decodes its character to ask [`char::is_whitespace`].
 fn tokenize<'a>(
     line: &'a str,
     lineno: usize,
@@ -245,17 +304,25 @@ fn tokenize<'a>(
     let mut i = 0;
     loop {
         while i < bytes.len() {
-            match space_len(line, i) {
-                0 => break,
-                n => i += n,
+            match CLASSES[usize::from(bytes[i])] {
+                Class::Space => i += 1,
+                Class::Wide => match wide_space_len(line, i) {
+                    0 => break,
+                    n => i += n,
+                },
+                Class::Stop | Class::Plain => break,
             }
         }
         if i == bytes.len() || bytes[i] == b'#' {
             return Ok(());
         }
         let start = i;
-        while i < bytes.len() && !matches!(bytes[i], b'"' | b'#') && space_len(line, i) == 0 {
-            i += 1;
+        while i < bytes.len() {
+            match CLASSES[usize::from(bytes[i])] {
+                Class::Plain => i += 1,
+                Class::Wide if wide_space_len(line, i) == 0 => i += 1,
+                _ => break,
+            }
         }
         let bare = &line[start..i];
         if bytes.get(i) != Some(&b'"') {
@@ -276,19 +343,14 @@ fn tokenize<'a>(
     }
 }
 
-/// Length in bytes of the whitespace character that starts at byte `i`
-/// of `line`, or 0 if there is none (a non-whitespace character, or a
-/// byte inside a multi-byte character).
-fn space_len(line: &str, i: usize) -> usize {
-    match line.as_bytes()[i] {
-        b' ' | b'\t'..=b'\r' => 1,
-        b if b.is_ascii() => 0,
-        _ => line
-            .get(i..)
-            .and_then(|rest| rest.chars().next())
-            .filter(|c| c.is_whitespace())
-            .map_or(0, char::len_utf8),
-    }
+/// Length in bytes of the Unicode whitespace character that starts at
+/// the non-ASCII byte `i` of `line`, or 0 if there is none (another
+/// character, or a byte inside a multi-byte character).
+fn wide_space_len(line: &str, i: usize) -> usize {
+    line.get(i..)
+        .and_then(|rest| rest.chars().next())
+        .filter(|c| c.is_whitespace())
+        .map_or(0, char::len_utf8)
 }
 
 #[cfg(test)]
@@ -393,6 +455,7 @@ mod tests {
             ("mdg x\nnode 0 \"a\" alpha=0.1 tau=1 rows=-1".into(), 2, "bad rows"),
             ("mdg x\nnode 0 \"a\" alpha=0.1 tau=1 cols=1.5".into(), 2, "bad cols"),
             ("mdg x\nnode 0 \"a\" alpha=0.1 tau=1 size=3".into(), 2, "unknown key `size`"),
+            ("mdg x\nnode 0 a alpha=0.1 tau=1 alpha=0.2".into(), 2, "duplicate key `alpha`"),
             ("mdg x\nnode 0 \"a\" tau=1 rows=1".into(), 2, "missing alpha="),
             ("mdg x\nnode 0 \"a\" alpha=0.1 rows=1".into(), 2, "missing tau="),
             ("edge 0 1".into(), 1, "`edge` before `mdg` header"),
@@ -421,13 +484,18 @@ mod tests {
             ("mdg x".into(), 0, "graph construction failed: MDG has no compute nodes"),
             (
                 format!("mdg x\n{node}\nedge 0 0"),
-                0,
+                3,
                 "graph construction failed: self-loop on node 0",
             ),
             (
                 format!("mdg x\n{node}\nnode 1 \"b\" alpha=0 tau=1\nedge 0 1\nedge 0 1 xfer 8 1d"),
-                0,
+                5,
                 "graph construction failed: duplicate edge (0 -> 1)",
+            ),
+            (
+                format!("mdg x\n{node}\nnode 1 \"b\" alpha=0 tau=1\nedge 0 1\n\n# c\nedge 1 1\nedge 1 0"),
+                7,
+                "graph construction failed: self-loop on node 1",
             ),
             (
                 format!("mdg x\n{node}\nnode 1 \"b\" alpha=0 tau=1\nedge 0 1\nedge 1 0"),

@@ -7,25 +7,27 @@
 //! look at the cache. The guard renders each gallery graph with
 //! `to_text` and counts the allocations of both calls on this thread.
 //! `from_text` keeps two strings per node (its name and its loop class)
-//! and one transfer list per edge, and `finish` gives every node its two
-//! adjacency lists, so its bound is `16 + 4·nodes + 2·edges`, nodes and
-//! edges counted with START, STOP and their wiring. `structural_hash`
-//! makes five: payload, edge payload, forward and backward signatures and
-//! one contributions buffer.
+//! and one transfer list per edge; the builder is sized before the first
+//! line and the adjacency is two flat arrays, so nothing else grows with
+//! the graph and its bound is `16 + 2·nodes + edges`, nodes and edges
+//! counted with START, STOP and their wiring. `structural_hash` makes
+//! five: payload, edge payload, forward and backward signatures and one
+//! contributions buffer.
 //!
-//! Before → after `from_text` built its parse errors only on failure and
-//! scanned bytes, and `structural_hash` reused one contributions buffer:
+//! Before → after `from_text` sized its builder from the text and
+//! `finish` built flat (CSR) adjacency instead of two lists per node:
 //!
-//! | graph | nodes | edges | tokens | `from_text` | `structural_hash` |
-//! |---|---|---|---|---|---|
-//! | fig1 | 5 | 5 | 23 | 55 → 34 | 13 → 5 |
-//! | block-lu | 32 | 56 | 566 | 537 → 208 | 67 → 5 |
-//! | strassen-ml | 205 | 341 | 3 896 | 3 181 → 1 008 | 413 → 5 |
-//! | random-layered | 198 | 788 | 5 575 | 3 684 → 1 726 | 399 → 5 |
+//! | graph | nodes | edges | `from_text` | `structural_hash` |
+//! |---|---|---|---|---|
+//! | fig1 | 5 | 5 | 34 → 24 | 5 |
+//! | block-lu | 32 | 56 | 208 → 132 | 5 |
+//! | strassen-ml | 205 | 341 | 1 008 → 560 | 5 |
+//! | random-layered | 198 | 788 | 1 726 → 1 168 | 5 |
 //!
-//! Before, every line of the text built a `ParseError`, every
-//! `key=value` token a formatted message, and the hash collected a fresh
-//! vector per node and direction; each old count is above its bound.
+//! Every old count is above the new bound (fig1 34 > 31, block-lu
+//! 208 > 136); the old bound was `16 + 4·nodes + 2·edges`. The guard for
+//! the whole served hit — decode, key and encode — is
+//! `crates/serve/tests/hit_allocs.rs`.
 
 use paradigm_core::{gallery_graph, GALLERY_NAMES};
 use paradigm_mdg::{from_text, structural_hash, to_text};
@@ -49,7 +51,7 @@ fn decode_allocates_per_node_and_edge_and_the_key_a_constant() {
 
         let (decoding, back) = counted(|| from_text(&text));
         back.expect("the rendered text parses");
-        let bound = 16 + 4 * nodes + 2 * edges;
+        let bound = 16 + 2 * nodes + edges;
         assert!(
             decoding <= bound,
             "{name}: from_text made {decoding} allocations, bound {bound} \
