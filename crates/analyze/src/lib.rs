@@ -1,15 +1,8 @@
 //! # paradigm-analyze — static analysis for the PARADIGM pipeline
 //!
-//! Four independent passes that check, rather than compute, the
+//! Three independent passes that check, rather than compute, the
 //! pipeline's load-bearing claims:
 //!
-//! * [`posynomial`] — **symbolic convexity certification**. Walks the
-//!   solver's expression IR and proves each expression is a monomial /
-//!   posynomial / generalized posynomial (returning the derivation tree),
-//!   or produces the minimal counterexample path. [`certify_objective`]
-//!   extends this compositionally to the full `Phi = max(A_p, C_p)`
-//!   objective through the completion recurrence, which is the paper's
-//!   Section 2 convexity claim made machine-checkable.
 //! * [`schedule_check`] — **schedule audits**. [`ScheduleAuditor`]
 //!   re-derives a solve result's weights from the graph, machine and
 //!   rounded allocation, runs [`paradigm_sched::analyze_schedule`] (races,
@@ -25,7 +18,11 @@
 //!   volume, pre-schedule (over every allocation) and post-schedule
 //!   (sweep-line over the PSA schedule), plus the memory lints
 //!   (`memory-infeasible`, `oversubscribed-footprint`,
-//!   `missing-footprint`).
+//!   `missing-footprint`). [`cert`] renders the analysis as a versioned
+//!   memory certificate and re-checks one without the graph or solver.
+//!
+//! The paper's Section 2 convexity claim needs no pass here: every
+//! `paradigm_solver::Expr` is a generalized posynomial by construction.
 //!
 //! The passes are pure functions over the existing data structures; they
 //! are wired into `paradigm serve`'s sampled audits and the `paradigm
@@ -34,23 +31,17 @@
 pub mod cert;
 pub mod diff;
 pub mod lint;
-pub mod posynomial;
 pub mod resources;
 pub mod schedule_check;
 
 pub use cert::{
-    certificate_dot, certificate_json, certificate_json_with_tier, check_certificate,
-    check_certificate_text, memory_json, CertDefect, CertFailure, CertPart, CertSummary,
-    CERT_VERSION,
+    check_certificate, check_certificate_text, memory_certificate, CertDefect, CertFailure,
+    CertSummary, CERT_VERSION,
 };
 pub use diff::unified_diff;
 pub use lint::{
     apply_fixes, has_errors, lint_mdg, render_diagnostics, Diagnostic, Fix, Lint, LintLocation,
     LintSet, Severity,
-};
-pub use posynomial::{
-    certify, certify_in, certify_objective, Certificate, Defect, ExprClass, NonPosynomial,
-    ObjectiveCertificate, ObjectiveCounterexample, ObjectivePart, Rule,
 };
 pub use resources::{
     analyze_resources, check_schedule_memory, memory_lint_set, MemorySweep, MemoryViolation,

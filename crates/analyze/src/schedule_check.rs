@@ -162,30 +162,25 @@ impl AuditReport {
 /// cannot see are added — machine-wide capacity (`Σ p_i <= p` at every
 /// instant, immune to forged processor ids) and consistency of the
 /// reported `Phi`/`T_psa` claims with the schedule itself.
-#[derive(Debug, Clone)]
-pub struct ScheduleAuditor {
-    /// Headroom allowed on the primary-tier `Phi <= T_psa` bound, as a
-    /// fraction of the makespan. Covers the fast solver's documented
-    /// convergence slack (about 1%); the default is 5%.
-    pub phi_slack: f64,
-    /// *Additional* headroom on the same bound for results produced by
-    /// the consensus-ADMM tier ([`FallbackTier::Admm`]). ADMM stops on
-    /// residuals rather than at a proven optimum, so its `Phi` sits
-    /// within the consensus tolerance of the dense optimum (the
-    /// convergence tests pin this at 1%); the default adds another 5%.
-    pub admm_phi_slack: f64,
-}
+#[derive(Debug, Clone, Default)]
+pub struct ScheduleAuditor;
 
-impl Default for ScheduleAuditor {
-    fn default() -> Self {
-        ScheduleAuditor { phi_slack: 0.05, admm_phi_slack: 0.05 }
-    }
-}
+/// Headroom allowed on the primary-tier `Phi <= T_psa` bound, as a
+/// fraction of the makespan. Covers the fast solver's documented
+/// convergence slack (about 1%).
+const PHI_SLACK: f64 = 0.05;
+
+/// *Additional* headroom on the same bound for results produced by the
+/// consensus-ADMM tier ([`FallbackTier::Admm`]). ADMM stops on residuals
+/// rather than at a proven optimum, so its `Phi` sits within the
+/// consensus tolerance of the dense optimum (the convergence tests pin
+/// this at 1%).
+const ADMM_PHI_SLACK: f64 = 0.05;
 
 impl ScheduleAuditor {
-    /// An auditor with the default slack.
+    /// An auditor with the fixed `Phi` slack.
     pub fn new() -> Self {
-        Self::default()
+        ScheduleAuditor
     }
 
     /// Audit `s` as a schedule of `g` on `machine` under the rounded
@@ -277,8 +272,8 @@ impl ScheduleAuditor {
             // The degraded tier (equal-split) makes no
             // optimality claim, so the bound does not apply to them.
             let slack = match claims.tier {
-                FallbackTier::Admm => self.phi_slack + self.admm_phi_slack,
-                _ => self.phi_slack,
+                FallbackTier::Admm => PHI_SLACK + ADMM_PHI_SLACK,
+                _ => PHI_SLACK,
             };
             if claims.phi > s.makespan * (1.0 + slack) {
                 violations.push(AuditViolation::PhiExceedsMakespan {
@@ -467,7 +462,7 @@ mod tests {
         // ...while a Phi inside the combined primary + consensus slack
         // passes under ADMM but would fail under the primary tier.
         let admm_slack = AuditClaims {
-            phi: s.makespan * (1.0 + auditor.phi_slack + auditor.admm_phi_slack * 0.5),
+            phi: s.makespan * (1.0 + PHI_SLACK + ADMM_PHI_SLACK * 0.5),
             t_psa: s.makespan,
             tier: FallbackTier::Admm,
         };

@@ -1,9 +1,8 @@
-//! Acceptance checks over the full graph gallery: the symbolic certifier
-//! must certify `Phi` as a generalized posynomial for every gallery MDG
-//! on both machine models, and the schedule analyzer must pass every
-//! PSA / rounding / refinement / baseline schedule of those graphs.
+//! Acceptance checks over the full graph gallery: every gallery MDG must
+//! lint clean, and the schedule analyzer must pass every PSA / rounding /
+//! refinement / baseline schedule of those graphs.
 
-use paradigm_analyze::{certify_objective, lint_mdg, ExprClass};
+use paradigm_analyze::lint_mdg;
 use paradigm_cost::{Allocation, Machine};
 use paradigm_mdg::{
     block_lu_mdg, complex_matmul_mdg, example_fig1_mdg, fft_2d_mdg, stencil_mdg, strassen_mdg,
@@ -13,7 +12,6 @@ use paradigm_sched::{
     analyze_schedule, psa_schedule, refine_allocation, spmd_schedule, task_parallel_schedule,
     PsaConfig,
 };
-use paradigm_solver::MdgObjective;
 
 fn gallery() -> Vec<Mdg> {
     let t = KernelCostTable::cm5();
@@ -26,21 +24,6 @@ fn gallery() -> Vec<Mdg> {
         block_lu_mdg(4, 32, &t),
         stencil_mdg(64, 2, 3, &t),
     ]
-}
-
-#[test]
-fn phi_certifies_for_every_gallery_mdg() {
-    for g in gallery() {
-        for machine in [Machine::cm5(16), Machine::synthetic_mesh(16)] {
-            let obj = MdgObjective::new(&g, machine);
-            let cert =
-                certify_objective(&obj).unwrap_or_else(|ce| panic!("`{}` refuted: {ce}", g.name()));
-            assert_eq!(cert.phi_class(), ExprClass::GeneralizedPosynomial);
-            assert!(cert.monomial_count() > 0);
-            let summary = cert.summary();
-            assert!(summary.contains("generalized-posynomial"), "{summary}");
-        }
-    }
 }
 
 #[test]

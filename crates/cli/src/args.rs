@@ -70,10 +70,9 @@ pub enum Command {
         /// One of `fig1`, `cmm`, `strassen`.
         which: String,
     },
-    /// `analyze [<file>] [-p N] [--machine <spec>] [--gallery] [--cert]
-    /// [--cert-json] [--dot] [--fix [--write]] [-D]`: lint the graph,
-    /// certify the objective's convexity, and check the schedules the
-    /// pipeline produces for it. Exits 0 when clean, 1 on findings, 2
+    /// `analyze [<file>] [-p N] [--machine <spec>] [--gallery]
+    /// [--fix [--write]] [-D]`: lint the graph and check the schedules
+    /// the pipeline produces for it. Exits 0 when clean, 1 on findings, 2
     /// on usage/internal errors.
     Analyze {
         /// MDG file path; `None` requires `--gallery`.
@@ -85,13 +84,6 @@ pub enum Command {
         machine: String,
         /// Analyze every built-in gallery graph instead of a file.
         gallery: bool,
-        /// Print the full derivation tree of the `A_p` certificate.
-        cert: bool,
-        /// Emit the certifier derivation trees as one JSON line per
-        /// graph.
-        cert_json: bool,
-        /// Emit the certificate derivation tree as Graphviz DOT.
-        dot: bool,
         /// Apply every mechanical lint fix and print the unified diff.
         fix: bool,
         /// With `--fix`: write the repaired graph back to the file.
@@ -118,16 +110,18 @@ pub enum Command {
         mem_mb: Option<u64>,
         /// Analyze every built-in gallery graph instead of a file.
         gallery: bool,
-        /// Emit one JSON line per graph instead of the human report.
+        /// Emit one memory certificate (a JSON line) per graph instead
+        /// of the human report.
         json: bool,
         /// Strict mode: warnings (not just errors) fail the run.
         strict: bool,
     },
     /// `analyze check-cert <cert.json>`: independently re-validate a
-    /// `--cert-json` certificate with interval arithmetic — no solver
-    /// in the loop. Exits 0 if the certificate holds, 1 if refuted.
+    /// memory certificate with interval arithmetic — no graph and no
+    /// solver in the loop. Exits 0 if the certificate holds, 1 if refuted.
     CheckCert {
-        /// Certificate JSON file path (as emitted by `--cert-json`).
+        /// Certificate JSON file path (as emitted by `analyze resources
+        /// --json`).
         file: String,
     },
     /// `serve [--port N] [--workers N] [--cache N] [--queue N]
@@ -230,7 +224,7 @@ USAGE:
   paradigm transform <file> [--fuse] [--reduce]
   paradigm demo <fig1|cmm|strassen|strassen-ml|fft2d|block-lu|stencil|random-layered|fork-join>
   paradigm analyze <file.mdg> [-p <procs>] [--machine <cm5|mesh|paragon|sp1>] [--mem-mb <n>]
-                              [--cert] [--cert-json] [--dot] [--fix [--write]] [-D]
+                              [--fix [--write]] [-D]
   paradigm analyze --gallery [-p <procs>] [--machine <spec>]
   paradigm analyze resources <file.mdg|--gallery> [-p <procs>] [--machine <spec>] [--mem-mb <n>]
                              [--json] [-D]
@@ -339,7 +333,7 @@ static SPECS: &[Spec] = &[
     (
         "analyze",
         FILE,
-        &["--gallery", "--cert", "--cert-json", "--dot", "--fix", "--write", "--deny-warnings|-D"],
+        &["--gallery", "--fix", "--write", "--deny-warnings|-D"],
         &[PROCS_16, MACHINE, MEM_MB],
     ),
     (
@@ -504,9 +498,6 @@ fn build(p: &Parsed) -> Result<Command, UsageError> {
                 procs: p.num("--procs"),
                 machine: p.num("--machine"),
                 gallery: p.on("--gallery"),
-                cert: p.on("--cert"),
-                cert_json: p.on("--cert-json"),
-                dot: p.on("--dot"),
                 fix,
                 write,
                 strict: p.on("--deny-warnings"),
@@ -664,7 +655,7 @@ mod tests {
 
     #[test]
     fn analyze_command_parses() {
-        let p = parse_args(&["analyze", "g.mdg", "-p", "32", "--cert"]).unwrap();
+        let p = parse_args(&["analyze", "g.mdg", "-p", "32"]).unwrap();
         assert_eq!(
             p.command,
             Command::Analyze {
@@ -672,9 +663,6 @@ mod tests {
                 procs: 32,
                 machine: "cm5".into(),
                 gallery: false,
-                cert: true,
-                cert_json: false,
-                dot: false,
                 fix: false,
                 write: false,
                 strict: false,
@@ -689,9 +677,6 @@ mod tests {
                 procs: 16,
                 machine: "cm5".into(),
                 gallery: true,
-                cert: false,
-                cert_json: false,
-                dot: false,
                 fix: false,
                 write: false,
                 strict: false,
@@ -701,11 +686,14 @@ mod tests {
         assert!(parse_args(&["analyze"]).is_err(), "needs a file or --gallery");
         assert!(parse_args(&["analyze", "a.mdg", "b.mdg"]).is_err());
         assert!(parse_args(&["analyze", "g.mdg", "--wat"]).is_err());
+        for gone in ["--cert", "--cert-json", "--dot"] {
+            assert!(parse_args(&["analyze", "g.mdg", gone]).is_err(), "{gone} was removed");
+        }
     }
 
     #[test]
-    fn analyze_machine_and_cert_json_flags() {
-        let p = parse_args(&["analyze", "--gallery", "--machine", "mesh", "--cert-json"]).unwrap();
+    fn analyze_machine_flag() {
+        let p = parse_args(&["analyze", "--gallery", "--machine", "mesh"]).unwrap();
         assert_eq!(
             p.command,
             Command::Analyze {
@@ -713,9 +701,6 @@ mod tests {
                 procs: 16,
                 machine: "mesh".into(),
                 gallery: true,
-                cert: false,
-                cert_json: true,
-                dot: false,
                 fix: false,
                 write: false,
                 strict: false,
@@ -801,12 +786,10 @@ mod tests {
     }
 
     #[test]
-    fn analyze_fix_dot_strict_flags() {
-        let p = parse_args(&["analyze", "g.mdg", "--fix", "--write", "--dot", "-D"]).unwrap();
-        let Command::Analyze { fix, write, dot, strict, .. } = p.command else {
-            panic!("not analyze")
-        };
-        assert!(fix && write && dot && strict);
+    fn analyze_fix_strict_flags() {
+        let p = parse_args(&["analyze", "g.mdg", "--fix", "--write", "-D"]).unwrap();
+        let Command::Analyze { fix, write, strict, .. } = p.command else { panic!("not analyze") };
+        assert!(fix && write && strict);
         assert!(parse_args(&["analyze", "g.mdg", "--write"]).is_err(), "--write needs --fix");
         assert!(
             parse_args(&["analyze", "--gallery", "--fix", "--write"]).is_err(),

@@ -5,9 +5,8 @@
 use crate::args::{Command, USAGE};
 use paradigm_admm::{partition_mdg, PartitionOptions};
 use paradigm_analyze::{
-    analyze_resources, apply_fixes, certificate_dot, certificate_json, certify_objective,
-    check_certificate_text, has_errors, lint_mdg, memory_json, memory_lint_set, render_diagnostics,
-    unified_diff,
+    analyze_resources, apply_fixes, check_certificate_text, has_errors, lint_mdg,
+    memory_certificate, memory_lint_set, render_diagnostics, unified_diff,
 };
 use paradigm_core::calibrate::{calibrate, CalibrationConfig};
 use paradigm_core::compile::Compiled;
@@ -27,7 +26,6 @@ use paradigm_sim::{
     compare_schedule_vs_sim, lower_mpmd, lower_spmd, render_trace, simulate, SimResult,
     TaskProgram, TrueMachine,
 };
-use paradigm_solver::MdgObjective;
 
 /// Any failure a command can produce.
 #[derive(Debug)]
@@ -232,31 +230,13 @@ pub fn run(command: &Command) -> Result<CmdOutput, CliError> {
             }
             Ok(CmdOutput::clean(out))
         }
-        Command::Analyze {
-            file,
-            procs,
-            machine,
-            gallery,
-            cert,
-            cert_json,
-            dot,
-            fix,
-            write,
-            strict,
-            mem_mb,
-        } => {
+        Command::Analyze { file, procs, machine, gallery, fix, write, strict, mem_mb } => {
             let mut machine = machine_from_spec(machine, *procs)
                 .unwrap_or_else(|| unreachable!("validated by the parser: {machine}"));
             if let Some(mb) = mem_mb {
                 machine = machine.with_mem_bytes(mb * 1024 * 1024);
             }
-            let opts = AnalyzeOpts {
-                cert: *cert,
-                cert_json: *cert_json,
-                dot: *dot,
-                fix: *fix,
-                strict: *strict,
-            };
+            let opts = AnalyzeOpts { fix: *fix, strict: *strict };
             let mut graphs = Vec::new();
             if let Some(f) = file {
                 graphs.push((load(f)?, Some(f.clone())));
@@ -292,11 +272,7 @@ pub fn run(command: &Command) -> Result<CmdOutput, CliError> {
                 let diags = memory_lint_set(&machine).run(g);
                 failed |= !ra.feasible || has_errors(&diags) || (*strict && !diags.is_empty());
                 if *json {
-                    let paradigm_mdg::json::Json::Obj(mut fields) = memory_json(&ra) else {
-                        unreachable!("memory_json emits an object")
-                    };
-                    fields.insert(0, ("graph".into(), paradigm_mdg::json::Json::str(g.name())));
-                    out.push_str(&paradigm_mdg::json::Json::Obj(fields).render());
+                    out.push_str(&memory_certificate(g.name(), &ra).render());
                     out.push('\n');
                 } else {
                     out.push_str(&ra.render());
@@ -468,17 +444,13 @@ fn gallery_graphs() -> Vec<Mdg> {
 
 /// Flags steering [`analyze_graph`]'s optional passes.
 struct AnalyzeOpts {
-    cert: bool,
-    cert_json: bool,
-    dot: bool,
     fix: bool,
     strict: bool,
 }
 
-/// Append the three analysis passes (lints, convexity certification,
-/// schedule checks) for one graph to `out`. Returns true when findings
-/// should fail the run (lint errors — or any diagnostic under
-/// `strict` — a refuted objective, or schedule violations), and the
+/// Append the analysis passes (lints, schedule checks) for one graph to
+/// `out`. Returns true when findings should fail the run (lint errors —
+/// or any diagnostic under `strict` — or schedule violations), and the
 /// solver's error when the graph cannot be compiled.
 fn analyze_graph(
     g: &Mdg,
@@ -512,27 +484,6 @@ fn analyze_graph(
                 std::fs::write(path, to_text(&fixed)).map_err(CliError::Io)?;
                 out.push_str(&format!("fix: wrote repaired graph to {path}\n"));
             }
-        }
-    }
-    let obj = MdgObjective::new(g, machine);
-    match certify_objective(&obj) {
-        Ok(c) => {
-            out.push_str(&format!("objective: {}\n", c.summary()));
-            if opts.cert {
-                out.push_str("A_p certificate:\n");
-                out.push_str(&c.area.render());
-            }
-            if opts.cert_json {
-                out.push_str(&certificate_json(&obj, &c).render());
-                out.push('\n');
-            }
-            if opts.dot {
-                out.push_str(&certificate_dot(g.name(), &c));
-            }
-        }
-        Err(ce) => {
-            out.push_str(&format!("objective: REFUTED -- {ce}\n"));
-            failed = true;
         }
     }
     let c = compile_or_error(g, machine)?;
@@ -761,31 +712,24 @@ mod tests {
     }
 
     #[test]
-    fn analyze_file_reports_all_three_passes() {
+    fn analyze_file_reports_lints_and_every_schedule() {
         let path = tmp_mdg();
-        let parsed = parse_args(&["analyze", &path, "-p", "4", "--cert"]).unwrap();
+        let parsed = parse_args(&["analyze", &path, "-p", "4"]).unwrap();
         let out = run(&parsed.command).unwrap().text;
         assert!(out.contains("lints: clean"), "{out}");
-        assert!(out.contains("generalized-posynomial"), "{out}");
         assert!(out.contains("schedule psa: clean"), "{out}");
         assert!(out.contains("schedule spmd: clean"), "{out}");
         assert!(out.contains("schedule task-parallel: clean"), "{out}");
-        // --cert prints the derivation tree of the area certificate.
-        assert!(out.contains("A_p certificate:"), "{out}");
-        assert!(out.contains("monomial"), "{out}");
         let _ = std::fs::remove_file(path);
     }
 
     #[test]
-    fn analyze_gallery_certifies_every_graph() {
+    fn analyze_gallery_is_clean_under_deny_warnings() {
         let res = run(&Command::Analyze {
             file: None,
             procs: 16,
             machine: "cm5".into(),
             gallery: true,
-            cert: false,
-            cert_json: false,
-            dot: false,
             fix: false,
             write: false,
             strict: true,
@@ -794,84 +738,54 @@ mod tests {
         .unwrap();
         assert!(!res.failed, "gallery must be clean even under -D");
         let out = res.text;
-        // One header per gallery graph, each certified and clean.
+        // One header per gallery graph, each clean.
         assert_eq!(out.matches("== `").count(), 9, "{out}");
-        assert_eq!(
-            out.matches("objective: Phi certified generalized-posynomial").count(),
-            9,
-            "{out}"
-        );
-        assert!(!out.contains("REFUTED"), "{out}");
+        assert_eq!(out.matches("lints: clean").count(), 9, "{out}");
         assert!(!out.contains("VIOLATIONS"), "{out}");
     }
 
     #[test]
-    fn analyze_mesh_machine_certifies_with_network_term() {
-        // The synthetic mesh exercises t_n > 0: the transfer monomials
-        // gain the per-byte network term and everything still certifies.
+    fn analyze_mesh_machine_schedules_clean() {
+        // The synthetic mesh exercises t_n > 0: the transfer weights gain
+        // the per-byte network term and every schedule still checks.
         let path = tmp_mdg();
         let parsed = parse_args(&["analyze", &path, "-p", "8", "--machine", "mesh"]).unwrap();
         let out = run(&parsed.command).unwrap().text;
         assert!(out.contains("on 8 processors"), "{out}");
-        assert!(out.contains("objective: Phi certified"), "{out}");
-        assert!(!out.contains("REFUTED"), "{out}");
+        assert!(!out.contains("objective:"), "{out}");
         assert!(!out.contains("VIOLATIONS"), "{out}");
         let _ = std::fs::remove_file(path);
     }
 
     #[test]
-    fn analyze_cert_json_emits_parsable_derivation_trees() {
+    fn resources_json_is_the_certificate_and_check_cert_round_trips() {
         let path = tmp_mdg();
-        let parsed = parse_args(&["analyze", &path, "-p", "4", "--cert-json"]).unwrap();
-        let out = run(&parsed.command).unwrap().text;
-        // Exactly one JSON line, parsable by the serve-layer reader.
-        let json_line = out.lines().find(|l| l.starts_with('{')).expect("cert-json line present");
-        let doc = paradigm_serve::parse_json(json_line).expect("valid JSON");
-        assert_eq!(doc.get("graph").and_then(Json::as_str), Some("fig1-example"));
-        assert_eq!(doc.get("procs").and_then(Json::as_u64), Some(4));
-        assert_eq!(doc.get("phi_class").and_then(Json::as_str), Some("generalized-posynomial"));
-        let area = doc.get("area").expect("area tree");
-        assert!(area.get("class").is_some() && area.get("rule").is_some());
-        // fig1 has 3 compute nodes (+ START/STOP) and 5 edges (2 user
-        // edges + 3 synthetic START/STOP edges).
-        assert_eq!(doc.get("nodes").and_then(Json::as_arr).map(<[Json]>::len), Some(5));
-        assert_eq!(doc.get("edges").and_then(Json::as_arr).map(<[Json]>::len), Some(5));
-        let _ = std::fs::remove_file(path);
-    }
-
-    #[test]
-    fn analyze_cert_json_carries_version_and_check_cert_round_trips() {
-        let path = tmp_mdg();
-        let parsed = parse_args(&["analyze", &path, "-p", "4", "--cert-json"]).unwrap();
-        let out = run(&parsed.command).unwrap().text;
-        let json_line = out.lines().find(|l| l.starts_with('{')).expect("cert-json line");
-        let doc = paradigm_serve::parse_json(json_line).expect("valid JSON");
-        assert_eq!(doc.get("version").and_then(Json::as_u64), Some(2));
+        let parsed = parse_args(&["analyze", "resources", &path, "-p", "4", "--json"]).unwrap();
+        let line = run(&parsed.command).unwrap().text;
+        let doc = paradigm_serve::parse_json(line.trim_end()).expect("valid JSON");
+        assert_eq!(doc.get("version").and_then(Json::as_u64), Some(3));
 
         // Round trip: the emitted certificate passes check-cert clean.
         let cert_path =
             std::env::temp_dir().join(format!("paradigm-cli-cert-{}.json", std::process::id()));
-        std::fs::write(&cert_path, json_line).unwrap();
-        let cp = cert_path.to_string_lossy().into_owned();
-        let res = run(&Command::CheckCert { file: cp.clone() }).unwrap();
+        let check = |text: &str| {
+            std::fs::write(&cert_path, text).unwrap();
+            run(&Command::CheckCert { file: cert_path.to_string_lossy().into_owned() }).unwrap()
+        };
+        let res = check(&line);
         assert!(!res.failed, "{}", res.text);
         assert!(res.text.contains("certificate OK"), "{}", res.text);
 
-        // A tampered version is refuted with exit-code-1 semantics.
-        std::fs::write(&cert_path, json_line.replace("\"version\":2", "\"version\":99")).unwrap();
-        let res = run(&Command::CheckCert { file: cp }).unwrap();
-        assert!(res.failed);
-        assert!(res.text.contains("REJECTED"), "{}", res.text);
+        // A tampered version or verdict is refuted with exit-code-1 semantics.
+        for (from, to) in
+            [("\"version\":3", "\"version\":99"), ("\"feasible\":true", "\"feasible\":false")]
+        {
+            assert!(line.contains(from), "{line}");
+            let res = check(&line.replace(from, to));
+            assert!(res.failed, "{to}: {}", res.text);
+            assert!(res.text.contains("REJECTED"), "{}", res.text);
+        }
         let _ = std::fs::remove_file(cert_path);
-        let _ = std::fs::remove_file(path);
-    }
-
-    #[test]
-    fn analyze_dot_emits_derivation_graph() {
-        let path = tmp_mdg();
-        let parsed = parse_args(&["analyze", &path, "-p", "4", "--dot"]).unwrap();
-        let out = run(&parsed.command).unwrap().text;
-        assert!(out.contains("digraph"), "{out}");
         let _ = std::fs::remove_file(path);
     }
 

@@ -61,7 +61,7 @@ pub fn calibrate(truth: &TrueMachine, cfg: &CalibrationConfig) -> Calibration {
             LoopClass::MatrixInit => fitted.init = fit.params,
             LoopClass::MatrixAdd => fitted.add = fit.params,
             LoopClass::MatrixMultiply => fitted.mul = fit.params,
-            LoopClass::Custom(_) => unreachable!(),
+            LoopClass::Synthetic | LoopClass::Custom(_) => unreachable!(),
         }
         kernel_fits.push((class, fit));
     }

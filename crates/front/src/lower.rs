@@ -70,14 +70,10 @@ fn node_cost(
         Expr::Copy { src } => {
             let tag = if src.transposed { "transpose" } else { "copy" };
             // Copy loops move every element once: init-like cost.
-            (LoopClass::Custom(tag.to_string()), costs.params_for(&LoopClass::MatrixInit, n))
+            (LoopClass::from_tag(tag), costs.params_for(&LoopClass::MatrixInit, n))
         }
     };
-    let meta = match &class {
-        LoopClass::Custom(_) => LoopMeta { class, rows: target.rows, cols: target.cols },
-        c => LoopMeta { class: c.clone(), rows: target.rows, cols: target.cols },
-    };
-    Ok((params, meta))
+    Ok((params, LoopMeta { class, rows: target.rows, cols: target.cols }))
 }
 
 /// Shape-check one statement.

@@ -63,7 +63,9 @@ impl KernelCostTable {
             LoopClass::MatrixMultiply => {
                 AmdahlParams::new(self.mul.alpha, self.mul.tau * r * r * r)
             }
-            LoopClass::Custom(_) => AmdahlParams::new(self.add.alpha, self.add.tau),
+            LoopClass::Synthetic | LoopClass::Custom(_) => {
+                AmdahlParams::new(self.add.alpha, self.add.tau)
+            }
         }
     }
 }

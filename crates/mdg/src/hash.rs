@@ -64,7 +64,7 @@
 //! pass with a fixed number of allocations.
 
 use crate::graph::Mdg;
-use crate::node::{Edge, LoopClass, Node, NodeKind};
+use crate::node::{Edge, Node, NodeKind};
 
 /// Initial state (the 128-bit FNV offset basis: any constant would do).
 const SEED: u128 = 0x6c62272e07bb014262b821756295c58d;
@@ -145,13 +145,7 @@ fn node_payload_hash(n: &Node) -> u128 {
     h.write_str(&n.name);
     h.write_f64(n.cost.alpha);
     h.write_f64(n.cost.tau);
-    let class_tag = match &n.meta.class {
-        LoopClass::MatrixInit => "init",
-        LoopClass::MatrixAdd => "add",
-        LoopClass::MatrixMultiply => "mul",
-        LoopClass::Custom(s) => s.as_str(),
-    };
-    h.write_str(class_tag);
+    h.write_str(n.meta.class.tag());
     h.write_u64(n.meta.rows as u64);
     h.write_u64(n.meta.cols as u64);
     h.finish()

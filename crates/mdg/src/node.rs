@@ -38,18 +38,36 @@ pub enum LoopClass {
     MatrixAdd,
     /// Dense matrix-matrix multiplication.
     MatrixMultiply,
+    /// A node without a real kernel (tag `synthetic`): what a graph-text
+    /// node without `class=` and a builder's plain `compute` get.
+    Synthetic,
     /// Anything else; carries a free-form label.
     Custom(String),
 }
 
 impl LoopClass {
-    /// Short printable tag, used by the DOT export and Gantt rendering.
+    /// Short printable tag: the text format's `class=` value, the
+    /// structural hash's and the statistics' class key, and the label of
+    /// the DOT export and Gantt rendering.
     pub fn tag(&self) -> &str {
         match self {
             LoopClass::MatrixInit => "init",
             LoopClass::MatrixAdd => "add",
             LoopClass::MatrixMultiply => "mul",
+            LoopClass::Synthetic => "synthetic",
             LoopClass::Custom(s) => s.as_str(),
+        }
+    }
+
+    /// The class `tag` names: the inverse of [`LoopClass::tag`], a
+    /// [`LoopClass::Custom`] for any tag no other class has.
+    pub fn from_tag(tag: &str) -> LoopClass {
+        match tag {
+            "init" => LoopClass::MatrixInit,
+            "add" => LoopClass::MatrixAdd,
+            "mul" => LoopClass::MatrixMultiply,
+            "synthetic" => LoopClass::Synthetic,
+            other => LoopClass::Custom(other.to_string()),
         }
     }
 }
@@ -114,7 +132,7 @@ impl LoopMeta {
 
     /// Placeholder metadata for synthetic nodes without a real kernel.
     pub fn synthetic() -> Self {
-        LoopMeta { class: LoopClass::Custom("synthetic".to_string()), rows: 0, cols: 0 }
+        LoopMeta { class: LoopClass::Synthetic, rows: 0, cols: 0 }
     }
 }
 
@@ -263,6 +281,16 @@ mod tests {
         assert_eq!(LoopClass::MatrixInit.tag(), "init");
         assert_eq!(LoopClass::MatrixAdd.tag(), "add");
         assert_eq!(LoopClass::MatrixMultiply.tag(), "mul");
+        assert_eq!(LoopClass::Synthetic.tag(), "synthetic");
         assert_eq!(LoopClass::Custom("fft".into()).tag(), "fft");
+        for class in [
+            LoopClass::MatrixInit,
+            LoopClass::MatrixAdd,
+            LoopClass::MatrixMultiply,
+            LoopClass::Synthetic,
+            LoopClass::Custom("fft".into()),
+        ] {
+            assert_eq!(LoopClass::from_tag(class.tag()), class);
+        }
     }
 }

@@ -2,7 +2,7 @@
 //! reproduction, and the random-workload ablations.
 
 use crate::graph::Mdg;
-use crate::node::{LoopClass, NodeKind};
+use crate::node::NodeKind;
 use std::collections::BTreeMap;
 
 /// Aggregate statistics describing an MDG's shape and weight.
@@ -40,11 +40,7 @@ impl MdgStats {
         for (_, n) in g.nodes() {
             if n.kind == NodeKind::Compute {
                 serial_time += n.cost.tau;
-                let tag = match &n.meta.class {
-                    LoopClass::Custom(s) => s.clone(),
-                    other => other.tag().to_string(),
-                };
-                *class_histogram.entry(tag).or_insert(0) += 1;
+                *class_histogram.entry(n.meta.class.tag().to_string()).or_insert(0) += 1;
             }
         }
         let data_edges = g.edges().filter(|(_, e)| !e.transfers.is_empty()).count();
@@ -108,7 +104,7 @@ impl MdgStats {
 mod tests {
     use super::*;
     use crate::graph::MdgBuilder;
-    use crate::node::{AmdahlParams, ArrayTransfer, LoopMeta, TransferKind};
+    use crate::node::{AmdahlParams, ArrayTransfer, LoopClass, LoopMeta, TransferKind};
 
     #[test]
     fn stats_of_fork_join() {

@@ -62,22 +62,19 @@ pub fn to_text(g: &Mdg) -> String {
                 "node {} \"{}\" alpha={} tau={}",
                 file_id[id.0], node.name, node.cost.alpha, node.cost.tau
             );
+            let tag = node.meta.class.tag();
             let class_tag = match &node.meta.class {
-                LoopClass::MatrixInit => Some("init"),
-                LoopClass::MatrixAdd => Some("add"),
-                LoopClass::MatrixMultiply => Some("mul"),
-                // Custom classes serialize too when they carry real
+                LoopClass::MatrixInit | LoopClass::MatrixAdd | LoopClass::MatrixMultiply => {
+                    Some(tag)
+                }
+                // Other classes serialize too when they carry real
                 // dimensions (e.g. derived by a lint autofix) and the tag
                 // survives tokenization — otherwise `--fix --write` would
                 // silently drop the derived extents on the next load.
-                LoopClass::Custom(s) => {
-                    let clean = !s.is_empty()
-                        && !s.contains(|c: char| c.is_whitespace() || c == '"' || c == '#');
-                    if clean && node.meta.rows > 0 && node.meta.cols > 0 {
-                        Some(s.as_str())
-                    } else {
-                        None
-                    }
+                LoopClass::Synthetic | LoopClass::Custom(_) => {
+                    let clean = !tag.is_empty()
+                        && !tag.contains(|c: char| c.is_whitespace() || c == '"' || c == '#');
+                    (clean && node.meta.rows > 0 && node.meta.cols > 0).then_some(tag)
                 }
             };
             if let Some(tag) = class_tag {
@@ -171,14 +168,7 @@ pub fn from_text(text: &str) -> Result<Mdg, ParseError> {
                             alpha = Some(v.parse::<f64>().map_err(|_| err(lineno, "bad alpha"))?)
                         }
                         "tau" => tau = Some(v.parse::<f64>().map_err(|_| err(lineno, "bad tau"))?),
-                        "class" => {
-                            class = Some(match v {
-                                "init" => LoopClass::MatrixInit,
-                                "add" => LoopClass::MatrixAdd,
-                                "mul" => LoopClass::MatrixMultiply,
-                                other => LoopClass::Custom(other.to_string()),
-                            })
-                        }
+                        "class" => class = Some(LoopClass::from_tag(v)),
                         "rows" => rows = Some(v.parse().map_err(|_| err(lineno, "bad rows"))?),
                         "cols" => cols = Some(v.parse().map_err(|_| err(lineno, "bad cols"))?),
                         other => return Err(err(lineno, format!("unknown key `{other}`"))),

@@ -5,24 +5,27 @@
 //! A hit runs on the caller's thread (`tests/hit_path.rs`), so the
 //! allocations of one `handle_line` on a cached key are all counted here:
 //! the request document, `from_text` on its graph, the cache key and the
-//! encoded response. `from_text` is bounded by `16 + 2·nodes + edges`
-//! (the root `tests/decode_allocs.rs`); the rest is a constant 24, so
-//! the bound is `40 + 2·nodes + edges`.
+//! encoded response. `from_text` is bounded by `16 + nodes + custom +
+//! edges`, `custom` the nodes of a `LoopClass::Custom` class (the root
+//! `tests/decode_allocs.rs`); the rest is a constant 24, so the bound is
+//! `40 + nodes + custom + edges`.
 //!
-//! | graph | nodes | edges | before → after |
-//! |---|---|---|---|
-//! | fig1 | 5 | 5 | 52 → 42 |
-//! | strassen | 35 | 62 | 207 → 123 |
-//! | block-lu | 32 | 56 | 230 → 154 |
-//! | strassen-ml | 205 | 341 | 1 033 → 585 |
-//! | fork-join | 87 | 152 | 576 → 361 |
+//! Before → after a node without `class=` decoded to
+//! `LoopClass::Synthetic` instead of allocating the label `"synthetic"`:
 //!
-//! Before, `finish` gave every node two adjacency lists and the builder
-//! grew while the file was read; every old count but fig1's is above
-//! the bound.
+//! | graph | nodes | custom | edges | before → after |
+//! |---|---|---|---|---|
+//! | fig1 | 5 | 0 | 5 | 42 → 37 |
+//! | strassen | 35 | 0 | 62 | 123 → 121 |
+//! | block-lu | 32 | 30 | 56 | 154 → 152 |
+//! | strassen-ml | 205 | 0 | 341 | 585 → 583 |
+//! | fork-join | 87 | 0 | 152 | 361 → 274 |
+//! | random-layered | 198 | 0 | 788 | 1 193 → 995 |
+//!
+//! The old fork-join and random-layered counts are above the bound.
 
 use paradigm_core::{gallery_graph, GALLERY_NAMES};
-use paradigm_mdg::{to_text, Json};
+use paradigm_mdg::{to_text, Json, LoopClass};
 use paradigm_serve::{handle_line, ServeConfig, Service};
 use paradigm_solver::{allocation_count, CountingAllocator};
 
@@ -48,10 +51,13 @@ fn a_cached_hit_allocates_per_node_and_edge_and_a_constant() {
         let hit = allocation_count() - before;
         assert!(reply.contains(r#""cached":true"#), "{name}: {reply}");
         let (nodes, edges) = (g.node_count() as u64, g.edge_count() as u64);
-        let bound = 40 + 2 * nodes + edges;
+        let custom =
+            g.nodes().filter(|(_, n)| matches!(n.meta.class, LoopClass::Custom(_))).count() as u64;
+        let bound = 40 + nodes + custom + edges;
         assert!(
             hit <= bound,
-            "{name}: a hit made {hit} allocations, bound {bound} ({nodes} nodes, {edges} edges)"
+            "{name}: a hit made {hit} allocations, bound {bound} \
+             ({nodes} nodes, {custom} custom, {edges} edges)"
         );
     }
     svc.shutdown();

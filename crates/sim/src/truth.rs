@@ -114,7 +114,7 @@ impl TrueMachine {
             LoopClass::MatrixInit => 0.3,
             LoopClass::MatrixAdd => 1.1,
             LoopClass::MatrixMultiply => 2.2,
-            LoopClass::Custom(_) => 0.0,
+            LoopClass::Synthetic | LoopClass::Custom(_) => 0.0,
         }
     }
 

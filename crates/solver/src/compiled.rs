@@ -363,16 +363,17 @@ impl Placer {
     /// If `m` has more than two terms.
     fn push_mono(&mut self, m: &Monomial) -> Placed {
         let p = &mut self.prog;
-        if m.coeff == 0.0 || m.exps.is_empty() {
-            let coeff = if m.coeff == 0.0 { 0.0 } else { m.coeff };
+        if m.coeff() == 0.0 || m.exps().is_empty() {
+            let coeff = if m.coeff() == 0.0 { 0.0 } else { m.coeff() };
             p.consts.push(Const { coeff, slot: 0 });
             self.const_tags.push(ROOT);
             return Placed::Const(p.consts.len() - 1);
         }
         let n = p.n_vars as u32;
-        assert!(m.exps.len() <= 2, "a monomial of at most two terms, got {}", m.exps.len());
-        let mut mono = Mono { coeff: m.coeff, slot: 0, rows: [4 * n; 2] };
-        for (k, &(j, a)) in m.exps.iter().enumerate() {
+        let exps = m.exps();
+        assert!(exps.len() <= 2, "a monomial of at most two terms, got {}", exps.len());
+        let mut mono = Mono { coeff: m.coeff(), slot: 0, rows: [4 * n; 2] };
+        for (k, &(j, a)) in exps.iter().enumerate() {
             let j = j as u32;
             // The `VarCache` row of `factor(e_j, a)`.
             mono.rows[k] = match ROW_EXPONENTS.iter().position(|&b| b == a) {

@@ -28,29 +28,39 @@ pub enum Sharpness {
     Smooth(f64),
 }
 
-/// `c * Π p_j^{a_j}` with `c >= 0`. Zero-coefficient monomials evaluate
-/// to 0 and are dropped by the `Expr` constructors.
+/// `c * Π p_j^{a_j}` with a finite `c >= 0`, finite exponents and
+/// unique variable indices. Zero-coefficient monomials evaluate to 0
+/// and are dropped by the `Expr` constructors.
+///
+/// The fields are private: the constructors below are the only way to
+/// build one, and each asserts those conditions, so every [`Expr`] is a
+/// generalized posynomial — convex in `x = ln p` — by construction.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Monomial {
-    /// Coefficient, `>= 0`.
-    pub coeff: f64,
-    /// `(variable index, exponent)` pairs; indices must be unique.
-    pub exps: Vec<(usize, f64)>,
+    coeff: f64,
+    exps: Vec<(usize, f64)>,
 }
 
 impl Monomial {
-    /// Coefficient validation shared by all constructors.
+    /// The one checked constructor; `exps` must have unique indices.
     ///
     /// # Panics
-    /// Panics unless `c` is finite and `>= 0`.
-    fn check_coeff(c: f64) {
-        assert!(c >= 0.0 && c.is_finite(), "monomial coefficient must be >= 0, got {c}");
+    /// Panics unless `coeff` is finite and `>= 0` and every exponent is
+    /// finite.
+    fn new(coeff: f64, exps: Vec<(usize, f64)>) -> Self {
+        assert!(
+            coeff >= 0.0 && coeff.is_finite(),
+            "monomial coefficient must be finite and >= 0, got {coeff}"
+        );
+        for &(j, a) in &exps {
+            assert!(a.is_finite(), "monomial exponent of p_{j} must be finite, got {a}");
+        }
+        Monomial { coeff, exps }
     }
 
     /// A constant monomial.
     pub fn constant(c: f64) -> Self {
-        Self::check_coeff(c);
-        Monomial { coeff: c, exps: Vec::new() }
+        Self::new(c, Vec::new())
     }
 
     /// `c * p_var^exp`.
@@ -58,13 +68,11 @@ impl Monomial {
         if exp == 0.0 {
             return Self::constant(c);
         }
-        Self::check_coeff(c);
-        Monomial { coeff: c, exps: vec![(var, exp)] }
+        Self::new(c, vec![(var, exp)])
     }
 
     /// `c * p_a^ea * p_b^eb` (merging if `a == b`).
     pub fn pair(c: f64, a: usize, ea: f64, b: usize, eb: f64) -> Self {
-        Self::check_coeff(c);
         let mut exps = Vec::new();
         if a == b {
             if ea + eb != 0.0 {
@@ -78,7 +86,17 @@ impl Monomial {
                 exps.push((b, eb));
             }
         }
-        Monomial { coeff: c, exps }
+        Self::new(c, exps)
+    }
+
+    /// The coefficient `c`.
+    pub fn coeff(&self) -> f64 {
+        self.coeff
+    }
+
+    /// The `(variable index, exponent)` pairs, one per variable.
+    pub fn exps(&self) -> &[(usize, f64)] {
+        &self.exps
     }
 
     /// Value at `x` (log-space point): `c · Π factor(exp(x_j), a_j)` in
@@ -112,7 +130,7 @@ impl Monomial {
             }
         }
         exps.retain(|&(_, a)| a != 0.0);
-        Monomial { coeff: self.coeff * other.coeff, exps }
+        Self::new(self.coeff * other.coeff, exps)
     }
 }
 
@@ -467,6 +485,25 @@ mod tests {
     #[should_panic(expected = "coefficient")]
     fn negative_coefficient_rejected() {
         let _ = Monomial::constant(-1.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "exponent")]
+    fn nan_exponent_rejected() {
+        let _ = Monomial::single(1.0, 0, f64::NAN);
+    }
+
+    #[test]
+    #[should_panic(expected = "exponent")]
+    fn infinite_exponent_rejected() {
+        let _ = Monomial::pair(1.0, 0, f64::INFINITY, 1, 1.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "coefficient")]
+    fn overflowing_product_rejected() {
+        let big = Monomial::constant(1e200);
+        let _ = big.mul(&big);
     }
 
     #[test]

@@ -10,7 +10,10 @@
 //! it once placed. A sweep runs the program, then the `C_p` recurrence
 //! one DAG depth at a time (`DepthPlan`). The trees
 //! ([`MdgObjective::node_expr`] and the like) are built on request, for
-//! the certifier, the cert JSON and the forward-mode oracle.
+//! the forward-mode oracle and the tests that hold the program to them.
+//! Every tree is a generalized posynomial by construction: `Monomial`'s
+//! fields are private and its constructors assert a finite, non-negative
+//! coefficient and finite exponents.
 //!
 //! The network edge weight needs one care point: for 1D transfers the
 //! exact cost is `L t_n / max(p_i, p_j)`, which is a *min* of monomials
@@ -387,7 +390,7 @@ impl<'g> MdgObjective<'g> {
 
     /// The `T_i` expression of a node, built on each call from the graph
     /// and machine — the tree the program's root `id` was compiled from
-    /// (for certification, the cert JSON and the forward-mode oracle).
+    /// (for the forward-mode oracle and the tests).
     pub fn node_expr(&self, id: NodeId) -> Expr {
         node_tree(self.g, &self.machine.xfer, id)
     }
@@ -400,11 +403,10 @@ impl<'g> MdgObjective<'g> {
         edge_tree(&self.machine.xfer, self.g.edge(id))
     }
 
-    /// The `A_p = (1/p) Σ T_i p_i` expression (for symbolic
-    /// certification and the forward-mode oracle), built on each call.
-    /// The program does not compile it: the sweeps accumulate `A_p` from
-    /// the node roots.
-    pub fn area_expr(&self) -> Expr {
+    /// The `A_p = (1/p) Σ T_i p_i` expression (for the forward-mode
+    /// oracle), built on each call. The program does not compile it: the
+    /// sweeps accumulate `A_p` from the node roots.
+    pub(crate) fn area_expr(&self) -> Expr {
         let inv_p = 1.0 / self.machine.procs as f64;
         let scaled = self
             .g

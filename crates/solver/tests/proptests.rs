@@ -45,17 +45,22 @@ fn arb_cfg() -> impl Strategy<Value = RandomMdgConfig> {
 proptest! {
     #![proptest_config(ProptestConfig { cases: 20, ..ProptestConfig::default() })]
 
+    /// Both machine models: the synthetic mesh has `t_n > 0`, so its
+    /// objective carries the `t^D` edge terms (`(p_i p_j)^{-1/2}` and
+    /// `(p_i p_j)^{-1}`) the CM-5's lacks.
     #[test]
     fn objective_is_convex_in_log_space(cfg in arb_cfg(), seed in 0u64..2000) {
         let g = random_layered_mdg(&cfg, seed);
-        let obj = MdgObjective::new(&g, Machine::cm5(16));
-        let pts = probe_points(g.node_count(), obj.x_upper(), 8);
-        let viols = probe_midpoint_convexity(
-            |x| obj.eval(x, Sharpness::Exact).phi,
-            &pts,
-            1e-9,
-        );
-        prop_assert!(viols.is_empty(), "{} violations", viols.len());
+        for machine in [Machine::cm5(16), Machine::synthetic_mesh(16)] {
+            let obj = MdgObjective::new(&g, machine);
+            let pts = probe_points(g.node_count(), obj.x_upper(), 8);
+            let viols = probe_midpoint_convexity(
+                |x| obj.eval(x, Sharpness::Exact).phi,
+                &pts,
+                1e-9,
+            );
+            prop_assert!(viols.is_empty(), "t_n = {}: {} violations", machine.xfer.t_n, viols.len());
+        }
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //!    decomposition, the ADMM objective lands within 1% of the dense
 //!    single-problem solver's `Phi` (the paper's allocation objective).
 //!    ADMM stops on residuals, not a proven optimum, so 1% is the same
-//!    slack the schedule auditor grants the tier (`admm_phi_slack`).
+//!    slack the schedule auditor grants the tier (`ADMM_PHI_SLACK`).
 //! 2. **Determinism** — partitioning is a pure function of the graph:
 //!    repeated runs are bitwise identical (block assignment, cut edge
 //!    set, boundary set) for every gallery graph. The whole distributed

@@ -6,31 +6,33 @@
 //! `from_text` on it and `structural_hash` on the result before it can
 //! look at the cache. The guard renders each gallery graph with
 //! `to_text` and counts the allocations of both calls on this thread.
-//! `from_text` keeps two strings per node (its name and its loop class)
-//! and one transfer list per edge; the builder is sized before the first
-//! line and the adjacency is two flat arrays, so nothing else grows with
-//! the graph and its bound is `16 + 2·nodes + edges`, nodes and edges
-//! counted with START, STOP and their wiring. `structural_hash` makes
-//! five: payload, edge payload, forward and backward signatures and one
-//! contributions buffer.
+//! `from_text` keeps one string per node (its name), one more per node
+//! of a [`LoopClass::Custom`] class (its label; the paper's three classes
+//! and `synthetic` are tags without a string) and one transfer list per
+//! edge; the builder is sized before the first line and the adjacency is
+//! two flat arrays, so nothing else grows with the graph and its bound is
+//! `16 + nodes + custom + edges`, nodes and edges counted with START,
+//! STOP and their wiring. `structural_hash` makes five: payload, edge
+//! payload, forward and backward signatures and one contributions buffer.
 //!
-//! Before → after `from_text` sized its builder from the text and
-//! `finish` built flat (CSR) adjacency instead of two lists per node:
+//! Before → after a node without `class=` (and START/STOP) decoded to
+//! `LoopClass::Synthetic` instead of allocating the label `"synthetic"`:
 //!
-//! | graph | nodes | edges | `from_text` | `structural_hash` |
-//! |---|---|---|---|---|
-//! | fig1 | 5 | 5 | 34 → 24 | 5 |
-//! | block-lu | 32 | 56 | 208 → 132 | 5 |
-//! | strassen-ml | 205 | 341 | 1 008 → 560 | 5 |
-//! | random-layered | 198 | 788 | 1 726 → 1 168 | 5 |
+//! | graph | nodes | custom | edges | `from_text` | `structural_hash` |
+//! |---|---|---|---|---|---|
+//! | fig1 | 5 | 0 | 5 | 24 → 19 | 5 |
+//! | block-lu | 32 | 30 | 56 | 132 → 130 | 5 |
+//! | strassen-ml | 205 | 0 | 341 | 560 → 558 | 5 |
+//! | fork-join | 87 | 0 | 152 | 338 → 251 | 5 |
+//! | random-layered | 198 | 0 | 788 | 1 168 → 970 | 5 |
 //!
-//! Every old count is above the new bound (fig1 34 > 31, block-lu
-//! 208 > 136); the old bound was `16 + 4·nodes + 2·edges`. The guard for
-//! the whole served hit — decode, key and encode — is
-//! `crates/serve/tests/hit_allocs.rs`.
+//! The old bound was `16 + 2·nodes + edges`; the old fork-join and
+//! random-layered counts are above the new one (338 > 255,
+//! 1 168 > 1 002). The guard for the whole served hit — decode, key and
+//! encode — is `crates/serve/tests/hit_allocs.rs`.
 
 use paradigm_core::{gallery_graph, GALLERY_NAMES};
-use paradigm_mdg::{from_text, structural_hash, to_text};
+use paradigm_mdg::{from_text, structural_hash, to_text, LoopClass};
 use paradigm_solver::{allocation_count, CountingAllocator};
 
 #[global_allocator]
@@ -50,12 +52,14 @@ fn decode_allocates_per_node_and_edge_and_the_key_a_constant() {
         let (nodes, edges) = (g.node_count() as u64, g.edge_count() as u64);
 
         let (decoding, back) = counted(|| from_text(&text));
-        back.expect("the rendered text parses");
-        let bound = 16 + 2 * nodes + edges;
+        let back = back.expect("the rendered text parses");
+        let custom =
+            back.nodes().filter(|(_, n)| matches!(n.meta.class, LoopClass::Custom(_))).count();
+        let bound = 16 + nodes + custom as u64 + edges;
         assert!(
             decoding <= bound,
             "{name}: from_text made {decoding} allocations, bound {bound} \
-             ({nodes} nodes, {edges} edges)"
+             ({nodes} nodes, {custom} custom, {edges} edges)"
         );
 
         let (keying, _) = counted(|| structural_hash(&g));

@@ -51,16 +51,16 @@ fn static_bound_dominates_simulated_peak_on_gallery() {
 }
 
 /// A deliberately memory-infeasible setup must be rejected by all three
-/// independent layers: the static lint, the certificate checker on a
-/// tampered document, and the live schedule auditor.
+/// independent layers: the static lint, the memory-certificate checker
+/// on a tampered document, and the live schedule auditor.
 #[test]
 fn memory_infeasible_example_is_rejected_by_all_three_layers() {
     use paradigm_analyze::{
-        certificate_json, certify_objective, check_certificate_text, has_errors, memory_lint_set,
-        AuditClaims, AuditViolation, ScheduleAuditor,
+        check_certificate_text, has_errors, memory_certificate, memory_lint_set, AuditClaims,
+        AuditViolation, ScheduleAuditor,
     };
     use paradigm_mdg::{AmdahlParams, ArrayTransfer, LoopClass, LoopMeta, MdgBuilder};
-    use paradigm_solver::{FallbackTier, MdgObjective};
+    use paradigm_solver::FallbackTier;
 
     // Two 8 MiB nodes exchanging an 8 MiB matrix...
     let mut b = MdgBuilder::new("oversized");
@@ -84,12 +84,10 @@ fn memory_infeasible_example_is_rejected_by_all_three_layers() {
     assert!(has_errors(&diags));
     assert!(diags.iter().any(|d| d.lint == "memory-infeasible"), "{diags:?}");
 
-    // Layer 2: the certificate checker. An honest certificate for the
-    // tiny machine records feasible = false and checks clean; flipping
+    // Layer 2: the certificate checker. An honest memory certificate for
+    // the tiny machine records feasible = false and checks clean; flipping
     // the verdict (the tamper) is caught by interval re-derivation.
-    let obj = MdgObjective::new(&g, tiny);
-    let cert = certify_objective(&obj).expect("objective certifies");
-    let doc = certificate_json(&obj, &cert).render();
+    let doc = memory_certificate(g.name(), &analyze_resources(&g, &tiny)).render();
     assert!(doc.contains("\"feasible\":false"), "analysis must prove infeasibility");
     check_certificate_text(&doc).expect("honest certificate checks clean");
     let tampered = doc.replace("\"feasible\":false", "\"feasible\":true");
