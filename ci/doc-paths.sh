@@ -10,7 +10,7 @@
 #
 # A repo-root path starts with crates/, tests/, examples/, benchmark/ or
 # ci/ at a word boundary, so crate-relative paths (`serve/tests/audit.rs`)
-# and the CI's output files (`BENCH_solver.json`) are never candidates.
+# are never candidates.
 # A brace form (`crates/{solver,admm}/tests/golden.rs`) is expanded and
 # every expansion must exist; a glob (`examples/*.mdg`) must match at
 # least one file. Describe a deleted file as history without its

@@ -1,9 +1,9 @@
 //! The memory certificate: a versioned JSON document of the static
 //! resource analysis, and an independent checker for it.
 //!
-//! `paradigm analyze resources --json` prints one document per graph
-//! ([`memory_certificate`]): the version, the graph name, the per-node
-//! footprints, residency intervals, group-size floors, and the
+//! `paradigm analyze resources --json` prints one document per graph, one
+//! per line ([`memory_certificate`]): the version, the graph name, the
+//! per-node footprints, residency intervals, group-size floors, and the
 //! machine-level feasibility verdict ([`crate::resources`]). The checker
 //! ([`check_certificate`]) re-validates it with interval arithmetic
 //! alone — every interval, floor, aggregate and the verdict are
@@ -265,10 +265,15 @@ fn check_memory(mem: &Json) -> Result<(u64, u64), CertFailure> {
     let (mut in_sum, mut out_sum) = (0u64, 0u64);
     let (mut max_self, mut max_demand) = (0u64, 0u64);
     for (i, n) in nodes.iter().enumerate() {
+        // A defect in one node's claim is reported at that claim, with
+        // the claim as the counterexample.
+        let node_fail =
+            |defect: CertDefect| CertFailure { node: Some(i), defect, claim: Some(n.clone()) };
+        let bad = |msg: String| node_fail(CertDefect::Memory(msg));
         let nnum = |field: &str| {
             n.get(field)
                 .and_then(Json::as_u64)
-                .ok_or_else(|| fail(format!("node claim {i} is missing numeric \"{field}\"")))
+                .ok_or_else(|| bad(format!("missing numeric \"{field}\"")))
         };
         let local = nnum("local_bytes")?;
         let inb = nnum("in_bytes")?;
@@ -283,38 +288,32 @@ fn check_memory(mem: &Json) -> Result<(u64, u64), CertFailure> {
         let claimed_iv = match n.get("interval").map(Json::as_arr) {
             Some(Some([lo, hi])) => match (lo.as_f64(), hi.as_f64()) {
                 (Some(lo), Some(hi)) => (lo, hi),
-                _ => return Err(fail(format!("node claim {i}: interval endpoints not numbers"))),
+                _ => return Err(bad("interval endpoints not numbers".into())),
             },
-            _ => return Err(fail(format!("node claim {i}: \"interval\" must be a pair"))),
+            _ => return Err(bad("\"interval\" must be a pair".into())),
         };
         let derived_iv = (total as f64 / p, total as f64);
         if !close(claimed_iv.0, derived_iv.0) || !close(claimed_iv.1, derived_iv.1) {
-            return Err(CertFailure {
-                node: Some(i),
-                defect: CertDefect::IntervalMismatch { claimed: claimed_iv, derived: derived_iv },
-                claim: Some(n.clone()),
-            });
+            return Err(node_fail(CertDefect::IntervalMismatch {
+                claimed: claimed_iv,
+                derived: derived_iv,
+            }));
         }
         let expected_group = total.div_ceil(mem_bytes).max(1);
         let expected_group = if expected_group <= procs { Some(expected_group) } else { None };
         let claimed_group = match n.get("min_group") {
             Some(Json::Null) => None,
-            Some(v) => Some(
-                v.as_u64()
-                    .ok_or_else(|| fail(format!("node claim {i}: \"min_group\" not a count")))?,
-            ),
-            None => return Err(fail(format!("node claim {i} is missing \"min_group\""))),
+            Some(v) => Some(v.as_u64().ok_or_else(|| bad("\"min_group\" not a count".into()))?),
+            None => return Err(bad("missing \"min_group\"".into())),
         };
         if claimed_group != expected_group {
-            return Err(fail(format!(
-                "node claim {i}: min_group {claimed_group:?} but footprint {total} over \
-                 {mem_bytes}-byte processors derives {expected_group:?}"
+            return Err(bad(format!(
+                "min_group {claimed_group:?} but footprint {total} over {mem_bytes}-byte \
+                 processors derives {expected_group:?}"
             )));
         }
         if demand < total {
-            return Err(fail(format!(
-                "node claim {i}: demand {demand} is below its own working set {total}"
-            )));
+            return Err(bad(format!("demand {demand} is below its own working set {total}")));
         }
     }
 
@@ -417,6 +416,43 @@ mod tests {
         );
         assert_eq!(err.node, Some(0), "failure names the tampered claim");
         assert!(err.to_string().contains("REJECTED at node claim 0"), "{err}");
+    }
+
+    /// Replace field `key` of node claim `i` with `v`, or drop it (`None`).
+    fn set_node(doc: &mut Json, i: usize, key: &str, v: Option<Json>) {
+        let Some(Json::Arr(mut nodes)) = doc.get("nodes").cloned() else { unreachable!() };
+        let Json::Obj(node) = &mut nodes[i] else { unreachable!() };
+        match v {
+            Some(v) => node.iter_mut().find(|(k, _)| k == key).unwrap().1 = v,
+            None => node.retain(|(k, _)| k != key),
+        }
+        set(doc, "nodes", Json::Arr(nodes));
+    }
+
+    #[test]
+    fn a_defective_node_claim_is_reported_at_that_claim() {
+        let fresh = fig1_cert_json();
+        let Some(Json::Arr(nodes)) = fresh.get("nodes") else { unreachable!() };
+        let i = 1;
+        let group = nodes[i].get("min_group").and_then(Json::as_u64).unwrap();
+        let tampers = [
+            ("min_group", Some(Json::num((group + 1) as f64)), "min_group Some("),
+            ("demand_bytes", Some(Json::num(0.0)), "below its own working set"),
+            ("demand_bytes", None, "missing numeric \"demand_bytes\""),
+            ("min_group", None, "missing \"min_group\""),
+        ];
+        for (key, v, says) in tampers {
+            let mut doc = fresh.clone();
+            set_node(&mut doc, i, key, v.clone());
+            let err = check_certificate(&doc).unwrap_err();
+            assert!(matches!(err.defect, CertDefect::Memory(_)), "{key} {v:?}: {err}");
+            assert_eq!(err.node, Some(i), "{key} {v:?}: {err}");
+            let Some(Json::Arr(tampered)) = doc.get("nodes") else { unreachable!() };
+            assert_eq!(err.claim.as_ref(), Some(&tampered[i]), "the claim is the counterexample");
+            let text = err.to_string();
+            assert!(text.contains(&format!("REJECTED at node claim {i}: ")), "{text}");
+            assert!(text.contains(says), "{key} {v:?}: {text}");
+        }
     }
 
     #[test]

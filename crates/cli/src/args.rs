@@ -5,8 +5,6 @@
 use paradigm_core::{GALLERY_NAMES, MAX_PROCS};
 use paradigm_serve::FaultPlan;
 
-use crate::bench_admm::BenchAdmmOpts;
-
 /// The selected subcommand with its options.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Command {
@@ -116,12 +114,13 @@ pub enum Command {
         /// Strict mode: warnings (not just errors) fail the run.
         strict: bool,
     },
-    /// `analyze check-cert <cert.json>`: independently re-validate a
-    /// memory certificate with interval arithmetic — no graph and no
-    /// solver in the loop. Exits 0 if the certificate holds, 1 if refuted.
+    /// `analyze check-cert <cert.json>`: independently re-validate
+    /// memory certificates with interval arithmetic — no graph and no
+    /// solver in the loop. Each non-empty line is one certificate. Exits
+    /// 0 if every certificate holds, 1 at the first refuted line.
     CheckCert {
-        /// Certificate JSON file path (as emitted by `analyze resources
-        /// --json`).
+        /// Certificate file path (as emitted by `analyze resources
+        /// --json`, one document per line).
         file: String,
     },
     /// `serve [--port N] [--workers N] [--cache N] [--queue N]
@@ -149,16 +148,6 @@ pub enum Command {
         /// record across restarts.
         audit_log: Option<String>,
     },
-    /// `bench-solve [--quick] [--out <path>]`: run the solver
-    /// micro/end-to-end benchmark over the gallery and random MDGs
-    /// and emit the `BENCH_solver.json` report.
-    BenchSolve {
-        /// Trim the case list (drop the largest random graph) and the
-        /// repetition counts — the CI perf-smoke configuration.
-        quick: bool,
-        /// Write the JSON report here (in addition to stdout).
-        out: Option<String>,
-    },
     /// `partition <file> [--blocks N] [-p N]`: run the multilevel MDG
     /// partitioner and print the block map, cut summary, and balance.
     Partition {
@@ -169,10 +158,6 @@ pub enum Command {
         /// Force a block count (default: the solver's size heuristic).
         blocks: Option<usize>,
     },
-    /// `bench-admm [--quick] [--out <path>]`: run the
-    /// consensus-ADMM benchmark over seeded large MDGs, each beside its
-    /// dense solve, and emit the `BENCH_admm.json` report.
-    BenchAdmm(BenchAdmmOpts),
     /// `race [--bound <n>] [--suite <name|all>]`: run the concurrency
     /// model-check suites over the serving/consensus/solver core. In a
     /// normal build each suite is a single native smoke run; in a
@@ -233,8 +218,6 @@ USAGE:
   paradigm serve [--port <n>] [--workers <n>] [--cache <n>] [--queue <n>]
                  [--max-queue-wait <ms>] [--chaos <plan>] [--audit-rate <n>]
                  [--audit-log <path>]
-  paradigm bench-solve [--quick] [--out <path>]
-  paradigm bench-admm [--quick] [--out <path>]
   paradigm race [--bound <n>] [--suite <name|all>]
   paradigm help
 
@@ -304,7 +287,6 @@ const PROCS_16: Flag = ("--procs|-p", PROCS, Some("16"));
 const PROCS_REQUIRED: Flag = ("--procs|-p", PROCS, None);
 const MACHINE: Flag = ("--machine", Kind::Machine, Some("cm5"));
 const MEM_MB: Flag = ("--mem-mb", Kind::Int { min: 1, max: u64::MAX }, None);
-const OUT: Flag = ("--out", Kind::Text, None);
 
 /// What a sub-command's one positional argument is called.
 const FILE: Option<&str> = Some("a file");
@@ -359,8 +341,6 @@ static SPECS: &[Spec] = &[
             ("--audit-log", Kind::Text, None),
         ],
     ),
-    ("bench-solve", None, &["--quick"], &[OUT]),
-    ("bench-admm", None, &["--quick"], &[OUT]),
     ("race", None, &[], &[("--bound", COUNT0, None), ("--suite", Kind::Text, None)]),
 ];
 
@@ -527,10 +507,6 @@ fn build(p: &Parsed) -> Result<Command, UsageError> {
             audit_rate: p.num("--audit-rate"),
             audit_log: p.opt("--audit-log"),
         },
-        "bench-solve" => Command::BenchSolve { quick: p.on("--quick"), out: p.opt("--out") },
-        "bench-admm" => {
-            Command::BenchAdmm(BenchAdmmOpts { quick: p.on("--quick"), out: p.opt("--out") })
-        }
         "help" => Command::Help,
         other => return Err(UsageError(format!("`{other}` is in the table but has no arm here"))),
     })
@@ -773,19 +749,6 @@ mod tests {
     }
 
     #[test]
-    fn bench_solve_command_parses() {
-        let p = parse_args(&["bench-solve"]).unwrap();
-        assert_eq!(p.command, Command::BenchSolve { quick: false, out: None });
-        let p = parse_args(&["bench-solve", "--quick", "--out", "BENCH_solver.json"]).unwrap();
-        assert_eq!(
-            p.command,
-            Command::BenchSolve { quick: true, out: Some("BENCH_solver.json".into()) }
-        );
-        assert!(parse_args(&["bench-solve", "--out"]).is_err());
-        assert!(parse_args(&["bench-solve", "--wat"]).is_err());
-    }
-
-    #[test]
     fn analyze_fix_strict_flags() {
         let p = parse_args(&["analyze", "g.mdg", "--fix", "--write", "-D"]).unwrap();
         let Command::Analyze { fix, write, strict, .. } = p.command else { panic!("not analyze") };
@@ -878,20 +841,6 @@ mod tests {
     }
 
     #[test]
-    fn bench_admm_command_parses() {
-        let p = parse_args(&["bench-admm"]).unwrap();
-        let in_process = BenchAdmmOpts::default();
-        assert_eq!(
-            p.command,
-            Command::BenchAdmm(BenchAdmmOpts { quick: false, ..in_process.clone() })
-        );
-        let p = parse_args(&["bench-admm", "--quick", "--out", "BENCH_admm.json"]).unwrap();
-        let out = Some("BENCH_admm.json".into());
-        assert_eq!(p.command, Command::BenchAdmm(BenchAdmmOpts { out, ..in_process }));
-        assert!(parse_args(&["bench-admm", "--wat"]).is_err());
-    }
-
-    #[test]
     fn serve_audit_log_parses_and_the_fleet_flags_are_gone() {
         let p = parse_args(&["serve", "--audit-log", "audit.log"]).unwrap();
         let Command::Serve { audit_log, .. } = p.command else { panic!("not serve") };
@@ -900,10 +849,17 @@ mod tests {
             &["serve", "--worker"][..],
             &["serve", "--admm-workers", "127.0.0.1:9001"],
             &["serve", "--admm-stale", "2"],
-            &["bench-admm", "--fleet", "3"],
-            &["bench-admm", "--kill-after-ms", "50"],
         ] {
             assert!(parse_args(argv).is_err(), "{argv:?}");
+        }
+    }
+
+    #[test]
+    fn the_retired_benches_are_unknown_commands() {
+        for argv in [&["bench-solve", "--quick"][..], &["bench-admm"]] {
+            let err = parse_args(argv).expect_err("no such command");
+            assert!(err.0.contains(argv[0]), "{err}");
+            assert!(!USAGE.contains(argv[0]));
         }
     }
 

@@ -285,11 +285,26 @@ pub fn run(command: &Command) -> Result<CmdOutput, CliError> {
             Ok(CmdOutput { text: out, failed })
         }
         Command::CheckCert { file } => {
+            // `analyze resources --json` prints one certificate per line:
+            // each non-empty line is checked as its own document, and the
+            // first that fails ends the run.
             let text = std::fs::read_to_string(file).map_err(CliError::Io)?;
-            match check_certificate_text(&text) {
-                Ok(summary) => Ok(CmdOutput::clean(format!("{summary}\n"))),
-                Err(failure) => Ok(CmdOutput { text: format!("{failure}\n"), failed: true }),
+            let mut out = String::new();
+            let docs = text.lines().enumerate().filter(|(_, line)| !line.trim().is_empty());
+            for (i, line) in docs {
+                match check_certificate_text(line) {
+                    Ok(summary) => out.push_str(&format!("{summary}\n")),
+                    Err(failure) => {
+                        out.push_str(&format!("line {}: {failure}\n", i + 1));
+                        return Ok(CmdOutput { text: out, failed: true });
+                    }
+                }
             }
+            if out.is_empty() {
+                let text = format!("certificate REJECTED: `{file}` holds no document\n");
+                return Ok(CmdOutput { text, failed: true });
+            }
+            Ok(CmdOutput::clean(out))
         }
         Command::Serve {
             port,
@@ -323,9 +338,6 @@ pub fn run(command: &Command) -> Result<CmdOutput, CliError> {
             let stats = server.run();
             Ok(CmdOutput::clean(stats.render()))
         }
-        Command::BenchSolve { quick, out } => {
-            crate::bench_solve::run_bench_solve(*quick, out.as_deref())
-        }
         Command::Partition { file, procs, blocks } => {
             let g = load(file)?;
             let opts = match blocks {
@@ -343,7 +355,6 @@ pub fn run(command: &Command) -> Result<CmdOutput, CliError> {
             Ok(CmdOutput::clean(out))
         }
         Command::Race { bound, suite } => run_race(*bound, suite.as_deref()),
-        Command::BenchAdmm(opts) => crate::bench_admm::run_bench_admm(opts),
     }
 }
 
@@ -787,6 +798,44 @@ mod tests {
         }
         let _ = std::fs::remove_file(cert_path);
         let _ = std::fs::remove_file(path);
+    }
+
+    #[test]
+    fn check_cert_takes_the_gallery_output_one_document_per_line() {
+        let parsed = parse_args(&["analyze", "resources", "--gallery", "-p", "64", "--json"]);
+        let text = run(&parsed.unwrap().command).unwrap().text;
+        let lines: Vec<&str> = text.lines().collect();
+        assert_eq!(lines.len(), GALLERY_NAMES.len(), "{text}");
+        let cert_path =
+            std::env::temp_dir().join(format!("paradigm-cli-certs-{}.json", std::process::id()));
+        let check = |text: &str| {
+            std::fs::write(&cert_path, text).unwrap();
+            run(&Command::CheckCert { file: cert_path.to_string_lossy().into_owned() }).unwrap()
+        };
+        // Every document passes, with one summary per graph; blank lines
+        // between documents are skipped.
+        let res = check(&format!("{}\n\n{}", lines[..4].join("\n"), lines[4..].join("\n")));
+        assert!(!res.failed, "{}", res.text);
+        let summaries: Vec<&str> = res.text.lines().collect();
+        assert_eq!(summaries.len(), GALLERY_NAMES.len(), "{}", res.text);
+        assert!(summaries.iter().all(|s| s.starts_with("certificate OK: `")), "{}", res.text);
+        assert!(summaries[3].contains("`strassen-128x128-L2` on 64 processors"), "{}", res.text);
+
+        // A tamper in the fourth document fails the run at its line, after
+        // the three summaries before it.
+        let mut tampered = lines.clone();
+        let fourth = tampered[3].replace("\"feasible\":true", "\"feasible\":false");
+        assert_ne!(fourth, tampered[3]);
+        tampered[3] = &fourth;
+        let res = check(&tampered.join("\n"));
+        assert!(res.failed, "{}", res.text);
+        let out: Vec<&str> = res.text.lines().collect();
+        assert!(out[..3].iter().all(|s| s.starts_with("certificate OK: `")), "{}", res.text);
+        assert!(out[3].starts_with("line 4: certificate REJECTED at document: "), "{}", res.text);
+
+        let res = check("\n  \n");
+        assert!(res.failed && res.text.contains("holds no document"), "{}", res.text);
+        let _ = std::fs::remove_file(cert_path);
     }
 
     #[test]

@@ -15,10 +15,7 @@
 //! library so they are unit-testable; `main.rs` is a thin shim.
 
 pub mod args;
-pub mod bench_admm;
-pub mod bench_solve;
 pub mod commands;
-pub mod harness;
 
 pub use args::{parse_args, Command, ParsedArgs, UsageError};
 pub use commands::run;

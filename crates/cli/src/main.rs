@@ -3,12 +3,6 @@
 //! Exit codes: 0 = clean, 1 = findings (lint/certificate/schedule
 //! failures), 2 = usage or internal error.
 
-/// The counting allocator backs `bench-solve`'s allocs-per-iteration
-/// metric; outside the benchmark its cost is a few thread-local adds per
-/// allocation and free.
-#[global_allocator]
-static ALLOC: paradigm_solver::CountingAllocator = paradigm_solver::CountingAllocator;
-
 fn main() {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let parsed = match paradigm_cli::parse_args(&argv) {

@@ -1,6 +1,5 @@
-//! A counting global allocator for allocation-accounting tests, the
-//! `bench-solve` allocs-per-iteration metric and the objective's memory
-//! guard.
+//! A counting global allocator for allocation-accounting tests and the
+//! objective's memory guard.
 //!
 //! Wraps the system allocator and keeps three thread-local tallies: the
 //! allocation events (`alloc` / `alloc_zeroed` / `realloc`), the bytes

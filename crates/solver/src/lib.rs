@@ -41,8 +41,7 @@
 //! * [`workspace`] — reusable, pooled scratch buffers that make the
 //!   descent loop allocation-free after warm-up;
 //! * [`alloc_count`] — an optional counting global allocator backing the
-//!   zero-allocation test, the `bench-solve` allocs/iter metric and the
-//!   objective's byte guard (per-thread live bytes and high-water mark).
+//!   zero-allocation tests and the objective's byte guard (per-thread live bytes and high-water mark).
 
 pub mod alloc_count;
 pub mod bruteforce;
@@ -69,8 +68,8 @@ pub use expr::{Expr, Monomial};
 pub use objective::{DetachedObjective, MdgObjective};
 pub use solve::{
     allocate, check_annealing, descend_stage, equal_split_allocation, optimality_residual,
-    try_allocate, try_allocate_counted, try_allocate_from, AllocationResult, PolishCounts,
-    SolverConfig, QN_MEMORY, STATIONARITY_TOL, WARM_TOL,
+    try_allocate, try_allocate_from, AllocationResult, SolverConfig, QN_MEMORY, STATIONARITY_TOL,
+    WARM_TOL,
 };
 #[doc(hidden)]
 pub use workspace::BatchWorkspace;

@@ -424,7 +424,8 @@ impl<'g> MdgObjective<'g> {
     /// Shape of the `C_p` recurrence's schedule: `(depths, width)`, the
     /// number of DAG depths and the most nodes at one depth — how many
     /// batched steps a sweep takes and how many nodes the widest batches.
-    pub fn dag_shape(&self) -> (usize, usize) {
+    #[cfg(test)]
+    fn dag_shape(&self) -> (usize, usize) {
         let plan = &self.tapes.plan;
         let widths = plan.depths.iter().scan(0, |lo, &[hi, ..]| {
             let w = hi - *lo;

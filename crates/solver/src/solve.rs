@@ -135,34 +135,14 @@ pub fn try_allocate(
 /// 0 whatever they hold): every stage of the sharpness ladder, then the
 /// exact polish, out of one pooled workspace. The program is convex, so
 /// the start moves the answer only by what the stages leave unconverged —
-/// the start-independence test and `bench-solve`'s `start_spread` measure
-/// exactly that through this entry point.
+/// the start-independence test (`tests/one_start.rs`) measures exactly
+/// that through this entry point.
 pub fn try_allocate_from(
     g: &Mdg,
     machine: Machine,
     cfg: &SolverConfig,
     x0: &[f64],
 ) -> Result<AllocationResult, SolverError> {
-    try_allocate_counted(g, machine, cfg, x0).map(|(res, _)| res)
-}
-
-/// What the exact polish of one solve cost.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PolishCounts {
-    /// Its descent iterations.
-    pub iters: usize,
-    /// The points it evaluated: its start and every line-search probe.
-    pub probes: u64,
-}
-
-/// [`try_allocate_from`], plus what its exact polish cost (`bench-solve`
-/// reports it per case).
-pub fn try_allocate_counted(
-    g: &Mdg,
-    machine: Machine,
-    cfg: &SolverConfig,
-    x0: &[f64],
-) -> Result<(AllocationResult, PolishCounts), SolverError> {
     check_annealing(&cfg.sharpness_schedule, cfg.rel_tol).map_err(SolverError::InvalidConfig)?;
     let obj = MdgObjective::try_new(g, machine).map_err(SolverError::BadObjective)?;
     let ub = obj.x_upper();
@@ -191,18 +171,12 @@ pub fn try_allocate_counted(
     x[g.stop().0] = 0.0;
     descent.load(&x);
     let mut iterations = 0;
-    let mut polish = PolishCounts::default();
     let sharps = stages.iter().map(|&s| Sharpness::Smooth(s)).chain([Sharpness::Exact]);
     for (rung, sharp) in sharps.enumerate() {
         // A rung below the top only seeds the next one: it stops early.
         let gtol = if rung + 1 < stages.len() { WARM_TOL } else { STATIONARITY_TOL };
-        let probes = scratch.counts.probes;
         let mut model = ScalarTape { obj: &obj, sharp, scratch: &mut *scratch };
-        let iters = dense.run(&mut model, descent, gtol);
-        iterations += iters;
-        if sharp == Sharpness::Exact {
-            polish = PolishCounts { iters, probes: scratch.counts.probes - probes };
-        }
+        iterations += dense.run(&mut model, descent, gtol);
     }
     let alloc = obj.allocation_from_x(descent.x());
     drop(ws);
@@ -211,8 +185,7 @@ pub fn try_allocate_counted(
     if !phi.phi.is_finite() {
         return Err(SolverError::NonFinite { phi: phi.phi });
     }
-    let res = AllocationResult { alloc, phi, iterations, starts: 1, tier: FallbackTier::Primary };
-    Ok((res, polish))
+    Ok(AllocationResult { alloc, phi, iterations, starts: 1, tier: FallbackTier::Primary })
 }
 
 /// The analytic allocation that gives each of the `m` compute nodes
@@ -404,9 +377,8 @@ impl DenseStages<'_, '_> {
 /// A smooth stage runs at the top rung's tolerance, [`STATIONARITY_TOL`],
 /// so a ladder of these calls is the all-1e-6 solve that [`WARM_TOL`]
 /// loosened; an exact stage is the solve's polish, stall stop included.
-/// Used by the `bench-solve` harness (to time the inner loop,
-/// count allocations per iteration and rebuild that ladder) and by the
-/// integration tests; the solver proper goes through [`try_allocate`].
+/// Used by the integration tests (to count allocations per iteration and
+/// rebuild that ladder); the solver proper goes through [`try_allocate`].
 pub fn descend_stage(
     obj: &MdgObjective<'_>,
     x: &mut [f64],

@@ -9,39 +9,49 @@
 //! `exp_calls == forward_sweeps × variables` (random-layered at p = 64:
 //! 199 × 198 = 39 402; 232 857 with one more per exponent vector).
 //!
+//! The cases are cmm at p = 16 under both presets, then every gallery
+//! graph and three seeded 8-wide random layered graphs (64, 128 and 256
+//! nodes) at p = 64 under `fast()`.
+//!
 //! This file deliberately contains a single `#[test]` — the counters are
 //! read off the process-wide workspace pool, and a sibling test solving
 //! on another thread would pollute the delta.
 
+use paradigm_core::{gallery_graph, GALLERY_NAMES};
 use paradigm_cost::Machine;
-use paradigm_mdg::{self as mdg, KernelCostTable};
+use paradigm_mdg::{random_layered_mdg, Mdg, RandomMdgConfig};
 use paradigm_solver::workspace::pool_sweep_counts;
 use paradigm_solver::{try_allocate, SolverConfig};
 
+/// A seeded random layered graph of `n` compute nodes, 8 to a layer.
+fn random(n: usize) -> Mdg {
+    let cfg =
+        RandomMdgConfig { layers: n / 8, width_min: 8, width_max: 8, ..RandomMdgConfig::default() };
+    random_layered_mdg(&cfg, 1994)
+}
+
 #[test]
 fn a_dense_solve_sweeps_no_point_twice() {
-    let t = KernelCostTable::cm5();
-    let cmm = mdg::complex_matmul_mdg(64, &t);
-    // The gallery's strassen-ml and random-layered, as `compile-large`
-    // solves them.
-    let strassen_ml = mdg::strassen_mdg_multilevel(128, 2, &t);
-    let random = mdg::random_layered_mdg(&mdg::RandomMdgConfig::sized(192), 11);
-    let cases = [
-        (&cmm, 16, SolverConfig::default()),
-        (&cmm, 16, SolverConfig::fast()),
-        (&strassen_ml, 64, SolverConfig::fast()),
-        (&random, 64, SolverConfig::fast()),
+    let cmm = gallery_graph("cmm").expect("gallery graph");
+    let mut cases = vec![
+        ("cmm@16 default".to_string(), cmm.clone(), 16, SolverConfig::default()),
+        ("cmm@16 fast".to_string(), cmm, 16, SolverConfig::fast()),
     ];
-    for (g, procs, cfg) in cases {
+    let gallery = GALLERY_NAMES.map(|name| (name.to_string(), gallery_graph(name).expect(name)));
+    let randoms = [64, 128, 256].map(|n| (format!("random-{n}"), random(n)));
+    for (name, g) in gallery.into_iter().chain(randoms) {
+        cases.push((format!("{name}@64 fast"), g, 64, SolverConfig::fast()));
+    }
+    for (name, g, procs, cfg) in &cases {
         let before = pool_sweep_counts();
-        let r = try_allocate(g, Machine::cm5(procs), &cfg).expect("the gallery solves");
+        let r = try_allocate(g, Machine::cm5(*procs), cfg).expect("the case solves");
         let c = pool_sweep_counts().since(before);
-        assert!(c.probes > r.iterations as u64, "every iteration probes at least once: {c:?}");
-        assert_eq!(c.forward_sweeps, c.probes, "a point was swept twice: {c:?}");
+        assert!(c.probes > r.iterations as u64, "{name}: every iteration probes: {c:?}");
+        assert_eq!(c.forward_sweeps, c.probes, "{name}: a point was swept twice: {c:?}");
         // One replay per stage start and per accepted step; an iteration
         // whose line search dead-ends replays nothing.
-        assert!(c.backward_sweeps <= c.probes && c.backward_sweeps > 0, "{c:?}");
+        assert!(c.backward_sweeps <= c.probes && c.backward_sweeps > 0, "{name}: {c:?}");
         let vars = g.node_count() as u64;
-        assert_eq!(c.exp_calls, c.forward_sweeps * vars, "{vars} variables: {c:?}");
+        assert_eq!(c.exp_calls, c.forward_sweeps * vars, "{name}, {vars} variables: {c:?}");
     }
 }

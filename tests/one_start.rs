@@ -8,12 +8,16 @@
 //! strassen-ml at p = 64 — `try_allocate` kept the best of six. Now each
 //! smooth stage runs to a stationary point along a quasi-Newton
 //! direction and `try_allocate` descends from the midpoint alone; this
-//! file holds it to that on every gallery graph, then pins the stage's
-//! behaviour where the box or the machine is unusual.
+//! file holds it to that on every gallery graph and on two seeded random
+//! layered graphs of 128 and 256 nodes, then pins the stage's behaviour
+//! where the box or the machine is unusual.
 
 use paradigm_core::{gallery_graph, GALLERY_NAMES};
 use paradigm_cost::Machine;
-use paradigm_mdg::{complex_matmul_mdg, example_fig1_mdg, strassen_mdg, KernelCostTable, Mdg};
+use paradigm_mdg::{
+    complex_matmul_mdg, example_fig1_mdg, random_layered_mdg, strassen_mdg, KernelCostTable, Mdg,
+    RandomMdgConfig,
+};
 use paradigm_solver::{try_allocate, try_allocate_from, SolverConfig, SolverError};
 
 /// `max Phi / min Phi − 1` over the solves from `x = 0`, `ub/2`, `ub`.
@@ -26,6 +30,12 @@ fn start_spread(g: &Mdg, machine: Machine, cfg: &SolverConfig) -> f64 {
     });
     let best = phis.iter().copied().fold(f64::INFINITY, f64::min);
     phis.iter().map(|phi| phi / best - 1.0).fold(0.0, f64::max)
+}
+
+/// A seeded random layered graph of `n` compute nodes, 8 to a layer.
+fn random(n: usize) -> Mdg {
+    let cfg = RandomMdgConfig { layers: n / 8, width_min: 8, width_max: 8, ..Default::default() };
+    random_layered_mdg(&cfg, 1994)
 }
 
 fn paper_graphs() -> [(&'static str, Mdg); 3] {
@@ -52,6 +62,12 @@ fn the_three_deterministic_starts_agree_on_every_gallery_graph() {
                 assert!(spread <= limit, "{name}@p{p} {cfg_name}: starts land {spread:.2e} apart");
             }
         }
+    }
+    // The larger random graphs at p = 64 under `fast()` only, for the same
+    // reason.
+    for n in [128, 256] {
+        let spread = start_spread(&random(n), Machine::cm5(64), &SolverConfig::fast());
+        assert!(spread <= 5e-3, "random-{n}@p64 fast: starts land {spread:.2e} apart");
     }
 }
 
