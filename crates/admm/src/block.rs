@@ -88,8 +88,8 @@ impl GlobalSweeps {
 
 /// Run the exact forward/backward sweeps of `obj` at `x`, reading `T_v`
 /// and `t^D_e` off one exact sweep of its program (the root slots, and
-/// `MdgObjective::swept_edge_delay`), on a scratch of its own (no pooled
-/// workspace counts it).
+/// `MdgObjective::swept_edge_delay`), on a scratch of its own (no
+/// [`SweepCounts`] see it).
 pub fn global_sweeps(obj: &MdgObjective<'_>, x: &[f64]) -> GlobalSweeps {
     let g = obj.graph();
     let n = g.node_count();
@@ -208,6 +208,9 @@ pub struct BlockSolution {
     pub iters: usize,
     /// Final block-model `Phi` (smoothed-exact, without the penalty).
     pub phi_model: f64,
+    /// What this solve added to the workspace's counters: its sweeps,
+    /// and its build, if it had to compile.
+    pub counts: SweepCounts,
 }
 
 /// Index maps the coordinator keeps per block (no part of the job).
@@ -552,6 +555,7 @@ pub fn solve_block_job(job: &BlockJob, ws: &mut SolverWorkspace) -> Result<Block
     }
 
     let (scratch, grad_all, descent) = ws.split();
+    let before = scratch.counts;
     let carried = plock(&job.tape.0).take();
     let obj = match carried.and_then(|tape| tape.attach(&job.graph, job.machine)) {
         Some(obj) => obj,
@@ -583,11 +587,12 @@ pub fn solve_block_job(job: &BlockJob, ws: &mut SolverWorkspace) -> Result<Block
     }
     x.copy_from_slice(descent.x());
     let phi_model = model.phi;
+    let counts = model.scratch.counts.since(before);
     *plock(&job.tape.0) = Some(obj.detach());
     if !phi_model.is_finite() {
         return Err(format!("block solve produced non-finite model Phi {phi_model}"));
     }
-    Ok(BlockSolution { x, iters, phi_model })
+    Ok(BlockSolution { x, iters, phi_model, counts })
 }
 
 #[cfg(test)]

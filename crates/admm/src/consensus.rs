@@ -56,7 +56,8 @@ use paradigm_cost::{Allocation, Machine, PhiBreakdown};
 use paradigm_mdg::{Mdg, NodeId};
 use paradigm_solver::expr::Sharpness;
 use paradigm_solver::{
-    descend, workspace, FallbackTier, MdgObjective, SolverError, Stage, QN_MEMORY, STATIONARITY_TOL,
+    descend, FallbackTier, MdgObjective, SolverError, SolverWorkspace, Stage, SweepCounts,
+    QN_MEMORY, STATIONARITY_TOL,
 };
 use std::collections::BTreeMap;
 
@@ -116,9 +117,9 @@ pub trait BlockBackend {
 
 /// Scoped-thread backend: splits jobs into contiguous chunks over at
 /// most `threads` OS threads (`0` = available parallelism), each thread
-/// reusing one pooled [`paradigm_solver::SolverWorkspace`]. Because each
-/// job is solved by a pure function, the thread count changes only where
-/// a job runs, never its result.
+/// solving its chunk on one [`SolverWorkspace`] it makes for the call.
+/// Because each job is solved by a pure function, the thread count
+/// changes only where a job runs, never its result.
 #[derive(Debug, Clone, Default)]
 pub struct InProcessBackend {
     /// Worker thread cap; `0` picks `available_parallelism`.
@@ -138,7 +139,7 @@ impl BlockBackend for InProcessBackend {
         }
         .clamp(1, total);
         if workers == 1 {
-            let mut ws = workspace::acquire();
+            let mut ws = SolverWorkspace::new();
             return jobs.iter().map(|j| solve_block_job(j, &mut ws)).collect();
         }
         let chunk_len = total.div_ceil(workers);
@@ -147,7 +148,7 @@ impl BlockBackend for InProcessBackend {
                 .chunks(chunk_len)
                 .map(|chunk| {
                     scope.spawn(move || {
-                        let mut ws = workspace::acquire();
+                        let mut ws = SolverWorkspace::new();
                         chunk.iter().map(|job| solve_block_job(job, &mut ws)).collect::<Vec<_>>()
                     })
                 })
@@ -209,6 +210,9 @@ pub struct AdmmResult {
     pub backend_downgrades: u64,
     /// Tier label for downstream reporting (always `Admm`).
     pub tier: FallbackTier,
+    /// The solve's sweeps: every block solution's
+    /// [`BlockSolution::counts`] plus the coordinator polish's.
+    pub counts: SweepCounts,
 }
 
 /// Solve the allocation program by consensus ADMM over a deterministic
@@ -288,6 +292,7 @@ pub fn solve_admm<B: BlockBackend>(
 
     let mut outer_iters = 0usize;
     let mut inner_iters = 0usize;
+    let mut counts = SweepCounts::default();
     let mut r = f64::INFINITY;
     let mut s = f64::INFINITY;
     let mut converged = false;
@@ -310,7 +315,7 @@ pub fn solve_admm<B: BlockBackend>(
     // of the optimization (and distribute); the polish closes the
     // decomposition's duality-gap tail, which a frozen-context scheme
     // cannot shrink below the coupling error on its own.
-    let mut pws = workspace::acquire();
+    let mut pws = SolverWorkspace::new();
     let mut pol_step = 0.25_f64;
     let mut polish_iters = 0usize;
     let compute: Vec<usize> =
@@ -376,6 +381,9 @@ pub fn solve_admm<B: BlockBackend>(
             )));
         }
         inner_iters += sols.iter().map(|s| s.iters).sum::<usize>();
+        for sol in &sols {
+            counts += sol.counts;
+        }
         for (slot, job) in tapes.iter_mut().zip(&mut jobs) {
             *slot = std::mem::take(&mut job.tape);
         }
@@ -597,6 +605,7 @@ pub fn solve_admm<B: BlockBackend>(
         polish_iters += descend(&mut model, descent, &stage, stop);
     }
     consider(descent.x(), &mut best);
+    counts += pws.scratch.counts;
 
     let (alloc, phi) = best.expect("at least one iterate was scored");
     Ok(AdmmResult {
@@ -617,6 +626,7 @@ pub fn solve_admm<B: BlockBackend>(
         workers_quarantined: 0,
         backend_downgrades: 0,
         tier: FallbackTier::Admm,
+        counts,
     })
 }
 

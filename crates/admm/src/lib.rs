@@ -19,9 +19,9 @@
 //!
 //! Block x-updates are embarrassingly parallel and flow through the
 //! [`BlockBackend`] trait: [`InProcessBackend`] fans them out over scoped
-//! threads with pooled solver workspaces. Every round runs in this
-//! process, and the solve is deterministic — identical results across
-//! runs and thread counts.
+//! threads, each on a solver workspace of its own. Every round runs in
+//! this process, and the solve is deterministic — identical results
+//! across runs and thread counts.
 
 pub mod block;
 pub mod consensus;

@@ -1,11 +1,10 @@
 //! Model-check suite for the in-process consensus rounds.
 //!
 //! [`InProcessBackend`](crate::consensus::InProcessBackend) fans a
-//! round's block solves out over scoped threads that share the
-//! process-wide workspace pool. This suite
-//! explores every interleaving of two solver threads and holds the solve
-//! to the one-thread run, bit for bit: where a block runs never changes
-//! what it returns.
+//! round's block solves out over scoped threads, each on a workspace of
+//! its own. This suite explores every interleaving of two solver threads
+//! and holds the solve to the one-thread run, bit for bit: where a block
+//! runs never changes what it returns.
 
 use crate::block::InnerConfig;
 use crate::consensus::{solve_admm_in_process, AdmmConfig, AdmmResult};
@@ -23,11 +22,6 @@ fn bits(r: &AdmmResult) -> (Vec<u64>, u64, usize, usize) {
 /// interleaving.
 fn run_consensus(cfg: &Config) -> Report {
     explore("consensus", cfg, || {
-        // The workspace pool is process-global: clear it so pooled
-        // buffers from earlier executions cannot change this run's
-        // acquire/reuse event stream (the explorer requires the closure
-        // to be deterministic under an identical schedule).
-        paradigm_solver::workspace::reset_pool();
         let g = fork_join_mdg(2, 3, 2);
         let admm = AdmmConfig {
             max_outer: 4,

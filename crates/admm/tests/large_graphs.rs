@@ -8,13 +8,11 @@
 //!
 //! About 35 s in release on two cores, so it is `#[ignore]`d; CI runs
 //! it with `cargo test --release -p paradigm-admm --test large_graphs --
-//! --ignored`. A single test on purpose: the counters are read off the
-//! process-wide workspace pool.
+//! --ignored`.
 
 use paradigm_admm::{solve_admm_in_process, AdmmConfig};
 use paradigm_cost::Machine;
 use paradigm_mdg::{fork_join_mdg, random_layered_mdg, RandomMdgConfig};
-use paradigm_solver::workspace::pool_sweep_counts;
 
 #[test]
 #[ignore = "about 35 s in release; CI runs it with --ignored"]
@@ -25,10 +23,9 @@ fn large_consensus_solves_converge_and_sweep_replay_and_build_once() {
         ("random-8192", random_layered_mdg(&RandomMdgConfig::sized(8192), 1994)),
     ];
     for (name, g) in &cases {
-        let before = pool_sweep_counts();
         let r = solve_admm_in_process(g, Machine::cm5(256), &AdmmConfig::default(), 0)
             .unwrap_or_else(|e| panic!("{name}: {e}"));
-        let c = pool_sweep_counts().since(before);
+        let c = r.counts;
         assert!(
             r.converged,
             "{name}: stopped at primal residual {:.2e}, dual residual {:.2e}",

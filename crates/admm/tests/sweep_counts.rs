@@ -6,16 +6,13 @@
 //! block's job slot. A backend that hands every slot back empty (it
 //! solves clones of the jobs) makes the solve compile once per block
 //! *solve* and changes nothing else: not a count, not a bit of the result.
-//!
-//! A single `#[test]` on purpose — the counters are read off the
-//! process-wide workspace pool.
+//! The counts are the solve's own, [`AdmmResult::counts`].
 
 use paradigm_admm::{
     solve_admm, AdmmConfig, AdmmResult, BlockBackend, BlockJob, BlockSolution, InProcessBackend,
 };
 use paradigm_cost::Machine;
 use paradigm_mdg::fork_join_mdg;
-use paradigm_solver::workspace::pool_sweep_counts;
 use paradigm_solver::SweepCounts;
 
 /// Solves clones of the jobs it is given: a clone's tape slot is empty,
@@ -29,17 +26,15 @@ impl BlockBackend for DropsEveryTape {
     }
 }
 
-fn counted(backend: &mut impl BlockBackend) -> (AdmmResult, SweepCounts) {
+fn solved(backend: &mut impl BlockBackend) -> AdmmResult {
     let g = fork_join_mdg(4, 8, 3);
-    let before = pool_sweep_counts();
-    let r = solve_admm(&g, Machine::cm5(32), &AdmmConfig::with_blocks(&g, 2), backend)
-        .expect("admm solve");
-    (r, pool_sweep_counts().since(before))
+    solve_admm(&g, Machine::cm5(32), &AdmmConfig::with_blocks(&g, 2), backend).expect("admm solve")
 }
 
 #[test]
 fn a_consensus_solve_sweeps_no_point_twice_and_compiles_each_block_once() {
-    let (r, c) = counted(&mut InProcessBackend { threads: 2 });
+    let r = solved(&mut InProcessBackend { threads: 2 });
+    let c = r.counts;
     assert!(
         r.blocks >= 2 && r.outer_iters > 2 && r.polish_iters > 0,
         "want rounds and a polish: {r:?}"
@@ -53,7 +48,8 @@ fn a_consensus_solve_sweeps_no_point_twice_and_compiles_each_block_once() {
     assert!(c.gradients <= c.forward_sweeps && c.gradients > r.blocks as u64, "{c:?}");
     assert_eq!(c.tape_builds, r.blocks as u64, "a block was compiled more than once: {c:?}");
 
-    let (dropped, cd) = counted(&mut DropsEveryTape(InProcessBackend { threads: 2 }));
+    let dropped = solved(&mut DropsEveryTape(InProcessBackend { threads: 2 }));
+    let cd = dropped.counts;
     assert_eq!(cd.tape_builds, (r.blocks * r.outer_iters) as u64, "{cd:?}");
     assert_eq!(SweepCounts { tape_builds: c.tape_builds, ..cd }, c, "the sweeps differ");
     let bits = |r: &AdmmResult| {

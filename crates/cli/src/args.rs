@@ -225,7 +225,7 @@ Chaos plans are comma-separated key=value items, e.g.
   --chaos seed=42,panic=0.3,slow=0.2:50,stall=0.1:20,drop=0.1,truncate=0.05
 
 Model checking: `race` runs the concurrency suites (breaker, cache,
-service, consensus, pool). A normal build gives one native smoke run per
+service, consensus). A normal build gives one native smoke run per
 suite; rebuild with RUSTFLAGS=\"--cfg paradigm_race\" to
 exhaustively explore every interleaving up to the preemption bound and
 get replayable numbered traces for failures (see DESIGN.md section 12).

@@ -366,7 +366,6 @@ fn run_race(bound: Option<usize>, which: Option<&str>) -> Result<CmdOutput, CliE
     let mut suites: Vec<paradigm_race::Suite> = Vec::new();
     suites.extend(paradigm_serve::race_suites::suites());
     suites.extend(paradigm_admm::race_suites::suites());
-    suites.extend(paradigm_solver::race_suites::suites());
     if let Some(name) = which.filter(|n| *n != "all") {
         let known: Vec<&str> = suites.iter().map(|s| s.name).collect();
         suites.retain(|s| s.name == name);

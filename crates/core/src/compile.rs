@@ -5,7 +5,9 @@ use paradigm_cost::{Machine, PhiBreakdown};
 use paradigm_mdg::Mdg;
 use paradigm_sched::{psa_schedule, PsaConfig, PsaResult, SchedPolicy};
 use paradigm_sim::{lower_mpmd, lower_spmd, simulate, SimResult, TrueMachine};
-use paradigm_solver::{try_allocate, AllocationResult, SolverConfig, SolverError};
+use paradigm_solver::{
+    midpoint, try_allocate_from, AllocationResult, SolverConfig, SolverError, SolverWorkspace,
+};
 use std::fmt;
 
 /// Largest machine a [`SolveSpec`] may name. The PSA keeps a free-time
@@ -133,11 +135,22 @@ impl Compiled {
 /// and schedule it with the PSA at `spec.pb` / `spec.policy`. A bad spec
 /// is [`PipelineError::InvalidSpec`], a failed solve (non-finite
 /// objective) [`PipelineError::Solver`]. [`run_mpmd`] lowers the
-/// schedule when it is simulated.
+/// schedule when it is simulated. The solve runs on a fresh workspace.
 pub fn compile(g: &Mdg, spec: &SolveSpec) -> Result<Compiled, PipelineError> {
+    compile_in(&mut SolverWorkspace::new(), g, spec)
+}
+
+/// [`compile`] with the solve on the caller's workspace `ws`: the same
+/// start as `paradigm_solver::try_allocate`'s, and the same bits.
+pub(crate) fn compile_in(
+    ws: &mut SolverWorkspace,
+    g: &Mdg,
+    spec: &SolveSpec,
+) -> Result<Compiled, PipelineError> {
     spec.validate().map_err(PipelineError::InvalidSpec)?;
     let solver = if spec.fast_solver { SolverConfig::fast() } else { SolverConfig::default() };
-    let solve = try_allocate(g, spec.machine, &solver)?;
+    let x0 = midpoint(g, spec.machine);
+    let solve = try_allocate_from(ws, g, spec.machine, &solver, &x0)?;
     Ok(compile_with_solve(g, spec, solve))
 }
 

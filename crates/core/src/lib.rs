@@ -44,13 +44,14 @@ pub mod report;
 pub use compile::{compile, PipelineError, SolveSpec, MAX_PROCS};
 pub use pipeline::{
     gallery_graph, machine_from_spec, solve_fingerprint, solve_pipeline_degraded,
-    try_solve_pipeline, try_solve_pipeline_with_backend, AdmmStats, AllocEntry, SolveOutput,
-    GALLERY_NAMES, MACHINE_SPECS,
+    try_solve_pipeline, try_solve_pipeline_in, try_solve_pipeline_with_backend, AdmmStats,
+    AllocEntry, SolveOutput, GALLERY_NAMES, MACHINE_SPECS,
 };
 
 // Re-exported so downstream crates (e.g. `paradigm-serve`) can name the
-// solver's failure types without depending on `paradigm-solver` directly.
-pub use paradigm_solver::{FallbackTier, SolverError};
+// solver's failure types, and the workspace a solve runs on, without
+// depending on `paradigm-solver` directly.
+pub use paradigm_solver::{FallbackTier, SolverError, SolverWorkspace};
 
 /// One-stop imports for examples and downstream users.
 pub mod prelude {

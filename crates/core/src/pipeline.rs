@@ -11,7 +11,9 @@
 //! identical outputs (the pipeline is deterministic), which is exactly
 //! the property single-flight caching needs.
 
-use crate::compile::{compile, compile_with_solve, run_mpmd, Compiled, PipelineError, SolveSpec};
+use crate::compile::{
+    compile_in, compile_with_solve, run_mpmd, Compiled, PipelineError, SolveSpec,
+};
 use paradigm_admm::{solve_admm, AdmmConfig, AdmmResult, BlockBackend, InProcessBackend};
 use paradigm_cost::Machine;
 use paradigm_mdg::hash::Mix128;
@@ -22,7 +24,7 @@ use paradigm_mdg::{
 };
 use paradigm_sched::{idle_profile, SchedPolicy};
 use paradigm_sim::TrueMachine;
-use paradigm_solver::{equal_split_allocation, AllocationResult, FallbackTier};
+use paradigm_solver::{equal_split_allocation, AllocationResult, FallbackTier, SolverWorkspace};
 
 /// One node's solved placement.
 #[derive(Debug, Clone, PartialEq)]
@@ -188,15 +190,25 @@ fn admm_output<B: BlockBackend>(
 /// spec, solve on the tier it names, schedule, and optionally simulate.
 /// A failed solve is a typed [`PipelineError`] — on either tier; nothing
 /// here degrades, so an ADMM failure is not answered densely. This is
-/// [`try_solve_pipeline_with_backend`] with the default [`AdmmConfig`]
-/// on the default in-process backend.
+/// [`try_solve_pipeline_in`] on a fresh workspace.
 pub fn try_solve_pipeline(g: &Mdg, spec: &SolveSpec) -> Result<SolveOutput, PipelineError> {
-    try_solve_pipeline_with_backend(
-        g,
-        spec,
-        &AdmmConfig::default(),
-        &mut InProcessBackend::default(),
-    )
+    try_solve_pipeline_in(&mut SolverWorkspace::new(), g, spec)
+}
+
+/// [`try_solve_pipeline`] with a dense solve on the caller's workspace
+/// `ws`, which a long-lived caller (a serving worker) keeps warm across
+/// solves; a warm workspace moves no bit of the output. The ADMM tier
+/// runs with the default [`AdmmConfig`] on the default in-process
+/// backend, whose threads make their own workspaces.
+pub fn try_solve_pipeline_in(
+    ws: &mut SolverWorkspace,
+    g: &Mdg,
+    spec: &SolveSpec,
+) -> Result<SolveOutput, PipelineError> {
+    if spec.admm {
+        return admm_output(g, spec, &AdmmConfig::default(), &mut InProcessBackend::default());
+    }
+    Ok(output_from_compiled(g, spec, &compile_in(ws, g, spec)?))
 }
 
 /// Like [`try_solve_pipeline`], but the consensus-ADMM tier (when
@@ -213,7 +225,7 @@ pub fn try_solve_pipeline_with_backend<B: BlockBackend>(
     if spec.admm {
         return admm_output(g, spec, admm_cfg, backend);
     }
-    Ok(output_from_compiled(g, spec, &compile(g, spec)?))
+    try_solve_pipeline_in(&mut SolverWorkspace::new(), g, spec)
 }
 
 /// Run the pipeline with the analytic equal-split allocation instead of
@@ -308,6 +320,7 @@ pub fn gallery_graph(name: &str) -> Option<Mdg> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::compile::compile;
     use paradigm_mdg::{AmdahlParams, ArrayTransfer, MdgBuilder, TransferKind};
     use paradigm_solver::SolverError;
 

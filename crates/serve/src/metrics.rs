@@ -102,6 +102,12 @@ pub struct Metrics {
     pub evictions: AtomicU64,
     /// Jobs currently queued (gauge).
     pub queue_depth: AtomicU64,
+    /// Solves a worker ran on the solver workspace it owns: one per
+    /// solve (== `solves`).
+    pub ws_acquires: AtomicU64,
+    /// The part of `ws_acquires` whose workspace was already warm from
+    /// an earlier solve of the same worker.
+    pub ws_reuses: AtomicU64,
     /// End-to-end latency of completed requests: submit entry →
     /// response for an inline hit, enqueue → response for a queued job.
     pub latency: LatencyHistogram,
@@ -146,10 +152,9 @@ pub struct MetricsSnapshot {
     pub evictions: u64,
     /// See [`Metrics::queue_depth`].
     pub queue_depth: u64,
-    /// Solver workspace pool checkouts (process-global; see
-    /// [`paradigm_solver::workspace::pool_counters`]).
+    /// See [`Metrics::ws_acquires`].
     pub ws_acquires: u64,
-    /// Checkouts satisfied by a previously released (warm) workspace.
+    /// See [`Metrics::ws_reuses`].
     pub ws_reuses: u64,
     /// See [`Metrics::latency`].
     pub latency_buckets: [u64; HIST_BUCKETS],
@@ -158,7 +163,6 @@ pub struct MetricsSnapshot {
 impl Metrics {
     /// Take a consistent-enough copy of all counters.
     pub fn snapshot(&self) -> MetricsSnapshot {
-        let (ws_acquires, ws_reuses) = paradigm_solver::workspace::pool_counters();
         MetricsSnapshot {
             requests: self.requests.load(Ordering::Relaxed),
             cache_hits: self.cache_hits.load(Ordering::Relaxed),
@@ -178,8 +182,8 @@ impl Metrics {
             audit_fail: self.audit_fail.load(Ordering::Relaxed),
             evictions: self.evictions.load(Ordering::Relaxed),
             queue_depth: self.queue_depth.load(Ordering::Relaxed),
-            ws_acquires,
-            ws_reuses,
+            ws_acquires: self.ws_acquires.load(Ordering::Relaxed),
+            ws_reuses: self.ws_reuses.load(Ordering::Relaxed),
             latency_buckets: self.latency.snapshot(),
         }
     }
@@ -261,7 +265,7 @@ impl MetricsSnapshot {
         ));
         out.push_str(&format!("  audits: pass {}  fail {}\n", self.audit_pass, self.audit_fail));
         out.push_str(&format!(
-            "  workspace pool: acquires {}  reuses {}\n",
+            "  worker workspaces: acquires {}  reuses {}\n",
             self.ws_acquires, self.ws_reuses
         ));
         out.push_str(&format!(

@@ -100,7 +100,6 @@ fn run_cache(cfg: &Config) -> Report {
 /// never holds the queue lock and a cache shard lock together.
 fn run_service(cfg: &Config) -> Report {
     explore("service", cfg, || {
-        paradigm_solver::workspace::reset_pool();
         let svc = Service::start(ServeConfig {
             workers: 1,
             // Eight entries a shard: the degraded entry must not evict

@@ -71,3 +71,23 @@ fn a_failed_solve_reaches_the_breaker_and_is_never_cached_as_primary() {
     let stats = svc.shutdown();
     assert_eq!(stats.solves, 8, "the hit ran no solve");
 }
+
+/// A solve that panics leaves its worker's workspace reusable: the
+/// overflow chain's solve sweeps non-finite values through the one
+/// workspace the worker owns before it fails, and the worker's next solve
+/// still gives every bit of a solve on a fresh workspace.
+#[test]
+fn a_failed_solve_leaves_the_workers_workspace_reusable() {
+    let spec = SolveSpec::new(Machine::cm5(16));
+    let svc = Service::start(ServeConfig { workers: 1, ..ServeConfig::default() });
+    let r = svc.submit(Arc::new(overflow_chain()), spec.clone()).expect("a degraded answer");
+    assert_eq!(r.output.degraded, FallbackTier::EqualSplit);
+    let cmm = Arc::new(gallery_graph("cmm").expect("gallery"));
+    let after = svc.submit(Arc::clone(&cmm), spec.clone()).expect("cmm solves");
+    let fresh = try_solve_pipeline(&cmm, &spec).expect("cmm solves");
+    assert_eq!(after.output.degraded, FallbackTier::Primary);
+    assert_eq!(after.output.phi.to_bits(), fresh.phi.to_bits());
+    assert_eq!(after.output.alloc, fresh.alloc);
+    let stats = svc.shutdown();
+    assert_eq!((stats.ws_acquires, stats.ws_reuses), (2, 1), "the failed solve warmed it");
+}

@@ -11,7 +11,7 @@
 
 use crate::expr::Sharpness;
 use crate::objective::MdgObjective;
-use crate::workspace;
+use crate::workspace::EvalScratch;
 use paradigm_cost::{Allocation, Machine, PhiBreakdown};
 use paradigm_mdg::Mdg;
 
@@ -74,12 +74,12 @@ pub fn allocate_coordinate(g: &Mdg, machine: Machine, cfg: &CoordinateConfig) ->
         cfg.sharpness_schedule.iter().map(|&s| Sharpness::Smooth(s)).collect();
     stages.push(Sharpness::Exact);
 
-    // One pooled workspace for the whole solve: golden-section probes are
+    // One sweep scratch for the whole solve: golden-section probes are
     // pure evaluations, so every one of them runs allocation-free through
-    // the same sweep scratch.
-    let mut ws = workspace::acquire();
+    // it.
+    let mut scratch = EvalScratch::default();
     for sharp in stages {
-        let mut best = obj.eval_with(&x, sharp, &mut ws.scratch).phi;
+        let mut best = obj.eval_with(&x, sharp, &mut scratch).phi;
         for _ in 0..cfg.max_sweeps {
             sweeps += 1;
             let before = best;
@@ -94,7 +94,7 @@ pub fn allocate_coordinate(g: &Mdg, machine: Machine, cfg: &CoordinateConfig) ->
                 let mut f_at = |xj: f64, x: &mut Vec<f64>| {
                     let old = x[j];
                     x[j] = xj;
-                    let v = obj.eval_with(x, sharp, &mut ws.scratch).phi;
+                    let v = obj.eval_with(x, sharp, &mut scratch).phi;
                     x[j] = old;
                     v
                 };

@@ -54,7 +54,7 @@
 //! sweeps the model's executor counts there, so `forward_sweeps ==
 //! probes` over a solve says no model swept a probe twice and
 //! `backward_sweeps == gradients` that none replayed one twice. The
-//! pairs and the initial matrix's two sums live in the state's pooled
+//! pairs and the initial matrix's two sums live in the state's reused
 //! buffers (`2·memory·n` doubles sized at stage start, `2·n` at the first
 //! quasi-Newton direction): after warm-up the stage performs no heap
 //! allocation.
@@ -109,7 +109,7 @@ pub struct DescentState {
     active: Vec<usize>,
     /// Ring of `memory` slots, each `s` then `y` (`2·n` doubles); only
     /// ever grows, so stages with and without a memory can alternate on
-    /// one pooled state.
+    /// one reused state.
     pairs: Vec<f64>,
     /// Two-loop coefficients `(α_i, 1 / s_i·y_i)`, newest pair first.
     coeffs: Vec<(f64, f64)>,

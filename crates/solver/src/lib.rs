@@ -38,8 +38,8 @@
 //!   labels ([`FallbackTier`]) an [`AllocationResult`] carries;
 //! * [`coordinate`] — gradient-free coordinate descent, the differential
 //!   oracle the gradient solver is tested against;
-//! * [`workspace`] — reusable, pooled scratch buffers that make the
-//!   descent loop allocation-free after warm-up;
+//! * [`workspace`] — caller-owned, reusable scratch buffers that make
+//!   the descent loop allocation-free after warm-up;
 //! * [`alloc_count`] — an optional counting global allocator backing the
 //!   zero-allocation tests and the objective's byte guard (per-thread live bytes and high-water mark).
 
@@ -52,7 +52,6 @@ pub mod descent;
 pub mod error;
 pub mod expr;
 pub mod objective;
-pub mod race_suites;
 pub mod solve;
 pub mod workspace;
 
@@ -67,10 +66,10 @@ pub use error::{FallbackTier, SolverError};
 pub use expr::{Expr, Monomial};
 pub use objective::{DetachedObjective, MdgObjective};
 pub use solve::{
-    allocate, check_annealing, descend_stage, equal_split_allocation, optimality_residual,
-    try_allocate, try_allocate_from, AllocationResult, SolverConfig, QN_MEMORY, STATIONARITY_TOL,
-    WARM_TOL,
+    allocate, check_annealing, descend_stage, equal_split_allocation, midpoint,
+    optimality_residual, try_allocate, try_allocate_from, AllocationResult, SolverConfig,
+    QN_MEMORY, STATIONARITY_TOL, WARM_TOL,
 };
 #[doc(hidden)]
 pub use workspace::BatchWorkspace;
-pub use workspace::{EvalScratch, PooledWorkspace, SolverWorkspace, SweepCounts};
+pub use workspace::{EvalScratch, SolverWorkspace, SweepCounts};

@@ -44,7 +44,7 @@
 
 use crate::compiled::{smax_columns, LevelProgram, TapeStats};
 use crate::expr::{smax_pair_weights, smax_weights, Expr, Monomial, Sharpness};
-use crate::workspace::{self, EvalScratch};
+use crate::workspace::EvalScratch;
 use paradigm_cost::{Allocation, Machine, MdgWeights, PhiBreakdown, TransferParams};
 use paradigm_mdg::{ArrayTransfer, Edge, EdgeId, Mdg, NodeId, TransferKind};
 
@@ -449,10 +449,9 @@ impl<'g> MdgObjective<'g> {
 
     /// Evaluate `Phi` (and parts) at `x` with the given sharpness, without
     /// gradients. Convenience wrapper over [`MdgObjective::eval_with`]
-    /// using a pooled workspace; hot loops should hold their own.
+    /// on a fresh scratch; hot loops should hold their own.
     pub fn eval(&self, x: &[f64], sharp: Sharpness) -> ObjectiveParts {
-        let mut ws = workspace::acquire();
-        self.eval_with(x, sharp, &mut ws.scratch)
+        self.eval_with(x, sharp, &mut EvalScratch::default())
     }
 
     /// Allocation-free [`MdgObjective::eval`] for gradient-free callers:
@@ -471,12 +470,11 @@ impl<'g> MdgObjective<'g> {
     }
 
     /// Evaluate `Phi` and its gradient w.r.t. `x`. Convenience wrapper
-    /// over [`MdgObjective::eval_grad_with`] using a pooled workspace
-    /// and a freshly allocated gradient vector.
+    /// over [`MdgObjective::eval_grad_with`] on a fresh scratch and
+    /// gradient vector.
     pub fn eval_grad(&self, x: &[f64], sharp: Sharpness) -> (ObjectiveParts, Vec<f64>) {
-        let mut ws = workspace::acquire();
         let mut grad = Vec::new();
-        let parts = self.eval_grad_with(x, sharp, &mut ws.scratch, &mut grad);
+        let parts = self.eval_grad_with(x, sharp, &mut EvalScratch::default(), &mut grad);
         (parts, grad)
     }
 
@@ -511,10 +509,10 @@ impl<'g> MdgObjective<'g> {
         x: &[f64],
         sharp: Sharpness,
     ) -> (ObjectiveParts, Vec<f64>, Vec<f64>) {
-        let mut ws = workspace::acquire();
         let mut grad_a = Vec::new();
         let mut grad_c = Vec::new();
-        let parts = self.eval_grad_parts_with(x, sharp, &mut ws.scratch, &mut grad_a, &mut grad_c);
+        let mut scratch = EvalScratch::default();
+        let parts = self.eval_grad_parts_with(x, sharp, &mut scratch, &mut grad_a, &mut grad_c);
         (parts, grad_a, grad_c)
     }
 

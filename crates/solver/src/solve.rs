@@ -19,7 +19,7 @@ use crate::descent::{descend, DescentModel, DescentState, Stage};
 use crate::error::{FallbackTier, SolverError};
 use crate::expr::Sharpness;
 use crate::objective::MdgObjective;
-use crate::workspace::{self, EvalScratch, SolverWorkspace, SweepCounts};
+use crate::workspace::{EvalScratch, SolverWorkspace, SweepCounts};
 use paradigm_cost::{Allocation, Machine, MdgWeights, PhiBreakdown};
 use paradigm_mdg::Mdg;
 
@@ -118,26 +118,35 @@ pub fn allocate(g: &Mdg, machine: Machine, cfg: &SolverConfig) -> AllocationResu
 /// Fallible [`allocate`]: validates the configuration and the objective,
 /// and returns a typed [`SolverError`] instead of panicking — including
 /// [`SolverError::NonFinite`] when the solve ends on a non-finite `Phi`.
-/// The solve is [`try_allocate_from`] the midpoint of the box — not a
-/// corner: from `x = 0` every `max(p_i, p_j)` of the transfer costs ties,
-/// and an exact-only schedule stalls on the tie.
+/// The solve is [`try_allocate_from`] the [`midpoint`] on a fresh
+/// workspace.
 pub fn try_allocate(
     g: &Mdg,
     machine: Machine,
     cfg: &SolverConfig,
 ) -> Result<AllocationResult, SolverError> {
-    let midpoint = (machine.procs.max(1) as f64).ln() / 2.0;
-    try_allocate_from(g, machine, cfg, &vec![midpoint; g.node_count()])
+    try_allocate_from(&mut SolverWorkspace::new(), g, machine, cfg, &midpoint(g, machine))
+}
+
+/// The start every solve of the pipeline runs from: the midpoint of the
+/// box, `x = ln p / 2` per node — not a corner: from `x = 0` every
+/// `max(p_i, p_j)` of the transfer costs ties, and an exact-only schedule
+/// stalls on the tie.
+pub fn midpoint(g: &Mdg, machine: Machine) -> Vec<f64> {
+    vec![(machine.procs.max(1) as f64).ln() / 2.0; g.node_count()]
 }
 
 /// [`try_allocate`] from the caller's start `x0` (`x = ln p` per node,
 /// inside the box `[0, ln p]^n`; the START and STOP entries are pinned to
-/// 0 whatever they hold): every stage of the sharpness ladder, then the
-/// exact polish, out of one pooled workspace. The program is convex, so
+/// 0 whatever they hold) on the caller's workspace `ws`: every stage of
+/// the sharpness ladder, then the exact polish. A warm `ws` saves only
+/// the growing of its buffers, never a bit of the result, and its
+/// [`SweepCounts`] add up this solve's sweeps. The program is convex, so
 /// the start moves the answer only by what the stages leave unconverged —
 /// the start-independence test (`tests/one_start.rs`) measures exactly
 /// that through this entry point.
 pub fn try_allocate_from(
+    ws: &mut SolverWorkspace,
     g: &Mdg,
     machine: Machine,
     cfg: &SolverConfig,
@@ -160,10 +169,7 @@ pub fn try_allocate_from(
     let mut stages = cfg.sharpness_schedule.clone();
     stages.sort_by(f64::total_cmp);
     let dense = DenseStages { obj: &obj, max_iters: cfg.max_iters_per_stage, rel_tol: cfg.rel_tol };
-    // The pooled workspace keeps its buffers warm across solves (serve
-    // workers re-hit the same pool on every cache miss).
-    let mut ws = workspace::acquire();
-    let SolverWorkspace { scratch, descent, .. } = &mut *ws;
+    let SolverWorkspace { scratch, descent, .. } = ws;
     // Structural variables pinned to ln 1 = 0 (they never appear in the
     // objective, but a clean value keeps reports readable).
     let mut x = x0.to_vec();
@@ -179,7 +185,6 @@ pub fn try_allocate_from(
         iterations += dense.run(&mut model, descent, gtol);
     }
     let alloc = obj.allocation_from_x(descent.x());
-    drop(ws);
 
     let phi = obj.exact_phi(&alloc);
     if !phi.phi.is_finite() {
@@ -217,10 +222,7 @@ pub fn equal_split_allocation(g: &Mdg, machine: Machine) -> AllocationResult {
 /// — and by convexity, global optimality.
 pub fn optimality_residual(obj: &MdgObjective<'_>, x: &[f64], sharp: Sharpness) -> f64 {
     let ub = obj.x_upper();
-    let mut ws = workspace::acquire();
-    let SolverWorkspace { scratch, grad_a, grad_c, .. } = &mut *ws;
-    let parts = obj.eval_grad_parts_with(x, sharp, scratch, grad_a, grad_c);
-    let (grad_a, grad_c) = (&*grad_a, &*grad_c);
+    let (parts, grad_a, grad_c) = obj.eval_grad_parts(x, sharp);
     // Admissible multipliers: only active pieces may carry weight. A
     // piece is "active" within a small relative band of the max.
     let tol = 1e-6 * parts.phi.abs().max(f64::MIN_POSITIVE);

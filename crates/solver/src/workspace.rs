@@ -22,29 +22,27 @@
 //! and one depth's candidates, weights and kernel rows in turn. These
 //! tapes and the per-node and per-edge DAG buffers only ever grow — each
 //! sweep overwrites every entry it later reads (the backward replay
-//! zeroes its own node adjoints), so a pooled scratch that alternates
-//! between objectives (ADMM blocks) is sized once, by the largest, and
-//! never zeroed.
+//! zeroes its own node adjoints), so a scratch that alternates between
+//! objectives (ADMM blocks, a serving worker's solves) is sized once, by
+//! the largest, and never zeroed.
 //!
-//! Beside the sweep scratch a workspace owns a dense gradient pair and
-//! the descent stage's [`DescentState`], as disjoint fields: a descent
+//! Beside the sweep scratch a workspace owns a dense gradient and the
+//! descent stage's [`DescentState`], as disjoint fields: a descent
 //! model borrows the scratch and a gradient buffer while the stage holds
 //! the iterate ([`SolverWorkspace::split`]).
 //!
-//! Workspaces are checked out of one small global pool
-//! ([`acquire`]/[`PooledWorkspace`]) so long-lived callers — the serving
-//! layer's worker threads, ADMM block backends — reuse warm buffers
-//! across solves instead of re-growing them. The pool is deliberately
-//! simple: a mutex-guarded free list capped at [`POOL_CAP`] entries;
-//! contention is one lock per *solve start*, not per iteration, so it
-//! never shows up in profiles.
+//! A workspace belongs to its caller, who passes it by `&mut` into every
+//! solve it runs: [`crate::try_allocate_from`] solves on the caller's
+//! workspace, [`crate::try_allocate`] on a fresh one. A long-lived caller
+//! — a serving worker thread — keeps one for its whole life and reuses
+//! its warm buffers across solves instead of re-growing them. Nothing is
+//! shared between threads, so the solver holds no global state and a
+//! workspace needs no lock. A solve that panics leaves its workspace as
+//! reusable as one that returned, since every sweep overwrites what it
+//! later reads.
 
 use crate::compiled::{LevelProgram, VarCache};
 use crate::descent::DescentState;
-use paradigm_race::plock;
-use paradigm_race::sync::atomic::{AtomicU64, Ordering};
-use paradigm_race::sync::Mutex;
-use std::ops::{Deref, DerefMut};
 
 /// Lifetime work counters of one sweep scratch: plain integers bumped
 /// in passing (a scratch has one owner at a time), free unless read.
@@ -83,6 +81,19 @@ impl SweepCounts {
             exp_calls: self.exp_calls.saturating_sub(earlier.exp_calls),
             tape_builds: self.tape_builds.saturating_sub(earlier.tape_builds),
         }
+    }
+}
+
+impl std::ops::AddAssign for SweepCounts {
+    /// Sum the counts of two scratches (an ADMM solve's blocks and its
+    /// coordinator).
+    fn add_assign(&mut self, c: SweepCounts) {
+        self.forward_sweeps += c.forward_sweeps;
+        self.backward_sweeps += c.backward_sweeps;
+        self.probes += c.probes;
+        self.gradients += c.gradients;
+        self.exp_calls += c.exp_calls;
+        self.tape_builds += c.tape_builds;
     }
 }
 
@@ -125,8 +136,8 @@ pub struct EvalScratch {
 }
 
 /// Grow `v` to at least `len` entries. The sweeps overwrite every slot
-/// they later read, so nothing is zeroed and a pooled scratch that
-/// alternates between objectives is sized once, by the largest.
+/// they later read, so nothing is zeroed and a scratch that alternates
+/// between objectives is sized once, by the largest.
 fn grow(v: &mut Vec<f64>, len: usize) {
     if v.len() < len {
         v.resize(len, 0.0);
@@ -135,7 +146,7 @@ fn grow(v: &mut Vec<f64>, len: usize) {
 
 impl EvalScratch {
     /// The value of every op of the level program the last sweep ran
-    /// here (root `r` at `[r]`: node `v`'s `T` at `[v]`; a pooled scratch
+    /// here (root `r` at `[r]`: node `v`'s `T` at `[v]`; a reused scratch
     /// may hold a larger program's tail beyond the program's slots). Edge
     /// roots exist only on a machine with `t_n > 0`: read a swept edge's
     /// `t^D` through `MdgObjective::swept_edge_delay`. The ADMM
@@ -167,24 +178,19 @@ impl EvalScratch {
 }
 
 /// Preallocated buffers for one solver thread: the objective's
-/// [`EvalScratch`], the dense `∇A_p` / `∇C_p` pair of the two-seed caller
-/// (the stationarity residual; the ADMM block model borrows the first of
-/// the pair for its one full-length gradient), and the descent stage's
-/// state.
+/// [`EvalScratch`], one dense gradient (the ADMM block model's
+/// full-length one), and the descent stage's state.
 ///
-/// Construct one directly for a dedicated thread, or [`acquire`] a
-/// pooled one; pass it by `&mut` to `descend_stage`, or `.scratch` to the
-/// `*_with` entry points on [`crate::MdgObjective`].
+/// Its caller owns it: pass it by `&mut` to [`crate::try_allocate_from`]
+/// or `descend_stage`, or `.scratch` to the `*_with` entry points on
+/// [`crate::MdgObjective`].
 #[derive(Debug, Default)]
 pub struct SolverWorkspace {
     /// Objective sweep buffers (public so callers holding their own
     /// gradient vectors can use the `*_with` objective entry points).
     pub scratch: EvalScratch,
-    /// Dense gradient of `A_p` (stationarity residual); the ADMM block
-    /// model's gradient over all of a block's variables.
-    pub(crate) grad_a: Vec<f64>,
-    /// Dense gradient of `C_p` (stationarity residual).
-    pub(crate) grad_c: Vec<f64>,
+    /// The ADMM block model's gradient over all of a block's variables.
+    grad: Vec<f64>,
     /// The descent stage's iterate, gradient, trial, step, flag and
     /// quasi-Newton pairs — the only descent buffers.
     pub descent: DescentState,
@@ -207,129 +213,13 @@ impl SolverWorkspace {
     /// buffer (which keeps its capacity across calls) for the model, the
     /// descent state for the stage.
     pub fn split(&mut self) -> (&mut EvalScratch, &mut Vec<f64>, &mut DescentState) {
-        (&mut self.scratch, &mut self.grad_a, &mut self.descent)
+        (&mut self.scratch, &mut self.grad, &mut self.descent)
     }
-}
-
-/// Upper bound on pooled idle workspaces; beyond this, released
-/// workspaces are simply dropped. Sized for a serving layer running a
-/// few dozen workers, not for unbounded retention.
-const POOL_CAP: usize = 64;
-
-static POOL: Mutex<Vec<SolverWorkspace>> = Mutex::new(Vec::new());
-static ACQUIRES: AtomicU64 = AtomicU64::new(0);
-static REUSES: AtomicU64 = AtomicU64::new(0);
-
-/// A workspace checked out of the global pool; returned on drop.
-#[derive(Debug)]
-pub struct PooledWorkspace {
-    ws: Option<SolverWorkspace>,
-}
-
-impl Deref for PooledWorkspace {
-    type Target = SolverWorkspace;
-    fn deref(&self) -> &SolverWorkspace {
-        self.ws.as_ref().expect("workspace present until drop")
-    }
-}
-
-impl DerefMut for PooledWorkspace {
-    fn deref_mut(&mut self) -> &mut SolverWorkspace {
-        self.ws.as_mut().expect("workspace present until drop")
-    }
-}
-
-impl Drop for PooledWorkspace {
-    fn drop(&mut self) {
-        if let Some(ws) = self.ws.take() {
-            let mut pool = plock(&POOL);
-            if pool.len() < POOL_CAP {
-                pool.push(ws);
-            }
-        }
-    }
-}
-
-/// Check a workspace out of the global pool (creating a cold one when
-/// the pool is empty). The warm buffers inside survive across acquire /
-/// release cycles, which is what makes repeat solves — e.g. the serving
-/// layer's workers answering cache misses — allocation-free after the
-/// first request at a given graph size.
-pub fn acquire() -> PooledWorkspace {
-    ACQUIRES.fetch_add(1, Ordering::Relaxed);
-    let ws = {
-        let mut pool = plock(&POOL);
-        pool.pop()
-    };
-    let ws = match ws {
-        Some(w) => {
-            REUSES.fetch_add(1, Ordering::Relaxed);
-            w
-        }
-        None => SolverWorkspace::new(),
-    };
-    PooledWorkspace { ws: Some(ws) }
-}
-
-/// Summed [`SweepCounts`] of the workspaces idle in the pool right now.
-/// With no solve in flight that is every pooled workspace, so the
-/// difference of two calls around a solve is that solve's count — how
-/// the benches read the loops' counters without the solver threading
-/// them through its results.
-pub fn pool_sweep_counts() -> SweepCounts {
-    let mut total = SweepCounts::default();
-    for ws in plock(&POOL).iter() {
-        let c = ws.scratch.counts;
-        total.forward_sweeps += c.forward_sweeps;
-        total.backward_sweeps += c.backward_sweeps;
-        total.probes += c.probes;
-        total.gradients += c.gradients;
-        total.exp_calls += c.exp_calls;
-        total.tape_builds += c.tape_builds;
-    }
-    total
-}
-
-/// Lifetime counters of the global pool: `(acquires, reuses)`. A reuse
-/// is an acquire satisfied by a previously released (warm) workspace.
-/// Exposed so the serving layer can report how often its workers hit
-/// warm buffers.
-pub fn pool_counters() -> (u64, u64) {
-    (ACQUIRES.load(Ordering::Relaxed), REUSES.load(Ordering::Relaxed))
-}
-
-/// Drop every pooled workspace and zero the counters. The pool is
-/// process-global; the model checker re-runs a closure under many
-/// schedules and needs each run to start from the identical empty pool,
-/// so its suites call this at the top of every execution. Harmless (but
-/// pointless) anywhere else.
-#[doc(hidden)]
-pub fn reset_pool() {
-    plock(&POOL).clear();
-    ACQUIRES.store(0, Ordering::Relaxed);
-    REUSES.store(0, Ordering::Relaxed);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn pool_recycles_workspaces() {
-        let (a0, _) = pool_counters();
-        {
-            let mut ws = acquire();
-            ws.scratch.ensure(8, 12, 3);
-            assert!(ws.scratch.y.len() >= 8);
-            assert!(ws.scratch.tape_w.len() >= 12);
-        }
-        // The released workspace (or another thread's) comes back warm.
-        let ws = acquire();
-        let (a1, r1) = pool_counters();
-        assert!(a1 >= a0 + 2);
-        assert!(r1 >= 1, "second acquire should reuse a released workspace");
-        drop(ws);
-    }
 
     #[test]
     fn ensure_only_grows() {

@@ -11,23 +11,29 @@
 //!
 //! The cases are cmm at p = 16 under both presets, then every gallery
 //! graph and three seeded 8-wide random layered graphs (64, 128 and 256
-//! nodes) at p = 64 under `fast()`.
-//!
-//! This file deliberately contains a single `#[test]` — the counters are
-//! read off the process-wide workspace pool, and a sibling test solving
-//! on another thread would pollute the delta.
+//! nodes) at p = 64 under `fast()`. Each solve runs on a workspace of its
+//! own, whose counters are that solve's and nobody else's.
 
 use paradigm_core::{gallery_graph, GALLERY_NAMES};
 use paradigm_cost::Machine;
 use paradigm_mdg::{random_layered_mdg, Mdg, RandomMdgConfig};
-use paradigm_solver::workspace::pool_sweep_counts;
-use paradigm_solver::{try_allocate, SolverConfig};
+use paradigm_solver::{
+    midpoint, try_allocate_from, AllocationResult, SolverConfig, SolverWorkspace, SweepCounts,
+};
 
 /// A seeded random layered graph of `n` compute nodes, 8 to a layer.
 fn random(n: usize) -> Mdg {
     let cfg =
         RandomMdgConfig { layers: n / 8, width_min: 8, width_max: 8, ..RandomMdgConfig::default() };
     random_layered_mdg(&cfg, 1994)
+}
+
+/// `try_allocate` on a fresh workspace, and that workspace's counts.
+fn counted(g: &Mdg, procs: u32, cfg: &SolverConfig) -> (AllocationResult, SweepCounts) {
+    let machine = Machine::cm5(procs);
+    let mut ws = SolverWorkspace::new();
+    let r = try_allocate_from(&mut ws, g, machine, cfg, &midpoint(g, machine)).expect("solves");
+    (r, ws.scratch.counts)
 }
 
 #[test]
@@ -43,9 +49,7 @@ fn a_dense_solve_sweeps_no_point_twice() {
         cases.push((format!("{name}@64 fast"), g, 64, SolverConfig::fast()));
     }
     for (name, g, procs, cfg) in &cases {
-        let before = pool_sweep_counts();
-        let r = try_allocate(g, Machine::cm5(*procs), cfg).expect("the case solves");
-        let c = pool_sweep_counts().since(before);
+        let (r, c) = counted(g, *procs, cfg);
         assert!(c.probes > r.iterations as u64, "{name}: every iteration probes: {c:?}");
         assert_eq!(c.forward_sweeps, c.probes, "{name}: a point was swept twice: {c:?}");
         // One replay per stage start and per accepted step; an iteration
@@ -54,4 +58,27 @@ fn a_dense_solve_sweeps_no_point_twice() {
         let vars = g.node_count() as u64;
         assert_eq!(c.exp_calls, c.forward_sweeps * vars, "{name}, {vars} variables: {c:?}");
     }
+}
+
+/// Two solves at once, on two threads, each on its own workspace, count
+/// exactly what each counts alone: no sweep of one lands in the other's
+/// counters.
+#[test]
+fn two_concurrent_solves_each_count_their_own_sweeps() {
+    let cfg = SolverConfig::fast();
+    let cases = [("cmm", 16), ("strassen", 16)].map(|(name, procs)| {
+        let g = gallery_graph(name).expect(name);
+        let solo = counted(&g, procs, &cfg);
+        (name, g, procs, solo)
+    });
+    let together = std::thread::scope(|s| {
+        let handles = cases.each_ref().map(|(_, g, procs, _)| s.spawn(|| counted(g, *procs, &cfg)));
+        handles.map(|h| h.join().expect("solve thread"))
+    });
+    for ((name, _, _, (solo, solo_counts)), (r, c)) in cases.iter().zip(&together) {
+        assert_eq!(c, solo_counts, "{name}: the concurrent solve counted differently");
+        assert_eq!(c.forward_sweeps, c.probes, "{name}: {c:?}");
+        assert_eq!(r.phi.phi.to_bits(), solo.phi.phi.to_bits(), "{name}");
+    }
+    assert_ne!(together[0].1, together[1].1, "two different graphs count differently");
 }

@@ -18,13 +18,17 @@ use paradigm_mdg::{
     complex_matmul_mdg, example_fig1_mdg, random_layered_mdg, strassen_mdg, KernelCostTable, Mdg,
     RandomMdgConfig,
 };
-use paradigm_solver::{try_allocate, try_allocate_from, SolverConfig, SolverError};
+use paradigm_solver::{
+    try_allocate, try_allocate_from, SolverConfig, SolverError, SolverWorkspace,
+};
 
 /// `max Phi / min Phi − 1` over the solves from `x = 0`, `ub/2`, `ub`.
 fn start_spread(g: &Mdg, machine: Machine, cfg: &SolverConfig) -> f64 {
     let ub = f64::from(machine.procs).ln();
+    let mut ws = SolverWorkspace::new();
     let phis = [0.0, ub / 2.0, ub].map(|x0| {
-        let r = try_allocate_from(g, machine, cfg, &vec![x0; g.node_count()]).expect("solves");
+        let x0 = vec![x0; g.node_count()];
+        let r = try_allocate_from(&mut ws, g, machine, cfg, &x0).expect("solves");
         assert_eq!(r.starts, 1);
         r.phi.phi
     });
@@ -78,7 +82,8 @@ fn try_allocate_is_the_solve_from_the_midpoint() {
     let cfg = SolverConfig::fast();
     let a = try_allocate(&g, machine, &cfg).expect("solves");
     let mid = vec![16f64.ln() / 2.0; g.node_count()];
-    let b = try_allocate_from(&g, machine, &cfg, &mid).expect("solves");
+    let b =
+        try_allocate_from(&mut SolverWorkspace::new(), &g, machine, &cfg, &mid).expect("solves");
     assert_eq!((a.phi.phi.to_bits(), a.iterations), (b.phi.phi.to_bits(), b.iterations));
     assert_eq!(a.alloc.as_slice(), b.alloc.as_slice());
     // START and STOP are pinned to one processor whatever the start holds.
@@ -92,8 +97,9 @@ fn a_start_outside_the_problem_is_a_typed_error() {
     let n = g.node_count();
     let mut nan = vec![0.5; n];
     nan[1] = f64::NAN;
+    let mut ws = SolverWorkspace::new();
     for bad in [vec![0.5; n + 1], nan, vec![4f64.ln() + 1e-9; n], vec![-1e-9; n]] {
-        let err = try_allocate_from(&g, machine, &SolverConfig::fast(), &bad).unwrap_err();
+        let err = try_allocate_from(&mut ws, &g, machine, &SolverConfig::fast(), &bad).unwrap_err();
         assert!(matches!(err, SolverError::InvalidConfig(_)), "{err}");
     }
 }
