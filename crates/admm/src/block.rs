@@ -581,8 +581,15 @@ pub fn solve_block_job(job: &BlockJob, ws: &mut SolverWorkspace) -> Result<Block
         descent.reset();
         // Plain projected gradient: the round dynamics are tuned to these
         // inexact x-updates (DESIGN.md §13).
-        let stage =
-            Stage { free: Some(&job.free), ub, max_iters, max_probes: 40, memory: 0, gtol: 0.0 };
+        let stage = Stage {
+            free: Some(&job.free),
+            ub,
+            max_iters,
+            max_probes: 40,
+            memory: 0,
+            gtol: 0.0,
+            certify: false,
+        };
         iters += descend(&mut model, descent, &stage, stage_stop(job.inner.rel_tol));
     }
     x.copy_from_slice(descent.x());

@@ -492,6 +492,7 @@ pub fn solve_admm<B: BlockBackend>(
                 max_probes: 30,
                 memory: 0,
                 gtol: 0.0,
+                certify: false,
             };
             let stop = |improve: f64, f: f64, _moved: f64| improve <= 1e-9 * f.abs();
             polish_iters += descend(&mut model, descent, &stage, stop);
@@ -600,7 +601,15 @@ pub fn solve_admm<B: BlockBackend>(
     {
         model.sharp = sharp;
         descent.reset();
-        let stage = Stage { free: Some(&compute), ub, max_iters, max_probes: 40, memory, gtol };
+        let stage = Stage {
+            free: Some(&compute),
+            ub,
+            max_iters,
+            max_probes: 40,
+            memory,
+            gtol,
+            certify: false,
+        };
         let stop = stage_stop(cfg.inner.rel_tol);
         polish_iters += descend(&mut model, descent, &stage, stop);
     }

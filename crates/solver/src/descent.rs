@@ -25,6 +25,10 @@
 //!   `gtol = 0` never fires);
 //! * the direction is `d = −H·g`, the two-loop recursion over the stored
 //!   `(s, y)` pairs with every dot product over F, tried first at `t = 1`;
+//!   each pair's `s·y` and `y·y` over the stage's free list are cached at
+//!   admission and read back whenever F is that list, and when F is also
+//!   `0..n` the loops run over contiguous rows — the same sums in the same
+//!   order, so the same bits;
 //!   its initial matrix is diagonal, `h_j = √(γ·Σ_k s_kj·y_kj / Σ_k
 //!   y_kj²)` summed over the usable pairs (`s·y > 0` on F) and clamped to
 //!   within 10× of the newest usable pair's `γ = s·y / y·y` (`h_j = γ`
@@ -33,7 +37,13 @@
 //! * the line search tries `clamp(x + t·d, 0, ub)` on F (and `clamp(x,
 //!   0, ub)` on a held variable, which moves it only if the caller
 //!   loaded it outside the box), halving `t` until `f(trial) ≤ f(x) −
-//!   1e-4·g·(x − trial)`, the probe cap, or the `1e-14` step floor;
+//!   1e-4·g·(x − trial)`, the probe cap, or the `1e-14` step floor — or,
+//!   when the stage certifies ([`Stage::certify`]), the convexity
+//!   certificate: after a failed trial at `t` whose predecessor at `2t`
+//!   failed unclamped, a convex `f` lies above the line through the two
+//!   on every shorter trial, and if that line shows no shorter trial can
+//!   pass by more than a few ulps of `f`, the search ends as if it had hit
+//!   the probe cap;
 //! * **no point is swept twice**: every probe is a recording sweep and
 //!   the gradient at an accepted trial is `replay` of the tape that probe
 //!   left behind;
@@ -54,10 +64,10 @@
 //! sweeps the model's executor counts there, so `forward_sweeps ==
 //! probes` over a solve says no model swept a probe twice and
 //! `backward_sweeps == gradients` that none replayed one twice. The
-//! pairs and the initial matrix's two sums live in the state's reused
-//! buffers (`2·memory·n` doubles sized at stage start, `2·n` at the first
-//! quasi-Newton direction): after warm-up the stage performs no heap
-//! allocation.
+//! pairs, their cached products and the initial matrix's two sums live in
+//! the state's reused buffers (`2·memory·n` doubles and `memory` product
+//! pairs sized at stage start, `2·n` at the first quasi-Newton direction):
+//! after warm-up the stage performs no heap allocation.
 
 use crate::workspace::SweepCounts;
 
@@ -90,6 +100,10 @@ pub struct Stage<'a> {
     /// The stage ends once the largest free gradient entry is at most
     /// `gtol·|f|`; 0 disables the test.
     pub gtol: f64,
+    /// End a line search on the convexity certificate (module docs) once
+    /// no shorter trial can pass. Sound only for a convex model from a
+    /// point inside the box — every dense stage.
+    pub certify: bool,
 }
 
 /// State of [`descend`]: iterate, gradient, trial, objective value, step
@@ -111,6 +125,9 @@ pub struct DescentState {
     /// ever grows, so stages with and without a memory can alternate on
     /// one reused state.
     pairs: Vec<f64>,
+    /// Per ring slot, `(s·y, y·y)` summed over the stage's free list at
+    /// admission: the two-loop's products whenever F is that list.
+    pair_dots: Vec<(f64, f64)>,
     /// Two-loop coefficients `(α_i, 1 / s_i·y_i)`, newest pair first.
     coeffs: Vec<(f64, f64)>,
     /// Per variable, `Σ_k s_kj·y_kj` and `Σ_k y_kj²` over the usable
@@ -163,9 +180,9 @@ impl DescentState {
     }
 }
 
-/// `Σ_{j∈set} a_j·b_j`.
-fn dot(set: &[usize], a: &[f64], b: &[f64]) -> f64 {
-    set.iter().map(|&j| a[j] * b[j]).sum()
+/// `Σ_{j∈rows} a_j·b_j`, summed in the order of `rows`.
+fn dot(rows: impl Iterator<Item = usize>, a: &[f64], b: &[f64]) -> f64 {
+    rows.map(|j| a[j] * b[j]).sum()
 }
 
 /// How far one variable's initial scaling may stray from the newest
@@ -175,29 +192,61 @@ fn dot(set: &[usize], a: &[f64], b: &[f64]) -> f64 {
 /// ratio. DESIGN.md §7 has the sweep that chose both.
 const H0_CLAMP: f64 = 10.0;
 
+/// How the free set F of one iteration sits in the stage's free list,
+/// which picks how [`quasi_newton_direction`] reads the ring.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Rows {
+    /// F is a strict subset of the stage's free variables: every pair
+    /// product is summed over F's index list.
+    Subset,
+    /// F is the stage's free list: the products `s·y`, `y·y` cached at
+    /// admission are the sums over F, in F's order.
+    Free,
+    /// F is the stage's free list and that list is `0..n`: the cached
+    /// products, and loops over contiguous rows.
+    Dense,
+}
+
 /// `d = −H·g` on `active` by the two-loop recursion over the `stored`
 /// newest slots of the ring (`head` is the next slot to be written); a
 /// pair whose curvature over `active` is not positive is skipped. The
 /// initial matrix is diagonal: `h_j = √(γ·Σ_k s_kj·y_kj / Σ_k y_kj²)` over
 /// the usable pairs, clamped to [`H0_CLAMP`]× of `γ` either way, and `γ`
 /// where either sum is not positive. Returns whether `d` is a descent
-/// direction; without one usable pair it is not.
-fn quasi_newton_direction(
+/// direction; without one usable pair it is not. Every [`Rows`] gives the
+/// same bits: only where the sums come from, and how the rows are
+/// walked, differ.
+fn quasi_newton_direction(st: &mut DescentState, ring: (usize, usize, usize), rows: Rows) -> bool {
+    if rows == Rows::Dense {
+        let n = st.grad.len();
+        return two_loop(st, ring, true, || 0..n);
+    }
+    // Out of `st` while the loops borrow the rest of it; no allocation.
+    let active = std::mem::take(&mut st.active);
+    let descent = two_loop(st, ring, rows == Rows::Free, || active.iter().copied());
+    st.active = active;
+    descent
+}
+
+/// The body of [`quasi_newton_direction`] over the rows `rows()` yields,
+/// reading `s·y` and `y·y` from the ring's cache when `cached`.
+#[inline(always)]
+fn two_loop<R: Iterator<Item = usize>>(
     st: &mut DescentState,
     (memory, stored, head): (usize, usize, usize),
+    cached: bool,
+    rows: impl Fn() -> R,
 ) -> bool {
-    let DescentState { grad, dir, active, pairs, coeffs, diag_sy, diag_yy, .. } = st;
+    let DescentState { grad, dir, pairs, pair_dots, coeffs, diag_sy, diag_yy, .. } = st;
     let (n, pairs) = (grad.len(), &pairs[..]);
-    let slot = |i: usize| {
-        let at = (head + memory - 1 - i) % memory * 2 * n;
-        (&pairs[at..at + n], &pairs[at + n..at + 2 * n])
-    };
-    // Only the entries of `active` are ever read, and each is written
-    // here first.
+    let at = |i: usize| (head + memory - 1 - i) % memory;
+    let slot = |k: usize| pairs[k * 2 * n..(k + 1) * 2 * n].split_at(n);
+    // Only the entries of F are ever read, and each is written here first.
     dir.resize(n, 0.0);
     diag_sy.resize(n, 0.0);
     diag_yy.resize(n, 0.0);
-    for &j in active.iter() {
+    let (dir, diag_sy, diag_yy) = (&mut dir[..n], &mut diag_sy[..n], &mut diag_yy[..n]);
+    for j in rows() {
         dir[j] = grad[j];
         diag_sy[j] = 0.0;
         diag_yy[j] = 0.0;
@@ -205,24 +254,25 @@ fn quasi_newton_direction(
     coeffs.clear();
     let mut gamma = None;
     for i in 0..stored {
-        let (s, y) = slot(i);
-        let sy = dot(active, s, y);
+        let k = at(i);
+        let (s, y) = slot(k);
+        let sy = if cached { pair_dots[k].0 } else { dot(rows(), s, y) };
         if sy <= 0.0 || !sy.is_finite() {
             coeffs.push((0.0, 0.0));
             continue;
         }
-        let alpha = dot(active, s, dir) / sy;
-        for &j in active.iter() {
+        let alpha = dot(rows(), s, dir) / sy;
+        for j in rows() {
             dir[j] -= alpha * y[j];
             diag_sy[j] += s[j] * y[j];
             diag_yy[j] += y[j] * y[j];
         }
         coeffs.push((alpha, 1.0 / sy));
-        gamma.get_or_insert_with(|| sy / dot(active, y, y));
+        gamma.get_or_insert_with(|| sy / if cached { pair_dots[k].1 } else { dot(rows(), y, y) });
     }
     let Some(gamma) = gamma else { return false };
     let (lo, hi) = (gamma / H0_CLAMP, gamma * H0_CLAMP);
-    for &j in active.iter() {
+    for j in rows() {
         let (sy, yy) = (diag_sy[j], diag_yy[j]);
         let h = if sy > 0.0 && yy > 0.0 { (gamma * sy / yy).sqrt().clamp(lo, hi) } else { gamma };
         dir[j] *= h;
@@ -232,17 +282,42 @@ fn quasi_newton_direction(
         if inv_sy == 0.0 {
             continue;
         }
-        let (s, y) = slot(i);
-        let beta = dot(active, y, dir) * inv_sy;
-        for &j in active.iter() {
+        let (s, y) = slot(at(i));
+        let beta = dot(rows(), y, dir) * inv_sy;
+        for j in rows() {
             dir[j] += (alpha - beta) * s[j];
         }
     }
-    for &j in active.iter() {
+    for j in rows() {
         dir[j] = -dir[j];
     }
-    let slope = dot(active, dir, grad);
+    let slope = dot(rows(), dir, grad);
     slope < 0.0 && slope.is_finite()
+}
+
+/// The convexity certificate of a backtracking search, asked after a
+/// failed trial at `t = t2 / 2` whose predecessor at `t2` failed too, with
+/// `(E₁, E₂) = (f(t2) − f, f(t) − f)` and `decrease = g·(x − trial(t))`.
+/// If the trial at `t2` was not clamped, both lie on the ray `x + s·d`, on
+/// which a convex `f` satisfies `f(s) ≥ f + (2E₂ − E₁) + s·(E₁ − E₂)/t` for
+/// every `s ≤ t`; with `2E₂ − E₁ ≥ −tol` and `E₁ − E₂ + 1e-4·decrease ≥ 0`
+/// no shorter trial passes Armijo by more than `tol`, a few ulps of `f`.
+/// The scalar tests come first: the pass over F runs only when they hold.
+fn futile(
+    st: &DescentState,
+    quasi: bool,
+    ub: f64,
+    t2: f64,
+    (rise_2t, rise): (f64, f64),
+    decrease: f64,
+) -> bool {
+    let tol = 16.0 * f64::EPSILON * st.f.abs();
+    2.0 * rise - rise_2t >= -tol
+        && rise_2t - rise + 1e-4 * decrease >= 0.0
+        && st.active.iter().all(|&j| {
+            let d = if quasi { st.dir[j] } else { -st.grad[j] };
+            (0.0..=ub).contains(&(st.x[j] + t2 * d))
+        })
 }
 
 /// Run one stage from the point loaded in `st` (see the module docs for
@@ -266,6 +341,10 @@ pub fn descend<M: DescentModel>(
     if st.pairs.len() < 2 * memory * n {
         st.pairs.resize(2 * memory * n, 0.0);
     }
+    if st.pair_dots.len() < memory {
+        st.pair_dots.resize(memory, (0.0, 0.0));
+    }
+    let dense = stage.free.is_none();
     // Pairs held and the ring slot the next one goes to.
     let (mut stored, mut head) = (0, 0);
     model.counts().probes += 1;
@@ -293,12 +372,19 @@ pub fn descend<M: DescentModel>(
             break;
         }
         iters += 1;
-        let quasi = stored > 0 && quasi_newton_direction(st, (memory, stored, head));
+        let rows = match (st.active.len() == st.free.len(), dense) {
+            (false, _) => Rows::Subset,
+            (true, false) => Rows::Free,
+            (true, true) => Rows::Dense,
+        };
+        let quasi = stored > 0 && quasi_newton_direction(st, (memory, stored, head), rows);
         // One backtracking loop for both directions: a quasi-Newton
         // search starts from the unit step and leaves the carried step of
         // the gradient searches alone.
         let mut t = if quasi { 1.0 } else { st.step };
         let mut accepted = None;
+        // `f(trial) − f` of the previous probe, which failed.
+        let mut rise_prev = None;
         for _ in 0..stage.max_probes {
             if t < 1e-14 {
                 break;
@@ -319,7 +405,16 @@ pub fn descend<M: DescentModel>(
                 accepted = Some(f_trial);
                 break;
             }
+            let rise = f_trial - st.f;
+            let certified = stage.certify
+                && rise_prev.is_some_and(|rise_2t| {
+                    futile(st, quasi, ub, 2.0 * t, (rise_2t, rise), decrease)
+                });
             t *= 0.5;
+            if certified {
+                break;
+            }
+            rise_prev = Some(rise);
         }
         let Some(f_trial) = accepted else {
             if quasi {
@@ -346,14 +441,15 @@ pub fn descend<M: DescentModel>(
             for &j in &st.free {
                 st.grad_prev[j] = st.grad[j] - st.grad_prev[j];
             }
-            let (s, y) = (&st.trial, &st.grad_prev);
-            let sy = dot(&st.free, s, y);
-            if sy > 1e-10 * (dot(&st.free, s, s) * dot(&st.free, y, y)).sqrt() {
+            let (s, y, free) = (&st.trial, &st.grad_prev, || st.free.iter().copied());
+            let (sy, ss, yy) = (dot(free(), s, y), dot(free(), s, s), dot(free(), y, y));
+            if sy > 1e-10 * (ss * yy).sqrt() {
                 let at = head * 2 * n;
-                for &j in &st.free {
+                for j in free() {
                     st.pairs[at + j] = s[j];
                     st.pairs[at + n + j] = y[j];
                 }
+                st.pair_dots[head] = (sy, yy);
                 head = (head + 1) % memory;
                 stored = (stored + 1).min(memory);
             }
@@ -430,7 +526,7 @@ mod tests {
     const STARTS: [[f64; N]; 3] = [[1.0, 0.0, 0.9, 0.1, 0.5], [0.0; N], [0.3, 0.8, 0.2, 1.0, 0.6]];
 
     fn stage(free: Option<&[usize]>, memory: usize, gtol: f64) -> Stage<'_> {
-        Stage { free, ub: 1.0, max_iters: 200, max_probes: 40, memory, gtol }
+        Stage { free, ub: 1.0, max_iters: 200, max_probes: 40, memory, gtol, certify: true }
     }
 
     fn loaded(x: &[f64]) -> DescentState {
@@ -691,6 +787,86 @@ mod tests {
         assert_eq!(st.step(), step * 0.5_f64.powi(7), "only the gradient search halves the step");
         assert_eq!(model.counts.forward_sweeps, model.counts.probes, "nothing swept twice");
         assert_eq!(model.counts.backward_sweeps, 3, "a failed search replays nothing");
+    }
+
+    /// `f(x) = 1 + max(x_0 − x_1, 2·(x_1 − x_0))`, convex, with ties
+    /// resolved to the first piece: on the kink `x_0 = x_1` the gradient
+    /// it reports is `(1, −1)`, along whose negative the second piece rises
+    /// as `4t` — no step of any length decreases `f`.
+    struct Kink(SweepCounts);
+
+    impl DescentModel for Kink {
+        fn probe(&mut self, x: &[f64]) -> f64 {
+            self.0.forward_sweeps += 1;
+            1.0 + (x[0] - x[1]).max(2.0 * (x[1] - x[0]))
+        }
+        fn replay(&mut self, x: &[f64], grad: &mut Vec<f64>) {
+            self.0.backward_sweeps += 1;
+            let first = x[0] - x[1] >= 2.0 * (x[1] - x[0]);
+            grad.clear();
+            grad.extend(if first { [1.0, -1.0] } else { [-2.0, 2.0] });
+        }
+        fn counts(&mut self) -> &mut SweepCounts {
+            &mut self.0
+        }
+    }
+
+    #[test]
+    fn a_search_along_a_rising_ray_ends_on_the_convexity_certificate() {
+        for certify in [true, false] {
+            let mut model = Kink(SweepCounts::default());
+            let mut st = loaded(&[0.5, 0.5]);
+            let stage = Stage { max_iters: 50, certify, ..stage(None, 0, 0.0) };
+            let iters = descend(&mut model, &mut st, &stage, |_, _, _| false);
+            assert_eq!(iters, 1, "certify {certify}: the failed search is the only iteration");
+            assert!(st.dead_end(), "certify {certify}");
+            assert_eq!(st.x(), [0.5, 0.5], "certify {certify}: iterate untouched");
+            assert_eq!(model.0.forward_sweeps, model.0.probes, "certify {certify}");
+            let searched = model.0.probes - 1;
+            if certify {
+                // f(0.25) − f = 1, f(0.125) − f = 0.5: linear, rising.
+                assert!(searched <= 4, "{searched} probes");
+                assert_eq!(st.step(), 0.25 * 0.5_f64.powi(searched as i32), "halved per probe");
+            } else {
+                assert_eq!(searched, 40, "the probe cap");
+            }
+        }
+    }
+
+    /// The three ways [`quasi_newton_direction`] reads the ring give one
+    /// direction, to the bit, on a state whose F is the stage's free list
+    /// `0..n`: index list and products summed over F (the general path),
+    /// index list and cached products, contiguous rows and cached
+    /// products.
+    #[test]
+    fn the_contiguous_two_loop_is_the_indexed_one_to_the_bit() {
+        let (n, memory) = (7, 4);
+        let mut st = loaded(&[0.0; 7]);
+        // Deterministic, irregular values: y = W·s plus a coupling, so every
+        // pair has s·y > 0 and the diagonal sums differ per variable.
+        let wave = |k: usize, j: usize| ((k * 7 + j * 3) as f64 * 0.37).sin();
+        st.grad = (0..n).map(|j| wave(9, j) + 0.1).collect();
+        st.active = (0..n).collect();
+        st.pairs = vec![0.0; 2 * memory * n];
+        st.pair_dots = vec![(0.0, 0.0); memory];
+        for k in 0..memory {
+            let s: Vec<f64> = (0..n).map(|j| wave(k, j)).collect();
+            let y: Vec<f64> =
+                (0..n).map(|j| (0.5 + j as f64) * s[j] + 0.05 * s[(j + 1) % n]).collect();
+            st.pairs[k * 2 * n..k * 2 * n + n].copy_from_slice(&s);
+            st.pairs[k * 2 * n + n..(k + 1) * 2 * n].copy_from_slice(&y);
+            let all = || 0..n;
+            st.pair_dots[k] = (dot(all(), &s, &y), dot(all(), &y, &y));
+        }
+        // A full ring whose next slot is 2: the newest pair is slot 1.
+        let ring = (memory, memory, 2);
+        let mut dirs = Vec::new();
+        for rows in [Rows::Subset, Rows::Free, Rows::Dense] {
+            assert!(quasi_newton_direction(&mut st, ring, rows), "{rows:?}: a descent direction");
+            dirs.push(bits(&st.dir));
+        }
+        assert_eq!(dirs[0], dirs[1], "cached products");
+        assert_eq!(dirs[0], dirs[2], "contiguous rows");
     }
 
     #[test]

@@ -333,7 +333,13 @@ impl Stall {
 }
 
 /// What every dense stage shares: all variables free in `[0, ln p]^n`,
-/// 40 probes per line search, the dense stop rule.
+/// 40 probes per line search, the dense stop rule, and searches that end
+/// on the convexity certificate ([`Stage::certify`]) — Φ and every
+/// smoothed Φ_s are convex and the iterate never leaves the box, so once
+/// two failed trials prove no shorter one can pass (the exact polish's
+/// last search on a kink), the remaining halvings are not swept. With
+/// every variable free, the two-loop reads the cached pair products over
+/// contiguous rows.
 struct DenseStages<'a, 'g> {
     obj: &'a MdgObjective<'g>,
     max_iters: usize,
@@ -361,6 +367,7 @@ impl DenseStages<'_, '_> {
             max_probes: 40,
             memory,
             gtol,
+            certify: true,
         };
         let rel_tol = self.rel_tol;
         let mut stall = matches!(model.sharp, Sharpness::Exact).then(Stall::default);

@@ -82,3 +82,30 @@ fn two_concurrent_solves_each_count_their_own_sweeps() {
     }
     assert_ne!(together[0].1, together[1].1, "two different graphs count differently");
 }
+
+/// The instances that set `compile-paper`'s `op_ms_p50`, under
+/// `default()`: the exact polish's last line search used to halve 38–40
+/// times while Φ rose linearly along the ray (cmm@16: `Φ(t) − f =
+/// 3.64e-6·t` from `t = 0.09` down); the convexity certificate ends it
+/// once two failed trials prove no shorter one can pass. Probes before the
+/// certificate: 108, 91, 91, 95, 68, 90, 80. The iterations are the same
+/// as without it.
+#[test]
+fn the_paper_graphs_end_their_futile_searches_on_the_convexity_certificate() {
+    let cases: [(&str, u32, u64, usize); 7] = [
+        ("cmm", 16, 84, 54),
+        ("cmm", 32, 66, 42),
+        ("cmm", 64, 64, 46),
+        ("fft2d", 16, 71, 49),
+        ("fft2d", 64, 42, 24),
+        ("stencil", 16, 65, 37),
+        ("stencil", 64, 56, 33),
+    ];
+    for (name, procs, max_probes, iterations) in cases {
+        let g = gallery_graph(name).expect(name);
+        let (r, c) = counted(&g, procs, &SolverConfig::default());
+        assert!(c.probes <= max_probes, "{name}@{procs}: {} probes > {max_probes}", c.probes);
+        assert_eq!(r.iterations, iterations, "{name}@{procs}: iterations");
+        assert_eq!(c.forward_sweeps, c.probes, "{name}@{procs}: {c:?}");
+    }
+}
