@@ -519,7 +519,7 @@ pub(crate) fn stage_stop(rel_tol: f64) -> impl Fn(f64, f64, f64) -> bool {
 }
 
 /// Solve one block subproblem: the shared projected-gradient stage
-/// ([`paradigm_solver::descent`]) on the [`BlockModel`] over the box
+/// ([`paradigm_solver::descent`]) on the block's penalised model over the box
 /// `[0, ln p]`, moving only the free variables, one stage per smoothing
 /// level and a final exact one, each from step 0.25. A pure function of
 /// `job` — no randomness, no time-dependence — so every backend produces

@@ -224,8 +224,8 @@ USAGE:
 Chaos plans are comma-separated key=value items, e.g.
   --chaos seed=42,panic=0.3,slow=0.2:50,stall=0.1:20,drop=0.1,truncate=0.05
 
-Model checking: `race` runs the concurrency suites (breaker, cache,
-service, consensus). A normal build gives one native smoke run per
+Model checking: `race` runs the concurrency suites (cache, service,
+consensus). A normal build gives one native smoke run per
 suite; rebuild with RUSTFLAGS=\"--cfg paradigm_race\" to
 exhaustively explore every interleaving up to the preemption bound and
 get replayable numbered traces for failures (see DESIGN.md section 12).
@@ -545,8 +545,8 @@ mod tests {
 
     #[test]
     fn race_full_flags() {
-        let p = parse_args(&["race", "--bound", "3", "--suite", "breaker"]).unwrap();
-        assert_eq!(p.command, Command::Race { bound: Some(3), suite: Some("breaker".into()) });
+        let p = parse_args(&["race", "--bound", "3", "--suite", "cache"]).unwrap();
+        assert_eq!(p.command, Command::Race { bound: Some(3), suite: Some("cache".into()) });
     }
 
     #[test]

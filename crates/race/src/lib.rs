@@ -1,11 +1,10 @@
 //! `paradigm-race`: a loom-style deterministic concurrency model checker.
 //!
-//! The concurrent core of the scheduling service — the circuit breaker, the
-//! sharded single-flight cache, the service's queue and drain, the threaded
-//! consensus rounds — is a set of hand-rolled state machines whose
-//! correctness was previously argued only by sampled chaos drills. Sampling
-//! finds crashes; it cannot prove the absence of lost wakeups, races, or
-//! deadlocks. This crate adds systematic concurrency testing:
+//! The concurrent core of the scheduling service — the sharded single-flight
+//! cache, the service's queue and drain, the threaded consensus rounds — is
+//! a set of hand-rolled state machines whose correctness was previously
+//! argued only by sampled chaos drills. Sampling finds crashes; it cannot
+//! prove the absence of lost wakeups, races, or deadlocks. This crate adds systematic concurrency testing:
 //!
 //! 1. **Shim sync layer** ([`sync`], [`thread`], [`time`]): API-compatible
 //!    `Mutex`, `Condvar`, `RwLock`, `Atomic*`, `thread::spawn/scope`, and a

@@ -109,9 +109,9 @@ impl<V> ShardedCache<V> {
 
     /// Peek at `key` without computing: returns the ready entry if one
     /// exists (refreshing its recency), `None` otherwise. In-flight
-    /// computations are *not* waited on — the degraded serving path
-    /// uses this to answer from cache while the circuit breaker is open
-    /// without ever blocking on the (possibly wedged) primary solver.
+    /// computations are *not* waited on — the service answers a ready
+    /// key with this on the submitter's thread, and leaves a key still
+    /// being solved to a worker's [`ShardedCache::get_or_compute`].
     pub fn get(&self, key: u128) -> Option<Arc<V>> {
         let mut map = plock(&self.shard(key).map);
         match map.get_mut(&key) {
@@ -152,6 +152,14 @@ impl<V> ShardedCache<V> {
                     return (done.clone().expect("checked above"), Outcome::DedupWait);
                 }
                 None => {
+                    if cfg!(paradigm_race_seeded_double_flight) {
+                        // Seeded regression for the model checker's
+                        // self-test: the shard lock is let go between
+                        // the miss and the in-flight marker, so two
+                        // callers can both lead this key.
+                        drop(map);
+                        map = plock(&shard.map);
+                    }
                     let flight = Arc::new(Flight { done: Mutex::new(None), cv: Condvar::new() });
                     map.insert(key, Entry::InFlight(Arc::clone(&flight)));
                     flight

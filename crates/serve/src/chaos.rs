@@ -12,8 +12,8 @@
 //!
 //! * **worker panic** — the pipeline solve aborts mid-flight (a bug, a
 //!   degenerate input). Injected inside the primary compute closure, so
-//!   it exercises the cache's catch_unwind, the circuit breaker, and
-//!   the degraded fallback path.
+//!   it exercises the cache's catch_unwind and the degraded fallback
+//!   path.
 //! * **slow solve** — a solve that takes far longer than predicted
 //!   (contended machine, pathological graph). Stretches queue waits so
 //!   admission control has something to shed.

@@ -24,18 +24,18 @@
 //!   histogram, served live via the `stats` op and dumped on shutdown.
 //!
 //! The resilience layer (this crate's failure model is spelled out in
-//! DESIGN.md §10):
+//! DESIGN.md §10). Failure is handled per request: a primary solve that
+//! fails (a typed `PipelineError` or a panic) stays uncached and that
+//! request alone is answered by the salted equal split; no request's
+//! failure changes how another is answered.
 //!
 //! * [`chaos`] — seeded, deterministic fault injection ([`FaultPlan`]):
 //!   worker panics, slow solves, queue stalls, dropped connections,
 //!   truncated frames.
-//! * [`breaker`] — a sliding-window failure-rate circuit breaker
-//!   guarding the primary solve path.
 //! * [`client`] — a protocol client with exponential-backoff retry for
 //!   retryable failures (shed requests, transport faults).
 
 pub mod audit;
-pub mod breaker;
 pub mod cache;
 pub mod chaos;
 pub mod client;
@@ -46,7 +46,6 @@ pub mod race_suites;
 pub mod server;
 pub mod service;
 
-pub use breaker::{BreakerConfig, BreakerState, CircuitBreaker};
 pub use cache::{Outcome, ShardedCache, SHARDS};
 pub use chaos::{Chaos, FaultPlan};
 pub use client::{Client, ClientError, RetryPolicy};

@@ -87,10 +87,6 @@ pub struct Metrics {
     /// Requests answered by the equal-split fallback rather than the
     /// primary convex solver.
     pub degraded: AtomicU64,
-    /// Times the circuit breaker has opened.
-    pub breaker_opens: AtomicU64,
-    /// Breaker state gauge: 0 closed, 1 open, 2 half-open.
-    pub breaker_state: AtomicU64,
     /// EMA of fresh-solve duration in µs (admission control's estimate
     /// of per-job service time).
     pub avg_solve_us: AtomicU64,
@@ -138,10 +134,6 @@ pub struct MetricsSnapshot {
     pub shed: u64,
     /// See [`Metrics::degraded`].
     pub degraded: u64,
-    /// See [`Metrics::breaker_opens`].
-    pub breaker_opens: u64,
-    /// See [`Metrics::breaker_state`].
-    pub breaker_state: u64,
     /// See [`Metrics::avg_solve_us`].
     pub avg_solve_us: u64,
     /// See [`Metrics::audit_pass`].
@@ -175,8 +167,6 @@ impl Metrics {
             deadline_misses: self.deadline_misses.load(Ordering::Relaxed),
             shed: self.shed.load(Ordering::Relaxed),
             degraded: self.degraded.load(Ordering::Relaxed),
-            breaker_opens: self.breaker_opens.load(Ordering::Relaxed),
-            breaker_state: self.breaker_state.load(Ordering::Relaxed),
             avg_solve_us: self.avg_solve_us.load(Ordering::Relaxed),
             audit_pass: self.audit_pass.load(Ordering::Relaxed),
             audit_fail: self.audit_fail.load(Ordering::Relaxed),
@@ -190,15 +180,6 @@ impl Metrics {
 }
 
 impl MetricsSnapshot {
-    /// Breaker state gauge as its stable label.
-    fn breaker_state_str(&self) -> &'static str {
-        match self.breaker_state {
-            1 => "open",
-            2 => "half-open",
-            _ => "closed",
-        }
-    }
-
     /// Upper-bound p50 latency in µs, if any request completed.
     fn p50_us(&self) -> Option<u64> {
         quantile_us(&self.latency_buckets, 0.50)
@@ -224,8 +205,6 @@ impl MetricsSnapshot {
             ("deadline_misses".into(), Json::num(self.deadline_misses as f64)),
             ("shed".into(), Json::num(self.shed as f64)),
             ("degraded".into(), Json::num(self.degraded as f64)),
-            ("breaker_opens".into(), Json::num(self.breaker_opens as f64)),
-            ("breaker_state".into(), Json::Str(self.breaker_state_str().into())),
             ("avg_solve_us".into(), Json::num(self.avg_solve_us as f64)),
             ("audit_pass".into(), Json::num(self.audit_pass as f64)),
             ("audit_fail".into(), Json::num(self.audit_fail as f64)),
@@ -257,11 +236,8 @@ impl MetricsSnapshot {
             self.evictions
         ));
         out.push_str(&format!(
-            "  resilience: degraded {}  breaker {} (opens {})  avg-solve {} us\n",
-            self.degraded,
-            self.breaker_state_str(),
-            self.breaker_opens,
-            self.avg_solve_us
+            "  resilience: degraded {}  avg-solve {} us\n",
+            self.degraded, self.avg_solve_us
         ));
         out.push_str(&format!("  audits: pass {}  fail {}\n", self.audit_pass, self.audit_fail));
         out.push_str(&format!(

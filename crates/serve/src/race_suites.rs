@@ -6,18 +6,16 @@
 //! normal build the closure runs once as a native smoke test. The suites
 //! pin exactly the properties the chaos drills could only sample:
 //!
-//! - **breaker** — the single half-open probe is never double-spent by
-//!   racing workers, and a released probe is never lost (the breaker
-//!   cannot wedge half-open with no prober).
 //! - **cache** — single-flight dedup never computes one key twice, and a
 //!   panicking leader surfaces an error to all waiters while leaving the
-//!   key retryable.
+//!   key retryable. Building with `--cfg paradigm_race_seeded_double_flight`
+//!   seeds a real bug in the cache (two callers can lead one key) that
+//!   this suite must catch with a replayable trace.
 //! - **service** — a full submit/solve/shutdown round trip under a
 //!   panicking solver always degrades (never errors), a submit of a
 //!   cached key racing `drain` ends `Ok` or `ShuttingDown`, and the
 //!   service always drains to termination.
 
-use crate::breaker::{BreakerConfig, BreakerState, CircuitBreaker};
 use crate::cache::ShardedCache;
 use crate::chaos::FaultPlan;
 use crate::service::{ServeConfig, ServeError, Service};
@@ -26,42 +24,6 @@ use paradigm_cost::Machine;
 use paradigm_race::sync::atomic::{AtomicUsize, Ordering};
 use paradigm_race::{explore, Config, Report, Suite};
 use std::sync::Arc;
-use std::time::Duration;
-
-/// Half-open probe budget: after a trip with zero cooldown the breaker
-/// is immediately half-open; two racing claimants must never both hold
-/// the probe, and after the holder releases it the probe must still be
-/// claimable (a leaked release wedges the breaker half-open forever —
-/// this is the invariant the seeded regression build deliberately
-/// breaks).
-fn run_breaker(cfg: &Config) -> Report {
-    explore("breaker", cfg, || {
-        let b = CircuitBreaker::new(BreakerConfig {
-            window: 2,
-            min_samples: 1,
-            failure_threshold: 0.5,
-            cooldown: Duration::ZERO,
-        });
-        b.on_result(false); // trips; zero cooldown half-opens on next look
-        assert_eq!(b.state(), BreakerState::HalfOpen);
-        let holders = AtomicUsize::new(0);
-        paradigm_race::thread::scope(|s| {
-            for _ in 0..2 {
-                s.spawn(|| {
-                    if b.try_probe() {
-                        let concurrent = holders.fetch_add(1, Ordering::SeqCst);
-                        assert_eq!(concurrent, 0, "half-open probe double-spent");
-                        holders.fetch_sub(1, Ordering::SeqCst);
-                        // The probe proved nothing (think: cache hit), so
-                        // the claim must go back for a real attempt.
-                        b.release_probe();
-                    }
-                });
-            }
-        });
-        assert!(b.try_probe(), "released probe lost: breaker wedged half-open with no prober");
-    })
-}
 
 /// Single-flight dedup: two racing callers of the same key compute once;
 /// a panicking leader turns into an `Err` for its caller and leaves the
@@ -112,12 +74,6 @@ fn run_service(cfg: &Config) -> Report {
                 panic_after: 1,
                 ..FaultPlan::default()
             }),
-            breaker: BreakerConfig {
-                window: 4,
-                min_samples: 1,
-                failure_threshold: 0.5,
-                cooldown: Duration::from_secs(60),
-            },
             ..ServeConfig::default()
         });
         let graph = Arc::new(gallery_graph("fig1").expect("gallery graph"));
@@ -157,12 +113,6 @@ fn run_service(cfg: &Config) -> Report {
 /// The serving layer's model-check suites.
 pub fn suites() -> Vec<Suite> {
     vec![
-        Suite {
-            name: "breaker",
-            about: "half-open probe budget is never double-spent or leaked",
-            config: Config::with_bound(2),
-            run: run_breaker,
-        },
         Suite {
             name: "cache",
             about: "single-flight never solves a key twice; panics stay retryable",

@@ -17,8 +17,10 @@
 //! 4. **worker** — the worker goes through
 //!    [`ShardedCache::get_or_compute`], so identical concurrent
 //!    requests collapse into one pipeline solve (and a key that became
-//!    ready while the job was queued is a hit after all), then
-//!    publishes the response on the job's slot, waking the submitter.
+//!    ready while the job was queued is a hit after all); a failed
+//!    solve stays uncached and the job is answered by the salted equal
+//!    split. The worker publishes the response on the job's slot,
+//!    waking the submitter.
 //!
 //! Deadlines, admission control and the `queue-stall` chaos site are
 //! about waiting for and running the solver, so they apply to steps
@@ -28,7 +30,6 @@
 //! workers finish every job already queued (no lost responses), and
 //! the final metrics snapshot is returned.
 
-use crate::breaker::{BreakerConfig, BreakerState, CircuitBreaker};
 use crate::cache::{Outcome, ShardedCache};
 use crate::chaos::{Chaos, FaultPlan};
 use crate::metrics::{Metrics, MetricsSnapshot};
@@ -68,8 +69,6 @@ pub struct ServeConfig {
     /// Fault-injection plan (tests and chaos drills; `None` in
     /// production).
     pub chaos: Option<FaultPlan>,
-    /// Circuit-breaker tuning for the primary solve path.
-    pub breaker: BreakerConfig,
     /// Audit every `N`th completed response with an independent
     /// schedule re-verification (`0` disables sampling). Failures bump
     /// the `audit_fail` metric, print the full report to stderr, and
@@ -91,7 +90,6 @@ impl Default for ServeConfig {
             queue_capacity: 256,
             max_queue_wait: None,
             chaos: None,
-            breaker: BreakerConfig::default(),
             audit_rate: 0,
             audit_log: None,
         }
@@ -235,7 +233,6 @@ struct Inner {
     not_full: Condvar,
     cache: ShardedCache<SolveOutput>,
     metrics: Metrics,
-    breaker: CircuitBreaker,
     chaos: Option<Arc<Chaos>>,
     cfg: ServeConfig,
     /// Completed-response counter driving audit sampling.
@@ -266,7 +263,6 @@ impl Service {
             not_full: Condvar::new(),
             cache: ShardedCache::new(cfg.cache_capacity),
             metrics: Metrics::default(),
-            breaker: CircuitBreaker::new(cfg.breaker.clone()),
             chaos: cfg.chaos.clone().filter(|p| !p.is_quiet()).map(|p| Arc::new(Chaos::new(p))),
             cfg: cfg.clone(),
             audit_seq: AtomicU64::new(0),
@@ -311,9 +307,9 @@ impl Service {
         }
         // A ready primary entry is answered here, on the caller's
         // thread: it never waits and never runs the solver, so the
-        // deadline, admission control and the breaker have nothing to
-        // say about it. The queue lock is released first — the two
-        // locks are never held together.
+        // deadline and admission control have nothing to say about it.
+        // The queue lock is released first — the two locks are never
+        // held together.
         if let Some(output) = self.inner.cache.get(key) {
             self.inner.metrics.requests.fetch_add(1, Ordering::Relaxed);
             self.inner.metrics.inline_hits.fetch_add(1, Ordering::Relaxed);
@@ -387,11 +383,8 @@ impl Service {
         slot.wait()
     }
 
-    /// Current metrics. The breaker gauge is refreshed here as well as
-    /// by every job a worker handles, so hit-only traffic (which never
-    /// consults the breaker) cannot leave it stale.
+    /// Current metrics.
     pub fn stats(&self) -> MetricsSnapshot {
-        publish_breaker_state(&self.inner);
         self.inner.metrics.snapshot()
     }
 
@@ -405,11 +398,6 @@ impl Service {
     /// server consults this for connection-level faults.
     pub fn chaos(&self) -> Option<&Arc<Chaos>> {
         self.inner.chaos.as_ref()
-    }
-
-    /// Current circuit-breaker state.
-    pub fn breaker_state(&self) -> BreakerState {
-        self.inner.breaker.state()
     }
 
     /// Begin draining without blocking: new submissions are refused
@@ -485,9 +473,11 @@ fn worker_loop(inner: &Inner) {
     }
 }
 
-/// Answer one admitted job: primary solve (breaker permitting), cached
-/// answer, or degraded fallback — every admitted job gets a terminal
-/// response. A primary solve runs on the worker's workspace `ws`.
+/// Answer one admitted job on its own ladder: the single-flight primary
+/// solve on the worker's workspace `ws`, and if that fails (a typed
+/// error or a panic, left uncached), the salted equal split. Every
+/// admitted job gets a terminal response, and what one job's input does
+/// to the solver decides no other job's answer.
 fn solve_job(
     inner: &Inner,
     job: &Job,
@@ -495,73 +485,38 @@ fn solve_job(
 ) -> Result<SolveResponse, ServeError> {
     let done =
         |output, outcome| finish(inner, &job.graph, &job.spec, job.enqueued, output, outcome);
-    let state = inner.breaker.state();
-    let mut claimed_probe = false;
-    let attempt_primary = match state {
-        BreakerState::Closed => true,
-        BreakerState::HalfOpen => {
-            // A cached answer proves nothing about the solver: serve it
-            // without spending the single half-open probe on it.
-            if let Some(output) = inner.cache.get(job.key) {
-                record_outcome(inner, Outcome::Hit);
-                publish_breaker_state(inner);
-                return Ok(done(output, Outcome::Hit));
-            }
-            claimed_probe = inner.breaker.try_probe();
-            claimed_probe
+    let started = Instant::now();
+    let (result, outcome) = inner.cache.get_or_compute(job.key, || {
+        inner.metrics.solves.fetch_add(1, Ordering::Relaxed);
+        inner.metrics.ws_acquires.fetch_add(1, Ordering::Relaxed);
+        // A workspace that has swept a point has grown its buffers.
+        if ws.scratch.counts.forward_sweeps > 0 {
+            inner.metrics.ws_reuses.fetch_add(1, Ordering::Relaxed);
         }
-        BreakerState::Open => false,
-    };
-
-    let mut primary_failure: Option<String> = None;
-    if attempt_primary {
-        let started = Instant::now();
-        let (result, outcome) = inner.cache.get_or_compute(job.key, || {
-            inner.metrics.solves.fetch_add(1, Ordering::Relaxed);
-            inner.metrics.ws_acquires.fetch_add(1, Ordering::Relaxed);
-            // A workspace that has swept a point has grown its buffers.
-            if ws.scratch.counts.forward_sweeps > 0 {
-                inner.metrics.ws_reuses.fetch_add(1, Ordering::Relaxed);
-            }
-            if let Some(chaos) = &inner.chaos {
-                chaos.maybe_slow();
-                chaos.maybe_panic();
-            }
-            // A failed solve panics with the `PipelineError`'s text: the
-            // cache's one failure channel, which keeps it uncached, counts
-            // it on the breaker and answers with the degraded fallback.
-            try_solve_pipeline_in(ws, &job.graph, &job.spec).unwrap_or_else(|e| panic!("{e}"))
-        });
-        record_outcome(inner, outcome);
-        if outcome == Outcome::Miss {
-            // Only fresh solves inform the breaker and the admission
-            // estimate — hits and dedup-waits didn't run the solver.
-            inner.breaker.on_result(result.is_ok());
-            if result.is_ok() {
+        if let Some(chaos) = &inner.chaos {
+            chaos.maybe_slow();
+            chaos.maybe_panic();
+        }
+        // A failed solve panics with the `PipelineError`'s text: the
+        // cache's one failure channel, which keeps it uncached and
+        // answers with the degraded fallback.
+        try_solve_pipeline_in(ws, &job.graph, &job.spec).unwrap_or_else(|e| panic!("{e}"))
+    });
+    record_outcome(inner, outcome);
+    let primary_failure = match result {
+        Ok(output) => {
+            // Only fresh solves inform the admission estimate — hits and
+            // dedup-waits didn't run the solver.
+            if outcome == Outcome::Miss {
                 let sample = started.elapsed().as_micros().min(u128::from(u64::MAX)) as u64;
                 let old = inner.metrics.avg_solve_us.load(Ordering::Relaxed);
                 let ema = if old == 0 { sample } else { (old * 7 + sample) / 8 };
                 inner.metrics.avg_solve_us.store(ema, Ordering::Relaxed);
             }
-        } else if claimed_probe {
-            // The probe raced a cache fill or another in-flight solve
-            // and never ran the solver itself: give the probe back so
-            // the next worker can still test the primary path.
-            inner.breaker.release_probe();
+            return Ok(done(output, outcome));
         }
-        publish_breaker_state(inner);
-        match result {
-            Ok(output) => return Ok(done(output, outcome)),
-            Err(msg) => primary_failure = Some(msg),
-        }
-    } else {
-        publish_breaker_state(inner);
-        // Breaker open: cached answers are still free to serve.
-        if let Some(output) = inner.cache.get(job.key) {
-            record_outcome(inner, Outcome::Hit);
-            return Ok(done(output, Outcome::Hit));
-        }
-    }
+        Err(msg) => msg,
+    };
 
     // Degraded path: the analytic equal-split schedule, cached under a
     // salted key so it never masks a future primary result. This path
@@ -571,19 +526,12 @@ fn solve_job(
         .cache
         .get_or_compute(job.key ^ DEGRADED_SALT, || solve_pipeline_degraded(&job.graph, &job.spec));
     record_outcome(inner, outcome);
-    match result {
-        Ok(output) => Ok(done(output, outcome)),
-        Err(degraded_msg) => {
-            inner.metrics.errors.fetch_add(1, Ordering::Relaxed);
-            let msg = match primary_failure {
-                Some(primary) => {
-                    format!("{primary}; degraded fallback also failed: {degraded_msg}")
-                }
-                None => degraded_msg,
-            };
-            Err(ServeError::SolveFailed(msg))
-        }
-    }
+    result.map(|output| done(output, outcome)).map_err(|degraded_msg| {
+        inner.metrics.errors.fetch_add(1, Ordering::Relaxed);
+        ServeError::SolveFailed(format!(
+            "{primary_failure}; degraded fallback also failed: {degraded_msg}"
+        ))
+    })
 }
 
 /// Estimated wait a job joining behind `depth` queued jobs would face:
@@ -601,11 +549,6 @@ fn record_outcome(inner: &Inner, outcome: Outcome) {
     };
     // Fold cache-level evictions into the service counter.
     inner.metrics.evictions.store(inner.cache.evictions(), Ordering::Relaxed);
-}
-
-fn publish_breaker_state(inner: &Inner) {
-    inner.metrics.breaker_state.store(inner.breaker.state().as_gauge(), Ordering::Relaxed);
-    inner.metrics.breaker_opens.store(inner.breaker.opens(), Ordering::Relaxed);
 }
 
 /// The bookkeeping every answered request goes through, wherever it
@@ -813,115 +756,6 @@ mod tests {
         assert_eq!(stats.completed, 1);
         assert!(stats.degraded >= 1);
         assert_eq!(stats.errors, 0, "degraded answers are not errors");
-    }
-
-    #[test]
-    fn breaker_opens_under_sustained_panics_and_skips_primary() {
-        let cfg = ServeConfig {
-            workers: 1,
-            chaos: Some(FaultPlan { seed: 3, worker_panic: 1.0, ..FaultPlan::default() }),
-            breaker: BreakerConfig {
-                window: 4,
-                min_samples: 2,
-                failure_threshold: 0.5,
-                cooldown: Duration::from_secs(60),
-            },
-            ..small_cfg()
-        };
-        let svc = Service::start(cfg);
-        let specs: Vec<SolveSpec> =
-            [4u32, 8, 16, 32, 64].iter().map(|&p| SolveSpec::new(Machine::cm5(p))).collect();
-        for spec in &specs {
-            let r = svc.submit(fig1(), spec.clone()).unwrap();
-            assert!(r.output.degraded.is_degraded());
-        }
-        assert_eq!(svc.breaker_state(), BreakerState::Open);
-        let stats = svc.shutdown();
-        assert!(stats.breaker_opens >= 1);
-        // Once open, later requests skip the primary solver entirely:
-        // strictly fewer primary attempts than requests.
-        assert!(stats.solves < specs.len() as u64, "solves {}", stats.solves);
-        assert_eq!(stats.completed, specs.len() as u64);
-    }
-
-    #[test]
-    fn open_breaker_still_serves_cached_results() {
-        let cfg = ServeConfig {
-            workers: 1,
-            // Let exactly one primary solve through, then panic forever.
-            chaos: Some(FaultPlan {
-                seed: 5,
-                worker_panic: 1.0,
-                panic_after: 1,
-                ..FaultPlan::default()
-            }),
-            breaker: BreakerConfig {
-                window: 4,
-                min_samples: 1,
-                failure_threshold: 0.5,
-                cooldown: Duration::from_secs(60),
-            },
-            ..small_cfg()
-        };
-        let svc = Service::start(cfg);
-        let good = SolveSpec::new(Machine::cm5(4));
-        let first = svc.submit(fig1(), good.clone()).unwrap();
-        assert_eq!(first.output.degraded, paradigm_core::FallbackTier::Primary);
-        // Trip the breaker with a different key.
-        let tripped = svc.submit(fig1(), SolveSpec::new(Machine::cm5(8))).unwrap();
-        assert!(tripped.output.degraded.is_degraded());
-        assert_eq!(svc.breaker_state(), BreakerState::Open);
-        // The first key is cached: served full-fidelity despite the
-        // open breaker.
-        let again = svc.submit(fig1(), good).unwrap();
-        assert!(again.cached);
-        assert_eq!(again.output.degraded, paradigm_core::FallbackTier::Primary);
-        assert_eq!(svc.stats().inline_hits, 1, "served in front of the queue and the breaker");
-    }
-
-    #[test]
-    fn cache_hits_do_not_consume_the_half_open_probe() {
-        let cfg = ServeConfig {
-            workers: 1,
-            // Let exactly one primary solve through, then panic forever.
-            chaos: Some(FaultPlan {
-                seed: 5,
-                worker_panic: 1.0,
-                panic_after: 1,
-                ..FaultPlan::default()
-            }),
-            breaker: BreakerConfig {
-                window: 4,
-                min_samples: 1,
-                failure_threshold: 0.5,
-                cooldown: Duration::from_millis(20),
-            },
-            ..small_cfg()
-        };
-        let svc = Service::start(cfg);
-        let good = SolveSpec::new(Machine::cm5(4));
-        let first = svc.submit(fig1(), good.clone()).unwrap();
-        assert_eq!(first.output.degraded, paradigm_core::FallbackTier::Primary);
-        // Trip the breaker with a different key.
-        let tripped = svc.submit(fig1(), SolveSpec::new(Machine::cm5(8))).unwrap();
-        assert!(tripped.output.degraded.is_degraded());
-        assert_eq!(svc.breaker_state(), BreakerState::Open);
-        // Cool down into half-open, then serve the cached key. The hit
-        // must not spend the single probe.
-        std::thread::sleep(Duration::from_millis(40));
-        assert_eq!(svc.breaker_state(), BreakerState::HalfOpen);
-        let cached = svc.submit(fig1(), good).unwrap();
-        assert!(cached.cached);
-        // The probe is still available: the next uncached request runs
-        // the primary solver (which panics), re-opening the breaker. A
-        // leaked probe would skip straight to degraded and pin the
-        // breaker half-open forever.
-        let probe = svc.submit(fig1(), SolveSpec::new(Machine::cm5(16))).unwrap();
-        assert!(probe.output.degraded.is_degraded());
-        assert_eq!(svc.breaker_state(), BreakerState::Open, "probe ran and failed");
-        let stats = svc.shutdown();
-        assert_eq!(stats.solves, 3, "seed solve + breaker trip + probe attempt");
-        assert_eq!(stats.inline_hits, 1, "the half-open hit never reached the breaker");
     }
 
     #[test]

@@ -8,9 +8,7 @@
 //! The fault plan is seeded, so CI runs the same fault sequence every
 //! time (this is the `chaos-smoke` CI job).
 
-use paradigm_serve::{
-    BreakerConfig, Client, FaultPlan, Json, RetryPolicy, ServeConfig, Server, ServerConfig,
-};
+use paradigm_serve::{Client, FaultPlan, Json, RetryPolicy, ServeConfig, Server, ServerConfig};
 use std::sync::atomic::Ordering;
 use std::time::Duration;
 
@@ -35,14 +33,6 @@ fn every_accepted_request_gets_a_terminal_answer_under_faults() {
                 truncate: 0.15,
                 ..FaultPlan::default()
             }),
-            // A tight breaker so the test also exercises the open →
-            // half-open → probe cycle, not just the fallback ladder.
-            breaker: BreakerConfig {
-                window: 8,
-                min_samples: 4,
-                failure_threshold: 0.5,
-                cooldown: Duration::from_millis(25),
-            },
             ..ServeConfig::default()
         },
         port: 0,
@@ -107,6 +97,5 @@ fn every_accepted_request_gets_a_terminal_answer_under_faults() {
 
     assert_eq!(stats.errors, 0, "faults must degrade, never error: {stats:?}");
     assert!(stats.degraded as usize >= degraded, "{stats:?}");
-    assert!(stats.breaker_opens >= 1, "sustained panics must trip the breaker: {stats:?}");
     assert!(stats.completed >= (CLIENTS * REQUESTS_PER_CLIENT) as u64, "{stats:?}");
 }

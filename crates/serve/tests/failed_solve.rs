@@ -1,7 +1,7 @@
-//! A failed primary solve is a failure all the way up: it is never
-//! cached under the primary key, the circuit breaker counts it, and the
-//! request is answered by the salted equal split — while a healthy key
-//! solved earlier keeps being served undegraded from the cache.
+//! A failed primary solve is a failure of its own request only: it is
+//! never cached under the primary key, the request is answered by the
+//! salted equal split, and every other request — a healthy key solved
+//! earlier, or a graph never seen before — gets the primary solve.
 //!
 //! The failing graph passes every input check: a two-node chain whose
 //! loop costs (`tau = 1e308`) overflow `Phi` to infinity, so the solve
@@ -12,9 +12,8 @@ use paradigm_core::{
 };
 use paradigm_cost::Machine;
 use paradigm_mdg::{AmdahlParams, ArrayTransfer, Mdg, MdgBuilder, TransferKind};
-use paradigm_serve::{BreakerConfig, BreakerState, ServeConfig, Service};
+use paradigm_serve::{ServeConfig, Service};
 use std::sync::Arc;
-use std::time::Duration;
 
 fn overflow_chain() -> Mdg {
     let mut b = MdgBuilder::new("overflow");
@@ -25,7 +24,7 @@ fn overflow_chain() -> Mdg {
 }
 
 #[test]
-fn a_failed_solve_reaches_the_breaker_and_is_never_cached_as_primary() {
+fn a_failed_solve_is_never_cached_as_primary() {
     let spec = SolveSpec::new(Machine::cm5(4));
     let overflow = Arc::new(overflow_chain());
     assert!(spec.validate().is_ok(), "the spec is admitted");
@@ -37,13 +36,10 @@ fn a_failed_solve_reaches_the_breaker_and_is_never_cached_as_primary() {
         "the primary solve fails with a typed error"
     );
 
-    // The default tripping rule (half of at least 8 fresh solves); a
-    // long cooldown so the breaker is still open at the end.
     let svc = Service::start(ServeConfig {
         workers: 1,
         cache_capacity: 64,
         queue_capacity: 8,
-        breaker: BreakerConfig { cooldown: Duration::from_secs(600), ..BreakerConfig::default() },
         ..ServeConfig::default()
     });
     let fig1 = Arc::new(gallery_graph("fig1").expect("gallery"));
@@ -55,13 +51,11 @@ fn a_failed_solve_reaches_the_breaker_and_is_never_cached_as_primary() {
         assert_eq!(r.output.degraded, FallbackTier::EqualSplit, "submit {i}");
     }
     let stats = svc.stats();
-    // fig1, then one fresh primary attempt per overflow submit until the
-    // window (1 success, 7 failures) trips the breaker: no primary-key hit.
-    assert_eq!(stats.solves, 8, "{stats:?}");
-    assert_eq!(stats.breaker_opens, 1, "{stats:?}");
+    // fig1, then one fresh primary attempt per overflow submit: the
+    // failure was never cached, so no submit is a primary-key hit.
+    assert_eq!(stats.solves, 11, "{stats:?}");
     assert_eq!(stats.degraded, 10, "{stats:?}");
     assert_eq!(stats.errors, 0, "degraded answers are not errors");
-    assert_eq!(svc.breaker_state(), BreakerState::Open);
 
     // The healthy key is still served full-fidelity from the cache.
     let again = svc.submit(fig1, spec).expect("fig1 from cache");
@@ -69,7 +63,7 @@ fn a_failed_solve_reaches_the_breaker_and_is_never_cached_as_primary() {
     assert_eq!(again.output.degraded, FallbackTier::Primary);
     assert_eq!(again.output.phi, healthy.output.phi);
     let stats = svc.shutdown();
-    assert_eq!(stats.solves, 8, "the hit ran no solve");
+    assert_eq!(stats.solves, 11, "the hit ran no solve");
 }
 
 /// A solve that panics leaves its worker's workspace reusable: the
@@ -90,4 +84,28 @@ fn a_failed_solve_leaves_the_workers_workspace_reusable() {
     assert_eq!(after.output.alloc, fresh.alloc);
     let stats = svc.shutdown();
     assert_eq!((stats.ws_acquires, stats.ws_reuses), (2, 1), "the failed solve warmed it");
+}
+
+/// A failed solve is a fact about its own request: after eight failing
+/// submits, graphs the service has never seen are still solved by the
+/// primary solver, to the bit of a direct solve.
+#[test]
+fn healthy_requests_after_failing_ones_get_the_primary_solve() {
+    let spec = SolveSpec::new(Machine::cm5(16));
+    let svc = Service::start(ServeConfig { workers: 1, ..ServeConfig::default() });
+    let overflow = Arc::new(overflow_chain());
+    for i in 0..8 {
+        let r = svc.submit(Arc::clone(&overflow), spec.clone()).expect("a degraded answer");
+        assert_eq!(r.output.degraded, FallbackTier::EqualSplit, "submit {i}");
+    }
+    assert_eq!(svc.stats().errors, 0, "degraded answers are not errors");
+    for name in ["cmm", "strassen", "fft2d", "stencil"] {
+        let graph = Arc::new(gallery_graph(name).expect("gallery"));
+        let served = svc.submit(Arc::clone(&graph), spec.clone()).expect("an answer");
+        let direct = try_solve_pipeline(&graph, &spec).expect("the graph solves");
+        assert_eq!(served.output.degraded, FallbackTier::Primary, "{name}");
+        assert_eq!(served.output.phi.to_bits(), direct.phi.to_bits(), "{name}");
+    }
+    let stats = svc.shutdown();
+    assert_eq!((stats.solves, stats.degraded, stats.errors), (12, 8, 0), "{stats:?}");
 }

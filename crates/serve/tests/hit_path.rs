@@ -5,9 +5,8 @@
 //! touch it, while the same request on an uncached key still expires,
 //! sheds or blocks exactly as `tests/deadline.rs` pins.
 //!
-//! (The open and half-open breaker cases live beside the breaker tests
-//! in `src/service.rs`: `open_breaker_still_serves_cached_results` and
-//! `cache_hits_do_not_consume_the_half_open_probe`.)
+//! (A cached key served while the solver fails is
+//! `deadline.rs::a_cached_primary_stays_primary_while_a_fresh_key_degrades`.)
 
 use paradigm_core::{gallery_graph, SolveSpec};
 use paradigm_cost::Machine;
@@ -115,7 +114,7 @@ fn a_degraded_entry_is_never_served_ahead_of_a_primary_attempt() {
     }
     let stats = svc.shutdown();
     assert_eq!(stats.inline_hits, 0, "{stats:?}");
-    assert_eq!(stats.solves, 3, "one primary attempt per request (breaker still closed)");
+    assert_eq!(stats.solves, 3, "one primary attempt per request");
     assert_eq!((stats.cache_hits, stats.degraded, stats.errors), (2, 3, 0));
 }
 

@@ -85,13 +85,11 @@ fn ephemeral_port_round_trip_stats_and_clean_exit() {
 
 /// Two inputs that used to reach what sits behind validation: a `pb` that
 /// is not a power of two ran the full convex solve, panicked in the PSA's
-/// bounding step, panicked again on the degraded path and counted against
-/// the circuit breaker — fourteen of them opened it, and the next valid
-/// request got the equal-split schedule; a `procs` of four billion is a
-/// per-processor vector the process cannot allocate, and an allocation
-/// failure is an abort no worker can catch.
+/// bounding step and panicked again on the degraded path; a `procs` of
+/// four billion is a per-processor vector the process cannot allocate,
+/// and an allocation failure is an abort no worker can catch.
 #[test]
-fn specs_the_pipeline_cannot_run_never_reach_the_solver_or_the_breaker() {
+fn specs_the_pipeline_cannot_run_never_reach_the_solver() {
     let server = Server::bind(ServerConfig {
         service: ServeConfig {
             workers: 2,
@@ -130,8 +128,9 @@ fn specs_the_pipeline_cannot_run_never_reach_the_solver_or_the_breaker() {
     let payload = stats.get("stats").expect("stats payload");
     assert_eq!(payload.get("solves").and_then(Json::as_u64), Some(1), "{payload:?}");
     assert_eq!(payload.get("errors").and_then(Json::as_u64), Some(17), "{payload:?}");
-    assert_eq!(payload.get("breaker_opens").and_then(Json::as_u64), Some(0), "{payload:?}");
-    assert_eq!(payload.get("breaker_state").and_then(Json::as_str), Some("closed"));
+    for gone in ["breaker_opens", "breaker_state"] {
+        assert!(payload.get(gone).is_none(), "no service-wide failure state: {payload:?}");
+    }
     request(&mut c, r#"{"op":"shutdown"}"#);
     run.join().expect("server thread");
 }

@@ -2,8 +2,8 @@
 //!
 //! [`SolverError`] replaces the panics the solver used to raise on bad
 //! configurations and non-finite objectives, so a caller decides what a
-//! failed solve becomes: the serving layer counts it on its circuit
-//! breaker and answers with the analytic equal split. [`FallbackTier`]
+//! failed solve becomes: the serving layer answers that request alone
+//! with the analytic equal split. [`FallbackTier`]
 //! records which tier produced an [`crate::AllocationResult`]:
 //!
 //! 1. `Primary` — the projected descent solve;

@@ -784,7 +784,7 @@ impl DetachedObjective {
     /// the graph: `None` — the caller builds — unless the machine's
     /// processor count and transfer constants are the build's to the bit
     /// (so the machine is as valid as the build's), `g` has the build's DAG
-    /// and every node's two coefficients ([`node_coeffs`]) have the build's
+    /// and every node's two coefficients (its `c_v` and `α·τ`) have the build's
     /// zero pattern. Then they are rewritten in the level program.
     pub fn attach(mut self, g: &Mdg, machine: Machine) -> Option<MdgObjective<'_>> {
         let constants = |m: &Machine| {
