@@ -126,7 +126,9 @@ pub struct SolveOutput {
     pub admm: Option<AdmmStats>,
 }
 
-fn output_from_compiled(g: &Mdg, spec: &SolveSpec, c: &Compiled) -> SolveOutput {
+/// The output of one compiled solve. Takes `c` by value: the schedule
+/// moves into the output once the simulator is done with it.
+fn output_from_compiled(g: &Mdg, spec: &SolveSpec, c: Compiled) -> SolveOutput {
     let prof = idle_profile(&c.psa.schedule, c.psa.pb);
     let alloc = g
         .nodes()
@@ -143,7 +145,7 @@ fn output_from_compiled(g: &Mdg, spec: &SolveSpec, c: &Compiled) -> SolveOutput 
             kernels: KernelCostTable::cm5(),
             ..TrueMachine::cm5(spec.machine.procs)
         };
-        run_mpmd(g, c, &truth).makespan
+        run_mpmd(g, &c, &truth).makespan
     });
     SolveOutput {
         graph: g.name().to_string(),
@@ -156,7 +158,7 @@ fn output_from_compiled(g: &Mdg, spec: &SolveSpec, c: &Compiled) -> SolveOutput 
         alloc,
         sim_makespan,
         degraded: c.solve.tier,
-        schedule: c.psa.schedule.clone(),
+        schedule: c.psa.schedule,
         admm: None,
     }
 }
@@ -181,7 +183,7 @@ fn admm_output<B: BlockBackend>(
         tier: FallbackTier::Admm,
     };
     let c = compile_with_solve(g, spec, solve);
-    let mut out = output_from_compiled(g, spec, &c);
+    let mut out = output_from_compiled(g, spec, c);
     out.admm = Some(stats);
     Ok(out)
 }
@@ -208,7 +210,7 @@ pub fn try_solve_pipeline_in(
     if spec.admm {
         return admm_output(g, spec, &AdmmConfig::default(), &mut InProcessBackend::default());
     }
-    Ok(output_from_compiled(g, spec, &compile_in(ws, g, spec)?))
+    Ok(output_from_compiled(g, spec, compile_in(ws, g, spec)?))
 }
 
 /// Like [`try_solve_pipeline`], but the consensus-ADMM tier (when
@@ -237,7 +239,7 @@ pub fn solve_pipeline_degraded(g: &Mdg, spec: &SolveSpec) -> SolveOutput {
     let spec = SolveSpec { simulate: false, ..spec.clone() };
     let solve = equal_split_allocation(g, spec.machine);
     let c = compile_with_solve(g, &spec, solve);
-    output_from_compiled(g, &spec, &c)
+    output_from_compiled(g, &spec, c)
 }
 
 /// Content-addressed cache key: the graph's canonical structural hash

@@ -16,7 +16,12 @@
 //!
 //! Contract:
 //!
-//! * the stage opens with one probe + replay at the loaded point;
+//! * the stage opens with one probe + replay at the loaded point, and
+//!   with the ring of `(s, y)` pairs empty — unless the caller opened it
+//!   with [`DescentState::reset_carrying_pairs`] and the last stage on the
+//!   state had the same memory and free list, when the last stage's pairs
+//!   are read on (the dense ladder's 4× rungs; [`DescentState::load`] and
+//!   [`DescentState::reset`] always empty it);
 //! * an iteration at `(x, f, g)` takes the *free set* F — the stage's
 //!   free variables minus those the gradient holds at a bound
 //!   (`x_j ≤ 0 ∧ g_j > 0`, `x_j ≥ ub ∧ g_j < 0`) — and ends the stage
@@ -33,7 +38,8 @@
 //!   y_kj²)` summed over the usable pairs (`s·y > 0` on F) and clamped to
 //!   within 10× of the newest usable pair's `γ = s·y / y·y` (`h_j = γ`
 //!   where either sum is not positive); with no usable pair, or `d·g ≥
-//!   0`, it is `−g` tried first at the carried `step`;
+//!   0`, it is `−g` tried first at the carried `step` — so a stage
+//!   opened over carried pairs takes a quasi-Newton step at `t = 1` first;
 //! * the line search tries `clamp(x + t·d, 0, ub)` on F (and `clamp(x,
 //!   0, ub)` on a held variable, which moves it only if the caller
 //!   loaded it outside the box), halving `t` until `f(trial) ≤ f(x) −
@@ -47,16 +53,16 @@
 //! * **no point is swept twice**: every probe is a recording sweep and
 //!   the gradient at an accepted trial is `replay` of the tape that probe
 //!   left behind;
-//! * an accepted step enters `(trial − x, g_new − g)` into a ring of
+//! * an accepted step enters `(trial − x, g_new − g)` into the ring of
 //!   `memory` pairs iff `s·y > 1e-10·‖s‖‖y‖`, grows a gradient search's
 //!   `step` by 1.8× (capped at 4), and ends the stage when
 //!   `stop(improve, f, moved)` says so;
-//! * a quasi-Newton search that accepts nothing drops the pairs and the
-//!   next iteration retries along the gradient — `f` and `g` at `x` are
-//!   still held, nothing is swept again; a gradient search that accepts
-//!   nothing ends the stage with the iterate untouched and
-//!   [`DescentState::dead_end`] set, `step` keeping the last halved value
-//!   for the caller to read back.
+//! * a quasi-Newton search that accepts nothing, over carried pairs or
+//!   its own, drops the pairs and the next iteration retries along the
+//!   gradient — `f` and `g` at `x` are still held, nothing is swept
+//!   again; a gradient search that accepts nothing ends the stage with the
+//!   iterate untouched and [`DescentState::dead_end`] set, `step` keeping
+//!   the last halved value for the caller to read back.
 //!
 //! With `memory = 0` the stage is plain projected gradient descent. The
 //! stage counts its own probes — stage start included — and the points
@@ -64,10 +70,12 @@
 //! sweeps the model's executor counts there, so `forward_sweeps ==
 //! probes` over a solve says no model swept a probe twice and
 //! `backward_sweeps == gradients` that none replayed one twice. The
-//! pairs, their cached products and the initial matrix's two sums live in
-//! the state's reused buffers (`2·memory·n` doubles and `memory` product
-//! pairs sized at stage start, `2·n` at the first quasi-Newton direction):
-//! after warm-up the stage performs no heap allocation.
+//! pairs, their cached products, the ring's fill and head, and the
+//! initial matrix's two sums live in the state's reused buffers
+//! (`2·memory·n` doubles and `memory` product pairs sized at stage start,
+//! `2·n` at the first quasi-Newton direction): after warm-up the stage
+//! performs no heap allocation, and a ring outlives its stage for the
+//! next one to carry.
 
 use crate::workspace::SweepCounts;
 
@@ -128,6 +136,13 @@ pub struct DescentState {
     /// Per ring slot, `(s·y, y·y)` summed over the stage's free list at
     /// admission: the two-loop's products whenever F is that list.
     pair_dots: Vec<(f64, f64)>,
+    /// Pairs the ring holds, the slot the next one goes to, and the
+    /// memory it was written at (over `free`): a stage opened by
+    /// [`Self::reset_carrying_pairs`] at that memory over that list reads
+    /// it on, any other stage starts from an empty ring.
+    stored: usize,
+    head: usize,
+    ring_memory: usize,
     /// Two-loop coefficients `(α_i, 1 / s_i·y_i)`, newest pair first.
     coeffs: Vec<(f64, f64)>,
     /// Per variable, `Σ_k s_kj·y_kj` and `Σ_k y_kj²` over the usable
@@ -140,10 +155,12 @@ pub struct DescentState {
 }
 
 impl DescentState {
-    /// Copy `x` in as the iterate.
+    /// Copy `x` in as the iterate, emptying the ring: pairs learnt
+    /// elsewhere say nothing about the curvature at a new point.
     pub fn load(&mut self, x: &[f64]) {
         self.x.clear();
         self.x.extend_from_slice(x);
+        self.drop_pairs();
     }
 
     /// The iterate: where the last stage left it.
@@ -151,11 +168,27 @@ impl DescentState {
         &self.x
     }
 
-    /// Open a stage: step 0.25, no dead end. The iterate is kept, so a
-    /// caller re-enters for the next annealing stage without reloading.
+    /// Open a stage: step 0.25, no dead end, an empty ring. The iterate
+    /// is kept, so a caller re-enters for the next annealing stage
+    /// without reloading.
     pub fn reset(&mut self) {
+        self.reset_carrying_pairs();
+        self.drop_pairs();
+    }
+
+    /// [`Self::reset`], but the quasi-Newton ring of the last stage
+    /// survives: the next stage opens with a quasi-Newton step over those
+    /// pairs if it has the same memory and free list, and empties the
+    /// ring otherwise. For a stage whose objective is close to the last
+    /// one's — the dense ladder's 4× rungs (`solve.rs`, DESIGN.md §7).
+    pub fn reset_carrying_pairs(&mut self) {
         self.step = 0.25;
         self.dead_end = false;
+    }
+
+    fn drop_pairs(&mut self) {
+        self.stored = 0;
+        self.head = 0;
     }
 
     /// The gradient search's step: where the last stage left it.
@@ -331,6 +364,19 @@ pub fn descend<M: DescentModel>(
     mut stop: impl FnMut(f64, f64, f64) -> bool,
 ) -> usize {
     let (n, ub, memory) = (st.x.len(), stage.ub, stage.memory);
+    // A carried ring's cached products are sums over the free list it
+    // was written for: it is read on only by a stage of its own memory
+    // over that list.
+    let carried = st.stored > 0
+        && st.ring_memory == memory
+        && match stage.free {
+            Some(free) => st.free == free,
+            None => st.free.iter().copied().eq(0..n),
+        };
+    // Pairs held and the ring slot the next one goes to, handed back to
+    // the state when the stage ends.
+    let (mut stored, mut head) = if carried { (st.stored, st.head) } else { (0, 0) };
+    st.ring_memory = memory;
     st.free.clear();
     match stage.free {
         Some(free) => st.free.extend_from_slice(free),
@@ -345,8 +391,6 @@ pub fn descend<M: DescentModel>(
         st.pair_dots.resize(memory, (0.0, 0.0));
     }
     let dense = stage.free.is_none();
-    // Pairs held and the ring slot the next one goes to.
-    let (mut stored, mut head) = (0, 0);
     model.counts().probes += 1;
     st.f = model.probe(&st.x);
     model.counts().gradients += 1;
@@ -463,6 +507,7 @@ pub fn descend<M: DescentModel>(
             break;
         }
     }
+    (st.stored, st.head) = (stored, head);
     iters
 }
 
@@ -867,6 +912,103 @@ mod tests {
         }
         assert_eq!(dirs[0], dirs[1], "cached products");
         assert_eq!(dirs[0], dirs[2], "contiguous rows");
+    }
+
+    /// The toy bowl with its optimum moved by `shift` on every variable:
+    /// one rung of an annealing ladder and the next, whose curvature the
+    /// first one's pairs know.
+    fn rung(shift: f64) -> Quadratic {
+        let q = Quadratic::new(N);
+        Quadratic { c: q.c.iter().map(|c| c + shift).collect(), ..q }
+    }
+
+    /// A state that has run one quasi-Newton stage of [`rung`]`(0)` to
+    /// 1e-3 from the first start: six pairs in its ring.
+    fn after_a_first_rung() -> DescentState {
+        let mut st = loaded(&STARTS[0]);
+        finish(&mut rung(0.0), &mut st, &stage(None, 8, 1e-3));
+        assert_eq!(st.stored, 6);
+        st
+    }
+
+    /// Iterate and value bits, step bits, iterations and probes.
+    type Outcome = (Vec<u64>, u64, u64, usize, u64);
+
+    /// [`run_to_the_end`] on `st` as it is, checking that no point was
+    /// swept twice.
+    fn finish(m: &mut Quadratic, st: &mut DescentState, stage: &Stage<'_>) -> Outcome {
+        let iters = run_to_the_end(m, st, stage);
+        assert_eq!(m.counts.forward_sweeps, m.counts.probes, "a point was swept twice");
+        (bits(st.x()), st.value().to_bits(), st.step().to_bits(), iters, m.counts.probes)
+    }
+
+    /// `stage` of [`rung`]`(0.02)` from `x` on a fresh state.
+    fn from_an_empty_ring(x: &[f64], stage: &Stage<'_>) -> Outcome {
+        finish(&mut rung(0.02), &mut loaded(x), stage)
+    }
+
+    #[test]
+    fn a_memory_0_stage_ignores_a_carried_ring() {
+        let mut st = after_a_first_rung();
+        let x = st.x().to_vec();
+        st.reset_carrying_pairs();
+        let polish = stage(None, 0, 0.0);
+        let carried = finish(&mut rung(0.02), &mut st, &polish);
+        assert_eq!(carried, from_an_empty_ring(&x, &polish));
+        assert_eq!(st.stored, 0, "the ring is dropped, not kept for a later stage");
+    }
+
+    #[test]
+    fn loading_an_iterate_or_opening_a_non_carrying_stage_empties_the_ring() {
+        let next = stage(None, 8, 1e-8);
+        let other_free = stage(Some(&[1, 2, 3]), 8, 1e-8);
+        let reload = |st: &mut DescentState| {
+            let x = st.x().to_vec();
+            st.load(&x);
+            st.reset_carrying_pairs();
+        };
+        // (label, what reopens the state, the stage that follows).
+        type Reopen<'a> = (&'a str, &'a dyn Fn(&mut DescentState), &'a Stage<'a>);
+        let reopens: [Reopen<'_>; 3] = [
+            ("load", &reload, &next),
+            ("reset", &DescentState::reset, &next),
+            ("another free list", &DescentState::reset_carrying_pairs, &other_free),
+        ];
+        for (label, reopen, stage) in reopens {
+            let mut st = after_a_first_rung();
+            let x = st.x().to_vec();
+            reopen(&mut st);
+            let reopened = finish(&mut rung(0.02), &mut st, stage);
+            assert_eq!(reopened, from_an_empty_ring(&x, stage), "{label}");
+        }
+    }
+
+    #[test]
+    fn a_carried_ring_opens_with_a_quasi_newton_step_and_saves_iterations() {
+        let next = stage(None, 8, 1e-8);
+        // The first iteration: a quasi-Newton search accepts t = 1 on its
+        // first probe and leaves the gradient step alone; from an empty
+        // ring the stage opens along the gradient, from step 0.25.
+        let one = Stage { max_iters: 1, ..next };
+        let mut st = after_a_first_rung();
+        let x = st.x().to_vec();
+        st.reset_carrying_pairs();
+        let (.., step, _, probes) = finish(&mut rung(0.02), &mut st, &one);
+        assert_eq!((f64::from_bits(step), probes), (0.25, 2), "start, then t = 1 accepted");
+        let (.., step, _, _) = from_an_empty_ring(&x, &one);
+        assert_eq!(f64::from_bits(step), 0.25 * 1.8, "a gradient step");
+
+        // The whole stage, to the same tolerance.
+        let mut st = after_a_first_rung();
+        st.reset_carrying_pairs();
+        let mut m = rung(0.02);
+        let (.., carried, probes) = finish(&mut m, &mut st, &next);
+        let mut g = Vec::new();
+        m.replay(st.x(), &mut g);
+        let worst = g.iter().fold(0.0_f64, |a, g| a.max(g.abs()));
+        assert!(worst <= 1e-8 * st.value(), "|g| = {worst:e} at f = {}", st.value());
+        let (.., empty, empty_probes) = from_an_empty_ring(&x, &next);
+        assert_eq!(((carried, probes), (empty, empty_probes)), ((5, 6), (8, 9)));
     }
 
     #[test]

@@ -10,7 +10,11 @@
 //! projected gradient is stationary ([`QN_MEMORY`]; [`STATIONARITY_TOL`]
 //! at the top of the ladder, [`WARM_TOL`] on the rungs that only seed the
 //! next), and an exact-max projected-subgradient polish ends the solve
-//! once it stalls (`Stall`).
+//! once it stalls (`Stall`). A smooth rung at most `CARRY_RATIO` = 4×
+//! sharper than the one below opens with that rung's quasi-Newton pairs
+//! instead of relearning them from a gradient step — every rung of
+//! [`SolverConfig::default`], none of [`SolverConfig::fast`]'s 8× step;
+//! every other stage starts from an empty ring.
 //!
 //! Every stage is a call of [`crate::descent::descend`] (DESIGN.md §7
 //! has what each caller passes and the measurements behind one start).
@@ -51,7 +55,12 @@ impl Default for SolverConfig {
 }
 
 impl SolverConfig {
-    /// A cheaper configuration for property tests and huge random graphs.
+    /// The two-rung ladder [8, 64] at 150 iterations a stage: the
+    /// ladder of `SolveSpec::new`, so of every served request and of the
+    /// benchmark's `compile-large`. Its one 8× step is wider than
+    /// `CARRY_RATIO`, so its top rung relearns its curvature from a
+    /// gradient step: carried there, the pairs bought no iterations
+    /// (DESIGN.md §7).
     pub fn fast() -> Self {
         SolverConfig {
             sharpness_schedule: vec![8.0, 64.0],
@@ -178,11 +187,15 @@ pub fn try_allocate_from(
     descent.load(&x);
     let mut iterations = 0;
     let sharps = stages.iter().map(|&s| Sharpness::Smooth(s)).chain([Sharpness::Exact]);
+    let mut below = None;
     for (rung, sharp) in sharps.enumerate() {
         // A rung below the top only seeds the next one: it stops early.
         let gtol = if rung + 1 < stages.len() { WARM_TOL } else { STATIONARITY_TOL };
+        let carry = matches!((below, sharp), (Some(Sharpness::Smooth(b)), Sharpness::Smooth(s))
+            if s <= CARRY_RATIO * b);
         let mut model = ScalarTape { obj: &obj, sharp, scratch: &mut *scratch };
-        iterations += dense.run(&mut model, descent, gtol);
+        iterations += dense.run(&mut model, descent, gtol, carry);
+        below = Some(sharp);
     }
     let alloc = obj.allocation_from_x(descent.x());
 
@@ -292,6 +305,14 @@ pub const STATIONARITY_TOL: f64 = 1e-6;
 /// strassen at p = 64 +0.28 % Φ under `fast()` (DESIGN.md §7).
 pub const WARM_TOL: f64 = 1e-3;
 
+/// The largest sharpness step up the ladder across which a smooth rung
+/// opens with the rung below's quasi-Newton pairs
+/// ([`DescentState::reset_carrying_pairs`]) instead of relearning them
+/// from a gradient step: `default()`'s 4× rungs carry, `fast()`'s 8× step
+/// does not — carried there, it bought no iterations and moved
+/// `compile-large`'s p90 up 9–12 % (DESIGN.md §7).
+const CARRY_RATIO: f64 = 4.0;
+
 /// Accepted steps the exact polish's stall window spans: the stage ends
 /// once the last this many together gained less than [`STALL_TOL`] of Φ
 /// while the step no longer grows ([`Stall`]). 3 / 5 / 8 steps and 1e-7 …
@@ -349,13 +370,24 @@ struct DenseStages<'a, 'g> {
 impl DenseStages<'_, '_> {
     /// One stage of `model` from the point loaded in `descent`, from
     /// step 0.25: quasi-Newton to the relative stationarity `gtol` at a
-    /// smooth sharpness; projected subgradient at the exact max, which has
-    /// no curvature to learn (and ignores `gtol`), until it stalls
-    /// ([`Stall`]). Any stage also ends on a step that improves by at most
-    /// `rel_tol` while barely moving, a dead end or the cap. Returns the
-    /// iterations.
-    fn run(&self, model: &mut ScalarTape<'_, '_>, descent: &mut DescentState, gtol: f64) -> usize {
-        descent.reset();
+    /// smooth sharpness — opening over the last stage's pairs when
+    /// `carry`, from an empty ring otherwise; projected subgradient at the
+    /// exact max, which has no curvature to learn (and ignores `gtol` and
+    /// `carry`), until it stalls ([`Stall`]). Any stage also ends on a
+    /// step that improves by at most `rel_tol` while barely moving, a dead
+    /// end or the cap. Returns the iterations.
+    fn run(
+        &self,
+        model: &mut ScalarTape<'_, '_>,
+        descent: &mut DescentState,
+        gtol: f64,
+        carry: bool,
+    ) -> usize {
+        if carry {
+            descent.reset_carrying_pairs();
+        } else {
+            descent.reset();
+        }
         let (memory, gtol) = match model.sharp {
             Sharpness::Smooth(_) => (QN_MEMORY, gtol),
             Sharpness::Exact => (0, 0.0),
@@ -399,7 +431,8 @@ pub fn descend_stage(
     let SolverWorkspace { scratch, descent, .. } = ws;
     descent.load(x);
     let mut model = ScalarTape { obj, sharp, scratch };
-    let iters = DenseStages { obj, max_iters, rel_tol }.run(&mut model, descent, STATIONARITY_TOL);
+    let dense = DenseStages { obj, max_iters, rel_tol };
+    let iters = dense.run(&mut model, descent, STATIONARITY_TOL, false);
     x.copy_from_slice(descent.x());
     iters
 }

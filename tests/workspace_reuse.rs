@@ -1,8 +1,11 @@
 //! A serving worker solves every request on the one workspace it owns,
 //! so that workspace carries one graph's buffers into the next solve.
 //! Reusing it moves no bit: a worker's run of large, small, small and
-//! large again (strassen-ml@64, fig1@4, cmm@16, strassen-ml@64) gives
-//! every allocation and Φ bit of the same solves on fresh workspaces. And
+//! large again, alternating the full and the fast ladder (strassen@64
+//! `default()`, fig1@4 `fast()`, cmm@16 `default()`, strassen-ml@64
+//! `fast()`), gives every allocation and Φ bit of the same solves on
+//! fresh workspaces — so neither the buffers nor the quasi-Newton pairs a
+//! `default()` rung hands the next one leak into another solve. And
 //! it is worth keeping: a warm repeat of one pipeline op allocates less
 //! than a cold one, and from the second repeat on the same count each
 //! time. The counter is per thread, so the test counts its own
@@ -33,11 +36,18 @@ fn case(name: &str, procs: u32) -> (Mdg, SolveSpec) {
 #[test]
 fn a_reused_workspace_changes_no_bit() {
     let mut ws = SolverWorkspace::new();
-    for (name, procs) in [("strassen-ml", 64), ("fig1", 4), ("cmm", 16), ("strassen-ml", 64)] {
+    let runs =
+        [("strassen", 64, false), ("fig1", 4, true), ("cmm", 16, false), ("strassen-ml", 64, true)];
+    for (name, procs, fast_solver) in runs {
         let (g, spec) = case(name, procs);
+        let spec = SolveSpec { fast_solver, ..spec };
         let reused = try_solve_pipeline_in(&mut ws, &g, &spec).expect("solves");
         let fresh = try_solve_pipeline(&g, &spec).expect("solves");
-        assert_eq!(bits(&reused), bits(&fresh), "{name}@{procs}: the reused workspace moved a bit");
+        assert_eq!(
+            bits(&reused),
+            bits(&fresh),
+            "{name}@{procs} fast_solver {fast_solver}: the reused workspace moved a bit"
+        );
     }
 }
 
