@@ -130,13 +130,14 @@ pub fn psa_schedule(
     let mut remaining_preds: Vec<usize> = (0..n).map(|v| g.in_edges(NodeId(v)).len()).collect();
     let mut est = vec![f64::INFINITY; n];
     let mut finish = vec![f64::NAN; n];
-    let mut placed: Vec<Option<Task>> = vec![None; n];
     let mut ready: Vec<NodeId> = Vec::new();
 
     est[g.start().0] = 0.0;
     ready.push(g.start());
 
     let mut order: Vec<Task> = Vec::with_capacity(n);
+    // The processors by free time, ties in the order the previous node
+    // left them: what a stable sort of the last order would give.
     let mut proc_indices: Vec<usize> = (0..p).collect();
 
     while let Some(pos) = match cfg.policy {
@@ -152,23 +153,26 @@ pub fn psa_schedule(
             (est[v.0], Vec::new())
         } else {
             // k earliest-free processors; PST = k-th smallest free time.
-            proc_indices.sort_by(|&a, &b| {
-                free_time[a].partial_cmp(&free_time[b]).expect("finite free times")
-            });
             let chosen: Vec<u32> = proc_indices[..k].iter().map(|&i| i as u32).collect();
             let pst = free_time[proc_indices[k - 1]];
             let start = if pst >= est[v.0] { pst } else { est[v.0] };
+            let busy_until = start + t_v;
+            assert!(!busy_until.is_nan(), "finite free times");
             for &c in &chosen {
-                free_time[c as usize] = start + t_v;
+                free_time[c as usize] = busy_until;
             }
+            // The block now shares one free time and the rest is still
+            // sorted, so the stable sort is a merge: the block moves past
+            // every processor free strictly earlier and stays ahead of
+            // those free at the same instant.
+            let behind = proc_indices[k..].partition_point(|&i| free_time[i] < busy_until);
+            proc_indices[..k + behind].rotate_left(k);
             (start, chosen)
         };
 
         let f = start + t_v;
         finish[v.0] = f;
-        let task = Task { node: v, procs, start, finish: f };
-        placed[v.0] = Some(task.clone());
-        order.push(task);
+        order.push(Task { node: v, procs, start, finish: f });
 
         if v == g.stop() {
             break;
@@ -236,7 +240,8 @@ mod tests {
     use super::*;
     use crate::bounds::theorem3_factor;
     use paradigm_mdg::{
-        complex_matmul_mdg, example_fig1_mdg, random_layered_mdg, strassen_mdg, KernelCostTable,
+        block_lu_mdg, complex_matmul_mdg, example_fig1_mdg, fft_2d_mdg, fork_join_mdg,
+        random_layered_mdg, stencil_mdg, strassen_mdg, strassen_mdg_multilevel, KernelCostTable,
         RandomMdgConfig,
     };
     use paradigm_solver::{allocate, SolverConfig};
@@ -406,5 +411,92 @@ mod tests {
         // Three nodes of tau = 16.9 each, serial.
         assert!((res.t_psa - 3.0 * 16.9).abs() < 1e-9);
         res.schedule.validate(&g, &res.weights).unwrap();
+    }
+
+    /// Replay `res` in its own placement order with the retired pool
+    /// update — a stable sort of all p processors by free time at every
+    /// node — and hold every task's processors, in order, and its start and
+    /// finish, and `T_psa`, to the bits the merge produced.
+    fn assert_merge_is_the_per_node_sort(g: &Mdg, res: &PsaResult) {
+        let p = res.schedule.machine_procs as usize;
+        let mut free_time = vec![0.0_f64; p];
+        let mut proc_indices: Vec<usize> = (0..p).collect();
+        let mut finish = vec![f64::NAN; g.node_count()];
+        for task in &res.schedule.tasks {
+            let v = task.node;
+            let mut est = 0.0_f64;
+            for &e in g.in_edges(v) {
+                let cand = finish[g.edge(e).src] + res.weights.edge_weight(e);
+                if cand > est {
+                    est = cand;
+                }
+            }
+            let t_v = res.weights.node_weight(v);
+            let k = match g.node(v).kind {
+                NodeKind::Compute => res.weights.alloc.as_u32(v) as usize,
+                _ => 0,
+            };
+            let start = if k == 0 {
+                assert!(task.procs.is_empty(), "{v:?}");
+                est
+            } else {
+                proc_indices.sort_by(|&a, &b| {
+                    free_time[a].partial_cmp(&free_time[b]).expect("finite free times")
+                });
+                let chosen: Vec<u32> = proc_indices[..k].iter().map(|&i| i as u32).collect();
+                assert_eq!(task.procs, chosen, "{v:?}");
+                let pst = free_time[proc_indices[k - 1]];
+                let start = if pst >= est { pst } else { est };
+                for &c in &chosen {
+                    free_time[c as usize] = start + t_v;
+                }
+                start
+            };
+            assert_eq!(task.start.to_bits(), start.to_bits(), "{v:?} start");
+            assert_eq!(task.finish.to_bits(), (start + t_v).to_bits(), "{v:?} finish");
+            finish[v.0] = start + t_v;
+        }
+        assert_eq!(res.t_psa.to_bits(), finish[g.stop().0].to_bits());
+    }
+
+    /// The processor pool's merge against the stable sort it replaced, on
+    /// the gallery graphs and seeded random graphs under uniform
+    /// allocations — where many processors free up at exactly the same
+    /// instant, so the tie rule decides the processor lists — at
+    /// p = 1, 6, 64 and 1024, under both policies and with PB forced to 1
+    /// and 2 as well as Corollary 1's.
+    #[test]
+    fn the_pool_merge_is_the_per_node_stable_sort_to_the_bit() {
+        let t = KernelCostTable::cm5();
+        let mut graphs = vec![
+            example_fig1_mdg(),
+            complex_matmul_mdg(64, &t),
+            strassen_mdg(128, &t),
+            strassen_mdg_multilevel(128, 2, &t),
+            fft_2d_mdg(64, 4, &t),
+            block_lu_mdg(4, 32, &t),
+            stencil_mdg(64, 2, 3, &t),
+            random_layered_mdg(&RandomMdgConfig::sized(192), 11),
+            fork_join_mdg(6, 12, 5),
+        ];
+        graphs.extend((0..4).map(|seed| random_layered_mdg(&RandomMdgConfig::default(), seed)));
+        let mut tasks = 0;
+        for g in &graphs {
+            for procs in [1u32, 6, 64, 1024] {
+                let m = Machine::cm5(procs);
+                for share in [1.0, (procs as f64 / 3.0).max(1.0)] {
+                    let alloc = Allocation::uniform(g, share);
+                    for pb in [None, Some(1), Some(2)].into_iter().filter(|&pb| pb <= Some(procs)) {
+                        for policy in [SchedPolicy::LowestEst, SchedPolicy::HighestLevelFirst] {
+                            let cfg = PsaConfig { pb, skip_rounding: false, policy };
+                            let res = psa_schedule(g, m, &alloc, &cfg);
+                            assert_merge_is_the_per_node_sort(g, &res);
+                            tasks += res.schedule.tasks.len();
+                        }
+                    }
+                }
+            }
+        }
+        assert!(tasks > 10_000, "{tasks}");
     }
 }

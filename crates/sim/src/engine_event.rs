@@ -316,11 +316,26 @@ mod tests {
         assert!(with > 0.0 && without > 0.0);
     }
 
+    /// Receipts that share their receiving processor, consumer and
+    /// availability to the bit: the ties the message index orders.
+    fn tied_receipts(prog: &TaskProgram, r: &SimResult) -> usize {
+        let mut arrivals: Vec<(usize, u32, u64)> = prog
+            .messages()
+            .zip(&r.msg_avail)
+            .map(|(m, a)| (m.to_task, m.dst_proc, a.to_bits()))
+            .collect();
+        arrivals.sort_unstable();
+        arrivals.windows(2).filter(|w| w[0] == w[1]).count()
+    }
+
     /// The pipeline's own programs (`fast()` solve → PSA → `lower_mpmd`)
     /// at the size whose run time matters: tens of thousands of messages,
     /// many of them available at the same instant, so the tie-break of
     /// the availability sort and the message indices decide the bits. On
-    /// the CM-5 and on a machine with network delays.
+    /// the CM-5, on a machine with network delays, and on the ideal
+    /// machine, where no noise separates the sends of different source
+    /// ranks: there thousands of receipts tie exactly and the message
+    /// index alone orders them.
     #[test]
     fn engines_agree_on_the_pipelines_large_programs() {
         let large = [
@@ -336,6 +351,70 @@ mod tests {
             assert_engines_agree(&prog, &TrueMachine::cm5(64));
             assert!(TrueMachine::mesh(64).net_delay(1024) > 0.0);
             assert_engines_agree(&prog, &TrueMachine::mesh(64));
+            if messages == 40_069 {
+                let ideal = TrueMachine::ideal(64);
+                assert_engines_agree(&prog, &ideal);
+                let ties = tied_receipts(&prog, &simulate(&prog, &ideal));
+                assert!(ties > 10_000, "{ties} tied receipts");
+            }
+        }
+    }
+
+    /// One rank's receipts tie and arrive out of index order: processor 0
+    /// of the consumer gets message 0 late from a slow producer, then three
+    /// local copies (messages 2, 4 and 6, from three transfers of one
+    /// producer) available at the same instant, its compute's end. They
+    /// must be charged 2, 4, 6, then 0. The payloads are chosen so that
+    /// the processor's busy time tells that order from the ties reversed,
+    /// on the CM-5 and on the ideal machine alike.
+    #[test]
+    fn engines_agree_when_a_ranks_receipts_tie_out_of_index_order() {
+        let task = |node: usize, procs: &[u32], rows: usize, class: LoopClass| SimTask {
+            node: NodeId(node),
+            name: format!("t{node}"),
+            procs: procs.to_vec(),
+            compute: ComputeSpec::Kernel { class, rows, cols: rows },
+            program_order: if node == 3 { 1 } else { 0 },
+        };
+        let transfer = |from_task, bytes| SimTransfer {
+            from_task,
+            to_task: 2,
+            kind: TransferKind::OneD,
+            bytes,
+        };
+        let copies = [512, 6144, 17408];
+        let prog = TaskProgram {
+            procs: 3,
+            tasks: vec![
+                task(1, &[2], 256, LoopClass::MatrixMultiply),
+                task(2, &[0, 1], 64, LoopClass::MatrixAdd),
+                task(3, &[0, 1], 64, LoopClass::MatrixAdd),
+            ],
+            transfers: vec![
+                transfer(0, 4096),
+                transfer(1, copies[0]),
+                transfer(1, copies[1]),
+                transfer(1, copies[2]),
+            ],
+        };
+        prog.validate().unwrap();
+        for truth in [TrueMachine::cm5(3), TrueMachine::ideal(3)] {
+            let r = simulate(&prog, &truth);
+            let a = &r.msg_avail;
+            assert_eq!((r.messages_sent, r.local_copies), (2, 6));
+            assert!(a[2] == a[4] && a[4] == a[6] && a[0] > a[2], "{a:?}");
+            assert_engines_agree(&prog, &truth);
+            // Processor 0: its producer's compute, the receipts in the
+            // given order of the three copies, the late message, its
+            // consumer's compute.
+            let busy = |ties: [usize; 3]| {
+                let compute = |t| truth.kernel_time(&LoopClass::MatrixAdd, 64, 64, 2, t);
+                let copy = |i: usize| truth.local_copy_time(copies[i] / 2, 2 + 2 * i as u64);
+                let received = ties.iter().fold(compute(1), |b, &i| b + copy(i));
+                (received + truth.recv_time(2048, 0) + compute(2)).to_bits()
+            };
+            assert_eq!(r.proc_busy[0].to_bits(), busy([0, 1, 2]));
+            assert_ne!(busy([0, 1, 2]), busy([2, 1, 0]), "the payloads must tell the orders apart");
         }
     }
 

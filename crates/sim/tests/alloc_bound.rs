@@ -4,14 +4,14 @@
 //!
 //! Allocations: `validate` on a valid program is a fixed handful,
 //! `simulate` and `lower_mpmd` a constant plus two a task — on the
-//! pipeline's own 40 069-message program (198 tasks: 2, 215 and 398) as on
-//! a 48-message one (12 tasks: 2, 29 and 26). Before the tail was indexed
+//! pipeline's own 40 069-message program (198 tasks: 2, 216 and 398) as on
+//! a 48-message one (12 tasks: 2, 30 and 26). Before the tail was indexed
 //! the large program cost 80 345, 91 404 and 7 396.
 //!
 //! Bytes: the lowered program holds its tasks and its 773 transfers
 //! (56 033 B), and `simulate`'s high-water mark is the one per-message
 //! array it returns ([`paradigm_sim::SimResult::msg_avail`], 8 B a
-//! message) plus buffers sized by the largest task (442 584 B). While the
+//! message) plus buffers sized by the largest task (429 304 B). While the
 //! program held a message list, the same program held 1 434 465 B and
 //! `simulate` peaked at 1 333 616 B.
 

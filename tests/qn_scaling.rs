@@ -8,9 +8,10 @@
 //! gallery graph at p ∈ {6, 16, 64} (graphs over 150 nodes at p = 64
 //! only), under both stock configs. The solve is held to them one way: no
 //! case's Φ more than 1e-3 above its pin, and at most 80 % of their 4 715
-//! iterations in total. Measured on x86-64 Linux, glibc libm: 3 401
-//! iterations (−28 %), worst Φ +5.2e-4 (strassen at p = 64, `default()`),
-//! best −8.9e-5.
+//! iterations in total. Measured on x86-64 Linux, glibc libm, with the
+//! rungs carrying their quasi-Newton pairs: 3 021 iterations (−36 %),
+//! worst Φ +4.5e-5 (strassen at p = 64, `default()`), best −9.0e-5
+//! (strassen-ml at p = 64, `fast()`).
 
 use paradigm_core::{gallery_graph, GALLERY_NAMES};
 use paradigm_cost::Machine;

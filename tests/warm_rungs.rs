@@ -29,12 +29,11 @@
 //! The check is one-sided because landing lower is no failure: on
 //! strassen at p = 64 under `fast()` the reference misses the exact
 //! polish's escape from a kink (DESIGN.md §7) and reads 2.8e-3 *above*
-//! the solve. Measured on x86-64 Linux, glibc libm: worst Φ +4.9e-4
-//! (strassen at p = 64, `default()`, whose reference went 4.9e-4 lower
-//! when the terms were collected; +8.2e-6 before, on strassen-ml), 3 159
-//! of 4 012 iterations (−21 %) over the 46 gallery solves; the two random
-//! graphs at p = 64 under `fast()` read +1.2e-6 and −5.2e-6 in 105 of 123
-//! and 88 of 122 iterations.
+//! the solve. Measured on x86-64 Linux, glibc libm: worst Φ +1.8e-5
+//! (strassen at p = 64, `default()`; +4.9e-4 before the rungs carried
+//! their quasi-Newton pairs), 3 021 of 4 012 iterations (−25 %) over the
+//! 46 gallery solves; the two random graphs at p = 64 under `fast()` read
+//! +1.2e-6 and −5.2e-6 in 105 of 123 and 88 of 122 iterations.
 
 use paradigm_core::{gallery_graph, GALLERY_NAMES};
 use paradigm_cost::Machine;
