@@ -25,18 +25,18 @@
 //! function of the message alone — and packs it into a `u64` sort key
 //! placed run by run per receiving rank: the availability's bits, then
 //! the receipt's position, which within a rank is message-index order
-//! (`KeyLayout`). Each run is put in key order — by counting each key's
-//! rank when it is short, by `sort_unstable` otherwise — and charged in
-//! that order. Its sends walk its out-transfers in (consumer program
-//! order, transfer index) order, which is each processor's (consumer
-//! program order, message index) order. A run costs O(T log T + M log q)
-//! in the T transfers and M messages (the log q is the sort within one
-//! processor's receives) and allocates a fixed number of buffers plus one
-//! window list a task; the only per-message storage is
-//! [`SimResult::msg_avail`]. On the pipeline's 40 069-message program
-//! (random-layered at p = 64, a 2.1 GHz Xeon VM) a run takes about 27 ns
-//! a message: the receive phase is three quarters of it and the sort a
-//! third of that.
+//! (`KeyLayout`). Each run is put in key order by `sort_unstable` and
+//! charged in that order. Its sends walk its out-transfers in (consumer
+//! program order, transfer index) order, which is each processor's
+//! (consumer program order, message index) order. A run costs
+//! O(T log T + M log q) in the T transfers and M messages (the log q is
+//! the sort within one processor's receives) and allocates a fixed number
+//! of buffers plus one window list a task; the only per-message storage
+//! is [`SimResult::msg_avail`]. On the pipeline's 40 069-message program
+//! (random-layered at p = 64, a 2.1 GHz Xeon VM) a run takes about 28 ns
+//! a message, 1.3–1.4× faster than the `partial_cmp` sort of whole
+//! receipts it replaced: the receive phase is three quarters of a run and
+//! the sort a third of that.
 //!
 //! [`SimResult`] holds the times an engine observed and nothing derived
 //! from them. What is *resident* between those times — the per-processor
@@ -184,17 +184,15 @@ struct Arrival {
 /// positions fit in 64 bits (on the pipeline's random-layered program at
 /// p = 64, the widest measured, they take exactly 64). A wider span drops
 /// low bits, and [`KeyLayout::sort`] then restores the exact order among
-/// the keys that tie.
+/// the keys that tie. Packing pays: on that program an exact `u128` key
+/// (all the bits, then the position) simulated about 11 % slower, and the
+/// repair pass forced onto every run about 8 % slower.
 #[derive(Debug, Clone, Copy)]
 struct KeyLayout {
     lo: u64,
     shift: u32,
     slot_bits: u32,
 }
-
-/// The longest run [`KeyLayout::sort`] places by counting ranks: the
-/// length up to which `sort_unstable` is an insertion sort.
-const SHORT_RUN: usize = 20;
 
 impl KeyLayout {
     /// The layout of `n` receipts whose availabilities' bits lie in
@@ -222,19 +220,8 @@ impl KeyLayout {
     }
 
     /// Sort one rank's keys into (availability, message index) order.
-    fn sort(&self, keys: &mut [u64], arrivals: &[Arrival], placed: &mut [u64; SHORT_RUN]) {
-        if keys.len() <= SHORT_RUN {
-            // Keys are distinct, so each one's rank is its place. Counting
-            // it is n² branch-free compares, where `sort_unstable`'s
-            // insertion sort for a run this short mispredicts about once
-            // a key.
-            for &key in keys.iter() {
-                placed[keys.iter().filter(|&&other| other < key).count()] = key;
-            }
-            keys.copy_from_slice(&placed[..keys.len()]);
-        } else {
-            keys.sort_unstable();
-        }
+    fn sort(&self, keys: &mut [u64], arrivals: &[Arrival]) {
+        keys.sort_unstable();
         if self.shift > 0 {
             // Keys whose availabilities differ only in the dropped bits
             // sit in position order: insertion on the exact pair fixes
@@ -345,7 +332,6 @@ pub fn simulate(prog: &TaskProgram, truth: &TrueMachine) -> SimResult {
     let mut keys: Vec<u64> = vec![0; most_received];
     let mut runs = vec![0usize; most_procs + 2];
     let mut send_clocks = vec![0.0_f64; most_procs];
-    let mut placed = [0u64; SHORT_RUN];
 
     for &t in &order {
         let task = &tasks[t];
@@ -404,7 +390,7 @@ pub fn simulate(prog: &TaskProgram, truth: &TrueMachine) -> SimResult {
         }
         let arrivals = &*arrivals;
         for r in 0..q {
-            layout.sort(&mut keys[run[r]..run[r + 1]], arrivals, &mut placed);
+            layout.sort(&mut keys[run[r]..run[r + 1]], arrivals);
         }
         let mut windows = Vec::with_capacity(q);
         let mut start = 0.0_f64;
@@ -702,7 +688,7 @@ mod tests {
             avails.iter().enumerate().map(|(j, &a)| layout.key(a, j)).collect();
         let mut truncated = keys.clone();
         truncated.sort_unstable();
-        layout.sort(&mut keys, &arrivals, &mut [0; SHORT_RUN]);
+        layout.sort(&mut keys, &arrivals);
         let mut exact: Vec<usize> = (0..avails.len()).collect();
         exact.sort_by_key(|&j| (bits[j], j));
         let slots = |keys: &[u64]| keys.iter().map(|&k| layout.slot(k)).collect::<Vec<_>>();

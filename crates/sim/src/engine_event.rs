@@ -316,26 +316,15 @@ mod tests {
         assert!(with > 0.0 && without > 0.0);
     }
 
-    /// Receipts that share their receiving processor, consumer and
-    /// availability to the bit: the ties the message index orders.
-    fn tied_receipts(prog: &TaskProgram, r: &SimResult) -> usize {
-        let mut arrivals: Vec<(usize, u32, u64)> = prog
-            .messages()
-            .zip(&r.msg_avail)
-            .map(|(m, a)| (m.to_task, m.dst_proc, a.to_bits()))
-            .collect();
-        arrivals.sort_unstable();
-        arrivals.windows(2).filter(|w| w[0] == w[1]).count()
-    }
-
     /// The pipeline's own programs (`fast()` solve → PSA → `lower_mpmd`)
-    /// at the size whose run time matters: tens of thousands of messages,
-    /// many of them available at the same instant, so the tie-break of
-    /// the availability sort and the message indices decide the bits. On
-    /// the CM-5, on a machine with network delays, and on the ideal
+    /// at the size whose run time matters: tens of thousands of messages.
+    /// On the CM-5, on a machine with network delays, and on the ideal
     /// machine, where no noise separates the sends of different source
-    /// ranks: there thousands of receipts tie exactly and the message
-    /// index alone orders them.
+    /// ranks. The ideal run has many exact ties, but the receipts of each
+    /// tie carry equal payloads and so cost the same: it cannot tell one
+    /// tie order from another. Only
+    /// `engines_agree_when_a_ranks_receipts_tie_out_of_index_order` guards
+    /// that order.
     #[test]
     fn engines_agree_on_the_pipelines_large_programs() {
         let large = [
@@ -352,10 +341,7 @@ mod tests {
             assert!(TrueMachine::mesh(64).net_delay(1024) > 0.0);
             assert_engines_agree(&prog, &TrueMachine::mesh(64));
             if messages == 40_069 {
-                let ideal = TrueMachine::ideal(64);
-                assert_engines_agree(&prog, &ideal);
-                let ties = tied_receipts(&prog, &simulate(&prog, &ideal));
-                assert!(ties > 10_000, "{ties} tied receipts");
+                assert_engines_agree(&prog, &TrueMachine::ideal(64));
             }
         }
     }
