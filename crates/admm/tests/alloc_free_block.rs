@@ -8,7 +8,8 @@
 //!   whatever the block's size and however many gradient iterations and
 //!   line-search probes run: re-attaching the objective copies nothing,
 //!   every loop buffer is the workspace's;
-//! * handed none, it pays the objective build on top of that, and
+//! * handed none, it pays the objective build, and the detach that
+//!   records the build's DAG for the next round, on top of that, and
 //!   nothing else.
 //!
 //! This file deliberately contains a single `#[test]` — the counter is
@@ -87,9 +88,11 @@ fn block_solve_allocations_do_not_scale_with_iterations_or_block_size() {
         warm_constants.push(big_allocs);
 
         // A job that is handed no tape — a clone's slot is empty — pays
-        // the build, and the same constant.
+        // the build and the detach that records its DAG for the next
+        // round, and the same constant.
         let before = allocation_count();
         let built = MdgObjective::try_new(&big_job.graph, big_job.machine).expect("objective");
+        let built = built.detach();
         let build_allocs = allocation_count() - before;
         drop(built);
         let (cold_allocs, _) = solve_counted(&big_job.clone(), &mut bw);

@@ -14,7 +14,7 @@
 //! schedule promised (a compiled MPMD program would use an equivalent
 //! synchronization).
 
-use crate::program::{ComputeSpec, SimTask, SimTransfer, TaskProgram};
+use crate::program::{ComputeSpec, SimTask, SimTransfer, TaskProgram, ValidProgram};
 use paradigm_mdg::{LoopClass, Mdg, NodeId, NodeKind, TransferKind};
 use paradigm_sched::{Schedule, Task};
 
@@ -86,26 +86,32 @@ fn lower<'a>(
 
 /// Lower a PSA (or any valid) schedule to an MPMD task program: each node
 /// keeps its scheduled processor set; per-processor program order is the
-/// schedule's start-time order.
-pub fn lower_mpmd(g: &Mdg, schedule: &Schedule) -> TaskProgram {
+/// schedule's start-time order. A valid schedule (`Schedule::validate`)
+/// lowers to a valid program, which is not checked again: debug builds
+/// assert it.
+pub fn lower_mpmd(g: &Mdg, schedule: &Schedule) -> ValidProgram {
     let mut order: Vec<&Task> = schedule.tasks.iter().collect();
     // Stabilize: by (start, node id). Schedule order already satisfies
     // this for the PSA, but be robust to hand-built schedules.
     order.sort_by(|a, b| {
         a.start.partial_cmp(&b.start).expect("finite start times").then(a.node.cmp(&b.node))
     });
-    lower(g, schedule.machine_procs, order.iter().map(|t| (t.node, &t.procs[..])))
+    ValidProgram::lowered(lower(
+        g,
+        schedule.machine_procs,
+        order.iter().map(|t| (t.node, &t.procs[..])),
+    ))
 }
 
 /// Lower the SPMD execution: every compute node on all `procs`
 /// processors, topological program order.
-pub fn lower_spmd(g: &Mdg, procs: u32) -> TaskProgram {
+pub fn lower_spmd(g: &Mdg, procs: u32) -> ValidProgram {
     let all: Vec<u32> = (0..procs).collect();
     let placed = g
         .topo_order()
         .iter()
         .map(|&v| (v, if g.node(v).kind == NodeKind::Compute { &all[..] } else { &[] }));
-    lower(g, procs, placed)
+    ValidProgram::lowered(lower(g, procs, placed))
 }
 
 #[cfg(test)]

@@ -45,7 +45,7 @@
 //! [`crate::engine_event`] alike, and computed only for a caller that
 //! asks.
 
-use crate::program::{ComputeSpec, SimTransfer, TaskProgram};
+use crate::program::{ComputeSpec, SimTransfer, TaskProgram, ValidProgram};
 use crate::truth::TrueMachine;
 
 /// Result of simulating a task program.
@@ -279,10 +279,9 @@ fn by_task(
 /// assert!(result.utilization() <= 1.0);
 /// ```
 ///
-/// # Panics
-/// Panics if the program fails validation.
-pub fn simulate(prog: &TaskProgram, truth: &TrueMachine) -> SimResult {
-    prog.validate().unwrap_or_else(|e| panic!("invalid task program: {e}"));
+/// The program was validated when it was made ([`ValidProgram`]), so
+/// nothing is checked here.
+pub fn simulate(prog: &ValidProgram, truth: &TrueMachine) -> SimResult {
     let nt = prog.tasks.len();
     let np = prog.procs as usize;
     let tasks = &prog.tasks;
@@ -485,7 +484,8 @@ mod tests {
 
     #[test]
     fn empty_program_has_zero_makespan() {
-        let prog = TaskProgram { procs: 4, tasks: vec![], transfers: vec![] };
+        let prog =
+            ValidProgram::new(TaskProgram { procs: 4, tasks: vec![], transfers: vec![] }).unwrap();
         let r = simulate(&prog, &TrueMachine::ideal(4));
         assert_eq!(r.makespan, 0.0);
         assert_eq!(r.utilization(), 0.0);
@@ -494,7 +494,7 @@ mod tests {
     #[test]
     fn single_task_time_matches_truth() {
         let params = AmdahlParams::new(0.1, 2.0);
-        let prog = TaskProgram {
+        let prog = ValidProgram::new(TaskProgram {
             procs: 4,
             tasks: vec![SimTask {
                 node: NodeId(1),
@@ -504,7 +504,8 @@ mod tests {
                 program_order: 0,
             }],
             transfers: vec![],
-        };
+        })
+        .unwrap();
         let truth = TrueMachine::ideal(4);
         let r = simulate(&prog, &truth);
         assert!((r.makespan - params.cost(4.0)).abs() < 1e-12);
@@ -521,7 +522,7 @@ mod tests {
             compute: ComputeSpec::Explicit { params },
             program_order: ord,
         };
-        let prog = TaskProgram {
+        let prog = ValidProgram::new(TaskProgram {
             procs: 2,
             tasks: vec![task(1, vec![0], 0), task(2, vec![1], 1)],
             transfers: vec![SimTransfer {
@@ -530,7 +531,8 @@ mod tests {
                 kind: TransferKind::OneD,
                 bytes: 32768,
             }],
-        };
+        })
+        .unwrap();
         let truth = TrueMachine::ideal(2);
         let r = simulate(&prog, &truth);
         // t1 computes 1s, sends (t_ss + L t_ps); t2 receives then computes.
@@ -550,7 +552,7 @@ mod tests {
             compute: ComputeSpec::Explicit { params },
             program_order: ord,
         };
-        let prog = TaskProgram {
+        let prog = ValidProgram::new(TaskProgram {
             procs: 1,
             tasks: vec![task(1, 0), task(2, 1)],
             transfers: vec![SimTransfer {
@@ -559,7 +561,8 @@ mod tests {
                 kind: TransferKind::OneD,
                 bytes: 32768,
             }],
-        };
+        })
+        .unwrap();
         let truth = TrueMachine::ideal(1);
         let r = simulate(&prog, &truth);
         let copy = truth.local_copy_time(32768, 0);
@@ -577,11 +580,12 @@ mod tests {
             compute: ComputeSpec::Explicit { params },
             program_order: ord,
         };
-        let prog = TaskProgram {
+        let prog = ValidProgram::new(TaskProgram {
             procs: 2,
             tasks: vec![task(1, vec![0], 0), task(2, vec![1], 1)],
             transfers: vec![],
-        };
+        })
+        .unwrap();
         let r = simulate(&prog, &TrueMachine::ideal(2));
         // Independent tasks on different processors: both finish at 1s.
         assert!((r.makespan - 1.0).abs() < 1e-12);
@@ -657,7 +661,8 @@ mod tests {
 
     #[test]
     fn empty_program_has_zero_resident_peak() {
-        let prog = TaskProgram { procs: 2, tasks: vec![], transfers: vec![] };
+        let prog =
+            ValidProgram::new(TaskProgram { procs: 2, tasks: vec![], transfers: vec![] }).unwrap();
         let r = simulate(&prog, &TrueMachine::ideal(2));
         assert_eq!(r.peak_resident_bytes(&prog), 0.0);
     }

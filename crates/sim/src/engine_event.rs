@@ -14,14 +14,14 @@
 //! coordinate-descent cross-check in the solver).
 //!
 //! It shares no index with the sweep engine: it expands the program's
-//! transfers into the full message list ([`TaskProgram::messages`]) and
+//! transfers into the full message list ([`crate::TaskProgram::messages`]) and
 //! compiles its streams by filtering each task's message lists, O(M q),
 //! which is what an oracle may cost. Neither engine defines memory
 //! residency; that is [`SimResult::proc_peak_bytes`], over the times
 //! either one recorded.
 
 use crate::engine::SimResult;
-use crate::program::{ComputeSpec, SimMessage, TaskProgram};
+use crate::program::{ComputeSpec, SimMessage, ValidProgram};
 use crate::truth::TrueMachine;
 
 /// What an instruction does.
@@ -48,11 +48,9 @@ struct Instr {
 /// same [`SimResult`] as [`crate::engine::simulate`].
 ///
 /// # Panics
-/// Panics if the program fails validation (same contract as the sweep
-/// engine) or if the instruction streams deadlock (impossible for a
-/// validated program).
-pub fn simulate_event_driven(prog: &TaskProgram, truth: &TrueMachine) -> SimResult {
-    prog.validate().unwrap_or_else(|e| panic!("invalid task program: {e}"));
+/// Panics if the instruction streams deadlock (impossible for a valid
+/// program).
+pub fn simulate_event_driven(prog: &ValidProgram, truth: &TrueMachine) -> SimResult {
     let np = prog.procs as usize;
     let nt = prog.tasks.len();
     let messages: Vec<SimMessage> = prog.messages().collect();
@@ -217,7 +215,7 @@ mod tests {
     use super::*;
     use crate::codegen::{lower_mpmd, lower_spmd};
     use crate::engine::simulate;
-    use crate::program::{SimTask, SimTransfer};
+    use crate::program::{SimTask, SimTransfer, TaskProgram};
     use paradigm_cost::{Allocation, Machine};
     use paradigm_mdg::{
         complex_matmul_mdg, example_fig1_mdg, random_layered_mdg, strassen_mdg,
@@ -241,7 +239,7 @@ mod tests {
         ]
     }
 
-    fn assert_engines_agree(prog: &TaskProgram, truth: &TrueMachine) {
+    fn assert_engines_agree(prog: &ValidProgram, truth: &TrueMachine) {
         let a = simulate(prog, truth);
         let b = simulate_event_driven(prog, truth);
         assert_eq!(a.messages_sent, b.messages_sent);
@@ -383,7 +381,7 @@ mod tests {
                 transfer(1, copies[2]),
             ],
         };
-        prog.validate().unwrap();
+        let prog = ValidProgram::new(prog).unwrap();
         for truth in [TrueMachine::cm5(3), TrueMachine::ideal(3)] {
             let r = simulate(&prog, &truth);
             let a = &r.msg_avail;
@@ -431,7 +429,7 @@ mod tests {
                 transfer(1, 2, TransferKind::OneD, 3 * 512),
             ],
         };
-        prog.validate().unwrap();
+        let prog = ValidProgram::new(prog).unwrap();
         let pairs: Vec<_> = prog.messages().map(|m| (m.src_proc, m.dst_proc)).collect();
         let expect = [(2, 3), (2, 1), (2, 0), (0, 3), (0, 1), (0, 0), (3, 3), (3, 1), (3, 0)];
         assert_eq!(pairs[..9], expect);
@@ -451,7 +449,8 @@ mod tests {
 
     #[test]
     fn empty_program() {
-        let prog = TaskProgram { procs: 2, tasks: vec![], transfers: vec![] };
+        let prog =
+            ValidProgram::new(TaskProgram { procs: 2, tasks: vec![], transfers: vec![] }).unwrap();
         let r = simulate_event_driven(&prog, &TrueMachine::ideal(2));
         assert_eq!(r.makespan, 0.0);
     }

@@ -42,6 +42,7 @@ pub use engine::{simulate, SimResult};
 pub use engine_event::simulate_event_driven;
 pub use program::{
     for_each_transfer_message, ComputeSpec, SimMessage, SimTask, SimTransfer, TaskProgram,
+    ValidProgram,
 };
 pub use trace::{compare_schedule_vs_sim, render_trace, TaskDiff};
 pub use truth::TrueMachine;

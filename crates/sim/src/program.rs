@@ -339,6 +339,39 @@ impl TaskProgram {
     }
 }
 
+/// A [`TaskProgram`] that [`TaskProgram::validate`] accepts: what the
+/// engines run. Only the lowerings ([`crate::lower_mpmd`],
+/// [`crate::lower_spmd`]), which build a valid program from a valid
+/// schedule, and [`ValidProgram::new`], which validates, make one, so a
+/// program is checked once however often it runs. It reads as the
+/// program it holds.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ValidProgram(TaskProgram);
+
+impl ValidProgram {
+    /// `prog`, once [`TaskProgram::validate`] accepts it; its message
+    /// otherwise.
+    pub fn new(prog: TaskProgram) -> Result<ValidProgram, String> {
+        prog.validate()?;
+        Ok(ValidProgram(prog))
+    }
+
+    /// A program its builder made valid: a lowering's. Debug builds
+    /// check it.
+    pub(crate) fn lowered(prog: TaskProgram) -> ValidProgram {
+        debug_assert_eq!(prog.validate(), Ok(()), "a lowering built an invalid program");
+        ValidProgram(prog)
+    }
+}
+
+impl std::ops::Deref for ValidProgram {
+    type Target = TaskProgram;
+
+    fn deref(&self) -> &TaskProgram {
+        &self.0
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

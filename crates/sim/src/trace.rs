@@ -123,12 +123,13 @@ mod tests {
     use super::*;
     use crate::codegen::lower_mpmd;
     use crate::engine::simulate;
+    use crate::program::ValidProgram;
     use crate::truth::TrueMachine;
     use paradigm_cost::{Allocation, Machine};
     use paradigm_mdg::{complex_matmul_mdg, KernelCostTable};
     use paradigm_sched::{psa_schedule, PsaConfig};
 
-    fn setup() -> (Mdg, Schedule, TaskProgram, SimResult) {
+    fn setup() -> (Mdg, Schedule, ValidProgram, SimResult) {
         let g = complex_matmul_mdg(64, &KernelCostTable::cm5());
         let m = Machine::cm5(16);
         let res = psa_schedule(&g, m, &Allocation::uniform(&g, 4.0), &PsaConfig::default());

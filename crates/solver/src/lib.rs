@@ -21,10 +21,10 @@
 //! Module map:
 //! * [`expr`] — generalized posynomial expression trees with smoothed
 //!   evaluation and gradients in log-space;
-//! * [`compiled`] — the level program: all expressions of an objective
-//!   flattened into one program swept level by level (no re-evaluation
-//!   on the backward pass, a level's smoothed maxes through one
-//!   elementwise kernel), and its executor;
+//! * `compiled` (crate-private) — the level program: the objective's
+//!   expressions as one fixed three-level program (monomial rows, startup
+//!   maxes, one sum per root) swept without re-evaluation on the backward
+//!   pass, its executor and its smoothed-max kernels;
 //! * [`objective`] — assembles `Phi` for an (MDG, machine) pair;
 //! * [`descent`] — the one projected descent stage (Armijo backtracking
 //!   along a limited-memory quasi-Newton or gradient direction, ended by
@@ -45,7 +45,7 @@
 
 pub mod alloc_count;
 pub mod bruteforce;
-pub mod compiled;
+pub(crate) mod compiled;
 pub mod convexity;
 pub mod coordinate;
 pub mod descent;

@@ -4,13 +4,17 @@
 //! START/STOP variables never appear in any term because structural edges
 //! carry no data).
 //!
-//! The objective holds these expressions only as its level program
-//! ([`crate::compiled`]), one root per node and, on a machine with
-//! `t_n > 0`, per edge: the compile asks for one tree at a time and drops
-//! it once placed. A sweep runs the program, then the `C_p` recurrence
-//! one DAG depth at a time (`DepthPlan`). The trees
-//! ([`MdgObjective::node_expr`] and the like) are built on request, for
-//! the forward-mode oracle and the tests that hold the program to them.
+//! The objective compiles these expressions straight from the graph into
+//! its level program (`compiled.rs`), one root per node and, on a
+//! machine with `t_n > 0`, per edge, in one pass over the reverse
+//! topological order: no expression tree is built on the way. A sweep
+//! runs the program, then the `C_p` recurrence one DAG depth at a time
+//! (`DepthPlan`). The trees ([`MdgObjective::node_expr`] and the like)
+//! are built on request, as the oracles the program is held to: the
+//! emitter writes each root's terms in the tree's child order and drops
+//! a zero term where `Expr::sum` / `Expr::max` drop it, so an exact sweep
+//! is the tree walk to the bit.
+//!
 //! Every tree is a generalized posynomial by construction: `Monomial`'s
 //! fields are private and its constructors assert a finite, non-negative
 //! coefficient and finite exponents.
@@ -30,17 +34,17 @@
 //! adjacency and the topological order follow from the edge list) and on
 //! *which* of each node's two coefficients — the constant `α·τ` and `c_v`
 //! of its one `p_v^{-1}` term, the parallel work plus the per-byte cost
-//! of every transfer on its edges — are zero (`Expr::sum` drops a zero
-//! term, so the zero pattern is structure). The coefficients' *values*
+//! of every transfer on its edges — are zero (a zero term is dropped, so
+//! the zero pattern is structure). The coefficients' *values*
 //! are the only thing that is data. A caller that solves one graph again
 //! and again under moving costs — the consensus tier re-freezes every
 //! block's boundary into its ghost and virtual nodes each round —
 //! therefore builds once: [`MdgObjective::detach`] gives up the graph
-//! borrow, [`DetachedObjective::attach`] checks a graph against the shape
-//! the build recorded and rewrites the two coefficients per node in the
-//! program where the build recorded them, or refuses, and then the caller
-//! builds. An attached objective is the built one to the bit
-//! (`tests/tape_carry.rs`).
+//! borrow and records the DAG it was built for, and
+//! [`DetachedObjective::attach`] checks a graph against it and rewrites
+//! the two coefficients per node in the program where the build recorded
+//! them, or refuses, and then the caller builds. An attached objective is
+//! the built one to the bit (`tests/tape_carry.rs`).
 
 use crate::compiled::{smax_columns, LevelProgram, TapeStats};
 use crate::expr::{smax_pair_weights, smax_weights, Expr, Monomial, Sharpness};
@@ -66,8 +70,9 @@ pub struct MdgObjective<'g> {
     /// The level program of every node's `T` and every edge's `t^D`,
     /// and the recurrence's schedule, swept by every evaluation.
     tapes: Tapes,
-    /// What the program was built for, besides `machine`.
-    shape: Shape,
+    /// The DAG `attach` checked, carried to the next `detach`; a build
+    /// records none (`detach` does).
+    shape: Option<Shape>,
 }
 
 /// A compiled objective without its graph borrow: what
@@ -81,11 +86,11 @@ pub struct DetachedObjective {
     shape: Shape,
 }
 
-/// Cost site of a coefficient that is zero: `Expr::sum` dropped the
-/// term, the program has no entry for it.
+/// Cost site of a coefficient that is zero: the term was dropped, the
+/// program has no entry for it.
 const NO_SITE: u32 = u32::MAX;
 
-/// The structure an objective was built for, recorded by the build.
+/// The DAG an objective was built for, recorded when it is detached.
 #[derive(Debug)]
 struct Shape {
     topo: Vec<NodeId>,
@@ -93,29 +98,17 @@ struct Shape {
     /// `xfers` (they start where the previous edge's end).
     edges: Vec<(usize, usize, usize)>,
     xfers: Vec<ArrayTransfer>,
-    /// Per node, the constant-table entry of its `α·τ` and the
-    /// monomial-table entry of its `c_v·p_v^{-1}` ([`node_coeffs`];
-    /// [`NO_SITE`] where the coefficient is zero).
-    cost_sites: Vec<[u32; 2]>,
 }
 
 impl Shape {
-    fn of(g: &Mdg, x: &TransferParams, prog: &LevelProgram) -> Shape {
+    fn of(g: &Mdg) -> Shape {
         let mut xfers = Vec::new();
         let edges = g.edges().map(|(_, e)| {
             xfers.extend_from_slice(&e.transfers);
             (e.src, e.dst, xfers.len())
         });
         let edges = edges.collect();
-        let cost_sites = g.nodes().map(|(id, _)| {
-            // The two coefficients open a node's sum, and the compile
-            // places a root's children right to left: `α·τ` is the node's
-            // last constant, `c_v·p_v^{-1}` its last monomial.
-            let site = |c: f64, end: usize| if c == 0.0 { NO_SITE } else { end as u32 - 1 };
-            let [serial, inv_p] = node_coeffs(g, x, id);
-            [site(serial, prog.const_end(id.0)), site(inv_p, prog.mono_range(id.0).end)]
-        });
-        Shape { topo: g.topo_order().to_vec(), edges, xfers, cost_sites: cost_sites.collect() }
+        Shape { topo: g.topo_order().to_vec(), edges, xfers }
     }
 
     /// Whether `g` has the DAG this shape was recorded from. (The zero
@@ -132,19 +125,25 @@ impl Shape {
     }
 }
 
-/// The edges of `v` in edge-id order, each with whether `v` is its
-/// source. (`in_edges` and `out_edges` are each ascending by edge id, and
-/// no edge is in both.)
-fn adjacent(g: &Mdg, v: NodeId) -> impl Iterator<Item = (&Edge, bool)> {
-    let (mut ins, mut outs) = (g.in_edges(v).iter().peekable(), g.out_edges(v).iter().peekable());
+/// The edges of `v` in edge-id order, or in reverse order with `rev`,
+/// each with whether `v` is its source. (`in_edges` and `out_edges` are
+/// each ascending by edge id, and no edge is in both.)
+fn adjacent(g: &Mdg, v: NodeId, rev: bool) -> impl Iterator<Item = (&Edge, bool)> {
+    let (ins, outs) = (g.in_edges(v), g.out_edges(v));
+    // The `k`-th edge of `list` in the walk's direction.
+    let at = move |list: &[EdgeId], k: usize| {
+        list.get(if rev { list.len().wrapping_sub(k + 1) } else { k }).copied()
+    };
+    let (mut i, mut o) = (0, 0);
     std::iter::from_fn(move || {
-        let sender = match (ins.peek(), outs.peek()) {
+        let sender = match (at(ins, i), at(outs, o)) {
             (None, None) => return None,
-            (Some(i), Some(o)) => o < i,
+            (Some(a), Some(b)) => (b < a) != rev,
             (_, out) => out.is_some(),
         };
-        let e = if sender { outs.next() } else { ins.next() };
-        Some((g.edge(*e.expect("peeked")), sender))
+        let e = if sender { at(outs, o) } else { at(ins, i) };
+        *(if sender { &mut o } else { &mut i }) += 1;
+        Some((g.edge(e.expect("one side is left")), sender))
     })
 }
 
@@ -162,36 +161,52 @@ fn by_kind(edge: &Edge) -> [(u32, f64); 2] {
 /// The two coefficients of `T_v` that are data rather than structure:
 /// the constant `α·τ`, and `c_v` of the one `p_v^{-1}` monomial — the
 /// parallel work `(1−α)·τ` plus the per-byte cost `L·t_ps` (sent) or
-/// `L·t_pr` (received) of every transfer on `v`'s edges, in edge-id order.
-fn node_coeffs(g: &Mdg, x: &TransferParams, v: NodeId) -> [f64; 2] {
+/// `L·t_pr` (received) of every transfer on `v`'s edges, in edge-id order;
+/// and how many of the startup terms of `v`'s edges ([`startup`]) are
+/// not zero.
+fn node_coeffs(g: &Mdg, x: &TransferParams, v: NodeId) -> ([f64; 2], u32) {
     let cost = &g.node(v).cost;
     let [serial, mut inv_p] = if cost.tau > 0.0 {
         [cost.alpha * cost.tau, (1.0 - cost.alpha) * cost.tau]
     } else {
         [0.0, 0.0]
     };
-    for (edge, sender) in adjacent(g, v) {
+    let mut startups = 0;
+    for (edge, sender) in adjacent(g, v, false) {
         let t_p = if sender { x.t_ps } else { x.t_pr };
         for t in &edge.transfers {
             inv_p += t.bytes as f64 * t_p;
         }
+        let (.., coeffs) = startup(x, (edge, sender));
+        startups += coeffs.iter().filter(|&&c| c != 0.0).count() as u32;
     }
-    [serial, inv_p]
+    ([serial, inv_p], startups)
+}
+
+/// Node `v`'s end of `edge` (`sender`: `v` is its source): `v`, the
+/// opposite endpoint, and the coefficients of the edge's startup terms
+/// on this side, `[k₁·t_s, k₂·t_s]` for its `k₁` 1D and `k₂` 2D transfers
+/// (`t_ss` on the source, `t_sr` on the destination).
+fn startup(x: &TransferParams, (edge, sender): (&Edge, bool)) -> (usize, usize, [f64; 2]) {
+    let (me, other, t_s) =
+        if sender { (edge.src, edge.dst, x.t_ss) } else { (edge.dst, edge.src, x.t_sr) };
+    let [(one_d, _), (two_d, _)] = by_kind(edge);
+    (me, other, [one_d as f64 * t_s, two_d as f64 * t_s])
 }
 
 /// `T_v = Σ_pred t^R + t^C_v + Σ_succ t^S` of node `v` as an expression
 /// over `x`, like terms collected: `α·τ` and `c_v·p_v^{-1}`
-/// ([`node_coeffs`]) first — where `Shape::of` looks for them — then per
-/// edge, in edge-id order, the startup terms of its transfers, `me` being
-/// `v` and `other` the opposite endpoint: `max(k₁·t_s, k₁·t_s·p_other/p_me)`
-/// for its `k₁` 1D transfers and `k₂·t_s·p_other` for its `k₂` 2D ones
-/// (`t_ss` on the source, `t_sr` on the destination). A smoothed max is
-/// positively homogeneous, so `k₁` equal maxes are one max scaled by `k₁`
-/// at every sharpness. A zero term is dropped.
+/// ([`node_coeffs`]) first, then per edge, in edge-id order, the startup
+/// terms of its transfers, `me` being `v` and `other` the opposite
+/// endpoint: `max(k₁·t_s, k₁·t_s·p_other/p_me)` for its `k₁` 1D transfers
+/// and `k₂·t_s·p_other` for its `k₂` 2D ones (`t_ss` on the source, `t_sr`
+/// on the destination). A smoothed max is positively homogeneous, so `k₁`
+/// equal maxes are one max scaled by `k₁` at every sharpness. A zero term
+/// is dropped. `emit_node` compiles the same terms.
 fn node_tree(g: &Mdg, x: &TransferParams, v: NodeId) -> Expr {
-    let [serial, inv_p] = node_coeffs(g, x, v);
+    let ([serial, inv_p], _) = node_coeffs(g, x, v);
     let mut terms = vec![Expr::constant(serial), Expr::Mono(Monomial::single(inv_p, v.0, -1.0))];
-    for (edge, sender) in adjacent(g, v) {
+    for (edge, sender) in adjacent(g, v, false) {
         let (me, other, t_s) =
             if sender { (edge.src, edge.dst, x.t_ss) } else { (edge.dst, edge.src, x.t_sr) };
         let [(one_d, _), (two_d, _)] = by_kind(edge);
@@ -213,10 +228,46 @@ fn node_tree(g: &Mdg, x: &TransferParams, v: NodeId) -> Expr {
 /// `L₂ t_n / (p_i p_j)` over the bytes `L₂` of its 2D transfers plus, over
 /// the bytes `L₁` of its 1D ones, the monomial upper bound
 /// `L₁ t_n / sqrt(p_i p_j)` of `L₁ t_n / max(p_i, p_j)` (module docs).
+/// `emit_edge` compiles the same terms.
 fn edge_tree(x: &TransferParams, edge: &Edge) -> Expr {
     let [(_, one_d), (_, two_d)] = by_kind(edge);
     let term = |bytes: f64, a| Expr::Mono(Monomial::pair(bytes * x.t_n, edge.src, a, edge.dst, a));
     Expr::sum(vec![term(one_d, -0.5), term(two_d, -1.0)])
+}
+
+/// Compile node `v`'s `T_v` — [`node_tree`]'s terms, each zero one
+/// dropped — into root `v`, its children right to left; returns its cost
+/// sites: the sum that starts from `α·τ` and the monomial `c_v·p_v^{-1}`
+/// ([`NO_SITE`] where the coefficient is zero).
+fn emit_node(prog: &mut LevelProgram, g: &Mdg, x: &TransferParams, v: NodeId) -> [u32; 2] {
+    let ([serial, inv_p], startups) = node_coeffs(g, x, v);
+    let serial_site = if serial != 0.0 { prog.sum_count() as u32 } else { NO_SITE };
+    let mut kids = prog.open_root(v.0, serial, startups + (inv_p != 0.0) as u32);
+    for (me, other, [one_d, two_d]) in adjacent(g, v, true).map(|side| startup(x, side)) {
+        if two_d != 0.0 {
+            prog.mono(kids.next(), two_d, &[(other, 1.0)]);
+        }
+        if one_d != 0.0 {
+            prog.startup_max(kids.next(), one_d, other, me);
+        }
+    }
+    let inv_p_site =
+        if inv_p != 0.0 { prog.mono(kids.next(), inv_p, &[(v.0, -1.0)]) } else { NO_SITE };
+    [serial_site, inv_p_site]
+}
+
+/// Compile `edge`'s `t^D` — [`edge_tree`]'s terms, each zero one dropped
+/// — into root `r`, its children right to left.
+fn emit_edge(prog: &mut LevelProgram, x: &TransferParams, r: usize, edge: &Edge) {
+    let [(_, one_d), (_, two_d)] = by_kind(edge);
+    let [one_d, two_d] = [one_d * x.t_n, two_d * x.t_n];
+    let mut kids = prog.open_root(r, 0.0, (one_d != 0.0) as u32 + (two_d != 0.0) as u32);
+    if two_d != 0.0 {
+        prog.mono(kids.next(), two_d, &[(edge.src, -1.0), (edge.dst, -1.0)]);
+    }
+    if one_d != 0.0 {
+        prog.mono(kids.next(), one_d, &[(edge.src, -0.5), (edge.dst, -0.5)]);
+    }
 }
 
 /// What no objective is built for: a machine without processors or with
@@ -250,30 +301,47 @@ struct Tapes {
     /// expressions end in the program's accumulation order (they start
     /// where the previous position's end).
     replay_ends: Vec<usize>,
+    /// Per node, where `attach` rewrites its two coefficients
+    /// (`emit_node`).
+    cost_sites: Vec<[u32; 2]>,
     /// The `C_p` recurrence's schedule.
     plan: DepthPlan,
 }
 
 impl Tapes {
+    /// One pass over the reverse topological order — per node its own
+    /// root, then its in-edges' — emits the roots in the order the
+    /// backward sweep reaches them. One pass over the edges before it
+    /// sizes the program, so the build's allocations do not grow with
+    /// the graph.
     fn build(g: &Mdg, machine: &Machine) -> Tapes {
         let (n, x) = (g.node_count(), &machine.xfer);
         let edge_roots = x.t_n > 0.0;
-        // The in-edges whose `t^D` is a root.
-        let in_edges = |v: NodeId| if edge_roots { g.in_edges(v) } else { &[] };
-        // The expressions in the order the backward sweep reaches them —
-        // per node in reverse topological order, its own, then its
-        // in-edges' — each built as the compile asks for it.
-        let roots = g.topo_order().iter().rev().flat_map(|&v| {
-            let edges = in_edges(v).iter().map(move |&e| (n + e.0, edge_tree(x, g.edge(e))));
-            std::iter::once((v.0, node_tree(g, x, v))).chain(edges)
-        });
+        let (mut one_d, mut two_d, mut network) = (0, 0, 0);
+        for (_, e) in g.edges() {
+            let [(k1, b1), (k2, b2)] = by_kind(e);
+            (one_d, two_d) = (one_d + (k1 > 0) as usize, two_d + (k2 > 0) as usize);
+            network += [b1, b2].iter().filter(|&&b| b * x.t_n != 0.0).count();
+        }
+        let sides = [x.t_ss, x.t_sr].iter().filter(|&&t| t != 0.0).count();
         let n_roots = if edge_roots { n + g.edge_count() } else { n };
-        let prog = LevelProgram::compile(n, n_roots, roots);
-        let ends = g.topo_order().iter().rev();
-        let replay_ends = ends
-            .map(|&v| prog.mono_range(in_edges(v).last().map_or(v.0, |e| n + e.0)).end)
-            .collect();
-        Tapes { prog, edge_roots, replay_ends, plan: DepthPlan::of(g) }
+        let maxes = one_d * sides;
+        // At most one `p_v^{-1}` monomial a node, one a max, the 2D
+        // startups and the network terms.
+        let monos = n + maxes + two_d * sides + network;
+        let mut prog = LevelProgram::with_capacity(n, n_roots, maxes, monos, n_roots);
+        let mut replay_ends = Vec::with_capacity(n);
+        let mut cost_sites = vec![[NO_SITE; 2]; n];
+        for &v in g.topo_order().iter().rev() {
+            cost_sites[v.0] = emit_node(&mut prog, g, x, v);
+            if edge_roots {
+                for &e in g.in_edges(v) {
+                    emit_edge(&mut prog, x, n + e.0, g.edge(e));
+                }
+            }
+            replay_ends.push(prog.mono_count());
+        }
+        Tapes { prog, edge_roots, replay_ends, cost_sites, plan: DepthPlan::of(g) }
     }
 }
 
@@ -314,9 +382,15 @@ impl DepthPlan {
         }
         let mut nodes: Vec<u32> = (0..n as u32).collect();
         nodes.sort_unstable_by_key(|&v| (depth[v as usize], std::cmp::Reverse(indeg(v)), v));
+        // A depth has as many columns as its first node has in-edges.
+        let firsts = nodes
+            .iter()
+            .enumerate()
+            .filter(|&(i, &v)| i == 0 || depth[nodes[i - 1] as usize] != depth[v as usize]);
+        let columns = firsts.clone().map(|(_, &v)| indeg(v)).sum();
+        let (depths, heights) = (Vec::with_capacity(firsts.count()), Vec::with_capacity(columns));
         let edges = Vec::with_capacity(g.edge_count());
-        let mut plan =
-            DepthPlan { nodes, depths: Vec::new(), heights: Vec::new(), edges, staging: 0 };
+        let mut plan = DepthPlan { nodes, depths, heights, edges, staging: 0 };
         let mut lo = 0;
         while lo < n {
             let d = depth[plan.nodes[lo] as usize];
@@ -339,8 +413,6 @@ impl DepthPlan {
             let ends = [lo, plan.heights.len(), plan.edges.len()];
             plan.depths.push(ends.map(|end| end as u32));
         }
-        plan.depths.shrink_to_fit();
-        plan.heights.shrink_to_fit();
         plan
     }
 }
@@ -354,18 +426,19 @@ impl<'g> MdgObjective<'g> {
         Ok(Self::new(g, machine))
     }
 
-    /// Compile the objective: `O(nodes + edges)` monomials, one
-    /// expression tree alive at a time.
+    /// Compile the objective: `O(nodes + edges)` monomials, straight
+    /// from the graph, in a number of allocations that does not grow
+    /// with it.
     pub fn new(g: &'g Mdg, machine: Machine) -> Self {
-        let tapes = Tapes::build(g, &machine);
-        let shape = Shape::of(g, &machine.xfer, &tapes.prog);
-        MdgObjective { g, machine, tapes, shape }
+        MdgObjective { g, machine, tapes: Tapes::build(g, &machine), shape: None }
     }
 
-    /// Give up the graph borrow and keep everything that was compiled.
+    /// Give up the graph borrow and keep everything that was compiled,
+    /// beside the DAG it was compiled for (recorded here after a build,
+    /// carried over after an `attach`).
     pub fn detach(self) -> DetachedObjective {
-        let MdgObjective { machine, tapes, shape, .. } = self;
-        DetachedObjective { machine, tapes, shape }
+        let MdgObjective { g, machine, tapes, shape } = self;
+        DetachedObjective { machine, tapes, shape: shape.unwrap_or_else(|| Shape::of(g)) }
     }
 
     /// The graph this objective was built for.
@@ -415,10 +488,16 @@ impl<'g> MdgObjective<'g> {
         Expr::sum(scaled.collect())
     }
 
-    /// Shape of the compiled level program: op counts by kind, levels,
-    /// slots and weights.
+    /// Shape of the compiled level program: its monomials and constants,
+    /// its ops by level and its slots.
     pub fn tape_stats(&self) -> TapeStats {
         self.tapes.prog.stats()
+    }
+
+    /// The compiled program, for the tests that read it.
+    #[cfg(test)]
+    pub(crate) fn program(&self) -> &LevelProgram {
+        &self.tapes.prog
     }
 
     /// Shape of the `C_p` recurrence's schedule: `(depths, width)`, the
@@ -795,22 +874,22 @@ impl DetachedObjective {
             return None;
         }
         for (id, _) in g.nodes() {
-            let coeffs = node_coeffs(g, &machine.xfer, id);
-            let sites = self.shape.cost_sites[id.0];
+            let (coeffs, _) = node_coeffs(g, &machine.xfer, id);
+            let sites = self.tapes.cost_sites[id.0];
             if coeffs.iter().zip(sites).any(|(&c, site)| (c != 0.0) != (site != NO_SITE)) {
                 return None;
             }
             let prog = &mut self.tapes.prog;
             let [serial, inv_p] = coeffs;
             if serial != 0.0 {
-                prog.set_const(sites[0], serial);
+                prog.set_init(sites[0], serial);
             }
             if inv_p != 0.0 {
                 prog.set_coeff(sites[1], inv_p);
             }
         }
         let DetachedObjective { tapes, shape, .. } = self;
-        Some(MdgObjective { g, machine, tapes, shape })
+        Some(MdgObjective { g, machine, tapes, shape: Some(shape) })
     }
 }
 
@@ -947,14 +1026,15 @@ mod tests {
         }
     }
 
-    /// `Shape::of`'s rule: a node's non-zero `α·τ` is the last entry of
-    /// its root's constants and its non-zero `c_v·p_v^{-1}` the last of its
+    /// The cost sites `emit_node` records, where `attach` rewrites a
+    /// node's coefficients: its non-zero `α·τ` is the constant its root's
+    /// sum starts from and its non-zero `c_v·p_v^{-1}` the last of its
     /// root's monomials, whatever the zero pattern and however many
-    /// startup terms follow them in the tree. `c_v` is the
-    /// parallel work plus every transfer's per-byte cost, so a node with
-    /// transfers has its `p_v^{-1}` term whatever its `α`.
+    /// startup terms follow them in the tree. `c_v` is the parallel work
+    /// plus every transfer's per-byte cost, so a node with transfers has
+    /// its `p_v^{-1}` term whatever its `α`.
     #[test]
-    fn cost_sites_are_the_last_entries_of_a_nodes_range() {
+    fn cost_sites_are_where_attach_writes() {
         let mut b = MdgBuilder::new("sites");
         let both = b.compute("both", AmdahlParams::new(0.25, 2.0));
         let serial = b.compute("serial", AmdahlParams::new(1.0, 3.0));
@@ -983,37 +1063,46 @@ mod tests {
             xfers.map(|t| t.bytes as f64).sum()
         };
         for (id, node) in g.nodes() {
-            let coeffs = node_coeffs(&g, &m.xfer, id);
+            let (coeffs, _) = node_coeffs(&g, &m.xfer, id);
             let c = node.cost;
             let (serial, parallel) =
                 if c.tau > 0.0 { (c.alpha * c.tau, (1.0 - c.alpha) * c.tau) } else { (0.0, 0.0) };
             let by_hand = parallel + bytes(id, true) * m.xfer.t_ps + bytes(id, false) * m.xfer.t_pr;
             assert_eq!(coeffs[0].to_bits(), serial.to_bits(), "node {}", node.name);
             assert!((coeffs[1] - by_hand).abs() <= 1e-15 * by_hand, "node {}", node.name);
-            let [serial_site, inv_p_site] = obj.shape.cost_sites[id.0];
-            // `α·τ`: the last entry of the node's constants.
+            let [serial_site, inv_p_site] = obj.tapes.cost_sites[id.0];
+            // `α·τ`: the constant of the sum that writes the node's root.
             if coeffs[0] == 0.0 {
                 assert_eq!(serial_site, NO_SITE, "node {}: zero α·τ", node.name);
             } else {
-                assert_eq!(serial_site as usize, prog.const_end(id.0) - 1, "node {}", node.name);
-                let k = &prog.consts[serial_site as usize];
-                assert_eq!(k.coeff.to_bits(), coeffs[0].to_bits(), "node {}: α·τ", node.name);
+                let (out, init) = prog.sum_at(serial_site);
+                assert_eq!(
+                    (out, init.to_bits()),
+                    (id.0, coeffs[0].to_bits()),
+                    "node {}",
+                    node.name
+                );
             }
-            // `c_v·p_v^{-1}`: the last entry of the node's monomials.
+            // `c_v·p_v^{-1}`: the last entry of the node's monomials (on
+            // this `t_n = 0` machine no edge root follows them).
             if coeffs[1] == 0.0 {
                 assert_eq!(inv_p_site, NO_SITE, "node {}: zero c_v", node.name);
             } else {
-                let end = prog.mono_range(id.0).end;
-                assert_eq!(inv_p_site as usize, end - 1, "node {}", node.name);
-                let k = &prog.monos[inv_p_site as usize];
-                assert_eq!(k.coeff.to_bits(), coeffs[1].to_bits(), "node {}: c_v", node.name);
-                let want = [(id.0 as u32, -1.0)];
-                assert_eq!(prog.terms(inv_p_site as usize), want, "node {}: c_v", node.name);
+                let at = g.topo_order().iter().rev().position(|&v| v == id).unwrap();
+                assert_eq!(
+                    inv_p_site as usize,
+                    obj.tapes.replay_ends[at] - 1,
+                    "node {}",
+                    node.name
+                );
+                let (coeff, terms) = prog.mono_at(inv_p_site);
+                assert_eq!(coeff.to_bits(), coeffs[1].to_bits(), "node {}: c_v", node.name);
+                assert_eq!(terms, [(id.0 as u32, -1.0)], "node {}: c_v", node.name);
             }
         }
         let sites = |name: &str| {
             let (id, _) = g.nodes().find(|(_, node)| node.name == name).unwrap();
-            obj.shape.cost_sites[id.0].map(|s| s != NO_SITE)
+            obj.tapes.cost_sites[id.0].map(|s| s != NO_SITE)
         };
         assert_eq!(sites("both"), [true, true]);
         assert_eq!(sites("serial"), [true, true]);
@@ -1021,6 +1110,80 @@ mod tests {
         assert_eq!(sites("idle"), [false, true]);
         assert_eq!(sites("lone"), [true, false]);
         assert_eq!(sites("void"), [false, false]);
+    }
+
+    /// `emit_node` / `emit_edge` collapse a root as `Expr::sum` and
+    /// `Expr::max` do: a structural node is a sum with no term (its value
+    /// `0.0`), a serial node without transfers a lone constant, a
+    /// parallel one a lone monomial, a node whose only term is one 1D
+    /// startup (no work, no per-byte cost) a lone startup max; with
+    /// `t_n > 0`, an edge without data a zero and one with a single
+    /// transfer kind a lone monomial. Every root is its tree to the bit at
+    /// `Exact` and within 1e-12 smoothed, and the gradient is the
+    /// forward-mode oracle's.
+    #[test]
+    fn every_degenerate_root_is_its_tree() {
+        let mut b = MdgBuilder::new("degenerate");
+        let src = b.compute("src", AmdahlParams::new(0.5, 2.0));
+        let serial = b.compute("serial", AmdahlParams::new(1.0, 3.0));
+        let parallel = b.compute("parallel", AmdahlParams::new(0.0, 5.0));
+        let sink = b.compute("sink", AmdahlParams::new(0.5, 0.0));
+        b.edge(src, sink, vec![ArrayTransfer::matrix_1d(8, 8)]);
+        b.edge(src, serial, Vec::new());
+        b.edge(serial, parallel, Vec::new());
+        let g = b.finish().unwrap();
+        let free_bytes =
+            |m: Machine| Machine { xfer: TransferParams { t_ps: 0.0, t_pr: 0.0, ..m.xfer }, ..m };
+        let kind_of = |name: &str| match name {
+            "START" | "STOP" => "zero",
+            "src" => "sum",
+            "serial" => "constant",
+            "parallel" => "mono",
+            _ => "max",
+        };
+        for m in [free_bytes(Machine::cm5(8)), free_bytes(Machine::synthetic_mesh(8))] {
+            let obj = MdgObjective::new(&g, m);
+            let prog = obj.program();
+            let n = g.node_count();
+            for (id, node) in g.nodes() {
+                assert_eq!(prog.root_kind(id.0), kind_of(&node.name), "{} on {m:?}", node.name);
+            }
+            if m.xfer.t_n > 0.0 {
+                for (e, edge) in g.edges() {
+                    let want = if edge.transfers.is_empty() { "zero" } else { "mono" };
+                    assert_eq!(prog.root_kind(n + e.0), want, "edge {} on {m:?}", e.0);
+                }
+            }
+            let mut scratch = EvalScratch::default();
+            for x in [vec![0.0; n], vec![0.4, 1.3, 0.2, 1.9, 0.7, 1.1], vec![2.0; n]] {
+                let sharps = [Sharpness::Exact, Sharpness::Smooth(4.0), Sharpness::Smooth(3.7)];
+                for sharp in sharps {
+                    let _ = obj.eval_with(&x, sharp, &mut scratch);
+                    let close = |a: f64, b: f64| match sharp {
+                        Sharpness::Exact => a.to_bits() == b.to_bits(),
+                        Sharpness::Smooth(_) => (a - b).abs() <= 1e-12 * b.abs().max(1.0),
+                    };
+                    for (id, node) in g.nodes() {
+                        let (got, want) =
+                            (scratch.tape_vals[id.0], obj.node_expr(id).eval(&x, sharp));
+                        assert!(close(got, want), "{} {sharp:?}: {got} vs {want}", node.name);
+                    }
+                    for (e, _) in g.edges() {
+                        let got = obj.swept_edge_delay(&scratch, e);
+                        let want = obj.edge_expr(e).eval(&x, sharp);
+                        assert!(close(got, want), "edge {} {sharp:?}: {got} vs {want}", e.0);
+                    }
+                    let ((_, grad), (_, oracle)) =
+                        (obj.eval_grad(&x, sharp), obj.eval_grad_forward(&x, sharp));
+                    for (j, (a, b)) in grad.iter().zip(&oracle).enumerate() {
+                        assert!(
+                            (a - b).abs() <= 1e-9 * (1.0 + b.abs()),
+                            "{sharp:?} var {j}: {a} vs {b}"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     /// The depth plan schedules every node once and every in-edge once,

@@ -8,7 +8,7 @@
 //! holds a workspace performs any heap allocation per iteration; the
 //! `alloc_free` integration test asserts this with a counting allocator.
 //!
-//! A forward sweep is two passes. The level program ([`crate::compiled`])
+//! A forward sweep is two passes. The level program (`compiled.rs`)
 //! evaluates every node's `T_v` and, on a machine with `t_n > 0`, every
 //! edge's `t^D_e` (with `t_n = 0` each is zero and none is compiled).
 //! Then the `C_p` recurrence runs one DAG depth at a time: each depth's
@@ -17,9 +17,9 @@
 //! another's finish time. `A_p` is summed in topological order beside it.
 //!
 //! What a sweep scratch holds follows those passes: one value per slot,
-//! one weight per `max` candidate, one adjoint per slot, the variable
-//! cache, and one staging row that serves the arity-2 kernel's outputs
-//! and one depth's candidates, weights and kernel rows in turn. These
+//! one weight per startup-max candidate, one adjoint per slot, the
+//! variable cache, and one staging row that serves the startup maxes'
+//! outputs and one depth's candidates, weights and kernel rows in turn. These
 //! tapes and the per-node and per-edge DAG buffers only ever grow — each
 //! sweep overwrites every entry it later reads (the backward replay
 //! zeroes its own node adjoints), so a scratch that alternates between
@@ -41,7 +41,7 @@
 //! reusable as one that returned, since every sweep overwrites what it
 //! later reads.
 
-use crate::compiled::{LevelProgram, VarCache};
+use crate::compiled::VarCache;
 use crate::descent::DescentState;
 
 /// Lifetime work counters of one sweep scratch: plain integers bumped
@@ -118,20 +118,20 @@ pub struct EvalScratch {
     /// each edge is an in-edge of exactly one node, so edge id is a
     /// collision-free index).
     pub(crate) tape_w: Vec<f64>,
-    /// Staging row: the outputs of one level's arity-2 maxes before
-    /// they scatter to their slots, then one DAG depth's candidates,
-    /// weights, starts and kernel rows.
+    /// Staging row: the outputs of the startup maxes before they
+    /// scatter to their slots, then one DAG depth's candidates, weights,
+    /// starts and kernel rows.
     pub(crate) stack: Vec<f64>,
     /// Per-slot values of the objective's level program, recorded by the
     /// forward sweep (root `r` at `[r]`) and read by the backward one.
     pub(crate) tape_vals: Vec<f64>,
-    /// Per-`max` gradient weights of the level program; same lifecycle
-    /// as `tape_vals`.
+    /// Per-startup-max gradient weights of the level program; same
+    /// lifecycle as `tape_vals`.
     pub(crate) tape_wts: Vec<f64>,
     /// Per-slot adjoints of the backward sweep.
     pub(crate) slot_adj: Vec<f64>,
     /// Per-variable `exp(x_j)` caches filled once per sweep (see
-    /// [`VarCache`]).
+    /// `VarCache`).
     pub(crate) var_cache: VarCache,
 }
 
@@ -168,12 +168,13 @@ impl EvalScratch {
         grow(&mut self.stack, staging);
     }
 
-    /// Size the tapes and the staging row for `prog`.
-    pub(crate) fn ensure_tape(&mut self, prog: &LevelProgram) {
-        grow(&mut self.tape_vals, prog.n_slots);
-        grow(&mut self.tape_wts, prog.n_wts);
-        grow(&mut self.slot_adj, prog.n_slots);
-        grow(&mut self.stack, prog.max2_width);
+    /// Size the tapes and the staging row for a level program of
+    /// `slots` value slots and `maxes` startup maxes.
+    pub(crate) fn ensure_tape(&mut self, slots: usize, maxes: usize) {
+        grow(&mut self.tape_vals, slots);
+        grow(&mut self.tape_wts, 2 * maxes);
+        grow(&mut self.slot_adj, slots);
+        grow(&mut self.stack, maxes);
     }
 }
 

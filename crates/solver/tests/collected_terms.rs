@@ -119,7 +119,8 @@ fn node_expressions_are_the_cost_crates_node_weights() {
 /// `2·[has 1D] + [has 2D]` (a startup max of two monomials, a 2D startup
 /// monomial); per edge, only when `t_n > 0`, its `t^D`, one monomial per
 /// transfer kind (with `t_n = 0` every `t^D` is zero and no edge root is
-/// compiled). A root without any term compiles to one zero monomial.
+/// compiled). A root without any term counts as one zero monomial (a sum
+/// without children).
 /// Of them, the constants: per node `α·τ` and the constant candidate of
 /// each 1D startup max, and every root without a term.
 #[test]

@@ -20,6 +20,9 @@
 //! and 0.22); with the constants out of the monomial rows, no `t^D` roots
 //! on this `t_n = 0` machine and the `C_p` recurrence's depth plan held
 //! beside the program it reads 1 545 560 and 1 545 560 (0.17 and 0.16).
+//! Compiled straight from the graph into a fixed three-level program, its
+//! constants in the program and every table sized before it is filled,
+//! it reads 871 032 and 879 256 (0.095 and 0.089).
 //!
 //! The ignored test is the dense tier at scale, the one command behind
 //! DESIGN.md §7's numbers at scale:

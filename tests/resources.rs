@@ -9,7 +9,7 @@ use paradigm_analyze::{analyze_resources, check_schedule_memory};
 use paradigm_core::prelude::*;
 use paradigm_core::{gallery_graph, machine_from_spec, GALLERY_NAMES, MACHINE_SPECS};
 use paradigm_mdg::{random_layered_mdg, RandomMdgConfig};
-use paradigm_sim::{lower_mpmd, lower_spmd, TaskProgram};
+use paradigm_sim::{lower_mpmd, lower_spmd, ValidProgram};
 use proptest::prelude::*;
 
 /// Slack for the float conversion of exact byte counts: relative 1e-9
@@ -129,7 +129,7 @@ proptest! {
         let ub = ra.peak_interval.1;
         let c = compile(&g, &SolveSpec::new(machine)).unwrap();
         let truth = TrueMachine::cm5(p);
-        let peak = |prog: TaskProgram| simulate(&prog, &truth).peak_resident_bytes(&prog);
+        let peak = |prog: ValidProgram| simulate(&prog, &truth).peak_resident_bytes(&prog);
         let mpmd = peak(lower_mpmd(&g, &c.psa.schedule));
         prop_assert!(dominates(ub, mpmd), "seed {seed} p={p}: mpmd peak {mpmd} > bound {ub}");
         let spmd = peak(lower_spmd(&g, p));
